@@ -1,9 +1,15 @@
 // AES-128/192/256 block cipher (FIPS 197), implemented from scratch.
 //
-// This is a straightforward table-free implementation (S-box lookups on
-// bytes, column mixing in GF(2^8)).  It stands in for the AES-NI hardware
-// instructions the paper's enclaves use; throughput is benchmarked in
-// bench/bench_crypto.cpp and feeds the cost model constants.
+// Encryption uses 32-bit T-table rounds: four 256-entry word tables,
+// built at compile time from the S-box, fold SubBytes, ShiftRows and
+// MixColumns into lookups and XORs, and the final round uses the plain
+// S-box.  Decryption stays byte-wise (inverse S-box plus column mixing in
+// GF(2^8)): GCM and CMAC only ever encrypt blocks, so nothing hot uses it.
+// Both index tables with secret-dependent bytes, as the byte S-box always
+// did; cache-timing side channels are outside this simulator's threat
+// model.  It stands in for the AES-NI hardware instructions the paper's
+// enclaves use; virtual time comes from the cost model, never from this
+// code's speed, and bench/bench_crypto.cpp measures its throughput.
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include "crypto/gcm.h"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -23,54 +24,83 @@ void store_block(uint8_t* p, const Block& b) {
   store_be64(p + 8, b.lo);
 }
 
-// Multiplication in GF(2^128) with the GCM polynomial, bit-by-bit
-// (right-shift algorithm from SP 800-38D §6.3).
-Block ghash_multiply(const Block& x, const Block& h) {
-  Block z{0, 0};
-  Block v = h;
-  for (int i = 0; i < 128; ++i) {
-    const uint64_t bit =
-        i < 64 ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit != 0) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const uint64_t lsb = v.lo & 1;
-    v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb != 0) v.hi ^= 0xe100000000000000ULL;
-  }
-  return z;
+// Multiplication by x in GF(2^128) with the GCM polynomial.  GCM's bit
+// order puts x^0 in the most significant bit, so this is a right shift
+// that folds the x^128 term back in as 0xe1 << 120 (SP 800-38D §6.3).
+constexpr Block mul_x(const Block& v) {
+  const uint64_t lsb = v.lo & 1;
+  return Block{(v.hi >> 1) ^ (lsb * 0xe100000000000000ULL),
+               (v.lo >> 1) | (v.hi << 63)};
 }
 
+// kReduce4[r]: what shifting the four coefficients x^124..x^127 (the low
+// nibble r) past x^127 folds back into the high word.
+constexpr std::array<uint64_t, 16> make_reduce4() {
+  std::array<uint64_t, 16> table{};
+  for (uint64_t r = 0; r < 16; ++r) {
+    Block b{0, r};
+    for (int i = 0; i < 4; ++i) b = mul_x(b);
+    table[r] = b.hi;
+  }
+  return table;
+}
+
+constexpr std::array<uint64_t, 16> kReduce4 = make_reduce4();
+
+// GHASH with Shoup's 4-bit tables: m_[n] = n·H for every 4-bit n (the
+// nibble's top bit is the x^0 coefficient), so one multiplication by H is
+// 32 Horner steps of "multiply by x^4, add a table entry" instead of 128
+// shift-and-add steps.
 class Ghash {
  public:
-  explicit Ghash(const Block& h) : h_(h) {}
+  explicit Ghash(const Block& h) {
+    m_[8] = h;
+    m_[4] = mul_x(m_[8]);
+    m_[2] = mul_x(m_[4]);
+    m_[1] = mul_x(m_[2]);
+    for (int i = 2; i < 16; i <<= 1) {
+      for (int j = 1; j < i; ++j) {
+        m_[i + j] = Block{m_[i].hi ^ m_[j].hi, m_[i].lo ^ m_[j].lo};
+      }
+    }
+  }
 
   void update(ByteView data) {
-    size_t offset = 0;
-    while (offset < data.size()) {
+    const uint8_t* p = data.data();
+    size_t left = data.size();
+    for (; left >= 16; p += 16, left -= 16) absorb(load_block(p));
+    if (left > 0) {
       uint8_t block[16] = {0};
-      const size_t take = std::min<size_t>(16, data.size() - offset);
-      std::memcpy(block, data.data() + offset, take);
-      const Block b = load_block(block);
-      y_.hi ^= b.hi;
-      y_.lo ^= b.lo;
-      y_ = ghash_multiply(y_, h_);
-      offset += take;
+      std::memcpy(block, p, left);
+      absorb(load_block(block));
     }
   }
 
   void lengths(uint64_t aad_bits, uint64_t ct_bits) {
-    y_.hi ^= aad_bits;
-    y_.lo ^= ct_bits;
-    y_ = ghash_multiply(y_, h_);
+    absorb(Block{aad_bits, ct_bits});
   }
 
   Block digest() const { return y_; }
 
  private:
-  Block h_;
+  // y = (y ^ b)·H, nibbles taken from x^127 down to x^0.
+  void absorb(const Block& b) {
+    const uint64_t hi = y_.hi ^ b.hi;
+    const uint64_t lo = y_.lo ^ b.lo;
+    Block z = m_[lo & 0xf];
+    for (int n = 1; n < 32; ++n) {
+      const uint64_t word = n < 16 ? lo : hi;
+      const uint64_t nibble = (word >> (4 * (n & 15))) & 0xf;
+      const uint64_t rem = z.lo & 0xf;
+      z.lo = (z.lo >> 4) | (z.hi << 60);
+      z.hi = (z.hi >> 4) ^ kReduce4[rem];
+      z.hi ^= m_[nibble].hi;
+      z.lo ^= m_[nibble].lo;
+    }
+    y_ = z;
+  }
+
+  std::array<Block, 16> m_{};
   Block y_{0, 0};
 };
 

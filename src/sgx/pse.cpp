@@ -32,6 +32,7 @@ Result<CreatedCounter> MonotonicCounterService::create(
   created.uuid.nonce = entry.nonce;
   created.value = 0;
   counters_.emplace(created.uuid.counter_id, entry);
+  ++owner_counts_[owner];
   return created;
 }
 
@@ -73,6 +74,7 @@ Status MonotonicCounterService::destroy(const Measurement& owner,
                                         const CounterUuid& uuid) {
   if (find(owner, uuid) == nullptr) return Status::kCounterNotFound;
   counters_.erase(uuid.counter_id);
+  release_slot(owner);
   return Status::kOk;
 }
 
@@ -91,6 +93,7 @@ size_t MonotonicCounterService::reclaim_retired() {
   size_t n = 0;
   for (auto it = counters_.begin(); it != counters_.end();) {
     if (it->second.retired) {
+      release_slot(it->second.owner);
       it = counters_.erase(it);
       ++n;
     } else {
@@ -109,11 +112,13 @@ size_t MonotonicCounterService::retired_count() const {
 }
 
 size_t MonotonicCounterService::count_for(const Measurement& owner) const {
-  size_t n = 0;
-  for (const auto& [id, entry] : counters_) {
-    if (entry.owner == owner) ++n;
-  }
-  return n;
+  const auto it = owner_counts_.find(owner);
+  return it == owner_counts_.end() ? 0 : it->second;
+}
+
+void MonotonicCounterService::release_slot(const Measurement& owner) {
+  const auto it = owner_counts_.find(owner);
+  if (--it->second == 0) owner_counts_.erase(it);
 }
 
 }  // namespace sgxmig::sgx

@@ -84,8 +84,12 @@ class MonotonicCounterService {
   };
 
   const Entry* find(const Measurement& owner, const CounterUuid& uuid) const;
+  void release_slot(const Measurement& owner);
 
   std::map<uint32_t, Entry> counters_;
+  // Slots each owner holds in counters_ (retired ones included), so the
+  // quota check is a lookup rather than a scan of the whole machine.
+  std::map<Measurement, size_t> owner_counts_;
   uint32_t next_id_ = 1;
 };
 

@@ -2,11 +2,15 @@
 // the paper's fork/roll-back analysis depends on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "platform/world.h"
 #include "sgx/enclave.h"
 #include "sgx/measurement.h"
 #include "sgx/pse.h"
 #include "sgx/pse_wire.h"
+#include "support/rng.h"
 
 namespace sgxmig {
 namespace {
@@ -123,6 +127,83 @@ TEST(CounterService, RetireIsLogicalDestroyUntilReclaim) {
   EXPECT_EQ(svc.retired_count(), 0u);
   EXPECT_EQ(svc.count_for(owner_a()), 0u);
   EXPECT_TRUE(svc.read(owner_b(), other).ok());
+}
+
+TEST(CounterService, RetiredSlotsHoldQuotaUntilReclaimed) {
+  MonotonicCounterService svc;
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(svc.create(owner_a(), Bytes(12, static_cast<uint8_t>(i))).ok())
+        << i;
+  }
+  EXPECT_EQ(svc.retire_all(owner_a()), 256u);
+  EXPECT_EQ(svc.count_for(owner_a()), 256u);
+  EXPECT_EQ(svc.create(owner_a(), Bytes(12, 1)).status(),
+            Status::kCounterQuotaExceeded);
+  EXPECT_EQ(svc.reclaim_retired(), 256u);
+  EXPECT_EQ(svc.count_for(owner_a()), 0u);
+  EXPECT_TRUE(svc.create(owner_a(), Bytes(12, 1)).ok());
+}
+
+TEST(CounterService, CountForMatchesAModelUnderRandomOps) {
+  // Per owner, the model keeps the live counters and the number of
+  // retired-but-unreclaimed slots; count_for must always be their sum.
+  struct Model {
+    sgx::Measurement owner{};
+    std::vector<CounterUuid> live;
+    size_t retired = 0;
+  };
+  std::array<Model, 3> models;
+  for (size_t i = 0; i < models.size(); ++i) {
+    models[i].owner[0] = static_cast<uint8_t>(0x10 + i);
+  }
+  MonotonicCounterService svc;
+  Rng rng(0x9e5);
+  size_t quota_refusals = 0;
+  size_t reclaims = 0;
+  for (int step = 0; step < 6000; ++step) {
+    Model& m = models[rng.uniform(models.size())];
+    // Creates outweigh destroys and reclaims are rare, so owners climb
+    // to the quota between sweeps.
+    const uint64_t op = rng.uniform(1000);
+    if (op < 750) {
+      auto created = svc.create(m.owner, rng.bytes(12));
+      if (m.live.size() + m.retired >=
+          MonotonicCounterService::kMaxCountersPerEnclave) {
+        ASSERT_EQ(created.status(), Status::kCounterQuotaExceeded) << step;
+        ++quota_refusals;
+      } else {
+        ASSERT_TRUE(created.ok()) << step;
+        m.live.push_back(created.value().uuid);
+      }
+    } else if (op < 900) {
+      if (m.live.empty()) continue;
+      const size_t pick = rng.uniform(m.live.size());
+      ASSERT_EQ(svc.destroy(m.owner, m.live[pick]), Status::kOk) << step;
+      m.live.erase(m.live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (op < 998) {
+      ASSERT_EQ(svc.retire_all(m.owner), m.live.size()) << step;
+      m.retired += m.live.size();
+      m.live.clear();
+    } else {
+      size_t retired = 0;
+      for (Model& each : models) {
+        retired += each.retired;
+        each.retired = 0;
+      }
+      ASSERT_EQ(svc.reclaim_retired(), retired) << step;
+      ++reclaims;
+    }
+    size_t retired_total = 0;
+    for (const Model& each : models) {
+      ASSERT_EQ(svc.count_for(each.owner), each.live.size() + each.retired)
+          << step;
+      retired_total += each.retired;
+    }
+    ASSERT_EQ(svc.retired_count(), retired_total) << step;
+  }
+  // The sequence must actually reach the quota boundary and sweep.
+  EXPECT_GT(quota_refusals, 0u);
+  EXPECT_GT(reclaims, 0u);
 }
 
 // ---- end-to-end through the enclave runtime + proxies ----
