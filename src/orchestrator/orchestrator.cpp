@@ -396,7 +396,7 @@ void Orchestrator::start_pipelined(Task& task,
       if (result.status == Status::kMigrationInProgress &&
           result.failure_class == migration::MigrationFailureClass::kNone) {
         // Async source ME queued the re-driven finalize too.
-        set_phase(task, TaskPhase::kTransferring);
+        drive_queued_finalize(task);
       } else if (result.ok()) {
         mark_started(task, enclave, end);
       } else {
@@ -482,9 +482,10 @@ void Orchestrator::advance_precopy(Task& task) {
   if (!terminal) return;  // next round next wave
   if (result.status == Status::kMigrationInProgress &&
       result.failure_class == migration::MigrationFailureClass::kNone) {
-    // Async source ME queued the finalize: the record ships behind the
-    // pump and the poll machinery owns the outcome from here.
-    set_phase(task, TaskPhase::kTransferring);
+    // Async source ME queued the finalize: the enclave is frozen from
+    // here, so drive the record to its accept now rather than behind the
+    // rest of this wave's lane work.
+    drive_queued_finalize(task);
     return;
   }
   if (result.ok()) {
@@ -492,6 +493,21 @@ void Orchestrator::advance_precopy(Task& task) {
   } else {
     pipelined_source_failure(task, result, end);
   }
+}
+
+void Orchestrator::drive_queued_finalize(Task& task) {
+  // A frozen enclave never waits behind live work on its lane.  Lanes
+  // are FIFO in submission order: left to the next wave, the finalize
+  // record would be delivered only by that wave's pump, its accept
+  // continuation would queue behind this wave's remaining pre-copy
+  // rounds, and the poll that ends the freeze behind all of the next
+  // wave's rounds and client ops.  Pumping and polling here submits the
+  // delivery, the accept and the poll before any of that work.  The poll
+  // is the same one the wave would make, so a transfer still in flight
+  // stays kTransferring and the wave polls it again.
+  set_phase(task, TaskPhase::kTransferring);
+  fleet_.world().network().pump_all();
+  poll_transferring(task);
 }
 
 void Orchestrator::complete(Task& task) {
@@ -824,9 +840,13 @@ void Orchestrator::run_event_loop(net::Network& net) {
 
       // Pre-copy advances, then polls: snapshots in ascending index order
       // replicate the legacy full scans (one task's advance/poll never
-      // changes another task's phase), and taking the poll snapshot
-      // AFTER the advances lets a just-finalized pre-copy be polled in
-      // the same wave, as the legacy re-scan would.
+      // changes another task's phase).  An advance whose finalize queues
+      // pumps and polls that task itself (drive_queued_finalize): lanes
+      // are FIFO in submission order, so a frozen enclave's accept and
+      // poll must be submitted before the remaining rounds, or its freeze
+      // absorbs them.  Taking the poll snapshot AFTER the advances lets a
+      // finalize still in flight be polled again in the same wave, as the
+      // legacy re-scan would.
       snapshot.assign(precopying_.begin(), precopying_.end());
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];

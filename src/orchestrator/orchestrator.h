@@ -215,6 +215,10 @@ class Orchestrator {
   /// Ships one pre-copy round (or the finalize, once converged/frozen)
   /// for a kPrecopying task.
   void advance_precopy(Task& task);
+  /// A finalize the async source ME queued (kMigrationInProgress): pumps
+  /// the network and polls the task at once, so the freeze ends at the
+  /// accept instead of behind other tasks' live work on the source lane.
+  void drive_queued_finalize(Task& task);
   /// Shared failure path of the pipelined source side; `freed_at` is the
   /// lane instant the failure was observed (when the slot frees).
   void pipelined_source_failure(Task& task,
