@@ -59,21 +59,21 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
   platform::World world(9400 + seed * 2 +
                         (mode == TransferMode::kPrecopy ? 1 : 0));
   if (traced) world.observability().set_enabled(true);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
+  // The settings apply on every ME (re)start, so the storm's restarts
+  // keep them.
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [mode](migration::MigrationEnclave& me) {
+        // Reply-loss storms need the destination-side takeover path:
+        // after this long without a delivery confirmation the
+        // destination ME finishes the hand-off itself instead of waiting
+        // on a lost reply.
+        me.set_delivery_takeover_timeout(std::chrono::seconds(2));
+        if (mode == TransferMode::kPrecopy) me.set_async_precopy(true);
+      }));
   std::vector<std::string> destinations;
   for (int i = 0; i < kMachines; ++i) {
     world.add_machine("m" + std::to_string(i));
     if (i != 0) destinations.push_back("m" + std::to_string(i));
-  }
-  for (platform::Machine* m : world.machines()) {
-    auto* me = migration::me_on(*m);
-    if (me == nullptr) continue;
-    // Reply-loss storms need the destination-side takeover path: after
-    // this long without a delivery confirmation the destination ME
-    // finishes the hand-off itself instead of waiting on a lost reply.
-    me->set_delivery_takeover_timeout(std::chrono::seconds(2));
-    if (mode == TransferMode::kPrecopy) me->set_async_precopy(true);
   }
 
   FleetRegistry fleet(world);

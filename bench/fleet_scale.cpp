@@ -1,5 +1,5 @@
-// Datacenter-scale orchestrator bench (ISSUE 10): drives the event-driven
-// wave driver up a (machines x enclaves) curve to 1000 machines / 10,000
+// Datacenter-scale orchestrator bench: drives the orchestrator's wave
+// driver up a (machines x enclaves) curve to 1000 machines / 10,000
 // enclaves — a 10-region evacuation placed by the hierarchical indexed
 // policy — recording virtual wall time, REAL orchestrator CPU seconds,
 // and deterministic control-plane memory per row.
@@ -9,10 +9,6 @@
 //     grow at most 15x over the 10x enclave growth from 1k to 10k;
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
 //     the 1k row (event-log ring + ME history caps bound the rest);
-//   * driver equivalence: the event-driven driver reproduces the legacy
-//     full-scan driver's OrchestratorReport JSON (events included)
-//     bit-for-bit on the 32-enclave BENCH_fleet_drain configurations
-//     (pipelined full-snapshot, pipelined pre-copy, ME-restart);
 //   * a traced rerun of the 1k row reproduces its untraced wall
 //     bit-exactly and emits TRACE_fleet_scale.json for trace_check.py;
 //   * one mixed-profile chaos storm over a 1000-enclave event-driven
@@ -155,82 +151,6 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
   return result;
 }
 
-// ----- driver equivalence on the BENCH_fleet_drain configurations -----
-
-enum class DrainConfig { kPipelined, kPrecopy, kMeRestart };
-
-const char* drain_config_name(DrainConfig config) {
-  switch (config) {
-    case DrainConfig::kPipelined: return "pipelined-full-snapshot";
-    case DrainConfig::kPrecopy: return "pipelined-precopy";
-    case DrainConfig::kMeRestart: return "me-restart";
-  }
-  return "?";
-}
-
-/// Replays one 32-enclave BENCH_fleet_drain configuration — same world
-/// seed formula, same fleet, same options — under the requested driver
-/// and returns the full report JSON (events included) plus the wall.
-std::pair<std::string, Duration> drain_report(DrainConfig config,
-                                              bool legacy_driver,
-                                              DriverStats* stats_out) {
-  const int enclaves = 32;
-  const TransferMode mode = config == DrainConfig::kPrecopy
-                                ? TransferMode::kPrecopy
-                                : TransferMode::kFullSnapshot;
-  const int fault = config == DrainConfig::kMeRestart ? 2 : 0;
-  platform::World world(9100 + enclaves + fault * 7 +
-                        static_cast<int>(mode) * 31 + 101);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 5; ++i) world.add_machine("m" + std::to_string(i));
-  if (mode == TransferMode::kPrecopy) {
-    for (platform::Machine* m : world.machines()) {
-      if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-    }
-  }
-
-  FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < enclaves; ++i) {
-    const std::string name = "drain-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
-
-  Scheduler scheduler(fleet);  // least-loaded (indexed either way)
-  OrchestratorOptions options;
-  options.max_inflight_per_machine = 4;
-  options.max_inflight_total = 8;
-  options.max_attempts = 6;
-  options.transfer_mode = mode;
-  options.pipelined = true;
-  options.legacy_wave_loop = legacy_driver;
-  Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
-  if (config == DrainConfig::kMeRestart) {
-    fleet.set_completion_callback(
-        [&world, &completions](const orchestrator::EnclaveRecord&) {
-          if (++completions == 2) world.machine("m0")->kill_management_enclave();
-        });
-    orch.set_wave_hook([&world, waves_down = 0u](uint32_t) mutable {
-      if (world.machine("m0")->has_management_enclave()) return;
-      if (++waves_down >= 3) world.machine("m0")->restart_management_enclave();
-    });
-  }
-
-  const Duration t0 = world.clock().now();
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
-  const Duration wall = world.clock().now() - t0;
-  if (stats_out != nullptr) *stats_out = orch.last_driver_stats();
-  return {report.to_json(/*include_events=*/true), wall};
-}
-
 // ----- chaos storm over a 1000-enclave event-driven drain -----
 
 struct StormResult {
@@ -245,18 +165,15 @@ StormResult storm_1k(uint64_t seed) {
   constexpr int kEnclaves = 1000;
   constexpr int kMachines = 20;
   platform::World world(base_seed() + 400 + seed * 2);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [](migration::MigrationEnclave& me) {
+        me.set_delivery_takeover_timeout(std::chrono::seconds(2));
+        me.set_completed_history_limit(256);
+      }));
   std::vector<std::string> destinations;
   for (int i = 0; i < kMachines; ++i) {
     world.add_machine("m" + std::to_string(i));
     if (i != 0) destinations.push_back("m" + std::to_string(i));
-  }
-  for (platform::Machine* m : world.machines()) {
-    auto* me = migration::me_on(*m);
-    if (me == nullptr) continue;
-    me->set_delivery_takeover_timeout(std::chrono::seconds(2));
-    me->set_completed_history_limit(256);
   }
 
   FleetRegistry fleet(world);
@@ -335,38 +252,6 @@ void run() {
   std::printf("================================================================\n");
 
   bench::JsonBench json("fleet_scale");
-
-  // --- driver equivalence first: cheap, and everything below trusts it.
-  std::printf("\ndriver equivalence on BENCH_fleet_drain 32-enclave rows:\n");
-  DriverStats legacy_stats, event_stats;
-  for (const DrainConfig config :
-       {DrainConfig::kPipelined, DrainConfig::kPrecopy,
-        DrainConfig::kMeRestart}) {
-    const auto legacy = drain_report(config, /*legacy_driver=*/true,
-                                     &legacy_stats);
-    const auto event = drain_report(config, /*legacy_driver=*/false,
-                                    &event_stats);
-    const bool identical =
-        legacy.first == event.first && legacy.second == event.second;
-    std::printf("  %-24s report %s, wall %.6fs; task touches %llu (legacy) "
-                "-> %llu (event)\n",
-                drain_config_name(config),
-                identical ? "IDENTICAL" : "DIVERGED",
-                to_seconds(event.second),
-                static_cast<unsigned long long>(legacy_stats.task_touches),
-                static_cast<unsigned long long>(event_stats.task_touches));
-    json.begin_row()
-        .field("equivalence", std::string(drain_config_name(config)))
-        .field("identical", static_cast<uint64_t>(identical ? 1 : 0))
-        .field("wall_seconds", to_seconds(event.second))
-        .field("legacy_task_touches", legacy_stats.task_touches)
-        .field("event_task_touches", event_stats.task_touches)
-        .field("legacy_waves", legacy_stats.waves)
-        .field("event_waves", event_stats.waves);
-    if (!identical) {
-      fail_gate("event-driven driver diverged from the legacy wave loop");
-    }
-  }
 
   // --- the scaling curve.
   std::printf("\n%9s %9s %10s %10s %14s %12s %10s %12s %11s\n", "machines",

@@ -14,11 +14,8 @@ constexpr char kPrecopyFinMarker[] = "SGXMIG-PC-FIN";
 constexpr char kReconcileMarker[] = "SGXMIG-RECON";
 constexpr char kAbortMarker[] = "SGXMIG-ABORT";
 constexpr char kQueueAad[] = "SGXMIG-ME-QUEUE";
-constexpr char kQueueMagicV1[] = "SGXMIG-ME-QUEUE-v1";
-constexpr char kQueueMagicV2[] = "SGXMIG-ME-QUEUE-v2";  // v1 + pre-copy state
-// v2 + pipelined TransferTasks, inbound peer addresses, staging ages.
-constexpr char kQueueMagicV3[] = "SGXMIG-ME-QUEUE-v3";
-// v3 + per-task armed flags and the cached ME<->ME resume sessions.
+// The only queue format written or read; a snapshot with any other magic
+// is refused as tampered.
 constexpr char kQueueMagicV4[] = "SGXMIG-ME-QUEUE-v4";
 // Confirmed-transfer history bound: enough to absorb duplicate DONEs from
 // any realistic relay-retry window without growing with fleet lifetime.
@@ -3007,7 +3004,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     if (!in.authenticated || !in.channel.has_value()) continue;
     w.u64(id);
     w.str(in.source_region);
-    w.str(in.source_address);  // v3: authorizes source-scoped aborts
+    w.str(in.source_address);  // authorizes source-scoped aborts
     Bytes channel_state = in.channel->serialize_state();
     w.bytes(channel_state);
     secure_wipe(channel_state);  // contains the raw session key
@@ -3070,10 +3067,10 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(s.request_nonce);
     w.u32(s.rounds);
     serialize_chunk_map(w, s.chunks);
-    w.u64(static_cast<uint64_t>(s.last_update.count()));  // v3: sweep age
+    w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
   }
 
-  // ----- v3: pipelined TransferTasks -----
+  // ----- pipelined TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
   // every pipeline from the attest step under a fresh transfer id.
@@ -3082,10 +3079,10 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());
-    w.boolean(t.armed);  // v4: unarmed reservations re-park at kAwaitArm
+    w.boolean(t.armed);  // unarmed reservations re-park at kAwaitArm
   }
 
-  // ----- v4: cached ME<->ME attestation sessions -----
+  // ----- cached ME<->ME attestation sessions -----
   // Master keys ride the sealed snapshot like channel keys do; losing an
   // entry only costs one full handshake.  Acceptor-side state is
   // deliberately NOT persisted (a restarted responder must force the full
@@ -3104,10 +3101,7 @@ Bytes MigrationEnclave::serialize_queue() const {
 Status MigrationEnclave::apply_queue(ByteView plaintext) {
   BinaryReader r(plaintext);
   const std::string magic = r.str(64);
-  const bool v4 = magic == kQueueMagicV4;
-  const bool v3 = v4 || magic == kQueueMagicV3;
-  const bool v2 = v3 || magic == kQueueMagicV2;
-  if (!v2 && magic != kQueueMagicV1) return Status::kTampered;
+  if (magic != kQueueMagicV4) return Status::kTampered;
   const uint64_t next_sequence = r.u64();
 
   std::map<uint64_t, OutgoingTransfer> outgoing;
@@ -3151,7 +3145,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     InboundTransfer in;
     in.authenticated = true;
     in.source_region = r.str(256);
-    if (v3) in.source_address = r.str(256);
+    in.source_address = r.str(256);
     Bytes channel_state = r.bytes(64);
     auto channel = net::SecureChannel::deserialize_state(channel_state);
     secure_wipe(channel_state);
@@ -3206,74 +3200,68 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
 
   std::map<uint64_t, PrecopyOutgoing> precopy_outgoing;
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
-  if (v2) {
-    const uint32_t precopy_count = r.u32();
-    for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
-      const uint64_t nonce = r.u64();
-      PrecopyOutgoing p;
-      p.source_mr = r.fixed<32>();
-      p.destination_address = r.str(256);
-      p.transfer_id = r.u64();
-      p.rounds = r.u32();
-      p.resync = r.boolean();
-      auto merged = deserialize_chunk_map(r);
-      if (!merged.ok()) return Status::kTampered;
-      p.merged = std::move(merged).value();
-      if (r.boolean()) {
-        Bytes channel_state = r.bytes(64);
-        auto channel = net::SecureChannel::deserialize_state(channel_state);
-        secure_wipe(channel_state);
-        if (!channel.ok()) return Status::kTampered;
-        p.channel.emplace(std::move(channel).value());
-      }
-      precopy_outgoing[nonce] = std::move(p);
+  const uint32_t precopy_count = r.u32();
+  for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
+    const uint64_t nonce = r.u64();
+    PrecopyOutgoing p;
+    p.source_mr = r.fixed<32>();
+    p.destination_address = r.str(256);
+    p.transfer_id = r.u64();
+    p.rounds = r.u32();
+    p.resync = r.boolean();
+    auto merged = deserialize_chunk_map(r);
+    if (!merged.ok()) return Status::kTampered;
+    p.merged = std::move(merged).value();
+    if (r.boolean()) {
+      Bytes channel_state = r.bytes(64);
+      auto channel = net::SecureChannel::deserialize_state(channel_state);
+      secure_wipe(channel_state);
+      if (!channel.ok()) return Status::kTampered;
+      p.channel.emplace(std::move(channel).value());
     }
-    const uint32_t staging_count = r.u32();
-    for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
-      const sgx::Measurement mr = r.fixed<32>();
-      PrecopyStaging s;
-      s.transfer_id = r.u64();
-      s.source_me_address = r.str(256);
-      s.request_nonce = r.u64();
-      s.rounds = r.u32();
-      auto chunks = deserialize_chunk_map(r);
-      if (!chunks.ok()) return Status::kTampered;
-      s.chunks = std::move(chunks).value();
-      if (v3) s.last_update = Duration(static_cast<int64_t>(r.u64()));
-      precopy_staging[mr] = std::move(s);
-    }
+    precopy_outgoing[nonce] = std::move(p);
+  }
+  const uint32_t staging_count = r.u32();
+  for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
+    const sgx::Measurement mr = r.fixed<32>();
+    PrecopyStaging s;
+    s.transfer_id = r.u64();
+    s.source_me_address = r.str(256);
+    s.request_nonce = r.u64();
+    s.rounds = r.u32();
+    auto chunks = deserialize_chunk_map(r);
+    if (!chunks.ok()) return Status::kTampered;
+    s.chunks = std::move(chunks).value();
+    s.last_update = Duration(static_cast<int64_t>(r.u64()));
+    precopy_staging[mr] = std::move(s);
   }
 
   std::map<uint64_t, TransferTask> transfer_tasks;
-  if (v3) {
-    const uint32_t task_count = r.u32();
-    for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
-      const uint64_t nonce = r.u64();
-      TransferTask t;
-      t.source_mr = r.fixed<32>();
-      auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
-      if (!request.ok()) return Status::kTampered;
-      t.request = std::move(request).value();
-      if (v4) t.armed = r.boolean();
-      // Step collapses to kQueued: the next pump() re-attests and
-      // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
-      // keeps the end-to-end result exactly-once.
-      transfer_tasks[nonce] = std::move(t);
-    }
+  const uint32_t task_count = r.u32();
+  for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
+    const uint64_t nonce = r.u64();
+    TransferTask t;
+    t.source_mr = r.fixed<32>();
+    auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
+    if (!request.ok()) return Status::kTampered;
+    t.request = std::move(request).value();
+    t.armed = r.boolean();
+    // Step collapses to kQueued: the next pump() re-attests and
+    // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
+    // keeps the end-to-end result exactly-once.
+    transfer_tasks[nonce] = std::move(t);
   }
 
   std::map<std::string, PeerSession> peer_sessions;
-  if (v4) {
-    const uint32_t session_count = r.u32();
-    for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
-      const std::string address = r.str(256);
-      PeerSession s;
-      s.master_key = r.fixed<16>();
-      s.peer_epoch = r.u64();
-      s.credential = platform::MachineCredential::deserialize(r);
-      s.region = r.str(256);
-      peer_sessions[address] = std::move(s);
-    }
+  const uint32_t session_count = r.u32();
+  for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
+    const std::string address = r.str(256);
+    PeerSession s;
+    s.master_key = r.fixed<16>();
+    s.peer_epoch = r.u64();
+    s.credential = platform::MachineCredential::deserialize(r);
+    s.region = r.str(256);
+    peer_sessions[address] = std::move(s);
   }
 
   if (!r.done()) return Status::kTampered;
@@ -3347,8 +3335,10 @@ std::string me_queue_key(const platform::Machine& machine) {
 }  // namespace
 
 platform::Machine::MgmtEnclaveFactory durable_me_factory(
-    platform::ProviderCa& provider) {
-  return [&provider](platform::Machine& machine)
+    platform::ProviderCa& provider,
+    std::function<void(MigrationEnclave&)> configure) {
+  return [&provider, configure = std::move(configure)](
+             platform::Machine& machine)
              -> std::unique_ptr<sgx::Enclave> {
     auto me = std::make_unique<MigrationEnclave>(
         machine, MigrationEnclave::standard_image(), provider);
@@ -3365,6 +3355,7 @@ platform::Machine::MgmtEnclaveFactory durable_me_factory(
       // every in-flight migration's data.
       (void)me->restore_queue(stored.value());
     }
+    if (configure) configure(*me);
     return me;
   };
 }

@@ -75,7 +75,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   // ship -> await-ack -> retained) whose round trips travel through
   // net::Network::post, so N concurrent outgoing transfers interleave
   // over independent RA channels instead of serializing.  Tasks are part
-  // of the durable queue (v3) from the moment they are queued: a restarted
+  // of the durable queue from the moment they are queued: a restarted
   // ME resumes every in-flight pipeline (re-attesting under a fresh
   // transfer id; the request nonce makes re-ships exactly-once end to
   // end).  Terminal failures are held until the library polls them
@@ -96,6 +96,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// The finalize stays synchronous (it is the freeze-window tail and must
   /// not race an in-flight round — it resyncs the full merged set).
   void set_async_precopy(bool on) { async_precopy_ = on; }
+  bool async_precopy() const { return async_precopy_; }
 
   /// Freeze-aware arm pacing: at most this many armed payloads may be in
   /// flight before the poll stops reporting kSlotLive for parked
@@ -200,6 +201,9 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// paper-strict unconditional pin (never fork, possibly stuck forever).
   void set_delivery_takeover_timeout(Duration timeout) {
     delivery_takeover_timeout_ = timeout;
+  }
+  Duration delivery_takeover_timeout() const {
+    return delivery_takeover_timeout_;
   }
 
   // ----- introspection (used by tests and the bench harness) -----
@@ -623,9 +627,12 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 /// ME with its durable transfer queue wired to the machine's untrusted
 /// store (versioned two-slot writes, key "<address>.me-queue").  A
 /// restarted ME restores the queue before serving; install fleet-wide via
-/// World::install_management_enclaves.
+/// World::install_management_enclaves.  `configure`, when set, runs on
+/// every instance the factory builds (after the queue restore), so ME
+/// settings survive a kill/restart.
 platform::Machine::MgmtEnclaveFactory durable_me_factory(
-    platform::ProviderCa& provider);
+    platform::ProviderCa& provider,
+    std::function<void(MigrationEnclave&)> configure = {});
 
 /// Installs a durable-queue ME on one machine and returns it (typed view
 /// of Machine::management_enclave()).

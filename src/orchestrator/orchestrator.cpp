@@ -588,143 +588,52 @@ void Orchestrator::fail_task(Task& task) {
           ": " + task.last_message);
 }
 
-// ----- wave drivers -----
+// ----- wave driver -----
 //
-// Both drivers run the same wave skeleton — admission, (pipelined) pump +
-// pre-copy advances + polls, completions, backoff stall-jump — through
-// the same admit/poll/complete primitives; they differ ONLY in which
-// tasks and machines each wave VISITS.  The legacy loop scans every task
-// and every machine every wave (O(tasks) per wave even when one enclave
-// is in flight); the event-driven loop walks the phase sets, the
-// per-source ready index, and the lane-event kick set, so a wave costs
-// work proportional to what actually happened.  The visit ORDER within a
-// wave is ascending task index / machine creation order in both, which
-// is why the two produce bit-identical reports (enforced by
-// test_event_driver.cpp and the fleet-scale bench gate).
+// Each wave runs admission, then (pipelined) the ME pump, pre-copy
+// advances and polls, then completions, and jumps the clock to the
+// earliest retry when nothing progressed.  A wave visits only what can
+// have changed: the per-source ready sets, the phase sets, and the
+// machines whose lane ran since their last pump.  Its cost is therefore
+// proportional to the protocol work done, not to the plan size.
+//
+// Visit order is a rule, not an accident of the data structures: within
+// every step of a wave, tasks are visited in ascending plan index and
+// machines in creation order.  Admission moves forward through plan order
+// once per wave; the pump, advance, poll and completion steps each work
+// on a snapshot of their set taken when the step starts.  Reports are
+// deterministic functions of this order (pinned by test_event_driver.cpp).
 
-void Orchestrator::run_legacy_loop(net::Network& net) {
-  auto unfinished = [&] {
-    return std::any_of(tasks_.begin(), tasks_.end(), [](const Task& t) {
-      return t.phase != TaskPhase::kDone && t.phase != TaskPhase::kFailed;
-    });
-  };
+namespace {
 
-  uint32_t wave = 0;
-  uint32_t stalled_waves = 0;
-  while (unfinished()) {
-    if (wave_hook_) {
-      wave_hook_(wave);
-      // Chaos hooks (ME kills/restarts) charge the clock at control
-      // level; fold that into the control instant so lane runs do not
-      // discard it.
-      if (lanes_ != nullptr) lanes_->sync_control_from_clock();
-    }
-    ++wave;
-    ++stats_.waves;
-    bool progressed = false;
+// An ME needs pump kicks while it holds transfer tasks or async pre-copy
+// ships.
+bool has_queued_work(const migration::MigrationEnclave* me) {
+  return me != nullptr && (me->transfer_task_count() > 0 ||
+                           me->precopy_outgoing_count() > 0);
+}
 
-    // Admission wave: start every ready task the caps allow.  Started
-    // tasks stay in flight (data pending at their destination MEs) until
-    // the completion wave below, so the in-flight gauges genuinely
-    // overlap up to the caps.
-    for (Task& task : tasks_) {
-      ++stats_.task_touches;
-      const bool ready =
-          task.phase == TaskPhase::kQueued ||
-          (task.phase == TaskPhase::kBackoff && task.retry_at <= now());
-      if (!ready) continue;
-      ++stats_.admission_checks;
-      if (admit_and_start(task)) progressed = true;
-    }
+}  // namespace
 
-    if (lanes_ != nullptr) {
-      // Pump wave: re-kick source-ME tasks (freshly queued after an ME
-      // restart resumes them from the durable queue) and drain the
-      // deferred deliveries — every in-flight ME<->ME conversation
-      // advances, interleaved across lanes.
-      for (platform::Machine* m : machines_) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr || (me->transfer_task_count() == 0 &&
-                              me->precopy_outgoing_count() == 0)) {
-          continue;  // async pre-copy ships also need the pump re-kick
-        }
-        ++stats_.pump_kicks;
-        lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
-      }
-      if (net.pump_all() > 0) progressed = true;
-
-      for (Task& task : tasks_) {
-        ++stats_.task_touches;
-        if (task.phase == TaskPhase::kPrecopying) {
-          advance_precopy(task);
-          progressed = true;
-        }
-      }
-      for (Task& task : tasks_) {
-        ++stats_.task_touches;
-        if (task.phase != TaskPhase::kTransferring) continue;
-        poll_transferring(task);
-        if (task.phase != TaskPhase::kTransferring) progressed = true;
-      }
-    }
-
-    // Completion wave: restore every in-flight migration on its
-    // destination.  Pipelined restores run on the DESTINATION lane —
-    // restores toward different machines overlap with each other and
-    // with the source lane still streaming the next transfers.
-    for (Task& task : tasks_) {
-      ++stats_.task_touches;
-      if (task.phase != TaskPhase::kStarted) continue;
-      if (lanes_ != nullptr) {
-        const Duration end = lanes_->run(
-            task.destination, std::max(task.ready_at, lanes_->control()),
-            [&] { complete(task); });
-        release_slot(end);
-      } else {
-        complete(task);
-      }
-      progressed = true;
-    }
-
-    if (progressed) {
-      stalled_waves = 0;
-      continue;
-    }
-    // Everything left is backing off (or, pipelined, awaiting a pump that
-    // produced nothing): jump the virtual clock to the earliest retry
-    // instead of spinning.
-    Duration earliest = Duration::max();
-    for (const Task& task : tasks_) {
-      if (task.phase == TaskPhase::kBackoff) {
-        earliest = std::min(earliest, task.retry_at);
-      }
-    }
-    if (earliest == Duration::max()) {
-      // Pipelined in-flight tasks with nothing pumpable resolve at the
-      // next poll; give them bounded slack before declaring a wedge.
-      if (lanes_ != nullptr && ++stalled_waves < 64) continue;
-      break;  // defensive: nothing to wait on
-    }
-    if (lanes_ != nullptr) {
-      lanes_->advance_control(earliest);
-    } else {
-      VirtualClock& clock = fleet_.world().clock();
-      if (earliest > clock.now()) clock.advance(earliest - clock.now());
+void Orchestrator::seed_kick_candidates() {
+  for (uint32_t i = 0; i < machines_.size(); ++i) {
+    if (has_queued_work(migration::me_on(*machines_[i]))) {
+      kick_candidates_.insert(i);
     }
   }
 }
 
 bool Orchestrator::event_admission_pass() {
   ripen_backoffs(now(), nullptr);
-  // Saturated fleet: the legacy scan would refuse every ready task with
-  // no side effects, so the whole pass can be skipped.
+  // Saturated fleet: every ready task would be refused with no side
+  // effects, so the whole pass can be skipped.
   if (inflight_total_ >= options_.max_inflight_total) return false;
 
   // Merge the per-source ready sets into one ascending-index stream so
-  // candidates are processed in exactly the legacy scan order, while a
-  // saturated source contributes nothing (its candidates would all be
-  // refused without side effects — only a source's OWN admissions can
-  // change its gauge mid-pass, so saturation holds for the whole pass).
+  // candidates are processed in plan order, while a saturated source
+  // contributes nothing (its candidates would all be refused without side
+  // effects — only a source's OWN admissions can change its gauge
+  // mid-pass, so saturation holds for the whole pass).
   using Entry = std::pair<uint32_t, const std::string*>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> merge;
   for (const auto& [source, ready] : ready_by_source_) {
@@ -741,8 +650,8 @@ bool Orchestrator::event_admission_pass() {
   while (!merge.empty()) {
     // Once the fleet-wide cap is hit mid-pass nothing can release it
     // before the pass ends (releases require processing, which the cap
-    // now refuses), so the legacy scan's remaining visits are all
-    // side-effect-free refusals.
+    // now refuses), so every remaining candidate would be a
+    // side-effect-free refusal.
     if (inflight_total_ >= options_.max_inflight_total) break;
     const auto [idx0, source] = merge.top();
     merge.pop();
@@ -752,9 +661,9 @@ bool Orchestrator::event_admission_pass() {
       continue;  // saturated for the rest of the pass (see above)
     }
     // Validate against the live ready set: the entry may be stale
-    // (admitted via a duplicate, or refused earlier this pass — a
-    // refused candidate keeps its ready slot but is not revisited until
-    // the next wave, exactly like the one-directional legacy scan).
+    // (admitted via a duplicate, or refused earlier this pass).  The pass
+    // only moves forward: a refused candidate keeps its ready slot but
+    // is not revisited until the next wave.
     const auto it = sit->second.lower_bound(std::max(idx0, pass_pos));
     if (it == sit->second.end()) continue;
     if (*it != idx0) {
@@ -766,9 +675,9 @@ bool Orchestrator::event_admission_pass() {
     ++stats_.admission_checks;
     if (admit_and_start(tasks_[idx0])) progressed = true;
     // Blocking (non-pipelined) admissions advance the clock: tasks later
-    // in the scan may ripen mid-pass, exactly as the legacy loop sees
-    // them at visit time.  Earlier indices ripen into the ready set for
-    // the NEXT wave only — the lower_bound(pass_pos) above skips them.
+    // in plan order may ripen mid-pass and are visited in this pass.
+    // Earlier indices ripen into the ready set for the NEXT wave only —
+    // the lower_bound(pass_pos) above skips them.
     newly.clear();
     ripen_backoffs(now(), &newly);
     for (const uint32_t ripe : newly) {
@@ -792,6 +701,9 @@ void Orchestrator::run_event_loop(net::Network& net) {
   while (unfinished_count_ > 0) {
     if (wave_hook_) {
       wave_hook_(wave);
+      // Chaos hooks (ME kills/restarts) charge the clock at control
+      // level; fold that into the control instant so lane runs do not
+      // discard it.
       if (lanes_ != nullptr) lanes_->sync_control_from_clock();
     }
     ++wave;
@@ -801,52 +713,40 @@ void Orchestrator::run_event_loop(net::Network& net) {
     if (event_admission_pass()) progressed = true;
 
     if (lanes_ != nullptr) {
-      // Pump wave, event-driven: a machine needs a kick only if its lane
-      // ran since it was last pumped (enqueues, deliveries, restores and
-      // pumps all run on lanes, so any ME that gained or still has work
-      // has a lane event behind it).  Candidates leave the set the first
-      // wave their ME has nothing queued.  Hooks can revive MEs with no
-      // lane traffic of their own (mid-plan restarts), so hooked runs
-      // fall back to the legacy full scan.
+      // Pump wave: a machine needs a kick only if its lane ran since it
+      // was last pumped (enqueues, deliveries, restores and pumps all run
+      // on lanes, so any ME that gained or still has work has a lane
+      // event behind it).  Hooks are the one exception: they can restart
+      // an ME, which resumes its durable queue with no lane traffic of
+      // its own, so a hooked run re-seeds every ME with queued work.
+      // Candidates leave the set the first wave their ME has nothing
+      // queued.
       for (const auto& event : lanes_->take_lane_events()) {
         const auto it = machine_index_.find(event.lane);
         if (it != machine_index_.end()) kick_candidates_.insert(it->second);
       }
-      if (wave_hook_ || round_hook_) {
-        for (platform::Machine* m : machines_) {
-          auto* me = migration::me_on(*m);
-          if (me == nullptr || (me->transfer_task_count() == 0 &&
-                                me->precopy_outgoing_count() == 0)) {
-            continue;
-          }
-          ++stats_.pump_kicks;
-          lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
+      if (wave_hook_ || round_hook_) seed_kick_candidates();
+      snapshot.assign(kick_candidates_.begin(), kick_candidates_.end());
+      for (const uint32_t idx : snapshot) {
+        auto* me = migration::me_on(*machines_[idx]);
+        if (!has_queued_work(me)) {
+          kick_candidates_.erase(idx);
+          continue;
         }
-      } else {
-        snapshot.assign(kick_candidates_.begin(), kick_candidates_.end());
-        for (const uint32_t idx : snapshot) {
-          auto* me = migration::me_on(*machines_[idx]);
-          if (me == nullptr || (me->transfer_task_count() == 0 &&
-                                me->precopy_outgoing_count() == 0)) {
-            kick_candidates_.erase(idx);
-            continue;
-          }
-          ++stats_.pump_kicks;
-          lanes_->run(machines_[idx]->address(), lanes_->control(),
-                      [&] { me->pump(); });
-        }
+        ++stats_.pump_kicks;
+        lanes_->run(machines_[idx]->address(), lanes_->control(),
+                    [&] { me->pump(); });
       }
       if (net.pump_all() > 0) progressed = true;
 
-      // Pre-copy advances, then polls: snapshots in ascending index order
-      // replicate the legacy full scans (one task's advance/poll never
-      // changes another task's phase).  An advance whose finalize queues
-      // pumps and polls that task itself (drive_queued_finalize): lanes
-      // are FIFO in submission order, so a frozen enclave's accept and
-      // poll must be submitted before the remaining rounds, or its freeze
-      // absorbs them.  Taking the poll snapshot AFTER the advances lets a
-      // finalize still in flight be polled again in the same wave, as the
-      // legacy re-scan would.
+      // Pre-copy advances, then polls, each over an ascending-index
+      // snapshot (one task's advance/poll never changes another task's
+      // phase).  An advance whose finalize queues pumps and polls that
+      // task itself (drive_queued_finalize): lanes are FIFO in submission
+      // order, so a frozen enclave's accept and poll must be submitted
+      // before the remaining rounds, or its freeze absorbs them.  Taking
+      // the poll snapshot AFTER the advances lets a finalize still in
+      // flight be polled again in the same wave.
       snapshot.assign(precopying_.begin(), precopying_.end());
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];
@@ -865,9 +765,12 @@ void Orchestrator::run_event_loop(net::Network& net) {
       }
     }
 
-    // Completion wave over the started set (snapshot taken after the
-    // polls so a transfer that completed its source side this wave
-    // restores this wave, like the legacy re-scan).
+    // Completion wave: restore every in-flight migration on its
+    // destination.  Pipelined restores run on the DESTINATION lane, so
+    // restores toward different machines overlap with each other and
+    // with the source lane still streaming the next transfers.  The
+    // snapshot is taken after the polls, so a transfer that completed
+    // its source side this wave restores this wave.
     snapshot.assign(started_.begin(), started_.end());
     for (const uint32_t idx : snapshot) {
       Task& task = tasks_[idx];
@@ -888,10 +791,12 @@ void Orchestrator::run_event_loop(net::Network& net) {
       stalled_waves = 0;
       continue;
     }
-    // Stall: jump to the earliest pending retry — the heap holds the
+    // Stall: everything left is backing off (or, pipelined, awaiting a
+    // pump that produced nothing), so jump the virtual clock to the
+    // earliest pending retry instead of spinning.  The heap holds the
     // unripe backoffs, the ripe map the ripened-but-capacity-blocked
     // ones (whose retry times are already in the past, making the jump a
-    // no-op exactly as in the legacy scan).
+    // no-op).
     Duration earliest = Duration::max();
     if (!backoff_heap_.empty()) {
       earliest = backoff_heap_.top().first;
@@ -900,6 +805,8 @@ void Orchestrator::run_event_loop(net::Network& net) {
       earliest = std::min(earliest, retry_at);
     }
     if (earliest == Duration::max()) {
+      // Pipelined in-flight tasks with nothing pumpable resolve at the
+      // next poll; give them bounded slack before declaring a wedge.
       if (lanes_ != nullptr && ++stalled_waves < 64) continue;
       break;  // defensive: nothing to wait on
     }
@@ -949,7 +856,6 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   if (options_.pipelined) {
     lanes.emplace(fleet_.world().clock());
     lanes_ = &*lanes;
-    lanes_->set_event_recording(!options_.legacy_wave_loop);
     net.set_lane_schedule(lanes_);
   }
 
@@ -958,27 +864,14 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   for (uint32_t i = 0; i < tasks_.size(); ++i) {
     ready_by_source_[tasks_[i].source].insert(i);
   }
-  if (lanes_ != nullptr && !options_.legacy_wave_loop) {
-    // Seed the kick set with MEs already busy before this plan (durable
-    // queues surviving a previous execute); everything after this enters
-    // via lane events.
-    for (uint32_t i = 0; i < machines_.size(); ++i) {
-      auto* me = migration::me_on(*machines_[i]);
-      if (me != nullptr && (me->transfer_task_count() > 0 ||
-                            me->precopy_outgoing_count() > 0)) {
-        kick_candidates_.insert(i);
-      }
-    }
-  }
+  // Seed the kick set with MEs already busy before this plan (durable
+  // queues surviving a previous execute); everything after this enters
+  // via lane events.
+  if (lanes_ != nullptr) seed_kick_candidates();
 
-  if (options_.legacy_wave_loop) {
-    run_legacy_loop(net);
-  } else {
-    run_event_loop(net);
-  }
+  run_event_loop(net);
 
   if (options_.pipelined) {
-    lanes_->set_event_recording(false);
     net.set_lane_schedule(nullptr);
     lanes_ = nullptr;
     lanes.reset();  // clock lands on the parallel horizon

@@ -91,11 +91,6 @@ struct OrchestratorOptions {
   /// whose freeze window exceeds it are counted as violations in the
   /// report.  This is an SLO observable, not an admission gate.
   Duration freeze_budget{};
-  /// Drive the waves with the legacy full-scan loop (every wave touches
-  /// every task) instead of the event-driven driver.  The two produce
-  /// bit-identical reports — enforced by tests — and this escape hatch
-  /// is kept for one release while the event-driven driver beds in.
-  bool legacy_wave_loop = false;
   /// Cap on the in-memory orchestrator event log (0 = unbounded).  Once
   /// full, the OLDEST events are dropped and counted in
   /// OrchestratorReport::events_dropped, bounding control-plane memory
@@ -111,12 +106,12 @@ struct OrchestratorOptions {
 struct DriverStats {
   uint64_t waves = 0;
   /// Admission candidates processed + polls + pre-copy advances +
-  /// completions.  The event-driven driver's figure stays proportional
-  /// to real protocol work; the legacy loop's grows with tasks x waves.
+  /// completions.  Proportional to real protocol work, far below
+  /// tasks x waves.
   uint64_t task_touches = 0;
   uint64_t admission_checks = 0;
-  /// ME pump lane runs (legacy: every busy ME every wave; event-driven:
-  /// only machines whose lane produced an event).
+  /// ME pump lane runs: one per wave for each kick candidate whose ME
+  /// has queued work.
   uint64_t pump_kicks = 0;
 };
 
@@ -239,11 +234,10 @@ class Orchestrator {
   void log(const Task& task, EventKind kind, std::string detail);
   std::map<std::string, uint32_t> reserved_destinations() const;
   Duration now() const;
-  // ----- wave drivers -----
-  /// Single funnel for every phase transition: maintains the event
-  /// driver's phase sets (ready/backoff/transferring/precopying/started)
-  /// and the unfinished count, so both drivers share one bookkeeping
-  /// path.
+  // ----- wave driver -----
+  /// Single funnel for every phase transition: maintains the phase sets
+  /// (ready/backoff/transferring/precopying/started) and the unfinished
+  /// count.
   void set_phase(Task& task, TaskPhase phase);
   /// Moves backoff tasks whose retry_at has passed into the ready set;
   /// when `newly` is non-null, appends their indices.
@@ -252,7 +246,8 @@ class Orchestrator {
   /// plan order via a per-source merge heap, skipping saturated sources
   /// wholesale.  Returns true if any task was admitted.
   bool event_admission_pass();
-  void run_legacy_loop(net::Network& net);
+  /// Adds every machine whose ME has queued work to the kick set.
+  void seed_kick_candidates();
   void run_event_loop(net::Network& net);
   /// Pairs the inflight_to_destination_ gauge with the scheduler's
   /// reservation ledger, so the indexed pick path sees in-flight loads.
@@ -277,8 +272,7 @@ class Orchestrator {
   // the (sorted) completion times that freed in-flight slots.
   LaneSchedule* lanes_ = nullptr;
   std::vector<Duration> released_slots_;
-  // Event-driver state.  Both drivers maintain it (set_phase is the one
-  // funnel); only run_event_loop consumes it.
+  // Wave-driver state, maintained through set_phase.
   std::vector<Task> tasks_;
   /// Admittable task indices (kQueued or ripened kBackoff) per source
   /// machine — the admission pass only visits these.
@@ -297,7 +291,7 @@ class Orchestrator {
   size_t unfinished_count_ = 0;
   /// Machines (creation order) and address -> creation index, resolved
   /// once per execute(); the pump visits kick candidates in creation
-  /// order, matching the legacy full scan.
+  /// order.
   std::vector<platform::Machine*> machines_;
   std::map<std::string, uint32_t> machine_index_;
   std::set<uint32_t> kick_candidates_;

@@ -32,7 +32,7 @@ Duration LaneSchedule::run(const std::string& lane, Duration ready_at,
   running_ = false;
   lane_end_[lane] = end;
   if (end > horizon_) horizon_ = end;
-  if (recording_) events_.push_back(LaneEvent{lane, end});
+  events_.push_back(LaneEvent{lane, end});
   clock_.set_now(control_);
   return end;
 }

@@ -105,25 +105,19 @@ class LaneSchedule {
   /// Max completion time over every lane run so far (>= control).
   Duration horizon() const { return std::max(horizon_, control_); }
 
-  // ----- lane-event feed (event-driven drivers) -----
+  // ----- lane-event feed -----
   //
-  // When recording is on, every top-level run() appends one (lane, end)
-  // event.  An event-driven driver drains the feed once per scheduling
-  // wave to learn which lanes did work since it last looked — the set of
-  // machines that may need another pump kick — instead of scanning every
-  // machine in the fleet.  Nested runs attribute to the outer lane and
-  // produce no separate event.  Off by default so LaneSchedule users that
-  // never drain do not accumulate events.
+  // Every top-level run() appends one (lane, end) event.  The
+  // orchestrator drains the feed once per scheduling wave to learn which
+  // lanes did work since it last looked — the set of machines that may
+  // need another pump kick — instead of scanning every machine in the
+  // fleet.  Nested runs attribute to the outer lane and produce no
+  // separate event.
 
   struct LaneEvent {
     std::string lane;
     Duration end{};
   };
-
-  void set_event_recording(bool on) {
-    recording_ = on;
-    if (!on) events_.clear();
-  }
 
   /// Drains the recorded events (chronological per lane; interleaved
   /// across lanes in run order).
@@ -136,7 +130,6 @@ class LaneSchedule {
   Duration control_;
   Duration horizon_;
   bool running_ = false;
-  bool recording_ = false;
   std::map<std::string, Duration> lane_end_;
   std::vector<LaneEvent> events_;
 };

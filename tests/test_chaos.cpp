@@ -117,19 +117,16 @@ TEST(ChaosPlanTest, GeneratorIsDeterministicPerSeed) {
 class ChaosTest : public ::testing::Test {
  protected:
   ChaosTest() {
-    world_.install_management_enclaves(
-        migration::durable_me_factory(world_.provider()));
+    world_.install_management_enclaves(migration::durable_me_factory(
+        world_.provider(), [](migration::MigrationEnclave& me) {
+          me.set_delivery_takeover_timeout(std::chrono::seconds(2));
+        }));
   }
 
   void build_world(int machines) {
     for (int i = 0; i < machines; ++i) {
       world_.add_machine("m" + std::to_string(i));
       if (i != 0) destinations_.push_back("m" + std::to_string(i));
-    }
-    for (platform::Machine* m : world_.machines()) {
-      auto* me = migration::me_on(*m);
-      if (me == nullptr) continue;
-      me->set_delivery_takeover_timeout(std::chrono::seconds(2));
     }
   }
 

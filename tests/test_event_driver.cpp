@@ -1,9 +1,9 @@
-// Event-driven orchestrator tests (ISSUE 10): the driver swap and every
-// structure it leans on must be EXACTLY equivalent to what it replaced.
-//   * driver equivalence — the event-driven wave loop reproduces the
-//     legacy full-scan loop's OrchestratorReport JSON (events included)
-//     and virtual wall bit-for-bit on pipelined, pre-copy and ME-restart
-//     drains, while touching an order of magnitude fewer tasks;
+// Orchestrator wave-driver tests: the driver and every structure it leans
+// on must be exactly reproducible.
+//   * driver pins — on pipelined, pre-copy and two ME-restart drains the
+//     driver's OrchestratorReport JSON (events included), virtual wall and
+//     work counters (waves, task touches, pump kicks) match pinned values,
+//     and task touches stay far below a full scan's tasks x waves;
 //   * placement-index determinism — the incrementally-updated index
 //     (ledger reservations, region shards) picks the same destination as
 //     the brute-force full scan (per-query reservation map) across
@@ -19,10 +19,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "orchestrator/orchestrator.h"
@@ -49,7 +51,7 @@ using orchestrator::TransferMode;
 using platform::World;
 using sgx::EnclaveImage;
 
-// ----- driver equivalence -----
+// ----- driver pins -----
 
 struct DrainOutcome {
   std::string report_json;
@@ -59,12 +61,19 @@ struct DrainOutcome {
   size_t failed = 0;
 };
 
-enum class DrainConfig { kPipelined, kPrecopy, kMeRestart };
+enum class DrainConfig {
+  kPipelined,
+  kPrecopy,
+  kMeRestart,
+  kFreezeAwareMeRestart,
+};
 
-/// One 16-enclave drain of m0 across 3 destinations under the requested
-/// driver.  Worlds are rebuilt per call with the same seed, so the two
-/// drivers see byte-identical initial states.
-DrainOutcome run_drain(DrainConfig config, bool legacy_driver) {
+constexpr uint64_t kDrainEnclaves = 16;
+
+/// One 16-enclave drain of m0 across 3 destinations.  Worlds are rebuilt
+/// per call with a per-config seed, so every run starts from the same
+/// state.
+DrainOutcome run_drain(DrainConfig config) {
   const TransferMode mode = config == DrainConfig::kPrecopy
                                 ? TransferMode::kPrecopy
                                 : TransferMode::kFullSnapshot;
@@ -81,7 +90,7 @@ DrainOutcome run_drain(DrainConfig config, bool legacy_driver) {
   FleetRegistry fleet(world);
   LaunchOptions launch;
   launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < 16; ++i) {
+  for (uint64_t i = 0; i < kDrainEnclaves; ++i) {
     const std::string name = "eq-app-" + std::to_string(i);
     auto launched = fleet.launch(
         "m0", name, EnclaveImage::create(name, 1, "acme"), launch);
@@ -99,9 +108,19 @@ DrainOutcome run_drain(DrainConfig config, bool legacy_driver) {
   options.max_attempts = 6;
   options.transfer_mode = mode;
   options.pipelined = true;
-  options.legacy_wave_loop = legacy_driver;
+  options.freeze_aware = config == DrainConfig::kFreezeAwareMeRestart;
   Orchestrator orch(fleet, scheduler, options);
   size_t completions = 0;
+  if (config == DrainConfig::kFreezeAwareMeRestart) {
+    // m0's ME dies after the first wave's admissions and comes back two
+    // waves later.  The restart resumes its durable queue with no lane
+    // traffic of its own, so only the hooked-run re-seed of the pump's
+    // kick set wakes it that wave.
+    orch.set_wave_hook([&world](uint32_t wave) {
+      if (wave == 1) world.machine("m0")->kill_management_enclave();
+      if (wave == 3) world.machine("m0")->restart_management_enclave();
+    });
+  }
   if (config == DrainConfig::kMeRestart) {
     fleet.set_completion_callback(
         [&world, &completions](const orchestrator::EnclaveRecord&) {
@@ -126,26 +145,53 @@ DrainOutcome run_drain(DrainConfig config, bool legacy_driver) {
   return outcome;
 }
 
-class EventDriverEquivalence
-    : public ::testing::TestWithParam<DrainConfig> {};
+struct DrainPin {
+  DrainConfig config;
+  int64_t wall_ns;
+  uint64_t waves;
+  uint64_t task_touches;
+  uint64_t pump_kicks;
+  const char* report_sha256;  // of report.to_json(/*include_events=*/true)
+};
 
-TEST_P(EventDriverEquivalence, ReportAndWallBitIdentical) {
-  const DrainOutcome legacy = run_drain(GetParam(), /*legacy_driver=*/true);
-  const DrainOutcome event = run_drain(GetParam(), /*legacy_driver=*/false);
-  EXPECT_EQ(legacy.succeeded, 16u);
-  EXPECT_EQ(legacy.failed, 0u);
-  EXPECT_EQ(event.report_json, legacy.report_json);
-  EXPECT_EQ(event.wall, legacy.wall);
-  // The whole point of the swap: same outcome, far less wave work.  The
-  // legacy loop visits every task every scan; the event loop only visits
-  // tasks whose lane fired or whose retry ripened.
-  EXPECT_LT(event.stats.task_touches, legacy.stats.task_touches / 4);
+// Recorded while this driver was still checked bit-for-bit against a
+// full scan of every task and machine each wave, so the pins carry the
+// full scan's visit order: any change to what a wave visits, or in what
+// order, shows up here as a diff.
+constexpr DrainPin kDrainPins[] = {
+    {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
+     "20bf5567344df4f02a6b5a9eaad5b5bdbb1969023069fb23729204d089fc6ddb"},
+    {DrainConfig::kPrecopy, 7299447357, 4, 48, 0,
+     "21d35f72f9cb0f6dda901292c53574f49d91bcf8672450c5557295c076e95284"},
+    {DrainConfig::kMeRestart, 8585801722, 6, 60, 4,
+     "3ba23aaefcdfeda8370cb982fb6b02738bb6adbd79b32b8bd02f6b781d533070"},
+    {DrainConfig::kFreezeAwareMeRestart, 7779130606, 13, 86, 11,
+     "819132f6f3b462aada40d065df1b302091f4154859773c84d3262b4a15d1e50d"},
+};
+
+void PrintTo(const DrainPin& pin, std::ostream* os) {
+  *os << "DrainConfig " << static_cast<int>(pin.config);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, EventDriverEquivalence,
-                         ::testing::Values(DrainConfig::kPipelined,
-                                           DrainConfig::kPrecopy,
-                                           DrainConfig::kMeRestart));
+class DriverPins : public ::testing::TestWithParam<DrainPin> {};
+
+TEST_P(DriverPins, ReportWallAndDriverWorkMatchPins) {
+  const DrainPin& pin = GetParam();
+  const DrainOutcome outcome = run_drain(pin.config);
+  EXPECT_EQ(outcome.succeeded, kDrainEnclaves);
+  EXPECT_EQ(outcome.failed, 0u);
+  EXPECT_EQ(outcome.wall.count(), pin.wall_ns);
+  EXPECT_EQ(outcome.stats.waves, pin.waves);
+  EXPECT_EQ(outcome.stats.task_touches, pin.task_touches);
+  EXPECT_EQ(outcome.stats.pump_kicks, pin.pump_kicks);
+  EXPECT_EQ(hex_encode(crypto::Sha256::hash(to_bytes(outcome.report_json))),
+            pin.report_sha256);
+  // A full scan visits every task every wave; this driver visits only
+  // tasks whose lane fired or whose retry ripened.
+  EXPECT_LT(outcome.stats.task_touches, kDrainEnclaves * outcome.stats.waves);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, DriverPins, ::testing::ValuesIn(kDrainPins));
 
 // ----- placement-index determinism -----
 

@@ -8,8 +8,11 @@
 // that converges through ME restarts with zero lost or forked enclaves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "migration/migratable_enclave.h"
@@ -427,6 +430,91 @@ TEST_F(MeDurableQueueTest, QueueSnapshotIsMachineBoundAndTornWriteSafe) {
   EXPECT_GE(me("m0")->outgoing_count(), 1u);
   EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
             OutgoingState::kPending);
+}
+
+/// An enclave with the ME's image on the ME's machine: it derives the same
+/// MRENCLAVE sealing key, so it can open a queue snapshot and seal an
+/// edited one that passes the ME's integrity check.
+class QueueSealer : public sgx::Enclave {
+ public:
+  explicit QueueSealer(platform::Machine& machine)
+      : sgx::Enclave(machine, MigrationEnclave::standard_image()) {}
+
+  Bytes open(ByteView sealed) {
+    auto opened = unseal(sealed);
+    EXPECT_TRUE(opened.ok());
+    return opened.ok() ? opened.value().plaintext : Bytes{};
+  }
+  Bytes seal_queue(ByteView plaintext) {
+    auto sealed = seal(sgx::KeyPolicy::kMrEnclave,
+                       to_bytes(std::string_view("SGXMIG-ME-QUEUE")),
+                       plaintext);
+    EXPECT_TRUE(sealed.ok());
+    return sealed.ok() ? sealed.value() : Bytes{};
+  }
+};
+
+TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
+  auto a = start_new(m0_);
+  a->ecall_create_migratable_counter();
+  ASSERT_EQ(a->ecall_migration_start("m1"), Status::kOk);
+
+  // The destination's snapshot holds one pending entry, no transfer tasks
+  // and no cached peer sessions (acceptor state is never persisted).
+  auto blob = m1_.storage().get_versioned("m1.me-queue");
+  ASSERT_TRUE(blob.ok());
+  QueueSealer sealer(m1_);
+  const Bytes current = sealer.open(blob.value());
+  const std::string v4 = "SGXMIG-ME-QUEUE-v4";
+  const auto magic_at = std::search(current.begin(), current.end(),
+                                    v4.begin(), v4.end());
+  ASSERT_EQ(magic_at - current.begin(), 4);  // after the u32 length
+  ASSERT_GE(current.size(), 8u);
+  ASSERT_TRUE(std::all_of(current.end() - 8, current.end(),
+                          [](uint8_t b) { return b == 0; }));
+
+  // Control: the unchanged snapshot, re-sealed, restores.
+  EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(current)), Status::kOk);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  // The same state written as a v3 snapshot: v3 had no peer-session
+  // section, so the trailing zero session count goes.  Correctly sealed,
+  // well formed for v3, and refused: v4 is the only format read.
+  Bytes v3(current.begin(), current.end() - 4);
+  v3[4 + v4.size() - 1] = '3';
+  EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(v3)),
+            Status::kTampered);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+}
+
+TEST(MeSettingsAcrossRestart, FactoryConfigureRunsOnEveryStart) {
+  World world(4343);
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [](MigrationEnclave& me) {
+        me.set_delivery_takeover_timeout(std::chrono::seconds(2));
+        me.set_async_precopy(true);
+      }));
+  platform::Machine& m0 = world.add_machine("m0");
+  for (int start = 0; start < 2; ++start) {
+    MigrationEnclave* me = migration::me_on(m0);
+    ASSERT_NE(me, nullptr) << "start " << start;
+    EXPECT_TRUE(me->async_precopy()) << "start " << start;
+    EXPECT_EQ(me->delivery_takeover_timeout(), std::chrono::seconds(2))
+        << "start " << start;
+    m0.kill_management_enclave();
+    ASSERT_TRUE(m0.restart_management_enclave());
+  }
+
+  // A setting applied directly to one instance lasts only for that
+  // instance: the next start runs `configure` again.
+  platform::Machine& m1 = world.add_machine("m1");
+  migration::me_on(m1)->set_async_precopy(false);
+  migration::me_on(m1)->set_delivery_takeover_timeout(std::chrono::seconds(9));
+  m1.kill_management_enclave();
+  ASSERT_TRUE(m1.restart_management_enclave());
+  EXPECT_TRUE(migration::me_on(m1)->async_precopy());
+  EXPECT_EQ(migration::me_on(m1)->delivery_takeover_timeout(),
+            std::chrono::seconds(2));
 }
 
 // ----- orchestrated drain through ME restarts -----
