@@ -69,18 +69,17 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
   // changed (the tracing_overhead gate compares their walls bit-exactly).
   if (traced) world.observability().set_enabled(true);
   // Durable-queue MEs in every machine's management-enclave slot: the
-  // me-restart variant kills and revives them mid-drain.
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
+  // me-restart variant kills and revives them mid-drain.  Pipelined
+  // pre-copy hops rounds through the deferred-delivery pump instead of
+  // the blocking rpc (rounds for different enclaves overlap); the factory
+  // applies that on every (re)start.
+  const bool async_precopy = pipelined && mode == TransferMode::kPrecopy;
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [async_precopy](migration::MigrationEnclave& me) {
+        me.set_async_precopy(async_precopy);
+      }));
   for (int i = 0; i < machines; ++i) {
     world.add_machine("m" + std::to_string(i));
-  }
-  if (pipelined && mode == TransferMode::kPrecopy) {
-    // Pipelined pre-copy hops rounds through the deferred-delivery pump
-    // instead of the blocking rpc: rounds for different enclaves overlap.
-    for (platform::Machine* m : world.machines()) {
-      if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-    }
   }
 
   FleetRegistry fleet(world);

@@ -19,7 +19,10 @@
 // Emits BENCH_migration_overhead.json (paper series + freeze matrix) and
 // EXITS NON-ZERO if the pre-copy freeze window at the largest benched
 // state is not at least 5x smaller than the full-snapshot baseline — the
-// CI bench-smoke regression gate for this PR's headline number.
+// CI bench-smoke regression gate for the pre-copy headline number — or if
+// a paper-comparable blocking number leaves its anchor: the (a) rows at
+// 120 or 1000 trials and the sync-engine full-snapshot (b) rows must
+// reproduce the recorded values to the printed precision (6 decimals).
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -42,6 +45,56 @@ using migration::PersistenceMode;
 using migration::PrecopyOptions;
 
 constexpr double kRequiredFreezeShrink = 5.0;
+
+// ----- virtual-time anchors for the blocking start (paper Listing 1) ----
+//
+// The simulation is deterministic, so these numbers move only when the
+// blocking protocol's pricing moves.  A change that means to keep it (a
+// refactor of the ME's outgoing engine, say) must reproduce them; one
+// that means to change it re-records them here with the reason.
+
+struct PaperAnchor {
+  int trials;
+  const char* metric;
+  double mean_seconds;
+  double ci99_half_seconds;
+};
+constexpr PaperAnchor kPaperAnchors[] = {
+    {120, "source_side", 0.365871, 0.004876},
+    {120, "destination_side", 0.273703, 0.002424},
+    {120, "end_to_end", 0.639574, 0.005482},
+    {1000, "source_side", 0.364375, 0.001044},
+    {1000, "destination_side", 0.273032, 0.000799},
+    {1000, "end_to_end", 0.637407, 0.001333},
+};
+
+// Sync-engine full-snapshot freeze_matrix rows (dirty_per_round 8).
+struct FreezeAnchor {
+  int counters;
+  double freeze_seconds;
+  double protocol_seconds;
+  double restore_seconds;
+  uint64_t transfer_bytes;
+};
+constexpr FreezeAnchor kFullSnapshotAnchors[] = {
+    {8, 2.876179, 2.877475, 2.012015, 1347},
+    {64, 22.149525, 22.150808, 15.936012, 1347},
+    {240, 82.061227, 82.062473, 60.489005, 1347},
+};
+
+int g_anchor_misses = 0;
+
+/// Compares `value` with `anchor` at the JSON rows' printed precision.
+void check_anchor(const std::string& what, double value, double anchor) {
+  char got[32];
+  char want[32];
+  std::snprintf(got, sizeof(got), "%.6f", value);
+  std::snprintf(want, sizeof(want), "%.6f", anchor);
+  if (std::string(got) == want) return;
+  std::printf("ANCHOR MISS: %s = %s, anchored at %s\n", what.c_str(), got,
+              want);
+  ++g_anchor_misses;
+}
 
 void run_paper_section(bench::JsonBench& json, int trials) {
   platform::World world(/*seed=*/20180603);
@@ -126,6 +179,17 @@ void run_paper_section(bench::JsonBench& json, int trials) {
   paper_row("source_side", out);
   paper_row("destination_side", in);
   paper_row("end_to_end", tot);
+  for (const PaperAnchor& anchor : kPaperAnchors) {
+    if (anchor.trials != trials) continue;
+    const std::string metric = anchor.metric;
+    const Summary& s = metric == "source_side"        ? out
+                       : metric == "destination_side" ? in
+                                                      : tot;
+    check_anchor("paper_vii_b " + metric + " mean", s.mean,
+                 anchor.mean_seconds);
+    check_anchor("paper_vii_b " + metric + " ci99_half", s.ci99_half,
+                 anchor.ci99_half_seconds);
+  }
 
   // --- scale: plain VM migration of a 2 GiB guest ---
   vm::Hypervisor hv0(m0), hv1(m1);
@@ -287,6 +351,21 @@ void run_freeze_matrix(bench::JsonBench& json) {
         .field("restore_seconds", r.restore_seconds)
         .field("rounds", static_cast<uint64_t>(r.rounds))
         .field("transfer_bytes", r.transfer_bytes);
+    for (const FreezeAnchor& anchor : kFullSnapshotAnchors) {
+      if (engine != PersistenceMode::kSync || precopy ||
+          anchor.counters != counters || dirty != kDefaultDirty) {
+        continue;
+      }
+      const std::string what =
+          "freeze_matrix sync full-snapshot " + std::to_string(counters);
+      check_anchor(what + " freeze", r.freeze_seconds, anchor.freeze_seconds);
+      check_anchor(what + " protocol", r.protocol_seconds,
+                   anchor.protocol_seconds);
+      check_anchor(what + " restore", r.restore_seconds,
+                   anchor.restore_seconds);
+      check_anchor(what + " bytes", static_cast<double>(r.transfer_bytes),
+                   static_cast<double>(anchor.transfer_bytes));
+    }
     return r;
   };
 
@@ -347,6 +426,11 @@ void run(int trials) {
   run_freeze_matrix(json);
   if (!json.write_file("BENCH_migration_overhead.json")) {
     std::printf("FAILED to write BENCH_migration_overhead.json\n");
+    std::exit(1);
+  }
+  if (g_anchor_misses != 0) {
+    std::printf("REGRESSION: %d blocking-start anchor value(s) moved\n",
+                g_anchor_misses);
     std::exit(1);
   }
 }

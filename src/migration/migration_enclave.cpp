@@ -166,6 +166,24 @@ OutgoingState MigrationEnclave::outgoing_state(
                                       : it->second.second;
 }
 
+OutgoingState MigrationEnclave::attempt_state(
+    const sgx::Measurement& mr, uint64_t nonce,
+    const std::string* destination) const {
+  for (const auto& [id, transfer] : outgoing_) {
+    if (transfer.source_mr == mr && transfer.request_nonce == nonce &&
+        (destination == nullptr ||
+         transfer.destination_address == *destination)) {
+      return OutgoingState::kPending;
+    }
+  }
+  for (const auto& [id, record] : completed_outgoing_) {
+    if (record.source_mr == mr && record.request_nonce == nonce) {
+      return OutgoingState::kCompleted;
+    }
+  }
+  return OutgoingState::kNone;
+}
+
 void MigrationEnclave::record_completed(uint64_t transfer_id,
                                         const OutgoingTransfer& t) {
   CompletedOutgoing record;
@@ -380,7 +398,7 @@ LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
     return reply;
   }
   const Status status =
-      run_outgoing(session.peer.mr_enclave, request.value());
+      run_blocking_task(session.peer.mr_enclave, std::move(request).value());
   if (status != Status::kOk) {
     reply.type = LibMsgType::kError;
     reply.status = status;
@@ -596,30 +614,12 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
     reply.status = Status::kTampered;
     return reply;
   }
-  OutgoingState state = OutgoingState::kNone;
+  // A nonce-scoped query asks the fate of exactly one migrate request —
+  // the resume path a library uses when its ME exchange died mid-flight.
   const uint64_t nonce = query.value().request_nonce;
-  if (nonce == 0) {
-    state = outgoing_state(session.peer.mr_enclave);
-  } else {
-    // Nonce-scoped query: the fate of exactly one migrate request — the
-    // resume path a library uses when its ME exchange died mid-flight.
-    for (const auto& [id, transfer] : outgoing_) {
-      if (transfer.source_mr == session.peer.mr_enclave &&
-          transfer.request_nonce == nonce) {
-        state = OutgoingState::kPending;
-        break;
-      }
-    }
-    if (state == OutgoingState::kNone) {
-      for (const auto& [id, record] : completed_outgoing_) {
-        if (record.source_mr == session.peer.mr_enclave &&
-            record.request_nonce == nonce) {
-          state = OutgoingState::kCompleted;
-          break;
-        }
-      }
-    }
-  }
+  const OutgoingState state =
+      nonce == 0 ? outgoing_state(session.peer.mr_enclave)
+                 : attempt_state(session.peer.mr_enclave, nonce);
   reply.type = LibMsgType::kStatusReport;
   reply.status = Status::kOk;
   BinaryWriter w;
@@ -839,128 +839,134 @@ Status MigrationEnclave::dedup_against_queue(
   // retained (or even completed) a transfer, report success instead of
   // shipping the data a second time.
   if (nonce == 0) return Status::kNoPendingMigration;
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == source_mr && transfer.request_nonce == nonce &&
-        transfer.destination_address == destination_address) {
-      // Re-fence before acking: if the original attempt's persist
-      // failed, this success must not stand on a non-durable entry.
-      return persist_queue();
-    }
-  }
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (record.source_mr == source_mr && record.request_nonce == nonce) {
-      return Status::kOk;
-    }
-  }
+  const OutgoingState state =
+      attempt_state(source_mr, nonce, &destination_address);
+  // Re-fence before acking a retained entry: if the original attempt's
+  // persist failed, this success must not stand on a non-durable entry.
+  if (state == OutgoingState::kPending) return persist_queue();
+  if (state == OutgoingState::kCompleted) return Status::kOk;
   return Status::kNoPendingMigration;
 }
 
-Status MigrationEnclave::run_outgoing(sgx::Measurement source_mr,
-                                      const MigrateRequestPayload& request) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
+Status MigrationEnclave::run_blocking_task(sgx::Measurement source_mr,
+                                           MigrateRequestPayload request) {
   if (request.destination_address == platform().address()) {
     return Status::kInvalidParameter;
   }
-  const Status dedup = dedup_against_queue(source_mr, request.request_nonce,
+  const uint64_t nonce = request.request_nonce;
+  const Status dedup = dedup_against_queue(source_mr, nonce,
                                            request.destination_address);
   if (dedup != Status::kNoPendingMigration) return dedup;
-  // A queued TransferTask for this nonce (caller mixed the non-blocking
-  // and blocking APIs) is superseded by this synchronous attempt: left
-  // alive, both paths would retain the same transfer once each.  Any
-  // record the dead task already put on the wire re-ships the same nonce,
-  // which the destination supersedes idempotently — never a fork.
-  if (request.request_nonce != 0) {
-    const auto task = transfer_tasks_.find(request.request_nonce);
-    if (task != transfer_tasks_.end() && task->second.source_mr == source_mr) {
-      transfer_tasks_.erase(task);
-      const Status persisted = persist_queue();
-      if (persisted != Status::kOk) return persisted;
+  const auto queued = transfer_tasks_.find(nonce);
+  const bool takeover = queued != transfer_tasks_.end();
+  if (takeover && !(queued->second.source_mr == source_mr)) {
+    return Status::kAlreadyExists;  // foreign nonce collision
+  }
+  TransferTask task;
+  task.source_mr = source_mr;
+  task.request = std::move(request);
+  task.blocking = true;
+  transfer_tasks_[nonce] = std::move(task);
+  if (takeover) {
+    // A queued task for this nonce (caller mixed the non-blocking and
+    // blocking APIs) is superseded: left alive, both would retain the
+    // transfer once each.  Fence its durable form away before the first
+    // send (a blocking task is never serialized).  Any record the queued
+    // task already put on the wire re-ships the same nonce, which the
+    // destination supersedes idempotently — never a fork.
+    const Status persisted = persist_queue();
+    if (persisted != Status::kOk) {
+      transfer_tasks_.erase(nonce);
+      return persisted;
     }
   }
-  const std::string dest_endpoint = request.destination_address + "/me";
-  const uint64_t transfer_id = fresh_id();
-  // An id collision must never clobber a live retained transfer (or a
-  // completion record a duplicate DONE may still reference).  kAlreadyExists
-  // classifies retryable-busy: the caller retries and draws a fresh id.
-  if (outgoing_.count(transfer_id) != 0 ||
-      completed_outgoing_.count(transfer_id) != 0) {
-    return Status::kAlreadyExists;
-  }
-
-  auto attested = attest_peer_me(request.destination_address, transfer_id,
-                                 request.policy);
-  if (!attested.ok()) return attested.status();
-
-  // --- transfer over the attestation-derived channel ---
-  net::SecureChannel channel = std::move(attested).value();
-  TransferPayload payload;
-  payload.source_mr_enclave = source_mr;
-  payload.source_me_address = platform().address();
-  payload.request_nonce = request.request_nonce;
-  payload.data = request.data;
-  const Bytes payload_bytes = payload.serialize();
-  charge_gcm(payload_bytes.size());
-  MeRequest t;
-  t.type = MeMsgType::kTransfer;
-  t.id = transfer_id;
-  t.payload = channel.seal_record(payload_bytes);
-  auto raw_t = net->rpc(dest_endpoint, t.serialize());
-  if (!raw_t.ok()) return raw_t.status();
-  auto resp_t = MeResponse::deserialize(raw_t.value());
-  if (!resp_t.ok()) return Status::kTampered;
-  if (resp_t.value().status != Status::kOk) return resp_t.value().status;
-  auto ack = channel.open_record(resp_t.value().payload);
-  if (!ack.ok()) return ack.status();
-  if (to_string(ack.value()) != kAcceptedMarker) return Status::kTampered;
-
-  // Retain the data until the destination confirms delivery (paper §V-D),
-  // durably: the retained copy and the channel that will authenticate the
-  // DONE must both survive an ME restart.
-  OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
-  transfer.destination_address = request.destination_address;
-  transfer.request_nonce = request.request_nonce;
-  transfer.retained_data = request.data.serialize();
-  transfer.channel = std::move(channel);
-  transfer.sequence = next_outgoing_sequence_++;
-  latest_outgoing_[source_mr] = {transfer.sequence, OutgoingState::kPending};
-  outgoing_[transfer_id] = std::move(transfer);
-  return persist_queue();
+  // Every step runs inline, so this returns with the task retained (and
+  // erased) or kFailed.
+  kick_task(nonce);
+  const auto done = transfer_tasks_.find(nonce);
+  if (done == transfer_tasks_.end()) return Status::kOk;
+  const Status failure = done->second.failure;
+  transfer_tasks_.erase(done);
+  return failure;
 }
 
-// ----- pipelined outgoing transfers (TransferTask step machine) -----
+// ----- outgoing step machine (TransferTask + pre-copy ships) -----
 //
-// The same protocol as run_outgoing, decomposed at its network round
-// trips: each step parses the previous reply, advances the task, and
-// posts the next message through the deferred-delivery pump.  N tasks
-// interleave over independent RA channels; the source ME's compute still
-// serializes (one enclave), but wire latency and the destination MEs'
-// work genuinely overlap — which is what turns the orchestrator's
-// in-flight cap into a throughput lever.
+// The source-side protocol decomposed at its network round trips: each
+// step parses the previous reply, advances the task, and sends the next
+// message through send_step.  Queued tasks post through the
+// deferred-delivery pump, so N tasks interleave over independent RA
+// channels; the source ME's compute still serializes (one enclave), but
+// wire latency and the destination MEs' work genuinely overlap — which
+// is what turns the orchestrator's in-flight cap into a throughput lever.
+// A blocking start runs the same steps over rpc, priced like one call.
+
+Status MigrationEnclave::send_step(bool inline_step,
+                                   const std::string& destination,
+                                   const MeRequest& req,
+                                   StepContinuation next) {
+  net::Network* net = platform().network();
+  if (inline_step) return next(net->rpc(destination + "/me", req.serialize()));
+  net->post(destination + "/me", req.serialize(), net_endpoint(),
+            [this, next = std::move(next)](Result<Bytes> raw) {
+              // The reply lands in an ecall of its own.
+              auto scope = enter_ecall();
+              (void)next(std::move(raw));
+            });
+  return Status::kOk;
+}
 
 LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
                                             const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
   auto request = MigrateRequestPayload::deserialize(msg.payload);
   if (!request.ok()) {
+    LibMsg reply;
+    reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
     return reply;
   }
-  const uint64_t nonce = request.value().request_nonce;
-  if (nonce == 0 ||
-      request.value().destination_address == platform().address()) {
-    // The pipeline is built on nonce-scoped exactly-once semantics;
-    // legacy nonce-less callers must use the blocking path.
+  return queue_task(session.peer.mr_enclave, std::move(request).value(),
+                    /*armed=*/true);
+}
+
+LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
+                                            const LibMsg& msg) {
+  // Enqueue-without-freeze: the library reserves a transfer slot while the
+  // enclave keeps running.  The task attests ahead of time and then parks
+  // at kAwaitArm; the poll reports kSlotLive and only then does the
+  // library freeze, collect, and arm the payload.
+  auto parsed = MigrateReservePayload::deserialize(msg.payload);
+  if (!parsed.ok()) {
+    LibMsg reply;
+    reply.type = LibMsgType::kError;
+    reply.status = Status::kTampered;
+    return reply;
+  }
+  MigrateRequestPayload request;
+  request.destination_address = parsed.value().destination_address;
+  request.request_nonce = parsed.value().request_nonce;
+  request.policy = parsed.value().policy;
+  return queue_task(session.peer.mr_enclave, std::move(request),
+                    /*armed=*/false);
+}
+
+LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
+                                    MigrateRequestPayload request,
+                                    bool armed) {
+  LibMsg reply;
+  reply.type = LibMsgType::kError;
+  const uint64_t nonce = request.request_nonce;
+  if (nonce == 0 || request.destination_address == platform().address()) {
+    // The queue is built on nonce-scoped exactly-once semantics (a
+    // restarted ME resumes its tasks by nonce); a nonce-less request can
+    // only run as a blocking start.
     reply.status = Status::kInvalidParameter;
     return reply;
   }
-  const sgx::Measurement& mr = session.peer.mr_enclave;
   // Already retained/completed (re-sent enqueue after a lost reply):
   // idempotent queue — the poll will observe kAccepted.
   const Status dedup =
-      dedup_against_queue(mr, nonce, request.value().destination_address);
+      dedup_against_queue(mr, nonce, request.destination_address);
   if (dedup != Status::kNoPendingMigration) {
     reply.type = dedup == Status::kOk ? LibMsgType::kMigrateQueued
                                       : LibMsgType::kError;
@@ -974,7 +980,7 @@ LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
       return reply;
     }
     if (existing->second.request.destination_address !=
-        request.value().destination_address) {
+        request.destination_address) {
       // One nonce binds one (attempt, destination): the library draws a
       // fresh nonce on every re-route, so a destination mismatch is a
       // broken client.  Honoring it would also desync the durable task
@@ -1000,80 +1006,12 @@ LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
   }
   TransferTask task;
   task.source_mr = mr;
-  task.request = std::move(request).value();
+  task.request = std::move(request);
+  task.armed = armed;
   transfer_tasks_[nonce] = std::move(task);
   // Durable BEFORE the queued ack: a restarted ME must resume this
   // pipeline — the library holds no copy of the conversation, only the
   // right to poll its fate.
-  const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    transfer_tasks_.erase(nonce);
-    reply.status = persisted;
-    return reply;
-  }
-  kick_task(nonce);
-  reply.type = LibMsgType::kMigrateQueued;
-  reply.status = Status::kOk;
-  return reply;
-}
-
-LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
-                                            const LibMsg& msg) {
-  // Enqueue-without-freeze: the library reserves a transfer slot while the
-  // enclave keeps running.  The task attests ahead of time and then parks
-  // at kAwaitArm; the poll reports kSlotLive and only then does the
-  // library freeze, collect, and arm the payload.
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = MigrateReservePayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t nonce = parsed.value().request_nonce;
-  if (nonce == 0 ||
-      parsed.value().destination_address == platform().address()) {
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
-  const sgx::Measurement& mr = session.peer.mr_enclave;
-  const Status dedup =
-      dedup_against_queue(mr, nonce, parsed.value().destination_address);
-  if (dedup != Status::kNoPendingMigration) {
-    reply.type = dedup == Status::kOk ? LibMsgType::kMigrateQueued
-                                      : LibMsgType::kError;
-    reply.status = dedup;
-    return reply;
-  }
-  const auto existing = transfer_tasks_.find(nonce);
-  if (existing != transfer_tasks_.end()) {
-    if (!(existing->second.source_mr == mr)) {
-      reply.status = Status::kAlreadyExists;  // foreign nonce collision
-      return reply;
-    }
-    if (existing->second.request.destination_address !=
-        parsed.value().destination_address) {
-      reply.status = Status::kInvalidParameter;
-      return reply;
-    }
-    if (existing->second.step == TransferTask::Step::kFailed) {
-      existing->second.step = TransferTask::Step::kQueued;
-      existing->second.failure = Status::kOk;
-      existing->second.ra.reset();
-      existing->second.channel.reset();
-      kick_task(nonce);
-    }
-    reply.type = LibMsgType::kMigrateQueued;
-    reply.status = Status::kOk;
-    return reply;
-  }
-  TransferTask task;
-  task.source_mr = mr;
-  task.armed = false;
-  task.request.destination_address = parsed.value().destination_address;
-  task.request.request_nonce = nonce;
-  task.request.policy = parsed.value().policy;
-  transfer_tasks_[nonce] = std::move(task);
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) {
     transfer_tasks_.erase(nonce);
@@ -1186,27 +1124,24 @@ size_t MigrationEnclave::pump() {
   return live;
 }
 
-void MigrationEnclave::kick_task(uint64_t nonce) {
+Status MigrationEnclave::kick_task(uint64_t nonce) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kQueued) {
-    return;
+    return Status::kOk;
   }
   TransferTask& task = it->second;
-  auto* net = platform().network();
-  if (net == nullptr) {
-    fail_task(nonce, Status::kNetworkUnreachable);
-    return;
+  if (platform().network() == nullptr) {
+    return fail_task(nonce, Status::kNetworkUnreachable);
   }
   const uint64_t transfer_id = fresh_id();
   // An id collision must never clobber live conversation state; the
-  // retryable-busy failure surfaces through the poll and the retry draws
-  // a fresh id (mirrors run_outgoing).
+  // retryable-busy failure surfaces through the poll (or the blocking
+  // reply) and the retry draws a fresh id.
   if (outgoing_.count(transfer_id) != 0 ||
       completed_outgoing_.count(transfer_id) != 0 ||
       inbound_.count(transfer_id) != 0) {
-    fail_task(nonce, Status::kAlreadyExists);
-    return;
+    return fail_task(nonce, Status::kAlreadyExists);
   }
   task.transfer_id = transfer_id;
   const auto cached = peer_sessions_.find(task.request.destination_address);
@@ -1215,10 +1150,7 @@ void MigrationEnclave::kick_task(uint64_t nonce) {
     // a denial here is as authoritative as one from a fresh handshake.
     const Status policy_status =
         task.request.policy.evaluate(cached->second.credential);
-    if (policy_status != Status::kOk) {
-      fail_task(nonce, policy_status);
-      return;
-    }
+    if (policy_status != Status::kOk) return fail_task(nonce, policy_status);
     SessionResumeRequest resume;
     resume.initiator_address = platform().address();
     resume.responder_epoch = cached->second.peer_epoch;
@@ -1233,12 +1165,10 @@ void MigrationEnclave::kick_task(uint64_t nonce) {
     task.step = TransferTask::Step::kAwaitResume;
     trace_task_step(platform(), nonce, "await-resume");
     const std::array<uint8_t, 16> nonce_i = resume.nonce;
-    net->post(task.request.destination_address + "/me", rr.serialize(),
-              net_endpoint(),
-              [this, nonce, nonce_i](Result<Bytes> raw) {
-                task_on_resume(nonce, nonce_i, std::move(raw));
-              });
-    return;
+    return send_step(task.blocking, task.request.destination_address, rr,
+                     [this, nonce, nonce_i](Result<Bytes> raw) {
+                       return task_on_resume(nonce, nonce_i, std::move(raw));
+                     });
   }
   task.ra = std::make_unique<sgx::RaSession>(platform(), identity(),
                                              sgx::RaSession::Role::kInitiator);
@@ -1248,11 +1178,10 @@ void MigrationEnclave::kick_task(uint64_t nonce) {
   m1.payload = task.ra->create_msg1().serialize();
   task.step = TransferTask::Step::kAwaitRaMsg2;
   trace_task_step(platform(), nonce, "await-ra-msg2");
-  net->post(task.request.destination_address + "/me", m1.serialize(),
-            net_endpoint(),
-            [this, nonce](Result<Bytes> raw) {
-              task_on_ra_msg2(nonce, std::move(raw));
-            });
+  return send_step(task.blocking, task.request.destination_address, m1,
+                   [this, nonce](Result<Bytes> raw) {
+                     return task_on_ra_msg2(nonce, std::move(raw));
+                   });
 }
 
 Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
@@ -1263,12 +1192,11 @@ Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
   return resp.value().payload;
 }
 
-void MigrationEnclave::task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+Status MigrationEnclave::task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitRaMsg2) {
-    return;  // superseded (restart, re-kick) — the reply is stale
+    return Status::kOk;  // superseded (restart, re-kick) — the reply is stale
   }
   TransferTask& task = it->second;
   auto reply = open_task_reply(raw);
@@ -1290,19 +1218,17 @@ void MigrationEnclave::task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw) {
   m3.payload = m3_payload.take();
   task.step = TransferTask::Step::kAwaitAuth;
   trace_task_step(platform(), nonce, "await-auth");
-  platform().network()->post(
-      task.request.destination_address + "/me", m3.serialize(), net_endpoint(),
-      [this, nonce](Result<Bytes> raw2) {
-        task_on_auth(nonce, std::move(raw2));
-      });
+  return send_step(task.blocking, task.request.destination_address, m3,
+                   [this, nonce](Result<Bytes> raw2) {
+                     return task_on_auth(nonce, std::move(raw2));
+                   });
 }
 
-void MigrationEnclave::task_on_auth(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+Status MigrationEnclave::task_on_auth(uint64_t nonce, Result<Bytes> raw) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitAuth) {
-    return;
+    return Status::kOk;
   }
   TransferTask& task = it->second;
   auto reply = open_task_reply(raw);
@@ -1330,17 +1256,16 @@ void MigrationEnclave::task_on_auth(uint64_t nonce, Result<Bytes> raw) {
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->metrics.add("me.handshake.full");
   }
-  task_attested(nonce, task);
+  return task_attested(nonce, task);
 }
 
-void MigrationEnclave::task_on_resume(uint64_t nonce,
-                                      std::array<uint8_t, 16> nonce_i,
-                                      Result<Bytes> raw) {
-  auto scope = enter_ecall();
+Status MigrationEnclave::task_on_resume(uint64_t nonce,
+                                        std::array<uint8_t, 16> nonce_i,
+                                        Result<Bytes> raw) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitResume) {
-    return;
+    return Status::kOk;
   }
   TransferTask& task = it->second;
   // Transport failure: classify like the full path would (the fallback
@@ -1354,7 +1279,7 @@ void MigrationEnclave::task_on_resume(uint64_t nonce,
     trace_task_step(platform(), nonce, "requeued");
     task.ra.reset();
     task.channel.reset();
-    kick_task(nonce);
+    return kick_task(nonce);
   };
   auto resp = MeResponse::deserialize(raw.value());
   if (!resp.ok() || resp.value().status != Status::kOk) return fallback();
@@ -1374,10 +1299,10 @@ void MigrationEnclave::task_on_resume(uint64_t nonce,
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->metrics.add("me.handshake.resumed");
   }
-  task_attested(nonce, task);
+  return task_attested(nonce, task);
 }
 
-void MigrationEnclave::task_attested(uint64_t nonce, TransferTask& task) {
+Status MigrationEnclave::task_attested(uint64_t nonce, TransferTask& task) {
   task.ra.reset();
   if (!task.armed) {
     // Enqueue-without-freeze: hold the attested channel and let the next
@@ -1385,12 +1310,13 @@ void MigrationEnclave::task_attested(uint64_t nonce, TransferTask& task) {
     // only then does the payload ship.
     task.step = TransferTask::Step::kAwaitArm;
     trace_task_step(platform(), nonce, "await-arm");
-    return;
+    return Status::kOk;
   }
-  ship_task_payload(nonce, task);
+  return ship_task_payload(nonce, task);
 }
 
-void MigrationEnclave::ship_task_payload(uint64_t nonce, TransferTask& task) {
+Status MigrationEnclave::ship_task_payload(uint64_t nonce,
+                                           TransferTask& task) {
   TransferPayload payload;
   payload.source_mr_enclave = task.source_mr;
   payload.source_me_address = platform().address();
@@ -1404,19 +1330,17 @@ void MigrationEnclave::ship_task_payload(uint64_t nonce, TransferTask& task) {
   t.payload = task.channel->seal_record(payload_bytes);
   task.step = TransferTask::Step::kAwaitAccept;
   trace_task_step(platform(), nonce, "await-accept");
-  platform().network()->post(
-      task.request.destination_address + "/me", t.serialize(), net_endpoint(),
-      [this, nonce](Result<Bytes> raw2) {
-        task_on_accept(nonce, std::move(raw2));
-      });
+  return send_step(task.blocking, task.request.destination_address, t,
+                   [this, nonce](Result<Bytes> raw2) {
+                     return task_on_accept(nonce, std::move(raw2));
+                   });
 }
 
-void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitAccept) {
-    return;
+    return Status::kOk;
   }
   TransferTask& task = it->second;
   auto reply = open_task_reply(raw);
@@ -1427,10 +1351,12 @@ void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     return fail_task(nonce, Status::kTampered);
   }
 
-  // Destination accepted: retain until DONE, durably — exactly the
-  // run_outgoing tail.  The task dissolves into the retained transfer
-  // BEFORE the snapshot is cut, so a restore never resurrects both (a
-  // resumed task would re-ship a nonce that is already retained).
+  // Destination accepted: retain the data until DONE (paper §V-D),
+  // durably — the retained copy and the channel that will authenticate
+  // the DONE must both survive an ME restart.  The task dissolves into the
+  // retained transfer BEFORE the snapshot is cut, so a restore never
+  // resurrects both (a resumed task would re-ship a nonce that is already
+  // retained).
   const sgx::Measurement source_mr = task.source_mr;
   const uint64_t transfer_id = task.transfer_id;
   OutgoingTransfer transfer;
@@ -1467,16 +1393,18 @@ void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     failed.failure = persisted;
     transfer_tasks_[nonce] = std::move(failed);
   }
+  return persisted;
 }
 
-void MigrationEnclave::fail_task(uint64_t nonce, Status status) {
+Status MigrationEnclave::fail_task(uint64_t nonce, Status status) {
   const auto it = transfer_tasks_.find(nonce);
-  if (it == transfer_tasks_.end()) return;
+  if (it == transfer_tasks_.end()) return status;
   it->second.step = TransferTask::Step::kFailed;
   it->second.failure = status;
   trace_task_step(platform(), nonce, "failed");
   it->second.ra.reset();
   it->second.channel.reset();
+  return status;
 }
 
 LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
@@ -1539,26 +1467,12 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
     // Async finalize still shipping (or awaiting its next kick): the
     // frozen library keeps polling.  An attempt WITHOUT a staged finalize
     // falls through to kNone — the ME restarted (or exhausted the ship
-    // budget) and the library must re-drive the finalize synchronously.
+    // budget) and the library must re-send the finalize.
     progress.progress = TransferProgress::kInFlight;
   } else {
-    bool accepted = false;
-    for (const auto& [id, transfer] : outgoing_) {
-      if (transfer.source_mr == mr && transfer.request_nonce == nonce) {
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted) {
-      for (const auto& [id, record] : completed_outgoing_) {
-        if (record.source_mr == mr && record.request_nonce == nonce) {
-          accepted = true;
-          break;
-        }
-      }
-    }
-    progress.progress =
-        accepted ? TransferProgress::kAccepted : TransferProgress::kNone;
+    progress.progress = attempt_state(mr, nonce) != OutgoingState::kNone
+                            ? TransferProgress::kAccepted
+                            : TransferProgress::kNone;
   }
   reply.type = LibMsgType::kTransferProgress;
   reply.status = Status::kOk;
@@ -1777,6 +1691,20 @@ size_t MigrationEnclave::sweep_stale_precopy_staging() {
 
 // ----- live pre-copy (source side) -----
 
+namespace {
+// Chunks merge by generation: replayed or re-shipped chunks are
+// idempotent, later generations win.
+void merge_by_generation(std::map<uint32_t, CounterChunk>& merged,
+                         const std::vector<CounterChunk>& chunks) {
+  for (const CounterChunk& chunk : chunks) {
+    const auto it = merged.find(chunk.index);
+    if (it == merged.end() || it->second.generation <= chunk.generation) {
+      merged[chunk.index] = chunk;
+    }
+  }
+}
+}  // namespace
+
 Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
     const sgx::Measurement& source_mr, const std::string& destination,
     uint64_t nonce, const MigrationPolicy& policy) {
@@ -1817,94 +1745,6 @@ Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
   return &it->second;
 }
 
-Status MigrationEnclave::precopy_send(
-    PrecopyOutgoing& attempt, uint64_t nonce,
-    const std::vector<CounterChunk>& fresh_chunks, uint32_t round,
-    bool finalize, const std::vector<ChunkManifestEntry>& manifest,
-    const sgx::Key128& msk) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  for (const CounterChunk& chunk : fresh_chunks) {
-    auto merged = attempt.merged.find(chunk.index);
-    if (merged == attempt.merged.end() ||
-        merged->second.generation <= chunk.generation) {
-      attempt.merged[chunk.index] = chunk;
-    }
-  }
-  std::vector<CounterChunk> to_send;
-  if (attempt.resync) {
-    for (const auto& [index, chunk] : attempt.merged) to_send.push_back(chunk);
-  } else {
-    to_send = fresh_chunks;
-  }
-
-  Bytes record;
-  if (finalize) {
-    PrecopyFinalizeRecord fin;
-    fin.source_mr_enclave = attempt.source_mr;
-    fin.source_me_address = platform().address();
-    fin.request_nonce = nonce;
-    fin.round = round;
-    fin.chunks = std::move(to_send);
-    fin.manifest = manifest;
-    fin.msk = msk;
-    record = fin.serialize();
-  } else {
-    PrecopyChunkRecord chunk_record;
-    chunk_record.source_mr_enclave = attempt.source_mr;
-    chunk_record.source_me_address = platform().address();
-    chunk_record.request_nonce = nonce;
-    chunk_record.round = round;
-    chunk_record.chunks = std::move(to_send);
-    record = chunk_record.serialize();
-  }
-  charge_gcm(record.size());
-  MeRequest req;
-  req.type = finalize ? MeMsgType::kPrecopyFinalize : MeMsgType::kPrecopyChunk;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record);
-  auto raw = net->rpc(attempt.destination_address + "/me", req.serialize());
-  Status failure = Status::kOk;
-  Bytes ack_payload;
-  if (!raw.ok()) {
-    failure = raw.status();
-  } else {
-    auto resp = MeResponse::deserialize(raw.value());
-    if (!resp.ok()) {
-      failure = Status::kTampered;
-    } else if (resp.value().status != Status::kOk) {
-      // An authenticated-looking error reply: kPrecopyIncomplete is a
-      // protocol answer (the ML re-ships the full set), everything else
-      // still desyncs the channel (our send advanced the sequence).
-      failure = resp.value().status;
-    } else {
-      ack_payload = resp.value().payload;
-    }
-  }
-  if (failure == Status::kOk) {
-    auto ack = attempt.channel->open_record(ack_payload);
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) !=
-               (finalize ? kPrecopyFinMarker : kPrecopyAckMarker)) {
-      failure = Status::kTampered;
-    }
-  }
-  if (failure != Status::kOk) {
-    // The channel may have desynced (our seal advanced the send sequence,
-    // or the peer's ack advanced its own): drop it so the next attempt
-    // re-attests and re-ships the merged set.  The merged state itself is
-    // kept — and persisted — so an ME restart resumes the pre-copy.
-    attempt.channel.reset();
-    attempt.resync = true;
-    persist_queue();
-    return failure;
-  }
-  attempt.resync = false;
-  ++attempt.rounds;
-  return Status::kOk;
-}
-
 LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
                                           const LibMsg& msg) {
   LibMsg reply;
@@ -1922,55 +1762,33 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
     reply.status = attempt.status();
     return reply;
   }
-  if (async_precopy_) {
-    // Pipelined round hop: merge+persist now, ack the library immediately,
-    // and ship the round to the destination through the deferred-delivery
-    // pump — rounds of different enclaves overlap on the source lane.  The
-    // ack means "merged and durable at the SOURCE ME"; the synchronous
-    // finalize still proves end-to-end completeness via the manifest.
-    PrecopyOutgoing& live = *attempt.value();
-    for (const CounterChunk& chunk : round.chunks) {
-      auto merged = live.merged.find(chunk.index);
-      if (merged == live.merged.end() ||
-          merged->second.generation <= chunk.generation) {
-        live.merged[chunk.index] = chunk;
-      }
-    }
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      reply.status = persisted;
-      return reply;
-    }
-    kick_precopy_ship(round.request_nonce);
-    reply.type = LibMsgType::kPrecopyAck;
-    reply.status = Status::kOk;
-    return reply;
-  }
-  Status sent =
-      precopy_send(*attempt.value(), round.request_nonce, round.chunks,
-                   round.round, /*finalize=*/false, {}, sgx::Key128{});
-  if (sent == Status::kInvalidState) {
+  // Merge first, and persist before the ack: a restart resumes the
+  // pre-copy from the merged set.  The async transport acks before the
+  // hop, so it persists first and ships behind the pump (rounds of
+  // different enclaves overlap on the source lane).  The sync transport
+  // ships inline and replies with the hop's outcome — one attempt (plus
+  // the re-attest below when the destination forgot us); a
+  // failure drops the channel (and persists that), and the next round
+  // re-attests and resyncs.  Its persist follows a good hop, so the
+  // snapshot holds the channel past this record.  Either way the
+  // finalize's manifest check proves end-to-end completeness.
+  merge_by_generation(attempt.value()->merged, round.chunks);
+  Status status = Status::kOk;
+  if (async_precopy_) status = persist_queue();
+  if (status == Status::kOk) status = kick_precopy_ship(round.request_nonce);
+  if (status == Status::kInvalidState && !async_precopy_) {
     // The destination no longer knows this conversation (its staging was
-    // aged out, or its queue wiped): precopy_send already dropped the
-    // channel, so one fresh attempt re-attests under a new transfer id
-    // and re-ships the whole merged set.
+    // aged out or superseded): the failed hop dropped the channel, so one
+    // fresh attempt re-attests and re-ships the whole merged set.
     attempt = precopy_attempt(session.peer.mr_enclave,
                               round.destination_address, round.request_nonce,
                               round.policy);
-    if (attempt.ok()) {
-      sent = precopy_send(*attempt.value(), round.request_nonce, round.chunks,
-                          round.round, /*finalize=*/false, {}, sgx::Key128{});
-    } else {
-      sent = attempt.status();
-    }
+    status = attempt.ok() ? kick_precopy_ship(round.request_nonce)
+                          : attempt.status();
   }
-  if (sent != Status::kOk) {
-    reply.status = sent;
-    return reply;
-  }
-  const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    reply.status = persisted;
+  if (status == Status::kOk && !async_precopy_) status = persist_queue();
+  if (status != Status::kOk) {
+    reply.status = status;
     return reply;
   }
   reply.type = LibMsgType::kPrecopyAck;
@@ -1978,22 +1796,22 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   return reply;
 }
 
-void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
+Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;
+  if (it == precopy_outgoing_.end()) return Status::kOk;
   PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) return;
+  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) {
+    return Status::kOk;
+  }
   if (attempt.staged_finalize.has_value()) {
     // The library already committed the finalize: further round hops are
     // moot — everything unacked rides inside the finalize record.
-    kick_precopy_finalize(nonce);
-    return;
+    return kick_precopy_finalize(nonce);
   }
   // No channel means the last ship failed (or the ME restarted): the next
   // library round or the finalize re-attests synchronously and resyncs.
-  if (!attempt.channel.has_value()) return;
-  auto* net = platform().network();
-  if (net == nullptr) return;
+  if (!attempt.channel.has_value()) return Status::kOk;
+  if (platform().network() == nullptr) return Status::kNetworkUnreachable;
   // One record per attempt in flight at a time (the channel's record
   // sequence demands ordering); ship everything merged beyond what the
   // destination has acked.
@@ -2010,7 +1828,7 @@ void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
       shipped.push_back(entry);
     }
   }
-  if (to_send.empty()) return;
+  if (to_send.empty()) return Status::kOk;
   PrecopyChunkRecord record;
   record.source_mr_enclave = attempt.source_mr;
   record.source_me_address = platform().address();
@@ -2025,25 +1843,25 @@ void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   req.payload = attempt.channel->seal_record(record_bytes);
   attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitRoundAck;
   const uint64_t transfer_id = attempt.transfer_id;
-  net->post(attempt.destination_address + "/me", req.serialize(),
-            net_endpoint(),
-            [this, nonce, transfer_id,
-             shipped = std::move(shipped)](Result<Bytes> raw) {
-              precopy_on_round_ack(nonce, transfer_id, shipped,
-                                   std::move(raw));
-            });
+  return send_step(!async_precopy_, attempt.destination_address, req,
+                   [this, nonce, transfer_id,
+                    shipped = std::move(shipped)](Result<Bytes> raw) {
+                     return precopy_on_round_ack(nonce, transfer_id, shipped,
+                                                 std::move(raw));
+                   });
 }
 
-void MigrationEnclave::precopy_on_round_ack(
+Status MigrationEnclave::precopy_on_round_ack(
     uint64_t nonce, uint64_t transfer_id,
     const std::vector<ChunkManifestEntry>& shipped, Result<Bytes> raw) {
-  auto scope = enter_ecall();
   const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;  // finalized/aborted meanwhile
+  if (it == precopy_outgoing_.end()) {
+    return Status::kOk;  // finalized/aborted meanwhile
+  }
   PrecopyOutgoing& attempt = it->second;
   if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitRoundAck ||
       attempt.transfer_id != transfer_id) {
-    return;  // superseded by a finalize resync or re-attest — stale ack
+    return Status::kOk;  // superseded by a re-attest — stale ack
   }
   attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
   Status failure = Status::kOk;
@@ -2061,13 +1879,14 @@ void MigrationEnclave::precopy_on_round_ack(
     }
   }
   if (failure != Status::kOk) {
-    // Same recovery as the synchronous path: the channel may have
-    // desynced, so drop it and resync over a fresh attestation on the
-    // next round or the finalize.  Merged state stays durable.
+    // The channel may have desynced (our seal advanced the send sequence,
+    // or the peer's ack advanced its own): drop it and resync over a
+    // fresh attestation on the next round or the finalize.  Merged state
+    // stays durable.
     attempt.channel.reset();
     attempt.resync = true;
     persist_queue();
-    return;
+    return failure;
   }
   attempt.resync = false;
   ++attempt.rounds;
@@ -2085,38 +1904,44 @@ void MigrationEnclave::precopy_on_round_ack(
   // would put O(queue) GCM work on the source lane's critical path.
   // Rounds merged while this one was on the wire ship immediately — or
   // the finalize, if the library committed one meanwhile.
-  kick_precopy_ship(nonce);
+  return kick_precopy_ship(nonce);
 }
 
 namespace {
-// How often the async ship re-posts a failed finalize (re-attesting each
-// time) before handing the attempt back to the library's sync fallback.
+// How often a failed finalize is re-shipped (re-attesting each time)
+// before the attempt is handed back to the library, which re-sends it.
 constexpr uint32_t kFinalizeShipAttempts = 3;
 }  // namespace
 
-void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
+Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;
+  if (it == precopy_outgoing_.end()) return Status::kOk;
   PrecopyOutgoing& attempt = it->second;
-  if (!attempt.staged_finalize.has_value()) return;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) return;
-  auto* net = platform().network();
-  if (net == nullptr) return;
+  if (!attempt.staged_finalize.has_value() ||
+      attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) {
+    return Status::kOk;
+  }
+  // Every failed try spends one unit of the ship budget; past it, hand
+  // back to the library: its poll observes kNone (or the sync reply
+  // carries the failure) and the still frozen enclave re-sends the
+  // finalize (dedup'd by nonce).
+  const auto spend = [&attempt](Status failure) {
+    if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
+      attempt.staged_finalize.reset();
+    }
+    return failure;
+  };
+  if (platform().network() == nullptr) {
+    return spend(Status::kNetworkUnreachable);
+  }
   if (!attempt.channel.has_value()) {
     // The previous ship failed (or a round desynced the channel): one
-    // synchronous re-attest, bounded by the ship budget — precopy_attempt
-    // flips resync on, so the re-post carries the whole merged set.
+    // synchronous re-attest — precopy_attempt flips resync on, so the
+    // re-post carries the whole merged set.
     auto fresh =
         precopy_attempt(attempt.source_mr, attempt.destination_address, nonce,
                         attempt.staged_finalize->policy);
-    if (!fresh.ok()) {
-      if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-        // Hand back to the library: its poll observes kNone and the still
-        // frozen enclave re-drives the finalize synchronously (dedup'd).
-        attempt.staged_finalize.reset();
-      }
-      return;
-    }
+    if (!fresh.ok()) return spend(fresh.status());
   }
   // Everything merged beyond the destination's acked front rides inside
   // the finalize record (on resync: the whole merged set); the manifest
@@ -2145,25 +1970,25 @@ void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   req.payload = attempt.channel->seal_record(record_bytes);
   attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitFinalizeAck;
   const uint64_t transfer_id = attempt.transfer_id;
-  net->post(attempt.destination_address + "/me", req.serialize(),
-            net_endpoint(), [this, nonce, transfer_id](Result<Bytes> raw) {
-              precopy_on_finalize_ack(nonce, transfer_id, std::move(raw));
-            });
+  return send_step(!async_precopy_, attempt.destination_address, req,
+                   [this, nonce, transfer_id](Result<Bytes> raw) {
+                     return precopy_on_finalize_ack(nonce, transfer_id,
+                                                    std::move(raw));
+                   });
 }
 
-void MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
-                                               uint64_t transfer_id,
-                                               Result<Bytes> raw) {
-  auto scope = enter_ecall();
+Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
+                                                 uint64_t transfer_id,
+                                                 Result<Bytes> raw) {
   const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;  // aborted meanwhile
+  if (it == precopy_outgoing_.end()) return Status::kOk;  // aborted
   PrecopyOutgoing& attempt = it->second;
   if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitFinalizeAck ||
       attempt.transfer_id != transfer_id) {
-    return;  // superseded by a resync re-attest — stale ack
+    return Status::kOk;  // superseded by a resync re-attest — stale ack
   }
   attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  if (!attempt.staged_finalize.has_value()) return;
+  if (!attempt.staged_finalize.has_value()) return Status::kOk;
   Status failure = Status::kOk;
   auto reply = open_task_reply(raw);
   if (!reply.ok()) {
@@ -2180,20 +2005,20 @@ void MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
   }
   if (failure != Status::kOk) {
     // kPrecopyIncomplete included: resync re-ships the full merged set
-    // under a fresh attestation on the next pump kick.  Past the ship
-    // budget, hand the attempt back to the library's sync fallback.
+    // under a fresh attestation on the next kick.  Past the ship budget,
+    // hand the attempt back to the library.
     attempt.channel.reset();
     attempt.resync = true;
     if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
       attempt.staged_finalize.reset();
     }
     persist_queue();
-    return;
+    return failure;
   }
   const PrecopyFinalizePayload fin = std::move(*attempt.staged_finalize);
   const sgx::Measurement source_mr = attempt.source_mr;
   // Invalidates `attempt`; the library's poll now observes kAccepted.
-  (void)finish_precopy_outgoing(source_mr, fin);
+  return finish_precopy_outgoing(source_mr, fin);
 }
 
 Status MigrationEnclave::finish_precopy_outgoing(
@@ -2241,104 +2066,60 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
     return reply;
   }
   const PrecopyFinalizePayload& fin = parsed.value();
+  const uint64_t nonce = fin.request_nonce;
+  const sgx::Measurement mr = session.peer.mr_enclave;
   // Idempotent re-finalize: if this attempt already became a retained (or
   // completed) transfer — the previous reply was lost — acknowledge
-  // without shipping again (mirror of run_outgoing's nonce dedup).
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == session.peer.mr_enclave &&
-        transfer.request_nonce == fin.request_nonce) {
-      reply.type = LibMsgType::kFinalizeAccepted;
-      reply.status = persist_queue();
-      if (reply.status != Status::kOk) reply.type = LibMsgType::kError;
-      return reply;
-    }
+  // without shipping again.
+  const Status dedup =
+      dedup_against_queue(mr, nonce, fin.destination_address);
+  if (dedup != Status::kNoPendingMigration) {
+    reply.type = dedup == Status::kOk ? LibMsgType::kFinalizeAccepted
+                                      : LibMsgType::kError;
+    reply.status = dedup;
+    return reply;
   }
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (record.source_mr == session.peer.mr_enclave &&
-        record.request_nonce == fin.request_nonce) {
-      reply.type = LibMsgType::kFinalizeAccepted;
-      reply.status = Status::kOk;
-      return reply;
-    }
-  }
-  // A posted round record may still be in flight for this attempt; a
-  // synchronous finalize would overtake it on the wire and desync the
-  // channel's record sequence, so abandon that channel and resync over a
-  // fresh attestation — the stale ack is ignored by transfer id.  The
-  // ASYNC finalize instead queues behind the round: its ack continuation
-  // kicks the staged finalize in order on the same channel.
-  const auto inflight = precopy_outgoing_.find(fin.request_nonce);
-  if (!async_precopy_ && inflight != precopy_outgoing_.end() &&
-      inflight->second.ship_step ==
-          PrecopyOutgoing::ShipStep::kAwaitRoundAck) {
-    inflight->second.channel.reset();
-    inflight->second.resync = true;
-    inflight->second.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  }
-  auto attempt = precopy_attempt(session.peer.mr_enclave,
-                                 fin.destination_address, fin.request_nonce,
-                                 fin.policy);
+  auto attempt =
+      precopy_attempt(mr, fin.destination_address, nonce, fin.policy);
   if (!attempt.ok()) {
     reply.status = attempt.status();
     return reply;
   }
+  PrecopyOutgoing& live = *attempt.value();
+  merge_by_generation(live.merged, fin.chunks);
+  live.staged_finalize = fin;
+  live.finalize_attempts = 0;
+  Status shipped = Status::kOk;
   if (async_precopy_) {
-    // Pipelined finalize hop: merge + stage + ack the library immediately
-    // with kMigrateQueued — the sealed finalize record ships through the
-    // deferred pump, finalize ships of different enclaves overlap on the
-    // source lane, and the library stays frozen polling its fate (the
-    // freeze ends only once the destination's accept is observed).
-    PrecopyOutgoing& live = *attempt.value();
-    for (const CounterChunk& chunk : fin.chunks) {
-      auto merged = live.merged.find(chunk.index);
-      if (merged == live.merged.end() ||
-          merged->second.generation <= chunk.generation) {
-        live.merged[chunk.index] = chunk;
-      }
-    }
-    live.staged_finalize = fin;
-    live.finalize_attempts = 0;
-    // The final delta is durable before the queued-ack, like every round;
-    // only the manifest+msk envelope is memory-only (restart => the
-    // frozen library re-finalizes synchronously, dedup'd by nonce).
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      live.staged_finalize.reset();
-      reply.status = persisted;
-      return reply;
-    }
-    kick_precopy_ship(fin.request_nonce);
-    reply.type = LibMsgType::kMigrateQueued;
-    reply.status = Status::kOk;
+    // The library is acked with kMigrateQueued before the record ships, so
+    // the final delta is durable first, like every round; only the
+    // manifest+msk envelope is memory-only (restart => the frozen library
+    // re-sends the finalize, dedup'd by nonce).
+    shipped = persist_queue();
+    if (shipped != Status::kOk) live.staged_finalize.reset();
+  }
+  // Async: the record ships behind the pump (queued behind a round hop
+  // still in flight on this channel).  Sync: the ship runs inline, and a
+  // failed one re-attests and re-ships the merged set until the ship
+  // budget drops the staged finalize.  Its one queue seal is the
+  // retained-transfer persist on success.
+  if (shipped == Status::kOk) shipped = kick_precopy_ship(nonce);
+  const auto staged = [&] {
+    const auto it = precopy_outgoing_.find(nonce);
+    return it != precopy_outgoing_.end() &&
+           it->second.staged_finalize.has_value();
+  };
+  while (!async_precopy_ && shipped != Status::kOk && staged()) {
+    shipped = kick_precopy_finalize(nonce);
+  }
+  if (shipped != Status::kOk) {
+    reply.status = shipped;
     return reply;
   }
-  Status sent =
-      precopy_send(*attempt.value(), fin.request_nonce, fin.chunks, fin.round,
-                   /*finalize=*/true, fin.manifest, fin.msk);
-  if (sent == Status::kInvalidState) {
-    // Destination lost the conversation (aged-out staging / wiped
-    // queue): re-attest once and re-ship the merged set (mirrors
-    // on_precopy_round).
-    attempt = precopy_attempt(session.peer.mr_enclave, fin.destination_address,
-                              fin.request_nonce, fin.policy);
-    if (attempt.ok()) {
-      sent = precopy_send(*attempt.value(), fin.request_nonce, fin.chunks,
-                          fin.round, /*finalize=*/true, fin.manifest, fin.msk);
-    } else {
-      sent = attempt.status();
-    }
-  }
-  if (sent != Status::kOk) {
-    reply.status = sent;
-    return reply;
-  }
-  const Status finished =
-      finish_precopy_outgoing(session.peer.mr_enclave, fin);
-  if (finished != Status::kOk) {
-    reply.status = finished;
-    return reply;
-  }
-  reply.type = LibMsgType::kFinalizeAccepted;
+  // Still staged: the record is in flight (the frozen library polls its
+  // fate); otherwise the destination accepted and the copy is retained.
+  reply.type = staged() ? LibMsgType::kMigrateQueued
+                        : LibMsgType::kFinalizeAccepted;
   reply.status = Status::kOk;
   return reply;
 }
@@ -2514,15 +2295,7 @@ MigrationEnclave::PrecopyStaging& MigrationEnclave::merge_precopy_staging(
     if (entry.transfer_id != 0) inbound_.erase(entry.transfer_id);
     entry.transfer_id = transfer_id;
   }
-  // Merge by generation: replayed or re-shipped chunks are idempotent,
-  // later generations win.
-  for (const CounterChunk& chunk : chunks) {
-    const auto merged = entry.chunks.find(chunk.index);
-    if (merged == entry.chunks.end() ||
-        merged->second.generation <= chunk.generation) {
-      entry.chunks[chunk.index] = chunk;
-    }
-  }
+  merge_by_generation(entry.chunks, chunks);
   entry.last_update = platform().clock().now();
   return entry;
 }
@@ -3070,12 +2843,20 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
   }
 
-  // ----- pipelined TransferTasks -----
+  // ----- queued TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
-  // every pipeline from the attest step under a fresh transfer id.
-  w.u32(static_cast<uint32_t>(transfer_tasks_.size()));
+  // every pipeline from the attest step under a fresh transfer id.  A
+  // blocking task is not resumable work — its caller holds the data and
+  // gets the verdict — so a snapshot cut mid-conversation (a reentrant
+  // DONE's persist) leaves it out.
+  uint32_t task_count = 0;
   for (const auto& [nonce, t] : transfer_tasks_) {
+    if (!t.blocking) ++task_count;
+  }
+  w.u32(task_count);
+  for (const auto& [nonce, t] : transfer_tasks_) {
+    if (t.blocking) continue;
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());

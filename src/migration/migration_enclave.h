@@ -69,17 +69,19 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   // ----- pipelined outgoing transfers -----
   //
-  // A kMigrateEnqueue request queues a per-transfer TransferTask instead
-  // of running the ME<->ME conversation inline: the task decomposes the
-  // old run_outgoing call chain into resumable steps (attest msg1/msg3 ->
-  // ship -> await-ack -> retained) whose round trips travel through
-  // net::Network::post, so N concurrent outgoing transfers interleave
-  // over independent RA channels instead of serializing.  Tasks are part
-  // of the durable queue from the moment they are queued: a restarted
-  // ME resumes every in-flight pipeline (re-attesting under a fresh
-  // transfer id; the request nonce makes re-ships exactly-once end to
-  // end).  Terminal failures are held until the library polls them
-  // (kPollTransfer), mapping onto the existing retry classification.
+  // Every outgoing transfer is a TransferTask: the source-side protocol
+  // (attest msg1/msg3 or a cached resume -> ship -> await-ack ->
+  // retained) as resumable steps sent through one seam (send_step).  A
+  // queued task (kMigrateEnqueue/kMigrateReserve) posts its round trips
+  // through net::Network::post, so N concurrent outgoing transfers
+  // interleave over independent RA channels instead of serializing.  It is
+  // part of the durable queue from the moment it is queued: a
+  // restarted ME resumes every in-flight pipeline (re-attesting under a
+  // fresh transfer id; the request nonce makes re-ships exactly-once end
+  // to end).  Terminal failures are held until the library polls them
+  // (kPollTransfer), mapping onto the existing retry classification.  A
+  // blocking kMigrateRequest runs the same steps over rpc inside its
+  // handler and answers from the task's end state.
 
   /// Re-issues the next step of every task that is not awaiting a reply
   /// (freshly queued, restored from the durable queue after a restart, or
@@ -89,12 +91,15 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   size_t transfer_task_count() const { return transfer_tasks_.size(); }
 
-  /// Ships pre-copy ROUND hops through Network::post/pump() like
-  /// TransferTask steps instead of a synchronous rpc: kPrecopyRound is
-  /// acked as soon as the chunks are merged + persisted at the SOURCE ME,
-  /// and the wire hop to the destination overlaps with every other lane.
-  /// The finalize stays synchronous (it is the freeze-window tail and must
-  /// not race an in-flight round — it resyncs the full merged set).
+  /// Pre-copy transport.  Both transports merge (and, for rounds,
+  /// persist) at the SOURCE ME first and then run the same ship steps.
+  /// Async: the steps post through Network::post/pump() — kPrecopyRound is
+  /// acked at once and kPrecopyFinalizeReq answers kMigrateQueued, so hops
+  /// of different enclaves overlap on every lane and the frozen library
+  /// polls the finalize's fate.  Sync (the default): the steps run over
+  /// rpc inside the handler, which replies with their outcome; a round
+  /// gets one attempt (re-attesting once if the destination forgot the
+  /// conversation), a finalize the ship budget.
   void set_async_precopy(bool on) { async_precopy_ = on; }
   bool async_precopy() const { return async_precopy_; }
 
@@ -289,21 +294,21 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// re-attests under a fresh transfer id and re-ships the whole merged
     /// set, so the destination converges no matter what was lost.
     bool resync = false;
-    // --- async round shipping (set_async_precopy) ---
+    // --- ship steps (memory-only) ---
     enum class ShipStep : uint8_t {
-      kIdle = 0,           // nothing posted; kick when dirty > acked
+      kIdle = 0,           // nothing in flight; kick when dirty > acked
       kAwaitRoundAck = 1,  // a sealed round record is in flight
       kAwaitFinalizeAck = 2  // the sealed finalize record is in flight
     };
     ShipStep ship_step = ShipStep::kIdle;
-    /// Highest generation per chunk index the destination ACKed; the
-    /// async ship sends merged entries newer than this (all, on resync).
+    /// Highest generation per chunk index the destination ACKed; a ship
+    /// sends merged entries newer than this (all, on resync).
     std::map<uint32_t, uint64_t> acked;
-    /// Async-mode staged finalize, memory-only BY DESIGN: the record
-    /// ships through the deferred pump like a round hop while the library
-    /// polls its fate.  An ME restart (or an exhausted ship budget) drops
-    /// it — the still-frozen library observes kNone and re-drives the
-    /// finalize synchronously, which the nonce dedup makes idempotent.
+    /// Staged finalize, memory-only BY DESIGN: under the async transport
+    /// the record ships through the deferred pump like a round hop while
+    /// the library polls its fate.  An ME restart (or an exhausted ship
+    /// budget) drops it — the still-frozen library observes kNone and
+    /// re-sends the finalize, which the nonce dedup makes idempotent.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
   };
@@ -320,11 +325,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// age-based sweep of staging whose source went away for good.
     Duration last_update{};
   };
-  /// One pipelined outgoing transfer, keyed by the library's request
-  /// nonce: the old run_outgoing call chain as resumable steps.  The
-  /// payload is durable from kQueued on; the RA session and channel are
-  /// per-attempt state — a restarted ME re-runs the attest from scratch
-  /// under a fresh transfer id (the nonce keeps it exactly-once).
+  /// One outgoing transfer, keyed by the library's request nonce: the
+  /// source-side protocol as resumable steps.  A queued task's payload is
+  /// durable from kQueued on; the RA session and channel are per-attempt
+  /// state — a restarted ME re-runs the attest from scratch under a fresh
+  /// transfer id (the nonce keeps it exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
       kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing)
@@ -346,6 +351,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// empty until the library freezes and arms the task (kMigrateArm);
     /// the poll reports kSlotLive once the destination is attested.
     bool armed = true;
+    /// Driven by a blocking kMigrateRequest: its steps run inline over
+    /// rpc, and it lives only inside that handler — never serialized as
+    /// resumable work.
+    bool blocking = false;
   };
   /// Compact durable record of a confirmed outgoing transfer: enough to
   /// answer status queries and absorb duplicate DONEs idempotently after
@@ -411,52 +420,79 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   LibMsg on_poll_transfer(LaSessionState& session, const LibMsg& msg);
   LibMsg on_abort_stale(LaSessionState& session, const LibMsg& msg);
 
-  // ----- TransferTask step machine -----
-  /// Front-of-queue validation + dedup shared with run_outgoing: kOk when
-  /// (source_mr, nonce, destination) is already retained or completed (the
-  /// poll will report kAccepted), kNoPendingMigration when it is unknown.
+  // ----- outgoing step machine (TransferTask + pre-copy ships) -----
+  // A step that sends returns kOk once posted, or, run inline, the
+  // outcome its continuation chain ended in.
+  using StepContinuation = std::function<Status(Result<Bytes> reply)>;
+  /// The one send seam of the step machine.  A deferred step posts `req`
+  /// to `destination`'s ME and runs `next` under a fresh ecall when the
+  /// reply lands; an inline step rpcs and runs `next` at once, inside the
+  /// caller's ecall (no extra transition charge).
+  Status send_step(bool inline_step, const std::string& destination,
+                   const MeRequest& req, StepContinuation next);
+  /// Shared body of kMigrateEnqueue and (armed = false) kMigrateReserve:
+  /// validates, dedups, re-queues a same-nonce task, or queues a new
+  /// durable one and kicks it.
+  LibMsg queue_task(const sgx::Measurement& mr, MigrateRequestPayload request,
+                    bool armed);
+  /// Paper Listing 1's blocking start: creates (or takes over) the task
+  /// for the request's nonce, drives it inline to retained or failed, and
+  /// returns that outcome with the task gone.  `source_mr` by value: the
+  /// nested rpcs can re-enter handle_request (a peer ME's DONE-relay
+  /// retry) and erase the session a reference would point into.
+  Status run_blocking_task(sgx::Measurement source_mr,
+                           MigrateRequestPayload request);
+  /// Front-of-queue validation + dedup: kOk when (source_mr, nonce,
+  /// destination) is already retained (re-fenced) or completed (the poll
+  /// will report kAccepted), kNoPendingMigration when it is unknown.
   Status dedup_against_queue(const sgx::Measurement& source_mr,
                              uint64_t nonce,
                              const std::string& destination_address);
+  /// Fate of one attempt (identity + request nonce) in the source-side
+  /// queue: kPending while retained (to `destination`, when given),
+  /// kCompleted once DONE, else kNone.
+  OutgoingState attempt_state(const sgx::Measurement& mr, uint64_t nonce,
+                              const std::string* destination = nullptr) const;
   /// (Re-)issues the pending step of one kQueued task: draws a fresh
-  /// transfer id and posts RA msg1.
-  void kick_task(uint64_t nonce);
-  void task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw);
-  void task_on_auth(uint64_t nonce, Result<Bytes> raw);
-  void task_on_accept(uint64_t nonce, Result<Bytes> raw);
-  /// Continuation of a posted kSessionResume: on success the channel is
-  /// live and the task lands like a full handshake; any failure erases
-  /// the cached session and falls back to posting RA msg1.
-  void task_on_resume(uint64_t nonce, std::array<uint8_t, 16> nonce_i,
-                      Result<Bytes> raw);
+  /// transfer id and sends a cached-session resume or RA msg1.
+  Status kick_task(uint64_t nonce);
+  Status task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw);
+  Status task_on_auth(uint64_t nonce, Result<Bytes> raw);
+  Status task_on_accept(uint64_t nonce, Result<Bytes> raw);
+  /// Continuation of a kSessionResume: on success the channel is live and
+  /// the task lands like a full handshake; a refused or unverifiable
+  /// resume erases the cached session and restarts through RA msg1.
+  Status task_on_resume(uint64_t nonce, std::array<uint8_t, 16> nonce_i,
+                        Result<Bytes> raw);
   /// Post-attestation landing shared by the full and resumed paths:
   /// armed tasks ship the sealed TransferPayload (-> kAwaitAccept),
   /// reserve-mode tasks park slot-live (-> kAwaitArm).
-  void task_attested(uint64_t nonce, TransferTask& task);
-  /// Seals + posts the task's TransferPayload (the tail of task_on_auth,
+  Status task_attested(uint64_t nonce, TransferTask& task);
+  /// Seals + sends the task's TransferPayload (the tail of task_on_auth,
   /// shared with on_migrate_arm) -> kAwaitAccept.
-  void ship_task_payload(uint64_t nonce, TransferTask& task);
-  // ----- async pre-copy round shipping -----
-  /// Posts the next sealed round record of one idle attempt with unacked
-  /// merged chunks (or a full resync set); no-op when nothing is dirty.
-  void kick_precopy_ship(uint64_t nonce);
-  void precopy_on_round_ack(uint64_t nonce, uint64_t transfer_id,
-                            const std::vector<ChunkManifestEntry>& shipped,
-                            Result<Bytes> raw);
-  /// Posts the staged finalize record (everything merged beyond the acked
+  Status ship_task_payload(uint64_t nonce, TransferTask& task);
+  /// Sends the next sealed round record of one idle attempt with unacked
+  /// merged chunks (or a full resync set), or its staged finalize; no-op
+  /// when nothing is dirty.
+  Status kick_precopy_ship(uint64_t nonce);
+  Status precopy_on_round_ack(uint64_t nonce, uint64_t transfer_id,
+                              const std::vector<ChunkManifestEntry>& shipped,
+                              Result<Bytes> raw);
+  /// Sends the staged finalize record (everything merged beyond the acked
   /// front rides along); re-attests first if the channel was dropped.
-  void kick_precopy_finalize(uint64_t nonce);
-  void precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
-                               Result<Bytes> raw);
+  Status kick_precopy_finalize(uint64_t nonce);
+  Status precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
+                                 Result<Bytes> raw);
   /// Destination committed the snapshot: assemble the retained full copy
   /// from the merged chunks + manifest, retire the pre-copy attempt into
-  /// outgoing_, persist.  Shared by the sync finalize and the async ack.
+  /// outgoing_, persist.
   Status finish_precopy_outgoing(const sgx::Measurement& source_mr,
                                  const PrecopyFinalizePayload& fin);
   /// Parses a pumped MeResponse reply; non-kOk peers and transport
   /// failures collapse to a Status.
   static Result<Bytes> open_task_reply(const Result<Bytes>& raw);
-  void fail_task(uint64_t nonce, Status status);
+  /// Marks the task kFailed with `status` (held for the poll); returns it.
+  Status fail_task(uint64_t nonce, Status status);
   /// cancel_posts tag + reply-lane key for this ME's deferred traffic.
   std::string net_endpoint() const;
 
@@ -466,17 +502,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                               uint64_t nonce,
                               const std::string& destination_address);
 
-  /// Runs the whole outgoing side: RA + provider auth + policy + transfer.
-  /// `source_mr` is taken by value: the nested rpcs can re-enter
-  /// handle_request (a peer ME's DONE-relay retry) and erase the session
-  /// a reference would point into.
-  Status run_outgoing(sgx::Measurement source_mr,
-                      const MigrateRequestPayload& request);
-
-  /// Mutual RA handshake + provider auth + policy against a peer ME:
-  /// the front half of run_outgoing, shared with the pre-copy first
-  /// contact and the reconcile sweep.  On success the returned channel is
-  /// ready to seal records for `transfer_id` at the peer.
+  /// Mutual RA handshake + provider auth + policy against a peer ME over
+  /// rpc, for the pre-copy first contact, the abort and the reconcile
+  /// sweep.  On success the returned channel is ready to seal records for
+  /// `transfer_id` at the peer.
   Result<net::SecureChannel> attest_peer_me(
       const std::string& destination_address, uint64_t transfer_id,
       const MigrationPolicy& policy);
@@ -501,14 +530,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                                            const std::string& destination,
                                            uint64_t nonce,
                                            const MigrationPolicy& policy);
-
-  /// One sealed send to the pre-copy destination with the resync rules
-  /// applied; `finalize` selects the finalize record + manifest + MSK.
-  Status precopy_send(PrecopyOutgoing& attempt, uint64_t nonce,
-                      const std::vector<CounterChunk>& fresh_chunks,
-                      uint32_t round, bool finalize,
-                      const std::vector<ChunkManifestEntry>& manifest,
-                      const sgx::Key128& msk);
 
   /// Destination-side staging upsert shared by chunk and finalize
   /// records: supersedes an abandoned attempt (fresh nonce/source),

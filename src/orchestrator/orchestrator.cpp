@@ -290,6 +290,15 @@ migration::MigrationStartResult Orchestrator::run_source_side(
     return enclave.ecall_migration_start_detailed(task.destination,
                                                   record.options.policy);
   }
+  // Iterative pre-copy on the virtual clock, all in this one call.
+  while (true) {
+    if (auto result = precopy_step(task, enclave, record)) return *result;
+  }
+}
+
+std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
+    Task& task, migration::MigratableEnclave& enclave,
+    const EnclaveRecord& record) {
   // A previous attempt may have frozen the library with the finalize
   // staged (e.g. the accept reply AND the fallback status query were both
   // lost to a dying ME): rounds are impossible — and unnecessary — once
@@ -300,27 +309,25 @@ migration::MigrationStartResult Orchestrator::run_source_side(
     return enclave.ecall_migration_finalize_detailed(task.destination,
                                                      record.options.policy);
   }
-  // Iterative pre-copy on the virtual clock: ship dirty rounds while the
-  // enclave keeps serving (the round hook is where live mutations land),
-  // then freeze for the final delta.  A failed round surfaces as a
-  // classified start failure so the existing retry/backoff/re-route
-  // machinery applies unchanged — the library's per-attempt state resumes
-  // rounds toward the same destination and restarts toward a new one.
-  while (true) {
-    auto round = enclave.ecall_migration_precopy_round(task.destination,
-                                                       record.options.policy);
-    if (!round.ok()) {
-      migration::MigrationStartResult failure;
-      failure.status = round.status();
-      failure.failure_class =
-          migration::classify_migration_failure(round.status());
-      failure.message = "pre-copy round: " +
-                        std::string(status_name(round.status()));
-      return failure;
-    }
-    if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-    if (round.value().converged(options_.precopy)) break;
+  // Ship one dirty round while the enclave keeps serving (the round hook
+  // is where live mutations land), then freeze for the final delta once
+  // converged.  A failed round surfaces as a classified start failure so
+  // the existing retry/backoff/re-route machinery applies unchanged — the
+  // library's per-attempt state resumes rounds toward the same
+  // destination and restarts toward a new one.
+  auto round = enclave.ecall_migration_precopy_round(task.destination,
+                                                     record.options.policy);
+  if (!round.ok()) {
+    migration::MigrationStartResult failure;
+    failure.status = round.status();
+    failure.failure_class =
+        migration::classify_migration_failure(round.status());
+    failure.message =
+        "pre-copy round: " + std::string(status_name(round.status()));
+    return failure;
   }
+  if (round_hook_) round_hook_(task.enclave_id, round.value().round);
+  if (!round.value().converged(options_.precopy)) return std::nullopt;
   return enclave.ecall_migration_finalize_detailed(task.destination,
                                                    record.options.policy);
 }
@@ -450,36 +457,13 @@ void Orchestrator::poll_transferring(Task& task) {
 void Orchestrator::advance_precopy(Task& task) {
   migration::MigratableEnclave* enclave = fleet_.enclave(task.enclave_id);
   const EnclaveRecord* record = fleet_.find(task.enclave_id);
-  migration::MigrationStartResult result;
-  bool terminal = false;
-  const Duration end = lanes_->run(
-      task.source, std::max(task.ready_at, lanes_->control()), [&] {
-        if (enclave->migration_frozen()) {
-          result = enclave->ecall_migration_finalize_detailed(
-              task.destination, record->options.policy);
-          terminal = true;
-          return;
-        }
-        auto round = enclave->ecall_migration_precopy_round(
-            task.destination, record->options.policy);
-        if (!round.ok()) {
-          result.status = round.status();
-          result.failure_class =
-              migration::classify_migration_failure(round.status());
-          result.message = "pre-copy round: " +
-                           std::string(status_name(round.status()));
-          terminal = true;
-          return;
-        }
-        if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-        if (round.value().converged(options_.precopy)) {
-          result = enclave->ecall_migration_finalize_detailed(
-              task.destination, record->options.policy);
-          terminal = true;
-        }
-      });
+  std::optional<migration::MigrationStartResult> step;
+  const Duration end =
+      lanes_->run(task.source, std::max(task.ready_at, lanes_->control()),
+                  [&] { step = precopy_step(task, *enclave, *record); });
   task.ready_at = end;
-  if (!terminal) return;  // next round next wave
+  if (!step) return;  // next round next wave
+  const migration::MigrationStartResult& result = *step;
   if (result.status == Status::kMigrationInProgress &&
       result.failure_class == migration::MigrationFailureClass::kNone) {
     // Async source ME queued the finalize: the enclave is frozen from

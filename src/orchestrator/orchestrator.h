@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
 #include <string>
@@ -197,6 +198,12 @@ class Orchestrator {
   /// Drives the source side under the configured transfer mode: one
   /// migration_start, or pre-copy rounds to convergence + finalize.
   migration::MigrationStartResult run_source_side(
+      Task& task, migration::MigratableEnclave& enclave,
+      const EnclaveRecord& record);
+  /// One pre-copy step: the finalize when the enclave is frozen, else one
+  /// round (+ round hook) and the finalize once converged; a failed round
+  /// is a classified failure.  nullopt = another round is due.
+  std::optional<migration::MigrationStartResult> precopy_step(
       Task& task, migration::MigratableEnclave& enclave,
       const EnclaveRecord& record);
   void complete(Task& task);

@@ -3,7 +3,8 @@
 // resume of in-flight pipelines across source-ME restarts, exactly-once
 // completion per nonce under response loss, orchestrated pipelined drains
 // under mixed fault storms (tamper + reply loss + ME crashes) with zero
-// forks, the cap actually buying wall time, async pre-copy freezes
+// forks, the blocking start running the same steps inline, the cap
+// actually buying wall time, async pre-copy freezes
 // staying at the final delta under a live client stream, and the
 // proactive re-route abort + staging age sweep.
 #include <gtest/gtest.h>
@@ -182,6 +183,85 @@ TEST_F(PipelineTest, ConcurrentTransfersInterleaveOverIndependentChannels) {
               static_cast<uint32_t>(i + 1));
   }
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+}
+
+// ----- the blocking start runs the same steps inline -----
+
+TEST_F(PipelineTest, BlockingStartRunsTaskStepsInline) {
+  // Every ME->ME request the source ME sends to m1, in order.
+  std::vector<MeMsgType> sent;
+  bool drop_transfer = false;
+  world_.network().set_tamper_hook(
+      [&](const std::string& to, Bytes& request) {
+        auto parsed = MeRequest::deserialize(request);
+        if (to != "m1/me" || !parsed.ok()) return true;
+        sent.push_back(parsed.value().type);
+        return !(drop_transfer && parsed.value().type == MeMsgType::kTransfer);
+      });
+  const auto start = [&](const std::string& name) {
+    auto enclave = start_new(m0_, EnclaveImage::create(name, 1, "acme"));
+    enclave->ecall_increment_migratable_counter(
+        enclave->ecall_create_migratable_counter().value().counter_id);
+    return enclave;
+  };
+
+  // First contact: the full handshake, then the payload — over rpc, so
+  // the call returns with the transfer retained and no task left.
+  auto a = start("inline-a");
+  ASSERT_EQ(a->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(sent, (std::vector<MeMsgType>{MeMsgType::kRaMsg1,
+                                          MeMsgType::kRaMsg3,
+                                          MeMsgType::kTransfer}));
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+
+  // Second enclave to the same destination resumes the cached session.
+  sent.clear();
+  auto b = start("inline-b");
+  ASSERT_EQ(b->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(sent, (std::vector<MeMsgType>{MeMsgType::kSessionResume,
+                                          MeMsgType::kTransfer}));
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->full_handshake_count(), 1u);
+  EXPECT_EQ(me("m0")->resumed_handshake_count(), 1u);
+
+  // A dropped payload fails the call; the failed task goes with it, and
+  // the retry (same nonce) lands.
+  auto c = start("inline-c");
+  drop_transfer = true;
+  EXPECT_NE(c->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  drop_transfer = false;
+  ASSERT_EQ(c->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  world_.network().clear_tamper_hook();
+  EXPECT_EQ(me("m0")->outgoing_count(), 3u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 3u);
+}
+
+TEST_F(PipelineTest, BlockingStartSupersedesQueuedTaskForSameNonce) {
+  auto enclave = start_new(m0_, image_);
+  const uint32_t id =
+      enclave->ecall_create_migratable_counter().value().counter_id;
+  enclave->ecall_increment_migratable_counter(id);
+  // Queued, its RA msg1 already on the wire, never pumped.
+  ASSERT_TRUE(enclave->ecall_migration_enqueue_detailed("m1").ok());
+  ASSERT_EQ(me("m0")->transfer_task_count(), 1u);
+
+  // The blocking start reuses the staged nonce and takes the task over.
+  ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+
+  // The superseded task's conversation completes on the wire but resumes
+  // nothing: exactly one pending entry.
+  world_.network().pump_all();
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  enclave.reset();
+  auto moved = make_app(m1_, image_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(id).value(), 1u);
 }
 
 // ----- durable resume: source-ME crash mid-pipeline -----

@@ -266,6 +266,80 @@ TEST_F(PrecopyTest, LostChunkAckResyncsChannel) {
   EXPECT_EQ(moved->active_counters(), 4u);
 }
 
+TEST_F(PrecopyTest, DroppedSyncFinalizeIsReshippedInsideTheCall) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(2);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  const Bytes stale = enclave->sealed_state();
+  enclave->ecall_increment_migratable_counter(17);
+
+  // The first finalize record to the destination is lost on the wire.
+  // The sync transport re-attests and re-ships the merged set within the
+  // same call (the finalize ship budget), so the library sees success.
+  int finalizes = 0;
+  world_.network().set_tamper_hook([&finalizes](const std::string& to,
+                                                Bytes& request) {
+    auto parsed = MeRequest::deserialize(request);
+    if (to != "m1/me" || !parsed.ok() ||
+        parsed.value().type != MeMsgType::kPrecopyFinalize) {
+      return true;
+    }
+    return ++finalizes > 1;
+  });
+  const auto fin = enclave->ecall_migration_finalize_detailed("m1");
+  world_.network().clear_tamper_hook();
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(finalizes, 2);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(17).value(), 1u);
+  EXPECT_EQ(moved->active_counters(), 20u);
+  auto forked = make_app(m0_);
+  EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
+            Status::kMigrationFrozen);
+}
+
+TEST_F(PrecopyTest, SyncRoundReattestsAfterDestinationSweptStaging) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(4);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+
+  // The destination ages the staging out together with its inbound
+  // channel, so it no longer knows the conversation (kInvalidState).
+  world_.clock().advance(seconds(601));
+  EXPECT_EQ(me("m1")->sweep_stale_precopy_staging(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+
+  // The next sync round re-attests once and re-ships the merged set
+  // inside the same call, so the library sees success.
+  enclave->ecall_increment_migratable_counter(11);
+  const auto round = enclave->ecall_migration_precopy_round("m1");
+  ASSERT_EQ(round.status(), Status::kOk);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(4).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(11).value(), 1u);
+  EXPECT_EQ(moved->active_counters(), 20u);
+}
+
 TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
   auto enclave = start_new(m0_);
   for (int i = 0; i < 20; ++i) {
