@@ -628,159 +628,173 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
   return reply;
 }
 
-// ----- outgoing migration (source side, paper Fig. 2 steps 3-4) -----
+// ----- ME<->ME attestation: one chain, four callers -----
+//
+// Paper Fig. 2 step 3: mutual RA + provider authentication, or a resume
+// of the session a previous full handshake cached.
 
-Result<net::SecureChannel> MigrationEnclave::attest_peer_me(
-    const std::string& destination_address, uint64_t transfer_id,
-    const MigrationPolicy& policy) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  const std::string dest_endpoint = destination_address + "/me";
+Status MigrationEnclave::attest_peer(bool inline_step,
+                                     const std::string& destination,
+                                     const MigrationPolicy& policy,
+                                     AttestHooks hooks,
+                                     AttestContinuation done) {
+  return attest_begin(std::make_shared<AttestRun>(AttestRun{
+      .inline_step = inline_step, .destination = destination,
+      .policy = policy, .hooks = std::move(hooks), .done = std::move(done)}));
+}
 
-  // --- cached-session resume (one round trip) ---
-  auto resumed = try_resume_session(destination_address, transfer_id, policy);
-  if (resumed.ok()) return resumed;
-  if (resumed.status() == Status::kPolicyViolation) {
-    // The cached credential is the provider-certified one from the full
-    // handshake; a policy denial against it is as authoritative as one
-    // against a freshly attested credential.
-    return resumed.status();
+Status MigrationEnclave::attest_send(const AttestRunPtr& run,
+                                     const MeRequest& req, const char* step,
+                                     AttestStep next) {
+  if (run->hooks.on_step) run->hooks.on_step(run->transfer_id, step);
+  return send_step(run->inline_step, run->destination, req,
+                   [this, run, next](Result<Bytes> raw) {
+                     const auto& live = run->hooks.live;
+                     if (live && !live(run->transfer_id)) {
+                       return Status::kOk;  // superseded — the reply is stale
+                     }
+                     return (this->*next)(run, std::move(raw));
+                   });
+}
+
+Status MigrationEnclave::attest_begin(const AttestRunPtr& run) {
+  if (platform().network() == nullptr) {
+    return run->done(0, Status::kNetworkUnreachable);
   }
-  // Anything else (no cache entry, peer refused, transport) falls back to
-  // the full msg1/msg3 handshake below.
-
-  // --- mutual remote attestation ---
-  sgx::RaSession ra(platform(), identity(), sgx::RaSession::Role::kInitiator);
+  const uint64_t transfer_id = fresh_id();
+  // An id collision must never clobber live conversation state; the
+  // retryable-busy failure surfaces to the caller, whose retry draws a
+  // fresh id.
+  if (outgoing_.count(transfer_id) != 0 ||
+      completed_outgoing_.count(transfer_id) != 0 ||
+      inbound_.count(transfer_id) != 0) {
+    return run->done(transfer_id, Status::kAlreadyExists);
+  }
+  run->transfer_id = transfer_id;
+  const auto cached = peer_sessions_.find(run->destination);
+  if (cached != peer_sessions_.end()) {
+    // Migration policy against the CACHED provider-certified credential —
+    // a denial here is as authoritative as one from a fresh handshake,
+    // and no restart evidence, so the cache survives it.
+    const Status policy = run->policy.evaluate(cached->second.credential);
+    if (policy != Status::kOk) return run->done(transfer_id, policy);
+    SessionResumeRequest resume;
+    resume.initiator_address = platform().address();
+    resume.responder_epoch = cached->second.peer_epoch;
+    resume.nonce = to_array<16>(rng().bytes(16));
+    resume.mac = resume_request_mac(cached->second.master_key, transfer_id,
+                                    resume.initiator_address,
+                                    resume.responder_epoch, resume.nonce);
+    run->resume_nonce = resume.nonce;
+    MeRequest rr;
+    rr.type = MeMsgType::kSessionResume;
+    rr.id = transfer_id;
+    rr.payload = resume.serialize();
+    return attest_send(run, rr, "await-resume",
+                       &MigrationEnclave::attest_on_resume);
+  }
+  run->ra = std::make_unique<sgx::RaSession>(platform(), identity(),
+                                             sgx::RaSession::Role::kInitiator);
   MeRequest m1;
   m1.type = MeMsgType::kRaMsg1;
   m1.id = transfer_id;
-  m1.payload = ra.create_msg1().serialize();
-  auto raw2 = net->rpc(dest_endpoint, m1.serialize());
-  if (!raw2.ok()) return raw2.status();
-  auto resp2 = MeResponse::deserialize(raw2.value());
-  if (!resp2.ok()) return Status::kTampered;
-  if (resp2.value().status != Status::kOk) return resp2.value().status;
-  auto msg2 = sgx::RaMsg2::deserialize(resp2.value().payload);
-  if (!msg2.ok()) return Status::kTampered;
-  auto msg3 = ra.handle_msg2(msg2.value());
-  if (!msg3.ok()) return msg3.status();
-
-  // The destination ME must run exactly this ME's code (paper §VI-A).
-  if (!(ra.peer_identity().mr_enclave == identity().mr_enclave)) {
-    return Status::kIdentityMismatch;
-  }
-
-  // --- provider authentication (both directions) ---
-  BinaryWriter m3_payload;
-  m3_payload.bytes(msg3.value().serialize());
-  m3_payload.bytes(make_provider_auth(ra.transcript_hash()).serialize());
-  MeRequest m3;
-  m3.type = MeMsgType::kRaMsg3;
-  m3.id = transfer_id;
-  m3.payload = m3_payload.take();
-  auto raw3 = net->rpc(dest_endpoint, m3.serialize());
-  if (!raw3.ok()) return raw3.status();
-  auto resp3 = MeResponse::deserialize(raw3.value());
-  if (!resp3.ok()) return Status::kTampered;
-  if (resp3.value().status != Status::kOk) return resp3.value().status;
-  BinaryReader r3(resp3.value().payload);
-  auto peer_auth = ProviderAuth::deserialize(r3.bytes(1u << 16));
-  if (!peer_auth.ok()) return Status::kTampered;
-  const uint64_t peer_epoch = r3.u64();
-  if (!r3.done()) return Status::kTampered;
-  std::string peer_region;
-  const Status auth_status =
-      verify_provider_auth(peer_auth.value(), ra.transcript_hash(),
-                           destination_address, &peer_region);
-  if (auth_status != Status::kOk) return auth_status;
-
-  // --- migration policy (paper §X extension): evaluated against the
-  // destination's provider-CERTIFIED attributes, not self-claimed ones ---
-  const Status policy_status = policy.evaluate(peer_auth.value().credential);
-  if (policy_status != Status::kOk) return policy_status;
-
-  cache_peer_session(destination_address, ra.session_key(), peer_epoch,
-                     peer_auth.value().credential, peer_region);
-  ++full_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.full");
-  }
-  return net::SecureChannel(ra.session_key(),
-                            net::SecureChannel::Role::kInitiator);
+  m1.payload = run->ra->create_msg1().serialize();
+  return attest_send(run, m1, "await-ra-msg2",
+                     &MigrationEnclave::attest_on_ra_msg2);
 }
 
-void MigrationEnclave::cache_peer_session(
-    const std::string& destination_address, const sgx::Key128& master_key,
-    uint64_t peer_epoch, const platform::MachineCredential& credential,
-    const std::string& region) {
-  PeerSession session;
-  session.master_key = master_key;
-  session.peer_epoch = peer_epoch;
-  session.credential = credential;
-  session.region = region;
-  peer_sessions_[destination_address] = std::move(session);
-  // Durability rides the next persist_queue() from the caller's own state
-  // transition — losing a cache entry only costs a full handshake.
-}
-
-Result<net::SecureChannel> MigrationEnclave::try_resume_session(
-    const std::string& destination_address, uint64_t transfer_id,
-    const MigrationPolicy& policy) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  const auto it = peer_sessions_.find(destination_address);
-  if (it == peer_sessions_.end()) return Status::kNoPendingMigration;
-  // Per-attempt policy runs against the CACHED provider-certified
-  // credential; a denial is not restart evidence, so the cache survives.
-  const Status policy_status = policy.evaluate(it->second.credential);
-  if (policy_status != Status::kOk) return policy_status;
-
-  SessionResumeRequest resume;
-  resume.initiator_address = platform().address();
-  resume.responder_epoch = it->second.peer_epoch;
-  resume.nonce = to_array<16>(rng().bytes(16));
-  resume.mac = resume_request_mac(it->second.master_key, transfer_id,
-                                  resume.initiator_address,
-                                  resume.responder_epoch, resume.nonce);
-  MeRequest req;
-  req.type = MeMsgType::kSessionResume;
-  req.id = transfer_id;
-  req.payload = resume.serialize();
-  auto raw = net->rpc(destination_address + "/me", req.serialize());
-  // Transport failure says nothing about the peer's session table: keep
-  // the cache (the fallback full handshake will fail the same way).
-  if (!raw.ok()) return raw.status();
+Status MigrationEnclave::attest_on_resume(const AttestRunPtr& run,
+                                          Result<Bytes> raw) {
+  // Transport failure says nothing about the peer's session table: end
+  // the run and keep the cache (a full handshake would hit the same dead
+  // wire).
+  if (!raw.ok()) return run->done(run->transfer_id, raw.status());
+  auto fallback = [&] {
+    // The peer answered but refused (restart, epoch bump, MAC rejection),
+    // or the reply does not verify: retire the cache entry and restart
+    // the run through the full handshake under a fresh transfer id.
+    peer_sessions_.erase(run->destination);
+    if (run->hooks.on_step) run->hooks.on_step(run->transfer_id, "requeued");
+    return attest_begin(run);
+  };
   auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) {
-    peer_sessions_.erase(destination_address);
-    return Status::kTampered;
-  }
-  if (resp.value().status != Status::kOk) {
-    // The peer answered but refused: restart (empty acceptor table),
-    // epoch bump, or MAC rejection.  All of them retire this entry.
-    peer_sessions_.erase(destination_address);
-    return resp.value().status;
-  }
+  if (!resp.ok() || resp.value().status != Status::kOk) return fallback();
   auto reply = SessionResumeReply::deserialize(resp.value().payload);
-  if (!reply.ok()) {
-    peer_sessions_.erase(destination_address);
-    return Status::kTampered;
-  }
+  if (!reply.ok()) return fallback();
+  const auto cached = peer_sessions_.find(run->destination);
+  if (cached == peer_sessions_.end()) return fallback();
   const crypto::CmacTag expected =
-      resume_reply_mac(it->second.master_key, transfer_id, resume.nonce,
-                       reply.value().nonce);
-  if (!constant_time_eq(expected, reply.value().mac)) {
-    peer_sessions_.erase(destination_address);
-    return Status::kMacMismatch;
-  }
-  const sgx::Key128 key = derive_resume_key(it->second.master_key,
-                                            transfer_id, resume.nonce,
-                                            reply.value().nonce);
+      resume_reply_mac(cached->second.master_key, run->transfer_id,
+                       run->resume_nonce, reply.value().nonce);
+  if (!constant_time_eq(expected, reply.value().mac)) return fallback();
+  const sgx::Key128 key =
+      derive_resume_key(cached->second.master_key, run->transfer_id,
+                        run->resume_nonce, reply.value().nonce);
   ++resumed_handshakes_;
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->metrics.add("me.handshake.resumed");
   }
-  return net::SecureChannel(key, net::SecureChannel::Role::kInitiator);
+  net::SecureChannel channel(key, net::SecureChannel::Role::kInitiator);
+  return run->done(run->transfer_id, std::move(channel));
+}
+
+Status MigrationEnclave::attest_on_ra_msg2(const AttestRunPtr& run,
+                                           Result<Bytes> raw) {
+  const uint64_t id = run->transfer_id;
+  auto reply = open_task_reply(raw);
+  if (!reply.ok()) return run->done(id, reply.status());
+  auto msg2 = sgx::RaMsg2::deserialize(reply.value());
+  if (!msg2.ok()) return run->done(id, Status::kTampered);
+  auto msg3 = run->ra->handle_msg2(msg2.value());
+  if (!msg3.ok()) return run->done(id, msg3.status());
+  // The destination ME must run exactly this ME's code (paper §VI-A).
+  if (!(run->ra->peer_identity().mr_enclave == identity().mr_enclave)) {
+    return run->done(id, Status::kIdentityMismatch);
+  }
+  // Provider authentication (both directions).
+  BinaryWriter m3_payload;
+  m3_payload.bytes(msg3.value().serialize());
+  m3_payload.bytes(make_provider_auth(run->ra->transcript_hash()).serialize());
+  MeRequest m3;
+  m3.type = MeMsgType::kRaMsg3;
+  m3.id = id;
+  m3.payload = m3_payload.take();
+  return attest_send(run, m3, "await-auth", &MigrationEnclave::attest_on_auth);
+}
+
+Status MigrationEnclave::attest_on_auth(const AttestRunPtr& run,
+                                        Result<Bytes> raw) {
+  const uint64_t id = run->transfer_id;
+  auto reply = open_task_reply(raw);
+  if (!reply.ok()) return run->done(id, reply.status());
+  BinaryReader r(reply.value());
+  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
+  if (!peer_auth.ok()) return run->done(id, Status::kTampered);
+  const uint64_t peer_epoch = r.u64();
+  if (!r.done()) return run->done(id, Status::kTampered);
+  std::string peer_region;
+  const Status auth_status =
+      verify_provider_auth(peer_auth.value(), run->ra->transcript_hash(),
+                           run->destination, &peer_region);
+  if (auth_status != Status::kOk) return run->done(id, auth_status);
+  // Migration policy (paper §X extension): evaluated against the
+  // destination's provider-CERTIFIED attributes, not self-claimed ones.
+  const Status policy_status =
+      run->policy.evaluate(peer_auth.value().credential);
+  if (policy_status != Status::kOk) return run->done(id, policy_status);
+
+  // Durability rides the caller's next persist_queue() — losing a cache
+  // entry only costs a full handshake.
+  peer_sessions_[run->destination] =
+      PeerSession{run->ra->session_key(), peer_epoch,
+                  peer_auth.value().credential, peer_region};
+  ++full_handshakes_;
+  if (obs::Observability* obs = enabled_obs(platform())) {
+    obs->metrics.add("me.handshake.full");
+  }
+  net::SecureChannel channel(run->ra->session_key(),
+                             net::SecureChannel::Role::kInitiator);
+  return run->done(id, std::move(channel));
 }
 
 MeResponse MigrationEnclave::on_session_resume(const MeRequest& req) {
@@ -995,7 +1009,6 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
       // before the ack.
       existing->second.step = TransferTask::Step::kQueued;
       existing->second.failure = Status::kOk;
-      existing->second.ra.reset();
       existing->second.channel.reset();
       kick_task(nonce);
     }
@@ -1131,57 +1144,32 @@ Status MigrationEnclave::kick_task(uint64_t nonce) {
     return Status::kOk;
   }
   TransferTask& task = it->second;
-  if (platform().network() == nullptr) {
-    return fail_task(nonce, Status::kNetworkUnreachable);
-  }
-  const uint64_t transfer_id = fresh_id();
-  // An id collision must never clobber live conversation state; the
-  // retryable-busy failure surfaces through the poll (or the blocking
-  // reply) and the retry draws a fresh id.
-  if (outgoing_.count(transfer_id) != 0 ||
-      completed_outgoing_.count(transfer_id) != 0 ||
-      inbound_.count(transfer_id) != 0) {
-    return fail_task(nonce, Status::kAlreadyExists);
-  }
-  task.transfer_id = transfer_id;
-  const auto cached = peer_sessions_.find(task.request.destination_address);
-  if (cached != peer_sessions_.end()) {
-    // Migration policy against the CACHED provider-certified credential —
-    // a denial here is as authoritative as one from a fresh handshake.
-    const Status policy_status =
-        task.request.policy.evaluate(cached->second.credential);
-    if (policy_status != Status::kOk) return fail_task(nonce, policy_status);
-    SessionResumeRequest resume;
-    resume.initiator_address = platform().address();
-    resume.responder_epoch = cached->second.peer_epoch;
-    resume.nonce = to_array<16>(rng().bytes(16));
-    resume.mac = resume_request_mac(cached->second.master_key, transfer_id,
-                                    resume.initiator_address,
-                                    resume.responder_epoch, resume.nonce);
-    MeRequest rr;
-    rr.type = MeMsgType::kSessionResume;
-    rr.id = transfer_id;
-    rr.payload = resume.serialize();
-    task.step = TransferTask::Step::kAwaitResume;
-    trace_task_step(platform(), nonce, "await-resume");
-    const std::array<uint8_t, 16> nonce_i = resume.nonce;
-    return send_step(task.blocking, task.request.destination_address, rr,
-                     [this, nonce, nonce_i](Result<Bytes> raw) {
-                       return task_on_resume(nonce, nonce_i, std::move(raw));
-                     });
-  }
-  task.ra = std::make_unique<sgx::RaSession>(platform(), identity(),
-                                             sgx::RaSession::Role::kInitiator);
-  MeRequest m1;
-  m1.type = MeMsgType::kRaMsg1;
-  m1.id = transfer_id;
-  m1.payload = task.ra->create_msg1().serialize();
-  task.step = TransferTask::Step::kAwaitRaMsg2;
-  trace_task_step(platform(), nonce, "await-ra-msg2");
-  return send_step(task.blocking, task.request.destination_address, m1,
-                   [this, nonce](Result<Bytes> raw) {
-                     return task_on_ra_msg2(nonce, std::move(raw));
-                   });
+  task.step = TransferTask::Step::kAttesting;
+  AttestHooks hooks;
+  hooks.on_step = [this, nonce](uint64_t transfer_id, const char* step) {
+    transfer_tasks_.at(nonce).transfer_id = transfer_id;
+    trace_task_step(platform(), nonce, step);
+  };
+  hooks.live = [this, nonce](uint64_t transfer_id) {
+    const auto live = transfer_tasks_.find(nonce);
+    return live != transfer_tasks_.end() &&
+           live->second.step == TransferTask::Step::kAttesting &&
+           live->second.transfer_id == transfer_id;
+  };
+  return attest_peer(
+      task.blocking, task.request.destination_address, task.request.policy,
+      std::move(hooks),
+      [this, nonce](uint64_t transfer_id, Result<net::SecureChannel> channel) {
+        const auto landed = transfer_tasks_.find(nonce);
+        if (landed == transfer_tasks_.end() ||
+            landed->second.step != TransferTask::Step::kAttesting) {
+          return Status::kOk;
+        }
+        if (!channel.ok()) return fail_task(nonce, channel.status());
+        landed->second.transfer_id = transfer_id;
+        landed->second.channel.emplace(std::move(channel).value());
+        return task_attested(nonce, landed->second);
+      });
 }
 
 Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
@@ -1192,118 +1180,18 @@ Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
   return resp.value().payload;
 }
 
-Status MigrationEnclave::task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw) {
-  const auto it = transfer_tasks_.find(nonce);
-  if (it == transfer_tasks_.end() ||
-      it->second.step != TransferTask::Step::kAwaitRaMsg2) {
-    return Status::kOk;  // superseded (restart, re-kick) — the reply is stale
-  }
-  TransferTask& task = it->second;
+Status MigrationEnclave::open_sealed_ack(
+    const Result<Bytes>& raw, std::optional<net::SecureChannel>& channel,
+    std::string_view marker) {
   auto reply = open_task_reply(raw);
-  if (!reply.ok()) return fail_task(nonce, reply.status());
-  auto msg2 = sgx::RaMsg2::deserialize(reply.value());
-  if (!msg2.ok()) return fail_task(nonce, Status::kTampered);
-  auto msg3 = task.ra->handle_msg2(msg2.value());
-  if (!msg3.ok()) return fail_task(nonce, msg3.status());
-  // The destination ME must run exactly this ME's code (paper §VI-A).
-  if (!(task.ra->peer_identity().mr_enclave == identity().mr_enclave)) {
-    return fail_task(nonce, Status::kIdentityMismatch);
-  }
-  BinaryWriter m3_payload;
-  m3_payload.bytes(msg3.value().serialize());
-  m3_payload.bytes(make_provider_auth(task.ra->transcript_hash()).serialize());
-  MeRequest m3;
-  m3.type = MeMsgType::kRaMsg3;
-  m3.id = task.transfer_id;
-  m3.payload = m3_payload.take();
-  task.step = TransferTask::Step::kAwaitAuth;
-  trace_task_step(platform(), nonce, "await-auth");
-  return send_step(task.blocking, task.request.destination_address, m3,
-                   [this, nonce](Result<Bytes> raw2) {
-                     return task_on_auth(nonce, std::move(raw2));
-                   });
-}
-
-Status MigrationEnclave::task_on_auth(uint64_t nonce, Result<Bytes> raw) {
-  const auto it = transfer_tasks_.find(nonce);
-  if (it == transfer_tasks_.end() ||
-      it->second.step != TransferTask::Step::kAwaitAuth) {
-    return Status::kOk;
-  }
-  TransferTask& task = it->second;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) return fail_task(nonce, reply.status());
-  BinaryReader r(reply.value());
-  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
-  if (!peer_auth.ok()) return fail_task(nonce, Status::kTampered);
-  const uint64_t peer_epoch = r.u64();
-  if (!r.done()) return fail_task(nonce, Status::kTampered);
-  std::string peer_region;
-  const Status auth_status = verify_provider_auth(
-      peer_auth.value(), task.ra->transcript_hash(),
-      task.request.destination_address, &peer_region);
-  if (auth_status != Status::kOk) return fail_task(nonce, auth_status);
-  // Migration policy against the destination's CERTIFIED attributes.
-  const Status policy_status =
-      task.request.policy.evaluate(peer_auth.value().credential);
-  if (policy_status != Status::kOk) return fail_task(nonce, policy_status);
-
-  task.channel.emplace(task.ra->session_key(),
-                       net::SecureChannel::Role::kInitiator);
-  cache_peer_session(task.request.destination_address, task.ra->session_key(),
-                     peer_epoch, peer_auth.value().credential, peer_region);
-  ++full_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.full");
-  }
-  return task_attested(nonce, task);
-}
-
-Status MigrationEnclave::task_on_resume(uint64_t nonce,
-                                        std::array<uint8_t, 16> nonce_i,
-                                        Result<Bytes> raw) {
-  const auto it = transfer_tasks_.find(nonce);
-  if (it == transfer_tasks_.end() ||
-      it->second.step != TransferTask::Step::kAwaitResume) {
-    return Status::kOk;
-  }
-  TransferTask& task = it->second;
-  // Transport failure: classify like the full path would (the fallback
-  // handshake would hit the same dead wire), keeping the cache entry.
-  if (!raw.ok()) return fail_task(nonce, raw.status());
-  auto fallback = [&] {
-    // Resume refused or unverifiable: retire the cache entry and restart
-    // the attempt through the full handshake.
-    peer_sessions_.erase(task.request.destination_address);
-    task.step = TransferTask::Step::kQueued;
-    trace_task_step(platform(), nonce, "requeued");
-    task.ra.reset();
-    task.channel.reset();
-    return kick_task(nonce);
-  };
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok() || resp.value().status != Status::kOk) return fallback();
-  auto reply = SessionResumeReply::deserialize(resp.value().payload);
-  if (!reply.ok()) return fallback();
-  const auto cached = peer_sessions_.find(task.request.destination_address);
-  if (cached == peer_sessions_.end()) return fallback();
-  const crypto::CmacTag expected =
-      resume_reply_mac(cached->second.master_key, task.transfer_id, nonce_i,
-                       reply.value().nonce);
-  if (!constant_time_eq(expected, reply.value().mac)) return fallback();
-  task.channel.emplace(
-      derive_resume_key(cached->second.master_key, task.transfer_id, nonce_i,
-                        reply.value().nonce),
-      net::SecureChannel::Role::kInitiator);
-  ++resumed_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.resumed");
-  }
-  return task_attested(nonce, task);
+  if (!reply.ok()) return reply.status();
+  if (!channel.has_value()) return Status::kInvalidState;
+  auto ack = channel->open_record(reply.value());
+  if (!ack.ok()) return ack.status();
+  return to_string(ack.value()) == marker ? Status::kOk : Status::kTampered;
 }
 
 Status MigrationEnclave::task_attested(uint64_t nonce, TransferTask& task) {
-  task.ra.reset();
   if (!task.armed) {
     // Enqueue-without-freeze: hold the attested channel and let the next
     // poll report kSlotLive.  The library freezes, collects, and arms —
@@ -1343,13 +1231,8 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     return Status::kOk;
   }
   TransferTask& task = it->second;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) return fail_task(nonce, reply.status());
-  auto ack = task.channel->open_record(reply.value());
-  if (!ack.ok()) return fail_task(nonce, ack.status());
-  if (to_string(ack.value()) != kAcceptedMarker) {
-    return fail_task(nonce, Status::kTampered);
-  }
+  const Status accepted = open_sealed_ack(raw, task.channel, kAcceptedMarker);
+  if (accepted != Status::kOk) return fail_task(nonce, accepted);
 
   // Destination accepted: retain the data until DONE (paper §V-D),
   // durably — the retained copy and the channel that will authenticate
@@ -1402,7 +1285,6 @@ Status MigrationEnclave::fail_task(uint64_t nonce, Status status) {
   it->second.step = TransferTask::Step::kFailed;
   it->second.failure = status;
   trace_task_step(platform(), nonce, "failed");
-  it->second.ra.reset();
   it->second.channel.reset();
   return status;
 }
@@ -1485,8 +1367,6 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
 Status MigrationEnclave::abort_remote_pending(
     const sgx::Measurement& source_mr, uint64_t nonce,
     const std::string& destination_address) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
   if (nonce == 0 || destination_address.empty() ||
       destination_address == platform().address()) {
     return Status::kInvalidParameter;
@@ -1495,33 +1375,46 @@ Status MigrationEnclave::abort_remote_pending(
   // must arrive over a mutually attested, provider-authenticated channel
   // — the destination additionally checks the entry really originated
   // from THIS machine.
-  const uint64_t abort_id = fresh_id();
-  auto channel =
-      attest_peer_me(destination_address, abort_id, MigrationPolicy{});
-  if (!channel.ok()) return channel.status();
   AbortRequest request;
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
-  MeRequest req;
-  req.type = MeMsgType::kAbort;
-  req.id = abort_id;
-  req.payload = channel.value().seal_record(request.serialize());
-  auto raw = net->rpc(destination_address + "/me", req.serialize());
-  if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) return Status::kTampered;
-  if (resp.value().status != Status::kOk) return resp.value().status;
-  auto record = channel.value().open_record(resp.value().payload);
-  if (!record.ok()) return record.status();
-  BinaryReader r(record.value());
-  const std::string marker = r.str(64);
-  const uint8_t safe = r.u8();
-  if (!r.done() || marker != kAbortMarker || safe > 1) {
-    return Status::kTampered;
-  }
+  const auto safe = attested_query(destination_address, MeMsgType::kAbort,
+                                   request.serialize(), kAbortMarker);
+  if (!safe.ok()) return safe.status();
   // safe == 0: the destination holds a DELIVERED entry for this nonce —
   // an instance may still confirm it, so nothing may be forgotten here.
-  return safe == 1 ? Status::kOk : Status::kMigrationInProgress;
+  return safe.value() == 1 ? Status::kOk : Status::kMigrationInProgress;
+}
+
+Result<uint8_t> MigrationEnclave::attested_query(const std::string& peer,
+                                                 MeMsgType type,
+                                                 const Bytes& request,
+                                                 std::string_view marker) {
+  uint8_t verdict = 0;
+  const Status status = attest_peer(
+      /*inline_step=*/true, peer, MigrationPolicy{}, AttestHooks{},
+      [&](uint64_t transfer_id, Result<net::SecureChannel> channel) {
+        if (!channel.ok()) return channel.status();
+        MeRequest req;
+        req.type = type;
+        req.id = transfer_id;
+        req.payload = channel.value().seal_record(request);
+        return send_step(true, peer, req, [&](Result<Bytes> raw) {
+          auto reply = open_task_reply(raw);
+          if (!reply.ok()) return reply.status();
+          auto record = channel.value().open_record(reply.value());
+          if (!record.ok()) return record.status();
+          BinaryReader r(record.value());
+          const std::string got = r.str(64);
+          verdict = r.u8();
+          if (!r.done() || got != marker || verdict > 1) {
+            return Status::kTampered;
+          }
+          return Status::kOk;
+        });
+      });
+  if (status != Status::kOk) return status;
+  return verdict;
 }
 
 LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
@@ -1731,16 +1624,16 @@ Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
     // send: attest afresh under a new transfer id and re-ship everything
     // merged so far (the destination converges by chunk generation no
     // matter which records were lost).
-    const uint64_t transfer_id = fresh_id();
-    if (inbound_.count(transfer_id) != 0 ||
-        outgoing_.count(transfer_id) != 0) {
-      return Status::kAlreadyExists;  // retryable-busy: draw a fresh id
-    }
-    auto channel = attest_peer_me(destination, transfer_id, policy);
-    if (!channel.ok()) return channel.status();
-    it->second.transfer_id = transfer_id;
-    it->second.channel.emplace(std::move(channel).value());
-    it->second.resync = it->second.rounds > 0;
+    const Status attested = attest_peer(
+        /*inline_step=*/true, destination, policy, AttestHooks{},
+        [&](uint64_t transfer_id, Result<net::SecureChannel> channel) {
+          if (!channel.ok()) return channel.status();
+          it->second.transfer_id = transfer_id;
+          it->second.channel.emplace(std::move(channel).value());
+          it->second.resync = it->second.rounds > 0;
+          return Status::kOk;
+        });
+    if (attested != Status::kOk) return attested;
   }
   return &it->second;
 }
@@ -1864,20 +1757,8 @@ Status MigrationEnclave::precopy_on_round_ack(
     return Status::kOk;  // superseded by a re-attest — stale ack
   }
   attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  Status failure = Status::kOk;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) {
-    failure = reply.status();
-  } else if (!attempt.channel.has_value()) {
-    failure = Status::kInvalidState;
-  } else {
-    auto ack = attempt.channel->open_record(reply.value());
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) != kPrecopyAckMarker) {
-      failure = Status::kTampered;
-    }
-  }
+  const Status failure =
+      open_sealed_ack(raw, attempt.channel, kPrecopyAckMarker);
   if (failure != Status::kOk) {
     // The channel may have desynced (our seal advanced the send sequence,
     // or the peer's ack advanced its own): drop it and resync over a
@@ -1989,20 +1870,8 @@ Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
   }
   attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
   if (!attempt.staged_finalize.has_value()) return Status::kOk;
-  Status failure = Status::kOk;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) {
-    failure = reply.status();
-  } else if (!attempt.channel.has_value()) {
-    failure = Status::kInvalidState;
-  } else {
-    auto ack = attempt.channel->open_record(reply.value());
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) != kPrecopyFinMarker) {
-      failure = Status::kTampered;
-    }
-  }
+  const Status failure =
+      open_sealed_ack(raw, attempt.channel, kPrecopyFinMarker);
   if (failure != Status::kOk) {
     // kPrecopyIncomplete included: resync re-ships the full merged set
     // under a fresh attestation on the next kick.  Past the ship budget,
@@ -2439,8 +2308,7 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
 // ----- pending-entry reconciliation (lost-ACCEPTED re-route orphans) ----
 
 Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
+  if (platform().network() == nullptr) return Status::kNetworkUnreachable;
   const auto it = pending_.find(mr);
   if (it == pending_.end()) return Status::kNoPendingMigration;
   // Delivered (or delivering) data is protected by the pin, never swept.
@@ -2463,30 +2331,14 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   // Fresh mutually attested channel to the originating source ME: the
   // verdict authorizes deleting migration state, so it must come from a
   // genuine peer ME, not from whoever owns the network.
-  const uint64_t query_id = fresh_id();
-  auto channel = attest_peer_me(source_address, query_id, MigrationPolicy{});
-  if (!channel.ok()) return channel.status();
   ReconcileQuery query;
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
-  MeRequest req;
-  req.type = MeMsgType::kReconcile;
-  req.id = query_id;
-  req.payload = channel.value().seal_record(query.serialize());
-  auto raw = net->rpc(source_address + "/me", req.serialize());
-  if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) return Status::kTampered;
-  if (resp.value().status != Status::kOk) return resp.value().status;
-  auto record = channel.value().open_record(resp.value().payload);
-  if (!record.ok()) return record.status();
-  BinaryReader r(record.value());
-  const std::string marker = r.str(64);
-  const uint8_t verdict = r.u8();
-  if (!r.done() || marker != kReconcileMarker || verdict > 1) {
-    return Status::kTampered;
-  }
-  if (static_cast<ReconcileVerdict>(verdict) != ReconcileVerdict::kSuperseded) {
+  const auto verdict = attested_query(source_address, MeMsgType::kReconcile,
+                                      query.serialize(), kReconcileMarker);
+  if (!verdict.ok()) return verdict.status();
+  if (static_cast<ReconcileVerdict>(verdict.value()) !=
+      ReconcileVerdict::kSuperseded) {
     return Status::kMigrationInProgress;
   }
   // The source ME vouches the identity completed a NEWER transfer and

@@ -28,12 +28,14 @@
 // attestation channels) is deliberately NOT durable: libraries re-attest.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "migration/persistence_engine.h"
@@ -70,12 +72,15 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   // ----- pipelined outgoing transfers -----
   //
   // Every outgoing transfer is a TransferTask: the source-side protocol
-  // (attest msg1/msg3 or a cached resume -> ship -> await-ack ->
-  // retained) as resumable steps sent through one seam (send_step).  A
-  // queued task (kMigrateEnqueue/kMigrateReserve) posts its round trips
-  // through net::Network::post, so N concurrent outgoing transfers
-  // interleave over independent RA channels instead of serializing.  It is
-  // part of the durable queue from the moment it is queued: a
+  // (attest -> ship -> await-ack -> retained) as resumable steps sent
+  // through one seam (send_step).  The attest is the one ME<->ME
+  // handshake chain (attest_peer: a cached resume or RA msg1/msg3), which
+  // the pre-copy first contact, the abort and the reconcile query run
+  // inline too.  A queued task (kMigrateEnqueue/kMigrateReserve) posts
+  // its round trips through net::Network::post, so N concurrent outgoing
+  // transfers interleave over independent RA channels instead of
+  // serializing.  It is part of the durable queue from the moment it is
+  // queued: a
   // restarted ME resumes every in-flight pipeline (re-attesting under a
   // fresh transfer id; the request nonce makes re-ships exactly-once end
   // to end).  Terminal failures are held until the library polls them
@@ -327,25 +332,22 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   };
   /// One outgoing transfer, keyed by the library's request nonce: the
   /// source-side protocol as resumable steps.  A queued task's payload is
-  /// durable from kQueued on; the RA session and channel are per-attempt
-  /// state — a restarted ME re-runs the attest from scratch under a fresh
-  /// transfer id (the nonce keeps it exactly-once).
+  /// durable from kQueued on; the channel is per-attempt state — a
+  /// restarted ME re-runs the attest from scratch under a fresh transfer
+  /// id (the nonce keeps it exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
       kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing)
-      kAwaitRaMsg2 = 1,  // RA msg1 posted
-      kAwaitAuth = 2,    // RA msg3 + provider auth posted
+      kAttesting = 1,    // attest_peer run in flight
       kAwaitAccept = 3,  // sealed TransferPayload posted
       kFailed = 4,       // terminal; `failure` held until polled
       kAwaitArm = 5,     // reserve-mode: attested, slot held, awaiting data
-      kAwaitResume = 6,  // cached-session resume posted
     };
     sgx::Measurement source_mr{};
     MigrateRequestPayload request;  // destination, nonce, policy, data
     Step step = Step::kQueued;
     Status failure = Status::kOk;
     uint64_t transfer_id = 0;  // current attempt's wire id
-    std::unique_ptr<sgx::RaSession> ra;
     std::optional<net::SecureChannel> channel;
     /// false: freeze-aware reserve (kMigrateReserve) — request.data is
     /// empty until the library freezes and arms the task (kMigrateArm);
@@ -453,22 +455,18 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// kCompleted once DONE, else kNone.
   OutgoingState attempt_state(const sgx::Measurement& mr, uint64_t nonce,
                               const std::string* destination = nullptr) const;
-  /// (Re-)issues the pending step of one kQueued task: draws a fresh
-  /// transfer id and sends a cached-session resume or RA msg1.
+  /// Starts the attest of one kQueued task (-> kAttesting): one
+  /// attest_peer run, deferred or (blocking task) inline, whose steps
+  /// trace as the task's await-resume / await-ra-msg2 / await-auth and
+  /// land in task_attested while the task still attests under that
+  /// transfer id.
   Status kick_task(uint64_t nonce);
-  Status task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw);
-  Status task_on_auth(uint64_t nonce, Result<Bytes> raw);
   Status task_on_accept(uint64_t nonce, Result<Bytes> raw);
-  /// Continuation of a kSessionResume: on success the channel is live and
-  /// the task lands like a full handshake; a refused or unverifiable
-  /// resume erases the cached session and restarts through RA msg1.
-  Status task_on_resume(uint64_t nonce, std::array<uint8_t, 16> nonce_i,
-                        Result<Bytes> raw);
   /// Post-attestation landing shared by the full and resumed paths:
   /// armed tasks ship the sealed TransferPayload (-> kAwaitAccept),
   /// reserve-mode tasks park slot-live (-> kAwaitArm).
   Status task_attested(uint64_t nonce, TransferTask& task);
-  /// Seals + sends the task's TransferPayload (the tail of task_on_auth,
+  /// Seals + sends the task's TransferPayload (the tail of task_attested,
   /// shared with on_migrate_arm) -> kAwaitAccept.
   Status ship_task_payload(uint64_t nonce, TransferTask& task);
   /// Sends the next sealed round record of one idle attempt with unacked
@@ -491,6 +489,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Parses a pumped MeResponse reply; non-kOk peers and transport
   /// failures collapse to a Status.
   static Result<Bytes> open_task_reply(const Result<Bytes>& raw);
+  /// Opens a reply sealed under `channel` that must be exactly `marker`
+  /// (a missing channel is kInvalidState, another record kTampered).
+  static Status open_sealed_ack(const Result<Bytes>& raw,
+                                std::optional<net::SecureChannel>& channel,
+                                std::string_view marker);
   /// Marks the task kFailed with `status` (held for the poll); returns it.
   Status fail_task(uint64_t nonce, Status status);
   /// cancel_posts tag + reply-lane key for this ME's deferred traffic.
@@ -502,26 +505,63 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                               uint64_t nonce,
                               const std::string& destination_address);
 
-  /// Mutual RA handshake + provider auth + policy against a peer ME over
-  /// rpc, for the pre-copy first contact, the abort and the reconcile
-  /// sweep.  On success the returned channel is ready to seal records for
-  /// `transfer_id` at the peer.
-  Result<net::SecureChannel> attest_peer_me(
-      const std::string& destination_address, uint64_t transfer_id,
-      const MigrationPolicy& policy);
+  /// One attested one-shot query (kAbort, kReconcile): attests `peer`
+  /// inline, seals `request` for the fresh conversation and returns the
+  /// verdict byte (0 or 1) of the peer's sealed `marker + u8` reply.
+  Result<uint8_t> attested_query(const std::string& peer, MeMsgType type,
+                                 const Bytes& request,
+                                 std::string_view marker);
 
-  /// One-round-trip resume against a cached peer session (sync path of
-  /// attest_peer_me).  kNoPendingMigration = no cache entry; any other
-  /// failure already erased the entry — fall back to the full handshake.
-  Result<net::SecureChannel> try_resume_session(
-      const std::string& destination_address, uint64_t transfer_id,
-      const MigrationPolicy& policy);
-  /// Caches the initiator-side session after a successful full handshake
-  /// (the msg3 response carries the peer's instance epoch).
-  void cache_peer_session(const std::string& destination_address,
-                          const sgx::Key128& master_key, uint64_t peer_epoch,
-                          const platform::MachineCredential& credential,
-                          const std::string& region);
+  // ----- ME<->ME attestation: one chain, four callers -----
+  // kick_task (deferred, or inline for a blocking task); inline: the
+  // pre-copy first contact (precopy_attempt) and the kAbort and
+  // kReconcile queries (attested_query).
+
+  /// Caller hooks of one run.  `on_step` fires before each message with
+  /// the run's transfer id and the step it enters ("await-resume",
+  /// "await-ra-msg2", "await-auth"), or "requeued" when a refused resume
+  /// restarts the run; `live` is asked on every reply — false ends the
+  /// run silently.  The sync callers leave both empty.
+  struct AttestHooks {
+    std::function<void(uint64_t transfer_id, const char* step)> on_step;
+    std::function<bool(uint64_t transfer_id)> live;
+  };
+  /// End of a run: its transfer id and the initiator channel keyed for
+  /// it, or the failure that ended the run.
+  using AttestContinuation = std::function<Status(
+      uint64_t transfer_id, Result<net::SecureChannel> channel)>;
+  struct AttestRun {
+    bool inline_step = false;
+    std::string destination;
+    MigrationPolicy policy;
+    AttestHooks hooks;
+    AttestContinuation done;
+    uint64_t transfer_id = 0;
+    std::unique_ptr<sgx::RaSession> ra{};
+    std::array<uint8_t, 16> resume_nonce{};
+  };
+  using AttestRunPtr = std::shared_ptr<AttestRun>;
+  using AttestStep = Status (MigrationEnclave::*)(const AttestRunPtr&,
+                                                  Result<Bytes>);
+  /// The one ME<->ME handshake: draws a transfer id that collides with no
+  /// live conversation, then resumes the cached peer session or runs RA
+  /// msg1 -> msg2 -> msg3 with provider auth, evaluating `policy` against
+  /// the provider-certified credential either way, and caches a full
+  /// handshake's session.  A resume lost on the wire ends the run and
+  /// keeps the cache; a refused one retires the entry and re-handshakes
+  /// under a fresh transfer id.  Returns kOk once posted, or, inline,
+  /// what `done` returned.
+  Status attest_peer(bool inline_step, const std::string& destination,
+                     const MigrationPolicy& policy, AttestHooks hooks,
+                     AttestContinuation done);
+  Status attest_begin(const AttestRunPtr& run);
+  /// send_step for one handshake message: reports `step` to on_step and
+  /// hands the reply to `next` while the caller still wants it.
+  Status attest_send(const AttestRunPtr& run, const MeRequest& req,
+                     const char* step, AttestStep next);
+  Status attest_on_resume(const AttestRunPtr& run, Result<Bytes> raw);
+  Status attest_on_ra_msg2(const AttestRunPtr& run, Result<Bytes> raw);
+  Status attest_on_auth(const AttestRunPtr& run, Result<Bytes> raw);
 
   /// Finds-or-creates the source-side pre-copy attempt for (session
   /// identity, nonce), re-attesting (fresh transfer id + resync) when the

@@ -6,11 +6,18 @@
 // (re-deployment without a restart), and a tampered resume message — and
 // NONE of them may weaken the migration guarantees: the source still
 // freezes, replayed pre-migration state still finds its counters gone,
-// and the payload is still delivered exactly once.
+// and the payload is still delivered exactly once.  The sync callers of
+// the same handshake (the pre-copy first contact, the kAbort and the
+// kReconcile query) ride the cache, downgrade the same way, and follow
+// the step machine's policy: a resume lost on the wire fails the call
+// and keeps the cache, a refused one re-handshakes under a fresh id.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
@@ -48,16 +55,21 @@ class AttestCacheTest : public ::testing::Test {
     ASSERT_TRUE(machine(address).restart_management_enclave());
   }
 
+  /// `live`: pre-copy capable (live-transfer epoch guard).
   std::unique_ptr<MigratableEnclave> make_app(
-      Machine& m, std::shared_ptr<const EnclaveImage> image) {
-    auto enclave = std::make_unique<MigratableEnclave>(m, image);
+      Machine& m, std::shared_ptr<const EnclaveImage> image,
+      bool live = false) {
+    auto enclave = std::make_unique<MigratableEnclave>(
+        m, image, migration::PersistenceMode::kSync,
+        migration::GroupCommitOptions{}, live);
     enclave->set_persist_callback(
         [&m](ByteView state) { m.storage().put(kStateBlob, state); });
     return enclave;
   }
   std::unique_ptr<MigratableEnclave> start_new(
-      Machine& m, std::shared_ptr<const EnclaveImage> image) {
-    auto enclave = make_app(m, image);
+      Machine& m, std::shared_ptr<const EnclaveImage> image,
+      bool live = false) {
+    auto enclave = make_app(m, image, live);
     EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew,
                                             m.address()),
               Status::kOk);
@@ -165,40 +177,217 @@ TEST_F(AttestCacheTest, EpochBumpForcesFullRehandshake) {
   EXPECT_EQ(me("m0")->resumed_handshake_count(), 0u);
 }
 
-TEST_F(AttestCacheTest, TamperedResumeDowngradesToFullHandshake) {
+TEST_F(AttestCacheTest, PrecopyFirstContactRidesTheCache) {
+  // The pre-copy first contact runs the same handshake as a transfer
+  // task: the second enclave pre-copying toward m1 resumes the session
+  // the first one's full handshake cached.
+  auto a = start_new(m0_, image_a_, /*live=*/true);
+  ASSERT_TRUE(a->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(a->ecall_migration_precopy_round("m1").ok());
+  auto b = start_new(m0_, image_b_, /*live=*/true);
+  ASSERT_TRUE(b->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(b->ecall_migration_precopy_round("m1").ok());
+  EXPECT_EQ(me("m0")->full_handshake_count(), 1u);
+  EXPECT_EQ(me("m0")->resumed_handshake_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 2u);
+}
+
+TEST_F(AttestCacheTest, SyncCallerFollowsTheStepMachineResumePolicy) {
   auto a = start_new(m0_, image_a_);
   ASSERT_EQ(migrate(a, m0_, m1_, image_a_), Status::kOk);
+  ASSERT_EQ(me("m0")->peer_session_count(), 1u);
 
-  // A man-in-the-middle flips a byte in every resume request.  The
-  // responder MAC-rejects it (retiring its acceptor), the initiator
-  // drops its cache entry, and the migration completes over a fresh
-  // full handshake — the attack only costs the shortcut.
-  size_t tampered = 0;
-  world_.network().set_tamper_hook(
-      [&](const std::string& to, Bytes& request) {
-        if (to != "m1/me") return true;
-        auto parsed = MeRequest::deserialize(request);
-        if (parsed.ok() &&
-            parsed.value().type == MeMsgType::kSessionResume &&
-            !request.empty()) {
-          request.back() ^= 0x01;
-          ++tampered;
-        }
-        return true;
-      });
-  auto b = start_new(m0_, image_b_);
-  const uint32_t id =
-      b->ecall_create_migratable_counter().value().counter_id;
+  // Every ME<->ME request toward m1, in order: (type, conversation id).
+  std::vector<std::pair<MeMsgType, uint64_t>> sent;
+  bool drop_resume = true;
+  world_.network().set_tamper_hook([&](const std::string& to, Bytes& request) {
+    if (to != "m1/me") return true;
+    auto parsed = MeRequest::deserialize(request);
+    if (!parsed.ok()) return true;
+    sent.emplace_back(parsed.value().type, parsed.value().id);
+    return !(drop_resume && parsed.value().type == MeMsgType::kSessionResume);
+  });
+  const auto count = [&sent](MeMsgType type) {
+    size_t n = 0;
+    for (const auto& [t, id] : sent) n += t == type ? 1 : 0;
+    return n;
+  };
+
+  // A resume lost on the wire says nothing about the peer's session
+  // table: the round fails with the transport status, no full handshake
+  // is tried in that call, and the cache entry survives.
+  auto b = start_new(m0_, image_b_, /*live=*/true);
+  ASSERT_TRUE(b->ecall_create_migratable_counter().ok());
+  EXPECT_EQ(b->ecall_migration_precopy_round("m1").status(),
+            Status::kNetworkUnreachable);
+  EXPECT_EQ(count(MeMsgType::kSessionResume), 1u);
+  EXPECT_EQ(count(MeMsgType::kRaMsg1), 0u);
+  EXPECT_EQ(me("m0")->peer_session_count(), 1u);
+  EXPECT_EQ(me("m0")->full_handshake_count(), 1u);
+
+  // The next round resumes over the kept entry.
+  drop_resume = false;
+  ASSERT_TRUE(b->ecall_migration_precopy_round("m1").ok());
+  EXPECT_EQ(me("m0")->resumed_handshake_count(), 1u);
+  EXPECT_EQ(me("m0")->full_handshake_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  // A restarted m1 refuses the resume (its acceptors are memory-only):
+  // the next first contact re-handshakes under a FRESH transfer id.
+  restart_me("m1");
+  sent.clear();
+  auto c_image = EnclaveImage::create("cache-app-c", 1, "acme");
+  auto c = start_new(m0_, c_image, /*live=*/true);
+  ASSERT_TRUE(c->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(c->ecall_migration_precopy_round("m1").ok());
+  world_.network().clear_tamper_hook();
+  ASSERT_EQ(count(MeMsgType::kSessionResume), 1u);
+  ASSERT_EQ(count(MeMsgType::kRaMsg1), 1u);
+  uint64_t resume_id = 0;
+  uint64_t msg1_id = 0;
+  for (const auto& [type, id] : sent) {
+    if (type == MeMsgType::kSessionResume) resume_id = id;
+    if (type == MeMsgType::kRaMsg1) msg1_id = id;
+  }
+  EXPECT_NE(resume_id, msg1_id);
+  EXPECT_EQ(me("m0")->full_handshake_count(), 2u);
+  EXPECT_EQ(me("m0")->peer_session_count(), 1u);
+}
+
+// ----- tampered resume, per caller of the handshake -----
+
+enum class Caller { kMigrate, kPrecopyFirstContact, kAbort, kReconcile };
+
+class TamperedResumeTest : public AttestCacheTest,
+                           public ::testing::WithParamInterface<Caller> {
+ protected:
+  Machine& m2_ = world_.add_machine("m2", "eu-central");
+};
+
+TEST_P(TamperedResumeTest, DowngradesToFullHandshake) {
+  // m0 caches a session toward m1 (and m1 one toward m0, for the
+  // reconcile query, which m1 sends).
+  auto a = start_new(m0_, image_a_);
+  ASSERT_EQ(migrate(a, m0_, m1_, image_a_), Status::kOk);
+  const Caller caller = GetParam();
+  const bool from_m1 = caller == Caller::kReconcile;
+  if (from_m1) {
+    ASSERT_EQ(migrate(a, m1_, m0_, image_a_), Status::kOk);
+  }
+
+  auto b = start_new(m0_, image_b_, caller != Caller::kMigrate);
+  const uint32_t id = b->ecall_create_migratable_counter().value().counter_id;
   b->ecall_increment_migratable_counter(id);
-  ASSERT_EQ(migrate(b, m0_, m1_, image_b_), Status::kOk);
+  if (caller == Caller::kAbort) {
+    // Staging at m1 that the re-route below aborts.
+    ASSERT_TRUE(b->ecall_migration_precopy_round("m1").ok());
+    ASSERT_EQ(me("m1")->precopy_staging_count(), 1u);
+  }
+  if (caller == Caller::kReconcile) {
+    // A lost-ACCEPTED orphan at m1: m1 durably holds b's copy, m0 never
+    // learns it landed.  b re-routes to m2 while m1 is dark (so no abort
+    // reaches m1) and completes there: m0 can now vouch the orphan is
+    // superseded.
+    bool arm = false;
+    world_.network().set_tamper_hook([&arm](const std::string& to,
+                                            Bytes& request) {
+      auto parsed = MeRequest::deserialize(request);
+      if (to == "m1/me" && parsed.ok() &&
+          parsed.value().type == MeMsgType::kTransfer) {
+        arm = true;
+      }
+      return true;
+    });
+    world_.network().set_response_tamper_hook(
+        [&arm](const std::string& to, Bytes&) {
+          if (arm && to == "m1/me") {
+            arm = false;
+            return false;
+          }
+          return true;
+        });
+    EXPECT_NE(b->ecall_migration_start("m1"), Status::kOk);
+    world_.network().clear_tamper_hook();
+    world_.network().clear_response_tamper_hook();
+    ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+    world_.network().set_endpoint_down("m1/me", true);
+    ASSERT_EQ(migrate(b, m0_, m2_, image_b_), Status::kOk);
+    world_.network().set_endpoint_down("m1/me", false);
+    ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+  }
+
+  // A man-in-the-middle flips a byte in every resume request to the
+  // peer.  The responder MAC-rejects it (retiring its acceptor), the
+  // initiator drops its cache entry, and the call completes over one
+  // fresh full handshake — the attack only costs the shortcut.
+  const std::string peer = from_m1 ? "m0/me" : "m1/me";
+  MigrationEnclave* initiator = me(from_m1 ? "m1" : "m0");
+  const uint64_t full_before = initiator->full_handshake_count();
+  const uint64_t resumed_before = initiator->resumed_handshake_count();
+  size_t tampered = 0;
+  size_t msg1 = 0;
+  world_.network().set_tamper_hook([&](const std::string& to, Bytes& request) {
+    if (to != peer) return true;
+    auto parsed = MeRequest::deserialize(request);
+    if (!parsed.ok() || request.empty()) return true;
+    if (parsed.value().type == MeMsgType::kSessionResume) {
+      request.back() ^= 0x01;
+      ++tampered;
+    }
+    if (parsed.value().type == MeMsgType::kRaMsg1) ++msg1;
+    return true;
+  });
+  switch (caller) {
+    case Caller::kMigrate:
+      ASSERT_EQ(migrate(b, m0_, m1_, image_b_), Status::kOk);
+      // Exactly-once delivery survived the downgrade.
+      EXPECT_EQ(b->ecall_read_migratable_counter(id).value(), 1u);
+      break;
+    case Caller::kPrecopyFirstContact:
+      ASSERT_TRUE(b->ecall_migration_precopy_round("m1").ok());
+      EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+      break;
+    case Caller::kAbort:
+      // The re-route aborts m1's staging before it tries m2, which is
+      // dark: only the abort talks to m1.
+      world_.network().set_endpoint_down("m2/me", true);
+      EXPECT_NE(b->ecall_migration_start("m2"), Status::kOk);
+      world_.network().set_endpoint_down("m2/me", false);
+      EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+      break;
+    case Caller::kReconcile:
+      EXPECT_EQ(me("m1")->reconcile_pending(image_b_->mr_enclave()),
+                Status::kOk);
+      EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+      break;
+  }
   world_.network().clear_tamper_hook();
 
   EXPECT_GE(tampered, 1u);
-  EXPECT_EQ(me("m0")->resumed_handshake_count(), 0u);
-  EXPECT_EQ(me("m0")->full_handshake_count(), 2u);
-  // Exactly-once delivery survived the downgrade.
-  EXPECT_EQ(b->ecall_read_migratable_counter(id).value(), 1u);
+  EXPECT_EQ(msg1, 1u);
+  EXPECT_EQ(initiator->resumed_handshake_count(), resumed_before);
+  EXPECT_EQ(initiator->full_handshake_count(), full_before + 1);
 }
+
+std::string caller_name(const ::testing::TestParamInfo<Caller>& param) {
+  switch (param.param) {
+    case Caller::kMigrate:
+      return "Migrate";
+    case Caller::kPrecopyFirstContact:
+      return "PrecopyFirstContact";
+    case Caller::kAbort:
+      return "Abort";
+    case Caller::kReconcile:
+      return "Reconcile";
+  }
+  return "Unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(Callers, TamperedResumeTest,
+                         ::testing::Values(Caller::kMigrate,
+                                           Caller::kPrecopyFirstContact,
+                                           Caller::kAbort, Caller::kReconcile),
+                         caller_name);
 
 }  // namespace
 }  // namespace sgxmig
