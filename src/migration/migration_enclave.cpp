@@ -163,7 +163,7 @@ OutgoingState MigrationEnclave::outgoing_state(
   // queries no longer scan every transfer ever retained.
   const auto it = latest_outgoing_.find(mr);
   return it == latest_outgoing_.end() ? OutgoingState::kNone
-                                      : it->second.second;
+                                      : it->second.state;
 }
 
 OutgoingState MigrationEnclave::attempt_state(
@@ -1266,7 +1266,7 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     outgoing_.erase(transfer_id);
     const auto latest = latest_outgoing_.find(source_mr);
     if (latest != latest_outgoing_.end() &&
-        latest->second.first == sequence) {
+        latest->second.sequence == sequence) {
       latest_outgoing_.erase(latest);
     }
     TransferTask failed;
@@ -1474,7 +1474,7 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
         // re-populate it with its own sequence.
         const auto latest = latest_outgoing_.find(mr);
         if (latest != latest_outgoing_.end() &&
-            latest->second.first == it->second.sequence) {
+            latest->second.sequence == it->second.sequence) {
           latest_outgoing_.erase(latest);
         }
         it = outgoing_.erase(it);
@@ -2364,28 +2364,46 @@ size_t MigrationEnclave::reconcile_all_pending() {
   return pending_.size();
 }
 
+bool MigrationEnclave::superseded_by_completion(const sgx::Measurement& mr,
+                                                uint64_t nonce,
+                                                uint64_t sequence) const {
+  bool other_completed = false;
+  for (const auto& [id, record] : completed_outgoing_) {
+    if (!(record.source_mr == mr)) continue;
+    if (record.request_nonce == nonce) return false;  // this attempt won
+    other_completed = true;
+  }
+  // The index outlives the capped history.  Its completed transfer counts
+  // only when newer than the attempt's retained transfer.
+  const auto latest = latest_outgoing_.find(mr);
+  if (latest != latest_outgoing_.end() &&
+      latest->second.state == OutgoingState::kCompleted &&
+      latest->second.completed_nonce != 0 &&
+      latest->second.sequence > sequence) {
+    if (latest->second.completed_nonce == nonce) return false;
+    other_completed = true;
+  }
+  return other_completed;
+}
+
 size_t MigrationEnclave::sweep_superseded_outgoing() {
   // Same supersede criterion as on_reconcile's verdict, applied to this
   // ME's OWN source-side queues: positive evidence the identity moved on
-  // (a completion record under another nonce), none that this attempt
+  // (a completed transfer under another nonce), none that this attempt
   // won.  A restarted ME re-ships retained entries, so leaving a
   // superseded one behind would re-create the orphan at its destination.
-  const auto superseded = [this](const sgx::Measurement& mr, uint64_t nonce) {
-    bool newer_completed = false;
-    for (const auto& [id, record] : completed_outgoing_) {
-      if (!(record.source_mr == mr)) continue;
-      if (record.request_nonce == nonce) return false;  // this attempt won
-      newer_completed = true;
-    }
-    return newer_completed;
-  };
+  // Queued tasks and pre-copy attempts are newer than any retained
+  // transfer (UINT64_MAX), so only the completion history can supersede
+  // them.
   size_t expired = 0;
   for (auto it = outgoing_.begin(); it != outgoing_.end();) {
-    if (superseded(it->second.source_mr, it->second.request_nonce)) {
+    if (superseded_by_completion(it->second.source_mr,
+                                 it->second.request_nonce,
+                                 it->second.sequence)) {
       secure_wipe(it->second.retained_data);
       const auto latest = latest_outgoing_.find(it->second.source_mr);
       if (latest != latest_outgoing_.end() &&
-          latest->second.first == it->second.sequence) {
+          latest->second.sequence == it->second.sequence) {
         latest_outgoing_.erase(latest);
       }
       it = outgoing_.erase(it);
@@ -2395,7 +2413,8 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
     }
   }
   for (auto it = transfer_tasks_.begin(); it != transfer_tasks_.end();) {
-    if (superseded(it->second.source_mr, it->first)) {
+    if (superseded_by_completion(it->second.source_mr, it->first,
+                                 UINT64_MAX)) {
       it = transfer_tasks_.erase(it);
       ++expired;
     } else {
@@ -2403,7 +2422,8 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
     }
   }
   for (auto it = precopy_outgoing_.begin(); it != precopy_outgoing_.end();) {
-    if (superseded(it->second.source_mr, it->first)) {
+    if (superseded_by_completion(it->second.source_mr, it->first,
+                                 UINT64_MAX)) {
       it = precopy_outgoing_.erase(it);
       ++expired;
     } else {
@@ -2436,23 +2456,20 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   if (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr) {
     nonce_live = true;
   }
-  bool nonce_completed = false;
-  bool newer_completed = false;
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (!(record.source_mr == mr)) continue;
-    if (record.request_nonce == nonce) {
-      nonce_completed = true;
-    } else {
-      newer_completed = true;
-    }
+  // A queued or shipping task is live too: the index's completed transfer
+  // is older than it.
+  const auto task = transfer_tasks_.find(nonce);
+  if (task != transfer_tasks_.end() && task->second.source_mr == mr) {
+    nonce_live = true;
   }
   // Superseded = this ME has POSITIVE evidence the identity moved on (a
   // completed transfer under another nonce) and no live or completed
   // record of the queried attempt.  Anything ambiguous — including a
   // wiped history, where the pending copy might be the only one left —
-  // keeps the entry.
+  // keeps the entry.  The queried attempt is not retained here, so the
+  // index's completed transfer counts whatever its sequence.
   const ReconcileVerdict verdict =
-      (!nonce_live && !nonce_completed && newer_completed)
+      (!nonce_live && superseded_by_completion(mr, nonce, 0))
           ? ReconcileVerdict::kSuperseded
           : ReconcileVerdict::kStillLive;
   BinaryWriter w;
@@ -2494,8 +2511,9 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
   secure_wipe(transfer.retained_data);
   const auto latest = latest_outgoing_.find(transfer.source_mr);
   if (latest != latest_outgoing_.end() &&
-      latest->second.first == transfer.sequence) {
-    latest->second.second = OutgoingState::kCompleted;
+      latest->second.sequence == transfer.sequence) {
+    latest->second.state = OutgoingState::kCompleted;
+    latest->second.completed_nonce = transfer.request_nonce;
   }
   // Bound the per-identity index: once it overflows, forget the
   // longest-completed identity (a status query then reports kNone — the
@@ -2506,9 +2524,9 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
     auto oldest = latest_outgoing_.end();
     for (auto it2 = latest_outgoing_.begin(); it2 != latest_outgoing_.end();
          ++it2) {
-      if (it2->second.second != OutgoingState::kCompleted) continue;
+      if (it2->second.state != OutgoingState::kCompleted) continue;
       if (oldest == latest_outgoing_.end() ||
-          it2->second.first < oldest->second.first) {
+          it2->second.sequence < oldest->second.sequence) {
         oldest = it2;
       }
     }
@@ -2636,10 +2654,10 @@ Bytes MigrationEnclave::serialize_queue() const {
   }
 
   w.u32(static_cast<uint32_t>(latest_outgoing_.size()));
-  for (const auto& [mr, state] : latest_outgoing_) {
+  for (const auto& [mr, latest] : latest_outgoing_) {
     w.fixed(mr);
-    w.u64(state.first);
-    w.u8(static_cast<uint8_t>(state.second));
+    w.u64(latest.sequence);
+    w.u8(static_cast<uint8_t>(latest.state));
   }
 
   w.u32(static_cast<uint32_t>(completed_order_.size()));
@@ -2787,7 +2805,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     inbound[id] = std::move(in);
   }
 
-  std::map<sgx::Measurement, std::pair<uint64_t, OutgoingState>> latest;
+  std::map<sgx::Measurement, LatestOutgoing> latest;
   const uint32_t latest_count = r.u32();
   for (uint32_t i = 0; i < latest_count && r.ok(); ++i) {
     const sgx::Measurement mr = r.fixed<32>();
@@ -2809,6 +2827,13 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     record.sequence = r.u64();
     completed[id] = record;
     completed_order.push_back(id);
+    // Re-derive the index's completed nonce from the retained record.
+    const auto entry = latest.find(record.source_mr);
+    if (entry != latest.end() &&
+        entry->second.state == OutgoingState::kCompleted &&
+        entry->second.sequence == record.sequence) {
+      entry->second.completed_nonce = record.request_nonce;
+    }
   }
 
   std::map<sgx::Measurement, uint64_t> confirmed_incoming;

@@ -405,6 +405,15 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   MeResponse on_precopy_chunk(const MeRequest& req);
   MeResponse on_precopy_finalize(const MeRequest& req);
   MeResponse on_reconcile(const MeRequest& req);
+  /// The janitors' supersede criterion for attempt `nonce` of `mr`:
+  /// positive evidence that the identity completed a transfer under
+  /// another nonce, and none that this attempt completed.  Reads the
+  /// capped completion history, and the per-identity index when its
+  /// completed transfer is newer than `sequence`: the attempt's retained
+  /// transfer, 0 for an attempt not live here, UINT64_MAX for one still
+  /// queued or pre-copying (newer than any retained transfer).
+  bool superseded_by_completion(const sgx::Measurement& mr, uint64_t nonce,
+                                uint64_t sequence) const;
   MeResponse on_abort(const MeRequest& req);
   MeResponse on_session_resume(const MeRequest& req);
 
@@ -626,10 +635,18 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   std::map<sgx::Measurement, PendingIncoming> pending_;
   std::map<uint64_t, PrecopyOutgoing> precopy_outgoing_;  // by request nonce
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging_;
-  // Per-identity latest outgoing state (sequence, state): O(log n) status
-  // queries instead of scanning every transfer ever made.
-  std::map<sgx::Measurement, std::pair<uint64_t, OutgoingState>>
-      latest_outgoing_;
+  // Per-identity latest outgoing transfer: O(log n) status queries
+  // instead of scanning every transfer ever made.  Once that transfer
+  // completed, its request nonce stays here after the capped completion
+  // history trims its record, so the janitors keep their evidence.  The
+  // nonce is not persisted: a restored entry takes it from a retained
+  // completion record, or keeps 0 (no evidence) when that was trimmed.
+  struct LatestOutgoing {
+    uint64_t sequence = 0;
+    OutgoingState state = OutgoingState::kNone;
+    uint64_t completed_nonce = 0;
+  };
+  std::map<sgx::Measurement, LatestOutgoing> latest_outgoing_;
   std::map<uint64_t, CompletedOutgoing> completed_outgoing_;
   std::deque<uint64_t> completed_order_;  // FIFO eviction of the history
   /// Effective history cap; set once from the library default (or an

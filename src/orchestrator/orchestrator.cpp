@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "migration/migration_enclave.h"
 #include "net/network.h"
@@ -39,16 +40,39 @@ void Orchestrator::log(const Task& task, EventKind kind, std::string detail) {
   }
 }
 
+namespace {
+
+// Queue-key bands (Task::queue_key).  A pipelined retry rejoins the back
+// of its source's queue, behind every first attempt, except that a frozen
+// enclave's retry goes to the front.  Blocking retries keep their plan
+// position.
+constexpr uint32_t kFirstAttemptKeys = 1u << 30;
+constexpr uint32_t kRetryKeys = 1u << 31;
+
+}  // namespace
+
 void Orchestrator::set_phase(Task& task, TaskPhase phase) {
   const uint32_t idx = static_cast<uint32_t>(&task - tasks_.data());
+  // A first attempt is open from planning until its source side ends.
+  const auto first_attempt_open = [&task](TaskPhase p) {
+    return task.attempts <= 1 &&
+           (p == TaskPhase::kQueued || p == TaskPhase::kTransferring ||
+            p == TaskPhase::kPrecopying);
+  };
+  if (first_attempt_open(task.phase) && !first_attempt_open(phase)) {
+    const auto open = open_first_attempts_.find(task.source);
+    if (--open->second == 0) open_first_attempts_.erase(open);
+  }
   switch (task.phase) {
     case TaskPhase::kQueued:
-      ready_by_source_[task.source].erase(idx);
+      ready_by_source_[task.source].erase(task.queue_key);
       break;
     case TaskPhase::kBackoff:
       // Ripened backoffs sit in the ready set; unripe ones only in the
       // heap (their entry is popped at ripen time, so no stale entries).
-      ready_by_source_[task.source].erase(idx);
+      // Keys are never reused by another task, so erasing an unripe
+      // task's old key is a no-op.
+      ready_by_source_[task.source].erase(task.queue_key);
       ripe_backoff_.erase(idx);
       break;
     case TaskPhase::kTransferring: transferring_.erase(idx); break;
@@ -73,9 +97,21 @@ void Orchestrator::set_phase(Task& task, TaskPhase phase) {
   }
 }
 
+// Blocking backoffs ripen on the control clock, and a task ripening
+// mid-pass may still be admitted in that pass.  Pipelined backoffs are
+// timed on the lane clock, which runs ahead of the control instant.  The
+// retry's start waits for retry_at on its source lane (start_pipelined),
+// and lanes are FIFO, so the wait holds back everything queued on that
+// lane after it.  A backoff therefore ripens at the first wave in which
+// its source lane is within one base backoff of retry_at: a first retry
+// at the next wave, a long backoff only once the lane has lived through
+// most of it.  After a wave in which nothing progressed the driver passes
+// `at` = Duration::max(): the lanes are idle, and the wait blocks nothing.
 void Orchestrator::ripen_backoffs(Duration at, std::vector<uint32_t>* newly) {
-  while (!backoff_heap_.empty() && backoff_heap_.top().first <= at) {
-    const uint32_t idx = backoff_heap_.top().second;
+  std::vector<std::pair<Duration, uint32_t>> unripe;
+  while (!backoff_heap_.empty()) {
+    const auto [retry_at, idx] = backoff_heap_.top();
+    if (retry_at > at && lanes_ == nullptr) break;
     backoff_heap_.pop();
     Task& task = tasks_[idx];
     // Defensive: a re-backed-off task re-pushes with its new retry time,
@@ -84,10 +120,22 @@ void Orchestrator::ripen_backoffs(Duration at, std::vector<uint32_t>* newly) {
     if (task.phase != TaskPhase::kBackoff || ripe_backoff_.count(idx) != 0) {
       continue;
     }
+    if (retry_at > at && retry_at > lanes_->lane_end(task.source) +
+                                        options_.retry_backoff) {
+      unripe.push_back({retry_at, idx});
+      continue;
+    }
     ripe_backoff_[idx] = task.retry_at;
-    ready_by_source_[task.source].insert(idx);
+    if (lanes_ != nullptr) {
+      const migration::MigratableEnclave* enclave =
+          fleet_.enclave(task.enclave_id);
+      const bool frozen = enclave != nullptr && enclave->migration_frozen();
+      task.queue_key = (frozen ? 0 : kRetryKeys) + retries_ripened_++;
+    }
+    ready_by_source_[task.source][task.queue_key] = idx;
     if (newly != nullptr) newly->push_back(idx);
   }
+  for (const auto& entry : unripe) backoff_heap_.push(entry);
 }
 
 std::vector<Orchestrator::Task> Orchestrator::build_tasks(const Plan& plan) {
@@ -203,7 +251,7 @@ bool Orchestrator::admit_and_start(Task& task) {
         handle_failure(task, picked.status(),
                        MigrationFailureClass::kFatalState,
                        "scheduler: no eligible destination",
-                       /*destination_specific=*/false);
+                       /*destination_specific=*/false, now());
         return true;  // task consumed (terminal), not capacity-blocked
       }
       task.destination = picked.value();
@@ -271,7 +319,7 @@ bool Orchestrator::admit_and_start(Task& task) {
             result.failure_class)) +
             ": " + result.message);
     handle_failure(task, result.status, result.failure_class, result.message,
-                   /*destination_specific=*/true);
+                   /*destination_specific=*/true, now());
     return true;
   }
   set_phase(task, TaskPhase::kStarted);
@@ -369,7 +417,7 @@ void Orchestrator::pipelined_source_failure(
           migration::migration_failure_class_name(result.failure_class)) +
           ": " + result.message);
   handle_failure(task, result.status, result.failure_class, result.message,
-                 /*destination_specific=*/true);
+                 /*destination_specific=*/true, freed_at);
 }
 
 void Orchestrator::mark_started(Task& task,
@@ -512,13 +560,14 @@ void Orchestrator::complete(Task& task) {
   handle_failure(task, status, migration::classify_migration_failure(status),
                  "restoring on destination: " +
                      std::string(status_name(status)),
-                 /*destination_specific=*/false);
+                 /*destination_specific=*/false, now());
 }
 
 void Orchestrator::handle_failure(Task& task, Status status,
                                   MigrationFailureClass cls,
                                   const std::string& message,
-                                  bool destination_specific) {
+                                  bool destination_specific,
+                                  Duration failed_at) {
   task.last_status = status;
   task.last_class = cls;
   task.last_message = message;
@@ -558,7 +607,7 @@ void Orchestrator::handle_failure(Task& task, Status status,
   }
   const uint32_t exponent = task.attempts > 0 ? task.attempts - 1 : 0;
   const Duration backoff = options_.retry_backoff * (1u << exponent);
-  task.retry_at = now() + backoff;
+  task.retry_at = failed_at + backoff;
   set_phase(task, TaskPhase::kBackoff);
   log(task, EventKind::kBackoff,
       "retry at " + std::to_string(to_seconds(task.retry_at)) + "s");
@@ -607,29 +656,50 @@ void Orchestrator::seed_kick_candidates() {
   }
 }
 
-bool Orchestrator::event_admission_pass() {
-  ripen_backoffs(now(), nullptr);
+bool Orchestrator::event_admission_pass(bool after_stall) {
+  ripen_backoffs(after_stall ? Duration::max() : now(), nullptr);
   // Saturated fleet: every ready task would be refused with no side
   // effects, so the whole pass can be skipped.
   if (inflight_total_ >= options_.max_inflight_total) return false;
 
-  // Merge the per-source ready sets into one ascending-index stream so
-  // candidates are processed in plan order, while a saturated source
+  // Merge the per-source ready sets into one ascending-key stream so
+  // candidates are processed in queue order, while a saturated source
   // contributes nothing (its candidates would all be refused without side
   // effects — only a source's OWN admissions can change its gauge
-  // mid-pass, so saturation holds for the whole pass).
+  // mid-pass, so saturation holds for the whole pass).  Pipelined, a
+  // source whose ME is down contributes nothing either, as in the pump
+  // step: each of its starts would only burn an attempt.  The driver
+  // admits them anyway once nothing else progresses, so a dead ME still
+  // ends in classified failures.
+  //
+  // A pipelined retry (key in the retry band, so every key behind it is
+  // one too) also waits until every first attempt of its source is
+  // through its source side.  The source ME arms two payloads at a time;
+  // a retry admitted beside the source's last first attempts takes one of
+  // those arm slots and pushes a first attempt's freeze out by a wave.
   using Entry = std::pair<uint32_t, const std::string*>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> merge;
+  const auto push_head = [&](uint32_t key, const std::string& source) {
+    if (key >= kRetryKeys && open_first_attempts_.count(source) != 0) return;
+    merge.push({key, &source});
+  };
   for (const auto& [source, ready] : ready_by_source_) {
     if (ready.empty()) continue;
     if (inflight_per_machine_[source] >= options_.max_inflight_per_machine) {
       continue;
     }
-    merge.push({*ready.begin(), &source});
+    if (lanes_ != nullptr && !after_stall) {
+      const auto machine = machine_index_.find(source);
+      if (machine != machine_index_.end() &&
+          migration::me_on(*machines_[machine->second]) == nullptr) {
+        continue;
+      }
+    }
+    push_head(ready.begin()->first, source);
   }
 
   bool progressed = false;
-  uint32_t pass_pos = 0;  // next global index the scan may still visit
+  uint32_t pass_pos = 0;  // next queue key the scan may still visit
   std::vector<uint32_t> newly;
   while (!merge.empty()) {
     // Once the fleet-wide cap is hit mid-pass nothing can release it
@@ -637,7 +707,7 @@ bool Orchestrator::event_admission_pass() {
     // now refuses), so every remaining candidate would be a
     // side-effect-free refusal.
     if (inflight_total_ >= options_.max_inflight_total) break;
-    const auto [idx0, source] = merge.top();
+    const auto [key0, source] = merge.top();
     merge.pop();
     auto sit = ready_by_source_.find(*source);
     if (sit == ready_by_source_.end()) continue;
@@ -648,32 +718,34 @@ bool Orchestrator::event_admission_pass() {
     // (admitted via a duplicate, or refused earlier this pass).  The pass
     // only moves forward: a refused candidate keeps its ready slot but
     // is not revisited until the next wave.
-    const auto it = sit->second.lower_bound(std::max(idx0, pass_pos));
+    const auto it = sit->second.lower_bound(std::max(key0, pass_pos));
     if (it == sit->second.end()) continue;
-    if (*it != idx0) {
-      merge.push({*it, source});
+    if (it->first != key0) {
+      push_head(it->first, *source);
       continue;
     }
-    pass_pos = idx0 + 1;
+    pass_pos = key0 + 1;
     ++stats_.task_touches;
     ++stats_.admission_checks;
-    if (admit_and_start(tasks_[idx0])) progressed = true;
-    // Blocking (non-pipelined) admissions advance the clock: tasks later
-    // in plan order may ripen mid-pass and are visited in this pass.
-    // Earlier indices ripen into the ready set for the NEXT wave only —
-    // the lower_bound(pass_pos) above skips them.
-    newly.clear();
-    ripen_backoffs(now(), &newly);
-    for (const uint32_t ripe : newly) {
-      const Task& t = tasks_[ripe];
-      if (inflight_per_machine_[t.source] <
-          options_.max_inflight_per_machine) {
-        merge.push({ripe, &ready_by_source_.find(t.source)->first});
+    if (admit_and_start(tasks_[it->second])) progressed = true;
+    if (lanes_ == nullptr) {
+      // Blocking admissions advance the clock: tasks later in plan order
+      // may ripen mid-pass and are visited in this pass.  Earlier indices
+      // ripen into the ready set for the NEXT wave only — the
+      // lower_bound(pass_pos) above skips them.
+      newly.clear();
+      ripen_backoffs(now(), &newly);
+      for (const uint32_t ripe : newly) {
+        const Task& t = tasks_[ripe];
+        if (inflight_per_machine_[t.source] <
+            options_.max_inflight_per_machine) {
+          merge.push({t.queue_key, &ready_by_source_.find(t.source)->first});
+        }
       }
     }
     // Re-arm this source's next candidate at or past the scan position.
     const auto next = sit->second.lower_bound(pass_pos);
-    if (next != sit->second.end()) merge.push({*next, source});
+    if (next != sit->second.end()) push_head(next->first, *source);
   }
   return progressed;
 }
@@ -681,6 +753,7 @@ bool Orchestrator::event_admission_pass() {
 void Orchestrator::run_event_loop(net::Network& net) {
   uint32_t wave = 0;
   uint32_t stalled_waves = 0;
+  bool stalled = false;
   std::vector<uint32_t> snapshot;
   while (unfinished_count_ > 0) {
     if (wave_hook_) {
@@ -694,7 +767,9 @@ void Orchestrator::run_event_loop(net::Network& net) {
     ++stats_.waves;
     bool progressed = false;
 
-    if (event_admission_pass()) progressed = true;
+    if (event_admission_pass(std::exchange(stalled, false))) {
+      progressed = true;
+    }
 
     if (lanes_ != nullptr) {
       // Pump wave: a machine needs a kick only if its lane ran since it
@@ -730,7 +805,14 @@ void Orchestrator::run_event_loop(net::Network& net) {
       // order, so a frozen enclave's accept and poll must be submitted
       // before the remaining rounds, or its freeze absorbs them.  Taking
       // the poll snapshot AFTER the advances lets a finalize still in
-      // flight be polled again in the same wave.
+      // flight be polled again in the same wave.  The polls make two
+      // passes over their snapshot for the same reason: first the tasks
+      // whose enclave is already frozen (the poll that ends a freeze),
+      // then the rest (a freeze-aware slot-live poll STARTS one).
+      // Otherwise a retried low-index task would freeze its enclave and
+      // ship on the source lane ahead of a higher-index frozen task's
+      // accept poll.  Only a task's own poll freezes its enclave, so the
+      // split made up front holds for the whole step.
       snapshot.assign(precopying_.begin(), precopying_.end());
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];
@@ -740,6 +822,11 @@ void Orchestrator::run_event_loop(net::Network& net) {
         progressed = true;
       }
       snapshot.assign(transferring_.begin(), transferring_.end());
+      std::stable_partition(snapshot.begin(), snapshot.end(),
+                            [&](uint32_t idx) {
+                              return fleet_.enclave(tasks_[idx].enclave_id)
+                                  ->migration_frozen();
+                            });
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];
         if (task.phase != TaskPhase::kTransferring) continue;
@@ -775,12 +862,22 @@ void Orchestrator::run_event_loop(net::Network& net) {
       stalled_waves = 0;
       continue;
     }
-    // Stall: everything left is backing off (or, pipelined, awaiting a
-    // pump that produced nothing), so jump the virtual clock to the
-    // earliest pending retry instead of spinning.  The heap holds the
-    // unripe backoffs, the ripe map the ripened-but-capacity-blocked
-    // ones (whose retry times are already in the past, making the jump a
-    // no-op).
+    if (lanes_ != nullptr) {
+      // Pipelined stall: the lanes are idle.  The next admission pass
+      // ripens every backoff (each start still waits for its retry_at on
+      // its lane) and admits the tasks of sources whose ME is down, so a
+      // dead ME ends in classified failures, not a wedge.  In-flight
+      // tasks with nothing pumpable resolve at the next poll; give them
+      // bounded slack before declaring a wedge.
+      stalled = true;
+      if (++stalled_waves < 64) continue;
+      break;
+    }
+    // Blocking stall: everything left is backing off, so jump the
+    // virtual clock to the earliest pending retry instead of spinning.
+    // The heap holds the unripe backoffs, the ripe map the
+    // ripened-but-capacity-blocked ones (whose retry times are already
+    // in the past, making the jump a no-op).
     Duration earliest = Duration::max();
     if (!backoff_heap_.empty()) {
       earliest = backoff_heap_.top().first;
@@ -788,18 +885,9 @@ void Orchestrator::run_event_loop(net::Network& net) {
     for (const auto& [idx, retry_at] : ripe_backoff_) {
       earliest = std::min(earliest, retry_at);
     }
-    if (earliest == Duration::max()) {
-      // Pipelined in-flight tasks with nothing pumpable resolve at the
-      // next poll; give them bounded slack before declaring a wedge.
-      if (lanes_ != nullptr && ++stalled_waves < 64) continue;
-      break;  // defensive: nothing to wait on
-    }
-    if (lanes_ != nullptr) {
-      lanes_->advance_control(earliest);
-    } else {
-      VirtualClock& clock = fleet_.world().clock();
-      if (earliest > clock.now()) clock.advance(earliest - clock.now());
-    }
+    if (earliest == Duration::max()) break;  // defensive: nothing to wait on
+    VirtualClock& clock = fleet_.world().clock();
+    if (earliest > clock.now()) clock.advance(earliest - clock.now());
   }
 }
 
@@ -814,6 +902,8 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   released_slots_.clear();
   scheduler_.clear_reservations();
   ready_by_source_.clear();
+  retries_ripened_ = 0;
+  open_first_attempts_.clear();
   backoff_heap_ = {};
   ripe_backoff_.clear();
   transferring_.clear();
@@ -846,7 +936,9 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   tasks_ = build_tasks(plan);
   unfinished_count_ = tasks_.size();
   for (uint32_t i = 0; i < tasks_.size(); ++i) {
-    ready_by_source_[tasks_[i].source].insert(i);
+    tasks_[i].queue_key = kFirstAttemptKeys + i;
+    ready_by_source_[tasks_[i].source][tasks_[i].queue_key] = i;
+    ++open_first_attempts_[tasks_[i].source];
   }
   // Seed the kick set with MEs already busy before this plan (durable
   // queues surviving a previous execute); everything after this enters
@@ -915,9 +1007,11 @@ size_t Orchestrator::control_plane_bytes() const {
   bytes += gauge_bytes(inflight_per_machine_);
   bytes += gauge_bytes(inflight_to_destination_);
   bytes += gauge_bytes(peak_inflight_per_machine_);
+  bytes += gauge_bytes(open_first_attempts_);
   bytes += released_slots_.capacity() * sizeof(Duration);
   for (const auto& [source, ready] : ready_by_source_) {
-    bytes += source.size() + kNode + ready.size() * (sizeof(uint32_t) + kNode);
+    bytes += source.size() + kNode +
+             ready.size() * (2 * sizeof(uint32_t) + kNode);
   }
   bytes += backoff_heap_.size() * sizeof(std::pair<Duration, uint32_t>);
   bytes += ripe_backoff_.size() *

@@ -15,7 +15,8 @@
 // source-side transfer), and at most `max_inflight_total` fleet-wide.
 // Each retry re-selects the destination through the Scheduler with the
 // failed destinations soft-excluded and backs off exponentially in
-// virtual time.  Every transition is appended to a timestamped event log;
+// virtual time (pipelined: on the lane clock, from the lane instant the
+// failure was observed).  Every transition is appended to a timestamped event log;
 // execute() returns an OrchestratorReport with per-migration latency and
 // retry counts for the bench layer.
 #pragma once
@@ -186,6 +187,10 @@ class Orchestrator {
     /// Freeze-aware: live wait between reserve and the slot going live.
     Duration enqueue_wait{};
     uint32_t precopy_rounds = 0;
+    /// Admission order within the source's ready set: a frozen
+    /// enclave's pipelined retry, then first attempts in plan order,
+    /// then other pipelined retries in the order they ripened.
+    uint32_t queue_key = 0;
     uint64_t transfer_bytes = 0;
     Status last_status = Status::kOk;
     migration::MigrationFailureClass last_class =
@@ -234,9 +239,16 @@ class Orchestrator {
   /// instant, or the completion time of the in-flight slot it is taking
   /// over (tracked in released_slots_).
   Duration next_slot_time();
+  /// Classifies a failed attempt: kFailed, or kBackoff with retry_at =
+  /// `failed_at` + the exponential backoff.  `failed_at` is the instant
+  /// the failure was observed: the control instant for the blocking
+  /// engine, a lane instant for the pipelined one (the source lane's for
+  /// a start or poll, the destination lane's for a restore), so a
+  /// pipelined retry waits out its backoff on the lane clock.
   void handle_failure(Task& task, Status status,
                       migration::MigrationFailureClass cls,
-                      const std::string& message, bool destination_specific);
+                      const std::string& message, bool destination_specific,
+                      Duration failed_at);
   void fail_task(Task& task);
   void log(const Task& task, EventKind kind, std::string detail);
   std::map<std::string, uint32_t> reserved_destinations() const;
@@ -246,13 +258,16 @@ class Orchestrator {
   /// (ready/backoff/transferring/precopying/started) and the unfinished
   /// count.
   void set_phase(Task& task, TaskPhase phase);
-  /// Moves backoff tasks whose retry_at has passed into the ready set;
-  /// when `newly` is non-null, appends their indices.
+  /// Moves backoff tasks whose retry_at is at or before `at` (pipelined:
+  /// or before their source lane's end) into the ready set, assigning
+  /// each its queue_key; when `newly` is non-null, appends their indices.
   void ripen_backoffs(Duration at, std::vector<uint32_t>* newly);
   /// One event-driven admission pass: visits ready tasks in ascending
-  /// plan order via a per-source merge heap, skipping saturated sources
-  /// wholesale.  Returns true if any task was admitted.
-  bool event_admission_pass();
+  /// queue_key order via a per-source merge heap, skipping saturated
+  /// sources wholesale (and, pipelined, sources whose ME is down).  After
+  /// a stalled wave it ripens every backoff and skips no down source.
+  /// Returns true if any task was admitted.
+  bool event_admission_pass(bool after_stall);
   /// Adds every machine whose ME has queued work to the kick set.
   void seed_kick_candidates();
   void run_event_loop(net::Network& net);
@@ -281,9 +296,15 @@ class Orchestrator {
   std::vector<Duration> released_slots_;
   // Wave-driver state, maintained through set_phase.
   std::vector<Task> tasks_;
-  /// Admittable task indices (kQueued or ripened kBackoff) per source
-  /// machine — the admission pass only visits these.
-  std::map<std::string, std::set<uint32_t>> ready_by_source_;
+  /// Admittable tasks (kQueued or ripened kBackoff) per source machine,
+  /// queue_key -> task index — the admission pass only visits these.
+  std::map<std::string, std::map<uint32_t, uint32_t>> ready_by_source_;
+  /// Ripen counter behind the pipelined retries' queue keys.
+  uint32_t retries_ripened_ = 0;
+  /// Per source: first attempts still open (planned and not yet through
+  /// their source side); an entry is erased at zero.  A pipelined retry
+  /// waits for its source's entry to go.
+  std::map<std::string, uint32_t> open_first_attempts_;
   /// Pending backoffs ordered by retry time.
   std::priority_queue<std::pair<Duration, uint32_t>,
                       std::vector<std::pair<Duration, uint32_t>>,

@@ -157,16 +157,18 @@ struct DrainPin {
 // Recorded while this driver was still checked bit-for-bit against a
 // full scan of every task and machine each wave, so the pins carry the
 // full scan's visit order: any change to what a wave visits, or in what
-// order, shows up here as a diff.
+// order, shows up here as a diff.  The two ME-restart pins were
+// re-recorded when pipelined retries moved to the lane clock (backoff on
+// the source lane, retries behind their source's first attempts).
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
      "20bf5567344df4f02a6b5a9eaad5b5bdbb1969023069fb23729204d089fc6ddb"},
     {DrainConfig::kPrecopy, 7299447357, 4, 48, 0,
      "21d35f72f9cb0f6dda901292c53574f49d91bcf8672450c5557295c076e95284"},
-    {DrainConfig::kMeRestart, 8585801722, 6, 60, 4,
-     "3ba23aaefcdfeda8370cb982fb6b02738bb6adbd79b32b8bd02f6b781d533070"},
-    {DrainConfig::kFreezeAwareMeRestart, 7779130606, 13, 86, 11,
-     "819132f6f3b462aada40d065df1b302091f4154859773c84d3262b4a15d1e50d"},
+    {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
+     "be94a8cc60cf1f8c66b7aea617862c5252d7db22d3a7cd2c2705a4f94d59282f"},
+    {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,
+     "3036565401dba3a67301562aa9a593637e31a561eff536310058b90b6641169d"},
 };
 
 void PrintTo(const DrainPin& pin, std::ostream* os) {

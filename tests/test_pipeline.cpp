@@ -5,10 +5,15 @@
 // under mixed fault storms (tamper + reply loss + ME crashes) with zero
 // forks, the blocking start running the same steps inline, the cap
 // actually buying wall time, async pre-copy freezes
-// staying at the final delta under a live client stream, and the
-// proactive re-route abort + staging age sweep.
+// staying at the final delta under a live client stream, the
+// proactive re-route abort + staging age sweep, re-route orphans that
+// converge after the completion history trimmed their evidence, and the
+// orchestrator's
+// lane-clock retry cadence when a source ME crashes (retries during the
+// healthy drain, frozen enclaves first, a dead ME failing within budget).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -617,6 +622,68 @@ TEST_F(PipelineTest, RerouteAbortsOrphanedPendingEntryImmediately) {
   EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
 }
 
+TEST_F(PipelineTest, RerouteOrphanConvergesAfterTheHistoryTrimsItsEvidence) {
+  // One completion record of history: the janitors' evidence that the
+  // identity moved on must come from the per-identity index instead.
+  me("m0")->set_completed_history_limit(1);
+  auto enclave = start_new(m0_, image_);
+  enclave->ecall_increment_migratable_counter(
+      enclave->ecall_create_migratable_counter().value().counter_id);
+
+  // Attempt A lands at m1 and m0 retains it, but from the ship on every
+  // reply from m0's ME to the library is lost, so the library never
+  // learns.
+  bool shipped = false;
+  world_.network().set_tamper_hook(
+      [&shipped](const std::string& to, Bytes& request) {
+        auto parsed = MeRequest::deserialize(request);
+        if (to == "m1/me" && parsed.ok() &&
+            parsed.value().type == MeMsgType::kTransfer) {
+          shipped = true;
+        }
+        return true;
+      });
+  world_.network().set_response_tamper_hook(
+      [&shipped](const std::string& to, Bytes&) {
+        return !shipped || to != "m0/me";
+      });
+  EXPECT_NE(enclave->ecall_migration_start("m1"), Status::kOk);
+  world_.network().clear_tamper_hook();
+  world_.network().clear_response_tamper_hook();
+  ASSERT_EQ(me("m0")->outgoing_count(), 1u);
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  // The re-route to m2 (attempt B) cannot abort A: m1 is unreachable.
+  world_.network().set_endpoint_down("m1/me", true);
+  ASSERT_EQ(enclave->ecall_migration_start("m2"), Status::kOk);
+  world_.network().set_endpoint_down("m1/me", false);
+  enclave.reset();
+  auto moved = make_app(m2_, image_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m2"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+
+  // Another identity's completion trims B's record from m0's history.
+  const auto other_image = EnclaveImage::create("pipe-other", 1, "acme");
+  auto other = start_new(m0_, other_image);
+  ASSERT_EQ(other->ecall_migration_start("m2"), Status::kOk);
+  other.reset();
+  auto other_moved = make_app(m2_, other_image);
+  ASSERT_EQ(other_moved->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                              "m2"),
+            Status::kOk);
+  ASSERT_EQ(me("m0")->completed_history_size(), 1u);
+  ASSERT_EQ(me("m0")->outgoing_count(), 1u);  // A, still retained
+
+  // The settle janitors converge: m0 expires its copy of A (the index
+  // says the identity completed a newer transfer under another nonce),
+  // then m1's reconcile query gets the superseded verdict.
+  EXPECT_EQ(me("m0")->sweep_superseded_outgoing(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->reconcile_all_pending(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+}
+
 TEST_F(PipelineTest, AbandonedPrecopyStagingIsSweptByAge) {
   auto enclave = start_new(m0_, image_, /*live_transfer=*/true);
   enclave->ecall_increment_migratable_counter(
@@ -641,6 +708,130 @@ TEST_F(PipelineTest, AbandonedPrecopyStagingIsSweptByAge) {
   ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
             Status::kOk);
   EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+}
+
+// ----- pipelined retries on the lane clock -----
+
+/// One freeze-aware evacuation of two sources, cap 2 each: m0 holds
+/// `crashed` enclaves, m1 ten, and they land on m2..m4.  m0's ME dies at
+/// the top of wave 1, when its first two enclaves are frozen mid-transfer,
+/// and comes back at `restart_wave` (never when 0).
+struct CrashDrain {
+  orchestrator::OrchestratorReport report;
+  /// The latest restore instant the fleet had reached when m0's ME came
+  /// back: the lane-clock moment of the restart as the driver sees it.
+  Duration restart_at{};
+
+  const orchestrator::MigrationRecord& record(const std::string& name) const {
+    for (const auto& m : report.migrations) {
+      if (m.name == name) return m;
+    }
+    ADD_FAILURE() << "no record for " << name;
+    return report.migrations.front();
+  }
+  /// Latest restore instant among `source`'s enclaves.
+  Duration last_finish(const std::string& source) const {
+    Duration last{};
+    for (const auto& m : report.migrations) {
+      if (m.source == source) last = std::max(last, m.finished_at);
+    }
+    return last;
+  }
+};
+
+CrashDrain run_crash_drain(int crashed, uint32_t restart_wave) {
+  World world(5150);
+  world.install_management_enclaves(
+      migration::durable_me_factory(world.provider()));
+  for (int i = 0; i < 5; ++i) {
+    world.add_machine("m" + std::to_string(i), i < 2 ? "src" : "dst");
+  }
+  orchestrator::FleetRegistry fleet(world);
+  const auto launch = [&](const std::string& host, int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::string name = host + "-app-" + std::to_string(i);
+      auto* enclave = fleet.enclave(
+          fleet.launch(host, name, EnclaveImage::create(name, 1, "acme"))
+              .value());
+      enclave->ecall_increment_migratable_counter(
+          enclave->ecall_create_migratable_counter().value().counter_id);
+    }
+  };
+  launch("m0", crashed);
+  launch("m1", 10);
+
+  orchestrator::Scheduler scheduler(fleet);
+  orchestrator::OrchestratorOptions options;
+  options.max_inflight_per_machine = 2;
+  options.max_inflight_total = 4;
+  options.max_attempts = 6;
+  options.pipelined = true;
+  options.freeze_aware = true;
+  orchestrator::Orchestrator orch(fleet, scheduler, options);
+  CrashDrain drain;
+  Duration latest_restore{};
+  fleet.set_completion_callback([&](const orchestrator::EnclaveRecord&) {
+    latest_restore = std::max(latest_restore, world.clock().now());
+  });
+  orch.set_wave_hook([&](uint32_t wave) {
+    if (wave == 1) world.machine("m0")->kill_management_enclave();
+    if (restart_wave != 0 && wave == restart_wave) {
+      EXPECT_TRUE(world.machine("m0")->restart_management_enclave());
+      drain.restart_at = latest_restore;
+    }
+  });
+  drain.report = orch.execute(orchestrator::Plan::evacuate("src"));
+  return drain;
+}
+
+TEST(PipelinedRetryTest, CrashedSourceRetriesWithinItsBackoffOfTheRestart) {
+  const CrashDrain drain = run_crash_drain(/*crashed=*/2, /*restart_wave=*/4);
+  EXPECT_EQ(drain.report.succeeded(), 12u);
+  EXPECT_EQ(drain.report.failed(), 0u);
+  const auto& retried = drain.record("m0-app-0");
+  EXPECT_EQ(retried.attempts, 2u);
+  // The retry waits out its 50 ms backoff on m0's lane and then ships and
+  // restores: well inside a second of the restart, and long before the
+  // healthy source's drain ends.  Timed on the control clock, it waited
+  // for that drain to end first.
+  const Duration backoff = orchestrator::OrchestratorOptions{}.retry_backoff;
+  EXPECT_LE(retried.finished_at, drain.restart_at + backoff + seconds(1));
+  EXPECT_LT(retried.finished_at, drain.last_finish("m1"));
+}
+
+TEST(PipelinedRetryTest, FrozenEnclaveRetryPrecedesUntriedTasksOfItsSource) {
+  const CrashDrain drain = run_crash_drain(/*crashed=*/4, /*restart_wave=*/4);
+  EXPECT_EQ(drain.report.succeeded(), 14u);
+  EXPECT_EQ(drain.report.failed(), 0u);
+  // m0-app-0/1 were frozen when the ME died; m0-app-2/3 had not been
+  // tried.  Any other retry queues behind the untried tasks; a frozen
+  // enclave's retry takes the source's next slots.
+  for (const char* frozen : {"m0-app-0", "m0-app-1"}) {
+    EXPECT_EQ(drain.record(frozen).attempts, 2u) << frozen;
+    for (const char* untried : {"m0-app-2", "m0-app-3"}) {
+      EXPECT_EQ(drain.record(untried).attempts, 1u) << untried;
+      EXPECT_LT(drain.record(frozen).finished_at,
+                drain.record(untried).finished_at)
+          << frozen << " vs " << untried;
+    }
+  }
+}
+
+TEST(PipelinedRetryTest, SourceMeThatNeverReturnsFailsItsTasksWithinBudget) {
+  const CrashDrain drain = run_crash_drain(/*crashed=*/4, /*restart_wave=*/0);
+  // Admission skips a source whose ME is down while anything else can
+  // progress; once the healthy source is done, its tasks are admitted
+  // anyway and run out their attempts.  The drain ends instead of
+  // wedging.
+  EXPECT_EQ(drain.report.succeeded(), 10u);
+  EXPECT_EQ(drain.report.failed(), 4u);
+  const uint32_t max_attempts = 6;
+  for (const auto& m : drain.report.migrations) {
+    if (m.source != "m0") continue;
+    EXPECT_FALSE(m.success) << m.name;
+    EXPECT_EQ(m.attempts, max_attempts) << m.name;
+    EXPECT_NE(m.failure_class, MigrationFailureClass::kNone) << m.name;
+  }
 }
 
 }  // namespace
