@@ -20,6 +20,16 @@ constexpr char kQueueMagicV4[] = "SGXMIG-ME-QUEUE-v4";
 // Confirmed-transfer history bound: enough to absorb duplicate DONEs from
 // any realistic relay-retry window without growing with fleet lifetime.
 constexpr size_t kCompletedHistoryLimit = 4096;
+// Freeze-aware arm pacing: at most this many armed payloads may be in
+// flight before the poll stops reporting kSlotLive for parked (kAwaitArm)
+// tasks.  Keeps the freeze window of each reserved task bounded by its
+// OWN ship + accept, not the whole in-flight window's serialized
+// source-lane work.
+constexpr size_t kArmWindow = 2;
+// Staging whose source stopped shipping for this long is presumed
+// abandoned (no abort ever reached us).  Far above any live round gap; an
+// ME restart RESUMES staging well inside the window.
+constexpr Duration kPrecopyStagingMaxAge = seconds(600);
 
 MeResponse error_response(Status status) {
   MeResponse resp;
@@ -246,7 +256,7 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
   // cheap moment to age out entries whose source will never finalize.
   if (!precopy_staging_.empty() &&
       platform().clock().now() - last_staging_sweep_ >=
-          precopy_staging_max_age_) {
+          kPrecopyStagingMaxAge) {
     sweep_stale_precopy_staging();
   }
   auto parsed = MeRequest::deserialize(raw);
@@ -1242,16 +1252,9 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   // retained).
   const sgx::Measurement source_mr = task.source_mr;
   const uint64_t transfer_id = task.transfer_id;
-  OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
-  transfer.destination_address = task.request.destination_address;
-  transfer.request_nonce = nonce;
-  transfer.retained_data = task.request.data.serialize();
-  transfer.channel = std::move(task.channel);
-  transfer.sequence = next_outgoing_sequence_++;
-  const uint64_t sequence = transfer.sequence;
-  latest_outgoing_[source_mr] = {sequence, OutgoingState::kPending};
-  outgoing_[transfer_id] = std::move(transfer);
+  const uint64_t sequence = retain_outgoing(
+      transfer_id, source_mr, task.request.destination_address, nonce,
+      task.request.data, std::move(task.channel));
   // Moved, not copied: kept only for the rare persist-failure unwind.
   MigrateRequestPayload request = std::move(task.request);
   transfer_tasks_.erase(it);
@@ -1277,6 +1280,23 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     transfer_tasks_[nonce] = std::move(failed);
   }
   return persisted;
+}
+
+uint64_t MigrationEnclave::retain_outgoing(
+    uint64_t transfer_id, const sgx::Measurement& source_mr,
+    const std::string& destination_address, uint64_t nonce,
+    const MigrationData& data, std::optional<net::SecureChannel> channel) {
+  OutgoingTransfer transfer;
+  transfer.source_mr = source_mr;
+  transfer.destination_address = destination_address;
+  transfer.request_nonce = nonce;
+  transfer.retained_data = data.serialize();
+  transfer.channel = std::move(channel);
+  transfer.sequence = next_outgoing_sequence_++;
+  latest_outgoing_[source_mr] = {transfer.sequence, OutgoingState::kPending};
+  const uint64_t sequence = transfer.sequence;
+  outgoing_[transfer_id] = std::move(transfer);
+  return sequence;
 }
 
 Status MigrationEnclave::fail_task(uint64_t nonce, Status status) {
@@ -1336,7 +1356,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
           ++armed_in_flight;
         }
       }
-      progress.progress = (arm_window_ == 0 || armed_in_flight < arm_window_)
+      progress.progress = armed_in_flight < kArmWindow
                               ? TransferProgress::kSlotLive
                               : TransferProgress::kInFlight;
     } else {
@@ -1562,12 +1582,11 @@ MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
 
 size_t MigrationEnclave::sweep_stale_precopy_staging() {
   last_staging_sweep_ = platform().clock().now();
-  if (precopy_staging_max_age_ == Duration::max()) return 0;
   size_t swept = 0;
   for (auto it = precopy_staging_.begin(); it != precopy_staging_.end();) {
     const Duration age =
         platform().clock().now() - it->second.last_update;
-    if (age >= precopy_staging_max_age_) {
+    if (age >= kPrecopyStagingMaxAge) {
       // Staging is never handed to an enclave, so expiring it cannot
       // fork; a source that does come back re-ships the full set after
       // kPrecopyIncomplete.
@@ -1689,6 +1708,18 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   return reply;
 }
 
+std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked_chunks()
+    const {
+  std::vector<CounterChunk> chunks;
+  for (const auto& [index, chunk] : merged) {
+    const auto front = acked.find(index);
+    if (resync || front == acked.end() || front->second < chunk.generation) {
+      chunks.push_back(chunk);
+    }
+  }
+  return chunks;
+}
+
 Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   const auto it = precopy_outgoing_.find(nonce);
   if (it == precopy_outgoing_.end()) return Status::kOk;
@@ -1708,20 +1739,13 @@ Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   // One record per attempt in flight at a time (the channel's record
   // sequence demands ordering); ship everything merged beyond what the
   // destination has acked.
-  std::vector<CounterChunk> to_send;
-  std::vector<ChunkManifestEntry> shipped;
-  for (const auto& [index, chunk] : attempt.merged) {
-    const auto acked = attempt.acked.find(index);
-    if (attempt.resync || acked == attempt.acked.end() ||
-        acked->second < chunk.generation) {
-      to_send.push_back(chunk);
-      ChunkManifestEntry entry;
-      entry.index = index;
-      entry.generation = chunk.generation;
-      shipped.push_back(entry);
-    }
-  }
+  std::vector<CounterChunk> to_send = attempt.unacked_chunks();
   if (to_send.empty()) return Status::kOk;
+  std::vector<ChunkManifestEntry> shipped;
+  shipped.reserve(to_send.size());
+  for (const CounterChunk& chunk : to_send) {
+    shipped.push_back({chunk.index, chunk.generation});
+  }
   PrecopyChunkRecord record;
   record.source_mr_enclave = attempt.source_mr;
   record.source_me_address = platform().address();
@@ -1827,20 +1851,12 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   // Everything merged beyond the destination's acked front rides inside
   // the finalize record (on resync: the whole merged set); the manifest
   // check at the destination proves completeness either way.
-  std::vector<CounterChunk> to_send;
-  for (const auto& [index, chunk] : attempt.merged) {
-    const auto acked = attempt.acked.find(index);
-    if (attempt.resync || acked == attempt.acked.end() ||
-        acked->second < chunk.generation) {
-      to_send.push_back(chunk);
-    }
-  }
   PrecopyFinalizeRecord record;
   record.source_mr_enclave = attempt.source_mr;
   record.source_me_address = platform().address();
   record.request_nonce = nonce;
   record.round = attempt.staged_finalize->round;
-  record.chunks = std::move(to_send);
+  record.chunks = attempt.unacked_chunks();
   record.manifest = attempt.staged_finalize->manifest;
   record.msk = attempt.staged_finalize->msk;
   const Bytes record_bytes = record.serialize();
@@ -1910,17 +1926,8 @@ Status MigrationEnclave::finish_precopy_outgoing(
           chunk->second.active[s] ? chunk->second.values[s] : 0;
     }
   }
-  OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
-  transfer.destination_address = live.destination_address;
-  transfer.request_nonce = fin.request_nonce;
-  transfer.retained_data = assembled.serialize();
-  transfer.channel = std::move(live.channel);
-  transfer.sequence = next_outgoing_sequence_++;
-  const uint64_t transfer_id = live.transfer_id;
-  latest_outgoing_[transfer.source_mr] = {transfer.sequence,
-                                          OutgoingState::kPending};
-  outgoing_[transfer_id] = std::move(transfer);
+  retain_outgoing(live.transfer_id, source_mr, live.destination_address,
+                  fin.request_nonce, assembled, std::move(live.channel));
   precopy_outgoing_.erase(fin.request_nonce);
   return persist_queue();
 }

@@ -108,14 +108,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   void set_async_precopy(bool on) { async_precopy_ = on; }
   bool async_precopy() const { return async_precopy_; }
 
-  /// Freeze-aware arm pacing: at most this many armed payloads may be in
-  /// flight before the poll stops reporting kSlotLive for parked
-  /// (kAwaitArm) tasks.  Keeps the freeze window of each reserved task
-  /// bounded by its OWN ship + accept, not the whole in-flight window's
-  /// serialized source-lane work.  0 = unpaced (every parked task goes
-  /// slot-live as soon as it is attested).
-  void set_arm_window(uint32_t window) { arm_window_ = window; }
-
   /// Test hook: simulates an ME re-deployment without a process restart —
   /// cached-resume peers must fall back to a full handshake.
   void bump_instance_epoch();
@@ -128,13 +120,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   size_t peer_session_count() const { return peer_sessions_.size(); }
 
   /// Ages out destination-side pre-copy staging whose source stopped
-  /// shipping rounds (abandoned without a reachable abort path); entries
-  /// untouched for `age` are swept.  Duration::max() disables the sweep.
-  void set_precopy_staging_max_age(Duration age) {
-    precopy_staging_max_age_ = age;
-  }
-  /// Runs one sweep now; returns how many staging entries were expired.
-  /// Also run opportunistically (rate-limited) on any inbound request.
+  /// shipping rounds (abandoned without a reachable abort path): entries
+  /// untouched for kPrecopyStagingMaxAge are swept.  Runs one sweep now;
+  /// returns how many staging entries were expired.  Also run
+  /// opportunistically (rate-limited) on any inbound request.
   size_t sweep_stale_precopy_staging();
 
   /// Optional machine-level policy: if non-empty, incoming migrations are
@@ -316,6 +305,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// re-sends the finalize, which the nonce dedup makes idempotent.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
+
+    /// Everything merged beyond the destination's acked front (on
+    /// resync: the whole merged set) — what the next record carries.
+    std::vector<CounterChunk> unacked_chunks() const;
   };
   /// Destination-side staging of one pre-copy attempt, keyed by enclave
   /// identity: chunks merged by generation across rounds.  Durable; only
@@ -471,6 +464,14 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// transfer id.
   Status kick_task(uint64_t nonce);
   Status task_on_accept(uint64_t nonce, Result<Bytes> raw);
+  /// Retains an accepted transfer until DONE (paper §V-D), for both
+  /// transfer modes: a fresh sequence, the per-identity index marked
+  /// kPending.  Returns the sequence.  Persisting is the caller's.
+  uint64_t retain_outgoing(uint64_t transfer_id,
+                           const sgx::Measurement& source_mr,
+                           const std::string& destination_address,
+                           uint64_t nonce, const MigrationData& data,
+                           std::optional<net::SecureChannel> channel);
   /// Post-attestation landing shared by the full and resumed paths:
   /// armed tasks ship the sealed TransferPayload (-> kAwaitAccept),
   /// reserve-mode tasks park slot-live (-> kAwaitArm).
@@ -670,7 +671,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   uint64_t full_handshakes_ = 0;
   uint64_t resumed_handshakes_ = 0;
   bool async_precopy_ = false;
-  uint32_t arm_window_ = 2;
 
   std::unique_ptr<PersistenceEngine> engine_;
   std::optional<sgx::SealContext> queue_seal_ctx_;
@@ -690,10 +690,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Duration reconcile_retry_interval_ = milliseconds(250);
   Duration last_relay_retry_{};
   bool retrying_relays_ = false;
-  // Staging whose source stopped shipping for this long is presumed
-  // abandoned (no abort ever reached us).  Far above any live round gap;
-  // an ME restart RESUMES staging well inside the window.
-  Duration precopy_staging_max_age_ = seconds(600);
   Duration last_staging_sweep_{};
   // LA session currently being serviced by on_la_record: protected from
   // drop_sessions_for so a reentrant DONE (arriving over a nested rpc)

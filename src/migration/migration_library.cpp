@@ -78,7 +78,9 @@ void MigrationLibrary::trace_attempt_root(uint64_t nonce) {
     root_span_ = rec->begin_span("migration", lane());
     rec->span_arg(root_span_, "enclave", host_.image().name());
   }
-  if (nonce != 0) rec->assign_trace(root_span_, nonce);
+  if (nonce == 0) return;
+  rec->assign_trace(root_span_, nonce);
+  if (freeze_span_ != 0) rec->assign_trace(freeze_span_, nonce);
 }
 
 void MigrationLibrary::trace_freeze_begin() {
@@ -131,6 +133,13 @@ void MigrationLibrary::trace_attempt_done(uint64_t nonce,
                        to_seconds(last_freeze_window_) * 1e3);
   obs->metrics.observe("migration.transfer_bytes",
                        static_cast<double>(payload_bytes));
+}
+
+void MigrationLibrary::close_span(uint64_t span, const char* outcome) {
+  obs::TraceRecorder* rec = recorder();
+  if (rec == nullptr || span == 0) return;
+  rec->span_arg(span, "outcome", outcome);
+  rec->end_span(span);
 }
 
 Status MigrationLibrary::persist_after_mutation(MutationKind kind) {
@@ -229,20 +238,14 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         restore_span = rec->begin_span("restore", lane(), request_nonce);
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
-      const auto end_restore = [&](const char* outcome) {
-        obs::TraceRecorder* rec = recorder();
-        if (rec == nullptr || restore_span == 0) return;
-        rec->span_arg(restore_span, "outcome", outcome);
-        rec->end_span(restore_span);
-      };
       auto data = MigrationData::deserialize(data_bytes);
       if (!data.ok()) {
-        end_restore("deserialize-failed");
+        close_span(restore_span, "deserialize-failed");
         return data.status();
       }
       const Status apply_status = apply_incoming(data.value());
       if (apply_status != Status::kOk) {
-        end_restore("apply-failed");
+        close_span(restore_span, "apply-failed");
         return apply_status;
       }
       initialized_ = true;
@@ -264,14 +267,14 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         ack = me_exchange_reattest(confirm);
       }
       if (!ack.ok()) {
-        end_restore("confirm-failed");
+        close_span(restore_span, "confirm-failed");
         return ack.status();
       }
       if (ack.value().type != LibMsgType::kConfirmAck) {
-        end_restore("confirm-failed");
+        close_span(restore_span, "confirm-failed");
         return Status::kUnexpected;
       }
-      end_restore("ok");
+      close_span(restore_span, "ok");
       if (obs::Observability* obs = observability();
           obs != nullptr && obs->enabled()) {
         obs->trace.instant("migration.done", lane(), request_nonce,
@@ -674,6 +677,23 @@ MigrationStartResult start_failure(Status status, const char* step) {
       std::string(step) + ": " + std::string(status_name(status));
   return result;
 }
+
+/// Still in flight at the local ME (status kMigrationInProgress, failure
+/// class kNone): the caller polls again after pumping.
+MigrationStartResult in_progress(const char* message) {
+  MigrationStartResult result;
+  result.status = Status::kMigrationInProgress;
+  result.message = message;
+  return result;
+}
+
+/// A well-formed reply of the wrong type is a DEFINITIVE rejection:
+/// classified by the ME's status (kMigrationAborted if it sent none).
+MigrationStartResult rejected(const LibMsg& reply, const char* step) {
+  return start_failure(reply.status != Status::kOk ? reply.status
+                                                   : Status::kMigrationAborted,
+                       step);
+}
 }  // namespace
 
 Status MigrationLibrary::migration_start(
@@ -682,147 +702,127 @@ Status MigrationLibrary::migration_start(
       .status;
 }
 
-MigrationStartResult MigrationLibrary::stage_for_migration(
-    const std::string& destination_address) {
+// ----- the outgoing attempt: steps shared by every entry point -----
+
+MigrationStartResult MigrationLibrary::open_attempt(
+    const std::string& destination_address, bool precopy) {
   if (!initialized_) {
     return start_failure(Status::kNotInitialized, "library init check");
   }
-  if (runtime_frozen_ && !staged_outgoing_.has_value()) {
-    // Already migrated away.
+  if (runtime_frozen_ && !holds_frozen(precopy)) {
+    // Already migrated away, or frozen by an attempt of the other mode:
+    // there is nothing for THIS protocol to ship.
     return start_failure(Status::kMigrationFrozen, "freeze check");
   }
   const Status channel_status = ensure_me_channel();
   if (channel_status != Status::kOk) {
     return start_failure(channel_status, "local ME attestation");
   }
-
-  if (!staged_outgoing_.has_value()) {
-    // Fence any batched mutations before the freeze event: the buffer the
-    // application stored must reflect every completed operation before
-    // the library stops accepting them (Table II invariant under
-    // GroupCommit/WriteBehind engines).
-    const Status fence = engine_->flush(*this);
-    if (fence != Status::kOk) {
-      return start_failure(fence, "pre-freeze persistence fence");
-    }
-    if (obs::Observability* obs = observability();
-        obs != nullptr && obs->enabled()) {
-      obs->metrics.add("persist.flush_fences");
-    }
-    // Freeze first: no further operations may mutate persistent state
-    // while (or after) the migration is in flight (§V-A step 2).
-    freeze_started_ = now();
-    runtime_frozen_ = true;
-    trace_freeze_begin();
-    // A half-done pre-copy toward any destination is abandoned: the full
-    // snapshot staged below supersedes it (the destination's staged
-    // chunks are swept when the assembled transfer lands or is confirmed).
-    // A pre-copy that was aimed at a DIFFERENT machine than this start
-    // leaves orphaned staging there — proactively abort it.
-    if (precopy_nonce_ != 0 && precopy_destination_ != destination_address) {
-      notify_abort_stale(precopy_nonce_, precopy_destination_);
-    }
-    precopy_destination_.clear();
-    precopy_nonce_ = 0;
-    staged_chunks_.clear();
-    final_chunks_.clear();
-    finalize_staged_ = false;
-    auto collected = collect_values();
-    if (!collected.ok()) {
-      // Nothing destructive happened yet: the enclave may resume normal
-      // operation and retry the migration later.
-      runtime_frozen_ = false;
-      if (obs::TraceRecorder* rec = recorder();
-          rec != nullptr && freeze_span_ != 0) {
-        rec->span_arg(freeze_span_, "outcome", "collect-failed");
-        rec->end_span(freeze_span_);
-      }
-      freeze_span_ = 0;
-      return start_failure(collected.status(), "collecting counter values");
-    }
-    staged_outgoing_ = std::move(collected).value();
-    staged_destination_.clear();
-  }
-  if (staged_nonce_ == 0 || staged_destination_ != destination_address) {
-    // One nonce per (attempt, destination), reused verbatim across
-    // retries toward the same destination so the ME can deduplicate
-    // re-sends and answer "did my request land?".  A re-route to a
-    // different destination gets a fresh nonce — the fate of the old
-    // destination's transfer must not be confused with the new one's —
-    // and the old destination's now-orphaned entry a proactive abort.
-    if (staged_nonce_ != 0 && !staged_destination_.empty()) {
-      notify_abort_stale(staged_nonce_, staged_destination_);
-    }
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    staged_nonce_ = load_be64(nonce_bytes.data());
-    if (staged_nonce_ == 0) staged_nonce_ = 1;
-    staged_destination_ = destination_address;
-    enqueue_pending_ = false;  // an old queued attempt is superseded
-  }
-  trace_attempt_root(staged_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, staged_nonce_);
-  }
-  if (!counters_destroyed_) {
-    // Destroy the hardware counters BEFORE any data leaves the machine
-    // (§VI-B): whatever happens later, the source's counters are gone, so
-    // stale persistent state cannot be replayed into a working fork.  If
-    // this pass fails half-way the library stays frozen and a retry
-    // resumes it (already-destroyed counters report kCounterNotFound).
-    // Once this guard flips, no retry path may reach counter_destroy
-    // again: the service recycles nothing today, but a double destroy
-    // against a recycled id would hit someone else's counter.
-    const Status destroyed = destroy_active_counters();
-    if (destroyed != Status::kOk) {
-      return start_failure(destroyed, "destroying source counters");
-    }
-    counters_destroyed_ = true;
-  }
-  if (!freeze_persisted_) {
-    // Persist the freeze flag so a restarted instance refuses to operate
-    // (§VI-B, Table II).  Durable regardless of engine, and guarded
-    // separately from counters_destroyed_: if this persist fails, a retry
-    // must redo it without re-destroying counters.
-    state_.frozen = 1;
-    const Status persist_status =
-        persist_mutation_durable(MutationKind::kFreeze);
-    if (persist_status != Status::kOk) {
-      return start_failure(persist_status, "persisting freeze flag");
-    }
-    freeze_persisted_ = true;
+  if (!attempt_.collected && (attempt_.precopy != precopy ||
+                              attempt_.destination != destination_address)) {
+    // A full snapshot supersedes a half-done pre-copy (and vice versa),
+    // and a pre-freeze re-route starts over: the superseded attempt's
+    // entries (staged rounds, a reserved slot) are orphans — expire them
+    // proactively instead of waiting for the sweeps.
+    notify_abort_stale(attempt_.nonce, attempt_.destination);
+    attempt_ = OutgoingAttempt{};
+    attempt_.precopy = precopy;
   }
   return MigrationStartResult{};
 }
 
-void MigrationLibrary::finish_outgoing(uint64_t payload_bytes) {
-  const uint64_t nonce = staged_nonce_;
+void MigrationLibrary::claim_nonce(const std::string& destination_address) {
+  if (attempt_.nonce != 0 && attempt_.destination == destination_address) {
+    return;
+  }
+  notify_abort_stale(attempt_.nonce, attempt_.destination);
+  const Bytes nonce_bytes = host_.rng().bytes(8);
+  attempt_.nonce = load_be64(nonce_bytes.data());
+  if (attempt_.nonce == 0) attempt_.nonce = 1;
+  attempt_.destination = destination_address;
+  attempt_.queued = false;  // an old queued attempt is superseded
+}
+
+MigrationStartResult MigrationLibrary::freeze_and_collect(
+    const std::function<Status()>& collect, const char* step) {
+  // Fence any batched mutations before the freeze event: the buffer the
+  // application stored must reflect every completed operation before
+  // the library stops accepting them (Table II invariant under
+  // GroupCommit/WriteBehind engines).
+  const Status fence = engine_->flush(*this);
+  if (fence != Status::kOk) {
+    return start_failure(fence, "pre-freeze persistence fence");
+  }
+  if (obs::Observability* obs = observability();
+      obs != nullptr && obs->enabled()) {
+    obs->metrics.add("persist.flush_fences");
+  }
+  // Freeze first: no further operations may mutate persistent state
+  // while (or after) the migration is in flight (§V-A step 2).
+  freeze_started_ = now();
+  runtime_frozen_ = true;
+  trace_freeze_begin();
+  const Status collected = collect();
+  if (collected != Status::kOk) {
+    // Nothing destructive happened yet: the enclave may resume normal
+    // operation and retry the migration later.
+    runtime_frozen_ = false;
+    close_span(freeze_span_, "collect-failed");
+    freeze_span_ = 0;
+    return start_failure(collected, step);
+  }
+  attempt_.collected = true;
+  return MigrationStartResult{};
+}
+
+MigrationStartResult MigrationLibrary::persist_freeze_flag() {
+  if (freeze_persisted_) return MigrationStartResult{};
+  // Persist the freeze flag (with the advanced epoch, after a pre-copy
+  // freeze) so a restarted instance refuses to operate (§VI-B, Table II).
+  // Durable regardless of engine, and guarded separately from the
+  // destroys and the epoch increment: if this persist fails, a retry must
+  // redo it without repeating them.
+  state_.frozen = 1;
+  const Status persist_status = persist_mutation_durable(MutationKind::kFreeze);
+  if (persist_status != Status::kOk) {
+    return start_failure(persist_status, "persisting freeze flag");
+  }
+  freeze_persisted_ = true;
+  return MigrationStartResult{};
+}
+
+bool MigrationLibrary::attempt_landed() {
+  // Resume check (§V-D hardening): an exchange that died mid-flight — the
+  // reply dropped by the network, or the ME restarting between accepting
+  // the request and answering — looks like a failure even though the
+  // transfer may already sit, durably retained, in the ME's queue.  Ask
+  // the ME (re-attesting if needed) for the fate of exactly THIS attempt;
+  // kPending/kCompleted means the source side is done.  A well-formed
+  // kError reply is DEFINITIVE (retained paths reply success, dedup'd
+  // re-sends included), so only transport failures take this round trip.
+  auto attempt = query_status_internal(attempt_.nonce);
+  return attempt.ok() && (attempt.value() == OutgoingState::kPending ||
+                          attempt.value() == OutgoingState::kCompleted);
+}
+
+void MigrationLibrary::finish_outgoing() {
+  const uint64_t nonce = attempt_.nonce;
+  const uint64_t payload_bytes = attempt_.round_bytes + attempt_.payload_bytes;
   last_freeze_window_ = now() - freeze_started_;
   trace_freeze_end();
   last_transfer_bytes_ = payload_bytes;
-  last_precopy_rounds_ = async_finalize_pending_ ? precopy_rounds_ : 0;
-  if (async_finalize_pending_) {
-    // A queued pre-copy finalize just completed: run the deferred
-    // teardown the synchronous finalize epilogue would have run, OUTSIDE
-    // the freeze window.  The epoch increment already made every sealed
-    // buffer unusable, so one logical retire is enough — the flash slots
-    // are swept by platform firmware later, off this drain's clock.
-    if (!counters_destroyed_) {
-      (void)host_.counter_retire_all();
-      counters_destroyed_ = true;
-    }
-    precopy_destination_.clear();
-    precopy_nonce_ = 0;
-    staged_chunks_.clear();
-    final_chunks_.clear();
-    finalize_staged_ = false;
-    async_finalize_pending_ = false;
+  last_precopy_rounds_ = attempt_.rounds;
+  // A pre-copy finalize deferred the counter teardown to here, OUTSIDE
+  // the freeze window: the epoch increment already made every sealed
+  // buffer unusable, so these hardware counters are unreachable garbage —
+  // retire them all in one logical op (a failure leaks quota on a machine
+  // this enclave just left, never state).  Physical slot reclaim is the
+  // platform's background sweep.  The chaos drill keeps them alive.
+  if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
+    (void)host_.counter_retire_all();
+    counters_destroyed_ = true;
   }
-  staged_outgoing_.reset();
-  staged_nonce_ = 0;
-  staged_destination_.clear();
-  enqueue_pending_ = false;
-  enqueued_bytes_ = 0;
+  attempt_ = OutgoingAttempt{};
   trace_attempt_done(nonce, payload_bytes);
 }
 
@@ -841,89 +841,96 @@ void MigrationLibrary::notify_abort_stale(uint64_t nonce,
   (void)me_exchange_reattest(request);
 }
 
+// ----- full-snapshot migration (blocking start, enqueue, reserve + arm) -----
+
+MigrationStartResult MigrationLibrary::stage_for_migration(
+    const std::string& destination_address, MigrationPolicy policy) {
+  const MigrationStartResult opened =
+      open_attempt(destination_address, /*precopy=*/false);
+  if (!opened.ok()) return opened;
+  if (!attempt_.collected) {
+    const MigrationStartResult frozen = freeze_and_collect(
+        [this] {
+          auto collected = collect_values();
+          if (collected.ok()) attempt_.snapshot = std::move(collected).value();
+          return collected.status();
+        },
+        "collecting counter values");
+    if (!frozen.ok()) return frozen;
+  }
+  claim_nonce(destination_address);
+  attempt_.policy = std::move(policy);
+  trace_attempt_root(attempt_.nonce);
+  if (!counters_destroyed_) {
+    // Destroy the hardware counters BEFORE any data leaves the machine
+    // (§VI-B): whatever happens later, the source's counters are gone, so
+    // stale persistent state cannot be replayed into a working fork.  If
+    // this pass fails half-way the library stays frozen and a retry
+    // resumes it (already-destroyed counters report kCounterNotFound).
+    // Once this guard flips, no retry path may reach counter_destroy
+    // again: the service recycles nothing today, but a double destroy
+    // against a recycled id would hit someone else's counter.
+    const Status destroyed = destroy_active_counters();
+    if (destroyed != Status::kOk) {
+      return start_failure(destroyed, "destroying source counters");
+    }
+    counters_destroyed_ = true;
+  }
+  return persist_freeze_flag();
+}
+
+LibMsg MigrationLibrary::snapshot_request(LibMsgType type) {
+  MigrateRequestPayload payload;
+  payload.destination_address = attempt_.destination;
+  payload.request_nonce = attempt_.nonce;
+  payload.policy = attempt_.policy;
+  payload.data = attempt_.snapshot;
+  LibMsg request;
+  request.type = type;
+  request.payload = payload.serialize();
+  attempt_.payload_bytes = request.payload.size();
+  return request;
+}
+
 MigrationStartResult MigrationLibrary::migration_start_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  const MigrationStartResult staged = stage_for_migration(destination_address);
+  const MigrationStartResult staged =
+      stage_for_migration(destination_address, std::move(policy));
   if (!staged.ok()) return staged;
-
-  MigrateRequestPayload payload;
-  payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = std::move(policy);
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateRequest;
-  request.payload = payload.serialize();
-  const uint64_t payload_bytes = request.payload.size();
-  auto reply = me_exchange_reattest(request);
-
-  // Resume check (§V-D hardening): an exchange that died mid-flight — the
-  // reply dropped by the network, or the ME restarting between accepting
-  // the request and answering — looks like a failure here even though the
-  // transfer may already sit, durably retained, in the ME's queue.  Before
-  // reporting failure, ask the ME (re-attesting if needed) for the fate of
-  // exactly THIS attempt; kPending/kCompleted means the source side is
-  // done and the migration proceeds at the destination.  A well-formed
-  // kError reply is a DEFINITIVE rejection (the retained path replies
-  // kMigrateAccepted, dedup'd re-sends included), so only transport-level
-  // failures are ambiguous enough to be worth the extra round trip.
+  auto reply =
+      me_exchange_reattest(snapshot_request(LibMsgType::kMigrateRequest));
   if (!reply.ok()) {
-    auto attempt = query_status_internal(staged_nonce_);
-    if (attempt.ok() && (attempt.value() == OutgoingState::kPending ||
-                         attempt.value() == OutgoingState::kCompleted)) {
-      finish_outgoing(payload_bytes);
-      return MigrationStartResult{};
-    }
-    return start_failure(reply.status(), "ME exchange");
-  }
-  if (reply.value().type != LibMsgType::kMigrateAccepted) {
+    if (!attempt_landed()) return start_failure(reply.status(), "ME exchange");
+  } else if (reply.value().type != LibMsgType::kMigrateAccepted) {
     // Keep the staged data: the application may retry, possibly with a
     // different destination (§V-D error handling).
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected,
-                         "destination rejected by source ME protocol");
+    return rejected(reply.value(),
+                    "destination rejected by source ME protocol");
   }
-  finish_outgoing(payload_bytes);
+  finish_outgoing();
   return MigrationStartResult{};
 }
 
-// ----- pipelined (non-blocking) migration start -----
-
 MigrationStartResult MigrationLibrary::migration_enqueue_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  const MigrationStartResult staged = stage_for_migration(destination_address);
+  const MigrationStartResult staged =
+      stage_for_migration(destination_address, std::move(policy));
   if (!staged.ok()) return staged;
-
-  staged_policy_ = policy;
-  MigrateRequestPayload payload;
-  payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = std::move(policy);
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateEnqueue;
-  request.payload = payload.serialize();
-  const uint64_t payload_bytes = request.payload.size();
-  auto reply = me_exchange_reattest(request);
+  auto reply =
+      me_exchange_reattest(snapshot_request(LibMsgType::kMigrateEnqueue));
   if (!reply.ok()) {
-    // The enqueue reply was lost: the task may or may not be queued.
-    // The poll disambiguates (kNone re-enqueues), so report in-flight
-    // only if we can SEE the task or its result; otherwise a classified
-    // transport failure lets the caller's retry machinery re-drive us.
+    // The enqueue reply was lost: the task may or may not be queued.  This
+    // always reports the classified transport failure; the caller's retry
+    // re-sends under the same nonce, which the ME dedups (an idempotent
+    // re-queue whose poll reports kAccepted if the transfer landed).
     return start_failure(reply.status(), "ME enqueue exchange");
   }
   if (reply.value().type != LibMsgType::kMigrateQueued) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused to queue the transfer");
+    return rejected(reply.value(), "ME refused to queue the transfer");
   }
-  enqueue_pending_ = true;
-  enqueued_bytes_ = payload_bytes;
+  attempt_.queued = true;
   if (obs::TraceRecorder* rec = recorder()) {
-    rec->instant("migration.queued", lane(), staged_nonce_,
+    rec->instant("migration.queued", lane(), attempt_.nonce,
                  {{"destination", destination_address}});
   }
   return MigrationStartResult{};
@@ -931,37 +938,21 @@ MigrationStartResult MigrationLibrary::migration_enqueue_detailed(
 
 MigrationStartResult MigrationLibrary::migration_reserve_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  if (!initialized_) {
-    return start_failure(Status::kNotInitialized, "library init check");
-  }
-  if (staged_outgoing_.has_value()) {
+  if (holds_frozen(/*precopy=*/false)) {
     // A previous attempt already froze and collected: nothing left to
     // defer, so queue the armed snapshot directly (retries and re-routes
     // after a post-freeze failure land here).
     return migration_enqueue_detailed(destination_address, std::move(policy));
   }
-  if (runtime_frozen_) {
-    return start_failure(Status::kMigrationFrozen, "freeze check");
-  }
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) {
-    return start_failure(channel_status, "local ME attestation");
-  }
-  // One nonce per (attempt, destination), exactly as stage_for_migration
-  // draws it — but WITHOUT freezing.  The later freeze+arm reuses it.
-  if (staged_nonce_ == 0 || staged_destination_ != destination_address) {
-    if (staged_nonce_ != 0 && !staged_destination_.empty()) {
-      notify_abort_stale(staged_nonce_, staged_destination_);
-    }
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    staged_nonce_ = load_be64(nonce_bytes.data());
-    if (staged_nonce_ == 0) staged_nonce_ = 1;
-    staged_destination_ = destination_address;
-  }
-  staged_policy_ = policy;
+  const MigrationStartResult opened =
+      open_attempt(destination_address, /*precopy=*/false);
+  if (!opened.ok()) return opened;
+  // The nonce is drawn WITHOUT freezing; the later freeze+arm reuses it.
+  claim_nonce(destination_address);
+  attempt_.policy = policy;
   MigrateReservePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
+  payload.request_nonce = attempt_.nonce;
   payload.policy = std::move(policy);
   LibMsg request;
   request.type = LibMsgType::kMigrateReserve;
@@ -973,27 +964,23 @@ MigrationStartResult MigrationLibrary::migration_reserve_detailed(
     return start_failure(reply.status(), "ME reserve exchange");
   }
   if (reply.value().type != LibMsgType::kMigrateQueued) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused to reserve the transfer");
+    return rejected(reply.value(), "ME refused to reserve the transfer");
   }
-  enqueue_pending_ = true;
-  enqueued_bytes_ = 0;
+  attempt_.queued = true;
   enqueue_started_ = now();
   last_enqueue_wait_ = Duration{};
-  trace_attempt_root(staged_nonce_);
+  trace_attempt_root(attempt_.nonce);
   if (obs::TraceRecorder* rec = recorder()) {
     if (enqueue_span_ != 0) rec->end_span(enqueue_span_);
     enqueue_span_ =
-        rec->begin_span("enqueue_wait", lane(), staged_nonce_, root_span_);
+        rec->begin_span("enqueue_wait", lane(), attempt_.nonce, root_span_);
     rec->span_arg(enqueue_span_, "destination", destination_address);
   }
   return MigrationStartResult{};
 }
 
 MigrationStartResult MigrationLibrary::arm_reserved_slot() {
-  if (!staged_outgoing_.has_value()) {
+  if (!attempt_.collected) {
     // First arm of this attempt: the live queue wait ends here — the
     // freeze clock starts inside stage_for_migration.
     last_enqueue_wait_ = now() - enqueue_started_;
@@ -1005,38 +992,13 @@ MigrationStartResult MigrationLibrary::arm_reserved_slot() {
       enqueue_span_ = 0;
     }
   }
-  // stage_for_migration treats every fresh freeze as a fresh attempt
-  // (clears the staged destination, draws a new nonce) — but the reserve
-  // already drew this attempt's nonce and queued it at the ME, so the
-  // pair must survive the staging.  Locals also dodge aliasing: passing
-  // the member itself would hand stage_for_migration a reference it
-  // clears mid-flight.
-  const std::string destination = staged_destination_;
-  const uint64_t reserved_nonce = staged_nonce_;
-  const MigrationStartResult staged = stage_for_migration(destination);
+  // Staging toward the reserved destination keeps the reserved nonce the
+  // ME queued.  A copy, because staging rewrites the attempt it names.
+  const std::string destination = attempt_.destination;
+  const MigrationStartResult staged =
+      stage_for_migration(destination, attempt_.policy);
   if (!staged.ok()) return staged;
-  staged_nonce_ = reserved_nonce;
-  staged_destination_ = destination;
-  // stage_for_migration re-keyed the trace onto its throwaway nonce;
-  // point the root and the freeze span back at the reserved one every
-  // downstream span (the enqueue wait above, the ME transfer, the
-  // destination's restore) is keyed by, or the tree splits at the root.
-  trace_attempt_root(staged_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, staged_nonce_);
-  }
-  enqueue_pending_ = true;  // the ME still tracks the reserved task
-  MigrateRequestPayload payload;
-  payload.destination_address = destination;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = staged_policy_;
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateArm;
-  request.payload = payload.serialize();
-  enqueued_bytes_ = request.payload.size();
-  auto reply = me_exchange_reattest(request);
+  auto reply = me_exchange_reattest(snapshot_request(LibMsgType::kMigrateArm));
   if (!reply.ok()) {
     // The arm reply was lost: the parked task may or may not hold the
     // payload.  The next poll disambiguates — a re-observed kSlotLive
@@ -1044,23 +1006,16 @@ MigrationStartResult MigrationLibrary::arm_reserved_slot() {
     return start_failure(reply.status(), "ME arm exchange");
   }
   if (reply.value().type != LibMsgType::kArmAck) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused the armed payload");
+    return rejected(reply.value(), "ME refused the armed payload");
   }
-  MigrationStartResult in_flight;
-  in_flight.status = Status::kMigrationInProgress;
-  in_flight.failure_class = MigrationFailureClass::kNone;
-  in_flight.message = "armed; transfer in flight";
-  return in_flight;
+  return in_progress("armed; transfer in flight");
 }
 
 MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   if (!initialized_) {
     return start_failure(Status::kNotInitialized, "library init check");
   }
-  if (!enqueue_pending_ || staged_nonce_ == 0) {
+  if (!attempt_.queued || attempt_.nonce == 0) {
     return start_failure(Status::kNoPendingMigration,
                          "no queued transfer to poll");
   }
@@ -1069,22 +1024,18 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
     return start_failure(channel_status, "local ME attestation");
   }
   PollTransferPayload query;
-  query.request_nonce = staged_nonce_;
+  query.request_nonce = attempt_.nonce;
   LibMsg request;
   request.type = LibMsgType::kPollTransfer;
   request.payload = query.serialize();
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) {
-    // Same resume check as the blocking path: a lost poll reply must not
-    // be mistaken for a lost transfer — if the attempt is retained or
-    // completed in the ME's durable queue, the source side is done.
-    auto attempt = query_status_internal(staged_nonce_);
-    if (attempt.ok() && (attempt.value() == OutgoingState::kPending ||
-                         attempt.value() == OutgoingState::kCompleted)) {
-      finish_outgoing(enqueued_bytes_);
-      return MigrationStartResult{};
+    // A lost poll reply must not be mistaken for a lost transfer.
+    if (!attempt_landed()) {
+      return start_failure(reply.status(), "ME poll exchange");
     }
-    return start_failure(reply.status(), "ME poll exchange");
+    finish_outgoing();
+    return MigrationStartResult{};
   }
   if (reply.value().type != LibMsgType::kTransferProgress) {
     return start_failure(reply.value().status != Status::kOk
@@ -1098,19 +1049,14 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   }
   switch (progress.value().progress) {
     case TransferProgress::kAccepted:
-      finish_outgoing(enqueued_bytes_);
+      finish_outgoing();
       return MigrationStartResult{};
     case TransferProgress::kSlotLive:
       // The ME attested the destination and parked the slot: NOW run the
       // destructive freeze+collect and arm the payload.
       return arm_reserved_slot();
-    case TransferProgress::kInFlight: {
-      MigrationStartResult in_flight;
-      in_flight.status = Status::kMigrationInProgress;
-      in_flight.failure_class = MigrationFailureClass::kNone;
-      in_flight.message = "transfer in flight";
-      return in_flight;
-    }
+    case TransferProgress::kInFlight:
+      return in_progress("transfer in flight");
     case TransferProgress::kFailed:
       // Terminal for THIS attempt; the staged data stays for a retry or
       // re-route, exactly like a blocking-start failure.
@@ -1119,56 +1065,34 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
       break;
   }
   // The ME does not know the nonce (it restarted before the task was
-  // queued, or lost its storage): re-enqueue from the staged data — or
-  // re-reserve if this freeze-aware attempt never froze.
-  enqueue_pending_ = false;
-  if (async_finalize_pending_) {
+  // queued, or lost its storage).
+  attempt_.queued = false;
+  if (attempt_.precopy) {
     // The ME lost the queued finalize (restart drops the memory-only
     // staged record, or the ship budget ran out): surface a retryable
     // failure — the caller re-drives migration_finalize_detailed, which
     // the ME dedups by nonce if the record actually landed.
-    async_finalize_pending_ = false;
     return start_failure(Status::kServiceUnavailable,
                          "ME lost the queued finalize");
   }
+  // Re-enqueue from the staged data — or re-reserve if this freeze-aware
+  // attempt never froze.
+  const std::string destination = attempt_.destination;
   const MigrationStartResult requeued =
-      staged_outgoing_.has_value()
-          ? migration_enqueue_detailed(staged_destination_, staged_policy_)
-          : migration_reserve_detailed(staged_destination_, staged_policy_);
+      attempt_.collected
+          ? migration_enqueue_detailed(destination, attempt_.policy)
+          : migration_reserve_detailed(destination, attempt_.policy);
   if (!requeued.ok()) return requeued;
-  MigrationStartResult in_flight;
-  in_flight.status = Status::kMigrationInProgress;
-  in_flight.failure_class = MigrationFailureClass::kNone;
-  in_flight.message = "transfer re-queued";
-  return in_flight;
+  return in_progress("transfer re-queued");
 }
 
 // ----- live pre-copy migration (iterative rounds + finalize) -----
-
-void MigrationLibrary::reset_precopy(const std::string& destination_address) {
-  // Re-routing abandons the previous attempt: its staged rounds at the
-  // old destination (and the source ME's merged set) are orphans —
-  // expire them proactively instead of waiting for the age sweep.
-  if (precopy_nonce_ != 0 && !precopy_destination_.empty() &&
-      precopy_destination_ != destination_address) {
-    notify_abort_stale(precopy_nonce_, precopy_destination_);
-  }
-  const Bytes nonce_bytes = host_.rng().bytes(8);
-  precopy_nonce_ = load_be64(nonce_bytes.data());
-  if (precopy_nonce_ == 0) precopy_nonce_ = 1;
-  precopy_destination_ = destination_address;
-  shipped_generation_ = {};
-  staged_chunks_.clear();
-  final_chunks_.clear();
-  precopy_rounds_ = 0;
-  precopy_bytes_ = 0;
-}
 
 Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
     bool include_all_populated) {
   std::vector<CounterChunk> out;
   for (size_t c = 0; c < kPrecopyChunkCount; ++c) {
-    bool collect = chunk_generation_[c] > shipped_generation_[c];
+    bool collect = chunk_generation_[c] > attempt_.shipped_generation[c];
     if (!collect && include_all_populated) {
       for (size_t s = 0; s < kPrecopyChunkSlots && !collect; ++s) {
         collect = state_.counters_active[c * kPrecopyChunkSlots + s];
@@ -1205,13 +1129,29 @@ Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
   return out;
 }
 
+void MigrationLibrary::stage_chunks(const std::vector<CounterChunk>& chunks) {
+  for (const CounterChunk& chunk : chunks) {
+    attempt_.shipped_generation[chunk.index] = chunk.generation;
+    attempt_.staged_chunks[chunk.index] = chunk;
+  }
+}
+
 std::vector<ChunkManifestEntry> MigrationLibrary::staged_manifest() const {
   std::vector<ChunkManifestEntry> manifest;
-  manifest.reserve(staged_chunks_.size());
-  for (const auto& [index, chunk] : staged_chunks_) {
+  manifest.reserve(attempt_.staged_chunks.size());
+  for (const auto& [index, chunk] : attempt_.staged_chunks) {
     manifest.push_back({index, chunk.generation});
   }
   return manifest;
+}
+
+std::vector<CounterChunk> MigrationLibrary::all_staged_chunks() const {
+  std::vector<CounterChunk> chunks;
+  chunks.reserve(attempt_.staged_chunks.size());
+  for (const auto& [index, chunk] : attempt_.staged_chunks) {
+    chunks.push_back(chunk);
+  }
+  return chunks;
 }
 
 Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
@@ -1220,37 +1160,30 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   if (runtime_frozen_) return Status::kMigrationFrozen;
   if (state_.epoch_active == 0) return Status::kInvalidState;
   if (destination_address.empty()) return Status::kInvalidParameter;
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) return channel_status;
-  if (precopy_destination_ != destination_address) {
-    reset_precopy(destination_address);
-  }
+  const MigrationStartResult opened =
+      open_attempt(destination_address, /*precopy=*/true);
+  if (!opened.ok()) return opened.status;
+  claim_nonce(destination_address);
 
-  trace_attempt_root(precopy_nonce_);
+  trace_attempt_root(attempt_.nonce);
   uint64_t round_span = 0;
   if (obs::TraceRecorder* rec = recorder()) {
     round_span =
-        rec->begin_span("precopy_round", lane(), precopy_nonce_, root_span_);
-    rec->span_arg(round_span, "round", static_cast<uint64_t>(precopy_rounds_));
+        rec->begin_span("precopy_round", lane(), attempt_.nonce, root_span_);
+    rec->span_arg(round_span, "round", static_cast<uint64_t>(attempt_.rounds));
   }
-  const auto end_round = [&](const char* outcome) {
-    obs::TraceRecorder* rec = recorder();
-    if (rec == nullptr || round_span == 0) return;
-    rec->span_arg(round_span, "outcome", outcome);
-    rec->end_span(round_span);
-  };
 
   auto chunks = collect_dirty_chunks(/*include_all_populated=*/
-                                     precopy_rounds_ == 0);
+                                     attempt_.rounds == 0);
   if (!chunks.ok()) {
-    end_round("collect-failed");
+    close_span(round_span, "collect-failed");
     return chunks.status();
   }
 
   PrecopyRoundPayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = precopy_nonce_;
-  payload.round = precopy_rounds_;
+  payload.request_nonce = attempt_.nonce;
+  payload.round = attempt_.rounds;
   payload.policy = std::move(policy);
   payload.chunks = chunks.value();
   LibMsg request;
@@ -1258,27 +1191,24 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   request.payload = payload.serialize();
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) {
-    end_round("exchange-failed");
+    close_span(round_span, "exchange-failed");
     return reply.status();
   }
   if (reply.value().type != LibMsgType::kPrecopyAck) {
-    end_round("rejected");
+    close_span(round_span, "rejected");
     return reply.value().status != Status::kOk ? reply.value().status
                                                : Status::kUnexpected;
   }
   // Commit only after the ME acknowledged: a failed round re-collects and
   // re-ships the same chunks (the destination merges idempotently by
   // generation).
-  for (CounterChunk& chunk : chunks.value()) {
-    shipped_generation_[chunk.index] = chunk.generation;
-    staged_chunks_[chunk.index] = chunk;
-  }
+  stage_chunks(chunks.value());
   PrecopyRoundReport report;
-  report.round = precopy_rounds_;
+  report.round = attempt_.rounds;
   report.chunks_shipped = static_cast<uint32_t>(chunks.value().size());
   report.bytes_shipped = request.payload.size();
-  precopy_bytes_ += request.payload.size();
-  ++precopy_rounds_;
+  attempt_.round_bytes += request.payload.size();
+  ++attempt_.rounds;
   if (obs::Observability* obs = observability();
       obs != nullptr && obs->enabled()) {
     if (round_span != 0) {
@@ -1290,7 +1220,7 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
     obs->metrics.observe("migration.precopy_round_bytes",
                          static_cast<double>(report.bytes_shipped));
   }
-  end_round("ok");
+  close_span(round_span, "ok");
   return report;
 }
 
@@ -1309,76 +1239,32 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     return start_failure(Status::kInvalidState,
                          "live-transfer capability check");
   }
-  if (runtime_frozen_ && !finalize_staged_) {
-    // Frozen by a completed migration (or a staged full-snapshot start):
-    // there is nothing for THIS protocol to finalize.
-    return start_failure(Status::kMigrationFrozen, "freeze check");
+  // A pure stop-and-copy (no prior rounds) or a pre-freeze re-route opens
+  // a fresh attempt: everything ships inside the finalize.
+  const MigrationStartResult opened =
+      open_attempt(destination_address, /*precopy=*/true);
+  if (!opened.ok()) return opened;
+  const bool rerouted_after_freeze =
+      attempt_.collected && attempt_.destination != destination_address;
+  claim_nonce(destination_address);
+  if (rerouted_after_freeze) {
+    // The new destination has no staged rounds, so the finalize carries
+    // the full staged set under the fresh nonce.
+    attempt_.final_chunks = all_staged_chunks();
+  } else if (!attempt_.collected) {
+    const MigrationStartResult frozen = freeze_and_collect(
+        [this] {
+          auto delta = collect_dirty_chunks(/*include_all_populated=*/
+                                            attempt_.rounds == 0);
+          if (!delta.ok()) return delta.status();
+          attempt_.final_chunks = std::move(delta).value();
+          stage_chunks(attempt_.final_chunks);
+          return Status::kOk;
+        },
+        "collecting final delta");
+    if (!frozen.ok()) return frozen;
   }
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) {
-    return start_failure(channel_status, "local ME attestation");
-  }
-
-  if (!finalize_staged_) {
-    if (precopy_destination_ != destination_address) {
-      // Pure stop-and-copy (no prior rounds) or a pre-freeze re-route:
-      // everything ships inside the finalize.
-      reset_precopy(destination_address);
-    }
-    // Fence batched mutations, then freeze: the stored buffer must
-    // reflect every completed operation before operations stop.
-    const Status fence = engine_->flush(*this);
-    if (fence != Status::kOk) {
-      return start_failure(fence, "pre-freeze persistence fence");
-    }
-    if (obs::Observability* obs = observability();
-        obs != nullptr && obs->enabled()) {
-      obs->metrics.add("persist.flush_fences");
-    }
-    freeze_started_ = now();
-    runtime_frozen_ = true;
-    trace_freeze_begin();
-    auto delta = collect_dirty_chunks(/*include_all_populated=*/
-                                      precopy_rounds_ == 0);
-    if (!delta.ok()) {
-      // Nothing destructive yet: unfreeze and let the caller retry.
-      runtime_frozen_ = false;
-      if (obs::TraceRecorder* rec = recorder();
-          rec != nullptr && freeze_span_ != 0) {
-        rec->span_arg(freeze_span_, "outcome", "collect-failed");
-        rec->end_span(freeze_span_);
-      }
-      freeze_span_ = 0;
-      return start_failure(delta.status(), "collecting final delta");
-    }
-    final_chunks_ = std::move(delta).value();
-    for (const CounterChunk& chunk : final_chunks_) {
-      shipped_generation_[chunk.index] = chunk.generation;
-      staged_chunks_[chunk.index] = chunk;
-    }
-    finalize_staged_ = true;
-  } else if (precopy_destination_ != destination_address) {
-    // Re-route after the freeze: the new destination has no staged
-    // rounds, so the finalize carries the full staged set under a fresh
-    // nonce (a transfer that landed at the old destination must never be
-    // mistaken for success toward the new one).  The old destination's
-    // staging/pending entry is an orphan — abort it proactively.
-    notify_abort_stale(precopy_nonce_, precopy_destination_);
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    precopy_nonce_ = load_be64(nonce_bytes.data());
-    if (precopy_nonce_ == 0) precopy_nonce_ = 1;
-    precopy_destination_ = destination_address;
-    final_chunks_.clear();
-    for (const auto& [index, chunk] : staged_chunks_) {
-      final_chunks_.push_back(chunk);
-    }
-  }
-
-  trace_attempt_root(precopy_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, precopy_nonce_);
-  }
+  trace_attempt_root(attempt_.nonce);
 
   if (!epoch_invalidated_ && !chaos_epoch_guard_disabled_) {
     // Constant-time invalidation of the sealed-buffer lineage: ONE epoch
@@ -1393,38 +1279,23 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     state_.epoch_value = bumped.value();
     epoch_invalidated_ = true;
   }
-  if (!freeze_persisted_) {
-    // Persist the freeze flag (with the advanced epoch) so a restarted
-    // instance refuses to operate; durable regardless of engine.
-    state_.frozen = 1;
-    const Status persist_status =
-        persist_mutation_durable(MutationKind::kFreeze);
-    if (persist_status != Status::kOk) {
-      return start_failure(persist_status, "persisting freeze flag");
-    }
-    freeze_persisted_ = true;
-  }
+  const MigrationStartResult persisted = persist_freeze_flag();
+  if (!persisted.ok()) return persisted;
 
   uint64_t finalize_span = 0;
   if (obs::TraceRecorder* rec = recorder()) {
     finalize_span =
-        rec->begin_span("finalize", lane(), precopy_nonce_, root_span_);
+        rec->begin_span("finalize", lane(), attempt_.nonce, root_span_);
     rec->span_arg(finalize_span, "rounds",
-                  static_cast<uint64_t>(precopy_rounds_));
+                  static_cast<uint64_t>(attempt_.rounds));
   }
-  const auto end_finalize = [&](const char* outcome) {
-    obs::TraceRecorder* rec = recorder();
-    if (rec == nullptr || finalize_span == 0) return;
-    rec->span_arg(finalize_span, "outcome", outcome);
-    rec->end_span(finalize_span);
-  };
 
   PrecopyFinalizePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = precopy_nonce_;
-  payload.round = precopy_rounds_;
-  payload.policy = policy;
-  payload.chunks = final_chunks_;
+  payload.request_nonce = attempt_.nonce;
+  payload.round = attempt_.rounds;
+  payload.policy = std::move(policy);
+  payload.chunks = attempt_.final_chunks;
   payload.manifest = staged_manifest();
   payload.msk = state_.msk;
   LibMsg request;
@@ -1437,77 +1308,37 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     // The destination's staged rounds do not cover the manifest (it lost
     // its queue, or a superseded attempt left partial staging): re-ship
     // the complete staged set once.
-    payload.chunks.clear();
-    for (const auto& [index, chunk] : staged_chunks_) {
-      payload.chunks.push_back(chunk);
-    }
+    payload.chunks = all_staged_chunks();
     request.payload = payload.serialize();
     reply = me_exchange_reattest(request);
   }
+  attempt_.payload_bytes = request.payload.size();
 
   if (!reply.ok()) {
-    // Ambiguous transport failure: the ME (or its reply path) died
-    // mid-exchange.  Ask for the fate of exactly this attempt — a
-    // retained or completed transfer means the source side is done.
-    auto attempt = query_status_internal(precopy_nonce_);
-    if (!attempt.ok() || (attempt.value() != OutgoingState::kPending &&
-                          attempt.value() != OutgoingState::kCompleted)) {
-      end_finalize("exchange-failed");
+    if (!attempt_landed()) {
+      close_span(finalize_span, "exchange-failed");
       return start_failure(reply.status(), "ME finalize exchange");
     }
-    end_finalize("resumed");
+    close_span(finalize_span, "resumed");
   } else if (reply.value().type == LibMsgType::kMigrateQueued) {
     // Async source ME: the sealed finalize record ships through the
     // deferred pump — the enqueue-then-poll contract of the pipelined
     // full-snapshot path.  The enclave stays frozen; the freeze ends only
-    // when the poll observes the destination's accept (finish_outgoing
-    // then also runs the pre-copy teardown).
-    staged_nonce_ = precopy_nonce_;
-    staged_destination_ = destination_address;
-    staged_policy_ = policy;
-    enqueue_pending_ = true;
-    async_finalize_pending_ = true;
-    enqueued_bytes_ = precopy_bytes_ + request.payload.size();
-    end_finalize("queued");
-    MigrationStartResult in_flight;
-    in_flight.status = Status::kMigrationInProgress;
-    in_flight.failure_class = MigrationFailureClass::kNone;
-    in_flight.message = "finalize queued at source ME";
-    return in_flight;
+    // when the poll observes the destination's accept, in the same
+    // success tail.
+    attempt_.queued = true;
+    close_span(finalize_span, "queued");
+    return in_progress("finalize queued at source ME");
   } else if (reply.value().type != LibMsgType::kFinalizeAccepted) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    end_finalize("rejected");
-    return start_failure(rejected,
-                         "destination rejected by source ME protocol");
+    close_span(finalize_span, "rejected");
+    return rejected(reply.value(),
+                    "destination rejected by source ME protocol");
   } else {
-    end_finalize("ok");
+    close_span(finalize_span, "ok");
   }
-
   // The destination ME holds the authoritative snapshot: the freeze
   // window ends here.
-  const uint64_t accepted_nonce = precopy_nonce_;
-  last_freeze_window_ = now() - freeze_started_;
-  trace_freeze_end();
-  last_transfer_bytes_ = precopy_bytes_ + request.payload.size();
-  last_precopy_rounds_ = precopy_rounds_;
-
-  // Deferred teardown, OUTSIDE the freeze window: the epoch increment
-  // already made every sealed buffer unusable, so these hardware counters
-  // are unreachable garbage — retire them all in one logical op (a
-  // failure leaks quota on a machine this enclave just left, never
-  // state).  Physical slot reclaim is the platform's background sweep.
-  if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
-    (void)host_.counter_retire_all();
-    counters_destroyed_ = true;
-  }
-  precopy_destination_.clear();
-  precopy_nonce_ = 0;
-  staged_chunks_.clear();
-  final_chunks_.clear();
-  finalize_staged_ = false;
-  trace_attempt_done(accepted_nonce, last_transfer_bytes_);
+  finish_outgoing();
   return MigrationStartResult{};
 }
 
@@ -1536,8 +1367,8 @@ Result<OutgoingState> MigrationLibrary::query_migration_status() {
 }
 
 Result<OutgoingState> MigrationLibrary::query_staged_attempt_status() {
-  if (staged_nonce_ == 0) return OutgoingState::kNone;
-  return query_status_internal(staged_nonce_);
+  if (attempt_.nonce == 0) return OutgoingState::kNone;
+  return query_status_internal(attempt_.nonce);
 }
 
 }  // namespace sgxmig::migration

@@ -212,7 +212,7 @@ class MigrationLibrary : private PersistSink {
   MigrationStartResult migration_poll_transfer();
 
   /// True while an enqueued attempt is awaiting its poll verdict.
-  bool transfer_enqueued() const { return enqueue_pending_; }
+  bool transfer_enqueued() const { return attempt_.queued; }
 
   // ----- live pre-copy migration (iterative, VM-live-migration style) ---
   //
@@ -253,7 +253,7 @@ class MigrationLibrary : private PersistSink {
   Result<OutgoingState> query_migration_status();
 
   /// Asks the local ME for the fate of the CURRENT migration attempt
-  /// (identified by the request nonce staged by migration_start).  This is
+  /// (identified by its request nonce, in either transfer mode).  This is
   /// how a caller — or migration_start itself — distinguishes "the ME
   /// never saw my request" from "the ME accepted it but the reply (or the
   /// ME process) died": the latter returns kPending/kCompleted from the
@@ -327,7 +327,7 @@ class MigrationLibrary : private PersistSink {
   /// This enclave's machine address (the lane spans are attributed to).
   const std::string& lane() const;
   /// Ensures the attempt's root span ("migration", one per trace id) is
-  /// open, binding `nonce` as the trace id.
+  /// open, binding `nonce` as the trace id of it and of an open freeze.
   void trace_attempt_root(uint64_t nonce);
   /// Opens the freeze span at freeze_started_ (trace id bound later if
   /// the nonce does not exist yet).
@@ -335,6 +335,8 @@ class MigrationLibrary : private PersistSink {
   /// Closes the freeze span where last_freeze_window_ is computed, so the
   /// trace-derived window equals the reported one BY CONSTRUCTION.
   void trace_freeze_end();
+  /// Ends `span` (if tracing and open) with an "outcome" argument.
+  void close_span(uint64_t span, const char* outcome);
   /// Closes the attempt's spans and root on the accepted verdict.
   void trace_attempt_done(uint64_t nonce, uint64_t payload_bytes);
 
@@ -345,21 +347,45 @@ class MigrationLibrary : private PersistSink {
   Status persist_mutation_durable(MutationKind kind);
 
   Status ensure_me_channel();
-  /// The destructive front half of migration_start: freeze, collect,
-  /// draw/reuse the attempt nonce, destroy counters, persist the freeze
-  /// flag.  Idempotent across retries; on success the staged snapshot and
-  /// nonce are ready to ship toward `destination_address`.
+
+  // ----- the outgoing attempt (§V-D), shared by both transfer modes -----
+  /// True when the attempt froze and collected a payload of this mode.
+  bool holds_frozen(bool precopy) const {
+    return attempt_.collected && attempt_.precopy == precopy;
+  }
+  /// Entry prologue of every attempt: init and freeze checks, the LA
+  /// channel, and the switch to (mode, destination).  An attempt that has
+  /// collected nothing yet is discarded — its nonce aborted — when it
+  /// changes mode or destination: the new one shares none of its state.
+  MigrationStartResult open_attempt(const std::string& destination_address,
+                                    bool precopy);
+  /// The attempt's nonce toward `destination_address`: kept while the
+  /// destination stays, otherwise drawn fresh, with a proactive abort of
+  /// the nonce it supersedes.
+  void claim_nonce(const std::string& destination_address);
+  /// Fence, freeze (metrics and the freeze span), then `collect` the
+  /// payload; a failed collect undoes the freeze.
+  MigrationStartResult freeze_and_collect(
+      const std::function<Status()>& collect, const char* step);
+  /// Persists the freeze flag once, durably, regardless of engine.
+  MigrationStartResult persist_freeze_flag();
+  /// Lost-reply check: did the ME retain (or complete) this attempt?
+  bool attempt_landed();
+  /// The full-snapshot front half: open, freeze + collect (once), nonce,
+  /// counter destroys, freeze flag.  Idempotent across retries.
   MigrationStartResult stage_for_migration(
-      const std::string& destination_address);
+      const std::string& destination_address, MigrationPolicy policy);
+  /// The staged snapshot as a `type` request (start, enqueue or arm).
+  LibMsg snapshot_request(LibMsgType type);
   /// Best-effort proactive abort of a superseded attempt: tells the local
   /// ME that (nonce, old destination) was re-routed so the orphaned
   /// destination entry can be expired now instead of by the pull-based
   /// reconcile sweep.  Failures are ignored — the sweep remains the
   /// backstop.
   void notify_abort_stale(uint64_t nonce, const std::string& old_destination);
-  /// Shared success tail of the start/enqueue paths: freeze-window and
-  /// payload metrics, staged state cleared.
-  void finish_outgoing(uint64_t payload_bytes);
+  /// The only success tail: freeze-window and payload metrics, the
+  /// pre-copy counter retire, the attempt cleared.
+  void finish_outgoing();
   /// kSlotLive landing of a reserved attempt: records the live queue
   /// wait, runs the destructive stage (freeze+collect+destroy+persist)
   /// and ships the armed payload to the parked TransferTask.
@@ -387,16 +413,19 @@ class MigrationLibrary : private PersistSink {
   /// Restore-time rollback check: the hardware epoch counter must still
   /// hold the value this buffer was sealed under.
   Status check_epoch_guard() const;
-  /// Resets the per-attempt pre-copy state toward a (new) destination.
-  void reset_precopy(const std::string& destination_address);
   /// Collects every chunk with generation > shipped generation; round 0
   /// (`include_all_populated`) also collects clean chunks holding active
   /// counters (e.g. restored state whose generations start at zero).
   /// Effective values come from the hardware-value cache where warm.
   Result<std::vector<CounterChunk>> collect_dirty_chunks(
       bool include_all_populated);
+  /// Records `chunks` as held by the destination (shipped generations,
+  /// merged staged set).
+  void stage_chunks(const std::vector<CounterChunk>& chunks);
   /// Manifest of everything shipped so far (staged chunks, latest gens).
   std::vector<ChunkManifestEntry> staged_manifest() const;
+  /// The whole merged staged set, for a finalize that re-ships it all.
+  std::vector<CounterChunk> all_staged_chunks() const;
 
   sgx::Enclave& host_;
   std::unique_ptr<PersistenceEngine> engine_;
@@ -418,25 +447,46 @@ class MigrationLibrary : private PersistSink {
   bool runtime_frozen_ = false;
   uint64_t la_session_id_ = 0;
   std::optional<net::SecureChannel> me_channel_;
-  std::optional<MigrationData> staged_outgoing_;
-  // Random identifier of the in-flight migration attempt, generated when
-  // the data is staged and re-sent verbatim on retries TOWARD THE SAME
-  // DESTINATION.  The ME stores it durably with the retained transfer,
-  // which makes the migrate request exactly-once (re-sends are
-  // deduplicated) and resumable (a nonce-scoped status query reveals
-  // whether a lost reply — or a restarted ME — actually accepted the
-  // transfer).  Re-routing to a different destination draws a FRESH
-  // nonce: a transfer that landed at the old destination must never be
-  // mistaken for success toward the new one.
-  uint64_t staged_nonce_ = 0;
-  std::string staged_destination_;
-  /// Serialized payload bytes of the queued (non-blocking) attempt, and
-  /// whether one is awaiting its poll verdict.  The policy is kept so an
-  /// internal re-enqueue (ME forgot the nonce) re-ships under the SAME
-  /// constraints the caller staged.
-  uint64_t enqueued_bytes_ = 0;
-  bool enqueue_pending_ = false;
-  MigrationPolicy staged_policy_;
+
+  /// The in-flight outgoing migration, whichever transfer mode runs it.
+  struct OutgoingAttempt {
+    // Random identifier of the attempt, drawn per (attempt, destination)
+    // and re-sent verbatim on retries TOWARD THE SAME DESTINATION.  The
+    // ME stores it durably with the retained transfer, which makes the
+    // request exactly-once (re-sends are deduplicated) and resumable (a
+    // nonce-scoped status query reveals whether a lost reply — or a
+    // restarted ME — actually accepted the transfer).  Re-routing draws a
+    // FRESH nonce: a transfer that landed at the old destination must
+    // never be mistaken for success toward the new one.
+    uint64_t nonce = 0;
+    std::string destination;
+    // Kept so an internal re-enqueue or the arm re-ships under the SAME
+    // constraints the caller staged.
+    MigrationPolicy policy;
+    // Acked pre-copy round bytes, and the last frozen payload shipped
+    // (the snapshot, or the finalize record).
+    uint64_t round_bytes = 0;
+    uint64_t payload_bytes = 0;
+    // Queued at the local ME: the poll owns the verdict.
+    bool queued = false;
+    bool precopy = false;
+    // The payload was collected under the freeze (the enclave is frozen
+    // for this attempt).
+    bool collected = false;
+    // Full-snapshot payload.
+    MigrationData snapshot;
+    // Pre-copy payload: what the destination already holds, everything
+    // shipped so far merged (the re-route / incomplete-staging fallback
+    // re-ships this full set in one finalize), and the final delta
+    // collected at freeze time (counter values become unreadable once the
+    // deferred retire runs, so finalize retries resend this cache instead
+    // of re-collecting).
+    std::array<uint64_t, kPrecopyChunkCount> shipped_generation{};
+    std::map<uint32_t, CounterChunk> staged_chunks;
+    std::vector<CounterChunk> final_chunks;
+    uint32_t rounds = 0;
+  };
+  OutgoingAttempt attempt_;
   bool counters_destroyed_ = false;
   // Set once the freeze flag has been durably persisted during an
   // outgoing migration.  Kept separate from counters_destroyed_ so a
@@ -452,25 +502,6 @@ class MigrationLibrary : private PersistSink {
   // noise next to the seal + OCALL the same mutation already pays).
   uint64_t mutation_generation_ = 0;
   std::array<uint64_t, kPrecopyChunkCount> chunk_generation_{};
-  // Per-attempt: what the destination already holds.
-  std::string precopy_destination_;
-  uint64_t precopy_nonce_ = 0;
-  std::array<uint64_t, kPrecopyChunkCount> shipped_generation_{};
-  // Everything shipped so far, merged — the re-route / incomplete-staging
-  // fallback re-ships this full set in one finalize.
-  std::map<uint32_t, CounterChunk> staged_chunks_;
-  // Final delta collected at freeze time (counter values become
-  // unreadable once the deferred destroys run, so finalize retries resend
-  // this cache instead of re-collecting).
-  std::vector<CounterChunk> final_chunks_;
-  uint32_t precopy_rounds_ = 0;
-  uint64_t precopy_bytes_ = 0;
-  bool finalize_staged_ = false;
-  // Set when an async source ME queued the staged finalize instead of
-  // shipping it inline (reply kMigrateQueued): the enclave stays frozen
-  // and the poll machinery owns the outcome — kAccepted runs the
-  // pre-copy teardown in finish_outgoing, kNone re-drives the finalize.
-  bool async_finalize_pending_ = false;
   // One epoch increment per outgoing pre-copy migration: like the counter
   // destroys of the full-snapshot path, it must never run twice.
   bool epoch_invalidated_ = false;

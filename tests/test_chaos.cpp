@@ -171,6 +171,39 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
+  // Drains one live-transfer enclave whose epoch guard is disabled
+  // (chaos_disable_epoch_guard) off m0 in pre-copy mode; true when the
+  // oracle reports the resulting fork.  Only the post-drain buffer (its
+  // freeze flag set) may be refused: the pre-drain snapshot restores
+  // because the drill keeps its counters alive.
+  bool fork_drill_reports_fork(bool async_precopy) {
+    build_world(2);
+    if (async_precopy) {
+      for (platform::Machine* m : world_.machines()) {
+        migration::me_on(*m)->set_async_precopy(true);
+      }
+    }
+    const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
+    fleet_.enclave(id)->chaos_disable_epoch_guard();
+
+    ConvergenceOracle oracle(fleet_, "m0");
+    oracle.capture();
+    Scheduler scheduler(fleet_);
+    OrchestratorOptions options;
+    options.transfer_mode = TransferMode::kPrecopy;
+    options.pipelined = async_precopy;
+    Orchestrator orch(fleet_, scheduler, options);
+    const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+    EXPECT_EQ(report.failed(), 0u);
+
+    bool fork_reported = false;
+    for (const auto& finding : oracle.verify(report)) {
+      if (finding.check == "fork") fork_reported = true;
+    }
+    EXPECT_EQ(oracle.epoch_guard_refusals(), 1u);
+    return fork_reported;
+  }
+
   void TearDown() override {
     if (HasFailure()) {
       std::printf("ChaosTest: replay with SGXMIG_SEED=%llu\n",
@@ -267,29 +300,18 @@ TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
 }
 
 TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuard) {
-  build_world(2);
-  const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
   // The seeded violation: without the epoch guard, migrating away no
   // longer invalidates the pre-drain sealed snapshot, so replaying it
   // afterwards yields a second live instance — exactly what the oracle
   // exists to catch.
-  fleet_.enclave(id)->chaos_disable_epoch_guard();
+  EXPECT_TRUE(fork_drill_reports_fork(/*async_precopy=*/false));
+}
 
-  ConvergenceOracle oracle(fleet_, "m0");
-  oracle.capture();
-  Scheduler scheduler(fleet_);
-  OrchestratorOptions options;
-  options.transfer_mode = TransferMode::kPrecopy;
-  Orchestrator orch(fleet_, scheduler, options);
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
-  ASSERT_EQ(report.failed(), 0u);
-
-  const auto findings = oracle.verify(report);
-  bool fork_reported = false;
-  for (const auto& finding : findings) {
-    if (finding.check == "fork") fork_reported = true;
-  }
-  EXPECT_TRUE(fork_reported);
+// The same drill through the async pre-copy transport: the finalize is
+// queued at the source ME and its accept lands in a poll, whose success
+// tail must honour the drill exactly like the synchronous finalize's.
+TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuardAsync) {
+  EXPECT_TRUE(fork_drill_reports_fork(/*async_precopy=*/true));
 }
 
 TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {

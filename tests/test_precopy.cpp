@@ -66,6 +66,39 @@ class PrecopyTest : public ::testing::Test {
     return enclave;
   }
 
+  // A pre-copy round toward `round_destination`, live writes, then a
+  // full-snapshot start toward m1.  The start supersedes the pre-copy
+  // attempt and aborts its nonce like any superseded nonce, so neither ME
+  // keeps the round's state (no janitor runs here), and the snapshot
+  // restores the values written after the round.
+  void start_after_round(const std::string& round_destination) {
+    auto enclave = start_new(m0_);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+    }
+    enclave->ecall_increment_migratable_counter(0);
+    ASSERT_TRUE(enclave->ecall_migration_precopy_round(round_destination).ok());
+    ASSERT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+    ASSERT_EQ(me(round_destination)->precopy_staging_count(), 1u);
+    enclave->ecall_increment_migratable_counter(2);
+    enclave->ecall_increment_migratable_counter(2);
+
+    ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+    EXPECT_EQ(enclave->last_precopy_rounds(), 0u);
+    EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+    EXPECT_EQ(me(round_destination)->precopy_staging_count(), 0u);
+    enclave.reset();
+
+    auto moved = make_app(m1_);
+    ASSERT_EQ(
+        moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+        Status::kOk);
+    EXPECT_EQ(moved->active_counters(), 3u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 0u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 2u);
+  }
+
   World world_{/*seed=*/4243};
   platform::Machine& m0_ = world_.add_machine("m0");
   platform::Machine& m1_ = world_.add_machine("m1");
@@ -157,6 +190,16 @@ TEST_F(PrecopyTest, FinalizeWithoutRoundsIsPureStopAndCopy) {
   ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
             Status::kOk);
   EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+}
+
+// ----- the seam between the two transfer modes -----
+
+TEST_F(PrecopyTest, StartAfterRoundTowardSameDestinationAbortsTheRound) {
+  start_after_round("m1");
+}
+
+TEST_F(PrecopyTest, StartAfterRoundTowardAnotherDestinationAbortsTheRound) {
+  start_after_round("m2");
 }
 
 // ----- epoch guard: no fork through rolled-back sealed buffers -----
