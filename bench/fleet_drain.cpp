@@ -37,8 +37,8 @@ struct DrainResult {
   /// RA handshakes vs one-round-trip cached-session resumes.
   uint64_t full_handshakes = 0;
   uint64_t resumed_handshakes = 0;
-  /// Deferred counter teardown: pre-copy sources RETIRE their counters
-  /// (one cheap logical op) during the drain; the per-slot flash reclaim
+  /// Deferred counter reclaim: pre-copy sources RETIRE their counters
+  /// (one cheap logical op inside the freeze); the per-slot flash reclaim
   /// runs after the measurement window.  Honest accounting: this is real
   /// work, it just never sits on any migration's critical path.
   size_t reclaimed_slots = 0;

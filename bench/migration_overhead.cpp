@@ -13,7 +13,7 @@
 //       every persistence engine, full-snapshot vs. iterative pre-copy —
 //       the full-snapshot freeze pays one read + one destroy per active
 //       counter, while pre-copy finalize ships only the last dirty delta
-//       and epoch-invalidates in constant time;
+//       and retires every counter in one constant-time PSE op;
 //   (c) a plain 2 GiB VM live migration for scale.
 //
 // Emits BENCH_migration_overhead.json (paper series + freeze matrix) and
@@ -409,8 +409,8 @@ void run_freeze_matrix(bench::JsonBench& json) {
   std::printf(
       "\nexpected shape: the full-snapshot freeze window grows with the\n"
       "active-counter count (one read + one 280ms destroy each), while\n"
-      "pre-copy freezes only for the final dirty delta plus one epoch\n"
-      "increment — flat in state size, mildly rising with dirty rate.\n");
+      "pre-copy freezes only for the final dirty delta plus one counter\n"
+      "retire — flat in state size, mildly rising with dirty rate.\n");
   if (worst_ratio < kRequiredFreezeShrink) {
     std::printf(
         "REGRESSION: pre-copy freeze window only %.2fx smaller than the\n"

@@ -32,14 +32,14 @@ struct LibraryState {
 
   // ----- epoch guard (live-transfer capability, paper-plus) -----
   //
-  // One extra hardware counter whose CURRENT value is recorded in every
-  // sealed buffer.  Restore refuses a buffer whose recorded value lags the
-  // hardware (kMigrationFrozen): ONE increment at migration_finalize
-  // invalidates every previously sealed Table II in constant time, which
-  // is what lets the per-counter hardware destroys run AFTER the
-  // destination is released instead of inside the freeze window.  Created
-  // at init only when the library is constructed live-transfer capable;
-  // legacy enclaves (epoch_active == 0) keep the paper's exact semantics.
+  // One extra hardware counter, the fork sentinel, whose current value is
+  // recorded in every sealed buffer.  Restore refuses a buffer whose guard
+  // is gone or holds another value (kMigrationFrozen): migration_finalize
+  // retires the guard with the instance's counters in ONE PSE op, which
+  // invalidates every previously sealed Table II in constant time instead
+  // of a destroy per counter inside the freeze window.  Created at init
+  // only when the library is constructed live-transfer capable; legacy
+  // enclaves (epoch_active == 0) keep the paper's exact semantics.
   uint8_t epoch_active = 0;
   sgx::CounterUuid epoch_uuid{};
   uint32_t epoch_value = 0;  // hardware value this buffer was sealed under

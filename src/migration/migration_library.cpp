@@ -198,9 +198,9 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       // library refuses to operate (prevents the §III-B fork).
       if (state.value().frozen != 0) return Status::kMigrationFrozen;
       state_ = std::move(state).value();
-      // Epoch guard check: a buffer sealed under an older epoch is a
-      // rollback across a migration (the guard advanced at finalize) —
-      // refuse exactly like a frozen buffer.
+      // Epoch guard check: a buffer whose guard is gone is a rollback
+      // across a migration (the guard died with the counters before the
+      // data left) — refuse exactly like a frozen buffer.
       const Status epoch = check_epoch_guard();
       if (epoch != Status::kOk) {
         state_ = LibraryState{};
@@ -331,8 +331,8 @@ Status MigrationLibrary::create_epoch_guard() {
 Status MigrationLibrary::check_epoch_guard() const {
   if (state_.epoch_active == 0) return Status::kOk;  // legacy lineage
   auto value = host_.counter_read(state_.epoch_uuid);
-  // A destroyed guard means the enclave completed a full-snapshot
-  // migration away from this machine: same refusal as a stale epoch.
+  // A destroyed or retired guard means the enclave migrated away from
+  // this machine (either transfer mode): same refusal as a stale epoch.
   if (value.status() == Status::kCounterNotFound) {
     return Status::kMigrationFrozen;
   }
@@ -619,6 +619,15 @@ Status MigrationLibrary::destroy_active_counters() {
   return Status::kOk;
 }
 
+Status MigrationLibrary::retire_active_counters() {
+  std::vector<sgx::CounterUuid> uuids;
+  for (size_t i = 0; i < kMaxCounters; ++i) {
+    if (state_.counters_active[i]) uuids.push_back(state_.counter_uuids[i]);
+  }
+  uuids.push_back(state_.epoch_uuid);
+  return host_.counter_retire(uuids).status();
+}
+
 const char* migration_failure_class_name(MigrationFailureClass cls) {
   switch (cls) {
     case MigrationFailureClass::kNone: return "none";
@@ -777,11 +786,10 @@ MigrationStartResult MigrationLibrary::freeze_and_collect(
 
 MigrationStartResult MigrationLibrary::persist_freeze_flag() {
   if (freeze_persisted_) return MigrationStartResult{};
-  // Persist the freeze flag (with the advanced epoch, after a pre-copy
-  // freeze) so a restarted instance refuses to operate (§VI-B, Table II).
-  // Durable regardless of engine, and guarded separately from the
-  // destroys and the epoch increment: if this persist fails, a retry must
-  // redo it without repeating them.
+  // Persist the freeze flag so a restarted instance refuses to operate
+  // (§VI-B, Table II).  Durable regardless of engine, and guarded
+  // separately from the counter teardown: if this persist fails, a retry
+  // must redo it without repeating the teardown.
   state_.frozen = 1;
   const Status persist_status = persist_mutation_durable(MutationKind::kFreeze);
   if (persist_status != Status::kOk) {
@@ -812,16 +820,6 @@ void MigrationLibrary::finish_outgoing() {
   trace_freeze_end();
   last_transfer_bytes_ = payload_bytes;
   last_precopy_rounds_ = attempt_.rounds;
-  // A pre-copy finalize deferred the counter teardown to here, OUTSIDE
-  // the freeze window: the epoch increment already made every sealed
-  // buffer unusable, so these hardware counters are unreachable garbage —
-  // retire them all in one logical op (a failure leaks quota on a machine
-  // this enclave just left, never state).  Physical slot reclaim is the
-  // platform's background sweep.  The chaos drill keeps them alive.
-  if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
-    (void)host_.counter_retire_all();
-    counters_destroyed_ = true;
-  }
   attempt_ = OutgoingAttempt{};
   trace_attempt_done(nonce, payload_bytes);
 }
@@ -1266,18 +1264,20 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
   }
   trace_attempt_root(attempt_.nonce);
 
-  if (!epoch_invalidated_ && !chaos_epoch_guard_disabled_) {
-    // Constant-time invalidation of the sealed-buffer lineage: ONE epoch
-    // increment plays the role the per-counter destroys play in the
-    // full-snapshot path (§VI-B), so the actual destroys can wait until
-    // after the destination is released.  Once this guard flips, no retry
-    // may increment again (the value recorded below must stay exact).
-    auto bumped = host_.counter_increment(state_.epoch_uuid);
-    if (!bumped.ok()) {
-      return start_failure(bumped.status(), "epoch invalidation");
+  if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
+    // The source's counters die before the data leaves (§VI-B), as on
+    // the full-snapshot path, but in ONE logical PSE op over this
+    // instance's counters and its epoch guard instead of a destroy per
+    // counter.  A stale sealed buffer then reads the retired guard as
+    // kCounterNotFound and refuses to operate.  The final delta was
+    // collected above, so retries and re-routes resend that cache and
+    // never read hardware again.  Physical slot reclaim is the platform's
+    // background sweep, off the freeze window.
+    const Status retired = retire_active_counters();
+    if (retired != Status::kOk) {
+      return start_failure(retired, "retiring source counters");
     }
-    state_.epoch_value = bumped.value();
-    epoch_invalidated_ = true;
+    counters_destroyed_ = true;
   }
   const MigrationStartResult persisted = persist_freeze_flag();
   if (!persisted.ok()) return persisted;

@@ -223,11 +223,12 @@ class MigrationLibrary : private PersistSink {
   //   while (!report.converged(options)) report = migration_precopy_round(d);
   //   migration_finalize(d);
   //
-  // Requires the live-transfer capability (epoch guard): finalize
-  // invalidates every previously sealed buffer with ONE epoch-counter
-  // increment and defers the per-counter hardware destroys to after the
-  // destination has been released, so the freeze window no longer grows
-  // with the number of active counters.
+  // Requires the live-transfer capability (epoch guard): finalize kills
+  // the instance's counters and the epoch guard with ONE logical PSE
+  // retire (one firmware journal entry) instead of a destroy per counter,
+  // so the freeze window no longer grows with the number of active
+  // counters.  The flash slots are reclaimed by the platform's background
+  // sweep.
 
   /// Ships every Table II chunk dirtied since the last shipped round
   /// (round 0 ships all populated chunks) to `destination_address` via the
@@ -236,14 +237,13 @@ class MigrationLibrary : private PersistSink {
   Result<PrecopyRoundReport> migration_precopy_round(
       const std::string& destination_address, MigrationPolicy policy = {});
 
-  /// Freezes the library, fences persistence, epoch-invalidates the
-  /// sealed-buffer lineage, persists the freeze flag, and ships just the
-  /// chunks dirtied since the last round plus the MSK.  The destination ME
-  /// assembles the authoritative snapshot from its staged rounds + this
-  /// delta (verified against a chunk manifest).  Hardware counters are
-  /// destroyed AFTER the destination accepted — they are unreachable once
-  /// the epoch advanced, so the teardown no longer sits in the freeze
-  /// window.  Works with zero prior rounds (pure stop-and-copy).
+  /// Freezes the library, fences persistence, collects the chunks dirtied
+  /// since the last round, retires this instance's hardware counters and
+  /// epoch guard in one PSE op (every previously sealed buffer is refused
+  /// from then on), persists the freeze flag, and ships the delta plus
+  /// the MSK.  The destination ME assembles the authoritative snapshot
+  /// from its staged rounds + this delta (verified against a chunk
+  /// manifest).  Works with zero prior rounds (pure stop-and-copy).
   MigrationStartResult migration_finalize_detailed(
       const std::string& destination_address, MigrationPolicy policy = {});
   Status migration_finalize(const std::string& destination_address,
@@ -280,11 +280,11 @@ class MigrationLibrary : private PersistSink {
 
   // ----- chaos drill plumbing (oracle self-tests only) -----
   /// FAULT-INJECTION DRILL: disables the anti-fork machinery of the
-  /// pre-copy finalize path — the epoch is NOT invalidated and the
-  /// hardware counters are NOT retired, so a stale pre-freeze sealed
-  /// buffer restores into a usable second live instance (a fork).  Exists
-  /// so the chaos fork oracle can be proven to catch the violation it
-  /// guards against; never call outside such a drill.
+  /// pre-copy finalize path — the hardware counters and the epoch guard
+  /// are NOT retired, so a stale pre-freeze sealed buffer restores into a
+  /// usable second live instance (a fork).  Exists so the chaos fork
+  /// oracle can be proven to catch the violation it guards against; never
+  /// call outside such a drill.
   void chaos_disable_epoch_guard() { chaos_epoch_guard_disabled_ = true; }
 
   // ----- state inspection -----
@@ -384,7 +384,7 @@ class MigrationLibrary : private PersistSink {
   /// backstop.
   void notify_abort_stale(uint64_t nonce, const std::string& old_destination);
   /// The only success tail: freeze-window and payload metrics, the
-  /// pre-copy counter retire, the attempt cleared.
+  /// attempt cleared.
   void finish_outgoing();
   /// kSlotLive landing of a reserved attempt: records the live queue
   /// wait, runs the destructive stage (freeze+collect+destroy+persist)
@@ -402,6 +402,9 @@ class MigrationLibrary : private PersistSink {
   Status apply_incoming(const MigrationData& data);
   Result<MigrationData> collect_values();
   Status destroy_active_counters();
+  /// The pre-copy teardown: one PSE retire over the active counters and
+  /// the epoch guard.
+  Status retire_active_counters();
   Status check_operational() const;
 
   // ----- pre-copy internals -----
@@ -479,7 +482,7 @@ class MigrationLibrary : private PersistSink {
     // shipped so far merged (the re-route / incomplete-staging fallback
     // re-ships this full set in one finalize), and the final delta
     // collected at freeze time (counter values become unreadable once the
-    // deferred retire runs, so finalize retries resend this cache instead
+    // in-freeze retire runs, so finalize retries resend this cache instead
     // of re-collecting).
     std::array<uint64_t, kPrecopyChunkCount> shipped_generation{};
     std::map<uint32_t, CounterChunk> staged_chunks;
@@ -487,6 +490,8 @@ class MigrationLibrary : private PersistSink {
     uint32_t rounds = 0;
   };
   OutgoingAttempt attempt_;
+  // The source's hardware counters are dead: destroyed one by one (full
+  // snapshot) or retired in one op (pre-copy).  Never torn down twice.
   bool counters_destroyed_ = false;
   // Set once the freeze flag has been durably persisted during an
   // outgoing migration.  Kept separate from counters_destroyed_ so a
@@ -502,12 +507,8 @@ class MigrationLibrary : private PersistSink {
   // noise next to the seal + OCALL the same mutation already pays).
   uint64_t mutation_generation_ = 0;
   std::array<uint64_t, kPrecopyChunkCount> chunk_generation_{};
-  // One epoch increment per outgoing pre-copy migration: like the counter
-  // destroys of the full-snapshot path, it must never run twice.
-  bool epoch_invalidated_ = false;
-  // chaos_disable_epoch_guard() drill: skip the epoch invalidation AND
-  // the deferred counter retire so the fork oracle has a real fork to
-  // catch.
+  // chaos_disable_epoch_guard() drill: skip the pre-copy counter retire
+  // so the fork oracle has a real fork to catch.
   bool chaos_epoch_guard_disabled_ = false;
 
   // ----- per-migration metrics (freeze-window accounting) -----

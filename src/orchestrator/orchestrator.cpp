@@ -376,6 +376,15 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
   }
   if (round_hook_) round_hook_(task.enclave_id, round.value().round);
   if (!round.value().converged(options_.precopy)) return std::nullopt;
+  // Never freeze toward a booked destination.  Lanes are FIFO, so a
+  // finalize that reaches a destination lane still busy with other work
+  // (another enclave's restore) would absorb the rest of it inside the
+  // freeze.  Ship another round next wave instead: each one advances
+  // this source lane, so the wait always ends.  Only live enclaves wait;
+  // a frozen one resumes its finalize above.
+  if (lanes_ != nullptr && lanes_->lane_end(task.destination) > now()) {
+    return std::nullopt;
+  }
   return enclave.ecall_migration_finalize_detailed(task.destination,
                                                    record.options.policy);
 }

@@ -206,8 +206,9 @@ class Orchestrator {
       Task& task, migration::MigratableEnclave& enclave,
       const EnclaveRecord& record);
   /// One pre-copy step: the finalize when the enclave is frozen, else one
-  /// round (+ round hook) and the finalize once converged; a failed round
-  /// is a classified failure.  nullopt = another round is due.
+  /// round (+ round hook) and the finalize once converged and the
+  /// destination lane is free; a failed round is a classified failure.
+  /// nullopt = another round is due.
   std::optional<migration::MigrationStartResult> precopy_step(
       Task& task, migration::MigratableEnclave& enclave,
       const EnclaveRecord& record);

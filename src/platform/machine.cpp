@@ -14,7 +14,7 @@ const char* pse_op_name(sgx::PseOp op) {
     case sgx::PseOp::kRead: return "read";
     case sgx::PseOp::kIncrement: return "increment";
     case sgx::PseOp::kDestroy: return "destroy";
-    case sgx::PseOp::kRetireAll: return "retire";
+    case sgx::PseOp::kRetire: return "retire";
   }
   return "unknown";
 }
@@ -138,9 +138,10 @@ Result<Bytes> Machine::pse_service_handler(ByteView request) {
       resp.uuid = req.uuid;
       break;
     }
-    case sgx::PseOp::kRetireAll: {
+    case sgx::PseOp::kRetire: {
       charge(cm.counter_retire);
-      resp.value = static_cast<uint32_t>(counters_.retire_all(req.owner));
+      resp.value =
+          static_cast<uint32_t>(counters_.retire(req.owner, req.retire_uuids));
       resp.status = Status::kOk;
       break;
     }

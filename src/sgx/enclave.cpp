@@ -103,10 +103,12 @@ Status Enclave::counter_destroy(const CounterUuid& uuid) {
   return resp.value().status;
 }
 
-Result<uint32_t> Enclave::counter_retire_all() {
+Result<uint32_t> Enclave::counter_retire(
+    const std::vector<CounterUuid>& uuids) {
   PseRequest req;
-  req.op = PseOp::kRetireAll;
+  req.op = PseOp::kRetire;
   req.owner = identity_.mr_enclave;
+  req.retire_uuids = uuids;
   auto resp = pse_roundtrip(req);
   if (!resp.ok()) return resp.status();
   if (resp.value().status != Status::kOk) return resp.value().status;

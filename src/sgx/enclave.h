@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "crypto/drbg.h"
 #include "sgx/measurement.h"
@@ -85,11 +86,11 @@ class Enclave {
   Result<uint32_t> counter_read(const CounterUuid& uuid);
   Result<uint32_t> counter_increment(const CounterUuid& uuid);
   Status counter_destroy(const CounterUuid& uuid);
-  /// Logically destroys EVERY counter this enclave owns in one PSE round
-  /// trip (one firmware journal entry).  Reads of retired counters fail
+  /// Logically destroys the counters `uuids` names in one PSE round trip
+  /// (one firmware journal entry).  Reads of retired counters fail
   /// immediately; the flash slots are reclaimed later by the platform's
   /// background sweep.  Returns how many counters were retired.
-  Result<uint32_t> counter_retire_all();
+  Result<uint32_t> counter_retire(const std::vector<CounterUuid>& uuids);
 
   // ----- misc trusted runtime -----
   crypto::CtrDrbg& rng() { return drbg_; }

@@ -78,13 +78,13 @@ Status MonotonicCounterService::destroy(const Measurement& owner,
   return Status::kOk;
 }
 
-size_t MonotonicCounterService::retire_all(const Measurement& owner) {
+size_t MonotonicCounterService::retire(const Measurement& owner,
+                                      const std::vector<CounterUuid>& uuids) {
   size_t n = 0;
-  for (auto& [id, entry] : counters_) {
-    if (entry.owner == owner && !entry.retired) {
-      entry.retired = true;
-      ++n;
-    }
+  for (const CounterUuid& uuid : uuids) {
+    if (find(owner, uuid) == nullptr) continue;
+    counters_.at(uuid.counter_id).retired = true;
+    ++n;
   }
   return n;
 }

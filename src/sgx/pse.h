@@ -55,12 +55,16 @@ class MonotonicCounterService {
   Result<uint32_t> increment(const Measurement& owner, const CounterUuid& uuid);
   Status destroy(const Measurement& owner, const CounterUuid& uuid);
 
-  /// Marks every counter owned by `owner` dead in one firmware journal
-  /// entry: immediately irreversible (reads, increments and destroys
-  /// report kCounterNotFound from here on), but the flash slots stay
-  /// allocated — and counted against the owner's quota — until the
-  /// background reclaim sweep frees them.  Returns how many it retired.
-  size_t retire_all(const Measurement& owner);
+  /// Marks the counters `uuids` name dead in one firmware journal entry:
+  /// immediately irreversible (reads, increments and destroys report
+  /// kCounterNotFound from here on), but the flash slots stay allocated —
+  /// and counted against the owner's quota — until the background
+  /// reclaim sweep frees them.  Each uuid is checked like any other op:
+  /// one `owner` does not own, or one already dead, is skipped, so the
+  /// caller's other counters (and other instances' of the same enclave)
+  /// stay live.  Returns how many it retired.
+  size_t retire(const Measurement& owner,
+                const std::vector<CounterUuid>& uuids);
   /// Background GC sweep: frees the flash slots of retired counters.
   /// Returns how many were reclaimed; the caller charges the per-slot
   /// flash cost (this never runs on an enclave's critical path).

@@ -11,6 +11,10 @@ Bytes PseRequest::serialize() const {
   w.fixed(session_token);
   serialize_uuid(w, uuid);
   w.bytes(nonce_entropy);
+  if (op == PseOp::kRetire) {
+    w.u32(static_cast<uint32_t>(retire_uuids.size()));
+    for (const CounterUuid& retired : retire_uuids) serialize_uuid(w, retired);
+  }
   return w.take();
 }
 
@@ -24,6 +28,15 @@ Result<PseRequest> PseRequest::deserialize(ByteView bytes) {
   req.session_token = r.fixed<16>();
   req.uuid = deserialize_uuid(r);
   req.nonce_entropy = r.bytes(64);
+  if (req.op == PseOp::kRetire) {
+    const uint32_t n = r.u32();
+    if (n > MonotonicCounterService::kMaxCountersPerEnclave) {
+      return Status::kTampered;
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      req.retire_uuids.push_back(deserialize_uuid(r));
+    }
+  }
   if (!r.done()) return Status::kTampered;
   return req;
 }

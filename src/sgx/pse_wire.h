@@ -8,6 +8,8 @@
 // it, which the tests exercise.
 #pragma once
 
+#include <vector>
+
 #include "crypto/cmac.h"
 #include "sgx/pse.h"
 #include "sgx/types.h"
@@ -21,9 +23,9 @@ enum class PseOp : uint8_t {
   kRead = 2,
   kIncrement = 3,
   kDestroy = 4,
-  /// Logical mass-destroy of every counter the caller owns (one firmware
-  /// journal entry); physical slot reclaim is the background sweep.
-  kRetireAll = 5,
+  /// Logical destroy of the listed counters (one firmware journal
+  /// entry); physical slot reclaim is the background sweep.
+  kRetire = 5,
 };
 
 struct PseRequest {
@@ -32,6 +34,9 @@ struct PseRequest {
   crypto::CmacTag session_token{};
   CounterUuid uuid{};        // ignored for kCreate
   Bytes nonce_entropy;       // only for kCreate
+  // Only for kRetire, and only on the wire for it: every other op keeps
+  // its exact bytes.
+  std::vector<CounterUuid> retire_uuids;
 
   Bytes serialize() const;
   static Result<PseRequest> deserialize(ByteView bytes);

@@ -36,8 +36,8 @@ struct CostModel {
   Duration counter_increment = milliseconds(160);
   Duration counter_read = milliseconds(60);
   Duration counter_destroy = milliseconds(280);
-  // Logical mass-destroy: ONE firmware journal entry marks every counter
-  // of an owner dead (irreversibly — reads fail immediately); the flash
+  // Logical batch destroy: ONE firmware journal entry marks a list of
+  // counters dead (irreversibly — reads fail immediately); the flash
   // slots are reclaimed by the ME firmware's background sweep at
   // counter_destroy cost each, off any enclave's critical path.
   Duration counter_retire = milliseconds(25);

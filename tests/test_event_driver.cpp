@@ -159,12 +159,19 @@ struct DrainPin {
 // full scan's visit order: any change to what a wave visits, or in what
 // order, shows up here as a diff.  The two ME-restart pins were
 // re-recorded when pipelined retries moved to the lane clock (backoff on
-// the source lane, retries behind their source's first attempts).
+// the source lane, retries behind their source's first attempts).  The
+// pre-copy pin was re-recorded when the finalize started retiring the
+// source's counters inside the freeze (25 ms) instead of incrementing the
+// epoch guard (160 ms) and retiring after the accept, and converged
+// rounds stopped finalizing toward a destination lane still busy with
+// another restore: the freezes shrink, two tasks ship one more round
+// each, and the drain takes one more wave (two more touches, two pump
+// kicks) for a shorter wall.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
      "20bf5567344df4f02a6b5a9eaad5b5bdbb1969023069fb23729204d089fc6ddb"},
-    {DrainConfig::kPrecopy, 7299447357, 4, 48, 0,
-     "21d35f72f9cb0f6dda901292c53574f49d91bcf8672450c5557295c076e95284"},
+    {DrainConfig::kPrecopy, 6169405423, 5, 50, 2,
+     "7ecafd43cdbe8e7f14a34baaa39068e33acb70d49959296f3a0f06ccf365f581"},
     {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
      "be94a8cc60cf1f8c66b7aea617862c5252d7db22d3a7cd2c2705a4f94d59282f"},
     {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,

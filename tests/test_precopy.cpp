@@ -1,6 +1,6 @@
 // Live pre-copy migration tests: iterative dirty-chunk rounds while the
-// enclave keeps serving, a finalize that freezes only for the last delta,
-// the epoch guard that replaces in-freeze counter destruction, and the
+// enclave keeps serving, a finalize that freezes only for the last delta
+// and one PSE retire of the source's counters and epoch guard, and the
 // chaos paths — dropped mid-round chunks, lost acks, ME restarts between
 // rounds, lost finalize replies — all of which must resume or supersede
 // with no forked state.  Also covers the pending-entry reconciliation
@@ -25,6 +25,7 @@ using migration::MeMsgType;
 using migration::MeRequest;
 using migration::MigratableEnclave;
 using migration::MigrationEnclave;
+using migration::MigrationStartResult;
 using migration::OutgoingState;
 using migration::PrecopyOptions;
 using platform::World;
@@ -141,8 +142,9 @@ TEST_F(PrecopyTest, RoundsShipOnlyDirtyChunksAndPreserveValues) {
   EXPECT_TRUE(enclave->migration_frozen());
   EXPECT_EQ(enclave->ecall_increment_migratable_counter(0).status(),
             Status::kMigrationFrozen);
-  // Freeze window = final delta + epoch increment + persist, way below
-  // the 20 reads + 21 destroys a full snapshot would pay while frozen.
+  // Freeze window = final delta + one counter retire + persist, way
+  // below the 20 reads + 21 destroys a full snapshot would pay while
+  // frozen.
   EXPECT_LT(to_seconds(enclave->last_freeze_window()), 1.0);
   EXPECT_EQ(enclave->last_precopy_rounds(), 2u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
@@ -220,11 +222,126 @@ TEST_F(PrecopyTest, RolledBackBufferRefusedAfterFinalize) {
             Status::kOk);
 
   // The §III-B fork attempt: restore the stale buffer on the source.
-  // The epoch guard advanced at finalize, so the rollback is refused even
+  // The finalize retired the epoch guard, so the rollback is refused even
   // though the buffer itself carries no freeze flag.
   auto forked = make_app(m0_);
   EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
             Status::kMigrationFrozen);
+}
+
+TEST_F(PrecopyTest, AsyncFinalizeRetiresTheCountersInsideTheFreeze) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  const Bytes stale = enclave->sealed_state();
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  enclave->ecall_increment_migratable_counter(1);
+
+  // The async source ME queues the finalize record: nothing has reached
+  // the destination yet, so the destination has accepted nothing.
+  const auto fin = enclave->ecall_migration_finalize_detailed("m1");
+  ASSERT_EQ(fin.status, Status::kMigrationInProgress) << fin.message;
+  ASSERT_EQ(fin.failure_class, migration::MigrationFailureClass::kNone);
+  ASSERT_TRUE(enclave->migration_frozen());
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 0u);
+  // The counters died inside the freeze, before the data left: the three
+  // application counters plus the epoch guard, in one PSE op.
+  EXPECT_EQ(m0_.counter_service().retired_count(), 4u);
+  auto forked = make_app(m0_);
+  EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
+            Status::kMigrationFrozen);
+
+  MigrationStartResult accepted;
+  for (int i = 0; i < 16; ++i) {
+    me("m0")->pump();
+    world_.network().pump_all();
+    accepted = enclave->ecall_migration_poll_transfer();
+    if (accepted.status != Status::kMigrationInProgress) break;
+  }
+  ASSERT_TRUE(accepted.ok()) << accepted.message;
+  // The accept tears nothing down a second time.
+  EXPECT_EQ(m0_.counter_service().retired_count(), 4u);
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 0u);
+}
+
+TEST_F(PrecopyTest, FinalizeReroutedAfterTheFreezeRestoresFromTheCache) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  const Bytes stale = enclave->sealed_state();
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  enclave->ecall_increment_migratable_counter(2);
+  enclave->ecall_increment_migratable_counter(2);
+
+  // m1's ME goes down after the round: the finalize freezes, retires the
+  // source's counters and fails to ship.
+  world_.network().set_endpoint_down("m1/me", true);
+  const auto failed = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(enclave->migration_frozen());
+  EXPECT_EQ(m0_.counter_service().retired_count(), 4u);
+
+  // The re-route to m2 ships the cached staged set and final delta; no
+  // hardware counter is read again.
+  const auto rerouted = enclave->ecall_migration_finalize_detailed("m2");
+  ASSERT_TRUE(rerouted.ok()) << rerouted.message;
+  EXPECT_EQ(m0_.counter_service().retired_count(), 4u);
+  enclave.reset();
+  auto moved = make_app(m2_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m2"),
+            Status::kOk);
+  EXPECT_EQ(moved->active_counters(), 3u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 0u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 2u);
+
+  auto forked = make_app(m0_);
+  EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
+            Status::kMigrationFrozen);
+}
+
+TEST_F(PrecopyTest, CoResidentInstanceKeepsItsCounters) {
+  // Two instances of the same enclave (one MRENCLAVE) on m0; A moves.
+  auto a = start_new(m0_);
+  auto b = start_new(m0_);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(a->ecall_create_migratable_counter().ok());
+  }
+  a->ecall_increment_migratable_counter(1);
+  ASSERT_TRUE(b->ecall_create_migratable_counter().ok());
+  ASSERT_EQ(b->ecall_increment_migratable_counter(0).value(), 1u);
+
+  ASSERT_TRUE(a->ecall_migration_precopy_round("m1").ok());
+  const auto fin = a->ecall_migration_finalize_detailed("m1");
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  // A's retire named A's counters only: B keeps serving.
+  EXPECT_EQ(m0_.counter_service().retired_count(), 3u);
+  const Result<uint32_t> read = b->ecall_read_migratable_counter(0);
+  ASSERT_TRUE(read.ok()) << status_name(read.status());
+  EXPECT_EQ(read.value(), 1u);
+  const Result<uint32_t> written = b->ecall_increment_migratable_counter(0);
+  ASSERT_TRUE(written.ok()) << status_name(written.status());
+  EXPECT_EQ(written.value(), 2u);
+
+  a.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 0u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 1u);
 }
 
 // ----- chaos: dropped chunks, lost acks, ME restarts -----

@@ -109,33 +109,40 @@ TEST(CounterService, RetireIsLogicalDestroyUntilReclaim) {
   const CounterUuid ua = svc.create(owner_a(), Bytes(12, 1)).value().uuid;
   const CounterUuid ub = svc.create(owner_a(), Bytes(12, 2)).value().uuid;
   const CounterUuid other = svc.create(owner_b(), Bytes(12, 3)).value().uuid;
+  const CounterUuid kept = svc.create(owner_a(), Bytes(12, 4)).value().uuid;
   svc.increment(owner_a(), ua);
 
-  // One logical op kills every counter of the owner — and ONLY theirs.
-  EXPECT_EQ(svc.retire_all(owner_a()), 2u);
+  // One logical op kills the counters it names that the caller owns —
+  // and ONLY those: another owner's uuid in the list is skipped, and the
+  // caller's unnamed counter stays live.
+  EXPECT_EQ(svc.retire(owner_a(), {ua, ub, other}), 2u);
   EXPECT_EQ(svc.read(owner_a(), ua).status(), Status::kCounterNotFound);
   EXPECT_EQ(svc.increment(owner_a(), ub).status(), Status::kCounterNotFound);
   EXPECT_EQ(svc.destroy(owner_a(), ua), Status::kCounterNotFound);
   EXPECT_TRUE(svc.read(owner_b(), other).ok());
+  EXPECT_TRUE(svc.increment(owner_a(), kept).ok());
 
   // Irreversible and idempotent; the slots still hold quota until the
   // background sweep reclaims them.
-  EXPECT_EQ(svc.retire_all(owner_a()), 0u);
+  EXPECT_EQ(svc.retire(owner_a(), {ua, ub}), 0u);
   EXPECT_EQ(svc.retired_count(), 2u);
-  EXPECT_EQ(svc.count_for(owner_a()), 2u);
+  EXPECT_EQ(svc.count_for(owner_a()), 3u);
   EXPECT_EQ(svc.reclaim_retired(), 2u);
   EXPECT_EQ(svc.retired_count(), 0u);
-  EXPECT_EQ(svc.count_for(owner_a()), 0u);
+  EXPECT_EQ(svc.count_for(owner_a()), 1u);
   EXPECT_TRUE(svc.read(owner_b(), other).ok());
+  EXPECT_EQ(svc.read(owner_a(), kept).value(), 1u);
 }
 
 TEST(CounterService, RetiredSlotsHoldQuotaUntilReclaimed) {
   MonotonicCounterService svc;
+  std::vector<CounterUuid> uuids;
   for (int i = 0; i < 256; ++i) {
-    ASSERT_TRUE(svc.create(owner_a(), Bytes(12, static_cast<uint8_t>(i))).ok())
-        << i;
+    auto created = svc.create(owner_a(), Bytes(12, static_cast<uint8_t>(i)));
+    ASSERT_TRUE(created.ok()) << i;
+    uuids.push_back(created.value().uuid);
   }
-  EXPECT_EQ(svc.retire_all(owner_a()), 256u);
+  EXPECT_EQ(svc.retire(owner_a(), uuids), 256u);
   EXPECT_EQ(svc.count_for(owner_a()), 256u);
   EXPECT_EQ(svc.create(owner_a(), Bytes(12, 1)).status(),
             Status::kCounterQuotaExceeded);
@@ -181,9 +188,21 @@ TEST(CounterService, CountForMatchesAModelUnderRandomOps) {
       ASSERT_EQ(svc.destroy(m.owner, m.live[pick]), Status::kOk) << step;
       m.live.erase(m.live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else if (op < 998) {
-      ASSERT_EQ(svc.retire_all(m.owner), m.live.size()) << step;
-      m.retired += m.live.size();
-      m.live.clear();
+      // Retire a prefix of the owner's live counters, plus every other
+      // owner's first live counter, which must be skipped.
+      const size_t n = rng.uniform(m.live.size() + 1);
+      std::vector<CounterUuid> named(m.live.begin(),
+                                     m.live.begin() +
+                                         static_cast<std::ptrdiff_t>(n));
+      for (const Model& each : models) {
+        if (&each != &m && !each.live.empty()) {
+          named.push_back(each.live.front());
+        }
+      }
+      ASSERT_EQ(svc.retire(m.owner, named), n) << step;
+      m.retired += n;
+      m.live.erase(m.live.begin(),
+                   m.live.begin() + static_cast<std::ptrdiff_t>(n));
     } else {
       size_t retired = 0;
       for (Model& each : models) {
@@ -204,6 +223,30 @@ TEST(CounterService, CountForMatchesAModelUnderRandomOps) {
   // The sequence must actually reach the quota boundary and sweep.
   EXPECT_GT(quota_refusals, 0u);
   EXPECT_GT(reclaims, 0u);
+}
+
+TEST(PseWire, RetireListRoundTripsAndIsBounded) {
+  sgx::PseRequest req;
+  req.op = sgx::PseOp::kRetire;
+  req.owner = owner_a();
+  for (uint32_t i = 1; i <= 3; ++i) req.retire_uuids.push_back({i, {}});
+  auto parsed = sgx::PseRequest::deserialize(req.serialize());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().retire_uuids, req.retire_uuids);
+
+  // Other ops carry no list on the wire.
+  sgx::PseRequest read = req;
+  read.op = sgx::PseOp::kRead;
+  auto parsed_read = sgx::PseRequest::deserialize(read.serialize());
+  ASSERT_TRUE(parsed_read.ok());
+  EXPECT_TRUE(parsed_read.value().retire_uuids.empty());
+
+  // One caller never owns more than the per-enclave quota: a longer list
+  // is refused before it is read.
+  req.retire_uuids.assign(MonotonicCounterService::kMaxCountersPerEnclave + 1,
+                          CounterUuid{});
+  EXPECT_EQ(sgx::PseRequest::deserialize(req.serialize()).status(),
+            Status::kTampered);
 }
 
 // ---- end-to-end through the enclave runtime + proxies ----
@@ -230,9 +273,9 @@ class CounterEnclave : public sgx::Enclave {
     auto scope = enter_ecall();
     return counter_destroy(uuid);
   }
-  Result<uint32_t> ecall_retire_all() {
+  Result<uint32_t> ecall_retire(const std::vector<CounterUuid>& uuids) {
     auto scope = enter_ecall();
-    return counter_retire_all();
+    return counter_retire(uuids);
   }
 };
 
@@ -324,13 +367,17 @@ TEST_F(PseEndToEndTest, CounterOpsChargeRealisticLatency) {
 
 TEST_F(PseEndToEndTest, RetireIsCheapAndReclaimPaysOffTheCriticalPath) {
   CounterEnclave enclave(m0_, image_);
-  CounterUuid uuids[4];
+  std::vector<CounterUuid> uuids(4);
   for (auto& uuid : uuids) uuid = enclave.ecall_create().value().uuid;
+  // A second instance of the same enclave on the machine: its counter is
+  // not named, so it survives the retire.
+  CounterEnclave co_resident(m0_, image_);
+  const CounterUuid other = co_resident.ecall_create().value().uuid;
 
   // One PSE round trip retires all four — far below even ONE foreground
   // destroy (~0.28 s), which is the whole point of deferring teardown.
   const Duration t0 = world_.clock().now();
-  auto retired = enclave.ecall_retire_all();
+  auto retired = enclave.ecall_retire(uuids);
   const Duration retire_time = world_.clock().now() - t0;
   ASSERT_TRUE(retired.ok());
   EXPECT_EQ(retired.value(), 4u);
@@ -338,6 +385,7 @@ TEST_F(PseEndToEndTest, RetireIsCheapAndReclaimPaysOffTheCriticalPath) {
   for (const auto& uuid : uuids) {
     EXPECT_EQ(enclave.ecall_read(uuid).status(), Status::kCounterNotFound);
   }
+  EXPECT_EQ(co_resident.ecall_increment(other).value(), 1u);
 
   // The firmware sweep later pays the per-slot flash cost — off any
   // enclave's ecall path, but on the machine's clock.
