@@ -113,34 +113,8 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
   result.wall = world.clock().now() - t0;
   executor.disarm();
 
-  // Post-drain settle, OUTSIDE the measured wall: a storm can strand
-  // queue work whose driver is gone when the last wave ends — pending
-  // delivery-takeover timers, unrelayed DONEs toward a just-revived ME,
-  // and orphans whose abort/reconcile message was itself lost.  Bounded
-  // pumps + the explicit janitor sweeps give every RECOVERABLE entry its
-  // chance; a genuinely wedged queue survives the loop and the
-  // durable-queue oracle reports it.
-  for (int i = 0; i < 8; ++i) {
-    bool quiet = true;
-    for (platform::Machine* m : world.machines()) {
-      auto* me = migration::me_on(*m);
-      if (me == nullptr) continue;
-      if (me->pending_incoming_count() != 0 || me->retry_done_relays() != 0 ||
-          me->outgoing_count() != 0 || me->transfer_task_count() != 0) {
-        quiet = false;
-      }
-    }
-    if (quiet) break;
-    world.clock().advance(std::chrono::seconds(1));
-    for (platform::Machine* m : world.machines()) {
-      auto* me = migration::me_on(*m);
-      if (me == nullptr) continue;
-      me->pump();
-      me->sweep_superseded_outgoing();
-      me->reconcile_all_pending();
-    }
-    world.network().pump_all();
-  }
+  // Post-drain settle, OUTSIDE the measured wall.
+  chaos::settle_queues(world);
 
   result.findings = oracle.verify(result.report);
   result.injected = executor.injected_total();

@@ -206,29 +206,8 @@ StormResult storm_1k(uint64_t seed) {
   StormResult result;
   result.report = orch.execute(Plan::drain("m0"));
   executor.disarm();
-  // Post-drain settle outside the gate (see bench_chaos_storm): give
-  // recoverable queue work its timers, then let the oracles judge.
-  for (int i = 0; i < 8; ++i) {
-    bool quiet = true;
-    for (platform::Machine* m : world.machines()) {
-      auto* me = migration::me_on(*m);
-      if (me == nullptr) continue;
-      if (me->pending_incoming_count() != 0 || me->retry_done_relays() != 0 ||
-          me->outgoing_count() != 0 || me->transfer_task_count() != 0) {
-        quiet = false;
-      }
-    }
-    if (quiet) break;
-    world.clock().advance(std::chrono::seconds(1));
-    for (platform::Machine* m : world.machines()) {
-      auto* me = migration::me_on(*m);
-      if (me == nullptr) continue;
-      me->pump();
-      me->sweep_superseded_outgoing();
-      me->reconcile_all_pending();
-    }
-    world.network().pump_all();
-  }
+  // Post-drain settle outside the gate, then let the oracles judge.
+  chaos::settle_queues(world);
   result.findings = oracle.verify(result.report);
   result.injected = executor.injected_total();
   result.forks = oracle.forks();

@@ -110,10 +110,11 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[Finding]:
 def check(root: pathlib.Path,
           paths: list[pathlib.Path] | None = None) -> list[Finding]:
     if not paths:
-        # Default scope: repo tooling plus the simlint self-test — but not
-        # the fixture trees, whose violations are seeded on purpose.
+        # Default scope: repo tooling plus its self-tests — but not the
+        # fixture trees, whose violations are seeded on purpose.
         paths = []
-        for d in (root / "scripts", root / "tests" / "simlint"):
+        for d in (root / "scripts", root / "tests" / "simlint",
+                  root / "tests" / "bench_diff"):
             if d.is_dir():
                 paths.extend(p for p in sorted(d.rglob("*.py"))
                              if "fixtures" not in p.parts)

@@ -1,5 +1,7 @@
 #include "chaos/oracles.h"
 
+#include <chrono>
+
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 
@@ -172,6 +174,33 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
     }
   }
   return findings;
+}
+
+size_t settle_queues(platform::World& world) {
+  size_t passes = 0;
+  for (; passes < 8; ++passes) {
+    // Every ME is visited: retry_done_relays re-sends the backlog it counts.
+    bool quiet = true;
+    for (platform::Machine* m : world.machines()) {
+      migration::MigrationEnclave* me = migration::me_on(*m);
+      if (me != nullptr &&
+          (me->pending_incoming_count() != 0 || me->retry_done_relays() != 0 ||
+           me->outgoing_count() != 0 || me->transfer_task_count() != 0)) {
+        quiet = false;
+      }
+    }
+    if (quiet) break;
+    world.clock().advance(std::chrono::seconds(1));
+    for (platform::Machine* m : world.machines()) {
+      migration::MigrationEnclave* me = migration::me_on(*m);
+      if (me == nullptr) continue;
+      me->pump();
+      me->sweep_superseded_outgoing();
+      me->reconcile_all_pending();
+    }
+    world.network().pump_all();
+  }
+  return passes;
 }
 
 std::vector<OracleFinding> check_fault_recovery(

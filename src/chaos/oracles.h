@@ -19,6 +19,7 @@
 // spans) rather than a silent stall.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "obs/trace.h"
 #include "orchestrator/fleet_registry.h"
 #include "orchestrator/report.h"
+#include "platform/world.h"
 
 namespace sgxmig::chaos {
 
@@ -79,6 +81,15 @@ class ConvergenceOracle {
   uint64_t epoch_guard_refusals_ = 0;
   uint64_t forks_ = 0;
 };
+
+/// Post-drain settle, run before verify(): a storm can strand queue work
+/// whose driver is gone — takeover timers, DONEs toward a just-revived
+/// ME, orphans whose abort or reconcile was lost.  Up to 8 passes while
+/// any ME holds work (pending entries, unrelayed DONEs after a re-send,
+/// retained transfers, tasks of either mode): advance the clock 1 s, pump
+/// every ME, run its janitors, drain the network.  A wedged queue
+/// survives for the durable-queue oracle.  Returns the passes run.
+size_t settle_queues(platform::World& world);
 
 /// Trace-level recovery oracle: every "chaos.fault" instant must be
 /// followed (strictly later in virtual time) by recovery evidence — a

@@ -1,5 +1,7 @@
 #include "migration/migration_enclave.h"
 
+#include <utility>
+
 #include "crypto/cmac.h"
 #include "net/network.h"
 #include "obs/observability.h"
@@ -892,7 +894,7 @@ Status MigrationEnclave::run_blocking_task(sgx::Measurement source_mr,
   task.blocking = true;
   transfer_tasks_[nonce] = std::move(task);
   if (takeover) {
-    // A queued task for this nonce (caller mixed the non-blocking and
+    // A live task for this nonce (caller mixed the non-blocking and
     // blocking APIs) is superseded: left alive, both would retain the
     // transfer once each.  Fence its durable form away before the first
     // send (a blocking task is never serialized).  Any record the queued
@@ -980,13 +982,6 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   const uint64_t nonce = request.request_nonce;
-  if (nonce == 0 || request.destination_address == platform().address()) {
-    // The queue is built on nonce-scoped exactly-once semantics (a
-    // restarted ME resumes its tasks by nonce); a nonce-less request can
-    // only run as a blocking start.
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
   // Already retained/completed (re-sent enqueue after a lost reply):
   // idempotent queue — the poll will observe kAccepted.
   const Status dedup =
@@ -997,29 +992,23 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
     reply.status = dedup;
     return reply;
   }
-  const auto existing = transfer_tasks_.find(nonce);
-  if (existing != transfer_tasks_.end()) {
-    if (!(existing->second.source_mr == mr)) {
-      reply.status = Status::kAlreadyExists;  // foreign nonce collision
-      return reply;
-    }
-    if (existing->second.request.destination_address !=
-        request.destination_address) {
-      // One nonce binds one (attempt, destination): the library draws a
-      // fresh nonce on every re-route, so a destination mismatch is a
-      // broken client.  Honoring it would also desync the durable task
-      // (which resurrects with the OLD destination after a restart).
-      reply.status = Status::kInvalidParameter;
-      return reply;
-    }
-    if (existing->second.step == TransferTask::Step::kFailed) {
+  bool created = false;
+  auto slot = find_or_create_task(mr, nonce, request.destination_address,
+                                  /*precopy=*/false, &created);
+  if (!slot.ok()) {
+    reply.status = slot.status();
+    return reply;
+  }
+  TransferTask& task = *slot.value();
+  if (!created) {
+    if (task.step == TransferTask::Step::kFailed) {
       // An unpolled stale failure superseded by a retry of the same
       // attempt: restart it.  The durable form (nonce, mr, request) is
       // unchanged — tasks persist as kQueued — so no re-fence is needed
       // before the ack.
-      existing->second.step = TransferTask::Step::kQueued;
-      existing->second.failure = Status::kOk;
-      existing->second.channel.reset();
+      task.step = TransferTask::Step::kQueued;
+      task.failure = Status::kOk;
+      task.channel.reset();
       kick_task(nonce);
     }
     // Mid-flight: idempotent re-queue.
@@ -1027,11 +1016,8 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
     reply.status = Status::kOk;
     return reply;
   }
-  TransferTask task;
-  task.source_mr = mr;
   task.request = std::move(request);
   task.armed = armed;
-  transfer_tasks_[nonce] = std::move(task);
   // Durable BEFORE the queued ack: a restarted ME must resume this
   // pipeline — the library holds no copy of the conversation, only the
   // right to poll its fate.
@@ -1045,6 +1031,37 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
   reply.type = LibMsgType::kMigrateQueued;
   reply.status = Status::kOk;
   return reply;
+}
+
+Result<MigrationEnclave::TransferTask*> MigrationEnclave::find_or_create_task(
+    const sgx::Measurement& mr, uint64_t nonce, const std::string& destination,
+    bool precopy, bool* created) {
+  // The queue is built on nonce-scoped exactly-once semantics (a restarted
+  // ME resumes its tasks by nonce); a nonce-less request can only run as a
+  // blocking start.
+  if (nonce == 0 || destination == platform().address()) {
+    return Status::kInvalidParameter;
+  }
+  const auto [it, fresh] = transfer_tasks_.try_emplace(nonce);
+  TransferTask& task = it->second;
+  if (created != nullptr) *created = fresh;
+  if (fresh) {
+    task.source_mr = mr;
+    task.request.destination_address = destination;
+    task.request.request_nonce = nonce;
+    task.precopy = precopy;
+    return &task;
+  }
+  if (!(task.source_mr == mr)) return Status::kAlreadyExists;  // foreign
+  // One nonce binds one (attempt, destination, mode): the library draws a
+  // fresh nonce on every re-route and mode switch, so a mismatch is a
+  // broken client.  Honoring it would also desync the durable task (which
+  // resurrects with the OLD destination after a restart).
+  if (task.request.destination_address != destination ||
+      task.precopy != precopy) {
+    return Status::kInvalidParameter;
+  }
+  return &task;
 }
 
 LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
@@ -1081,7 +1098,8 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
     return reply;
   }
   if (it->second.request.destination_address !=
-      request.value().destination_address) {
+          request.value().destination_address ||
+      it->second.precopy) {
     reply.status = Status::kInvalidParameter;
     return reply;
   }
@@ -1116,35 +1134,23 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
   return reply;
 }
 
-size_t MigrationEnclave::pump() {
+void MigrationEnclave::pump() {
   auto scope = enter_ecall();
-  size_t live = 0;
-  std::vector<uint64_t> queued;
+  // Queued full-snapshot tasks re-attest; idle async pre-copy tasks get
+  // their next hop (re)posted — a round record, or the staged finalize
+  // once the library committed one.  Full-snapshot kicks post first.
+  std::vector<uint64_t> attests;
+  std::vector<uint64_t> hops;
   for (const auto& [nonce, task] : transfer_tasks_) {
-    if (task.step == TransferTask::Step::kQueued) queued.push_back(nonce);
-    if (task.step != TransferTask::Step::kFailed) ++live;
-  }
-  for (const uint64_t nonce : queued) kick_task(nonce);
-  if (async_precopy_) {
-    // Idle pre-copy attempts get their next hop (re)posted — a round
-    // record, or the staged finalize once the library committed one.
-    std::vector<uint64_t> idle;
-    for (const auto& [nonce, attempt] : precopy_outgoing_) {
-      if (attempt.ship_step == PrecopyOutgoing::ShipStep::kIdle) {
-        idle.push_back(nonce);
-      }
-    }
-    for (const uint64_t nonce : idle) kick_precopy_ship(nonce);
-    // In-flight ships AND attempts still holding a staged finalize count
-    // as live work so the driver keeps pumping this ME.
-    for (const auto& [nonce, attempt] : precopy_outgoing_) {
-      if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle ||
-          attempt.staged_finalize.has_value()) {
-        ++live;
-      }
+    if (task.step != TransferTask::Step::kQueued) continue;
+    if (!task.precopy) {
+      attests.push_back(nonce);
+    } else if (async_precopy_) {
+      hops.push_back(nonce);
     }
   }
-  return live;
+  for (const uint64_t nonce : attests) kick_task(nonce);
+  for (const uint64_t nonce : hops) kick_precopy_ship(nonce);
 }
 
 Status MigrationEnclave::kick_task(uint64_t nonce) {
@@ -1243,60 +1249,55 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   TransferTask& task = it->second;
   const Status accepted = open_sealed_ack(raw, task.channel, kAcceptedMarker);
   if (accepted != Status::kOk) return fail_task(nonce, accepted);
+  // A failed persist surfaces through a terminal task that still carries
+  // the real request — a restart resurrects it as a well-formed kQueued
+  // retry, not an empty husk.
+  const Status retained = retain_task(nonce, task.request.data.serialize());
+  if (retained != Status::kOk) return fail_task(nonce, retained);
+  return Status::kOk;
+}
 
-  // Destination accepted: retain the data until DONE (paper §V-D),
-  // durably — the retained copy and the channel that will authenticate
-  // the DONE must both survive an ME restart.  The task dissolves into the
-  // retained transfer BEFORE the snapshot is cut, so a restore never
+Status MigrationEnclave::retain_task(uint64_t nonce, Bytes retained_data) {
+  // Retained durably — the copy and the channel that will authenticate
+  // the DONE must both survive an ME restart.  The task dissolves into
+  // the retained transfer BEFORE the snapshot is cut, so a restore never
   // resurrects both (a resumed task would re-ship a nonce that is already
   // retained).
-  const sgx::Measurement source_mr = task.source_mr;
-  const uint64_t transfer_id = task.transfer_id;
-  const uint64_t sequence = retain_outgoing(
-      transfer_id, source_mr, task.request.destination_address, nonce,
-      task.request.data, std::move(task.channel));
-  // Moved, not copied: kept only for the rare persist-failure unwind.
-  MigrateRequestPayload request = std::move(task.request);
+  const auto it = transfer_tasks_.find(nonce);
+  TransferTask task = std::move(it->second);
   transfer_tasks_.erase(it);
-  trace_task_step(platform(), nonce, "retained");
+  OutgoingTransfer transfer;
+  transfer.source_mr = task.source_mr;
+  transfer.destination_address = task.request.destination_address;
+  transfer.request_nonce = nonce;
+  transfer.retained_data = std::move(retained_data);
+  transfer.channel = std::exchange(task.channel, std::nullopt);
+  transfer.sequence = next_outgoing_sequence_++;
+  latest_outgoing_[task.source_mr] = {transfer.sequence,
+                                      OutgoingState::kPending};
+  outgoing_[task.transfer_id] = std::move(transfer);
+  // Pre-copy ship steps are not traced, so neither is their end.
+  if (!task.precopy) trace_task_step(platform(), nonce, "retained");
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) {
-    // The retained entry must not stand non-durable: unwind it AND the
-    // per-identity index entry it brought (a dangling kPending there is
-    // never evicted), then surface the failure through a terminal task
-    // that still carries the real request — a restart resurrects it as
-    // a well-formed kQueued retry, not an empty husk.
-    outgoing_.erase(transfer_id);
-    const auto latest = latest_outgoing_.find(source_mr);
-    if (latest != latest_outgoing_.end() &&
-        latest->second.sequence == sequence) {
-      latest_outgoing_.erase(latest);
-    }
-    TransferTask failed;
-    failed.source_mr = source_mr;
-    failed.request = std::move(request);
-    failed.step = TransferTask::Step::kFailed;
-    failed.failure = persisted;
-    transfer_tasks_[nonce] = std::move(failed);
+    // The retained entry must not stand non-durable: unwind it with the
+    // index entry it brought, and hand the task back to its mode's
+    // failure rule.
+    drop_outgoing(outgoing_.find(task.transfer_id));
+    transfer_tasks_[nonce] = std::move(task);
   }
   return persisted;
 }
 
-uint64_t MigrationEnclave::retain_outgoing(
-    uint64_t transfer_id, const sgx::Measurement& source_mr,
-    const std::string& destination_address, uint64_t nonce,
-    const MigrationData& data, std::optional<net::SecureChannel> channel) {
-  OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
-  transfer.destination_address = destination_address;
-  transfer.request_nonce = nonce;
-  transfer.retained_data = data.serialize();
-  transfer.channel = std::move(channel);
-  transfer.sequence = next_outgoing_sequence_++;
-  latest_outgoing_[source_mr] = {transfer.sequence, OutgoingState::kPending};
-  const uint64_t sequence = transfer.sequence;
-  outgoing_[transfer_id] = std::move(transfer);
-  return sequence;
+MigrationEnclave::OutgoingMap::iterator MigrationEnclave::drop_outgoing(
+    OutgoingMap::iterator it) {
+  secure_wipe(it->second.retained_data);
+  const auto latest = latest_outgoing_.find(it->second.source_mr);
+  if (latest != latest_outgoing_.end() &&
+      latest->second.sequence == it->second.sequence) {
+    latest_outgoing_.erase(latest);
+  }
+  return outgoing_.erase(it);
 }
 
 Status MigrationEnclave::fail_task(uint64_t nonce, Status status) {
@@ -1322,7 +1323,11 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
   const sgx::Measurement& mr = session.peer.mr_enclave;
   TransferProgressPayload progress;
   const auto it = transfer_tasks_.find(nonce);
-  if (it != transfer_tasks_.end() && it->second.source_mr == mr) {
+  // A pre-copy task WITHOUT a staged finalize falls through to the queue
+  // state (kNone): the ME restarted, or the finalize spent its ship
+  // budget, and the frozen library must re-send it.
+  if (it != transfer_tasks_.end() && it->second.source_mr == mr &&
+      (!it->second.precopy || it->second.staged_finalize.has_value())) {
     if (it->second.step == TransferTask::Step::kFailed) {
       progress.progress = TransferProgress::kFailed;
       progress.failure = it->second.failure;
@@ -1360,17 +1365,10 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
                               ? TransferProgress::kSlotLive
                               : TransferProgress::kInFlight;
     } else {
+      // Shipping, or an async finalize awaiting its next kick: the
+      // library keeps polling.
       progress.progress = TransferProgress::kInFlight;
     }
-  } else if (const auto pre = precopy_outgoing_.find(nonce);
-             pre != precopy_outgoing_.end() &&
-             pre->second.source_mr == mr &&
-             pre->second.staged_finalize.has_value()) {
-    // Async finalize still shipping (or awaiting its next kick): the
-    // frozen library keeps polling.  An attempt WITHOUT a staged finalize
-    // falls through to kNone — the ME restarted (or exhausted the ship
-    // budget) and the library must re-send the finalize.
-    progress.progress = TransferProgress::kInFlight;
   } else {
     progress.progress = attempt_state(mr, nonce) != OutgoingState::kNone
                             ? TransferProgress::kAccepted
@@ -1448,22 +1446,13 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
   }
   const uint64_t nonce = parsed.value().request_nonce;
   const sgx::Measurement& mr = session.peer.mr_enclave;
-  // The re-routed attempt's own source-side staging is orphaned too: an
-  // abandoned pre-copy attempt or an unpolled/unfinished TransferTask for
-  // this nonce will never finalize — drop them before telling the
+  // The re-routed attempt's own source-side task is orphaned too: an
+  // abandoned pre-copy attempt or an unpolled/unfinished transfer for
+  // this nonce will never finalize — drop it before telling the
   // destination.
-  bool dropped = false;
-  const auto precopy = precopy_outgoing_.find(nonce);
-  if (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr) {
-    precopy_outgoing_.erase(precopy);
-    dropped = true;
-  }
   const auto task = transfer_tasks_.find(nonce);
   if (task != transfer_tasks_.end() && task->second.source_mr == mr) {
     transfer_tasks_.erase(task);
-    dropped = true;
-  }
-  if (dropped) {
     // Fence BEFORE the remote abort: if the local drop cannot be made
     // durable, do not expire the destination's copy either — a restart
     // would resurrect the dropped task and re-ship the abandoned
@@ -1485,19 +1474,11 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
     // landed but the library never learned) has no one left to serve —
     // wipe it so a re-routed migration does not leak one retained
     // snapshot per abandoned destination.
+    // The aborted attempt reads as kNone (like a fresh ME); the
+    // re-routed attempt re-populates the index with its own sequence.
     for (auto it = outgoing_.begin(); it != outgoing_.end();) {
       if (it->second.source_mr == mr && it->second.request_nonce == nonce) {
-        secure_wipe(it->second.retained_data);
-        // Keep the per-identity index consistent: an aborted attempt
-        // must read as kNone (like a fresh ME), not linger as a
-        // never-evictable kPending entry.  The re-routed attempt will
-        // re-populate it with its own sequence.
-        const auto latest = latest_outgoing_.find(mr);
-        if (latest != latest_outgoing_.end() &&
-            latest->second.sequence == it->second.sequence) {
-          latest_outgoing_.erase(latest);
-        }
-        it = outgoing_.erase(it);
+        it = drop_outgoing(it);
         wiped = true;
       } else {
         ++it;
@@ -1615,30 +1596,38 @@ void merge_by_generation(std::map<uint32_t, CounterChunk>& merged,
     }
   }
 }
+
+// The snapshot a finalize manifest names: each listed chunk's slots
+// (a chunk missing from `chunks` is all inactive) plus the MSK.  Both
+// ends assemble it — the destination as the pending entry, the source as
+// the copy it retains until DONE.
+MigrationData assemble_snapshot(const std::map<uint32_t, CounterChunk>& chunks,
+                                const std::vector<ChunkManifestEntry>& manifest,
+                                const sgx::Key128& msk) {
+  MigrationData assembled;
+  assembled.msk = msk;
+  for (const ChunkManifestEntry& entry : manifest) {
+    const auto chunk = chunks.find(entry.index);
+    if (chunk == chunks.end()) continue;
+    for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
+      const size_t slot = entry.index * kPrecopyChunkSlots + s;
+      assembled.counters_active[slot] = chunk->second.active[s];
+      assembled.counter_values[slot] =
+          chunk->second.active[s] ? chunk->second.values[s] : 0;
+    }
+  }
+  return assembled;
+}
 }  // namespace
 
-Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
+Result<MigrationEnclave::TransferTask*> MigrationEnclave::precopy_attempt(
     const sgx::Measurement& source_mr, const std::string& destination,
     uint64_t nonce, const MigrationPolicy& policy) {
-  if (destination == platform().address() || nonce == 0) {
-    return Status::kInvalidParameter;
-  }
-  auto it = precopy_outgoing_.find(nonce);
-  if (it != precopy_outgoing_.end()) {
-    // The nonce identifies one (identity, destination) attempt: the
-    // library draws a fresh one on any re-route.
-    if (!(it->second.source_mr == source_mr) ||
-        it->second.destination_address != destination) {
-      return Status::kInvalidParameter;
-    }
-  } else {
-    PrecopyOutgoing attempt;
-    attempt.source_mr = source_mr;
-    attempt.destination_address = destination;
-    precopy_outgoing_[nonce] = std::move(attempt);
-    it = precopy_outgoing_.find(nonce);
-  }
-  if (!it->second.channel.has_value()) {
+  auto slot =
+      find_or_create_task(source_mr, nonce, destination, /*precopy=*/true);
+  if (!slot.ok()) return slot.status();
+  TransferTask& task = *slot.value();
+  if (!task.channel.has_value()) {
     // First contact, or the previous channel was dropped after a failed
     // send: attest afresh under a new transfer id and re-ship everything
     // merged so far (the destination converges by chunk generation no
@@ -1647,14 +1636,14 @@ Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
         /*inline_step=*/true, destination, policy, AttestHooks{},
         [&](uint64_t transfer_id, Result<net::SecureChannel> channel) {
           if (!channel.ok()) return channel.status();
-          it->second.transfer_id = transfer_id;
-          it->second.channel.emplace(std::move(channel).value());
-          it->second.resync = it->second.rounds > 0;
+          task.transfer_id = transfer_id;
+          task.channel.emplace(std::move(channel).value());
+          task.resync = task.rounds > 0;
           return Status::kOk;
         });
     if (attested != Status::kOk) return attested;
   }
-  return &it->second;
+  return &task;
 }
 
 LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
@@ -1708,7 +1697,7 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   return reply;
 }
 
-std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked_chunks()
+std::vector<CounterChunk> MigrationEnclave::TransferTask::unacked_chunks()
     const {
   std::vector<CounterChunk> chunks;
   for (const auto& [index, chunk] : merged) {
@@ -1720,26 +1709,38 @@ std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked_chunks()
   return chunks;
 }
 
+namespace {
+// How often a failed finalize is re-shipped (re-attesting each time)
+// before the attempt is handed back to the library, which re-sends it.
+constexpr uint32_t kFinalizeShipAttempts = 3;
+}  // namespace
+
+Status MigrationEnclave::TransferTask::spend_finalize_try(Status status) {
+  // Past the budget, hand back to the library: its poll observes kNone
+  // (or the sync reply carries the failure) and the still frozen enclave
+  // re-sends the finalize (dedup'd by nonce).
+  if (++finalize_attempts >= kFinalizeShipAttempts) staged_finalize.reset();
+  return status;
+}
+
 Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return Status::kOk;
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) {
-    return Status::kOk;
-  }
-  if (attempt.staged_finalize.has_value()) {
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) return Status::kOk;
+  TransferTask& task = it->second;
+  if (task.step != TransferTask::Step::kQueued) return Status::kOk;
+  if (task.staged_finalize.has_value()) {
     // The library already committed the finalize: further round hops are
     // moot — everything unacked rides inside the finalize record.
     return kick_precopy_finalize(nonce);
   }
   // No channel means the last ship failed (or the ME restarted): the next
   // library round or the finalize re-attests synchronously and resyncs.
-  if (!attempt.channel.has_value()) return Status::kOk;
+  if (!task.channel.has_value()) return Status::kOk;
   if (platform().network() == nullptr) return Status::kNetworkUnreachable;
   // One record per attempt in flight at a time (the channel's record
   // sequence demands ordering); ship everything merged beyond what the
   // destination has acked.
-  std::vector<CounterChunk> to_send = attempt.unacked_chunks();
+  std::vector<CounterChunk> to_send = task.unacked_chunks();
   if (to_send.empty()) return Status::kOk;
   std::vector<ChunkManifestEntry> shipped;
   shipped.reserve(to_send.size());
@@ -1747,20 +1748,20 @@ Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
     shipped.push_back({chunk.index, chunk.generation});
   }
   PrecopyChunkRecord record;
-  record.source_mr_enclave = attempt.source_mr;
+  record.source_mr_enclave = task.source_mr;
   record.source_me_address = platform().address();
   record.request_nonce = nonce;
-  record.round = attempt.rounds;
+  record.round = task.rounds;
   record.chunks = std::move(to_send);
   const Bytes record_bytes = record.serialize();
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyChunk;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record_bytes);
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitRoundAck;
-  const uint64_t transfer_id = attempt.transfer_id;
-  return send_step(!async_precopy_, attempt.destination_address, req,
+  req.id = task.transfer_id;
+  req.payload = task.channel->seal_record(record_bytes);
+  task.step = TransferTask::Step::kAwaitRoundAck;
+  const uint64_t transfer_id = task.transfer_id;
+  return send_step(!async_precopy_, task.request.destination_address, req,
                    [this, nonce, transfer_id,
                     shipped = std::move(shipped)](Result<Bytes> raw) {
                      return precopy_on_round_ack(nonce, transfer_id, shipped,
@@ -1771,34 +1772,27 @@ Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
 Status MigrationEnclave::precopy_on_round_ack(
     uint64_t nonce, uint64_t transfer_id,
     const std::vector<ChunkManifestEntry>& shipped, Result<Bytes> raw) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) {
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) {
     return Status::kOk;  // finalized/aborted meanwhile
   }
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitRoundAck ||
-      attempt.transfer_id != transfer_id) {
+  TransferTask& task = it->second;
+  if (task.step != TransferTask::Step::kAwaitRoundAck ||
+      task.transfer_id != transfer_id) {
     return Status::kOk;  // superseded by a re-attest — stale ack
   }
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  const Status failure =
-      open_sealed_ack(raw, attempt.channel, kPrecopyAckMarker);
+  task.step = TransferTask::Step::kQueued;
+  const Status failure = open_sealed_ack(raw, task.channel, kPrecopyAckMarker);
   if (failure != Status::kOk) {
-    // The channel may have desynced (our seal advanced the send sequence,
-    // or the peer's ack advanced its own): drop it and resync over a
-    // fresh attestation on the next round or the finalize.  Merged state
-    // stays durable.
-    attempt.channel.reset();
-    attempt.resync = true;
-    persist_queue();
-    return failure;
+    // Merged state stays durable; the next round or the finalize resyncs.
+    return precopy_ship_failed(task, failure, /*finalize=*/false);
   }
-  attempt.resync = false;
-  ++attempt.rounds;
+  task.resync = false;
+  ++task.rounds;
   for (const ChunkManifestEntry& entry : shipped) {
-    auto acked = attempt.acked.find(entry.index);
-    if (acked == attempt.acked.end() || acked->second < entry.generation) {
-      attempt.acked[entry.index] = entry.generation;
+    auto acked = task.acked.find(entry.index);
+    if (acked == task.acked.end() || acked->second < entry.generation) {
+      task.acked[entry.index] = entry.generation;
     }
   }
   // No re-seal here: rounds/acked/channel-sequence are reconstruction
@@ -1812,62 +1806,59 @@ Status MigrationEnclave::precopy_on_round_ack(
   return kick_precopy_ship(nonce);
 }
 
-namespace {
-// How often a failed finalize is re-shipped (re-attesting each time)
-// before the attempt is handed back to the library, which re-sends it.
-constexpr uint32_t kFinalizeShipAttempts = 3;
-}  // namespace
+Status MigrationEnclave::precopy_ship_failed(TransferTask& task,
+                                             Status failure, bool finalize) {
+  // The channel may have desynced (our seal advanced the send sequence,
+  // or the peer's ack advanced its own): drop it and resync over a fresh
+  // attestation on the next kick.
+  task.channel.reset();
+  task.resync = true;
+  if (finalize) task.spend_finalize_try(failure);
+  persist_queue();
+  return failure;
+}
 
 Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return Status::kOk;
-  PrecopyOutgoing& attempt = it->second;
-  if (!attempt.staged_finalize.has_value() ||
-      attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) {
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) return Status::kOk;
+  TransferTask& task = it->second;
+  if (!task.staged_finalize.has_value() ||
+      task.step != TransferTask::Step::kQueued) {
     return Status::kOk;
   }
-  // Every failed try spends one unit of the ship budget; past it, hand
-  // back to the library: its poll observes kNone (or the sync reply
-  // carries the failure) and the still frozen enclave re-sends the
-  // finalize (dedup'd by nonce).
-  const auto spend = [&attempt](Status failure) {
-    if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-      attempt.staged_finalize.reset();
-    }
-    return failure;
-  };
+  // Every failed try spends one unit of the ship budget.
   if (platform().network() == nullptr) {
-    return spend(Status::kNetworkUnreachable);
+    return task.spend_finalize_try(Status::kNetworkUnreachable);
   }
-  if (!attempt.channel.has_value()) {
+  if (!task.channel.has_value()) {
     // The previous ship failed (or a round desynced the channel): one
     // synchronous re-attest — precopy_attempt flips resync on, so the
     // re-post carries the whole merged set.
     auto fresh =
-        precopy_attempt(attempt.source_mr, attempt.destination_address, nonce,
-                        attempt.staged_finalize->policy);
-    if (!fresh.ok()) return spend(fresh.status());
+        precopy_attempt(task.source_mr, task.request.destination_address,
+                        nonce, task.staged_finalize->policy);
+    if (!fresh.ok()) return task.spend_finalize_try(fresh.status());
   }
   // Everything merged beyond the destination's acked front rides inside
   // the finalize record (on resync: the whole merged set); the manifest
   // check at the destination proves completeness either way.
   PrecopyFinalizeRecord record;
-  record.source_mr_enclave = attempt.source_mr;
+  record.source_mr_enclave = task.source_mr;
   record.source_me_address = platform().address();
   record.request_nonce = nonce;
-  record.round = attempt.staged_finalize->round;
-  record.chunks = attempt.unacked_chunks();
-  record.manifest = attempt.staged_finalize->manifest;
-  record.msk = attempt.staged_finalize->msk;
+  record.round = task.staged_finalize->round;
+  record.chunks = task.unacked_chunks();
+  record.manifest = task.staged_finalize->manifest;
+  record.msk = task.staged_finalize->msk;
   const Bytes record_bytes = record.serialize();
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyFinalize;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record_bytes);
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitFinalizeAck;
-  const uint64_t transfer_id = attempt.transfer_id;
-  return send_step(!async_precopy_, attempt.destination_address, req,
+  req.id = task.transfer_id;
+  req.payload = task.channel->seal_record(record_bytes);
+  task.step = TransferTask::Step::kAwaitFinalizeAck;
+  const uint64_t transfer_id = task.transfer_id;
+  return send_step(!async_precopy_, task.request.destination_address, req,
                    [this, nonce, transfer_id](Result<Bytes> raw) {
                      return precopy_on_finalize_ack(nonce, transfer_id,
                                                     std::move(raw));
@@ -1877,59 +1868,31 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
 Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
                                                  uint64_t transfer_id,
                                                  Result<Bytes> raw) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return Status::kOk;  // aborted
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitFinalizeAck ||
-      attempt.transfer_id != transfer_id) {
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) return Status::kOk;  // aborted
+  TransferTask& task = it->second;
+  if (task.step != TransferTask::Step::kAwaitFinalizeAck ||
+      task.transfer_id != transfer_id) {
     return Status::kOk;  // superseded by a resync re-attest — stale ack
   }
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  if (!attempt.staged_finalize.has_value()) return Status::kOk;
-  const Status failure =
-      open_sealed_ack(raw, attempt.channel, kPrecopyFinMarker);
-  if (failure != Status::kOk) {
-    // kPrecopyIncomplete included: resync re-ships the full merged set
-    // under a fresh attestation on the next kick.  Past the ship budget,
-    // hand the attempt back to the library.
-    attempt.channel.reset();
-    attempt.resync = true;
-    if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-      attempt.staged_finalize.reset();
-    }
-    persist_queue();
-    return failure;
+  task.step = TransferTask::Step::kQueued;
+  if (!task.staged_finalize.has_value()) return Status::kOk;
+  // kPrecopyIncomplete included: a failure resyncs the full merged set
+  // under a fresh attestation on the next kick.
+  Status failure = open_sealed_ack(raw, task.channel, kPrecopyFinMarker);
+  if (failure == Status::kOk) {
+    // The destination assembled the authoritative snapshot: retain the
+    // equivalent full copy until DONE, exactly like a full-snapshot
+    // transfer; the library's poll then observes kAccepted.
+    const PrecopyFinalizePayload& fin = *task.staged_finalize;
+    failure = retain_task(
+        nonce,
+        assemble_snapshot(task.merged, fin.manifest, fin.msk).serialize());
+    if (failure == Status::kOk) return Status::kOk;
   }
-  const PrecopyFinalizePayload fin = std::move(*attempt.staged_finalize);
-  const sgx::Measurement source_mr = attempt.source_mr;
-  // Invalidates `attempt`; the library's poll now observes kAccepted.
-  return finish_precopy_outgoing(source_mr, fin);
-}
-
-Status MigrationEnclave::finish_precopy_outgoing(
-    const sgx::Measurement& source_mr, const PrecopyFinalizePayload& fin) {
-  const auto it = precopy_outgoing_.find(fin.request_nonce);
-  if (it == precopy_outgoing_.end()) return Status::kInvalidState;
-  PrecopyOutgoing& live = it->second;
-  // The destination assembled the authoritative snapshot: retain the
-  // equivalent full copy until DONE, exactly like a full-snapshot
-  // transfer (§V-D), and retire the pre-copy attempt.
-  MigrationData assembled;
-  assembled.msk = fin.msk;
-  for (const ChunkManifestEntry& entry : fin.manifest) {
-    const auto chunk = live.merged.find(entry.index);
-    if (chunk == live.merged.end()) continue;  // empty chunk: all inactive
-    for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
-      const size_t slot = entry.index * kPrecopyChunkSlots + s;
-      assembled.counters_active[slot] = chunk->second.active[s];
-      assembled.counter_values[slot] =
-          chunk->second.active[s] ? chunk->second.values[s] : 0;
-    }
-  }
-  retain_outgoing(live.transfer_id, source_mr, live.destination_address,
-                  fin.request_nonce, assembled, std::move(live.channel));
-  precopy_outgoing_.erase(fin.request_nonce);
-  return persist_queue();
+  // After a failed retain the task was reinstated: find it again.
+  return precopy_ship_failed(transfer_tasks_.at(nonce), failure,
+                             /*finalize=*/true);
 }
 
 LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
@@ -1961,7 +1924,7 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
     reply.status = attempt.status();
     return reply;
   }
-  PrecopyOutgoing& live = *attempt.value();
+  TransferTask& live = *attempt.value();
   merge_by_generation(live.merged, fin.chunks);
   live.staged_finalize = fin;
   live.finalize_attempts = 0;
@@ -1981,8 +1944,8 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
   // retained-transfer persist on success.
   if (shipped == Status::kOk) shipped = kick_precopy_ship(nonce);
   const auto staged = [&] {
-    const auto it = precopy_outgoing_.find(nonce);
-    return it != precopy_outgoing_.end() &&
+    const auto it = transfer_tasks_.find(nonce);
+    return it != transfer_tasks_.end() &&
            it->second.staged_finalize.has_value();
   };
   while (!async_precopy_ && shipped != Status::kOk && staged()) {
@@ -2277,17 +2240,9 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
     }
   }
 
-  // Assemble the authoritative snapshot: manifest chunks + MSK.
-  MigrationData assembled;
-  assembled.msk = record.msk;
-  for (const ChunkManifestEntry& expected : record.manifest) {
-    const CounterChunk& chunk = entry.chunks.at(expected.index);
-    for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
-      const size_t slot = expected.index * kPrecopyChunkSlots + s;
-      assembled.counters_active[slot] = chunk.active[s];
-      assembled.counter_values[slot] = chunk.active[s] ? chunk.values[s] : 0;
-    }
-  }
+  // The authoritative snapshot: manifest chunks + MSK.
+  MigrationData assembled =
+      assemble_snapshot(entry.chunks, record.manifest, record.msk);
 
   // Same one-pending-per-identity rules as on_transfer, including the
   // reconciliation sweep for a foreign undelivered orphan.
@@ -2399,21 +2354,14 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
   // (a completed transfer under another nonce), none that this attempt
   // won.  A restarted ME re-ships retained entries, so leaving a
   // superseded one behind would re-create the orphan at its destination.
-  // Queued tasks and pre-copy attempts are newer than any retained
-  // transfer (UINT64_MAX), so only the completion history can supersede
-  // them.
+  // Tasks of both modes are newer than any retained transfer
+  // (UINT64_MAX), so only the completion history can supersede them.
   size_t expired = 0;
   for (auto it = outgoing_.begin(); it != outgoing_.end();) {
     if (superseded_by_completion(it->second.source_mr,
                                  it->second.request_nonce,
                                  it->second.sequence)) {
-      secure_wipe(it->second.retained_data);
-      const auto latest = latest_outgoing_.find(it->second.source_mr);
-      if (latest != latest_outgoing_.end() &&
-          latest->second.sequence == it->second.sequence) {
-        latest_outgoing_.erase(latest);
-      }
-      it = outgoing_.erase(it);
+      it = drop_outgoing(it);
       ++expired;
     } else {
       ++it;
@@ -2423,15 +2371,6 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
     if (superseded_by_completion(it->second.source_mr, it->first,
                                  UINT64_MAX)) {
       it = transfer_tasks_.erase(it);
-      ++expired;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = precopy_outgoing_.begin(); it != precopy_outgoing_.end();) {
-    if (superseded_by_completion(it->second.source_mr, it->first,
-                                 UINT64_MAX)) {
-      it = precopy_outgoing_.erase(it);
       ++expired;
     } else {
       ++it;
@@ -2453,22 +2392,12 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   const sgx::Measurement& mr = parsed.value().source_mr_enclave;
   const uint64_t nonce = parsed.value().request_nonce;
 
-  bool nonce_live = false;
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == mr && transfer.request_nonce == nonce) {
-      nonce_live = true;
-    }
-  }
-  const auto precopy = precopy_outgoing_.find(nonce);
-  if (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr) {
-    nonce_live = true;
-  }
-  // A queued or shipping task is live too: the index's completed transfer
-  // is older than it.
+  // Retained, or a task of either mode (the index's completed transfer
+  // is older than a task).
   const auto task = transfer_tasks_.find(nonce);
-  if (task != transfer_tasks_.end() && task->second.source_mr == mr) {
-    nonce_live = true;
-  }
+  const bool nonce_live =
+      attempt_state(mr, nonce) == OutgoingState::kPending ||
+      (task != transfer_tasks_.end() && task->second.source_mr == mr);
   // Superseded = this ME has POSITIVE evidence the identity moved on (a
   // completed transfer under another nonce) and no live or completed
   // record of the queried attempt.  Anything ambiguous — including a
@@ -2595,6 +2524,33 @@ void serialize_chunk_map(BinaryWriter& w,
   for (const auto& [index, chunk] : chunks) chunk.serialize(w);
 }
 
+// Channel state embeds the raw session key: wiped from every temporary.
+void write_channel(BinaryWriter& w, const net::SecureChannel& channel) {
+  Bytes state = channel.serialize_state();
+  w.bytes(state);
+  secure_wipe(state);
+}
+
+void write_optional_channel(BinaryWriter& w,
+                            const std::optional<net::SecureChannel>& channel) {
+  w.boolean(channel.has_value());
+  if (channel.has_value()) write_channel(w, *channel);
+}
+
+bool read_channel(BinaryReader& r, std::optional<net::SecureChannel>& out) {
+  Bytes state = r.bytes(64);
+  auto channel = net::SecureChannel::deserialize_state(state);
+  secure_wipe(state);
+  if (!channel.ok()) return false;
+  out.emplace(std::move(channel).value());
+  return true;
+}
+
+bool read_optional_channel(BinaryReader& r,
+                           std::optional<net::SecureChannel>& out) {
+  return !r.boolean() || read_channel(r, out);
+}
+
 Result<std::map<uint32_t, CounterChunk>> deserialize_chunk_map(
     BinaryReader& r) {
   const uint32_t count = r.u32();
@@ -2624,12 +2580,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(t.request_nonce);
     w.bytes(t.retained_data);
     w.u64(t.sequence);
-    w.boolean(t.channel.has_value());
-    if (t.channel.has_value()) {
-      Bytes channel_state = t.channel->serialize_state();
-      w.bytes(channel_state);
-      secure_wipe(channel_state);  // contains the raw session key
-    }
+    write_optional_channel(w, t.channel);
   }
 
   w.u32(static_cast<uint32_t>(pending_.size()));
@@ -2655,9 +2606,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(id);
     w.str(in.source_region);
     w.str(in.source_address);  // authorizes source-scoped aborts
-    Bytes channel_state = in.channel->serialize_state();
-    w.bytes(channel_state);
-    secure_wipe(channel_state);  // contains the raw session key
+    write_channel(w, *in.channel);
   }
 
   w.u32(static_cast<uint32_t>(latest_outgoing_.size()));
@@ -2690,24 +2639,24 @@ Bytes MigrationEnclave::serialize_queue() const {
   }
 
   // ----- v2: live pre-copy state -----
-  // Source attempts (merged chunk sets + RA channels) and destination
-  // staging: an ME restart between rounds RESUMES the pre-copy instead of
-  // throwing away every round already shipped.
-  w.u32(static_cast<uint32_t>(precopy_outgoing_.size()));
-  for (const auto& [nonce, p] : precopy_outgoing_) {
+  // Source pre-copy tasks (merged chunk sets + RA channels) and
+  // destination staging: an ME restart between rounds RESUMES the
+  // pre-copy instead of throwing away every round already shipped.
+  uint32_t precopy_count = 0;
+  for (const auto& [nonce, t] : transfer_tasks_) {
+    if (t.precopy) ++precopy_count;
+  }
+  w.u32(precopy_count);
+  for (const auto& [nonce, p] : transfer_tasks_) {
+    if (!p.precopy) continue;
     w.u64(nonce);
     w.fixed(p.source_mr);
-    w.str(p.destination_address);
+    w.str(p.request.destination_address);
     w.u64(p.transfer_id);
     w.u32(p.rounds);
     w.boolean(p.resync);
     serialize_chunk_map(w, p.merged);
-    w.boolean(p.channel.has_value());
-    if (p.channel.has_value()) {
-      Bytes channel_state = p.channel->serialize_state();
-      w.bytes(channel_state);
-      secure_wipe(channel_state);  // contains the raw session key
-    }
+    write_optional_channel(w, p.channel);
   }
   w.u32(static_cast<uint32_t>(precopy_staging_.size()));
   for (const auto& [mr, s] : precopy_staging_) {
@@ -2720,20 +2669,23 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
   }
 
-  // ----- queued TransferTasks -----
+  // ----- queued full-snapshot TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
   // every pipeline from the attest step under a fresh transfer id.  A
   // blocking task is not resumable work — its caller holds the data and
   // gets the verdict — so a snapshot cut mid-conversation (a reentrant
   // DONE's persist) leaves it out.
+  const auto resumable = [](const TransferTask& t) {
+    return !t.precopy && !t.blocking;
+  };
   uint32_t task_count = 0;
   for (const auto& [nonce, t] : transfer_tasks_) {
-    if (!t.blocking) ++task_count;
+    if (resumable(t)) ++task_count;
   }
   w.u32(task_count);
   for (const auto& [nonce, t] : transfer_tasks_) {
-    if (t.blocking) continue;
+    if (!resumable(t)) continue;
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());
@@ -2772,13 +2724,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     t.request_nonce = r.u64();
     t.retained_data = r.bytes(1u << 20);
     t.sequence = r.u64();
-    if (r.boolean()) {
-      Bytes channel_state = r.bytes(64);
-      auto channel = net::SecureChannel::deserialize_state(channel_state);
-      secure_wipe(channel_state);
-      if (!channel.ok()) return Status::kTampered;
-      t.channel.emplace(std::move(channel).value());
-    }
+    if (!read_optional_channel(r, t.channel)) return Status::kTampered;
     outgoing[id] = std::move(t);
   }
 
@@ -2804,11 +2750,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     in.authenticated = true;
     in.source_region = r.str(256);
     in.source_address = r.str(256);
-    Bytes channel_state = r.bytes(64);
-    auto channel = net::SecureChannel::deserialize_state(channel_state);
-    secure_wipe(channel_state);
-    if (!channel.ok()) return Status::kTampered;
-    in.channel.emplace(std::move(channel).value());
+    if (!read_channel(r, in.channel)) return Status::kTampered;
     inbound[id] = std::move(in);
   }
 
@@ -2863,28 +2805,28 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     relays[id] = std::move(relay);
   }
 
-  std::map<uint64_t, PrecopyOutgoing> precopy_outgoing;
+  // One map for both sections: a nonce is one attempt of one mode, so a
+  // nonce listed twice is tampered.
+  std::map<uint64_t, TransferTask> transfer_tasks;
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
   const uint32_t precopy_count = r.u32();
   for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
     const uint64_t nonce = r.u64();
-    PrecopyOutgoing p;
+    TransferTask p;
+    p.precopy = true;
     p.source_mr = r.fixed<32>();
-    p.destination_address = r.str(256);
+    p.request.destination_address = r.str(256);
+    p.request.request_nonce = nonce;
     p.transfer_id = r.u64();
     p.rounds = r.u32();
     p.resync = r.boolean();
     auto merged = deserialize_chunk_map(r);
     if (!merged.ok()) return Status::kTampered;
     p.merged = std::move(merged).value();
-    if (r.boolean()) {
-      Bytes channel_state = r.bytes(64);
-      auto channel = net::SecureChannel::deserialize_state(channel_state);
-      secure_wipe(channel_state);
-      if (!channel.ok()) return Status::kTampered;
-      p.channel.emplace(std::move(channel).value());
+    if (!read_optional_channel(r, p.channel)) return Status::kTampered;
+    if (!transfer_tasks.emplace(nonce, std::move(p)).second) {
+      return Status::kTampered;
     }
-    precopy_outgoing[nonce] = std::move(p);
   }
   const uint32_t staging_count = r.u32();
   for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
@@ -2901,7 +2843,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     precopy_staging[mr] = std::move(s);
   }
 
-  std::map<uint64_t, TransferTask> transfer_tasks;
   const uint32_t task_count = r.u32();
   for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
     const uint64_t nonce = r.u64();
@@ -2914,7 +2855,9 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     // Step collapses to kQueued: the next pump() re-attests and
     // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
     // keeps the end-to-end result exactly-once.
-    transfer_tasks[nonce] = std::move(t);
+    if (!transfer_tasks.emplace(nonce, std::move(t)).second) {
+      return Status::kTampered;
+    }
   }
 
   std::map<std::string, PeerSession> peer_sessions;
@@ -2940,7 +2883,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   confirmed_incoming_ = std::move(confirmed_incoming);
   confirmed_incoming_order_ = std::move(confirmed_incoming_order);
   done_relays_ = std::move(relays);
-  precopy_outgoing_ = std::move(precopy_outgoing);
   precopy_staging_ = std::move(precopy_staging);
   transfer_tasks_ = std::move(transfer_tasks);
   peer_sessions_ = std::move(peer_sessions);

@@ -71,16 +71,17 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   // ----- pipelined outgoing transfers -----
   //
-  // Every outgoing transfer is a TransferTask: the source-side protocol
-  // (attest -> ship -> await-ack -> retained) as resumable steps sent
-  // through one seam (send_step).  The attest is the one ME<->ME
-  // handshake chain (attest_peer: a cached resume or RA msg1/msg3), which
-  // the pre-copy first contact, the abort and the reconcile query run
-  // inline too.  A queued task (kMigrateEnqueue/kMigrateReserve) posts
-  // its round trips through net::Network::post, so N concurrent outgoing
-  // transfers interleave over independent RA channels instead of
-  // serializing.  It is part of the durable queue from the moment it is
-  // queued: a
+  // Every outgoing attempt of either transfer mode is a TransferTask:
+  // the source-side protocol (attest -> ship -> await-ack -> retained) as
+  // resumable steps sent through one seam (send_step).  A full-snapshot
+  // task ships one payload; a pre-copy task ships rounds and then its
+  // finalize.  The attest is the one ME<->ME handshake chain
+  // (attest_peer: a cached resume or RA msg1/msg3), which the pre-copy
+  // first contact, the abort and the reconcile query run inline too.  A
+  // queued task (kMigrateEnqueue/kMigrateReserve) posts its round trips
+  // through net::Network::post, so N concurrent outgoing transfers
+  // interleave over independent RA channels instead of serializing.  It
+  // is part of the durable queue from the moment it is queued: a
   // restarted ME resumes every in-flight pipeline (re-attesting under a
   // fresh transfer id; the request nonce makes re-ships exactly-once end
   // to end).  Terminal failures are held until the library polls them
@@ -90,10 +91,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   /// Re-issues the next step of every task that is not awaiting a reply
   /// (freshly queued, restored from the durable queue after a restart, or
-  /// whose conversation collapsed).  Returns the number of live tasks.
-  /// Drive this alongside Network::pump_one().
-  size_t pump();
+  /// whose conversation collapsed).  Drive this alongside
+  /// Network::pump_one().
+  void pump();
 
+  /// Live source-side attempts of both transfer modes.
   size_t transfer_task_count() const { return transfer_tasks_.size(); }
 
   /// Pre-copy transport.  Both transports merge (and, for rounds,
@@ -181,11 +183,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// limit) over every undelivered pending entry; returns how many
   /// pending entries remain afterwards.
   size_t reconcile_all_pending();
-  /// sweep_superseded_outgoing: expires retained outgoing transfers,
-  /// pipelined transfer tasks, and source-side pre-copy attempts whose
-  /// enclave identity verifiably completed a NEWER migration from this
-  /// ME (a completion record under a different nonce, none under the
-  /// entry's own).  Returns how many entries were expired.
+  /// sweep_superseded_outgoing: expires retained outgoing transfers and
+  /// transfer tasks (of both modes) whose enclave identity verifiably
+  /// completed a NEWER migration from this ME (a completion record under
+  /// a different nonce, none under the entry's own).  Returns how many
+  /// entries were expired.
   size_t sweep_superseded_outgoing();
 
   /// How long a delivery pin on pending incoming data survives without
@@ -214,8 +216,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   size_t la_session_count() const { return la_sessions_.size(); }
   size_t unrelayed_done_count() const { return done_relays_.size(); }
   OutgoingState outgoing_state(const sgx::Measurement& mr) const;
-  /// Live pre-copy attempts this ME is driving as the SOURCE side.
-  size_t precopy_outgoing_count() const { return precopy_outgoing_.size(); }
   /// Pre-copy attempts staged on this ME as the DESTINATION side (not yet
   /// finalized into a pending entry).
   size_t precopy_staging_count() const { return precopy_staging_.size(); }
@@ -273,43 +273,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     // to its source ME per retry just to re-learn it is live.
     Duration last_reconcile{};
   };
-  /// Source-side state of one live pre-copy attempt, keyed by the
-  /// library's request nonce: everything shipped so far (merged by chunk
-  /// generation) plus the RA channel to the destination.  Durable — an ME
-  /// restart between rounds resumes instead of restarting the pre-copy.
-  struct PrecopyOutgoing {
-    sgx::Measurement source_mr{};
-    std::string destination_address;
-    uint64_t transfer_id = 0;  // wire id of the ME<->ME conversation
-    uint32_t rounds = 0;
-    std::map<uint32_t, CounterChunk> merged;
-    std::optional<net::SecureChannel> channel;
-    /// Set when a send failed (channel possibly desynced): the next send
-    /// re-attests under a fresh transfer id and re-ships the whole merged
-    /// set, so the destination converges no matter what was lost.
-    bool resync = false;
-    // --- ship steps (memory-only) ---
-    enum class ShipStep : uint8_t {
-      kIdle = 0,           // nothing in flight; kick when dirty > acked
-      kAwaitRoundAck = 1,  // a sealed round record is in flight
-      kAwaitFinalizeAck = 2  // the sealed finalize record is in flight
-    };
-    ShipStep ship_step = ShipStep::kIdle;
-    /// Highest generation per chunk index the destination ACKed; a ship
-    /// sends merged entries newer than this (all, on resync).
-    std::map<uint32_t, uint64_t> acked;
-    /// Staged finalize, memory-only BY DESIGN: under the async transport
-    /// the record ships through the deferred pump like a round hop while
-    /// the library polls its fate.  An ME restart (or an exhausted ship
-    /// budget) drops it — the still-frozen library observes kNone and
-    /// re-sends the finalize, which the nonce dedup makes idempotent.
-    std::optional<PrecopyFinalizePayload> staged_finalize;
-    uint32_t finalize_attempts = 0;  // memory-only ship retry budget
-
-    /// Everything merged beyond the destination's acked front (on
-    /// resync: the whole merged set) — what the next record carries.
-    std::vector<CounterChunk> unacked_chunks() const;
-  };
   /// Destination-side staging of one pre-copy attempt, keyed by enclave
   /// identity: chunks merged by generation across rounds.  Durable; only
   /// the finalize manifest turns it into an authoritative pending entry.
@@ -323,21 +286,29 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// age-based sweep of staging whose source went away for good.
     Duration last_update{};
   };
-  /// One outgoing transfer, keyed by the library's request nonce: the
-  /// source-side protocol as resumable steps.  A queued task's payload is
-  /// durable from kQueued on; the channel is per-attempt state — a
-  /// restarted ME re-runs the attest from scratch under a fresh transfer
-  /// id (the nonce keeps it exactly-once).
+  /// One outgoing attempt, keyed by the library's request nonce: the
+  /// source-side protocol as resumable steps, for both transfer modes.  A
+  /// full-snapshot task ships its payload once; a pre-copy task ships
+  /// rounds of merged chunks and then the staged finalize.  A queued
+  /// task's payload and a pre-copy task's merged set are durable; the
+  /// channel is per-attempt state — a restarted ME re-runs the attest from
+  /// scratch under a fresh transfer id (the nonce keeps it exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
-      kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing)
+      kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing);
+                         // pre-copy: no record in flight
       kAttesting = 1,    // attest_peer run in flight
       kAwaitAccept = 3,  // sealed TransferPayload posted
       kFailed = 4,       // terminal; `failure` held until polled
       kAwaitArm = 5,     // reserve-mode: attested, slot held, awaiting data
+      kAwaitRoundAck = 6,     // pre-copy: a sealed round record in flight
+      kAwaitFinalizeAck = 7,  // pre-copy: the sealed finalize in flight
     };
     sgx::Measurement source_mr{};
-    MigrateRequestPayload request;  // destination, nonce, policy, data
+    /// Destination, nonce, policy, data.  A pre-copy task keeps only the
+    /// destination and nonce: its data is `merged`, and each round and
+    /// the finalize bring their own policy.
+    MigrateRequestPayload request;
     Step step = Step::kQueued;
     Status failure = Status::kOk;
     uint64_t transfer_id = 0;  // current attempt's wire id
@@ -350,6 +321,34 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// rpc, and it lives only inside that handler — never serialized as
     /// resumable work.
     bool blocking = false;
+
+    // --- pre-copy: ships in rounds, then the staged finalize ---
+    bool precopy = false;
+    uint32_t rounds = 0;
+    /// Everything the library shipped so far, merged by chunk generation.
+    std::map<uint32_t, CounterChunk> merged;
+    /// Set when a send failed (channel possibly desynced): the next send
+    /// re-attests under a fresh transfer id and re-ships the whole merged
+    /// set, so the destination converges no matter what was lost.
+    bool resync = false;
+    /// Highest generation per chunk index the destination ACKed
+    /// (memory-only); a ship sends merged entries newer than this (all,
+    /// on resync).
+    std::map<uint32_t, uint64_t> acked;
+    /// Staged finalize, memory-only BY DESIGN: under the async transport
+    /// the record ships through the deferred pump like a round hop while
+    /// the library polls its fate.  An ME restart (or an exhausted ship
+    /// budget) drops it — the still-frozen library observes kNone and
+    /// re-sends the finalize, which the nonce dedup makes idempotent.
+    std::optional<PrecopyFinalizePayload> staged_finalize;
+    uint32_t finalize_attempts = 0;  // memory-only ship retry budget
+
+    /// Everything merged beyond the destination's acked front (on
+    /// resync: the whole merged set) — what the next record carries.
+    std::vector<CounterChunk> unacked_chunks() const;
+    /// Spends one unit of the finalize ship budget; past it the staged
+    /// finalize is handed back to the library.  Returns `status`.
+    Status spend_finalize_try(Status status);
   };
   /// Compact durable record of a confirmed outgoing transfer: enough to
   /// answer status queries and absorb duplicate DONEs idempotently after
@@ -424,7 +423,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   LibMsg on_poll_transfer(LaSessionState& session, const LibMsg& msg);
   LibMsg on_abort_stale(LaSessionState& session, const LibMsg& msg);
 
-  // ----- outgoing step machine (TransferTask + pre-copy ships) -----
+  // ----- outgoing step machine (TransferTask, both modes) -----
   // A step that sends returns kOk once posted, or, run inline, the
   // outcome its continuation chain ended in.
   using StepContinuation = std::function<Status(Result<Bytes> reply)>;
@@ -464,14 +463,18 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// transfer id.
   Status kick_task(uint64_t nonce);
   Status task_on_accept(uint64_t nonce, Result<Bytes> raw);
-  /// Retains an accepted transfer until DONE (paper §V-D), for both
-  /// transfer modes: a fresh sequence, the per-identity index marked
-  /// kPending.  Returns the sequence.  Persisting is the caller's.
-  uint64_t retain_outgoing(uint64_t transfer_id,
-                           const sgx::Measurement& source_mr,
-                           const std::string& destination_address,
-                           uint64_t nonce, const MigrationData& data,
-                           std::optional<net::SecureChannel> channel);
+  /// The one success tail of both transfer modes: the destination
+  /// accepted, so the task dissolves into a retained transfer of
+  /// `retained_data` until DONE (paper §V-D) — a fresh sequence, the
+  /// per-identity index marked kPending — and the queue is persisted.  A
+  /// failed persist unwinds the retained entry and reinstates the task
+  /// without its channel; the caller applies its mode's failure rule.
+  Status retain_task(uint64_t nonce, Bytes retained_data);
+  using OutgoingMap = std::map<uint64_t, OutgoingTransfer>;
+  /// Drops a retained transfer that will never see its DONE: wipes the
+  /// copy and the per-identity index entry still pointing at it (a
+  /// dangling kPending there is never evicted).  Returns the next entry.
+  OutgoingMap::iterator drop_outgoing(OutgoingMap::iterator it);
   /// Post-attestation landing shared by the full and resumed paths:
   /// armed tasks ship the sealed TransferPayload (-> kAwaitAccept),
   /// reserve-mode tasks park slot-live (-> kAwaitArm).
@@ -489,13 +492,16 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Sends the staged finalize record (everything merged beyond the acked
   /// front rides along); re-attests first if the channel was dropped.
   Status kick_precopy_finalize(uint64_t nonce);
+  /// A finalize ack retains the copy the destination assembled (the
+  /// merged chunks + manifest) through retain_task.
   Status precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
                                  Result<Bytes> raw);
-  /// Destination committed the snapshot: assemble the retained full copy
-  /// from the merged chunks + manifest, retire the pre-copy attempt into
-  /// outgoing_, persist.
-  Status finish_precopy_outgoing(const sgx::Measurement& source_mr,
-                                 const PrecopyFinalizePayload& fin);
+  /// A pre-copy hop failed (its ack, or the retain after a finalize
+  /// ack): the channel may have desynced, so drop it; the next kick
+  /// re-attests and re-ships the whole merged set.  A finalize also
+  /// spends one unit of its ship budget.  Persists; returns `failure`.
+  Status precopy_ship_failed(TransferTask& task, Status failure,
+                             bool finalize);
   /// Parses a pumped MeResponse reply; non-kOk peers and transport
   /// failures collapse to a Status.
   static Result<Bytes> open_task_reply(const Result<Bytes>& raw);
@@ -573,13 +579,24 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Status attest_on_ra_msg2(const AttestRunPtr& run, Result<Bytes> raw);
   Status attest_on_auth(const AttestRunPtr& run, Result<Bytes> raw);
 
-  /// Finds-or-creates the source-side pre-copy attempt for (session
-  /// identity, nonce), re-attesting (fresh transfer id + resync) when the
-  /// channel is missing or was dropped after a failed send.
-  Result<PrecopyOutgoing*> precopy_attempt(const sgx::Measurement& source_mr,
-                                           const std::string& destination,
-                                           uint64_t nonce,
-                                           const MigrationPolicy& policy);
+  /// The one find-or-create of the outgoing map, for both modes: the
+  /// task holding `nonce`, or a fresh one for (identity, destination,
+  /// mode).  A nonce binds one identity (a foreign collision is
+  /// kAlreadyExists), one destination and one mode (kInvalidParameter);
+  /// a zero nonce or this machine as destination is kInvalidParameter.
+  /// `created` reports whether the task is fresh.
+  Result<TransferTask*> find_or_create_task(const sgx::Measurement& mr,
+                                            uint64_t nonce,
+                                            const std::string& destination,
+                                            bool precopy,
+                                            bool* created = nullptr);
+  /// The pre-copy entry of find_or_create_task: re-attests inline (fresh
+  /// transfer id + resync) when the channel is missing or was dropped
+  /// after a failed send.
+  Result<TransferTask*> precopy_attempt(const sgx::Measurement& source_mr,
+                                        const std::string& destination,
+                                        uint64_t nonce,
+                                        const MigrationPolicy& policy);
 
   /// Destination-side staging upsert shared by chunk and finalize
   /// records: supersedes an abandoned attempt (fresh nonce/source),
@@ -631,10 +648,9 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   std::map<uint64_t, LaSessionState> la_sessions_;
   std::map<uint64_t, InboundTransfer> inbound_;
-  std::map<uint64_t, OutgoingTransfer> outgoing_;
+  OutgoingMap outgoing_;
   std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
   std::map<sgx::Measurement, PendingIncoming> pending_;
-  std::map<uint64_t, PrecopyOutgoing> precopy_outgoing_;  // by request nonce
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging_;
   // Per-identity latest outgoing transfer: O(log n) status queries
   // instead of scanning every transfer ever made.  Once that transfer

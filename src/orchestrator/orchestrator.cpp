@@ -648,11 +648,9 @@ void Orchestrator::fail_task(Task& task) {
 
 namespace {
 
-// An ME needs pump kicks while it holds transfer tasks or async pre-copy
-// ships.
+// An ME needs pump kicks while it holds transfer tasks (of either mode).
 bool has_queued_work(const migration::MigrationEnclave* me) {
-  return me != nullptr && (me->transfer_task_count() > 0 ||
-                           me->precopy_outgoing_count() > 0);
+  return me != nullptr && me->transfer_task_count() > 0;
 }
 
 }  // namespace

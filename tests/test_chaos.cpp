@@ -146,31 +146,6 @@ class ChaosTest : public ::testing::Test {
     return id;
   }
 
-  void settle() {
-    for (int i = 0; i < 8; ++i) {
-      bool quiet = true;
-      for (platform::Machine* m : world_.machines()) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr) continue;
-        if (me->pending_incoming_count() != 0 ||
-            me->retry_done_relays() != 0 || me->outgoing_count() != 0 ||
-            me->transfer_task_count() != 0) {
-          quiet = false;
-        }
-      }
-      if (quiet) break;
-      world_.clock().advance(std::chrono::seconds(1));
-      for (platform::Machine* m : world_.machines()) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr) continue;
-        me->pump();
-        me->sweep_superseded_outgoing();
-        me->reconcile_all_pending();
-      }
-      world_.network().pump_all();
-    }
-  }
-
   // Drains one live-transfer enclave whose epoch guard is disabled
   // (chaos_disable_epoch_guard) off m0 in pre-copy mode; true when the
   // oracle reports the resulting fork.  Only the post-drain buffer (its
@@ -288,7 +263,7 @@ TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
   executor.arm(orch);
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   executor.disarm();
-  settle();
+  chaos::settle_queues(world_);
 
   // Despite losing its source ME mid-drain, the fleet converges; the
   // crash and its paired restart each fired exactly once.
@@ -332,6 +307,59 @@ TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {
   // The cross-check: the clean verdict came from the anti-fork machinery
   // actually refusing the stale restores, not from the oracle not probing.
   EXPECT_GT(oracle.epoch_guard_refusals(), 0u);
+}
+
+// A pre-copy attempt abandoned by a re-route whose kAbortStale was lost
+// stays on the source ME after the identity completes under a fresh
+// nonce.  The durable-queue oracle must see it, and the settle's
+// superseded sweep must expire it.
+TEST_F(ChaosTest, StrandedPrecopyAttemptIsReportedThenSettled) {
+  build_world(3);
+  const uint64_t id = launch("m0", "stranded-app", /*live_transfer=*/true, 3);
+  ConvergenceOracle oracle(fleet_, "m0");
+  oracle.capture();
+
+  auto* enclave = fleet_.enclave(id);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  // Re-route: the library aborts the m1 attempt before its first round
+  // toward m2.  That abort is the next record to m0's ME; lose it.
+  bool dropped = false;
+  world_.network().set_tamper_hook(
+      [&dropped](const std::string& to, Bytes&) {
+        if (to != "m0/me" || dropped) return true;
+        dropped = true;
+        return false;
+      });
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m2").ok());
+  world_.network().clear_tamper_hook();
+  ASSERT_TRUE(dropped);
+  ASSERT_EQ(migration::me_on(*world_.machine("m0"))->transfer_task_count(),
+            2u);
+
+  Scheduler scheduler(fleet_);
+  OrchestratorOptions options;
+  options.transfer_mode = TransferMode::kPrecopy;
+  Orchestrator orch(fleet_, scheduler, options);
+  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+  ASSERT_EQ(report.failed(), 0u);
+
+  bool stranded_reported = false;
+  for (const auto& finding : oracle.verify(report)) {
+    if (finding.check == "durable-queue" &&
+        finding.detail == "m0 ME holds 1 unfinished transfer tasks") {
+      stranded_reported = true;
+    }
+  }
+  EXPECT_TRUE(stranded_reported);
+
+  EXPECT_GE(chaos::settle_queues(world_), 1u);
+  const auto findings = oracle.verify(report);
+  for (const auto& finding : findings) {
+    ADD_FAILURE() << "oracle violation [" << finding.check
+                  << "]: " << finding.detail;
+  }
+  EXPECT_EQ(migration::me_on(*world_.machine("m0"))->transfer_task_count(),
+            0u);
 }
 
 TEST_F(ChaosTest, RecoveryOracleFlagsSilentStall) {
@@ -392,7 +420,7 @@ TEST_F(ChaosTest, SeededStormDrainConvergesWithoutForks) {
   executor.arm(orch);
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   executor.disarm();
-  settle();
+  chaos::settle_queues(world_);
 
   const auto findings = oracle.verify(report);
   for (const auto& finding : findings) {

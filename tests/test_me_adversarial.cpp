@@ -8,6 +8,7 @@
 #include "migration/migration_enclave.h"
 #include "migration/protocol.h"
 #include "platform/world.h"
+#include "sgx/dh.h"
 
 namespace sgxmig {
 namespace {
@@ -206,6 +207,108 @@ TEST_F(MeAdversarialTest, MitmCannotHijackOutgoingMigration) {
             Status::kProviderAuthFailure);
   // And the data remains safely retryable toward a legitimate machine.
   EXPECT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+}
+
+/// A local enclave speaking raw LibMsgs to its machine's ME over an
+/// attested LA channel, so a test can choose the request nonces a library
+/// would draw at random.
+class LaClient : public sgx::Enclave {
+ public:
+  LaClient(platform::Machine& machine,
+           std::shared_ptr<const EnclaveImage> image, uint64_t session_id)
+      : sgx::Enclave(machine, std::move(image)),
+        me_(machine.address() + "/me"),
+        session_id_(session_id) {}
+
+  Status attest() {
+    auto scope = enter_ecall();
+    sgx::DhSession session(platform(), identity(),
+                           sgx::DhSession::Role::kInitiator);
+    MeRequest start;
+    start.type = MeMsgType::kLaStart;
+    start.id = session_id_;
+    auto msg1 = sgx::DhMsg1::deserialize(call(start).payload);
+    if (!msg1.ok()) return msg1.status();
+    auto msg2 = session.handle_msg1(msg1.value());
+    if (!msg2.ok()) return msg2.status();
+    MeRequest m2;
+    m2.type = MeMsgType::kLaMsg2;
+    m2.id = session_id_;
+    m2.payload = msg2.value().serialize();
+    auto msg3 = sgx::DhMsg3::deserialize(call(m2).payload);
+    if (!msg3.ok()) return msg3.status();
+    const Status status = session.handle_msg3(msg3.value());
+    if (status == Status::kOk) {
+      channel_.emplace(session.session_key(),
+                       net::SecureChannel::Role::kInitiator);
+    }
+    return status;
+  }
+
+  /// Sends one LibMsg; returns the reply's status (kOk on success).
+  Status send(migration::LibMsgType type, const Bytes& payload) {
+    auto scope = enter_ecall();
+    migration::LibMsg msg;
+    msg.type = type;
+    msg.payload = payload;
+    MeRequest req;
+    req.type = MeMsgType::kLaRecord;
+    req.id = session_id_;
+    req.payload = channel_->seal_record(msg.serialize());
+    const MeResponse resp = call(req);
+    if (resp.status != Status::kOk) return resp.status;
+    auto record = channel_->open_record(resp.payload);
+    if (!record.ok()) return record.status();
+    auto reply = migration::LibMsg::deserialize(record.value());
+    return reply.ok() ? reply.value().status : Status::kTampered;
+  }
+
+  Status precopy_round(uint64_t nonce, const std::string& destination) {
+    migration::PrecopyRoundPayload round;
+    round.destination_address = destination;
+    round.request_nonce = nonce;
+    return send(migration::LibMsgType::kPrecopyRound, round.serialize());
+  }
+  Status enqueue(uint64_t nonce, const std::string& destination) {
+    migration::MigrateRequestPayload request;
+    request.destination_address = destination;
+    request.request_nonce = nonce;
+    return send(migration::LibMsgType::kMigrateEnqueue, request.serialize());
+  }
+
+ private:
+  MeResponse call(const MeRequest& req) {
+    auto raw = platform().network()->rpc(me_, req.serialize());
+    if (!raw.ok()) return MeResponse{raw.status(), {}};
+    auto resp = MeResponse::deserialize(raw.value());
+    return resp.ok() ? resp.value() : MeResponse{Status::kTampered, {}};
+  }
+
+  std::string me_;
+  uint64_t session_id_;
+  std::optional<net::SecureChannel> channel_;
+};
+
+// One request nonce is one attempt of one identity, toward one
+// destination, in one transfer mode — whichever mode claimed it first.
+TEST_F(MeAdversarialTest, NonceBindsOneIdentityDestinationAndMode) {
+  LaClient owner(m0_, image_, /*session_id=*/101);
+  LaClient other(m0_, EnclaveImage::create("other-app", 1, "acme"),
+                 /*session_id=*/202);
+  ASSERT_EQ(owner.attest(), Status::kOk);
+  ASSERT_EQ(other.attest(), Status::kOk);
+  constexpr uint64_t kNonce = 0x5eed;
+  ASSERT_EQ(owner.precopy_round(kNonce, "m1"), Status::kOk);
+
+  // A foreign identity collides with one status in either mode.
+  EXPECT_EQ(other.precopy_round(kNonce, "m1"), Status::kAlreadyExists);
+  EXPECT_EQ(other.enqueue(kNonce, "m1"), Status::kAlreadyExists);
+  // The owner can move the nonce to neither another mode nor another
+  // destination.
+  EXPECT_EQ(owner.enqueue(kNonce, "m1"), Status::kInvalidParameter);
+  EXPECT_EQ(owner.precopy_round(kNonce, "m9"), Status::kInvalidParameter);
+  EXPECT_EQ(me0_->transfer_task_count(), 1u);
+  EXPECT_EQ(owner.precopy_round(kNonce, "m1"), Status::kOk);
 }
 
 }  // namespace

@@ -15,8 +15,10 @@
 #include <string_view>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "obs/observability.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -485,6 +487,119 @@ TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
   EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(v3)),
             Status::kTampered);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+}
+
+// ----- queue format v4, byte for byte -----
+
+/// A fresh live-transfer enclave of its own image on m0 with three
+/// counters, one of them incremented (so its pre-copy rounds carry a
+/// populated chunk).
+std::unique_ptr<MigratableEnclave> counting_app(platform::Machine& m0,
+                                                const std::string& name) {
+  auto enclave = std::make_unique<MigratableEnclave>(
+      m0, EnclaveImage::create(name, 1, "acme"),
+      migration::PersistenceMode::kSync, migration::GroupCommitOptions{},
+      /*live_transfer=*/true);
+  enclave->set_persist_callback(
+      [&m0, name](ByteView s) { m0.storage().put(name, s); });
+  EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+            Status::kOk);
+  for (int i = 0; i < 3; ++i) enclave->ecall_create_migratable_counter();
+  enclave->ecall_increment_migratable_counter(1);
+  return enclave;
+}
+
+// The source ME holds every kind of durable source-side work — a
+// pre-copy attempt with merged chunks, a queued full-snapshot task and an
+// unarmed reservation — and the destination holds the attempt's staging.
+// Both sealed snapshots are pinned by SHA-256: the v4 layout may not move
+// by a single byte, and a restart restores the same queue.
+TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
+  auto precopy = counting_app(m0_, "pin-precopy");
+  ASSERT_TRUE(precopy->ecall_migration_precopy_round("m1").ok());
+  auto queued = counting_app(m0_, "pin-queued");
+  ASSERT_TRUE(queued->ecall_migration_enqueue_detailed("m1").ok());
+  auto reserved = counting_app(m0_, "pin-reserved");
+  ASSERT_TRUE(reserved->ecall_migration_reserve_detailed("m1").ok());
+  // Nothing is pumped: the enqueued task and the reservation are queued.
+  ASSERT_EQ(me("m0")->transfer_task_count(), 3u);
+  ASSERT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  const auto sha256_hex = [](const Bytes& blob) {
+    const crypto::Sha256Digest digest = crypto::Sha256::hash(blob);
+    return hex_encode(ByteView(digest.data(), digest.size()));
+  };
+  EXPECT_EQ(sha256_hex(me("m0")->sealed_queue_state()),
+            "9262105cabcade62a967669faaf2068204ae013a1109bc6cc1177eca8bb8718d");
+  EXPECT_EQ(sha256_hex(me("m1")->sealed_queue_state()),
+            "c6d8d9524807c55f72e2233b91c7ad9a93e62fe9e368761aea5e80a6f78fe28b");
+
+  restart_me("m0");
+  restart_me("m1");
+  EXPECT_EQ(me("m0")->transfer_task_count(), 3u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+}
+
+// A nonce is one attempt of one mode: a snapshot that lists one nonce in
+// both the pre-copy section and the full-snapshot task section is
+// refused, even correctly sealed.
+TEST_F(MeDurableQueueTest, QueueSnapshotListingANonceTwiceIsTampered) {
+  world_.observability().set_enabled(true);
+  auto precopy = counting_app(m0_, "twice-precopy");
+  ASSERT_TRUE(precopy->ecall_migration_precopy_round("m1").ok());
+  auto queued = counting_app(m0_, "twice-queued");
+  ASSERT_TRUE(queued->ecall_migration_enqueue_detailed("m1").ok());
+  ASSERT_EQ(me("m0")->transfer_task_count(), 2u);
+
+  // Each attempt's trace id is its request nonce.
+  uint64_t precopy_nonce = 0;
+  uint64_t queued_nonce = 0;
+  const obs::TraceRecorder& trace = world_.observability().trace;
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.name == "precopy_round") precopy_nonce = span.trace_id;
+  }
+  for (const obs::TraceInstant& instant : trace.instants()) {
+    if (instant.name == "migration.queued") queued_nonce = instant.trace_id;
+  }
+  ASSERT_NE(precopy_nonce, 0u);
+  ASSERT_NE(queued_nonce, 0u);
+
+  auto blob = m0_.storage().get_versioned("m0.me-queue");
+  ASSERT_TRUE(blob.ok());
+  QueueSealer sealer(m0_);
+  const Bytes current = sealer.open(blob.value());
+  // Rewrites every little-endian copy of `from` (the task's key and the
+  // nonce inside its request) to `to`.
+  const auto renonce = [&current](uint64_t from, uint64_t to) {
+    Bytes edited = current;
+    uint8_t needle[8];
+    uint8_t replacement[8];
+    for (int i = 0; i < 8; ++i) {
+      needle[i] = static_cast<uint8_t>(from >> (8 * i));
+      replacement[i] = static_cast<uint8_t>(to >> (8 * i));
+    }
+    size_t copies = 0;
+    for (auto at = edited.begin();
+         (at = std::search(at, edited.end(), needle, needle + 8)) !=
+         edited.end();
+         at += 8) {
+      std::copy(replacement, replacement + 8, at);
+      ++copies;
+    }
+    EXPECT_EQ(copies, 2u);
+    return edited;
+  };
+
+  // Control: the same edit toward an unused nonce restores.
+  EXPECT_EQ(me("m0")->restore_queue(
+                sealer.seal_queue(renonce(queued_nonce, queued_nonce + 1))),
+            Status::kOk);
+  EXPECT_EQ(me("m0")->restore_queue(
+                sealer.seal_queue(renonce(queued_nonce, precopy_nonce))),
+            Status::kTampered);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 2u);
 }
 
 TEST(MeSettingsAcrossRestart, FactoryConfigureRunsOnEveryStart) {

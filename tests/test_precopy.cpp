@@ -79,14 +79,14 @@ class PrecopyTest : public ::testing::Test {
     }
     enclave->ecall_increment_migratable_counter(0);
     ASSERT_TRUE(enclave->ecall_migration_precopy_round(round_destination).ok());
-    ASSERT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+    ASSERT_EQ(me("m0")->transfer_task_count(), 1u);
     ASSERT_EQ(me(round_destination)->precopy_staging_count(), 1u);
     enclave->ecall_increment_migratable_counter(2);
     enclave->ecall_increment_migratable_counter(2);
 
     ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
     EXPECT_EQ(enclave->last_precopy_rounds(), 0u);
-    EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+    EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
     EXPECT_EQ(me(round_destination)->precopy_staging_count(), 0u);
     enclave.reset();
 
@@ -454,7 +454,7 @@ TEST_F(PrecopyTest, DroppedSyncFinalizeIsReshippedInsideTheCall) {
   ASSERT_TRUE(fin.ok()) << fin.message;
   EXPECT_EQ(finalizes, 2);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
 
   enclave.reset();
   auto moved = make_app(m1_);
@@ -466,6 +466,73 @@ TEST_F(PrecopyTest, DroppedSyncFinalizeIsReshippedInsideTheCall) {
   auto forked = make_app(m0_);
   EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
             Status::kMigrationFrozen);
+}
+
+/// Commits fail while `*down` is set (an unwritable queue store).
+class SwitchablePersist final : public migration::PersistenceEngine {
+ public:
+  explicit SwitchablePersist(std::shared_ptr<const bool> down)
+      : down_(std::move(down)) {}
+  migration::PersistenceMode mode() const override {
+    return migration::PersistenceMode::kSync;
+  }
+  Status on_mutation(migration::PersistSink& sink,
+                     migration::MutationKind /*kind*/) override {
+    note_mutation();
+    return *down_ ? Status::kSealFailure : commit(sink);
+  }
+  Status flush(migration::PersistSink& /*sink*/) override {
+    return Status::kOk;
+  }
+  bool has_pending() const override { return false; }
+
+ private:
+  std::shared_ptr<const bool> down_;
+};
+
+// The finalize's accept goes through the same success tail as a
+// full-snapshot accept: when the retained copy cannot be made durable it
+// is unwound, not left standing, and the attempt stays live for a retry.
+TEST_F(PrecopyTest, FinalizeWhoseRetainCannotPersistIsUnwound) {
+  auto down = std::make_shared<bool>(false);
+  m0_.install_management_enclave([this, down](platform::Machine& m) {
+    return std::make_unique<MigrationEnclave>(
+        m, MigrationEnclave::standard_image(), world_.provider(),
+        std::make_unique<SwitchablePersist>(down));
+  });
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(2);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  enclave->ecall_increment_migratable_counter(17);
+
+  // Every ship of the finalize lands, and every retain fails to persist:
+  // the sync transport spends its ship budget and reports the failure.
+  *down = true;
+  const auto failed = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  // Storage is back: the frozen library re-sends the finalize under the
+  // same nonce, which re-ships and supersedes its own pending entry.
+  *down = false;
+  const auto fin = enclave->ecall_migration_finalize_detailed("m1");
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 1u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(17).value(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
 }
 
 TEST_F(PrecopyTest, SyncRoundReattestsAfterDestinationSweptStaging) {
@@ -506,7 +573,7 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
     ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
   }
   ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
   const Bytes stale = enclave->sealed_state();
 
@@ -515,7 +582,7 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
   // restored from the sealed queues.
   restart_me("m0");
   restart_me("m1");
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
 
   enclave->ecall_increment_migratable_counter(11);
