@@ -1278,7 +1278,7 @@ Status MigrationEnclave::retain_task(uint64_t nonce, Bytes retained_data) {
   outgoing_[task.transfer_id] = std::move(transfer);
   // Pre-copy ship steps are not traced, so neither is their end.
   if (!task.precopy) trace_task_step(platform(), nonce, "retained");
-  const Status persisted = persist_queue();
+  const Status persisted = persist_queue(nonce);
   if (persisted != Status::kOk) {
     // The retained entry must not stand non-durable: unwind it with the
     // index entry it brought, and hand the task back to its mode's
@@ -1675,7 +1675,7 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   // finalize's manifest check proves end-to-end completeness.
   merge_by_generation(attempt.value()->merged, round.chunks);
   Status status = Status::kOk;
-  if (async_precopy_) status = persist_queue();
+  if (async_precopy_) status = persist_queue(round.request_nonce);
   if (status == Status::kOk) status = kick_precopy_ship(round.request_nonce);
   if (status == Status::kInvalidState && !async_precopy_) {
     // The destination no longer knows this conversation (its staging was
@@ -1687,7 +1687,9 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
     status = attempt.ok() ? kick_precopy_ship(round.request_nonce)
                           : attempt.status();
   }
-  if (status == Status::kOk && !async_precopy_) status = persist_queue();
+  if (status == Status::kOk && !async_precopy_) {
+    status = persist_queue(round.request_nonce);
+  }
   if (status != Status::kOk) {
     reply.status = status;
     return reply;
@@ -1928,21 +1930,15 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
   merge_by_generation(live.merged, fin.chunks);
   live.staged_finalize = fin;
   live.finalize_attempts = 0;
-  Status shipped = Status::kOk;
-  if (async_precopy_) {
-    // The library is acked with kMigrateQueued before the record ships, so
-    // the final delta is durable first, like every round; only the
-    // manifest+msk envelope is memory-only (restart => the frozen library
-    // re-sends the finalize, dedup'd by nonce).
-    shipped = persist_queue();
-    if (shipped != Status::kOk) live.staged_finalize.reset();
-  }
-  // Async: the record ships behind the pump (queued behind a round hop
-  // still in flight on this channel).  Sync: the ship runs inline, and a
-  // failed one re-attests and re-ships the merged set until the ship
-  // budget drops the staged finalize.  Its one queue seal is the
-  // retained-transfer persist on success.
-  if (shipped == Status::kOk) shipped = kick_precopy_ship(nonce);
+  // No persist here: the staged finalize is memory-only, and the frozen
+  // library still holds it.  A restart before the retain re-sends the
+  // whole finalize (poll sees kNone; dedup'd by nonce), so the final
+  // delta need not be durable first.  Async: the record ships behind the
+  // pump (queued behind a round hop still in flight on this channel).
+  // Sync: the ship runs inline, and a failed one re-attests and re-ships
+  // the merged set until the ship budget drops the staged finalize.
+  // Either way its one queue seal is the retained-transfer persist.
+  Status shipped = kick_precopy_ship(nonce);
   const auto staged = [&] {
     const auto it = transfer_tasks_.find(nonce);
     return it != transfer_tasks_.end() &&
@@ -2096,7 +2092,7 @@ MeResponse MigrationEnclave::on_transfer(const MeRequest& req) {
   // before the ack leaves this enclave and releases the source side.
   resp.payload =
       inbound.channel->seal_record(to_bytes(std::string_view(kAcceptedMarker)));
-  const Status persisted = persist_queue();
+  const Status persisted = persist_queue(payload.value().request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
 }
@@ -2199,7 +2195,7 @@ MeResponse MigrationEnclave::on_precopy_chunk(const MeRequest& req) {
   // numbers are post-ack (mirrors on_transfer).
   resp.payload = inbound.channel->seal_record(
       to_bytes(std::string_view(kPrecopyAckMarker)));
-  const Status persisted = persist_queue();
+  const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
 }
@@ -2262,7 +2258,7 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
   resp.status = Status::kOk;
   resp.payload = inbound.channel->seal_record(
       to_bytes(std::string_view(kPrecopyFinMarker)));
-  const Status persisted = persist_queue();
+  const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
 }
@@ -2507,13 +2503,14 @@ Status MigrationEnclave::commit_state() {
   return Status::kOk;
 }
 
-Status MigrationEnclave::persist_queue() {
+Status MigrationEnclave::persist_queue(uint64_t nonce) {
   // Every queue transition guards either retained migration data or a
   // fork-preventing erase, so each one is fenced durable regardless of
   // the configured engine (mirrors persist_mutation_durable in the ML).
-  const Status status = engine_->on_mutation(*this, MutationKind::kTransferQueue);
-  if (status != Status::kOk) return status;
-  return engine_->flush(*this);
+  obs::Observability* obs = enabled_obs(platform());
+  return engine_->on_mutation_durable(*this, MutationKind::kTransferQueue,
+                                      obs != nullptr ? &obs->trace : nullptr,
+                                      platform().address(), nonce);
 }
 
 namespace {

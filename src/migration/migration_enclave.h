@@ -335,10 +335,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// (memory-only); a ship sends merged entries newer than this (all,
     /// on resync).
     std::map<uint32_t, uint64_t> acked;
-    /// Staged finalize, memory-only BY DESIGN: under the async transport
-    /// the record ships through the deferred pump like a round hop while
-    /// the library polls its fate.  An ME restart (or an exhausted ship
-    /// budget) drops it — the still-frozen library observes kNone and
+    /// Staged finalize, memory-only BY DESIGN and never persisted: under
+    /// the async transport the record ships through the deferred pump
+    /// while the library polls its fate.  An ME restart (or an exhausted
+    /// ship budget) drops it — the still-frozen library observes kNone and
     /// re-sends the finalize, which the nonce dedup makes idempotent.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
@@ -636,8 +636,9 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   // PersistSink: the engine calls back into us to commit.
   Status commit_state() override;
   Duration now() const override;
-  /// Reports one queue transition to the engine and fences it durable.
-  Status persist_queue();
+  /// Reports one queue transition to the engine and fences it durable;
+  /// `nonce` (0 when none) is the attempt whose trace shows the fence.
+  Status persist_queue(uint64_t nonce = 0);
   Bytes serialize_queue() const;
   Status apply_queue(ByteView plaintext);
 

@@ -147,13 +147,12 @@ Status MigrationLibrary::persist_after_mutation(MutationKind kind) {
 }
 
 Status MigrationLibrary::persist_mutation_durable(MutationKind kind) {
-  const Status status = engine_->on_mutation(*this, kind);
-  if (status != Status::kOk) return status;
   if (obs::Observability* obs = observability();
       obs != nullptr && obs->enabled()) {
     obs->metrics.add("persist.flush_fences");
   }
-  return engine_->flush(*this);
+  return engine_->on_mutation_durable(*this, kind, recorder(), lane(),
+                                      attempt_.nonce);
 }
 
 Status MigrationLibrary::persist_flush() {
@@ -785,11 +784,13 @@ MigrationStartResult MigrationLibrary::freeze_and_collect(
 }
 
 MigrationStartResult MigrationLibrary::persist_freeze_flag() {
-  if (freeze_persisted_) return MigrationStartResult{};
   // Persist the freeze flag so a restarted instance refuses to operate
-  // (§VI-B, Table II).  Durable regardless of engine, and guarded
-  // separately from the counter teardown: if this persist fails, a retry
-  // must redo it without repeating the teardown.
+  // (§VI-B, Table II), durably, regardless of engine — unless a pre-copy
+  // retire already killed the epoch guard, which refuses every sealed
+  // buffer, the latest included.  Guarded apart from the teardown: a retry
+  // after a failed persist redoes it without repeating the teardown.
+  const bool guard_retired = attempt_.precopy && counters_destroyed_;
+  if (freeze_persisted_ || guard_retired) return MigrationStartResult{};
   state_.frozen = 1;
   const Status persist_status = persist_mutation_durable(MutationKind::kFreeze);
   if (persist_status != Status::kOk) {

@@ -367,7 +367,7 @@ class MigrationLibrary : private PersistSink {
   /// payload; a failed collect undoes the freeze.
   MigrationStartResult freeze_and_collect(
       const std::function<Status()>& collect, const char* step);
-  /// Persists the freeze flag once, durably, regardless of engine.
+  /// Persists the freeze flag once, durably, unless the guard is retired.
   MigrationStartResult persist_freeze_flag();
   /// Lost-reply check: did the ME retain (or complete) this attempt?
   bool attempt_landed();

@@ -20,6 +20,41 @@ Status PersistenceEngine::commit(PersistSink& sink) {
   return status;
 }
 
+namespace {
+
+const char* mutation_kind_name(MutationKind kind) {
+  switch (kind) {
+    case MutationKind::kCounterCreate: return "counter-create";
+    case MutationKind::kCounterIncrement: return "counter-increment";
+    case MutationKind::kCounterDestroy: return "counter-destroy";
+    case MutationKind::kRestoreApply: return "restore-apply";
+    case MutationKind::kFreeze: return "freeze";
+    case MutationKind::kTransferQueue: return "transfer-queue";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+Status PersistenceEngine::on_mutation_durable(PersistSink& sink,
+                                              MutationKind kind,
+                                              obs::TraceRecorder* trace,
+                                              const std::string& lane,
+                                              uint64_t nonce) {
+  uint64_t span = 0;
+  if (trace != nullptr) {
+    span = trace->begin_span("persist.fence", lane, nonce);
+    trace->span_arg(span, "kind", mutation_kind_name(kind));
+  }
+  Status status = on_mutation(sink, kind);
+  if (status == Status::kOk) status = flush(sink);
+  if (span != 0) {
+    trace->span_arg(span, "outcome", std::string(status_name(status)));
+    trace->end_span(span);
+  }
+  return status;
+}
+
 const char* persistence_mode_name(PersistenceMode mode) {
   switch (mode) {
     case PersistenceMode::kSync:

@@ -30,12 +30,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "support/sim_clock.h"
 #include "support/status.h"
 
 namespace sgxmig::obs {
 struct Observability;
+class TraceRecorder;
 }  // namespace sgxmig::obs
 
 namespace sgxmig::migration {
@@ -100,6 +102,14 @@ class PersistenceEngine {
 
   /// True when mutations were reported but not yet committed.
   virtual bool has_pending() const = 0;
+
+  /// One durable write, whatever the engine: on_mutation + flush inside a
+  /// `persist.fence` span of `trace` (null: untraced) on `lane`, with
+  /// trace id `nonce` (0 when unknown).  The span only reads the clock,
+  /// so traced runs keep their timings.
+  Status on_mutation_durable(PersistSink& sink, MutationKind kind,
+                             obs::TraceRecorder* trace,
+                             const std::string& lane, uint64_t nonce);
 
   // ----- instrumentation (for the ablation bench and tests) -----
   uint64_t mutations_seen() const { return mutations_seen_; }

@@ -166,12 +166,15 @@ struct DrainPin {
 // rounds stopped finalizing toward a destination lane still busy with
 // another restore: the freezes shrink, two tasks ship one more round
 // each, and the drain takes one more wave (two more touches, two pump
-// kicks) for a shorter wall.
+// kicks) for a shorter wall.  It was re-recorded again when the pre-copy
+// freeze lost two of its four disk fences (the freeze-flag write after
+// the guard retire, and the source ME's persist of the staged finalize):
+// each freeze ends 40 ms sooner, with the same waves, touches and kicks.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
      "20bf5567344df4f02a6b5a9eaad5b5bdbb1969023069fb23729204d089fc6ddb"},
-    {DrainConfig::kPrecopy, 6169405423, 5, 50, 2,
-     "7ecafd43cdbe8e7f14a34baaa39068e33acb70d49959296f3a0f06ccf365f581"},
+    {DrainConfig::kPrecopy, 5848730242, 5, 50, 2,
+     "7b386fb0dd573c03bb9175175fd7c391848f682933d66e61de284ee06acbefc9"},
     {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
      "be94a8cc60cf1f8c66b7aea617862c5252d7db22d3a7cd2c2705a4f94d59282f"},
     {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,

@@ -14,6 +14,7 @@
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "obs/observability.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -98,6 +99,89 @@ class PrecopyTest : public ::testing::Test {
     EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
     EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 0u);
     EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 2u);
+  }
+
+  // Pumps the async source ME and the network, then polls, until the
+  // queued finalize resolves (or 16 tries pass).
+  MigrationStartResult drive_queued_finalize(MigratableEnclave& enclave,
+                                             MigrationStartResult fin) {
+    for (int i = 0; i < 16 && fin.status == Status::kMigrationInProgress;
+         ++i) {
+      me("m0")->pump();
+      world_.network().pump_all();
+      fin = enclave.ecall_migration_poll_transfer();
+    }
+    return fin;
+  }
+
+  // The newest Table II buffer on m0's disk (what a restart reloads).
+  Bytes source_disk_buffer() { return m0_.storage().get("ml").value(); }
+
+  // The persist.fence spans wholly inside the last freeze span, in the
+  // order they opened.
+  std::vector<obs::TraceSpan> fences_in_last_freeze() {
+    const obs::TraceRecorder& trace = world_.observability().trace;
+    const obs::TraceSpan* freeze = nullptr;
+    for (const obs::TraceSpan& span : trace.spans()) {
+      if (span.name == "freeze") freeze = &span;
+    }
+    std::vector<obs::TraceSpan> fences;
+    if (freeze == nullptr) return fences;
+    for (const obs::TraceSpan& span : trace.spans()) {
+      if (span.name == "persist.fence" && span.start >= freeze->start &&
+          span.end <= freeze->end) {
+        fences.push_back(span);
+      }
+    }
+    return fences;
+  }
+
+  // A pre-copy round, a final delta on counter 1, then a finalize toward
+  // m1, driven to the accept; returns m0's disk buffer from just before
+  // the finalize.
+  Bytes finalize_after_round(MigratableEnclave& enclave) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(enclave.ecall_create_migratable_counter().ok());
+    }
+    enclave.ecall_increment_migratable_counter(0);
+    EXPECT_TRUE(enclave.ecall_migration_precopy_round("m1").ok());
+    me("m0")->pump();
+    world_.network().pump_all();
+    enclave.ecall_increment_migratable_counter(1);
+    const Bytes before = source_disk_buffer();
+    const auto fin = drive_queued_finalize(
+        enclave, enclave.ecall_migration_finalize_detailed("m1"));
+    EXPECT_TRUE(fin.ok()) << fin.message;
+    return before;
+  }
+
+  // The restored instance on m1 holds the rounds and the final delta.
+  void expect_moved_with_final_delta() {
+    auto moved = make_app(m1_);
+    ASSERT_EQ(
+        moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+        Status::kOk);
+    EXPECT_EQ(moved->active_counters(), 3u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 1u);
+    EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 0u);
+  }
+
+  // A pre-copy finalize writes no freeze flag: the retire killed the
+  // epoch guard first, so m0's newest buffer is the pre-freeze one, and
+  // it refuses to restore all the same.
+  void latest_buffer_refused_after_finalize(bool async_precopy) {
+    me("m0")->set_async_precopy(async_precopy);
+    auto enclave = start_new(m0_);
+    const Bytes before = finalize_after_round(*enclave);
+    const Bytes latest = source_disk_buffer();
+    EXPECT_EQ(latest, before);
+    EXPECT_EQ(enclave->sealed_state(), latest);
+    enclave.reset();
+    auto forked = make_app(m0_);
+    EXPECT_EQ(forked->ecall_migration_init(latest, InitState::kRestore, "m0"),
+              Status::kMigrationFrozen);
+    expect_moved_with_final_delta();
   }
 
   World world_{/*seed=*/4243};
@@ -227,6 +311,118 @@ TEST_F(PrecopyTest, RolledBackBufferRefusedAfterFinalize) {
   auto forked = make_app(m0_);
   EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
             Status::kMigrationFrozen);
+}
+
+// The freeze flag's fence is gone from the pre-copy finalize: the
+// retired guard refuses even the newest buffer, which carries no flag.
+TEST_F(PrecopyTest, LatestBufferRefusedAfterSyncFinalize) {
+  latest_buffer_refused_after_finalize(/*async_precopy=*/false);
+}
+
+TEST_F(PrecopyTest, LatestBufferRefusedAfterAsyncFinalize) {
+  latest_buffer_refused_after_finalize(/*async_precopy=*/true);
+}
+
+// Where no guard died, the flag is still the refusal, so it is still
+// written durably: a legacy lineage (no guard at all) ...
+TEST_F(PrecopyTest, LegacyLineageStillPersistsTheFreezeFlag) {
+  auto enclave = start_new(m0_, /*live_transfer=*/false);
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  const Bytes before = source_disk_buffer();
+  ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+  const Bytes latest = source_disk_buffer();
+  EXPECT_NE(latest, before);
+  enclave.reset();
+  auto forked = make_app(m0_, /*live_transfer=*/false);
+  EXPECT_EQ(forked->ecall_migration_init(latest, InitState::kRestore, "m0"),
+            Status::kMigrationFrozen);
+}
+
+// ... and the disabled-guard drill, whose guard survives the finalize.
+TEST_F(PrecopyTest, DisabledGuardDrillStillPersistsTheFreezeFlag) {
+  auto enclave = start_new(m0_);
+  enclave->chaos_disable_epoch_guard();
+  const Bytes before = finalize_after_round(*enclave);
+  const Bytes latest = source_disk_buffer();
+  EXPECT_NE(latest, before);
+  enclave.reset();
+  auto forked = make_app(m0_);
+  EXPECT_EQ(forked->ecall_migration_init(latest, InitState::kRestore, "m0"),
+            Status::kMigrationFrozen);
+  // The guard is alive: the pre-freeze buffer restores — the fork the
+  // drill exists to show.
+  auto fork = make_app(m0_);
+  EXPECT_EQ(fork->ecall_migration_init(before, InitState::kRestore, "m0"),
+            Status::kOk);
+}
+
+// The source ME no longer persists a finalize it takes: a restart before
+// the pump loses it, and the still-frozen library re-sends it.
+TEST_F(PrecopyTest, AsyncFinalizeLostToMeRestartIsResent) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  enclave->ecall_increment_migratable_counter(1);
+  const auto queued = enclave->ecall_migration_finalize_detailed("m1");
+  ASSERT_EQ(queued.status, Status::kMigrationInProgress) << queued.message;
+
+  restart_me("m0");
+  const auto lost = enclave->ecall_migration_poll_transfer();
+  EXPECT_EQ(lost.status, Status::kServiceUnavailable) << lost.message;
+  EXPECT_TRUE(lost.retryable());
+  EXPECT_TRUE(enclave->migration_frozen());
+
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  enclave.reset();
+  expect_moved_with_final_delta();
+}
+
+// ----- the durable writes inside a freeze (persist.fence spans) -----
+
+// An async pre-copy freeze waits for two fences: the destination's
+// pending entry, then the source's retain.
+TEST_F(PrecopyTest, AsyncPrecopyFreezeHoldsTwoFences) {
+  me("m0")->set_async_precopy(true);
+  world_.observability().set_enabled(true);
+  auto enclave = start_new(m0_);
+  finalize_after_round(*enclave);
+  const std::vector<obs::TraceSpan> fences = fences_in_last_freeze();
+  ASSERT_EQ(fences.size(), 2u);
+  EXPECT_EQ(fences[0].lane, "m1");
+  EXPECT_EQ(fences[1].lane, "m0");
+  for (const obs::TraceSpan& fence : fences) {
+    EXPECT_NE(fence.trace_id, 0u);
+    EXPECT_EQ(fence.args.front(),
+              std::make_pair(std::string("kind"),
+                             std::string("transfer-queue")));
+  }
+}
+
+// The paper's blocking full-snapshot freeze keeps all three: the freeze
+// flag, the destination's pending entry and the source's retain.
+TEST_F(PrecopyTest, LegacyFullSnapshotFreezeKeepsItsFences) {
+  world_.observability().set_enabled(true);
+  auto enclave = start_new(m0_, /*live_transfer=*/false);
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+  const std::vector<obs::TraceSpan> fences = fences_in_last_freeze();
+  ASSERT_EQ(fences.size(), 3u);
+  EXPECT_EQ(fences[0].lane, "m0");
+  EXPECT_EQ(fences[0].args.front(),
+            std::make_pair(std::string("kind"), std::string("freeze")));
+  EXPECT_EQ(fences[1].lane, "m1");
+  EXPECT_EQ(fences[2].lane, "m0");
 }
 
 TEST_F(PrecopyTest, AsyncFinalizeRetiresTheCountersInsideTheFreeze) {
