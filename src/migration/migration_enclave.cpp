@@ -1,5 +1,7 @@
 #include "migration/migration_enclave.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "crypto/cmac.h"
@@ -255,10 +257,10 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
     retry_done_relays();
   }
   // Same opportunism for abandoned pre-copy staging: inbound traffic is a
-  // cheap moment to age out entries whose source will never finalize.
-  if (!precopy_staging_.empty() &&
-      platform().clock().now() - last_staging_sweep_ >=
-          kPrecopyStagingMaxAge) {
+  // cheap moment to age out records whose source will never finalize.
+  if (platform().clock().now() - last_staging_sweep_ >=
+          kPrecopyStagingMaxAge &&
+      precopy_staging_count() != 0) {
     sweep_stale_precopy_staging();
   }
   auto parsed = MeRequest::deserialize(raw);
@@ -424,8 +426,9 @@ LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
 LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
                                            LaSessionState& session) {
   LibMsg reply;
-  const auto it = pending_.find(session.peer.mr_enclave);
-  if (it == pending_.end()) {
+  // Only assembled data is deliverable: staged rounds are no snapshot.
+  const auto it = incoming_.find(session.peer.mr_enclave);
+  if (it == incoming_.end() || !it->second.assembled()) {
     reply.type = LibMsgType::kError;
     reply.status = Status::kNoPendingMigration;
     return reply;
@@ -460,7 +463,7 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
   reply.type = LibMsgType::kIncomingData;
   reply.status = Status::kOk;
   BinaryWriter w;
-  w.bytes(it->second.data.serialize());
+  w.bytes(it->second.data->serialize());
   w.u64(it->second.delivery_token);
   // Third field (tolerated as absent by older readers): the attempt
   // nonce, so the destination library can join this migration's trace
@@ -494,13 +497,13 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
       return reply;
     }
   }
-  const auto it = pending_.find(session.peer.mr_enclave);
+  auto it = incoming_.find(session.peer.mr_enclave);
+  if (it != incoming_.end() && !it->second.assembled()) it = incoming_.end();
   const bool owner =
-      it != pending_.end() &&
+      it != incoming_.end() &&
       (it->second.delivering_session == session_id ||
        (token != 0 && token == it->second.delivery_token));
-  if (it != pending_.end() && owner &&
-      it->second.delivering_session != session_id) {
+  if (owner && it->second.delivering_session != session_id) {
     // Token-based takeover: revoke the stale pinned session so the old
     // channel cannot race this one.
     la_sessions_.erase(it->second.delivering_session);
@@ -513,7 +516,7 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
     // fully restored destination instance.  No state changes; an enclave
     // that never fetched cannot reach its confirm step (its init fails at
     // the fetch), so this leaks nothing.
-    if (it == pending_.end() &&
+    if (it == incoming_.end() &&
         confirmed_incoming_.count(session.peer.mr_enclave) != 0) {
       reply.type = LibMsgType::kConfirmAck;
       reply.status = Status::kOk;
@@ -528,9 +531,9 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   const uint64_t request_nonce = it->second.request_nonce;
 
   // Seal the DONE record for the source ME while the inbound channel is
-  // still at hand, then retire both queue entries.  The erase of pending_
+  // still at hand, then retire both queue entries.  The record's erase
   // MUST be durable before the ConfirmAck leaves this enclave: if an ME
-  // restart resurrected the pending entry after the destination enclave
+  // restart resurrected the record after the destination enclave
   // started running, a second instance could fetch it — the §III-B fork.
   const auto inbound_it = inbound_.find(transfer_id);
   std::optional<DoneRelay> relay;
@@ -544,7 +547,7 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
     relay = std::move(r);
     inbound_.erase(inbound_it);
   }
-  pending_.erase(it);
+  incoming_.erase(it);
   if (relay.has_value()) done_relays_[transfer_id] = std::move(*relay);
   if (confirmed_incoming_.count(session.peer.mr_enclave) == 0) {
     confirmed_incoming_order_.push_back(session.peer.mr_enclave);
@@ -1498,90 +1501,6 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
   return reply;
 }
 
-MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
-  const auto it = inbound_.find(req.id);
-  if (it == inbound_.end() || !it->second.authenticated) {
-    return error_response(Status::kInvalidState);
-  }
-  auto plaintext = it->second.channel->open_record(req.payload);
-  if (!plaintext.ok()) return error_response(plaintext.status());
-  auto parsed = AbortRequest::deserialize(plaintext.value());
-  if (!parsed.ok()) return error_response(Status::kTampered);
-  const sgx::Measurement& mr = parsed.value().source_mr_enclave;
-  const uint64_t nonce = parsed.value().request_nonce;
-  const std::string& peer_address = it->second.source_address;
-
-  // Only the ORIGINATING source ME may expire its own attempt, and never
-  // once the data was handed to an enclave instance (the delivery pin's
-  // fork prevention outranks everything).
-  bool expired = false;
-  bool delivered_block = false;
-  const auto pending = pending_.find(mr);
-  if (pending != pending_.end() && pending->second.request_nonce == nonce &&
-      pending->second.source_me_address == peer_address) {
-    if (pending->second.delivering_session == 0) {
-      inbound_.erase(pending->second.transfer_id);
-      pending_.erase(pending);
-      expired = true;
-    } else {
-      delivered_block = true;
-    }
-  }
-  const auto staging = precopy_staging_.find(mr);
-  if (staging != precopy_staging_.end() &&
-      staging->second.request_nonce == nonce &&
-      staging->second.source_me_address == peer_address) {
-    if (staging->second.transfer_id != req.id) {
-      inbound_.erase(staging->second.transfer_id);
-    }
-    precopy_staging_.erase(staging);
-    expired = true;
-  }
-
-  BinaryWriter w;
-  w.str(kAbortMarker);
-  // 1 = no undelivered entry remains (safe for the source to forget the
-  // attempt); 0 = an instance fetched the data and may still confirm.
-  w.u8(delivered_block ? 0 : 1);
-  MeResponse resp;
-  resp.status = Status::kOk;
-  // Re-find: the erases above may have touched inbound_ (never this
-  // one-shot entry, but keep the access defensive and obvious).
-  const auto self = inbound_.find(req.id);
-  if (self == inbound_.end() || !self->second.channel.has_value()) {
-    return error_response(Status::kInvalidState);
-  }
-  resp.payload = self->second.channel->seal_record(w.data());
-  // One-shot conversation, like reconcile.
-  inbound_.erase(self);
-  if (expired) {
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) return error_response(persisted);
-  }
-  return resp;
-}
-
-size_t MigrationEnclave::sweep_stale_precopy_staging() {
-  last_staging_sweep_ = platform().clock().now();
-  size_t swept = 0;
-  for (auto it = precopy_staging_.begin(); it != precopy_staging_.end();) {
-    const Duration age =
-        platform().clock().now() - it->second.last_update;
-    if (age >= kPrecopyStagingMaxAge) {
-      // Staging is never handed to an enclave, so expiring it cannot
-      // fork; a source that does come back re-ships the full set after
-      // kPrecopyIncomplete.
-      inbound_.erase(it->second.transfer_id);
-      it = precopy_staging_.erase(it);
-      ++swept;
-    } else {
-      ++it;
-    }
-  }
-  if (swept > 0) persist_queue();
-  return swept;
-}
-
 // ----- live pre-copy (source side) -----
 
 namespace {
@@ -2054,146 +1973,134 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
   return resp;
 }
 
-MeResponse MigrationEnclave::on_transfer(const MeRequest& req) {
+// ----- incoming records: one per identity, staged then assembled -----
+
+void MigrationEnclave::IncomingRecord::assemble(MigrationData assembled) {
+  data = std::move(assembled);
+  rounds = 0;
+  chunks.clear();
+  last_update = {};
+}
+
+size_t MigrationEnclave::pending_incoming_count() const {
+  return static_cast<size_t>(
+      std::count_if(incoming_.begin(), incoming_.end(),
+                    [](const auto& e) { return e.second.assembled(); }));
+}
+
+size_t MigrationEnclave::precopy_staging_count() const {
+  return incoming_.size() - pending_incoming_count();
+}
+
+template <typename Record>
+Result<MigrationEnclave::OpenedRecord<Record>>
+MigrationEnclave::open_inbound_record(const MeRequest& req, bool charge) {
   const auto it = inbound_.find(req.id);
   if (it == inbound_.end() || !it->second.authenticated) {
-    return error_response(Status::kInvalidState);
+    return Status::kInvalidState;
   }
-  InboundTransfer& inbound = it->second;
-  auto plaintext = inbound.channel->open_record(req.payload);
-  if (!plaintext.ok()) return error_response(plaintext.status());
-  charge_gcm(plaintext.value().size());
-  auto payload = TransferPayload::deserialize(plaintext.value());
-  if (!payload.ok()) return error_response(Status::kTampered);
+  auto plaintext = it->second.channel->open_record(req.payload);
+  if (!plaintext.ok()) return plaintext.status();
+  if (charge) charge_gcm(plaintext.value().size());
+  auto record = Record::deserialize(plaintext.value());
+  if (!record.ok()) return Status::kTampered;
+  return OpenedRecord<Record>{&it->second, std::move(record).value()};
+}
 
-  // One pending migration per enclave identity at a time, with this
-  // migration's own lost-ACCEPTED orphan superseded and foreign
-  // undelivered orphans given a reconciliation sweep (free_pending_slot).
-  const Status slot = free_pending_slot(
-      payload.value().source_mr_enclave, payload.value().request_nonce,
-      payload.value().source_me_address, req.id);
-  if (slot != Status::kOk) return error_response(slot);
-  PendingIncoming pending;
-  pending.transfer_id = req.id;
-  pending.data = payload.value().data;
-  pending.source_me_address = payload.value().source_me_address;
-  pending.request_nonce = payload.value().request_nonce;
-  pending_[payload.value().source_mr_enclave] = std::move(pending);
-  // A full-snapshot transfer supersedes any abandoned pre-copy staging of
-  // the same identity (the library froze and shipped everything).
-  precopy_staging_.erase(payload.value().source_mr_enclave);
+bool MigrationEnclave::expire_incoming(IncomingMap::iterator it,
+                                       uint64_t live_transfer_id) {
+  // Delivered (or delivering) data is protected by the pin, never expired.
+  if (it->second.delivering_session != 0) return false;
+  if (it->second.transfer_id != live_transfer_id) {
+    inbound_.erase(it->second.transfer_id);
+  }
+  incoming_.erase(it);
+  return true;
+}
+
+Result<MigrationEnclave::IncomingRecord*> MigrationEnclave::claim_incoming(
+    const sgx::Measurement& mr, uint64_t nonce,
+    const std::string& source_me_address, uint64_t transfer_id) {
+  // A record must be identifiable to its source ME (abort, reconcile).
+  if (nonce == 0) return Status::kInvalidParameter;
+  const auto held = incoming_.find(mr);
+  if (held != incoming_.end()) {
+    IncomingRecord& record = held->second;
+    // Once a session has fetched the data, nothing replaces it: the
+    // delivery pin's fork prevention outranks any retry or newer attempt.
+    if (record.delivering_session != 0) return Status::kAlreadyExists;
+    if (record.request_nonce == nonce &&
+        record.source_me_address == source_me_address) {
+      // The same logical migration: a lost ack or channel desync made the
+      // source re-attest, so the previous conversation is dead.  Its data
+      // stays until a passing assembly replaces it.
+      if (record.transfer_id != transfer_id) {
+        inbound_.erase(record.transfer_id);
+        record.transfer_id = transfer_id;
+      }
+      return &record;
+    }
+    if (!record.assembled()) {
+      // A fresh nonce is a NEW attempt: the staged one was abandoned
+      // (re-route, restarted pre-copy).  Staging is never handed to an
+      // enclave, so dropping it cannot fork.
+      expire_incoming(held, transfer_id);
+    } else if (reconcile_pending(mr) != Status::kOk) {
+      // An undelivered assembled record of another migration blocks unless
+      // its source ME vouches the identity completed elsewhere (the
+      // lost-ACCEPTED re-route orphan); reconcile_pending expires it then.
+      return Status::kAlreadyExists;
+    }
+  }
+  IncomingRecord fresh;
+  fresh.transfer_id = transfer_id;
+  fresh.source_me_address = source_me_address;
+  fresh.request_nonce = nonce;
+  return &(incoming_[mr] = std::move(fresh));
+}
+
+MeResponse MigrationEnclave::on_transfer(const MeRequest& req) {
+  auto opened = open_inbound_record<TransferPayload>(req, /*charge=*/true);
+  if (!opened.ok()) return error_response(opened.status());
+  TransferPayload& payload = opened.value().record;
+  auto claimed =
+      claim_incoming(payload.source_mr_enclave, payload.request_nonce,
+                     payload.source_me_address, req.id);
+  if (!claimed.ok()) return error_response(claimed.status());
+  claimed.value()->assemble(std::move(payload.data));
 
   MeResponse resp;
   resp.status = Status::kOk;
   // Seal the ACCEPTED ack BEFORE snapshotting: the snapshot must capture
   // the channel's post-ack sequence numbers, or a DONE sealed after a
-  // restart would fail the source's replay check.  The pending entry (and
-  // the inbound channel that will seal the DONE) are then made durable
+  // restart would fail the source's replay check.  The record (and the
+  // inbound channel that will seal the DONE) are then made durable
   // before the ack leaves this enclave and releases the source side.
-  resp.payload =
-      inbound.channel->seal_record(to_bytes(std::string_view(kAcceptedMarker)));
-  const Status persisted = persist_queue(payload.value().request_nonce);
+  resp.payload = opened.value().inbound->channel->seal_record(
+      to_bytes(std::string_view(kAcceptedMarker)));
+  const Status persisted = persist_queue(payload.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
 }
 
-// ----- live pre-copy (destination side) -----
-
-MigrationEnclave::PrecopyStaging& MigrationEnclave::merge_precopy_staging(
-    const sgx::Measurement& mr, const std::string& source_me_address,
-    uint64_t nonce, uint64_t transfer_id,
-    const std::vector<CounterChunk>& chunks) {
-  auto staging = precopy_staging_.find(mr);
-  if (staging != precopy_staging_.end() &&
-      (staging->second.request_nonce != nonce ||
-       staging->second.source_me_address != source_me_address)) {
-    // A fresh nonce is a NEW logical migration attempt: the old staging
-    // was abandoned (re-route, restarted pre-copy).  Unlike a pending
-    // entry, staging is never handed to an enclave, so superseding it
-    // cannot fork — drop it with its orphaned channel.
-    if (staging->second.transfer_id != transfer_id) {
-      inbound_.erase(staging->second.transfer_id);
-    }
-    precopy_staging_.erase(staging);
-    staging = precopy_staging_.end();
-  }
-  if (staging == precopy_staging_.end()) {
-    PrecopyStaging fresh;
-    fresh.source_me_address = source_me_address;
-    fresh.request_nonce = nonce;
-    staging = precopy_staging_.emplace(mr, std::move(fresh)).first;
-  }
-  PrecopyStaging& entry = staging->second;
-  if (entry.transfer_id != transfer_id) {
-    // The source re-attested (lost ack / channel desync): the previous
-    // inbound channel for this attempt is dead.
-    if (entry.transfer_id != 0) inbound_.erase(entry.transfer_id);
-    entry.transfer_id = transfer_id;
-  }
-  merge_by_generation(entry.chunks, chunks);
-  entry.last_update = platform().clock().now();
-  return entry;
-}
-
-Status MigrationEnclave::free_pending_slot(const sgx::Measurement& mr,
-                                           uint64_t nonce,
-                                           const std::string& source_me_address,
-                                           uint64_t arriving_transfer_id) {
-  const auto existing = pending_.find(mr);
-  if (existing == pending_.end()) return Status::kOk;
-  // A re-transfer of the same logical migration (same source ME + nonce):
-  // the previous attempt's ACCEPTED ack was lost, the source retained
-  // nothing and retries under a fresh transfer id — supersede its own
-  // orphan.  Once a session has fetched the old entry, superseding is
-  // refused (the delivery pin's fork prevention outranks the retry).
-  const bool same_migration =
-      nonce != 0 && existing->second.request_nonce == nonce &&
-      existing->second.source_me_address == source_me_address;
-  if (same_migration && existing->second.delivering_session == 0) {
-    if (existing->second.transfer_id != arriving_transfer_id) {
-      inbound_.erase(existing->second.transfer_id);
-    }
-    pending_.erase(existing);
-    return Status::kOk;
-  }
-  // An undelivered entry from a DIFFERENT logical migration gets one
-  // (rate-limited) reconciliation sweep against its originating source
-  // ME before it is allowed to block: the lost-ACCEPTED re-route orphan
-  // case, where the identity completed elsewhere and this entry is
-  // stale.  reconcile_pending erases the expired entry itself.
-  if (!same_migration && existing->second.delivering_session == 0 &&
-      reconcile_pending(mr) == Status::kOk) {
-    return Status::kOk;
-  }
-  return Status::kAlreadyExists;
-}
-
 MeResponse MigrationEnclave::on_precopy_chunk(const MeRequest& req) {
-  const auto it = inbound_.find(req.id);
-  if (it == inbound_.end() || !it->second.authenticated) {
-    return error_response(Status::kInvalidState);
-  }
-  InboundTransfer& inbound = it->second;
-  auto plaintext = inbound.channel->open_record(req.payload);
-  if (!plaintext.ok()) return error_response(plaintext.status());
-  charge_gcm(plaintext.value().size());
-  auto parsed = PrecopyChunkRecord::deserialize(plaintext.value());
-  if (!parsed.ok()) return error_response(Status::kTampered);
-  const PrecopyChunkRecord& record = parsed.value();
-  if (record.request_nonce == 0) {
-    return error_response(Status::kInvalidParameter);
-  }
-
-  PrecopyStaging& entry = merge_precopy_staging(
-      record.source_mr_enclave, record.source_me_address,
-      record.request_nonce, req.id, record.chunks);
+  auto opened = open_inbound_record<PrecopyChunkRecord>(req, /*charge=*/true);
+  if (!opened.ok()) return error_response(opened.status());
+  const PrecopyChunkRecord& record = opened.value().record;
+  auto claimed =
+      claim_incoming(record.source_mr_enclave, record.request_nonce,
+                     record.source_me_address, req.id);
+  if (!claimed.ok()) return error_response(claimed.status());
+  IncomingRecord& entry = *claimed.value();
+  merge_by_generation(entry.chunks, record.chunks);
+  entry.last_update = platform().clock().now();
   if (record.round + 1 > entry.rounds) entry.rounds = record.round + 1;
 
   MeResponse resp;
   resp.status = Status::kOk;
   // Ack sealed BEFORE the snapshot so the persisted channel sequence
   // numbers are post-ack (mirrors on_transfer).
-  resp.payload = inbound.channel->seal_record(
+  resp.payload = opened.value().inbound->channel->seal_record(
       to_bytes(std::string_view(kPrecopyAckMarker)));
   const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
@@ -2201,27 +2108,18 @@ MeResponse MigrationEnclave::on_precopy_chunk(const MeRequest& req) {
 }
 
 MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
-  const auto it = inbound_.find(req.id);
-  if (it == inbound_.end() || !it->second.authenticated) {
-    return error_response(Status::kInvalidState);
-  }
-  InboundTransfer& inbound = it->second;
-  auto plaintext = inbound.channel->open_record(req.payload);
-  if (!plaintext.ok()) return error_response(plaintext.status());
-  charge_gcm(plaintext.value().size());
-  auto parsed = PrecopyFinalizeRecord::deserialize(plaintext.value());
-  if (!parsed.ok()) return error_response(Status::kTampered);
-  const PrecopyFinalizeRecord& record = parsed.value();
-  if (record.request_nonce == 0) {
-    return error_response(Status::kInvalidParameter);
-  }
-  const sgx::Measurement& mr = record.source_mr_enclave;
-
-  // Fold the final delta into the staged rounds (same supersede rules as
-  // a mid-pre-copy chunk).
-  PrecopyStaging& entry = merge_precopy_staging(mr, record.source_me_address,
-                                                record.request_nonce, req.id,
-                                                record.chunks);
+  auto opened =
+      open_inbound_record<PrecopyFinalizeRecord>(req, /*charge=*/true);
+  if (!opened.ok()) return error_response(opened.status());
+  const PrecopyFinalizeRecord& record = opened.value().record;
+  auto claimed =
+      claim_incoming(record.source_mr_enclave, record.request_nonce,
+                     record.source_me_address, req.id);
+  if (!claimed.ok()) return error_response(claimed.status());
+  IncomingRecord& entry = *claimed.value();
+  // Fold the final delta into the staged rounds.
+  merge_by_generation(entry.chunks, record.chunks);
+  entry.last_update = platform().clock().now();
 
   // Manifest check: the staged set must cover EXACTLY what the library
   // shipped.  A lost round (or a wiped queue) must fail loudly here — a
@@ -2235,48 +2133,85 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
       return error_response(Status::kPrecopyIncomplete);
     }
   }
-
   // The authoritative snapshot: manifest chunks + MSK.
-  MigrationData assembled =
-      assemble_snapshot(entry.chunks, record.manifest, record.msk);
-
-  // Same one-pending-per-identity rules as on_transfer, including the
-  // reconciliation sweep for a foreign undelivered orphan.
-  const Status slot = free_pending_slot(mr, record.request_nonce,
-                                        record.source_me_address, req.id);
-  if (slot != Status::kOk) return error_response(slot);
-
-  PendingIncoming pending;
-  pending.transfer_id = req.id;
-  pending.data = std::move(assembled);
-  pending.source_me_address = record.source_me_address;
-  pending.request_nonce = record.request_nonce;
-  pending_[mr] = std::move(pending);
-  precopy_staging_.erase(mr);
+  entry.assemble(assemble_snapshot(entry.chunks, record.manifest, record.msk));
 
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = inbound.channel->seal_record(
+  resp.payload = opened.value().inbound->channel->seal_record(
       to_bytes(std::string_view(kPrecopyFinMarker)));
   const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
 }
 
-// ----- pending-entry reconciliation (lost-ACCEPTED re-route orphans) ----
+MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
+  auto opened = open_inbound_record<AbortRequest>(req, /*charge=*/false);
+  if (!opened.ok()) return error_response(opened.status());
+  const AbortRequest& abort = opened.value().record;
+  InboundTransfer& inbound = *opened.value().inbound;
+
+  // Only the ORIGINATING source ME may expire its own attempt, and never
+  // once the data was handed to an enclave instance (the delivery pin's
+  // fork prevention outranks everything).
+  bool expired = false;
+  bool delivered_block = false;
+  const auto it = incoming_.find(abort.source_mr_enclave);
+  if (it != incoming_.end() && it->second.request_nonce == abort.request_nonce &&
+      it->second.source_me_address == inbound.source_address) {
+    expired = expire_incoming(it, req.id);
+    delivered_block = !expired;
+  }
+
+  BinaryWriter w;
+  w.str(kAbortMarker);
+  // 1 = no undelivered record remains (safe for the source to forget the
+  // attempt); 0 = an instance fetched the data and may still confirm.
+  w.u8(delivered_block ? 0 : 1);
+  MeResponse resp;
+  resp.status = Status::kOk;
+  resp.payload = inbound.channel->seal_record(w.data());
+  // One-shot conversation, like reconcile.
+  inbound_.erase(req.id);
+  if (expired) {
+    const Status persisted = persist_queue();
+    if (persisted != Status::kOk) return error_response(persisted);
+  }
+  return resp;
+}
+
+size_t MigrationEnclave::sweep_stale_precopy_staging() {
+  const Duration now_ = platform().clock().now();
+  last_staging_sweep_ = now_;
+  size_t swept = 0;
+  for (auto it = incoming_.begin(); it != incoming_.end();) {
+    const auto next = std::next(it);
+    // Staging is never handed to an enclave, so expiring it cannot fork; a
+    // source that does come back re-ships the full set after
+    // kPrecopyIncomplete.
+    if (!it->second.assembled() &&
+        now_ - it->second.last_update >= kPrecopyStagingMaxAge &&
+        expire_incoming(it)) {
+      ++swept;
+    }
+    it = next;
+  }
+  if (swept > 0) persist_queue();
+  return swept;
+}
+
+// ----- incoming-record reconciliation (lost-ACCEPTED or lost-abort orphans) --
 
 Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   if (platform().network() == nullptr) return Status::kNetworkUnreachable;
-  const auto it = pending_.find(mr);
-  if (it == pending_.end()) return Status::kNoPendingMigration;
+  const auto it = incoming_.find(mr);
+  if (it == incoming_.end()) return Status::kNoPendingMigration;
   // Delivered (or delivering) data is protected by the pin, never swept.
   if (it->second.delivering_session != 0) return Status::kMigrationInProgress;
-  // Legacy entries without a nonce cannot be identified to the source.
-  if (it->second.request_nonce == 0) return Status::kInvalidState;
   const std::string source_address = it->second.source_me_address;
   const uint64_t nonce = it->second.request_nonce;
   if (source_address == platform().address()) return Status::kInvalidState;
-  // Rate limit: a LIVE entry blocking a busy-retrying peer (the common
+  // Rate limit: a LIVE record blocking a busy-retrying peer (the common
   // same-image serialization) must not cost one RA handshake per retry
   // just to re-learn it is live.
   const Duration now_ = platform().clock().now();
@@ -2300,26 +2235,24 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
     return Status::kMigrationInProgress;
   }
   // The source ME vouches the identity completed a NEWER transfer and
-  // knows nothing live about this nonce: the entry is stale
-  // pre-migration state a future instance must never fetch.  Expire it.
-  // (Re-find after the nested rpc; reentrant traffic may have advanced
-  // this queue in the meantime.)
-  const auto stale = pending_.find(mr);
-  if (stale == pending_.end() || stale->second.request_nonce != nonce ||
-      stale->second.delivering_session != 0) {
+  // knows nothing live about this nonce: the record is stale state (an
+  // abandoned staging, or pre-migration data a future instance must never
+  // fetch).  Expire it.  (Re-find after the nested rpc; reentrant traffic
+  // may have advanced this queue in the meantime.)
+  const auto stale = incoming_.find(mr);
+  if (stale == incoming_.end() || stale->second.request_nonce != nonce ||
+      !expire_incoming(stale)) {
     return Status::kMigrationInProgress;
   }
-  inbound_.erase(stale->second.transfer_id);
-  pending_.erase(stale);
   return persist_queue();
 }
 
 size_t MigrationEnclave::reconcile_all_pending() {
   std::vector<sgx::Measurement> mrs;
-  mrs.reserve(pending_.size());
-  for (const auto& [mr, entry] : pending_) mrs.push_back(mr);
+  mrs.reserve(incoming_.size());
+  for (const auto& [mr, record] : incoming_) mrs.push_back(mr);
   for (const sgx::Measurement& mr : mrs) reconcile_pending(mr);
-  return pending_.size();
+  return incoming_.size();
 }
 
 bool MigrationEnclave::superseded_by_completion(const sgx::Measurement& mr,
@@ -2377,16 +2310,10 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
 }
 
 MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
-  const auto it = inbound_.find(req.id);
-  if (it == inbound_.end() || !it->second.authenticated) {
-    return error_response(Status::kInvalidState);
-  }
-  auto plaintext = it->second.channel->open_record(req.payload);
-  if (!plaintext.ok()) return error_response(plaintext.status());
-  auto parsed = ReconcileQuery::deserialize(plaintext.value());
-  if (!parsed.ok()) return error_response(Status::kTampered);
-  const sgx::Measurement& mr = parsed.value().source_mr_enclave;
-  const uint64_t nonce = parsed.value().request_nonce;
+  auto opened = open_inbound_record<ReconcileQuery>(req, /*charge=*/false);
+  if (!opened.ok()) return error_response(opened.status());
+  const sgx::Measurement& mr = opened.value().record.source_mr_enclave;
+  const uint64_t nonce = opened.value().record.request_nonce;
 
   // Retained, or a task of either mode (the index's completed transfer
   // is older than a task).
@@ -2409,9 +2336,9 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   w.u8(static_cast<uint8_t>(verdict));
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = it->second.channel->seal_record(w.data());
+  resp.payload = opened.value().inbound->channel->seal_record(w.data());
   // One-shot session: the reconcile conversation ends here.
-  inbound_.erase(it);
+  inbound_.erase(req.id);
   return resp;
 }
 
@@ -2580,11 +2507,14 @@ Bytes MigrationEnclave::serialize_queue() const {
     write_optional_channel(w, t.channel);
   }
 
-  w.u32(static_cast<uint32_t>(pending_.size()));
-  for (const auto& [mr, p] : pending_) {
+  // Incoming records, assembled ones here and staged ones in the v2
+  // section below, each in identity order.
+  w.u32(static_cast<uint32_t>(pending_incoming_count()));
+  for (const auto& [mr, p] : incoming_) {
+    if (!p.assembled()) continue;
     w.fixed(mr);
     w.u64(p.transfer_id);
-    w.bytes(p.data.serialize());
+    w.bytes(p.data->serialize());
     w.str(p.source_me_address);
     w.u64(p.request_nonce);
     // delivering_session is deliberately NOT persisted: LA sessions die
@@ -2636,9 +2566,9 @@ Bytes MigrationEnclave::serialize_queue() const {
   }
 
   // ----- v2: live pre-copy state -----
-  // Source pre-copy tasks (merged chunk sets + RA channels) and
-  // destination staging: an ME restart between rounds RESUMES the
-  // pre-copy instead of throwing away every round already shipped.
+  // Source pre-copy tasks (merged chunk sets + RA channels) and staged
+  // incoming records: an ME restart between rounds RESUMES the pre-copy
+  // instead of throwing away every round already shipped.
   uint32_t precopy_count = 0;
   for (const auto& [nonce, t] : transfer_tasks_) {
     if (t.precopy) ++precopy_count;
@@ -2655,8 +2585,9 @@ Bytes MigrationEnclave::serialize_queue() const {
     serialize_chunk_map(w, p.merged);
     write_optional_channel(w, p.channel);
   }
-  w.u32(static_cast<uint32_t>(precopy_staging_.size()));
-  for (const auto& [mr, s] : precopy_staging_) {
+  w.u32(static_cast<uint32_t>(precopy_staging_count()));
+  for (const auto& [mr, s] : incoming_) {
+    if (s.assembled()) continue;
     w.fixed(mr);
     w.u64(s.transfer_id);
     w.str(s.source_me_address);
@@ -2725,18 +2656,20 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     outgoing[id] = std::move(t);
   }
 
-  std::map<sgx::Measurement, PendingIncoming> pending;
+  // One map for both incoming sections: an identity holds one record, so
+  // an identity listed twice is tampered.
+  IncomingMap incoming;
   const uint32_t pending_count = r.u32();
   for (uint32_t i = 0; i < pending_count && r.ok(); ++i) {
     const sgx::Measurement mr = r.fixed<32>();
-    PendingIncoming p;
+    IncomingRecord p;
     p.transfer_id = r.u64();
     auto data = MigrationData::deserialize(r.bytes(1u << 20));
     if (!data.ok()) return Status::kTampered;
     p.data = std::move(data).value();
     p.source_me_address = r.str(256);
     p.request_nonce = r.u64();
-    pending[mr] = std::move(p);
+    if (!incoming.emplace(mr, std::move(p)).second) return Status::kTampered;
   }
 
   std::map<uint64_t, InboundTransfer> inbound;
@@ -2805,7 +2738,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   // One map for both sections: a nonce is one attempt of one mode, so a
   // nonce listed twice is tampered.
   std::map<uint64_t, TransferTask> transfer_tasks;
-  std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
   const uint32_t precopy_count = r.u32();
   for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
     const uint64_t nonce = r.u64();
@@ -2828,7 +2760,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   const uint32_t staging_count = r.u32();
   for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
     const sgx::Measurement mr = r.fixed<32>();
-    PrecopyStaging s;
+    IncomingRecord s;
     s.transfer_id = r.u64();
     s.source_me_address = r.str(256);
     s.request_nonce = r.u64();
@@ -2837,7 +2769,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     if (!chunks.ok()) return Status::kTampered;
     s.chunks = std::move(chunks).value();
     s.last_update = Duration(static_cast<int64_t>(r.u64()));
-    precopy_staging[mr] = std::move(s);
+    if (!incoming.emplace(mr, std::move(s)).second) return Status::kTampered;
   }
 
   const uint32_t task_count = r.u32();
@@ -2872,7 +2804,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   if (!r.done()) return Status::kTampered;
   next_outgoing_sequence_ = next_sequence;
   outgoing_ = std::move(outgoing);
-  pending_ = std::move(pending);
+  incoming_ = std::move(incoming);
   inbound_ = std::move(inbound);
   latest_outgoing_ = std::move(latest);
   completed_outgoing_ = std::move(completed);
@@ -2880,7 +2812,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   confirmed_incoming_ = std::move(confirmed_incoming);
   confirmed_incoming_order_ = std::move(confirmed_incoming_order);
   done_relays_ = std::move(relays);
-  precopy_staging_ = std::move(precopy_staging);
   transfer_tasks_ = std::move(transfer_tasks);
   peer_sessions_ = std::move(peer_sessions);
   return Status::kOk;

@@ -121,10 +121,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   uint64_t resumed_handshake_count() const { return resumed_handshakes_; }
   size_t peer_session_count() const { return peer_sessions_.size(); }
 
-  /// Ages out destination-side pre-copy staging whose source stopped
-  /// shipping rounds (abandoned without a reachable abort path): entries
-  /// untouched for kPrecopyStagingMaxAge are swept.  Runs one sweep now;
-  /// returns how many staging entries were expired.  Also run
+  /// Ages out destination-side staged records whose source stopped
+  /// shipping rounds (abandoned without a reachable abort path): records
+  /// untouched for kPrecopyStagingMaxAge expire.  Runs one sweep now;
+  /// returns how many staged records were expired.  Also run
   /// opportunistically (rate-limited) on any inbound request.
   size_t sweep_stale_precopy_staging();
 
@@ -158,30 +158,31 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Also retried opportunistically whenever the ME handles any request.
   size_t retry_done_relays();
 
-  /// Reconciliation sweep for ONE undelivered pending entry (the
-  /// lost-ACCEPTED re-route orphan, ROADMAP): asks the entry's
-  /// originating source ME — over a fresh mutually attested channel —
-  /// whether that logical migration is still live.  If the source ME
-  /// reports the identity completed a NEWER transfer (and knows nothing
-  /// live about this nonce), the stale entry (pre-migration state a
-  /// future instance must never fetch) is expired, clearing the
-  /// kAlreadyExists block for this enclave->machine pair.  Returns kOk
-  /// when the entry was expired, kMigrationInProgress when the source
-  /// considers it live (or could not vouch), kNoPendingMigration when
-  /// there is nothing to reconcile.  Also invoked automatically when a
-  /// new transfer is blocked by an undelivered pending entry.
+  /// Reconciliation sweep for ONE undelivered incoming record, staged or
+  /// assembled (the lost-ACCEPTED re-route orphan, or a pre-copy attempt
+  /// whose abort was lost): asks the record's originating source ME —
+  /// over a fresh mutually attested channel — whether that logical
+  /// migration is still live.  If the source ME reports the identity
+  /// completed a NEWER transfer (and knows nothing live about this
+  /// nonce), the stale record (pre-migration state a future instance must
+  /// never fetch) is expired, clearing the kAlreadyExists block for this
+  /// enclave->machine pair.  Returns kOk when the record was expired,
+  /// kMigrationInProgress when the source considers it live (or could not
+  /// vouch), kNoPendingMigration when there is nothing to reconcile.  Also
+  /// invoked automatically when an arriving record of another migration
+  /// is blocked by an undelivered assembled record.
   Status reconcile_pending(const sgx::Measurement& mr);
 
   /// Post-storm queue janitors (chaos harness + recovery drills).  A
   /// fault storm can strand queue entries whose normal cleanup message
   /// was itself lost: re-routed attempts whose abort never reached this
-  /// ME, and pending entries whose lost-ACCEPTED orphan reconcile only
-  /// runs when a NEW transfer collides with them.  Both sweeps act only
+  /// ME, and incoming records whose lost-ACCEPTED or lost-abort reconcile
+  /// only runs when a NEW record collides with them.  Both sweeps act only
   /// on POSITIVE evidence and leave anything ambiguous retained (§V-D).
   ///
   /// reconcile_all_pending: one reconcile_pending sweep (same rate
-  /// limit) over every undelivered pending entry; returns how many
-  /// pending entries remain afterwards.
+  /// limit) over every undelivered incoming record, staged or assembled;
+  /// returns how many records remain afterwards.
   size_t reconcile_all_pending();
   /// sweep_superseded_outgoing: expires retained outgoing transfers and
   /// transfer tasks (of both modes) whose enclave identity verifiably
@@ -208,7 +209,8 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   }
 
   // ----- introspection (used by tests and the bench harness) -----
-  size_t pending_incoming_count() const { return pending_.size(); }
+  /// Assembled incoming records (fetchable, awaiting their confirm).
+  size_t pending_incoming_count() const;
   /// Live (retained, not yet confirmed) outgoing transfers.  Confirmed
   /// transfers are erased from the queue; only a compact per-identity
   /// completion record remains.
@@ -217,8 +219,8 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   size_t unrelayed_done_count() const { return done_relays_.size(); }
   OutgoingState outgoing_state(const sgx::Measurement& mr) const;
   /// Pre-copy attempts staged on this ME as the DESTINATION side (not yet
-  /// finalized into a pending entry).
-  size_t precopy_staging_count() const { return precopy_staging_.size(); }
+  /// assembled by their finalize).
+  size_t precopy_staging_count() const;
 
   /// Caps the FIFO-bounded completed-outgoing and confirmed-incoming
   /// histories (the exactly-once dedup retention).  0 restores the
@@ -257,11 +259,24 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     std::optional<net::SecureChannel> channel;
     uint64_t sequence = 0;  // creation order, for status queries
   };
-  struct PendingIncoming {
-    uint64_t transfer_id = 0;
-    MigrationData data;
+  /// The one incoming migration of an enclave identity (paper §V-D,
+  /// §VI-A), from its first record until an instance with that MRENCLAVE
+  /// confirms it.  A record is STAGED — pre-copy chunks merged by
+  /// generation across rounds — until a transfer or a passing finalize
+  /// manifest ASSEMBLES it; only assembled data is fetched or confirmed.
+  /// Durable except the delivery pin, the token and the reconcile stamp.
+  struct IncomingRecord {
+    uint64_t transfer_id = 0;  // inbound_ entry holding the live channel
     std::string source_me_address;
-    uint64_t request_nonce = 0;       // identifies the logical migration
+    uint64_t request_nonce = 0;  // identifies the logical migration
+    // --- staged ---
+    uint32_t rounds = 0;
+    std::map<uint32_t, CounterChunk> chunks;
+    /// Virtual time of the last merged round: drives the age-based sweep
+    /// of staging whose source went away for good.
+    Duration last_update{};
+    // --- assembled ---
+    std::optional<MigrationData> data;
     uint64_t delivering_session = 0;  // LA session the data was handed to
     /// Random token delivered INSIDE the sealed fetch reply: only the
     /// instance that received the data can present it, so a confirm
@@ -269,23 +284,16 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// re-attested after a channel desync).  Transient, like the pin.
     uint64_t delivery_token = 0;
     // Last reconciliation sweep (virtual time, not persisted): a LIVE
-    // entry blocking a busy-retrying peer must not pay one RA handshake
+    // record blocking a busy-retrying peer must not pay one RA handshake
     // to its source ME per retry just to re-learn it is live.
     Duration last_reconcile{};
+
+    bool assembled() const { return data.has_value(); }
+    /// Turns the record into authoritative pending data (a transfer or a
+    /// passing finalize): the staged chunks are spent.
+    void assemble(MigrationData assembled);
   };
-  /// Destination-side staging of one pre-copy attempt, keyed by enclave
-  /// identity: chunks merged by generation across rounds.  Durable; only
-  /// the finalize manifest turns it into an authoritative pending entry.
-  struct PrecopyStaging {
-    uint64_t transfer_id = 0;  // inbound_ entry holding the live channel
-    std::string source_me_address;
-    uint64_t request_nonce = 0;
-    uint32_t rounds = 0;
-    std::map<uint32_t, CounterChunk> chunks;
-    /// Virtual time of the last merged round (durable): drives the
-    /// age-based sweep of staging whose source went away for good.
-    Duration last_update{};
-  };
+  using IncomingMap = std::map<sgx::Measurement, IncomingRecord>;
   /// One outgoing attempt, keyed by the library's request nonce: the
   /// source-side protocol as resumable steps, for both transfer modes.  A
   /// full-snapshot task ships its payload once; a pre-copy task ships
@@ -598,22 +606,34 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                                         uint64_t nonce,
                                         const MigrationPolicy& policy);
 
-  /// Destination-side staging upsert shared by chunk and finalize
-  /// records: supersedes an abandoned attempt (fresh nonce/source),
-  /// rebinds the inbound channel after a source re-handshake, and merges
-  /// `chunks` by generation.
-  PrecopyStaging& merge_precopy_staging(const sgx::Measurement& mr,
-                                        const std::string& source_me_address,
-                                        uint64_t nonce, uint64_t transfer_id,
-                                        const std::vector<CounterChunk>& chunks);
-
-  /// Enforces one-pending-per-identity for an arriving transfer of
-  /// (nonce, source): supersedes this migration's own undelivered orphan,
-  /// or runs the (rate-limited) reconcile sweep for a foreign one.
-  /// kOk = the slot is free; kAlreadyExists = blocked.
-  Status free_pending_slot(const sgx::Measurement& mr, uint64_t nonce,
-                           const std::string& source_me_address,
-                           uint64_t arriving_transfer_id);
+  /// The one-per-identity rule for an arriving transfer, chunk or
+  /// finalize record of (nonce, source) on conversation `transfer_id`.
+  /// The same migration keeps its record and rebinds it to the
+  /// conversation; a foreign staged record is dropped; a foreign assembled
+  /// one gets the rate-limited reconcile; a delivered one blocks
+  /// (kAlreadyExists).  A zero nonce is kInvalidParameter.  Returns the
+  /// record to merge into or assemble, fresh and staged when none was held.
+  Result<IncomingRecord*> claim_incoming(const sgx::Measurement& mr,
+                                         uint64_t nonce,
+                                         const std::string& source_me_address,
+                                         uint64_t transfer_id);
+  /// The one expiry step: drops an undelivered record with its inbound
+  /// conversation (but never `live_transfer_id`, the one the caller still
+  /// answers on).  A delivered record is never dropped: returns false.
+  /// The caller persists.
+  bool expire_incoming(IncomingMap::iterator it,
+                       uint64_t live_transfer_id = 0);
+  /// The one record opener of the peer handlers: the authenticated
+  /// inbound conversation `req.id`, its sealed record opened (and priced
+  /// as bulk GCM when `charge`) and parsed as a `Record`.
+  template <typename Record>
+  struct OpenedRecord {
+    InboundTransfer* inbound = nullptr;
+    Record record;
+  };
+  template <typename Record>
+  Result<OpenedRecord<Record>> open_inbound_record(const MeRequest& req,
+                                                   bool charge);
 
   /// Verifies the peer ME's provider authentication for a transcript.
   Status verify_provider_auth(const ProviderAuth& auth,
@@ -651,8 +671,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   std::map<uint64_t, InboundTransfer> inbound_;
   OutgoingMap outgoing_;
   std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
-  std::map<sgx::Measurement, PendingIncoming> pending_;
-  std::map<sgx::Measurement, PrecopyStaging> precopy_staging_;
+  IncomingMap incoming_;
   // Per-identity latest outgoing transfer: O(log n) status queries
   // instead of scanning every transfer ever made.  Once that transfer
   // completed, its request nonce stays here after the capped completion
@@ -671,7 +690,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// operator override via set_completed_history_limit) in the .cpp.
   size_t completed_history_limit_ = 0;  // 0 = library default
   // Durable record that an incoming migration for this identity was
-  // confirmed (pending_ erased, DONE queued), keyed by identity with the
+  // confirmed (its record erased, DONE queued), keyed by identity with the
   // confirming transfer id as value.  Lets a RE-sent confirm — whose
   // ConfirmAck reply was lost, forcing the library to re-attest and
   // retry — succeed idempotently instead of stranding a fully restored
