@@ -154,6 +154,12 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
                               std::to_string(me->pending_incoming_count()) +
                               " undelivered incoming entries"});
     }
+    if (me->precopy_staging_count() != 0) {
+      findings.push_back({"durable-queue",
+                          address + " ME holds " +
+                              std::to_string(me->precopy_staging_count()) +
+                              " staged incoming records"});
+    }
     if (me->transfer_task_count() != 0) {
       findings.push_back({"durable-queue",
                           address + " ME holds " +
@@ -184,7 +190,8 @@ size_t settle_queues(platform::World& world) {
     for (platform::Machine* m : world.machines()) {
       migration::MigrationEnclave* me = migration::me_on(*m);
       if (me != nullptr &&
-          (me->pending_incoming_count() != 0 || me->retry_done_relays() != 0 ||
+          (me->pending_incoming_count() != 0 ||
+           me->precopy_staging_count() != 0 || me->retry_done_relays() != 0 ||
            me->outgoing_count() != 0 || me->transfer_task_count() != 0)) {
         quiet = false;
       }

@@ -10,8 +10,9 @@
 //     the pre-drain sealed snapshot (epoch guard / destroyed counters)
 //     restores into a second USABLE instance — refusals are counted so
 //     the no-fork verdict is cross-checked against epoch-guard refusals;
-//   * durable-queue consistency: every surviving ME drained its pending
-//     incoming entries, transfer tasks, and done-relay retries.
+//   * durable-queue consistency: every surviving ME drained its incoming
+//     records (assembled and staged), transfer tasks, and done-relay
+//     retries.
 //
 // check_fault_recovery is the C++ twin of scripts/trace_check.py
 // --chaos: every "chaos.fault" trace instant must be followed by traced
@@ -85,10 +86,11 @@ class ConvergenceOracle {
 /// Post-drain settle, run before verify(): a storm can strand queue work
 /// whose driver is gone — takeover timers, DONEs toward a just-revived
 /// ME, orphans whose abort or reconcile was lost.  Up to 8 passes while
-/// any ME holds work (pending entries, unrelayed DONEs after a re-send,
-/// retained transfers, tasks of either mode): advance the clock 1 s, pump
-/// every ME, run its janitors, drain the network.  A wedged queue
-/// survives for the durable-queue oracle.  Returns the passes run.
+/// any ME holds work (incoming records, staged or assembled, unrelayed
+/// DONEs after a re-send, retained transfers, tasks of either mode):
+/// advance the clock 1 s, pump every ME, run its janitors, drain the
+/// network.  A wedged queue survives for the durable-queue oracle.
+/// Returns the passes run.
 size_t settle_queues(platform::World& world);
 
 /// Trace-level recovery oracle: every "chaos.fault" instant must be

@@ -4,8 +4,9 @@
 // oracle catches a deliberately seeded violation (a forced fork via the
 // disabled epoch guard, a forced silent stall), chaos stats serialize
 // into the orchestrator report, and a full 32-enclave seeded storm drain
-// converges with zero forks (the sanitizer jobs run this binary, so the
-// storm doubles as the ASan/UBSan chaos soak where benches are off).
+// converges with zero forks in both transfer modes (the sanitizer jobs
+// run this binary, so the storm doubles as the ASan/UBSan chaos soak
+// where benches are off).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -118,8 +119,9 @@ class ChaosTest : public ::testing::Test {
  protected:
   ChaosTest() {
     world_.install_management_enclaves(migration::durable_me_factory(
-        world_.provider(), [](migration::MigrationEnclave& me) {
+        world_.provider(), [this](migration::MigrationEnclave& me) {
           me.set_delivery_takeover_timeout(std::chrono::seconds(2));
+          me.set_async_precopy(async_precopy_);
         }));
   }
 
@@ -179,6 +181,10 @@ class ChaosTest : public ::testing::Test {
     return fork_reported;
   }
 
+  void strand_precopy_attempt_then_settle(int machines,
+                                          const std::string& drain_to,
+                                          const std::string& m1_finding);
+
   void TearDown() override {
     if (HasFailure()) {
       std::printf("ChaosTest: replay with SGXMIG_SEED=%llu\n",
@@ -186,6 +192,8 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
+  // Read by every ME the factory builds, restarted ones included.
+  bool async_precopy_ = false;
   const uint64_t seed_ = seed_from_env(101);
   World world_{seed_};
   FleetRegistry fleet_{world_};
@@ -311,10 +319,13 @@ TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {
 
 // A pre-copy attempt abandoned by a re-route whose kAbortStale was lost
 // stays on the source ME after the identity completes under a fresh
-// nonce.  The durable-queue oracle must see it, and the settle's
-// superseded sweep must expire it.
-TEST_F(ChaosTest, StrandedPrecopyAttemptIsReportedThenSettled) {
-  build_world(3);
+// nonce, and its staged record stays at m1.  The durable-queue oracle
+// must see both (`m1_finding`: what it reports for m1 after the drain,
+// empty for nothing), and the settle's janitors must expire both: the
+// superseded sweep at the source, the reconcile at m1.
+void ChaosTest::strand_precopy_attempt_then_settle(
+    int machines, const std::string& drain_to, const std::string& m1_finding) {
+  build_world(machines);
   const uint64_t id = launch("m0", "stranded-app", /*live_transfer=*/true, 3);
   ConvergenceOracle oracle(fleet_, "m0");
   oracle.capture();
@@ -335,22 +346,29 @@ TEST_F(ChaosTest, StrandedPrecopyAttemptIsReportedThenSettled) {
   ASSERT_TRUE(dropped);
   ASSERT_EQ(migration::me_on(*world_.machine("m0"))->transfer_task_count(),
             2u);
+  ASSERT_EQ(migration::me_on(*world_.machine("m1"))->precopy_staging_count(),
+            1u);
 
   Scheduler scheduler(fleet_);
   OrchestratorOptions options;
   options.transfer_mode = TransferMode::kPrecopy;
   Orchestrator orch(fleet_, scheduler, options);
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+  const OrchestratorReport report = orch.execute(
+      drain_to.empty() ? Plan::drain("m0") : Plan::move_one(id, drain_to));
   ASSERT_EQ(report.failed(), 0u);
 
   bool stranded_reported = false;
+  bool m1_reported = false;
   for (const auto& finding : oracle.verify(report)) {
-    if (finding.check == "durable-queue" &&
-        finding.detail == "m0 ME holds 1 unfinished transfer tasks") {
+    if (finding.check != "durable-queue") continue;
+    if (finding.detail == "m0 ME holds 1 unfinished transfer tasks") {
       stranded_reported = true;
+    } else if (finding.detail == m1_finding) {
+      m1_reported = true;
     }
   }
   EXPECT_TRUE(stranded_reported);
+  EXPECT_EQ(m1_reported, !m1_finding.empty());
 
   EXPECT_GE(chaos::settle_queues(world_), 1u);
   const auto findings = oracle.verify(report);
@@ -360,6 +378,21 @@ TEST_F(ChaosTest, StrandedPrecopyAttemptIsReportedThenSettled) {
   }
   EXPECT_EQ(migration::me_on(*world_.machine("m0"))->transfer_task_count(),
             0u);
+  EXPECT_EQ(migration::me_on(*world_.machine("m1"))->precopy_staging_count(),
+            0u);
+}
+
+// The drain picks m1, whose new attempt supersedes the staged record.
+TEST_F(ChaosTest, StrandedPrecopyAttemptIsReportedThenSettled) {
+  strand_precopy_attempt_then_settle(3, /*drain_to=*/"", /*m1_finding=*/"");
+}
+
+// The identity completes on m3, so only the settle's reconcile can expire
+// the staged record at m1: the source ME vouches the identity completed
+// under another nonce.
+TEST_F(ChaosTest, StrandedPrecopyStagingIsReportedThenReconciled) {
+  strand_precopy_attempt_then_settle(4, "m3",
+                                     "m1 ME holds 1 staged incoming records");
 }
 
 TEST_F(ChaosTest, RecoveryOracleFlagsSilentStall) {
@@ -393,18 +426,25 @@ TEST_F(ChaosTest, ChaosStatsSerializeIntoReportJson) {
 }
 
 // The full storm: a 32-enclave pipelined drain under the mixed seeded
-// storm converges with zero forks and every oracle clean — mirrors
-// bench_chaos_storm's gate inside the test suite so the sanitizer jobs
-// (which build with benches off) still soak the chaos paths.
-TEST_F(ChaosTest, SeededStormDrainConvergesWithoutForks) {
+// storm converges with zero forks and every oracle clean, in both
+// transfer modes — mirrors bench_chaos_storm's gate inside the test suite
+// so the sanitizer jobs (which build with benches off) still soak the
+// chaos paths, the async pre-copy source and destination paths included.
+class ChaosStormTest : public ChaosTest,
+                       public ::testing::WithParamInterface<TransferMode> {};
+
+TEST_P(ChaosStormTest, SeededStormDrainConvergesWithoutForks) {
+  const bool precopy = GetParam() == TransferMode::kPrecopy;
+  async_precopy_ = precopy;
   build_world(5);
   for (int i = 0; i < 32; ++i) {
-    launch("m0", "storm-app-" + std::to_string(i), /*live_transfer=*/false,
+    launch("m0", "storm-app-" + std::to_string(i), /*live_transfer=*/precopy,
            i % 3 + 1);
   }
 
   Scheduler scheduler(fleet_);
   OrchestratorOptions options;
+  options.transfer_mode = GetParam();
   options.max_inflight_per_machine = 4;
   options.max_inflight_total = 8;
   options.max_attempts = 16;
@@ -433,6 +473,15 @@ TEST_F(ChaosTest, SeededStormDrainConvergesWithoutForks) {
   EXPECT_GT(executor.injected_total(), 0u);
   EXPECT_EQ(fleet_.count_on("m0"), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ChaosStormTest,
+    ::testing::Values(TransferMode::kFullSnapshot, TransferMode::kPrecopy),
+    [](const ::testing::TestParamInfo<TransferMode>& mode) {
+      return std::string(mode.param == TransferMode::kPrecopy
+                             ? "AsyncPrecopy"
+                             : "FullSnapshot");
+    });
 
 }  // namespace
 }  // namespace sgxmig

@@ -544,7 +544,8 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
 
 // A nonce is one attempt of one mode: a snapshot that lists one nonce in
 // both the pre-copy section and the full-snapshot task section is
-// refused, even correctly sealed.
+// refused, even correctly sealed.  Likewise an identity holds one
+// incoming record, so one listed in both incoming sections is refused.
 TEST_F(MeDurableQueueTest, QueueSnapshotListingANonceTwiceIsTampered) {
   world_.observability().set_enabled(true);
   auto precopy = counting_app(m0_, "twice-precopy");
@@ -600,6 +601,41 @@ TEST_F(MeDurableQueueTest, QueueSnapshotListingANonceTwiceIsTampered) {
                 sealer.seal_queue(renonce(queued_nonce, precopy_nonce))),
             Status::kTampered);
   EXPECT_EQ(me("m0")->transfer_task_count(), 2u);
+
+  // An identity holds one incoming record: m1's snapshot lists the queued
+  // app's assembled record and the pre-copy app's staged one, and naming
+  // one identity in both sections is refused.
+  for (int i = 0; i < 8 && me("m1")->pending_incoming_count() == 0; ++i) {
+    me("m0")->pump();
+    world_.network().pump_all();
+  }
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+  ASSERT_EQ(me("m1")->precopy_staging_count(), 1u);
+  auto m1_blob = m1_.storage().get_versioned("m1.me-queue");
+  ASSERT_TRUE(m1_blob.ok());
+  QueueSealer m1_sealer(m1_);
+  const Bytes m1_current = m1_sealer.open(m1_blob.value());
+  const sgx::Measurement staged =
+      EnclaveImage::create("twice-precopy", 1, "acme")->mr_enclave();
+  // Rewrites the staged record's identity (its one copy) to `to`.
+  const auto reidentify = [&](const sgx::Measurement& to) {
+    Bytes edited = m1_current;
+    const auto at =
+        std::search(edited.begin(), edited.end(), staged.begin(), staged.end());
+    EXPECT_NE(at, edited.end());
+    EXPECT_EQ(std::search(at + 1, edited.end(), staged.begin(), staged.end()),
+              edited.end());
+    if (at != edited.end()) std::copy(to.begin(), to.end(), at);
+    return m1_sealer.seal_queue(edited);
+  };
+  sgx::Measurement unused = staged;
+  unused[0] ^= 0xff;
+  EXPECT_EQ(me("m1")->restore_queue(reidentify(unused)), Status::kOk);
+  EXPECT_EQ(me("m1")->restore_queue(reidentify(
+                EnclaveImage::create("twice-queued", 1, "acme")->mr_enclave())),
+            Status::kTampered);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
 }
 
 TEST(MeSettingsAcrossRestart, FactoryConfigureRunsOnEveryStart) {

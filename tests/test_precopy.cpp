@@ -905,6 +905,39 @@ TEST_F(PrecopyTest, ReconcileSweepExpiresOrphanAndUnblocksDestination) {
   EXPECT_EQ(back->active_counters(), 1u);
 }
 
+// One incoming record per identity: a pre-copy round toward a destination
+// that holds another instance's undelivered snapshot of the same image is
+// refused at the round, while the enclave still serves, instead of at the
+// finalize with the enclave frozen.  A staged record is never fetchable.
+TEST_F(PrecopyTest, RoundTowardAHeldSlotIsRefusedBeforeTheFreeze) {
+  // A ships a full snapshot to m1 and is never restored there.
+  auto a = start_new(m0_);
+  ASSERT_TRUE(a->ecall_create_migratable_counter().ok());
+  ASSERT_EQ(a->ecall_migration_start("m1"), Status::kOk);
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  // B, a second instance of the same image, is live on m2.  Its round to
+  // m1 is refused: m0, A's source, still retains A's copy, so the
+  // reconcile cannot expire the held record.
+  auto b = start_new(m2_);
+  ASSERT_TRUE(b->ecall_create_migratable_counter().ok());
+  EXPECT_EQ(b->ecall_migration_precopy_round("m1").status(),
+            Status::kAlreadyExists);
+  EXPECT_FALSE(b->migration_frozen());
+  EXPECT_TRUE(b->ecall_increment_migratable_counter(0).ok());
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+
+  // B's round to m0 stages a record there, which no instance can fetch.
+  ASSERT_TRUE(b->ecall_migration_precopy_round("m0").ok());
+  ASSERT_EQ(me("m0")->precopy_staging_count(), 1u);
+  auto fetcher = make_app(m0_);
+  EXPECT_EQ(
+      fetcher->ecall_migration_init(ByteView(), InitState::kMigrate, "m0"),
+      Status::kNoPendingMigration);
+  EXPECT_EQ(me("m0")->precopy_staging_count(), 1u);
+}
+
 TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
   // The finalize is PROCESSED end to end (destination pending, source ME
   // retained) but the source ME then goes black for the library: the
