@@ -5,8 +5,8 @@
 namespace sgxmig::migration {
 
 namespace {
-constexpr char kMagicV1[] = "SGXMIG-LIBSTATE-v1";
-constexpr char kMagicV2[] = "SGXMIG-LIBSTATE-v2";  // v1 + epoch guard
+// The only layout written or read; a legacy lineage is epoch_active == 0.
+constexpr char kMagicV2[] = "SGXMIG-LIBSTATE-v2";
 }  // namespace
 
 Bytes LibraryState::serialize() const {
@@ -25,22 +25,16 @@ Bytes LibraryState::serialize() const {
 
 Result<LibraryState> LibraryState::deserialize(ByteView bytes) {
   BinaryReader r(bytes);
-  const std::string magic = r.str(64);
-  const bool v2 = magic == kMagicV2;
-  if (!v2 && magic != kMagicV1) return Status::kTampered;
+  if (r.str(64) != kMagicV2) return Status::kTampered;
   LibraryState state;
   state.frozen = r.u8();
   for (auto& active : state.counters_active) active = r.u8() != 0;
   for (auto& uuid : state.counter_uuids) uuid = sgx::deserialize_uuid(r);
   for (auto& offset : state.counter_offsets) offset = r.u32();
   state.msk = r.fixed<16>();
-  if (v2) {
-    // v1 buffers (sealed before the epoch guard existed) restore with the
-    // guard inactive — exactly the paper's protection level.
-    state.epoch_active = r.u8();
-    state.epoch_uuid = sgx::deserialize_uuid(r);
-    state.epoch_value = r.u32();
-  }
+  state.epoch_active = r.u8();
+  state.epoch_uuid = sgx::deserialize_uuid(r);
+  state.epoch_value = r.u32();
   if (!r.done()) return Status::kTampered;
   return state;
 }

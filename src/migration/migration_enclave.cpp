@@ -462,14 +462,11 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
   it->second.delivery_token = fresh_id();
   reply.type = LibMsgType::kIncomingData;
   reply.status = Status::kOk;
-  BinaryWriter w;
-  w.bytes(it->second.data->serialize());
-  w.u64(it->second.delivery_token);
-  // Third field (tolerated as absent by older readers): the attempt
-  // nonce, so the destination library can join this migration's trace
-  // tree without any new protocol message.
-  w.u64(it->second.request_nonce);
-  reply.payload = w.take();
+  IncomingDataPayload incoming;
+  incoming.data = it->second.data->serialize();
+  incoming.delivery_token = it->second.delivery_token;
+  incoming.request_nonce = it->second.request_nonce;
+  reply.payload = incoming.serialize();
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->trace.instant("me.fetch", platform().address(),
                        it->second.request_nonce);
@@ -482,20 +479,17 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
                                               LaSessionState& session,
                                               const LibMsg& msg) {
   LibMsg reply;
-  // Optional payload: the delivery token from the fetch reply.  An
-  // instance that re-attested (channel desync, corrupted record forcing
-  // a fresh LA session) confirms from a session that is NOT the pinned
-  // one; the token — which only the fetch reply's recipient can hold —
+  // Payload: the delivery token from the fetch reply.  An instance that
+  // re-attested (channel desync, corrupted record forcing a fresh LA
+  // session) confirms from a session that is NOT the pinned one; the
+  // token — which only the fetch reply's recipient can hold —
   // re-establishes ownership.
-  uint64_t token = 0;
-  if (!msg.payload.empty()) {
-    BinaryReader r(msg.payload);
-    token = r.u64();
-    if (!r.done()) {
-      reply.type = LibMsgType::kError;
-      reply.status = Status::kTampered;
-      return reply;
-    }
+  BinaryReader payload(msg.payload);
+  const uint64_t token = payload.u64();
+  if (!payload.done()) {
+    reply.type = LibMsgType::kError;
+    reply.status = Status::kTampered;
+    return reply;
   }
   auto it = incoming_.find(session.peer.mr_enclave);
   if (it != incoming_.end() && !it->second.assembled()) it = incoming_.end();

@@ -221,23 +221,16 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         return reply.value().status == Status::kOk ? Status::kUnexpected
                                                    : reply.value().status;
       }
-      // Payload: the migration data plus the ME's delivery token — proof
-      // of being the instance the sealed fetch reply reached, honored by
-      // the confirm even if this library must re-attest in between.
-      // Newer MEs append the attempt's request nonce so the destination's
-      // restore joins the source's trace tree; older payloads simply end
-      // after the token.
-      BinaryReader fetched(reply.value().payload);
-      const Bytes data_bytes = fetched.bytes(1u << 20);
-      const uint64_t delivery_token = fetched.u64();
-      const uint64_t request_nonce = fetched.done() ? 0 : fetched.u64();
-      if (!fetched.done()) return Status::kTampered;
+      auto fetched = IncomingDataPayload::deserialize(reply.value().payload);
+      if (!fetched.ok()) return fetched.status();
+      const uint64_t delivery_token = fetched.value().delivery_token;
+      const uint64_t request_nonce = fetched.value().request_nonce;
       uint64_t restore_span = 0;
       if (obs::TraceRecorder* rec = recorder()) {
         restore_span = rec->begin_span("restore", lane(), request_nonce);
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
-      auto data = MigrationData::deserialize(data_bytes);
+      auto data = MigrationData::deserialize(fetched.value().data);
       if (!data.ok()) {
         close_span(restore_span, "deserialize-failed");
         return data.status();

@@ -142,12 +142,6 @@ class MigrationLibrary : private PersistSink {
     persist_callback_ = std::move(callback);
   }
 
-  /// Overrides the MRENCLAVE the library expects the local ME to attest
-  /// with (defaults to MigrationEnclave::standard_image()).
-  void set_expected_me_measurement(const sgx::Measurement& mr) {
-    expected_me_mr_ = mr;
-  }
-
   // ----- Listing 1: interface for the untrusted application -----
 
   /// Initializes the library.  `state_buffer` is the previously stored

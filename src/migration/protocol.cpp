@@ -195,8 +195,25 @@ Result<AbortRequest> AbortRequest::deserialize(ByteView bytes) {
   return a;
 }
 
+Bytes IncomingDataPayload::serialize() const {
+  BinaryWriter w;
+  w.bytes(data);
+  w.u64(delivery_token);
+  w.u64(request_nonce);
+  return w.take();
+}
+
+Result<IncomingDataPayload> IncomingDataPayload::deserialize(ByteView bytes) {
+  BinaryReader r(bytes);
+  IncomingDataPayload p;
+  p.data = r.bytes(1u << 20);
+  p.delivery_token = r.u64();
+  p.request_nonce = r.u64();
+  if (!r.done()) return Status::kTampered;
+  return p;
+}
+
 Bytes QueryStatusPayload::serialize() const {
-  if (request_nonce == 0) return Bytes{};  // legacy per-identity query
   BinaryWriter w;
   w.u64(request_nonce);
   return w.take();
@@ -204,7 +221,6 @@ Bytes QueryStatusPayload::serialize() const {
 
 Result<QueryStatusPayload> QueryStatusPayload::deserialize(ByteView bytes) {
   QueryStatusPayload p;
-  if (bytes.empty()) return p;
   BinaryReader r(bytes);
   p.request_nonce = r.u64();
   if (!r.done()) return Status::kTampered;

@@ -236,10 +236,24 @@ struct AbortRequest {
   static Result<AbortRequest> deserialize(ByteView bytes);
 };
 
-/// Payload of kQueryStatus.  An empty payload asks for the most recent
-/// outgoing migration of the calling enclave's MRENCLAVE; a nonce scopes
-/// the answer to the single migrate request that carried it (the resume
-/// path after an ME restart mid-exchange must not be confused by earlier
+/// Payload of kIncomingData (the fetch reply): the serialized migration
+/// data, the delivery token — proof of being the instance the sealed
+/// reply reached, honored by the confirm even from a re-attested session
+/// — and the attempt's request nonce, so the destination's restore joins
+/// the source's trace tree.
+struct IncomingDataPayload {
+  Bytes data;
+  uint64_t delivery_token = 0;
+  uint64_t request_nonce = 0;
+
+  Bytes serialize() const;
+  static Result<IncomingDataPayload> deserialize(ByteView bytes);
+};
+
+/// Payload of kQueryStatus.  Nonce 0 asks for the most recent outgoing
+/// migration of the calling enclave's MRENCLAVE; a nonce scopes the
+/// answer to the single migrate request that carried it (the resume path
+/// after an ME restart mid-exchange must not be confused by earlier
 /// migrations of the same identity through the same ME).
 struct QueryStatusPayload {
   uint64_t request_nonce = 0;  // 0 = per-identity query

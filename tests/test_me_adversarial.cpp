@@ -7,8 +7,10 @@
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "migration/protocol.h"
+#include "crypto/ed25519.h"
 #include "platform/world.h"
 #include "sgx/dh.h"
+#include "sgx/remote_attestation.h"
 
 namespace sgxmig {
 namespace {
@@ -309,6 +311,107 @@ TEST_F(MeAdversarialTest, NonceBindsOneIdentityDestinationAndMode) {
   EXPECT_EQ(owner.precopy_round(kNonce, "m9"), Status::kInvalidParameter);
   EXPECT_EQ(me0_->transfer_task_count(), 1u);
   EXPECT_EQ(owner.precopy_round(kNonce, "m1"), Status::kOk);
+}
+
+// The confirm carries the fetch reply's delivery token; the token-less
+// form no library writes is refused.
+TEST_F(MeAdversarialTest, ConfirmWithoutADeliveryTokenIsTampered) {
+  LaClient client(m1_, image_, /*session_id=*/303);
+  ASSERT_EQ(client.attest(), Status::kOk);
+  EXPECT_EQ(client.send(migration::LibMsgType::kConfirmMigration, Bytes{}),
+            Status::kTampered);
+  // With a token the session gets the regular verdict: nothing to confirm.
+  EXPECT_EQ(client.send(migration::LibMsgType::kConfirmMigration, Bytes(8, 0)),
+            Status::kInvalidState);
+}
+
+/// A peer ME speaking raw ME<->ME records: it completes the RA handshake
+/// with the ME image and a provider-certified machine key of its own, so
+/// a test can seal any record the destination must judge on its merits.
+class RaClient : public sgx::Enclave {
+ public:
+  RaClient(platform::Machine& machine, platform::ProviderCa& provider,
+           const std::string& peer, uint64_t transfer_id)
+      : sgx::Enclave(machine, MigrationEnclave::standard_image()),
+        key_(crypto::Ed25519KeyPair::from_seed(
+            to_array<32>(rng().bytes(32)))),
+        credential_(provider.issue(machine.address(), machine.region(),
+                                   machine.cpu_cores(), key_.public_key())),
+        peer_(peer + "/me"),
+        transfer_id_(transfer_id) {}
+
+  Status attest() {
+    auto scope = enter_ecall();
+    sgx::RaSession ra(platform(), identity(), sgx::RaSession::Role::kInitiator);
+    MeRequest m1;
+    m1.type = MeMsgType::kRaMsg1;
+    m1.id = transfer_id_;
+    m1.payload = ra.create_msg1().serialize();
+    const MeResponse r1 = call(m1);
+    if (r1.status != Status::kOk) return r1.status;
+    auto msg2 = sgx::RaMsg2::deserialize(r1.payload);
+    if (!msg2.ok()) return msg2.status();
+    auto msg3 = ra.handle_msg2(msg2.value());
+    if (!msg3.ok()) return msg3.status();
+    migration::ProviderAuth auth;
+    auth.credential = credential_;
+    auth.transcript_signature =
+        key_.sign(migration::provider_auth_message(ra.transcript_hash()));
+    BinaryWriter payload;
+    payload.bytes(msg3.value().serialize());
+    payload.bytes(auth.serialize());
+    MeRequest m3;
+    m3.type = MeMsgType::kRaMsg3;
+    m3.id = transfer_id_;
+    m3.payload = payload.take();
+    const MeResponse r3 = call(m3);
+    if (r3.status != Status::kOk) return r3.status;
+    channel_.emplace(ra.session_key(), net::SecureChannel::Role::kInitiator);
+    return Status::kOk;
+  }
+
+  /// Seals `record` as one `type` request; returns the reply's status.
+  Status send(MeMsgType type, const Bytes& record) {
+    auto scope = enter_ecall();
+    MeRequest req;
+    req.type = type;
+    req.id = transfer_id_;
+    req.payload = channel_->seal_record(record);
+    return call(req).status;
+  }
+
+ private:
+  MeResponse call(const MeRequest& req) {
+    auto raw = platform().network()->rpc(peer_, req.serialize());
+    if (!raw.ok()) return MeResponse{raw.status(), {}};
+    auto resp = MeResponse::deserialize(raw.value());
+    return resp.ok() ? resp.value() : MeResponse{Status::kTampered, {}};
+  }
+
+  crypto::Ed25519KeyPair key_;
+  platform::MachineCredential credential_;
+  std::string peer_;
+  uint64_t transfer_id_;
+  std::optional<net::SecureChannel> channel_;
+};
+
+// A record names its attempt by request nonce.  Nonce 0 names no attempt
+// the source could abort or reconcile, so an authenticated transfer
+// carrying it is refused like a zero-nonce pre-copy record.
+TEST_F(MeAdversarialTest, TransferWithoutANonceIsRefused) {
+  RaClient peer(m0_, world_.provider(), "m1", /*transfer_id=*/0x7a11);
+  ASSERT_EQ(peer.attest(), Status::kOk);
+  migration::TransferPayload payload;
+  payload.source_mr_enclave = image_->mr_enclave();
+  payload.source_me_address = "m0";
+  EXPECT_EQ(peer.send(MeMsgType::kTransfer, payload.serialize()),
+            Status::kInvalidParameter);
+  EXPECT_EQ(me1_->pending_incoming_count(), 0u);
+  // The same conversation carries a well-formed transfer.
+  payload.request_nonce = 0x5eed;
+  EXPECT_EQ(peer.send(MeMsgType::kTransfer, payload.serialize()),
+            Status::kOk);
+  EXPECT_EQ(me1_->pending_incoming_count(), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // trailing-garbage encodings — the parsing layer faces the raw network.
 #include <gtest/gtest.h>
 
+#include "migration/library_state.h"
 #include "migration/protocol.h"
 #include "support/rng.h"
 
@@ -148,6 +149,49 @@ TEST(ProtocolSerde, QueryStatusPayloadRoundTrip) {
   auto back = QueryStatusPayload::deserialize(payload.serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
+  // The per-identity query writes its zero nonce like any other; the
+  // empty encoding no party writes is refused.
+  EXPECT_EQ(QueryStatusPayload{}.serialize(), Bytes(8, 0));
+  EXPECT_EQ(QueryStatusPayload::deserialize(Bytes{}).status(),
+            Status::kTampered);
+}
+
+TEST(ProtocolSerde, IncomingDataPayloadRequiresItsNonce) {
+  IncomingDataPayload payload;
+  payload.data = Bytes(40, 0x5a);
+  payload.delivery_token = 0x1122334455667788ULL;
+  payload.request_nonce = 0x99aabbccddeeff00ULL;
+  const Bytes wire = payload.serialize();
+  auto back = IncomingDataPayload::deserialize(wire);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().data, payload.data);
+  EXPECT_EQ(back.value().delivery_token, payload.delivery_token);
+  EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
+  // A reply that ends after the token (the nonce-less form) is refused.
+  EXPECT_EQ(IncomingDataPayload::deserialize(
+                ByteView(wire.data(), wire.size() - 8))
+                .status(),
+            Status::kTampered);
+}
+
+TEST(ProtocolSerde, LibraryStateRefusesTheV1Layout) {
+  LibraryState state;
+  state.counters_active[3] = true;
+  state.counter_offsets[3] = 17;
+  state.epoch_value = 9;
+  auto back = LibraryState::deserialize(state.serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().counter_offsets[3], 17u);
+  EXPECT_EQ(back.value().epoch_value, 9u);
+  // The v1 layout (no epoch-guard fields) is no longer read.
+  BinaryWriter v1;
+  v1.str("SGXMIG-LIBSTATE-v1");
+  v1.u8(state.frozen);
+  for (bool active : state.counters_active) v1.u8(active ? 1 : 0);
+  for (const auto& uuid : state.counter_uuids) sgx::serialize_uuid(v1, uuid);
+  for (uint32_t offset : state.counter_offsets) v1.u32(offset);
+  v1.fixed(state.msk);
+  EXPECT_EQ(LibraryState::deserialize(v1.take()).status(), Status::kTampered);
 }
 
 TEST(ProtocolSerde, MigrateReservePayloadRoundTrip) {
