@@ -42,7 +42,6 @@ using migration::InitState;
 using migration::MigratableEnclave;
 using migration::MigrationEnclave;
 using migration::PersistenceMode;
-using migration::PrecopyOptions;
 
 constexpr double kRequiredFreezeShrink = 5.0;
 
@@ -263,7 +262,6 @@ FreezeResult run_freeze_case(PersistenceMode engine, bool precopy,
   };
 
   if (precopy) {
-    const PrecopyOptions options;
     while (true) {
       auto round = enclave->ecall_migration_precopy_round("m1");
       if (!round.ok()) {
@@ -272,7 +270,7 @@ FreezeResult run_freeze_case(PersistenceMode engine, bool precopy,
         std::exit(1);
       }
       live_mutations();  // the enclave is NOT frozen between rounds
-      if (round.value().converged(options)) break;
+      if (round.value().converged()) break;
     }
     const auto fin = enclave->ecall_migration_finalize_detailed("m1");
     if (!fin.ok()) {

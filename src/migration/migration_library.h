@@ -69,12 +69,10 @@ struct CreatedMigratableCounter {
 /// vm::LiveMigrationEngine (kMaxPrecopyRounds / stop-and-copy threshold):
 /// keep shipping dirty-chunk rounds while the enclave runs, freeze once
 /// the delta is small enough or the round budget is spent.
-struct PrecopyOptions {
-  uint32_t max_rounds = 8;
-  /// A round that ships this many chunks or fewer is considered converged
-  /// (the remaining delta is cheap enough to move inside the freeze).
-  uint32_t min_delta_chunks = 1;
-};
+constexpr uint32_t kPrecopyMaxRounds = 8;
+/// A round that ships this many chunks or fewer is converged (the
+/// remaining delta is cheap enough to move inside the freeze).
+constexpr uint32_t kPrecopyMinDeltaChunks = 1;
 
 /// Outcome of one pre-copy round.
 struct PrecopyRoundReport {
@@ -82,9 +80,9 @@ struct PrecopyRoundReport {
   uint32_t chunks_shipped = 0;  // dirty chunks moved this round
   uint64_t bytes_shipped = 0;   // serialized payload bytes this round
 
-  bool converged(const PrecopyOptions& options) const {
-    return chunks_shipped <= options.min_delta_chunks ||
-           round + 1 >= options.max_rounds;
+  bool converged() const {
+    return chunks_shipped <= kPrecopyMinDeltaChunks ||
+           round + 1 >= kPrecopyMaxRounds;
   }
 };
 
@@ -214,7 +212,7 @@ class MigrationLibrary : private PersistSink {
   // dirty chunks round by round while counter operations CONTINUE, then
   // freezes only for the final delta:
   //
-  //   while (!report.converged(options)) report = migration_precopy_round(d);
+  //   while (!report.converged()) report = migration_precopy_round(d);
   //   migration_finalize(d);
   //
   // Requires the live-transfer capability (epoch guard): finalize kills

@@ -121,7 +121,7 @@ void Orchestrator::ripen_backoffs(Duration at, std::vector<uint32_t>* newly) {
       continue;
     }
     if (retry_at > at && retry_at > lanes_->lane_end(task.source) +
-                                        options_.retry_backoff) {
+                                        kRetryBackoff) {
       unripe.push_back({retry_at, idx});
       continue;
     }
@@ -375,7 +375,7 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
     return failure;
   }
   if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-  if (!round.value().converged(options_.precopy)) return std::nullopt;
+  if (!round.value().converged()) return std::nullopt;
   // Never freeze toward a booked destination.  Lanes are FIFO, so a
   // finalize that reaches a destination lane still busy with other work
   // (another enclave's restore) would absorb the rest of it inside the
@@ -615,7 +615,7 @@ void Orchestrator::handle_failure(Task& task, Status status,
     }
   }
   const uint32_t exponent = task.attempts > 0 ? task.attempts - 1 : 0;
-  const Duration backoff = options_.retry_backoff * (1u << exponent);
+  const Duration backoff = kRetryBackoff * (1u << exponent);
   task.retry_at = failed_at + backoff;
   set_phase(task, TaskPhase::kBackoff);
   log(task, EventKind::kBackoff,
@@ -984,7 +984,6 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
     record.transfer_bytes = task.transfer_bytes;
     report.migrations.push_back(std::move(record));
   }
-  report.freeze_budget = options_.freeze_budget;
   return report;
 }
 

@@ -57,6 +57,9 @@ enum class TransferMode : uint8_t {
 
 const char* transfer_mode_name(TransferMode mode);
 
+/// Base retry backoff (virtual time); doubles per failed attempt.
+constexpr Duration kRetryBackoff = milliseconds(50);
+
 struct OrchestratorOptions {
   /// Max migrations simultaneously in flight per source machine.
   uint32_t max_inflight_per_machine = 4;
@@ -69,11 +72,7 @@ struct OrchestratorOptions {
   uint32_t max_inflight_per_destination = 0;
   /// migration_start attempts per enclave before giving up.
   uint32_t max_attempts = 4;
-  /// Base retry backoff (virtual time); doubles per failed attempt.
-  Duration retry_backoff = milliseconds(50);
   TransferMode transfer_mode = TransferMode::kFullSnapshot;
-  /// Convergence policy for kPrecopy (rounds before the forced freeze).
-  migration::PrecopyOptions precopy;
   /// Drive transfers through the source MEs' pipelined TransferTask
   /// engine instead of the blocking migration_start: sources are
   /// enqueued (non-blocking) and polled, the deferred-delivery network
@@ -89,10 +88,6 @@ struct OrchestratorOptions {
   /// the source ME signals slot-live, and only then freezes.  The freeze
   /// window stops growing with queue depth.
   bool freeze_aware = false;
-  /// Per-enclave freeze budget (0 = unenforced): successful migrations
-  /// whose freeze window exceeds it are counted as violations in the
-  /// report.  This is an SLO observable, not an admission gate.
-  Duration freeze_budget{};
   /// Cap on the in-memory orchestrator event log (0 = unbounded).  Once
   /// full, the OLDEST events are dropped and counted in
   /// OrchestratorReport::events_dropped, bounding control-plane memory

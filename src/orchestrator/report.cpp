@@ -103,15 +103,6 @@ double OrchestratorReport::enqueue_wait_percentile_seconds(double p) const {
   return percentile_nearest_rank(std::move(samples), p);
 }
 
-size_t OrchestratorReport::freeze_budget_violations() const {
-  if (freeze_budget == Duration{}) return 0;
-  size_t n = 0;
-  for (const auto& m : migrations) {
-    if (m.success && m.freeze_window > freeze_budget) ++n;
-  }
-  return n;
-}
-
 namespace {
 
 void append_number(std::string& out, double value) {
@@ -158,10 +149,6 @@ std::string OrchestratorReport::to_json(bool include_events) const {
   append_number(out, enqueue_wait_percentile_seconds(50.0));
   out += ", \"p99_enqueue_wait_seconds\": ";
   append_number(out, enqueue_wait_percentile_seconds(99.0));
-  out += ", \"freeze_budget_seconds\": ";
-  append_number(out, to_seconds(freeze_budget));
-  out += ", \"freeze_budget_violations\": ";
-  append_number(out, static_cast<uint64_t>(freeze_budget_violations()));
 
   out += ", \"peak_inflight_per_machine\": {";
   bool first = true;

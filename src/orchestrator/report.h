@@ -83,9 +83,6 @@ struct OrchestratorReport {
   /// source machine (the enforced caps' observable).
   uint32_t peak_inflight_total = 0;
   std::map<std::string, uint32_t> peak_inflight_per_machine;
-  /// Per-enclave freeze budget copied from the options (zero =
-  /// unenforced); freeze_budget_violations() counts against it.
-  Duration freeze_budget{};
   /// Pre-rendered JSON object from obs::MetricsRegistry::to_json(); when
   /// non-empty, to_json() merges it under the "metrics" key so BENCH_*
   /// files carry the run's counters/gauges/histograms.
@@ -109,15 +106,11 @@ struct OrchestratorReport {
   /// service-interruption cost a drain inflicts).
   double mean_freeze_window_seconds() const;
   double max_freeze_window_seconds() const;
-  /// Freeze-window percentiles over successful migrations (p in [0,100]);
-  /// the tail the freeze budget is written against.
+  /// Freeze-window percentiles over successful migrations (p in [0,100]).
   double freeze_window_percentile_seconds(double p) const;
   /// Live reserve->slot-live wait percentiles over successful migrations
   /// (zero everywhere when not running freeze-aware).
   double enqueue_wait_percentile_seconds(double p) const;
-  /// Successful migrations whose freeze window exceeded freeze_budget
-  /// (always 0 when the budget is unset).
-  size_t freeze_budget_violations() const;
 
   /// Machine-readable dump ({"plan":..., "migrations":[...], ...});
   /// events included only when `include_events`.

@@ -809,7 +809,7 @@ TEST(PipelinedRetryTest, CrashedSourceRetriesWithinItsBackoffOfTheRestart) {
   // restores: well inside a second of the restart, and long before the
   // healthy source's drain ends.  Timed on the control clock, it waited
   // for that drain to end first.
-  const Duration backoff = orchestrator::OrchestratorOptions{}.retry_backoff;
+  const Duration backoff = orchestrator::kRetryBackoff;
   EXPECT_LE(retried.finished_at, drain.restart_at + backoff + seconds(1));
   EXPECT_LT(retried.finished_at, drain.last_finish("m1"));
 }

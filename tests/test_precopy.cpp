@@ -28,7 +28,6 @@ using migration::MigratableEnclave;
 using migration::MigrationEnclave;
 using migration::MigrationStartResult;
 using migration::OutgoingState;
-using migration::PrecopyOptions;
 using platform::World;
 using sgx::EnclaveImage;
 
