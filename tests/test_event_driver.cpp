@@ -170,15 +170,17 @@ struct DrainPin {
 // freeze lost two of its four disk fences (the freeze-flag write after
 // the guard retire, and the source ME's persist of the staged finalize):
 // each freeze ends 40 ms sooner, with the same waves, touches and kicks.
+// All four report digests were re-recorded when the report lost its two
+// freeze-budget keys; walls, waves, touches and kicks stayed.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
-     "20bf5567344df4f02a6b5a9eaad5b5bdbb1969023069fb23729204d089fc6ddb"},
+     "5419d7451bad3771a511b99c6e6fcc16c6934c716d8edd90e135525251726bfc"},
     {DrainConfig::kPrecopy, 5848730242, 5, 50, 2,
-     "7b386fb0dd573c03bb9175175fd7c391848f682933d66e61de284ee06acbefc9"},
+     "7da913da52fb62a9af01cfb5022c802ba5cf1f45e362050cdbaec30beed33149"},
     {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
-     "be94a8cc60cf1f8c66b7aea617862c5252d7db22d3a7cd2c2705a4f94d59282f"},
+     "d66bec318279070d25fcc6dce5be54ee1679cfd55f863546089e835ac485dd2a"},
     {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,
-     "3036565401dba3a67301562aa9a593637e31a561eff536310058b90b6641169d"},
+     "96d1bce68a9219af763518f51e5cee966f4d5c30fbb4ca4014db8b67298b8877"},
 };
 
 void PrintTo(const DrainPin& pin, std::ostream* os) {
