@@ -1512,7 +1512,7 @@ void merge_by_generation(std::map<uint32_t, CounterChunk>& merged,
 
 // The snapshot a finalize manifest names: each listed chunk's slots
 // (a chunk missing from `chunks` is all inactive) plus the MSK.  Both
-// ends assemble it — the destination as the pending entry, the source as
+// ends assemble it — the destination as the incoming record, the source as
 // the copy it retains until DONE.
 MigrationData assemble_snapshot(const std::map<uint32_t, CounterChunk>& chunks,
                                 const std::vector<ChunkManifestEntry>& manifest,

@@ -37,14 +37,14 @@ enum class MeMsgType : uint8_t {
   // Live pre-copy transfer (VM-live-migration style, iterative rounds).
   kPrecopyChunk = 8,     // ME_src -> ME_dst: encrypted PrecopyChunkRecord
   kPrecopyFinalize = 9,  // ME_src -> ME_dst: encrypted PrecopyFinalizeRecord
-  // Pending-entry reconciliation (lost-ACCEPTED re-route cleanup): the ME
-  // holding an undelivered pending entry asks the ORIGINATING source ME,
+  // Incoming-record reconciliation (lost-ACCEPTED or lost-abort cleanup):
+  // the ME holding an undelivered record asks the ORIGINATING source ME,
   // over a fresh RA channel, whether that logical migration is still live.
   kReconcile = 10,  // ME_dst -> ME_src: encrypted ReconcileQuery record
   // Proactive abort on re-route: the ORIGINATING source ME tells the
   // orphaned destination — over a fresh RA channel — that a logical
-  // migration attempt was abandoned, so its undelivered pending entry /
-  // pre-copy staging can be expired immediately instead of lingering
+  // migration attempt was abandoned, so its undelivered incoming record,
+  // staged or assembled, can be expired immediately instead of lingering
   // until the pull-based reconcile sweep happens to run.
   kAbort = 11,  // ME_src -> ME_dst: encrypted AbortRequest record
   // Cached-session resume (one round-trip instead of full msg1/msg3): the
