@@ -154,12 +154,8 @@ class ChaosTest : public ::testing::Test {
   // freeze flag set) may be refused: the pre-drain snapshot restores
   // because the drill keeps its counters alive.
   bool fork_drill_reports_fork(bool async_precopy) {
+    async_precopy_ = async_precopy;
     build_world(2);
-    if (async_precopy) {
-      for (platform::Machine* m : world_.machines()) {
-        migration::me_on(*m)->set_async_precopy(true);
-      }
-    }
     const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
     fleet_.enclave(id)->chaos_disable_epoch_guard();
 
