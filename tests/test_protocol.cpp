@@ -3,8 +3,18 @@
 // trailing-garbage encodings — the parsing layer faces the raw network.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "apps/teechan.h"
+#include "apps/trinx.h"
+#include "crypto/sha256.h"
 #include "migration/library_state.h"
 #include "migration/protocol.h"
+#include "sgx/dh.h"
+#include "sgx/ias.h"
+#include "sgx/pse_wire.h"
+#include "sgx/quote.h"
+#include "sgx/remote_attestation.h"
 #include "support/rng.h"
 
 namespace sgxmig::migration {
@@ -409,11 +419,821 @@ TEST_P(ProtocolFuzz, BitFlipsDetectedOrIsomorphic) {
       // Structure-level parse may succeed; the flipped field must show up
       // so signature verification above this layer will catch it.
       EXPECT_NE(r.value().serialize(), original);
+      EXPECT_EQ(r.value().serialize(), mutated);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz, ::testing::Values(1, 2, 3, 4));
+
+
+// ----- encoding pins -----
+//
+// One fixed sample per wire record and the SHA-256 of its encoding, so a
+// field list that moves a single byte fails here.  Records that only
+// travel inside another (the EPID credential, the report body's identity,
+// the counter uuid) are pinned through the record that carries them.
+
+template <size_t N>
+std::array<uint8_t, N> pattern(uint8_t seed) {
+  std::array<uint8_t, N> out{};
+  for (size_t i = 0; i < N; ++i) out[i] = static_cast<uint8_t>(seed * 31 + i);
+  return out;
+}
+
+Bytes pattern_bytes(size_t n, uint8_t seed) {
+  Bytes out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(seed * 17 + i);
+  return out;
+}
+
+MigrationPolicy sample_policy() {
+  MigrationPolicy policy;
+  policy.allowed_regions = {"eu-central", "ap-south"};
+  policy.denied_addresses = {"machine-3"};
+  policy.min_cpu_cores = 12;
+  return policy;
+}
+
+MigrationData sample_data() {
+  MigrationData data;
+  data.counters_active[0] = true;
+  data.counters_active[9] = true;
+  data.counters_active[255] = true;
+  data.counter_values[0] = 1;
+  data.counter_values[9] = 77;
+  data.counter_values[255] = 0xfffffffe;
+  data.msk = pattern<16>(4);
+  return data;
+}
+
+CounterChunk sample_chunk(uint32_t index) {
+  CounterChunk chunk;
+  chunk.index = index;
+  chunk.generation = 11 + index;
+  chunk.active[0] = true;
+  chunk.active[15] = true;
+  for (size_t i = 0; i < chunk.values.size(); ++i) {
+    chunk.values[i] = static_cast<uint32_t>(i * 7 + index);
+  }
+  return chunk;
+}
+
+platform::MachineCredential sample_credential() {
+  platform::MachineCredential credential;
+  credential.address = "m9";
+  credential.region = "eu-west";
+  credential.cpu_cores = 48;
+  credential.machine_public_key = pattern<32>(17);
+  credential.signature = pattern<64>(18);
+  return credential;
+}
+
+sgx::ReportBody sample_report_body() {
+  sgx::ReportBody body;
+  body.identity.mr_enclave = pattern<32>(23);
+  body.identity.mr_signer = pattern<32>(24);
+  body.identity.isv_prod_id = 0x8086;
+  body.identity.isv_svn = 3;
+  body.report_data = pattern<64>(25);
+  return body;
+}
+
+sgx::Report sample_report() {
+  sgx::Report report;
+  report.body = sample_report_body();
+  report.mac = pattern<16>(26);
+  return report;
+}
+
+sgx::Quote sample_quote() {
+  sgx::Quote quote;
+  quote.body = sample_report_body();
+  quote.credential.group_id = 0x0b0b0001;
+  quote.credential.member_public_key = pattern<32>(32);
+  quote.credential.membership_certificate = pattern<64>(33);
+  quote.signature = pattern<64>(34);
+  return quote;
+}
+
+sgx::PseRequest sample_pse_request(sgx::PseOp op) {
+  sgx::PseRequest req;
+  req.op = op;
+  req.owner = pattern<32>(36);
+  req.session_token = pattern<16>(37);
+  req.uuid.counter_id = 4;
+  req.uuid.nonce = pattern<12>(38);
+  if (op == sgx::PseOp::kCreate) req.nonce_entropy = pattern_bytes(32, 39);
+  if (op == sgx::PseOp::kRetire) {
+    req.retire_uuids.resize(2);
+    req.retire_uuids[0].counter_id = 5;
+    req.retire_uuids[0].nonce = pattern<12>(40);
+    req.retire_uuids[1].counter_id = 6;
+    req.retire_uuids[1].nonce = pattern<12>(41);
+  }
+  return req;
+}
+
+/// Decodes `wire` as a T and re-encodes it; empty when decoding fails.
+template <class T>
+Bytes reencode(ByteView wire) {
+  auto back = T::deserialize(wire);
+  return back.ok() ? back.value().serialize() : Bytes{};
+}
+
+struct Pin {
+  const char* record;
+  std::function<Bytes()> encode;
+  std::function<Bytes(ByteView)> reencode;
+  const char* sha256;
+};
+
+std::vector<Pin> pins() {
+  std::vector<Pin> out;
+  const auto add = [&out](const char* record, std::function<Bytes()> encode,
+                          std::function<Bytes(ByteView)> again,
+                          const char* sha256) {
+    out.push_back(Pin{record, std::move(encode), std::move(again), sha256});
+  };
+  add("MeRequest", [] {
+        MeRequest req;
+        req.type = MeMsgType::kTransfer;
+        req.id = 0x0123456789abcdefULL;
+        req.payload = pattern_bytes(37, 1);
+        return req.serialize();
+      }, reencode<MeRequest>,
+      "7e836de34837441da58f6f14bef9a53e379876e2fe88dbb52b91cc8e98d7ee44");
+  add("MeResponse", [] {
+        MeResponse resp;
+        resp.status = Status::kPolicyViolation;
+        resp.payload = pattern_bytes(41, 2);
+        return resp.serialize();
+      }, reencode<MeResponse>,
+      "1748258ae66aab2c5746e6a312a08584fb9296a330f45ab3fee30ecd076b86f1");
+  add("LibMsg", [] {
+        LibMsg msg;
+        msg.type = LibMsgType::kIncomingData;
+        msg.status = Status::kTampered;
+        msg.payload = pattern_bytes(29, 3);
+        return msg.serialize();
+      }, reencode<LibMsg>,
+      "bb93fe231a35b45b03f9837ff797a8055164252a430e6dd4533afd4740adff46");
+  add("MigrationPolicy", [] {
+        BinaryWriter w;
+        sample_policy().serialize(w);
+        return w.take();
+      }, [](ByteView wire) {
+        BinaryReader r(wire);
+        auto policy = MigrationPolicy::deserialize(r);
+        if (!policy.ok() || !r.done()) return Bytes{};
+        BinaryWriter w;
+        policy.value().serialize(w);
+        return w.take();
+      },
+      "4b65d854569a012be55043e23276c902a6a6e9bcd9ddcf0bb1696174298aebca");
+  add("MigrationData", [] { return sample_data().serialize(); },
+      reencode<MigrationData>,
+      "abe75ffc8610da2e509fc0c28d880d55eb41c205fe99c65e79e6384787d3b3ff");
+  add("MigrateRequestPayload", [] {
+        MigrateRequestPayload p;
+        p.destination_address = "machine-17";
+        p.request_nonce = 0x1122334455667788ULL;
+        p.policy = sample_policy();
+        p.data = sample_data();
+        return p.serialize();
+      }, reencode<MigrateRequestPayload>,
+      "3716ecb3642c758d00f47a78cf86db49b2ccc536b338ffb9e3bb90af4e6fe850");
+  add("MigrateReservePayload", [] {
+        MigrateReservePayload p;
+        p.destination_address = "m4";
+        p.request_nonce = 77;
+        p.policy = sample_policy();
+        return p.serialize();
+      }, reencode<MigrateReservePayload>,
+      "46ee87652b11e293198bf058ebd667bf6bf2c9a0fba25de4d8451c5f1677ac19");
+  add("PollTransferPayload", [] {
+        PollTransferPayload p;
+        p.request_nonce = 123;
+        return p.serialize();
+      }, reencode<PollTransferPayload>,
+      "4f319987a786107dc63b2b70115b3734cb9880b099b70c463c5e1b05521ab764");
+  add("TransferProgressPayload", [] {
+        TransferProgressPayload p;
+        p.progress = TransferProgress::kFailed;
+        p.failure = Status::kPolicyViolation;
+        return p.serialize();
+      }, reencode<TransferProgressPayload>,
+      "a580bd6b1a4fbd4187d61cc7fcf6ce7d74207c3c9adddae9c3a358a5cb8344b0");
+  add("AbortStalePayload", [] {
+        AbortStalePayload p;
+        p.request_nonce = 9;
+        p.destination_address = "m2";
+        return p.serialize();
+      }, reencode<AbortStalePayload>,
+      "2c75936fa2b0a9cd4f4224fc1777003a5a0285e74ceb6cb273a6fc0559959c97");
+  add("AbortRequest", [] {
+        AbortRequest p;
+        p.source_mr_enclave = pattern<32>(5);
+        p.request_nonce = 9;
+        return p.serialize();
+      }, reencode<AbortRequest>,
+      "eb95fc69af78841b80dfc0f85fcb881f4f0e52da3fa23177d2f2ece4321ad319");
+  add("IncomingDataPayload", [] {
+        IncomingDataPayload p;
+        p.data = pattern_bytes(40, 6);
+        p.delivery_token = 0x1122334455667788ULL;
+        p.request_nonce = 0x99aabbccddeeff00ULL;
+        return p.serialize();
+      }, reencode<IncomingDataPayload>,
+      "855e6eb42fd1873dcef755306851733b71e564befb8ed4a5e07da55c6cc1b5d3");
+  add("QueryStatusPayload", [] {
+        QueryStatusPayload p;
+        p.request_nonce = 0xdeadbeefcafef00dULL;
+        return p.serialize();
+      }, reencode<QueryStatusPayload>,
+      "ee7f7806fd74e16401441c48c1b78bd211355c53e764363544d682ca48e4bfc2");
+  add("CounterChunk", [] {
+        BinaryWriter w;
+        sample_chunk(5).serialize(w);
+        return w.take();
+      }, [](ByteView wire) {
+        BinaryReader r(wire);
+        auto chunk = CounterChunk::deserialize(r);
+        if (!chunk.ok() || !r.done()) return Bytes{};
+        BinaryWriter w;
+        chunk.value().serialize(w);
+        return w.take();
+      },
+      "9b9c7720c2a2ce77158f685782f6a4e2f004f8329d8b3d2cc27a95acdcd3b875");
+  add("PrecopyRoundPayload", [] {
+        PrecopyRoundPayload p;
+        p.destination_address = "m7";
+        p.request_nonce = 404;
+        p.round = 3;
+        p.policy = sample_policy();
+        p.chunks = {sample_chunk(5), sample_chunk(15)};
+        return p.serialize();
+      }, reencode<PrecopyRoundPayload>,
+      "09f020f7c4a30dddfd9c8a6190b4e6b258afb6b025a4fa5234f8e824213675d5");
+  add("PrecopyFinalizePayload", [] {
+        PrecopyFinalizePayload p;
+        p.destination_address = "m7";
+        p.request_nonce = 405;
+        p.round = 4;
+        p.policy = sample_policy();
+        p.chunks = {sample_chunk(5)};
+        p.manifest = {{2, 7}, {15, 9}};
+        p.msk = pattern<16>(7);
+        return p.serialize();
+      }, reencode<PrecopyFinalizePayload>,
+      "c071069e86f358104ec9785487282631f281aacdfa3fb69de3fcea9da8ea2267");
+  add("PrecopyChunkRecord", [] {
+        PrecopyChunkRecord p;
+        p.source_mr_enclave = pattern<32>(8);
+        p.source_me_address = "m0";
+        p.request_nonce = 500;
+        p.round = 1;
+        p.chunks = {sample_chunk(5)};
+        return p.serialize();
+      }, reencode<PrecopyChunkRecord>,
+      "96886d7ed5f7233fc3bcdd451ca48fba75c22acf143b3829532f3f54b5d9e75b");
+  add("PrecopyFinalizeRecord", [] {
+        PrecopyFinalizeRecord p;
+        p.source_mr_enclave = pattern<32>(9);
+        p.source_me_address = "m1";
+        p.request_nonce = 501;
+        p.round = 2;
+        p.chunks = {sample_chunk(15)};
+        p.manifest = {{0, 1}};
+        p.msk = pattern<16>(10);
+        return p.serialize();
+      }, reencode<PrecopyFinalizeRecord>,
+      "de0612e89c16985378fa8a7a5c07d2fcf67a8c9280c8fa7c18d68107b49cd17c");
+  add("ReconcileQuery", [] {
+        ReconcileQuery p;
+        p.source_mr_enclave = pattern<32>(11);
+        p.request_nonce = 600;
+        return p.serialize();
+      }, reencode<ReconcileQuery>,
+      "4bafa4862d614daef2cc694d7f06b277307d42f9ae2d5a3bff6e11b758f3dcb7");
+  add("TransferPayload", [] {
+        TransferPayload p;
+        p.source_mr_enclave = pattern<32>(12);
+        p.source_me_address = "m0";
+        p.request_nonce = 700;
+        p.data = sample_data();
+        return p.serialize();
+      }, reencode<TransferPayload>,
+      "965c48f27ca715cbb492cc58129f55a3e44a2863458cb0a540d0ad6c9bf7a668");
+  add("SessionResumeRequest", [] {
+        SessionResumeRequest p;
+        p.initiator_address = "m3";
+        p.responder_epoch = 0xabcdef;
+        p.nonce = pattern<16>(13);
+        p.mac = pattern<16>(14);
+        return p.serialize();
+      }, reencode<SessionResumeRequest>,
+      "46328bd512dd19721e9895b4f52f0eeedd63327b420ef55c6db5e5940deceffd");
+  add("SessionResumeReply", [] {
+        SessionResumeReply p;
+        p.nonce = pattern<16>(15);
+        p.mac = pattern<16>(16);
+        return p.serialize();
+      }, reencode<SessionResumeReply>,
+      "7554d2b577911fa05674324934a1b81f072eb179211f49f2fd1f32eee6f5fbb5");
+  add("MachineCredential", [] {
+        BinaryWriter w;
+        sample_credential().serialize(w);
+        return w.take();
+      }, [](ByteView wire) {
+        BinaryReader r(wire);
+        const auto credential = platform::MachineCredential::deserialize(r);
+        if (!r.done()) return Bytes{};
+        BinaryWriter w;
+        credential.serialize(w);
+        return w.take();
+      },
+      "a9107f5a63b25be33aa130e06c635ea6435788daaad0604ec5ff221f5d8d860b");
+  add("ProviderAuth", [] {
+        ProviderAuth p;
+        p.credential = sample_credential();
+        p.transcript_signature = pattern<64>(19);
+        return p.serialize();
+      }, reencode<ProviderAuth>,
+      "51247a9e3c6b73c66aa97a475f5990b51183dda4b47d0988daf82086390dadce");
+  add("LibraryState", [] {
+        LibraryState s;
+        s.frozen = 1;
+        s.counters_active[3] = true;
+        s.counter_uuids[3].counter_id = 7;
+        s.counter_uuids[3].nonce = pattern<12>(20);
+        s.counter_offsets[3] = 17;
+        s.msk = pattern<16>(21);
+        s.epoch_active = 1;
+        s.epoch_uuid.counter_id = 8;
+        s.epoch_uuid.nonce = pattern<12>(22);
+        s.epoch_value = 9;
+        return s.serialize();
+      }, reencode<LibraryState>,
+      "7316ed5038ea1aa3bf064e116f26cadba41771e5368490ce505135a01e4aa63d");
+  add("ReportBody", [] { return sample_report_body().serialize(); },
+      [](ByteView wire) {
+        BinaryWriter w;  // a report is its body followed by the MAC
+        w.raw(wire);
+        w.fixed(pattern<16>(26));
+        auto report = sgx::Report::deserialize(w.data());
+        return report.ok() ? report.value().body.serialize() : Bytes{};
+      },
+      "bd7781294ca65222486e9da414f506ecd7360a414d96d202778ae75e6757b96e");
+  add("Report", [] { return sample_report().serialize(); },
+      reencode<sgx::Report>,
+      "a62478ab8abc1c02f319c770a791d5860aeda234d91e7f5130badd7a54e169ce");
+  add("DhMsg1", [] {
+        sgx::DhMsg1 m;
+        m.responder_public = pattern<32>(27);
+        m.responder_target.mr_enclave = pattern<32>(28);
+        return m.serialize();
+      }, reencode<sgx::DhMsg1>,
+      "0a1835d0279d72be4fb9b76c5ebb5740c841cc7c6536dab0b454dd5c608aa0c4");
+  add("DhMsg2", [] {
+        sgx::DhMsg2 m;
+        m.initiator_public = pattern<32>(29);
+        m.initiator_report = sample_report();
+        return m.serialize();
+      }, reencode<sgx::DhMsg2>,
+      "af93555059055b2ad1c7587ee6faee4ac27ca86de88dcbbb99ed144e2152475c");
+  add("DhMsg3", [] {
+        sgx::DhMsg3 m;
+        m.responder_report = sample_report();
+        return m.serialize();
+      }, reencode<sgx::DhMsg3>,
+      "b50001ebef138d76b4f5381f2da08ef8d18c3a36d29120c0631c4e1e5bf063cf");
+  add("Quote", [] { return sample_quote().serialize(); },
+      reencode<sgx::Quote>,
+      "26c9f1d210dc359c1667201893cf094323a074be0f45f55db2c707140dfdb8f7");
+  add("RaMsg1", [] {
+        sgx::RaMsg1 m;
+        m.initiator_public = pattern<32>(30);
+        return m.serialize();
+      }, reencode<sgx::RaMsg1>,
+      "fd7a3caf84de918ba3ab62de4600187dce4c2865cbb019a4575d8a6d22912a8e");
+  add("RaMsg2", [] {
+        sgx::RaMsg2 m;
+        m.responder_public = pattern<32>(31);
+        m.responder_quote = sample_quote().serialize();
+        return m.serialize();
+      }, reencode<sgx::RaMsg2>,
+      "6993f6c4eb782d377e68d08ab8a60197efb31d4b5e9fe381a8095b6701f8c690");
+  add("RaMsg3", [] {
+        sgx::RaMsg3 m;
+        m.initiator_quote = sample_quote().serialize();
+        return m.serialize();
+      }, reencode<sgx::RaMsg3>,
+      "314a7a37a2f4f660c75ff4d1b16f8956d09ddd46afe1a49446ef6562cad8a63e");
+  add("VerificationReport", [] {
+        sgx::VerificationReport v;
+        v.verdict = sgx::IasVerdict::kGroupRevoked;
+        v.quote_body = sample_report_body().serialize();
+        v.ias_signature = pattern<64>(35);
+        return v.serialize();
+      }, reencode<sgx::VerificationReport>,
+      "df134e933c531aedb1bf3d41883df77023af5468f144daf9b727b396251fca34");
+  add("PseRequest(read)",
+      [] { return sample_pse_request(sgx::PseOp::kRead).serialize(); },
+      reencode<sgx::PseRequest>,
+      "88423f21f3dea8ed12f75f85f6ef10baf16add755432769861f0373ae3e2edaf");
+  add("PseRequest(create)",
+      [] { return sample_pse_request(sgx::PseOp::kCreate).serialize(); },
+      reencode<sgx::PseRequest>,
+      "b669ae6b67dac28c33d9aa99e1fa3246e0092a12ee9b656ddb32e7f6c7a03de4");
+  add("PseRequest(retire)",
+      [] { return sample_pse_request(sgx::PseOp::kRetire).serialize(); },
+      reencode<sgx::PseRequest>,
+      "d2dcd4f75032c19968170f546311377d36fdfdf59fa383f6ea1120f72b141b08");
+  add("PseResponse", [] {
+        sgx::PseResponse resp;
+        resp.status = Status::kOk;
+        resp.uuid.counter_id = 4;
+        resp.uuid.nonce = pattern<12>(42);
+        resp.value = 42;
+        return resp.serialize();
+      }, reencode<sgx::PseResponse>,
+      "7f11aad2eafa082402965d2a562ef0dba20d50720146aff8b74c6126e6b33937");
+  add("PaymentMessage", [] {
+        apps::PaymentMessage m;
+        m.channel_id = 0x0102030405060708ULL;
+        m.sequence = 17;
+        m.balance_a = 900;
+        m.balance_b = 100;
+        m.sender = pattern<32>(43);
+        m.signature = pattern<64>(44);
+        return m.serialize();
+      }, reencode<apps::PaymentMessage>,
+      "32e70be53afb723940e19b11fa58de2ceba561bf94a3c60cb2b2fd7f00d6ef6c");
+  add("TrinxCertificate", [] {
+        apps::TrinxCertificate c;
+        c.counter_id = 5;
+        c.value = 0x1000000002ULL;
+        c.message_hash = pattern<32>(45);
+        c.signer = pattern<32>(46);
+        c.signature = pattern<64>(47);
+        return c.serialize();
+      }, reencode<apps::TrinxCertificate>,
+      "e04b33ae8b27c2b36ab1352e8f8ae04d0783d418083ddf92d0dd51e86ca9b0c0");
+  return out;
+}
+
+TEST(ProtocolPins, EveryRecordEncodesToItsPinnedDigest) {
+  for (const Pin& pin : pins()) {
+    const Bytes wire = pin.encode();
+    const auto digest = crypto::Sha256::hash(wire);
+    EXPECT_EQ(hex_encode(ByteView(digest.data(), digest.size())), pin.sha256)
+        << pin.record;
+  }
+}
+
+TEST(ProtocolPins, EveryPinnedSampleReencodesToItsOwnBytes) {
+  for (const Pin& pin : pins()) {
+    const Bytes wire = pin.encode();
+    EXPECT_EQ(pin.reencode(wire), wire) << pin.record;
+  }
+}
+
+// ----- bounds table -----
+//
+// Every bound a reader enforces on host-supplied bytes: the record must
+// decode with the field at `at` and be refused with it at `past`.  `make`
+// builds the encoding with the field set to the given length, count or
+// raw value; `decodes` reports whether the top-level decoder accepts it.
+
+struct Bound {
+  const char* field;
+  size_t at;
+  size_t past;
+  std::function<Bytes(size_t)> make;
+  std::function<bool(ByteView)> decodes;
+};
+
+template <class T>
+bool decodes_as(ByteView wire) {
+  return T::deserialize(wire).ok();
+}
+
+std::vector<std::string> strings(size_t count, size_t length) {
+  return std::vector<std::string>(count, std::string(length, 'a'));
+}
+
+// The TransferPayload / MigrateRequestPayload data field with its inner
+// encoding zero-padded to `n` bytes: only the real size decodes, and
+// one past the bound must be refused before the inner decode runs.
+Bytes padded_data(size_t n) {
+  Bytes data = sample_data().serialize();
+  if (n > data.size()) data.resize(n, 0);
+  return data;
+}
+
+Bytes padded_report(size_t n) {
+  Bytes report = sample_report().serialize();
+  if (n > report.size()) report.resize(n, 0);
+  return report;
+}
+
+std::vector<Bound> bounds() {
+  constexpr size_t kEnvelopeMax = 1u << 22;
+  constexpr size_t kDataMax = 1u << 20;
+  const size_t data_size = sample_data().serialize().size();
+  const size_t report_size = sample_report().serialize().size();
+  std::vector<Bound> out;
+  out.push_back({"MeRequest.type (highest)", 12, 13, [](size_t n) {
+                   MeRequest req;
+                   req.type = static_cast<MeMsgType>(n);
+                   return req.serialize();
+                 }, decodes_as<MeRequest>});
+  out.push_back({"MeRequest.type (lowest)", 1, 0, [](size_t n) {
+                   MeRequest req;
+                   req.type = static_cast<MeMsgType>(n);
+                   return req.serialize();
+                 }, decodes_as<MeRequest>});
+  out.push_back({"MeRequest.payload", kEnvelopeMax, kEnvelopeMax + 1,
+                 [](size_t n) {
+                   MeRequest req;
+                   req.payload = Bytes(n, 1);
+                   return req.serialize();
+                 }, decodes_as<MeRequest>});
+  out.push_back({"MeResponse.payload", kEnvelopeMax, kEnvelopeMax + 1,
+                 [](size_t n) {
+                   MeResponse resp;
+                   resp.payload = Bytes(n, 1);
+                   return resp.serialize();
+                 }, decodes_as<MeResponse>});
+  out.push_back({"LibMsg.payload", kEnvelopeMax, kEnvelopeMax + 1,
+                 [](size_t n) {
+                   LibMsg msg;
+                   msg.payload = Bytes(n, 1);
+                   return msg.serialize();
+                 }, decodes_as<LibMsg>});
+  out.push_back({"MigrateRequestPayload.destination_address", 256, 257,
+                 [](size_t n) {
+                   MigrateRequestPayload p;
+                   p.destination_address.assign(n, 'd');
+                   return p.serialize();
+                 }, decodes_as<MigrateRequestPayload>});
+  out.push_back({"MigrateRequestPayload.data", data_size, kDataMax + 1,
+                 [](size_t n) {
+                   BinaryWriter w;
+                   w.str("m1");
+                   w.u64(1);
+                   MigrationPolicy{}.serialize(w);
+                   w.bytes(padded_data(n));
+                   return w.take();
+                 }, decodes_as<MigrateRequestPayload>});
+  out.push_back({"MigrateReservePayload.destination_address", 256, 257,
+                 [](size_t n) {
+                   MigrateReservePayload p;
+                   p.destination_address.assign(n, 'd');
+                   return p.serialize();
+                 }, decodes_as<MigrateReservePayload>});
+  out.push_back({"MigrationPolicy.allowed_regions (count)", 256, 257,
+                 [](size_t n) {
+                   MigrateReservePayload p;
+                   p.policy.allowed_regions = strings(n, 1);
+                   return p.serialize();
+                 }, decodes_as<MigrateReservePayload>});
+  out.push_back({"MigrationPolicy.allowed_regions (length)", 256, 257,
+                 [](size_t n) {
+                   MigrateReservePayload p;
+                   p.policy.allowed_regions = strings(1, n);
+                   return p.serialize();
+                 }, decodes_as<MigrateReservePayload>});
+  out.push_back({"MigrationPolicy.denied_addresses (count)", 4096, 4097,
+                 [](size_t n) {
+                   MigrateReservePayload p;
+                   p.policy.denied_addresses = strings(n, 1);
+                   return p.serialize();
+                 }, decodes_as<MigrateReservePayload>});
+  out.push_back({"MigrationPolicy.denied_addresses (length)", 256, 257,
+                 [](size_t n) {
+                   MigrateReservePayload p;
+                   p.policy.denied_addresses = strings(1, n);
+                   return p.serialize();
+                 }, decodes_as<MigrateReservePayload>});
+  out.push_back({"TransferProgressPayload.progress", 4, 5, [](size_t n) {
+                   TransferProgressPayload p;
+                   p.progress = static_cast<TransferProgress>(n);
+                   return p.serialize();
+                 }, decodes_as<TransferProgressPayload>});
+  out.push_back({"AbortStalePayload.destination_address", 256, 257,
+                 [](size_t n) {
+                   AbortStalePayload p;
+                   p.destination_address.assign(n, 'd');
+                   return p.serialize();
+                 }, decodes_as<AbortStalePayload>});
+  out.push_back({"IncomingDataPayload.data", kDataMax, kDataMax + 1,
+                 [](size_t n) {
+                   IncomingDataPayload p;
+                   p.data = Bytes(n, 1);
+                   return p.serialize();
+                 }, decodes_as<IncomingDataPayload>});
+  out.push_back({"PrecopyRoundPayload.destination_address", 256, 257,
+                 [](size_t n) {
+                   PrecopyRoundPayload p;
+                   p.destination_address.assign(n, 'd');
+                   return p.serialize();
+                 }, decodes_as<PrecopyRoundPayload>});
+  out.push_back({"PrecopyRoundPayload.chunks (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyRoundPayload p;
+                   p.chunks.assign(n, sample_chunk(1));
+                   return p.serialize();
+                 }, decodes_as<PrecopyRoundPayload>});
+  out.push_back({"CounterChunk.index", kPrecopyChunkCount - 1,
+                 kPrecopyChunkCount, [](size_t n) {
+                   PrecopyRoundPayload p;
+                   p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
+                   return p.serialize();
+                 }, decodes_as<PrecopyRoundPayload>});
+  out.push_back({"PrecopyFinalizePayload.destination_address", 256, 257,
+                 [](size_t n) {
+                   PrecopyFinalizePayload p;
+                   p.destination_address.assign(n, 'd');
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizePayload>});
+  out.push_back({"PrecopyFinalizePayload.chunks (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyFinalizePayload p;
+                   p.chunks.assign(n, sample_chunk(1));
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizePayload>});
+  out.push_back({"PrecopyFinalizePayload.manifest (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyFinalizePayload p;
+                   p.manifest.assign(n, ChunkManifestEntry{1, 1});
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizePayload>});
+  out.push_back({"PrecopyFinalizePayload.manifest (index)",
+                 kPrecopyChunkCount - 1, kPrecopyChunkCount, [](size_t n) {
+                   PrecopyFinalizePayload p;
+                   p.manifest = {{static_cast<uint32_t>(n), 1}};
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizePayload>});
+  out.push_back({"PrecopyChunkRecord.source_me_address", 256, 257,
+                 [](size_t n) {
+                   PrecopyChunkRecord p;
+                   p.source_me_address.assign(n, 's');
+                   return p.serialize();
+                 }, decodes_as<PrecopyChunkRecord>});
+  out.push_back({"PrecopyChunkRecord.chunks (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyChunkRecord p;
+                   p.chunks.assign(n, sample_chunk(1));
+                   return p.serialize();
+                 }, decodes_as<PrecopyChunkRecord>});
+  out.push_back({"PrecopyChunkRecord.chunks (index)", kPrecopyChunkCount - 1,
+                 kPrecopyChunkCount, [](size_t n) {
+                   PrecopyChunkRecord p;
+                   p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
+                   return p.serialize();
+                 }, decodes_as<PrecopyChunkRecord>});
+  out.push_back({"PrecopyFinalizeRecord.source_me_address", 256, 257,
+                 [](size_t n) {
+                   PrecopyFinalizeRecord p;
+                   p.source_me_address.assign(n, 's');
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizeRecord>});
+  out.push_back({"PrecopyFinalizeRecord.chunks (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyFinalizeRecord p;
+                   p.chunks.assign(n, sample_chunk(1));
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizeRecord>});
+  out.push_back({"PrecopyFinalizeRecord.chunks (index)", kPrecopyChunkCount - 1,
+                 kPrecopyChunkCount, [](size_t n) {
+                   PrecopyFinalizeRecord p;
+                   p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizeRecord>});
+  out.push_back({"PrecopyFinalizeRecord.manifest (count)", kPrecopyChunkCount,
+                 kPrecopyChunkCount + 1, [](size_t n) {
+                   PrecopyFinalizeRecord p;
+                   p.manifest.assign(n, ChunkManifestEntry{1, 1});
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizeRecord>});
+  out.push_back({"PrecopyFinalizeRecord.manifest (index)",
+                 kPrecopyChunkCount - 1, kPrecopyChunkCount, [](size_t n) {
+                   PrecopyFinalizeRecord p;
+                   p.manifest = {{static_cast<uint32_t>(n), 1}};
+                   return p.serialize();
+                 }, decodes_as<PrecopyFinalizeRecord>});
+  out.push_back({"TransferPayload.source_me_address", 256, 257, [](size_t n) {
+                   TransferPayload p;
+                   p.source_me_address.assign(n, 's');
+                   return p.serialize();
+                 }, decodes_as<TransferPayload>});
+  out.push_back({"TransferPayload.data", data_size, kDataMax + 1,
+                 [](size_t n) {
+                   BinaryWriter w;
+                   w.fixed(sgx::Measurement{});
+                   w.str("m0");
+                   w.u64(1);
+                   w.bytes(padded_data(n));
+                   return w.take();
+                 }, decodes_as<TransferPayload>});
+  out.push_back({"SessionResumeRequest.initiator_address", 256, 257,
+                 [](size_t n) {
+                   SessionResumeRequest p;
+                   p.initiator_address.assign(n, 'i');
+                   return p.serialize();
+                 }, decodes_as<SessionResumeRequest>});
+  out.push_back({"ProviderAuth.credential.address", 256, 257, [](size_t n) {
+                   ProviderAuth p;
+                   p.credential.address.assign(n, 'a');
+                   return p.serialize();
+                 }, decodes_as<ProviderAuth>});
+  out.push_back({"ProviderAuth.credential.region", 256, 257, [](size_t n) {
+                   ProviderAuth p;
+                   p.credential.region.assign(n, 'r');
+                   return p.serialize();
+                 }, decodes_as<ProviderAuth>});
+  out.push_back({"DhMsg2.initiator_report", report_size, 1025, [](size_t n) {
+                   BinaryWriter w;
+                   w.fixed(crypto::X25519Key{});
+                   w.bytes(padded_report(n));
+                   return w.take();
+                 }, decodes_as<sgx::DhMsg2>});
+  out.push_back({"DhMsg3.responder_report", report_size, 1025, [](size_t n) {
+                   BinaryWriter w;
+                   w.bytes(padded_report(n));
+                   return w.take();
+                 }, decodes_as<sgx::DhMsg3>});
+  out.push_back({"RaMsg2.responder_quote", 4096, 4097, [](size_t n) {
+                   sgx::RaMsg2 m;
+                   m.responder_quote = Bytes(n, 1);
+                   return m.serialize();
+                 }, decodes_as<sgx::RaMsg2>});
+  out.push_back({"RaMsg3.initiator_quote", 4096, 4097, [](size_t n) {
+                   sgx::RaMsg3 m;
+                   m.initiator_quote = Bytes(n, 1);
+                   return m.serialize();
+                 }, decodes_as<sgx::RaMsg3>});
+  out.push_back({"PseRequest.op (highest)", 5, 6, [](size_t n) {
+                   auto req = sample_pse_request(sgx::PseOp::kRead);
+                   req.op = static_cast<sgx::PseOp>(n);
+                   return req.serialize();
+                 }, decodes_as<sgx::PseRequest>});
+  out.push_back({"PseRequest.op (lowest)", 1, 0, [](size_t n) {
+                   auto req = sample_pse_request(sgx::PseOp::kRead);
+                   req.op = static_cast<sgx::PseOp>(n);
+                   return req.serialize();
+                 }, decodes_as<sgx::PseRequest>});
+  out.push_back({"PseRequest.nonce_entropy", 64, 65, [](size_t n) {
+                   auto req = sample_pse_request(sgx::PseOp::kCreate);
+                   req.nonce_entropy = Bytes(n, 1);
+                   return req.serialize();
+                 }, decodes_as<sgx::PseRequest>});
+  out.push_back({"PseRequest.retire_uuids (count)", 256, 257, [](size_t n) {
+                   auto req = sample_pse_request(sgx::PseOp::kRetire);
+                   req.retire_uuids.resize(n);
+                   return req.serialize();
+                 }, decodes_as<sgx::PseRequest>});
+  return out;
+}
+
+TEST(ProtocolPins, EveryBoundDecodesAtItsLimitAndRefusesOnePast) {
+  for (const Bound& bound : bounds()) {
+    EXPECT_TRUE(bound.decodes(bound.make(bound.at)))
+        << bound.field << " at " << bound.at;
+    EXPECT_FALSE(bound.decodes(bound.make(bound.past)))
+        << bound.field << " at " << bound.past;
+  }
+}
+
+TEST(ProtocolPins, MagicsAreChecked) {
+  // A sealed buffer or migrated-data blob whose magic differs in one byte,
+  // or whose magic string is longer than the reader's 64-byte bound, is
+  // refused.
+  const Bytes state = LibraryState{}.serialize();
+  const Bytes data = MigrationData{}.serialize();
+  ASSERT_TRUE(LibraryState::deserialize(state).ok());
+  ASSERT_TRUE(MigrationData::deserialize(data).ok());
+  for (const auto& [wire, is_state] :
+       {std::pair{state, true}, std::pair{data, false}}) {
+    Bytes flipped = wire;
+    flipped[4] ^= 0x01;  // first magic character, after the u32 length
+    const auto decodes = [&](const Bytes& b) {
+      return is_state ? LibraryState::deserialize(b).ok()
+                      : MigrationData::deserialize(b).ok();
+    };
+    EXPECT_FALSE(decodes(flipped));
+    // Re-prefix the same body with a 65-byte magic.
+    BinaryReader r(wire);
+    const std::string magic = r.str();
+    const Bytes body = r.raw(r.remaining());
+    BinaryWriter w;
+    w.str(magic + std::string(65 - magic.size(), 'x'));
+    w.raw(body);
+    EXPECT_FALSE(decodes(w.take()));
+  }
+}
 
 }  // namespace
 }  // namespace sgxmig::migration
