@@ -24,8 +24,19 @@ struct PaymentMessage {
   crypto::Ed25519PublicKey sender{};
   crypto::Ed25519Signature signature{};
 
-  Bytes serialize() const;
-  static Result<PaymentMessage> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.channel_id);
+    io.u32(m.sequence);
+    io.u64(m.balance_a);
+    io.u64(m.balance_b);
+    io.fixed(m.sender);
+    io.fixed(m.signature);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PaymentMessage> deserialize(ByteView b) {
+    return decode_record<PaymentMessage>(b);
+  }
   Bytes signed_message() const;
 };
 

@@ -29,8 +29,18 @@ struct TrinxCertificate {
   crypto::Ed25519PublicKey signer{};
   crypto::Ed25519Signature signature{};
 
-  Bytes serialize() const;
-  static Result<TrinxCertificate> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.counter_id);
+    io.u64(m.value);
+    io.fixed(m.message_hash);
+    io.fixed(m.signer);
+    io.fixed(m.signature);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<TrinxCertificate> deserialize(ByteView b) {
+    return decode_record<TrinxCertificate>(b);
+  }
   Bytes signed_message() const;
   bool verify() const;
 };

@@ -19,6 +19,7 @@
 #include "migration/migration_data.h"
 #include "sgx/pse.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::migration {
@@ -44,8 +45,23 @@ struct LibraryState {
   sgx::CounterUuid epoch_uuid{};
   uint32_t epoch_value = 0;  // hardware value this buffer was sealed under
 
-  Bytes serialize() const;
-  static Result<LibraryState> deserialize(ByteView bytes);
+  /// The only layout written or read; a legacy lineage is epoch_active == 0.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-LIBSTATE-v2", 64);
+    io.u8(m.frozen);
+    for (auto& active : m.counters_active) io.u8(active);
+    for (auto& uuid : m.counter_uuids) io.record(uuid);
+    for (auto& offset : m.counter_offsets) io.u32(offset);
+    io.fixed(m.msk);
+    io.u8(m.epoch_active);
+    io.record(m.epoch_uuid);
+    io.u32(m.epoch_value);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<LibraryState> deserialize(ByteView b) {
+    return decode_record<LibraryState>(b);
+  }
 
   size_t active_count() const;
   /// Lowest free slot, or kMaxCounters when full.

@@ -1,32 +1,6 @@
 #include "migration/migration_data.h"
 
-#include "support/serde.h"
-
 namespace sgxmig::migration {
-
-namespace {
-constexpr char kMagic[] = "SGXMIG-MIGDATA-v1";
-}  // namespace
-
-Bytes MigrationData::serialize() const {
-  BinaryWriter w;
-  w.str(kMagic);
-  for (bool active : counters_active) w.u8(active ? 1 : 0);
-  for (uint32_t value : counter_values) w.u32(value);
-  w.fixed(msk);
-  return w.take();
-}
-
-Result<MigrationData> MigrationData::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  if (r.str(64) != kMagic) return Status::kTampered;
-  MigrationData data;
-  for (auto& active : data.counters_active) active = r.u8() != 0;
-  for (auto& value : data.counter_values) value = r.u32();
-  data.msk = r.fixed<16>();
-  if (!r.done()) return Status::kTampered;
-  return data;
-}
 
 size_t MigrationData::active_count() const {
   size_t n = 0;

@@ -16,6 +16,7 @@
 #include "sgx/pse.h"
 #include "sgx/types.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::migration {
@@ -28,8 +29,17 @@ struct MigrationData {
   std::array<uint32_t, kMaxCounters> counter_values{};  // next offsets
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<MigrationData> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-MIGDATA-v1", 64);
+    for (auto& active : m.counters_active) io.u8(active);
+    for (auto& value : m.counter_values) io.u32(value);
+    io.fixed(m.msk);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<MigrationData> deserialize(ByteView b) {
+    return decode_record<MigrationData>(b);
+  }
 
   size_t active_count() const;
   bool operator==(const MigrationData&) const = default;

@@ -617,7 +617,7 @@ size_t MigrationEnclave::retry_done_relays() {
 LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
                                          const LibMsg& msg) {
   LibMsg reply;
-  auto query = QueryStatusPayload::deserialize(msg.payload);
+  auto query = NoncePayload::deserialize(msg.payload);
   if (!query.ok()) {
     reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
@@ -965,10 +965,9 @@ LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
     reply.status = Status::kTampered;
     return reply;
   }
+  // A reservation is a migrate request with its data still to come.
   MigrateRequestPayload request;
-  request.destination_address = parsed.value().destination_address;
-  request.request_nonce = parsed.value().request_nonce;
-  request.policy = parsed.value().policy;
+  static_cast<MigrateReservePayload&>(request) = std::move(parsed).value();
   return queue_task(session.peer.mr_enclave, std::move(request),
                     /*armed=*/false);
 }
@@ -1311,7 +1310,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
                                           const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto parsed = PollTransferPayload::deserialize(msg.payload);
+  auto parsed = NoncePayload::deserialize(msg.payload);
   if (!parsed.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1390,7 +1389,7 @@ Status MigrationEnclave::abort_remote_pending(
   // must arrive over a mutually attested, provider-authenticated channel
   // — the destination additionally checks the entry really originated
   // from THIS machine.
-  AbortRequest request;
+  AttemptRef request;
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
   const auto safe = attested_query(destination_address, MeMsgType::kAbort,
@@ -2140,9 +2139,9 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
 }
 
 MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
-  auto opened = open_inbound_record<AbortRequest>(req, /*charge=*/false);
+  auto opened = open_inbound_record<AttemptRef>(req, /*charge=*/false);
   if (!opened.ok()) return error_response(opened.status());
-  const AbortRequest& abort = opened.value().record;
+  const AttemptRef& abort = opened.value().record;
   InboundTransfer& inbound = *opened.value().inbound;
 
   // Only the ORIGINATING source ME may expire its own attempt, and never
@@ -2218,7 +2217,7 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   // Fresh mutually attested channel to the originating source ME: the
   // verdict authorizes deleting migration state, so it must come from a
   // genuine peer ME, not from whoever owns the network.
-  ReconcileQuery query;
+  AttemptRef query;
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
   const auto verdict = attested_query(source_address, MeMsgType::kReconcile,
@@ -2304,7 +2303,7 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
 }
 
 MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
-  auto opened = open_inbound_record<ReconcileQuery>(req, /*charge=*/false);
+  auto opened = open_inbound_record<AttemptRef>(req, /*charge=*/false);
   if (!opened.ok()) return error_response(opened.status());
   const sgx::Measurement& mr = opened.value().record.source_mr_enclave;
   const uint64_t nonce = opened.value().record.request_nonce;

@@ -1015,7 +1015,7 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   if (channel_status != Status::kOk) {
     return start_failure(channel_status, "local ME attestation");
   }
-  PollTransferPayload query;
+  NoncePayload query;
   query.request_nonce = attempt_.nonce;
   LibMsg request;
   request.type = LibMsgType::kPollTransfer;
@@ -1342,7 +1342,7 @@ Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
   if (channel_status != Status::kOk) return channel_status;
   LibMsg request;
   request.type = LibMsgType::kQueryStatus;
-  QueryStatusPayload query;
+  NoncePayload query;
   query.request_nonce = nonce;
   request.payload = query.serialize();
   auto reply = me_exchange_reattest(request);

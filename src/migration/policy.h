@@ -39,8 +39,17 @@ struct MigrationPolicy {
   /// attributes.  Returns kOk or kPolicyViolation.
   Status evaluate(const platform::MachineCredential& destination) const;
 
-  void serialize(BinaryWriter& w) const;
-  static Result<MigrationPolicy> deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    const auto address = [](auto& f, auto& s) { f.str(s, 256); };
+    io.list(m.allowed_regions, 256, address);
+    io.list(m.denied_addresses, 4096, address);
+    io.u32(m.min_cpu_cores);
+  }
+  void serialize(BinaryWriter& w) const { write_record(w, *this); }
+  static Result<MigrationPolicy> deserialize(BinaryReader& r) {
+    return read_record<MigrationPolicy>(r);
+  }
 };
 
 }  // namespace sgxmig::migration

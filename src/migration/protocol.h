@@ -40,13 +40,13 @@ enum class MeMsgType : uint8_t {
   // Incoming-record reconciliation (lost-ACCEPTED or lost-abort cleanup):
   // the ME holding an undelivered record asks the ORIGINATING source ME,
   // over a fresh RA channel, whether that logical migration is still live.
-  kReconcile = 10,  // ME_dst -> ME_src: encrypted ReconcileQuery record
+  kReconcile = 10,  // ME_dst -> ME_src: encrypted AttemptRef record
   // Proactive abort on re-route: the ORIGINATING source ME tells the
   // orphaned destination — over a fresh RA channel — that a logical
   // migration attempt was abandoned, so its undelivered incoming record,
   // staged or assembled, can be expired immediately instead of lingering
   // until the pull-based reconcile sweep happens to run.
-  kAbort = 11,  // ME_src -> ME_dst: encrypted AbortRequest record
+  kAbort = 11,  // ME_src -> ME_dst: encrypted AttemptRef record
   // Cached-session resume (one round-trip instead of full msg1/msg3): the
   // source ME proves possession of the master key of a previously
   // completed RA handshake toward this destination INSTANCE (epoch-bound)
@@ -71,21 +71,43 @@ inline constexpr std::array<MeMsgType, 12> kAllMeMsgTypes = {
     MeMsgType::kAbort,          MeMsgType::kSessionResume,
 };
 
+/// Largest payload either envelope carries.
+inline constexpr size_t kMaxEnvelopePayload = 1u << 22;
+/// Largest machine address a message carries.
+inline constexpr size_t kMaxAddress = 256;
+/// Largest serialized MigrationData (or raw data blob) a message carries.
+inline constexpr size_t kMaxDataBlob = 1u << 20;
+
 struct MeRequest {
   MeMsgType type = MeMsgType::kLaStart;
   uint64_t id = 0;  // LA session id or transfer id
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<MeRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.type, MeMsgType::kLaStart, MeMsgType::kSessionResume);
+    io.u64(m.id);
+    io.bytes(m.payload, kMaxEnvelopePayload);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<MeRequest> deserialize(ByteView b) {
+    return decode_record<MeRequest>(b);
+  }
 };
 
 struct MeResponse {
   Status status = Status::kUnexpected;
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<MeResponse> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.status);
+    io.bytes(m.payload, kMaxEnvelopePayload);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<MeResponse> deserialize(ByteView b) {
+    return decode_record<MeResponse>(b);
+  }
 };
 
 // ----- inner ML <-> ME messages -----
@@ -134,27 +156,16 @@ struct LibMsg {
   Status status = Status::kOk;
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<LibMsg> deserialize(ByteView bytes);
-};
-
-/// Payload of kMigrateRequest.
-struct MigrateRequestPayload {
-  std::string destination_address;
-  /// Random per-migration-attempt identifier chosen by the Migration
-  /// Library.  The ME stores it in the durable transfer queue so that (a)
-  /// a re-sent request after a lost reply is deduplicated instead of
-  /// producing a second transfer, and (b) the library can re-query the
-  /// fate of exactly THIS attempt (kQueryStatus with a nonce) after the
-  /// ME restarted mid-exchange.  0 = legacy caller, no dedup/resume.
-  uint64_t request_nonce = 0;
-  /// Migration policy (paper §X extension), enforced by the source ME
-  /// against the destination machine's certified attributes.
-  MigrationPolicy policy;
-  MigrationData data;
-
-  Bytes serialize() const;
-  static Result<MigrateRequestPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.type);
+    io.u32(m.status);
+    io.bytes(m.payload, kMaxEnvelopePayload);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<LibMsg> deserialize(ByteView b) {
+    return decode_record<LibMsg>(b);
+  }
 };
 
 /// Payload of kStatusReport.
@@ -192,19 +203,62 @@ enum class TransferProgress : uint8_t {
 /// kSlotLive and the library has frozen + collected.
 struct MigrateReservePayload {
   std::string destination_address;
+  /// Random per-migration-attempt identifier chosen by the Migration
+  /// Library.  The ME stores it in the durable transfer queue so that (a)
+  /// a re-sent request after a lost reply is deduplicated instead of
+  /// producing a second transfer, and (b) the library can re-query the
+  /// fate of exactly THIS attempt (kQueryStatus with a nonce) after the
+  /// ME restarted mid-exchange.  0 = legacy caller, no dedup/resume.
   uint64_t request_nonce = 0;
+  /// Migration policy (paper §X extension), enforced by the source ME
+  /// against the destination machine's certified attributes.
   MigrationPolicy policy;
 
-  Bytes serialize() const;
-  static Result<MigrateReservePayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.str(m.destination_address, kMaxAddress);
+    io.u64(m.request_nonce);
+    io.record(m.policy);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<MigrateReservePayload> deserialize(ByteView b) {
+    return decode_record<MigrateReservePayload>(b);
+  }
 };
 
-/// Payload of kPollTransfer.
-struct PollTransferPayload {
+/// Payload of kMigrateRequest, kMigrateEnqueue and kMigrateArm: a
+/// reservation followed by the migration data.
+struct MigrateRequestPayload : MigrateReservePayload {
+  MigrationData data;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    MigrateReservePayload::fields(io, m);
+    io.sized(m.data, kMaxDataBlob);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<MigrateRequestPayload> deserialize(ByteView b) {
+    return decode_record<MigrateRequestPayload>(b);
+  }
+};
+
+/// Payload of kQueryStatus and kPollTransfer: the request nonce of one
+/// migrate attempt.  For kQueryStatus, nonce 0 asks for the most recent
+/// outgoing migration of the calling enclave's MRENCLAVE; a nonce scopes
+/// the answer to the single migrate request that carried it (the resume
+/// path after an ME restart mid-exchange must not be confused by earlier
+/// migrations of the same identity through the same ME).
+struct NoncePayload {
   uint64_t request_nonce = 0;
 
-  Bytes serialize() const;
-  static Result<PollTransferPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.request_nonce);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<NoncePayload> deserialize(ByteView b) {
+    return decode_record<NoncePayload>(b);
+  }
 };
 
 /// Payload of kTransferProgress.
@@ -212,8 +266,15 @@ struct TransferProgressPayload {
   TransferProgress progress = TransferProgress::kNone;
   Status failure = Status::kOk;
 
-  Bytes serialize() const;
-  static Result<TransferProgressPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.progress, TransferProgress::kNone, TransferProgress::kSlotLive);
+    io.u32(m.failure);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<TransferProgressPayload> deserialize(ByteView b) {
+    return decode_record<TransferProgressPayload>(b);
+  }
 };
 
 /// Payload of kAbortStale (ML -> its local ME): the library re-routed a
@@ -223,17 +284,34 @@ struct AbortStalePayload {
   uint64_t request_nonce = 0;
   std::string destination_address;
 
-  Bytes serialize() const;
-  static Result<AbortStalePayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.request_nonce);
+    io.str(m.destination_address, kMaxAddress);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<AbortStalePayload> deserialize(ByteView b) {
+    return decode_record<AbortStalePayload>(b);
+  }
 };
 
-/// Payload of the kAbort record (source ME -> orphaned destination ME).
-struct AbortRequest {
+/// Payload of the kAbort record (source ME -> orphaned destination ME)
+/// and of the kReconcile record (pending-entry holder -> the entry's
+/// originating source ME, over a fresh RA channel): one logical migration
+/// attempt, named by its enclave and the library's request nonce.
+struct AttemptRef {
   sgx::Measurement source_mr_enclave{};
   uint64_t request_nonce = 0;
 
-  Bytes serialize() const;
-  static Result<AbortRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.source_mr_enclave);
+    io.u64(m.request_nonce);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<AttemptRef> deserialize(ByteView b) {
+    return decode_record<AttemptRef>(b);
+  }
 };
 
 /// Payload of kIncomingData (the fetch reply): the serialized migration
@@ -246,20 +324,16 @@ struct IncomingDataPayload {
   uint64_t delivery_token = 0;
   uint64_t request_nonce = 0;
 
-  Bytes serialize() const;
-  static Result<IncomingDataPayload> deserialize(ByteView bytes);
-};
-
-/// Payload of kQueryStatus.  Nonce 0 asks for the most recent outgoing
-/// migration of the calling enclave's MRENCLAVE; a nonce scopes the
-/// answer to the single migrate request that carried it (the resume path
-/// after an ME restart mid-exchange must not be confused by earlier
-/// migrations of the same identity through the same ME).
-struct QueryStatusPayload {
-  uint64_t request_nonce = 0;  // 0 = per-identity query
-
-  Bytes serialize() const;
-  static Result<QueryStatusPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.bytes(m.data, kMaxDataBlob);
+    io.u64(m.delivery_token);
+    io.u64(m.request_nonce);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<IncomingDataPayload> deserialize(ByteView b) {
+    return decode_record<IncomingDataPayload>(b);
+  }
 };
 
 // ----- live pre-copy transfer (iterative rounds, paper-plus) -----
@@ -285,14 +359,31 @@ struct CounterChunk {
   std::array<bool, kPrecopyChunkSlots> active{};
   std::array<uint32_t, kPrecopyChunkSlots> values{};
 
-  void serialize(BinaryWriter& w) const;
-  static Result<CounterChunk> deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.index);
+    io.u64(m.generation);
+    for (auto& a : m.active) io.u8(a);
+    for (auto& v : m.values) io.u32(v);
+    io.require(m.index < kPrecopyChunkCount);
+  }
+  void serialize(BinaryWriter& w) const { write_record(w, *this); }
+  static Result<CounterChunk> deserialize(BinaryReader& r) {
+    return read_record<CounterChunk>(r);
+  }
 };
 
 /// One (chunk index, generation) pair of the finalize manifest.
 struct ChunkManifestEntry {
   uint32_t index = 0;
   uint64_t generation = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.index);
+    io.u64(m.generation);
+    io.require(m.index < kPrecopyChunkCount);
+  }
 };
 
 /// Payload of kPrecopyRound (ML -> source ME).
@@ -305,25 +396,38 @@ struct PrecopyRoundPayload {
   MigrationPolicy policy;
   std::vector<CounterChunk> chunks;
 
-  Bytes serialize() const;
-  static Result<PrecopyRoundPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.str(m.destination_address, kMaxAddress);
+    io.u64(m.request_nonce);
+    io.u32(m.round);
+    io.record(m.policy);
+    io.list(m.chunks, kPrecopyChunkCount);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PrecopyRoundPayload> deserialize(ByteView b) {
+    return decode_record<PrecopyRoundPayload>(b);
+  }
 };
 
-/// Payload of kPrecopyFinalizeReq (ML -> source ME).  Sent after the
-/// library froze, epoch-invalidated its sealed lineage, and persisted the
-/// freeze flag; carries only the chunks dirtied since the last round (or
+/// Payload of kPrecopyFinalizeReq (ML -> source ME): a round carrying the
+/// final delta, then the manifest and the MSK.  Sent after the library
+/// froze; carries only the chunks dirtied since the last round (or
 /// everything staged, after a re-route to a fresh destination).
-struct PrecopyFinalizePayload {
-  std::string destination_address;
-  uint64_t request_nonce = 0;
-  uint32_t round = 0;
-  MigrationPolicy policy;
-  std::vector<CounterChunk> chunks;  // final delta
+struct PrecopyFinalizePayload : PrecopyRoundPayload {
   std::vector<ChunkManifestEntry> manifest;  // every chunk the dst must hold
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<PrecopyFinalizePayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    PrecopyRoundPayload::fields(io, m);
+    io.list(m.manifest, kPrecopyChunkCount);
+    io.fixed(m.msk);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PrecopyFinalizePayload> deserialize(ByteView b) {
+    return decode_record<PrecopyFinalizePayload>(b);
+  }
 };
 
 /// Payload of the kPrecopyChunk record (source ME -> destination ME).
@@ -334,32 +438,36 @@ struct PrecopyChunkRecord {
   uint32_t round = 0;
   std::vector<CounterChunk> chunks;
 
-  Bytes serialize() const;
-  static Result<PrecopyChunkRecord> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.source_mr_enclave);
+    io.str(m.source_me_address, kMaxAddress);
+    io.u64(m.request_nonce);
+    io.u32(m.round);
+    io.list(m.chunks, kPrecopyChunkCount);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PrecopyChunkRecord> deserialize(ByteView b) {
+    return decode_record<PrecopyChunkRecord>(b);
+  }
 };
 
-/// Payload of the kPrecopyFinalize record (source ME -> destination ME).
-struct PrecopyFinalizeRecord {
-  sgx::Measurement source_mr_enclave{};
-  std::string source_me_address;
-  uint64_t request_nonce = 0;
-  uint32_t round = 0;
-  std::vector<CounterChunk> chunks;
+/// Payload of the kPrecopyFinalize record (source ME -> destination ME):
+/// a chunk record, then the manifest and the MSK.
+struct PrecopyFinalizeRecord : PrecopyChunkRecord {
   std::vector<ChunkManifestEntry> manifest;
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<PrecopyFinalizeRecord> deserialize(ByteView bytes);
-};
-
-/// Payload of the kReconcile record (pending-entry holder -> the pending
-/// entry's originating source ME, over a fresh RA channel).
-struct ReconcileQuery {
-  sgx::Measurement source_mr_enclave{};
-  uint64_t request_nonce = 0;
-
-  Bytes serialize() const;
-  static Result<ReconcileQuery> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    PrecopyChunkRecord::fields(io, m);
+    io.list(m.manifest, kPrecopyChunkCount);
+    io.fixed(m.msk);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PrecopyFinalizeRecord> deserialize(ByteView b) {
+    return decode_record<PrecopyFinalizeRecord>(b);
+  }
 };
 
 /// Verdict of a reconcile query (u8 on the wire).
@@ -382,8 +490,17 @@ struct TransferPayload {
   uint64_t request_nonce = 0;
   MigrationData data;
 
-  Bytes serialize() const;
-  static Result<TransferPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.source_mr_enclave);
+    io.str(m.source_me_address, kMaxAddress);
+    io.u64(m.request_nonce);
+    io.sized(m.data, kMaxDataBlob);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<TransferPayload> deserialize(ByteView b) {
+    return decode_record<TransferPayload>(b);
+  }
 };
 
 // ----- cached-session resume (ME <-> ME) -----
@@ -408,8 +525,17 @@ struct SessionResumeRequest {
   std::array<uint8_t, 16> nonce{};
   std::array<uint8_t, 16> mac{};  // CMAC(master, resume transcript)
 
-  Bytes serialize() const;
-  static Result<SessionResumeRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.str(m.initiator_address, kMaxAddress);
+    io.u64(m.responder_epoch);
+    io.fixed(m.nonce);
+    io.fixed(m.mac);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<SessionResumeRequest> deserialize(ByteView b) {
+    return decode_record<SessionResumeRequest>(b);
+  }
 };
 
 /// Payload of the kSessionResume response.
@@ -417,8 +543,15 @@ struct SessionResumeReply {
   std::array<uint8_t, 16> nonce{};
   std::array<uint8_t, 16> mac{};  // CMAC(master, reply transcript)
 
-  Bytes serialize() const;
-  static Result<SessionResumeReply> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.nonce);
+    io.fixed(m.mac);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<SessionResumeReply> deserialize(ByteView b) {
+    return decode_record<SessionResumeReply>(b);
+  }
 };
 
 /// Provider authentication attached to RA msg3 and its response: the
@@ -428,8 +561,15 @@ struct ProviderAuth {
   platform::MachineCredential credential;
   crypto::Ed25519Signature transcript_signature{};
 
-  Bytes serialize() const;
-  static Result<ProviderAuth> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.record(m.credential);
+    io.fixed(m.transcript_signature);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<ProviderAuth> deserialize(ByteView b) {
+    return decode_record<ProviderAuth>(b);
+  }
 };
 
 /// Message a machine key signs to authenticate an RA transcript.

@@ -4,24 +4,6 @@
 
 namespace sgxmig::platform {
 
-void MachineCredential::serialize(BinaryWriter& w) const {
-  w.str(address);
-  w.str(region);
-  w.u32(cpu_cores);
-  w.fixed(machine_public_key);
-  w.fixed(signature);
-}
-
-MachineCredential MachineCredential::deserialize(BinaryReader& r) {
-  MachineCredential c;
-  c.address = r.str(256);
-  c.region = r.str(256);
-  c.cpu_cores = r.u32();
-  c.machine_public_key = r.fixed<32>();
-  c.signature = r.fixed<64>();
-  return c;
-}
-
 ProviderCa::ProviderCa(uint64_t seed)
     : ca_key_(crypto::Ed25519KeyPair::from_seed(crypto::Sha256::hash(
           to_bytes("provider-ca:" + std::to_string(seed))))) {}

@@ -25,8 +25,19 @@ struct MachineCredential {
   crypto::Ed25519PublicKey machine_public_key{};
   crypto::Ed25519Signature signature{};
 
-  void serialize(BinaryWriter& w) const;
-  static MachineCredential deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.str(m.address, 256);
+    io.str(m.region, 256);
+    io.u32(m.cpu_cores);
+    io.fixed(m.machine_public_key);
+    io.fixed(m.signature);
+  }
+  void serialize(BinaryWriter& w) const { write_record(w, *this); }
+  /// Reads inline from `r`; a failed read leaves `r` failed.
+  static MachineCredential deserialize(BinaryReader& r) {
+    return read_record<MachineCredential>(r).value_or({});
+  }
 };
 
 class ProviderCa {

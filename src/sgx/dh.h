@@ -25,23 +25,43 @@ struct DhMsg1 {
   crypto::X25519Key responder_public{};
   TargetInfo responder_target;
 
-  Bytes serialize() const;
-  static Result<DhMsg1> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.responder_public);
+    io.fixed(m.responder_target.mr_enclave);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<DhMsg1> deserialize(ByteView b) {
+    return decode_record<DhMsg1>(b);
+  }
 };
 
 struct DhMsg2 {
   crypto::X25519Key initiator_public{};
   Report initiator_report;
 
-  Bytes serialize() const;
-  static Result<DhMsg2> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.initiator_public);
+    io.sized(m.initiator_report, 1024);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<DhMsg2> deserialize(ByteView b) {
+    return decode_record<DhMsg2>(b);
+  }
 };
 
 struct DhMsg3 {
   Report responder_report;
 
-  Bytes serialize() const;
-  static Result<DhMsg3> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.sized(m.responder_report, 1024);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<DhMsg3> deserialize(ByteView b) {
+    return decode_record<DhMsg3>(b);
+  }
 };
 
 /// One side of a local-attestation session.  Instantiate inside the

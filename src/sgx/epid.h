@@ -25,8 +25,12 @@ struct EpidMemberCredential {
   crypto::Ed25519PublicKey member_public_key{};
   crypto::Ed25519Signature membership_certificate{};
 
-  void serialize(BinaryWriter& w) const;
-  static EpidMemberCredential deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.group_id);
+    io.fixed(m.member_public_key);
+    io.fixed(m.membership_certificate);
+  }
 };
 
 /// A platform's provisioned EPID identity: the credential plus the member

@@ -27,8 +27,16 @@ struct VerificationReport {
   Bytes quote_body;  // serialized ReportBody the verdict covers
   crypto::Ed25519Signature ias_signature{};
 
-  Bytes serialize() const;
-  static Result<VerificationReport> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.verdict);
+    io.bytes(m.quote_body, BinaryReader::kDefaultMaxLen);
+    io.fixed(m.ias_signature);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<VerificationReport> deserialize(ByteView b) {
+    return decode_record<VerificationReport>(b);
+  }
   Bytes signed_message() const;
 
   /// Verifies the IAS signature against a pinned IAS key.

@@ -32,10 +32,13 @@ struct CounterUuid {
   std::array<uint8_t, 12> nonce{};
 
   bool operator==(const CounterUuid&) const = default;
-};
 
-void serialize_uuid(BinaryWriter& w, const CounterUuid& uuid);
-CounterUuid deserialize_uuid(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.counter_id);
+    io.fixed(m.nonce);
+  }
+};
 
 struct CreatedCounter {
   CounterUuid uuid;

@@ -38,8 +38,21 @@ struct PseRequest {
   // its exact bytes.
   std::vector<CounterUuid> retire_uuids;
 
-  Bytes serialize() const;
-  static Result<PseRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.op, PseOp::kCreate, PseOp::kRetire);
+    io.fixed(m.owner);
+    io.fixed(m.session_token);
+    io.record(m.uuid);
+    io.bytes(m.nonce_entropy, 64);
+    if (m.op == PseOp::kRetire) {
+      io.list(m.retire_uuids, MonotonicCounterService::kMaxCountersPerEnclave);
+    }
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PseRequest> deserialize(ByteView b) {
+    return decode_record<PseRequest>(b);
+  }
 };
 
 struct PseResponse {
@@ -47,8 +60,16 @@ struct PseResponse {
   CounterUuid uuid{};   // for kCreate
   uint32_t value = 0;   // for kCreate/kRead/kIncrement
 
-  Bytes serialize() const;
-  static Result<PseResponse> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.status);
+    io.record(m.uuid);
+    io.u32(m.value);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<PseResponse> deserialize(ByteView b) {
+    return decode_record<PseResponse>(b);
+  }
 };
 
 /// Session token binding `owner` to this machine's PSE.

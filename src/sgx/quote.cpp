@@ -10,24 +10,6 @@ Bytes Quote::signed_message() const {
   return w.take();
 }
 
-Bytes Quote::serialize() const {
-  BinaryWriter w;
-  w.raw(body.serialize());
-  credential.serialize(w);
-  w.fixed(signature);
-  return w.take();
-}
-
-Result<Quote> Quote::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  Quote q;
-  q.body = ReportBody::deserialize(r);
-  q.credential = EpidMemberCredential::deserialize(r);
-  q.signature = r.fixed<64>();
-  if (!r.done()) return Status::kTampered;
-  return q;
-}
-
 QuotingEnclave::QuotingEnclave(PlatformIface& platform,
                                EpidMemberKey member_key)
     : Enclave(platform, standard_image()),

@@ -20,8 +20,16 @@ struct Quote {
   EpidMemberCredential credential;
   crypto::Ed25519Signature signature{};  // member key over the body
 
-  Bytes serialize() const;
-  static Result<Quote> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.record(m.body);
+    io.record(m.credential);
+    io.fixed(m.signature);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<Quote> deserialize(ByteView b) {
+    return decode_record<Quote>(b);
+  }
   Bytes signed_message() const;
 };
 

@@ -22,23 +22,42 @@ namespace sgxmig::sgx {
 struct RaMsg1 {
   crypto::X25519Key initiator_public{};
 
-  Bytes serialize() const;
-  static Result<RaMsg1> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.initiator_public);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<RaMsg1> deserialize(ByteView b) {
+    return decode_record<RaMsg1>(b);
+  }
 };
 
 struct RaMsg2 {
   crypto::X25519Key responder_public{};
   Bytes responder_quote;  // serialized Quote
 
-  Bytes serialize() const;
-  static Result<RaMsg2> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.responder_public);
+    io.bytes(m.responder_quote, 4096);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<RaMsg2> deserialize(ByteView b) {
+    return decode_record<RaMsg2>(b);
+  }
 };
 
 struct RaMsg3 {
   Bytes initiator_quote;  // serialized Quote
 
-  Bytes serialize() const;
-  static Result<RaMsg3> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.bytes(m.initiator_quote, 4096);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<RaMsg3> deserialize(ByteView b) {
+    return decode_record<RaMsg3>(b);
+  }
 };
 
 class RaSession {

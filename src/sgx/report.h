@@ -18,16 +18,28 @@ struct ReportBody {
   EnclaveIdentity identity;
   ReportData report_data{};
 
-  Bytes serialize() const;
-  static ReportBody deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.record(m.identity);
+    io.fixed(m.report_data);
+  }
+  /// The bytes a report MAC and an IAS verdict cover.
+  Bytes serialize() const { return encode_record(*this); }
 };
 
 struct Report {
   ReportBody body;
   crypto::CmacTag mac{};
 
-  Bytes serialize() const;
-  static Result<Report> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.record(m.body);
+    io.fixed(m.mac);
+  }
+  Bytes serialize() const { return encode_record(*this); }
+  static Result<Report> deserialize(ByteView b) {
+    return decode_record<Report>(b);
+  }
 };
 
 /// EREPORT: creates a report of `self` targeted at `target`, MACed with the

@@ -43,10 +43,15 @@ struct EnclaveIdentity {
   uint16_t isv_svn = 0;
 
   bool operator==(const EnclaveIdentity&) const = default;
-};
 
-void serialize_identity(BinaryWriter& w, const EnclaveIdentity& id);
-EnclaveIdentity deserialize_identity(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.mr_enclave);
+    io.fixed(m.mr_signer);
+    io.u16(m.isv_prod_id);
+    io.u16(m.isv_svn);
+  }
+};
 
 /// Identity of the enclave a REPORT is targeted at (sgx_target_info_t).
 struct TargetInfo {

@@ -153,16 +153,16 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
   }
 }
 
-TEST(ProtocolSerde, QueryStatusPayloadRoundTrip) {
-  QueryStatusPayload payload;
+TEST(ProtocolSerde, NoncePayloadRoundTrip) {
+  NoncePayload payload;
   payload.request_nonce = 0xdeadbeefcafef00dULL;
-  auto back = QueryStatusPayload::deserialize(payload.serialize());
+  auto back = NoncePayload::deserialize(payload.serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
   // The per-identity query writes its zero nonce like any other; the
   // empty encoding no party writes is refused.
-  EXPECT_EQ(QueryStatusPayload{}.serialize(), Bytes(8, 0));
-  EXPECT_EQ(QueryStatusPayload::deserialize(Bytes{}).status(),
+  EXPECT_EQ(NoncePayload{}.serialize(), Bytes(8, 0));
+  EXPECT_EQ(NoncePayload::deserialize(Bytes{}).status(),
             Status::kTampered);
 }
 
@@ -198,7 +198,7 @@ TEST(ProtocolSerde, LibraryStateRefusesTheV1Layout) {
   v1.str("SGXMIG-LIBSTATE-v1");
   v1.u8(state.frozen);
   for (bool active : state.counters_active) v1.u8(active ? 1 : 0);
-  for (const auto& uuid : state.counter_uuids) sgx::serialize_uuid(v1, uuid);
+  for (const auto& uuid : state.counter_uuids) write_record(v1, uuid);
   for (uint32_t offset : state.counter_offsets) v1.u32(offset);
   v1.fixed(state.msk);
   EXPECT_EQ(LibraryState::deserialize(v1.take()).status(), Status::kTampered);
@@ -219,9 +219,9 @@ TEST(ProtocolSerde, MigrateReservePayloadRoundTrip) {
 }
 
 TEST(ProtocolSerde, PollTransferAndProgressRoundTrip) {
-  PollTransferPayload poll;
+  NoncePayload poll;
   poll.request_nonce = 123;
-  auto poll_back = PollTransferPayload::deserialize(poll.serialize());
+  auto poll_back = NoncePayload::deserialize(poll.serialize());
   ASSERT_TRUE(poll_back.ok());
   EXPECT_EQ(poll_back.value().request_nonce, 123u);
 
@@ -249,10 +249,10 @@ TEST(ProtocolSerde, AbortPayloadsRoundTrip) {
   EXPECT_EQ(stale_back.value().request_nonce, 9u);
   EXPECT_EQ(stale_back.value().destination_address, "m2");
 
-  AbortRequest abort_req;
+  AttemptRef abort_req;
   abort_req.source_mr_enclave[3] = 0x33;
   abort_req.request_nonce = 9;
-  auto abort_back = AbortRequest::deserialize(abort_req.serialize());
+  auto abort_back = AttemptRef::deserialize(abort_req.serialize());
   ASSERT_TRUE(abort_back.ok());
   EXPECT_EQ(abort_back.value().source_mr_enclave, abort_req.source_mr_enclave);
   EXPECT_EQ(abort_back.value().request_nonce, 9u);
@@ -316,16 +316,6 @@ TEST(ProtocolSerde, PrecopyRecordsRoundTrip) {
   EXPECT_EQ(finalize_back.value().source_me_address, "m1");
   ASSERT_EQ(finalize_back.value().manifest.size(), 1u);
   EXPECT_EQ(finalize_back.value().msk, finalize_record.msk);
-}
-
-TEST(ProtocolSerde, ReconcileQueryRoundTrip) {
-  ReconcileQuery query;
-  query.source_mr_enclave[7] = 0x77;
-  query.request_nonce = 600;
-  auto back = ReconcileQuery::deserialize(query.serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().source_mr_enclave, query.source_mr_enclave);
-  EXPECT_EQ(back.value().request_nonce, 600u);
 }
 
 TEST(ProtocolSerde, SessionResumeRoundTrip) {
@@ -611,11 +601,11 @@ std::vector<Pin> pins() {
         return p.serialize();
       }, reencode<MigrateReservePayload>,
       "46ee87652b11e293198bf058ebd667bf6bf2c9a0fba25de4d8451c5f1677ac19");
-  add("PollTransferPayload", [] {
-        PollTransferPayload p;
+  add("NoncePayload (kPollTransfer)", [] {
+        NoncePayload p;
         p.request_nonce = 123;
         return p.serialize();
-      }, reencode<PollTransferPayload>,
+      }, reencode<NoncePayload>,
       "4f319987a786107dc63b2b70115b3734cb9880b099b70c463c5e1b05521ab764");
   add("TransferProgressPayload", [] {
         TransferProgressPayload p;
@@ -631,12 +621,12 @@ std::vector<Pin> pins() {
         return p.serialize();
       }, reencode<AbortStalePayload>,
       "2c75936fa2b0a9cd4f4224fc1777003a5a0285e74ceb6cb273a6fc0559959c97");
-  add("AbortRequest", [] {
-        AbortRequest p;
+  add("AttemptRef (kAbort)", [] {
+        AttemptRef p;
         p.source_mr_enclave = pattern<32>(5);
         p.request_nonce = 9;
         return p.serialize();
-      }, reencode<AbortRequest>,
+      }, reencode<AttemptRef>,
       "eb95fc69af78841b80dfc0f85fcb881f4f0e52da3fa23177d2f2ece4321ad319");
   add("IncomingDataPayload", [] {
         IncomingDataPayload p;
@@ -646,11 +636,11 @@ std::vector<Pin> pins() {
         return p.serialize();
       }, reencode<IncomingDataPayload>,
       "855e6eb42fd1873dcef755306851733b71e564befb8ed4a5e07da55c6cc1b5d3");
-  add("QueryStatusPayload", [] {
-        QueryStatusPayload p;
+  add("NoncePayload (kQueryStatus)", [] {
+        NoncePayload p;
         p.request_nonce = 0xdeadbeefcafef00dULL;
         return p.serialize();
-      }, reencode<QueryStatusPayload>,
+      }, reencode<NoncePayload>,
       "ee7f7806fd74e16401441c48c1b78bd211355c53e764363544d682ca48e4bfc2");
   add("CounterChunk", [] {
         BinaryWriter w;
@@ -709,12 +699,12 @@ std::vector<Pin> pins() {
         return p.serialize();
       }, reencode<PrecopyFinalizeRecord>,
       "de0612e89c16985378fa8a7a5c07d2fcf67a8c9280c8fa7c18d68107b49cd17c");
-  add("ReconcileQuery", [] {
-        ReconcileQuery p;
+  add("AttemptRef (kReconcile)", [] {
+        AttemptRef p;
         p.source_mr_enclave = pattern<32>(11);
         p.request_nonce = 600;
         return p.serialize();
-      }, reencode<ReconcileQuery>,
+      }, reencode<AttemptRef>,
       "4bafa4862d614daef2cc694d7f06b277307d42f9ae2d5a3bff6e11b758f3dcb7");
   add("TransferPayload", [] {
         TransferPayload p;
