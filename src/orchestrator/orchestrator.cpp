@@ -310,23 +310,11 @@ bool Orchestrator::admit_and_start(Task& task) {
   // already-accepted transfer.
   const migration::MigrationStartResult result =
       run_source_side(task, *enclave, *record);
-  if (!result.ok()) {
-    --inflight_total_;
-    --inflight_per_machine_[task.source];
-    release_destination(task.destination);
-    log(task, EventKind::kStartFailed,
-        std::string(migration::migration_failure_class_name(
-            result.failure_class)) +
-            ": " + result.message);
-    handle_failure(task, result.status, result.failure_class, result.message,
-                   /*destination_specific=*/true, now());
-    return true;
+  if (result.ok()) {
+    mark_started(task, *enclave, now());
+  } else {
+    source_failure(task, result, now());
   }
-  set_phase(task, TaskPhase::kStarted);
-  task.freeze_window = enclave->last_freeze_window();
-  task.precopy_rounds = enclave->last_precopy_rounds();
-  task.transfer_bytes = enclave->last_transfer_bytes();
-  log(task, EventKind::kStartOk, task.destination);
   return true;
 }
 
@@ -412,15 +400,15 @@ void Orchestrator::release_slot(Duration freed_at) {
                          freed_at);
 }
 
-void Orchestrator::pipelined_source_failure(
+void Orchestrator::source_failure(
     Task& task, const migration::MigrationStartResult& result,
     Duration freed_at) {
   --inflight_total_;
   --inflight_per_machine_[task.source];
   release_destination(task.destination);
-  // The failing task's slot frees at the lane instant the failure was
+  // A pipelined task's slot frees at the lane instant the failure was
   // observed, not at some unrelated restore's completion.
-  release_slot(freed_at);
+  if (lanes_ != nullptr) release_slot(freed_at);
   log(task, EventKind::kStartFailed,
       std::string(
           migration::migration_failure_class_name(result.failure_class)) +
@@ -448,29 +436,13 @@ void Orchestrator::start_pipelined(Task& task,
   const bool precopy = options_.transfer_mode == TransferMode::kPrecopy &&
                        enclave.live_transfer_capable();
   if (precopy) {
-    if (enclave.migration_frozen()) {
-      // Frozen with the finalize staged (lost accept reply): resume the
-      // finalize directly — rounds are impossible and unnecessary.
-      migration::MigrationStartResult result;
-      const Duration end = lanes_->run(task.source, ready, [&] {
-        result = enclave.ecall_migration_finalize_detailed(
-            task.destination, record.options.policy);
-      });
-      task.ready_at = end;
-      if (result.status == Status::kMigrationInProgress &&
-          result.failure_class == migration::MigrationFailureClass::kNone) {
-        // Async source ME queued the re-driven finalize too.
-        drive_queued_finalize(task);
-      } else if (result.ok()) {
-        mark_started(task, enclave, end);
-      } else {
-        pipelined_source_failure(task, result, end);
-      }
-      return;
-    }
+    // Rounds advance one per wave, interleaved across tasks.  A frozen
+    // enclave (finalize staged, accept reply lost) steps at once: its
+    // step resumes the finalize, as no round can run.
     set_phase(task, TaskPhase::kPrecopying);
     task.ready_at = ready;
-    return;  // rounds advance one per wave, interleaved across tasks
+    if (enclave.migration_frozen()) advance_precopy(task);
+    return;
   }
   // Full snapshot: non-blocking enqueue at the source ME; the transfer
   // itself runs behind the pump, and poll_transferring learns its fate.
@@ -486,7 +458,7 @@ void Orchestrator::start_pipelined(Task& task,
                        task.destination, record.options.policy);
   });
   if (!result.ok()) {
-    pipelined_source_failure(task, result, end);
+    source_failure(task, result, end);
     return;
   }
   set_phase(task, TaskPhase::kTransferring);
@@ -508,7 +480,7 @@ void Orchestrator::poll_transferring(Task& task) {
     mark_started(task, *enclave, end);
     return;
   }
-  pipelined_source_failure(task, result, end);
+  source_failure(task, result, end);
 }
 
 void Orchestrator::advance_precopy(Task& task) {
@@ -532,7 +504,7 @@ void Orchestrator::advance_precopy(Task& task) {
   if (result.ok()) {
     mark_started(task, *enclave, end);
   } else {
-    pipelined_source_failure(task, result, end);
+    source_failure(task, result, end);
   }
 }
 

@@ -209,8 +209,9 @@ class Orchestrator {
       const EnclaveRecord& record);
   void complete(Task& task);
   // ----- pipelined engine -----
-  /// Pipelined source-side admission: enqueue (or begin pre-copy / resume
-  /// a frozen finalize) on the source machine's lane.
+  /// Pipelined source-side admission: enqueue (or begin pre-copy, whose
+  /// first step resumes a frozen finalize at once) on the source
+  /// machine's lane.
   void start_pipelined(Task& task, migration::MigratableEnclave& enclave,
                        const EnclaveRecord& record);
   /// Polls a kTransferring task's fate at its source ME.
@@ -222,11 +223,12 @@ class Orchestrator {
   /// the network and polls the task at once, so the freeze ends at the
   /// accept instead of behind other tasks' live work on the source lane.
   void drive_queued_finalize(Task& task);
-  /// Shared failure path of the pipelined source side; `freed_at` is the
-  /// lane instant the failure was observed (when the slot frees).
-  void pipelined_source_failure(Task& task,
-                                const migration::MigrationStartResult& result,
-                                Duration freed_at);
+  /// Shared failure path of the source side; `freed_at` is the instant
+  /// the failure was observed: the lane instant (when a pipelined slot
+  /// frees) or, blocking, the control instant.
+  void source_failure(Task& task,
+                      const migration::MigrationStartResult& result,
+                      Duration freed_at);
   /// Records when an in-flight slot freed (sorted insert).
   void release_slot(Duration freed_at);
   void mark_started(Task& task, migration::MigratableEnclave& enclave,
