@@ -7,9 +7,14 @@
 // GF(2^8)): GCM and CMAC only ever encrypt blocks, so nothing hot uses it.
 // Both index tables with secret-dependent bytes, as the byte S-box always
 // did; cache-timing side channels are outside this simulator's threat
-// model.  It stands in for the AES-NI hardware instructions the paper's
-// enclaves use; virtual time comes from the cost model, never from this
-// code's speed, and bench/bench_crypto.cpp measures its throughput.
+// model.  Virtual time comes from the cost model, never from this code's
+// speed, and bench/bench_crypto.cpp measures its throughput.
+//
+// AES-GCM runs on AES-NI where the CPU has it (crypto/gcm_kernels.h):
+// that kernel takes its round keys from round_keys() below, so there is
+// one key schedule.  These T-table rounds are then the portable kernel:
+// the only one on CPUs without AES-NI, and the reference the hardware
+// kernel is tested against.  CMAC and the DRBG always use them.
 #pragma once
 
 #include <array>
@@ -28,6 +33,13 @@ class Aes {
 
   void encrypt_block(const uint8_t in[16], uint8_t out[16]) const;
   void decrypt_block(const uint8_t in[16], uint8_t out[16]) const;
+
+  /// The FIPS-197 key schedule, one 16-byte round key per round from the
+  /// initial AddRoundKey on (16 * (rounds + 1) bytes), in the byte order
+  /// AES-NI's aesenc takes: the hardware GCM kernel runs on these.
+  ByteView round_keys() const {
+    return ByteView(round_keys_, 16 * static_cast<size_t>(rounds_ + 1));
+  }
 
   static constexpr size_t kBlockSize = 16;
 

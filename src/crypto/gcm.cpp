@@ -1,12 +1,15 @@
 #include "crypto/gcm.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
 
 #include "crypto/aes.h"
+#include "crypto/gcm_kernels.h"
 
 namespace sgxmig::crypto {
+namespace gcm_kernels {
 
 namespace {
 
@@ -104,87 +107,142 @@ class Ghash {
   Block y_{0, 0};
 };
 
-void ctr_crypt(const Aes& aes, const uint8_t j0[16], ByteView in, Bytes& out) {
+void portable_ctr(const Aes& aes, const uint8_t j0[16], const uint8_t* in,
+                  size_t n, uint8_t* out) {
   uint8_t counter[16];
   std::memcpy(counter, j0, 16);
-  out.resize(in.size());
-  size_t offset = 0;
-  while (offset < in.size()) {
+  for (size_t offset = 0; offset < n; offset += 16) {
     // Increment the low 32 bits (inc32).
-    uint32_t ctr = load_be32(counter + 12);
-    store_be32(counter + 12, ctr + 1);
+    store_be32(counter + 12, load_be32(counter + 12) + 1);
     uint8_t keystream[16];
     aes.encrypt_block(counter, keystream);
-    const size_t take = std::min<size_t>(16, in.size() - offset);
+    const size_t take = std::min<size_t>(16, n - offset);
     for (size_t i = 0; i < take; ++i) {
       out[offset + i] = in[offset + i] ^ keystream[i];
     }
-    offset += take;
   }
 }
 
-void compute_tag(const Aes& aes, const Block& hash_subkey,
-                 const uint8_t j0[16], ByteView aad, ByteView ciphertext,
-                 uint8_t tag[16]) {
-  Ghash ghash(hash_subkey);
+void portable_ghash(const uint8_t h[16], ByteView aad, ByteView ct,
+                    uint8_t s[16]) {
+  Ghash ghash(load_block(h));
   ghash.update(aad);
-  ghash.update(ciphertext);
+  ghash.update(ct);
   ghash.lengths(static_cast<uint64_t>(aad.size()) * 8,
-                static_cast<uint64_t>(ciphertext.size()) * 8);
-  uint8_t s[16];
+                static_cast<uint64_t>(ct.size()) * 8);
   store_block(s, ghash.digest());
-  uint8_t e[16];
-  aes.encrypt_block(j0, e);
-  for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ e[i];
 }
+
+// The kernel-independent framing of SP 800-38D: the key schedule, the
+// hash subkey H = E(0^128), J0 = IV || 1 and the tag mask E(J0).  The
+// kernel supplies only the CTR keystream and the GHASH.
+class Gcm {
+ public:
+  Gcm(Kernel kernel, ByteView key, ByteView iv) : kernel_(kernel), aes_(key) {
+    const uint8_t zero[16] = {0};
+    encrypt_block(zero, h_);
+    std::memcpy(j0_, iv.data(), kGcmIvSize);
+    store_be32(j0_ + 12, 1);
+  }
+
+  void ctr(ByteView in, Bytes& out) const {
+    out.resize(in.size());
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::kAesNi) {
+      aesni_ctr(aes_.round_keys(), j0_, in.data(), in.size(), out.data());
+      return;
+    }
+#endif
+    portable_ctr(aes_, j0_, in.data(), in.size(), out.data());
+  }
+
+  void tag(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
+    ghash(aad, ciphertext, out);
+    uint8_t mask[16];
+    encrypt_block(j0_, mask);
+    for (int i = 0; i < 16; ++i) out[i] ^= mask[i];
+  }
+
+ private:
+  void ghash(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::kAesNi) {
+      clmul_ghash(h_, aad, ciphertext, out);
+      return;
+    }
+#endif
+    portable_ghash(h_, aad, ciphertext, out);
+  }
+
+  void encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::kAesNi) {
+      aesni_encrypt_block(aes_.round_keys(), in, out);
+      return;
+    }
+#endif
+    aes_.encrypt_block(in, out);
+  }
+
+  Kernel kernel_;
+  Aes aes_;
+  uint8_t h_[16] = {};
+  uint8_t j0_[16] = {};
+};
 
 }  // namespace
 
-GcmCiphertext gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
-                          ByteView plaintext) {
+const char* kernel_name(Kernel kernel) {
+  return kernel == Kernel::kAesNi ? "aesni-pclmul" : "portable";
+}
+
+Kernel selected() {
+  static const Kernel kernel =
+      cpu_has_aesni() ? Kernel::kAesNi : Kernel::kPortable;
+  return kernel;
+}
+
+GcmCiphertext encrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                      ByteView plaintext) {
   if (iv.size() != kGcmIvSize) {
     throw std::invalid_argument("gcm_encrypt: IV must be 12 bytes");
   }
-  const Aes aes(key);
-  uint8_t zero[16] = {0};
-  uint8_t h_bytes[16];
-  aes.encrypt_block(zero, h_bytes);
-  const Block h = load_block(h_bytes);
-
-  uint8_t j0[16];
-  std::memcpy(j0, iv.data(), 12);
-  store_be32(j0 + 12, 1);
-
+  const Gcm gcm(kernel, key, iv);
   GcmCiphertext out;
   std::memcpy(out.iv.data(), iv.data(), kGcmIvSize);
-  ctr_crypt(aes, j0, plaintext, out.ciphertext);
-  compute_tag(aes, h, j0, aad, out.ciphertext, out.tag.data());
+  gcm.ctr(plaintext, out.ciphertext);
+  gcm.tag(aad, out.ciphertext, out.tag.data());
   return out;
 }
 
-Result<Bytes> gcm_decrypt(ByteView key, ByteView iv, ByteView aad,
-                          ByteView ciphertext, ByteView tag) {
+Result<Bytes> decrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                      ByteView ciphertext, ByteView tag) {
   if (iv.size() != kGcmIvSize || tag.size() != kGcmTagSize) {
     return Status::kInvalidParameter;
   }
-  const Aes aes(key);
-  uint8_t zero[16] = {0};
-  uint8_t h_bytes[16];
-  aes.encrypt_block(zero, h_bytes);
-  const Block h = load_block(h_bytes);
-
-  uint8_t j0[16];
-  std::memcpy(j0, iv.data(), 12);
-  store_be32(j0 + 12, 1);
-
+  const Gcm gcm(kernel, key, iv);
   uint8_t expected_tag[16];
-  compute_tag(aes, h, j0, aad, ciphertext, expected_tag);
+  gcm.tag(aad, ciphertext, expected_tag);
   if (!constant_time_eq(ByteView(expected_tag, 16), tag)) {
     return Status::kMacMismatch;
   }
   Bytes plaintext;
-  ctr_crypt(aes, j0, ciphertext, plaintext);
+  gcm.ctr(ciphertext, plaintext);
   return plaintext;
+}
+
+}  // namespace gcm_kernels
+
+GcmCiphertext gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
+                          ByteView plaintext) {
+  return gcm_kernels::encrypt(gcm_kernels::selected(), key, iv, aad,
+                              plaintext);
+}
+
+Result<Bytes> gcm_decrypt(ByteView key, ByteView iv, ByteView aad,
+                          ByteView ciphertext, ByteView tag) {
+  return gcm_kernels::decrypt(gcm_kernels::selected(), key, iv, aad,
+                              ciphertext, tag);
 }
 
 }  // namespace sgxmig::crypto

@@ -1,0 +1,57 @@
+// The two AES-GCM kernels behind crypto::gcm_encrypt / gcm_decrypt.
+//
+// Internal to the crypto layer (and its tests and microbenchmarks): the
+// public entry points pick one kernel per process from CPUID and callers
+// never choose.  Both kernels share gcm.cpp's framing (key schedule,
+// J0, the tag mask, verify-before-decrypt) and differ only in the CTR
+// keystream and the GHASH multiply:
+//   * kPortable — T-table AES and Shoup 4-bit GHASH, plain C++.  The only
+//     kernel on a CPU without AES-NI, and the reference the hardware
+//     kernel is tested against.
+//   * kAesNi — x86-64 only: AES-NI rounds with four CTR blocks in flight
+//     and PCLMULQDQ carry-less GHASH over four blocks per reduction
+//     (gcm_x86.cpp, compiled with per-function target attributes so the
+//     binary still runs on CPUs without the instructions).
+// Both produce byte-identical ciphertexts and tags.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "crypto/gcm.h"
+
+namespace sgxmig::crypto::gcm_kernels {
+
+enum class Kernel { kPortable, kAesNi };
+
+const char* kernel_name(Kernel kernel);
+
+/// True iff CPUID reports AES-NI, PCLMULQDQ and SSSE3; always false off
+/// x86-64.
+bool cpu_has_aesni();
+
+/// The kernel gcm_encrypt/gcm_decrypt run, chosen once per process.
+Kernel selected();
+
+/// gcm_encrypt/gcm_decrypt on a given kernel.  kAesNi requires
+/// cpu_has_aesni().
+GcmCiphertext encrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                      ByteView plaintext);
+Result<Bytes> decrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                      ByteView ciphertext, ByteView tag);
+
+#if defined(__x86_64__)
+/// One AES block (the hash subkey and the tag mask) with the round keys
+/// of `crypto::Aes::round_keys()`.
+void aesni_encrypt_block(ByteView round_keys, const uint8_t in[16],
+                         uint8_t out[16]);
+/// CTR keystream from inc32(j0) on, XORed over `n` bytes of `in` into
+/// `out`, with the AES round keys of `crypto::Aes::round_keys()`.
+void aesni_ctr(ByteView round_keys, const uint8_t j0[16], const uint8_t* in,
+               size_t n, uint8_t* out);
+/// GHASH_H(aad || pad || ct || pad || bit lengths) into `s`.
+void clmul_ghash(const uint8_t h[16], ByteView aad, ByteView ct,
+                 uint8_t s[16]);
+#endif
+
+}  // namespace sgxmig::crypto::gcm_kernels

@@ -1,0 +1,265 @@
+// x86-64 AES-GCM kernel: AES-NI for the CTR keystream, PCLMULQDQ for
+// GHASH.  Every function that uses the instructions carries its own
+// target attribute, so the rest of the build needs no -maes and the
+// binary runs on any x86-64 CPU; gcm.cpp calls in only after CPUID said
+// yes (cpu_has_aesni).
+#include "crypto/gcm_kernels.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+
+#include <algorithm>
+#include <cstring>
+#endif
+
+namespace sgxmig::crypto::gcm_kernels {
+
+bool cpu_has_aesni() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned kNeeded = bit_AES | bit_PCLMUL | bit_SSSE3;
+  return (ecx & kNeeded) == kNeeded;
+#else
+  return false;
+#endif
+}
+
+#if defined(__x86_64__)
+
+#define SGXMIG_AESNI __attribute__((target("aes,pclmul,ssse3")))
+// The small helpers are forced inline: at -O2 GCC otherwise calls them
+// and round-trips their vector arguments through memory.
+#define SGXMIG_AESNI_INLINE \
+  inline __attribute__((always_inline, target("aes,pclmul,ssse3")))
+
+namespace {
+
+SGXMIG_AESNI_INLINE __m128i load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+SGXMIG_AESNI_INLINE void store(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// Reverses the 16 bytes of a block: the counter's big-endian low word
+// becomes lane 0, and a GHASH block becomes one 128-bit integer whose
+// top bit is the x^0 coefficient (the bit-reflected form PCLMULQDQ
+// multiplies in).
+SGXMIG_AESNI_INLINE __m128i byte_reverse(__m128i v) {
+  const __m128i mask =
+      _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  return _mm_shuffle_epi8(v, mask);
+}
+
+// ----- CTR -----
+
+struct RoundKeys {
+  __m128i k[15];
+  size_t rounds;
+};
+
+// inc32 on the byte-reversed counter block: a 32-bit add to lane 0,
+// wrapping like SP 800-38D's inc32, with the other 96 bits untouched.
+// Returns the next counter block in wire byte order.
+SGXMIG_AESNI_INLINE __m128i next_counter(__m128i& reversed) {
+  reversed = _mm_add_epi32(reversed, _mm_set_epi32(0, 0, 0, 1));
+  return byte_reverse(reversed);
+}
+
+SGXMIG_AESNI RoundKeys load_round_keys(ByteView round_keys) {
+  RoundKeys rk{};
+  rk.rounds = round_keys.size() / 16 - 1;
+  for (size_t i = 0; i <= rk.rounds; ++i) {
+    rk.k[i] = load(round_keys.data() + 16 * i);
+  }
+  return rk;
+}
+
+SGXMIG_AESNI_INLINE __m128i encrypt_block(const RoundKeys& rk, __m128i b) {
+  b = _mm_xor_si128(b, rk.k[0]);
+  for (size_t r = 1; r < rk.rounds; ++r) b = _mm_aesenc_si128(b, rk.k[r]);
+  return _mm_aesenclast_si128(b, rk.k[rk.rounds]);
+}
+
+// Four blocks side by side, so the aesenc latency of one block hides
+// behind the other three.  Written out by hand so that it stays four
+// independent register chains without relying on loop unrolling.
+struct Quad {
+  __m128i b0, b1, b2, b3;
+};
+
+SGXMIG_AESNI_INLINE Quad encrypt_quad(const RoundKeys& rk, Quad q) {
+  __m128i k = rk.k[0];
+  q.b0 = _mm_xor_si128(q.b0, k);
+  q.b1 = _mm_xor_si128(q.b1, k);
+  q.b2 = _mm_xor_si128(q.b2, k);
+  q.b3 = _mm_xor_si128(q.b3, k);
+  for (size_t r = 1; r < rk.rounds; ++r) {
+    k = rk.k[r];
+    q.b0 = _mm_aesenc_si128(q.b0, k);
+    q.b1 = _mm_aesenc_si128(q.b1, k);
+    q.b2 = _mm_aesenc_si128(q.b2, k);
+    q.b3 = _mm_aesenc_si128(q.b3, k);
+  }
+  k = rk.k[rk.rounds];
+  q.b0 = _mm_aesenclast_si128(q.b0, k);
+  q.b1 = _mm_aesenclast_si128(q.b1, k);
+  q.b2 = _mm_aesenclast_si128(q.b2, k);
+  q.b3 = _mm_aesenclast_si128(q.b3, k);
+  return q;
+}
+
+// ----- GHASH -----
+
+// The 256-bit carry-less product of two bit-reflected field elements,
+// as (lo, hi) halves, before the shift and reduction.
+struct Wide {
+  __m128i lo;
+  __m128i hi;
+};
+
+SGXMIG_AESNI_INLINE Wide clmul(__m128i a, __m128i b) {
+  const __m128i ll = _mm_clmulepi64_si128(a, b, 0x00);
+  const __m128i hh = _mm_clmulepi64_si128(a, b, 0x11);
+  const __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                                    _mm_clmulepi64_si128(a, b, 0x01));
+  return Wide{_mm_xor_si128(ll, _mm_slli_si128(mid, 8)),
+              _mm_xor_si128(hh, _mm_srli_si128(mid, 8))};
+}
+
+SGXMIG_AESNI_INLINE Wide operator^(const Wide& x, const Wide& y) {
+  return Wide{_mm_xor_si128(x.lo, y.lo), _mm_xor_si128(x.hi, y.hi)};
+}
+
+// Reduces a (sum of) carry-less products modulo the GCM polynomial
+// g = x^128 + x^7 + x^2 + x + 1 in the bit-reflected domain (Gueron and
+// Kounavis, "Intel Carry-Less Multiplication Instruction and its Usage
+// for Computing the GCM Mode").  The product of two reflected 128-bit
+// values is the reflected 255-bit product, so it is first shifted left
+// by one across all 256 bits.  The low half then holds the x^128..x^255
+// terms, and x^128 = x^7 + x^2 + x + 1 folds them into the high half in
+// two phases of shifts, done in 32-bit lanes.
+SGXMIG_AESNI_INLINE __m128i reduce(const Wide& p) {
+  // 256-bit shift left by one.
+  const __m128i lo_carry = _mm_srli_epi32(p.lo, 31);
+  const __m128i hi_carry = _mm_srli_epi32(p.hi, 31);
+  __m128i lo = _mm_or_si128(_mm_slli_epi32(p.lo, 1),
+                            _mm_slli_si128(lo_carry, 4));
+  __m128i hi = _mm_or_si128(_mm_slli_epi32(p.hi, 1),
+                            _mm_slli_si128(hi_carry, 4));
+  hi = _mm_or_si128(hi, _mm_srli_si128(lo_carry, 12));
+
+  // Phase 1: the part of lo·(x^7 + x^2 + x) that lands back inside lo.
+  __m128i fold = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  const __m128i spill = _mm_srli_si128(fold, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(fold, 12));
+
+  // Phase 2: lo·(x^7 + x^2 + x + 1), with phase 1's spill, into hi.
+  fold = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_xor_si128(_mm_srli_epi32(lo, 7), spill));
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, fold));
+}
+
+// Running GHASH over reflected blocks, four blocks per reduction:
+// y' = (y ^ b0)·H^4 ^ b1·H^3 ^ b2·H^2 ^ b3·H.
+class ClmulGhash {
+ public:
+  SGXMIG_AESNI explicit ClmulGhash(const uint8_t h[16]) {
+    h_[0] = byte_reverse(load(h));
+    for (int i = 1; i < 4; ++i) h_[i] = reduce(clmul(h_[i - 1], h_[0]));
+  }
+
+  SGXMIG_AESNI void update(ByteView data) {
+    const uint8_t* p = data.data();
+    size_t left = data.size();
+    for (; left >= 64; p += 64, left -= 64) {
+      const __m128i b0 = _mm_xor_si128(y_, byte_reverse(load(p)));
+      const Wide sum = clmul(b0, h_[3]) ^
+                       clmul(byte_reverse(load(p + 16)), h_[2]) ^
+                       clmul(byte_reverse(load(p + 32)), h_[1]) ^
+                       clmul(byte_reverse(load(p + 48)), h_[0]);
+      y_ = reduce(sum);
+    }
+    for (; left >= 16; p += 16, left -= 16) absorb(p);
+    if (left > 0) {
+      uint8_t block[16] = {0};
+      std::memcpy(block, p, left);
+      absorb(block);
+    }
+  }
+
+  SGXMIG_AESNI void lengths(uint64_t aad_bits, uint64_t ct_bits) {
+    uint8_t block[16];
+    store_be64(block, aad_bits);
+    store_be64(block + 8, ct_bits);
+    absorb(block);
+  }
+
+  SGXMIG_AESNI void digest(uint8_t out[16]) const {
+    store(out, byte_reverse(y_));
+  }
+
+ private:
+  SGXMIG_AESNI_INLINE void absorb(const uint8_t block[16]) {
+    y_ = reduce(clmul(_mm_xor_si128(y_, byte_reverse(load(block))), h_[0]));
+  }
+
+  __m128i h_[4];  // H^1..H^4, reflected
+  __m128i y_ = _mm_setzero_si128();
+};
+
+}  // namespace
+
+SGXMIG_AESNI void aesni_encrypt_block(ByteView round_keys,
+                                      const uint8_t in[16], uint8_t out[16]) {
+  store(out, encrypt_block(load_round_keys(round_keys), load(in)));
+}
+
+SGXMIG_AESNI void aesni_ctr(ByteView round_keys, const uint8_t j0[16],
+                            const uint8_t* in, size_t n, uint8_t* out) {
+  const RoundKeys rk = load_round_keys(round_keys);
+  __m128i counter = byte_reverse(load(j0));
+  size_t offset = 0;
+  for (; n - offset >= 64; offset += 64) {
+    Quad q;
+    q.b0 = next_counter(counter);
+    q.b1 = next_counter(counter);
+    q.b2 = next_counter(counter);
+    q.b3 = next_counter(counter);
+    q = encrypt_quad(rk, q);
+    const uint8_t* src = in + offset;
+    uint8_t* dst = out + offset;
+    store(dst, _mm_xor_si128(q.b0, load(src)));
+    store(dst + 16, _mm_xor_si128(q.b1, load(src + 16)));
+    store(dst + 32, _mm_xor_si128(q.b2, load(src + 32)));
+    store(dst + 48, _mm_xor_si128(q.b3, load(src + 48)));
+  }
+  for (; offset < n; offset += 16) {
+    const __m128i keystream = encrypt_block(rk, next_counter(counter));
+    const size_t take = std::min<size_t>(16, n - offset);
+    uint8_t block[16] = {0};
+    std::memcpy(block, in + offset, take);
+    store(block, _mm_xor_si128(keystream, load(block)));
+    std::memcpy(out + offset, block, take);
+  }
+}
+
+SGXMIG_AESNI void clmul_ghash(const uint8_t h[16], ByteView aad, ByteView ct,
+                              uint8_t s[16]) {
+  ClmulGhash ghash(h);
+  ghash.update(aad);
+  ghash.update(ct);
+  ghash.lengths(static_cast<uint64_t>(aad.size()) * 8,
+                static_cast<uint64_t>(ct.size()) * 8);
+  ghash.digest(s);
+}
+
+#endif  // __x86_64__
+
+}  // namespace sgxmig::crypto::gcm_kernels

@@ -49,12 +49,12 @@ struct LibraryState {
   template <class Io, class Self>
   static void fields(Io& io, Self& m) {
     io.magic("SGXMIG-LIBSTATE-v2", 64);
-    io.u8(m.frozen);
+    io.u8(m.frozen, uint8_t{0}, uint8_t{1});
     for (auto& active : m.counters_active) io.u8(active);
     for (auto& uuid : m.counter_uuids) io.record(uuid);
     for (auto& offset : m.counter_offsets) io.u32(offset);
     io.fixed(m.msk);
-    io.u8(m.epoch_active);
+    io.u8(m.epoch_active, uint8_t{0}, uint8_t{1});
     io.record(m.epoch_uuid);
     io.u32(m.epoch_value);
   }

@@ -1,7 +1,5 @@
 #include "platform/storage.h"
 
-#include <algorithm>
-
 #include "support/serde.h"
 
 namespace sgxmig::platform {
@@ -27,6 +25,28 @@ uint64_t slot_checksum(uint64_t sequence, ByteView payload) {
   for (uint8_t byte : payload) mix(byte);
   return h;
 }
+
+// One physical slot's framing, its payload a view into the stored blob.
+struct SlotFrame {
+  uint64_t sequence = 0;
+  uint64_t checksum = 0;
+  ByteView payload;
+};
+
+// Parses a slot's framing (magic, sequence, checksum, length-prefixed
+// payload that ends the blob) without verifying or copying the payload;
+// nullopt when the framing is torn.
+std::optional<SlotFrame> parse_slot(const Bytes& blob) {
+  BinaryReader r(blob);
+  if (r.str(64) != kSlotMagic) return std::nullopt;
+  SlotFrame frame;
+  frame.sequence = r.u64();
+  frame.checksum = r.u64();
+  const uint32_t length = r.u32();
+  if (!r.ok() || length != r.remaining()) return std::nullopt;
+  frame.payload = ByteView(blob).last(length);
+  return frame;
+}
 }  // namespace
 
 UntrustedStore::UntrustedStore(VirtualClock& clock, const CostModel& costs)
@@ -50,32 +70,36 @@ bool UntrustedStore::exists(const std::string& name) const {
 
 void UntrustedStore::remove(const std::string& name) { blobs_.erase(name); }
 
-std::optional<UntrustedStore::SlotContents> UntrustedStore::read_slot(
-    const std::string& slot) const {
-  const auto it = blobs_.find(slot);
-  if (it == blobs_.end()) return std::nullopt;
-  BinaryReader r(it->second);
-  if (r.str(64) != kSlotMagic) return std::nullopt;
-  const uint64_t sequence = r.u64();
-  const uint64_t checksum = r.u64();
-  Bytes payload = r.bytes();
-  if (!r.done()) return std::nullopt;
-  if (slot_checksum(sequence, payload) != checksum) return std::nullopt;
-  SlotContents contents;
-  contents.sequence = sequence;
-  contents.payload = std::move(payload);
-  return contents;
+std::optional<UntrustedStore::Slot> UntrustedStore::newest_slot(
+    const std::string& name) const {
+  std::optional<SlotFrame> frames[2];
+  for (int i = 0; i < 2; ++i) {
+    const auto it = blobs_.find(slot_name(name, i));
+    if (it != blobs_.end()) frames[i] = parse_slot(it->second);
+  }
+  // Verify the slot claiming the higher sequence first (slot 0 on a tie):
+  // if it is intact it is the newest whatever the other slot holds, so
+  // the common case checksums one payload, not two.
+  const auto claimed = [](const std::optional<SlotFrame>& frame) {
+    return frame ? frame->sequence : 0;
+  };
+  const int first = claimed(frames[1]) > claimed(frames[0]) ? 1 : 0;
+  for (const int i : {first, 1 - first}) {
+    const auto& frame = frames[i];
+    if (frame && slot_checksum(frame->sequence, frame->payload) ==
+                     frame->checksum) {
+      return Slot{i, frame->sequence, frame->payload};
+    }
+  }
+  return std::nullopt;
 }
 
 void UntrustedStore::put_versioned(const std::string& name, ByteView blob) {
-  const auto slot0 = read_slot(slot_name(name, 0));
-  const auto slot1 = read_slot(slot_name(name, 1));
-  const uint64_t seq0 = slot0 ? slot0->sequence : 0;
-  const uint64_t seq1 = slot1 ? slot1->sequence : 0;
-  const uint64_t next = std::max(seq0, seq1) + 1;
+  const auto newest = newest_slot(name);
+  const uint64_t next = newest ? newest->sequence + 1 : 1;
   // Overwrite the slot NOT holding the latest intact version, so the
   // previous generation survives a torn write of this one.
-  const int target = seq0 >= seq1 ? 1 : 0;
+  const int target = newest ? 1 - newest->index : 1;
   BinaryWriter w;
   w.str(kSlotMagic);
   w.u64(next);
@@ -89,22 +113,14 @@ Result<Bytes> UntrustedStore::get_versioned(const std::string& name) const {
   const bool any_slot = blobs_.count(slot_name(name, 0)) != 0 ||
                         blobs_.count(slot_name(name, 1)) != 0;
   if (!any_slot) return Status::kStorageMissing;
-  const auto slot0 = read_slot(slot_name(name, 0));
-  const auto slot1 = read_slot(slot_name(name, 1));
-  if (!slot0 && !slot1) return Status::kTampered;
-  if (slot0 && slot1) {
-    return slot0->sequence >= slot1->sequence ? slot0->payload
-                                              : slot1->payload;
-  }
-  return slot0 ? slot0->payload : slot1->payload;
+  const auto newest = newest_slot(name);
+  if (!newest) return Status::kTampered;
+  return to_bytes(newest->payload);
 }
 
 uint64_t UntrustedStore::versioned_sequence(const std::string& name) const {
-  const auto slot0 = read_slot(slot_name(name, 0));
-  const auto slot1 = read_slot(slot_name(name, 1));
-  const uint64_t seq0 = slot0 ? slot0->sequence : 0;
-  const uint64_t seq1 = slot1 ? slot1->sequence : 0;
-  return std::max(seq0, seq1);
+  const auto newest = newest_slot(name);
+  return newest ? newest->sequence : 0;
 }
 
 bool UntrustedStore::corrupt(const std::string& name, size_t offset) {

@@ -60,13 +60,15 @@ class UntrustedStore {
   bool corrupt(const std::string& name, size_t offset);
 
  private:
-  struct SlotContents {
+  struct Slot {
+    int index = 0;  // physical slot, 0 or 1
     uint64_t sequence = 0;
-    Bytes payload;
+    ByteView payload;  // into blobs_; valid until that slot is written
   };
-  /// Parses + checksum-verifies one physical slot; nullopt when the slot
-  /// is absent, torn, or corrupted.
-  std::optional<SlotContents> read_slot(const std::string& slot_name) const;
+  /// The intact slot with the highest sequence (slot 0 on a tie); nullopt
+  /// when each slot is absent, torn, or corrupted.  Reads payloads in
+  /// place, without copying them.
+  std::optional<Slot> newest_slot(const std::string& name) const;
 
   VirtualClock& clock_;
   const CostModel& costs_;

@@ -67,7 +67,11 @@ uint64_t BinaryReader::u64() {
   return load_le64(data_.data() + pos_ - 8);
 }
 
-bool BinaryReader::boolean() { return u8() != 0; }
+bool BinaryReader::boolean() {
+  const uint8_t v = u8();
+  if (v > 1) failed_ = true;
+  return v == 1;
+}
 
 Bytes BinaryReader::bytes(size_t max_len) {
   const uint32_t len = u32();

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/bytes.h"
@@ -57,6 +58,8 @@ class BinaryReader {
   uint16_t u16();
   uint32_t u32();
   uint64_t u64();
+  /// One byte that must be 0 or 1; any other value fails the reader, so
+  /// every bool decodes from exactly one encoding.
   bool boolean();
 
   /// Length-prefixed byte string; enforces `max_len` to bound allocations
@@ -107,13 +110,14 @@ class BinaryReader {
 //   }
 //
 // `u8`..`u64` name the wire width of an integer, bool or enum field (an
-// optional [lo, hi] range refuses other values); `str`/`bytes` carry a u32
-// length prefix and a maximum length; `list` a u32 count checked against
-// its maximum before anything is allocated; `record` embeds a nested
-// record's fields and `sized` embeds its whole encoding behind a u32
-// length.  `require` refuses a decoded value (an index, a magic) that
-// breaks a condition.  Reading keeps BinaryReader's sticky failure, so a
-// list needs no early exits.
+// optional [lo, hi] range refuses other values, and a bool refuses any
+// byte but 0 and 1); `str`/`bytes` carry a u32 length prefix and a
+// maximum length; `list` a u32 count checked against its maximum before
+// anything is allocated; `record` embeds a nested record's fields and
+// `sized` embeds its whole encoding behind a u32 length.  `require`
+// refuses a decoded value (an index, a magic) that breaks a condition.
+// Reading keeps BinaryReader's sticky failure, so a list needs no early
+// exits.
 
 class FieldWriter {
  public:
@@ -162,7 +166,13 @@ class FieldReader {
   explicit FieldReader(BinaryReader& r) : r_(r) {}
 
   template <class T>
-  void u8(T& v) { v = static_cast<T>(r_.u8()); }
+  void u8(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.boolean();
+    } else {
+      v = static_cast<T>(r_.u8());
+    }
+  }
   template <class T>
   void u8(T& v, T lo, T hi) {
     const int raw = r_.u8();

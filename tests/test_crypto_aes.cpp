@@ -1,7 +1,8 @@
 // AES / GCM / CMAC / DRBG tests against published vectors (FIPS 197
 // appendix C, the original GCM spec test cases, RFC 4493), plus
-// differential tests of the table-driven AES and GHASH against simple
-// reference implementations on seeded random inputs.
+// differential tests of both GCM kernels (portable T-table/Shoup, and
+// AES-NI + PCLMULQDQ where the CPU has it) against simple reference
+// implementations on seeded random inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "crypto/cmac.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
+#include "crypto/gcm_kernels.h"
 #include "support/bytes.h"
 #include "support/rng.h"
 
@@ -72,32 +74,69 @@ TEST(Aes, RejectsBadKeySize) {
   EXPECT_THROW(Aes(Bytes(33, 0)), std::invalid_argument);
 }
 
-TEST(Gcm, SpecTestCase1EmptyEverything) {
+// ---- GCM, run through each kernel ----
+//
+// Every GCM test below runs once per kernel (crypto/gcm_kernels.h): the
+// portable T-table/Shoup kernel always, the AES-NI + PCLMULQDQ kernel
+// where the CPU has it.  The public gcm_encrypt/gcm_decrypt run the
+// selected kernel; GcmKernelSelection pins which one that is.
+
+using gcm_kernels::Kernel;
+
+class GcmKernelTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kAesNi && !gcm_kernels::cpu_has_aesni()) {
+      GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ/SSSE3";
+    }
+  }
+
+  GcmCiphertext encrypt(ByteView key, ByteView iv, ByteView aad,
+                        ByteView plaintext) const {
+    return gcm_kernels::encrypt(GetParam(), key, iv, aad, plaintext);
+  }
+
+  Result<Bytes> decrypt(ByteView key, ByteView iv, ByteView aad,
+                        const GcmCiphertext& ct) const {
+    return gcm_kernels::decrypt(GetParam(), key, iv, aad, ct.ciphertext,
+                                ByteView(ct.tag.data(), ct.tag.size()));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GcmKernelTest,
+                         ::testing::Values(Kernel::kPortable, Kernel::kAesNi),
+                         [](const ::testing::TestParamInfo<Kernel>& param) {
+                           return param.param == Kernel::kAesNi
+                                      ? std::string("AesNi")
+                                      : std::string("Portable");
+                         });
+
+TEST_P(GcmKernelTest, SpecTestCase1EmptyEverything) {
   const Bytes key(16, 0);
   const Bytes iv(12, 0);
-  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), ByteView());
+  const GcmCiphertext ct = encrypt(key, iv, ByteView(), ByteView());
   EXPECT_TRUE(ct.ciphertext.empty());
   EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
             "58e2fccefa7e3061367f1d57a4e7455a");
 }
 
-TEST(Gcm, SpecTestCase2SingleZeroBlock) {
+TEST_P(GcmKernelTest, SpecTestCase2SingleZeroBlock) {
   const Bytes key(16, 0);
   const Bytes iv(12, 0);
   const Bytes pt(16, 0);
-  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
+  const GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
   EXPECT_EQ(hex_encode(ct.ciphertext), "0388dace60b6a392f328c2b971b2fe78");
   EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
             "ab6e47d42cec13bdf53a67b21257bddf");
 }
 
-TEST(Gcm, SpecTestCase3FourBlocks) {
+TEST_P(GcmKernelTest, SpecTestCase3FourBlocks) {
   const Bytes key = hx("feffe9928665731c6d6a8f9467308308");
   const Bytes iv = hx("cafebabefacedbaddecaf888");
   const Bytes pt = hx(
       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
-  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
+  const GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
   EXPECT_EQ(hex_encode(ct.ciphertext),
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
             "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985");
@@ -105,82 +144,114 @@ TEST(Gcm, SpecTestCase3FourBlocks) {
             "4d5c2af327cd64a62cf35abd2ba6fab4");
 }
 
-TEST(Gcm, SpecTestCase4WithAad) {
+TEST_P(GcmKernelTest, SpecTestCase4WithAad) {
   const Bytes key = hx("feffe9928665731c6d6a8f9467308308");
   const Bytes iv = hx("cafebabefacedbaddecaf888");
   const Bytes pt = hx(
       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
   const Bytes aad = hx("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-  const GcmCiphertext ct = gcm_encrypt(key, iv, aad, pt);
+  const GcmCiphertext ct = encrypt(key, iv, aad, pt);
   EXPECT_EQ(hex_encode(ct.ciphertext),
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
             "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
   EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
             "5bc94fbc3221a5db94fae95ae7121a47");
   // Round trip.
-  const auto back = gcm_decrypt(key, iv, aad, ct.ciphertext,
-                                ByteView(ct.tag.data(), ct.tag.size()));
+  const auto back = decrypt(key, iv, aad, ct);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), pt);
 }
 
-TEST(Gcm, DecryptRejectsTamperedCiphertext) {
+TEST_P(GcmKernelTest, SpecTestCase16Aes256WithAad) {
+  // The original GCM spec's 256-bit key case (test case 16): 14 rounds.
+  const Bytes key = hx(
+      "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
+  const Bytes iv = hx("cafebabefacedbaddecaf888");
+  const Bytes pt = hx(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+  const Bytes aad = hx("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+  const GcmCiphertext ct = encrypt(key, iv, aad, pt);
+  EXPECT_EQ(hex_encode(ct.ciphertext),
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662");
+  EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
+            "76fc6ece0f4e1768cddf8853bb2d551b");
+}
+
+TEST_P(GcmKernelTest, DecryptRejectsTamperedCiphertext) {
   const Bytes key(16, 0x42);
   const Bytes iv(12, 0x01);
   const Bytes pt = to_bytes(std::string_view("attack at dawn"));
-  GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
+  GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
   ct.ciphertext[3] ^= 0x80;
-  const auto r = gcm_decrypt(key, iv, ByteView(), ct.ciphertext,
-                             ByteView(ct.tag.data(), ct.tag.size()));
+  const auto r = decrypt(key, iv, ByteView(), ct);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status(), Status::kMacMismatch);
 }
 
-TEST(Gcm, DecryptRejectsTamperedAad) {
+TEST_P(GcmKernelTest, DecryptRejectsTamperedAad) {
   const Bytes key(16, 0x42);
   const Bytes iv(12, 0x01);
   const Bytes pt = to_bytes(std::string_view("attack at dawn"));
   const Bytes aad = to_bytes(std::string_view("header-v1"));
-  const GcmCiphertext ct = gcm_encrypt(key, iv, aad, pt);
+  const GcmCiphertext ct = encrypt(key, iv, aad, pt);
   const Bytes bad_aad = to_bytes(std::string_view("header-v2"));
-  const auto r = gcm_decrypt(key, iv, bad_aad, ct.ciphertext,
-                             ByteView(ct.tag.data(), ct.tag.size()));
+  const auto r = decrypt(key, iv, bad_aad, ct);
   EXPECT_EQ(r.status(), Status::kMacMismatch);
 }
 
-TEST(Gcm, DecryptRejectsWrongKey) {
+TEST_P(GcmKernelTest, DecryptRejectsWrongKey) {
   const Bytes key(16, 0x42);
   const Bytes other_key(16, 0x43);
   const Bytes iv(12, 0x01);
   const Bytes pt = to_bytes(std::string_view("secret"));
-  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
-  const auto r = gcm_decrypt(other_key, iv, ByteView(), ct.ciphertext,
-                             ByteView(ct.tag.data(), ct.tag.size()));
+  const GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
+  const auto r = decrypt(other_key, iv, ByteView(), ct);
   EXPECT_EQ(r.status(), Status::kMacMismatch);
 }
 
-TEST(Gcm, Aes256KeysWork) {
+TEST_P(GcmKernelTest, DecryptRejectsTamperedTagAndBadSizes) {
+  const Bytes key(16, 0x42);
+  const Bytes iv(12, 0x01);
+  const Bytes pt(100, 0x5a);
+  GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
+  ct.tag[15] ^= 0x01;
+  EXPECT_EQ(decrypt(key, iv, ByteView(), ct).status(),
+            Status::kMacMismatch);
+  EXPECT_EQ(gcm_kernels::decrypt(GetParam(), key, iv, ByteView(),
+                                 ct.ciphertext, ByteView(ct.tag.data(), 15))
+                .status(),
+            Status::kInvalidParameter);
+  EXPECT_EQ(gcm_kernels::decrypt(GetParam(), key, Bytes(11, 0), ByteView(),
+                                 ct.ciphertext,
+                                 ByteView(ct.tag.data(), ct.tag.size()))
+                .status(),
+            Status::kInvalidParameter);
+  EXPECT_THROW(encrypt(key, Bytes(16, 0), ByteView(), pt),
+               std::invalid_argument);
+}
+
+TEST_P(GcmKernelTest, Aes256KeysWork) {
   const Bytes key(32, 0x11);
   const Bytes iv(12, 0x22);
   const Bytes pt = to_bytes(std::string_view("sealed with a 256-bit key"));
-  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
-  const auto back = gcm_decrypt(key, iv, ByteView(), ct.ciphertext,
-                                ByteView(ct.tag.data(), ct.tag.size()));
+  const GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
+  const auto back = decrypt(key, iv, ByteView(), ct);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), pt);
 }
 
-TEST(Gcm, RoundTripManySizes) {
+TEST_P(GcmKernelTest, RoundTripManySizes) {
   const Bytes key(16, 0x37);
   for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
                    size_t{100}, size_t{1000}, size_t{4096}}) {
     Bytes pt(n);
     for (size_t i = 0; i < n; ++i) pt[i] = static_cast<uint8_t>(i * 7 + 1);
     Bytes iv(12, static_cast<uint8_t>(n & 0xff));
-    const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
-    const auto back = gcm_decrypt(key, iv, ByteView(), ct.ciphertext,
-                                  ByteView(ct.tag.data(), ct.tag.size()));
+    const GcmCiphertext ct = encrypt(key, iv, ByteView(), pt);
+    const auto back = decrypt(key, iv, ByteView(), ct);
     ASSERT_TRUE(back.ok()) << n;
     EXPECT_EQ(back.value(), pt) << n;
   }
@@ -264,36 +335,80 @@ GcmCiphertext reference_gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
   return out;
 }
 
-void expect_matches_reference(Rng& rng, size_t key_size, size_t aad_len,
-                              size_t pt_len) {
+void expect_matches_reference(Kernel kernel, Rng& rng, size_t key_size,
+                              size_t aad_len, size_t pt_len) {
   const Bytes key = rng.bytes(key_size);
   const Bytes iv = rng.bytes(kGcmIvSize);
   const Bytes aad = rng.bytes(aad_len);
   const Bytes pt = rng.bytes(pt_len);
   const GcmCiphertext want = reference_gcm_encrypt(key, iv, aad, pt);
-  const GcmCiphertext got = gcm_encrypt(key, iv, aad, pt);
+  const GcmCiphertext got = gcm_kernels::encrypt(kernel, key, iv, aad, pt);
   ASSERT_EQ(hex_encode(got.ciphertext), hex_encode(want.ciphertext))
       << "key " << key_size << " aad " << aad_len << " pt " << pt_len;
   ASSERT_EQ(got.tag, want.tag)
       << "key " << key_size << " aad " << aad_len << " pt " << pt_len;
   const auto back =
-      gcm_decrypt(key, iv, aad, want.ciphertext,
-                  ByteView(want.tag.data(), want.tag.size()));
+      gcm_kernels::decrypt(kernel, key, iv, aad, want.ciphertext,
+                           ByteView(want.tag.data(), want.tag.size()));
   ASSERT_TRUE(back.ok())
       << "key " << key_size << " aad " << aad_len << " pt " << pt_len;
   ASSERT_EQ(back.value(), pt);
 }
 
-TEST(GcmDifferential, MatchesReferenceOnEveryLengthUpTo300) {
+TEST_P(GcmKernelTest, MatchesReferenceOnEveryLengthUpTo300) {
   Rng rng(0x6c6d);
   for (const size_t key_size : {size_t{16}, size_t{32}}) {
     for (size_t len = 0; len <= 300; ++len) {
       // Every plaintext length with a random AAD length, and vice versa,
       // so both GHASH inputs cover full and partial final blocks.
-      expect_matches_reference(rng, key_size, rng.uniform(301), len);
-      expect_matches_reference(rng, key_size, len, rng.uniform(301));
+      expect_matches_reference(GetParam(), rng, key_size, rng.uniform(301),
+                               len);
+      expect_matches_reference(GetParam(), rng, key_size, len,
+                               rng.uniform(301));
     }
   }
+}
+
+TEST_P(GcmKernelTest, MatchesReferenceAtSealedBufferSizes) {
+  // A sealed Table II (LibraryState, 5,436 B) and the largest sealed ME
+  // queue blob of the precopy_live benchmark (65,082 B), each with and
+  // without AAD and one byte either side.
+  Rng rng(0x5ea1);
+  for (const size_t len : {size_t{5436}, size_t{65082}}) {
+    for (const size_t n : {len - 1, len, len + 1}) {
+      expect_matches_reference(GetParam(), rng, 16, 0, n);
+      expect_matches_reference(GetParam(), rng, 16, 37, n);
+    }
+  }
+}
+
+TEST(GcmKernelSelection, HardwareKernelIsSelectedWhenTheCpuHasIt) {
+  // Asks the CPU directly (not through gcm_kernels::cpu_has_aesni), so a
+  // silent fallback to the portable kernel on an AES-NI host fails here.
+#if defined(__x86_64__)
+  const bool has_aesni = __builtin_cpu_supports("aes") &&
+                         __builtin_cpu_supports("pclmul") &&
+                         __builtin_cpu_supports("ssse3");
+#else
+  const bool has_aesni = false;
+#endif
+  EXPECT_EQ(gcm_kernels::cpu_has_aesni(), has_aesni);
+  EXPECT_EQ(gcm_kernels::selected(),
+            has_aesni ? Kernel::kAesNi : Kernel::kPortable)
+      << "selected " << gcm_kernels::kernel_name(gcm_kernels::selected());
+  // The public entry points run the selected kernel.
+  const Bytes key(16, 0x0b);
+  const Bytes iv(12, 0x0c);
+  const Bytes pt(200, 0x0d);
+  const GcmCiphertext got = gcm_encrypt(key, iv, ByteView(), pt);
+  const GcmCiphertext want =
+      gcm_kernels::encrypt(Kernel::kPortable, key, iv, ByteView(), pt);
+  EXPECT_EQ(got.ciphertext, want.ciphertext);
+  EXPECT_EQ(got.tag, want.tag);
+  const auto back = gcm_decrypt(key, iv, ByteView(), got.ciphertext,
+                                ByteView(got.tag.data(), got.tag.size()));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), pt);
 }
 
 TEST(AesDifferential, EncryptThenDecryptRoundTripsRandomBlocks) {

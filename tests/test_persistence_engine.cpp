@@ -270,6 +270,27 @@ TEST_F(PersistenceLibraryTest, VersionedSlotSingleCorruptionFallsBack) {
   EXPECT_EQ(store.versioned_sequence("y"), 1u);
 }
 
+TEST_F(PersistenceLibraryTest, VersionedSlotTornPayloadFallsBack) {
+  auto& store = m0_.storage();
+  store.put_versioned("z", to_bytes(std::string_view("old")));  // #1, seq 1
+  store.put_versioned("z", to_bytes(std::string_view("new")));  // #0, seq 2
+  // Flip the newest slot's last payload byte: its framing still parses
+  // and claims sequence 2, but its checksum fails.
+  const size_t last = store.snapshot().at("z#0").size() - 1;
+  ASSERT_TRUE(store.corrupt("z#0", last));
+  EXPECT_EQ(store.get_versioned("z").value(),
+            to_bytes(std::string_view("old")));
+  EXPECT_EQ(store.versioned_sequence("z"), 1u);
+  // The next write replaces the torn slot and keeps generation 1 intact.
+  store.put_versioned("z", to_bytes(std::string_view("next")));
+  EXPECT_EQ(store.versioned_sequence("z"), 2u);
+  EXPECT_EQ(store.get_versioned("z").value(),
+            to_bytes(std::string_view("next")));
+  ASSERT_TRUE(store.corrupt("z#0", store.snapshot().at("z#0").size() - 1));
+  EXPECT_EQ(store.get_versioned("z").value(),
+            to_bytes(std::string_view("old")));
+}
+
 TEST_F(PersistenceLibraryTest, MigrationUnderGroupCommitPreservesValues) {
   auto enclave = start_new(m0_, PersistenceMode::kGroupCommit);
   const uint32_t id =

@@ -928,6 +928,32 @@ Bytes padded_report(size_t n) {
   return report;
 }
 
+// `off` with the one byte where it differs from `on` set to `n`: the
+// encoding of a record whose single flag field holds the raw byte `n`.
+Bytes with_flag_byte(Bytes off, const Bytes& on, size_t n) {
+  size_t differing = 0;
+  size_t at = 0;
+  for (size_t i = 0; i < off.size(); ++i) {
+    if (off[i] != on[i]) {
+      ++differing;
+      at = i;
+    }
+  }
+  EXPECT_EQ(differing, 1u);
+  off[at] = static_cast<uint8_t>(n);
+  return off;
+}
+
+// A LibraryState flag set to the raw byte `n` (1 decodes, 2 is refused).
+Bound library_flag(const char* field, void (*set)(LibraryState&)) {
+  return {field, 1, 2, [set](size_t n) {
+            LibraryState on;
+            set(on);
+            return with_flag_byte(LibraryState{}.serialize(), on.serialize(),
+                                  n);
+          }, decodes_as<LibraryState>};
+}
+
 std::vector<Bound> bounds() {
   constexpr size_t kEnvelopeMax = 1u << 22;
   constexpr size_t kDataMax = 1u << 20;
@@ -1180,6 +1206,27 @@ std::vector<Bound> bounds() {
                    req.nonce_entropy = Bytes(n, 1);
                    return req.serialize();
                  }, decodes_as<sgx::PseRequest>});
+  // Flags take exactly the bytes 0 and 1, so a decoded record re-encodes
+  // to the bytes it came from.
+  out.push_back(library_flag("LibraryState.frozen",
+                             [](LibraryState& s) { s.frozen = 1; }));
+  out.push_back(library_flag("LibraryState.counters_active[0]",
+                             [](LibraryState& s) {
+                               s.counters_active[0] = true;
+                             }));
+  out.push_back(library_flag("LibraryState.counters_active[255]",
+                             [](LibraryState& s) {
+                               s.counters_active[255] = true;
+                             }));
+  out.push_back(library_flag("LibraryState.epoch_active",
+                             [](LibraryState& s) { s.epoch_active = 1; }));
+  out.push_back({"CounterChunk.active[15]", 1, 2, [](size_t n) {
+                   PrecopyChunkRecord on;
+                   on.chunks = {sample_chunk(1)};
+                   PrecopyChunkRecord off = on;
+                   off.chunks[0].active[15] = false;
+                   return with_flag_byte(off.serialize(), on.serialize(), n);
+                 }, decodes_as<PrecopyChunkRecord>});
   out.push_back({"PseRequest.retire_uuids (count)", 256, 257, [](size_t n) {
                    auto req = sample_pse_request(sgx::PseOp::kRetire);
                    req.retire_uuids.resize(n);

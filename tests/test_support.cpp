@@ -135,6 +135,15 @@ TEST(Serde, ReaderEnforcesCallerMaxLen) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Serde, BooleanRefusesAnyByteButZeroAndOne) {
+  for (const uint8_t byte : {0, 1, 2, 0x80, 0xff}) {
+    const Bytes wire = {byte};
+    BinaryReader r(wire);
+    EXPECT_EQ(r.boolean(), byte == 1) << int{byte};
+    EXPECT_EQ(r.ok(), byte <= 1) << int{byte};
+  }
+}
+
 TEST(Serde, FixedArrays) {
   BinaryWriter w;
   std::array<uint8_t, 4> a = {1, 2, 3, 4};
