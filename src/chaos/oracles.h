@@ -72,7 +72,7 @@ class ConvergenceOracle {
     std::shared_ptr<const sgx::EnclaveImage> image;
     std::vector<std::pair<uint32_t, uint32_t>> counters;  // slot -> value
     uint32_t completed_migrations = 0;
-    Bytes sealed;
+    SharedBytes sealed;  // shares the enclave's buffer
     bool live_transfer = false;
   };
 

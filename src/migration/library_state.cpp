@@ -1,20 +1,71 @@
 #include "migration/library_state.h"
 
+#include <algorithm>
+
 namespace sgxmig::migration {
 
-size_t LibraryState::active_count() const {
-  size_t n = 0;
-  for (bool active : counters_active) {
-    if (active) ++n;
+namespace {
+/// First slot whose index is not below `index` (slots are sorted).
+std::vector<ActiveSlot>::iterator first_at_or_after(
+    std::vector<ActiveSlot>& slots, uint32_t index) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), index,
+      [](const ActiveSlot& slot, uint32_t i) { return slot.index < i; });
+}
+}  // namespace
+
+ResidentState ResidentState::from_wire(const LibraryState& state) {
+  ResidentState out;
+  out.frozen = state.frozen;
+  out.msk = state.msk;
+  out.epoch_active = state.epoch_active;
+  out.epoch_uuid = state.epoch_uuid;
+  out.epoch_value = state.epoch_value;
+  for (uint32_t i = 0; i < kMaxCounters; ++i) {
+    if (!state.counters_active[i]) continue;
+    out.slots.push_back(
+        {i, state.counter_uuids[i], state.counter_offsets[i], std::nullopt});
   }
-  return n;
+  return out;
 }
 
-size_t LibraryState::free_slot() const {
-  for (size_t i = 0; i < counters_active.size(); ++i) {
-    if (!counters_active[i]) return i;
+LibraryState ResidentState::to_wire() const {
+  LibraryState state;
+  state.frozen = frozen;
+  state.msk = msk;
+  state.epoch_active = epoch_active;
+  state.epoch_uuid = epoch_uuid;
+  state.epoch_value = epoch_value;
+  for (const ActiveSlot& slot : slots) {
+    state.counters_active[slot.index] = true;
+    state.counter_uuids[slot.index] = slot.uuid;
+    state.counter_offsets[slot.index] = slot.offset;
   }
-  return kMaxCounters;
+  return state;
+}
+
+ActiveSlot* ResidentState::find(uint32_t index) {
+  const auto it = first_at_or_after(slots, index);
+  return it != slots.end() && it->index == index ? &*it : nullptr;
+}
+
+size_t ResidentState::free_slot() const {
+  // Slots are sorted and distinct, so the first position whose index
+  // exceeds its position is the lowest gap.
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].index != i) return i;
+  }
+  return slots.size();  // kMaxCounters when every slot is active
+}
+
+ActiveSlot& ResidentState::activate(uint32_t index) {
+  return *slots.insert(first_at_or_after(slots, index),
+                       ActiveSlot{index, {}, 0, std::nullopt});
+}
+
+void ResidentState::deactivate(uint32_t index) {
+  const auto it = first_at_or_after(slots, index);
+  if (it != slots.end() && it->index == index) slots.erase(it);
 }
 
 }  // namespace sgxmig::migration

@@ -12,9 +12,15 @@
 // enclave start the application passes it back to migration_init().  If
 // `frozen` is set — the enclave was migrated away — the library refuses to
 // operate (§VI-B "Persistent data").
+//
+// LibraryState is that buffer's wire record, dense over all 256 slots.
+// In enclave memory the library keeps ResidentState instead: the same
+// scalar fields and only the active slots.
 #pragma once
 
 #include <array>
+#include <optional>
+#include <vector>
 
 #include "migration/migration_data.h"
 #include "sgx/pse.h"
@@ -62,10 +68,47 @@ struct LibraryState {
   static Result<LibraryState> deserialize(ByteView b) {
     return decode_record<LibraryState>(b);
   }
+};
 
-  size_t active_count() const;
+/// One active Table II slot as the library holds it in memory.
+struct ActiveSlot {
+  uint32_t index = 0;  // the slot's position in Table II (the counter id)
+  sgx::CounterUuid uuid{};
+  uint32_t offset = 0;
+  // Cache of the hardware counter's value (filled by create/read/
+  // increment).  Lets the increment overflow check run without an extra
+  // Platform Services round trip; safe because this library instance is
+  // the counter's only user (the UUID nonce is sealed in Table II).
+  std::optional<uint32_t> hw_value;
+};
+
+/// Table II as the library keeps it in enclave memory: LibraryState's
+/// scalar fields plus only the ACTIVE slots, in ascending index order, so
+/// every walk over them visits slots in Table II order.  The library
+/// zeroes a slot when it destroys the counter, so an inactive slot of the
+/// wire record is all zeros and dropping it loses nothing:
+/// from_wire(s).to_wire() serializes to the bytes of s.
+struct ResidentState {
+  uint8_t frozen = 0;
+  sgx::Key128 msk{};
+  uint8_t epoch_active = 0;
+  sgx::CounterUuid epoch_uuid{};
+  uint32_t epoch_value = 0;
+  std::vector<ActiveSlot> slots;
+
+  /// Keeps the active slots of `state`, with cold hardware-value caches.
+  static ResidentState from_wire(const LibraryState& state);
+  /// The dense wire record, built to be sealed.
+  LibraryState to_wire() const;
+
+  /// The active slot `index`, or nullptr.
+  ActiveSlot* find(uint32_t index);
   /// Lowest free slot, or kMaxCounters when full.
   size_t free_slot() const;
+  /// Activates slot `index` (must be free), keeping the index order.
+  ActiveSlot& activate(uint32_t index);
+  /// Deactivates slot `index` (no-op when free).
+  void deactivate(uint32_t index);
 };
 
 }  // namespace sgxmig::migration

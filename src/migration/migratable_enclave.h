@@ -177,7 +177,7 @@ class MigratableEnclave : public sgx::Enclave {
   void set_persist_callback(MigrationLibrary::PersistCallback callback) {
     library_.set_persist_callback(std::move(callback));
   }
-  const Bytes& sealed_state() const { return library_.sealed_state(); }
+  const SharedBytes& sealed_state() const { return library_.sealed_state(); }
   bool migration_frozen() const { return library_.frozen(); }
   size_t active_counters() const { return library_.active_counters(); }
   bool live_transfer_capable() const {

@@ -38,9 +38,9 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   }
   auto sealed = host_.seal_with(*seal_ctx_,
                                 to_bytes(std::string_view(kStateAad)),
-                                state_.serialize());
+                                state_.to_wire().serialize());
   if (!sealed.ok()) return sealed.status();
-  sealed_state_ = std::move(sealed).value();
+  sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {
     // OCALL to the untrusted application, which writes the buffer to disk.
     host_.platform().charge(host_.platform().costs().ocall);
@@ -170,7 +170,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
 
   switch (init_state) {
     case InitState::kNew: {
-      state_ = LibraryState{};
+      state_ = ResidentState{};
       host_.platform().charge(host_.platform().costs().drbg_fixed);
       host_.rng().generate(state_.msk.data(), state_.msk.size());
       if (live_transfer_capable_) {
@@ -196,13 +196,13 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       // Freeze flag check: if this enclave's state was migrated away, the
       // library refuses to operate (prevents the §III-B fork).
       if (state.value().frozen != 0) return Status::kMigrationFrozen;
-      state_ = std::move(state).value();
+      state_ = ResidentState::from_wire(state.value());
       // Epoch guard check: a buffer whose guard is gone is a rollback
       // across a migration (the guard died with the counters before the
       // data left) — refuse exactly like a frozen buffer.
       const Status epoch = check_epoch_guard();
       if (epoch != Status::kOk) {
-        state_ = LibraryState{};
+        state_ = ResidentState{};
         return epoch;
       }
       const Status status = persist(/*invoke_callback=*/false);
@@ -281,19 +281,17 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
 }
 
 Status MigrationLibrary::apply_incoming(const MigrationData& data) {
-  state_ = LibraryState{};
+  state_ = ResidentState{};
   state_.msk = data.msk;
-  for (size_t i = 0; i < kMaxCounters; ++i) {
+  for (uint32_t i = 0; i < kMaxCounters; ++i) {
     if (!data.counters_active[i]) continue;
     // Effective value of the source becomes the offset over a fresh
     // hardware counter starting at zero (§VI-B): constant-time per
     // counter, regardless of its value.
     auto created = host_.counter_create();
     if (!created.ok()) return created.status();
-    state_.counters_active[i] = true;
-    state_.counter_uuids[i] = created.value().uuid;
-    state_.counter_offsets[i] = data.counter_values[i];
-    cached_hw_values_[i] = created.value().value;
+    state_.slots.push_back({i, created.value().uuid, data.counter_values[i],
+                            created.value().value});
     note_slot_dirty(i);
   }
   if (live_transfer_capable_) {
@@ -381,25 +379,31 @@ Result<sgx::UnsealedData> MigrationLibrary::unseal_migratable_data(
 
 // ----- migratable counters (§VI-B "Monotonic counters") -----
 
+Result<uint32_t> MigrationLibrary::cached_hw_value(ActiveSlot& slot) {
+  if (slot.hw_value.has_value()) return *slot.hw_value;
+  auto value = host_.counter_read(slot.uuid);
+  if (value.ok()) slot.hw_value = value.value();
+  return value;
+}
+
 Result<CreatedMigratableCounter> MigrationLibrary::create_migratable_counter() {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  const size_t slot = state_.free_slot();
-  if (slot == kMaxCounters) return Status::kCounterQuotaExceeded;
+  const size_t index = state_.free_slot();
+  if (index == kMaxCounters) return Status::kCounterQuotaExceeded;
   auto created = host_.counter_create();
   if (!created.ok()) return created.status();
-  state_.counters_active[slot] = true;
-  state_.counter_uuids[slot] = created.value().uuid;
-  state_.counter_offsets[slot] = 0;
-  cached_hw_values_[slot] = created.value().value;
-  note_slot_dirty(slot);
+  ActiveSlot& slot = state_.activate(static_cast<uint32_t>(index));
+  slot.uuid = created.value().uuid;
+  slot.hw_value = created.value().value;
+  note_slot_dirty(index);
   // Batching engines may defer this commit: a crash in the window leaks
   // the hardware counter (the restored state simply lacks the slot) but
   // never corrupts the UUID table.
   const Status status = persist_after_mutation(MutationKind::kCounterCreate);
   if (status != Status::kOk) return status;
   CreatedMigratableCounter out;
-  out.counter_id = static_cast<uint32_t>(slot);
+  out.counter_id = static_cast<uint32_t>(index);
   out.value = created.value().value;  // 0 + offset 0
   return out;
 }
@@ -407,25 +411,22 @@ Result<CreatedMigratableCounter> MigrationLibrary::create_migratable_counter() {
 Status MigrationLibrary::destroy_migratable_counter(uint32_t counter_id) {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  if (counter_id >= kMaxCounters || !state_.counters_active[counter_id]) {
-    return Status::kCounterNotFound;
-  }
+  const ActiveSlot* slot = state_.find(counter_id);
+  if (slot == nullptr) return Status::kCounterNotFound;
+  const sgx::CounterUuid uuid = slot->uuid;
   // Fence before the irreversible hardware destroy: any batched mutations
   // must be durable first, or a crash right after the destroy would
   // restore a Table II that references live state through a dead counter.
   const Status fence = engine_->flush(*this);
   if (fence != Status::kOk) return fence;
-  const Status status = host_.counter_destroy(state_.counter_uuids[counter_id]);
+  const Status status = host_.counter_destroy(uuid);
   // kCounterNotFound: the hardware counter is already gone (crash between
   // a destroy and its persist) — clearing the orphaned slot IS the
   // recovery, so fall through and persist it.
   if (status != Status::kOk && status != Status::kCounterNotFound) {
     return status;
   }
-  state_.counters_active[counter_id] = false;
-  state_.counter_uuids[counter_id] = {};
-  state_.counter_offsets[counter_id] = 0;
-  cached_hw_values_[counter_id].reset();
+  state_.deactivate(counter_id);
   note_slot_dirty(counter_id);
   // The destroy record must be durable before returning: a lazily
   // batched record would leave the stored Table II referencing the dead
@@ -438,45 +439,39 @@ Result<uint32_t> MigrationLibrary::increment_migratable_counter(
     uint32_t counter_id) {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  if (counter_id >= kMaxCounters || !state_.counters_active[counter_id]) {
-    return Status::kCounterNotFound;
-  }
+  ActiveSlot* slot = state_.find(counter_id);
+  if (slot == nullptr) return Status::kCounterNotFound;
   // Overflow check: the offset plus the post-increment hardware value must
   // stay within uint32 (§VI-B).  Uses the cached hardware value when
   // available; after a restore the first increment refreshes the cache
   // with one read.
-  if (!cached_hw_values_[counter_id].has_value()) {
-    auto current = host_.counter_read(state_.counter_uuids[counter_id]);
-    if (!current.ok()) return current.status();
-    cached_hw_values_[counter_id] = current.value();
-  }
-  const uint64_t next_effective =
-      static_cast<uint64_t>(state_.counter_offsets[counter_id]) +
-      static_cast<uint64_t>(*cached_hw_values_[counter_id]) + 1;
+  const auto current = cached_hw_value(*slot);
+  if (!current.ok()) return current.status();
+  const uint64_t next_effective = static_cast<uint64_t>(slot->offset) +
+                                  static_cast<uint64_t>(current.value()) + 1;
   if (next_effective > std::numeric_limits<uint32_t>::max()) {
     return Status::kCounterOverflow;
   }
-  auto incremented = host_.counter_increment(state_.counter_uuids[counter_id]);
+  auto incremented = host_.counter_increment(slot->uuid);
   if (!incremented.ok()) return incremented.status();
-  cached_hw_values_[counter_id] = incremented.value();
+  slot->hw_value = incremented.value();
+  const uint32_t effective = slot->offset + incremented.value();
   note_slot_dirty(counter_id);
   const Status status = persist_after_mutation(MutationKind::kCounterIncrement);
   if (status != Status::kOk) return status;
-  return state_.counter_offsets[counter_id] + incremented.value();
+  return effective;
 }
 
 Result<uint32_t> MigrationLibrary::read_migratable_counter(uint32_t counter_id) {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  if (counter_id >= kMaxCounters || !state_.counters_active[counter_id]) {
-    return Status::kCounterNotFound;
-  }
-  auto value = host_.counter_read(state_.counter_uuids[counter_id]);
+  ActiveSlot* slot = state_.find(counter_id);
+  if (slot == nullptr) return Status::kCounterNotFound;
+  auto value = host_.counter_read(slot->uuid);
   if (!value.ok()) return value.status();
-  cached_hw_values_[counter_id] = value.value();
-  const uint64_t effective =
-      static_cast<uint64_t>(state_.counter_offsets[counter_id]) +
-      static_cast<uint64_t>(value.value());
+  slot->hw_value = value.value();
+  const uint64_t effective = static_cast<uint64_t>(slot->offset) +
+                             static_cast<uint64_t>(value.value());
   if (effective > std::numeric_limits<uint32_t>::max()) {
     return Status::kCounterOverflow;
   }
@@ -575,26 +570,23 @@ Result<LibMsg> MigrationLibrary::me_exchange_reattest(const LibMsg& request) {
 Result<MigrationData> MigrationLibrary::collect_values() {
   MigrationData data;
   data.msk = state_.msk;
-  for (size_t i = 0; i < kMaxCounters; ++i) {
-    if (!state_.counters_active[i]) continue;
-    auto value = host_.counter_read(state_.counter_uuids[i]);
+  for (const ActiveSlot& slot : state_.slots) {
+    auto value = host_.counter_read(slot.uuid);
     if (!value.ok()) return value.status();
-    const uint64_t effective =
-        static_cast<uint64_t>(state_.counter_offsets[i]) +
-        static_cast<uint64_t>(value.value());
+    const uint64_t effective = static_cast<uint64_t>(slot.offset) +
+                               static_cast<uint64_t>(value.value());
     if (effective > std::numeric_limits<uint32_t>::max()) {
       return Status::kCounterOverflow;
     }
-    data.counters_active[i] = true;
-    data.counter_values[i] = static_cast<uint32_t>(effective);
+    data.counters_active[slot.index] = true;
+    data.counter_values[slot.index] = static_cast<uint32_t>(effective);
   }
   return data;
 }
 
 Status MigrationLibrary::destroy_active_counters() {
-  for (size_t i = 0; i < kMaxCounters; ++i) {
-    if (!state_.counters_active[i]) continue;
-    const Status status = host_.counter_destroy(state_.counter_uuids[i]);
+  for (const ActiveSlot& slot : state_.slots) {
+    const Status status = host_.counter_destroy(slot.uuid);
     // kCounterNotFound on a retry pass means this one is already gone.
     if (status != Status::kOk && status != Status::kCounterNotFound) {
       return status;
@@ -613,9 +605,7 @@ Status MigrationLibrary::destroy_active_counters() {
 
 Status MigrationLibrary::retire_active_counters() {
   std::vector<sgx::CounterUuid> uuids;
-  for (size_t i = 0; i < kMaxCounters; ++i) {
-    if (state_.counters_active[i]) uuids.push_back(state_.counter_uuids[i]);
-  }
+  for (const ActiveSlot& slot : state_.slots) uuids.push_back(slot.uuid);
   uuids.push_back(state_.epoch_uuid);
   return host_.counter_retire(uuids).status();
 }
@@ -844,7 +834,10 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
     const MigrationStartResult frozen = freeze_and_collect(
         [this] {
           auto collected = collect_values();
-          if (collected.ok()) attempt_.snapshot = std::move(collected).value();
+          if (collected.ok()) {
+            attempt_.snapshot = std::make_unique<const MigrationData>(
+                std::move(collected).value());
+          }
           return collected.status();
         },
         "collecting counter values");
@@ -876,7 +869,7 @@ LibMsg MigrationLibrary::snapshot_request(LibMsgType type) {
   payload.destination_address = attempt_.destination;
   payload.request_nonce = attempt_.nonce;
   payload.policy = attempt_.policy;
-  payload.data = attempt_.snapshot;
+  payload.data = *attempt_.snapshot;
   LibMsg request;
   request.type = type;
   request.payload = payload.serialize();
@@ -1083,40 +1076,42 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
 Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
     bool include_all_populated) {
   std::vector<CounterChunk> out;
+  // The active slots are in index order, so each chunk's slots are the
+  // run [first, last) of them that falls in the chunk.
+  auto first = state_.slots.begin();
   for (size_t c = 0; c < kPrecopyChunkCount; ++c) {
-    bool collect = chunk_generation_[c] > attempt_.shipped_generation[c];
-    if (!collect && include_all_populated) {
-      for (size_t s = 0; s < kPrecopyChunkSlots && !collect; ++s) {
-        collect = state_.counters_active[c * kPrecopyChunkSlots + s];
-      }
+    auto last = first;
+    while (last != state_.slots.end() &&
+           last->index / kPrecopyChunkSlots == c) {
+      ++last;
     }
-    if (!collect) continue;
-    CounterChunk chunk;
-    chunk.index = static_cast<uint32_t>(c);
-    chunk.generation = chunk_generation_[c];
-    for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
-      const size_t slot = c * kPrecopyChunkSlots + s;
-      if (!state_.counters_active[slot]) continue;
-      chunk.active[s] = true;
-      // Effective value from the hardware-value cache when warm (this
-      // library is the counter's only user, so the cache is exact);
-      // otherwise one read refills it.  This is why pre-copy rounds do
-      // not pay one Platform Services round trip per live counter the
-      // way the full-snapshot collect does.
-      if (!cached_hw_values_[slot].has_value()) {
-        auto value = host_.counter_read(state_.counter_uuids[slot]);
+    const bool collect =
+        chunk_generation_[c] > attempt_.shipped_generation[c] ||
+        (include_all_populated && first != last);
+    if (collect) {
+      CounterChunk chunk;
+      chunk.index = static_cast<uint32_t>(c);
+      chunk.generation = chunk_generation_[c];
+      for (auto slot = first; slot != last; ++slot) {
+        const size_t s = slot->index % kPrecopyChunkSlots;
+        chunk.active[s] = true;
+        // Effective value from the hardware-value cache when warm (this
+        // library is the counter's only user, so the cache is exact);
+        // otherwise one read refills it.  This is why pre-copy rounds do
+        // not pay one Platform Services round trip per live counter the
+        // way the full-snapshot collect does.
+        const auto value = cached_hw_value(*slot);
         if (!value.ok()) return value.status();
-        cached_hw_values_[slot] = value.value();
+        const uint64_t effective = static_cast<uint64_t>(slot->offset) +
+                                   static_cast<uint64_t>(value.value());
+        if (effective > std::numeric_limits<uint32_t>::max()) {
+          return Status::kCounterOverflow;
+        }
+        chunk.values[s] = static_cast<uint32_t>(effective);
       }
-      const uint64_t effective =
-          static_cast<uint64_t>(state_.counter_offsets[slot]) +
-          static_cast<uint64_t>(*cached_hw_values_[slot]);
-      if (effective > std::numeric_limits<uint32_t>::max()) {
-        return Status::kCounterOverflow;
-      }
-      chunk.values[s] = static_cast<uint32_t>(effective);
+      out.push_back(std::move(chunk));
     }
-    out.push_back(std::move(chunk));
+    first = last;
   }
   return out;
 }

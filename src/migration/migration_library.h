@@ -135,7 +135,9 @@ class MigrationLibrary : private PersistSink {
   /// untrusted application for storage (invoked on mutating counter ops
   /// and migration events; after migration_init the application should
   /// store sealed_state() itself).
-  using PersistCallback = std::function<void(ByteView sealed_state)>;
+  /// The buffer is shared, not copied: a callback that keeps it (the
+  /// untrusted store does) holds the same allocation as sealed_state().
+  using PersistCallback = std::function<void(const SharedBytes& sealed_state)>;
   void set_persist_callback(PersistCallback callback) {
     persist_callback_ = std::move(callback);
   }
@@ -303,8 +305,13 @@ class MigrationLibrary : private PersistSink {
   /// Latest sealed persistent buffer (Table II) for the application to
   /// store.  Under a batching engine this may lag the in-memory state
   /// until the next commit or persist_flush().
-  const Bytes& sealed_state() const { return sealed_state_; }
-  size_t active_counters() const { return state_.active_count(); }
+  const SharedBytes& sealed_state() const { return sealed_state_; }
+  size_t active_counters() const { return state_.slots.size(); }
+  /// Dirty-tracking generation of Table II chunk `chunk` (0 until a slot
+  /// in it is mutated by this instance).
+  uint64_t chunk_generation(size_t chunk) const {
+    return chunk_generation_[chunk];
+  }
   const PersistenceEngine& persistence() const { return *engine_; }
 
  private:
@@ -398,6 +405,9 @@ class MigrationLibrary : private PersistSink {
   /// the epoch guard.
   Status retire_active_counters();
   Status check_operational() const;
+  /// The slot's hardware counter value: the cache when warm, otherwise
+  /// one Platform Services read that fills it.
+  Result<uint32_t> cached_hw_value(ActiveSlot& slot);
 
   // ----- pre-copy internals -----
   /// Stamps the chunk containing `slot` with the next mutation generation
@@ -427,14 +437,9 @@ class MigrationLibrary : private PersistSink {
   // Sealing key derived once per library lifetime (one EGETKEY) and
   // reused for every Table II re-seal; see sgx::SealContext.
   std::optional<sgx::SealContext> seal_ctx_;
-  LibraryState state_;
-  // In-memory cache of the hardware counter values (filled by create/
-  // read/increment).  Lets the increment overflow check run without an
-  // extra Platform Services round trip; safe because this library
-  // instance is the counter's only user (the UUID nonce is sealed in the
-  // library state).
-  std::array<std::optional<uint32_t>, kMaxCounters> cached_hw_values_{};
-  Bytes sealed_state_;
+  // Table II, active slots only; sealed as the dense LibraryState.
+  ResidentState state_;
+  SharedBytes sealed_state_;
   PersistCallback persist_callback_;
   sgx::Measurement expected_me_mr_{};
   std::string me_address_;
@@ -468,8 +473,10 @@ class MigrationLibrary : private PersistSink {
     // The payload was collected under the freeze (the enclave is frozen
     // for this attempt).
     bool collected = false;
-    // Full-snapshot payload.
-    MigrationData snapshot;
+    // Full-snapshot payload, collected under the freeze.  Held on the
+    // heap, and only by an attempt that collected one, so that an idle
+    // library does not carry a dense 256-slot record.
+    std::unique_ptr<const MigrationData> snapshot;
     // Pre-copy payload: what the destination already holds, everything
     // shipped so far merged (the re-route / incomplete-staging fallback
     // re-ships this full set in one finalize), and the final delta

@@ -7,9 +7,11 @@ namespace {
 void install_persist_callback(migration::MigratableEnclave& enclave,
                               platform::Machine& machine,
                               const std::string& key) {
-  enclave.set_persist_callback([&machine, key](ByteView sealed_state) {
-    machine.storage().put(key, sealed_state);
-  });
+  // The store shares the library's sealed buffer instead of copying it.
+  enclave.set_persist_callback(
+      [&machine, key](const SharedBytes& sealed_state) {
+        machine.storage().put(key, sealed_state);
+      });
 }
 
 /// Changelog entries kept before compaction.  Large enough that a

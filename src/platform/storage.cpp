@@ -52,16 +52,20 @@ std::optional<SlotFrame> parse_slot(const Bytes& blob) {
 UntrustedStore::UntrustedStore(VirtualClock& clock, const CostModel& costs)
     : clock_(clock), costs_(costs) {}
 
-void UntrustedStore::put(const std::string& name, ByteView blob) {
+void UntrustedStore::put(const std::string& name, SharedBytes blob) {
   clock_.advance(costs_.disk_write);
-  blobs_[name] = to_bytes(blob);
+  blobs_[name] = std::move(blob);
+}
+
+void UntrustedStore::put(const std::string& name, ByteView blob) {
+  put(name, SharedBytes(to_bytes(blob)));
 }
 
 Result<Bytes> UntrustedStore::get(const std::string& name) const {
   clock_.advance(costs_.disk_read);
   const auto it = blobs_.find(name);
   if (it == blobs_.end()) return Status::kStorageMissing;
-  return it->second;
+  return it->second.bytes();
 }
 
 bool UntrustedStore::exists(const std::string& name) const {
@@ -105,7 +109,7 @@ void UntrustedStore::put_versioned(const std::string& name, ByteView blob) {
   w.u64(next);
   w.u64(slot_checksum(next, blob));
   w.bytes(blob);
-  put(slot_name(name, target), w.take());
+  put(slot_name(name, target), SharedBytes(w.take()));
 }
 
 Result<Bytes> UntrustedStore::get_versioned(const std::string& name) const {
@@ -126,7 +130,10 @@ uint64_t UntrustedStore::versioned_sequence(const std::string& name) const {
 bool UntrustedStore::corrupt(const std::string& name, size_t offset) {
   auto it = blobs_.find(name);
   if (it == blobs_.end() || it->second.empty()) return false;
-  it->second[offset % it->second.size()] ^= 0x80;
+  // Copy-on-write: snapshots and other holders keep the original bytes.
+  Bytes flipped = it->second;
+  flipped[offset % flipped.size()] ^= 0x80;
+  it->second = SharedBytes(std::move(flipped));
   return true;
 }
 

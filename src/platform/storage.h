@@ -21,7 +21,10 @@ class UntrustedStore {
  public:
   UntrustedStore(VirtualClock& clock, const CostModel& costs);
 
-  /// Write + fsync (charges disk_write).
+  /// Write + fsync (charges disk_write).  The store keeps a share of
+  /// `blob`, not a copy.
+  void put(const std::string& name, SharedBytes blob);
+  /// As above, storing one copy of `blob`.
   void put(const std::string& name, ByteView blob);
 
   /// Read (charges disk_read); kStorageMissing when absent.
@@ -53,7 +56,11 @@ class UntrustedStore {
   uint64_t versioned_sequence(const std::string& name) const;
 
   // ----- adversary API (the OS can do all of this) -----
-  using Snapshot = std::map<std::string, Bytes>;
+  //
+  // Blobs are immutable and shared: a snapshot and a restored store hold
+  // the same buffers as the store they came from, and corrupt() writes
+  // into a fresh copy, so neither ever sees the other's later writes.
+  using Snapshot = std::map<std::string, SharedBytes>;
   Snapshot snapshot() const { return blobs_; }
   void restore(const Snapshot& snapshot) { blobs_ = snapshot; }
   /// Flips one byte of a stored blob; returns false if absent/empty.
@@ -72,7 +79,7 @@ class UntrustedStore {
 
   VirtualClock& clock_;
   const CostModel& costs_;
-  std::map<std::string, Bytes> blobs_;
+  std::map<std::string, SharedBytes> blobs_;
 };
 
 }  // namespace sgxmig::platform

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,6 +16,42 @@ namespace sgxmig {
 
 using Bytes = std::vector<uint8_t>;
 using ByteView = std::span<const uint8_t>;
+
+/// Immutable, reference-counted byte buffer: copies share one allocation,
+/// so a blob handed along a chain of holders (a sealed Table II buffer:
+/// the library, the untrusted store, store snapshots) exists once.  To
+/// change the bytes, copy them out and wrap the result in a new buffer.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  /// Takes ownership of `bytes`.  Explicit, so that a `Bytes` argument
+  /// never silently picks a SharedBytes overload over a ByteView one.
+  explicit SharedBytes(Bytes bytes)
+      : bytes_(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  const Bytes& bytes() const { return bytes_ ? *bytes_ : empty_bytes(); }
+  operator const Bytes&() const { return bytes(); }
+  operator ByteView() const { return bytes(); }
+
+  const uint8_t* data() const { return bytes().data(); }
+  size_t size() const { return bytes().size(); }
+  bool empty() const { return bytes().empty(); }
+
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.bytes() == b.bytes();
+  }
+  friend bool operator==(const SharedBytes& a, const Bytes& b) {
+    return a.bytes() == b;
+  }
+
+ private:
+  static const Bytes& empty_bytes() {
+    static const Bytes kEmpty;
+    return kEmpty;
+  }
+
+  std::shared_ptr<const Bytes> bytes_;
+};
 
 /// Creates an owned buffer from any contiguous byte range.
 Bytes to_bytes(ByteView view);

@@ -152,8 +152,11 @@ class ChaosTest : public ::testing::Test {
   // (chaos_disable_epoch_guard) off m0 in pre-copy mode; true when the
   // oracle reports the resulting fork.  Only the post-drain buffer (its
   // freeze flag set) may be refused: the pre-drain snapshot restores
-  // because the drill keeps its counters alive.
-  bool fork_drill_reports_fork(bool async_precopy) {
+  // because the drill keeps its counters alive.  `corrupt_stored` flips a
+  // byte of the stored buffer right after the capture, which the oracle's
+  // captured buffer (shared with the store) must not see.
+  bool fork_drill_reports_fork(bool async_precopy,
+                               bool corrupt_stored = false) {
     async_precopy_ = async_precopy;
     build_world(2);
     const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
@@ -161,6 +164,11 @@ class ChaosTest : public ::testing::Test {
 
     ConvergenceOracle oracle(fleet_, "m0");
     oracle.capture();
+    if (corrupt_stored) {
+      const Bytes sealed = fleet_.enclave(id)->sealed_state();
+      EXPECT_TRUE(world_.machine("m0")->storage().corrupt("fork-app.ml", 40));
+      EXPECT_EQ(fleet_.enclave(id)->sealed_state(), sealed);
+    }
     Scheduler scheduler(fleet_);
     OrchestratorOptions options;
     options.transfer_mode = TransferMode::kPrecopy;
@@ -291,6 +299,14 @@ TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuard) {
 // tail must honour the drill exactly like the synchronous finalize's.
 TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuardAsync) {
   EXPECT_TRUE(fork_drill_reports_fork(/*async_precopy=*/true));
+}
+
+// The oracle's captured buffer shares the store's allocation.  A byte the
+// adversary flips in the store after the capture must not reach it: the
+// drill's fork is found only if the captured buffer still unseals.
+TEST_F(ChaosTest, CorruptStoreLeavesTheCapturedSnapshotIntact) {
+  EXPECT_TRUE(fork_drill_reports_fork(/*async_precopy=*/false,
+                                      /*corrupt_stored=*/true));
 }
 
 TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {

@@ -2,6 +2,8 @@
 // Library + Migration Enclave protocol (paper §V, §VI).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baseline/nonmigratable.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
@@ -555,6 +557,128 @@ TEST_F(MigrationTest, MigrationDataSerializationRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), data);
   EXPECT_EQ(back.value().active_count(), 2u);
+}
+
+// ----- resident Table II: active slots only -----
+
+/// An app enclave that can read its own sealed Table II and its library's
+/// dirty-chunk generations.
+class InspectableEnclave : public MigratableEnclave {
+ public:
+  using MigratableEnclave::MigratableEnclave;
+  using MigratableEnclave::unseal;
+  const migration::MigrationLibrary& lib() { return library(); }
+
+  /// The LibraryState wire record inside sealed_state().
+  Bytes table_record() {
+    auto unsealed = unseal(sealed_state());
+    EXPECT_TRUE(unsealed.ok());
+    return unsealed.ok() ? unsealed.value().plaintext : Bytes{};
+  }
+  std::vector<uint64_t> chunk_generations() {
+    std::vector<uint64_t> gens;
+    for (size_t c = 0; c < migration::kPrecopyChunkCount; ++c) {
+      gens.push_back(lib().chunk_generation(c));
+    }
+    return gens;
+  }
+};
+
+// The library keeps only the active slots resident and rebuilds the dense
+// record to seal it.  Restoring a sealed buffer and persisting it again
+// gives the same record byte for byte, at every occupancy, with holes
+// from destroyed counters and with the non-zero offsets a migration
+// leaves; the lowest free slot and the dirty-chunk generations stay put.
+TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
+  struct Case {
+    const char* name;
+    uint32_t counters;
+    std::vector<uint32_t> destroyed;  // on the destination, after the move
+    // With the epoch guard in the record; it takes one hardware counter
+    // of the enclave's 256, so the full table runs without it.
+    bool live_transfer = true;
+  };
+  const Case cases[] = {
+      {"no counters", 0, {}},
+      {"one counter", 1, {}},
+      {"17 counters, two chunks", 17, {}},
+      {"all 256 slots", 256, {}, /*live_transfer=*/false},
+      {"destroyed mid-table", 40, {0, 3, 16, 17, 31, 39}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    World world{/*seed=*/77};
+    Machine& src = world.add_machine("m0", "eu-central");
+    Machine& dst = world.add_machine("m1", "eu-central");
+    MigrationEnclave me_src(src, MigrationEnclave::standard_image(),
+                            world.provider());
+    MigrationEnclave me_dst(dst, MigrationEnclave::standard_image(),
+                            world.provider());
+    const auto make = [&](Machine& machine) {
+      return std::make_unique<InspectableEnclave>(
+          machine, image_, migration::PersistenceMode::kSync,
+          migration::GroupCommitOptions{}, c.live_transfer);
+    };
+    auto source = make(src);
+    ASSERT_EQ(source->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+              Status::kOk);
+    for (uint32_t i = 0; i < c.counters; ++i) {
+      ASSERT_TRUE(source->ecall_create_migratable_counter().ok());
+      for (uint32_t t = 0; t < i % 3; ++t) {
+        ASSERT_TRUE(source->ecall_increment_migratable_counter(i).ok());
+      }
+    }
+    ASSERT_EQ(source->ecall_migration_start("m1"), Status::kOk);
+    source.reset();
+    auto moved_instance = make(dst);
+    InspectableEnclave& moved = *moved_instance;
+    ASSERT_EQ(moved.ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+              Status::kOk);
+    ASSERT_EQ(moved.live_transfer_capable(), c.live_transfer);
+    for (const uint32_t slot : c.destroyed) {
+      ASSERT_EQ(moved.ecall_destroy_migratable_counter(slot), Status::kOk);
+    }
+    ASSERT_EQ(moved.active_counters(), c.counters - c.destroyed.size());
+    const Bytes record = moved.table_record();
+    const std::vector<uint64_t> generations = moved.chunk_generations();
+    const Bytes sealed = moved.sealed_state();
+
+    // Restore persists the buffer it decoded (sealed_state()).
+    auto restored_instance = make(dst);
+    InspectableEnclave& restored = *restored_instance;
+    ASSERT_EQ(restored.ecall_migration_init(sealed, InitState::kRestore, "m1"),
+              Status::kOk);
+    EXPECT_EQ(restored.table_record(), record);
+    EXPECT_EQ(restored.active_counters(), moved.active_counters());
+    // A fresh instance starts with clean chunks; re-sealing dirties none.
+    EXPECT_EQ(restored.chunk_generations(),
+              std::vector<uint64_t>(migration::kPrecopyChunkCount, 0));
+    ASSERT_EQ(moved.ecall_persist_flush(), Status::kOk);
+    EXPECT_EQ(moved.chunk_generations(), generations);
+
+    // The lowest free slot is the first one the record marks inactive.
+    const auto state = migration::LibraryState::deserialize(record);
+    ASSERT_TRUE(state.ok());
+    uint32_t expected_free = 0;
+    while (expected_free < migration::kMaxCounters &&
+           state.value().counters_active[expected_free]) {
+      ++expected_free;
+    }
+    auto created = restored.ecall_create_migratable_counter();
+    if (expected_free == migration::kMaxCounters) {
+      EXPECT_EQ(created.status(), Status::kCounterQuotaExceeded);
+    } else {
+      ASSERT_TRUE(created.ok());
+      EXPECT_EQ(created.value().counter_id, expected_free);
+    }
+    // Every restored slot reads back its migrated effective value.
+    for (uint32_t i = 0; i < c.counters; ++i) {
+      if (!state.value().counters_active[i]) continue;
+      auto value = restored.ecall_read_migratable_counter(i);
+      ASSERT_TRUE(value.ok()) << i;
+      EXPECT_EQ(value.value(), i % 3) << i;
+    }
+  }
 }
 
 TEST_F(MigrationTest, MigrationDataRejectsTruncation) {

@@ -280,6 +280,60 @@ TEST(StorageTest, CorruptFlipsOneByte) {
   EXPECT_FALSE(store.corrupt("missing", 0));
 }
 
+// Stored blobs are shared, immutable buffers: a snapshot holds the same
+// allocation as the store, and no later write reaches it.
+TEST(StorageTest, SnapshotKeepsItsBytesAcrossPutCorruptAndRemove) {
+  VirtualClock clock;
+  CostModel costs;
+  platform::UntrustedStore store(clock, costs);
+  const Bytes v1 = to_bytes(std::string_view("v1"));
+  store.put("a", v1);
+  store.put("b", v1);
+  store.put("c", v1);
+  const auto snap = store.snapshot();
+  EXPECT_EQ(snap.at("a").data(), store.snapshot().at("a").data());
+
+  store.put("a", to_bytes(std::string_view("v2")));
+  ASSERT_TRUE(store.corrupt("b", 0));
+  store.remove("c");
+
+  EXPECT_EQ(snap.at("a"), v1);
+  EXPECT_EQ(snap.at("b"), v1);
+  EXPECT_EQ(snap.at("c"), v1);
+  EXPECT_NE(store.get("b").value(), v1);
+  EXPECT_FALSE(store.exists("c"));
+}
+
+TEST(StorageTest, RestoreThenCorruptLeavesTheSnapshotUnchanged) {
+  VirtualClock clock;
+  CostModel costs;
+  platform::UntrustedStore store(clock, costs);
+  const Bytes v1 = to_bytes(std::string_view("v1"));
+  store.put("a", v1);
+  const auto snap = store.snapshot();
+  store.put("a", to_bytes(std::string_view("v2")));
+  store.restore(snap);
+  EXPECT_EQ(store.snapshot().at("a").data(), snap.at("a").data());
+  ASSERT_TRUE(store.corrupt("a", 1));
+  EXPECT_EQ(snap.at("a"), v1);
+  EXPECT_NE(store.get("a").value(), v1);
+  // The snapshot restores again, intact.
+  store.restore(snap);
+  EXPECT_EQ(store.get("a").value(), v1);
+}
+
+TEST(StorageTest, PutOfSharedBytesStoresNoCopy) {
+  VirtualClock clock;
+  CostModel costs;
+  platform::UntrustedStore store(clock, costs);
+  const SharedBytes blob(Bytes{1, 2, 3});
+  store.put("shared", blob);
+  store.put("copied", ByteView(blob));
+  EXPECT_EQ(store.snapshot().at("shared").data(), blob.data());
+  EXPECT_NE(store.snapshot().at("copied").data(), blob.data());
+  EXPECT_EQ(store.snapshot().at("copied"), blob);
+}
+
 TEST(StorageTest, WritesChargeDiskLatency) {
   VirtualClock clock;
   CostModel costs;

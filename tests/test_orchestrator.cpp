@@ -276,6 +276,33 @@ TEST_F(OrchestratorTest, CompletionCallbackObservesEveryMove) {
   (void)ids;
 }
 
+// The store keeps the library's sealed Table II buffer by reference: one
+// allocation per enclave, after launch, after every persist OCALL and
+// after the move.  An adversary's corrupt() writes a copy.
+TEST_F(OrchestratorTest, StoreSharesTheSealedBufferWithTheEnclave) {
+  build_world(/*machines=*/2, /*central=*/2);
+  const auto image = EnclaveImage::create("app", 1, "acme");
+  const uint64_t id = fleet_.launch("m0", "app", image).value();
+  const auto stored = [this](const std::string& machine) {
+    return world_.machine(machine)->storage().snapshot().at("app.ml");
+  };
+  EXPECT_EQ(stored("m0").data(), fleet_.enclave(id)->sealed_state().data());
+  ASSERT_TRUE(fleet_.enclave(id)->ecall_create_migratable_counter().ok());
+  EXPECT_EQ(stored("m0").data(), fleet_.enclave(id)->sealed_state().data());
+
+  Scheduler scheduler(fleet_);
+  Orchestrator orch(fleet_, scheduler, {});
+  ASSERT_EQ(orch.execute(Plan::drain("m0")).succeeded(), 1u);
+  EXPECT_EQ(fleet_.find(id)->machine, "m1");
+  const SharedBytes sealed = fleet_.enclave(id)->sealed_state();
+  EXPECT_EQ(stored("m1").data(), sealed.data());
+
+  const Bytes before = sealed;
+  ASSERT_TRUE(world_.machine("m1")->storage().corrupt("app.ml", 7));
+  EXPECT_EQ(fleet_.enclave(id)->sealed_state(), before);
+  EXPECT_NE(stored("m1"), before);
+}
+
 TEST_F(OrchestratorTest, RetireDropsLoadAndRecord) {
   build_world(/*machines=*/2, /*central=*/2);
   const auto ids = launch_fleet("m0", 2);

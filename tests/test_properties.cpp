@@ -8,6 +8,7 @@
 //   4. serialization round-trips for randomized structure contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -288,6 +289,38 @@ TEST_P(SerdeRoundTrip, LibraryStateRandomContents) {
   EXPECT_EQ(back.value().counter_offsets, state.counter_offsets);
   EXPECT_EQ(back.value().counter_uuids[7], state.counter_uuids[7]);
   EXPECT_EQ(back.value().msk, state.msk);
+}
+
+// The library's resident form keeps only the active slots: for any record
+// whose inactive slots are zero (the only kind the library seals), the
+// round trip through it is byte-identical, and its lowest free slot is
+// the record's first inactive one.
+TEST_P(SerdeRoundTrip, ResidentStateKeepsEveryWrittenByte) {
+  Rng rng(GetParam() ^ 0x33);
+  migration::LibraryState state;
+  const uint32_t density = rng.uniform(5);  // 0 (empty) .. 4 (full)
+  size_t first_free = migration::kMaxCounters;
+  for (size_t i = 0; i < migration::kMaxCounters; ++i) {
+    state.counters_active[i] = rng.uniform(4) < density;
+    if (!state.counters_active[i]) {
+      first_free = std::min(first_free, i);
+      continue;
+    }
+    state.counter_uuids[i].counter_id = rng.next_u32();
+    rng.fill(state.counter_uuids[i].nonce.data(), 12);
+    state.counter_offsets[i] = rng.next_u32();
+  }
+  rng.fill(state.msk.data(), state.msk.size());
+  state.epoch_active = static_cast<uint8_t>(rng.uniform(2));
+  state.epoch_uuid.counter_id = rng.next_u32();
+  state.epoch_value = rng.next_u32();
+
+  const auto resident = migration::ResidentState::from_wire(state);
+  EXPECT_EQ(resident.to_wire().serialize(), state.serialize());
+  EXPECT_EQ(resident.free_slot(), first_free);
+  for (size_t i = 1; i < resident.slots.size(); ++i) {
+    EXPECT_LT(resident.slots[i - 1].index, resident.slots[i].index);
+  }
 }
 
 TEST_P(SerdeRoundTrip, TruncationAlwaysRejected) {
