@@ -9,12 +9,16 @@
 #include "apps/trinx.h"
 #include "crypto/sha256.h"
 #include "migration/library_state.h"
+#include "migration/migration_enclave.h"
 #include "migration/protocol.h"
+#include "net/channel.h"
+#include "platform/world.h"
 #include "sgx/dh.h"
 #include "sgx/ias.h"
 #include "sgx/pse_wire.h"
 #include "sgx/quote.h"
 #include "sgx/remote_attestation.h"
+#include "sgx/sealing.h"
 #include "support/rng.h"
 
 namespace sgxmig::migration {
@@ -870,6 +874,193 @@ std::vector<Pin> pins() {
         return c.serialize();
       }, reencode<apps::TrinxCertificate>,
       "e04b33ae8b27c2b36ab1352e8f8ae04d0783d418083ddf92d0dd51e86ca9b0c0");
+
+  // Formats without a public decoder pin their bytes only (no re-encode).
+  add("SecureChannel state", [] {
+        net::SecureChannel a(pattern<16>(50),
+                             net::SecureChannel::Role::kInitiator);
+        net::SecureChannel b(pattern<16>(50),
+                             net::SecureChannel::Role::kResponder);
+        for (uint8_t i = 0; i < 2; ++i) {
+          EXPECT_TRUE(b.open_record(a.seal_record(pattern_bytes(5, i))).ok());
+        }
+        b.seal_record(pattern_bytes(5, 3));
+        return b.serialize_state();
+      }, [](ByteView wire) {
+        auto back = net::SecureChannel::deserialize_state(wire);
+        return back.ok() ? back.value().serialize_state() : Bytes{};
+      },
+      "a724e2ed7e0ee16dc93afbde51dd7906b732c346bae12ebdc906b8bc7dbab235");
+  add("SecureChannel record", [] {
+        net::SecureChannel a(pattern<16>(52),
+                             net::SecureChannel::Role::kInitiator);
+        return a.seal_record(pattern_bytes(21, 53));
+      }, [](ByteView wire) {
+        net::SecureChannel b(pattern<16>(52),
+                             net::SecureChannel::Role::kResponder);
+        net::SecureChannel a(pattern<16>(52),
+                             net::SecureChannel::Role::kInitiator);
+        auto plaintext = b.open_record(wire);
+        return plaintext.ok() ? a.seal_record(plaintext.value()) : Bytes{};
+      },
+      "c6d92908d2dee5bacf8f21c5dddbac0b1706cafbb48c4bf1b8870a6b4feff4f5");
+  add("DONE record", [] {
+        BinaryWriter w;
+        w.str("SGXMIG-DONE");
+        w.u64(0x0102030405060708ULL);
+        return w.take();
+      }, nullptr,
+      "cc899642e8b74cea423e49754cc52035e7945c7200c0b4017990a88873763232");
+  add("Abort reply", [] {
+        BinaryWriter w;
+        w.str("SGXMIG-ABORT");
+        w.u8(1);
+        return w.take();
+      }, nullptr,
+      "ba47575d295fe0d926598be4e1cf472169118301030b0eee293e30feb6c49949");
+  add("Reconcile reply", [] {
+        BinaryWriter w;
+        w.str("SGXMIG-RECON");
+        w.u8(1);
+        return w.take();
+      }, nullptr,
+      "67fd192200dbcf222f8f8969a2a817ea13863d91374b1b789423129d1d0b76b5");
+  add("kStatusReport payload", [] {
+        BinaryWriter w;
+        w.u8(2);
+        return w.take();
+      }, nullptr,
+      "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986");
+  add("kConfirmMigration payload", [] {
+        BinaryWriter w;
+        w.u64(0x55aa55aa55aa55aaULL);
+        return w.take();
+      }, nullptr,
+      "77ce8ffa3e5e0bacf8b693a1edd26f22e7a4039aafca3c944e4020a977ecbc8a");
+  add("kRaMsg3 payload", [] {
+        sgx::RaMsg3 m;
+        m.initiator_quote = sample_quote().serialize();
+        ProviderAuth auth;
+        auth.credential = sample_credential();
+        auth.transcript_signature = pattern<64>(19);
+        BinaryWriter w;
+        w.bytes(m.serialize());
+        w.bytes(auth.serialize());
+        return w.take();
+      }, nullptr,
+      "7a7378bb53479db189eda88b44213b818ff3712e0a7e23d11ddc52d09a102c8c");
+  add("kRaMsg3 reply", [] {
+        ProviderAuth auth;
+        auth.credential = sample_credential();
+        auth.transcript_signature = pattern<64>(19);
+        BinaryWriter w;
+        w.bytes(auth.serialize());
+        w.u64(0x1122334455667788ULL);
+        return w.take();
+      }, nullptr,
+      "4dd227f8ecba5e9986a8728d883a96f5ac5a976baa499d4935fb0cca58c04fa9");
+  add("Sealed blob", [] {
+        const sgx::SimCpu cpu(pattern<32>(54));
+        crypto::CtrDrbg drbg(pattern_bytes(48, 56));
+        auto sealed = sgx::seal_data(cpu, sample_report_body().identity, drbg,
+                                     sgx::KeyPolicy::kMrSigner,
+                                     pattern_bytes(9, 57),
+                                     pattern_bytes(33, 58));
+        return sealed.ok() ? sealed.value() : Bytes{};
+      }, nullptr,
+      "6e2d41e3f36cb12822ca856dc5a4f5f273a97c6473fa4c2295bc92c2f9c2a162");
+  add("MSK-sealed blob", [] {
+        BinaryWriter w;
+        w.str("SGXMIG-MSK-SEALED-v1");
+        w.fixed(pattern<12>(59));
+        w.fixed(pattern<16>(60));
+        w.bytes(pattern_bytes(7, 61));
+        w.bytes(pattern_bytes(40, 62));
+        return w.take();
+      }, nullptr,
+      "7b110cbaec3787ad8afa0c61d2439289e0e2aa60141045fd6925c3aacea2d9e9");
+  add("Teechan channel state", [] {
+        BinaryWriter w;
+        w.u64(0x77);
+        w.boolean(true);
+        w.u64(900);
+        w.u64(100);
+        w.u32(17);
+        w.fixed(pattern<32>(63));
+        w.fixed(pattern<32>(64));
+        w.boolean(true);
+        w.u32(3);
+        return w.take();
+      }, nullptr,
+      "6adc5efb6f322e55e480a72986a6ed0363508035b08ca8fcf18598b906e2b304");
+  add("Trinx state", [] {
+        BinaryWriter w;
+        w.fixed(pattern<32>(65));
+        w.u32(4);
+        w.u32(2);
+        w.u32(1);
+        w.u64(5);
+        w.u32(3);
+        w.u64(0x100000000ULL);
+        w.u32(2);
+        return w.take();
+      }, nullptr,
+      "97e190252de4b3368d9c93e77c0049e1ef9bfa070f6fc5efcc7a15b9684d7a9e");
+  add("KvStore store", [] {
+        BinaryWriter w;
+        w.u32(1);
+        w.u32(2);
+        w.str("alpha");
+        w.bytes(pattern_bytes(3, 66));
+        w.str("beta");
+        w.bytes(Bytes{});
+        return w.take();
+      }, nullptr,
+      "34e28acb8ea6d92f19762ddeb8198fda66635ea9fa2f7be714d65419123d01bf");
+  add("App state version AAD", [] {
+        BinaryWriter w;
+        w.str("kvstore-state");
+        w.u32(9);
+        return w.take();
+      }, nullptr,
+      "f45a3ab658f24d1794074b699f602b10585aa3d9e72acf791d4de378424cf977");
+  add("VersionedState payload", [] {
+        BinaryWriter w;
+        w.bytes(pattern_bytes(12, 67));
+        return w.take();
+      }, nullptr,
+      "74d57116d718612e15b2d1faae5028d384989402a820de82d482c52121e3efc7");
+  add("VersionedState version AAD", [] {
+        BinaryWriter w;
+        w.u32(5);
+        return w.take();
+      }, nullptr,
+      "2594b6a92ebfb1c3312deb7d01c015fb95e9fbe9bd7bc6b527af07813ec7b910");
+  add("VersionedState native blob", [] {
+        BinaryWriter w;
+        w.str("VERSIONED-STATE-v1");
+        w.bytes(pattern_bytes(30, 68));
+        return w.take();
+      }, nullptr,
+      "8916bbd1055b08bacc439dddd883e2f44cdd5d644c6dae7b3e815f4814dcf8a6");
+  add("VersionedState KDC blob", [] {
+        BinaryWriter w;
+        w.str("VERSIONED-STATE-KDC-v1");
+        w.u32(6);
+        w.fixed(pattern<12>(69));
+        w.fixed(pattern<16>(70));
+        w.bytes(pattern_bytes(25, 71));
+        return w.take();
+      }, nullptr,
+      "beb15e4db4b047c4ba178900da0b2ae4fbab4f5caba17b3009cba4c8dddef26b");
+  add("VersionedState memory image", [] {
+        BinaryWriter w;
+        w.bytes(pattern_bytes(10, 72));
+        w.boolean(true);
+        w.fixed(pattern<16>(73));
+        return w.take();
+      }, nullptr,
+      "b2233a135852ff56129931b54da523da2a3d2041df5ad56bb167448ec3eee178");
   return out;
 }
 
@@ -884,6 +1075,7 @@ TEST(ProtocolPins, EveryRecordEncodesToItsPinnedDigest) {
 
 TEST(ProtocolPins, EveryPinnedSampleReencodesToItsOwnBytes) {
   for (const Pin& pin : pins()) {
+    if (!pin.reencode) continue;
     const Bytes wire = pin.encode();
     EXPECT_EQ(pin.reencode(wire), wire) << pin.record;
   }
@@ -952,6 +1144,195 @@ Bound library_flag(const char* field, void (*set)(LibraryState&)) {
             return with_flag_byte(LibraryState{}.serialize(), on.serialize(),
                                   n);
           }, decodes_as<LibraryState>};
+}
+
+// ----- the ME's sealed queue snapshot (format v4) -----
+//
+// Only a live ME reads the queue: a row's snapshot is sealed under the ME
+// image's key and restored into one ME kept for the whole table.
+
+class QueueSealer : public sgx::Enclave {
+ public:
+  explicit QueueSealer(platform::Machine& machine)
+      : sgx::Enclave(machine, MigrationEnclave::standard_image()) {}
+
+  Bytes seal_queue(ByteView plaintext) {
+    auto sealed = seal(sgx::KeyPolicy::kMrEnclave,
+                       to_bytes(std::string_view("SGXMIG-ME-QUEUE")),
+                       plaintext);
+    return sealed.ok() ? sealed.value() : Bytes{};
+  }
+};
+
+bool queue_restores(ByteView plaintext) {
+  static platform::World world(/*seed=*/7);
+  static platform::Machine& machine = world.add_machine("m0");
+  static MigrationEnclave me(machine, MigrationEnclave::standard_image(),
+                             world.provider());
+  static QueueSealer sealer(machine);
+  return me.restore_queue(sealer.seal_queue(plaintext)) == Status::kOk;
+}
+
+// The snapshot's sections in wire order.
+enum QueueSection : size_t {
+  kOutgoingSection, kAssembledSection, kInboundSection, kLatestSection,
+  kCompletedSection, kConfirmedSection, kRelaySection, kPrecopySection,
+  kStagingSection, kTaskSection, kPeerSection, kSectionCount,
+};
+
+/// A snapshot whose sections are all empty but `section`, which holds
+/// `count` entries encoded as `entries`.
+Bytes queue_snapshot(QueueSection section, size_t count,
+                     const Bytes& entries) {
+  BinaryWriter w;
+  w.str("SGXMIG-ME-QUEUE-v4");
+  w.u64(1);
+  for (size_t i = 0; i < kSectionCount; ++i) {
+    w.u32(i == section ? static_cast<uint32_t>(count) : 0);
+    if (i == section) w.raw(entries);
+  }
+  return w.take();
+}
+
+Bytes queue_outgoing(size_t destination_len, size_t retained_len) {
+  BinaryWriter w;
+  w.u64(1);
+  w.fixed(pattern<32>(80));
+  w.str(std::string(destination_len, 'd'));
+  w.u64(9);
+  w.bytes(Bytes(retained_len, 1));
+  w.u64(1);
+  w.boolean(false);
+  return queue_snapshot(kOutgoingSection, 1, w.take());
+}
+
+Bytes queue_assembled(const Bytes& data, size_t source_len) {
+  BinaryWriter w;
+  w.fixed(pattern<32>(81));
+  w.u64(3);
+  w.bytes(data);
+  w.str(std::string(source_len, 's'));
+  w.u64(9);
+  return queue_snapshot(kAssembledSection, 1, w.take());
+}
+
+Bytes queue_inbound(size_t region_len, size_t address_len) {
+  BinaryWriter channel;
+  channel.fixed(pattern<16>(82));
+  channel.u32(0x52324900);  // responder: sends R2I, receives I2R
+  channel.u32(0x49325200);
+  channel.u64(1);
+  channel.u64(2);
+  BinaryWriter w;
+  w.u64(4);
+  w.str(std::string(region_len, 'r'));
+  w.str(std::string(address_len, 'a'));
+  w.bytes(channel.data());
+  return queue_snapshot(kInboundSection, 1, w.take());
+}
+
+Bytes queue_latest(size_t state) {
+  BinaryWriter w;
+  w.fixed(pattern<32>(83));
+  w.u64(1);
+  w.u8(static_cast<uint8_t>(state));
+  return queue_snapshot(kLatestSection, 1, w.take());
+}
+
+// `count` distinct completed transfers, oldest first.
+Bytes queue_completed(size_t count) {
+  BinaryWriter w;
+  for (size_t i = 0; i < count; ++i) {
+    w.u64(i + 1);
+    w.fixed(pattern<32>(84));
+    w.u64(1000 + i);
+    w.u64(i + 1);
+  }
+  return queue_snapshot(kCompletedSection, count, w.take());
+}
+
+// `count` distinct confirmed identities, oldest first.
+Bytes queue_confirmed(size_t count) {
+  BinaryWriter w;
+  for (size_t i = 0; i < count; ++i) {
+    sgx::Measurement mr{};
+    store_be64(mr.data(), i);
+    w.fixed(mr);
+    w.u64(i + 1);
+  }
+  return queue_snapshot(kConfirmedSection, count, w.take());
+}
+
+Bytes queue_relay(size_t address_len, size_t record_len) {
+  BinaryWriter w;
+  w.u64(5);
+  w.str(std::string(address_len, 's'));
+  w.bytes(Bytes(record_len, 2));
+  return queue_snapshot(kRelaySection, 1, w.take());
+}
+
+// Chunks 0..count-1, in index order.
+void write_chunks(BinaryWriter& w, size_t count) {
+  w.u32(static_cast<uint32_t>(count));
+  for (size_t i = 0; i < count; ++i) {
+    sample_chunk(static_cast<uint32_t>(i)).serialize(w);
+  }
+}
+
+Bytes queue_precopy(size_t destination_len, size_t chunks) {
+  BinaryWriter w;
+  w.u64(77);
+  w.fixed(pattern<32>(85));
+  w.str(std::string(destination_len, 'd'));
+  w.u64(6);
+  w.u32(2);
+  w.boolean(false);
+  write_chunks(w, chunks);
+  w.boolean(false);
+  return queue_snapshot(kPrecopySection, 1, w.take());
+}
+
+Bytes queue_staging(size_t source_len, size_t chunks) {
+  BinaryWriter w;
+  w.fixed(pattern<32>(86));
+  w.u64(7);
+  w.str(std::string(source_len, 's'));
+  w.u64(78);
+  w.u32(2);
+  write_chunks(w, chunks);
+  w.u64(1);
+  return queue_snapshot(kStagingSection, 1, w.take());
+}
+
+MigrateRequestPayload sample_request() {
+  MigrateRequestPayload p;
+  p.destination_address = "m1";
+  p.request_nonce = 79;
+  p.policy = sample_policy();
+  p.data = sample_data();
+  return p;
+}
+
+// The task's request with its encoding zero-padded to `n` bytes.
+Bytes queue_task(size_t n) {
+  Bytes request = sample_request().serialize();
+  if (n > request.size()) request.resize(n, 0);
+  BinaryWriter w;
+  w.u64(79);
+  w.fixed(pattern<32>(87));
+  w.bytes(request);
+  w.boolean(true);
+  return queue_snapshot(kTaskSection, 1, w.take());
+}
+
+Bytes queue_peer(size_t address_len, size_t region_len) {
+  BinaryWriter w;
+  w.str(std::string(address_len, 'p'));
+  w.fixed(pattern<16>(88));
+  w.u64(3);
+  sample_credential().serialize(w);
+  w.str(std::string(region_len, 'r'));
+  return queue_snapshot(kPeerSection, 1, w.take());
 }
 
 std::vector<Bound> bounds() {
@@ -1232,6 +1613,48 @@ std::vector<Bound> bounds() {
                    req.retire_uuids.resize(n);
                    return req.serialize();
                  }, decodes_as<sgx::PseRequest>});
+  // The ME queue snapshot, section by section.
+  const size_t request_size = sample_request().serialize().size();
+  constexpr size_t kHistory = 4096;
+  constexpr size_t kRelayMax = 1u << 16;
+  constexpr size_t kRequestMax = 1u << 21;
+  const auto queue = [&out](const char* field, size_t at, size_t past,
+                            std::function<Bytes(size_t)> make) {
+    out.push_back({field, at, past, std::move(make), queue_restores});
+  };
+  queue("MeQueue outgoing.destination_address", 256, 257,
+        [](size_t n) { return queue_outgoing(n, 0); });
+  queue("MeQueue outgoing.retained_data", kDataMax, kDataMax + 1,
+        [](size_t n) { return queue_outgoing(1, n); });
+  queue("MeQueue incoming.data", data_size, kDataMax + 1,
+        [](size_t n) { return queue_assembled(padded_data(n), 1); });
+  queue("MeQueue incoming.source_me_address", 256, 257, [](size_t n) {
+    return queue_assembled(sample_data().serialize(), n);
+  });
+  queue("MeQueue inbound.source_region", 256, 257,
+        [](size_t n) { return queue_inbound(n, 1); });
+  queue("MeQueue inbound.source_address", 256, 257,
+        [](size_t n) { return queue_inbound(1, n); });
+  queue("MeQueue latest.state", 2, 3, queue_latest);
+  queue("MeQueue completed (count)", kHistory, kHistory + 1, queue_completed);
+  queue("MeQueue confirmed (count)", kHistory, kHistory + 1, queue_confirmed);
+  queue("MeQueue done_relay.source_me_address", 256, 257,
+        [](size_t n) { return queue_relay(n, 1); });
+  queue("MeQueue done_relay.sealed_record", kRelayMax, kRelayMax + 1,
+        [](size_t n) { return queue_relay(1, n); });
+  queue("MeQueue precopy.destination_address", 256, 257,
+        [](size_t n) { return queue_precopy(n, 1); });
+  queue("MeQueue precopy.merged (count)", kPrecopyChunkCount,
+        kPrecopyChunkCount + 1, [](size_t n) { return queue_precopy(1, n); });
+  queue("MeQueue staging.source_me_address", 256, 257,
+        [](size_t n) { return queue_staging(n, 1); });
+  queue("MeQueue staging.chunks (count)", kPrecopyChunkCount,
+        kPrecopyChunkCount + 1, [](size_t n) { return queue_staging(1, n); });
+  queue("MeQueue task.request", request_size, kRequestMax + 1, queue_task);
+  queue("MeQueue peer_session.address", 256, 257,
+        [](size_t n) { return queue_peer(n, 1); });
+  queue("MeQueue peer_session.region", 256, 257,
+        [](size_t n) { return queue_peer(1, n); });
   return out;
 }
 
