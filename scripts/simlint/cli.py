@@ -8,6 +8,7 @@ Commands:
                   when available, glob fallback otherwise)
     protocol      message-type enums vs. dispatch switches vs. tests
     layering      include graph derived from CMakeLists.txt link edges
+    hand-codec    BinaryReader constructed in src/ outside support/serde.*
     pycheck       byte-compile + AST lint for scripts/ Python
     all           every checker above; exit non-zero if any finds
 
@@ -20,6 +21,7 @@ import argparse
 import pathlib
 import sys
 
+import codec
 import determinism
 import layering
 import protocol
@@ -36,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simlint",
         description="Project-specific static analysis for the sgxmig "
                     "simulator (determinism, protocol exhaustiveness, "
-                    "CMake-derived layering, Python hygiene).")
+                    "CMake-derived layering, hand-written codecs, Python "
+                    "hygiene).")
     parser.add_argument("--root", type=_path, default=pathlib.Path.cwd(),
                         help="repository root (default: cwd)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--tests-dir", type=_path, default=None)
 
     sub.add_parser("layering", help="CMake-derived include-graph check")
+    sub.add_parser("hand-codec", help="hand-written binary readers")
 
     pyc = sub.add_parser("pycheck", help="Python byte-compile + AST lint")
     pyc.add_argument("paths", nargs="*", type=_path,
@@ -105,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
         checkers.append(("determinism", run_determinism(args)))
     if args.command in ("protocol", "all"):
         checkers.append(("protocol", run_protocol(args)))
+    if args.command in ("hand-codec", "all"):
+        checkers.append(("hand-codec", codec.check(args.root)))
     if args.command in ("pycheck", "all"):
         checkers.append(("pycheck", pycheck.check(
             args.root, getattr(args, "paths", None))))

@@ -1,16 +1,12 @@
 #include "apps/kvstore.h"
 
+#include "apps/state_version.h"
 #include "support/serde.h"
 
 namespace sgxmig::apps {
 
 namespace {
-Bytes version_aad(uint32_t version) {
-  BinaryWriter w;
-  w.str("kvstore-state");
-  w.u32(version);
-  return w.take();
-}
+constexpr char kStateLabel[] = "kvstore-state";
 }  // namespace
 
 KvStoreEnclave::KvStoreEnclave(sgx::PlatformIface& platform,
@@ -23,7 +19,7 @@ Status KvStoreEnclave::ecall_setup() {
   if (setup_done_) return Status::kAlreadyExists;
   auto counter = library().create_migratable_counter();
   if (!counter.ok()) return counter.status();
-  version_counter_ = counter.value().counter_id;
+  state_.version_counter = counter.value().counter_id;
   setup_done_ = true;
   return Status::kOk;
 }
@@ -32,7 +28,7 @@ Status KvStoreEnclave::ecall_put(const std::string& key, ByteView value) {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
   if (library().frozen()) return Status::kMigrationFrozen;
-  entries_[key] = to_bytes(value);
+  state_.entries[key] = to_bytes(value);
   return Status::kOk;
 }
 
@@ -40,8 +36,8 @@ Result<Bytes> KvStoreEnclave::ecall_get(const std::string& key) {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
   if (library().frozen()) return Status::kMigrationFrozen;
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return Status::kStorageMissing;
+  const auto it = state_.entries.find(key);
+  if (it == state_.entries.end()) return Status::kStorageMissing;
   return it->second;
 }
 
@@ -49,33 +45,23 @@ Status KvStoreEnclave::ecall_erase(const std::string& key) {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
   if (library().frozen()) return Status::kMigrationFrozen;
-  return entries_.erase(key) != 0 ? Status::kOk : Status::kStorageMissing;
+  return state_.entries.erase(key) != 0 ? Status::kOk : Status::kStorageMissing;
 }
 
 Result<uint64_t> KvStoreEnclave::ecall_size() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
-  return static_cast<uint64_t>(entries_.size());
-}
-
-Bytes KvStoreEnclave::serialize_store() const {
-  BinaryWriter w;
-  w.u32(*version_counter_);
-  w.u32(static_cast<uint32_t>(entries_.size()));
-  for (const auto& [key, value] : entries_) {
-    w.str(key);
-    w.bytes(value);
-  }
-  return w.take();
+  return static_cast<uint64_t>(state_.entries.size());
 }
 
 Result<Bytes> KvStoreEnclave::ecall_persist() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
-  auto version = library().increment_migratable_counter(*version_counter_);
+  auto version = library().increment_migratable_counter(state_.version_counter);
   if (!version.ok()) return version.status();
-  return library().seal_migratable_data(version_aad(version.value()),
-                                        serialize_store());
+  return library().seal_migratable_data(
+      encode_record(StateVersion{kStateLabel, version.value()}),
+      encode_record(state_));
 }
 
 Status KvStoreEnclave::ecall_restore(ByteView blob) {
@@ -83,33 +69,18 @@ Status KvStoreEnclave::ecall_restore(ByteView blob) {
   if (setup_done_) return Status::kInvalidState;
   auto unsealed = library().unseal_migratable_data(blob);
   if (!unsealed.ok()) return unsealed.status();
-  BinaryReader aad(unsealed.value().aad);
-  if (aad.str(64) != "kvstore-state") return Status::kTampered;
-  const uint32_t stored_version = aad.u32();
-  if (!aad.done()) return Status::kTampered;
+  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
+  if (!stored_version.ok()) return stored_version.status();
+  auto state = decode_record<KvStoreState>(unsealed.value().plaintext);
+  if (!state.ok()) return state.status();
 
-  BinaryReader r(unsealed.value().plaintext);
-  const uint32_t counter_id = r.u32();
-  const uint32_t count = r.u32();
-  if (count > 1000000) return Status::kTampered;
-  std::map<std::string, Bytes> entries;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string key = r.str(1u << 16);
-    entries[std::move(key)] = r.bytes(1u << 24);
-  }
-  if (!r.done()) return Status::kTampered;
-
-  version_counter_ = counter_id;
-  auto current = library().read_migratable_counter(counter_id);
-  if (!current.ok()) {
-    version_counter_.reset();
-    return current.status();
-  }
-  if (current.value() != stored_version) {
-    version_counter_.reset();
+  auto current =
+      library().read_migratable_counter(state.value().version_counter);
+  if (!current.ok()) return current.status();
+  if (current.value() != stored_version.value()) {
     return Status::kReplayDetected;
   }
-  entries_ = std::move(entries);
+  state_ = std::move(state).value();
   setup_done_ = true;
   return Status::kOk;
 }

@@ -12,6 +12,22 @@
 
 namespace sgxmig::apps {
 
+/// The sealed store: the id of the migratable counter that versions it,
+/// then every entry.
+struct KvStoreState {
+  uint32_t version_counter = 0;
+  std::map<std::string, Bytes> entries;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.version_counter);
+    io.map(m.entries, 1000000, [](auto& f, auto& key, auto& value) {
+      f.str(key, 1u << 16);
+      f.bytes(value, 1u << 24);
+    });
+  }
+};
+
 class KvStoreEnclave : public migration::MigratableEnclave {
  public:
   /// `persistence` selects the Migration Library's PersistenceEngine
@@ -36,11 +52,8 @@ class KvStoreEnclave : public migration::MigratableEnclave {
   Status ecall_restore(ByteView blob);
 
  private:
-  Bytes serialize_store() const;
-
   bool setup_done_ = false;
-  std::map<std::string, Bytes> entries_;
-  std::optional<uint32_t> version_counter_;
+  KvStoreState state_;
 };
 
 }  // namespace sgxmig::apps

@@ -1,5 +1,6 @@
 #include "apps/teechan.h"
 
+#include "apps/state_version.h"
 #include "support/serde.h"
 
 namespace sgxmig::apps {
@@ -7,13 +8,7 @@ namespace sgxmig::apps {
 namespace {
 constexpr char kPaymentLabel[] = "TEECHAN-PAYMENT-v1";
 constexpr char kSettlementLabel[] = "TEECHAN-SETTLE-v1";
-
-Bytes version_aad(uint32_t version) {
-  BinaryWriter w;
-  w.str("teechan-state");
-  w.u32(version);
-  return w.take();
-}
+constexpr char kStateLabel[] = "teechan-state";
 }  // namespace
 
 Bytes PaymentMessage::signed_message() const {
@@ -60,7 +55,7 @@ Status TeechanEnclave::ecall_open_channel(uint64_t channel_id, bool is_party_a,
                                           uint64_t deposit_b) {
   auto scope = enter_ecall();
   if (channel_.has_value()) return Status::kAlreadyExists;
-  ChannelState state;
+  TeechanChannelState state;
   state.channel_id = channel_id;
   state.is_party_a = is_party_a;
   state.balance_a = deposit_a;
@@ -69,7 +64,7 @@ Status TeechanEnclave::ecall_open_channel(uint64_t channel_id, bool is_party_a,
   // The non-replayable version number comes from a migratable counter.
   auto counter = library().create_migratable_counter();
   if (!counter.ok()) return counter.status();
-  version_counter_ = counter.value().counter_id;
+  state.version_counter = counter.value().counter_id;
   channel_ = state;
   signing_key_ = crypto::Ed25519KeyPair::from_seed(state.signing_seed);
   return Status::kOk;
@@ -150,58 +145,21 @@ Result<uint64_t> TeechanEnclave::ecall_my_balance() {
   return my_balance_ref();
 }
 
-Result<uint64_t> TeechanEnclave::ecall_peer_balance() {
-  auto scope = enter_ecall();
-  if (!channel_.has_value()) return Status::kNotInitialized;
-  return peer_balance_ref();
-}
-
 Result<uint32_t> TeechanEnclave::ecall_sequence() {
   auto scope = enter_ecall();
   if (!channel_.has_value()) return Status::kNotInitialized;
   return channel_->sequence;
 }
 
-Bytes TeechanEnclave::serialize_channel() const {
-  BinaryWriter w;
-  w.u64(channel_->channel_id);
-  w.boolean(channel_->is_party_a);
-  w.u64(channel_->balance_a);
-  w.u64(channel_->balance_b);
-  w.u32(channel_->sequence);
-  w.fixed(channel_->signing_seed);
-  w.fixed(channel_->peer_key);
-  w.boolean(channel_->peer_key_set);
-  w.u32(*version_counter_);
-  return w.take();
-}
-
-Status TeechanEnclave::deserialize_channel(ByteView bytes) {
-  BinaryReader r(bytes);
-  ChannelState state;
-  state.channel_id = r.u64();
-  state.is_party_a = r.boolean();
-  state.balance_a = r.u64();
-  state.balance_b = r.u64();
-  state.sequence = r.u32();
-  state.signing_seed = r.fixed<32>();
-  state.peer_key = r.fixed<32>();
-  state.peer_key_set = r.boolean();
-  const uint32_t counter_id = r.u32();
-  if (!r.done()) return Status::kTampered;
-  channel_ = state;
-  signing_key_ = crypto::Ed25519KeyPair::from_seed(state.signing_seed);
-  version_counter_ = counter_id;
-  return Status::kOk;
-}
-
 Result<Bytes> TeechanEnclave::ecall_persist_channel() {
   auto scope = enter_ecall();
   if (!channel_.has_value()) return Status::kNotInitialized;
-  auto version = library().increment_migratable_counter(*version_counter_);
+  auto version =
+      library().increment_migratable_counter(channel_->version_counter);
   if (!version.ok()) return version.status();
-  return library().seal_migratable_data(version_aad(version.value()),
-                                        serialize_channel());
+  return library().seal_migratable_data(
+      encode_record(StateVersion{kStateLabel, version.value()}),
+      encode_record(*channel_));
 }
 
 Status TeechanEnclave::ecall_restore_channel(ByteView blob) {
@@ -209,22 +167,19 @@ Status TeechanEnclave::ecall_restore_channel(ByteView blob) {
   if (channel_.has_value()) return Status::kInvalidState;
   auto unsealed = library().unseal_migratable_data(blob);
   if (!unsealed.ok()) return unsealed.status();
-  BinaryReader aad(unsealed.value().aad);
-  if (aad.str(64) != "teechan-state") return Status::kTampered;
-  const uint32_t stored_version = aad.u32();
-  if (!aad.done()) return Status::kTampered;
+  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
+  if (!stored_version.ok()) return stored_version.status();
+  auto state = decode_record<TeechanChannelState>(unsealed.value().plaintext);
+  if (!state.ok()) return state.status();
 
-  const Status status = deserialize_channel(unsealed.value().plaintext);
-  if (status != Status::kOk) return status;
-  auto current = library().read_migratable_counter(*version_counter_);
-  if (!current.ok()) {
-    channel_.reset();
-    return current.status();
-  }
-  if (current.value() != stored_version) {
-    channel_.reset();
+  auto current =
+      library().read_migratable_counter(state.value().version_counter);
+  if (!current.ok()) return current.status();
+  if (current.value() != stored_version.value()) {
     return Status::kReplayDetected;
   }
+  channel_ = state.value();
+  signing_key_ = crypto::Ed25519KeyPair::from_seed(channel_->signing_seed);
   return Status::kOk;
 }
 

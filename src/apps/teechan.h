@@ -53,6 +53,33 @@ struct SettlementMessage {
   bool verify() const;
 };
 
+/// One side of a payment channel, as sealed by ecall_persist_channel:
+/// the channel and the id of the migratable counter that versions it.
+struct TeechanChannelState {
+  uint64_t channel_id = 0;
+  bool is_party_a = true;
+  uint64_t balance_a = 0;
+  uint64_t balance_b = 0;
+  uint32_t sequence = 0;
+  crypto::Ed25519Seed signing_seed{};
+  crypto::Ed25519PublicKey peer_key{};
+  bool peer_key_set = false;
+  uint32_t version_counter = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.channel_id);
+    io.u8(m.is_party_a);
+    io.u64(m.balance_a);
+    io.u64(m.balance_b);
+    io.u32(m.sequence);
+    io.fixed(m.signing_seed);
+    io.fixed(m.peer_key);
+    io.u8(m.peer_key_set);
+    io.u32(m.version_counter);
+  }
+};
+
 class TeechanEnclave : public migration::MigratableEnclave {
  public:
   /// `persistence` selects the Migration Library's PersistenceEngine
@@ -79,7 +106,6 @@ class TeechanEnclave : public migration::MigratableEnclave {
   Status ecall_receive_payment(const PaymentMessage& message);
 
   Result<uint64_t> ecall_my_balance();
-  Result<uint64_t> ecall_peer_balance();
   Result<uint32_t> ecall_sequence();
 
   /// Persists the channel state with a fresh counter version (the Teechan
@@ -92,25 +118,11 @@ class TeechanEnclave : public migration::MigratableEnclave {
   Result<SettlementMessage> ecall_settle();
 
  private:
-  struct ChannelState {
-    uint64_t channel_id = 0;
-    bool is_party_a = true;
-    uint64_t balance_a = 0;
-    uint64_t balance_b = 0;
-    uint32_t sequence = 0;
-    crypto::Ed25519Seed signing_seed{};
-    crypto::Ed25519PublicKey peer_key{};
-    bool peer_key_set = false;
-  };
-
-  Bytes serialize_channel() const;
-  Status deserialize_channel(ByteView bytes);
   uint64_t& my_balance_ref();
   uint64_t& peer_balance_ref();
 
-  std::optional<ChannelState> channel_;
+  std::optional<TeechanChannelState> channel_;
   std::optional<crypto::Ed25519KeyPair> signing_key_;
-  std::optional<uint32_t> version_counter_;
 };
 
 }  // namespace sgxmig::apps

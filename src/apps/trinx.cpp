@@ -1,5 +1,6 @@
 #include "apps/trinx.h"
 
+#include "apps/state_version.h"
 #include "crypto/sha256.h"
 #include "support/serde.h"
 
@@ -7,13 +8,7 @@ namespace sgxmig::apps {
 
 namespace {
 constexpr char kCertLabel[] = "TRINX-CERT-v1";
-
-Bytes version_aad(uint32_t version) {
-  BinaryWriter w;
-  w.str("trinx-state");
-  w.u32(version);
-  return w.take();
-}
+constexpr char kStateLabel[] = "trinx-state";
 }  // namespace
 
 Bytes TrinxCertificate::signed_message() const {
@@ -38,11 +33,11 @@ TrinxEnclave::TrinxEnclave(sgx::PlatformIface& platform,
 Status TrinxEnclave::ecall_setup() {
   auto scope = enter_ecall();
   if (setup_done_) return Status::kAlreadyExists;
-  rng().generate(signing_seed_.data(), signing_seed_.size());
-  signing_key_ = crypto::Ed25519KeyPair::from_seed(signing_seed_);
+  rng().generate(state_.signing_seed.data(), state_.signing_seed.size());
+  signing_key_ = crypto::Ed25519KeyPair::from_seed(state_.signing_seed);
   auto counter = library().create_migratable_counter();
   if (!counter.ok()) return counter.status();
-  version_counter_ = counter.value().counter_id;
+  state_.version_counter = counter.value().counter_id;
   setup_done_ = true;
   return Status::kOk;
 }
@@ -57,8 +52,8 @@ Result<uint32_t> TrinxEnclave::ecall_create_trinx_counter() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
   if (library().frozen()) return Status::kMigrationFrozen;
-  const uint32_t id = next_trinx_id_++;
-  trinx_counters_[id] = 0;
+  const uint32_t id = state_.next_trinx_id++;
+  state_.counters[id] = 0;
   return id;
 }
 
@@ -67,8 +62,8 @@ Result<TrinxCertificate> TrinxEnclave::ecall_certify(uint32_t counter_id,
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
   if (library().frozen()) return Status::kMigrationFrozen;
-  const auto it = trinx_counters_.find(counter_id);
-  if (it == trinx_counters_.end()) return Status::kCounterNotFound;
+  const auto it = state_.counters.find(counter_id);
+  if (it == state_.counters.end()) return Status::kCounterNotFound;
   ++it->second;
 
   TrinxCertificate cert;
@@ -82,51 +77,19 @@ Result<TrinxCertificate> TrinxEnclave::ecall_certify(uint32_t counter_id,
 
 Result<uint64_t> TrinxEnclave::ecall_counter_value(uint32_t counter_id) {
   auto scope = enter_ecall();
-  const auto it = trinx_counters_.find(counter_id);
-  if (it == trinx_counters_.end()) return Status::kCounterNotFound;
+  const auto it = state_.counters.find(counter_id);
+  if (it == state_.counters.end()) return Status::kCounterNotFound;
   return it->second;
-}
-
-Bytes TrinxEnclave::serialize_state() const {
-  BinaryWriter w;
-  w.fixed(signing_seed_);
-  w.u32(next_trinx_id_);
-  w.u32(static_cast<uint32_t>(trinx_counters_.size()));
-  for (const auto& [id, value] : trinx_counters_) {
-    w.u32(id);
-    w.u64(value);
-  }
-  w.u32(*version_counter_);
-  return w.take();
-}
-
-Status TrinxEnclave::deserialize_state(ByteView bytes) {
-  BinaryReader r(bytes);
-  signing_seed_ = r.fixed<32>();
-  next_trinx_id_ = r.u32();
-  const uint32_t count = r.u32();
-  if (count > 100000) return Status::kTampered;
-  std::map<uint32_t, uint64_t> counters;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t id = r.u32();
-    counters[id] = r.u64();
-  }
-  const uint32_t version_id = r.u32();
-  if (!r.done()) return Status::kTampered;
-  trinx_counters_ = std::move(counters);
-  version_counter_ = version_id;
-  signing_key_ = crypto::Ed25519KeyPair::from_seed(signing_seed_);
-  setup_done_ = true;
-  return Status::kOk;
 }
 
 Result<Bytes> TrinxEnclave::ecall_persist() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
-  auto version = library().increment_migratable_counter(*version_counter_);
+  auto version = library().increment_migratable_counter(state_.version_counter);
   if (!version.ok()) return version.status();
-  return library().seal_migratable_data(version_aad(version.value()),
-                                        serialize_state());
+  return library().seal_migratable_data(
+      encode_record(StateVersion{kStateLabel, version.value()}),
+      encode_record(state_));
 }
 
 Status TrinxEnclave::ecall_restore(ByteView blob) {
@@ -134,22 +97,20 @@ Status TrinxEnclave::ecall_restore(ByteView blob) {
   if (setup_done_) return Status::kInvalidState;
   auto unsealed = library().unseal_migratable_data(blob);
   if (!unsealed.ok()) return unsealed.status();
-  BinaryReader aad(unsealed.value().aad);
-  if (aad.str(64) != "trinx-state") return Status::kTampered;
-  const uint32_t stored_version = aad.u32();
-  if (!aad.done()) return Status::kTampered;
+  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
+  if (!stored_version.ok()) return stored_version.status();
+  auto state = decode_record<TrinxState>(unsealed.value().plaintext);
+  if (!state.ok()) return state.status();
 
-  const Status status = deserialize_state(unsealed.value().plaintext);
-  if (status != Status::kOk) return status;
-  auto current = library().read_migratable_counter(*version_counter_);
-  if (!current.ok()) {
-    setup_done_ = false;
-    return current.status();
-  }
-  if (current.value() != stored_version) {
-    setup_done_ = false;
+  auto current =
+      library().read_migratable_counter(state.value().version_counter);
+  if (!current.ok()) return current.status();
+  if (current.value() != stored_version.value()) {
     return Status::kReplayDetected;
   }
+  state_ = std::move(state).value();
+  signing_key_ = crypto::Ed25519KeyPair::from_seed(state_.signing_seed);
+  setup_done_ = true;
   return Status::kOk;
 }
 

@@ -45,6 +45,26 @@ struct TrinxCertificate {
   bool verify() const;
 };
 
+/// TrInX's sealed state: the certification key seed, every TrInX counter
+/// and the id of the migratable counter that versions the state.
+struct TrinxState {
+  crypto::Ed25519Seed signing_seed{};
+  uint32_t next_trinx_id = 0;
+  std::map<uint32_t, uint64_t> counters;
+  uint32_t version_counter = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.signing_seed);
+    io.u32(m.next_trinx_id);
+    io.map(m.counters, 100000, [](auto& f, auto& id, auto& value) {
+      f.u32(id);
+      f.u64(value);
+    });
+    io.u32(m.version_counter);
+  }
+};
+
 class TrinxEnclave : public migration::MigratableEnclave {
  public:
   /// `persistence` selects the Migration Library's PersistenceEngine
@@ -77,15 +97,9 @@ class TrinxEnclave : public migration::MigratableEnclave {
   Status ecall_restore(ByteView blob);
 
  private:
-  Bytes serialize_state() const;
-  Status deserialize_state(ByteView bytes);
-
   bool setup_done_ = false;
-  crypto::Ed25519Seed signing_seed_{};
+  TrinxState state_;
   std::optional<crypto::Ed25519KeyPair> signing_key_;
-  std::map<uint32_t, uint64_t> trinx_counters_;
-  uint32_t next_trinx_id_ = 0;
-  std::optional<uint32_t> version_counter_;
 };
 
 }  // namespace sgxmig::apps

@@ -6,13 +6,8 @@
 namespace sgxmig::apps {
 
 namespace {
-constexpr char kBlobMagic[] = "VERSIONED-STATE-v1";
-constexpr char kKdcBlobMagic[] = "VERSIONED-STATE-KDC-v1";
-
 Bytes version_aad(uint32_t version) {
-  BinaryWriter w;
-  w.u32(version);
-  return w.take();
+  return encode_record(VersionedAad{version});
 }
 }  // namespace
 
@@ -51,12 +46,6 @@ Result<Bytes> VersionedStateEnclave::ecall_get_state() {
   return app_state_;
 }
 
-Bytes VersionedStateEnclave::state_payload() const {
-  BinaryWriter w;
-  w.bytes(app_state_);
-  return w.take();
-}
-
 Result<PersistedState> VersionedStateEnclave::ecall_persist() {
   auto scope = enter_ecall();
   const Status spin = spin_check();
@@ -71,8 +60,9 @@ Result<PersistedState> VersionedStateEnclave::ecall_persist() {
       }
       auto version = library().increment_migratable_counter(*migratable_counter_);
       if (!version.ok()) return version.status();
-      auto sealed = library().seal_migratable_data(version_aad(version.value()),
-                                                   state_payload());
+      auto sealed = library().seal_migratable_data(
+          version_aad(version.value()),
+          encode_record(VersionedPayload{app_state_}));
       if (!sealed.ok()) return sealed.status();
       PersistedState out;
       out.blob = std::move(sealed).value();
@@ -95,28 +85,21 @@ Result<PersistedState> VersionedStateEnclave::ecall_persist() {
       out.counter_uuid = *native_counter_;
       if (mode_ == PersistenceMode::kNativeSeal) {
         auto sealed = seal(sgx::KeyPolicy::kMrEnclave,
-                           version_aad(version.value()), state_payload());
+                           version_aad(version.value()),
+                           encode_record(VersionedPayload{app_state_}));
         if (!sealed.ok()) return sealed.status();
-        BinaryWriter w;
-        w.str(kBlobMagic);
-        w.bytes(sealed.value());
-        out.blob = w.take();
+        out.blob = encode_record(NativeStateBlob{std::move(sealed).value()});
       } else {
         if (!kdc_key_.has_value()) return Status::kNotInitialized;
         Bytes iv(crypto::kGcmIvSize);
         rng().generate(iv.data(), iv.size());
         charge_gcm(app_state_.size());
-        const auto ct =
+        auto ct =
             crypto::gcm_encrypt(ByteView(kdc_key_->data(), kdc_key_->size()),
                                 iv, version_aad(version.value()),
-                                state_payload());
-        BinaryWriter w;
-        w.str(kKdcBlobMagic);
-        w.u32(version.value());
-        w.fixed(ct.iv);
-        w.fixed(ct.tag);
-        w.bytes(ct.ciphertext);
-        out.blob = w.take();
+                                encode_record(VersionedPayload{app_state_}));
+        out.blob = encode_record(KdcStateBlob{version.value(), ct.iv, ct.tag,
+                                              std::move(ct.ciphertext)});
       }
       return out;
     }
@@ -134,30 +117,25 @@ Status VersionedStateEnclave::ecall_restore(ByteView blob,
   uint32_t stored_version = 0;
   Bytes payload;
   if (mode_ == PersistenceMode::kNativeSeal) {
-    BinaryReader r(blob);
-    if (r.str(64) != kBlobMagic) return Status::kTampered;
-    const Bytes sealed = r.bytes(1u << 24);
-    if (!r.done()) return Status::kTampered;
-    auto unsealed = unseal(sealed);
+    auto native = decode_record<NativeStateBlob>(blob);
+    if (!native.ok()) return Status::kTampered;
+    auto unsealed = unseal(native.value().sealed);
     if (!unsealed.ok()) return unsealed.status();
-    BinaryReader aad(unsealed.value().aad);
-    stored_version = aad.u32();
-    if (!aad.done()) return Status::kTampered;
-    payload = unsealed.value().plaintext;
+    auto aad = decode_record<VersionedAad>(unsealed.value().aad);
+    if (!aad.ok()) return Status::kTampered;
+    stored_version = aad.value().version;
+    payload = std::move(unsealed.value().plaintext);
   } else {
     if (!kdc_key_.has_value()) return Status::kNotInitialized;
-    BinaryReader r(blob);
-    if (r.str(64) != kKdcBlobMagic) return Status::kTampered;
-    stored_version = r.u32();
-    const auto iv = r.fixed<12>();
-    const auto tag = r.fixed<16>();
-    const Bytes ciphertext = r.bytes(1u << 24);
-    if (!r.done()) return Status::kTampered;
-    charge_gcm(ciphertext.size());
+    auto kdc = decode_record<KdcStateBlob>(blob);
+    if (!kdc.ok()) return Status::kTampered;
+    const KdcStateBlob& b = kdc.value();
+    stored_version = b.version;
+    charge_gcm(b.ciphertext.size());
     auto plain = crypto::gcm_decrypt(
         ByteView(kdc_key_->data(), kdc_key_->size()),
-        ByteView(iv.data(), iv.size()), version_aad(stored_version),
-        ciphertext, ByteView(tag.data(), tag.size()));
+        ByteView(b.iv.data(), b.iv.size()), version_aad(stored_version),
+        b.ciphertext, ByteView(b.tag.data(), b.tag.size()));
     if (!plain.ok()) return plain.status();
     payload = std::move(plain).value();
   }
@@ -168,9 +146,9 @@ Status VersionedStateEnclave::ecall_restore(ByteView blob,
   if (!current.ok()) return current.status();
   if (current.value() != stored_version) return Status::kReplayDetected;
 
-  BinaryReader p(payload);
-  app_state_ = p.bytes(1u << 24);
-  if (!p.done()) return Status::kTampered;
+  auto state = decode_record<VersionedPayload>(payload);
+  if (!state.ok()) return Status::kTampered;
+  app_state_ = std::move(state.value().state);
   native_counter_ = uuid;
   return Status::kOk;
 }
@@ -182,18 +160,17 @@ Status VersionedStateEnclave::ecall_restore_migratable(ByteView blob) {
   if (mode_ != PersistenceMode::kMigratable) return Status::kInvalidState;
   auto unsealed = library().unseal_migratable_data(blob);
   if (!unsealed.ok()) return unsealed.status();
-  BinaryReader aad(unsealed.value().aad);
-  const uint32_t stored_version = aad.u32();
-  if (!aad.done()) return Status::kTampered;
+  auto aad = decode_record<VersionedAad>(unsealed.value().aad);
+  if (!aad.ok()) return Status::kTampered;
 
   if (!migratable_counter_.has_value()) migratable_counter_ = 0;
   auto current = library().read_migratable_counter(*migratable_counter_);
   if (!current.ok()) return current.status();
-  if (current.value() != stored_version) return Status::kReplayDetected;
+  if (current.value() != aad.value().version) return Status::kReplayDetected;
 
-  BinaryReader p(unsealed.value().plaintext);
-  app_state_ = p.bytes(1u << 24);
-  if (!p.done()) return Status::kTampered;
+  auto state = decode_record<VersionedPayload>(unsealed.value().plaintext);
+  if (!state.ok()) return Status::kTampered;
+  app_state_ = std::move(state.value().state);
   return Status::kOk;
 }
 
@@ -209,19 +186,15 @@ Result<uint32_t> VersionedStateEnclave::ecall_current_version() {
 
 Result<Bytes> VersionedStateEnclave::ecall_export_memory_image() {
   auto scope = enter_ecall();
-  BinaryWriter w;
-  w.bytes(app_state_);
-  w.boolean(kdc_key_.has_value());
-  if (kdc_key_.has_value()) w.fixed(*kdc_key_);
-  return w.take();
+  return encode_record(MemoryImage{app_state_, kdc_key_});
 }
 
 Status VersionedStateEnclave::ecall_import_memory_image(ByteView image) {
   auto scope = enter_ecall();
-  BinaryReader r(image);
-  app_state_ = r.bytes(1u << 24);
-  if (r.boolean()) kdc_key_ = r.fixed<16>();
-  if (!r.ok()) return Status::kTampered;
+  auto decoded = decode_record<MemoryImage>(image);
+  if (!decoded.ok()) return Status::kTampered;
+  app_state_ = std::move(decoded.value().app_state);
+  if (decoded.value().kdc_key.has_value()) kdc_key_ = decoded.value().kdc_key;
   // The destination has no counter yet; the next persist creates one —
   // exactly the behaviour the §III scripts exploit.
   native_counter_.reset();

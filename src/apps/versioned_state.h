@@ -33,6 +33,71 @@ enum class PersistenceMode : uint8_t {
   kMigratable = 3,
 };
 
+/// Largest application state a blob carries.
+inline constexpr size_t kMaxVersionedState = 1u << 24;
+
+/// The plaintext every mode seals: the application state.
+struct VersionedPayload {
+  Bytes state;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.bytes(m.state, kMaxVersionedState);
+  }
+};
+
+/// The AAD every mode seals under: the counter version.
+struct VersionedAad {
+  uint32_t version = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.version);
+  }
+};
+
+/// kNativeSeal's blob: a standard sealed blob behind the mode's magic.
+struct NativeStateBlob {
+  Bytes sealed;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("VERSIONED-STATE-v1", 64);
+    io.bytes(m.sealed, kMaxVersionedState);
+  }
+};
+
+/// kKdcSeal's blob: the version in the clear (GCM authenticates it as the
+/// AAD) and the payload under the KDC key.
+struct KdcStateBlob {
+  uint32_t version = 0;
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("VERSIONED-STATE-KDC-v1", 64);
+    io.u32(m.version);
+    io.fixed(m.iv);
+    io.fixed(m.tag);
+    io.bytes(m.ciphertext, kMaxVersionedState);
+  }
+};
+
+/// What Gu et al.'s mechanism copies out of the EPC: the application
+/// state and the KDC key.
+struct MemoryImage {
+  Bytes app_state;
+  std::optional<sgx::Key128> kdc_key;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.bytes(m.app_state, kMaxVersionedState);
+    io.optional(m.kdc_key, [](auto& f, auto& key) { f.fixed(key); });
+  }
+};
+
 /// Result of a persist operation: the blob to store, plus (for native/KDC
 /// modes) the machine-local counter UUID the application must remember —
 /// the UUID is not secret, only a name.
@@ -77,7 +142,6 @@ class VersionedStateEnclave : public migration::MigratableEnclave {
   Status ecall_import_memory_image(ByteView image);
 
  private:
-  Bytes state_payload() const;
   Status spin_check() const;
 
   PersistenceMode mode_;

@@ -111,4 +111,22 @@ struct ResidentState {
   void deactivate(uint32_t index);
 };
 
+/// A blob sealed under the MSK (§VI-B "Sealing"): no key request rides
+/// along, because the MSK is the one key and migrates with the enclave.
+struct MskSealedBlob {
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Bytes aad;
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-MSK-SEALED-v1", 64);
+    io.fixed(m.iv);
+    io.fixed(m.tag);
+    io.bytes(m.aad, BinaryReader::kDefaultMaxLen);
+    io.bytes(m.ciphertext, BinaryReader::kDefaultMaxLen);
+  }
+};
+
 }  // namespace sgxmig::migration

@@ -11,19 +11,10 @@
 namespace sgxmig::migration {
 
 namespace {
-constexpr char kDoneMarker[] = "SGXMIG-DONE";
 constexpr char kAcceptedMarker[] = "SGXMIG-ACCEPTED";
 constexpr char kPrecopyAckMarker[] = "SGXMIG-PC-ACK";
 constexpr char kPrecopyFinMarker[] = "SGXMIG-PC-FIN";
-constexpr char kReconcileMarker[] = "SGXMIG-RECON";
-constexpr char kAbortMarker[] = "SGXMIG-ABORT";
 constexpr char kQueueAad[] = "SGXMIG-ME-QUEUE";
-// The only queue format written or read; a snapshot with any other magic
-// is refused as tampered.
-constexpr char kQueueMagicV4[] = "SGXMIG-ME-QUEUE-v4";
-// Confirmed-transfer history bound: enough to absorb duplicate DONEs from
-// any realistic relay-retry window without growing with fleet lifetime.
-constexpr size_t kCompletedHistoryLimit = 4096;
 // Freeze-aware arm pacing: at most this many armed payloads may be in
 // flight before the poll stops reporting kSlotLive for parked (kAwaitArm)
 // tasks.  Keeps the freeze window of each reserved task bounded by its
@@ -484,13 +475,13 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   // session) confirms from a session that is NOT the pinned one; the
   // token — which only the fetch reply's recipient can hold —
   // re-establishes ownership.
-  BinaryReader payload(msg.payload);
-  const uint64_t token = payload.u64();
-  if (!payload.done()) {
+  auto confirm = decode_record<ConfirmPayload>(msg.payload);
+  if (!confirm.ok()) {
     reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
     return reply;
   }
+  const uint64_t token = confirm.value().delivery_token;
   auto it = incoming_.find(session.peer.mr_enclave);
   if (it != incoming_.end() && !it->second.assembled()) it = incoming_.end();
   const bool owner =
@@ -532,12 +523,10 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   const auto inbound_it = inbound_.find(transfer_id);
   std::optional<DoneRelay> relay;
   if (inbound_it != inbound_.end() && inbound_it->second.channel.has_value()) {
-    BinaryWriter done;
-    done.str(kDoneMarker);
-    done.u64(transfer_id);
     DoneRelay r;
     r.source_me_address = source_address;
-    r.sealed_record = inbound_it->second.channel->seal_record(done.data());
+    r.sealed_record = inbound_it->second.channel->seal_record(
+        encode_record(DoneRecord{transfer_id}));
     relay = std::move(r);
     inbound_.erase(inbound_it);
   }
@@ -631,9 +620,7 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
                  : attempt_state(session.peer.mr_enclave, nonce);
   reply.type = LibMsgType::kStatusReport;
   reply.status = Status::kOk;
-  BinaryWriter w;
-  w.u8(static_cast<uint8_t>(state));
-  reply.payload = w.take();
+  reply.payload = encode_record(StatusReportPayload{state});
   return reply;
 }
 
@@ -761,13 +748,11 @@ Status MigrationEnclave::attest_on_ra_msg2(const AttestRunPtr& run,
     return run->done(id, Status::kIdentityMismatch);
   }
   // Provider authentication (both directions).
-  BinaryWriter m3_payload;
-  m3_payload.bytes(msg3.value().serialize());
-  m3_payload.bytes(make_provider_auth(run->ra->transcript_hash()).serialize());
   MeRequest m3;
   m3.type = MeMsgType::kRaMsg3;
   m3.id = id;
-  m3.payload = m3_payload.take();
+  m3.payload = encode_record(RaMsg3Payload{
+      msg3.value(), make_provider_auth(run->ra->transcript_hash())});
   return attest_send(run, m3, "await-auth", &MigrationEnclave::attest_on_auth);
 }
 
@@ -776,27 +761,24 @@ Status MigrationEnclave::attest_on_auth(const AttestRunPtr& run,
   const uint64_t id = run->transfer_id;
   auto reply = open_task_reply(raw);
   if (!reply.ok()) return run->done(id, reply.status());
-  BinaryReader r(reply.value());
-  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
-  if (!peer_auth.ok()) return run->done(id, Status::kTampered);
-  const uint64_t peer_epoch = r.u64();
-  if (!r.done()) return run->done(id, Status::kTampered);
+  auto peer = decode_record<RaMsg3Reply>(reply.value());
+  if (!peer.ok()) return run->done(id, Status::kTampered);
+  const ProviderAuth& peer_auth = peer.value().auth;
   std::string peer_region;
   const Status auth_status =
-      verify_provider_auth(peer_auth.value(), run->ra->transcript_hash(),
+      verify_provider_auth(peer_auth, run->ra->transcript_hash(),
                            run->destination, &peer_region);
   if (auth_status != Status::kOk) return run->done(id, auth_status);
   // Migration policy (paper §X extension): evaluated against the
   // destination's provider-CERTIFIED attributes, not self-claimed ones.
-  const Status policy_status =
-      run->policy.evaluate(peer_auth.value().credential);
+  const Status policy_status = run->policy.evaluate(peer_auth.credential);
   if (policy_status != Status::kOk) return run->done(id, policy_status);
 
   // Durability rides the caller's next persist_queue() — losing a cache
   // entry only costs a full handshake.
   peer_sessions_[run->destination] =
-      PeerSession{run->ra->session_key(), peer_epoch,
-                  peer_auth.value().credential, peer_region};
+      PeerSession{run->ra->session_key(), peer.value().epoch,
+                  peer_auth.credential, peer_region};
   ++full_handshakes_;
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->metrics.add("me.handshake.full");
@@ -1392,19 +1374,21 @@ Status MigrationEnclave::abort_remote_pending(
   AttemptRef request;
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
-  const auto safe = attested_query(destination_address, MeMsgType::kAbort,
-                                   request.serialize(), kAbortMarker);
-  if (!safe.ok()) return safe.status();
-  // safe == 0: the destination holds a DELIVERED entry for this nonce —
-  // an instance may still confirm it, so nothing may be forgotten here.
-  return safe.value() == 1 ? Status::kOk : Status::kMigrationInProgress;
+  const auto reply = attested_query<AbortReply>(
+      destination_address, MeMsgType::kAbort, request.serialize());
+  if (!reply.ok()) return reply.status();
+  // Not forgettable: the destination holds a DELIVERED entry for this
+  // nonce — an instance may still confirm it, so nothing may be forgotten
+  // here.
+  return reply.value().forgettable ? Status::kOk
+                                   : Status::kMigrationInProgress;
 }
 
-Result<uint8_t> MigrationEnclave::attested_query(const std::string& peer,
-                                                 MeMsgType type,
-                                                 const Bytes& request,
-                                                 std::string_view marker) {
-  uint8_t verdict = 0;
+template <typename Reply>
+Result<Reply> MigrationEnclave::attested_query(const std::string& peer,
+                                               MeMsgType type,
+                                               const Bytes& request) {
+  Reply verdict;
   const Status status = attest_peer(
       /*inline_step=*/true, peer, MigrationPolicy{}, AttestHooks{},
       [&](uint64_t transfer_id, Result<net::SecureChannel> channel) {
@@ -1418,12 +1402,9 @@ Result<uint8_t> MigrationEnclave::attested_query(const std::string& peer,
           if (!reply.ok()) return reply.status();
           auto record = channel.value().open_record(reply.value());
           if (!record.ok()) return record.status();
-          BinaryReader r(record.value());
-          const std::string got = r.str(64);
-          verdict = r.u8();
-          if (!r.done() || got != marker || verdict > 1) {
-            return Status::kTampered;
-          }
+          auto parsed = decode_record<Reply>(record.value());
+          if (!parsed.ok()) return parsed.status();
+          verdict = parsed.value();
           return Status::kOk;
         });
       });
@@ -1611,7 +1592,7 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   return reply;
 }
 
-std::vector<CounterChunk> MigrationEnclave::TransferTask::unacked_chunks()
+std::vector<CounterChunk> DurableQueue::TransferTask::unacked_chunks()
     const {
   std::vector<CounterChunk> chunks;
   for (const auto& [index, chunk] : merged) {
@@ -1629,7 +1610,7 @@ namespace {
 constexpr uint32_t kFinalizeShipAttempts = 3;
 }  // namespace
 
-Status MigrationEnclave::TransferTask::spend_finalize_try(Status status) {
+Status DurableQueue::TransferTask::spend_finalize_try(Status status) {
   // Past the budget, hand back to the library: its poll observes kNone
   // (or the sync reply carries the failure) and the still frozen enclave
   // re-sends the finalize (dedup'd by nonce).
@@ -1901,13 +1882,10 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
   }
   InboundTransfer& inbound = it->second;
 
-  BinaryReader r(req.payload);
-  const Bytes msg3_bytes = r.bytes(1u << 16);
-  const Bytes auth_bytes = r.bytes(1u << 16);
-  if (!r.done()) return error_response(Status::kTampered);
-  auto msg3 = sgx::RaMsg3::deserialize(msg3_bytes);
-  if (!msg3.ok()) return error_response(Status::kTampered);
-  const Status ra_status = inbound.ra->handle_msg3(msg3.value());
+  auto payload = decode_record<RaMsg3Payload>(req.payload);
+  if (!payload.ok()) return error_response(Status::kTampered);
+  const ProviderAuth& auth = payload.value().auth;
+  const Status ra_status = inbound.ra->handle_msg3(payload.value().msg3);
   if (ra_status != Status::kOk) {
     inbound_.erase(it);
     return error_response(ra_status);
@@ -1918,15 +1896,10 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
     return error_response(Status::kIdentityMismatch);
   }
   // Source provider authentication.
-  auto auth = ProviderAuth::deserialize(auth_bytes);
-  if (!auth.ok()) {
-    inbound_.erase(it);
-    return error_response(Status::kTampered);
-  }
   std::string source_region;
   const Status auth_status = verify_provider_auth(
-      auth.value(), inbound.ra->transcript_hash(),
-      /*expected_address=*/auth.value().credential.address, &source_region);
+      auth, inbound.ra->transcript_hash(),
+      /*expected_address=*/auth.credential.address, &source_region);
   if (auth_status != Status::kOk) {
     inbound_.erase(it);
     return error_response(auth_status);
@@ -1943,7 +1916,7 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
     }
   }
   inbound.source_region = source_region;
-  inbound.source_address = auth.value().credential.address;
+  inbound.source_address = auth.credential.address;
   inbound.authenticated = true;
   inbound.channel.emplace(inbound.ra->session_key(),
                           net::SecureChannel::Role::kResponder);
@@ -1959,16 +1932,14 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
 
   MeResponse resp;
   resp.status = Status::kOk;
-  BinaryWriter w;
-  w.bytes(make_provider_auth(inbound.ra->transcript_hash()).serialize());
-  w.u64(instance_epoch_);
-  resp.payload = w.take();
+  resp.payload = encode_record(RaMsg3Reply{
+      make_provider_auth(inbound.ra->transcript_hash()), instance_epoch_});
   return resp;
 }
 
 // ----- incoming records: one per identity, staged then assembled -----
 
-void MigrationEnclave::IncomingRecord::assemble(MigrationData assembled) {
+void DurableQueue::IncomingRecord::assemble(MigrationData assembled) {
   data = std::move(assembled);
   rounds = 0;
   chunks.clear();
@@ -2156,14 +2127,10 @@ MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
     delivered_block = !expired;
   }
 
-  BinaryWriter w;
-  w.str(kAbortMarker);
-  // 1 = no undelivered record remains (safe for the source to forget the
-  // attempt); 0 = an instance fetched the data and may still confirm.
-  w.u8(delivered_block ? 0 : 1);
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = inbound.channel->seal_record(w.data());
+  resp.payload = inbound.channel->seal_record(
+      encode_record(AbortReply{.forgettable = !delivered_block}));
   // One-shot conversation, like reconcile.
   inbound_.erase(req.id);
   if (expired) {
@@ -2220,11 +2187,10 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   AttemptRef query;
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
-  const auto verdict = attested_query(source_address, MeMsgType::kReconcile,
-                                      query.serialize(), kReconcileMarker);
-  if (!verdict.ok()) return verdict.status();
-  if (static_cast<ReconcileVerdict>(verdict.value()) !=
-      ReconcileVerdict::kSuperseded) {
+  const auto reply = attested_query<ReconcileReply>(
+      source_address, MeMsgType::kReconcile, query.serialize());
+  if (!reply.ok()) return reply.status();
+  if (reply.value().verdict != ReconcileVerdict::kSuperseded) {
     return Status::kMigrationInProgress;
   }
   // The source ME vouches the identity completed a NEWER transfer and
@@ -2324,12 +2290,10 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
       (!nonce_live && superseded_by_completion(mr, nonce, 0))
           ? ReconcileVerdict::kSuperseded
           : ReconcileVerdict::kStillLive;
-  BinaryWriter w;
-  w.str(kReconcileMarker);
-  w.u8(static_cast<uint8_t>(verdict));
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = opened.value().inbound->channel->seal_record(w.data());
+  resp.payload = opened.value().inbound->channel->seal_record(
+      encode_record(ReconcileReply{verdict}));
   // One-shot session: the reconcile conversation ends here.
   inbound_.erase(req.id);
   return resp;
@@ -2350,10 +2314,8 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
   OutgoingTransfer& transfer = it->second;
   auto plaintext = transfer.channel->open_record(req.payload);
   if (!plaintext.ok()) return error_response(plaintext.status());
-  BinaryReader r(plaintext.value());
-  const std::string marker = r.str(64);
-  const uint64_t confirmed_id = r.u64();
-  if (!r.done() || marker != kDoneMarker || confirmed_id != req.id) {
+  const auto done = decode_record<DoneRecord>(plaintext.value());
+  if (!done.ok() || done.value().transfer_id != req.id) {
     return error_response(Status::kTampered);
   }
   // Destination confirmed: wipe the retained migration data and retire
@@ -2408,7 +2370,7 @@ Status MigrationEnclave::commit_state() {
   if (!queue_seal_ctx_.has_value()) {
     queue_seal_ctx_.emplace(make_seal_context(sgx::KeyPolicy::kMrEnclave));
   }
-  Bytes plaintext = serialize_queue();
+  Bytes plaintext = encode_record(static_cast<const DurableQueue&>(*this));
   auto sealed = seal_with(*queue_seal_ctx_,
                           to_bytes(std::string_view(kQueueAad)), plaintext);
   // The plaintext snapshot embeds every live channel's raw session key.
@@ -2433,392 +2395,27 @@ Status MigrationEnclave::persist_queue(uint64_t nonce) {
                                       platform().address(), nonce);
 }
 
-namespace {
-
-void serialize_chunk_map(BinaryWriter& w,
-                         const std::map<uint32_t, CounterChunk>& chunks) {
-  w.u32(static_cast<uint32_t>(chunks.size()));
-  for (const auto& [index, chunk] : chunks) chunk.serialize(w);
-}
-
-// Channel state embeds the raw session key: wiped from every temporary.
-void write_channel(BinaryWriter& w, const net::SecureChannel& channel) {
-  Bytes state = channel.serialize_state();
-  w.bytes(state);
-  secure_wipe(state);
-}
-
-void write_optional_channel(BinaryWriter& w,
-                            const std::optional<net::SecureChannel>& channel) {
-  w.boolean(channel.has_value());
-  if (channel.has_value()) write_channel(w, *channel);
-}
-
-bool read_channel(BinaryReader& r, std::optional<net::SecureChannel>& out) {
-  Bytes state = r.bytes(64);
-  auto channel = net::SecureChannel::deserialize_state(state);
-  secure_wipe(state);
-  if (!channel.ok()) return false;
-  out.emplace(std::move(channel).value());
-  return true;
-}
-
-bool read_optional_channel(BinaryReader& r,
-                           std::optional<net::SecureChannel>& out) {
-  return !r.boolean() || read_channel(r, out);
-}
-
-Result<std::map<uint32_t, CounterChunk>> deserialize_chunk_map(
-    BinaryReader& r) {
-  const uint32_t count = r.u32();
-  if (count > kPrecopyChunkCount) return Status::kTampered;
-  std::map<uint32_t, CounterChunk> chunks;
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    auto chunk = CounterChunk::deserialize(r);
-    if (!chunk.ok()) return chunk.status();
-    chunks[chunk.value().index] = std::move(chunk).value();
-  }
-  if (!r.ok()) return Status::kTampered;
-  return chunks;
-}
-
-}  // namespace
-
-Bytes MigrationEnclave::serialize_queue() const {
-  BinaryWriter w;
-  w.str(kQueueMagicV4);
-  w.u64(next_outgoing_sequence_);
-
-  w.u32(static_cast<uint32_t>(outgoing_.size()));
-  for (const auto& [id, t] : outgoing_) {
-    w.u64(id);
-    w.fixed(t.source_mr);
-    w.str(t.destination_address);
-    w.u64(t.request_nonce);
-    w.bytes(t.retained_data);
-    w.u64(t.sequence);
-    write_optional_channel(w, t.channel);
-  }
-
-  // Incoming records, assembled ones here and staged ones in the v2
-  // section below, each in identity order.
-  w.u32(static_cast<uint32_t>(pending_incoming_count()));
-  for (const auto& [mr, p] : incoming_) {
-    if (!p.assembled()) continue;
-    w.fixed(mr);
-    w.u64(p.transfer_id);
-    w.bytes(p.data->serialize());
-    w.str(p.source_me_address);
-    w.u64(p.request_nonce);
-    // delivering_session is deliberately NOT persisted: LA sessions die
-    // with the ME process, so delivery re-arms after a restart.
-  }
-
-  // Inbound transfers that completed authentication: their channel is
-  // what decrypts the (re)sent transfer record and seals the DONE relay.
-  uint32_t inbound_count = 0;
-  for (const auto& [id, in] : inbound_) {
-    if (in.authenticated && in.channel.has_value()) ++inbound_count;
-  }
-  w.u32(inbound_count);
-  for (const auto& [id, in] : inbound_) {
-    if (!in.authenticated || !in.channel.has_value()) continue;
-    w.u64(id);
-    w.str(in.source_region);
-    w.str(in.source_address);  // authorizes source-scoped aborts
-    write_channel(w, *in.channel);
-  }
-
-  w.u32(static_cast<uint32_t>(latest_outgoing_.size()));
-  for (const auto& [mr, latest] : latest_outgoing_) {
-    w.fixed(mr);
-    w.u64(latest.sequence);
-    w.u8(static_cast<uint8_t>(latest.state));
-  }
-
-  w.u32(static_cast<uint32_t>(completed_order_.size()));
-  for (const uint64_t id : completed_order_) {
-    const auto it = completed_outgoing_.find(id);
-    w.u64(id);
-    w.fixed(it->second.source_mr);
-    w.u64(it->second.request_nonce);
-    w.u64(it->second.sequence);
-  }
-
-  w.u32(static_cast<uint32_t>(confirmed_incoming_order_.size()));
-  for (const sgx::Measurement& mr : confirmed_incoming_order_) {
-    w.fixed(mr);
-    w.u64(confirmed_incoming_.at(mr));
-  }
-
-  w.u32(static_cast<uint32_t>(done_relays_.size()));
-  for (const auto& [id, relay] : done_relays_) {
-    w.u64(id);
-    w.str(relay.source_me_address);
-    w.bytes(relay.sealed_record);
-  }
-
-  // ----- v2: live pre-copy state -----
-  // Source pre-copy tasks (merged chunk sets + RA channels) and staged
-  // incoming records: an ME restart between rounds RESUMES the pre-copy
-  // instead of throwing away every round already shipped.
-  uint32_t precopy_count = 0;
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    if (t.precopy) ++precopy_count;
-  }
-  w.u32(precopy_count);
-  for (const auto& [nonce, p] : transfer_tasks_) {
-    if (!p.precopy) continue;
-    w.u64(nonce);
-    w.fixed(p.source_mr);
-    w.str(p.request.destination_address);
-    w.u64(p.transfer_id);
-    w.u32(p.rounds);
-    w.boolean(p.resync);
-    serialize_chunk_map(w, p.merged);
-    write_optional_channel(w, p.channel);
-  }
-  w.u32(static_cast<uint32_t>(precopy_staging_count()));
-  for (const auto& [mr, s] : incoming_) {
-    if (s.assembled()) continue;
-    w.fixed(mr);
-    w.u64(s.transfer_id);
-    w.str(s.source_me_address);
-    w.u64(s.request_nonce);
-    w.u32(s.rounds);
-    serialize_chunk_map(w, s.chunks);
-    w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
-  }
-
-  // ----- queued full-snapshot TransferTasks -----
-  // Only the durable identity of each task (who, where, what data, which
-  // nonce): attestation state is per-attempt, so a restarted ME resumes
-  // every pipeline from the attest step under a fresh transfer id.  A
-  // blocking task is not resumable work — its caller holds the data and
-  // gets the verdict — so a snapshot cut mid-conversation (a reentrant
-  // DONE's persist) leaves it out.
-  const auto resumable = [](const TransferTask& t) {
-    return !t.precopy && !t.blocking;
-  };
-  uint32_t task_count = 0;
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    if (resumable(t)) ++task_count;
-  }
-  w.u32(task_count);
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    if (!resumable(t)) continue;
-    w.u64(nonce);
-    w.fixed(t.source_mr);
-    w.bytes(t.request.serialize());
-    w.boolean(t.armed);  // unarmed reservations re-park at kAwaitArm
-  }
-
-  // ----- cached ME<->ME attestation sessions -----
-  // Master keys ride the sealed snapshot like channel keys do; losing an
-  // entry only costs one full handshake.  Acceptor-side state is
-  // deliberately NOT persisted (a restarted responder must force the full
-  // handshake — that is the anti-fork evidence the initiator relies on).
-  w.u32(static_cast<uint32_t>(peer_sessions_.size()));
-  for (const auto& [address, s] : peer_sessions_) {
-    w.str(address);
-    w.fixed(s.master_key);
-    w.u64(s.peer_epoch);
-    s.credential.serialize(w);
-    w.str(s.region);
-  }
-  return w.take();
-}
-
-Status MigrationEnclave::apply_queue(ByteView plaintext) {
-  BinaryReader r(plaintext);
-  const std::string magic = r.str(64);
-  if (magic != kQueueMagicV4) return Status::kTampered;
-  const uint64_t next_sequence = r.u64();
-
-  std::map<uint64_t, OutgoingTransfer> outgoing;
-  const uint32_t outgoing_count = r.u32();
-  for (uint32_t i = 0; i < outgoing_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    OutgoingTransfer t;
-    t.source_mr = r.fixed<32>();
-    t.destination_address = r.str(256);
-    t.request_nonce = r.u64();
-    t.retained_data = r.bytes(1u << 20);
-    t.sequence = r.u64();
-    if (!read_optional_channel(r, t.channel)) return Status::kTampered;
-    outgoing[id] = std::move(t);
-  }
-
-  // One map for both incoming sections: an identity holds one record, so
-  // an identity listed twice is tampered.
-  IncomingMap incoming;
-  const uint32_t pending_count = r.u32();
-  for (uint32_t i = 0; i < pending_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    IncomingRecord p;
-    p.transfer_id = r.u64();
-    auto data = MigrationData::deserialize(r.bytes(1u << 20));
-    if (!data.ok()) return Status::kTampered;
-    p.data = std::move(data).value();
-    p.source_me_address = r.str(256);
-    p.request_nonce = r.u64();
-    if (!incoming.emplace(mr, std::move(p)).second) return Status::kTampered;
-  }
-
-  std::map<uint64_t, InboundTransfer> inbound;
-  const uint32_t inbound_count = r.u32();
-  for (uint32_t i = 0; i < inbound_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    InboundTransfer in;
-    in.authenticated = true;
-    in.source_region = r.str(256);
-    in.source_address = r.str(256);
-    if (!read_channel(r, in.channel)) return Status::kTampered;
-    inbound[id] = std::move(in);
-  }
-
-  std::map<sgx::Measurement, LatestOutgoing> latest;
-  const uint32_t latest_count = r.u32();
-  for (uint32_t i = 0; i < latest_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    const uint64_t sequence = r.u64();
-    const uint8_t state = r.u8();
-    if (state > 2) return Status::kTampered;
-    latest[mr] = {sequence, static_cast<OutgoingState>(state)};
-  }
-
-  std::map<uint64_t, CompletedOutgoing> completed;
-  std::deque<uint64_t> completed_order;
-  const uint32_t completed_count = r.u32();
-  if (completed_count > kCompletedHistoryLimit) return Status::kTampered;
-  for (uint32_t i = 0; i < completed_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    CompletedOutgoing record;
-    record.source_mr = r.fixed<32>();
-    record.request_nonce = r.u64();
-    record.sequence = r.u64();
-    completed[id] = record;
-    completed_order.push_back(id);
-    // Re-derive the index's completed nonce from the retained record.
-    const auto entry = latest.find(record.source_mr);
-    if (entry != latest.end() &&
-        entry->second.state == OutgoingState::kCompleted &&
-        entry->second.sequence == record.sequence) {
-      entry->second.completed_nonce = record.request_nonce;
-    }
-  }
-
-  std::map<sgx::Measurement, uint64_t> confirmed_incoming;
-  std::deque<sgx::Measurement> confirmed_incoming_order;
-  const uint32_t confirmed_count = r.u32();
-  if (confirmed_count > kCompletedHistoryLimit) return Status::kTampered;
-  for (uint32_t i = 0; i < confirmed_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    confirmed_incoming[mr] = r.u64();
-    confirmed_incoming_order.push_back(mr);
-  }
-
-  std::map<uint64_t, DoneRelay> relays;
-  const uint32_t relay_count = r.u32();
-  for (uint32_t i = 0; i < relay_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    DoneRelay relay;
-    relay.source_me_address = r.str(256);
-    relay.sealed_record = r.bytes(1u << 16);
-    relays[id] = std::move(relay);
-  }
-
-  // One map for both sections: a nonce is one attempt of one mode, so a
-  // nonce listed twice is tampered.
-  std::map<uint64_t, TransferTask> transfer_tasks;
-  const uint32_t precopy_count = r.u32();
-  for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
-    const uint64_t nonce = r.u64();
-    TransferTask p;
-    p.precopy = true;
-    p.source_mr = r.fixed<32>();
-    p.request.destination_address = r.str(256);
-    p.request.request_nonce = nonce;
-    p.transfer_id = r.u64();
-    p.rounds = r.u32();
-    p.resync = r.boolean();
-    auto merged = deserialize_chunk_map(r);
-    if (!merged.ok()) return Status::kTampered;
-    p.merged = std::move(merged).value();
-    if (!read_optional_channel(r, p.channel)) return Status::kTampered;
-    if (!transfer_tasks.emplace(nonce, std::move(p)).second) {
-      return Status::kTampered;
-    }
-  }
-  const uint32_t staging_count = r.u32();
-  for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    IncomingRecord s;
-    s.transfer_id = r.u64();
-    s.source_me_address = r.str(256);
-    s.request_nonce = r.u64();
-    s.rounds = r.u32();
-    auto chunks = deserialize_chunk_map(r);
-    if (!chunks.ok()) return Status::kTampered;
-    s.chunks = std::move(chunks).value();
-    s.last_update = Duration(static_cast<int64_t>(r.u64()));
-    if (!incoming.emplace(mr, std::move(s)).second) return Status::kTampered;
-  }
-
-  const uint32_t task_count = r.u32();
-  for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
-    const uint64_t nonce = r.u64();
-    TransferTask t;
-    t.source_mr = r.fixed<32>();
-    auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
-    if (!request.ok()) return Status::kTampered;
-    t.request = std::move(request).value();
-    t.armed = r.boolean();
-    // Step collapses to kQueued: the next pump() re-attests and
-    // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
-    // keeps the end-to-end result exactly-once.
-    if (!transfer_tasks.emplace(nonce, std::move(t)).second) {
-      return Status::kTampered;
-    }
-  }
-
-  std::map<std::string, PeerSession> peer_sessions;
-  const uint32_t session_count = r.u32();
-  for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
-    const std::string address = r.str(256);
-    PeerSession s;
-    s.master_key = r.fixed<16>();
-    s.peer_epoch = r.u64();
-    s.credential = platform::MachineCredential::deserialize(r);
-    s.region = r.str(256);
-    peer_sessions[address] = std::move(s);
-  }
-
-  if (!r.done()) return Status::kTampered;
-  next_outgoing_sequence_ = next_sequence;
-  outgoing_ = std::move(outgoing);
-  incoming_ = std::move(incoming);
-  inbound_ = std::move(inbound);
-  latest_outgoing_ = std::move(latest);
-  completed_outgoing_ = std::move(completed);
-  completed_order_ = std::move(completed_order);
-  confirmed_incoming_ = std::move(confirmed_incoming);
-  confirmed_incoming_order_ = std::move(confirmed_incoming_order);
-  done_relays_ = std::move(relays);
-  transfer_tasks_ = std::move(transfer_tasks);
-  peer_sessions_ = std::move(peer_sessions);
-  return Status::kOk;
-}
-
 Status MigrationEnclave::restore_queue(ByteView sealed_queue) {
   auto scope = enter_ecall();
   auto unsealed = unseal(sealed_queue);
   if (!unsealed.ok()) return unsealed.status();
   if (to_string(unsealed.value().aad) != kQueueAad) return Status::kTampered;
-  const Status status = apply_queue(unsealed.value().plaintext);
+  auto restored = decode_record<DurableQueue>(unsealed.value().plaintext);
   // The unsealed snapshot embeds raw channel session keys.
   secure_wipe(unsealed.value().plaintext);
-  return status;
+  if (!restored.ok()) return restored.status();
+  DurableQueue& queue = *this;
+  queue = std::move(restored).value();
+  // Re-derive the index's completed nonces from the retained records.
+  for (const auto& [id, record] : completed_outgoing_) {
+    const auto entry = latest_outgoing_.find(record.source_mr);
+    if (entry != latest_outgoing_.end() &&
+        entry->second.state == OutgoingState::kCompleted &&
+        entry->second.sequence == record.sequence) {
+      entry->second.completed_nonce = record.request_nonce;
+    }
+  }
+  return Status::kOk;
 }
 
 // ----- provider authentication helpers -----
@@ -2886,12 +2483,6 @@ platform::Machine::MgmtEnclaveFactory durable_me_factory(
     if (configure) configure(*me);
     return me;
   };
-}
-
-MigrationEnclave* install_durable_me(platform::Machine& machine,
-                                     platform::ProviderCa& provider) {
-  machine.install_management_enclave(durable_me_factory(provider));
-  return me_on(machine);
 }
 
 MigrationEnclave* me_on(platform::Machine& machine) {

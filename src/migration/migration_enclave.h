@@ -49,7 +49,321 @@
 
 namespace sgxmig::migration {
 
-class MigrationEnclave : public sgx::Enclave, private PersistSink {
+/// The ME's durable transfer queue (§V-D hardening): every record the
+/// sealed snapshot carries, and the snapshot's v4 layout as one field list
+/// over them.  The writer runs it straight over the ME's maps; the reader
+/// fills a fresh queue, so a refused snapshot leaves the ME's untouched.
+struct DurableQueue {
+  struct InboundTransfer {
+    std::unique_ptr<sgx::RaSession> ra;  // null once restored from disk
+    std::optional<net::SecureChannel> channel;
+    bool authenticated = false;
+    std::string source_region;
+    /// Provider-certified address of the peer machine (verified against
+    /// its credential): authorizes source-scoped operations like kAbort.
+    std::string source_address;
+  };
+  struct OutgoingTransfer {
+    sgx::Measurement source_mr{};
+    std::string destination_address;
+    uint64_t request_nonce = 0;  // ties the transfer to one ML attempt
+    Bytes retained_data;         // kept until DONE (paper §V-D)
+    std::optional<net::SecureChannel> channel;
+    uint64_t sequence = 0;  // creation order, for status queries
+  };
+  /// The one incoming migration of an enclave identity (paper §V-D,
+  /// §VI-A), from its first record until an instance with that MRENCLAVE
+  /// confirms it.  A record is STAGED — pre-copy chunks merged by
+  /// generation across rounds — until a transfer or a passing finalize
+  /// manifest ASSEMBLES it; only assembled data is fetched or confirmed.
+  /// Durable except the delivery pin, the token and the reconcile stamp.
+  struct IncomingRecord {
+    uint64_t transfer_id = 0;  // inbound_ entry holding the live channel
+    std::string source_me_address;
+    uint64_t request_nonce = 0;  // identifies the logical migration
+    // --- staged ---
+    uint32_t rounds = 0;
+    std::map<uint32_t, CounterChunk> chunks;
+    /// Virtual time of the last merged round: drives the age-based sweep
+    /// of staging whose source went away for good.
+    Duration last_update{};
+    // --- assembled ---
+    std::optional<MigrationData> data;
+    uint64_t delivering_session = 0;  // LA session the data was handed to
+    /// Random token delivered INSIDE the sealed fetch reply: only the
+    /// instance that received the data can present it, so a confirm
+    /// bearing it is honored even from a fresh LA session (the instance
+    /// re-attested after a channel desync).  Transient, like the pin.
+    uint64_t delivery_token = 0;
+    // Last reconciliation sweep (virtual time, not persisted): a LIVE
+    // record blocking a busy-retrying peer must not pay one RA handshake
+    // to its source ME per retry just to re-learn it is live.
+    Duration last_reconcile{};
+
+    bool assembled() const { return data.has_value(); }
+    /// Turns the record into authoritative pending data (a transfer or a
+    /// passing finalize): the staged chunks are spent.
+    void assemble(MigrationData assembled);
+  };
+  using IncomingMap = std::map<sgx::Measurement, IncomingRecord>;
+  /// One outgoing attempt, keyed by the library's request nonce: the
+  /// source-side protocol as resumable steps, for both transfer modes.  A
+  /// full-snapshot task ships its payload once; a pre-copy task ships
+  /// rounds of merged chunks and then the staged finalize.  A queued
+  /// task's payload and a pre-copy task's merged set are durable; the
+  /// channel is per-attempt state — a restarted ME re-runs the attest from
+  /// scratch under a fresh transfer id (the nonce keeps it exactly-once).
+  struct TransferTask {
+    enum class Step : uint8_t {
+      kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing);
+                         // pre-copy: no record in flight
+      kAttesting = 1,    // attest_peer run in flight
+      kAwaitAccept = 3,  // sealed TransferPayload posted
+      kFailed = 4,       // terminal; `failure` held until polled
+      kAwaitArm = 5,     // reserve-mode: attested, slot held, awaiting data
+      kAwaitRoundAck = 6,     // pre-copy: a sealed round record in flight
+      kAwaitFinalizeAck = 7,  // pre-copy: the sealed finalize in flight
+    };
+    sgx::Measurement source_mr{};
+    /// Destination, nonce, policy, data.  A pre-copy task keeps only the
+    /// destination and nonce: its data is `merged`, and each round and
+    /// the finalize bring their own policy.
+    MigrateRequestPayload request;
+    Step step = Step::kQueued;
+    Status failure = Status::kOk;
+    uint64_t transfer_id = 0;  // current attempt's wire id
+    std::optional<net::SecureChannel> channel;
+    /// false: freeze-aware reserve (kMigrateReserve) — request.data is
+    /// empty until the library freezes and arms the task (kMigrateArm);
+    /// the poll reports kSlotLive once the destination is attested.
+    bool armed = true;
+    /// Driven by a blocking kMigrateRequest: its steps run inline over
+    /// rpc, and it lives only inside that handler — never serialized as
+    /// resumable work.
+    bool blocking = false;
+
+    // --- pre-copy: ships in rounds, then the staged finalize ---
+    bool precopy = false;
+    uint32_t rounds = 0;
+    /// Everything the library shipped so far, merged by chunk generation.
+    std::map<uint32_t, CounterChunk> merged;
+    /// Set when a send failed (channel possibly desynced): the next send
+    /// re-attests under a fresh transfer id and re-ships the whole merged
+    /// set, so the destination converges no matter what was lost.
+    bool resync = false;
+    /// Highest generation per chunk index the destination ACKed
+    /// (memory-only); a ship sends merged entries newer than this (all,
+    /// on resync).
+    std::map<uint32_t, uint64_t> acked;
+    /// Staged finalize, memory-only BY DESIGN and never persisted: under
+    /// the async transport the record ships through the deferred pump
+    /// while the library polls its fate.  An ME restart (or an exhausted
+    /// ship budget) drops it — the still-frozen library observes kNone and
+    /// re-sends the finalize, which the nonce dedup makes idempotent.
+    std::optional<PrecopyFinalizePayload> staged_finalize;
+    uint32_t finalize_attempts = 0;  // memory-only ship retry budget
+
+    /// Everything merged beyond the destination's acked front (on
+    /// resync: the whole merged set) — what the next record carries.
+    std::vector<CounterChunk> unacked_chunks() const;
+    /// Spends one unit of the finalize ship budget; past it the staged
+    /// finalize is handed back to the library.  Returns `status`.
+    Status spend_finalize_try(Status status);
+  };
+  /// Compact durable record of a confirmed outgoing transfer: enough to
+  /// answer status queries and absorb duplicate DONEs idempotently after
+  /// the retained data itself has been wiped.  Bounded FIFO history.
+  struct CompletedOutgoing {
+    sgx::Measurement source_mr{};
+    uint64_t request_nonce = 0;
+    uint64_t sequence = 0;
+  };
+  /// A DONE confirmation the destination ME could not deliver: the exact
+  /// sealed record is kept (re-sealing would desync the channel sequence
+  /// numbers) and retried until the source ME acknowledges it.
+  struct DoneRelay {
+    std::string source_me_address;
+    Bytes sealed_record;
+  };
+  /// Initiator-side cached attestation session toward one peer ME
+  /// (durable, queue v4): the master key of a completed full handshake,
+  /// bound to the peer's instance epoch, plus the certified credential so
+  /// per-attempt policy is re-evaluated without a wire round trip.
+  struct PeerSession {
+    sgx::Key128 master_key{};
+    uint64_t peer_epoch = 0;
+    platform::MachineCredential credential;
+    std::string region;
+  };
+  using OutgoingMap = std::map<uint64_t, OutgoingTransfer>;
+  // Per-identity latest outgoing transfer: O(log n) status queries
+  // instead of scanning every transfer ever made.  Once that transfer
+  // completed, its request nonce stays here after the capped completion
+  // history trims its record, so the janitors keep their evidence.  The
+  // nonce is not persisted: a restored entry takes it from a retained
+  // completion record, or keeps 0 (no evidence) when that was trimmed.
+  struct LatestOutgoing {
+    uint64_t sequence = 0;
+    OutgoingState state = OutgoingState::kNone;
+    uint64_t completed_nonce = 0;
+  };
+
+  std::map<uint64_t, InboundTransfer> inbound_;
+  OutgoingMap outgoing_;
+  std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
+  IncomingMap incoming_;
+  std::map<sgx::Measurement, LatestOutgoing> latest_outgoing_;
+  std::map<uint64_t, CompletedOutgoing> completed_outgoing_;
+  std::deque<uint64_t> completed_order_;  // FIFO eviction of the history
+  // Durable record that an incoming migration for this identity was
+  // confirmed (its record erased, DONE queued), keyed by identity with the
+  // confirming transfer id as value.  Lets a RE-sent confirm — whose
+  // ConfirmAck reply was lost, forcing the library to re-attest and
+  // retry — succeed idempotently instead of stranding a fully restored
+  // destination instance.  FIFO-bounded like the completed history.
+  std::map<sgx::Measurement, uint64_t> confirmed_incoming_;
+  std::deque<sgx::Measurement> confirmed_incoming_order_;
+  std::map<uint64_t, DoneRelay> done_relays_;
+  uint64_t next_outgoing_sequence_ = 1;
+  // Initiator side of the cached attestation sessions.
+  std::map<std::string, PeerSession> peer_sessions_;
+
+  /// The only queue format written or read; a snapshot with any other
+  /// magic is refused as tampered.
+  static constexpr char kMagic[] = "SGXMIG-ME-QUEUE-v4";
+  /// Default (and largest) cap of the completed-outgoing and
+  /// confirmed-incoming histories: enough to absorb duplicate DONEs from
+  /// any realistic relay-retry window without growing with fleet lifetime.
+  static constexpr size_t kCompletedHistoryLimit = 4096;
+  static constexpr size_t kMaxChannelState = 64;
+  static constexpr size_t kMaxDoneRelay = 1u << 16;
+  static constexpr size_t kMaxRequest = 1u << 21;
+
+  /// Snapshot v4.  Split maps write two sections that read back into the
+  /// one map, so an entry listed in both is refused.  Session state (LA
+  /// channels, delivery pins, acked fronts, staged finalizes) is
+  /// deliberately not durable.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& q) {
+    const auto channel = [](auto& f, auto& c) {
+      f.sized(c, kMaxChannelState);
+    };
+    const auto chunk_map = [](auto& f, auto& chunks) {
+      f.map(chunks, kPrecopyChunkCount, [](auto& g, auto& index, auto& chunk) {
+        g.record(chunk);
+        g.implied(index, chunk.index);
+      });
+    };
+    io.magic(kMagic, 64);
+    io.u64(q.next_outgoing_sequence_);
+    io.map(q.outgoing_, kAnyCount, [&](auto& f, auto& id, auto& t) {
+      f.u64(id);
+      f.fixed(t.source_mr);
+      f.str(t.destination_address, kMaxAddress);
+      f.u64(t.request_nonce);
+      f.bytes(t.retained_data, kMaxDataBlob);
+      f.u64(t.sequence);
+      f.optional(t.channel, channel);
+    });
+    // Assembled incoming records; staged ones follow the pre-copy tasks.
+    // The delivery pin is not durable: LA sessions die with the ME
+    // process, so delivery re-arms after a restart.
+    io.map(q.incoming_, kAnyCount, [](auto& f, auto& mr, auto& p) {
+      f.fixed(mr);
+      f.u64(p.transfer_id);
+      f.sized(p.data, kMaxDataBlob);
+      f.str(p.source_me_address, kMaxAddress);
+      f.u64(p.request_nonce);
+    }, [](const IncomingRecord& p) { return p.assembled(); });
+    // Inbound transfers that completed authentication: their channel is
+    // what decrypts the (re)sent transfer record and seals the DONE relay,
+    // and their source address authorizes source-scoped aborts.
+    io.map(q.inbound_, kAnyCount, [&](auto& f, auto& id, auto& in) {
+      f.u64(id);
+      f.str(in.source_region, kMaxAddress);
+      f.str(in.source_address, kMaxAddress);
+      f.sized(in.channel, kMaxChannelState);
+      f.implied(in.authenticated, true);
+    }, [](const InboundTransfer& in) {
+      return in.authenticated && in.channel.has_value();
+    });
+    io.map(q.latest_outgoing_, kAnyCount, [](auto& f, auto& mr, auto& l) {
+      f.fixed(mr);
+      f.u64(l.sequence);
+      f.u8(l.state, OutgoingState::kNone, OutgoingState::kCompleted);
+    });
+    io.ordered_map(q.completed_outgoing_, q.completed_order_,
+                   kCompletedHistoryLimit, [](auto& f, auto& id, auto& c) {
+                     f.u64(id);
+                     f.fixed(c.source_mr);
+                     f.u64(c.request_nonce);
+                     f.u64(c.sequence);
+                   });
+    io.ordered_map(q.confirmed_incoming_, q.confirmed_incoming_order_,
+                   kCompletedHistoryLimit, [](auto& f, auto& mr, auto& id) {
+                     f.fixed(mr);
+                     f.u64(id);
+                   });
+    io.map(q.done_relays_, kAnyCount, [](auto& f, auto& id, auto& relay) {
+      f.u64(id);
+      f.str(relay.source_me_address, kMaxAddress);
+      f.bytes(relay.sealed_record, kMaxDoneRelay);
+    });
+    // Live pre-copy state: source tasks (merged chunk sets + RA channels)
+    // and staged incoming records, so an ME restart between rounds
+    // RESUMES the pre-copy instead of throwing away every round shipped.
+    io.map(q.transfer_tasks_, kAnyCount, [&](auto& f, auto& nonce, auto& t) {
+      f.u64(nonce);
+      f.fixed(t.source_mr);
+      f.str(t.request.destination_address, kMaxAddress);
+      f.u64(t.transfer_id);
+      f.u32(t.rounds);
+      f.u8(t.resync);
+      chunk_map(f, t.merged);
+      f.optional(t.channel, channel);
+      f.implied(t.precopy, true);
+      f.implied(t.request.request_nonce, nonce);
+    }, [](const TransferTask& t) { return t.precopy; });
+    io.map(q.incoming_, kAnyCount, [&](auto& f, auto& mr, auto& s) {
+      f.fixed(mr);
+      f.u64(s.transfer_id);
+      f.str(s.source_me_address, kMaxAddress);
+      f.u64(s.request_nonce);
+      f.u32(s.rounds);
+      chunk_map(f, s.chunks);
+      f.u64(s.last_update);  // sweep age
+    }, [](const IncomingRecord& s) { return !s.assembled(); });
+    // Queued full-snapshot tasks: only their durable identity (who,
+    // where, what data, which nonce).  Attestation state is per attempt,
+    // so a restarted ME resumes every pipeline from the attest step under
+    // a fresh transfer id, and an unarmed reservation re-parks at
+    // kAwaitArm.  A blocking task is not resumable work — its caller holds
+    // the data and gets the verdict — so a snapshot cut mid-conversation
+    // (a reentrant DONE's persist) leaves it out.
+    io.map(q.transfer_tasks_, kAnyCount, [](auto& f, auto& nonce, auto& t) {
+      f.u64(nonce);
+      f.fixed(t.source_mr);
+      f.sized(t.request, kMaxRequest);
+      f.u8(t.armed);
+    }, [](const TransferTask& t) { return !t.precopy && !t.blocking; });
+    // Cached ME<->ME attestation sessions.  Master keys ride the sealed
+    // snapshot like channel keys do; losing an entry only costs one full
+    // handshake.  Acceptor-side state is deliberately NOT persisted (a
+    // restarted responder must force the full handshake — that is the
+    // anti-fork evidence the initiator relies on).
+    io.map(q.peer_sessions_, kAnyCount, [](auto& f, auto& address, auto& s) {
+      f.str(address, kMaxAddress);
+      f.fixed(s.master_key);
+      f.u64(s.peer_epoch);
+      f.record(s.credential);
+      f.str(s.region, kMaxAddress);
+    });
+  }
+};
+
+class MigrationEnclave : public sgx::Enclave,
+                         private PersistSink,
+                         private DurableQueue {
  public:
   /// Secure setup phase (paper §V-B): the ME generates its machine
   /// authentication key and the cloud operator certifies it for this
@@ -242,147 +556,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     sgx::EnclaveIdentity peer;
     Duration last_used{};  // virtual time; drives delivery-pin takeover
   };
-  struct InboundTransfer {
-    std::unique_ptr<sgx::RaSession> ra;  // null once restored from disk
-    std::optional<net::SecureChannel> channel;
-    bool authenticated = false;
-    std::string source_region;
-    /// Provider-certified address of the peer machine (verified against
-    /// its credential): authorizes source-scoped operations like kAbort.
-    std::string source_address;
-  };
-  struct OutgoingTransfer {
-    sgx::Measurement source_mr{};
-    std::string destination_address;
-    uint64_t request_nonce = 0;  // ties the transfer to one ML attempt
-    Bytes retained_data;         // kept until DONE (paper §V-D)
-    std::optional<net::SecureChannel> channel;
-    uint64_t sequence = 0;  // creation order, for status queries
-  };
-  /// The one incoming migration of an enclave identity (paper §V-D,
-  /// §VI-A), from its first record until an instance with that MRENCLAVE
-  /// confirms it.  A record is STAGED — pre-copy chunks merged by
-  /// generation across rounds — until a transfer or a passing finalize
-  /// manifest ASSEMBLES it; only assembled data is fetched or confirmed.
-  /// Durable except the delivery pin, the token and the reconcile stamp.
-  struct IncomingRecord {
-    uint64_t transfer_id = 0;  // inbound_ entry holding the live channel
-    std::string source_me_address;
-    uint64_t request_nonce = 0;  // identifies the logical migration
-    // --- staged ---
-    uint32_t rounds = 0;
-    std::map<uint32_t, CounterChunk> chunks;
-    /// Virtual time of the last merged round: drives the age-based sweep
-    /// of staging whose source went away for good.
-    Duration last_update{};
-    // --- assembled ---
-    std::optional<MigrationData> data;
-    uint64_t delivering_session = 0;  // LA session the data was handed to
-    /// Random token delivered INSIDE the sealed fetch reply: only the
-    /// instance that received the data can present it, so a confirm
-    /// bearing it is honored even from a fresh LA session (the instance
-    /// re-attested after a channel desync).  Transient, like the pin.
-    uint64_t delivery_token = 0;
-    // Last reconciliation sweep (virtual time, not persisted): a LIVE
-    // record blocking a busy-retrying peer must not pay one RA handshake
-    // to its source ME per retry just to re-learn it is live.
-    Duration last_reconcile{};
-
-    bool assembled() const { return data.has_value(); }
-    /// Turns the record into authoritative pending data (a transfer or a
-    /// passing finalize): the staged chunks are spent.
-    void assemble(MigrationData assembled);
-  };
-  using IncomingMap = std::map<sgx::Measurement, IncomingRecord>;
-  /// One outgoing attempt, keyed by the library's request nonce: the
-  /// source-side protocol as resumable steps, for both transfer modes.  A
-  /// full-snapshot task ships its payload once; a pre-copy task ships
-  /// rounds of merged chunks and then the staged finalize.  A queued
-  /// task's payload and a pre-copy task's merged set are durable; the
-  /// channel is per-attempt state — a restarted ME re-runs the attest from
-  /// scratch under a fresh transfer id (the nonce keeps it exactly-once).
-  struct TransferTask {
-    enum class Step : uint8_t {
-      kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing);
-                         // pre-copy: no record in flight
-      kAttesting = 1,    // attest_peer run in flight
-      kAwaitAccept = 3,  // sealed TransferPayload posted
-      kFailed = 4,       // terminal; `failure` held until polled
-      kAwaitArm = 5,     // reserve-mode: attested, slot held, awaiting data
-      kAwaitRoundAck = 6,     // pre-copy: a sealed round record in flight
-      kAwaitFinalizeAck = 7,  // pre-copy: the sealed finalize in flight
-    };
-    sgx::Measurement source_mr{};
-    /// Destination, nonce, policy, data.  A pre-copy task keeps only the
-    /// destination and nonce: its data is `merged`, and each round and
-    /// the finalize bring their own policy.
-    MigrateRequestPayload request;
-    Step step = Step::kQueued;
-    Status failure = Status::kOk;
-    uint64_t transfer_id = 0;  // current attempt's wire id
-    std::optional<net::SecureChannel> channel;
-    /// false: freeze-aware reserve (kMigrateReserve) — request.data is
-    /// empty until the library freezes and arms the task (kMigrateArm);
-    /// the poll reports kSlotLive once the destination is attested.
-    bool armed = true;
-    /// Driven by a blocking kMigrateRequest: its steps run inline over
-    /// rpc, and it lives only inside that handler — never serialized as
-    /// resumable work.
-    bool blocking = false;
-
-    // --- pre-copy: ships in rounds, then the staged finalize ---
-    bool precopy = false;
-    uint32_t rounds = 0;
-    /// Everything the library shipped so far, merged by chunk generation.
-    std::map<uint32_t, CounterChunk> merged;
-    /// Set when a send failed (channel possibly desynced): the next send
-    /// re-attests under a fresh transfer id and re-ships the whole merged
-    /// set, so the destination converges no matter what was lost.
-    bool resync = false;
-    /// Highest generation per chunk index the destination ACKed
-    /// (memory-only); a ship sends merged entries newer than this (all,
-    /// on resync).
-    std::map<uint32_t, uint64_t> acked;
-    /// Staged finalize, memory-only BY DESIGN and never persisted: under
-    /// the async transport the record ships through the deferred pump
-    /// while the library polls its fate.  An ME restart (or an exhausted
-    /// ship budget) drops it — the still-frozen library observes kNone and
-    /// re-sends the finalize, which the nonce dedup makes idempotent.
-    std::optional<PrecopyFinalizePayload> staged_finalize;
-    uint32_t finalize_attempts = 0;  // memory-only ship retry budget
-
-    /// Everything merged beyond the destination's acked front (on
-    /// resync: the whole merged set) — what the next record carries.
-    std::vector<CounterChunk> unacked_chunks() const;
-    /// Spends one unit of the finalize ship budget; past it the staged
-    /// finalize is handed back to the library.  Returns `status`.
-    Status spend_finalize_try(Status status);
-  };
-  /// Compact durable record of a confirmed outgoing transfer: enough to
-  /// answer status queries and absorb duplicate DONEs idempotently after
-  /// the retained data itself has been wiped.  Bounded FIFO history.
-  struct CompletedOutgoing {
-    sgx::Measurement source_mr{};
-    uint64_t request_nonce = 0;
-    uint64_t sequence = 0;
-  };
-  /// A DONE confirmation the destination ME could not deliver: the exact
-  /// sealed record is kept (re-sealing would desync the channel sequence
-  /// numbers) and retried until the source ME acknowledges it.
-  struct DoneRelay {
-    std::string source_me_address;
-    Bytes sealed_record;
-  };
-  /// Initiator-side cached attestation session toward one peer ME
-  /// (durable, queue v4): the master key of a completed full handshake,
-  /// bound to the peer's instance epoch, plus the certified credential so
-  /// per-attempt policy is re-evaluated without a wire round trip.
-  struct PeerSession {
-    sgx::Key128 master_key{};
-    uint64_t peer_epoch = 0;
-    platform::MachineCredential credential;
-    std::string region;
-  };
   /// Responder-side resume acceptor, keyed by initiator address.  Kept in
   /// MEMORY ONLY by design: an ME restart forgets it, so every cached
   /// peer is forced back to the full handshake (restart = fresh epoch
@@ -478,7 +651,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// failed persist unwinds the retained entry and reinstates the task
   /// without its channel; the caller applies its mode's failure rule.
   Status retain_task(uint64_t nonce, Bytes retained_data);
-  using OutgoingMap = std::map<uint64_t, OutgoingTransfer>;
   /// Drops a retained transfer that will never see its DONE: wipes the
   /// copy and the per-identity index entry still pointing at it (a
   /// dangling kPending there is never evicted).  Returns the next entry.
@@ -531,10 +703,10 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   /// One attested one-shot query (kAbort, kReconcile): attests `peer`
   /// inline, seals `request` for the fresh conversation and returns the
-  /// verdict byte (0 or 1) of the peer's sealed `marker + u8` reply.
-  Result<uint8_t> attested_query(const std::string& peer, MeMsgType type,
-                                 const Bytes& request,
-                                 std::string_view marker);
+  /// peer's sealed `Reply` record.
+  template <typename Reply>
+  Result<Reply> attested_query(const std::string& peer, MeMsgType type,
+                               const Bytes& request);
 
   // ----- ME<->ME attestation: one chain, four callers -----
   // kick_task (deferred, or inline for a blocking task); inline: the
@@ -659,8 +831,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Reports one queue transition to the engine and fences it durable;
   /// `nonce` (0 when none) is the attempt whose trace shows the fence.
   Status persist_queue(uint64_t nonce = 0);
-  Bytes serialize_queue() const;
-  Status apply_queue(ByteView plaintext);
 
   crypto::Ed25519KeyPair machine_key_;
   platform::MachineCredential credential_;
@@ -668,40 +838,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   std::vector<std::string> allowed_source_regions_;
 
   std::map<uint64_t, LaSessionState> la_sessions_;
-  std::map<uint64_t, InboundTransfer> inbound_;
-  OutgoingMap outgoing_;
-  std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
-  IncomingMap incoming_;
-  // Per-identity latest outgoing transfer: O(log n) status queries
-  // instead of scanning every transfer ever made.  Once that transfer
-  // completed, its request nonce stays here after the capped completion
-  // history trims its record, so the janitors keep their evidence.  The
-  // nonce is not persisted: a restored entry takes it from a retained
-  // completion record, or keeps 0 (no evidence) when that was trimmed.
-  struct LatestOutgoing {
-    uint64_t sequence = 0;
-    OutgoingState state = OutgoingState::kNone;
-    uint64_t completed_nonce = 0;
-  };
-  std::map<sgx::Measurement, LatestOutgoing> latest_outgoing_;
-  std::map<uint64_t, CompletedOutgoing> completed_outgoing_;
-  std::deque<uint64_t> completed_order_;  // FIFO eviction of the history
   /// Effective history cap; set once from the library default (or an
   /// operator override via set_completed_history_limit) in the .cpp.
   size_t completed_history_limit_ = 0;  // 0 = library default
-  // Durable record that an incoming migration for this identity was
-  // confirmed (its record erased, DONE queued), keyed by identity with the
-  // confirming transfer id as value.  Lets a RE-sent confirm — whose
-  // ConfirmAck reply was lost, forcing the library to re-attest and
-  // retry — succeed idempotently instead of stranding a fully restored
-  // destination instance.  FIFO-bounded like the completed history.
-  std::map<sgx::Measurement, uint64_t> confirmed_incoming_;
-  std::deque<sgx::Measurement> confirmed_incoming_order_;
-  std::map<uint64_t, DoneRelay> done_relays_;
-  uint64_t next_outgoing_sequence_ = 1;
-  // Cached attestation sessions: initiator side durable (queue v4),
-  // responder side memory-only (restart forgets -> full re-handshake).
-  std::map<std::string, PeerSession> peer_sessions_;
+  // Responder side of the cached attestation sessions: memory-only
+  // (restart forgets -> full re-handshake).
   std::map<std::string, ResumeAcceptor> resume_acceptors_;
   uint64_t instance_epoch_ = 0;
   uint64_t full_handshakes_ = 0;
@@ -743,11 +884,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 platform::Machine::MgmtEnclaveFactory durable_me_factory(
     platform::ProviderCa& provider,
     std::function<void(MigrationEnclave&)> configure = {});
-
-/// Installs a durable-queue ME on one machine and returns it (typed view
-/// of Machine::management_enclave()).
-MigrationEnclave* install_durable_me(platform::Machine& machine,
-                                     platform::ProviderCa& provider);
 
 /// Typed accessor for a machine's management enclave; nullptr when none
 /// is installed or it is not a MigrationEnclave.

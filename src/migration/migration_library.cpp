@@ -12,7 +12,6 @@ namespace sgxmig::migration {
 
 namespace {
 constexpr char kStateAad[] = "SGXMIG-ML-STATE";
-constexpr char kMskBlobMagic[] = "SGXMIG-MSK-SEALED-v1";
 }  // namespace
 
 MigrationLibrary::MigrationLibrary(sgx::Enclave& host,
@@ -251,9 +250,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       // ME answers idempotently from its confirmed-incoming history.
       LibMsg confirm;
       confirm.type = LibMsgType::kConfirmMigration;
-      BinaryWriter confirm_payload;
-      confirm_payload.u64(delivery_token);
-      confirm.payload = confirm_payload.take();
+      confirm.payload = encode_record(ConfirmPayload{delivery_token});
       auto ack = me_exchange_reattest(confirm);
       if (!ack.ok() || ack.value().type != LibMsgType::kConfirmAck) {
         ack = me_exchange_reattest(confirm);
@@ -342,38 +339,30 @@ Result<Bytes> MigrationLibrary::seal_migratable_data(
   host_.charge_gcm(text_to_encrypt.size() + additional_mac_text.size());
   Bytes iv(crypto::kGcmIvSize);
   host_.rng().generate(iv.data(), iv.size());
-  const auto ct = crypto::gcm_encrypt(
+  auto ct = crypto::gcm_encrypt(
       ByteView(state_.msk.data(), state_.msk.size()), iv, additional_mac_text,
       text_to_encrypt);
-  BinaryWriter w;
-  w.str(kMskBlobMagic);
-  w.fixed(ct.iv);
-  w.fixed(ct.tag);
-  w.bytes(additional_mac_text);
-  w.bytes(ct.ciphertext);
-  return w.take();
+  return encode_record(MskSealedBlob{ct.iv, ct.tag,
+                                     to_bytes(additional_mac_text),
+                                     std::move(ct.ciphertext)});
 }
 
 Result<sgx::UnsealedData> MigrationLibrary::unseal_migratable_data(
     ByteView sealed_blob) {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  BinaryReader r(sealed_blob);
-  if (r.str(64) != kMskBlobMagic) return Status::kTampered;
-  const auto iv = r.fixed<12>();
-  const auto tag = r.fixed<16>();
-  const Bytes aad = r.bytes();
-  const Bytes ciphertext = r.bytes();
-  if (!r.done()) return Status::kTampered;
-  host_.charge_gcm(ciphertext.size() + aad.size());
+  auto blob = decode_record<MskSealedBlob>(sealed_blob);
+  if (!blob.ok()) return Status::kTampered;
+  MskSealedBlob& b = blob.value();
+  host_.charge_gcm(b.ciphertext.size() + b.aad.size());
   auto plaintext = crypto::gcm_decrypt(
       ByteView(state_.msk.data(), state_.msk.size()),
-      ByteView(iv.data(), iv.size()), aad, ciphertext,
-      ByteView(tag.data(), tag.size()));
+      ByteView(b.iv.data(), b.iv.size()), b.aad, b.ciphertext,
+      ByteView(b.tag.data(), b.tag.size()));
   if (!plaintext.ok()) return plaintext.status();
   sgx::UnsealedData out;
   out.plaintext = std::move(plaintext).value();
-  out.aad = aad;
+  out.aad = std::move(b.aad);
   return out;
 }
 
@@ -1345,10 +1334,9 @@ Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
   if (reply.value().type != LibMsgType::kStatusReport) {
     return Status::kUnexpected;
   }
-  BinaryReader r(reply.value().payload);
-  const uint8_t state = r.u8();
-  if (!r.done() || state > 2) return Status::kTampered;
-  return static_cast<OutgoingState>(state);
+  auto report = decode_record<StatusReportPayload>(reply.value().payload);
+  if (!report.ok()) return Status::kTampered;
+  return report.value().state;
 }
 
 Result<OutgoingState> MigrationLibrary::query_migration_status() {

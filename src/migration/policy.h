@@ -46,10 +46,6 @@ struct MigrationPolicy {
     io.list(m.denied_addresses, 4096, address);
     io.u32(m.min_cpu_cores);
   }
-  void serialize(BinaryWriter& w) const { write_record(w, *this); }
-  static Result<MigrationPolicy> deserialize(BinaryReader& r) {
-    return read_record<MigrationPolicy>(r);
-  }
 };
 
 }  // namespace sgxmig::migration

@@ -17,6 +17,7 @@
 #include "migration/migration_data.h"
 #include "migration/policy.h"
 #include "platform/provider.h"
+#include "sgx/remote_attestation.h"
 #include "sgx/types.h"
 #include "support/bytes.h"
 #include "support/serde.h"
@@ -116,11 +117,7 @@ enum class LibMsgType : uint8_t {
   // requests (ML -> ME)
   kMigrateRequest = 1,
   kFetchIncoming = 2,
-  // Payload: u64 delivery token from the kIncomingData reply (which
-  // carries {bytes data, u64 token}): proves the confirmer is the
-  // instance the sealed fetch reply reached, even over a re-attested
-  // session.  Empty payload = legacy, session-pinned confirm only.
-  kConfirmMigration = 3,
+  kConfirmMigration = 3,  // ConfirmPayload
   kQueryStatus = 4,
   kPrecopyRound = 5,        // ship chunks dirtied since the last round
   kPrecopyFinalizeReq = 6,  // frozen: ship the final delta + MSK
@@ -168,11 +165,32 @@ struct LibMsg {
   }
 };
 
-/// Payload of kStatusReport.
+/// Payload of kConfirmMigration: the delivery token of the kIncomingData
+/// reply.  It proves the confirmer is the instance the sealed fetch reply
+/// reached, even over a re-attested session.
+struct ConfirmPayload {
+  uint64_t delivery_token = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.delivery_token);
+  }
+};
+
 enum class OutgoingState : uint8_t {
   kNone = 0,       // no outgoing migration known for this enclave
   kPending = 1,    // data transferred, waiting for destination confirm
   kCompleted = 2,  // destination confirmed; source data deleted
+};
+
+/// Payload of kStatusReport.
+struct StatusReportPayload {
+  OutgoingState state = OutgoingState::kNone;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u8(m.state, OutgoingState::kNone, OutgoingState::kCompleted);
+  }
 };
 
 // ----- pipelined (non-blocking) outgoing transfers -----
@@ -208,7 +226,8 @@ struct MigrateReservePayload {
   /// a re-sent request after a lost reply is deduplicated instead of
   /// producing a second transfer, and (b) the library can re-query the
   /// fate of exactly THIS attempt (kQueryStatus with a nonce) after the
-  /// ME restarted mid-exchange.  0 = legacy caller, no dedup/resume.
+  /// ME restarted mid-exchange.  Never 0: every transfer path refuses a
+  /// zero nonce (kInvalidParameter).
   uint64_t request_nonce = 0;
   /// Migration policy (paper §X extension), enforced by the source ME
   /// against the destination machine's certified attributes.
@@ -367,10 +386,6 @@ struct CounterChunk {
     for (auto& v : m.values) io.u32(v);
     io.require(m.index < kPrecopyChunkCount);
   }
-  void serialize(BinaryWriter& w) const { write_record(w, *this); }
-  static Result<CounterChunk> deserialize(BinaryReader& r) {
-    return read_record<CounterChunk>(r);
-  }
 };
 
 /// One (chunk index, generation) pair of the finalize manifest.
@@ -476,6 +491,31 @@ enum class ReconcileVerdict : uint8_t {
   kSuperseded = 1,  // a newer transfer of the identity completed: expire
 };
 
+/// Reply record of kReconcile, sealed on the query's channel.
+struct ReconcileReply {
+  ReconcileVerdict verdict = ReconcileVerdict::kStillLive;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-RECON", 64);
+    io.u8(m.verdict, ReconcileVerdict::kStillLive,
+          ReconcileVerdict::kSuperseded);
+  }
+};
+
+/// Reply record of kAbort, sealed on the abort's channel: true when no
+/// undelivered record of the attempt remains (the source may forget it);
+/// false when an instance fetched the data and may still confirm.
+struct AbortReply {
+  bool forgettable = false;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-ABORT", 64);
+    io.u8(m.forgettable);
+  }
+};
+
 // ----- inner ME <-> ME messages -----
 
 /// Payload of the kTransfer record.
@@ -500,6 +540,18 @@ struct TransferPayload {
   Bytes serialize() const { return encode_record(*this); }
   static Result<TransferPayload> deserialize(ByteView b) {
     return decode_record<TransferPayload>(b);
+  }
+};
+
+/// Payload of the kDone record (destination ME -> source ME): the
+/// transfer whose data an instance confirmed.
+struct DoneRecord {
+  uint64_t transfer_id = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic("SGXMIG-DONE", 64);
+    io.u64(m.transfer_id);
   }
 };
 
@@ -569,6 +621,34 @@ struct ProviderAuth {
   Bytes serialize() const { return encode_record(*this); }
   static Result<ProviderAuth> deserialize(ByteView b) {
     return decode_record<ProviderAuth>(b);
+  }
+};
+
+/// Largest RA msg3 or provider authentication the msg3 exchange carries.
+inline constexpr size_t kMaxHandshakeRecord = 1u << 16;
+
+/// Payload of kRaMsg3: the RA msg3 and the initiator's provider auth.
+struct RaMsg3Payload {
+  sgx::RaMsg3 msg3;
+  ProviderAuth auth;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.sized(m.msg3, kMaxHandshakeRecord);
+    io.sized(m.auth, kMaxHandshakeRecord);
+  }
+};
+
+/// Payload of the kRaMsg3 response: the responder's provider auth and
+/// its instance epoch (what a later resume must name).
+struct RaMsg3Reply {
+  ProviderAuth auth;
+  uint64_t epoch = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.sized(m.auth, kMaxHandshakeRecord);
+    io.u64(m.epoch);
   }
 };
 

@@ -5,11 +5,6 @@
 namespace sgxmig::net {
 
 namespace {
-// Direction tags keep the two halves of the duplex channel from ever
-// reusing an IV under the shared key.
-constexpr uint32_t kDirInitiatorToResponder = 0x49325200;  // "I2R"
-constexpr uint32_t kDirResponderToInitiator = 0x52324900;  // "R2I"
-
 std::array<uint8_t, 12> make_iv(uint32_t dir, uint64_t seq) {
   std::array<uint8_t, 12> iv{};
   store_be32(iv.data(), dir);
@@ -23,6 +18,18 @@ Bytes make_aad(uint32_t dir, uint64_t seq) {
   w.u64(seq);
   return w.take();
 }
+
+/// One sealed record on the wire: the GCM tag, then the ciphertext.
+struct SealedRecord {
+  std::array<uint8_t, 16> tag{};
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.fixed(m.tag);
+    io.bytes(m.ciphertext, BinaryReader::kDefaultMaxLen);
+  }
+};
 }  // namespace
 
 SecureChannel::SecureChannel(const sgx::Key128& key, Role role) : key_(key) {
@@ -37,26 +44,22 @@ SecureChannel::SecureChannel(const sgx::Key128& key, Role role) : key_(key) {
 
 Bytes SecureChannel::seal_record(ByteView plaintext) {
   const auto iv = make_iv(send_dir_, send_seq_);
-  const auto ct = crypto::gcm_encrypt(ByteView(key_.data(), key_.size()),
-                                      ByteView(iv.data(), iv.size()),
-                                      make_aad(send_dir_, send_seq_), plaintext);
+  auto ct = crypto::gcm_encrypt(ByteView(key_.data(), key_.size()),
+                                ByteView(iv.data(), iv.size()),
+                                make_aad(send_dir_, send_seq_), plaintext);
   ++send_seq_;
-  BinaryWriter w;
-  w.fixed(ct.tag);
-  w.bytes(ct.ciphertext);
-  return w.take();
+  return encode_record(SealedRecord{ct.tag, std::move(ct.ciphertext)});
 }
 
 Result<Bytes> SecureChannel::open_record(ByteView record) {
-  BinaryReader r(record);
-  const auto tag = r.fixed<16>();
-  const Bytes ciphertext = r.bytes();
-  if (!r.done()) return Status::kChannelError;
+  auto sealed = decode_record<SealedRecord>(record);
+  if (!sealed.ok()) return Status::kChannelError;
 
   const auto iv = make_iv(recv_dir_, recv_seq_);
   auto plaintext = crypto::gcm_decrypt(
       ByteView(key_.data(), key_.size()), ByteView(iv.data(), iv.size()),
-      make_aad(recv_dir_, recv_seq_), ciphertext, ByteView(tag.data(), 16));
+      make_aad(recv_dir_, recv_seq_), sealed.value().ciphertext,
+      ByteView(sealed.value().tag.data(), 16));
   if (!plaintext.ok()) {
     // A record that does not authenticate under the expected sequence
     // number is either tampered or an out-of-order/replayed record.
@@ -64,38 +67,6 @@ Result<Bytes> SecureChannel::open_record(ByteView record) {
   }
   ++recv_seq_;
   return plaintext;
-}
-
-Bytes SecureChannel::serialize_state() const {
-  BinaryWriter w;
-  w.raw(ByteView(key_.data(), key_.size()));
-  // The direction tags encode the role; storing both keeps the decoder
-  // free of role-inference logic.
-  w.u32(send_dir_);
-  w.u32(recv_dir_);
-  w.u64(send_seq_);
-  w.u64(recv_seq_);
-  return w.take();
-}
-
-Result<SecureChannel> SecureChannel::deserialize_state(ByteView blob) {
-  BinaryReader r(blob);
-  sgx::Key128 key = to_array<16>(r.raw(16));
-  const uint32_t send_dir = r.u32();
-  const uint32_t recv_dir = r.u32();
-  const uint64_t send_seq = r.u64();
-  const uint64_t recv_seq = r.u64();
-  if (!r.done()) return Status::kChannelError;
-  const bool initiator = send_dir == kDirInitiatorToResponder &&
-                         recv_dir == kDirResponderToInitiator;
-  const bool responder = send_dir == kDirResponderToInitiator &&
-                         recv_dir == kDirInitiatorToResponder;
-  if (!initiator && !responder) return Status::kChannelError;
-  SecureChannel channel(key, initiator ? Role::kInitiator : Role::kResponder);
-  channel.send_seq_ = send_seq;
-  channel.recv_seq_ = recv_seq;
-  secure_wipe(key.data(), key.size());
-  return channel;
 }
 
 }  // namespace sgxmig::net

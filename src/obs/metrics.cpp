@@ -60,12 +60,6 @@ double MetricsRegistry::histogram_percentile(const std::string& name,
   return percentile_nearest_rank(it->second, p);
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 namespace {
 
 void append_number(std::string& out, double value) {

@@ -41,8 +41,6 @@ class MetricsRegistry {
   ///  {name: {"count", "mean", "min", "max", "p50", "p99"}}}
   std::string to_json() const;
 
-  void clear();
-
  private:
   struct Gauge {
     double value = 0.0;

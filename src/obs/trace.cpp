@@ -141,13 +141,6 @@ size_t TraceRecorder::open_span_count() const {
   return n;
 }
 
-void TraceRecorder::clear() {
-  spans_.clear();
-  instants_.clear();
-  counter_samples_.clear();
-  root_of_trace_.clear();
-}
-
 namespace {
 
 /// Chrome trace-event timestamps are microseconds; keep ns resolution

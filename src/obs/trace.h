@@ -119,8 +119,6 @@ class TraceRecorder {
   /// closed at the latest recorded timestamp and tagged "open": 1.
   std::string to_chrome_json() const;
 
-  void clear();
-
  private:
   TraceSpan* mutable_span(uint64_t span_id);
 

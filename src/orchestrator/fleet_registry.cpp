@@ -132,18 +132,13 @@ Status FleetRegistry::retire(uint64_t id) {
   return Status::kOk;
 }
 
-EnclaveRecord* FleetRegistry::find(uint64_t id) {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
 const EnclaveRecord* FleetRegistry::find(uint64_t id) const {
   auto it = records_.find(id);
   return it == records_.end() ? nullptr : &it->second;
 }
 
 migration::MigratableEnclave* FleetRegistry::enclave(uint64_t id) {
-  EnclaveRecord* record = find(id);
+  const EnclaveRecord* record = find(id);
   return record == nullptr ? nullptr : record->enclave.get();
 }
 

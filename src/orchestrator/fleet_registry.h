@@ -81,7 +81,6 @@ class FleetRegistry {
   Status retire(uint64_t id);
 
   // ----- lookups -----
-  EnclaveRecord* find(uint64_t id);
   const EnclaveRecord* find(uint64_t id) const;
   migration::MigratableEnclave* enclave(uint64_t id);
 

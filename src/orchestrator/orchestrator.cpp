@@ -205,10 +205,6 @@ std::vector<Orchestrator::Task> Orchestrator::build_tasks(const Plan& plan) {
   return tasks;
 }
 
-std::map<std::string, uint32_t> Orchestrator::reserved_destinations() const {
-  return inflight_to_destination_;
-}
-
 void Orchestrator::reserve_destination(const std::string& machine) {
   ++inflight_to_destination_[machine];
   scheduler_.note_reservation(machine, +1);
@@ -237,12 +233,6 @@ bool Orchestrator::admit_and_start(Task& task) {
       query.excluded = task.forbidden;
       query.excluded_regions = task.forbidden_regions;
       query.avoid = task.failed_destinations;
-      // Indexed picks read the scheduler's reservation ledger (kept in
-      // sync by reserve/release_destination); only the brute-force path
-      // needs the per-query map.
-      if (!scheduler_.index_active()) {
-        query.reserved = reserved_destinations();
-      }
       if (const EnclaveRecord* record = fleet_.find(task.enclave_id)) {
         query.image = record->image.get();
       }

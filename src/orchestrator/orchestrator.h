@@ -249,7 +249,6 @@ class Orchestrator {
                       Duration failed_at);
   void fail_task(Task& task);
   void log(const Task& task, EventKind kind, std::string detail);
-  std::map<std::string, uint32_t> reserved_destinations() const;
   Duration now() const;
   // ----- wave driver -----
   /// Single funnel for every phase transition: maintains the phase sets

@@ -259,8 +259,10 @@ std::vector<std::string> Scheduler::rank_destinations(
   }
   std::vector<std::string> out;
   if (candidates.empty()) return out;
+  PlacementQuery with_ledger = query;
+  with_ledger.reserved = reservations_;
   for (platform::Machine* m :
-       policy_->rank(fleet_, query, std::move(candidates))) {
+       policy_->rank(fleet_, with_ledger, std::move(candidates))) {
     out.push_back(m->address());
   }
   return out;
@@ -268,10 +270,7 @@ std::vector<std::string> Scheduler::rank_destinations(
 
 Result<std::string> Scheduler::pick_destination(
     const PlacementQuery& query) const {
-  // A non-empty query.reserved is the legacy calling convention (per-query
-  // reservation map); a persistent index cannot honor it, so those picks
-  // take the brute-force path.  Ledger users leave it empty.
-  if (index_active() && query.reserved.empty()) {
+  if (index_active()) {
     const std::string pick = indexed_pick(query, policy_->index_mode());
     if (pick.empty()) return Status::kNoEligibleDestination;
     return pick;

@@ -56,7 +56,9 @@ struct PlacementQuery {
   /// other options can still retry them once the interference clears.
   std::vector<std::string> avoid;
   /// In-flight migrations already headed to each machine (reservations
-  /// the registry cannot see yet).  Added to the registry load.
+  /// the registry cannot see yet), added to the registry load.  The
+  /// Scheduler fills it from its ledger (note_reservation); callers leave
+  /// it empty.
   std::map<std::string, uint32_t> reserved;
   /// Identity of the enclave being placed (anti-affinity).
   const sgx::EnclaveImage* image = nullptr;
@@ -141,13 +143,7 @@ class Scheduler {
   /// an index mode (and the index is enabled, the default), the pick
   /// walks the per-region load gauges — O(regions + skips) — instead of
   /// ranking every machine; the result is identical to the full scan.
-  ///
-  /// NOTE: the indexed path uses the reservation ledger maintained via
-  /// note_reservation() — a per-query map cannot be baked into a
-  /// persistent index — so a query with a non-empty `reserved` map falls
-  /// back to the full scan.  Ledger users leave the map empty; the
-  /// Orchestrator keeps the ledger in sync with its in-flight gauges, so
-  /// either path sees the same loads.
+  /// Both paths count the reservation ledger (note_reservation).
   Result<std::string> pick_destination(const PlacementQuery& query) const;
 
   /// Full ranking (tests and rebalance planning).  Always brute-force.
@@ -158,8 +154,7 @@ class Scheduler {
 
   // ----- in-flight reservation ledger (indexed picks) -----
 
-  /// Adjusts the in-flight reservation count for `machine` by `delta`
-  /// (the indexed analog of PlacementQuery::reserved).
+  /// Adjusts the in-flight reservation count for `machine` by `delta`.
   void note_reservation(const std::string& machine, int32_t delta);
   void clear_reservations();
 

@@ -180,11 +180,4 @@ bool Machine::restart_management_enclave() {
   return mgmt_enclave_ != nullptr;
 }
 
-void Machine::reboot() {
-  // CPU secret, counters (ME flash), and disk all survive a reboot; the
-  // session secret also survives (it models a persistent platform key).
-  // Nothing to do in the simulation — the method exists so scenarios read
-  // naturally and as a place to hook reboot costs if ever needed.
-}
-
 }  // namespace sgxmig::platform

@@ -99,11 +99,6 @@ class Machine final : public sgx::PlatformIface {
   /// Endpoint name of this machine's Migration Enclave service.
   std::string me_endpoint() const { return address_ + "/me"; }
 
-  /// Simulates a machine reboot: counters and disk survive (flash/disk);
-  /// the caller is responsible for having destroyed enclave objects, whose
-  /// memory does not survive.  Re-seeds nothing — the CPU secret is fused.
-  void reboot();
-
  private:
   /// The management-VM side of Platform Services: validates the session
   /// token, charges the ME-flash latency, executes the counter op.

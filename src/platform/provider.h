@@ -33,11 +33,6 @@ struct MachineCredential {
     io.fixed(m.machine_public_key);
     io.fixed(m.signature);
   }
-  void serialize(BinaryWriter& w) const { write_record(w, *this); }
-  /// Reads inline from `r`; a failed read leaves `r` failed.
-  static MachineCredential deserialize(BinaryReader& r) {
-    return read_record<MachineCredential>(r).value_or({});
-  }
 };
 
 class ProviderCa {

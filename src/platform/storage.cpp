@@ -37,7 +37,7 @@ struct SlotFrame {
 // payload that ends the blob) without verifying or copying the payload;
 // nullopt when the framing is torn.
 std::optional<SlotFrame> parse_slot(const Bytes& blob) {
-  BinaryReader r(blob);
+  BinaryReader r(blob);  // simlint: allow(hand-codec) zero-copy payload view
   if (r.str(64) != kSlotMagic) return std::nullopt;
   SlotFrame frame;
   frame.sequence = r.u64();

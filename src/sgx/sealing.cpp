@@ -6,8 +6,6 @@
 namespace sgxmig::sgx {
 
 namespace {
-constexpr char kMagic[] = "SGXMIG-SEALED-v1";
-
 // The AAD fed to GCM covers the key request so it cannot be swapped.
 Bytes gcm_aad(KeyPolicy policy, const KeyId& key_id, ByteView user_aad) {
   BinaryWriter w;
@@ -21,8 +19,8 @@ Bytes gcm_aad(KeyPolicy policy, const KeyId& key_id, ByteView user_aad) {
 size_t sealed_blob_size(size_t aad_len, size_t plaintext_len) {
   // magic(str) + policy + key_id + aad + iv + tag + ciphertext, with the
   // u32 length prefixes from the serialization format.
-  return 4 + sizeof(kMagic) - 1 + 2 + 32 + 4 + aad_len + 12 + 16 + 4 +
-         plaintext_len;
+  return 4 + sizeof(SealedBlob::kMagic) - 1 + 2 + 32 + 4 + aad_len + 12 + 16 +
+         4 + plaintext_len;
 }
 
 namespace {
@@ -34,18 +32,15 @@ Result<Bytes> seal_with_key(const Key128& key, const KeyId& key_id,
   Bytes iv(crypto::kGcmIvSize);
   drbg.generate(iv.data(), iv.size());
 
-  const crypto::GcmCiphertext ct =
+  crypto::GcmCiphertext ct =
       crypto::gcm_encrypt(ByteView(key.data(), key.size()), iv,
                           gcm_aad(policy, key_id, aad), plaintext);
-
+  // Sized once: every Table II persist seals, and growing the buffer
+  // step by step leaves the heap fragmented.
   BinaryWriter w;
-  w.str(kMagic);
-  w.u16(static_cast<uint16_t>(policy));
-  w.fixed(key_id);
-  w.bytes(aad);
-  w.fixed(ct.iv);
-  w.fixed(ct.tag);
-  w.bytes(ct.ciphertext);
+  w.reserve(sealed_blob_size(aad.size(), plaintext.size()));
+  write_record(w, SealedBlob{policy, key_id, to_bytes(aad), ct.iv, ct.tag,
+                             std::move(ct.ciphertext)});
   return w.take();
 }
 }  // namespace
@@ -73,31 +68,20 @@ Result<Bytes> SealContext::seal(ByteView aad, ByteView plaintext) {
 Result<UnsealedData> unseal_data(const SimCpu& cpu,
                                  const EnclaveIdentity& self,
                                  ByteView sealed_blob) {
-  BinaryReader r(sealed_blob);
-  const std::string magic = r.str(64);
-  const uint16_t policy_raw = r.u16();
-  const KeyId key_id = r.fixed<32>();
-  const Bytes aad = r.bytes();
-  const auto iv = r.fixed<12>();
-  const auto tag = r.fixed<16>();
-  const Bytes ciphertext = r.bytes();
-  if (!r.done() || magic != kMagic) return Status::kTampered;
-  if (policy_raw != static_cast<uint16_t>(KeyPolicy::kMrEnclave) &&
-      policy_raw != static_cast<uint16_t>(KeyPolicy::kMrSigner)) {
-    return Status::kTampered;
-  }
-  const auto policy = static_cast<KeyPolicy>(policy_raw);
+  auto blob = decode_record<SealedBlob>(sealed_blob);
+  if (!blob.ok()) return Status::kTampered;
+  SealedBlob& b = blob.value();
 
-  const Key128 key = cpu.get_key(KeyName::kSeal, policy, self, key_id);
+  const Key128 key = cpu.get_key(KeyName::kSeal, b.policy, self, b.key_id);
   auto plaintext = crypto::gcm_decrypt(
-      ByteView(key.data(), key.size()), ByteView(iv.data(), iv.size()),
-      gcm_aad(policy, key_id, aad), ciphertext,
-      ByteView(tag.data(), tag.size()));
+      ByteView(key.data(), key.size()), ByteView(b.iv.data(), b.iv.size()),
+      gcm_aad(b.policy, b.key_id, b.aad), b.ciphertext,
+      ByteView(b.tag.data(), b.tag.size()));
   if (!plaintext.ok()) return plaintext.status();
 
   UnsealedData out;
   out.plaintext = std::move(plaintext).value();
-  out.aad = aad;
+  out.aad = std::move(b.aad);
   return out;
 }
 

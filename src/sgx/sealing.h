@@ -12,9 +12,36 @@
 #include "sgx/cpu.h"
 #include "sgx/types.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::sgx {
+
+/// The serialized sealed blob: the key request (policy + key id), the AAD,
+/// and the AES-GCM payload.
+struct SealedBlob {
+  static constexpr char kMagic[] = "SGXMIG-SEALED-v1";
+
+  KeyPolicy policy = KeyPolicy::kMrEnclave;
+  KeyId key_id{};
+  Bytes aad;
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.magic(kMagic, 64);
+    io.u16(m.policy);
+    io.require(m.policy == KeyPolicy::kMrEnclave ||
+               m.policy == KeyPolicy::kMrSigner);
+    io.fixed(m.key_id);
+    io.bytes(m.aad, BinaryReader::kDefaultMaxLen);
+    io.fixed(m.iv);
+    io.fixed(m.tag);
+    io.bytes(m.ciphertext, BinaryReader::kDefaultMaxLen);
+  }
+};
 
 struct UnsealedData {
   Bytes plaintext;

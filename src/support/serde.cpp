@@ -21,6 +21,10 @@ void BinaryWriter::u64(uint64_t v) {
   buffer_.insert(buffer_.end(), tmp, tmp + 8);
 }
 
+void BinaryWriter::patch_u32(size_t at, uint32_t v) {
+  store_le32(buffer_.data() + at, v);
+}
+
 void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
 void BinaryWriter::bytes(ByteView v) {
@@ -87,10 +91,11 @@ std::string BinaryReader::str(size_t max_len) {
   return std::string(b.begin(), b.end());
 }
 
-Bytes BinaryReader::raw(size_t len) {
+Bytes BinaryReader::raw(size_t len) { return to_bytes(view(len)); }
+
+ByteView BinaryReader::view(size_t len) {
   if (!take(len)) return {};
-  return Bytes(data_.begin() + static_cast<ptrdiff_t>(pos_ - len),
-               data_.begin() + static_cast<ptrdiff_t>(pos_));
+  return data_.subspan(pos_ - len, len);
 }
 
 }  // namespace sgxmig

@@ -12,7 +12,11 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -45,6 +49,10 @@ class BinaryWriter {
 
   const Bytes& data() const { return buffer_; }
   Bytes take() { return std::move(buffer_); }
+  size_t size() const { return buffer_.size(); }
+  void reserve(size_t n) { buffer_.reserve(n); }
+  /// Overwrites the u32 written at offset `at` (a back-patched length).
+  void patch_u32(size_t at, uint32_t v);
 
  private:
   Bytes buffer_;
@@ -68,6 +76,8 @@ class BinaryReader {
   std::string str(size_t max_len = kDefaultMaxLen);
   /// Raw bytes with no length prefix.
   Bytes raw(size_t len);
+  /// The next `len` bytes, in place (empty once the reader failed).
+  ByteView view(size_t len);
 
   template <size_t N>
   std::array<uint8_t, N> fixed() {
@@ -109,15 +119,37 @@ class BinaryReader {
 //     io.bytes(m.payload, 1u << 22);
 //   }
 //
-// `u8`..`u64` name the wire width of an integer, bool or enum field (an
-// optional [lo, hi] range refuses other values, and a bool refuses any
-// byte but 0 and 1); `str`/`bytes` carry a u32 length prefix and a
-// maximum length; `list` a u32 count checked against its maximum before
-// anything is allocated; `record` embeds a nested record's fields and
-// `sized` embeds its whole encoding behind a u32 length.  `require`
+// `u8`..`u64` name the wire width of an integer, bool, enum or duration
+// field (an optional [lo, hi] range refuses other values, and a bool
+// refuses any byte but 0 and 1); `str`/`bytes` carry a u32 length prefix
+// and a maximum length; `list` a u32 count checked against its maximum
+// before anything is allocated; `record` embeds a nested record's fields
+// and `sized` embeds them behind a u32 length, written in place and read
+// from a sub-view (no temporary copy of key material); `optional` is a
+// presence bool and then the value.  `map` is a u32 count and then key
+// and value per entry: the reader refuses a key repeated or out of
+// ascending order, and a writer-side `keep` filter splits one map into
+// sections that read back into the same map.  `ordered_map` writes a
+// map in the order of its FIFO deque.  `implied` sets a value the
+// encoding carries elsewhere (or not at all) when reading.  `require`
 // refuses a decoded value (an index, a magic) that breaks a condition.
-// Reading keeps BinaryReader's sticky failure, so a list needs no early
-// exits.
+// Reading keeps BinaryReader's sticky failure and stops a count at the
+// first failed read, so a forged count costs no more than the bytes
+// around it.
+
+/// The `max_count` of a map whose count only its bytes bound.
+inline constexpr size_t kAnyCount = UINT32_MAX;
+
+/// The `keep` filter of a map written whole.
+struct KeepAll {
+  template <class V>
+  bool operator()(const V& /*value*/) const { return true; }
+};
+
+template <class T>
+inline constexpr bool kIsDuration = false;
+template <class Rep, class Period>
+inline constexpr bool kIsDuration<std::chrono::duration<Rep, Period>> = true;
 
 class FieldWriter {
  public:
@@ -132,7 +164,13 @@ class FieldWriter {
   template <class T>
   void u32(const T& v) { w_.u32(static_cast<uint32_t>(v)); }
   template <class T>
-  void u64(const T& v) { w_.u64(static_cast<uint64_t>(v)); }
+  void u64(const T& v) {
+    if constexpr (kIsDuration<T>) {
+      w_.u64(static_cast<uint64_t>(v.count()));
+    } else {
+      w_.u64(static_cast<uint64_t>(v));
+    }
+  }
 
   template <size_t N>
   void fixed(const std::array<uint8_t, N>& a) { w_.fixed(a); }
@@ -150,11 +188,41 @@ class FieldWriter {
     list(v, max_count, [](FieldWriter& io, const T& e) { io.record(e); });
   }
 
+  template <class T, class Elem>
+  void optional(const std::optional<T>& o, Elem elem) {
+    w_.boolean(o.has_value());
+    if (o.has_value()) elem(*this, *o);
+  }
+
+  template <class K, class V, class Entry, class Keep = KeepAll>
+  void map(const std::map<K, V>& m, size_t /*max_count*/, Entry entry,
+           Keep keep = {}) {
+    uint32_t count = 0;
+    for (const auto& [key, value] : m) count += keep(value) ? 1 : 0;
+    w_.u32(count);
+    for (const auto& [key, value] : m) {
+      if (keep(value)) entry(*this, key, value);
+    }
+  }
+  template <class K, class V, class Entry>
+  void ordered_map(const std::map<K, V>& m, const std::deque<K>& order,
+                   size_t /*max_count*/, Entry entry) {
+    w_.u32(static_cast<uint32_t>(order.size()));
+    for (const K& key : order) entry(*this, key, m.at(key));
+  }
+
   template <class R>
   void record(const R& r) { R::fields(*this, r); }
   template <class R>
   void sized(const R& r, size_t /*max_len*/);
+  /// A value the field list always holds (a filtered section's optional).
+  template <class R>
+  void sized(const std::optional<R>& r, size_t max_len) {
+    sized(r.value(), max_len);
+  }
 
+  template <class T, class U>
+  void implied(const T& /*field*/, const U& /*value*/) {}
   void require(bool /*condition*/) {}
 
  private:
@@ -184,7 +252,13 @@ class FieldReader {
   template <class T>
   void u32(T& v) { v = static_cast<T>(r_.u32()); }
   template <class T>
-  void u64(T& v) { v = static_cast<T>(r_.u64()); }
+  void u64(T& v) {
+    if constexpr (kIsDuration<T>) {
+      v = T(static_cast<typename T::rep>(r_.u64()));
+    } else {
+      v = static_cast<T>(r_.u64());
+    }
+  }
 
   template <size_t N>
   void fixed(std::array<uint8_t, N>& a) { a = r_.fixed<N>(); }
@@ -207,11 +281,54 @@ class FieldReader {
     list(v, max_count, [](FieldReader& io, T& e) { io.record(e); });
   }
 
+  template <class T, class Elem>
+  void optional(std::optional<T>& o, Elem elem) {
+    if (r_.boolean()) elem(*this, o.emplace());
+  }
+
+  template <class K, class V, class Entry, class Keep = KeepAll>
+  void map(std::map<K, V>& m, size_t max_count, Entry entry,
+           Keep /*keep*/ = {}) {
+    const uint32_t count = r_.u32();
+    require(count <= max_count);
+    const K* previous = nullptr;  // this section's last key
+    for (uint32_t i = 0; i < count && r_.ok(); ++i) {
+      K key{};
+      V value{};
+      entry(*this, key, value);
+      require(previous == nullptr || *previous < key);
+      if (!r_.ok()) return;
+      const auto [it, inserted] = m.emplace(std::move(key), std::move(value));
+      require(inserted);
+      previous = &it->first;
+    }
+  }
+  template <class K, class V, class Entry>
+  void ordered_map(std::map<K, V>& m, std::deque<K>& order, size_t max_count,
+                   Entry entry) {
+    const uint32_t count = r_.u32();
+    require(count <= max_count);
+    for (uint32_t i = 0; i < count && r_.ok(); ++i) {
+      K key{};
+      V value{};
+      entry(*this, key, value);
+      if (!r_.ok()) return;
+      require(m.emplace(key, std::move(value)).second);
+      order.push_back(std::move(key));
+    }
+  }
+
   template <class R>
   void record(R& r) { R::fields(*this, r); }
   template <class R>
   void sized(R& r, size_t max_len);
+  template <class R>
+  void sized(std::optional<R>& r, size_t max_len) {
+    sized(r.emplace(), max_len);
+  }
 
+  template <class T, class U>
+  void implied(T& field, const U& value) { field = value; }
   void require(bool condition) {
     if (!condition) r_.fail();
   }
@@ -234,39 +351,35 @@ Bytes encode_record(const T& record) {
   return w.take();
 }
 
-/// Reads one record's fields from `r`, which may hold more after it; on
-/// any failure `r` is left failed.
-template <class T>
-Result<T> read_record(BinaryReader& r) {
-  FieldReader io(r);
-  T record;
-  T::fields(io, record);
-  if (!r.ok()) return Status::kTampered;
-  return record;
-}
-
 /// Decodes a whole buffer as one record: every failure, and any byte left
 /// over, is kTampered.
 template <class T>
 Result<T> decode_record(ByteView bytes) {
   BinaryReader r(bytes);
-  auto record = read_record<T>(r);
+  FieldReader io(r);
+  T record;
+  T::fields(io, record);
   if (!r.done()) return Status::kTampered;
   return record;
 }
 
 template <class R>
 void FieldWriter::sized(const R& r, size_t /*max_len*/) {
-  w_.bytes(encode_record(r));
+  const size_t at = w_.size();
+  w_.u32(0);
+  R::fields(*this, r);
+  w_.patch_u32(at, static_cast<uint32_t>(w_.size() - at - 4));
 }
 
 template <class R>
 void FieldReader::sized(R& r, size_t max_len) {
-  const Bytes inner = r_.bytes(max_len);
+  const uint32_t len = r_.u32();
+  require(len <= max_len);
+  BinaryReader inner_reader(r_.view(len));
   if (!r_.ok()) return;
-  auto decoded = decode_record<R>(inner);
-  require(decoded.ok());
-  if (decoded.ok()) r = std::move(decoded).value();
+  FieldReader inner(inner_reader);
+  R::fields(inner, r);
+  require(inner_reader.done());
 }
 
 }  // namespace sgxmig

@@ -181,6 +181,27 @@ def test_layering_real_tree_is_clean():
     assert "check_layering: OK" in result.stdout
 
 
+# ----- hand-codec -----
+
+def test_hand_codec_catches_reader_construction():
+    result = run("--root", str(FIXTURES / "codec"), "hand-codec")
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert re.search(r"bad_reader\.cpp:5: \[hand-codec\]", result.stdout), \
+        result.stdout
+
+
+def test_hand_codec_allow_param_and_whitelist_stay_quiet():
+    result = run("--root", str(FIXTURES / "codec"), "hand-codec")
+    for quiet in ("suppressed.cpp", "clean.cpp", "serde.cpp"):
+        assert quiet not in result.stdout, result.stdout
+    assert "FAILED (1 finding)" in result.stdout, result.stdout
+
+
+def test_hand_codec_real_tree_is_clean():
+    result = run("--root", str(REPO), "hand-codec")
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 # ----- pycheck -----
 
 def test_pycheck_catches_seeded_violations():

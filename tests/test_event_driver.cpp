@@ -242,7 +242,7 @@ class PlacementIndexDeterminism : public ::testing::Test {
     }
   }
 
-  PlacementQuery random_query(const std::map<std::string, uint32_t>& ledger) {
+  PlacementQuery random_query() {
     PlacementQuery query;
     query.source = "m" + std::to_string(splitmix(rng_) % 18);
     for (int i = 0; i < 3; ++i) {
@@ -257,9 +257,6 @@ class PlacementIndexDeterminism : public ::testing::Test {
     if (splitmix(rng_) % 3 == 0) {
       query.avoid.push_back("m" + std::to_string(splitmix(rng_) % 18));
     }
-    // The brute-force leg carries the ledger as the legacy per-query map;
-    // the indexed leg sees it via note_reservation only.
-    query.reserved = ledger;
     return query;
   }
 
@@ -282,10 +279,8 @@ class PlacementIndexDeterminism : public ::testing::Test {
         if (--it->second == 0) ledger.erase(it);
       }
 
-      PlacementQuery query = random_query(ledger);
-      PlacementQuery indexed_query = query;
-      indexed_query.reserved.clear();  // ledger-only calling convention
-      const auto indexed = scheduler.pick_destination(indexed_query);
+      const PlacementQuery query = random_query();
+      const auto indexed = scheduler.pick_destination(query);
       scheduler.set_use_index(false);
       const auto brute = scheduler.pick_destination(query);
       scheduler.set_use_index(true);

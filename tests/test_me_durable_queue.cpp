@@ -512,15 +512,24 @@ std::unique_ptr<MigratableEnclave> counting_app(platform::Machine& m0,
 // The source ME holds every kind of durable source-side work — a
 // pre-copy attempt with merged chunks, a queued full-snapshot task and an
 // unarmed reservation — and the destination holds the attempt's staging.
-// Both sealed snapshots are pinned by SHA-256: the v4 layout may not move
-// by a single byte, and a restart restores the same queue.
+// Returns the three apps, which must outlive the queues.
+std::vector<std::unique_ptr<MigratableEnclave>> pinned_queue_apps(
+    platform::Machine& m0) {
+  std::vector<std::unique_ptr<MigratableEnclave>> apps;
+  apps.push_back(counting_app(m0, "pin-precopy"));
+  EXPECT_TRUE(apps.back()->ecall_migration_precopy_round("m1").ok());
+  apps.push_back(counting_app(m0, "pin-queued"));
+  EXPECT_TRUE(apps.back()->ecall_migration_enqueue_detailed("m1").ok());
+  apps.push_back(counting_app(m0, "pin-reserved"));
+  EXPECT_TRUE(apps.back()->ecall_migration_reserve_detailed("m1").ok());
+  return apps;
+}
+
+// Both sealed snapshots of the pinned queues are pinned by SHA-256: the
+// v4 layout may not move by a single byte, and a restart restores the
+// same queue.
 TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
-  auto precopy = counting_app(m0_, "pin-precopy");
-  ASSERT_TRUE(precopy->ecall_migration_precopy_round("m1").ok());
-  auto queued = counting_app(m0_, "pin-queued");
-  ASSERT_TRUE(queued->ecall_migration_enqueue_detailed("m1").ok());
-  auto reserved = counting_app(m0_, "pin-reserved");
-  ASSERT_TRUE(reserved->ecall_migration_reserve_detailed("m1").ok());
+  const auto apps = pinned_queue_apps(m0_);
   // Nothing is pumped: the enqueued task and the reservation are queued.
   ASSERT_EQ(me("m0")->transfer_task_count(), 3u);
   ASSERT_EQ(me("m1")->precopy_staging_count(), 1u);
@@ -540,6 +549,53 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+}
+
+// The host owns the stored snapshot.  On the pinned queues' plaintexts:
+// each decodes and re-encodes to itself; every strict prefix and one
+// appended byte, correctly sealed, are refused and leave the ME's queue as
+// it was; and a section count forged to 0xFFFFFFFF on a short buffer is
+// refused at the first entry that runs out of bytes (a reader that
+// honoured the count would spin through 2^32 entries first).
+TEST_F(MeDurableQueueTest, HostileQueueSnapshotsAreRefused) {
+  const auto apps = pinned_queue_apps(m0_);
+  for (const char* address : {"m0", "m1"}) {
+    SCOPED_TRACE(address);
+    QueueSealer sealer(machine(address));
+    const Bytes plaintext = sealer.open(me(address)->sealed_queue_state());
+    ASSERT_FALSE(plaintext.empty());
+    auto decoded = decode_record<migration::DurableQueue>(plaintext);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(encode_record(decoded.value()), plaintext);
+
+    MigrationEnclave& target = *me(address);
+    const auto queue_shape = [&target] {
+      return std::vector<size_t>{
+          target.transfer_task_count(), target.outgoing_count(),
+          target.pending_incoming_count(), target.precopy_staging_count(),
+          target.unrelayed_done_count(), target.completed_history_size()};
+    };
+    const std::vector<size_t> shape = queue_shape();
+    for (size_t len = 0; len < plaintext.size(); ++len) {
+      const Bytes prefix(plaintext.begin(), plaintext.begin() + len);
+      ASSERT_EQ(target.restore_queue(sealer.seal_queue(prefix)),
+                Status::kTampered)
+          << "prefix of " << len << " bytes";
+    }
+    Bytes longer = plaintext;
+    longer.push_back(0);
+    EXPECT_EQ(target.restore_queue(sealer.seal_queue(longer)),
+              Status::kTampered);
+    EXPECT_EQ(queue_shape(), shape);
+
+    // The outgoing section's count follows the magic and the sequence.
+    constexpr size_t kFirstCount = 4 + 18 + 8;
+    Bytes forged(plaintext.begin(), plaintext.begin() + kFirstCount + 16);
+    store_le32(forged.data() + kFirstCount, 0xFFFFFFFFu);
+    EXPECT_EQ(target.restore_queue(sealer.seal_queue(forged)),
+              Status::kTampered);
+    EXPECT_EQ(queue_shape(), shape);
+  }
 }
 
 // A nonce is one attempt of one mode: a snapshot that lists one nonce in

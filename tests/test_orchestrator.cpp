@@ -333,7 +333,7 @@ TEST_F(OrchestratorTest, LeastLoadedPolicyCountsReservations) {
   query.source = "m0";
   EXPECT_EQ(scheduler.pick_destination(query).value(), "m2");
   // Two in-flight reservations flip the ranking.
-  query.reserved["m2"] = 2;
+  scheduler.note_reservation("m2", 2);
   EXPECT_EQ(scheduler.pick_destination(query).value(), "m1");
 }
 
@@ -392,7 +392,7 @@ TEST_F(OrchestratorTest, CapacityWeightedPolicyUsesCertifiedCores) {
   Scheduler capacity(fleet_, orchestrator::make_capacity_weighted_policy());
   EXPECT_EQ(capacity.pick_destination(query).value(), "m1");
   // Reservations count against the headroom like registry load does.
-  query.reserved = {{"m1", 6}};  // (2+6+1)/32 = 0.28 > 0.25
+  capacity.note_reservation("m1", 6);  // (2+6+1)/32 = 0.28 > 0.25
   EXPECT_EQ(capacity.pick_destination(query).value(), "m2");
 }
 

@@ -63,10 +63,7 @@ TEST(PolicyUnit, SerializationRoundTrip) {
   policy.allowed_regions = {"eu-central"};
   policy.denied_addresses = {"m9", "m10"};
   policy.min_cpu_cores = 32;
-  BinaryWriter w;
-  policy.serialize(w);
-  BinaryReader r(w.data());
-  auto back = MigrationPolicy::deserialize(r);
+  auto back = decode_record<MigrationPolicy>(encode_record(policy));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().allowed_regions, policy.allowed_regions);
   EXPECT_EQ(back.value().denied_addresses, policy.denied_addresses);
