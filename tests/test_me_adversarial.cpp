@@ -247,8 +247,9 @@ class LaClient : public sgx::Enclave {
     return status;
   }
 
-  /// Sends one LibMsg; returns the reply's status (kOk on success).
-  Status send(migration::LibMsgType type, const Bytes& payload) {
+  /// Sends one LibMsg; returns the ME's reply.
+  Result<migration::LibMsg> request(migration::LibMsgType type,
+                                    const Bytes& payload) {
     auto scope = enter_ecall();
     migration::LibMsg msg;
     msg.type = type;
@@ -262,7 +263,13 @@ class LaClient : public sgx::Enclave {
     auto record = channel_->open_record(resp.payload);
     if (!record.ok()) return record.status();
     auto reply = migration::LibMsg::deserialize(record.value());
-    return reply.ok() ? reply.value().status : Status::kTampered;
+    if (!reply.ok()) return Status::kTampered;
+    return reply.value();
+  }
+  /// Sends one LibMsg; returns the reply's status (kOk on success).
+  Status send(migration::LibMsgType type, const Bytes& payload) {
+    auto reply = request(type, payload);
+    return reply.ok() ? reply.value().status : reply.status();
   }
 
   Status precopy_round(uint64_t nonce, const std::string& destination) {
@@ -276,6 +283,18 @@ class LaClient : public sgx::Enclave {
     request.destination_address = destination;
     request.request_nonce = nonce;
     return send(migration::LibMsgType::kMigrateEnqueue, request.serialize());
+  }
+  Status reserve(uint64_t nonce, const std::string& destination) {
+    migration::MigrateReservePayload request;
+    request.destination_address = destination;
+    request.request_nonce = nonce;
+    return send(migration::LibMsgType::kMigrateReserve, request.serialize());
+  }
+  Status arm(uint64_t nonce, const std::string& destination) {
+    migration::MigrateRequestPayload request;
+    request.destination_address = destination;
+    request.request_nonce = nonce;
+    return send(migration::LibMsgType::kMigrateArm, request.serialize());
   }
 
  private:
@@ -311,7 +330,57 @@ TEST_F(MeAdversarialTest, NonceBindsOneIdentityDestinationAndMode) {
   EXPECT_EQ(owner.precopy_round(kNonce, "m9"), Status::kInvalidParameter);
   EXPECT_EQ(me0_->transfer_task_count(), 1u);
   EXPECT_EQ(owner.precopy_round(kNonce, "m1"), Status::kOk);
+
+  // An arm follows the same rule, against a reservation of its own.
+  constexpr uint64_t kReserved = 0x5eee;
+  ASSERT_EQ(owner.reserve(kReserved, "m1"), Status::kOk);
+  EXPECT_EQ(other.arm(kReserved, "m1"), Status::kAlreadyExists);
+  EXPECT_EQ(owner.arm(kReserved, "m9"), Status::kInvalidParameter);
+  EXPECT_EQ(owner.arm(kNonce, "m1"), Status::kInvalidParameter);
+  EXPECT_EQ(owner.arm(0, "m1"), Status::kInvalidParameter);
+  EXPECT_EQ(me0_->transfer_task_count(), 2u);
 }
+
+// Every library request that carries a payload refuses a malformed one
+// with one kError/kTampered reply, an empty payload, and no queue change.
+class MeMalformedLibRequestTest
+    : public MeAdversarialTest,
+      public ::testing::WithParamInterface<migration::LibMsgType> {};
+
+TEST_P(MeMalformedLibRequestTest, IsTamperedAndChangesNothing) {
+  LaClient client(m0_, image_, /*session_id=*/404);
+  ASSERT_EQ(client.attest(), Status::kOk);
+  // Some queue state to keep: a live pre-copy task, durably sealed.
+  ASSERT_EQ(client.precopy_round(0x5eed, "m1"), Status::kOk);
+  const size_t tasks = me0_->transfer_task_count();
+  const Bytes sealed = me0_->sealed_queue_state();
+  ASSERT_FALSE(sealed.empty());
+  for (const Bytes& malformed : {Bytes{}, Bytes(3, 0xff), Bytes(1, 0x01)}) {
+    auto reply = client.request(GetParam(), malformed);
+    ASSERT_TRUE(reply.ok()) << status_name(reply.status());
+    EXPECT_EQ(reply.value().type, migration::LibMsgType::kError);
+    EXPECT_EQ(reply.value().status, Status::kTampered);
+    EXPECT_TRUE(reply.value().payload.empty());
+    EXPECT_EQ(me0_->transfer_task_count(), tasks);
+    EXPECT_EQ(me0_->sealed_queue_state(), sealed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PayloadRequests, MeMalformedLibRequestTest,
+    ::testing::Values(migration::LibMsgType::kMigrateRequest,
+                      migration::LibMsgType::kConfirmMigration,
+                      migration::LibMsgType::kQueryStatus,
+                      migration::LibMsgType::kPrecopyRound,
+                      migration::LibMsgType::kPrecopyFinalizeReq,
+                      migration::LibMsgType::kMigrateEnqueue,
+                      migration::LibMsgType::kPollTransfer,
+                      migration::LibMsgType::kAbortStale,
+                      migration::LibMsgType::kMigrateReserve,
+                      migration::LibMsgType::kMigrateArm),
+    [](const ::testing::TestParamInfo<migration::LibMsgType>& row) {
+      return "Type" + std::to_string(static_cast<int>(row.param));
+    });
 
 // The confirm carries the fetch reply's delivery token; the token-less
 // form no library writes is refused.
