@@ -26,10 +26,10 @@ void run() {
               sizeof(sgx::Key128), "Used by migratable seal");
 
   migration::MigrationData data;
-  const Bytes wire = data.serialize();
+  const Bytes wire = encode_record(data);
   std::printf("serialized size on the wire: %zu bytes (plus the secure-"
               "channel record framing)\n", wire.size());
-  const auto round_trip = migration::MigrationData::deserialize(wire);
+  const auto round_trip = decode_record<migration::MigrationData>(wire);
   std::printf("serialization round-trip: %s\n",
               round_trip.ok() && round_trip.value() == data ? "OK" : "BROKEN");
 
@@ -51,11 +51,11 @@ void run() {
               sizeof(sgx::Key128), "Used by migratable seal");
 
   migration::LibraryState state;
-  const Bytes state_wire = state.serialize();
+  const Bytes state_wire = encode_record(state);
   std::printf("serialized size (before sealing): %zu bytes\n",
               state_wire.size());
   const auto state_round_trip =
-      migration::LibraryState::deserialize(state_wire);
+      decode_record<migration::LibraryState>(state_wire);
   std::printf("serialization round-trip: %s\n",
               state_round_trip.ok() ? "OK" : "BROKEN");
 }

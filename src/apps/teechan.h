@@ -33,10 +33,6 @@ struct PaymentMessage {
     io.fixed(m.sender);
     io.fixed(m.signature);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PaymentMessage> deserialize(ByteView b) {
-    return decode_record<PaymentMessage>(b);
-  }
   Bytes signed_message() const;
 };
 

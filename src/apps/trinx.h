@@ -37,10 +37,6 @@ struct TrinxCertificate {
     io.fixed(m.signer);
     io.fixed(m.signature);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<TrinxCertificate> deserialize(ByteView b) {
-    return decode_record<TrinxCertificate>(b);
-  }
   Bytes signed_message() const;
   bool verify() const;
 };

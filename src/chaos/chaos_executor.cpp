@@ -183,7 +183,7 @@ void ChaosExecutor::fire_restart(const FaultEvent& event) {
 
 bool ChaosExecutor::on_request(const std::string& to, Bytes& request) {
   if (to.find("/me") == std::string::npos) return true;
-  auto parsed = MeRequest::deserialize(request);
+  auto parsed = decode_record<MeRequest>(request);
   if (!parsed.ok()) return true;
   const MeMsgType type = parsed.value().type;
   for (size_t i = 0; i < plan_.events.size(); ++i) {

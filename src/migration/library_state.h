@@ -64,10 +64,6 @@ struct LibraryState {
     io.record(m.epoch_uuid);
     io.u32(m.epoch_value);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<LibraryState> deserialize(ByteView b) {
-    return decode_record<LibraryState>(b);
-  }
 };
 
 /// One active Table II slot as the library holds it in memory.

@@ -36,10 +36,6 @@ struct MigrationData {
     for (auto& value : m.counter_values) io.u32(value);
     io.fixed(m.msk);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<MigrationData> deserialize(ByteView b) {
-    return decode_record<MigrationData>(b);
-  }
 
   size_t active_count() const;
   bool operator==(const MigrationData&) const = default;

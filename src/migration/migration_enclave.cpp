@@ -254,8 +254,8 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
       precopy_staging_count() != 0) {
     sweep_stale_precopy_staging();
   }
-  auto parsed = MeRequest::deserialize(raw);
-  if (!parsed.ok()) return error_response(Status::kTampered).serialize();
+  auto parsed = decode_record<MeRequest>(raw);
+  if (!parsed.ok()) return encode_record(error_response(Status::kTampered));
   const MeRequest& req = parsed.value();
 
   MeResponse resp;
@@ -273,7 +273,7 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
     case MeMsgType::kAbort: resp = on_abort(req); break;
     case MeMsgType::kSessionResume: resp = on_session_resume(req); break;
   }
-  return resp.serialize();
+  return encode_record(resp);
 }
 
 // ----- local attestation service -----
@@ -290,7 +290,7 @@ MeResponse MigrationEnclave::on_la_start(const MeRequest& req) {
   session.last_used = platform().clock().now();
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = session.dh->create_msg1().serialize();
+  resp.payload = encode_record(session.dh->create_msg1());
   la_sessions_[req.id] = std::move(session);
   return resp;
 }
@@ -298,7 +298,7 @@ MeResponse MigrationEnclave::on_la_start(const MeRequest& req) {
 MeResponse MigrationEnclave::on_la_msg2(const MeRequest& req) {
   const auto it = la_sessions_.find(req.id);
   if (it == la_sessions_.end()) return error_response(Status::kInvalidState);
-  auto msg2 = sgx::DhMsg2::deserialize(req.payload);
+  auto msg2 = decode_record<sgx::DhMsg2>(req.payload);
   if (!msg2.ok()) return error_response(Status::kTampered);
   auto msg3 = it->second.dh->handle_msg2(msg2.value());
   if (!msg3.ok()) {
@@ -313,7 +313,7 @@ MeResponse MigrationEnclave::on_la_msg2(const MeRequest& req) {
   it->second.last_used = platform().clock().now();
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = msg3.value().serialize();
+  resp.payload = encode_record(msg3.value());
   return resp;
 }
 
@@ -326,7 +326,7 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
   session.last_used = platform().clock().now();
   auto plaintext = session.channel->open_record(req.payload);
   if (!plaintext.ok()) return error_response(plaintext.status());
-  auto msg = LibMsg::deserialize(plaintext.value());
+  auto msg = decode_record<LibMsg>(plaintext.value());
   if (!msg.ok()) return error_response(Status::kTampered);
 
   // Inner handlers can make nested rpcs whose peers re-enter
@@ -383,7 +383,7 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
   }
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = after->second.channel->seal_record(reply.serialize());
+  resp.payload = after->second.channel->seal_record(encode_record(reply));
   // A confirmed delivery ends the session's purpose: drop it so a long
   // drain does not accumulate one dead session per migrated enclave.  (A
   // library that outlives the confirm simply re-attests on its next call.)
@@ -396,7 +396,7 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
 LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
                                             const LibMsg& msg) {
   LibMsg reply;
-  auto request = MigrateRequestPayload::deserialize(msg.payload);
+  auto request = decode_record<MigrateRequestPayload>(msg.payload);
   if (!request.ok()) {
     reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
@@ -454,10 +454,10 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
   reply.type = LibMsgType::kIncomingData;
   reply.status = Status::kOk;
   IncomingDataPayload incoming;
-  incoming.data = it->second.data->serialize();
+  incoming.data = encode_record(*it->second.data);
   incoming.delivery_token = it->second.delivery_token;
   incoming.request_nonce = it->second.request_nonce;
-  reply.payload = incoming.serialize();
+  reply.payload = encode_record(incoming);
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->trace.instant("me.fetch", platform().address(),
                        it->second.request_nonce);
@@ -581,9 +581,10 @@ size_t MigrationEnclave::retry_done_relays() {
     done_req.type = MeMsgType::kDone;
     done_req.id = id;
     done_req.payload = relay.sealed_record;
-    auto raw = net->rpc(relay.source_me_address + "/me", done_req.serialize());
+    auto raw =
+        net->rpc(relay.source_me_address + "/me", encode_record(done_req));
     if (!raw.ok()) continue;
-    auto resp = MeResponse::deserialize(raw.value());
+    auto resp = decode_record<MeResponse>(raw.value());
     if (!resp.ok()) continue;
     const Status status = resp.value().status;
     // kOk: the source acknowledged and deleted its copy.  kInvalidState:
@@ -606,7 +607,7 @@ size_t MigrationEnclave::retry_done_relays() {
 LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
                                          const LibMsg& msg) {
   LibMsg reply;
-  auto query = NoncePayload::deserialize(msg.payload);
+  auto query = decode_record<NoncePayload>(msg.payload);
   if (!query.ok()) {
     reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
@@ -685,7 +686,7 @@ Status MigrationEnclave::attest_begin(const AttestRunPtr& run) {
     MeRequest rr;
     rr.type = MeMsgType::kSessionResume;
     rr.id = transfer_id;
-    rr.payload = resume.serialize();
+    rr.payload = encode_record(resume);
     return attest_send(run, rr, "await-resume",
                        &MigrationEnclave::attest_on_resume);
   }
@@ -694,7 +695,7 @@ Status MigrationEnclave::attest_begin(const AttestRunPtr& run) {
   MeRequest m1;
   m1.type = MeMsgType::kRaMsg1;
   m1.id = transfer_id;
-  m1.payload = run->ra->create_msg1().serialize();
+  m1.payload = encode_record(run->ra->create_msg1());
   return attest_send(run, m1, "await-ra-msg2",
                      &MigrationEnclave::attest_on_ra_msg2);
 }
@@ -713,9 +714,9 @@ Status MigrationEnclave::attest_on_resume(const AttestRunPtr& run,
     if (run->hooks.on_step) run->hooks.on_step(run->transfer_id, "requeued");
     return attest_begin(run);
   };
-  auto resp = MeResponse::deserialize(raw.value());
+  auto resp = decode_record<MeResponse>(raw.value());
   if (!resp.ok() || resp.value().status != Status::kOk) return fallback();
-  auto reply = SessionResumeReply::deserialize(resp.value().payload);
+  auto reply = decode_record<SessionResumeReply>(resp.value().payload);
   if (!reply.ok()) return fallback();
   const auto cached = peer_sessions_.find(run->destination);
   if (cached == peer_sessions_.end()) return fallback();
@@ -739,7 +740,7 @@ Status MigrationEnclave::attest_on_ra_msg2(const AttestRunPtr& run,
   const uint64_t id = run->transfer_id;
   auto reply = open_task_reply(raw);
   if (!reply.ok()) return run->done(id, reply.status());
-  auto msg2 = sgx::RaMsg2::deserialize(reply.value());
+  auto msg2 = decode_record<sgx::RaMsg2>(reply.value());
   if (!msg2.ok()) return run->done(id, Status::kTampered);
   auto msg3 = run->ra->handle_msg2(msg2.value());
   if (!msg3.ok()) return run->done(id, msg3.status());
@@ -789,7 +790,7 @@ Status MigrationEnclave::attest_on_auth(const AttestRunPtr& run,
 }
 
 MeResponse MigrationEnclave::on_session_resume(const MeRequest& req) {
-  auto parsed = SessionResumeRequest::deserialize(req.payload);
+  auto parsed = decode_record<SessionResumeRequest>(req.payload);
   if (!parsed.ok()) return error_response(Status::kTampered);
   const SessionResumeRequest& resume = parsed.value();
   const auto it = resume_acceptors_.find(resume.initiator_address);
@@ -831,7 +832,7 @@ MeResponse MigrationEnclave::on_session_resume(const MeRequest& req) {
   inbound_[req.id] = std::move(inbound);
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = reply.serialize();
+  resp.payload = encode_record(reply);
   return resp;
 }
 
@@ -911,8 +912,9 @@ Status MigrationEnclave::send_step(bool inline_step,
                                    const MeRequest& req,
                                    StepContinuation next) {
   net::Network* net = platform().network();
-  if (inline_step) return next(net->rpc(destination + "/me", req.serialize()));
-  net->post(destination + "/me", req.serialize(), net_endpoint(),
+  const Bytes wire = encode_record(req);
+  if (inline_step) return next(net->rpc(destination + "/me", wire));
+  net->post(destination + "/me", wire, net_endpoint(),
             [this, next = std::move(next)](Result<Bytes> raw) {
               // The reply lands in an ecall of its own.
               auto scope = enter_ecall();
@@ -923,7 +925,7 @@ Status MigrationEnclave::send_step(bool inline_step,
 
 LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
                                             const LibMsg& msg) {
-  auto request = MigrateRequestPayload::deserialize(msg.payload);
+  auto request = decode_record<MigrateRequestPayload>(msg.payload);
   if (!request.ok()) {
     LibMsg reply;
     reply.type = LibMsgType::kError;
@@ -940,7 +942,7 @@ LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
   // enclave keeps running.  The task attests ahead of time and then parks
   // at kAwaitArm; the poll reports kSlotLive and only then does the
   // library freeze, collect, and arm the payload.
-  auto parsed = MigrateReservePayload::deserialize(msg.payload);
+  auto parsed = decode_record<MigrateReservePayload>(msg.payload);
   if (!parsed.ok()) {
     LibMsg reply;
     reply.type = LibMsgType::kError;
@@ -1046,7 +1048,7 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
                                         const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto request = MigrateRequestPayload::deserialize(msg.payload);
+  auto request = decode_record<MigrateRequestPayload>(msg.payload);
   if (!request.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1168,7 +1170,7 @@ Status MigrationEnclave::kick_task(uint64_t nonce) {
 
 Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
   if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
+  auto resp = decode_record<MeResponse>(raw.value());
   if (!resp.ok()) return Status::kTampered;
   if (resp.value().status != Status::kOk) return resp.value().status;
   return resp.value().payload;
@@ -1204,7 +1206,7 @@ Status MigrationEnclave::ship_task_payload(uint64_t nonce,
   payload.source_me_address = platform().address();
   payload.request_nonce = nonce;
   payload.data = task.request.data;
-  const Bytes payload_bytes = payload.serialize();
+  const Bytes payload_bytes = encode_record(payload);
   charge_gcm(payload_bytes.size());
   MeRequest t;
   t.type = MeMsgType::kTransfer;
@@ -1230,7 +1232,7 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   // A failed persist surfaces through a terminal task that still carries
   // the real request — a restart resurrects it as a well-formed kQueued
   // retry, not an empty husk.
-  const Status retained = retain_task(nonce, task.request.data.serialize());
+  const Status retained = retain_task(nonce, encode_record(task.request.data));
   if (retained != Status::kOk) return fail_task(nonce, retained);
   return Status::kOk;
 }
@@ -1292,7 +1294,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
                                           const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto parsed = NoncePayload::deserialize(msg.payload);
+  auto parsed = decode_record<NoncePayload>(msg.payload);
   if (!parsed.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1354,7 +1356,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
   }
   reply.type = LibMsgType::kTransferProgress;
   reply.status = Status::kOk;
-  reply.payload = progress.serialize();
+  reply.payload = encode_record(progress);
   return reply;
 }
 
@@ -1375,7 +1377,7 @@ Status MigrationEnclave::abort_remote_pending(
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
   const auto reply = attested_query<AbortReply>(
-      destination_address, MeMsgType::kAbort, request.serialize());
+      destination_address, MeMsgType::kAbort, encode_record(request));
   if (!reply.ok()) return reply.status();
   // Not forgettable: the destination holds a DELIVERED entry for this
   // nonce — an instance may still confirm it, so nothing may be forgotten
@@ -1416,7 +1418,7 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
                                         const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto parsed = AbortStalePayload::deserialize(msg.payload);
+  auto parsed = decode_record<AbortStalePayload>(msg.payload);
   if (!parsed.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1543,7 +1545,7 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
                                           const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto parsed = PrecopyRoundPayload::deserialize(msg.payload);
+  auto parsed = decode_record<PrecopyRoundPayload>(msg.payload);
   if (!parsed.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1648,7 +1650,7 @@ Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   record.request_nonce = nonce;
   record.round = task.rounds;
   record.chunks = std::move(to_send);
-  const Bytes record_bytes = record.serialize();
+  const Bytes record_bytes = encode_record(record);
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyChunk;
@@ -1745,7 +1747,7 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   record.chunks = task.unacked_chunks();
   record.manifest = task.staged_finalize->manifest;
   record.msk = task.staged_finalize->msk;
-  const Bytes record_bytes = record.serialize();
+  const Bytes record_bytes = encode_record(record);
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyFinalize;
@@ -1782,7 +1784,7 @@ Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
     const PrecopyFinalizePayload& fin = *task.staged_finalize;
     failure = retain_task(
         nonce,
-        assemble_snapshot(task.merged, fin.manifest, fin.msk).serialize());
+        encode_record(assemble_snapshot(task.merged, fin.manifest, fin.msk)));
     if (failure == Status::kOk) return Status::kOk;
   }
   // After a failed retain the task was reinstated: find it again.
@@ -1794,7 +1796,7 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
                                                  const LibMsg& msg) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
-  auto parsed = PrecopyFinalizePayload::deserialize(msg.payload);
+  auto parsed = decode_record<PrecopyFinalizePayload>(msg.payload);
   if (!parsed.ok()) {
     reply.status = Status::kTampered;
     return reply;
@@ -1859,7 +1861,7 @@ MeResponse MigrationEnclave::on_ra_msg1(const MeRequest& req) {
   if (inbound_.count(req.id) != 0) {
     return error_response(Status::kAlreadyExists);
   }
-  auto msg1 = sgx::RaMsg1::deserialize(req.payload);
+  auto msg1 = decode_record<sgx::RaMsg1>(req.payload);
   if (!msg1.ok()) return error_response(Status::kTampered);
   InboundTransfer inbound;
   inbound.ra = std::make_unique<sgx::RaSession>(
@@ -1868,7 +1870,7 @@ MeResponse MigrationEnclave::on_ra_msg1(const MeRequest& req) {
   if (!msg2.ok()) return error_response(msg2.status());
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = msg2.value().serialize();
+  resp.payload = encode_record(msg2.value());
   inbound_[req.id] = std::move(inbound);
   return resp;
 }
@@ -1966,7 +1968,7 @@ MigrationEnclave::open_inbound_record(const MeRequest& req, bool charge) {
   auto plaintext = it->second.channel->open_record(req.payload);
   if (!plaintext.ok()) return plaintext.status();
   if (charge) charge_gcm(plaintext.value().size());
-  auto record = Record::deserialize(plaintext.value());
+  auto record = decode_record<Record>(plaintext.value());
   if (!record.ok()) return Status::kTampered;
   return OpenedRecord<Record>{&it->second, std::move(record).value()};
 }
@@ -2188,7 +2190,7 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
   const auto reply = attested_query<ReconcileReply>(
-      source_address, MeMsgType::kReconcile, query.serialize());
+      source_address, MeMsgType::kReconcile, encode_record(query));
   if (!reply.ok()) return reply.status();
   if (reply.value().verdict != ReconcileVerdict::kSuperseded) {
     return Status::kMigrationInProgress;

@@ -37,7 +37,7 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   }
   auto sealed = host_.seal_with(*seal_ctx_,
                                 to_bytes(std::string_view(kStateAad)),
-                                state_.to_wire().serialize());
+                                encode_record(state_.to_wire()));
   if (!sealed.ok()) return sealed.status();
   sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {
@@ -190,7 +190,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       if (to_string(unsealed.value().aad) != kStateAad) {
         return Status::kTampered;
       }
-      auto state = LibraryState::deserialize(unsealed.value().plaintext);
+      auto state = decode_record<LibraryState>(unsealed.value().plaintext);
       if (!state.ok()) return state.status();
       // Freeze flag check: if this enclave's state was migrated away, the
       // library refuses to operate (prevents the §III-B fork).
@@ -220,7 +220,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         return reply.value().status == Status::kOk ? Status::kUnexpected
                                                    : reply.value().status;
       }
-      auto fetched = IncomingDataPayload::deserialize(reply.value().payload);
+      auto fetched = decode_record<IncomingDataPayload>(reply.value().payload);
       if (!fetched.ok()) return fetched.status();
       const uint64_t delivery_token = fetched.value().delivery_token;
       const uint64_t request_nonce = fetched.value().request_nonce;
@@ -229,7 +229,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         restore_span = rec->begin_span("restore", lane(), request_nonce);
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
-      auto data = MigrationData::deserialize(fetched.value().data);
+      auto data = decode_record<MigrationData>(fetched.value().data);
       if (!data.ok()) {
         close_span(restore_span, "deserialize-failed");
         return data.status();
@@ -484,12 +484,12 @@ Status MigrationLibrary::ensure_me_channel() {
   MeRequest start;
   start.type = MeMsgType::kLaStart;
   start.id = la_session_id_;
-  auto raw1 = net->rpc(me_address_ + "/me", start.serialize());
+  auto raw1 = net->rpc(me_address_ + "/me", encode_record(start));
   if (!raw1.ok()) return raw1.status();
-  auto resp1 = MeResponse::deserialize(raw1.value());
+  auto resp1 = decode_record<MeResponse>(raw1.value());
   if (!resp1.ok()) return Status::kTampered;
   if (resp1.value().status != Status::kOk) return resp1.value().status;
-  auto msg1 = sgx::DhMsg1::deserialize(resp1.value().payload);
+  auto msg1 = decode_record<sgx::DhMsg1>(resp1.value().payload);
   if (!msg1.ok()) return Status::kTampered;
   // msg2
   auto msg2 = session.handle_msg1(msg1.value());
@@ -497,13 +497,13 @@ Status MigrationLibrary::ensure_me_channel() {
   MeRequest m2;
   m2.type = MeMsgType::kLaMsg2;
   m2.id = la_session_id_;
-  m2.payload = msg2.value().serialize();
-  auto raw3 = net->rpc(me_address_ + "/me", m2.serialize());
+  m2.payload = encode_record(msg2.value());
+  auto raw3 = net->rpc(me_address_ + "/me", encode_record(m2));
   if (!raw3.ok()) return raw3.status();
-  auto resp3 = MeResponse::deserialize(raw3.value());
+  auto resp3 = decode_record<MeResponse>(raw3.value());
   if (!resp3.ok()) return Status::kTampered;
   if (resp3.value().status != Status::kOk) return resp3.value().status;
-  auto msg3 = sgx::DhMsg3::deserialize(resp3.value().payload);
+  auto msg3 = decode_record<sgx::DhMsg3>(resp3.value().payload);
   if (!msg3.ok()) return Status::kTampered;
   const Status status = session.handle_msg3(msg3.value());
   if (status != Status::kOk) return status;
@@ -526,15 +526,15 @@ Result<LibMsg> MigrationLibrary::me_exchange(const LibMsg& request) {
   MeRequest req;
   req.type = MeMsgType::kLaRecord;
   req.id = la_session_id_;
-  req.payload = me_channel_->seal_record(request.serialize());
-  auto raw = net->rpc(me_address_ + "/me", req.serialize());
+  req.payload = me_channel_->seal_record(encode_record(request));
+  auto raw = net->rpc(me_address_ + "/me", encode_record(req));
   if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
+  auto resp = decode_record<MeResponse>(raw.value());
   if (!resp.ok()) return Status::kTampered;
   if (resp.value().status != Status::kOk) return resp.value().status;
   auto record = me_channel_->open_record(resp.value().payload);
   if (!record.ok()) return record.status();
-  auto msg = LibMsg::deserialize(record.value());
+  auto msg = decode_record<LibMsg>(record.value());
   if (!msg.ok()) return Status::kTampered;
   return msg;
 }
@@ -806,7 +806,7 @@ void MigrationLibrary::notify_abort_stale(uint64_t nonce,
   payload.destination_address = old_destination;
   LibMsg request;
   request.type = LibMsgType::kAbortStale;
-  request.payload = payload.serialize();
+  request.payload = encode_record(payload);
   // Best-effort: a failed abort merely leaves the orphan for the
   // pull-based reconcile sweep, the pre-abort status quo.
   (void)me_exchange_reattest(request);
@@ -861,7 +861,7 @@ LibMsg MigrationLibrary::snapshot_request(LibMsgType type) {
   payload.data = *attempt_.snapshot;
   LibMsg request;
   request.type = type;
-  request.payload = payload.serialize();
+  request.payload = encode_record(payload);
   attempt_.payload_bytes = request.payload.size();
   return request;
 }
@@ -930,7 +930,7 @@ MigrationStartResult MigrationLibrary::migration_reserve_detailed(
   payload.policy = std::move(policy);
   LibMsg request;
   request.type = LibMsgType::kMigrateReserve;
-  request.payload = payload.serialize();
+  request.payload = encode_record(payload);
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) {
     // Nothing destructive happened (no freeze, no destroys): a classified
@@ -1001,7 +1001,7 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   query.request_nonce = attempt_.nonce;
   LibMsg request;
   request.type = LibMsgType::kPollTransfer;
-  request.payload = query.serialize();
+  request.payload = encode_record(query);
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) {
     // A lost poll reply must not be mistaken for a lost transfer.
@@ -1017,7 +1017,7 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
                              : Status::kUnexpected,
                          "ME poll reply");
   }
-  auto progress = TransferProgressPayload::deserialize(reply.value().payload);
+  auto progress = decode_record<TransferProgressPayload>(reply.value().payload);
   if (!progress.ok()) {
     return start_failure(progress.status(), "ME poll reply");
   }
@@ -1164,7 +1164,7 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   payload.chunks = chunks.value();
   LibMsg request;
   request.type = LibMsgType::kPrecopyRound;
-  request.payload = payload.serialize();
+  request.payload = encode_record(payload);
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) {
     close_span(round_span, "exchange-failed");
@@ -1278,7 +1278,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
   payload.msk = state_.msk;
   LibMsg request;
   request.type = LibMsgType::kPrecopyFinalizeReq;
-  request.payload = payload.serialize();
+  request.payload = encode_record(payload);
   auto reply = me_exchange_reattest(request);
 
   if (reply.ok() && reply.value().type == LibMsgType::kError &&
@@ -1287,7 +1287,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     // its queue, or a superseded attempt left partial staging): re-ship
     // the complete staged set once.
     payload.chunks = all_staged_chunks();
-    request.payload = payload.serialize();
+    request.payload = encode_record(payload);
     reply = me_exchange_reattest(request);
   }
   attempt_.payload_bytes = request.payload.size();
@@ -1328,7 +1328,7 @@ Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
   request.type = LibMsgType::kQueryStatus;
   NoncePayload query;
   query.request_nonce = nonce;
-  request.payload = query.serialize();
+  request.payload = encode_record(query);
   auto reply = me_exchange_reattest(request);
   if (!reply.ok()) return reply.status();
   if (reply.value().type != LibMsgType::kStatusReport) {

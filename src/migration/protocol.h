@@ -90,10 +90,6 @@ struct MeRequest {
     io.u64(m.id);
     io.bytes(m.payload, kMaxEnvelopePayload);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<MeRequest> deserialize(ByteView b) {
-    return decode_record<MeRequest>(b);
-  }
 };
 
 struct MeResponse {
@@ -104,10 +100,6 @@ struct MeResponse {
   static void fields(Io& io, Self& m) {
     io.u32(m.status);
     io.bytes(m.payload, kMaxEnvelopePayload);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<MeResponse> deserialize(ByteView b) {
-    return decode_record<MeResponse>(b);
   }
 };
 
@@ -158,10 +150,6 @@ struct LibMsg {
     io.u8(m.type);
     io.u32(m.status);
     io.bytes(m.payload, kMaxEnvelopePayload);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<LibMsg> deserialize(ByteView b) {
-    return decode_record<LibMsg>(b);
   }
 };
 
@@ -239,10 +227,6 @@ struct MigrateReservePayload {
     io.u64(m.request_nonce);
     io.record(m.policy);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<MigrateReservePayload> deserialize(ByteView b) {
-    return decode_record<MigrateReservePayload>(b);
-  }
 };
 
 /// Payload of kMigrateRequest, kMigrateEnqueue and kMigrateArm: a
@@ -254,10 +238,6 @@ struct MigrateRequestPayload : MigrateReservePayload {
   static void fields(Io& io, Self& m) {
     MigrateReservePayload::fields(io, m);
     io.sized(m.data, kMaxDataBlob);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<MigrateRequestPayload> deserialize(ByteView b) {
-    return decode_record<MigrateRequestPayload>(b);
   }
 };
 
@@ -274,10 +254,6 @@ struct NoncePayload {
   static void fields(Io& io, Self& m) {
     io.u64(m.request_nonce);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<NoncePayload> deserialize(ByteView b) {
-    return decode_record<NoncePayload>(b);
-  }
 };
 
 /// Payload of kTransferProgress.
@@ -289,10 +265,6 @@ struct TransferProgressPayload {
   static void fields(Io& io, Self& m) {
     io.u8(m.progress, TransferProgress::kNone, TransferProgress::kSlotLive);
     io.u32(m.failure);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<TransferProgressPayload> deserialize(ByteView b) {
-    return decode_record<TransferProgressPayload>(b);
   }
 };
 
@@ -308,10 +280,6 @@ struct AbortStalePayload {
     io.u64(m.request_nonce);
     io.str(m.destination_address, kMaxAddress);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<AbortStalePayload> deserialize(ByteView b) {
-    return decode_record<AbortStalePayload>(b);
-  }
 };
 
 /// Payload of the kAbort record (source ME -> orphaned destination ME)
@@ -326,10 +294,6 @@ struct AttemptRef {
   static void fields(Io& io, Self& m) {
     io.fixed(m.source_mr_enclave);
     io.u64(m.request_nonce);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<AttemptRef> deserialize(ByteView b) {
-    return decode_record<AttemptRef>(b);
   }
 };
 
@@ -348,10 +312,6 @@ struct IncomingDataPayload {
     io.bytes(m.data, kMaxDataBlob);
     io.u64(m.delivery_token);
     io.u64(m.request_nonce);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<IncomingDataPayload> deserialize(ByteView b) {
-    return decode_record<IncomingDataPayload>(b);
   }
 };
 
@@ -419,10 +379,6 @@ struct PrecopyRoundPayload {
     io.record(m.policy);
     io.list(m.chunks, kPrecopyChunkCount);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PrecopyRoundPayload> deserialize(ByteView b) {
-    return decode_record<PrecopyRoundPayload>(b);
-  }
 };
 
 /// Payload of kPrecopyFinalizeReq (ML -> source ME): a round carrying the
@@ -438,10 +394,6 @@ struct PrecopyFinalizePayload : PrecopyRoundPayload {
     PrecopyRoundPayload::fields(io, m);
     io.list(m.manifest, kPrecopyChunkCount);
     io.fixed(m.msk);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PrecopyFinalizePayload> deserialize(ByteView b) {
-    return decode_record<PrecopyFinalizePayload>(b);
   }
 };
 
@@ -461,10 +413,6 @@ struct PrecopyChunkRecord {
     io.u32(m.round);
     io.list(m.chunks, kPrecopyChunkCount);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PrecopyChunkRecord> deserialize(ByteView b) {
-    return decode_record<PrecopyChunkRecord>(b);
-  }
 };
 
 /// Payload of the kPrecopyFinalize record (source ME -> destination ME):
@@ -478,10 +426,6 @@ struct PrecopyFinalizeRecord : PrecopyChunkRecord {
     PrecopyChunkRecord::fields(io, m);
     io.list(m.manifest, kPrecopyChunkCount);
     io.fixed(m.msk);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PrecopyFinalizeRecord> deserialize(ByteView b) {
-    return decode_record<PrecopyFinalizeRecord>(b);
   }
 };
 
@@ -537,10 +481,6 @@ struct TransferPayload {
     io.u64(m.request_nonce);
     io.sized(m.data, kMaxDataBlob);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<TransferPayload> deserialize(ByteView b) {
-    return decode_record<TransferPayload>(b);
-  }
 };
 
 /// Payload of the kDone record (destination ME -> source ME): the
@@ -584,10 +524,6 @@ struct SessionResumeRequest {
     io.fixed(m.nonce);
     io.fixed(m.mac);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<SessionResumeRequest> deserialize(ByteView b) {
-    return decode_record<SessionResumeRequest>(b);
-  }
 };
 
 /// Payload of the kSessionResume response.
@@ -599,10 +535,6 @@ struct SessionResumeReply {
   static void fields(Io& io, Self& m) {
     io.fixed(m.nonce);
     io.fixed(m.mac);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<SessionResumeReply> deserialize(ByteView b) {
-    return decode_record<SessionResumeReply>(b);
   }
 };
 
@@ -617,10 +549,6 @@ struct ProviderAuth {
   static void fields(Io& io, Self& m) {
     io.record(m.credential);
     io.fixed(m.transcript_signature);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<ProviderAuth> deserialize(ByteView b) {
-    return decode_record<ProviderAuth>(b);
   }
 };
 

@@ -69,20 +69,20 @@ Result<Bytes> Machine::pse_call(const sgx::Measurement& caller,
   // The trusted runtime attaches the session token before the request
   // leaves the enclave; the proxies in between only see ciphertext-like
   // opaque bytes they cannot mint themselves.
-  auto parsed = sgx::PseRequest::deserialize(request);
+  auto parsed = decode_record<sgx::PseRequest>(request);
   if (!parsed.ok()) return Status::kInvalidParameter;
   sgx::PseRequest req = std::move(parsed).value();
   req.owner = caller;
   req.session_token = sgx::pse_session_token(pse_session_secret_, caller);
-  return world_.network().rpc(pse_uds_endpoint(), req.serialize());
+  return world_.network().rpc(pse_uds_endpoint(), encode_record(req));
 }
 
 Result<Bytes> Machine::pse_service_handler(ByteView request) {
-  auto parsed = sgx::PseRequest::deserialize(request);
+  auto parsed = decode_record<sgx::PseRequest>(request);
   sgx::PseResponse resp;
   if (!parsed.ok()) {
     resp.status = Status::kTampered;
-    return resp.serialize();
+    return encode_record(resp);
   }
   const sgx::PseRequest& req = parsed.value();
 
@@ -94,7 +94,7 @@ Result<Bytes> Machine::pse_service_handler(ByteView request) {
                         ByteView(req.session_token.data(),
                                  req.session_token.size()))) {
     resp.status = Status::kCounterNotOwned;
-    return resp.serialize();
+    return encode_record(resp);
   }
 
   obs::Observability& obs = world_.observability();
@@ -146,7 +146,7 @@ Result<Bytes> Machine::pse_service_handler(ByteView request) {
       break;
     }
   }
-  return resp.serialize();
+  return encode_record(resp);
 }
 
 size_t Machine::reclaim_retired_counters() {

@@ -30,10 +30,6 @@ struct DhMsg1 {
     io.fixed(m.responder_public);
     io.fixed(m.responder_target.mr_enclave);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<DhMsg1> deserialize(ByteView b) {
-    return decode_record<DhMsg1>(b);
-  }
 };
 
 struct DhMsg2 {
@@ -45,10 +41,6 @@ struct DhMsg2 {
     io.fixed(m.initiator_public);
     io.sized(m.initiator_report, 1024);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<DhMsg2> deserialize(ByteView b) {
-    return decode_record<DhMsg2>(b);
-  }
 };
 
 struct DhMsg3 {
@@ -57,10 +49,6 @@ struct DhMsg3 {
   template <class Io, class Self>
   static void fields(Io& io, Self& m) {
     io.sized(m.responder_report, 1024);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<DhMsg3> deserialize(ByteView b) {
-    return decode_record<DhMsg3>(b);
   }
 };
 

@@ -50,9 +50,9 @@ void Enclave::charge_gcm(size_t bytes) {
 }
 
 Result<PseResponse> Enclave::pse_roundtrip(const PseRequest& request) {
-  auto raw = platform_.pse_call(identity_.mr_enclave, request.serialize());
+  auto raw = platform_.pse_call(identity_.mr_enclave, encode_record(request));
   if (!raw.ok()) return raw.status();
-  auto resp = PseResponse::deserialize(raw.value());
+  auto resp = decode_record<PseResponse>(raw.value());
   if (!resp.ok()) return Status::kTampered;
   return resp;
 }

@@ -30,7 +30,7 @@ VerificationReport IntelAttestationService::verify_quote(const Quote& quote) {
   clock_.advance(costs_.ias_round_trip);
 
   VerificationReport report;
-  report.quote_body = quote.body.serialize();
+  report.quote_body = encode_record(quote.body);
   if (quote.credential.group_id != authority_.group_id()) {
     report.verdict = IasVerdict::kUnknownGroup;
   } else if (!authority_.verify_credential(quote.credential)) {

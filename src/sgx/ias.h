@@ -33,10 +33,6 @@ struct VerificationReport {
     io.bytes(m.quote_body, BinaryReader::kDefaultMaxLen);
     io.fixed(m.ias_signature);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<VerificationReport> deserialize(ByteView b) {
-    return decode_record<VerificationReport>(b);
-  }
   Bytes signed_message() const;
 
   /// Verifies the IAS signature against a pinned IAS key.

@@ -49,10 +49,6 @@ struct PseRequest {
       io.list(m.retire_uuids, MonotonicCounterService::kMaxCountersPerEnclave);
     }
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PseRequest> deserialize(ByteView b) {
-    return decode_record<PseRequest>(b);
-  }
 };
 
 struct PseResponse {
@@ -65,10 +61,6 @@ struct PseResponse {
     io.u32(m.status);
     io.record(m.uuid);
     io.u32(m.value);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<PseResponse> deserialize(ByteView b) {
-    return decode_record<PseResponse>(b);
   }
 };
 

@@ -5,7 +5,7 @@ namespace sgxmig::sgx {
 Bytes Quote::signed_message() const {
   BinaryWriter w;
   w.str("SGXMIG-QUOTE-v1");
-  w.raw(body.serialize());
+  w.raw(encode_record(body));
   w.u32(credential.group_id);
   return w.take();
 }

@@ -26,10 +26,6 @@ struct Quote {
     io.record(m.credential);
     io.fixed(m.signature);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<Quote> deserialize(ByteView b) {
-    return decode_record<Quote>(b);
-  }
   Bytes signed_message() const;
 };
 

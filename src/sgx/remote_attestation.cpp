@@ -46,11 +46,11 @@ Result<Bytes> RaSession::make_quote(const char* label) {
                     platform_.quoting_enclave().target_info(), binding(label));
   auto quote = platform_.quoting_enclave().create_quote(report);
   if (!quote.ok()) return quote.status();
-  return quote.value().serialize();
+  return encode_record(quote.value());
 }
 
 Status RaSession::verify_peer_quote(ByteView quote_bytes, const char* label) {
-  auto quote = Quote::deserialize(quote_bytes);
+  auto quote = decode_record<Quote>(quote_bytes);
   if (!quote.ok()) return Status::kTampered;
 
   // Submit to the IAS and check the signed verdict (we are the relying
@@ -64,7 +64,7 @@ Status RaSession::verify_peer_quote(ByteView quote_bytes, const char* label) {
     return Status::kQuoteVerificationFailure;
   }
   // The verdict must cover exactly the quote body we think we verified.
-  if (verdict.quote_body != quote.value().body.serialize()) {
+  if (verdict.quote_body != encode_record(quote.value().body)) {
     return Status::kQuoteVerificationFailure;
   }
   // Key-agreement binding.

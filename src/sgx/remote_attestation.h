@@ -26,10 +26,6 @@ struct RaMsg1 {
   static void fields(Io& io, Self& m) {
     io.fixed(m.initiator_public);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<RaMsg1> deserialize(ByteView b) {
-    return decode_record<RaMsg1>(b);
-  }
 };
 
 struct RaMsg2 {
@@ -41,10 +37,6 @@ struct RaMsg2 {
     io.fixed(m.responder_public);
     io.bytes(m.responder_quote, 4096);
   }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<RaMsg2> deserialize(ByteView b) {
-    return decode_record<RaMsg2>(b);
-  }
 };
 
 struct RaMsg3 {
@@ -53,10 +45,6 @@ struct RaMsg3 {
   template <class Io, class Self>
   static void fields(Io& io, Self& m) {
     io.bytes(m.initiator_quote, 4096);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<RaMsg3> deserialize(ByteView b) {
-    return decode_record<RaMsg3>(b);
   }
 };
 

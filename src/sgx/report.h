@@ -14,6 +14,7 @@
 
 namespace sgxmig::sgx {
 
+/// Its encoding is the bytes a report MAC and an IAS verdict cover.
 struct ReportBody {
   EnclaveIdentity identity;
   ReportData report_data{};
@@ -23,8 +24,6 @@ struct ReportBody {
     io.record(m.identity);
     io.fixed(m.report_data);
   }
-  /// The bytes a report MAC and an IAS verdict cover.
-  Bytes serialize() const { return encode_record(*this); }
 };
 
 struct Report {
@@ -35,10 +34,6 @@ struct Report {
   static void fields(Io& io, Self& m) {
     io.record(m.body);
     io.fixed(m.mac);
-  }
-  Bytes serialize() const { return encode_record(*this); }
-  static Result<Report> deserialize(ByteView b) {
-    return decode_record<Report>(b);
   }
 };
 

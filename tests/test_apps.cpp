@@ -253,7 +253,7 @@ TEST_F(TrinxTest, CertificateSerializationRoundTrip) {
   const uint32_t counter = trinx->ecall_create_trinx_counter().value();
   const auto cert =
       trinx->ecall_certify(counter, to_bytes(std::string_view("req"))).value();
-  auto back = apps::TrinxCertificate::deserialize(cert.serialize());
+  auto back = decode_record<apps::TrinxCertificate>(encode_record(cert));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back.value().verify());
   EXPECT_EQ(back.value().value, cert.value);

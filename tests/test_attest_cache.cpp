@@ -202,7 +202,7 @@ TEST_F(AttestCacheTest, SyncCallerFollowsTheStepMachineResumePolicy) {
   bool drop_resume = true;
   world_.network().set_tamper_hook([&](const std::string& to, Bytes& request) {
     if (to != "m1/me") return true;
-    auto parsed = MeRequest::deserialize(request);
+    auto parsed = decode_record<MeRequest>(request);
     if (!parsed.ok()) return true;
     sent.emplace_back(parsed.value().type, parsed.value().id);
     return !(drop_resume && parsed.value().type == MeMsgType::kSessionResume);
@@ -291,7 +291,7 @@ TEST_P(TamperedResumeTest, DowngradesToFullHandshake) {
     bool arm = false;
     world_.network().set_tamper_hook([&arm](const std::string& to,
                                             Bytes& request) {
-      auto parsed = MeRequest::deserialize(request);
+      auto parsed = decode_record<MeRequest>(request);
       if (to == "m1/me" && parsed.ok() &&
           parsed.value().type == MeMsgType::kTransfer) {
         arm = true;
@@ -328,7 +328,7 @@ TEST_P(TamperedResumeTest, DowngradesToFullHandshake) {
   size_t msg1 = 0;
   world_.network().set_tamper_hook([&](const std::string& to, Bytes& request) {
     if (to != peer) return true;
-    auto parsed = MeRequest::deserialize(request);
+    auto parsed = decode_record<MeRequest>(request);
     if (!parsed.ok() || request.empty()) return true;
     if (parsed.value().type == MeMsgType::kSessionResume) {
       request.back() ^= 0x01;

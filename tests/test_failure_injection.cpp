@@ -83,7 +83,7 @@ TEST_F(FailureInjectionTest, DoneMessageLostSourceKeepsData) {
   world_.network().set_tamper_hook(
       [](const std::string& to, Bytes& request) {
         if (to != "m0/me") return true;
-        auto parsed = migration::MeRequest::deserialize(request);
+        auto parsed = decode_record<migration::MeRequest>(request);
         return !(parsed.ok() &&
                  parsed.value().type == migration::MeMsgType::kDone);
       });

@@ -34,9 +34,9 @@ class MeAdversarialTest : public ::testing::Test {
   }
 
   MeResponse raw_call(const std::string& endpoint, const MeRequest& req) {
-    auto resp = world_.network().rpc(endpoint, req.serialize());
+    auto resp = world_.network().rpc(endpoint, encode_record(req));
     EXPECT_TRUE(resp.ok());
-    auto parsed = MeResponse::deserialize(resp.value());
+    auto parsed = decode_record<MeResponse>(resp.value());
     EXPECT_TRUE(parsed.ok());
     return parsed.value();
   }
@@ -54,7 +54,7 @@ TEST_F(MeAdversarialTest, GarbageRequestRejected) {
   auto resp = world_.network().rpc("m0/me", to_bytes(std::string_view(
                                                 "total garbage")));
   ASSERT_TRUE(resp.ok());
-  auto parsed = MeResponse::deserialize(resp.value());
+  auto parsed = decode_record<MeResponse>(resp.value());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().status, Status::kTampered);
 }
@@ -83,7 +83,7 @@ TEST_F(MeAdversarialTest, TransferWithoutAttestationRejected) {
   MeRequest req;
   req.type = MeMsgType::kTransfer;
   req.id = 42;
-  req.payload = payload.serialize();  // not even encrypted
+  req.payload = encode_record(payload);  // not even encrypted
   EXPECT_EQ(raw_call("m1/me", req).status, Status::kInvalidState);
   EXPECT_EQ(me1_->pending_incoming_count(), 0u);
 }
@@ -132,7 +132,7 @@ TEST_F(MeAdversarialTest, ReplayedLaRecordRejected) {
   world_.network().set_tamper_hook(
       [&](const std::string& to, Bytes& request) {
         if (to != "m0/me") return true;
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (parsed.ok() && parsed.value().type == MeMsgType::kLaRecord &&
             recorded.empty()) {
           recorded = request;
@@ -146,7 +146,7 @@ TEST_F(MeAdversarialTest, ReplayedLaRecordRejected) {
   // Replay the captured record verbatim.
   auto resp = world_.network().rpc("m0/me", recorded);
   ASSERT_TRUE(resp.ok());
-  auto parsed = MeResponse::deserialize(resp.value());
+  auto parsed = decode_record<MeResponse>(resp.value());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().status, Status::kReplayDetected);
 }
@@ -229,15 +229,15 @@ class LaClient : public sgx::Enclave {
     MeRequest start;
     start.type = MeMsgType::kLaStart;
     start.id = session_id_;
-    auto msg1 = sgx::DhMsg1::deserialize(call(start).payload);
+    auto msg1 = decode_record<sgx::DhMsg1>(call(start).payload);
     if (!msg1.ok()) return msg1.status();
     auto msg2 = session.handle_msg1(msg1.value());
     if (!msg2.ok()) return msg2.status();
     MeRequest m2;
     m2.type = MeMsgType::kLaMsg2;
     m2.id = session_id_;
-    m2.payload = msg2.value().serialize();
-    auto msg3 = sgx::DhMsg3::deserialize(call(m2).payload);
+    m2.payload = encode_record(msg2.value());
+    auto msg3 = decode_record<sgx::DhMsg3>(call(m2).payload);
     if (!msg3.ok()) return msg3.status();
     const Status status = session.handle_msg3(msg3.value());
     if (status == Status::kOk) {
@@ -257,12 +257,12 @@ class LaClient : public sgx::Enclave {
     MeRequest req;
     req.type = MeMsgType::kLaRecord;
     req.id = session_id_;
-    req.payload = channel_->seal_record(msg.serialize());
+    req.payload = channel_->seal_record(encode_record(msg));
     const MeResponse resp = call(req);
     if (resp.status != Status::kOk) return resp.status;
     auto record = channel_->open_record(resp.payload);
     if (!record.ok()) return record.status();
-    auto reply = migration::LibMsg::deserialize(record.value());
+    auto reply = decode_record<migration::LibMsg>(record.value());
     if (!reply.ok()) return Status::kTampered;
     return reply.value();
   }
@@ -276,32 +276,32 @@ class LaClient : public sgx::Enclave {
     migration::PrecopyRoundPayload round;
     round.destination_address = destination;
     round.request_nonce = nonce;
-    return send(migration::LibMsgType::kPrecopyRound, round.serialize());
+    return send(migration::LibMsgType::kPrecopyRound, encode_record(round));
   }
   Status enqueue(uint64_t nonce, const std::string& destination) {
     migration::MigrateRequestPayload request;
     request.destination_address = destination;
     request.request_nonce = nonce;
-    return send(migration::LibMsgType::kMigrateEnqueue, request.serialize());
+    return send(migration::LibMsgType::kMigrateEnqueue, encode_record(request));
   }
   Status reserve(uint64_t nonce, const std::string& destination) {
     migration::MigrateReservePayload request;
     request.destination_address = destination;
     request.request_nonce = nonce;
-    return send(migration::LibMsgType::kMigrateReserve, request.serialize());
+    return send(migration::LibMsgType::kMigrateReserve, encode_record(request));
   }
   Status arm(uint64_t nonce, const std::string& destination) {
     migration::MigrateRequestPayload request;
     request.destination_address = destination;
     request.request_nonce = nonce;
-    return send(migration::LibMsgType::kMigrateArm, request.serialize());
+    return send(migration::LibMsgType::kMigrateArm, encode_record(request));
   }
 
  private:
   MeResponse call(const MeRequest& req) {
-    auto raw = platform().network()->rpc(me_, req.serialize());
+    auto raw = platform().network()->rpc(me_, encode_record(req));
     if (!raw.ok()) return MeResponse{raw.status(), {}};
-    auto resp = MeResponse::deserialize(raw.value());
+    auto resp = decode_record<MeResponse>(raw.value());
     return resp.ok() ? resp.value() : MeResponse{Status::kTampered, {}};
   }
 
@@ -415,10 +415,10 @@ class RaClient : public sgx::Enclave {
     MeRequest m1;
     m1.type = MeMsgType::kRaMsg1;
     m1.id = transfer_id_;
-    m1.payload = ra.create_msg1().serialize();
+    m1.payload = encode_record(ra.create_msg1());
     const MeResponse r1 = call(m1);
     if (r1.status != Status::kOk) return r1.status;
-    auto msg2 = sgx::RaMsg2::deserialize(r1.payload);
+    auto msg2 = decode_record<sgx::RaMsg2>(r1.payload);
     if (!msg2.ok()) return msg2.status();
     auto msg3 = ra.handle_msg2(msg2.value());
     if (!msg3.ok()) return msg3.status();
@@ -427,8 +427,8 @@ class RaClient : public sgx::Enclave {
     auth.transcript_signature =
         key_.sign(migration::provider_auth_message(ra.transcript_hash()));
     BinaryWriter payload;
-    payload.bytes(msg3.value().serialize());
-    payload.bytes(auth.serialize());
+    payload.bytes(encode_record(msg3.value()));
+    payload.bytes(encode_record(auth));
     MeRequest m3;
     m3.type = MeMsgType::kRaMsg3;
     m3.id = transfer_id_;
@@ -451,9 +451,9 @@ class RaClient : public sgx::Enclave {
 
  private:
   MeResponse call(const MeRequest& req) {
-    auto raw = platform().network()->rpc(peer_, req.serialize());
+    auto raw = platform().network()->rpc(peer_, encode_record(req));
     if (!raw.ok()) return MeResponse{raw.status(), {}};
-    auto resp = MeResponse::deserialize(raw.value());
+    auto resp = decode_record<MeResponse>(raw.value());
     return resp.ok() ? resp.value() : MeResponse{Status::kTampered, {}};
   }
 
@@ -473,12 +473,12 @@ TEST_F(MeAdversarialTest, TransferWithoutANonceIsRefused) {
   migration::TransferPayload payload;
   payload.source_mr_enclave = image_->mr_enclave();
   payload.source_me_address = "m0";
-  EXPECT_EQ(peer.send(MeMsgType::kTransfer, payload.serialize()),
+  EXPECT_EQ(peer.send(MeMsgType::kTransfer, encode_record(payload)),
             Status::kInvalidParameter);
   EXPECT_EQ(me1_->pending_incoming_count(), 0u);
   // The same conversation carries a well-formed transfer.
   payload.request_nonce = 0x5eed;
-  EXPECT_EQ(peer.send(MeMsgType::kTransfer, payload.serialize()),
+  EXPECT_EQ(peer.send(MeMsgType::kTransfer, encode_record(payload)),
             Status::kOk);
   EXPECT_EQ(me1_->pending_incoming_count(), 1u);
 }

@@ -68,9 +68,9 @@ class MeDurableQueueTest : public ::testing::Test {
   }
 
   MeResponse raw_call(const std::string& endpoint, const MeRequest& req) {
-    auto resp = world_.network().rpc(endpoint, req.serialize());
+    auto resp = world_.network().rpc(endpoint, encode_record(req));
     EXPECT_TRUE(resp.ok());
-    auto parsed = MeResponse::deserialize(resp.value());
+    auto parsed = decode_record<MeResponse>(resp.value());
     EXPECT_TRUE(parsed.ok());
     return parsed.value();
   }
@@ -317,7 +317,7 @@ TEST_F(MeDurableQueueTest, ReplayedRaMsg1CannotClobberInboundTransfer) {
   world_.network().set_tamper_hook(
       [&](const std::string& to, Bytes& request) {
         if (to == "m1/me" && captured.empty()) {
-          auto parsed = MeRequest::deserialize(request);
+          auto parsed = decode_record<MeRequest>(request);
           if (parsed.ok() && parsed.value().type == MeMsgType::kRaMsg1) {
             captured = request;
           }
@@ -332,7 +332,7 @@ TEST_F(MeDurableQueueTest, ReplayedRaMsg1CannotClobberInboundTransfer) {
 
   auto resp = world_.network().rpc("m1/me", captured);
   ASSERT_TRUE(resp.ok());
-  auto parsed = MeResponse::deserialize(resp.value());
+  auto parsed = decode_record<MeResponse>(resp.value());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().status, Status::kAlreadyExists);
 
@@ -362,7 +362,7 @@ TEST_F(MeDurableQueueTest, DeadDestinationInstanceReleasesDeliveryPin) {
   world_.network().set_tamper_hook(
       [&](const std::string& to, Bytes& request) {
         if (to != "m1/me") return true;
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (parsed.ok() && parsed.value().type == MeMsgType::kLaRecord) {
           ++la_records_to_m1;
           if (la_records_to_m1 >= 2) return false;  // confirm + retries

@@ -553,7 +553,7 @@ TEST_F(MigrationTest, MigrationDataSerializationRoundTrip) {
   for (size_t i = 0; i < data.msk.size(); ++i) {
     data.msk[i] = static_cast<uint8_t>(i);
   }
-  auto back = MigrationData::deserialize(data.serialize());
+  auto back = decode_record<MigrationData>(encode_record(data));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), data);
   EXPECT_EQ(back.value().active_count(), 2u);
@@ -657,7 +657,7 @@ TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
     EXPECT_EQ(moved.chunk_generations(), generations);
 
     // The lowest free slot is the first one the record marks inactive.
-    const auto state = migration::LibraryState::deserialize(record);
+    const auto state = decode_record<migration::LibraryState>(record);
     ASSERT_TRUE(state.ok());
     uint32_t expected_free = 0;
     while (expected_free < migration::kMaxCounters &&
@@ -683,9 +683,9 @@ TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
 
 TEST_F(MigrationTest, MigrationDataRejectsTruncation) {
   MigrationData data;
-  Bytes bytes = data.serialize();
+  Bytes bytes = encode_record(data);
   bytes.pop_back();
-  EXPECT_FALSE(MigrationData::deserialize(bytes).ok());
+  EXPECT_FALSE(decode_record<MigrationData>(bytes).ok());
 }
 
 // Regression: a failed migration followed by a retry must not run the

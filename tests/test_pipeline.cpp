@@ -202,7 +202,7 @@ TEST_F(PipelineTest, BlockingStartRunsTaskStepsInline) {
   bool drop_transfer = false;
   world_.network().set_tamper_hook(
       [&](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to != "m1/me" || !parsed.ok()) return true;
         sent.push_back(parsed.value().type);
         return !(drop_transfer && parsed.value().type == MeMsgType::kTransfer);
@@ -333,7 +333,7 @@ TEST_F(PipelineTest, LostShipAckRetriesExactlyOnce) {
   bool arm = false;
   world_.network().set_tamper_hook(
       [&arm](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kTransfer) {
           arm = true;
@@ -523,7 +523,7 @@ TEST_F(PipelineTest, PipelinedDrainConvergesThroughMixedFaultStorm) {
   uint64_t requests = 0;
   world_.network().set_tamper_hook([&](const std::string& to, Bytes& request) {
     if (to.find("/me") == std::string::npos) return true;
-    auto parsed = MeRequest::deserialize(request);
+    auto parsed = decode_record<MeRequest>(request);
     if (!parsed.ok()) return true;
     const MeMsgType type = parsed.value().type;
     const bool sealed_record =
@@ -604,7 +604,7 @@ TEST_F(PipelineTest, RerouteAbortsOrphanedPendingEntryImmediately) {
   bool arm = false;
   world_.network().set_tamper_hook(
       [&arm](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kTransfer) {
           arm = true;
@@ -651,7 +651,7 @@ TEST_F(PipelineTest, RerouteOrphanConvergesAfterTheHistoryTrimsItsEvidence) {
   bool shipped = false;
   world_.network().set_tamper_hook(
       [&shipped](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kTransfer) {
           shipped = true;

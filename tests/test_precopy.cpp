@@ -553,7 +553,7 @@ TEST_F(PrecopyTest, DroppedMidRoundChunkResumesWithoutFork) {
   int dropped = 0;
   world_.network().set_tamper_hook(
       [&dropped](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kPrecopyChunk) {
           ++dropped;
@@ -590,7 +590,7 @@ TEST_F(PrecopyTest, LostChunkAckResyncsChannel) {
   bool arm = false;
   world_.network().set_tamper_hook(
       [&arm](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kPrecopyChunk) {
           arm = true;
@@ -637,7 +637,7 @@ TEST_F(PrecopyTest, DroppedSyncFinalizeIsReshippedInsideTheCall) {
   int finalizes = 0;
   world_.network().set_tamper_hook([&finalizes](const std::string& to,
                                                 Bytes& request) {
-    auto parsed = MeRequest::deserialize(request);
+    auto parsed = decode_record<MeRequest>(request);
     if (to != "m1/me" || !parsed.ok() ||
         parsed.value().type != MeMsgType::kPrecopyFinalize) {
       return true;
@@ -846,7 +846,7 @@ TEST_F(PrecopyTest, ReconcileSweepExpiresOrphanAndUnblocksDestination) {
   bool arm = false;
   world_.network().set_tamper_hook(
       [&arm](const std::string& to, Bytes& request) {
-        auto parsed = MeRequest::deserialize(request);
+        auto parsed = decode_record<MeRequest>(request);
         if (to == "m1/me" && parsed.ok() &&
             parsed.value().type == MeMsgType::kTransfer) {
           arm = true;

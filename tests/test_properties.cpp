@@ -267,7 +267,7 @@ TEST_P(SerdeRoundTrip, MigrationDataRandomContents) {
     data.counter_values[i] = rng.next_u32();
   }
   rng.fill(data.msk.data(), data.msk.size());
-  auto back = migration::MigrationData::deserialize(data.serialize());
+  auto back = decode_record<migration::MigrationData>(encode_record(data));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), data);
 }
@@ -283,7 +283,7 @@ TEST_P(SerdeRoundTrip, LibraryStateRandomContents) {
     state.counter_offsets[i] = rng.next_u32();
   }
   rng.fill(state.msk.data(), state.msk.size());
-  auto back = migration::LibraryState::deserialize(state.serialize());
+  auto back = decode_record<migration::LibraryState>(encode_record(state));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().frozen, state.frozen);
   EXPECT_EQ(back.value().counter_offsets, state.counter_offsets);
@@ -316,7 +316,7 @@ TEST_P(SerdeRoundTrip, ResidentStateKeepsEveryWrittenByte) {
   state.epoch_value = rng.next_u32();
 
   const auto resident = migration::ResidentState::from_wire(state);
-  EXPECT_EQ(resident.to_wire().serialize(), state.serialize());
+  EXPECT_EQ(encode_record(resident.to_wire()), encode_record(state));
   EXPECT_EQ(resident.free_slot(), first_free);
   for (size_t i = 1; i < resident.slots.size(); ++i) {
     EXPECT_LT(resident.slots[i - 1].index, resident.slots[i].index);
@@ -328,10 +328,10 @@ TEST_P(SerdeRoundTrip, TruncationAlwaysRejected) {
   migration::MigrationData data;
   data.counters_active[3] = true;
   data.counter_values[3] = 42;
-  Bytes bytes = data.serialize();
+  Bytes bytes = encode_record(data);
   const size_t cut = rng.uniform(bytes.size() - 1) + 1;
   bytes.resize(bytes.size() - cut);
-  EXPECT_FALSE(migration::MigrationData::deserialize(bytes).ok());
+  EXPECT_FALSE(decode_record<migration::MigrationData>(bytes).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeRoundTrip,

@@ -32,7 +32,7 @@ TEST(ProtocolSerde, MeRequestRoundTrip) {
   req.type = MeMsgType::kTransfer;
   req.id = 0x0123456789abcdefULL;
   req.payload = to_bytes(std::string_view("opaque record"));
-  auto back = MeRequest::deserialize(req.serialize());
+  auto back = decode_record<MeRequest>(encode_record(req));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().type, req.type);
   EXPECT_EQ(back.value().id, req.id);
@@ -42,26 +42,26 @@ TEST(ProtocolSerde, MeRequestRoundTrip) {
 TEST(ProtocolSerde, MeRequestRejectsUnknownType) {
   MeRequest req;
   req.type = MeMsgType::kLaStart;
-  Bytes bytes = req.serialize();
+  Bytes bytes = encode_record(req);
   bytes[0] = 0;  // type 0 invalid
-  EXPECT_FALSE(MeRequest::deserialize(bytes).ok());
+  EXPECT_FALSE(decode_record<MeRequest>(bytes).ok());
   bytes[0] = 13;  // one past kSessionResume, the highest valid type
-  EXPECT_FALSE(MeRequest::deserialize(bytes).ok());
+  EXPECT_FALSE(decode_record<MeRequest>(bytes).ok());
 }
 
 TEST(ProtocolSerde, MeRequestRejectsTrailingGarbage) {
   MeRequest req;
   req.type = MeMsgType::kLaStart;
-  Bytes bytes = req.serialize();
+  Bytes bytes = encode_record(req);
   bytes.push_back(0x00);
-  EXPECT_FALSE(MeRequest::deserialize(bytes).ok());
+  EXPECT_FALSE(decode_record<MeRequest>(bytes).ok());
 }
 
 TEST(ProtocolSerde, MeResponseRoundTrip) {
   MeResponse resp;
   resp.status = Status::kPolicyViolation;
   resp.payload = Bytes(300, 0x7a);
-  auto back = MeResponse::deserialize(resp.serialize());
+  auto back = decode_record<MeResponse>(encode_record(resp));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().status, Status::kPolicyViolation);
   EXPECT_EQ(back.value().payload, resp.payload);
@@ -72,7 +72,7 @@ TEST(ProtocolSerde, LibMsgRoundTrip) {
   msg.type = LibMsgType::kIncomingData;
   msg.status = Status::kOk;
   msg.payload = Bytes(1500, 0x42);
-  auto back = LibMsg::deserialize(msg.serialize());
+  auto back = decode_record<LibMsg>(encode_record(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().type, LibMsgType::kIncomingData);
   EXPECT_EQ(back.value().payload, msg.payload);
@@ -87,7 +87,7 @@ TEST(ProtocolSerde, MigrateRequestPayloadRoundTrip) {
   payload.data.counters_active[9] = true;
   payload.data.counter_values[9] = 77;
   payload.data.msk[0] = 0xaa;
-  auto back = MigrateRequestPayload::deserialize(payload.serialize());
+  auto back = decode_record<MigrateRequestPayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().destination_address, "machine-17");
   EXPECT_EQ(back.value().policy.allowed_regions,
@@ -102,7 +102,7 @@ TEST(ProtocolSerde, TransferPayloadRoundTrip) {
   payload.source_me_address = "m0";
   payload.data.counters_active[0] = true;
   payload.data.counter_values[0] = 0xffffffff;
-  auto back = TransferPayload::deserialize(payload.serialize());
+  auto back = decode_record<TransferPayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().source_mr_enclave, payload.source_mr_enclave);
   EXPECT_EQ(back.value().source_me_address, "m0");
@@ -128,7 +128,7 @@ TEST(ProtocolSerde, MeRequestRoundTripsEveryType) {
     req.type = type;
     req.id = 42;
     req.payload = to_bytes(std::string_view("x"));
-    auto back = MeRequest::deserialize(req.serialize());
+    auto back = decode_record<MeRequest>(encode_record(req));
     ASSERT_TRUE(back.ok()) << "type " << static_cast<int>(type);
     EXPECT_EQ(back.value().type, type);
   }
@@ -153,7 +153,7 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
     msg.type = type;
     msg.status = Status::kOk;
     msg.payload = to_bytes(std::string_view("payload"));
-    auto back = LibMsg::deserialize(msg.serialize());
+    auto back = decode_record<LibMsg>(encode_record(msg));
     ASSERT_TRUE(back.ok()) << "type " << static_cast<int>(type);
     EXPECT_EQ(back.value().type, type);
     EXPECT_EQ(back.value().payload, msg.payload);
@@ -163,13 +163,13 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
 TEST(ProtocolSerde, NoncePayloadRoundTrip) {
   NoncePayload payload;
   payload.request_nonce = 0xdeadbeefcafef00dULL;
-  auto back = NoncePayload::deserialize(payload.serialize());
+  auto back = decode_record<NoncePayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
   // The per-identity query writes its zero nonce like any other; the
   // empty encoding no party writes is refused.
-  EXPECT_EQ(NoncePayload{}.serialize(), Bytes(8, 0));
-  EXPECT_EQ(NoncePayload::deserialize(Bytes{}).status(),
+  EXPECT_EQ(encode_record(NoncePayload{}), Bytes(8, 0));
+  EXPECT_EQ(decode_record<NoncePayload>(Bytes{}).status(),
             Status::kTampered);
 }
 
@@ -178,14 +178,14 @@ TEST(ProtocolSerde, IncomingDataPayloadRequiresItsNonce) {
   payload.data = Bytes(40, 0x5a);
   payload.delivery_token = 0x1122334455667788ULL;
   payload.request_nonce = 0x99aabbccddeeff00ULL;
-  const Bytes wire = payload.serialize();
-  auto back = IncomingDataPayload::deserialize(wire);
+  const Bytes wire = encode_record(payload);
+  auto back = decode_record<IncomingDataPayload>(wire);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().data, payload.data);
   EXPECT_EQ(back.value().delivery_token, payload.delivery_token);
   EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
   // A reply that ends after the token (the nonce-less form) is refused.
-  EXPECT_EQ(IncomingDataPayload::deserialize(
+  EXPECT_EQ(decode_record<IncomingDataPayload>(
                 ByteView(wire.data(), wire.size() - 8))
                 .status(),
             Status::kTampered);
@@ -196,7 +196,7 @@ TEST(ProtocolSerde, LibraryStateRefusesTheV1Layout) {
   state.counters_active[3] = true;
   state.counter_offsets[3] = 17;
   state.epoch_value = 9;
-  auto back = LibraryState::deserialize(state.serialize());
+  auto back = decode_record<LibraryState>(encode_record(state));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().counter_offsets[3], 17u);
   EXPECT_EQ(back.value().epoch_value, 9u);
@@ -208,7 +208,7 @@ TEST(ProtocolSerde, LibraryStateRefusesTheV1Layout) {
   for (const auto& uuid : state.counter_uuids) write_record(v1, uuid);
   for (uint32_t offset : state.counter_offsets) v1.u32(offset);
   v1.fixed(state.msk);
-  EXPECT_EQ(LibraryState::deserialize(v1.take()).status(), Status::kTampered);
+  EXPECT_EQ(decode_record<LibraryState>(v1.take()).status(), Status::kTampered);
 }
 
 TEST(ProtocolSerde, MigrateReservePayloadRoundTrip) {
@@ -217,7 +217,7 @@ TEST(ProtocolSerde, MigrateReservePayloadRoundTrip) {
   payload.request_nonce = 77;
   payload.policy.allowed_regions = {"eu-central"};
   payload.policy.min_cpu_cores = 8;
-  auto back = MigrateReservePayload::deserialize(payload.serialize());
+  auto back = decode_record<MigrateReservePayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().destination_address, "m4");
   EXPECT_EQ(back.value().request_nonce, 77u);
@@ -228,20 +228,20 @@ TEST(ProtocolSerde, MigrateReservePayloadRoundTrip) {
 TEST(ProtocolSerde, PollTransferAndProgressRoundTrip) {
   NoncePayload poll;
   poll.request_nonce = 123;
-  auto poll_back = NoncePayload::deserialize(poll.serialize());
+  auto poll_back = decode_record<NoncePayload>(encode_record(poll));
   ASSERT_TRUE(poll_back.ok());
   EXPECT_EQ(poll_back.value().request_nonce, 123u);
 
   TransferProgressPayload progress;
   progress.progress = TransferProgress::kSlotLive;
   progress.failure = Status::kOk;
-  auto back = TransferProgressPayload::deserialize(progress.serialize());
+  auto back = decode_record<TransferProgressPayload>(encode_record(progress));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().progress, TransferProgress::kSlotLive);
 
   progress.progress = TransferProgress::kFailed;
   progress.failure = Status::kPolicyViolation;
-  back = TransferProgressPayload::deserialize(progress.serialize());
+  back = decode_record<TransferProgressPayload>(encode_record(progress));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().progress, TransferProgress::kFailed);
   EXPECT_EQ(back.value().failure, Status::kPolicyViolation);
@@ -251,7 +251,7 @@ TEST(ProtocolSerde, AbortPayloadsRoundTrip) {
   AbortStalePayload stale;
   stale.request_nonce = 9;
   stale.destination_address = "m2";
-  auto stale_back = AbortStalePayload::deserialize(stale.serialize());
+  auto stale_back = decode_record<AbortStalePayload>(encode_record(stale));
   ASSERT_TRUE(stale_back.ok());
   EXPECT_EQ(stale_back.value().request_nonce, 9u);
   EXPECT_EQ(stale_back.value().destination_address, "m2");
@@ -259,7 +259,7 @@ TEST(ProtocolSerde, AbortPayloadsRoundTrip) {
   AttemptRef abort_req;
   abort_req.source_mr_enclave[3] = 0x33;
   abort_req.request_nonce = 9;
-  auto abort_back = AttemptRef::deserialize(abort_req.serialize());
+  auto abort_back = decode_record<AttemptRef>(encode_record(abort_req));
   ASSERT_TRUE(abort_back.ok());
   EXPECT_EQ(abort_back.value().source_mr_enclave, abort_req.source_mr_enclave);
   EXPECT_EQ(abort_back.value().request_nonce, 9u);
@@ -276,7 +276,7 @@ TEST(ProtocolSerde, PrecopyRoundPayloadRoundTrip) {
   chunk.active[0] = true;
   chunk.values[0] = 99;
   payload.chunks.push_back(chunk);
-  auto back = PrecopyRoundPayload::deserialize(payload.serialize());
+  auto back = decode_record<PrecopyRoundPayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().round, 3u);
   ASSERT_EQ(back.value().chunks.size(), 1u);
@@ -292,7 +292,7 @@ TEST(ProtocolSerde, PrecopyFinalizePayloadRoundTrip) {
   payload.round = 4;
   payload.manifest.push_back({2, 7});
   payload.msk[0] = 0x5a;
-  auto back = PrecopyFinalizePayload::deserialize(payload.serialize());
+  auto back = decode_record<PrecopyFinalizePayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back.value().manifest.size(), 1u);
   EXPECT_EQ(back.value().manifest[0].index, 2u);
@@ -306,7 +306,8 @@ TEST(ProtocolSerde, PrecopyRecordsRoundTrip) {
   chunk_record.source_me_address = "m0";
   chunk_record.request_nonce = 500;
   chunk_record.round = 1;
-  auto chunk_back = PrecopyChunkRecord::deserialize(chunk_record.serialize());
+  auto chunk_back =
+      decode_record<PrecopyChunkRecord>(encode_record(chunk_record));
   ASSERT_TRUE(chunk_back.ok());
   EXPECT_EQ(chunk_back.value().source_me_address, "m0");
   EXPECT_EQ(chunk_back.value().request_nonce, 500u);
@@ -318,7 +319,7 @@ TEST(ProtocolSerde, PrecopyRecordsRoundTrip) {
   finalize_record.manifest.push_back({0, 1});
   finalize_record.msk[15] = 0xff;
   auto finalize_back =
-      PrecopyFinalizeRecord::deserialize(finalize_record.serialize());
+      decode_record<PrecopyFinalizeRecord>(encode_record(finalize_record));
   ASSERT_TRUE(finalize_back.ok());
   EXPECT_EQ(finalize_back.value().source_me_address, "m1");
   ASSERT_EQ(finalize_back.value().manifest.size(), 1u);
@@ -331,7 +332,7 @@ TEST(ProtocolSerde, SessionResumeRoundTrip) {
   request.responder_epoch = 0xabcdef;
   request.nonce[0] = 1;
   request.mac[15] = 2;
-  auto req_back = SessionResumeRequest::deserialize(request.serialize());
+  auto req_back = decode_record<SessionResumeRequest>(encode_record(request));
   ASSERT_TRUE(req_back.ok());
   EXPECT_EQ(req_back.value().initiator_address, "m3");
   EXPECT_EQ(req_back.value().responder_epoch, 0xabcdefu);
@@ -341,7 +342,7 @@ TEST(ProtocolSerde, SessionResumeRoundTrip) {
   SessionResumeReply reply;
   reply.nonce[5] = 9;
   reply.mac[0] = 8;
-  auto reply_back = SessionResumeReply::deserialize(reply.serialize());
+  auto reply_back = decode_record<SessionResumeReply>(encode_record(reply));
   ASSERT_TRUE(reply_back.ok());
   EXPECT_EQ(reply_back.value().nonce, reply.nonce);
   EXPECT_EQ(reply_back.value().mac, reply.mac);
@@ -354,7 +355,7 @@ TEST(ProtocolSerde, ProviderAuthRoundTrip) {
   auth.credential.cpu_cores = 48;
   auth.credential.machine_public_key[0] = 1;
   auth.transcript_signature[63] = 9;
-  auto back = ProviderAuth::deserialize(auth.serialize());
+  auto back = decode_record<ProviderAuth>(encode_record(auth));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().credential.address, "m9");
   EXPECT_EQ(back.value().credential.cpu_cores, 48u);
@@ -376,12 +377,12 @@ TEST_P(ProtocolFuzz, TruncationsNeverParse) {
   payload.destination_address = "dest";
   payload.policy.allowed_regions = {"r1", "r2"};
   payload.data.counters_active[3] = true;
-  const Bytes full = payload.serialize();
+  const Bytes full = encode_record(payload);
   // Every truncation point must fail to parse (no partial acceptance).
   for (int i = 0; i < 20; ++i) {
     const size_t cut = 1 + rng.uniform(full.size() - 1);
     Bytes truncated(full.begin(), full.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(MigrateRequestPayload::deserialize(truncated).ok())
+    EXPECT_FALSE(decode_record<MigrateRequestPayload>(truncated).ok())
         << "cut at " << cut;
   }
 }
@@ -393,10 +394,10 @@ TEST_P(ProtocolFuzz, RandomBytesNeverParseAsTransfer) {
     // Either rejected, or (vanishingly unlikely) parsed — but never
     // crashes or reads out of bounds (ASAN-clean by construction of
     // BinaryReader).
-    auto r = TransferPayload::deserialize(junk);
+    auto r = decode_record<TransferPayload>(junk);
     if (r.ok()) {
       // If it parsed, the serialization must round-trip identically.
-      EXPECT_EQ(r.value().serialize(), junk);
+      EXPECT_EQ(encode_record(r.value()), junk);
     }
   }
 }
@@ -406,17 +407,17 @@ TEST_P(ProtocolFuzz, BitFlipsDetectedOrIsomorphic) {
   ProviderAuth auth;
   auth.credential.address = "m1";
   auth.credential.region = "eu";
-  const Bytes original = auth.serialize();
+  const Bytes original = encode_record(auth);
   for (int i = 0; i < 20; ++i) {
     Bytes mutated = original;
     mutated[rng.uniform(mutated.size())] ^=
         static_cast<uint8_t>(1u << rng.uniform(8));
-    auto r = ProviderAuth::deserialize(mutated);
+    auto r = decode_record<ProviderAuth>(mutated);
     if (r.ok()) {
       // Structure-level parse may succeed; the flipped field must show up
       // so signature verification above this layer will catch it.
-      EXPECT_NE(r.value().serialize(), original);
-      EXPECT_EQ(r.value().serialize(), mutated);
+      EXPECT_NE(encode_record(r.value()), original);
+      EXPECT_EQ(encode_record(r.value()), mutated);
     }
   }
 }
@@ -534,8 +535,8 @@ sgx::PseRequest sample_pse_request(sgx::PseOp op) {
 /// Decodes `wire` as a T and re-encodes it; empty when decoding fails.
 template <class T>
 Bytes reencode(ByteView wire) {
-  auto back = T::deserialize(wire);
-  return back.ok() ? back.value().serialize() : Bytes{};
+  auto back = decode_record<T>(wire);
+  return back.ok() ? encode_record(back.value()) : Bytes{};
 }
 
 /// The same for a record with no serialize/deserialize pair of its own.
@@ -564,14 +565,14 @@ std::vector<Pin> pins() {
         req.type = MeMsgType::kTransfer;
         req.id = 0x0123456789abcdefULL;
         req.payload = pattern_bytes(37, 1);
-        return req.serialize();
+        return encode_record(req);
       }, reencode<MeRequest>,
       "7e836de34837441da58f6f14bef9a53e379876e2fe88dbb52b91cc8e98d7ee44");
   add("MeResponse", [] {
         MeResponse resp;
         resp.status = Status::kPolicyViolation;
         resp.payload = pattern_bytes(41, 2);
-        return resp.serialize();
+        return encode_record(resp);
       }, reencode<MeResponse>,
       "1748258ae66aab2c5746e6a312a08584fb9296a330f45ab3fee30ecd076b86f1");
   add("LibMsg", [] {
@@ -579,13 +580,13 @@ std::vector<Pin> pins() {
         msg.type = LibMsgType::kIncomingData;
         msg.status = Status::kTampered;
         msg.payload = pattern_bytes(29, 3);
-        return msg.serialize();
+        return encode_record(msg);
       }, reencode<LibMsg>,
       "bb93fe231a35b45b03f9837ff797a8055164252a430e6dd4533afd4740adff46");
   add("MigrationPolicy", [] { return encode_record(sample_policy()); },
       reencode_record<MigrationPolicy>,
       "4b65d854569a012be55043e23276c902a6a6e9bcd9ddcf0bb1696174298aebca");
-  add("MigrationData", [] { return sample_data().serialize(); },
+  add("MigrationData", [] { return encode_record(sample_data()); },
       reencode<MigrationData>,
       "abe75ffc8610da2e509fc0c28d880d55eb41c205fe99c65e79e6384787d3b3ff");
   add("MigrateRequestPayload", [] {
@@ -594,7 +595,7 @@ std::vector<Pin> pins() {
         p.request_nonce = 0x1122334455667788ULL;
         p.policy = sample_policy();
         p.data = sample_data();
-        return p.serialize();
+        return encode_record(p);
       }, reencode<MigrateRequestPayload>,
       "3716ecb3642c758d00f47a78cf86db49b2ccc536b338ffb9e3bb90af4e6fe850");
   add("MigrateReservePayload", [] {
@@ -602,34 +603,34 @@ std::vector<Pin> pins() {
         p.destination_address = "m4";
         p.request_nonce = 77;
         p.policy = sample_policy();
-        return p.serialize();
+        return encode_record(p);
       }, reencode<MigrateReservePayload>,
       "46ee87652b11e293198bf058ebd667bf6bf2c9a0fba25de4d8451c5f1677ac19");
   add("NoncePayload (kPollTransfer)", [] {
         NoncePayload p;
         p.request_nonce = 123;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<NoncePayload>,
       "4f319987a786107dc63b2b70115b3734cb9880b099b70c463c5e1b05521ab764");
   add("TransferProgressPayload", [] {
         TransferProgressPayload p;
         p.progress = TransferProgress::kFailed;
         p.failure = Status::kPolicyViolation;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<TransferProgressPayload>,
       "a580bd6b1a4fbd4187d61cc7fcf6ce7d74207c3c9adddae9c3a358a5cb8344b0");
   add("AbortStalePayload", [] {
         AbortStalePayload p;
         p.request_nonce = 9;
         p.destination_address = "m2";
-        return p.serialize();
+        return encode_record(p);
       }, reencode<AbortStalePayload>,
       "2c75936fa2b0a9cd4f4224fc1777003a5a0285e74ceb6cb273a6fc0559959c97");
   add("AttemptRef (kAbort)", [] {
         AttemptRef p;
         p.source_mr_enclave = pattern<32>(5);
         p.request_nonce = 9;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<AttemptRef>,
       "eb95fc69af78841b80dfc0f85fcb881f4f0e52da3fa23177d2f2ece4321ad319");
   add("IncomingDataPayload", [] {
@@ -637,13 +638,13 @@ std::vector<Pin> pins() {
         p.data = pattern_bytes(40, 6);
         p.delivery_token = 0x1122334455667788ULL;
         p.request_nonce = 0x99aabbccddeeff00ULL;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<IncomingDataPayload>,
       "855e6eb42fd1873dcef755306851733b71e564befb8ed4a5e07da55c6cc1b5d3");
   add("NoncePayload (kQueryStatus)", [] {
         NoncePayload p;
         p.request_nonce = 0xdeadbeefcafef00dULL;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<NoncePayload>,
       "ee7f7806fd74e16401441c48c1b78bd211355c53e764363544d682ca48e4bfc2");
   add("CounterChunk", [] { return encode_record(sample_chunk(5)); },
@@ -656,7 +657,7 @@ std::vector<Pin> pins() {
         p.round = 3;
         p.policy = sample_policy();
         p.chunks = {sample_chunk(5), sample_chunk(15)};
-        return p.serialize();
+        return encode_record(p);
       }, reencode<PrecopyRoundPayload>,
       "09f020f7c4a30dddfd9c8a6190b4e6b258afb6b025a4fa5234f8e824213675d5");
   add("PrecopyFinalizePayload", [] {
@@ -668,7 +669,7 @@ std::vector<Pin> pins() {
         p.chunks = {sample_chunk(5)};
         p.manifest = {{2, 7}, {15, 9}};
         p.msk = pattern<16>(7);
-        return p.serialize();
+        return encode_record(p);
       }, reencode<PrecopyFinalizePayload>,
       "c071069e86f358104ec9785487282631f281aacdfa3fb69de3fcea9da8ea2267");
   add("PrecopyChunkRecord", [] {
@@ -678,7 +679,7 @@ std::vector<Pin> pins() {
         p.request_nonce = 500;
         p.round = 1;
         p.chunks = {sample_chunk(5)};
-        return p.serialize();
+        return encode_record(p);
       }, reencode<PrecopyChunkRecord>,
       "96886d7ed5f7233fc3bcdd451ca48fba75c22acf143b3829532f3f54b5d9e75b");
   add("PrecopyFinalizeRecord", [] {
@@ -690,14 +691,14 @@ std::vector<Pin> pins() {
         p.chunks = {sample_chunk(15)};
         p.manifest = {{0, 1}};
         p.msk = pattern<16>(10);
-        return p.serialize();
+        return encode_record(p);
       }, reencode<PrecopyFinalizeRecord>,
       "de0612e89c16985378fa8a7a5c07d2fcf67a8c9280c8fa7c18d68107b49cd17c");
   add("AttemptRef (kReconcile)", [] {
         AttemptRef p;
         p.source_mr_enclave = pattern<32>(11);
         p.request_nonce = 600;
-        return p.serialize();
+        return encode_record(p);
       }, reencode<AttemptRef>,
       "4bafa4862d614daef2cc694d7f06b277307d42f9ae2d5a3bff6e11b758f3dcb7");
   add("TransferPayload", [] {
@@ -706,7 +707,7 @@ std::vector<Pin> pins() {
         p.source_me_address = "m0";
         p.request_nonce = 700;
         p.data = sample_data();
-        return p.serialize();
+        return encode_record(p);
       }, reencode<TransferPayload>,
       "965c48f27ca715cbb492cc58129f55a3e44a2863458cb0a540d0ad6c9bf7a668");
   add("SessionResumeRequest", [] {
@@ -715,14 +716,14 @@ std::vector<Pin> pins() {
         p.responder_epoch = 0xabcdef;
         p.nonce = pattern<16>(13);
         p.mac = pattern<16>(14);
-        return p.serialize();
+        return encode_record(p);
       }, reencode<SessionResumeRequest>,
       "46328bd512dd19721e9895b4f52f0eeedd63327b420ef55c6db5e5940deceffd");
   add("SessionResumeReply", [] {
         SessionResumeReply p;
         p.nonce = pattern<16>(15);
         p.mac = pattern<16>(16);
-        return p.serialize();
+        return encode_record(p);
       }, reencode<SessionResumeReply>,
       "7554d2b577911fa05674324934a1b81f072eb179211f49f2fd1f32eee6f5fbb5");
   add("MachineCredential", [] { return encode_record(sample_credential()); },
@@ -732,7 +733,7 @@ std::vector<Pin> pins() {
         ProviderAuth p;
         p.credential = sample_credential();
         p.transcript_signature = pattern<64>(19);
-        return p.serialize();
+        return encode_record(p);
       }, reencode<ProviderAuth>,
       "51247a9e3c6b73c66aa97a475f5990b51183dda4b47d0988daf82086390dadce");
   add("LibraryState", [] {
@@ -747,81 +748,81 @@ std::vector<Pin> pins() {
         s.epoch_uuid.counter_id = 8;
         s.epoch_uuid.nonce = pattern<12>(22);
         s.epoch_value = 9;
-        return s.serialize();
+        return encode_record(s);
       }, reencode<LibraryState>,
       "7316ed5038ea1aa3bf064e116f26cadba41771e5368490ce505135a01e4aa63d");
-  add("ReportBody", [] { return sample_report_body().serialize(); },
+  add("ReportBody", [] { return encode_record(sample_report_body()); },
       [](ByteView wire) {
         BinaryWriter w;  // a report is its body followed by the MAC
         w.raw(wire);
         w.fixed(pattern<16>(26));
-        auto report = sgx::Report::deserialize(w.data());
-        return report.ok() ? report.value().body.serialize() : Bytes{};
+        auto report = decode_record<sgx::Report>(w.data());
+        return report.ok() ? encode_record(report.value().body) : Bytes{};
       },
       "bd7781294ca65222486e9da414f506ecd7360a414d96d202778ae75e6757b96e");
-  add("Report", [] { return sample_report().serialize(); },
+  add("Report", [] { return encode_record(sample_report()); },
       reencode<sgx::Report>,
       "a62478ab8abc1c02f319c770a791d5860aeda234d91e7f5130badd7a54e169ce");
   add("DhMsg1", [] {
         sgx::DhMsg1 m;
         m.responder_public = pattern<32>(27);
         m.responder_target.mr_enclave = pattern<32>(28);
-        return m.serialize();
+        return encode_record(m);
       }, reencode<sgx::DhMsg1>,
       "0a1835d0279d72be4fb9b76c5ebb5740c841cc7c6536dab0b454dd5c608aa0c4");
   add("DhMsg2", [] {
         sgx::DhMsg2 m;
         m.initiator_public = pattern<32>(29);
         m.initiator_report = sample_report();
-        return m.serialize();
+        return encode_record(m);
       }, reencode<sgx::DhMsg2>,
       "af93555059055b2ad1c7587ee6faee4ac27ca86de88dcbbb99ed144e2152475c");
   add("DhMsg3", [] {
         sgx::DhMsg3 m;
         m.responder_report = sample_report();
-        return m.serialize();
+        return encode_record(m);
       }, reencode<sgx::DhMsg3>,
       "b50001ebef138d76b4f5381f2da08ef8d18c3a36d29120c0631c4e1e5bf063cf");
-  add("Quote", [] { return sample_quote().serialize(); },
+  add("Quote", [] { return encode_record(sample_quote()); },
       reencode<sgx::Quote>,
       "26c9f1d210dc359c1667201893cf094323a074be0f45f55db2c707140dfdb8f7");
   add("RaMsg1", [] {
         sgx::RaMsg1 m;
         m.initiator_public = pattern<32>(30);
-        return m.serialize();
+        return encode_record(m);
       }, reencode<sgx::RaMsg1>,
       "fd7a3caf84de918ba3ab62de4600187dce4c2865cbb019a4575d8a6d22912a8e");
   add("RaMsg2", [] {
         sgx::RaMsg2 m;
         m.responder_public = pattern<32>(31);
-        m.responder_quote = sample_quote().serialize();
-        return m.serialize();
+        m.responder_quote = encode_record(sample_quote());
+        return encode_record(m);
       }, reencode<sgx::RaMsg2>,
       "6993f6c4eb782d377e68d08ab8a60197efb31d4b5e9fe381a8095b6701f8c690");
   add("RaMsg3", [] {
         sgx::RaMsg3 m;
-        m.initiator_quote = sample_quote().serialize();
-        return m.serialize();
+        m.initiator_quote = encode_record(sample_quote());
+        return encode_record(m);
       }, reencode<sgx::RaMsg3>,
       "314a7a37a2f4f660c75ff4d1b16f8956d09ddd46afe1a49446ef6562cad8a63e");
   add("VerificationReport", [] {
         sgx::VerificationReport v;
         v.verdict = sgx::IasVerdict::kGroupRevoked;
-        v.quote_body = sample_report_body().serialize();
+        v.quote_body = encode_record(sample_report_body());
         v.ias_signature = pattern<64>(35);
-        return v.serialize();
+        return encode_record(v);
       }, reencode<sgx::VerificationReport>,
       "df134e933c531aedb1bf3d41883df77023af5468f144daf9b727b396251fca34");
   add("PseRequest(read)",
-      [] { return sample_pse_request(sgx::PseOp::kRead).serialize(); },
+      [] { return encode_record(sample_pse_request(sgx::PseOp::kRead)); },
       reencode<sgx::PseRequest>,
       "88423f21f3dea8ed12f75f85f6ef10baf16add755432769861f0373ae3e2edaf");
   add("PseRequest(create)",
-      [] { return sample_pse_request(sgx::PseOp::kCreate).serialize(); },
+      [] { return encode_record(sample_pse_request(sgx::PseOp::kCreate)); },
       reencode<sgx::PseRequest>,
       "b669ae6b67dac28c33d9aa99e1fa3246e0092a12ee9b656ddb32e7f6c7a03de4");
   add("PseRequest(retire)",
-      [] { return sample_pse_request(sgx::PseOp::kRetire).serialize(); },
+      [] { return encode_record(sample_pse_request(sgx::PseOp::kRetire)); },
       reencode<sgx::PseRequest>,
       "d2dcd4f75032c19968170f546311377d36fdfdf59fa383f6ea1120f72b141b08");
   add("PseResponse", [] {
@@ -830,7 +831,7 @@ std::vector<Pin> pins() {
         resp.uuid.counter_id = 4;
         resp.uuid.nonce = pattern<12>(42);
         resp.value = 42;
-        return resp.serialize();
+        return encode_record(resp);
       }, reencode<sgx::PseResponse>,
       "7f11aad2eafa082402965d2a562ef0dba20d50720146aff8b74c6126e6b33937");
   add("PaymentMessage", [] {
@@ -841,7 +842,7 @@ std::vector<Pin> pins() {
         m.balance_b = 100;
         m.sender = pattern<32>(43);
         m.signature = pattern<64>(44);
-        return m.serialize();
+        return encode_record(m);
       }, reencode<apps::PaymentMessage>,
       "32e70be53afb723940e19b11fa58de2ceba561bf94a3c60cb2b2fd7f00d6ef6c");
   add("TrinxCertificate", [] {
@@ -851,7 +852,7 @@ std::vector<Pin> pins() {
         c.message_hash = pattern<32>(45);
         c.signer = pattern<32>(46);
         c.signature = pattern<64>(47);
-        return c.serialize();
+        return encode_record(c);
       }, reencode<apps::TrinxCertificate>,
       "e04b33ae8b27c2b36ab1352e8f8ae04d0783d418083ddf92d0dd51e86ca9b0c0");
 
@@ -903,7 +904,7 @@ std::vector<Pin> pins() {
       "77ce8ffa3e5e0bacf8b693a1edd26f22e7a4039aafca3c944e4020a977ecbc8a");
   add("kRaMsg3 payload", [] {
         RaMsg3Payload p;
-        p.msg3.initiator_quote = sample_quote().serialize();
+        p.msg3.initiator_quote = encode_record(sample_quote());
         p.auth.credential = sample_credential();
         p.auth.transcript_signature = pattern<64>(19);
         return encode_record(p);
@@ -1026,7 +1027,7 @@ struct Bound {
 
 template <class T>
 bool decodes_as(ByteView wire) {
-  return T::deserialize(wire).ok();
+  return decode_record<T>(wire).ok();
 }
 
 std::vector<std::string> strings(size_t count, size_t length) {
@@ -1037,13 +1038,13 @@ std::vector<std::string> strings(size_t count, size_t length) {
 // encoding zero-padded to `n` bytes: only the real size decodes, and
 // one past the bound must be refused before the inner decode runs.
 Bytes padded_data(size_t n) {
-  Bytes data = sample_data().serialize();
+  Bytes data = encode_record(sample_data());
   if (n > data.size()) data.resize(n, 0);
   return data;
 }
 
 Bytes padded_report(size_t n) {
-  Bytes report = sample_report().serialize();
+  Bytes report = encode_record(sample_report());
   if (n > report.size()) report.resize(n, 0);
   return report;
 }
@@ -1069,8 +1070,8 @@ Bound library_flag(const char* field, void (*set)(LibraryState&)) {
   return {field, 1, 2, [set](size_t n) {
             LibraryState on;
             set(on);
-            return with_flag_byte(LibraryState{}.serialize(), on.serialize(),
-                                  n);
+            return with_flag_byte(encode_record(LibraryState{}),
+                                  encode_record(on), n);
           }, decodes_as<LibraryState>};
 }
 
@@ -1247,7 +1248,7 @@ MigrateRequestPayload sample_request() {
 
 // The task's request with its encoding zero-padded to `n` bytes.
 Bytes queue_task(size_t n) {
-  Bytes request = sample_request().serialize();
+  Bytes request = encode_record(sample_request());
   if (n > request.size()) request.resize(n, 0);
   BinaryWriter w;
   w.u64(79);
@@ -1270,42 +1271,42 @@ Bytes queue_peer(size_t address_len, size_t region_len) {
 std::vector<Bound> bounds() {
   constexpr size_t kEnvelopeMax = 1u << 22;
   constexpr size_t kDataMax = 1u << 20;
-  const size_t data_size = sample_data().serialize().size();
-  const size_t report_size = sample_report().serialize().size();
+  const size_t data_size = encode_record(sample_data()).size();
+  const size_t report_size = encode_record(sample_report()).size();
   std::vector<Bound> out;
   out.push_back({"MeRequest.type (highest)", 12, 13, [](size_t n) {
                    MeRequest req;
                    req.type = static_cast<MeMsgType>(n);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<MeRequest>});
   out.push_back({"MeRequest.type (lowest)", 1, 0, [](size_t n) {
                    MeRequest req;
                    req.type = static_cast<MeMsgType>(n);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<MeRequest>});
   out.push_back({"MeRequest.payload", kEnvelopeMax, kEnvelopeMax + 1,
                  [](size_t n) {
                    MeRequest req;
                    req.payload = Bytes(n, 1);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<MeRequest>});
   out.push_back({"MeResponse.payload", kEnvelopeMax, kEnvelopeMax + 1,
                  [](size_t n) {
                    MeResponse resp;
                    resp.payload = Bytes(n, 1);
-                   return resp.serialize();
+                   return encode_record(resp);
                  }, decodes_as<MeResponse>});
   out.push_back({"LibMsg.payload", kEnvelopeMax, kEnvelopeMax + 1,
                  [](size_t n) {
                    LibMsg msg;
                    msg.payload = Bytes(n, 1);
-                   return msg.serialize();
+                   return encode_record(msg);
                  }, decodes_as<LibMsg>});
   out.push_back({"MigrateRequestPayload.destination_address", 256, 257,
                  [](size_t n) {
                    MigrateRequestPayload p;
                    p.destination_address.assign(n, 'd');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateRequestPayload>});
   out.push_back({"MigrateRequestPayload.data", data_size, kDataMax + 1,
                  [](size_t n) {
@@ -1320,143 +1321,143 @@ std::vector<Bound> bounds() {
                  [](size_t n) {
                    MigrateReservePayload p;
                    p.destination_address.assign(n, 'd');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateReservePayload>});
   out.push_back({"MigrationPolicy.allowed_regions (count)", 256, 257,
                  [](size_t n) {
                    MigrateReservePayload p;
                    p.policy.allowed_regions = strings(n, 1);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateReservePayload>});
   out.push_back({"MigrationPolicy.allowed_regions (length)", 256, 257,
                  [](size_t n) {
                    MigrateReservePayload p;
                    p.policy.allowed_regions = strings(1, n);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateReservePayload>});
   out.push_back({"MigrationPolicy.denied_addresses (count)", 4096, 4097,
                  [](size_t n) {
                    MigrateReservePayload p;
                    p.policy.denied_addresses = strings(n, 1);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateReservePayload>});
   out.push_back({"MigrationPolicy.denied_addresses (length)", 256, 257,
                  [](size_t n) {
                    MigrateReservePayload p;
                    p.policy.denied_addresses = strings(1, n);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<MigrateReservePayload>});
   out.push_back({"TransferProgressPayload.progress", 4, 5, [](size_t n) {
                    TransferProgressPayload p;
                    p.progress = static_cast<TransferProgress>(n);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<TransferProgressPayload>});
   out.push_back({"AbortStalePayload.destination_address", 256, 257,
                  [](size_t n) {
                    AbortStalePayload p;
                    p.destination_address.assign(n, 'd');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<AbortStalePayload>});
   out.push_back({"IncomingDataPayload.data", kDataMax, kDataMax + 1,
                  [](size_t n) {
                    IncomingDataPayload p;
                    p.data = Bytes(n, 1);
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<IncomingDataPayload>});
   out.push_back({"PrecopyRoundPayload.destination_address", 256, 257,
                  [](size_t n) {
                    PrecopyRoundPayload p;
                    p.destination_address.assign(n, 'd');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyRoundPayload>});
   out.push_back({"PrecopyRoundPayload.chunks (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyRoundPayload p;
                    p.chunks.assign(n, sample_chunk(1));
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyRoundPayload>});
   out.push_back({"CounterChunk.index", kPrecopyChunkCount - 1,
                  kPrecopyChunkCount, [](size_t n) {
                    PrecopyRoundPayload p;
                    p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyRoundPayload>});
   out.push_back({"PrecopyFinalizePayload.destination_address", 256, 257,
                  [](size_t n) {
                    PrecopyFinalizePayload p;
                    p.destination_address.assign(n, 'd');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizePayload>});
   out.push_back({"PrecopyFinalizePayload.chunks (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyFinalizePayload p;
                    p.chunks.assign(n, sample_chunk(1));
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizePayload>});
   out.push_back({"PrecopyFinalizePayload.manifest (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyFinalizePayload p;
                    p.manifest.assign(n, ChunkManifestEntry{1, 1});
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizePayload>});
   out.push_back({"PrecopyFinalizePayload.manifest (index)",
                  kPrecopyChunkCount - 1, kPrecopyChunkCount, [](size_t n) {
                    PrecopyFinalizePayload p;
                    p.manifest = {{static_cast<uint32_t>(n), 1}};
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizePayload>});
   out.push_back({"PrecopyChunkRecord.source_me_address", 256, 257,
                  [](size_t n) {
                    PrecopyChunkRecord p;
                    p.source_me_address.assign(n, 's');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyChunkRecord>});
   out.push_back({"PrecopyChunkRecord.chunks (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyChunkRecord p;
                    p.chunks.assign(n, sample_chunk(1));
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyChunkRecord>});
   out.push_back({"PrecopyChunkRecord.chunks (index)", kPrecopyChunkCount - 1,
                  kPrecopyChunkCount, [](size_t n) {
                    PrecopyChunkRecord p;
                    p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyChunkRecord>});
   out.push_back({"PrecopyFinalizeRecord.source_me_address", 256, 257,
                  [](size_t n) {
                    PrecopyFinalizeRecord p;
                    p.source_me_address.assign(n, 's');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizeRecord>});
   out.push_back({"PrecopyFinalizeRecord.chunks (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyFinalizeRecord p;
                    p.chunks.assign(n, sample_chunk(1));
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizeRecord>});
   out.push_back({"PrecopyFinalizeRecord.chunks (index)", kPrecopyChunkCount - 1,
                  kPrecopyChunkCount, [](size_t n) {
                    PrecopyFinalizeRecord p;
                    p.chunks = {sample_chunk(static_cast<uint32_t>(n))};
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizeRecord>});
   out.push_back({"PrecopyFinalizeRecord.manifest (count)", kPrecopyChunkCount,
                  kPrecopyChunkCount + 1, [](size_t n) {
                    PrecopyFinalizeRecord p;
                    p.manifest.assign(n, ChunkManifestEntry{1, 1});
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizeRecord>});
   out.push_back({"PrecopyFinalizeRecord.manifest (index)",
                  kPrecopyChunkCount - 1, kPrecopyChunkCount, [](size_t n) {
                    PrecopyFinalizeRecord p;
                    p.manifest = {{static_cast<uint32_t>(n), 1}};
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<PrecopyFinalizeRecord>});
   out.push_back({"TransferPayload.source_me_address", 256, 257, [](size_t n) {
                    TransferPayload p;
                    p.source_me_address.assign(n, 's');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<TransferPayload>});
   out.push_back({"TransferPayload.data", data_size, kDataMax + 1,
                  [](size_t n) {
@@ -1471,17 +1472,17 @@ std::vector<Bound> bounds() {
                  [](size_t n) {
                    SessionResumeRequest p;
                    p.initiator_address.assign(n, 'i');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<SessionResumeRequest>});
   out.push_back({"ProviderAuth.credential.address", 256, 257, [](size_t n) {
                    ProviderAuth p;
                    p.credential.address.assign(n, 'a');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<ProviderAuth>});
   out.push_back({"ProviderAuth.credential.region", 256, 257, [](size_t n) {
                    ProviderAuth p;
                    p.credential.region.assign(n, 'r');
-                   return p.serialize();
+                   return encode_record(p);
                  }, decodes_as<ProviderAuth>});
   out.push_back({"DhMsg2.initiator_report", report_size, 1025, [](size_t n) {
                    BinaryWriter w;
@@ -1497,27 +1498,27 @@ std::vector<Bound> bounds() {
   out.push_back({"RaMsg2.responder_quote", 4096, 4097, [](size_t n) {
                    sgx::RaMsg2 m;
                    m.responder_quote = Bytes(n, 1);
-                   return m.serialize();
+                   return encode_record(m);
                  }, decodes_as<sgx::RaMsg2>});
   out.push_back({"RaMsg3.initiator_quote", 4096, 4097, [](size_t n) {
                    sgx::RaMsg3 m;
                    m.initiator_quote = Bytes(n, 1);
-                   return m.serialize();
+                   return encode_record(m);
                  }, decodes_as<sgx::RaMsg3>});
   out.push_back({"PseRequest.op (highest)", 5, 6, [](size_t n) {
                    auto req = sample_pse_request(sgx::PseOp::kRead);
                    req.op = static_cast<sgx::PseOp>(n);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<sgx::PseRequest>});
   out.push_back({"PseRequest.op (lowest)", 1, 0, [](size_t n) {
                    auto req = sample_pse_request(sgx::PseOp::kRead);
                    req.op = static_cast<sgx::PseOp>(n);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<sgx::PseRequest>});
   out.push_back({"PseRequest.nonce_entropy", 64, 65, [](size_t n) {
                    auto req = sample_pse_request(sgx::PseOp::kCreate);
                    req.nonce_entropy = Bytes(n, 1);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<sgx::PseRequest>});
   // Flags take exactly the bytes 0 and 1, so a decoded record re-encodes
   // to the bytes it came from.
@@ -1538,15 +1539,16 @@ std::vector<Bound> bounds() {
                    on.chunks = {sample_chunk(1)};
                    PrecopyChunkRecord off = on;
                    off.chunks[0].active[15] = false;
-                   return with_flag_byte(off.serialize(), on.serialize(), n);
+                   return with_flag_byte(encode_record(off),
+                                         encode_record(on), n);
                  }, decodes_as<PrecopyChunkRecord>});
   out.push_back({"PseRequest.retire_uuids (count)", 256, 257, [](size_t n) {
                    auto req = sample_pse_request(sgx::PseOp::kRetire);
                    req.retire_uuids.resize(n);
-                   return req.serialize();
+                   return encode_record(req);
                  }, decodes_as<sgx::PseRequest>});
   // The ME queue snapshot, section by section.
-  const size_t request_size = sample_request().serialize().size();
+  const size_t request_size = encode_record(sample_request()).size();
   constexpr size_t kHistory = 4096;
   constexpr size_t kRelayMax = 1u << 16;
   constexpr size_t kRequestMax = 1u << 21;
@@ -1561,7 +1563,7 @@ std::vector<Bound> bounds() {
   queue("MeQueue incoming.data", data_size, kDataMax + 1,
         [](size_t n) { return queue_assembled(padded_data(n), 1); });
   queue("MeQueue incoming.source_me_address", 256, 257, [](size_t n) {
-    return queue_assembled(sample_data().serialize(), n);
+    return queue_assembled(encode_record(sample_data()), n);
   });
   queue("MeQueue inbound.source_region", 256, 257,
         [](size_t n) { return queue_inbound(n, 1); });
@@ -1601,9 +1603,9 @@ TEST(ProtocolPins, EveryBoundDecodesAtItsLimitAndRefusesOnePast) {
 
 // A nested record must fill exactly the length in front of it.
 TEST(ProtocolPins, SizedRecordFillsItsLength) {
-  const size_t size = sample_data().serialize().size();
+  const size_t size = encode_record(sample_data()).size();
   for (const size_t n : {size - 1, size + 1}) {
-    Bytes data = sample_data().serialize();
+    Bytes data = encode_record(sample_data());
     data.resize(n, 0);
     BinaryWriter w;
     w.fixed(sgx::Measurement{});
@@ -1626,17 +1628,17 @@ TEST(ProtocolPins, MagicsAreChecked) {
   // A sealed buffer or migrated-data blob whose magic differs in one byte,
   // or whose magic string is longer than the reader's 64-byte bound, is
   // refused.
-  const Bytes state = LibraryState{}.serialize();
-  const Bytes data = MigrationData{}.serialize();
-  ASSERT_TRUE(LibraryState::deserialize(state).ok());
-  ASSERT_TRUE(MigrationData::deserialize(data).ok());
+  const Bytes state = encode_record(LibraryState{});
+  const Bytes data = encode_record(MigrationData{});
+  ASSERT_TRUE(decode_record<LibraryState>(state).ok());
+  ASSERT_TRUE(decode_record<MigrationData>(data).ok());
   for (const auto& [wire, is_state] :
        {std::pair{state, true}, std::pair{data, false}}) {
     Bytes flipped = wire;
     flipped[4] ^= 0x01;  // first magic character, after the u32 length
     const auto decodes = [&](const Bytes& b) {
-      return is_state ? LibraryState::deserialize(b).ok()
-                      : MigrationData::deserialize(b).ok();
+      return is_state ? decode_record<LibraryState>(b).ok()
+                      : decode_record<MigrationData>(b).ok();
     };
     EXPECT_FALSE(decodes(flipped));
     // Re-prefix the same body with a 65-byte magic.

@@ -248,7 +248,7 @@ TEST_F(AttestationTest, RemoteAttestationRejectsRevokedPeer) {
   auto msg2 = responder.handle_msg1(initiator.create_msg1());
   ASSERT_TRUE(msg2.ok());
   // Revoke m1's platform between quote creation and verification.
-  auto quote = sgx::Quote::deserialize(msg2.value().responder_quote);
+  auto quote = decode_record<sgx::Quote>(msg2.value().responder_quote);
   world_.epid_authority().revoke(quote.value().credential.member_public_key);
   auto msg3 = initiator.handle_msg2(msg2.value());
   EXPECT_FALSE(msg3.ok());

@@ -230,14 +230,14 @@ TEST(PseWire, RetireListRoundTripsAndIsBounded) {
   req.op = sgx::PseOp::kRetire;
   req.owner = owner_a();
   for (uint32_t i = 1; i <= 3; ++i) req.retire_uuids.push_back({i, {}});
-  auto parsed = sgx::PseRequest::deserialize(req.serialize());
+  auto parsed = decode_record<sgx::PseRequest>(encode_record(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().retire_uuids, req.retire_uuids);
 
   // Other ops carry no list on the wire.
   sgx::PseRequest read = req;
   read.op = sgx::PseOp::kRead;
-  auto parsed_read = sgx::PseRequest::deserialize(read.serialize());
+  auto parsed_read = decode_record<sgx::PseRequest>(encode_record(read));
   ASSERT_TRUE(parsed_read.ok());
   EXPECT_TRUE(parsed_read.value().retire_uuids.empty());
 
@@ -245,7 +245,7 @@ TEST(PseWire, RetireListRoundTripsAndIsBounded) {
   // is refused before it is read.
   req.retire_uuids.assign(MonotonicCounterService::kMaxCountersPerEnclave + 1,
                           CounterUuid{});
-  EXPECT_EQ(sgx::PseRequest::deserialize(req.serialize()).status(),
+  EXPECT_EQ(decode_record<sgx::PseRequest>(encode_record(req)).status(),
             Status::kTampered);
 }
 
@@ -340,9 +340,10 @@ TEST_F(PseEndToEndTest, ForgedSessionTokenRejected) {
   forged.owner = image_->mr_enclave();
   forged.session_token = {};  // attacker does not know the machine secret
   forged.uuid = uuid;
-  auto raw = world_.network().rpc(m0_.pse_uds_endpoint(), forged.serialize());
+  auto raw =
+      world_.network().rpc(m0_.pse_uds_endpoint(), encode_record(forged));
   ASSERT_TRUE(raw.ok());
-  const auto resp = sgx::PseResponse::deserialize(raw.value());
+  const auto resp = decode_record<sgx::PseResponse>(raw.value());
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().status, Status::kCounterNotOwned);
   // Counter untouched.
