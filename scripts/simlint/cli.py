@@ -8,7 +8,8 @@ Commands:
                   when available, glob fallback otherwise)
     protocol      message-type enums vs. dispatch switches vs. tests
     layering      include graph derived from CMakeLists.txt link edges
-    hand-codec    BinaryReader constructed in src/ outside support/serde.*
+    hand-codec    BinaryReader constructed in src/ outside support/serde.*,
+                  and serialize()/deserialize(ByteView) members in src/
     pycheck       byte-compile + AST lint for scripts/ Python
     all           every checker above; exit non-zero if any finds
 
@@ -58,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--tests-dir", type=_path, default=None)
 
     sub.add_parser("layering", help="CMake-derived include-graph check")
-    sub.add_parser("hand-codec", help="hand-written binary readers")
+    sub.add_parser("hand-codec", help="hand-written binary readers and "
+                                      "forwarding codec members")
 
     pyc = sub.add_parser("pycheck", help="Python byte-compile + AST lint")
     pyc.add_argument("paths", nargs="*", type=_path,

@@ -57,29 +57,14 @@ Result<uint64_t> KvStoreEnclave::ecall_size() {
 Result<Bytes> KvStoreEnclave::ecall_persist() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
-  auto version = library().increment_migratable_counter(state_.version_counter);
-  if (!version.ok()) return version.status();
-  return library().seal_migratable_data(
-      encode_record(StateVersion{kStateLabel, version.value()}),
-      encode_record(state_));
+  return seal_versioned(library(), kStateLabel, state_);
 }
 
 Status KvStoreEnclave::ecall_restore(ByteView blob) {
   auto scope = enter_ecall();
   if (setup_done_) return Status::kInvalidState;
-  auto unsealed = library().unseal_migratable_data(blob);
-  if (!unsealed.ok()) return unsealed.status();
-  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
-  if (!stored_version.ok()) return stored_version.status();
-  auto state = decode_record<KvStoreState>(unsealed.value().plaintext);
+  auto state = unseal_versioned<KvStoreState>(library(), kStateLabel, blob);
   if (!state.ok()) return state.status();
-
-  auto current =
-      library().read_migratable_counter(state.value().version_counter);
-  if (!current.ok()) return current.status();
-  if (current.value() != stored_version.value()) {
-    return Status::kReplayDetected;
-  }
   state_ = std::move(state).value();
   setup_done_ = true;
   return Status::kOk;

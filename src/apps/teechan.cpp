@@ -154,31 +154,16 @@ Result<uint32_t> TeechanEnclave::ecall_sequence() {
 Result<Bytes> TeechanEnclave::ecall_persist_channel() {
   auto scope = enter_ecall();
   if (!channel_.has_value()) return Status::kNotInitialized;
-  auto version =
-      library().increment_migratable_counter(channel_->version_counter);
-  if (!version.ok()) return version.status();
-  return library().seal_migratable_data(
-      encode_record(StateVersion{kStateLabel, version.value()}),
-      encode_record(*channel_));
+  return seal_versioned(library(), kStateLabel, *channel_);
 }
 
 Status TeechanEnclave::ecall_restore_channel(ByteView blob) {
   auto scope = enter_ecall();
   if (channel_.has_value()) return Status::kInvalidState;
-  auto unsealed = library().unseal_migratable_data(blob);
-  if (!unsealed.ok()) return unsealed.status();
-  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
-  if (!stored_version.ok()) return stored_version.status();
-  auto state = decode_record<TeechanChannelState>(unsealed.value().plaintext);
+  auto state =
+      unseal_versioned<TeechanChannelState>(library(), kStateLabel, blob);
   if (!state.ok()) return state.status();
-
-  auto current =
-      library().read_migratable_counter(state.value().version_counter);
-  if (!current.ok()) return current.status();
-  if (current.value() != stored_version.value()) {
-    return Status::kReplayDetected;
-  }
-  channel_ = state.value();
+  channel_ = std::move(state).value();
   signing_key_ = crypto::Ed25519KeyPair::from_seed(channel_->signing_seed);
   return Status::kOk;
 }

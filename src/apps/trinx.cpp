@@ -85,29 +85,14 @@ Result<uint64_t> TrinxEnclave::ecall_counter_value(uint32_t counter_id) {
 Result<Bytes> TrinxEnclave::ecall_persist() {
   auto scope = enter_ecall();
   if (!setup_done_) return Status::kNotInitialized;
-  auto version = library().increment_migratable_counter(state_.version_counter);
-  if (!version.ok()) return version.status();
-  return library().seal_migratable_data(
-      encode_record(StateVersion{kStateLabel, version.value()}),
-      encode_record(state_));
+  return seal_versioned(library(), kStateLabel, state_);
 }
 
 Status TrinxEnclave::ecall_restore(ByteView blob) {
   auto scope = enter_ecall();
   if (setup_done_) return Status::kInvalidState;
-  auto unsealed = library().unseal_migratable_data(blob);
-  if (!unsealed.ok()) return unsealed.status();
-  auto stored_version = state_version(unsealed.value().aad, kStateLabel);
-  if (!stored_version.ok()) return stored_version.status();
-  auto state = decode_record<TrinxState>(unsealed.value().plaintext);
+  auto state = unseal_versioned<TrinxState>(library(), kStateLabel, blob);
   if (!state.ok()) return state.status();
-
-  auto current =
-      library().read_migratable_counter(state.value().version_counter);
-  if (!current.ok()) return current.status();
-  if (current.value() != stored_version.value()) {
-    return Status::kReplayDetected;
-  }
   state_ = std::move(state).value();
   signing_key_ = crypto::Ed25519KeyPair::from_seed(state_.signing_seed);
   setup_done_ = true;

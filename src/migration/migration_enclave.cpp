@@ -32,6 +32,11 @@ MeResponse error_response(Status status) {
   return resp;
 }
 
+// A library reply of `type` (status kOk) carrying `payload`.
+LibMsg lib_reply(LibMsgType type, Bytes payload = {}) {
+  return LibMsg{type, Status::kOk, std::move(payload)};
+}
+
 // ----- observability -----
 //
 // The ME never owns an Observability; it borrows the world's through its
@@ -334,47 +339,50 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
   // drop_sessions_for while it is being dispatched.
   const uint64_t previous_active = active_la_session_;
   active_la_session_ = req.id;
-  LibMsg reply;
+  const LibCaller from{req.id, session.peer.mr_enclave};
+  const ByteView payload = msg.value().payload;
+  LibReply served = Status::kInvalidParameter;
   switch (msg.value().type) {
     case LibMsgType::kMigrateRequest:
-      reply = on_migrate_request(session, msg.value());
+      served = serve(&MigrationEnclave::on_migrate_request, from, payload);
       break;
     case LibMsgType::kFetchIncoming:
-      reply = on_fetch_incoming(req.id, session);
+      served = on_fetch_incoming(from);
       break;
     case LibMsgType::kConfirmMigration:
-      reply = on_confirm_migration(req.id, session, msg.value());
+      served = serve(&MigrationEnclave::on_confirm_migration, from, payload);
       break;
     case LibMsgType::kQueryStatus:
-      reply = on_query_status(session, msg.value());
+      served = serve(&MigrationEnclave::on_query_status, from, payload);
       break;
     case LibMsgType::kPrecopyRound:
-      reply = on_precopy_round(session, msg.value());
+      served = serve(&MigrationEnclave::on_precopy_round, from, payload);
       break;
     case LibMsgType::kPrecopyFinalizeReq:
-      reply = on_precopy_finalize_req(session, msg.value());
+      served = serve(&MigrationEnclave::on_precopy_finalize_req, from, payload);
       break;
     case LibMsgType::kMigrateEnqueue:
-      reply = on_migrate_enqueue(session, msg.value());
+      served = serve(&MigrationEnclave::on_migrate_enqueue, from, payload);
       break;
     case LibMsgType::kMigrateReserve:
-      reply = on_migrate_reserve(session, msg.value());
+      served = serve(&MigrationEnclave::on_migrate_reserve, from, payload);
       break;
     case LibMsgType::kMigrateArm:
-      reply = on_migrate_arm(session, msg.value());
+      served = serve(&MigrationEnclave::on_migrate_arm, from, payload);
       break;
     case LibMsgType::kPollTransfer:
-      reply = on_poll_transfer(session, msg.value());
+      served = serve(&MigrationEnclave::on_poll_transfer, from, payload);
       break;
     case LibMsgType::kAbortStale:
-      reply = on_abort_stale(session, msg.value());
+      served = serve(&MigrationEnclave::on_abort_stale, from, payload);
       break;
     default:
-      reply.type = LibMsgType::kError;
-      reply.status = Status::kInvalidParameter;
       break;
   }
   active_la_session_ = previous_active;
+  const LibMsg reply = served.ok()
+                           ? std::move(served).value()
+                           : LibMsg{LibMsgType::kError, served.status(), {}};
   // Re-resolve the session before touching the channel: belt over the
   // shield above, in case a reentrant path erased it after all.
   const auto after = la_sessions_.find(req.id);
@@ -393,36 +401,28 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
 
 // ----- inner LibMsg handlers -----
 
-LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
-                                            const LibMsg& msg) {
-  LibMsg reply;
-  auto request = decode_record<MigrateRequestPayload>(msg.payload);
-  if (!request.ok()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const Status status =
-      run_blocking_task(session.peer.mr_enclave, std::move(request).value());
-  if (status != Status::kOk) {
-    reply.type = LibMsgType::kError;
-    reply.status = status;
-    return reply;
-  }
-  reply.type = LibMsgType::kMigrateAccepted;
-  reply.status = Status::kOk;
-  return reply;
+template <typename Payload>
+MigrationEnclave::LibReply MigrationEnclave::serve(LibHandler<Payload> handler,
+                                                   const LibCaller& from,
+                                                   ByteView payload) {
+  auto request = decode_record<Payload>(payload);
+  if (!request.ok()) return request.status();
+  return (this->*handler)(from, std::move(request).value());
 }
 
-LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
-                                           LaSessionState& session) {
-  LibMsg reply;
+MigrationEnclave::LibReply MigrationEnclave::on_migrate_request(
+    const LibCaller& from, MigrateRequestPayload request) {
+  const Status status = run_blocking_task(from.mr, std::move(request));
+  if (status != Status::kOk) return status;
+  return lib_reply(LibMsgType::kMigrateAccepted);
+}
+
+MigrationEnclave::LibReply MigrationEnclave::on_fetch_incoming(
+    const LibCaller& from) {
   // Only assembled data is deliverable: staged rounds are no snapshot.
-  const auto it = incoming_.find(session.peer.mr_enclave);
+  const auto it = incoming_.find(from.mr);
   if (it == incoming_.end() || !it->second.assembled()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kNoPendingMigration;
-    return reply;
+    return Status::kNoPendingMigration;
   }
   // Deliver to exactly one enclave instance: once handed to a session, no
   // other session may fetch it (prevents forking the migration data into
@@ -432,67 +432,52 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
   // before confirming) — so a replacement instance of the same attested
   // MRENCLAVE can re-fetch instead of the migration being stuck forever.
   if (it->second.delivering_session != 0 &&
-      it->second.delivering_session != session_id) {
+      it->second.delivering_session != from.session_id) {
     const auto pinned = la_sessions_.find(it->second.delivering_session);
     const bool pinned_gone = pinned == la_sessions_.end();
     const bool pinned_idle =
         !pinned_gone && platform().clock().now() - pinned->second.last_used >=
                             delivery_takeover_timeout_;
-    if (!pinned_gone && !pinned_idle) {
-      reply.type = LibMsgType::kError;
-      reply.status = Status::kMigrationInProgress;
-      return reply;
-    }
+    if (!pinned_gone && !pinned_idle) return Status::kMigrationInProgress;
     // Revoke the stale session so the presumed-dead instance cannot come
     // back and race the new one for the confirm.
     if (!pinned_gone) la_sessions_.erase(pinned);
   }
-  it->second.delivering_session = session_id;
+  it->second.delivering_session = from.session_id;
   // The token rides inside the sealed reply: possession later proves the
   // confirmer is the instance this very record reached.
   it->second.delivery_token = fresh_id();
-  reply.type = LibMsgType::kIncomingData;
-  reply.status = Status::kOk;
   IncomingDataPayload incoming;
   incoming.data = encode_record(*it->second.data);
   incoming.delivery_token = it->second.delivery_token;
   incoming.request_nonce = it->second.request_nonce;
-  reply.payload = encode_record(incoming);
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->trace.instant("me.fetch", platform().address(),
                        it->second.request_nonce);
     obs->metrics.add("me.fetches");
   }
-  return reply;
+  return lib_reply(LibMsgType::kIncomingData, encode_record(incoming));
 }
 
-LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
-                                              LaSessionState& session,
-                                              const LibMsg& msg) {
-  LibMsg reply;
+MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(
+    const LibCaller& from, ConfirmPayload confirm) {
   // Payload: the delivery token from the fetch reply.  An instance that
   // re-attested (channel desync, corrupted record forcing a fresh LA
   // session) confirms from a session that is NOT the pinned one; the
   // token — which only the fetch reply's recipient can hold —
   // re-establishes ownership.
-  auto confirm = decode_record<ConfirmPayload>(msg.payload);
-  if (!confirm.ok()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t token = confirm.value().delivery_token;
-  auto it = incoming_.find(session.peer.mr_enclave);
+  const uint64_t token = confirm.delivery_token;
+  auto it = incoming_.find(from.mr);
   if (it != incoming_.end() && !it->second.assembled()) it = incoming_.end();
   const bool owner =
       it != incoming_.end() &&
-      (it->second.delivering_session == session_id ||
+      (it->second.delivering_session == from.session_id ||
        (token != 0 && token == it->second.delivery_token));
-  if (owner && it->second.delivering_session != session_id) {
+  if (owner && it->second.delivering_session != from.session_id) {
     // Token-based takeover: revoke the stale pinned session so the old
     // channel cannot race this one.
     la_sessions_.erase(it->second.delivering_session);
-    it->second.delivering_session = session_id;
+    it->second.delivering_session = from.session_id;
   }
   if (!owner) {
     // Idempotent re-confirm: if a migration for this identity was already
@@ -501,15 +486,10 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
     // fully restored destination instance.  No state changes; an enclave
     // that never fetched cannot reach its confirm step (its init fails at
     // the fetch), so this leaks nothing.
-    if (it == incoming_.end() &&
-        confirmed_incoming_.count(session.peer.mr_enclave) != 0) {
-      reply.type = LibMsgType::kConfirmAck;
-      reply.status = Status::kOk;
-      return reply;
+    if (it == incoming_.end() && confirmed_incoming_.count(from.mr) != 0) {
+      return lib_reply(LibMsgType::kConfirmAck);
     }
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kInvalidState;
-    return reply;
+    return Status::kInvalidState;
   }
   const uint64_t transfer_id = it->second.transfer_id;
   const std::string source_address = it->second.source_me_address;
@@ -532,20 +512,16 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   }
   incoming_.erase(it);
   if (relay.has_value()) done_relays_[transfer_id] = std::move(*relay);
-  if (confirmed_incoming_.count(session.peer.mr_enclave) == 0) {
-    confirmed_incoming_order_.push_back(session.peer.mr_enclave);
+  if (confirmed_incoming_.count(from.mr) == 0) {
+    confirmed_incoming_order_.push_back(from.mr);
   }
-  confirmed_incoming_[session.peer.mr_enclave] = transfer_id;
+  confirmed_incoming_[from.mr] = transfer_id;
   while (confirmed_incoming_order_.size() > history_limit()) {
     confirmed_incoming_.erase(confirmed_incoming_order_.front());
     confirmed_incoming_order_.pop_front();
   }
   const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    reply.type = LibMsgType::kError;
-    reply.status = persisted;
-    return reply;
-  }
+  if (persisted != Status::kOk) return persisted;
 
   // Relay DONE to the source ME so it can delete its retained copy.  If
   // the source is unreachable the sealed record stays in the durable
@@ -557,9 +533,7 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
     obs->trace.instant("me.confirm", platform().address(), request_nonce);
     obs->metrics.add("me.confirms");
   }
-  reply.type = LibMsgType::kConfirmAck;
-  reply.status = Status::kOk;
-  return reply;
+  return lib_reply(LibMsgType::kConfirmAck);
 }
 
 size_t MigrationEnclave::retry_done_relays() {
@@ -604,25 +578,15 @@ size_t MigrationEnclave::retry_done_relays() {
   return done_relays_.size();
 }
 
-LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
-                                         const LibMsg& msg) {
-  LibMsg reply;
-  auto query = decode_record<NoncePayload>(msg.payload);
-  if (!query.ok()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
+MigrationEnclave::LibReply MigrationEnclave::on_query_status(
+    const LibCaller& from, NoncePayload query) {
   // A nonce-scoped query asks the fate of exactly one migrate request —
   // the resume path a library uses when its ME exchange died mid-flight.
-  const uint64_t nonce = query.value().request_nonce;
-  const OutgoingState state =
-      nonce == 0 ? outgoing_state(session.peer.mr_enclave)
-                 : attempt_state(session.peer.mr_enclave, nonce);
-  reply.type = LibMsgType::kStatusReport;
-  reply.status = Status::kOk;
-  reply.payload = encode_record(StatusReportPayload{state});
-  return reply;
+  const uint64_t nonce = query.request_nonce;
+  const OutgoingState state = nonce == 0 ? outgoing_state(from.mr)
+                                         : attempt_state(from.mr, nonce);
+  return lib_reply(LibMsgType::kStatusReport,
+                   encode_record(StatusReportPayload{state}));
 }
 
 // ----- ME<->ME attestation: one chain, four callers -----
@@ -923,62 +887,36 @@ Status MigrationEnclave::send_step(bool inline_step,
   return Status::kOk;
 }
 
-LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
-                                            const LibMsg& msg) {
-  auto request = decode_record<MigrateRequestPayload>(msg.payload);
-  if (!request.ok()) {
-    LibMsg reply;
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  return queue_task(session.peer.mr_enclave, std::move(request).value(),
-                    /*armed=*/true);
+MigrationEnclave::LibReply MigrationEnclave::on_migrate_enqueue(
+    const LibCaller& from, MigrateRequestPayload request) {
+  return queue_task(from.mr, std::move(request), /*armed=*/true);
 }
 
-LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
-                                            const LibMsg& msg) {
+MigrationEnclave::LibReply MigrationEnclave::on_migrate_reserve(
+    const LibCaller& from, MigrateReservePayload reservation) {
   // Enqueue-without-freeze: the library reserves a transfer slot while the
   // enclave keeps running.  The task attests ahead of time and then parks
   // at kAwaitArm; the poll reports kSlotLive and only then does the
   // library freeze, collect, and arm the payload.
-  auto parsed = decode_record<MigrateReservePayload>(msg.payload);
-  if (!parsed.ok()) {
-    LibMsg reply;
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
   // A reservation is a migrate request with its data still to come.
   MigrateRequestPayload request;
-  static_cast<MigrateReservePayload&>(request) = std::move(parsed).value();
-  return queue_task(session.peer.mr_enclave, std::move(request),
-                    /*armed=*/false);
+  static_cast<MigrateReservePayload&>(request) = std::move(reservation);
+  return queue_task(from.mr, std::move(request), /*armed=*/false);
 }
 
-LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
-                                    MigrateRequestPayload request,
-                                    bool armed) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
+MigrationEnclave::LibReply MigrationEnclave::queue_task(
+    const sgx::Measurement& mr, MigrateRequestPayload request, bool armed) {
   const uint64_t nonce = request.request_nonce;
   // Already retained/completed (re-sent enqueue after a lost reply):
   // idempotent queue — the poll will observe kAccepted.
   const Status dedup =
       dedup_against_queue(mr, nonce, request.destination_address);
-  if (dedup != Status::kNoPendingMigration) {
-    reply.type = dedup == Status::kOk ? LibMsgType::kMigrateQueued
-                                      : LibMsgType::kError;
-    reply.status = dedup;
-    return reply;
-  }
+  if (dedup == Status::kOk) return lib_reply(LibMsgType::kMigrateQueued);
+  if (dedup != Status::kNoPendingMigration) return dedup;
   bool created = false;
   auto slot = find_or_create_task(mr, nonce, request.destination_address,
                                   /*precopy=*/false, &created);
-  if (!slot.ok()) {
-    reply.status = slot.status();
-    return reply;
-  }
+  if (!slot.ok()) return slot.status();
   TransferTask& task = *slot.value();
   if (!created) {
     if (task.step == TransferTask::Step::kFailed) {
@@ -992,9 +930,7 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
       kick_task(nonce);
     }
     // Mid-flight: idempotent re-queue.
-    reply.type = LibMsgType::kMigrateQueued;
-    reply.status = Status::kOk;
-    return reply;
+    return lib_reply(LibMsgType::kMigrateQueued);
   }
   task.request = std::move(request);
   task.armed = armed;
@@ -1004,34 +940,22 @@ LibMsg MigrationEnclave::queue_task(const sgx::Measurement& mr,
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) {
     transfer_tasks_.erase(nonce);
-    reply.status = persisted;
-    return reply;
+    return persisted;
   }
   kick_task(nonce);
-  reply.type = LibMsgType::kMigrateQueued;
-  reply.status = Status::kOk;
-  return reply;
+  return lib_reply(LibMsgType::kMigrateQueued);
 }
 
-Result<MigrationEnclave::TransferTask*> MigrationEnclave::find_or_create_task(
+Result<MigrationEnclave::TransferTask*> MigrationEnclave::find_task(
     const sgx::Measurement& mr, uint64_t nonce, const std::string& destination,
-    bool precopy, bool* created) {
+    bool precopy) {
   // The queue is built on nonce-scoped exactly-once semantics (a restarted
   // ME resumes its tasks by nonce); a nonce-less request can only run as a
   // blocking start.
-  if (nonce == 0 || destination == platform().address()) {
-    return Status::kInvalidParameter;
-  }
-  const auto [it, fresh] = transfer_tasks_.try_emplace(nonce);
+  if (nonce == 0) return Status::kInvalidParameter;
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) return nullptr;
   TransferTask& task = it->second;
-  if (created != nullptr) *created = fresh;
-  if (fresh) {
-    task.source_mr = mr;
-    task.request.destination_address = destination;
-    task.request.request_nonce = nonce;
-    task.precopy = precopy;
-    return &task;
-  }
   if (!(task.source_mr == mr)) return Status::kAlreadyExists;  // foreign
   // One nonce binds one (attempt, destination, mode): the library draws a
   // fresh nonce on every re-route and mode switch, so a mismatch is a
@@ -1044,55 +968,44 @@ Result<MigrationEnclave::TransferTask*> MigrationEnclave::find_or_create_task(
   return &task;
 }
 
-LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
-                                        const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto request = decode_record<MigrateRequestPayload>(msg.payload);
-  if (!request.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t nonce = request.value().request_nonce;
-  if (nonce == 0) {
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
-  const sgx::Measurement& mr = session.peer.mr_enclave;
-  const auto it = transfer_tasks_.find(nonce);
-  if (it == transfer_tasks_.end()) {
+Result<MigrationEnclave::TransferTask*> MigrationEnclave::find_or_create_task(
+    const sgx::Measurement& mr, uint64_t nonce, const std::string& destination,
+    bool precopy, bool* created) {
+  if (destination == platform().address()) return Status::kInvalidParameter;
+  auto found = find_task(mr, nonce, destination, precopy);
+  const bool fresh = found.ok() && found.value() == nullptr;
+  if (created != nullptr) *created = fresh;
+  if (!fresh) return found;
+  TransferTask& task = transfer_tasks_[nonce];
+  task.source_mr = mr;
+  task.request.destination_address = destination;
+  task.request.request_nonce = nonce;
+  task.precopy = precopy;
+  return &task;
+}
+
+MigrationEnclave::LibReply MigrationEnclave::on_migrate_arm(
+    const LibCaller& from, MigrateRequestPayload request) {
+  const uint64_t nonce = request.request_nonce;
+  auto found = find_task(from.mr, nonce, request.destination_address,
+                         /*precopy=*/false);
+  if (!found.ok()) return found.status();
+  if (found.value() == nullptr) {
     // An arm re-sent after a lost ack may find the task already dissolved
     // into a retained/completed transfer: idempotent success.
     const Status dedup =
-        dedup_against_queue(mr, nonce, request.value().destination_address);
-    if (dedup == Status::kOk) {
-      reply.type = LibMsgType::kArmAck;
-      reply.status = Status::kOk;
-      return reply;
-    }
-    reply.status = dedup;
-    return reply;
+        dedup_against_queue(from.mr, nonce, request.destination_address);
+    if (dedup != Status::kOk) return dedup;
+    return lib_reply(LibMsgType::kArmAck);
   }
-  if (!(it->second.source_mr == mr)) {
-    reply.status = Status::kAlreadyExists;
-    return reply;
-  }
-  if (it->second.request.destination_address !=
-          request.value().destination_address ||
-      it->second.precopy) {
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
-  TransferTask& task = it->second;
+  TransferTask& task = *found.value();
   if (task.armed && task.step == TransferTask::Step::kAwaitAccept) {
     // Duplicate arm while the payload is already on the wire.
-    reply.type = LibMsgType::kArmAck;
-    reply.status = Status::kOk;
-    return reply;
+    return lib_reply(LibMsgType::kArmAck);
   }
   MigrationData previous = std::move(task.request.data);
   const bool was_armed = task.armed;
-  task.request.data = std::move(request).value().data;
+  task.request.data = std::move(request.data);
   task.armed = true;
   // Durable BEFORE the ack: the armed payload is the state the library
   // just destroyed its live instance for.
@@ -1100,8 +1013,7 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
   if (persisted != Status::kOk) {
     task.request.data = std::move(previous);
     task.armed = was_armed;
-    reply.status = persisted;
-    return reply;
+    return persisted;
   }
   if (task.step == TransferTask::Step::kAwaitArm) {
     ship_task_payload(nonce, task);
@@ -1109,9 +1021,7 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
   // Still attesting (e.g. after an ME restart collapsed the task to
   // kQueued): task_attested ships the armed payload when the channel is
   // ready.  A kFailed task keeps its failure for the next poll.
-  reply.type = LibMsgType::kArmAck;
-  reply.status = Status::kOk;
-  return reply;
+  return lib_reply(LibMsgType::kArmAck);
 }
 
 void MigrationEnclave::pump() {
@@ -1290,17 +1200,10 @@ Status MigrationEnclave::fail_task(uint64_t nonce, Status status) {
   return status;
 }
 
-LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
-                                          const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = decode_record<NoncePayload>(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t nonce = parsed.value().request_nonce;
-  const sgx::Measurement& mr = session.peer.mr_enclave;
+MigrationEnclave::LibReply MigrationEnclave::on_poll_transfer(
+    const LibCaller& from, NoncePayload poll) {
+  const uint64_t nonce = poll.request_nonce;
+  const sgx::Measurement& mr = from.mr;
   TransferProgressPayload progress;
   const auto it = transfer_tasks_.find(nonce);
   // A pre-copy task WITHOUT a staged finalize falls through to the queue
@@ -1326,8 +1229,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
         // resurrect a well-formed kQueued retry, not an empty husk
         // whose re-kick would mask the original failure.
         transfer_tasks_[nonce] = std::move(failed);
-        reply.status = persisted;
-        return reply;
+        return persisted;
       }
     } else if (it->second.step == TransferTask::Step::kAwaitArm) {
       // Attested and parked: the enclave may freeze+collect+arm — but only
@@ -1354,10 +1256,7 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
                             ? TransferProgress::kAccepted
                             : TransferProgress::kNone;
   }
-  reply.type = LibMsgType::kTransferProgress;
-  reply.status = Status::kOk;
-  reply.payload = encode_record(progress);
-  return reply;
+  return lib_reply(LibMsgType::kTransferProgress, encode_record(progress));
 }
 
 // ----- proactive abort on re-route -----
@@ -1414,17 +1313,10 @@ Result<Reply> MigrationEnclave::attested_query(const std::string& peer,
   return verdict;
 }
 
-LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
-                                        const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = decode_record<AbortStalePayload>(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t nonce = parsed.value().request_nonce;
-  const sgx::Measurement& mr = session.peer.mr_enclave;
+MigrationEnclave::LibReply MigrationEnclave::on_abort_stale(
+    const LibCaller& from, AbortStalePayload abort) {
+  const uint64_t nonce = abort.request_nonce;
+  const sgx::Measurement& mr = from.mr;
   // The re-routed attempt's own source-side task is orphaned too: an
   // abandoned pre-copy attempt or an unpolled/unfinished transfer for
   // this nonce will never finalize — drop it before telling the
@@ -1437,15 +1329,12 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
     // would resurrect the dropped task and re-ship the abandoned
     // attempt, recreating the very orphan this path exists to prevent.
     const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      reply.status = persisted;
-      return reply;
-    }
+    if (persisted != Status::kOk) return persisted;
   }
   // Best-effort remote expiry: a failure leaves the pull-based reconcile
   // sweep as the backstop, exactly as before.
-  const Status remote = abort_remote_pending(
-      mr, nonce, parsed.value().destination_address);
+  const Status remote =
+      abort_remote_pending(mr, nonce, abort.destination_address);
   bool wiped = false;
   if (remote == Status::kOk) {
     // The destination vouches it holds nothing undelivered for this
@@ -1464,7 +1353,7 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
       }
     }
   }
-  reply.type = LibMsgType::kAbortAck;
+  LibMsg reply = lib_reply(LibMsgType::kAbortAck);
   reply.status = remote;
   if (wiped) {
     // Fenced like every queue transition; on failure surface the persist
@@ -1541,23 +1430,11 @@ Result<MigrationEnclave::TransferTask*> MigrationEnclave::precopy_attempt(
   return &task;
 }
 
-LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
-                                          const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = decode_record<PrecopyRoundPayload>(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const PrecopyRoundPayload& round = parsed.value();
-  auto attempt = precopy_attempt(session.peer.mr_enclave,
-                                 round.destination_address,
+MigrationEnclave::LibReply MigrationEnclave::on_precopy_round(
+    const LibCaller& from, PrecopyRoundPayload round) {
+  auto attempt = precopy_attempt(from.mr, round.destination_address,
                                  round.request_nonce, round.policy);
-  if (!attempt.ok()) {
-    reply.status = attempt.status();
-    return reply;
-  }
+  if (!attempt.ok()) return attempt.status();
   // Merge first, and persist before the ack: a restart resumes the
   // pre-copy from the merged set.  The async transport acks before the
   // hop, so it persists first and ships behind the pump (rounds of
@@ -1576,22 +1453,16 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
     // The destination no longer knows this conversation (its staging was
     // aged out or superseded): the failed hop dropped the channel, so one
     // fresh attempt re-attests and re-ships the whole merged set.
-    attempt = precopy_attempt(session.peer.mr_enclave,
-                              round.destination_address, round.request_nonce,
-                              round.policy);
+    attempt = precopy_attempt(from.mr, round.destination_address,
+                              round.request_nonce, round.policy);
     status = attempt.ok() ? kick_precopy_ship(round.request_nonce)
                           : attempt.status();
   }
   if (status == Status::kOk && !async_precopy_) {
     status = persist_queue(round.request_nonce);
   }
-  if (status != Status::kOk) {
-    reply.status = status;
-    return reply;
-  }
-  reply.type = LibMsgType::kPrecopyAck;
-  reply.status = Status::kOk;
-  return reply;
+  if (status != Status::kOk) return status;
+  return lib_reply(LibMsgType::kPrecopyAck);
 }
 
 std::vector<CounterChunk> DurableQueue::TransferTask::unacked_chunks()
@@ -1792,38 +1663,22 @@ Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
                              /*finalize=*/true);
 }
 
-LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
-                                                 const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = decode_record<PrecopyFinalizePayload>(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const PrecopyFinalizePayload& fin = parsed.value();
+MigrationEnclave::LibReply MigrationEnclave::on_precopy_finalize_req(
+    const LibCaller& from, PrecopyFinalizePayload fin) {
   const uint64_t nonce = fin.request_nonce;
-  const sgx::Measurement mr = session.peer.mr_enclave;
   // Idempotent re-finalize: if this attempt already became a retained (or
   // completed) transfer — the previous reply was lost — acknowledge
   // without shipping again.
   const Status dedup =
-      dedup_against_queue(mr, nonce, fin.destination_address);
-  if (dedup != Status::kNoPendingMigration) {
-    reply.type = dedup == Status::kOk ? LibMsgType::kFinalizeAccepted
-                                      : LibMsgType::kError;
-    reply.status = dedup;
-    return reply;
-  }
+      dedup_against_queue(from.mr, nonce, fin.destination_address);
+  if (dedup == Status::kOk) return lib_reply(LibMsgType::kFinalizeAccepted);
+  if (dedup != Status::kNoPendingMigration) return dedup;
   auto attempt =
-      precopy_attempt(mr, fin.destination_address, nonce, fin.policy);
-  if (!attempt.ok()) {
-    reply.status = attempt.status();
-    return reply;
-  }
+      precopy_attempt(from.mr, fin.destination_address, nonce, fin.policy);
+  if (!attempt.ok()) return attempt.status();
   TransferTask& live = *attempt.value();
   merge_by_generation(live.merged, fin.chunks);
-  live.staged_finalize = fin;
+  live.staged_finalize = std::move(fin);
   live.finalize_attempts = 0;
   // No persist here: the staged finalize is memory-only, and the frozen
   // library still holds it.  A restart before the retain re-sends the
@@ -1842,16 +1697,11 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
   while (!async_precopy_ && shipped != Status::kOk && staged()) {
     shipped = kick_precopy_finalize(nonce);
   }
-  if (shipped != Status::kOk) {
-    reply.status = shipped;
-    return reply;
-  }
+  if (shipped != Status::kOk) return shipped;
   // Still staged: the record is in flight (the frozen library polls its
   // fate); otherwise the destination accepted and the copy is retained.
-  reply.type = staged() ? LibMsgType::kMigrateQueued
-                        : LibMsgType::kFinalizeAccepted;
-  reply.status = Status::kOk;
-  return reply;
+  return lib_reply(staged() ? LibMsgType::kMigrateQueued
+                            : LibMsgType::kFinalizeAccepted);
 }
 
 // ----- incoming migration (destination side) -----
@@ -2025,116 +1875,111 @@ Result<MigrationEnclave::IncomingRecord*> MigrationEnclave::claim_incoming(
   return &(incoming_[mr] = std::move(fresh));
 }
 
-MeResponse MigrationEnclave::on_transfer(const MeRequest& req) {
-  auto opened = open_inbound_record<TransferPayload>(req, /*charge=*/true);
+template <typename Record, typename Apply>
+MeResponse MigrationEnclave::accept_record(const MeRequest& req,
+                                           std::string_view ack,
+                                           Apply apply) {
+  auto opened = open_inbound_record<Record>(req, /*charge=*/true);
   if (!opened.ok()) return error_response(opened.status());
-  TransferPayload& payload = opened.value().record;
+  Record& record = opened.value().record;
   auto claimed =
-      claim_incoming(payload.source_mr_enclave, payload.request_nonce,
-                     payload.source_me_address, req.id);
+      claim_incoming(record.source_mr_enclave, record.request_nonce,
+                     record.source_me_address, req.id);
   if (!claimed.ok()) return error_response(claimed.status());
-  claimed.value()->assemble(std::move(payload.data));
+  const Status applied = apply(record, *claimed.value());
+  if (applied != Status::kOk) return error_response(applied);
 
   MeResponse resp;
   resp.status = Status::kOk;
-  // Seal the ACCEPTED ack BEFORE snapshotting: the snapshot must capture
-  // the channel's post-ack sequence numbers, or a DONE sealed after a
+  // Seal the ack BEFORE snapshotting: the snapshot must capture the
+  // channel's post-ack sequence numbers, or a DONE sealed after a
   // restart would fail the source's replay check.  The record (and the
   // inbound channel that will seal the DONE) are then made durable
   // before the ack leaves this enclave and releases the source side.
-  resp.payload = opened.value().inbound->channel->seal_record(
-      to_bytes(std::string_view(kAcceptedMarker)));
-  const Status persisted = persist_queue(payload.request_nonce);
+  resp.payload = opened.value().inbound->channel->seal_record(to_bytes(ack));
+  const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
+}
+
+MeResponse MigrationEnclave::on_transfer(const MeRequest& req) {
+  return accept_record<TransferPayload>(
+      req, kAcceptedMarker,
+      [](TransferPayload& payload, IncomingRecord& entry) {
+        entry.assemble(std::move(payload.data));
+        return Status::kOk;
+      });
 }
 
 MeResponse MigrationEnclave::on_precopy_chunk(const MeRequest& req) {
-  auto opened = open_inbound_record<PrecopyChunkRecord>(req, /*charge=*/true);
-  if (!opened.ok()) return error_response(opened.status());
-  const PrecopyChunkRecord& record = opened.value().record;
-  auto claimed =
-      claim_incoming(record.source_mr_enclave, record.request_nonce,
-                     record.source_me_address, req.id);
-  if (!claimed.ok()) return error_response(claimed.status());
-  IncomingRecord& entry = *claimed.value();
-  merge_by_generation(entry.chunks, record.chunks);
-  entry.last_update = platform().clock().now();
-  if (record.round + 1 > entry.rounds) entry.rounds = record.round + 1;
-
-  MeResponse resp;
-  resp.status = Status::kOk;
-  // Ack sealed BEFORE the snapshot so the persisted channel sequence
-  // numbers are post-ack (mirrors on_transfer).
-  resp.payload = opened.value().inbound->channel->seal_record(
-      to_bytes(std::string_view(kPrecopyAckMarker)));
-  const Status persisted = persist_queue(record.request_nonce);
-  if (persisted != Status::kOk) return error_response(persisted);
-  return resp;
+  return accept_record<PrecopyChunkRecord>(
+      req, kPrecopyAckMarker,
+      [this](const PrecopyChunkRecord& record, IncomingRecord& entry) {
+        merge_by_generation(entry.chunks, record.chunks);
+        entry.last_update = platform().clock().now();
+        if (record.round + 1 > entry.rounds) entry.rounds = record.round + 1;
+        return Status::kOk;
+      });
 }
 
 MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
-  auto opened =
-      open_inbound_record<PrecopyFinalizeRecord>(req, /*charge=*/true);
+  return accept_record<PrecopyFinalizeRecord>(
+      req, kPrecopyFinMarker,
+      [this](const PrecopyFinalizeRecord& record, IncomingRecord& entry) {
+        // Fold the final delta into the staged rounds.
+        merge_by_generation(entry.chunks, record.chunks);
+        entry.last_update = platform().clock().now();
+        // Manifest check: the staged set must cover EXACTLY what the
+        // library shipped.  A lost round (or a wiped queue) must fail
+        // loudly here — a silently truncated Table II would restore
+        // counters at stale values, breaking the very replay protection
+        // the counters exist for.  The source answers kPrecopyIncomplete
+        // by re-shipping the full set.
+        for (const ChunkManifestEntry& expected : record.manifest) {
+          const auto chunk = entry.chunks.find(expected.index);
+          if (chunk == entry.chunks.end() ||
+              chunk->second.generation != expected.generation) {
+            return Status::kPrecopyIncomplete;
+          }
+        }
+        // The authoritative snapshot: manifest chunks + MSK.
+        entry.assemble(
+            assemble_snapshot(entry.chunks, record.manifest, record.msk));
+        return Status::kOk;
+      });
+}
+
+template <typename Answer>
+MeResponse MigrationEnclave::answer_query(const MeRequest& req,
+                                          Answer answer) {
+  auto opened = open_inbound_record<AttemptRef>(req, /*charge=*/false);
   if (!opened.ok()) return error_response(opened.status());
-  const PrecopyFinalizeRecord& record = opened.value().record;
-  auto claimed =
-      claim_incoming(record.source_mr_enclave, record.request_nonce,
-                     record.source_me_address, req.id);
-  if (!claimed.ok()) return error_response(claimed.status());
-  IncomingRecord& entry = *claimed.value();
-  // Fold the final delta into the staged rounds.
-  merge_by_generation(entry.chunks, record.chunks);
-  entry.last_update = platform().clock().now();
-
-  // Manifest check: the staged set must cover EXACTLY what the library
-  // shipped.  A lost round (or a wiped queue) must fail loudly here — a
-  // silently truncated Table II would restore counters at stale values,
-  // breaking the very replay protection the counters exist for.  The
-  // source answers kPrecopyIncomplete by re-shipping the full set.
-  for (const ChunkManifestEntry& expected : record.manifest) {
-    const auto chunk = entry.chunks.find(expected.index);
-    if (chunk == entry.chunks.end() ||
-        chunk->second.generation != expected.generation) {
-      return error_response(Status::kPrecopyIncomplete);
-    }
-  }
-  // The authoritative snapshot: manifest chunks + MSK.
-  entry.assemble(assemble_snapshot(entry.chunks, record.manifest, record.msk));
-
+  InboundTransfer& inbound = *opened.value().inbound;
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = opened.value().inbound->channel->seal_record(
-      to_bytes(std::string_view(kPrecopyFinMarker)));
-  const Status persisted = persist_queue(record.request_nonce);
-  if (persisted != Status::kOk) return error_response(persisted);
+  resp.payload = inbound.channel->seal_record(
+      encode_record(answer(opened.value().record, inbound)));
+  // One-shot conversation: it ends with its answer.
+  inbound_.erase(req.id);
   return resp;
 }
 
 MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
-  auto opened = open_inbound_record<AttemptRef>(req, /*charge=*/false);
-  if (!opened.ok()) return error_response(opened.status());
-  const AttemptRef& abort = opened.value().record;
-  InboundTransfer& inbound = *opened.value().inbound;
-
-  // Only the ORIGINATING source ME may expire its own attempt, and never
-  // once the data was handed to an enclave instance (the delivery pin's
-  // fork prevention outranks everything).
   bool expired = false;
-  bool delivered_block = false;
-  const auto it = incoming_.find(abort.source_mr_enclave);
-  if (it != incoming_.end() && it->second.request_nonce == abort.request_nonce &&
-      it->second.source_me_address == inbound.source_address) {
-    expired = expire_incoming(it, req.id);
-    delivered_block = !expired;
-  }
-
-  MeResponse resp;
-  resp.status = Status::kOk;
-  resp.payload = inbound.channel->seal_record(
-      encode_record(AbortReply{.forgettable = !delivered_block}));
-  // One-shot conversation, like reconcile.
-  inbound_.erase(req.id);
+  MeResponse resp = answer_query(
+      req, [&](const AttemptRef& abort, const InboundTransfer& inbound) {
+        // Only the ORIGINATING source ME may expire its own attempt, and
+        // never once the data was handed to an enclave instance (the
+        // delivery pin's fork prevention outranks everything).
+        const auto it = incoming_.find(abort.source_mr_enclave);
+        if (it != incoming_.end() &&
+            it->second.request_nonce == abort.request_nonce &&
+            it->second.source_me_address == inbound.source_address) {
+          expired = expire_incoming(it, req.id);
+          return AbortReply{.forgettable = expired};
+        }
+        return AbortReply{.forgettable = true};
+      });
   if (expired) {
     const Status persisted = persist_queue();
     if (persisted != Status::kOk) return error_response(persisted);
@@ -2271,34 +2116,27 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
 }
 
 MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
-  auto opened = open_inbound_record<AttemptRef>(req, /*charge=*/false);
-  if (!opened.ok()) return error_response(opened.status());
-  const sgx::Measurement& mr = opened.value().record.source_mr_enclave;
-  const uint64_t nonce = opened.value().record.request_nonce;
-
-  // Retained, or a task of either mode (the index's completed transfer
-  // is older than a task).
-  const auto task = transfer_tasks_.find(nonce);
-  const bool nonce_live =
-      attempt_state(mr, nonce) == OutgoingState::kPending ||
-      (task != transfer_tasks_.end() && task->second.source_mr == mr);
-  // Superseded = this ME has POSITIVE evidence the identity moved on (a
-  // completed transfer under another nonce) and no live or completed
-  // record of the queried attempt.  Anything ambiguous — including a
-  // wiped history, where the pending copy might be the only one left —
-  // keeps the entry.  The queried attempt is not retained here, so the
-  // index's completed transfer counts whatever its sequence.
-  const ReconcileVerdict verdict =
-      (!nonce_live && superseded_by_completion(mr, nonce, 0))
-          ? ReconcileVerdict::kSuperseded
-          : ReconcileVerdict::kStillLive;
-  MeResponse resp;
-  resp.status = Status::kOk;
-  resp.payload = opened.value().inbound->channel->seal_record(
-      encode_record(ReconcileReply{verdict}));
-  // One-shot session: the reconcile conversation ends here.
-  inbound_.erase(req.id);
-  return resp;
+  return answer_query(req, [this](const AttemptRef& query,
+                                  const InboundTransfer& /*inbound*/) {
+    const sgx::Measurement& mr = query.source_mr_enclave;
+    const uint64_t nonce = query.request_nonce;
+    // Retained, or a task of either mode (the index's completed transfer
+    // is older than a task).
+    const auto task = transfer_tasks_.find(nonce);
+    const bool nonce_live =
+        attempt_state(mr, nonce) == OutgoingState::kPending ||
+        (task != transfer_tasks_.end() && task->second.source_mr == mr);
+    // Superseded = this ME has POSITIVE evidence the identity moved on (a
+    // completed transfer under another nonce) and no live or completed
+    // record of the queried attempt.  Anything ambiguous — including a
+    // wiped history, where the pending copy might be the only one left —
+    // keeps the entry.  The queried attempt is not retained here, so the
+    // index's completed transfer counts whatever its sequence.
+    const bool superseded =
+        !nonce_live && superseded_by_completion(mr, nonce, 0);
+    return ReconcileReply{superseded ? ReconcileVerdict::kSuperseded
+                                     : ReconcileVerdict::kStillLive};
+  });
 }
 
 MeResponse MigrationEnclave::on_done(const MeRequest& req) {

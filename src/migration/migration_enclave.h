@@ -590,19 +590,43 @@ class MigrationEnclave : public sgx::Enclave,
   MeResponse on_abort(const MeRequest& req);
   MeResponse on_session_resume(const MeRequest& req);
 
-  // inner LibMsg handlers (already authenticated via the LA channel)
-  LibMsg on_migrate_request(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_fetch_incoming(uint64_t session_id, LaSessionState& session);
-  LibMsg on_confirm_migration(uint64_t session_id, LaSessionState& session,
-                              const LibMsg& msg);
-  LibMsg on_query_status(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_precopy_round(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_precopy_finalize_req(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_migrate_enqueue(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_migrate_reserve(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_migrate_arm(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_poll_transfer(LaSessionState& session, const LibMsg& msg);
-  LibMsg on_abort_stale(LaSessionState& session, const LibMsg& msg);
+  // ----- inner LibMsg handlers (authenticated via the LA channel) -----
+  // on_la_record is the one front door: it decodes each request's
+  // payload through serve, and sends a handler's refusal (or a malformed
+  // payload's kTampered) as the one kError reply.
+
+  /// The library a request came from: its LA session id and the
+  /// MRENCLAVE that session attested.  Copied, not referenced: a nested
+  /// rpc can re-enter handle_request and erase sessions.
+  struct LibCaller {
+    uint64_t session_id = 0;
+    sgx::Measurement mr{};
+  };
+  /// A handler's reply, or the status the front door refuses with.
+  using LibReply = Result<LibMsg>;
+  template <typename Payload>
+  using LibHandler = LibReply (MigrationEnclave::*)(const LibCaller&,
+                                                    Payload);
+  /// Decodes `payload` as the handler's request record (kTampered when
+  /// malformed) and runs the handler on it.
+  template <typename Payload>
+  LibReply serve(LibHandler<Payload> handler, const LibCaller& from,
+                 ByteView payload);
+  LibReply on_migrate_request(const LibCaller& from,
+                              MigrateRequestPayload request);
+  LibReply on_fetch_incoming(const LibCaller& from);
+  LibReply on_confirm_migration(const LibCaller& from, ConfirmPayload confirm);
+  LibReply on_query_status(const LibCaller& from, NoncePayload query);
+  LibReply on_precopy_round(const LibCaller& from, PrecopyRoundPayload round);
+  LibReply on_precopy_finalize_req(const LibCaller& from,
+                                   PrecopyFinalizePayload fin);
+  LibReply on_migrate_enqueue(const LibCaller& from,
+                              MigrateRequestPayload request);
+  LibReply on_migrate_reserve(const LibCaller& from,
+                              MigrateReservePayload reservation);
+  LibReply on_migrate_arm(const LibCaller& from, MigrateRequestPayload request);
+  LibReply on_poll_transfer(const LibCaller& from, NoncePayload poll);
+  LibReply on_abort_stale(const LibCaller& from, AbortStalePayload abort);
 
   // ----- outgoing step machine (TransferTask, both modes) -----
   // A step that sends returns kOk once posted, or, run inline, the
@@ -617,8 +641,8 @@ class MigrationEnclave : public sgx::Enclave,
   /// Shared body of kMigrateEnqueue and (armed = false) kMigrateReserve:
   /// validates, dedups, re-queues a same-nonce task, or queues a new
   /// durable one and kicks it.
-  LibMsg queue_task(const sgx::Measurement& mr, MigrateRequestPayload request,
-                    bool armed);
+  LibReply queue_task(const sgx::Measurement& mr,
+                      MigrateRequestPayload request, bool armed);
   /// Paper Listing 1's blocking start: creates (or takes over) the task
   /// for the request's nonce, drives it inline to retained or failed, and
   /// returns that outcome with the task gone.  `source_mr` by value: the
@@ -759,12 +783,16 @@ class MigrationEnclave : public sgx::Enclave,
   Status attest_on_ra_msg2(const AttestRunPtr& run, Result<Bytes> raw);
   Status attest_on_auth(const AttestRunPtr& run, Result<Bytes> raw);
 
-  /// The one find-or-create of the outgoing map, for both modes: the
-  /// task holding `nonce`, or a fresh one for (identity, destination,
-  /// mode).  A nonce binds one identity (a foreign collision is
-  /// kAlreadyExists), one destination and one mode (kInvalidParameter);
-  /// a zero nonce or this machine as destination is kInvalidParameter.
-  /// `created` reports whether the task is fresh.
+  /// The one nonce rule of the outgoing map, for both modes: the task
+  /// holding `nonce`, or nullptr when none does.  A nonce binds one
+  /// identity (a foreign collision is kAlreadyExists), one destination
+  /// and one mode (kInvalidParameter); a zero nonce is kInvalidParameter.
+  Result<TransferTask*> find_task(const sgx::Measurement& mr, uint64_t nonce,
+                                  const std::string& destination,
+                                  bool precopy);
+  /// find_task, or a fresh task for (identity, destination, mode) when
+  /// none holds the nonce; this machine as destination is
+  /// kInvalidParameter.  `created` reports whether the task is fresh.
   Result<TransferTask*> find_or_create_task(const sgx::Measurement& mr,
                                             uint64_t nonce,
                                             const std::string& destination,
@@ -806,6 +834,18 @@ class MigrationEnclave : public sgx::Enclave,
   template <typename Record>
   Result<OpenedRecord<Record>> open_inbound_record(const MeRequest& req,
                                                    bool charge);
+  /// The one path of the records that carry migration data (kTransfer,
+  /// kPrecopyChunk, kPrecopyFinalize): open, claim the identity's
+  /// incoming record, `apply` the record to it, seal `ack`, and persist
+  /// before the ack leaves.  A refusal of `apply` is the reply's status.
+  template <typename Record, typename Apply>
+  MeResponse accept_record(const MeRequest& req, std::string_view ack,
+                           Apply apply);
+  /// The one tail of the one-shot queries (kAbort, kReconcile): opens the
+  /// AttemptRef, seals the record `answer` returns for it, and ends the
+  /// conversation.
+  template <typename Answer>
+  MeResponse answer_query(const MeRequest& req, Answer answer);
 
   /// Verifies the peer ME's provider authentication for a transcript.
   Status verify_provider_auth(const ProviderAuth& auth,

@@ -35,9 +35,11 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   if (!seal_ctx_.has_value()) {
     seal_ctx_.emplace(host_.make_seal_context(sgx::KeyPolicy::kMrEnclave));
   }
-  auto sealed = host_.seal_with(*seal_ctx_,
-                                to_bytes(std::string_view(kStateAad)),
-                                encode_record(state_.to_wire()));
+  Bytes plaintext = encode_record(state_.to_wire());
+  auto sealed = host_.seal_with(
+      *seal_ctx_, to_bytes(std::string_view(kStateAad)), plaintext);
+  // The plaintext Table II carries the MSK and every counter UUID.
+  secure_wipe(plaintext);
   if (!sealed.ok()) return sealed.status();
   sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {
@@ -191,6 +193,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         return Status::kTampered;
       }
       auto state = decode_record<LibraryState>(unsealed.value().plaintext);
+      secure_wipe(unsealed.value().plaintext);  // the MSK, every UUID
       if (!state.ok()) return state.status();
       // Freeze flag check: if this enclave's state was migrated away, the
       // library refuses to operate (prevents the §III-B fork).

@@ -130,7 +130,8 @@ def test_deleting_a_libmsg_handler_case_fails():
         text = enclave.read_text()
         mutated = text.replace(
             "    case LibMsgType::kPollTransfer:\n"
-            "      reply = on_poll_transfer(session, msg.value());\n"
+            "      served = serve(&MigrationEnclave::on_poll_transfer, from, "
+            "payload);\n"
             "      break;\n", "", 1)
         assert mutated != text, "handler case to delete not found"
         enclave.write_text(mutated)
@@ -200,6 +201,21 @@ def test_hand_codec_allow_param_and_whitelist_stay_quiet():
 def test_hand_codec_real_tree_is_clean():
     result = run("--root", str(REPO), "hand-codec")
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_codec_member_catches_forwarding_members():
+    result = run("--root", str(FIXTURES / "codec_member"), "hand-codec")
+    assert result.returncode == 1, result.stdout + result.stderr
+    for line in (11, 12):
+        assert re.search(rf"bad_member\.h:{line}: \[codec-member\]",
+                         result.stdout), result.stdout
+
+
+def test_codec_member_allow_calls_and_comments_stay_quiet():
+    result = run("--root", str(FIXTURES / "codec_member"), "hand-codec")
+    for quiet in ("suppressed.h", "clean.cpp"):
+        assert quiet not in result.stdout, result.stdout
+    assert "FAILED (2 findings)" in result.stdout, result.stdout
 
 
 # ----- pycheck -----
