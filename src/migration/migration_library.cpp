@@ -38,8 +38,11 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   Bytes plaintext = encode_record(state_.to_wire());
   auto sealed = host_.seal_with(
       *seal_ctx_, to_bytes(std::string_view(kStateAad)), plaintext);
-  // The plaintext Table II carries the MSK and every counter UUID.
+  // The plaintext Table II carries the MSK and every counter UUID.  It is
+  // freed before the OCALL allocates: held across the callback, it
+  // fragments the heap and raises peak RSS.
   secure_wipe(plaintext);
+  plaintext = Bytes{};
   if (!sealed.ok()) return sealed.status();
   sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {
