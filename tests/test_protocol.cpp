@@ -539,13 +539,6 @@ Bytes reencode(ByteView wire) {
   return back.ok() ? encode_record(back.value()) : Bytes{};
 }
 
-/// The same for a record with no serialize/deserialize pair of its own.
-template <class T>
-Bytes reencode_record(ByteView wire) {
-  auto back = decode_record<T>(wire);
-  return back.ok() ? encode_record(back.value()) : Bytes{};
-}
-
 struct Pin {
   const char* record;
   std::function<Bytes()> encode;
@@ -584,7 +577,7 @@ std::vector<Pin> pins() {
       }, reencode<LibMsg>,
       "bb93fe231a35b45b03f9837ff797a8055164252a430e6dd4533afd4740adff46");
   add("MigrationPolicy", [] { return encode_record(sample_policy()); },
-      reencode_record<MigrationPolicy>,
+      reencode<MigrationPolicy>,
       "4b65d854569a012be55043e23276c902a6a6e9bcd9ddcf0bb1696174298aebca");
   add("MigrationData", [] { return encode_record(sample_data()); },
       reencode<MigrationData>,
@@ -648,7 +641,7 @@ std::vector<Pin> pins() {
       }, reencode<NoncePayload>,
       "ee7f7806fd74e16401441c48c1b78bd211355c53e764363544d682ca48e4bfc2");
   add("CounterChunk", [] { return encode_record(sample_chunk(5)); },
-      reencode_record<CounterChunk>,
+      reencode<CounterChunk>,
       "9b9c7720c2a2ce77158f685782f6a4e2f004f8329d8b3d2cc27a95acdcd3b875");
   add("PrecopyRoundPayload", [] {
         PrecopyRoundPayload p;
@@ -727,7 +720,7 @@ std::vector<Pin> pins() {
       }, reencode<SessionResumeReply>,
       "7554d2b577911fa05674324934a1b81f072eb179211f49f2fd1f32eee6f5fbb5");
   add("MachineCredential", [] { return encode_record(sample_credential()); },
-      reencode_record<platform::MachineCredential>,
+      reencode<platform::MachineCredential>,
       "a9107f5a63b25be33aa130e06c635ea6435788daaad0604ec5ff221f5d8d860b");
   add("ProviderAuth", [] {
         ProviderAuth p;
@@ -868,7 +861,7 @@ std::vector<Pin> pins() {
         }
         b.seal_record(pattern_bytes(5, 3));
         return encode_record(b);
-      }, reencode_record<net::SecureChannel>,
+      }, reencode<net::SecureChannel>,
       "a724e2ed7e0ee16dc93afbde51dd7906b732c346bae12ebdc906b8bc7dbab235");
   add("SecureChannel record", [] {
         net::SecureChannel a(pattern<16>(52),
@@ -885,22 +878,22 @@ std::vector<Pin> pins() {
       "c6d92908d2dee5bacf8f21c5dddbac0b1706cafbb48c4bf1b8870a6b4feff4f5");
   add("DONE record", [] {
         return encode_record(DoneRecord{0x0102030405060708ULL});
-      }, reencode_record<DoneRecord>,
+      }, reencode<DoneRecord>,
       "cc899642e8b74cea423e49754cc52035e7945c7200c0b4017990a88873763232");
   add("Abort reply", [] { return encode_record(AbortReply{true}); },
-      reencode_record<AbortReply>,
+      reencode<AbortReply>,
       "ba47575d295fe0d926598be4e1cf472169118301030b0eee293e30feb6c49949");
   add("Reconcile reply", [] {
         return encode_record(ReconcileReply{ReconcileVerdict::kSuperseded});
-      }, reencode_record<ReconcileReply>,
+      }, reencode<ReconcileReply>,
       "67fd192200dbcf222f8f8969a2a817ea13863d91374b1b789423129d1d0b76b5");
   add("kStatusReport payload", [] {
         return encode_record(StatusReportPayload{OutgoingState::kCompleted});
-      }, reencode_record<StatusReportPayload>,
+      }, reencode<StatusReportPayload>,
       "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986");
   add("kConfirmMigration payload", [] {
         return encode_record(ConfirmPayload{0x55aa55aa55aa55aaULL});
-      }, reencode_record<ConfirmPayload>,
+      }, reencode<ConfirmPayload>,
       "77ce8ffa3e5e0bacf8b693a1edd26f22e7a4039aafca3c944e4020a977ecbc8a");
   add("kRaMsg3 payload", [] {
         RaMsg3Payload p;
@@ -908,7 +901,7 @@ std::vector<Pin> pins() {
         p.auth.credential = sample_credential();
         p.auth.transcript_signature = pattern<64>(19);
         return encode_record(p);
-      }, reencode_record<RaMsg3Payload>,
+      }, reencode<RaMsg3Payload>,
       "7a7378bb53479db189eda88b44213b818ff3712e0a7e23d11ddc52d09a102c8c");
   add("kRaMsg3 reply", [] {
         RaMsg3Reply p;
@@ -916,7 +909,7 @@ std::vector<Pin> pins() {
         p.auth.transcript_signature = pattern<64>(19);
         p.epoch = 0x1122334455667788ULL;
         return encode_record(p);
-      }, reencode_record<RaMsg3Reply>,
+      }, reencode<RaMsg3Reply>,
       "4dd227f8ecba5e9986a8728d883a96f5ac5a976baa499d4935fb0cca58c04fa9");
   add("Sealed blob", [] {
         const sgx::SimCpu cpu(pattern<32>(54));
@@ -926,13 +919,13 @@ std::vector<Pin> pins() {
                                      pattern_bytes(9, 57),
                                      pattern_bytes(33, 58));
         return sealed.ok() ? sealed.value() : Bytes{};
-      }, reencode_record<sgx::SealedBlob>,
+      }, reencode<sgx::SealedBlob>,
       "6e2d41e3f36cb12822ca856dc5a4f5f273a97c6473fa4c2295bc92c2f9c2a162");
   add("MSK-sealed blob", [] {
         return encode_record(MskSealedBlob{pattern<12>(59), pattern<16>(60),
                                            pattern_bytes(7, 61),
                                            pattern_bytes(40, 62)});
-      }, reencode_record<MskSealedBlob>,
+      }, reencode<MskSealedBlob>,
       "7b110cbaec3787ad8afa0c61d2439289e0e2aa60141045fd6925c3aacea2d9e9");
   add("Teechan channel state", [] {
         apps::TeechanChannelState s;
@@ -946,7 +939,7 @@ std::vector<Pin> pins() {
         s.peer_key_set = true;
         s.version_counter = 3;
         return encode_record(s);
-      }, reencode_record<apps::TeechanChannelState>,
+      }, reencode<apps::TeechanChannelState>,
       "6adc5efb6f322e55e480a72986a6ed0363508035b08ca8fcf18598b906e2b304");
   add("Trinx state", [] {
         apps::TrinxState s;
@@ -955,41 +948,41 @@ std::vector<Pin> pins() {
         s.counters = {{1, 5}, {3, 0x100000000ULL}};
         s.version_counter = 2;
         return encode_record(s);
-      }, reencode_record<apps::TrinxState>,
+      }, reencode<apps::TrinxState>,
       "97e190252de4b3368d9c93e77c0049e1ef9bfa070f6fc5efcc7a15b9684d7a9e");
   add("KvStore store", [] {
         apps::KvStoreState s;
         s.version_counter = 1;
         s.entries = {{"alpha", pattern_bytes(3, 66)}, {"beta", Bytes{}}};
         return encode_record(s);
-      }, reencode_record<apps::KvStoreState>,
+      }, reencode<apps::KvStoreState>,
       "34e28acb8ea6d92f19762ddeb8198fda66635ea9fa2f7be714d65419123d01bf");
   add("App state version AAD", [] {
         return encode_record(apps::StateVersion{"kvstore-state", 9});
-      }, reencode_record<apps::StateVersion>,
+      }, reencode<apps::StateVersion>,
       "f45a3ab658f24d1794074b699f602b10585aa3d9e72acf791d4de378424cf977");
   add("VersionedState payload", [] {
         return encode_record(apps::VersionedPayload{pattern_bytes(12, 67)});
-      }, reencode_record<apps::VersionedPayload>,
+      }, reencode<apps::VersionedPayload>,
       "74d57116d718612e15b2d1faae5028d384989402a820de82d482c52121e3efc7");
   add("VersionedState version AAD", [] {
         return encode_record(apps::VersionedAad{5});
-      }, reencode_record<apps::VersionedAad>,
+      }, reencode<apps::VersionedAad>,
       "2594b6a92ebfb1c3312deb7d01c015fb95e9fbe9bd7bc6b527af07813ec7b910");
   add("VersionedState native blob", [] {
         return encode_record(apps::NativeStateBlob{pattern_bytes(30, 68)});
-      }, reencode_record<apps::NativeStateBlob>,
+      }, reencode<apps::NativeStateBlob>,
       "8916bbd1055b08bacc439dddd883e2f44cdd5d644c6dae7b3e815f4814dcf8a6");
   add("VersionedState KDC blob", [] {
         return encode_record(apps::KdcStateBlob{6, pattern<12>(69),
                                                 pattern<16>(70),
                                                 pattern_bytes(25, 71)});
-      }, reencode_record<apps::KdcStateBlob>,
+      }, reencode<apps::KdcStateBlob>,
       "beb15e4db4b047c4ba178900da0b2ae4fbab4f5caba17b3009cba4c8dddef26b");
   add("VersionedState memory image", [] {
         return encode_record(
             apps::MemoryImage{pattern_bytes(10, 72), pattern<16>(73)});
-      }, reencode_record<apps::MemoryImage>,
+      }, reencode<apps::MemoryImage>,
       "b2233a135852ff56129931b54da523da2a3d2041df5ad56bb167448ec3eee178");
   return out;
 }
