@@ -9,11 +9,6 @@ namespace {
 constexpr char kStateLabel[] = "kvstore-state";
 }  // namespace
 
-KvStoreEnclave::KvStoreEnclave(sgx::PlatformIface& platform,
-                               std::shared_ptr<const sgx::EnclaveImage> image,
-                               migration::PersistenceMode persistence)
-    : MigratableEnclave(platform, std::move(image), persistence) {}
-
 Status KvStoreEnclave::ecall_setup() {
   auto scope = enter_ecall();
   if (setup_done_) return Status::kAlreadyExists;

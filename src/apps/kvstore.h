@@ -30,13 +30,9 @@ struct KvStoreState {
 
 class KvStoreEnclave : public migration::MigratableEnclave {
  public:
-  /// `persistence` selects the Migration Library's PersistenceEngine
-  /// (sync / group-commit / write-behind); the default keeps the paper's
-  /// synchronous-persist semantics.
   KvStoreEnclave(sgx::PlatformIface& platform,
-                 std::shared_ptr<const sgx::EnclaveImage> image,
-                 migration::PersistenceMode persistence =
-                     migration::PersistenceMode::kSync);
+                 std::shared_ptr<const sgx::EnclaveImage> image)
+      : MigratableEnclave(platform, std::move(image)) {}
 
   /// Creates the version counter (requires ecall_migration_init first).
   Status ecall_setup();

@@ -37,11 +37,6 @@ bool SettlementMessage::verify() const {
   return crypto::ed25519_verify(signer, signed_message(), signature);
 }
 
-TeechanEnclave::TeechanEnclave(sgx::PlatformIface& platform,
-                               std::shared_ptr<const sgx::EnclaveImage> image,
-                               migration::PersistenceMode persistence)
-    : MigratableEnclave(platform, std::move(image), persistence) {}
-
 uint64_t& TeechanEnclave::my_balance_ref() {
   return channel_->is_party_a ? channel_->balance_a : channel_->balance_b;
 }

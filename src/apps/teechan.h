@@ -78,13 +78,9 @@ struct TeechanChannelState {
 
 class TeechanEnclave : public migration::MigratableEnclave {
  public:
-  /// `persistence` selects the Migration Library's PersistenceEngine
-  /// (sync / group-commit / write-behind); the default keeps the paper's
-  /// synchronous-persist semantics.
   TeechanEnclave(sgx::PlatformIface& platform,
-                 std::shared_ptr<const sgx::EnclaveImage> image,
-                 migration::PersistenceMode persistence =
-                     migration::PersistenceMode::kSync);
+                 std::shared_ptr<const sgx::EnclaveImage> image)
+      : MigratableEnclave(platform, std::move(image)) {}
 
   /// Opens the channel side: `is_party_a` fixes which balance is "mine".
   /// Creates the version counter via the Migration Library, so

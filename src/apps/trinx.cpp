@@ -25,11 +25,6 @@ bool TrinxCertificate::verify() const {
   return crypto::ed25519_verify(signer, signed_message(), signature);
 }
 
-TrinxEnclave::TrinxEnclave(sgx::PlatformIface& platform,
-                           std::shared_ptr<const sgx::EnclaveImage> image,
-                           migration::PersistenceMode persistence)
-    : MigratableEnclave(platform, std::move(image), persistence) {}
-
 Status TrinxEnclave::ecall_setup() {
   auto scope = enter_ecall();
   if (setup_done_) return Status::kAlreadyExists;

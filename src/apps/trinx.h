@@ -63,13 +63,9 @@ struct TrinxState {
 
 class TrinxEnclave : public migration::MigratableEnclave {
  public:
-  /// `persistence` selects the Migration Library's PersistenceEngine
-  /// (sync / group-commit / write-behind); the default keeps the paper's
-  /// synchronous-persist semantics.
   TrinxEnclave(sgx::PlatformIface& platform,
-               std::shared_ptr<const sgx::EnclaveImage> image,
-               migration::PersistenceMode persistence =
-                   migration::PersistenceMode::kSync);
+               std::shared_ptr<const sgx::EnclaveImage> image)
+      : MigratableEnclave(platform, std::move(image)) {}
 
   /// Generates the certification key and the version counter (requires
   /// ecall_migration_init first).

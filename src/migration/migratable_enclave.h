@@ -11,19 +11,14 @@ namespace sgxmig::migration {
 
 class MigratableEnclave : public sgx::Enclave {
  public:
-  /// `persistence` selects when the library's Table II buffer is sealed
-  /// and handed to the persist OCALL (persistence_engine.h); the default
-  /// is the paper-faithful synchronous persist.  `live_transfer_capable`
-  /// equips the library with the epoch guard required for iterative
-  /// pre-copy migration (one extra hardware counter at init).
+  /// `live_transfer_capable` equips the library with the epoch guard
+  /// required for iterative pre-copy migration (one extra hardware counter
+  /// at init).
   MigratableEnclave(sgx::PlatformIface& platform,
                     std::shared_ptr<const sgx::EnclaveImage> image,
-                    PersistenceMode persistence = PersistenceMode::kSync,
-                    const GroupCommitOptions& group_commit = {},
                     bool live_transfer_capable = false)
       : Enclave(platform, std::move(image)),
-        library_(*this, make_persistence_engine(persistence, group_commit),
-                 live_transfer_capable) {}
+        library_(*this, live_transfer_capable) {}
 
   // ----- Listing 1 (untrusted application interface) -----
   Status ecall_migration_init(ByteView state_buffer, InitState init_state,
@@ -166,13 +161,6 @@ class MigratableEnclave : public sgx::Enclave {
     return library_.read_migratable_counter(counter_id);
   }
 
-  /// Batch-boundary fence for batching persistence engines (no-op under
-  /// the default SyncPersist).
-  Status ecall_persist_flush() {
-    auto scope = enter_ecall();
-    return library_.persist_flush();
-  }
-
   // ----- untrusted-side plumbing -----
   void set_persist_callback(MigrationLibrary::PersistCallback callback) {
     library_.set_persist_callback(std::move(callback));
@@ -195,9 +183,6 @@ class MigratableEnclave : public sgx::Enclave {
     return library_.last_precopy_rounds();
   }
   Duration last_enqueue_wait() const { return library_.last_enqueue_wait(); }
-  const PersistenceEngine& persistence_engine() const {
-    return library_.persistence();
-  }
   /// Chaos drill only: see MigrationLibrary::chaos_disable_epoch_guard.
   void chaos_disable_epoch_guard() { library_.chaos_disable_epoch_guard(); }
 

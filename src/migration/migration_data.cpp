@@ -10,4 +10,10 @@ size_t MigrationData::active_count() const {
   return n;
 }
 
+void wipe(MigrationData& data) {
+  secure_wipe(data.msk.data(), data.msk.size());
+  secure_wipe(reinterpret_cast<uint8_t*>(data.counter_values.data()),
+              sizeof(data.counter_values));
+}
+
 }  // namespace sgxmig::migration

@@ -41,4 +41,8 @@ struct MigrationData {
   bool operator==(const MigrationData&) const = default;
 };
 
+/// Zeroes the MSK and the counter values of a plaintext copy before it is
+/// freed.
+void wipe(MigrationData& data);
+
 }  // namespace sgxmig::migration

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "crypto/cmac.h"
+#include "migration/durable_write.h"
 #include "net/network.h"
 #include "obs/observability.h"
 
@@ -107,17 +108,14 @@ sgx::Key128 derive_resume_key(const sgx::Key128& master, uint64_t id,
 
 MigrationEnclave::MigrationEnclave(sgx::PlatformIface& platform,
                                    std::shared_ptr<const sgx::EnclaveImage> image,
-                                   platform::ProviderCa& provider,
-                                   std::unique_ptr<PersistenceEngine> engine)
+                                   platform::ProviderCa& provider)
     : Enclave(platform, std::move(image)),
       machine_key_(crypto::Ed25519KeyPair::from_seed(
           to_array<32>(rng().bytes(32)))),
       credential_(provider.issue(platform.address(), platform.region(),
                                  platform.cpu_cores(),
                                  machine_key_.public_key())),
-      provider_ca_key_(provider.public_key()),
-      engine_(engine ? std::move(engine)
-                     : make_persistence_engine(PersistenceMode::kSync)) {
+      provider_ca_key_(provider.public_key()) {
   // Random per construction: a restarted/redeployed ME presents a new
   // epoch, so initiators holding cached sessions for the old instance are
   // refused and fall back to the full handshake.
@@ -332,6 +330,8 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
   auto plaintext = session.channel->open_record(req.payload);
   if (!plaintext.ok()) return error_response(plaintext.status());
   auto msg = decode_record<LibMsg>(plaintext.value());
+  // A migrate or finalize request carries the MSK and counter values.
+  secure_wipe(plaintext.value());
   if (!msg.ok()) return error_response(Status::kTampered);
 
   // Inner handlers can make nested rpcs whose peers re-enter
@@ -380,18 +380,23 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
       break;
   }
   active_la_session_ = previous_active;
-  const LibMsg reply = served.ok()
-                           ? std::move(served).value()
-                           : LibMsg{LibMsgType::kError, served.status(), {}};
+  secure_wipe(msg.value().payload);
+  LibMsg reply = served.ok() ? std::move(served).value()
+                             : LibMsg{LibMsgType::kError, served.status(), {}};
   // Re-resolve the session before touching the channel: belt over the
   // shield above, in case a reentrant path erased it after all.
   const auto after = la_sessions_.find(req.id);
   if (after == la_sessions_.end() || !after->second.channel.has_value()) {
+    secure_wipe(reply.payload);
     return error_response(Status::kInvalidState);
   }
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = after->second.channel->seal_record(encode_record(reply));
+  Bytes reply_bytes = encode_record(reply);
+  resp.payload = after->second.channel->seal_record(reply_bytes);
+  // A fetched-data reply carries the MSK and counter values.
+  secure_wipe(reply_bytes);
+  secure_wipe(reply.payload);
   // A confirmed delivery ends the session's purpose: drop it so a long
   // drain does not accumulate one dead session per migrated enclave.  (A
   // library that outlives the confirm simply re-attests on its next call.)
@@ -456,7 +461,11 @@ MigrationEnclave::LibReply MigrationEnclave::on_fetch_incoming(
                        it->second.request_nonce);
     obs->metrics.add("me.fetches");
   }
-  return lib_reply(LibMsgType::kIncomingData, encode_record(incoming));
+  Bytes payload = encode_record(incoming);
+  // The data carries the MSK and every counter value; the reply's copy is
+  // wiped by the front door once sealed.
+  secure_wipe(incoming.data);
+  return lib_reply(LibMsgType::kIncomingData, std::move(payload));
 }
 
 MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(
@@ -1116,12 +1125,15 @@ Status MigrationEnclave::ship_task_payload(uint64_t nonce,
   payload.source_me_address = platform().address();
   payload.request_nonce = nonce;
   payload.data = task.request.data;
-  const Bytes payload_bytes = encode_record(payload);
+  Bytes payload_bytes = encode_record(payload);
   charge_gcm(payload_bytes.size());
   MeRequest t;
   t.type = MeMsgType::kTransfer;
   t.id = task.transfer_id;
   t.payload = task.channel->seal_record(payload_bytes);
+  // Both plaintexts carry the MSK and every counter value.
+  wipe(payload.data);
+  secure_wipe(payload_bytes);
   task.step = TransferTask::Step::kAwaitAccept;
   trace_task_step(platform(), nonce, "await-accept");
   return send_step(task.blocking, task.request.destination_address, t,
@@ -1521,12 +1533,13 @@ Status MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   record.request_nonce = nonce;
   record.round = task.rounds;
   record.chunks = std::move(to_send);
-  const Bytes record_bytes = encode_record(record);
+  Bytes record_bytes = encode_record(record);
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyChunk;
   req.id = task.transfer_id;
   req.payload = task.channel->seal_record(record_bytes);
+  secure_wipe(record_bytes);  // counter values
   task.step = TransferTask::Step::kAwaitRoundAck;
   const uint64_t transfer_id = task.transfer_id;
   return send_step(!async_precopy_, task.request.destination_address, req,
@@ -1618,12 +1631,15 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   record.chunks = task.unacked_chunks();
   record.manifest = task.staged_finalize->manifest;
   record.msk = task.staged_finalize->msk;
-  const Bytes record_bytes = encode_record(record);
+  Bytes record_bytes = encode_record(record);
   charge_gcm(record_bytes.size());
   MeRequest req;
   req.type = MeMsgType::kPrecopyFinalize;
   req.id = task.transfer_id;
   req.payload = task.channel->seal_record(record_bytes);
+  // The MSK and counter values.
+  secure_wipe(record_bytes);
+  secure_wipe(record.msk.data(), record.msk.size());
   task.step = TransferTask::Step::kAwaitFinalizeAck;
   const uint64_t transfer_id = task.transfer_id;
   return send_step(!async_precopy_, task.request.destination_address, req,
@@ -1819,6 +1835,8 @@ MigrationEnclave::open_inbound_record(const MeRequest& req, bool charge) {
   if (!plaintext.ok()) return plaintext.status();
   if (charge) charge_gcm(plaintext.value().size());
   auto record = decode_record<Record>(plaintext.value());
+  // A data-carrying record holds the MSK and counter values.
+  secure_wipe(plaintext.value());
   if (!record.ok()) return Status::kTampered;
   return OpenedRecord<Record>{&it->second, std::move(record).value()};
 }
@@ -2200,12 +2218,6 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
 
 // ----- durable transfer queue -----
 
-Duration MigrationEnclave::now() const {
-  // PlatformIface::clock() is non-const (it can advance); reading the
-  // current virtual time mutates nothing.
-  return const_cast<MigrationEnclave*>(this)->platform().clock().now();
-}
-
 Status MigrationEnclave::commit_state() {
   if (!queue_seal_ctx_.has_value()) {
     queue_seal_ctx_.emplace(make_seal_context(sgx::KeyPolicy::kMrEnclave));
@@ -2214,25 +2226,29 @@ Status MigrationEnclave::commit_state() {
   auto sealed = seal_with(*queue_seal_ctx_,
                           to_bytes(std::string_view(kQueueAad)), plaintext);
   // The plaintext snapshot embeds every live channel's raw session key.
+  // It is freed before the OCALL allocates: held across the callback, it
+  // fragments the heap and raises peak RSS.
   secure_wipe(plaintext);
+  plaintext = Bytes{};
   if (!sealed.ok()) return sealed.status();
-  sealed_queue_state_ = std::move(sealed).value();
   if (queue_persist_callback_) {
     // OCALL to the untrusted host, which writes the blob to disk.
     platform().charge(platform().costs().ocall);
-    queue_persist_callback_(sealed_queue_state_);
+    const Status written = queue_persist_callback_(sealed.value());
+    if (written != Status::kOk) return written;
   }
+  sealed_queue_state_ = std::move(sealed).value();
   return Status::kOk;
 }
 
 Status MigrationEnclave::persist_queue(uint64_t nonce) {
   // Every queue transition guards either retained migration data or a
-  // fork-preventing erase, so each one is fenced durable regardless of
-  // the configured engine (mirrors persist_mutation_durable in the ML).
+  // fork-preventing erase, so each one is durable before it completes
+  // (mirrors persist_mutation_durable in the ML).
   obs::Observability* obs = enabled_obs(platform());
-  return engine_->on_mutation_durable(*this, MutationKind::kTransferQueue,
-                                      obs != nullptr ? &obs->trace : nullptr,
-                                      platform().address(), nonce);
+  return traced_durable_write(obs != nullptr ? &obs->trace : nullptr,
+                              platform().address(), nonce, "transfer-queue",
+                              [this] { return commit_state(); });
 }
 
 Status MigrationEnclave::restore_queue(ByteView sealed_queue) {
@@ -2312,6 +2328,7 @@ platform::Machine::MgmtEnclaveFactory durable_me_factory(
       // Versioned two-slot write: a crash mid-persist leaves the previous
       // intact snapshot recoverable.
       machine.storage().put_versioned(key, blob);
+      return Status::kOk;
     });
     auto stored = machine.storage().get_versioned(key);
     if (stored.ok()) {

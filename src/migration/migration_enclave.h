@@ -20,12 +20,13 @@
 // queue transition (retain outgoing / accept incoming / confirm / DONE)
 // seals the transfer queue — retained data, pending incoming entries, the
 // secure-channel key material needed to finish each conversation, and the
-// DONE-relay backlog — through the PersistenceEngine stack into an
-// untrusted-storage OCALL (set_queue_persist_callback).  A restarted ME
-// restores the queue via restore_queue() and resumes: it can still be
-// DONE-confirmed for transfers it retained, still delivers pending data,
-// and still re-relays unacknowledged DONEs.  Session state (local
-// attestation channels) is deliberately NOT durable: libraries re-attest.
+// DONE-relay backlog — and hands it to an untrusted-storage OCALL
+// (set_queue_persist_callback) before the transition completes.  A
+// restarted ME restores the queue via restore_queue() and resumes: it can
+// still be DONE-confirmed for transfers it retained, still delivers
+// pending data, and still re-relays unacknowledged DONEs.  Session state
+// (local attestation channels) is deliberately NOT durable: libraries
+// re-attest.
 #pragma once
 
 #include <array>
@@ -38,7 +39,6 @@
 #include <string_view>
 #include <vector>
 
-#include "migration/persistence_engine.h"
 #include "migration/protocol.h"
 #include "net/channel.h"
 #include "platform/machine.h"
@@ -361,19 +361,15 @@ struct DurableQueue {
   }
 };
 
-class MigrationEnclave : public sgx::Enclave,
-                         private PersistSink,
-                         private DurableQueue {
+class MigrationEnclave : public sgx::Enclave, private DurableQueue {
  public:
   /// Secure setup phase (paper §V-B): the ME generates its machine
   /// authentication key and the cloud operator certifies it for this
   /// machine's address and region.  Also registers the ME's network
-  /// endpoint ("<address>/me").  `engine` decides when the transfer queue
-  /// is sealed + OCALLed out; nullptr selects the synchronous default.
+  /// endpoint ("<address>/me").
   MigrationEnclave(sgx::PlatformIface& platform,
                    std::shared_ptr<const sgx::EnclaveImage> image,
-                   platform::ProviderCa& provider,
-                   std::unique_ptr<PersistenceEngine> engine = nullptr);
+                   platform::ProviderCa& provider);
   ~MigrationEnclave() override;
 
   /// The standard ME image every machine of the provider deploys.  MEs
@@ -452,8 +448,9 @@ class MigrationEnclave : public sgx::Enclave,
 
   /// OCALL handing the sealed queue snapshot to the untrusted host for
   /// storage (the host should write it with UntrustedStore::put_versioned
-  /// so a torn write cannot destroy the only copy).
-  using QueuePersistCallback = std::function<void(ByteView sealed_queue)>;
+  /// so a torn write cannot destroy the only copy).  A failed write fails
+  /// the queue transition that made it.
+  using QueuePersistCallback = std::function<Status(ByteView sealed_queue)>;
   void set_queue_persist_callback(QueuePersistCallback callback) {
     queue_persist_callback_ = std::move(callback);
   }
@@ -464,7 +461,7 @@ class MigrationEnclave : public sgx::Enclave,
   /// pending data is re-armed for whichever matching enclave attests next.
   Status restore_queue(ByteView sealed_queue);
 
-  /// Latest sealed queue snapshot (what the persist OCALL last received).
+  /// Latest sealed queue snapshot (what the persist OCALL last stored).
   const Bytes& sealed_queue_state() const { return sealed_queue_state_; }
 
   /// Re-sends DONE confirmations whose delivery previously failed (source
@@ -865,11 +862,11 @@ class MigrationEnclave : public sgx::Enclave,
   void drop_sessions_for(const sgx::Measurement& mr);
 
   // ----- durable queue internals -----
-  // PersistSink: the engine calls back into us to commit.
-  Status commit_state() override;
-  Duration now() const override;
-  /// Reports one queue transition to the engine and fences it durable;
-  /// `nonce` (0 when none) is the attempt whose trace shows the fence.
+  /// Seals the queue and hands it to the persist OCALL.
+  Status commit_state();
+  /// Makes one queue transition durable (commit_state in a
+  /// `persist.fence` span); `nonce` (0 when none) is the attempt whose
+  /// trace shows it.
   Status persist_queue(uint64_t nonce = 0);
 
   crypto::Ed25519KeyPair machine_key_;
@@ -889,7 +886,6 @@ class MigrationEnclave : public sgx::Enclave,
   uint64_t resumed_handshakes_ = 0;
   bool async_precopy_ = false;
 
-  std::unique_ptr<PersistenceEngine> engine_;
   std::optional<sgx::SealContext> queue_seal_ctx_;
   Bytes sealed_queue_state_;
   QueuePersistCallback queue_persist_callback_;

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "crypto/gcm.h"
+#include "migration/durable_write.h"
 #include "migration/migration_enclave.h"
 #include "net/network.h"
 #include "obs/observability.h"
@@ -15,11 +16,8 @@ constexpr char kStateAad[] = "SGXMIG-ML-STATE";
 }  // namespace
 
 MigrationLibrary::MigrationLibrary(sgx::Enclave& host,
-                                   std::unique_ptr<PersistenceEngine> engine,
                                    bool live_transfer_capable)
     : host_(host),
-      engine_(engine ? std::move(engine)
-                     : make_persistence_engine(PersistenceMode::kSync)),
       expected_me_mr_(MigrationEnclave::standard_image()->mr_enclave()),
       live_transfer_capable_(live_transfer_capable) {}
 
@@ -53,7 +51,15 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   return Status::kOk;
 }
 
-Status MigrationLibrary::commit_state() { return persist(/*invoke_callback=*/true); }
+Status MigrationLibrary::commit_state() {
+  const Status status = persist(/*invoke_callback=*/true);
+  if (status != Status::kOk) return status;
+  if (obs::Observability* obs = observability();
+      obs != nullptr && obs->enabled()) {
+    obs->metrics.add("persist.commits");
+  }
+  return status;
+}
 
 Duration MigrationLibrary::now() const {
   return host_.platform().clock().now();
@@ -146,22 +152,13 @@ void MigrationLibrary::close_span(uint64_t span, const char* outcome) {
   rec->end_span(span);
 }
 
-Status MigrationLibrary::persist_after_mutation(MutationKind kind) {
-  return engine_->on_mutation(*this, kind);
-}
-
-Status MigrationLibrary::persist_mutation_durable(MutationKind kind) {
+Status MigrationLibrary::persist_mutation_durable(const char* kind) {
   if (obs::Observability* obs = observability();
       obs != nullptr && obs->enabled()) {
     obs->metrics.add("persist.flush_fences");
   }
-  return engine_->on_mutation_durable(*this, kind, recorder(), lane(),
-                                      attempt_.nonce);
-}
-
-Status MigrationLibrary::persist_flush() {
-  if (!initialized_) return Status::kNotInitialized;
-  return engine_->flush(*this);
+  return traced_durable_write(recorder(), lane(), attempt_.nonce, kind,
+                              [this] { return commit_state(); });
 }
 
 // ----- initialization (paper Fig. 1 / §VI-B "Persistent data") -----
@@ -227,6 +224,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
                                                    : reply.value().status;
       }
       auto fetched = decode_record<IncomingDataPayload>(reply.value().payload);
+      secure_wipe(reply.value().payload);  // the MSK, every counter value
       if (!fetched.ok()) return fetched.status();
       const uint64_t delivery_token = fetched.value().delivery_token;
       const uint64_t request_nonce = fetched.value().request_nonce;
@@ -236,11 +234,13 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
       auto data = decode_record<MigrationData>(fetched.value().data);
+      secure_wipe(fetched.value().data);
       if (!data.ok()) {
         close_span(restore_span, "deserialize-failed");
         return data.status();
       }
       const Status apply_status = apply_incoming(data.value());
+      wipe(data.value());
       if (apply_status != Status::kOk) {
         close_span(restore_span, "apply-failed");
         return apply_status;
@@ -301,9 +301,8 @@ Status MigrationLibrary::apply_incoming(const MigrationData& data) {
     const Status guard = create_epoch_guard();
     if (guard != Status::kOk) return guard;
   }
-  // UUIDs of the fresh counters are irrecoverable: force durability here
-  // regardless of the configured engine.
-  return persist_mutation_durable(MutationKind::kRestoreApply);
+  // UUIDs of the fresh counters are irrecoverable.
+  return persist_mutation_durable("restore-apply");
 }
 
 // ----- epoch guard + dirty tracking (live-transfer capability) -----
@@ -392,10 +391,7 @@ Result<CreatedMigratableCounter> MigrationLibrary::create_migratable_counter() {
   slot.uuid = created.value().uuid;
   slot.hw_value = created.value().value;
   note_slot_dirty(index);
-  // Batching engines may defer this commit: a crash in the window leaks
-  // the hardware counter (the restored state simply lacks the slot) but
-  // never corrupts the UUID table.
-  const Status status = persist_after_mutation(MutationKind::kCounterCreate);
+  const Status status = commit_state();
   if (status != Status::kOk) return status;
   CreatedMigratableCounter out;
   out.counter_id = static_cast<uint32_t>(index);
@@ -409,11 +405,6 @@ Status MigrationLibrary::destroy_migratable_counter(uint32_t counter_id) {
   const ActiveSlot* slot = state_.find(counter_id);
   if (slot == nullptr) return Status::kCounterNotFound;
   const sgx::CounterUuid uuid = slot->uuid;
-  // Fence before the irreversible hardware destroy: any batched mutations
-  // must be durable first, or a crash right after the destroy would
-  // restore a Table II that references live state through a dead counter.
-  const Status fence = engine_->flush(*this);
-  if (fence != Status::kOk) return fence;
   const Status status = host_.counter_destroy(uuid);
   // kCounterNotFound: the hardware counter is already gone (crash between
   // a destroy and its persist) — clearing the orphaned slot IS the
@@ -423,11 +414,10 @@ Status MigrationLibrary::destroy_migratable_counter(uint32_t counter_id) {
   }
   state_.deactivate(counter_id);
   note_slot_dirty(counter_id);
-  // The destroy record must be durable before returning: a lazily
-  // batched record would leave the stored Table II referencing the dead
-  // counter for an unbounded window, wedging collect_values() on any
-  // later migration.
-  return persist_mutation_durable(MutationKind::kCounterDestroy);
+  // The destroy record is durable before returning: a stored Table II
+  // that still referenced the dead counter would wedge collect_values()
+  // on any later migration.
+  return persist_mutation_durable("counter-destroy");
 }
 
 Result<uint32_t> MigrationLibrary::increment_migratable_counter(
@@ -452,7 +442,7 @@ Result<uint32_t> MigrationLibrary::increment_migratable_counter(
   slot->hw_value = incremented.value();
   const uint32_t effective = slot->offset + incremented.value();
   note_slot_dirty(counter_id);
-  const Status status = persist_after_mutation(MutationKind::kCounterIncrement);
+  const Status status = commit_state();
   if (status != Status::kOk) return status;
   return effective;
 }
@@ -532,7 +522,11 @@ Result<LibMsg> MigrationLibrary::me_exchange(const LibMsg& request) {
   MeRequest req;
   req.type = MeMsgType::kLaRecord;
   req.id = la_session_id_;
-  req.payload = me_channel_->seal_record(encode_record(request));
+  // Requests and replies can carry migration data (the MSK, counter
+  // values): each plaintext is wiped once sealed or decoded.
+  Bytes plaintext = encode_record(request);
+  req.payload = me_channel_->seal_record(plaintext);
+  secure_wipe(plaintext);
   auto raw = net->rpc(me_address_ + "/me", encode_record(req));
   if (!raw.ok()) return raw.status();
   auto resp = decode_record<MeResponse>(raw.value());
@@ -541,6 +535,7 @@ Result<LibMsg> MigrationLibrary::me_exchange(const LibMsg& request) {
   auto record = me_channel_->open_record(resp.value().payload);
   if (!record.ok()) return record.status();
   auto msg = decode_record<LibMsg>(record.value());
+  secure_wipe(record.value());
   if (!msg.ok()) return Status::kTampered;
   return msg;
 }
@@ -731,18 +726,6 @@ void MigrationLibrary::claim_nonce(const std::string& destination_address) {
 
 MigrationStartResult MigrationLibrary::freeze_and_collect(
     const std::function<Status()>& collect, const char* step) {
-  // Fence any batched mutations before the freeze event: the buffer the
-  // application stored must reflect every completed operation before
-  // the library stops accepting them (Table II invariant under
-  // GroupCommit/WriteBehind engines).
-  const Status fence = engine_->flush(*this);
-  if (fence != Status::kOk) {
-    return start_failure(fence, "pre-freeze persistence fence");
-  }
-  if (obs::Observability* obs = observability();
-      obs != nullptr && obs->enabled()) {
-    obs->metrics.add("persist.flush_fences");
-  }
   // Freeze first: no further operations may mutate persistent state
   // while (or after) the migration is in flight (§V-A step 2).
   freeze_started_ = now();
@@ -763,14 +746,14 @@ MigrationStartResult MigrationLibrary::freeze_and_collect(
 
 MigrationStartResult MigrationLibrary::persist_freeze_flag() {
   // Persist the freeze flag so a restarted instance refuses to operate
-  // (§VI-B, Table II), durably, regardless of engine — unless a pre-copy
-  // retire already killed the epoch guard, which refuses every sealed
-  // buffer, the latest included.  Guarded apart from the teardown: a retry
-  // after a failed persist redoes it without repeating the teardown.
+  // (§VI-B, Table II), durably — unless a pre-copy retire already killed
+  // the epoch guard, which refuses every sealed buffer, the latest
+  // included.  Guarded apart from the teardown: a retry after a failed
+  // persist redoes it without repeating the teardown.
   const bool guard_retired = attempt_.precopy && counters_destroyed_;
   if (freeze_persisted_ || guard_retired) return MigrationStartResult{};
   state_.frozen = 1;
-  const Status persist_status = persist_mutation_durable(MutationKind::kFreeze);
+  const Status persist_status = persist_mutation_durable("freeze");
   if (persist_status != Status::kOk) {
     return start_failure(persist_status, "persisting freeze flag");
   }

@@ -25,13 +25,10 @@
 // Crash-consistency note: the library re-seals and persists its internal
 // buffer (Table II) inside every *mutating* counter operation — losing
 // the UUID table or offsets would permanently strand the enclave's
-// counters.  WHEN that persist happens is delegated to a pluggable
-// PersistenceEngine (persistence_engine.h).  The default SyncPersist is
-// paper-faithful — one seal + OCALL per mutation, the mechanistic source
-// of the small overhead on create/increment/destroy in Fig. 3 (≤ ~12%);
-// reads touch no state and show no significant overhead.  Batching
-// engines defer the commit but are fenced (flush) before any
-// migration/freeze event and before a hardware counter is destroyed.
+// counters.  Every mutation is sealed and handed to the persist OCALL
+// before the operation returns — one seal + OCALL per mutation, the
+// mechanistic source of the small overhead on create/increment/destroy in
+// Fig. 3 (≤ ~12%); reads touch no state and show no significant overhead.
 #pragma once
 
 #include <functional>
@@ -42,12 +39,12 @@
 #include <vector>
 
 #include "migration/library_state.h"
-#include "migration/persistence_engine.h"
 #include "migration/protocol.h"
 #include "net/channel.h"
 #include "sgx/enclave.h"
 
 namespace sgxmig::obs {
+struct Observability;
 class TraceRecorder;
 }  // namespace sgxmig::obs
 
@@ -117,18 +114,16 @@ struct MigrationStartResult {
   }
 };
 
-class MigrationLibrary : private PersistSink {
+class MigrationLibrary {
  public:
-  /// `host` is the enclave embedding this library.  `engine` decides when
-  /// the Table II buffer is sealed + OCALLed out; nullptr selects the
-  /// paper-faithful SyncPersist.  `live_transfer_capable` makes the
-  /// library create an epoch-guard hardware counter at init (kNew /
-  /// kMigrate) — the prerequisite for iterative pre-copy migration, and a
-  /// one-counter cost on init plus one hardware-counter read on restore.
-  /// Off by default: legacy enclaves keep the paper's exact init costs
-  /// and full-snapshot migration semantics.
+  /// `host` is the enclave embedding this library.
+  /// `live_transfer_capable` makes the library create an epoch-guard
+  /// hardware counter at init (kNew / kMigrate) — the prerequisite for
+  /// iterative pre-copy migration, and a one-counter cost on init plus one
+  /// hardware-counter read on restore.  Off by default: legacy enclaves
+  /// keep the paper's exact init costs and full-snapshot migration
+  /// semantics.
   explicit MigrationLibrary(sgx::Enclave& host,
-                            std::unique_ptr<PersistenceEngine> engine = nullptr,
                             bool live_transfer_capable = false);
 
   /// OCALL the library uses to hand its sealed persistent buffer to the
@@ -231,13 +226,13 @@ class MigrationLibrary : private PersistSink {
   Result<PrecopyRoundReport> migration_precopy_round(
       const std::string& destination_address, MigrationPolicy policy = {});
 
-  /// Freezes the library, fences persistence, collects the chunks dirtied
-  /// since the last round, retires this instance's hardware counters and
-  /// epoch guard in one PSE op (every previously sealed buffer is refused
-  /// from then on), persists the freeze flag, and ships the delta plus
-  /// the MSK.  The destination ME assembles the authoritative snapshot
-  /// from its staged rounds + this delta (verified against a chunk
-  /// manifest).  Works with zero prior rounds (pure stop-and-copy).
+  /// Freezes the library, collects the chunks dirtied since the last
+  /// round, retires this instance's hardware counters and epoch guard in
+  /// one PSE op (every previously sealed buffer is refused from then on),
+  /// persists the freeze flag, and ships the delta plus the MSK.  The
+  /// destination ME assembles the authoritative snapshot from its staged
+  /// rounds + this delta (verified against a chunk manifest).  Works with
+  /// zero prior rounds (pure stop-and-copy).
   MigrationStartResult migration_finalize_detailed(
       const std::string& destination_address, MigrationPolicy policy = {});
   Status migration_finalize(const std::string& destination_address,
@@ -264,13 +259,6 @@ class MigrationLibrary : private PersistSink {
   Status destroy_migratable_counter(uint32_t counter_id);
   Result<uint32_t> increment_migratable_counter(uint32_t counter_id);
   Result<uint32_t> read_migratable_counter(uint32_t counter_id);
-
-  /// Fence for batching engines: on return every mutation so far is
-  /// sealed and handed to the persist OCALL.  No-op under SyncPersist.
-  /// Applications using WriteBehindPersist call this at operation-batch
-  /// boundaries; the library itself forces it before migration/freeze
-  /// events and before destroying a hardware counter.
-  Status persist_flush();
 
   // ----- chaos drill plumbing (oracle self-tests only) -----
   /// FAULT-INJECTION DRILL: disables the anti-fork machinery of the
@@ -303,8 +291,7 @@ class MigrationLibrary : private PersistSink {
   /// freeze-at-enqueue attempts — their whole queue wait is freeze time.
   Duration last_enqueue_wait() const { return last_enqueue_wait_; }
   /// Latest sealed persistent buffer (Table II) for the application to
-  /// store.  Under a batching engine this may lag the in-memory state
-  /// until the next commit or persist_flush().
+  /// store.
   const SharedBytes& sealed_state() const { return sealed_state_; }
   size_t active_counters() const { return state_.slots.size(); }
   /// Dirty-tracking generation of Table II chunk `chunk` (0 until a slot
@@ -312,15 +299,16 @@ class MigrationLibrary : private PersistSink {
   uint64_t chunk_generation(size_t chunk) const {
     return chunk_generation_[chunk];
   }
-  const PersistenceEngine& persistence() const { return *engine_; }
 
  private:
-  // ----- PersistSink (the engine calls back into us to commit) -----
-  Status commit_state() override;
-  Duration now() const override;
-  obs::Observability* observability() const override;
+  /// Seals Table II and hands it to the persist OCALL.
+  Status commit_state();
+  /// Virtual time of the host platform.
+  Duration now() const;
 
   // ----- observability helpers -----
+  /// The world's trace/metrics bundle (null when not wired).
+  obs::Observability* observability() const;
   /// The world's trace recorder when wired AND enabled; nullptr otherwise.
   obs::TraceRecorder* recorder() const;
   /// This enclave's machine address (the lane spans are attributed to).
@@ -339,11 +327,10 @@ class MigrationLibrary : private PersistSink {
   /// Closes the attempt's spans and root on the accepted verdict.
   void trace_attempt_done(uint64_t nonce, uint64_t payload_bytes);
 
-  /// Reports one completed mutation to the engine.
-  Status persist_after_mutation(MutationKind kind);
   /// Mutation that must be durable before returning (freeze flag, fresh
-  /// counter UUIDs): report + fence, regardless of engine.
-  Status persist_mutation_durable(MutationKind kind);
+  /// counter UUIDs, a destroy): commit_state inside a `persist.fence` span
+  /// whose `kind` argument is `kind`, counted in `persist.flush_fences`.
+  Status persist_mutation_durable(const char* kind);
 
   Status ensure_me_channel();
 
@@ -362,8 +349,8 @@ class MigrationLibrary : private PersistSink {
   /// destination stays, otherwise drawn fresh, with a proactive abort of
   /// the nonce it supersedes.
   void claim_nonce(const std::string& destination_address);
-  /// Fence, freeze (metrics and the freeze span), then `collect` the
-  /// payload; a failed collect undoes the freeze.
+  /// Freeze (metrics and the freeze span), then `collect` the payload; a
+  /// failed collect undoes the freeze.
   MigrationStartResult freeze_and_collect(
       const std::function<Status()>& collect, const char* step);
   /// Persists the freeze flag once, durably, unless the guard is retired.
@@ -433,7 +420,6 @@ class MigrationLibrary : private PersistSink {
   std::vector<CounterChunk> all_staged_chunks() const;
 
   sgx::Enclave& host_;
-  std::unique_ptr<PersistenceEngine> engine_;
   // Sealing key derived once per library lifetime (one EGETKEY) and
   // reused for every Table II re-seal; see sgx::SealContext.
   std::optional<sgx::SealContext> seal_ctx_;

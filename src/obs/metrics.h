@@ -1,6 +1,6 @@
 // Per-World metrics registry: named counters, gauges (current + max),
 // and histograms with nearest-rank p50/p99, fed by every instrumented
-// layer (library, ME pump, network, PSE, persistence engines).
+// layer (library, ME pump, network, PSE, durable writes).
 //
 // Disabled by default; when off every record call is a cheap early
 // return, and the registry never touches the virtual clock or RNG, so

@@ -39,8 +39,7 @@ Result<uint64_t> FleetRegistry::launch(
   if (names_.count(name) != 0) return Status::kAlreadyExists;
 
   auto enclave = std::make_unique<migration::MigratableEnclave>(
-      *machine, image, options.persistence, options.group_commit,
-      options.live_transfer);
+      *machine, image, options.live_transfer);
   install_persist_callback(*enclave, *machine, storage_key(name));
   const Status init = enclave->ecall_migration_init(
       ByteView(), migration::InitState::kNew, machine_address);
@@ -76,8 +75,7 @@ Status FleetRegistry::complete_move(uint64_t id,
   // the source ME still retains the data (§V-D) and the caller decides
   // what to do next.
   auto next = std::make_unique<migration::MigratableEnclave>(
-      *destination, record.image, record.options.persistence,
-      record.options.group_commit, record.options.live_transfer);
+      *destination, record.image, record.options.live_transfer);
   install_persist_callback(*next, *destination, storage_key(record.name));
   const Status init = next->ecall_migration_init(
       ByteView(), migration::InitState::kMigrate, destination_address);
@@ -95,8 +93,7 @@ Status FleetRegistry::complete_move(uint64_t id,
     auto persisted = destination->storage().get(storage_key(record.name));
     if (persisted.ok()) {
       auto salvage = std::make_unique<migration::MigratableEnclave>(
-          *destination, record.image, record.options.persistence,
-          record.options.group_commit, record.options.live_transfer);
+          *destination, record.image, record.options.live_transfer);
       install_persist_callback(*salvage, *destination,
                                storage_key(record.name));
       if (salvage->ecall_migration_init(persisted.value(),

@@ -4,7 +4,7 @@
 // The paper's protocol moves ONE enclave between two Migration Enclaves;
 // a data center runs thousands.  The registry owns the live
 // MigratableEnclave instances, remembers where each one runs (and with
-// which image, persistence engine, and migration policy), keeps the
+// which image, migration policy and live-transfer capability), keeps the
 // per-machine load gauges on platform::Machine in sync, and provides the
 // placement queries (count per machine, image anti-affinity) the
 // Scheduler's policies rank destinations with.
@@ -33,8 +33,6 @@ namespace sgxmig::orchestrator {
 /// Per-enclave launch configuration (everything complete_move() needs to
 /// re-instantiate the enclave on the destination machine).
 struct LaunchOptions {
-  migration::PersistenceMode persistence = migration::PersistenceMode::kSync;
-  migration::GroupCommitOptions group_commit = {};
   /// Travels with every migrate request for this enclave (§X policies).
   migration::MigrationPolicy policy = {};
   /// Equip the enclave's Migration Library with the epoch guard so the

@@ -36,9 +36,9 @@ class UntrustedStore {
 
   // ----- versioned slots (torn-write detection) -----
   //
-  // A batching persistence engine (GroupCommitPersist) turns many
-  // mutations into one blob write; a crash mid-write must not leave the
-  // only copy of the Migration Library's Table II buffer unparseable.
+  // A crash in the middle of a blob write must not leave the only copy of
+  // the Migration Library's Table II buffer (or the ME's queue)
+  // unparseable.
   // put_versioned alternates between two physical slots ("<name>#0" /
   // "<name>#1"), each framed with a sequence number and checksum; a torn
   // or corrupted slot fails its checksum and get_versioned falls back to

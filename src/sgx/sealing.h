@@ -69,8 +69,8 @@ size_t sealed_blob_size(size_t aad_len, size_t plaintext_len);
 /// Reusable sealing context: derives the sealing key ONCE (one EGETKEY /
 /// key id) and reuses it for repeated seals.  Hot persist paths — the
 /// Migration Library re-seals its Table II buffer on every mutating
-/// counter op, and a batching PersistenceEngine flushes it repeatedly —
-/// would otherwise re-derive the key per flush.  Blobs are wire-identical
+/// counter op, the Migration Enclave its queue on every transition —
+/// would otherwise re-derive the key per write.  Blobs are wire-identical
 /// to seal_data output, so unseal_data opens them; each seal still draws a
 /// fresh random IV.
 class SealContext {

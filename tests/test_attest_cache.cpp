@@ -59,9 +59,7 @@ class AttestCacheTest : public ::testing::Test {
   std::unique_ptr<MigratableEnclave> make_app(
       Machine& m, std::shared_ptr<const EnclaveImage> image,
       bool live = false) {
-    auto enclave = std::make_unique<MigratableEnclave>(
-        m, image, migration::PersistenceMode::kSync,
-        migration::GroupCommitOptions{}, live);
+    auto enclave = std::make_unique<MigratableEnclave>(m, image, live);
     enclave->set_persist_callback(
         [&m](ByteView state) { m.storage().put(kStateBlob, state); });
     return enclave;

