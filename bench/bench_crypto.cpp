@@ -1,4 +1,4 @@
-// Supporting microbenchmarks (M1 in DESIGN.md): REAL-time throughput of
+// Supporting microbenchmarks: REAL-time throughput of
 // the from-scratch crypto primitives, measured with google-benchmark.
 // These numbers ground the cost-model constants (e.g. aes_gcm_ns_per_byte)
 // and document what the simulation's crypto actually costs on the host.
@@ -126,6 +126,28 @@ void BM_X25519(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519);
+
+// Fixed-base rows: the scalar changes every iteration, so no result can be
+// folded or reused.
+void BM_X25519Base(benchmark::State& state) {
+  X25519Key scalar{};
+  scalar[0] = 0x42;
+  for (auto _ : state) {
+    scalar = x25519_base(scalar);
+    benchmark::DoNotOptimize(scalar);
+  }
+}
+BENCHMARK(BM_X25519Base);
+
+void BM_Ed25519KeyGen(benchmark::State& state) {
+  Ed25519Seed seed{};
+  for (auto _ : state) {
+    const auto kp = Ed25519KeyPair::from_seed(seed);
+    seed = kp.public_key();
+    benchmark::DoNotOptimize(seed);
+  }
+}
+BENCHMARK(BM_Ed25519KeyGen);
 
 void BM_Ed25519Sign(benchmark::State& state) {
   const auto kp = Ed25519KeyPair::from_seed(to_array<32>(Bytes(32, 0x66)));

@@ -1,6 +1,7 @@
 // Simplified reimplementation of Gu et al. [2] — the prior state of the
 // art this paper improves on (source unavailable; reimplemented from the
-// paper's description, see DESIGN.md §2).
+// paper's description; §III's attacks run against it, see the README's
+// "Paper map").
 //
 // Gu et al. migrate an enclave's DATA MEMORY: the source library performs
 // remote attestation with an identical enclave on the destination,

@@ -28,17 +28,35 @@ void sub_l(uint64_t a[4]) {
   }
 }
 
-// r = 2r (+ bit), then reduce once; requires r < L on entry.
-void shl1_add_mod(uint64_t r[4], uint64_t bit) {
-  uint64_t carry = bit;
+// r = (256 r + byte) mod L; requires r < L on entry.  With x = 256 r + byte
+// < 2^261 and q = floor(x / 2^252) < 2^9, x - qL = (x mod 2^252) - q*delta
+// for delta = L - 2^252 < 2^125.  That lies in (-L, L), so at most one
+// addition of L restores 0 <= r < L.
+void shl8_add_mod(uint64_t r[4], uint8_t byte) {
+  const uint64_t q = r[3] >> 52;  // bits 252..260 of x
+  const uint64_t x3 = ((r[3] << 8) | (r[2] >> 56)) & ((1ULL << 60) - 1);
+  const uint64_t x2 = (r[2] << 8) | (r[1] >> 56);
+  const uint64_t x1 = (r[1] << 8) | (r[0] >> 56);
+  const uint64_t x0 = (r[0] << 8) | byte;
+  // q * delta = q * (kL[0] + 2^64 kL[1]), three limbs.
+  const u128 d0 = (u128)q * kL[0];
+  const u128 d1 = (u128)q * kL[1] + (uint64_t)(d0 >> 64);
+  const uint64_t qd[4] = {(uint64_t)d0, (uint64_t)d1, (uint64_t)(d1 >> 64), 0};
+  const uint64_t x[4] = {x0, x1, x2, x3};
+  uint64_t borrow = 0;
   for (int i = 0; i < 4; ++i) {
-    const uint64_t next_carry = r[i] >> 63;
-    r[i] = (r[i] << 1) | carry;
-    carry = next_carry;
+    const u128 diff = (u128)x[i] - qd[i] - borrow;
+    r[i] = (uint64_t)diff;
+    borrow = (uint64_t)(diff >> 64) & 1;
   }
-  // r < 2L < 2^254, so the shift never overflows 256 bits and one
-  // conditional subtraction restores r < L.
-  if (ge_l(r)) sub_l(r);
+  if (borrow) {
+    u128 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+      const u128 sum = (u128)r[i] + kL[i] + (uint64_t)carry;
+      r[i] = (uint64_t)sum;
+      carry = sum >> 64;
+    }
+  }
 }
 }  // namespace
 
@@ -47,12 +65,7 @@ Sc sc_zero() { return Sc{{0, 0, 0, 0}}; }
 Sc sc_from_bytes(ByteView bytes) {
   Sc r = sc_zero();
   // Most-significant byte first.
-  for (size_t i = bytes.size(); i-- > 0;) {
-    const uint8_t byte = bytes[i];
-    for (int bit = 7; bit >= 0; --bit) {
-      shl1_add_mod(r.v, (byte >> bit) & 1);
-    }
-  }
+  for (size_t i = bytes.size(); i-- > 0;) shl8_add_mod(r.v, bytes[i]);
   return r;
 }
 
@@ -90,11 +103,11 @@ Sc sc_muladd(const Sc& a, const Sc& b, const Sc& c) {
     wide[i] = (uint64_t)t;
     carry = t >> 64;
   }
-  // Reduce the 512-bit value mod L, MSB first.
+  // Reduce the 512-bit value mod L, most-significant byte first.
   Sc r = sc_zero();
   for (int limb = 7; limb >= 0; --limb) {
-    for (int bit = 63; bit >= 0; --bit) {
-      shl1_add_mod(r.v, (wide[limb] >> bit) & 1);
+    for (int shift = 56; shift >= 0; shift -= 8) {
+      shl8_add_mod(r.v, static_cast<uint8_t>(wide[limb] >> shift));
     }
   }
   return r;

@@ -1,8 +1,8 @@
 // Scalar arithmetic modulo the Ed25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Correctness-first implementation: reduction is binary shift-and-subtract,
-// multiplication is schoolbook with 128-bit accumulation.
+// Reduction folds in one byte at a time, subtracting the quotient digit
+// times L; multiplication is schoolbook with 128-bit accumulation.
 #pragma once
 
 #include <array>

@@ -1,15 +1,25 @@
 #include "crypto/x25519.h"
 
 #include "crypto/fe25519.h"
+#include "crypto/ge25519.h"
 
 namespace sgxmig::crypto {
 
-X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
-  // Clamp the scalar (RFC 7748 §5 decodeScalar25519).
+namespace {
+
+// RFC 7748 §5 decodeScalar25519.
+X25519Key clamp(const X25519Key& scalar) {
   X25519Key k = scalar;
   k[0] &= 248;
   k[31] &= 127;
   k[31] |= 64;
+  return k;
+}
+
+}  // namespace
+
+X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
+  const X25519Key k = clamp(scalar);
 
   const Fe x1 = fe_frombytes(point.data());
   Fe x2 = fe_one();
@@ -49,9 +59,16 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {
-  X25519Key base{};
-  base[0] = 9;
-  return x25519(scalar, base);
+  // The base point u = 9 is the image of Ed25519's B under the birational
+  // map u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y) (RFC 7748 §4.1), so
+  // [k]B on the Edwards curve, from the fixed-base table, maps to the
+  // ladder's result.  A clamped k is 2^254 + 8m < 8L and not a multiple
+  // of L, so [k]B is never the identity and Z - Y is never zero.
+  const X25519Key k = clamp(scalar);
+  const Ge p = ge_scalarmult_base(k.data());
+  X25519Key out{};
+  fe_tobytes(out.data(), fe_mul(fe_add(p.z, p.y), fe_invert(fe_sub(p.z, p.y))));
+  return out;
 }
 
 }  // namespace sgxmig::crypto

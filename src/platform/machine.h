@@ -36,6 +36,12 @@ class Machine final : public sgx::PlatformIface {
   sgx::SimCpu& cpu() override { return cpu_; }
   VirtualClock& clock() override;
   const CostModel& costs() const override;
+  /// Advances this machine's clock by `base` times one jitter sample drawn
+  /// from the machine RNG.  Every call draws, whatever `base` is, so adding
+  /// or removing one charge (an ECALL/OCALL transition, a PSE op) shifts
+  /// every later jittered cost on this machine: virtual-time anchors pin the
+  /// count of enclave transitions, not only the priced work.  Real CPU spent
+  /// inside a transition (crypto, codecs) is never charged and moves nothing.
   void charge(Duration base) override;
   Bytes draw_entropy(size_t len) override;
   Result<Bytes> pse_call(const sgx::Measurement& caller,

@@ -7,7 +7,7 @@
 // each platform a member key plus a membership certificate over it; quotes
 // carry the member public key, certificate, and signature.  This drops
 // EPID's signer anonymity — irrelevant to every protocol step in the
-// paper — and keeps verification and revocation (see DESIGN.md §2).
+// paper — and keeps verification and revocation.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "sgx/measurement.h"
 
+#include <map>
+
 #include "crypto/sha256.h"
 #include "support/serde.h"
 
@@ -36,16 +38,32 @@ EnclaveIdentity EnclaveImage::identity() const {
   return id;
 }
 
+namespace {
+
+// Deterministic developer key: fine for the simulation, where the signer
+// is an identity, not a secret held by this process.  The key is a pure
+// function of the name, so each name's keygen runs once per process.
+const crypto::Ed25519PublicKey& signer_public_key(
+    const std::string& signer_name) {
+  static std::map<std::string, crypto::Ed25519PublicKey> keys;
+  auto it = keys.find(signer_name);
+  if (it == keys.end()) {
+    const auto seed = crypto::Sha256::hash(to_bytes("signer:" + signer_name));
+    it = keys.emplace(signer_name,
+                      crypto::Ed25519KeyPair::from_seed(seed).public_key())
+             .first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 std::shared_ptr<const EnclaveImage> EnclaveImage::create(
     std::string name, uint64_t code_version, const std::string& signer_name,
     uint16_t isv_prod_id, uint16_t isv_svn) {
-  // Deterministic developer key: fine for the simulation, where the signer
-  // is an identity, not a secret held by this process.
-  const auto seed = crypto::Sha256::hash(to_bytes("signer:" + signer_name));
-  const auto kp = crypto::Ed25519KeyPair::from_seed(seed);
-  return std::make_shared<const EnclaveImage>(std::move(name), code_version,
-                                              kp.public_key(), isv_prod_id,
-                                              isv_svn);
+  return std::make_shared<const EnclaveImage>(
+      std::move(name), code_version, signer_public_key(signer_name),
+      isv_prod_id, isv_svn);
 }
 
 }  // namespace sgxmig::sgx

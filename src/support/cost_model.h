@@ -4,7 +4,7 @@
 // calibrated once against the paper's *baseline* measurements (Fig. 3 / 4
 // and §VII-B) and then left alone — the relative results of the benchmarks
 // (who wins, by what factor) emerge from the structure of the code paths,
-// not from per-experiment tuning.  See DESIGN.md §5.
+// not from per-experiment tuning.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,20 @@
 // X25519 (RFC 7748) and Ed25519 (RFC 8032) tests against the RFC vectors,
-// plus negative tests and field/scalar arithmetic properties.
+// negative tests, field/scalar arithmetic properties, and a differential
+// test of the windowed and table-driven point code against a textbook
+// double-and-add reference kept here.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "crypto/ed25519.h"
 #include "crypto/fe25519.h"
+#include "crypto/ge25519.h"
 #include "crypto/sc25519.h"
+#include "crypto/sha512.h"
 #include "crypto/x25519.h"
 #include "support/bytes.h"
+#include "support/rng.h"
 
 namespace sgxmig::crypto {
 namespace {
@@ -183,6 +191,88 @@ TEST(Sc25519, AddWrapsModL) {
   for (int i = 1; i < 32; ++i) EXPECT_EQ(out[i], 0);
 }
 
+// Reference reduction mod L: one bit at a time, MSB first, with a
+// conditional subtraction of L after each doubling.
+std::array<uint8_t, 32> ref_reduce(ByteView bytes) {
+  const Bytes l = hex_decode(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  std::array<uint8_t, 33> r{};  // little-endian, one spare byte
+  for (size_t i = bytes.size(); i-- > 0;) {
+    for (int bit = 7; bit >= 0; --bit) {
+      unsigned carry = (bytes[i] >> bit) & 1;
+      for (auto& byte : r) {
+        const unsigned v = (byte << 1) | carry;
+        byte = static_cast<uint8_t>(v);
+        carry = v >> 8;
+      }
+      // r >= L, compared from the most significant byte.
+      int j = 31;
+      while (j > 0 && r[j] == l[j]) --j;
+      if (r[32] == 0 && r[j] < l[j]) continue;
+      int borrow = 0;
+      for (size_t k = 0; k < r.size(); ++k) {
+        const int v = r[k] - (k < 32 ? l[k] : 0) - borrow;
+        r[k] = static_cast<uint8_t>(v);
+        borrow = v < 0;
+      }
+    }
+  }
+  std::array<uint8_t, 32> out{};
+  std::copy(r.begin(), r.begin() + 32, out.begin());
+  return out;
+}
+
+std::array<uint8_t, 32> sc_bytes(const Sc& s) {
+  std::array<uint8_t, 32> out{};
+  sc_tobytes(out.data(), s);
+  return out;
+}
+
+TEST(Sc25519, ReduceAndMulAddMatchBitSerialReference) {
+  Rng rng(0x1ced);
+  // 2^252 and 2^252 + 5 lie just below L = 2^252 + delta: folding their
+  // last byte subtracts delta from a smaller remainder and must add L back.
+  std::vector<Bytes> inputs = {
+      Bytes(64, 0xff), Bytes(32, 0xff), Bytes(64, 0),
+      hex_decode("00000000000000000000000000000000"
+                 "00000000000000000000000000000010"),
+      hex_decode("05000000000000000000000000000000"
+                 "00000000000000000000000000000010")};
+  for (int i = 0; i < 64; ++i) inputs.push_back(rng.bytes(i % 2 ? 64 : 32));
+  for (const Bytes& in : inputs) {
+    EXPECT_EQ(sc_bytes(sc_from_bytes(in)), ref_reduce(in)) << hex_encode(in);
+  }
+  // a * b + c, with the 512-bit product formed bytewise here.
+  for (int i = 0; i < 32; ++i) {
+    const Bytes a = rng.bytes(32), b = rng.bytes(32), c = rng.bytes(32);
+    const auto ar = ref_reduce(a), br = ref_reduce(b), cr = ref_reduce(c);
+    Bytes wide(65, 0);
+    for (size_t x = 0; x < 32; ++x) {
+      unsigned carry = 0;
+      for (size_t y = 0; y < 32; ++y) {
+        const unsigned v = wide[x + y] + ar[x] * br[y] + carry;
+        wide[x + y] = static_cast<uint8_t>(v);
+        carry = v >> 8;
+      }
+      for (size_t k = x + 32; carry != 0; ++k) {
+        const unsigned v = wide[k] + carry;
+        wide[k] = static_cast<uint8_t>(v);
+        carry = v >> 8;
+      }
+    }
+    unsigned carry = 0;
+    for (size_t k = 0; k < wide.size(); ++k) {
+      const unsigned v = wide[k] + (k < 32 ? cr[k] : 0) + carry;
+      wide[k] = static_cast<uint8_t>(v);
+      carry = v >> 8;
+    }
+    EXPECT_EQ(sc_bytes(sc_muladd(sc_from_bytes(a), sc_from_bytes(b),
+                                 sc_from_bytes(c))),
+              ref_reduce(wide))
+        << i;
+  }
+}
+
 TEST(Sc25519, CanonicalCheck) {
   uint8_t zero[32] = {0};
   EXPECT_TRUE(sc_is_canonical(zero));
@@ -276,6 +366,292 @@ TEST(Ed25519, SignatureDeterministic) {
   const auto kp = Ed25519KeyPair::from_seed(to_array<32>(Bytes(32, 9)));
   const Bytes msg = to_bytes(std::string_view("deterministic"));
   EXPECT_EQ(kp.sign(msg), kp.sign(msg));
+}
+
+// ----------------------------------------------------------------------
+// Small-order keys and non-canonical encodings
+// ----------------------------------------------------------------------
+
+using Scalar = std::array<uint8_t, 32>;
+
+Scalar scalar_from_hex(std::string_view hex) {
+  return to_array<32>(hex_decode(hex));
+}
+
+// enc(B), the standard base point's encoding.
+const char* const kBaseHex =
+    "5866666666666666666666666666666666666666666666666666666666666666";
+
+TEST(Ed25519, RejectsForgeryUnderSmallOrderKeys) {
+  // With A the identity, [k]A vanishes from the check, so R = enc(B) and
+  // S = 1 satisfied enc([S]B - [k]A) == R for every message.  Both the
+  // canonical identity (y = 1) and y = p + 1, a non-canonical spelling of
+  // the same point, must be refused.
+  Ed25519Signature forged{};
+  const Scalar r = scalar_from_hex(kBaseHex);
+  std::memcpy(forged.data(), r.data(), 32);
+  forged[32] = 1;
+  for (const char* key_hex :
+       {"0100000000000000000000000000000000000000000000000000000000000000",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"}) {
+    const Ed25519PublicKey key = scalar_from_hex(key_hex);
+    for (const char* msg : {"", "pay 1000 to mallory", "migrate me"}) {
+      EXPECT_FALSE(ed25519_verify(key, to_bytes(std::string_view(msg)), forged))
+          << key_hex << " / " << msg;
+    }
+  }
+}
+
+TEST(Ge25519, FromBytesRefusesNonCanonicalY) {
+  Ge point{};
+  // y = p + 1, y = p, and y = 2^255 - 1, with either sign bit.
+  for (const char* hex :
+       {"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"}) {
+    const Scalar enc = scalar_from_hex(hex);
+    EXPECT_FALSE(ge_frombytes(point, enc.data())) << hex;
+  }
+  // y = p - 1 = -1 is canonical: the point (0, -1) of order 2.
+  const Scalar minus_one = scalar_from_hex(
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  ASSERT_TRUE(ge_frombytes(point, minus_one.data()));
+  EXPECT_TRUE(ge_is_small_order(point));
+}
+
+// ----------------------------------------------------------------------
+// Differential test against a textbook double-and-add reference
+// ----------------------------------------------------------------------
+
+// The reference: the unified addition law (add-2008-hwcd-3, a = -1) used
+// for doubling too, one bit at a time.  It shares only the field
+// arithmetic with ge25519.cpp: no window, table or dedicated doubling.
+Ge ref_add(const Ge& p, const Ge& q) {
+  static const Fe d2 = [] {
+    const Fe d =
+        fe_neg(fe_mul(fe_from_u64(121665), fe_invert(fe_from_u64(121666))));
+    return fe_add(d, d);
+  }();
+  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
+  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
+  const Fe c = fe_mul(fe_mul(p.t, d2), q.t);
+  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
+  const Fe e = fe_sub(b, a), f = fe_sub(d, c), g = fe_add(d, c),
+           h = fe_add(b, a);
+  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
+Ge ref_scalarmult(const Ge& p, const Scalar& s) {
+  Ge r = ge_identity();
+  for (int i = 255; i >= 0; --i) {
+    r = ref_add(r, r);
+    if ((s[i / 8] >> (i % 8)) & 1) r = ref_add(r, p);
+  }
+  return r;
+}
+
+Scalar encode(const Ge& p) {
+  Scalar out{};
+  ge_tobytes(out.data(), p);
+  return out;
+}
+
+const Ge& base() {
+  static const Ge b = [] {
+    Ge out{};
+    EXPECT_TRUE(ge_frombytes(out, scalar_from_hex(kBaseHex).data()));
+    return out;
+  }();
+  return b;
+}
+
+Scalar clamped(Scalar s) {
+  s[0] &= 248;
+  s[31] &= 127;
+  s[31] |= 64;
+  return s;
+}
+
+// Edge scalars: 0, 1, L - 1, every nibble 8 (each window digit carries),
+// and every nibble 8 under a top nibble of 7 (the carry makes the top
+// digit 8, the table's last entry).
+std::vector<Scalar> edge_scalars() {
+  Scalar eights{}, top_seven{};
+  eights.fill(0x88);
+  eights[31] = 0x08;
+  top_seven.fill(0x88);
+  top_seven[31] = 0x78;
+  return {Scalar{}, scalar_from_hex("01000000000000000000000000000000"
+                                    "00000000000000000000000000000000"),
+          scalar_from_hex("ecd3f55c1a631258d69cf7a2def9de14"
+                          "00000000000000000000000000000010"),
+          eights, top_seven};
+}
+
+// Edge scalars plus seeded random ones with s[31] <= 127.
+std::vector<Scalar> test_scalars(uint64_t seed, int random_count) {
+  std::vector<Scalar> out = edge_scalars();
+  Rng rng(seed);
+  for (int i = 0; i < random_count; ++i) {
+    Scalar s{};
+    rng.fill(s.data(), s.size());
+    s[31] &= 127;
+    out.push_back(s);
+  }
+  return out;
+}
+
+TEST(Ge25519Differential, FixedBaseMatchesReference) {
+  for (const Scalar& s : test_scalars(0x25519, 24)) {
+    EXPECT_EQ(encode(ge_scalarmult_base(s.data())),
+              encode(ref_scalarmult(base(), s)))
+        << hex_encode(ByteView(s.data(), 32));
+  }
+}
+
+TEST(Ge25519Differential, DoubleScalarMultMatchesReference) {
+  const std::vector<Scalar> scalars = test_scalars(0xd5, 6);
+  Rng rng(0xd6);
+  for (const Scalar& a : scalars) {
+    Scalar p_scalar{};
+    rng.fill(p_scalar.data(), p_scalar.size());
+    const Ge p = ref_scalarmult(base(), p_scalar);
+    for (const Scalar& b : {scalars[0], scalars[3], scalars[4], a}) {
+      const Ge expected =
+          ref_add(ref_scalarmult(p, a), ref_scalarmult(base(), b));
+      EXPECT_EQ(encode(ge_double_scalarmult(a.data(), p, b.data())),
+                encode(expected))
+          << hex_encode(ByteView(a.data(), 32)) << " / "
+          << hex_encode(ByteView(b.data(), 32));
+    }
+  }
+}
+
+TEST(Ge25519Differential, X25519BaseMatchesLadder) {
+  // The Montgomery ladder on u = 9, pinned by the RFC 7748 vectors, is the
+  // reference for the Edwards fixed-base path; clamping maps the edge
+  // scalars onto 2^254 + 8m.
+  X25519Key nine{};
+  nine[0] = 9;
+  std::vector<Scalar> scalars = test_scalars(0x7748, 24);
+  Scalar ones{};
+  ones.fill(0xff);
+  scalars.push_back(ones);
+  for (const Scalar& s : scalars) {
+    EXPECT_EQ(x25519_base(s), x25519(s, nine))
+        << hex_encode(ByteView(s.data(), 32));
+  }
+}
+
+TEST(Ge25519Differential, KeyGenAndSignMatchReference) {
+  Rng rng(0x8032);
+  for (int i = 0; i < 8; ++i) {
+    Ed25519Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    const Bytes msg = rng.bytes(static_cast<size_t>(i) * 37);
+    const auto kp = Ed25519KeyPair::from_seed(seed);
+
+    const Sha512Digest h = Sha512::hash(ByteView(seed.data(), seed.size()));
+    Scalar secret{};
+    std::memcpy(secret.data(), h.data(), 32);
+    secret = clamped(secret);
+    const Scalar pub = encode(ref_scalarmult(base(), secret));
+    EXPECT_EQ(kp.public_key(), pub);
+
+    Sha512 hr;
+    hr.update(ByteView(h.data() + 32, 32));
+    hr.update(msg);
+    const Sha512Digest r_hash = hr.finish();
+    const Sc r = sc_from_bytes(ByteView(r_hash.data(), r_hash.size()));
+    Scalar r_bytes{};
+    sc_tobytes(r_bytes.data(), r);
+    const Scalar big_r = encode(ref_scalarmult(base(), r_bytes));
+    Sha512 hk;
+    hk.update(ByteView(big_r.data(), 32));
+    hk.update(ByteView(pub.data(), 32));
+    hk.update(msg);
+    const Sha512Digest k_hash = hk.finish();
+    const Sc k = sc_from_bytes(ByteView(k_hash.data(), k_hash.size()));
+    Ed25519Signature expected{};
+    std::memcpy(expected.data(), big_r.data(), 32);
+    sc_tobytes(expected.data() + 32,
+               sc_muladd(k, sc_from_bytes(ByteView(secret.data(), 32)), r));
+    EXPECT_EQ(kp.sign(msg), expected) << i;
+  }
+}
+
+// RFC 8032 §5.1.7 verification by the reference group law, with the same
+// small-order key refusal as ed25519_verify.
+bool ref_verify(const Ed25519PublicKey& key, ByteView msg,
+                const Ed25519Signature& sig) {
+  if (!sc_is_canonical(sig.data() + 32)) return false;
+  Ge a{};
+  if (!ge_frombytes(a, key.data())) return false;
+  Scalar eight{};
+  eight[0] = 8;
+  if (encode(ref_scalarmult(a, eight)) == encode(ge_identity())) return false;
+  Sha512 hk;
+  hk.update(ByteView(sig.data(), 32));
+  hk.update(ByteView(key.data(), 32));
+  hk.update(msg);
+  const Sha512Digest k_hash = hk.finish();
+  Scalar k{}, s{};
+  sc_tobytes(k.data(), sc_from_bytes(ByteView(k_hash.data(), k_hash.size())));
+  std::memcpy(s.data(), sig.data() + 32, 32);
+  const Ge check =
+      ref_add(ref_scalarmult(base(), s), ref_scalarmult(ge_neg(a), k));
+  return std::memcmp(encode(check).data(), sig.data(), 32) == 0;
+}
+
+TEST(Ge25519Differential, VerifyDecisionsMatchReference) {
+  // One flipped bit per byte of the signature and of the key, on top of
+  // the untouched pair: every decision must match the reference's.
+  Rng rng(0x5eed);
+  Ed25519Seed seed{};
+  rng.fill(seed.data(), seed.size());
+  const auto kp = Ed25519KeyPair::from_seed(seed);
+  const Bytes msg = rng.bytes(100);
+  const Ed25519Signature sig = kp.sign(msg);
+  ASSERT_TRUE(ed25519_verify(kp.public_key(), msg, sig));
+  ASSERT_TRUE(ref_verify(kp.public_key(), msg, sig));
+  for (size_t i = 0; i < sig.size(); ++i) {
+    Ed25519Signature flipped = sig;
+    flipped[i] ^= static_cast<uint8_t>(1u << (i % 8));
+    EXPECT_EQ(ed25519_verify(kp.public_key(), msg, flipped),
+              ref_verify(kp.public_key(), msg, flipped))
+        << "signature byte " << i;
+  }
+  for (size_t i = 0; i < kp.public_key().size(); ++i) {
+    Ed25519PublicKey flipped = kp.public_key();
+    flipped[i] ^= static_cast<uint8_t>(1u << (i % 8));
+    EXPECT_EQ(ed25519_verify(flipped, msg, sig), ref_verify(flipped, msg, sig))
+        << "key byte " << i;
+  }
+}
+
+TEST(Ge25519Differential, SmallOrderMatchesReference) {
+  // [L]P lies in the 8-torsion for every point P; a point from [s]B with
+  // s not a multiple of L does not.
+  const Scalar l = scalar_from_hex(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  Rng rng(0x8);
+  int points = 0;
+  for (int i = 0; i < 16; ++i) {
+    Scalar y{};
+    rng.fill(y.data(), y.size());
+    y[31] &= 127;
+    Ge p{};
+    if (!ge_frombytes(p, y.data())) continue;  // not a curve point
+    ++points;
+    EXPECT_FALSE(ge_is_small_order(ge_scalarmult_base(y.data())));
+    const Ge torsion = ref_scalarmult(p, l);
+    EXPECT_TRUE(ge_is_small_order(torsion)) << i;
+    Ge decoded{};
+    ASSERT_TRUE(ge_frombytes(decoded, encode(torsion).data()));
+    EXPECT_TRUE(ge_is_small_order(decoded)) << i;
+  }
+  EXPECT_GE(points, 4);
 }
 
 }  // namespace

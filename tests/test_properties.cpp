@@ -1,5 +1,5 @@
-// Property-based tests (parameterized sweeps) on the security invariants
-// from DESIGN.md §6:
+// Property-based tests (parameterized sweeps) on the migration's security
+// invariants:
 //   1. effective counter values never decrease under any interleaving of
 //      operations, restarts, replays, and migrations;
 //   2. migratable seal/unseal round-trips across machines and sizes;
