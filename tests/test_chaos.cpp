@@ -88,6 +88,42 @@ TEST(ChaosPlanTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.value().to_json(), plan.to_json());
 }
 
+TEST(ChaosPlanTest, JsonBytesArePinned) {
+  ChaosPlan plan;
+  plan.seed = 18446744073709551615ull;
+  const auto add = [&plan](FaultKind kind, std::string target) {
+    FaultEvent event;
+    event.kind = kind;
+    event.target = std::move(target);
+    plan.events.push_back(event);
+    return &plan.events.back();
+  };
+  add(FaultKind::kMeCrash, "m0")->at_wave = 2;
+  FaultEvent* restart = add(FaultKind::kMeRestart, "m0");
+  restart->at_wave = 5;
+  restart->at_round = 3;
+  FaultEvent* flap = add(FaultKind::kEndpointFlap, "m1/me");
+  flap->at = milliseconds(250);
+  flap->duration = nanoseconds(1500000123);
+  FaultEvent* tamper = add(FaultKind::kTamper, "");
+  tamper->msg_type = 7;
+  tamper->probability = 0.375;
+  tamper->max_firings = 9;
+  add(FaultKind::kDrop, "m2/me")->probability = 0.1;
+  add(FaultKind::kReplyLoss, "m\"3\"/me")->max_firings = 40;
+  add(FaultKind::kChunkCorrupt, "m1/me")->probability = 1.0 / 3.0;
+  EXPECT_EQ(plan.to_json(),
+    R"json({"seed": 18446744073709551615, "events": [{"kind": "me-crash", "target": "m0", "at_wave": 2, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "me-restart", "target": "m0", "at_wave": 5, "at_round": 3, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "endpoint-flap", "target": "m1/me", "at_wave": 0, "at_round": 0, "at_seconds": 0.250000, "duration_seconds": 1.500000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "tamper", "target": "", "at_wave": 0, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 7, "probability": 0.375000, "max_firings": 9}, )json"
+    R"json({"kind": "drop", "target": "m2/me", "at_wave": 0, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 0.100000, "max_firings": 0}, )json"
+    R"json({"kind": "reply-loss", "target": "m\"3\"/me", "at_wave": 0, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 40}, )json"
+    R"json({"kind": "chunk-corrupt", "target": "m1/me", "at_wave": 0, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 0.333333, "max_firings": 0}]})json");
+  EXPECT_EQ(ChaosPlan{}.to_json(),
+    R"json({"seed": 0, "events": []})json");
+}
+
 TEST(ChaosPlanTest, FromJsonRejectsMalformedPlans) {
   EXPECT_FALSE(ChaosPlan::from_json("{").ok());
   EXPECT_FALSE(ChaosPlan::from_json("{\"seed\": 1}").ok());

@@ -165,7 +165,49 @@ TEST_F(TraceRecorderTest, ChromeExportRoundTripsThroughStrictParser) {
   EXPECT_EQ(exported_enclave, "app \"7\" \\ two\nlines\t");
 }
 
+// Exact export bytes: one event of every Chrome phase the recorder
+// writes, an arg-carrying span, an open span closed at the horizon, and
+// a lane name that needs escaping.
+TEST_F(TraceRecorderTest, ChromeExportBytesArePinned) {
+  const uint64_t root = rec_.begin_span("migration", "m0", /*trace_id=*/42);
+  rec_.span_arg(root, "enclave", "app");
+  rec_.span_arg(root, "bytes", uint64_t{5436});
+  clock_.advance(nanoseconds(1500123));
+  rec_.end_span(root);
+  rec_.instant("net.post", "m\"1\\", 0, {{"msg", "1"}, {"to", "m0/me"}});
+  rec_.counter("net.pending", "m\"1\\", 2.0);
+  clock_.advance(microseconds(7));
+  rec_.begin_span("pse.reclaim", "m2");
+  EXPECT_EQ(rec_.to_chrome_json(),
+    R"json({"traceEvents": [{"ph": "M", "name": "process_name", "pid": 1, "tid": 0, "args": {"name": "control"}}, )json"
+    R"json({"ph": "M", "name": "thread_name", "pid": 1, "tid": 1, "args": {"name": "control"}}, )json"
+    R"json({"ph": "M", "name": "process_name", "pid": 4, "tid": 0, "args": {"name": "m\"1\\"}}, )json"
+    R"json({"ph": "M", "name": "thread_name", "pid": 4, "tid": 1, "args": {"name": "m\"1\\ lane"}}, )json"
+    R"json({"ph": "M", "name": "process_name", "pid": 2, "tid": 0, "args": {"name": "m0"}}, )json"
+    R"json({"ph": "M", "name": "thread_name", "pid": 2, "tid": 1, "args": {"name": "m0 lane"}}, )json"
+    R"json({"ph": "M", "name": "process_name", "pid": 3, "tid": 0, "args": {"name": "m2"}}, )json"
+    R"json({"ph": "M", "name": "thread_name", "pid": 3, "tid": 1, "args": {"name": "m2 lane"}}, )json"
+    R"json({"ph": "b", "cat": "span", "id": "0x2a", "pid": 2, "tid": 1, "name": "migration", "ts": 0.000, "args": {"enclave": "app", "bytes": "5436", "span": "1", "parent": "0", "trace": "42", "lane": "m0"}}, )json"
+    R"json({"ph": "e", "cat": "span", "id": "0x2a", "pid": 2, "tid": 1, "name": "migration", "ts": 1500.123, "args": {"span": "1"}}, )json"
+    R"json({"ph": "b", "cat": "span", "id": "0x2", "pid": 3, "tid": 1, "name": "pse.reclaim", "ts": 1507.123, "args": {"span": "2", "parent": "0", "trace": "0", "lane": "m2", "open": "1"}}, )json"
+    R"json({"ph": "e", "cat": "span", "id": "0x2", "pid": 3, "tid": 1, "name": "pse.reclaim", "ts": 1507.123, "args": {"span": "2"}}, )json"
+    R"json({"ph": "i", "s": "t", "pid": 4, "tid": 1, "name": "net.post", "ts": 1500.123, "args": {"msg": "1", "to": "m0/me", "trace": "0"}}, )json"
+    R"json({"ph": "C", "pid": 4, "tid": 1, "name": "net.pending", "ts": 1500.123, "args": {"value": 2.000}}]})json");
+}
+
 // ----- MetricsRegistry -----
+
+TEST(MetricsRegistry, CounterJsonBytesArePinned) {
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  EXPECT_EQ(metrics.to_json(),
+    R"json({"counters": {}, "gauges": {}, "histograms": {}})json");
+  metrics.add("net.posts", 3);
+  metrics.add("migration.accepted");
+  metrics.add("net.\"odd\"");
+  EXPECT_EQ(metrics.to_json(),
+    R"json({"counters": {"migration.accepted": 1, "net.\"odd\"": 1, "net.posts": 3}, "gauges": {}, "histograms": {}})json");
+}
 
 TEST(MetricsRegistry, DisabledByDefaultThenAggregates) {
   obs::MetricsRegistry metrics;
