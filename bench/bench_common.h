@@ -80,6 +80,14 @@ inline void print_single_row(const std::string& name, const Summary& s) {
               s.ci99_half, "-", "-", "-");
 }
 
+/// Writes `body` to `path` verbatim; false on any I/O error.
+inline bool write_text_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+  return std::fclose(f) == 0 && written == body.size();
+}
+
 // ----- machine-readable bench output (CI perf-trajectory artifacts) -----
 //
 // Benches that feed CI append rows of key/value fields and write one
@@ -88,54 +96,45 @@ inline void print_single_row(const std::string& name, const Summary& s) {
 
 class JsonBench {
  public:
-  explicit JsonBench(std::string name) : name_(std::move(name)) {}
+  explicit JsonBench(const std::string& name) {
+    doc_.begin_object().key("bench").string(name).key("rows").begin_array();
+  }
 
   JsonBench& begin_row() {
-    rows_.emplace_back();
+    if (row_count_ > 0) doc_.end_object();
+    doc_.begin_object();
+    ++row_count_;
     return *this;
   }
   JsonBench& field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", value);
-    return raw_field(key, buf);
+    doc_.key(key).number(value, 6);
+    return *this;
   }
   JsonBench& field(const std::string& key, uint64_t value) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    return raw_field(key, buf);
+    doc_.key(key).integer(value);
+    return *this;
   }
   JsonBench& field(const std::string& key, int value) {
     return field(key, static_cast<uint64_t>(value));
   }
   JsonBench& field(const std::string& key, const std::string& value) {
-    return raw_field(key, json_string(value));
+    doc_.key(key).string(value);
+    return *this;
   }
 
   /// Writes {"bench": name, "rows": [...]}; returns false on I/O error.
   bool write_file(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\"bench\": %s, \"rows\": [", json_string(name_).c_str());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "%s{%s}", i == 0 ? "" : ", ", rows_[i].c_str());
-    }
-    std::fprintf(f, "]}\n");
-    const bool ok = std::fclose(f) == 0;
-    if (ok) std::printf("\nwrote %s (%zu rows)\n", path.c_str(), rows_.size());
-    return ok;
+    JsonWriter doc = doc_;
+    if (row_count_ > 0) doc.end_object();
+    doc.end_array().end_object();
+    if (!write_text_file(path, doc.str() + "\n")) return false;
+    std::printf("\nwrote %s (%zu rows)\n", path.c_str(), row_count_);
+    return true;
   }
 
  private:
-  JsonBench& raw_field(const std::string& key, const std::string& rendered) {
-    std::string& row = rows_.back();
-    if (!row.empty()) row += ", ";
-    row += json_string(key) + ": " + rendered;
-    return *this;
-  }
-
-  std::string name_;
-  std::vector<std::string> rows_;
+  JsonWriter doc_;  // open through the "rows" array and its last row
+  size_t row_count_ = 0;
 };
 
 }  // namespace sgxmig::bench

@@ -138,13 +138,6 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
   return result;
 }
 
-bool write_text_file(const char* path, const std::string& body) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  return std::fclose(f) == 0 && written == body.size();
-}
-
 uint64_t stat_of(const StormResult& r, const char* key) {
   const auto it = r.stats.find(key);
   return it == r.stats.end() ? 0 : it->second;
@@ -175,7 +168,7 @@ void fail_storm(uint64_t seed, const std::string& profile,
               static_cast<unsigned long long>(seed), profile.c_str(),
               static_cast<unsigned long long>(r.forks), r.report.failed(),
               static_cast<unsigned long long>(seed));
-  write_text_file("CHAOS_FAILING_SEED.txt", std::to_string(seed) + "\n");
+  bench::write_text_file("CHAOS_FAILING_SEED.txt", std::to_string(seed) + "\n");
   std::exit(1);
 }
 
@@ -270,7 +263,7 @@ void run(uint64_t only_seed) {
                 "observed\n",
                 static_cast<long long>(traced.wall.count()),
                 static_cast<long long>(untraced.wall.count()));
-    write_text_file("CHAOS_FAILING_SEED.txt",
+    bench::write_text_file("CHAOS_FAILING_SEED.txt",
                     std::to_string(trace_seed) + "\n");
     std::exit(1);
   }
@@ -279,8 +272,8 @@ void run(uint64_t only_seed) {
     fail_storm(trace_seed, "mixed+traced", traced);
   }
   if (trace_json.empty() ||
-      !write_text_file("TRACE_chaos.json", trace_json) ||
-      !write_text_file("TRACE_REPORT_chaos.json",
+      !bench::write_text_file("TRACE_chaos.json", trace_json) ||
+      !bench::write_text_file("TRACE_REPORT_chaos.json",
                        traced.report.to_json(/*include_events=*/true))) {
     std::printf("FAILED to write TRACE_chaos.json artifacts\n");
     std::exit(1);

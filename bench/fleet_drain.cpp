@@ -159,13 +159,6 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
   return result;
 }
 
-bool write_text_file(const char* path, const std::string& body) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  return std::fclose(f) == 0 && written == body.size();
-}
-
 void run() {
   std::printf("\n================================================================\n");
   std::printf("Fleet drain — orchestrated evacuation of one machine\n");
@@ -483,8 +476,8 @@ void run() {
     std::exit(1);
   }
   if (trace_json.empty() ||
-      !write_text_file("TRACE_fleet_drain.json", trace_json) ||
-      !write_text_file("TRACE_REPORT_fleet_drain.json",
+      !bench::write_text_file("TRACE_fleet_drain.json", trace_json) ||
+      !bench::write_text_file("TRACE_REPORT_fleet_drain.json",
                        traced.report.to_json(/*include_events=*/true))) {
     std::printf("FAILED to write TRACE_fleet_drain.json artifacts\n");
     std::exit(1);

@@ -215,13 +215,6 @@ StormResult storm_1k(uint64_t seed) {
   return result;
 }
 
-bool write_text_file(const char* path, const std::string& body) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  return std::fclose(f) == 0 && written == body.size();
-}
-
 void run() {
   std::printf("\n================================================================\n");
   std::printf("Fleet scale — event-driven orchestrator at datacenter scale\n");
@@ -332,8 +325,8 @@ void run() {
               "bit-exactly");
   }
   if (trace_json.empty() ||
-      !write_text_file("TRACE_fleet_scale.json", trace_json) ||
-      !write_text_file("TRACE_REPORT_fleet_scale.json",
+      !bench::write_text_file("TRACE_fleet_scale.json", trace_json) ||
+      !bench::write_text_file("TRACE_REPORT_fleet_scale.json",
                        traced.report.to_json(/*include_events=*/true))) {
     std::printf("FAILED to write TRACE_fleet_scale.json artifacts\n");
     std::exit(1);

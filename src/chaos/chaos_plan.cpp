@@ -1,7 +1,5 @@
 #include "chaos/chaos_plan.h"
 
-#include <cstdio>
-
 #include "support/json.h"
 #include "support/json_parse.h"
 #include "support/rng.h"
@@ -38,53 +36,24 @@ Result<FaultKind> fault_kind_from_name(std::string_view name) {
   return Status::kInvalidParameter;
 }
 
-namespace {
-
-void append_number(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += buf;
-}
-
-void append_number(std::string& out, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
-
 std::string ChaosPlan::to_json() const {
-  std::string out = "{\"seed\": ";
-  append_number(out, seed);
-  out += ", \"events\": [";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object().key("seed").integer(seed).key("events").begin_array();
   for (const FaultEvent& e : events) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"kind\": ";
-    append_json_string(out, fault_kind_name(e.kind));
-    out += ", \"target\": ";
-    append_json_string(out, e.target);
-    out += ", \"at_wave\": ";
-    append_number(out, static_cast<uint64_t>(e.at_wave));
-    out += ", \"at_round\": ";
-    append_number(out, static_cast<uint64_t>(e.at_round));
-    out += ", \"at_seconds\": ";
-    append_number(out, to_seconds(e.at));
-    out += ", \"duration_seconds\": ";
-    append_number(out, to_seconds(e.duration));
-    out += ", \"msg_type\": ";
-    append_number(out, static_cast<uint64_t>(e.msg_type));
-    out += ", \"probability\": ";
-    append_number(out, e.probability);
-    out += ", \"max_firings\": ";
-    append_number(out, static_cast<uint64_t>(e.max_firings));
-    out += "}";
+    w.begin_object();
+    w.key("kind").string(fault_kind_name(e.kind));
+    w.key("target").string(e.target);
+    w.key("at_wave").integer(e.at_wave);
+    w.key("at_round").integer(e.at_round);
+    w.key("at_seconds").number(to_seconds(e.at), 6);
+    w.key("duration_seconds").number(to_seconds(e.duration), 6);
+    w.key("msg_type").integer(e.msg_type);
+    w.key("probability").number(e.probability, 6);
+    w.key("max_firings").integer(e.max_firings);
+    w.end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return std::move(w).str();
 }
 
 Result<ChaosPlan> ChaosPlan::from_json(std::string_view text) {

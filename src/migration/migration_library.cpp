@@ -139,10 +139,6 @@ void MigrationLibrary::trace_attempt_done(uint64_t nonce,
   rec.instant("migration.source_done", lane(), nonce,
               {{"enclave", host_.image().name()}});
   obs->metrics.add("migration.accepted");
-  obs->metrics.observe("migration.freeze_window_ms",
-                       to_seconds(last_freeze_window_) * 1e3);
-  obs->metrics.observe("migration.transfer_bytes",
-                       static_cast<double>(payload_bytes));
 }
 
 void MigrationLibrary::close_span(uint64_t span, const char* outcome) {
@@ -1182,8 +1178,6 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
       obs->trace.span_arg(round_span, "bytes", report.bytes_shipped);
     }
     obs->metrics.add("migration.precopy_rounds");
-    obs->metrics.observe("migration.precopy_round_bytes",
-                         static_cast<double>(report.bytes_shipped));
   }
   close_span(round_span, "ok");
   return report;

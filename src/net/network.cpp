@@ -40,9 +40,6 @@ void Network::track_pending(Duration at, const std::string& lane, int delta) {
   if (obs::TraceRecorder* rec = recorder()) {
     rec->counter_at(at, "net.pending", lane, static_cast<double>(depth));
   }
-  if (obs::MetricsRegistry* m = metrics()) {
-    m->set_gauge("net.pending." + lane, static_cast<double>(depth));
-  }
 }
 
 Result<Bytes> Network::rpc(const std::string& to, ByteView request) {
@@ -143,10 +140,7 @@ uint64_t Network::post(const std::string& to, ByteView request,
                   {"to", to},
                   {"bytes", std::to_string(request.size())}});
   }
-  if (obs::MetricsRegistry* m = metrics()) {
-    m->add("net.posts");
-    m->observe("net.post_bytes", static_cast<double>(request.size()));
-  }
+  if (obs::MetricsRegistry* m = metrics()) m->add("net.posts");
   track_pending(clock_.now(), lane_of(to), +1);
   events_.emplace(std::make_pair(deliver_at, seq), std::move(event));
   return seq;

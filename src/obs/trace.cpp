@@ -145,24 +145,14 @@ namespace {
 
 /// Chrome trace-event timestamps are microseconds; keep ns resolution
 /// with three decimals so trace-derived windows match reported ones.
-void append_ts(std::string& out, Duration d) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(d.count()) / 1000.0);
-  out += buf;
+double to_trace_us(Duration d) {
+  return static_cast<double>(d.count()) / 1000.0;
 }
 
-void append_args(std::string& out, const TraceArgs& args) {
-  out += "\"args\": {";
-  bool first = true;
-  for (const auto& [key, value] : args) {
-    if (!first) out += ", ";
-    first = false;
-    append_json_string(out, key);
-    out += ": ";
-    append_json_string(out, value);
-  }
-  out += "}";
+void write_args(JsonWriter& w, const TraceArgs& args) {
+  w.key("args").begin_object();
+  for (const auto& [key, value] : args) w.key(key).string(value);
+  w.end_object();
 }
 
 }  // namespace
@@ -191,87 +181,78 @@ std::string TraceRecorder::to_chrome_json() const {
     horizon = std::max(horizon, event.at);
   }
 
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  const auto sep = [&out, &first] {
-    if (!first) out += ", ";
-    first = false;
-  };
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
 
+  const auto metadata = [&w](const char* name, int pid, int tid,
+                             const std::string& label) {
+    w.begin_object();
+    w.key("ph").string("M").key("name").string(name);
+    w.key("pid").integer(pid).key("tid").integer(tid);
+    w.key("args").begin_object().key("name").string(label).end_object();
+    w.end_object();
+  };
   for (const auto& [lane, pid] : pids) {
-    sep();
-    out += "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " +
-           std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": ";
-    append_json_string(out, lane.empty() ? "control" : lane);
-    out += "}}";
-    sep();
-    out += "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " +
-           std::to_string(pid) + ", \"tid\": 1, \"args\": {\"name\": ";
-    append_json_string(out, lane.empty() ? "control" : lane + " lane");
-    out += "}}";
+    metadata("process_name", pid, 0, lane.empty() ? "control" : lane);
+    metadata("thread_name", pid, 1, lane.empty() ? "control" : lane + " lane");
   }
 
-  char idbuf[32];
+  char id[32];
   for (const TraceSpan& span : spans_) {
     // Async nestable pair: migrations overlapping on one lane must not
     // share a synchronous slice stack, so each trace id gets its own
     // async track group under the machine's process.
     const uint64_t group = span.trace_id != 0 ? span.trace_id : span.span_id;
-    std::snprintf(idbuf, sizeof(idbuf), "\"0x%llx\"",
+    std::snprintf(id, sizeof(id), "0x%llx",
                   static_cast<unsigned long long>(group));
-    const std::string common = std::string("\"cat\": \"span\", \"id\": ") +
-                               idbuf + ", \"pid\": " +
-                               std::to_string(pid_of(span.lane)) +
-                               ", \"tid\": 1, \"name\": " +
-                               json_string(span.name);
-    sep();
-    out += "{\"ph\": \"b\", " + common + ", \"ts\": ";
-    append_ts(out, span.start);
-    out += ", ";
+    const auto common = [&](const char* ph) {
+      w.key("ph").string(ph).key("cat").string("span").key("id").string(id);
+      w.key("pid").integer(pid_of(span.lane)).key("tid").integer(1);
+      w.key("name").string(span.name);
+    };
+    w.begin_object();
+    common("b");
+    w.key("ts").number(to_trace_us(span.start), 3);
     TraceArgs args = span.args;
     args.emplace_back("span", std::to_string(span.span_id));
     args.emplace_back("parent", std::to_string(span.parent_id));
     args.emplace_back("trace", std::to_string(span.trace_id));
     args.emplace_back("lane", span.lane);
     if (span.open) args.emplace_back("open", "1");
-    append_args(out, args);
-    out += "}";
-    sep();
-    out += "{\"ph\": \"e\", " + common + ", \"ts\": ";
-    append_ts(out, span.open ? std::max(horizon, span.start) : span.end);
-    out += ", \"args\": {\"span\": ";
-    append_json_string(out, std::to_string(span.span_id));
-    out += "}}";
+    write_args(w, args);
+    w.end_object();
+    w.begin_object();
+    common("e");
+    w.key("ts").number(
+        to_trace_us(span.open ? std::max(horizon, span.start) : span.end), 3);
+    write_args(w, {{"span", std::to_string(span.span_id)}});
+    w.end_object();
   }
 
   for (const TraceInstant& event : instants_) {
-    sep();
-    out += "{\"ph\": \"i\", \"s\": \"t\", \"pid\": " +
-           std::to_string(pid_of(event.lane)) + ", \"tid\": 1, \"name\": " +
-           json_string(event.name) + ", \"ts\": ";
-    append_ts(out, event.at);
-    out += ", ";
+    w.begin_object();
+    w.key("ph").string("i").key("s").string("t");
+    w.key("pid").integer(pid_of(event.lane)).key("tid").integer(1);
+    w.key("name").string(event.name);
+    w.key("ts").number(to_trace_us(event.at), 3);
     TraceArgs args = event.args;
     args.emplace_back("trace", std::to_string(event.trace_id));
-    append_args(out, args);
-    out += "}";
+    write_args(w, args);
+    w.end_object();
   }
 
   for (const TraceCounterSample& sample : counter_samples_) {
-    char value[32];
-    std::snprintf(value, sizeof(value), "%.3f", sample.value);
-    sep();
-    out += "{\"ph\": \"C\", \"pid\": " + std::to_string(pid_of(sample.lane)) +
-           ", \"tid\": 1, \"name\": " + json_string(sample.name) +
-           ", \"ts\": ";
-    append_ts(out, sample.at);
-    out += ", \"args\": {\"value\": ";
-    out += value;
-    out += "}}";
+    w.begin_object();
+    w.key("ph").string("C");
+    w.key("pid").integer(pid_of(sample.lane)).key("tid").integer(1);
+    w.key("name").string(sample.name);
+    w.key("ts").number(to_trace_us(sample.at), 3);
+    w.key("args").begin_object().key("value").number(sample.value, 3);
+    w.end_object().end_object();
   }
 
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return std::move(w).str();
 }
 
 }  // namespace sgxmig::obs

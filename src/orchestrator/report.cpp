@@ -1,8 +1,5 @@
 #include "orchestrator/report.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "support/json.h"
 #include "support/stats.h"
 
@@ -103,146 +100,81 @@ double OrchestratorReport::enqueue_wait_percentile_seconds(double p) const {
   return percentile_nearest_rank(std::move(samples), p);
 }
 
-namespace {
-
-void append_number(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += buf;
-}
-
-void append_number(std::string& out, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
-
 std::string OrchestratorReport::to_json(bool include_events) const {
-  std::string out = "{\"plan\": ";
-  append_json_string(out, plan_kind_name(plan));
-  out += ", \"wall_seconds\": ";
-  append_number(out, to_seconds(wall()));
-  out += ", \"succeeded\": ";
-  append_number(out, static_cast<uint64_t>(succeeded()));
-  out += ", \"failed\": ";
-  append_number(out, static_cast<uint64_t>(failed()));
-  out += ", \"total_retries\": ";
-  append_number(out, static_cast<uint64_t>(total_retries()));
-  out += ", \"peak_inflight_total\": ";
-  append_number(out, static_cast<uint64_t>(peak_inflight_total));
-  out += ", \"mean_latency_seconds\": ";
-  append_number(out, mean_latency_seconds());
-  out += ", \"max_latency_seconds\": ";
-  append_number(out, max_latency_seconds());
-  out += ", \"mean_freeze_window_seconds\": ";
-  append_number(out, mean_freeze_window_seconds());
-  out += ", \"max_freeze_window_seconds\": ";
-  append_number(out, max_freeze_window_seconds());
-  out += ", \"p50_freeze_window_seconds\": ";
-  append_number(out, freeze_window_percentile_seconds(50.0));
-  out += ", \"p99_freeze_window_seconds\": ";
-  append_number(out, freeze_window_percentile_seconds(99.0));
-  out += ", \"p50_enqueue_wait_seconds\": ";
-  append_number(out, enqueue_wait_percentile_seconds(50.0));
-  out += ", \"p99_enqueue_wait_seconds\": ";
-  append_number(out, enqueue_wait_percentile_seconds(99.0));
+  JsonWriter w;
+  w.begin_object();
+  w.key("plan").string(plan_kind_name(plan));
+  w.key("wall_seconds").number(to_seconds(wall()), 6);
+  w.key("succeeded").integer(succeeded());
+  w.key("failed").integer(failed());
+  w.key("total_retries").integer(total_retries());
+  w.key("peak_inflight_total").integer(peak_inflight_total);
+  w.key("mean_latency_seconds").number(mean_latency_seconds(), 6);
+  w.key("max_latency_seconds").number(max_latency_seconds(), 6);
+  w.key("mean_freeze_window_seconds").number(mean_freeze_window_seconds(), 6);
+  w.key("max_freeze_window_seconds").number(max_freeze_window_seconds(), 6);
+  w.key("p50_freeze_window_seconds")
+      .number(freeze_window_percentile_seconds(50.0), 6);
+  w.key("p99_freeze_window_seconds")
+      .number(freeze_window_percentile_seconds(99.0), 6);
+  w.key("p50_enqueue_wait_seconds")
+      .number(enqueue_wait_percentile_seconds(50.0), 6);
+  w.key("p99_enqueue_wait_seconds")
+      .number(enqueue_wait_percentile_seconds(99.0), 6);
 
-  out += ", \"peak_inflight_per_machine\": {";
-  bool first = true;
+  w.key("peak_inflight_per_machine").begin_object();
   for (const auto& [machine, peak] : peak_inflight_per_machine) {
-    if (!first) out += ", ";
-    first = false;
-    append_json_string(out, machine);
-    out += ": ";
-    append_number(out, static_cast<uint64_t>(peak));
+    w.key(machine).integer(peak);
   }
-  out += "}";
+  w.end_object();
 
-  out += ", \"migrations\": [";
-  first = true;
+  w.key("migrations").begin_array();
   for (const auto& m : migrations) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"enclave_id\": ";
-    append_number(out, m.enclave_id);
-    out += ", \"name\": ";
-    append_json_string(out, m.name);
-    out += ", \"source\": ";
-    append_json_string(out, m.source);
-    out += ", \"destination\": ";
-    append_json_string(out, m.destination);
-    out += ", \"attempts\": ";
-    append_number(out, static_cast<uint64_t>(m.attempts));
-    out += ", \"success\": ";
-    out += m.success ? "true" : "false";
-    out += ", \"latency_seconds\": ";
-    append_number(out, to_seconds(m.latency()));
-    out += ", \"freeze_window_seconds\": ";
-    append_number(out, to_seconds(m.freeze_window));
-    out += ", \"enqueue_wait_seconds\": ";
-    append_number(out, to_seconds(m.enqueue_wait));
-    out += ", \"precopy_rounds\": ";
-    append_number(out, static_cast<uint64_t>(m.precopy_rounds));
-    out += ", \"transfer_bytes\": ";
-    append_number(out, m.transfer_bytes);
+    w.begin_object();
+    w.key("enclave_id").integer(m.enclave_id);
+    w.key("name").string(m.name);
+    w.key("source").string(m.source);
+    w.key("destination").string(m.destination);
+    w.key("attempts").integer(m.attempts);
+    w.key("success").boolean(m.success);
+    w.key("latency_seconds").number(to_seconds(m.latency()), 6);
+    w.key("freeze_window_seconds").number(to_seconds(m.freeze_window), 6);
+    w.key("enqueue_wait_seconds").number(to_seconds(m.enqueue_wait), 6);
+    w.key("precopy_rounds").integer(m.precopy_rounds);
+    w.key("transfer_bytes").integer(m.transfer_bytes);
     if (!m.success) {
-      out += ", \"status\": ";
-      append_json_string(out, std::string(status_name(m.final_status)));
-      out += ", \"failure_class\": ";
-      append_json_string(
-          out, migration::migration_failure_class_name(m.failure_class));
-      out += ", \"message\": ";
-      append_json_string(out, m.failure_message);
+      w.key("status").string(status_name(m.final_status));
+      w.key("failure_class")
+          .string(migration::migration_failure_class_name(m.failure_class));
+      w.key("message").string(m.failure_message);
     }
-    out += "}";
+    w.end_object();
   }
-  out += "]";
+  w.end_array();
 
   if (include_events) {
-    out += ", \"events\": [";
-    first = true;
+    w.key("events").begin_array();
     for (const auto& e : events) {
-      if (!first) out += ", ";
-      first = false;
-      out += "{\"t\": ";
-      append_number(out, to_seconds(e.at));
-      out += ", \"enclave_id\": ";
-      append_number(out, e.enclave_id);
-      out += ", \"kind\": ";
-      append_json_string(out, event_kind_name(e.kind));
-      out += ", \"detail\": ";
-      append_json_string(out, e.detail);
-      out += "}";
+      w.begin_object();
+      w.key("t").number(to_seconds(e.at), 6);
+      w.key("enclave_id").integer(e.enclave_id);
+      w.key("kind").string(event_kind_name(e.kind));
+      w.key("detail").string(e.detail);
+      w.end_object();
     }
-    out += "]";
+    w.end_array();
   }
-  if (events_dropped > 0) {
-    out += ", \"events_dropped\": ";
-    append_number(out, events_dropped);
-  }
+  if (events_dropped > 0) w.key("events_dropped").integer(events_dropped);
 
   if (!chaos_stats.empty()) {
-    out += ", \"chaos\": {";
-    first = true;
-    for (const auto& [key, value] : chaos_stats) {
-      if (!first) out += ", ";
-      first = false;
-      append_json_string(out, key);
-      out += ": ";
-      append_number(out, value);
-    }
-    out += "}";
+    w.key("chaos").begin_object();
+    for (const auto& [key, value] : chaos_stats) w.key(key).integer(value);
+    w.end_object();
   }
 
-  if (!metrics_json.empty()) {
-    out += ", \"metrics\": ";
-    out += metrics_json;
-  }
-  out += "}";
-  return out;
+  if (!metrics_json.empty()) w.key("metrics").raw(metrics_json);
+  w.end_object();
+  return std::move(w).str();
 }
 
 }  // namespace sgxmig::orchestrator

@@ -84,8 +84,8 @@ struct OrchestratorReport {
   uint32_t peak_inflight_total = 0;
   std::map<std::string, uint32_t> peak_inflight_per_machine;
   /// Pre-rendered JSON object from obs::MetricsRegistry::to_json(); when
-  /// non-empty, to_json() merges it under the "metrics" key so BENCH_*
-  /// files carry the run's counters/gauges/histograms.
+  /// non-empty, to_json() merges it under the "metrics" key so the
+  /// TRACE_REPORT_*.json files carry the run's counters.
   std::string metrics_json;
   /// Chaos accounting (filled by chaos::ChaosExecutor::report_stats plus
   /// the harness's oracle verdicts — e.g. "seed", "injected.total",
