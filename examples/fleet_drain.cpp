@@ -53,8 +53,8 @@ int main() {
       enclave->ecall_increment_migratable_counter(counter);
     }
   }
-  std::printf("fleet: %zu enclaves on m0 (machine load %u)\n", fleet.size(),
-              world.machine("m0")->enclave_load());
+  std::printf("fleet: %zu enclaves on m0 (machine load %zu)\n", fleet.size(),
+              fleet.count_on("m0"));
 
   // --- m1's ME goes dark: migrations routed there must re-select ---
   world.network().set_endpoint_down("m1/me", true);
@@ -102,7 +102,7 @@ int main() {
                 record->machine.c_str(), value.value_or(0), expected,
                 ok ? "ok" : "WRONG");
   }
-  std::printf("\nm0 load after drain: %u; drained fleet intact: %s\n",
-              world.machine("m0")->enclave_load(), all_ok ? "yes" : "NO");
+  std::printf("\nm0 load after drain: %zu; drained fleet intact: %s\n",
+              fleet.count_on("m0"), all_ok ? "yes" : "NO");
   return all_ok ? 0 : 1;
 }

@@ -270,7 +270,6 @@ class MigrationLibrary {
   void chaos_disable_epoch_guard() { chaos_epoch_guard_disabled_ = true; }
 
   // ----- state inspection -----
-  bool initialized() const { return initialized_; }
   bool frozen() const { return runtime_frozen_; }
   /// True when this library can run the iterative pre-copy protocol (the
   /// epoch guard exists — capability requested at construction AND the

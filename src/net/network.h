@@ -94,8 +94,6 @@ class Network {
   /// pumping); returns how many were processed.
   size_t pump_all();
 
-  size_t pending_events() const { return events_.size(); }
-
   /// Disowns every continuation registered by `from_endpoint`: requests
   /// already on the wire are still delivered (the bytes left the machine),
   /// but their replies are dropped.  Posters with shorter lifetimes than

@@ -22,12 +22,6 @@ constexpr size_t kChangelogCompactLimit = 4096;
 
 }  // namespace
 
-FleetRegistry::~FleetRegistry() {
-  for (auto& [id, record] : records_) {
-    if (auto* m = world_.machine(record.machine)) m->note_enclave_detached();
-  }
-}
-
 Result<uint64_t> FleetRegistry::launch(
     const std::string& machine_address, const std::string& name,
     std::shared_ptr<const sgx::EnclaveImage> image,
@@ -53,7 +47,6 @@ Result<uint64_t> FleetRegistry::launch(
   record.machine = machine_address;
   record.options = options;
   record.enclave = std::move(enclave);
-  machine->note_enclave_attached();
   const uint64_t id = record.id;
   auto [it, inserted] = records_.emplace(id, std::move(record));
   (void)inserted;
@@ -107,10 +100,6 @@ Status FleetRegistry::complete_move(uint64_t id,
   if (init != Status::kOk && !salvaged) return init;
   destination->storage().put(storage_key(record.name), next->sealed_state());
 
-  if (auto* source = world_.machine(record.machine)) {
-    source->note_enclave_detached();
-  }
-  destination->note_enclave_attached();
   index_erase(record);  // still indexed under the source machine
   record.enclave = std::move(next);  // destroys the frozen source instance
   record.machine = destination_address;
@@ -123,7 +112,6 @@ Status FleetRegistry::complete_move(uint64_t id,
 Status FleetRegistry::retire(uint64_t id) {
   auto it = records_.find(id);
   if (it == records_.end()) return Status::kInvalidParameter;
-  if (auto* m = world_.machine(it->second.machine)) m->note_enclave_detached();
   index_erase(it->second);
   records_.erase(it);
   return Status::kOk;

