@@ -26,15 +26,16 @@ Prints each violation and exits non-zero if any invariant failed.
 --chaos mode verifies a chaos-storm trace (bench_chaos_storm artifacts)
 instead.  Storms retry migrations through injected faults, and retried
 attempts reuse cached pre-copy sessions across migration traces, so the
-strict parent-trace and complete-tree invariants do not apply; what must
-hold is:
+strict parent-trace and complete-tree invariants do not apply; the
+structure, one-freeze and delivery checks still run, plus:
 
-  6. recovery — every chaos.fault instant is followed by recovery
-     evidence (a later net.deliver / net.reply / chaos.heal instant, or
-     a later span start): injected faults heal, they never silently
-     stall the drain.
-  7. accounting — the trace's chaos.fault count equals the report's
+  6. accounting — the trace's chaos.fault count equals the report's
      chaos["injected.total"], and chaos["forks"] is zero.
+
+Fault recovery (every injected fault is followed by recovery activity,
+no silent stall) has one oracle, chaos::check_fault_recovery, which
+bench_chaos_storm runs on every storm and whose findings fail its
+traced rerun; this script does not repeat it.
 
 Chaos-mode failures print the storm seed from the report so the run
 replays exactly (bench_chaos_storm <seed>).
@@ -215,8 +216,8 @@ def check_span_trees(spans, events, report, errors):
                 f"{sorted(missing)} spans")
 
 
-def check_chaos(spans, events, report, errors):
-    """Chaos-storm invariants 6 and 7 (mirrors chaos::check_fault_recovery)."""
+def check_chaos(events, report, errors):
+    """Chaos-storm invariant 6: fault accounting and zero forks."""
     chaos = report.get("chaos")
     if not isinstance(chaos, dict):
         errors.append("report has no chaos block (not a chaos-storm report?)")
@@ -231,25 +232,6 @@ def check_chaos(spans, events, report, errors):
     forks = int(chaos.get("forks", -1))
     if forks != 0:
         errors.append(f"report counted {forks} forked enclaves (want 0)")
-    # Recovery evidence horizons: the last traffic/heal instant and the
-    # last span start.  A fault with neither after it is a silent stall.
-    recovery = [float(e["ts"]) for e in events
-                if e.get("ph") == "i"
-                and e["name"] in ("net.deliver", "net.reply", "chaos.heal")]
-    last_instant = max(recovery) if recovery else None
-    starts = [s["start"] for s in spans.values()]
-    last_span_start = max(starts) if starts else None
-    for fault in faults:
-        ts = float(fault["ts"])
-        if last_instant is not None and last_instant > ts + TS_EPS:
-            continue
-        if last_span_start is not None and last_span_start > ts + TS_EPS:
-            continue
-        args = fault.get("args", {})
-        errors.append(
-            f"silent stall: no traced activity after "
-            f"{args.get('kind', '?')} fault ({args.get('detail', '?')}) "
-            f"at ts={ts:.3f}")
 
 
 def main(argv):
@@ -276,7 +258,7 @@ def main(argv):
     check_one_live_freeze(by_enclave, errors)
     check_delivery(events, errors)
     if chaos_mode:
-        check_chaos(spans, events, report, errors)
+        check_chaos(events, report, errors)
     else:
         check_freeze_windows(by_enclave, report, errors)
         check_span_trees(spans, events, report, errors)
@@ -293,8 +275,8 @@ def main(argv):
         chaos = report.get("chaos", {})
         faults = sum(1 for e in events
                      if e.get("ph") == "i" and e["name"] == "chaos.fault")
-        print(f"trace_check: OK (chaos: {faults} injected faults all "
-              f"recovered, forks=0, seed {chaos.get('seed', '?')}, "
+        print(f"trace_check: OK (chaos: {faults} injected faults "
+              f"accounted, forks=0, seed {chaos.get('seed', '?')}, "
               f"{len(spans)} spans)")
         return 0
     migrations = sum(1 for m in report.get("migrations", [])

@@ -9,9 +9,10 @@
 //   kReplyLoss             -> net::Network response-tamper hook
 //
 // While armed, every fault that actually fires emits a "chaos.fault"
-// trace instant (and every scheduled heal a "chaos.heal") so
-// scripts/trace_check.py --chaos and the C++ recovery oracle can verify
-// each injected fault is followed by a traced recovery path.  All
+// trace instant (and every scheduled heal a "chaos.heal") so the
+// recovery oracle (chaos::check_fault_recovery) can verify each injected
+// fault is followed by a traced recovery path, and
+// scripts/trace_check.py --chaos can match the fault count.  All
 // probability draws come from a PRIVATE Rng derived from the plan seed
 // and happen whether or not tracing is enabled, so traced and untraced
 // storms of the same seed are bit-identical in virtual time.

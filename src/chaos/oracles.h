@@ -14,10 +14,10 @@
 //     records (assembled and staged), transfer tasks, and done-relay
 //     retries.
 //
-// check_fault_recovery is the C++ twin of scripts/trace_check.py
-// --chaos: every "chaos.fault" trace instant must be followed by traced
-// recovery evidence (a later delivery/reply, a heal, or later protocol
-// spans) rather than a silent stall.
+// check_fault_recovery is the one fault-recovery oracle (bench_chaos_storm
+// and perfbench run it): every "chaos.fault" trace instant must be
+// followed by traced recovery evidence (a later delivery/reply, a heal,
+// or later protocol spans) rather than a silent stall.
 #pragma once
 
 #include <cstddef>
