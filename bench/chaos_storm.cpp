@@ -168,7 +168,8 @@ void fail_storm(uint64_t seed, const std::string& profile,
               static_cast<unsigned long long>(seed), profile.c_str(),
               static_cast<unsigned long long>(r.forks), r.report.failed(),
               static_cast<unsigned long long>(seed));
-  bench::write_text_file("CHAOS_FAILING_SEED.txt", std::to_string(seed) + "\n");
+  bench::write_text_file("CHAOS_FAILING_SEED.txt",
+                         std::to_string(seed) + "\n");
   std::exit(1);
 }
 
@@ -264,7 +265,7 @@ void run(uint64_t only_seed) {
                 static_cast<long long>(traced.wall.count()),
                 static_cast<long long>(untraced.wall.count()));
     bench::write_text_file("CHAOS_FAILING_SEED.txt",
-                    std::to_string(trace_seed) + "\n");
+                           std::to_string(trace_seed) + "\n");
     std::exit(1);
   }
   if (traced.report.failed() != 0 || traced.forks != 0 ||
@@ -274,7 +275,7 @@ void run(uint64_t only_seed) {
   if (trace_json.empty() ||
       !bench::write_text_file("TRACE_chaos.json", trace_json) ||
       !bench::write_text_file("TRACE_REPORT_chaos.json",
-                       traced.report.to_json(/*include_events=*/true))) {
+                              traced.report.to_json(/*include_events=*/true))) {
     std::printf("FAILED to write TRACE_chaos.json artifacts\n");
     std::exit(1);
   }

@@ -327,7 +327,7 @@ void run() {
   if (trace_json.empty() ||
       !bench::write_text_file("TRACE_fleet_scale.json", trace_json) ||
       !bench::write_text_file("TRACE_REPORT_fleet_scale.json",
-                       traced.report.to_json(/*include_events=*/true))) {
+                              traced.report.to_json(/*include_events=*/true))) {
     std::printf("FAILED to write TRACE_fleet_scale.json artifacts\n");
     std::exit(1);
   }

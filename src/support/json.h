@@ -4,7 +4,6 @@
 // and number formats are stated once and cannot drift apart.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "support/bytes.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/serde.h"
 #include "support/sim_clock.h"
@@ -151,6 +152,23 @@ TEST(Serde, FixedArrays) {
   BinaryReader r(w.data());
   EXPECT_EQ(r.fixed<4>(), a);
   EXPECT_TRUE(r.done());
+}
+
+TEST(JsonWriter, WritesTheOneLayout) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("empty_object").begin_object().end_object();
+  w.key("empty_array").begin_array().end_array();
+  w.key("list").begin_array();
+  w.integer(-3).integer(uint64_t{18446744073709551615ull}).boolean(false);
+  w.begin_object().key("k").raw("[1]").end_object();
+  w.end_array();
+  w.key("tab\t").string("q\"").key("x").number(2.0 / 3.0, 3);
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            R"json({"empty_object": {}, "empty_array": [], )json"
+            R"json("list": [-3, 18446744073709551615, false, {"k": [1]}], )json"
+            R"json("tab\t": "q\"", "x": 0.667})json");
 }
 
 TEST(SimClock, AdvanceAccumulates) {
