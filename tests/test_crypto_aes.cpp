@@ -411,6 +411,97 @@ TEST(GcmKernelSelection, HardwareKernelIsSelectedWhenTheCpuHasIt) {
   EXPECT_EQ(back.value(), pt);
 }
 
+// ---- the AES block cipher, run through each kernel ----
+//
+// FIPS-197 appendix C and the SP 800-38A ECB vectors at every key size,
+// and random keys and blocks against the portable kernel.
+
+class AesKernelTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kAesNi && !gcm_kernels::cpu_has_aesni()) {
+      GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ/SSSE3";
+    }
+  }
+
+  std::string encrypt_hex(ByteView key, ByteView block) const {
+    const Aes aes(key);
+    uint8_t out[16];
+#if defined(__x86_64__)
+    if (GetParam() == Kernel::kAesNi) {
+      gcm_kernels::aesni_encrypt_block(aes.round_keys(), block.data(), out);
+      return hex_encode(ByteView(out, 16));
+    }
+#endif
+    aes.encrypt_block(block.data(), out);
+    return hex_encode(ByteView(out, 16));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, AesKernelTest,
+                         ::testing::Values(Kernel::kPortable, Kernel::kAesNi),
+                         [](const ::testing::TestParamInfo<Kernel>& param) {
+                           return param.param == Kernel::kAesNi
+                                      ? std::string("AesNi")
+                                      : std::string("Portable");
+                         });
+
+TEST_P(AesKernelTest, Fips197AppendixC) {
+  const Bytes pt = hx("00112233445566778899aabbccddeeff");
+  EXPECT_EQ(encrypt_hex(hx("000102030405060708090a0b0c0d0e0f"), pt),
+            "69c4e0d86a7b0430d8cdb78070b4c55a");
+  EXPECT_EQ(
+      encrypt_hex(hx("000102030405060708090a0b0c0d0e0f1011121314151617"), pt),
+      "dda97ca4864cdfe06eaf70a0ec0d7191");
+  EXPECT_EQ(encrypt_hex(hx("000102030405060708090a0b0c0d0e0f"
+                           "101112131415161718191a1b1c1d1e1f"),
+                        pt),
+            "8ea2b7ca516745bfeafc49904b496089");
+}
+
+TEST_P(AesKernelTest, Sp800_38aEcbVectors) {
+  const char* const plaintexts[4] = {
+      "6bc1bee22e409f96e93d7e117393172a", "ae2d8a571e03ac9c9eb76fac45af8e51",
+      "30c81c46a35ce411e5fbc1191a0a52ef", "f69f2445df4f9b17ad2b417be66c3710"};
+  struct Vector {
+    const char* key;
+    const char* ciphertexts[4];
+  };
+  const Vector vectors[] = {
+      {"2b7e151628aed2a6abf7158809cf4f3c",  // F.1.1 ECB-AES128
+       {"3ad77bb40d7a3660a89ecaf32466ef97", "f5d3d58503b9699de785895a96fdbaaf",
+        "43b1cd7f598ece23881b00e3ed030688", "7b0c785e27e8ad3f8223207104725dd4"}},
+      {"8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",  // F.1.3 ECB-AES192
+       {"bd334f1d6e45f25ff712a214571fa5cc", "974104846d0ad3ad7734ecb3ecee4eef",
+        "ef7afd2270e2e60adce0ba2face6444e", "9a4b41ba738d6c72fb16691603c18e0e"}},
+      {"603deb1015ca71be2b73aef0857d7781"  // F.1.5 ECB-AES256
+       "1f352c073b6108d72d9810a30914dff4",
+       {"f3eed1bdb5d2a03c064b5a7e3db181f8", "591ccb10d410ed26dc5ba74a31362870",
+        "b6ed21b99ca6f4f9f153e7b1beafed1d", "23304b7a39f9f3ff067d8d8f9e24ecc7"}},
+  };
+  for (const Vector& v : vectors) {
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(encrypt_hex(hx(v.key), hx(plaintexts[i])), v.ciphertexts[i])
+          << "key " << v.key << " block " << i;
+    }
+  }
+}
+
+TEST_P(AesKernelTest, RandomKeysAndBlocksMatchThePortableKernel) {
+  Rng rng(0xae51);
+  for (const size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const Bytes key = rng.bytes(key_size);
+      const Bytes in = rng.bytes(16);
+      const Aes portable(key);
+      uint8_t want[16];
+      portable.encrypt_block(in.data(), want);
+      ASSERT_EQ(encrypt_hex(key, in), hex_encode(ByteView(want, 16)))
+          << "key " << key_size << " trial " << trial;
+    }
+  }
+}
+
 TEST(AesDifferential, EncryptThenDecryptRoundTripsRandomBlocks) {
   // decrypt_block is the byte-wise inverse cipher, independent of the
   // T-table encrypt path, so a round trip cross-checks every round.
@@ -487,6 +578,26 @@ TEST(Drbg, ReseedChangesStream) {
   CtrDrbg b(Bytes(32, 0x01));
   b.reseed(to_bytes(std::string_view("extra entropy")));
   EXPECT_NE(a.bytes(32), b.bytes(32));
+}
+
+// The exact stream one fixed seed draws: a partial block, whole blocks, an
+// empty draw (which still rekeys), a multi-block tail, and draws after a
+// reseed.  Every simulated nonce, key and IV comes from this generator.
+TEST(Drbg, KnownAnswerStream) {
+  Bytes seed(48);
+  for (size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = static_cast<uint8_t>(7 * i + 1);
+  }
+  CtrDrbg drbg(seed);
+  EXPECT_EQ(hex_encode(drbg.bytes(12)), "7de5f5881587ebea2ccf671b");
+  EXPECT_EQ(hex_encode(drbg.bytes(32)),
+            "4bc73417154351320b526313feb65a4c7dbff6989b0b74d211bca41f117abac0");
+  EXPECT_TRUE(drbg.bytes(0).empty());
+  EXPECT_EQ(hex_encode(drbg.bytes(33)),
+            "87f33a7b7f660dbb5bd0174b70e8842f21acfbd7f256b791a0136061dfca9e11cc");
+  drbg.reseed(to_bytes(std::string_view("reseed entropy")));
+  EXPECT_EQ(hex_encode(drbg.bytes(12)), "5fd146a77519c81ce52fcc3b");
+  EXPECT_EQ(hex_encode(drbg.bytes(16)), "55259745b5f6a2ffcdf6adf0b4fee5d4");
 }
 
 TEST(Drbg, RejectsShortSeed) {

@@ -578,6 +578,25 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
   EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
 }
 
+// The pinned queues' plaintexts hold every field kind the snapshot has
+// (maps split into sections, ordered maps, optionals, sized records):
+// encode_record writes each one as a plain write_record does.
+TEST_F(MeDurableQueueTest, QueueSnapshotEncodesLikeWriteRecord) {
+  const auto apps = pinned_queue_apps(m0_);
+  for (const char* address : {"m0", "m1"}) {
+    SCOPED_TRACE(address);
+    QueueSealer sealer(machine(address));
+    const Bytes plaintext = sealer.open(me(address)->sealed_queue_state());
+    auto decoded = decode_record<migration::DurableQueue>(plaintext);
+    ASSERT_TRUE(decoded.ok());
+    BinaryWriter w;
+    write_record(w, decoded.value());
+    const Bytes encoded = encode_record(decoded.value());
+    EXPECT_EQ(encoded, w.data());
+    EXPECT_EQ(encoded, plaintext);
+  }
+}
+
 // The host owns the stored snapshot.  On the pinned queues' plaintexts:
 // each decodes and re-encodes to itself; every strict prefix and one
 // appended byte, correctly sealed, are refused and leave the ME's queue as

@@ -5,6 +5,7 @@
 #include "net/channel.h"
 #include "net/network.h"
 #include "net/proxy.h"
+#include "obs/observability.h"
 #include "platform/provider.h"
 #include "platform/storage.h"
 #include "support/cost_model.h"
@@ -160,6 +161,52 @@ TEST_F(NetTest, FlappedMessagesNeverReachTamperHooks) {
   EXPECT_TRUE(network_.rpc("svc", ByteView()).ok());
   EXPECT_EQ(tampered, 1);
   network_.clear_tamper_hook();
+}
+
+// The "net.pending" counter track samples, per lane, the messages en route
+// to it: requests count toward the destination's lane, replies toward the
+// poster's.  Tracing switched on while messages are already in flight
+// (or switched off and on again) must still sample the true depth.
+TEST_F(NetTest, PendingTrackIsExactWhenTracingStartsMidFlight) {
+  obs::Observability obs(clock_);
+  network_.set_observability(&obs);
+  const auto echo = [](ByteView req) -> Result<Bytes> {
+    return to_bytes(req);
+  };
+  network_.register_endpoint("b/svc", echo);
+  network_.register_endpoint("c/svc", echo);
+  const auto post = [this](const std::string& to) {
+    network_.post(to, Bytes(64, 1), "a/cli", [](Result<Bytes>) {});
+  };
+  post("b/svc");
+  post("b/svc");
+  post("c/svc");
+  network_.pump_one();
+  obs.set_enabled(true);
+  post("b/svc");
+  network_.pump_one();
+  network_.pump_one();
+  obs.set_enabled(false);
+  post("c/svc");
+  post("c/svc");
+  network_.pump_one();
+  obs.set_enabled(true);
+  post("b/svc");
+  network_.pump_all();
+
+  std::vector<std::string> samples;
+  for (const obs::TraceCounterSample& s : obs.trace.counter_samples()) {
+    EXPECT_EQ(s.name, "net.pending");
+    samples.push_back(s.lane + "=" +
+                      std::to_string(static_cast<int>(s.value)));
+  }
+  // Traced from the fourth post on, with one request to b, one to c and
+  // one reply to a already in flight; off again for two posts to c and a
+  // delivery.
+  const std::vector<std::string> expected = {
+      "b=2", "c=0", "a=2", "b=1", "a=3", "b=2", "b=1", "a=3", "a=2", "c=1",
+      "a=3", "a=2", "c=0", "a=3", "b=0", "a=4", "a=3", "a=2", "a=1", "a=0"};
+  EXPECT_EQ(samples, expected);
 }
 
 TEST_F(NetTest, ProxyPairForwards) {

@@ -172,6 +172,38 @@ TEST_F(PersistenceLibraryTest, VersionedSlotTornPayloadFallsBack) {
             to_bytes(std::string_view("old")));
 }
 
+// put_versioned overwrites the slot not holding the newest intact
+// generation, however the store came to hold it: a host write over a
+// slot, a removed slot and a restored snapshot between two versioned
+// writes each change which slot that is.
+TEST_F(PersistenceLibraryTest, VersionedSlotFollowsHostChangesBetweenPuts) {
+  auto& store = m0_.storage();
+  const auto put = [&store](std::string_view text) {
+    store.put_versioned("w", to_bytes(text));
+  };
+  const auto newest = [&store] {
+    return to_string(store.get_versioned("w").value());
+  };
+  put("g1");  // #1, seq 1
+  const auto only_g1 = store.snapshot();
+  put("g2");  // #0, seq 2
+  store.put("w#0", Bytes(5, 0));  // a torn write over the newest slot
+  put("g3");  // replaces the torn slot: #0, seq 2
+  EXPECT_EQ(store.versioned_sequence("w"), 2u);
+  EXPECT_EQ(newest(), "g3");
+  store.remove("w#0");
+  EXPECT_EQ(newest(), "g1");
+  put("g4");  // #0 again, seq 2; g1 survives in #1
+  EXPECT_EQ(store.versioned_sequence("w"), 2u);
+  put("g5");  // #1, seq 3
+  store.restore(only_g1);
+  put("g6");  // #0, seq 2
+  EXPECT_EQ(store.versioned_sequence("w"), 2u);
+  EXPECT_EQ(newest(), "g6");
+  store.remove("w#0");
+  EXPECT_EQ(newest(), "g1");
+}
+
 TEST_F(PersistenceLibraryTest, MigrationPreservesValues) {
   auto enclave = start_new(m0_);
   const uint32_t id =

@@ -1003,6 +1003,60 @@ TEST(ProtocolPins, EveryPinnedSampleReencodesToItsOwnBytes) {
   }
 }
 
+/// encode_record(record) holds exactly the bytes write_record appends to a
+/// BinaryWriter.
+template <class T>
+void expect_encodes_like_writer(const char* name, const T& record) {
+  BinaryWriter w;
+  write_record(w, record);
+  const Bytes encoded = encode_record(record);
+  EXPECT_EQ(encoded, w.data()) << name;
+}
+
+TEST(ProtocolPins, EncodeRecordMatchesWriteRecord) {
+  LibraryState state;
+  for (const size_t slot : {size_t{0}, size_t{3}, kMaxCounters - 1}) {
+    state.counters_active[slot] = true;
+    state.counter_uuids[slot].counter_id = static_cast<uint32_t>(slot + 7);
+    state.counter_uuids[slot].nonce = pattern<12>(static_cast<uint8_t>(slot));
+    state.counter_offsets[slot] = static_cast<uint32_t>(slot * 3);
+  }
+  state.msk = pattern<16>(21);
+  state.epoch_active = 1;
+  state.epoch_value = 9;
+  expect_encodes_like_writer("LibraryState", state);
+  // A list field (kRetire) and a length-prefixed one (kCreate).
+  expect_encodes_like_writer("PseRequest kRetire",
+                             sample_pse_request(sgx::PseOp::kRetire));
+  expect_encodes_like_writer("PseRequest kCreate",
+                             sample_pse_request(sgx::PseOp::kCreate));
+  const sgx::SimCpu cpu(pattern<32>(54));
+  crypto::CtrDrbg drbg(pattern_bytes(48, 56));
+  const auto sealed = sgx::seal_data(cpu, sample_report_body().identity, drbg,
+                                     sgx::KeyPolicy::kMrSigner,
+                                     pattern_bytes(9, 57),
+                                     pattern_bytes(5436, 58));
+  ASSERT_TRUE(sealed.ok());
+  const auto blob = decode_record<sgx::SealedBlob>(sealed.value());
+  ASSERT_TRUE(blob.ok());
+  expect_encodes_like_writer("SealedBlob", blob.value());
+  // Two sized fields, one holding a nested record with its own bytes.
+  RaMsg3Payload msg3;
+  msg3.msg3.initiator_quote = encode_record(sample_quote());
+  msg3.auth.credential = sample_credential();
+  msg3.auth.transcript_signature = pattern<64>(19);
+  expect_encodes_like_writer("RaMsg3Payload", msg3);
+  // A map, and an optional both present and absent.
+  apps::KvStoreState kv;
+  kv.version_counter = 1;
+  kv.entries = {{"alpha", pattern_bytes(3, 66)}, {"beta", Bytes{}}};
+  expect_encodes_like_writer("KvStoreState", kv);
+  expect_encodes_like_writer(
+      "MemoryImage", apps::MemoryImage{pattern_bytes(10, 72), pattern<16>(73)});
+  expect_encodes_like_writer("MemoryImage without key",
+                             apps::MemoryImage{pattern_bytes(10, 72), {}});
+}
+
 // ----- bounds table -----
 //
 // Every bound a reader enforces on host-supplied bytes: the record must
