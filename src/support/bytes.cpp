@@ -80,25 +80,4 @@ void xor_into(std::span<uint8_t> dst, ByteView src) {
   for (size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
 }
 
-uint32_t load_le32(const uint8_t* p) {
-  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
-         (uint32_t{p[3]} << 24);
-}
-
-uint64_t load_le64(const uint8_t* p) {
-  return uint64_t{load_le32(p)} | (uint64_t{load_le32(p + 4)} << 32);
-}
-
-void store_le32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
-void store_le64(uint8_t* p, uint64_t v) {
-  store_le32(p, static_cast<uint32_t>(v));
-  store_le32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
 }  // namespace sgxmig

@@ -83,9 +83,9 @@ void append(Bytes& dst, ByteView suffix);
 /// XORs `src` into `dst` (lengths must match; asserts in debug).
 void xor_into(std::span<uint8_t> dst, ByteView src);
 
-/// Loads/stores in big-endian and little-endian byte order.  The
-/// big-endian ones are inline: the AES, GHASH and SHA kernels call them
-/// once per word.
+/// Loads/stores in big-endian and little-endian byte order, inline: the
+/// AES, GHASH and SHA kernels, the serializer and the slot checksum call
+/// them once per word.
 inline uint32_t load_be32(const uint8_t* p) {
   return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
          (uint32_t{p[2]} << 8) | uint32_t{p[3]};
@@ -107,10 +107,26 @@ inline void store_be64(uint8_t* p, uint64_t v) {
   store_be32(p + 4, static_cast<uint32_t>(v));
 }
 
-uint32_t load_le32(const uint8_t* p);
-uint64_t load_le64(const uint8_t* p);
-void store_le32(uint8_t* p, uint32_t v);
-void store_le64(uint8_t* p, uint64_t v);
+inline uint32_t load_le32(const uint8_t* p) {
+  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
+         (uint32_t{p[3]} << 24);
+}
+
+inline uint64_t load_le64(const uint8_t* p) {
+  return uint64_t{load_le32(p)} | (uint64_t{load_le32(p + 4)} << 32);
+}
+
+inline void store_le32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+
+inline void store_le64(uint8_t* p, uint64_t v) {
+  store_le32(p, static_cast<uint32_t>(v));
+  store_le32(p + 4, static_cast<uint32_t>(v >> 32));
+}
 
 /// Fixed-size array helpers (measurements, keys, MACs are all fixed width).
 template <size_t N>

@@ -2,45 +2,6 @@
 
 namespace sgxmig {
 
-void BinaryWriter::u8(uint8_t v) { buffer_.push_back(v); }
-
-void BinaryWriter::u16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v));
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void BinaryWriter::u32(uint32_t v) {
-  uint8_t tmp[4];
-  store_le32(tmp, v);
-  buffer_.insert(buffer_.end(), tmp, tmp + 4);
-}
-
-void BinaryWriter::u64(uint64_t v) {
-  uint8_t tmp[8];
-  store_le64(tmp, v);
-  buffer_.insert(buffer_.end(), tmp, tmp + 8);
-}
-
-void BinaryWriter::patch_u32(size_t at, uint32_t v) {
-  store_le32(buffer_.data() + at, v);
-}
-
-void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
-
-void BinaryWriter::bytes(ByteView v) {
-  u32(static_cast<uint32_t>(v.size()));
-  raw(v);
-}
-
-void BinaryWriter::str(std::string_view v) {
-  u32(static_cast<uint32_t>(v.size()));
-  buffer_.insert(buffer_.end(), v.begin(), v.end());
-}
-
-void BinaryWriter::raw(ByteView v) {
-  buffer_.insert(buffer_.end(), v.begin(), v.end());
-}
-
 bool BinaryReader::take(size_t n) {
   if (failed_ || data_.size() - pos_ < n) {
     failed_ = true;

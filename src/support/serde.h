@@ -29,22 +29,39 @@ namespace sgxmig {
 
 class BinaryWriter {
  public:
-  void u8(uint8_t v);
-  void u16(uint16_t v);
-  void u32(uint32_t v);
-  void u64(uint64_t v);
-  void boolean(bool v);
+  void u8(uint8_t v) { buffer_.push_back(v); }
+  void u16(uint16_t v) {
+    u8(static_cast<uint8_t>(v));
+    u8(static_cast<uint8_t>(v >> 8));
+  }
+  void u32(uint32_t v) {
+    uint8_t tmp[4];
+    store_le32(tmp, v);
+    append(tmp, 4);
+  }
+  void u64(uint64_t v) {
+    uint8_t tmp[8];
+    store_le64(tmp, v);
+    append(tmp, 8);
+  }
+  void boolean(bool v) { u8(v ? 1 : 0); }
 
   /// Length-prefixed byte string (u32 length).
-  void bytes(ByteView v);
+  void bytes(ByteView v) {
+    u32(static_cast<uint32_t>(v.size()));
+    raw(v);
+  }
   /// Length-prefixed UTF-8 string.
-  void str(std::string_view v);
+  void str(std::string_view v) {
+    u32(static_cast<uint32_t>(v.size()));
+    append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
+  }
   /// Raw bytes with no length prefix (fixed-width fields).
-  void raw(ByteView v);
+  void raw(ByteView v) { append(v.data(), v.size()); }
 
   template <size_t N>
   void fixed(const std::array<uint8_t, N>& a) {
-    raw(ByteView(a.data(), a.size()));
+    append(a.data(), N);
   }
 
   const Bytes& data() const { return buffer_; }
@@ -52,10 +69,40 @@ class BinaryWriter {
   size_t size() const { return buffer_.size(); }
   void reserve(size_t n) { buffer_.reserve(n); }
   /// Overwrites the u32 written at offset `at` (a back-patched length).
-  void patch_u32(size_t at, uint32_t v);
+  void patch_u32(size_t at, uint32_t v) {
+    store_le32(buffer_.data() + at, v);
+  }
 
  private:
+  void append(const uint8_t* p, size_t n) {
+    buffer_.insert(buffer_.end(), p, p + n);
+  }
+
   Bytes buffer_;
+};
+
+/// A sink that counts the bytes BinaryWriter would append and keeps none:
+/// encode_record's sizing pass.
+class ByteCounter {
+ public:
+  void u8(uint8_t /*v*/) { size_ += 1; }
+  void u16(uint16_t /*v*/) { size_ += 2; }
+  void u32(uint32_t /*v*/) { size_ += 4; }
+  void u64(uint64_t /*v*/) { size_ += 8; }
+  void boolean(bool /*v*/) { size_ += 1; }
+  void bytes(ByteView v) { size_ += 4 + v.size(); }
+  void str(std::string_view v) { size_ += 4 + v.size(); }
+  void raw(ByteView v) { size_ += v.size(); }
+  template <size_t N>
+  void fixed(const std::array<uint8_t, N>& /*a*/) {
+    size_ += N;
+  }
+
+  size_t size() const { return size_; }
+  void patch_u32(size_t /*at*/, uint32_t /*v*/) {}
+
+ private:
+  size_t size_ = 0;
 };
 
 class BinaryReader {
@@ -151,9 +198,12 @@ inline constexpr bool kIsDuration = false;
 template <class Rep, class Period>
 inline constexpr bool kIsDuration<std::chrono::duration<Rep, Period>> = true;
 
+/// Runs a field list into a sink: a BinaryWriter, or a ByteCounter that
+/// sizes the same bytes first.
+template <class Sink>
 class FieldWriter {
  public:
-  explicit FieldWriter(BinaryWriter& w) : w_(w) {}
+  explicit FieldWriter(Sink& w) : w_(w) {}
 
   template <class T>
   void u8(const T& v) { w_.u8(static_cast<uint8_t>(v)); }
@@ -185,7 +235,7 @@ class FieldWriter {
   }
   template <class T>
   void list(const std::vector<T>& v, size_t max_count) {
-    list(v, max_count, [](FieldWriter& io, const T& e) { io.record(e); });
+    list(v, max_count, [](auto& io, const T& e) { io.record(e); });
   }
 
   template <class T, class Elem>
@@ -226,7 +276,7 @@ class FieldWriter {
   void require(bool /*condition*/) {}
 
  private:
-  BinaryWriter& w_;
+  Sink& w_;
 };
 
 class FieldReader {
@@ -344,9 +394,16 @@ void write_record(BinaryWriter& w, const T& record) {
   T::fields(io, record);
 }
 
+/// `record`'s fields in one buffer, allocated once at its final size:
+/// a counting pass over the field list sizes it, then the writing pass
+/// fills it, so no partial copy is left behind in freed heap.
 template <class T>
 Bytes encode_record(const T& record) {
+  ByteCounter counter;
+  FieldWriter sizer(counter);
+  T::fields(sizer, record);
   BinaryWriter w;
+  w.reserve(counter.size());
   write_record(w, record);
   return w.take();
 }
@@ -363,8 +420,9 @@ Result<T> decode_record(ByteView bytes) {
   return record;
 }
 
+template <class Sink>
 template <class R>
-void FieldWriter::sized(const R& r, size_t /*max_len*/) {
+void FieldWriter<Sink>::sized(const R& r, size_t /*max_len*/) {
   const size_t at = w_.size();
   w_.u32(0);
   R::fields(*this, r);

@@ -580,7 +580,8 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
 
 // The pinned queues' plaintexts hold every field kind the snapshot has
 // (maps split into sections, ordered maps, optionals, sized records):
-// encode_record writes each one as a plain write_record does.
+// encode_record writes each one as a plain write_record does, into one
+// allocation of exactly its size.
 TEST_F(MeDurableQueueTest, QueueSnapshotEncodesLikeWriteRecord) {
   const auto apps = pinned_queue_apps(m0_);
   for (const char* address : {"m0", "m1"}) {
@@ -594,6 +595,7 @@ TEST_F(MeDurableQueueTest, QueueSnapshotEncodesLikeWriteRecord) {
     const Bytes encoded = encode_record(decoded.value());
     EXPECT_EQ(encoded, w.data());
     EXPECT_EQ(encoded, plaintext);
+    EXPECT_EQ(encoded.capacity(), encoded.size());
   }
 }
 

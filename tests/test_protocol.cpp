@@ -1004,13 +1004,14 @@ TEST(ProtocolPins, EveryPinnedSampleReencodesToItsOwnBytes) {
 }
 
 /// encode_record(record) holds exactly the bytes write_record appends to a
-/// BinaryWriter.
+/// BinaryWriter, in one allocation of exactly their size.
 template <class T>
 void expect_encodes_like_writer(const char* name, const T& record) {
   BinaryWriter w;
   write_record(w, record);
   const Bytes encoded = encode_record(record);
   EXPECT_EQ(encoded, w.data()) << name;
+  EXPECT_EQ(encoded.capacity(), encoded.size()) << name;
 }
 
 TEST(ProtocolPins, EncodeRecordMatchesWriteRecord) {
