@@ -6,6 +6,7 @@
 
 #include "crypto/aes.h"
 #include "crypto/cmac.h"
+#include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/gcm.h"
 #include "crypto/gcm_kernels.h"
@@ -13,6 +14,7 @@
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
 #include "crypto/x25519.h"
+#include "migration/library_state.h"
 
 namespace sgxmig::crypto {
 namespace {
@@ -114,6 +116,61 @@ void BM_AesCmac(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_AesCmac);
+
+// The per-commit rows: every Table II commit draws a 12-byte IV from the
+// enclave's DRBG and seals under a fresh AES-128 schedule, and every PSE
+// op MACs the caller's 32-byte MRENCLAVE under the machine's session key,
+// which a Cmac keys once.
+void BM_AesKeySchedule(benchmark::State& state, Kernel kernel) {
+  if (skip_missing(state, kernel)) return;
+  Bytes key(16, 0x66);
+  for (auto _ : state) {
+    const Aes aes(key, kernel);
+    key[0] = aes.round_keys()[160];
+    benchmark::DoNotOptimize(key);
+  }
+}
+BENCHMARK_CAPTURE(BM_AesKeySchedule, portable, Kernel::kPortable);
+BENCHMARK_CAPTURE(BM_AesKeySchedule, aesni, Kernel::kAesNi);
+
+void BM_DrbgDraw(benchmark::State& state) {
+  CtrDrbg drbg(Bytes(48, 0x77));
+  uint8_t out[64];
+  const auto len = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    drbg.generate(out, len);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_DrbgDraw)->Arg(12);
+
+void BM_CmacKeyedOnce(benchmark::State& state) {
+  const Cmac cmac(Bytes(16, 0x88));
+  const Bytes measurement(32, 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cmac.mac(measurement));
+  }
+}
+BENCHMARK(BM_CmacKeyedOnce);
+
+// Table II as the library seals it on every counter op (5,436 B).
+void BM_LibraryStateEncode(benchmark::State& state) {
+  migration::LibraryState table;
+  for (size_t i = 0; i < 18; ++i) {
+    table.counters_active[i] = true;
+    table.counter_uuids[i].counter_id = static_cast<uint32_t>(i + 1);
+    table.counter_offsets[i] = static_cast<uint32_t>(i);
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const Bytes wire = encode_record(table);
+    bytes = wire.size();
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_LibraryStateEncode);
 
 void BM_X25519(benchmark::State& state) {
   X25519Key scalar{};

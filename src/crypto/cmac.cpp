@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/aes.h"
-
 namespace sgxmig::crypto {
 
 namespace {
@@ -21,20 +19,15 @@ void gf_double(uint8_t block[16]) {
 
 }  // namespace
 
-CmacTag aes_cmac(ByteView key, ByteView message) {
-  const Aes aes(key);
-
-  // Subkey generation.
-  uint8_t l[16] = {0};
+Cmac::Cmac(ByteView key) : aes_(key) {
   uint8_t zero[16] = {0};
-  aes.encrypt_block(zero, l);
-  uint8_t k1[16];
-  std::memcpy(k1, l, 16);
-  gf_double(k1);
-  uint8_t k2[16];
-  std::memcpy(k2, k1, 16);
-  gf_double(k2);
+  aes_.encrypt_block(zero, k1_);
+  gf_double(k1_);
+  std::memcpy(k2_, k1_, 16);
+  gf_double(k2_);
+}
 
+CmacTag Cmac::mac(ByteView message) const {
   const size_t n = message.size();
   const size_t full_blocks = n == 0 ? 0 : (n - 1) / 16;
   const size_t last_len = n - full_blocks * 16;  // 1..16 (0 only if n == 0)
@@ -42,24 +35,28 @@ CmacTag aes_cmac(ByteView key, ByteView message) {
   uint8_t x[16] = {0};
   for (size_t b = 0; b < full_blocks; ++b) {
     for (int i = 0; i < 16; ++i) x[i] ^= message[b * 16 + i];
-    aes.encrypt_block(x, x);
+    aes_.encrypt_block(x, x);
   }
 
   uint8_t last[16] = {0};
   if (n != 0 && last_len == 16) {
     for (int i = 0; i < 16; ++i) {
-      last[i] = message[full_blocks * 16 + i] ^ k1[i];
+      last[i] = message[full_blocks * 16 + i] ^ k1_[i];
     }
   } else {
     for (size_t i = 0; i < last_len; ++i) last[i] = message[full_blocks * 16 + i];
     last[last_len] = 0x80;
-    for (int i = 0; i < 16; ++i) last[i] ^= k2[i];
+    for (int i = 0; i < 16; ++i) last[i] ^= k2_[i];
   }
   for (int i = 0; i < 16; ++i) x[i] ^= last[i];
 
   CmacTag tag{};
-  aes.encrypt_block(x, tag.data());
+  aes_.encrypt_block(x, tag.data());
   return tag;
+}
+
+CmacTag aes_cmac(ByteView key, ByteView message) {
+  return Cmac(key).mac(message);
 }
 
 }  // namespace sgxmig::crypto

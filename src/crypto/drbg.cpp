@@ -11,7 +11,11 @@ CtrDrbg::CtrDrbg(ByteView seed) {
   if (seed.size() < 32) {
     throw std::invalid_argument("CtrDrbg: seed must be >= 32 bytes");
   }
-  update(seed.subspan(0, 32));
+  update(key_schedule(), seed.subspan(0, 32));
+}
+
+Aes CtrDrbg::key_schedule() const {
+  return Aes(ByteView(key_.data(), key_.size()));
 }
 
 void CtrDrbg::increment_v() {
@@ -20,9 +24,8 @@ void CtrDrbg::increment_v() {
   }
 }
 
-void CtrDrbg::update(ByteView provided) {
+void CtrDrbg::update(const Aes& aes, ByteView provided) {
   uint8_t temp[32];
-  const Aes aes(ByteView(key_.data(), key_.size()));
   for (int block = 0; block < 2; ++block) {
     increment_v();
     aes.encrypt_block(v_.data(), temp + 16 * block);
@@ -33,7 +36,8 @@ void CtrDrbg::update(ByteView provided) {
 }
 
 void CtrDrbg::generate(uint8_t* out, size_t len) {
-  const Aes aes(ByteView(key_.data(), key_.size()));
+  // One key schedule serves the draw and the update that rekeys after it.
+  const Aes aes = key_schedule();
   size_t offset = 0;
   while (offset < len) {
     increment_v();
@@ -43,7 +47,7 @@ void CtrDrbg::generate(uint8_t* out, size_t len) {
     std::memcpy(out + offset, block, take);
     offset += take;
   }
-  update(ByteView());
+  update(aes, ByteView());
 }
 
 Bytes CtrDrbg::bytes(size_t len) {
@@ -52,6 +56,6 @@ Bytes CtrDrbg::bytes(size_t len) {
   return out;
 }
 
-void CtrDrbg::reseed(ByteView entropy) { update(entropy); }
+void CtrDrbg::reseed(ByteView entropy) { update(key_schedule(), entropy); }
 
 }  // namespace sgxmig::crypto

@@ -14,6 +14,8 @@
 
 namespace sgxmig::crypto {
 
+class Aes;
+
 class CtrDrbg {
  public:
   /// `seed` must be at least 32 bytes of entropy (key || V).
@@ -26,7 +28,10 @@ class CtrDrbg {
   void reseed(ByteView entropy);
 
  private:
-  void update(ByteView provided);
+  /// The SP 800-90A update step, with `aes` keyed by the current key.
+  void update(const Aes& aes, ByteView provided);
+  /// An AES instance keyed by the current key.
+  Aes key_schedule() const;
   void increment_v();
 
   std::array<uint8_t, 16> key_{};

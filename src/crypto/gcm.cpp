@@ -133,14 +133,14 @@ void portable_ghash(const uint8_t h[16], ByteView aad, ByteView ct,
   store_block(s, ghash.digest());
 }
 
-// The kernel-independent framing of SP 800-38D: the key schedule, the
-// hash subkey H = E(0^128), J0 = IV || 1 and the tag mask E(J0).  The
-// kernel supplies only the CTR keystream and the GHASH.
+// The kernel-independent framing of SP 800-38D: the hash subkey
+// H = E(0^128), J0 = IV || 1 and the tag mask E(J0), on the kernel's AES.
+// The kernel also supplies the CTR keystream and the GHASH.
 class Gcm {
  public:
-  Gcm(Kernel kernel, ByteView key, ByteView iv) : kernel_(kernel), aes_(key) {
+  Gcm(Kernel kernel, ByteView key, ByteView iv) : aes_(key, kernel) {
     const uint8_t zero[16] = {0};
-    encrypt_block(zero, h_);
+    aes_.encrypt_block(zero, h_);
     std::memcpy(j0_, iv.data(), kGcmIvSize);
     store_be32(j0_ + 12, 1);
   }
@@ -148,7 +148,7 @@ class Gcm {
   void ctr(ByteView in, Bytes& out) const {
     out.resize(in.size());
 #if defined(__x86_64__)
-    if (kernel_ == Kernel::kAesNi) {
+    if (aes_.kernel() == Kernel::kAesNi) {
       aesni_ctr(aes_.round_keys(), j0_, in.data(), in.size(), out.data());
       return;
     }
@@ -159,14 +159,14 @@ class Gcm {
   void tag(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
     ghash(aad, ciphertext, out);
     uint8_t mask[16];
-    encrypt_block(j0_, mask);
+    aes_.encrypt_block(j0_, mask);
     for (int i = 0; i < 16; ++i) out[i] ^= mask[i];
   }
 
  private:
   void ghash(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
 #if defined(__x86_64__)
-    if (kernel_ == Kernel::kAesNi) {
+    if (aes_.kernel() == Kernel::kAesNi) {
       clmul_ghash(h_, aad, ciphertext, out);
       return;
     }
@@ -174,17 +174,6 @@ class Gcm {
     portable_ghash(h_, aad, ciphertext, out);
   }
 
-  void encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
-#if defined(__x86_64__)
-    if (kernel_ == Kernel::kAesNi) {
-      aesni_encrypt_block(aes_.round_keys(), in, out);
-      return;
-    }
-#endif
-    aes_.encrypt_block(in, out);
-  }
-
-  Kernel kernel_;
   Aes aes_;
   uint8_t h_[16] = {};
   uint8_t j0_[16] = {};

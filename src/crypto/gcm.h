@@ -5,12 +5,14 @@
 // channel record, and migration-data payload in this repo goes through it.
 //
 // Two kernels implement it (crypto/gcm_kernels.h), chosen once per
-// process from CPUID, with no option to override: on x86-64 with AES-NI,
-// PCLMULQDQ and SSSE3, AES-NI rounds and carry-less GHASH, as on the
-// paper's SGX hardware; elsewhere the portable T-table AES and Shoup
-// 4-bit GHASH, which the tests also run everywhere as the reference the
-// hardware kernel must match byte for byte.  Virtual time comes from the
-// cost model (aes_gcm_ns_per_byte), never from which kernel ran.
+// process from CPUID, with no option to override, and the same choice
+// crypto::Aes makes for CMAC and the DRBG: on x86-64 with AES-NI,
+// PCLMULQDQ and SSSE3, an AES-NI key schedule and rounds and carry-less
+// GHASH, as on the paper's SGX hardware; elsewhere the portable T-table
+// AES and Shoup 4-bit GHASH, which the tests also run everywhere as the
+// reference the hardware kernel must match byte for byte.  Virtual time
+// comes from the cost model (aes_gcm_ns_per_byte), never from which
+// kernel ran.
 #pragma once
 
 #include <optional>

@@ -1,18 +1,21 @@
-// The two AES-GCM kernels behind crypto::gcm_encrypt / gcm_decrypt.
+// The two AES kernels, and the AES-GCM kernels built on them, behind
+// crypto::Aes and crypto::gcm_encrypt / gcm_decrypt.
 //
-// Internal to the crypto layer (and its tests and microbenchmarks): the
-// public entry points pick one kernel per process from CPUID and callers
-// never choose.  Both kernels share gcm.cpp's framing (key schedule,
-// J0, the tag mask, verify-before-decrypt) and differ only in the CTR
-// keystream and the GHASH multiply:
+// Internal to the crypto layer (and its tests and microbenchmarks): one
+// kernel is picked per process from CPUID and callers never choose.
+// crypto::Aes runs its key schedule and blocks on it, so GCM, CMAC and
+// the DRBG all do.  The GCM kernels share gcm.cpp's framing (J0, the tag
+// mask, verify-before-decrypt) and differ only in the CTR keystream and
+// the GHASH multiply:
 //   * kPortable — T-table AES and Shoup 4-bit GHASH, plain C++.  The only
 //     kernel on a CPU without AES-NI, and the reference the hardware
 //     kernel is tested against.
-//   * kAesNi — x86-64 only: AES-NI rounds with four CTR blocks in flight
-//     and PCLMULQDQ carry-less GHASH over four blocks per reduction
-//     (gcm_x86.cpp, compiled with per-function target attributes so the
-//     binary still runs on CPUs without the instructions).
-// Both produce byte-identical ciphertexts and tags.
+//   * kAesNi — x86-64 only: an aeskeygenassist AES-128 key schedule,
+//     aesenc rounds with four CTR blocks in flight, and PCLMULQDQ
+//     carry-less GHASH over four blocks per reduction (gcm_x86.cpp,
+//     compiled with per-function target attributes so the binary still
+//     runs on CPUs without the instructions).
+// Both produce byte-identical round keys, blocks, ciphertexts and tags.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +33,8 @@ const char* kernel_name(Kernel kernel);
 /// x86-64.
 bool cpu_has_aesni();
 
-/// The kernel gcm_encrypt/gcm_decrypt run, chosen once per process.
+/// The kernel crypto::Aes and gcm_encrypt/gcm_decrypt run, chosen once
+/// per process.
 Kernel selected();
 
 /// gcm_encrypt/gcm_decrypt on a given kernel.  kAesNi requires
@@ -41,8 +45,10 @@ Result<Bytes> decrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
                       ByteView ciphertext, ByteView tag);
 
 #if defined(__x86_64__)
-/// One AES block (the hash subkey and the tag mask) with the round keys
-/// of `crypto::Aes::round_keys()`.
+/// The AES-128 key schedule of a 16-byte key: the 176 bytes of
+/// `crypto::Aes::round_keys()`.
+void aesni_expand_key128(const uint8_t key[16], uint8_t round_keys[176]);
+/// One AES block with the round keys of `crypto::Aes::round_keys()`.
 void aesni_encrypt_block(ByteView round_keys, const uint8_t in[16],
                          uint8_t out[16]);
 /// CTR keystream from inc32(j0) on, XORed over `n` bytes of `in` into

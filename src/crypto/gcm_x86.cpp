@@ -1,8 +1,8 @@
-// x86-64 AES-GCM kernel: AES-NI for the CTR keystream, PCLMULQDQ for
-// GHASH.  Every function that uses the instructions carries its own
-// target attribute, so the rest of the build needs no -maes and the
-// binary runs on any x86-64 CPU; gcm.cpp calls in only after CPUID said
-// yes (cpu_has_aesni).
+// x86-64 AES kernel: AES-NI for the AES-128 key schedule, single blocks
+// and the GCM CTR keystream, PCLMULQDQ for GHASH.  Every function that
+// uses the instructions carries its own target attribute, so the rest of
+// the build needs no -maes and the binary runs on any x86-64 CPU; aes.cpp
+// and gcm.cpp call in only after CPUID said yes (cpu_has_aesni).
 #include "crypto/gcm_kernels.h"
 
 #if defined(__x86_64__)
@@ -76,6 +76,19 @@ SGXMIG_AESNI RoundKeys load_round_keys(ByteView round_keys) {
     rk.k[i] = load(round_keys.data() + 16 * i);
   }
   return rk;
+}
+
+// One AES-128 key-expansion step (FIPS-197 §5.2): aeskeygenassist gives
+// SubWord(RotWord(w3)) ^ Rcon in its top lane, and the shifted XORs give
+// each word the running XOR of the previous round key's words.
+template <int kRcon>
+SGXMIG_AESNI_INLINE __m128i expand_step(__m128i key) {
+  const __m128i assist =
+      _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, kRcon), 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
 }
 
 SGXMIG_AESNI_INLINE __m128i encrypt_block(const RoundKeys& rk, __m128i b) {
@@ -215,6 +228,32 @@ class ClmulGhash {
 };
 
 }  // namespace
+
+SGXMIG_AESNI void aesni_expand_key128(const uint8_t key[16],
+                                      uint8_t round_keys[176]) {
+  __m128i k = load(key);
+  store(round_keys, k);
+  k = expand_step<0x01>(k);
+  store(round_keys + 16, k);
+  k = expand_step<0x02>(k);
+  store(round_keys + 32, k);
+  k = expand_step<0x04>(k);
+  store(round_keys + 48, k);
+  k = expand_step<0x08>(k);
+  store(round_keys + 64, k);
+  k = expand_step<0x10>(k);
+  store(round_keys + 80, k);
+  k = expand_step<0x20>(k);
+  store(round_keys + 96, k);
+  k = expand_step<0x40>(k);
+  store(round_keys + 112, k);
+  k = expand_step<0x80>(k);
+  store(round_keys + 128, k);
+  k = expand_step<0x1b>(k);
+  store(round_keys + 144, k);
+  k = expand_step<0x36>(k);
+  store(round_keys + 160, k);
+}
 
 SGXMIG_AESNI void aesni_encrypt_block(ByteView round_keys,
                                       const uint8_t in[16], uint8_t out[16]) {

@@ -28,8 +28,8 @@ Machine::Machine(World& world, std::string address, std::string region,
       region_(std::move(region)),
       cpu_cores_(cpu_cores),
       rng_(seed),
-      cpu_(to_array<32>(rng_.bytes(32))) {
-  rng_.fill(pse_session_secret_.data(), pse_session_secret_.size());
+      cpu_(to_array<32>(rng_.bytes(32))),
+      pse_session_mac_(rng_.bytes(sizeof(sgx::Key128))) {
   storage_ = std::make_unique<UntrustedStore>(world_.clock(), world_.costs());
   quoting_enclave_ = std::make_unique<sgx::QuotingEnclave>(
       *this, world_.epid_authority().provision_member());
@@ -73,7 +73,7 @@ Result<Bytes> Machine::pse_call(const sgx::Measurement& caller,
   if (!parsed.ok()) return Status::kInvalidParameter;
   sgx::PseRequest req = std::move(parsed).value();
   req.owner = caller;
-  req.session_token = sgx::pse_session_token(pse_session_secret_, caller);
+  req.session_token = sgx::pse_session_token(pse_session_mac_, caller);
   return world_.network().rpc(pse_uds_endpoint(), encode_record(req));
 }
 
@@ -89,7 +89,7 @@ Result<Bytes> Machine::pse_service_handler(ByteView request) {
   // Session check: only callers that obtained a token from this machine's
   // trusted path (i.e. genuine local enclaves) are served.
   const auto expected =
-      sgx::pse_session_token(pse_session_secret_, req.owner);
+      sgx::pse_session_token(pse_session_mac_, req.owner);
   if (!constant_time_eq(ByteView(expected.data(), expected.size()),
                         ByteView(req.session_token.data(),
                                  req.session_token.size()))) {

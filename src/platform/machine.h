@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "crypto/cmac.h"
 #include "net/proxy.h"
 #include "platform/storage.h"
 #include "sgx/enclave.h"
@@ -107,7 +108,9 @@ class Machine final : public sgx::PlatformIface {
   Rng rng_;
   sgx::SimCpu cpu_;
   sgx::MonotonicCounterService counters_;
-  sgx::Key128 pse_session_secret_{};
+  // Keyed by the PSE session secret, drawn after the CPU's: both token
+  // ends (pse_call, pse_service_handler) MAC with it, expanding no key.
+  crypto::Cmac pse_session_mac_;
   MgmtEnclaveFactory mgmt_factory_;
   std::unique_ptr<UntrustedStore> storage_;
   std::unique_ptr<sgx::QuotingEnclave> quoting_enclave_;

@@ -2,10 +2,9 @@
 
 namespace sgxmig::sgx {
 
-crypto::CmacTag pse_session_token(const Key128& machine_secret,
+crypto::CmacTag pse_session_token(const crypto::Cmac& machine_mac,
                                   const Measurement& owner) {
-  return crypto::aes_cmac(ByteView(machine_secret.data(), machine_secret.size()),
-                          ByteView(owner.data(), owner.size()));
+  return machine_mac.mac(ByteView(owner.data(), owner.size()));
 }
 
 }  // namespace sgxmig::sgx

@@ -64,8 +64,9 @@ struct PseResponse {
   }
 };
 
-/// Session token binding `owner` to this machine's PSE.
-crypto::CmacTag pse_session_token(const Key128& machine_secret,
+/// Session token binding `owner` to this machine's PSE: a CMAC keyed by
+/// the machine's PSE session secret.
+crypto::CmacTag pse_session_token(const crypto::Cmac& machine_mac,
                                   const Measurement& owner);
 
 }  // namespace sgxmig::sgx

@@ -298,7 +298,7 @@ void ref_ghash_absorb(RefBlock& y, const RefBlock& h, ByteView data) {
 // Reference AES-GCM encryption (SP 800-38D §7.1) on the reference GHASH.
 GcmCiphertext reference_gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
                                     ByteView plaintext) {
-  const Aes aes(key);
+  const Aes aes(key, Kernel::kPortable);
   uint8_t block[16] = {0};
   uint8_t h_bytes[16];
   aes.encrypt_block(block, h_bytes);
@@ -425,14 +425,8 @@ class AesKernelTest : public ::testing::TestWithParam<Kernel> {
   }
 
   std::string encrypt_hex(ByteView key, ByteView block) const {
-    const Aes aes(key);
+    const Aes aes(key, GetParam());
     uint8_t out[16];
-#if defined(__x86_64__)
-    if (GetParam() == Kernel::kAesNi) {
-      gcm_kernels::aesni_encrypt_block(aes.round_keys(), block.data(), out);
-      return hex_encode(ByteView(out, 16));
-    }
-#endif
     aes.encrypt_block(block.data(), out);
     return hex_encode(ByteView(out, 16));
   }
@@ -493,13 +487,31 @@ TEST_P(AesKernelTest, RandomKeysAndBlocksMatchThePortableKernel) {
     for (int trial = 0; trial < 300; ++trial) {
       const Bytes key = rng.bytes(key_size);
       const Bytes in = rng.bytes(16);
-      const Aes portable(key);
+      const Aes portable(key, Kernel::kPortable);
       uint8_t want[16];
       portable.encrypt_block(in.data(), want);
       ASSERT_EQ(encrypt_hex(key, in), hex_encode(ByteView(want, 16)))
           << "key " << key_size << " trial " << trial;
     }
   }
+}
+
+TEST_P(AesKernelTest, RoundKeysMatchThePortableSchedule) {
+  Rng rng(0x5c4e);
+  for (const size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const Bytes key = rng.bytes(key_size);
+      const Aes aes(key, GetParam());
+      ASSERT_EQ(aes.kernel(), GetParam());
+      ASSERT_EQ(hex_encode(aes.round_keys()),
+                hex_encode(Aes(key, Kernel::kPortable).round_keys()))
+          << "key " << key_size << " trial " << trial;
+    }
+  }
+  // FIPS-197 appendix A.1: the last AES-128 round key.
+  const Aes aes(hx("2b7e151628aed2a6abf7158809cf4f3c"), GetParam());
+  EXPECT_EQ(hex_encode(aes.round_keys().last(16)),
+            "d014f9a8c9ee2589e13f0cc8b6630ca6");
 }
 
 TEST(AesDifferential, EncryptThenDecryptRoundTripsRandomBlocks) {
@@ -551,6 +563,24 @@ TEST(Cmac, Rfc4493Block64) {
               "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"));
   EXPECT_EQ(hex_encode(ByteView(tag.data(), tag.size())),
             "51f0bebf7e3b9d92fc49741779363cfe");
+}
+
+TEST(Cmac, KeyedOnceMacsEveryRfc4493Message) {
+  const Cmac cmac(hx("2b7e151628aed2a6abf7158809cf4f3c"));
+  const std::pair<const char*, const char*> vectors[] = {
+      {"", "bb1d6929e95937287fa37d129b756746"},
+      {"6bc1bee22e409f96e93d7e117393172a", "070a16b46b4d4144f79bdd9dd04a287c"},
+      {"6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+       "30c81c46a35ce411",
+       "dfa66747de9ae63030ca32611497c827"},
+      {"6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+       "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+       "51f0bebf7e3b9d92fc49741779363cfe"},
+  };
+  for (const auto& [message, tag] : vectors) {
+    const CmacTag got = cmac.mac(hx(message));
+    EXPECT_EQ(hex_encode(ByteView(got.data(), got.size())), tag) << message;
+  }
 }
 
 TEST(Drbg, DeterministicFromSeed) {
