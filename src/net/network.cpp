@@ -35,11 +35,24 @@ obs::MetricsRegistry* Network::metrics() const {
   return obs_ != nullptr && obs_->enabled() ? &obs_->metrics : nullptr;
 }
 
-void Network::track_pending(Duration at, const std::string& lane, int delta) {
-  const int depth = (pending_per_lane_[lane] += delta);
-  if (obs::TraceRecorder* rec = recorder()) {
-    rec->counter_at(at, "net.pending", lane, static_cast<double>(depth));
+void Network::track_pending(Duration at, const std::string& endpoint,
+                            int delta) {
+  obs::TraceRecorder* rec = recorder();
+  if (rec == nullptr) {
+    pending_counted_ = false;
+    return;
   }
+  if (!pending_counted_) {
+    // Tracing (re)started: count what is en route now.
+    pending_per_lane_.clear();
+    for (const auto& [key, event] : events_) {
+      ++pending_per_lane_[lane_of(event.is_reply ? event.from : event.to)];
+    }
+    pending_counted_ = true;
+  }
+  const std::string lane = lane_of(endpoint);
+  const int depth = (pending_per_lane_[lane] += delta);
+  rec->counter_at(at, "net.pending", lane, static_cast<double>(depth));
 }
 
 Result<Bytes> Network::rpc(const std::string& to, ByteView request) {
@@ -141,7 +154,7 @@ uint64_t Network::post(const std::string& to, ByteView request,
                   {"bytes", std::to_string(request.size())}});
   }
   if (obs::MetricsRegistry* m = metrics()) m->add("net.posts");
-  track_pending(clock_.now(), lane_of(to), +1);
+  track_pending(clock_.now(), to, +1);
   events_.emplace(std::make_pair(deliver_at, seq), std::move(event));
   return seq;
 }
@@ -150,7 +163,6 @@ void Network::deliver_request(Duration at, DeferredEvent event) {
   Result<Bytes> response = Status::kNetworkUnreachable;
   Duration handler_end = at;
 
-  track_pending(at, lane_of(event.to), -1);
   Bytes in_flight = std::move(event.payload);
   const auto it = endpoints_.find(event.to);
   const bool reachable =
@@ -214,13 +226,12 @@ void Network::deliver_request(Duration at, DeferredEvent event) {
     reply.failure = response.status();
   }
   const Duration reply_at = handler_end + wire_time(reply.payload.size());
-  track_pending(handler_end, lane_of(reply.from), +1);
+  track_pending(handler_end, reply.from, +1);
   const uint64_t seq = next_event_seq_++;
   events_.emplace(std::make_pair(reply_at, seq), std::move(reply));
 }
 
 void Network::deliver_reply(Duration at, DeferredEvent& event) {
-  track_pending(at, lane_of(event.from), -1);
   if (obs::TraceRecorder* rec = recorder()) {
     if (!event.on_reply) {
       rec->instant_at(at, "net.reply_drop", lane_of(event.from), 0,
@@ -253,6 +264,9 @@ bool Network::pump_one() {
   if (events_.empty()) return false;
   const auto it = events_.begin();
   const Duration at = it->first.first;
+  // Counted off while events_ still holds it, as a recount would see it.
+  track_pending(at, it->second.is_reply ? it->second.from : it->second.to,
+                -1);
   DeferredEvent event = std::move(it->second);
   events_.erase(it);
   if (event.is_reply) {

@@ -162,8 +162,11 @@ class Network {
   /// is absent or disabled.
   obs::TraceRecorder* recorder() const;
   obs::MetricsRegistry* metrics() const;
-  /// Adjusts the in-flight count of `lane` and samples "net.pending".
-  void track_pending(Duration at, const std::string& lane, int delta);
+  /// Adjusts the in-flight count of `endpoint`'s lane and samples
+  /// "net.pending"; no work while tracing is off.  Called before `events_`
+  /// gains or loses the event, so a recount when tracing starts sees the
+  /// depth before the change.
+  void track_pending(Duration at, const std::string& endpoint, int delta);
 
   VirtualClock& clock_;
   Rng& rng_;
@@ -176,7 +179,10 @@ class Network {
   ResponseTamperHook response_tamper_;
   LaneSchedule* lanes_ = nullptr;
   obs::Observability* obs_ = nullptr;
-  std::map<std::string, int> pending_per_lane_;  // deferred events en route
+  // Deferred events en route per lane, kept only while tracing is on
+  // (pending_counted_); recounted from events_ when it comes back on.
+  std::map<std::string, int> pending_per_lane_;
+  bool pending_counted_ = false;
   // (event time, sequence) orders deliveries deterministically.
   std::map<std::pair<Duration, uint64_t>, DeferredEvent> events_;
   uint64_t next_event_seq_ = 1;

@@ -5,25 +5,35 @@
 namespace sgxmig::platform {
 
 namespace {
-constexpr char kSlotMagic[] = "SGXMIG-VSLOT-v1";
+// v2: slot_checksum hashes a 64-bit word per step (v1 hashed bytes).
+constexpr char kSlotMagic[] = "SGXMIG-VSLOT-v2";
 
 std::string slot_name(const std::string& name, int slot) {
   return name + "#" + std::to_string(slot);
 }
 
-// FNV-1a 64-bit over the framed payload: detects torn writes and the
-// single-byte corruptions the adversary API injects.  Integrity against a
-// *malicious* OS still comes from the sealed blob inside — this checksum
-// only distinguishes "torn/unreadable" from "intact" for crash recovery.
+// FNV-1a 64-bit over the sequence and the payload, one little-endian
+// 64-bit word per step (the payload's last partial word byte by byte):
+// each step is a bijection of the running hash, so any change to one word
+// — every torn tail and single-byte corruption the adversary API injects —
+// changes the result.  Integrity against a *malicious* OS still comes from
+// the sealed blob inside — this checksum only distinguishes
+// "torn/unreadable" from "intact" for crash recovery.
 uint64_t slot_checksum(uint64_t sequence, ByteView payload) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  };
-  for (int i = 0; i < 8; ++i) mix(static_cast<uint8_t>(sequence >> (8 * i)));
-  for (uint8_t byte : payload) mix(byte);
+  constexpr uint64_t kPrime = 0x100000001b3ull;
+  uint64_t h = (0xcbf29ce484222325ull ^ sequence) * kPrime;
+  const uint8_t* p = payload.data();
+  size_t left = payload.size();
+  for (; left >= 8; p += 8, left -= 8) h = (h ^ load_le64(p)) * kPrime;
+  for (; left > 0; ++p, --left) h = (h ^ *p) * kPrime;
   return h;
+}
+
+// True when `name` is one of put_versioned's physical slots ("<name>#0",
+// "<name>#1").
+bool is_slot_name(const std::string& name) {
+  return name.size() >= 2 && name[name.size() - 2] == '#' &&
+         (name.back() == '0' || name.back() == '1');
 }
 
 // One physical slot's framing, its payload a view into the stored blob.
@@ -53,6 +63,11 @@ UntrustedStore::UntrustedStore(VirtualClock& clock, const CostModel& costs)
     : clock_(clock), costs_(costs) {}
 
 void UntrustedStore::put(const std::string& name, SharedBytes blob) {
+  write(name, std::move(blob));
+  if (is_slot_name(name)) ++generation_;
+}
+
+void UntrustedStore::write(const std::string& name, SharedBytes blob) {
   clock_.advance(costs_.disk_write);
   blobs_[name] = std::move(blob);
 }
@@ -72,7 +87,10 @@ bool UntrustedStore::exists(const std::string& name) const {
   return blobs_.count(name) != 0;
 }
 
-void UntrustedStore::remove(const std::string& name) { blobs_.erase(name); }
+void UntrustedStore::remove(const std::string& name) {
+  blobs_.erase(name);
+  ++generation_;
+}
 
 std::optional<UntrustedStore::Slot> UntrustedStore::newest_slot(
     const std::string& name) const {
@@ -99,17 +117,24 @@ std::optional<UntrustedStore::Slot> UntrustedStore::newest_slot(
 }
 
 void UntrustedStore::put_versioned(const std::string& name, ByteView blob) {
-  const auto newest = newest_slot(name);
-  const uint64_t next = newest ? newest->sequence + 1 : 1;
+  LastVersion& last = last_version_[name];
+  if (last.sequence == 0 || last.generation != generation_) {
+    const auto newest = newest_slot(name);
+    // No intact slot: the first write goes to slot 1 with sequence 1.
+    last.index = newest ? newest->index : 0;
+    last.sequence = newest ? newest->sequence : 0;
+  }
+  const uint64_t next = last.sequence + 1;
   // Overwrite the slot NOT holding the latest intact version, so the
   // previous generation survives a torn write of this one.
-  const int target = newest ? 1 - newest->index : 1;
+  const int target = 1 - last.index;
   BinaryWriter w;
   w.str(kSlotMagic);
   w.u64(next);
   w.u64(slot_checksum(next, blob));
   w.bytes(blob);
-  put(slot_name(name, target), SharedBytes(w.take()));
+  write(slot_name(name, target), SharedBytes(w.take()));
+  last = LastVersion{target, next, generation_};
 }
 
 Result<Bytes> UntrustedStore::get_versioned(const std::string& name) const {
@@ -134,6 +159,7 @@ bool UntrustedStore::corrupt(const std::string& name, size_t offset) {
   Bytes flipped = it->second;
   flipped[offset % flipped.size()] ^= 0x80;
   it->second = SharedBytes(std::move(flipped));
+  ++generation_;
   return true;
 }
 

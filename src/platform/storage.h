@@ -44,7 +44,9 @@ class UntrustedStore {
   // or corrupted slot fails its checksum and get_versioned falls back to
   // the other (older but intact) slot.
 
-  /// Write + fsync into the slot not holding the latest version.
+  /// Write + fsync into the slot not holding the latest version.  Reads
+  /// no slot when nothing but put_versioned touched `name`'s slots since
+  /// its last call.
   void put_versioned(const std::string& name, ByteView blob);
 
   /// Payload of the newest intact slot; kStorageMissing when no slot
@@ -62,7 +64,10 @@ class UntrustedStore {
   // into a fresh copy, so neither ever sees the other's later writes.
   using Snapshot = std::map<std::string, SharedBytes>;
   Snapshot snapshot() const { return blobs_; }
-  void restore(const Snapshot& snapshot) { blobs_ = snapshot; }
+  void restore(const Snapshot& snapshot) {
+    blobs_ = snapshot;
+    ++generation_;
+  }
   /// Flips one byte of a stored blob; returns false if absent/empty.
   bool corrupt(const std::string& name, size_t offset);
 
@@ -76,10 +81,24 @@ class UntrustedStore {
   /// when each slot is absent, torn, or corrupted.  Reads payloads in
   /// place, without copying them.
   std::optional<Slot> newest_slot(const std::string& name) const;
+  /// Write + fsync with no change to the store's generation.
+  void write(const std::string& name, SharedBytes blob);
+
+  /// The slot and sequence put_versioned last wrote for a name, valid
+  /// while `generation` is the store's: every change other than
+  /// put_versioned's own writes (put over a slot name, remove, restore,
+  /// corrupt) moves the store's generation on.
+  struct LastVersion {
+    int index = 0;
+    uint64_t sequence = 0;
+    uint64_t generation = 0;
+  };
 
   VirtualClock& clock_;
   const CostModel& costs_;
   std::map<std::string, SharedBytes> blobs_;
+  std::map<std::string, LastVersion> last_version_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace sgxmig::platform
