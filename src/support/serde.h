@@ -82,7 +82,7 @@ class BinaryWriter {
 };
 
 /// A sink that counts the bytes BinaryWriter would append and keeps none:
-/// encode_record's sizing pass.
+/// encode_record's sizing pass.  It has the calls FieldWriter makes.
 class ByteCounter {
  public:
   void u8(uint8_t /*v*/) { size_ += 1; }
@@ -92,7 +92,6 @@ class ByteCounter {
   void boolean(bool /*v*/) { size_ += 1; }
   void bytes(ByteView v) { size_ += 4 + v.size(); }
   void str(std::string_view v) { size_ += 4 + v.size(); }
-  void raw(ByteView v) { size_ += v.size(); }
   template <size_t N>
   void fixed(const std::array<uint8_t, N>& /*a*/) {
     size_ += N;
