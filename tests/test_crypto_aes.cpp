@@ -1,7 +1,8 @@
 // AES / GCM / CMAC / DRBG tests against published vectors (FIPS 197
-// appendix C, the original GCM spec test cases, RFC 4493), plus
-// differential tests of both GCM kernels (portable T-table/Shoup, and
-// AES-NI + PCLMULQDQ where the CPU has it) against simple reference
+// appendix C, SP 800-38A, the original GCM spec test cases, RFC 4493)
+// and a pinned DRBG stream, plus differential tests of both AES and GCM
+// kernels (portable T-table/Shoup, and AES-NI + PCLMULQDQ where the CPU
+// has it) against the portable kernel and simple reference
 // implementations on seeded random inputs.
 #include <gtest/gtest.h>
 
@@ -506,8 +507,8 @@ TEST_P(AesKernelTest, RoundKeysMatchThePortableSchedule) {
 }
 
 TEST(AesDifferential, EncryptThenDecryptRoundTripsRandomBlocks) {
-  // decrypt_block is the byte-wise inverse cipher, independent of the
-  // T-table encrypt path, so a round trip cross-checks every round.
+  // decrypt_block is the byte-wise inverse cipher, independent of either
+  // encrypt kernel, so a round trip cross-checks every round.
   Rng rng(0xae5);
   for (const size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
     for (int trial = 0; trial < 200; ++trial) {
