@@ -61,6 +61,15 @@ TEST(Aes, Fips197Aes256) {
   EXPECT_EQ(hex_encode(ByteView(back, 16)), hex_encode(pt));
 }
 
+TEST(Aes, Sp800_38aVector) {
+  const Bytes key = hx("2b7e151628aed2a6abf7158809cf4f3c");
+  const Bytes pt = hx("6bc1bee22e409f96e93d7e117393172a");
+  const Aes aes(key);
+  uint8_t ct[16];
+  aes.encrypt_block(pt.data(), ct);
+  EXPECT_EQ(hex_encode(ByteView(ct, 16)), "3ad77bb40d7a3660a89ecaf32466ef97");
+}
+
 TEST(Aes, RejectsBadKeySize) {
   EXPECT_THROW(Aes(Bytes(15, 0)), std::invalid_argument);
   EXPECT_THROW(Aes(Bytes(33, 0)), std::invalid_argument);
