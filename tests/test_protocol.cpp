@@ -1058,6 +1058,53 @@ TEST(ProtocolPins, EncodeRecordMatchesWriteRecord) {
                              apps::MemoryImage{pattern_bytes(10, 72), {}});
 }
 
+// The exact bytes of the two commits the simulator seals most: a Table II
+// (a 5,436 B LibraryState under the library's AAD) and a 65,082 B ME queue
+// snapshot, each sealed twice through one SealContext (the second seal
+// draws the next IV), under a fixed CPU secret and DRBG seed.
+TEST(ProtocolPins, SealedCommitsMatchTheirPinnedDigests) {
+  LibraryState state;
+  for (size_t slot = 0; slot < kMaxCounters; slot += 14) {
+    state.counters_active[slot] = true;
+    state.counter_uuids[slot].counter_id = static_cast<uint32_t>(slot + 1);
+    state.counter_uuids[slot].nonce = pattern<12>(static_cast<uint8_t>(slot));
+    state.counter_offsets[slot] = static_cast<uint32_t>(slot * 5);
+  }
+  state.msk = pattern<16>(74);
+  const Bytes table = encode_record(state);
+  ASSERT_EQ(table.size(), 5436u);
+  const Bytes queue = pattern_bytes(65082, 75);
+
+  const sgx::SimCpu cpu(pattern<32>(76));
+  crypto::CtrDrbg drbg(pattern_bytes(48, 77));
+  sgx::SealContext context(cpu, sample_report_body().identity, drbg,
+                           sgx::KeyPolicy::kMrEnclave);
+  const auto sha256_of = [](const Result<Bytes>& sealed) {
+    if (!sealed.ok()) return std::string("seal failed");
+    const auto digest = crypto::Sha256::hash(sealed.value());
+    return hex_encode(ByteView(digest.data(), digest.size()));
+  };
+  const Bytes table_aad = to_bytes(std::string_view("SGXMIG-ML-STATE"));
+  const Bytes queue_aad = to_bytes(std::string_view("SGXMIG-ME-QUEUE"));
+  EXPECT_EQ(sha256_of(context.seal(table_aad, table)),
+            "4812c49b38cede3ef9e7225340a8e4fb9d58fb7accf1deafd5e219e0e0e5aac6");
+  EXPECT_EQ(sha256_of(context.seal(table_aad, table)),
+            "e9aaf6849fe067459b2b81fb3d2c15c0293d6dc20221ce8fb5288f721874b0ea");
+  EXPECT_EQ(sha256_of(context.seal(queue_aad, queue)),
+            "e67a1f14b4ec8438c2d25db6025da7e3f7bbeee3f740375a5ed758ee00f157ef");
+  const auto sealed_queue = context.seal(queue_aad, queue);
+  EXPECT_EQ(sha256_of(sealed_queue),
+            "835891d403b191b35ccfc496f0d5dffa89e044d51e9a26b2c8eccc1ea1acfa77");
+  ASSERT_TRUE(sealed_queue.ok());
+  EXPECT_EQ(sealed_queue.value().size(),
+            sgx::sealed_blob_size(queue_aad.size(), queue.size()));
+  const auto opened =
+      sgx::unseal_data(cpu, sample_report_body().identity, sealed_queue.value());
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened.value().plaintext, queue);
+  EXPECT_EQ(opened.value().aad, queue_aad);
+}
+
 // ----- bounds table -----
 //
 // Every bound a reader enforces on host-supplied bytes: the record must
