@@ -6,7 +6,8 @@
 //
 // CI gates (exit non-zero, printing the replaying seed):
 //   * near-linear control plane: real CPU and driver task touches may
-//     grow at most 15x over the 10x enclave growth from 1k to 10k;
+//     grow at most 15x over the 10x enclave growth from 1k to 10k (the
+//     CPU of each of the two rows is the fastest of three runs);
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
 //     the 1k row (event-log ring + ME history caps bound the rest);
 //   * a traced rerun of the 1k row reproduces its untraced wall
@@ -17,6 +18,7 @@
 // Usage: bench_fleet_scale            (SGXMIG_SEED=<n> overrides the base
 //                                      world seed; gate failures print it)
 // Emits BENCH_fleet_scale.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -233,13 +235,33 @@ void run() {
     int machines;
     int enclaves;
     ScaleResult result;
+    std::vector<double> cpu_samples;
   };
   std::vector<CurvePoint> curve;
   for (const auto& [machines, enclaves] :
        std::vector<std::pair<int, int>>{{100, 1000}, {320, 3200},
                                         {1000, 10000}}) {
-    CurvePoint point{machines, enclaves, evacuate(machines, enclaves)};
-    const ScaleResult& r = point.result;
+    CurvePoint point{machines, enclaves, evacuate(machines, enclaves), {}};
+    point.cpu_samples.push_back(point.result.cpu_seconds);
+    curve.push_back(std::move(point));
+  }
+  // The CPU gate compares the fastest of three runs of the 1k and 10k
+  // rows: one ~1 s run of the 1k row on a shared host moves the ratio by
+  // several x.  The reruns repeat the same seeded evacuation, so only
+  // their CPU differs.
+  constexpr int kCpuSamples = 3;
+  for (int sample = 1; sample < kCpuSamples; ++sample) {
+    for (CurvePoint* point : {&curve.front(), &curve.back()}) {
+      point->cpu_samples.push_back(
+          evacuate(point->machines, point->enclaves).cpu_seconds);
+    }
+  }
+  for (CurvePoint& point : curve) {
+    ScaleResult& r = point.result;
+    r.cpu_seconds = *std::min_element(point.cpu_samples.begin(),
+                                      point.cpu_samples.end());
+    const int machines = point.machines;
+    const int enclaves = point.enclaves;
     std::printf("%9d %9d %10.3f %10.3f %14llu %12.1f %10llu %12llu %11llu\n",
                 machines, enclaves, to_seconds(r.wall), r.cpu_seconds,
                 static_cast<unsigned long long>(r.control_plane_bytes),
@@ -270,7 +292,11 @@ void run() {
                   r.report.failed(), machines);
       fail_gate("scale-curve migrations failed");
     }
-    curve.push_back(std::move(point));
+  }
+  for (const CurvePoint* point : {&curve.front(), &curve.back()}) {
+    std::printf("cpu samples at %d enclaves [s]:", point->enclaves);
+    for (const double cpu : point->cpu_samples) std::printf(" %.3f", cpu);
+    std::printf(" (gate uses the fastest)\n");
   }
 
   // --- scaling-shape gates: 1k -> 10k is 10x the enclaves; a linear

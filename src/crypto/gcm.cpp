@@ -145,15 +145,19 @@ class Gcm {
     store_be32(j0_ + 12, 1);
   }
 
-  void ctr(ByteView in, Bytes& out) const {
-    out.resize(in.size());
+  // `out` is `in.data()` or does not overlap `in`.
+  void ctr(ByteView in, uint8_t* out) const {
 #if defined(__x86_64__)
+    if (aes_.kernel() == Kernel::kVaes) {
+      vaes_ctr(aes_.round_keys(), j0_, in.data(), in.size(), out);
+      return;
+    }
     if (aes_.kernel() == Kernel::kAesNi) {
-      aesni_ctr(aes_.round_keys(), j0_, in.data(), in.size(), out.data());
+      aesni_ctr(aes_.round_keys(), j0_, in.data(), in.size(), out);
       return;
     }
 #endif
-    portable_ctr(aes_, j0_, in.data(), in.size(), out.data());
+    portable_ctr(aes_, j0_, in.data(), in.size(), out);
   }
 
   void tag(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
@@ -166,6 +170,10 @@ class Gcm {
  private:
   void ghash(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
 #if defined(__x86_64__)
+    if (aes_.kernel() == Kernel::kVaes) {
+      vpclmul_ghash(h_, aad, ciphertext, out);
+      return;
+    }
     if (aes_.kernel() == Kernel::kAesNi) {
       clmul_ghash(h_, aad, ciphertext, out);
       return;
@@ -182,25 +190,42 @@ class Gcm {
 }  // namespace
 
 const char* kernel_name(Kernel kernel) {
-  return kernel == Kernel::kAesNi ? "aesni-pclmul" : "portable";
+  switch (kernel) {
+    case Kernel::kPortable:
+      return "portable";
+    case Kernel::kAesNi:
+      return "aesni-pclmul";
+    case Kernel::kVaes:
+      return "vaes-vpclmul";
+  }
+  return "unknown";
 }
 
 Kernel selected() {
-  static const Kernel kernel =
-      cpu_has_aesni() ? Kernel::kAesNi : Kernel::kPortable;
+  static const Kernel kernel = cpu_has_vaes()    ? Kernel::kVaes
+                               : cpu_has_aesni() ? Kernel::kAesNi
+                                                 : Kernel::kPortable;
   return kernel;
 }
 
-GcmCiphertext encrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
-                      ByteView plaintext) {
+void encrypt_into(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                  ByteView plaintext, uint8_t* ciphertext,
+                  uint8_t tag[kGcmTagSize]) {
   if (iv.size() != kGcmIvSize) {
     throw std::invalid_argument("gcm_encrypt: IV must be 12 bytes");
   }
   const Gcm gcm(kernel, key, iv);
+  gcm.ctr(plaintext, ciphertext);
+  gcm.tag(aad, ByteView(ciphertext, plaintext.size()), tag);
+}
+
+GcmCiphertext encrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
+                      ByteView plaintext) {
   GcmCiphertext out;
+  out.ciphertext.resize(plaintext.size());
+  encrypt_into(kernel, key, iv, aad, plaintext, out.ciphertext.data(),
+               out.tag.data());
   std::memcpy(out.iv.data(), iv.data(), kGcmIvSize);
-  gcm.ctr(plaintext, out.ciphertext);
-  gcm.tag(aad, out.ciphertext, out.tag.data());
   return out;
 }
 
@@ -215,8 +240,8 @@ Result<Bytes> decrypt(Kernel kernel, ByteView key, ByteView iv, ByteView aad,
   if (!constant_time_eq(ByteView(expected_tag, 16), tag)) {
     return Status::kMacMismatch;
   }
-  Bytes plaintext;
-  gcm.ctr(ciphertext, plaintext);
+  Bytes plaintext(ciphertext.size());
+  gcm.ctr(ciphertext, plaintext.data());
   return plaintext;
 }
 
@@ -226,6 +251,13 @@ GcmCiphertext gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
                           ByteView plaintext) {
   return gcm_kernels::encrypt(gcm_kernels::selected(), key, iv, aad,
                               plaintext);
+}
+
+void gcm_encrypt_into(ByteView key, ByteView iv, ByteView aad,
+                      ByteView plaintext, uint8_t* ciphertext,
+                      uint8_t tag[kGcmTagSize]) {
+  gcm_kernels::encrypt_into(gcm_kernels::selected(), key, iv, aad, plaintext,
+                            ciphertext, tag);
 }
 
 Result<Bytes> gcm_decrypt(ByteView key, ByteView iv, ByteView aad,

@@ -4,15 +4,16 @@
 // AES-128-GCM via sgx_rijndael128GCM_encrypt); every sealed blob, secure
 // channel record, and migration-data payload in this repo goes through it.
 //
-// Two kernels implement it (crypto/gcm_kernels.h), chosen once per
+// Three kernels implement it (crypto/gcm_kernels.h), chosen once per
 // process from CPUID, with no option to override, and the same choice
-// crypto::Aes makes for CMAC and the DRBG: on x86-64 with AES-NI,
-// PCLMULQDQ and SSSE3, an AES-NI key schedule and rounds and carry-less
-// GHASH, as on the paper's SGX hardware; elsewhere the portable T-table
-// AES and Shoup 4-bit GHASH, which the tests also run everywhere as the
-// reference the hardware kernel must match byte for byte.  Virtual time
-// comes from the cost model (aes_gcm_ns_per_byte), never from which
-// kernel ran.
+// crypto::Aes makes for CMAC and the DRBG: on x86-64 with AVX2, VAES and
+// VPCLMULQDQ, 256-bit vaesenc CTR and vpclmulqdq GHASH over 256-byte
+// strides; else, with AES-NI, PCLMULQDQ and SSSE3, AES-NI rounds and
+// carry-less GHASH, as on the paper's SGX hardware; elsewhere the portable
+// T-table AES and Shoup 4-bit GHASH, which the tests also run everywhere
+// as the reference the hardware kernels must match byte for byte.
+// Virtual time comes from the cost model (aes_gcm_ns_per_byte), never
+// from which kernel ran.
 #pragma once
 
 #include <optional>
@@ -35,6 +36,14 @@ struct GcmCiphertext {
 /// must be exactly 12 bytes (the caller is responsible for uniqueness).
 GcmCiphertext gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
                           ByteView plaintext);
+
+/// gcm_encrypt into caller-owned memory: the ciphertext over
+/// `plaintext.size()` bytes at `ciphertext` and the tag at `tag`.
+/// `ciphertext` is `plaintext.data()` (encrypting in place) or does not
+/// overlap `plaintext`; neither output may overlap `iv` or `aad`.
+void gcm_encrypt_into(ByteView key, ByteView iv, ByteView aad,
+                      ByteView plaintext, uint8_t* ciphertext,
+                      uint8_t tag[kGcmTagSize]);
 
 /// Decrypts and authenticates.  Returns kMacMismatch if the tag (over the
 /// AAD and ciphertext) does not verify; no plaintext is released then.

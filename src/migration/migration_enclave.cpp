@@ -2222,14 +2222,11 @@ Status MigrationEnclave::commit_state() {
   if (!queue_seal_ctx_.has_value()) {
     queue_seal_ctx_.emplace(make_seal_context(sgx::KeyPolicy::kMrEnclave));
   }
-  Bytes plaintext = encode_record(static_cast<const DurableQueue&>(*this));
-  auto sealed = seal_with(*queue_seal_ctx_,
-                          to_bytes(std::string_view(kQueueAad)), plaintext);
-  // The plaintext snapshot embeds every live channel's raw session key.
-  // It is freed before the OCALL allocates: held across the callback, it
-  // fragments the heap and raises peak RSS.
-  secure_wipe(plaintext);
-  plaintext = Bytes{};
+  // The snapshot embeds every live channel's raw session key: it is
+  // encoded straight into the blob and encrypted there, so no plaintext
+  // copy of it reaches the heap.
+  auto sealed = seal_record_with(*queue_seal_ctx_, text_bytes(kQueueAad),
+                                 static_cast<const DurableQueue&>(*this));
   if (!sealed.ok()) return sealed.status();
   if (queue_persist_callback_) {
     // OCALL to the untrusted host, which writes the blob to disk.

@@ -33,14 +33,10 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   if (!seal_ctx_.has_value()) {
     seal_ctx_.emplace(host_.make_seal_context(sgx::KeyPolicy::kMrEnclave));
   }
-  Bytes plaintext = encode_record(state_.to_wire());
-  auto sealed = host_.seal_with(
-      *seal_ctx_, to_bytes(std::string_view(kStateAad)), plaintext);
-  // The plaintext Table II carries the MSK and every counter UUID.  It is
-  // freed before the OCALL allocates: held across the callback, it
-  // fragments the heap and raises peak RSS.
-  secure_wipe(plaintext);
-  plaintext = Bytes{};
+  // Table II (the MSK and every counter UUID) is encoded straight into the
+  // blob and encrypted there, so no plaintext copy of it reaches the heap.
+  auto sealed = host_.seal_record_with(*seal_ctx_, text_bytes(kStateAad),
+                                       state_.to_wire());
   if (!sealed.ok()) return sealed.status();
   sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {

@@ -23,12 +23,6 @@ SealContext Enclave::make_seal_context(KeyPolicy policy) {
   return SealContext(platform_.cpu(), identity_, drbg_, policy);
 }
 
-Result<Bytes> Enclave::seal_with(SealContext& context, ByteView aad,
-                                 ByteView plaintext) {
-  charge_gcm(plaintext.size() + aad.size());
-  return context.seal(aad, plaintext);
-}
-
 Result<UnsealedData> Enclave::unseal(ByteView sealed_blob) {
   platform_.charge(platform_.costs().egetkey);
   charge_gcm(sealed_blob.size());

@@ -71,11 +71,19 @@ class Enclave {
   Result<UnsealedData> unseal(ByteView sealed_blob);
 
   /// One-time EGETKEY for a reusable seal context: the derivation cost is
-  /// charged here, once; each seal_with() charges only the GCM work.  Used
-  /// by hot persist paths that re-seal the same state repeatedly.
+  /// charged here, once; each seal_record_with() charges only the GCM
+  /// work.  Used by hot persist paths that re-seal the same state
+  /// repeatedly.
   SealContext make_seal_context(KeyPolicy policy);
-  Result<Bytes> seal_with(SealContext& context, ByteView aad,
-                          ByteView plaintext);
+  /// context.seal_record(aad, record), charging the GCM work for the AAD
+  /// and the record's encoding.
+  template <class T>
+  Result<Bytes> seal_record_with(SealContext& context, ByteView aad,
+                                 const T& record) {
+    Result<Bytes> sealed = context.seal_record(aad, record);
+    if (sealed.ok()) charge_gcm(sealed.value().size() - sealed_blob_size(0, 0));
+    return sealed;
+  }
 
   // ----- local attestation (EREPORT) -----
   Report make_report(const TargetInfo& target, const ReportData& data);

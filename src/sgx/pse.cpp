@@ -6,7 +6,10 @@ namespace sgxmig::sgx {
 
 Result<CreatedCounter> MonotonicCounterService::create(
     const Measurement& owner, ByteView nonce_entropy) {
-  if (count_for(owner) >= kMaxCountersPerEnclave) {
+  // One lookup: a new owner's count goes in at 0 and nothing between here
+  // and its increment below can fail, so the map keeps no zero count.
+  const auto slots = owner_counts_.try_emplace(owner, 0).first;
+  if (slots->second >= kMaxCountersPerEnclave) {
     return Status::kCounterQuotaExceeded;
   }
   Entry entry;
@@ -19,8 +22,9 @@ Result<CreatedCounter> MonotonicCounterService::create(
   created.uuid.counter_id = next_id_++;
   created.uuid.nonce = entry.nonce;
   created.value = 0;
-  counters_.emplace(created.uuid.counter_id, entry);
-  ++owner_counts_[owner];
+  // Ids only increase, so each new counter goes at the end.
+  counters_.emplace_hint(counters_.end(), created.uuid.counter_id, entry);
+  ++slots->second;
   return created;
 }
 

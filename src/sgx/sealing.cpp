@@ -6,44 +6,37 @@
 namespace sgxmig::sgx {
 
 namespace {
-// The AAD fed to GCM covers the key request so it cannot be swapped.
-Bytes gcm_aad(KeyPolicy policy, const KeyId& key_id, ByteView user_aad) {
-  BinaryWriter w;
-  w.u16(static_cast<uint16_t>(policy));
-  w.fixed(key_id);
-  w.bytes(user_aad);
-  return w.take();
+// Where a blob's key request (policy, key id and the length-prefixed AAD)
+// starts: after the magic's u32 length and bytes.  The key request is
+// also the AAD fed to GCM, so it cannot be swapped.
+constexpr size_t kKeyRequestAt = 4 + sizeof(SealedBlob::kMagic) - 1;
+
+constexpr size_t key_request_size(size_t aad_len) {
+  return 2 + sizeof(KeyId) + 4 + aad_len;
 }
 }  // namespace
 
 size_t sealed_blob_size(size_t aad_len, size_t plaintext_len) {
-  // magic(str) + policy + key_id + aad + iv + tag + ciphertext, with the
-  // u32 length prefixes from the serialization format.
-  return 4 + sizeof(SealedBlob::kMagic) - 1 + 2 + 32 + 4 + aad_len + 12 + 16 +
-         4 + plaintext_len;
+  // magic(str) + key request + iv + tag + ciphertext, with the u32 length
+  // prefixes from the serialization format.
+  return kKeyRequestAt + key_request_size(aad_len) + crypto::kGcmIvSize +
+         crypto::kGcmTagSize + 4 + plaintext_len;
 }
 
-namespace {
-// Shared by seal_data and SealContext::seal: everything after key
-// derivation, emitting the wire format unseal_data expects.
-Result<Bytes> seal_with_key(const Key128& key, const KeyId& key_id,
-                            KeyPolicy policy, crypto::CtrDrbg& drbg,
-                            ByteView aad, ByteView plaintext) {
-  Bytes iv(crypto::kGcmIvSize);
-  drbg.generate(iv.data(), iv.size());
-
-  crypto::GcmCiphertext ct =
-      crypto::gcm_encrypt(ByteView(key.data(), key.size()), iv,
-                          gcm_aad(policy, key_id, aad), plaintext);
-  // Sized once: every Table II persist seals, and growing the buffer
-  // step by step leaves the heap fragmented.
-  BinaryWriter w;
-  w.reserve(sealed_blob_size(aad.size(), plaintext.size()));
-  write_record(w, SealedBlob{policy, key_id, to_bytes(aad), ct.iv, ct.tag,
-                             std::move(ct.ciphertext)});
-  return w.take();
+void encrypt_laid_out_blob(const Key128& key, size_t aad_len, Bytes& blob) {
+  // The key request, then the IV, the tag, the ciphertext's u32 length and
+  // the ciphertext, which runs to the end.
+  const size_t iv_at = kKeyRequestAt + key_request_size(aad_len);
+  const size_t tag_at = iv_at + crypto::kGcmIvSize;
+  const size_t ciphertext_at = tag_at + crypto::kGcmTagSize + 4;
+  uint8_t* ciphertext = blob.data() + ciphertext_at;
+  crypto::gcm_encrypt_into(
+      ByteView(key.data(), key.size()),
+      ByteView(blob).subspan(iv_at, crypto::kGcmIvSize),
+      ByteView(blob).subspan(kKeyRequestAt, key_request_size(aad_len)),
+      ByteView(ciphertext, blob.size() - ciphertext_at), ciphertext,
+      blob.data() + tag_at);
 }
-}  // namespace
 
 Result<Bytes> seal_data(const SimCpu& cpu, const EnclaveIdentity& self,
                         crypto::CtrDrbg& drbg, KeyPolicy policy, ByteView aad,
@@ -51,7 +44,7 @@ Result<Bytes> seal_data(const SimCpu& cpu, const EnclaveIdentity& self,
   KeyId key_id{};
   drbg.generate(key_id.data(), key_id.size());
   const Key128 key = cpu.get_key(KeyName::kSeal, policy, self, key_id);
-  return seal_with_key(key, key_id, policy, drbg, aad, plaintext);
+  return seal_payload(key, key_id, policy, drbg, aad, plaintext);
 }
 
 SealContext::SealContext(const SimCpu& cpu, const EnclaveIdentity& self,
@@ -62,7 +55,7 @@ SealContext::SealContext(const SimCpu& cpu, const EnclaveIdentity& self,
 }
 
 Result<Bytes> SealContext::seal(ByteView aad, ByteView plaintext) {
-  return seal_with_key(key_, key_id_, policy_, drbg_, aad, plaintext);
+  return seal_payload(key_, key_id_, policy_, drbg_, aad, plaintext);
 }
 
 Result<UnsealedData> unseal_data(const SimCpu& cpu,
@@ -73,10 +66,12 @@ Result<UnsealedData> unseal_data(const SimCpu& cpu,
   SealedBlob& b = blob.value();
 
   const Key128 key = cpu.get_key(KeyName::kSeal, b.policy, self, b.key_id);
+  // It decoded, so its magic is SealedBlob's and the key request sits at
+  // kKeyRequestAt.
   auto plaintext = crypto::gcm_decrypt(
       ByteView(key.data(), key.size()), ByteView(b.iv.data(), b.iv.size()),
-      gcm_aad(b.policy, b.key_id, b.aad), b.ciphertext,
-      ByteView(b.tag.data(), b.tag.size()));
+      sealed_blob.subspan(kKeyRequestAt, key_request_size(b.aad.size())),
+      b.ciphertext, ByteView(b.tag.data(), b.tag.size()));
   if (!plaintext.ok()) return plaintext.status();
 
   UnsealedData out;

@@ -43,6 +43,38 @@ struct SealedBlob {
   }
 };
 
+/// A SealedBlob's members as views: seals lay a blob out through
+/// SealedBlob's field list, allocated once at its final size, with the
+/// payload (plaintext bytes, or an EncodedRecord written in place) where
+/// the ciphertext goes, then encrypt it there.
+template <class Payload>
+struct SealedBlobLayout {
+  KeyPolicy policy = KeyPolicy::kMrEnclave;
+  KeyId key_id{};
+  ByteView aad;
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Payload ciphertext;
+};
+
+/// Encrypts in place the payload of a blob laid out from a
+/// SealedBlobLayout with `aad_len` bytes of AAD, under its own IV, and
+/// writes the tag into its slot.
+void encrypt_laid_out_blob(const Key128& key, size_t aad_len, Bytes& blob);
+
+/// Everything a seal does after key derivation: draws the IV, lays the
+/// blob out and encrypts it, emitting the wire format unseal_data expects.
+template <class Payload>
+Bytes seal_payload(const Key128& key, const KeyId& key_id, KeyPolicy policy,
+                   crypto::CtrDrbg& drbg, ByteView aad,
+                   const Payload& payload) {
+  SealedBlobLayout<Payload> layout{policy, key_id, aad, {}, {}, payload};
+  drbg.generate(layout.iv.data(), layout.iv.size());
+  Bytes blob = encode_record_as<SealedBlob>(layout);
+  encrypt_laid_out_blob(key, aad.size(), blob);
+  return blob;
+}
+
 struct UnsealedData {
   Bytes plaintext;
   Bytes aad;  // the additional MAC text, integrity-protected but readable
@@ -79,6 +111,14 @@ class SealContext {
               crypto::CtrDrbg& drbg, KeyPolicy policy);
 
   Result<Bytes> seal(ByteView aad, ByteView plaintext);
+  /// seal(aad, encode_record(record)), with the record encoded straight
+  /// into the blob where its ciphertext goes and encrypted there: no
+  /// plaintext copy is made, so none is left behind in freed heap.
+  template <class T>
+  Result<Bytes> seal_record(ByteView aad, const T& record) {
+    return seal_payload(key_, key_id_, policy_, drbg_, aad,
+                        EncodedRecord<T>{record});
+  }
 
   KeyPolicy policy() const { return policy_; }
 

@@ -59,6 +59,11 @@ Bytes to_bytes(ByteView view);
 /// Creates an owned buffer from the raw characters of a string (no NUL).
 Bytes to_bytes(std::string_view text);
 
+/// The raw characters of a string as bytes, in place (no NUL, no copy).
+inline ByteView text_bytes(std::string_view text) {
+  return ByteView(reinterpret_cast<const uint8_t*>(text.data()), text.size());
+}
+
 /// Interprets a byte buffer as text (bytes are copied verbatim).
 std::string to_string(ByteView view);
 

@@ -12,11 +12,15 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -99,9 +103,64 @@ class ByteCounter {
 
   size_t size() const { return size_; }
   void patch_u32(size_t /*at*/, uint32_t /*v*/) {}
+  /// Counts `n` bytes a nested count already summed.
+  void add(size_t n) { size_ += n; }
 
  private:
   size_t size_ = 0;
+};
+
+/// A sink that writes BinaryWriter's bytes through a cursor into a buffer
+/// a ByteCounter already sized: encode_record's writing pass, one store
+/// per field with no growth or bounds checks.  The counting pass runs the
+/// same field list over the same record and counts exactly what this pass
+/// writes (FieldWriter::ordered_map, the one place the two walk
+/// differently, keeps them equal), so the buffer always fits; debug
+/// builds assert it.
+class CursorWriter {
+ public:
+  explicit CursorWriter(std::span<uint8_t> buffer)
+      : begin_(buffer.data()), cursor_(begin_), end_(begin_ + buffer.size()) {}
+
+  void u8(uint8_t v) { *take(1) = v; }
+  void u16(uint16_t v) {
+    uint8_t* p = take(2);
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+  }
+  void u32(uint32_t v) { store_le32(take(4), v); }
+  void u64(uint64_t v) { store_le64(take(8), v); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  void bytes(ByteView v) {
+    u32(static_cast<uint32_t>(v.size()));
+    append(v.data(), v.size());
+  }
+  void str(std::string_view v) {
+    u32(static_cast<uint32_t>(v.size()));
+    append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
+  }
+  template <size_t N>
+  void fixed(const std::array<uint8_t, N>& a) {
+    append(a.data(), N);
+  }
+
+  size_t size() const { return static_cast<size_t>(cursor_ - begin_); }
+  void patch_u32(size_t at, uint32_t v) { store_le32(begin_ + at, v); }
+
+ private:
+  uint8_t* take(size_t n) {
+    assert(n <= static_cast<size_t>(end_ - cursor_));
+    uint8_t* at = cursor_;
+    cursor_ += n;
+    return at;
+  }
+  void append(const uint8_t* p, size_t n) {
+    if (n != 0) std::memcpy(take(n), p, n);
+  }
+
+  uint8_t* begin_;
+  uint8_t* cursor_;
+  uint8_t* end_;
 };
 
 class BinaryReader {
@@ -197,10 +256,20 @@ inline constexpr bool kIsDuration = false;
 template <class Rep, class Period>
 inline constexpr bool kIsDuration<std::chrono::duration<Rep, Period>> = true;
 
-/// Runs a field list into a sink: a BinaryWriter, or a ByteCounter that
-/// sizes the same bytes first.
+/// A byte-string field of a writer-side view that holds `record`'s
+/// encoding: FieldWriter writes the bytes bytes(encode_record(record))
+/// would, straight into its sink, without building the encoding first.
+template <class R>
+struct EncodedRecord {
+  const R& record;
+};
+
+/// Runs a field list into a sink: a BinaryWriter, a ByteCounter that
+/// sizes the bytes first, or the CursorWriter that then fills them.
 template <class Sink>
 class FieldWriter {
+  static constexpr bool kCounts = std::is_same_v<Sink, ByteCounter>;
+
  public:
   explicit FieldWriter(Sink& w) : w_(w) {}
 
@@ -223,7 +292,11 @@ class FieldWriter {
 
   template <size_t N>
   void fixed(const std::array<uint8_t, N>& a) { w_.fixed(a); }
-  void bytes(const Bytes& b, size_t /*max_len*/) { w_.bytes(b); }
+  void bytes(ByteView b, size_t /*max_len*/) { w_.bytes(b); }
+  template <class R>
+  void bytes(const EncodedRecord<R>& e, size_t max_len) {
+    sized(e.record, max_len);
+  }
   void str(const std::string& s, size_t /*max_len*/) { w_.str(s); }
   void magic(std::string_view m, size_t /*max_len*/) { w_.str(m); }
 
@@ -257,7 +330,11 @@ class FieldWriter {
   void ordered_map(const std::map<K, V>& m, const std::deque<K>& order,
                    size_t /*max_count*/, Entry entry) {
     w_.u32(static_cast<uint32_t>(order.size()));
-    for (const K& key : order) entry(*this, key, m.at(key));
+    if constexpr (kCounts) {
+      count_ordered_map(m, order, entry);
+    } else {
+      for (const K& key : order) entry(*this, key, m.at(key));
+    }
   }
 
   template <class R>
@@ -275,6 +352,35 @@ class FieldWriter {
   void require(bool /*condition*/) {}
 
  private:
+  // ordered_map's counting pass.  The writing pass walks `order`, a lookup
+  // per key.  When `order` has as many keys as `m` and every entry of `m`
+  // has one width, that walk writes m.size() entries of that width
+  // whichever keys it names, so `m` is summed without a lookup; otherwise
+  // `order` is walked as the writing pass walks it.  Either way the count
+  // is exactly what the writing pass writes.
+  template <class K, class V, class Entry>
+  void count_ordered_map(const std::map<K, V>& m, const std::deque<K>& order,
+                         Entry entry) {
+    ByteCounter sum;
+    FieldWriter<ByteCounter> io(sum);
+    bool uniform = order.size() == m.size();
+    bool first = true;
+    size_t width = 0;
+    for (const auto& [key, value] : m) {
+      const size_t before = sum.size();
+      entry(io, key, value);
+      const size_t entry_width = sum.size() - before;
+      if (first) width = entry_width;
+      first = false;
+      uniform = uniform && entry_width == width;
+    }
+    if (!uniform) {
+      sum = ByteCounter{};
+      for (const K& key : order) entry(io, key, m.at(key));
+    }
+    w_.add(sum.size());
+  }
+
   Sink& w_;
 };
 
@@ -393,18 +499,31 @@ void write_record(BinaryWriter& w, const T& record) {
   T::fields(io, record);
 }
 
-/// `record`'s fields in one buffer, allocated once at its final size:
-/// a counting pass over the field list sizes it, then the writing pass
-/// fills it, so no partial copy is left behind in freed heap.
-template <class T>
-Bytes encode_record(const T& record) {
+/// `record` run through `Fields`'s field list into one buffer, allocated
+/// once at its final size: a counting pass over the field list sizes it,
+/// then the writing pass fills it through a cursor, so no partial copy is
+/// left behind in freed heap.  `record` is a `Fields`, or a view with the
+/// same members (sealing lays a SealedBlob out over its payload's bytes).
+template <class Fields, class T>
+Bytes encode_record_as(const T& record) {
   ByteCounter counter;
   FieldWriter sizer(counter);
-  T::fields(sizer, record);
-  BinaryWriter w;
-  w.reserve(counter.size());
-  write_record(w, record);
-  return w.take();
+  Fields::fields(sizer, record);
+  Bytes out(counter.size());
+  CursorWriter cursor(out);
+  FieldWriter writer(cursor);
+  Fields::fields(writer, record);
+  if (cursor.size() != out.size()) {
+    throw std::logic_error("encode_record: the writing pass wrote other "
+                           "than the counting pass counted");
+  }
+  return out;
+}
+
+/// `record`'s fields in one buffer (see encode_record_as).
+template <class T>
+Bytes encode_record(const T& record) {
+  return encode_record_as<T>(record);
 }
 
 /// Decodes a whole buffer as one record: every failure, and any byte left

@@ -1,9 +1,9 @@
 // AES / GCM / CMAC / DRBG tests against published vectors (FIPS 197
 // appendix C, SP 800-38A, the original GCM spec test cases, RFC 4493)
-// and a pinned DRBG stream, plus differential tests of both AES and GCM
-// kernels (portable T-table/Shoup, and AES-NI + PCLMULQDQ where the CPU
-// has it) against the portable kernel and simple reference
-// implementations on seeded random inputs.
+// and a pinned DRBG stream, plus differential tests of every AES and GCM
+// kernel (portable T-table/Shoup; AES-NI + PCLMULQDQ, and 256-bit VAES +
+// VPCLMULQDQ, where the CPU has them) against the portable kernel and
+// simple reference implementations on seeded random inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,17 +78,33 @@ TEST(Aes, RejectsBadKeySize) {
 // ---- GCM, run through each kernel ----
 //
 // Every GCM test below runs once per kernel (crypto/gcm_kernels.h): the
-// portable T-table/Shoup kernel always, the AES-NI + PCLMULQDQ kernel
-// where the CPU has it.  The public gcm_encrypt/gcm_decrypt run the
-// selected kernel; GcmKernelSelection pins which one that is.
+// portable T-table/Shoup kernel always, the AES-NI + PCLMULQDQ and the
+// VAES + VPCLMULQDQ kernels where the CPU has them.  The public
+// gcm_encrypt/gcm_decrypt run the selected kernel; GcmKernelSelection
+// pins which one that is.
 
 using gcm_kernels::Kernel;
+
+std::string kernel_test_name(const ::testing::TestParamInfo<Kernel>& param) {
+  switch (param.param) {
+    case Kernel::kPortable:
+      return "Portable";
+    case Kernel::kAesNi:
+      return "AesNi";
+    case Kernel::kVaes:
+      return "Vaes";
+  }
+  return "Unknown";
+}
 
 class GcmKernelTest : public ::testing::TestWithParam<Kernel> {
  protected:
   void SetUp() override {
     if (GetParam() == Kernel::kAesNi && !gcm_kernels::cpu_has_aesni()) {
       GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ/SSSE3";
+    }
+    if (GetParam() == Kernel::kVaes && !gcm_kernels::cpu_has_vaes()) {
+      GTEST_SKIP() << "CPU lacks AVX2/VAES/VPCLMULQDQ";
     }
   }
 
@@ -105,12 +121,9 @@ class GcmKernelTest : public ::testing::TestWithParam<Kernel> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Kernels, GcmKernelTest,
-                         ::testing::Values(Kernel::kPortable, Kernel::kAesNi),
-                         [](const ::testing::TestParamInfo<Kernel>& param) {
-                           return param.param == Kernel::kAesNi
-                                      ? std::string("AesNi")
-                                      : std::string("Portable");
-                         });
+                         ::testing::Values(Kernel::kPortable, Kernel::kAesNi,
+                                           Kernel::kVaes),
+                         kernel_test_name);
 
 TEST_P(GcmKernelTest, SpecTestCase1EmptyEverything) {
   const Bytes key(16, 0);
@@ -296,13 +309,30 @@ void ref_ghash_absorb(RefBlock& y, const RefBlock& h, ByteView data) {
   }
 }
 
+// Reference CTR (SP 800-38D §6.5): the keystream of inc32(j0) on, one
+// byte at a time, on the portable AES.
+Bytes reference_ctr(const Aes& aes, const uint8_t j0[16], ByteView in) {
+  Bytes out(in.size());
+  uint8_t counter[16];
+  std::memcpy(counter, j0, 16);
+  uint8_t block[16];
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (i % 16 == 0) {
+      store_be32(counter + 12, load_be32(counter + 12) + 1);
+      aes.encrypt_block(counter, block);
+    }
+    out[i] = in[i] ^ block[i % 16];
+  }
+  return out;
+}
+
 // Reference AES-GCM encryption (SP 800-38D §7.1) on the reference GHASH.
 GcmCiphertext reference_gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
                                     ByteView plaintext) {
   const Aes aes(key, Kernel::kPortable);
-  uint8_t block[16] = {0};
+  const uint8_t zero[16] = {0};
   uint8_t h_bytes[16];
-  aes.encrypt_block(block, h_bytes);
+  aes.encrypt_block(zero, h_bytes);
   const RefBlock h{load_be64(h_bytes), load_be64(h_bytes + 8)};
 
   uint8_t j0[16];
@@ -311,16 +341,7 @@ GcmCiphertext reference_gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
 
   GcmCiphertext out;
   std::memcpy(out.iv.data(), iv.data(), kGcmIvSize);
-  out.ciphertext.resize(plaintext.size());
-  uint8_t counter[16];
-  std::memcpy(counter, j0, 16);
-  for (size_t i = 0; i < plaintext.size(); ++i) {
-    if (i % 16 == 0) {
-      store_be32(counter + 12, load_be32(counter + 12) + 1);
-      aes.encrypt_block(counter, block);
-    }
-    out.ciphertext[i] = plaintext[i] ^ block[i % 16];
-  }
+  out.ciphertext = reference_ctr(aes, j0, plaintext);
 
   RefBlock y{0, 0};
   ref_ghash_absorb(y, h, aad);
@@ -370,6 +391,36 @@ TEST_P(GcmKernelTest, MatchesReferenceOnEveryLengthUpTo300) {
   }
 }
 
+TEST_P(GcmKernelTest, MatchesReferenceOnEveryLengthUpTo1100) {
+  // Past four 256-byte strides: every stride count with every tail, and
+  // every AAD length up to 70 bytes, on AES-128 and AES-256.
+  Rng rng(0x1100);
+  for (const size_t key_size : {size_t{16}, size_t{32}}) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      expect_matches_reference(GetParam(), rng, key_size, len % 71, len);
+    }
+  }
+}
+
+TEST_P(GcmKernelTest, EncryptsInPlaceLikeIntoAFreshBuffer) {
+  Rng rng(0x1a1a);
+  for (const size_t len : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
+                           size_t{257}, size_t{5436}}) {
+    const Bytes key = rng.bytes(16);
+    const Bytes iv = rng.bytes(kGcmIvSize);
+    const Bytes aad = rng.bytes(38);
+    Bytes buffer = rng.bytes(len);
+    const GcmCiphertext want = encrypt(key, iv, aad, buffer);
+    uint8_t tag[kGcmTagSize];
+    gcm_kernels::encrypt_into(GetParam(), key, iv, aad, buffer, buffer.data(),
+                              tag);
+    EXPECT_EQ(buffer, want.ciphertext) << len;
+    EXPECT_EQ(hex_encode(ByteView(tag, kGcmTagSize)),
+              hex_encode(ByteView(want.tag.data(), want.tag.size())))
+        << len;
+  }
+}
+
 TEST_P(GcmKernelTest, MatchesReferenceAtSealedBufferSizes) {
   // A sealed Table II (LibraryState, 5,436 B) and the largest sealed ME
   // queue blob of the precopy_live benchmark (65,082 B), each with and
@@ -384,18 +435,26 @@ TEST_P(GcmKernelTest, MatchesReferenceAtSealedBufferSizes) {
 }
 
 TEST(GcmKernelSelection, HardwareKernelIsSelectedWhenTheCpuHasIt) {
-  // Asks the CPU directly (not through gcm_kernels::cpu_has_aesni), so a
-  // silent fallback to the portable kernel on an AES-NI host fails here.
+  // Asks the CPU directly (not through gcm_kernels::cpu_has_*), so a
+  // silent fallback to a slower kernel fails here: VAES, then AES-NI,
+  // then portable.
 #if defined(__x86_64__)
   const bool has_aesni = __builtin_cpu_supports("aes") &&
                          __builtin_cpu_supports("pclmul") &&
                          __builtin_cpu_supports("ssse3");
+  const bool has_vaes = has_aesni && __builtin_cpu_supports("avx2") &&
+                        __builtin_cpu_supports("vaes") &&
+                        __builtin_cpu_supports("vpclmulqdq");
 #else
   const bool has_aesni = false;
+  const bool has_vaes = false;
 #endif
   EXPECT_EQ(gcm_kernels::cpu_has_aesni(), has_aesni);
-  EXPECT_EQ(gcm_kernels::selected(),
-            has_aesni ? Kernel::kAesNi : Kernel::kPortable)
+  EXPECT_EQ(gcm_kernels::cpu_has_vaes(), has_vaes);
+  const Kernel expected = has_vaes    ? Kernel::kVaes
+                          : has_aesni ? Kernel::kAesNi
+                                      : Kernel::kPortable;
+  EXPECT_EQ(gcm_kernels::selected(), expected)
       << "selected " << gcm_kernels::kernel_name(gcm_kernels::selected());
   // The public entry points run the selected kernel.
   const Bytes key(16, 0x0b);
@@ -411,6 +470,42 @@ TEST(GcmKernelSelection, HardwareKernelIsSelectedWhenTheCpuHasIt) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), pt);
 }
+
+#if defined(__x86_64__)
+TEST(GcmCtr, LowCounterWordWrapsInsideAStride) {
+  // A 12-byte IV always starts the counter at 1, so no GCM call wraps it;
+  // the CTR kernels are run directly from a J0 whose low word wraps
+  // inside the first 256-byte stride, the second, and the tail after
+  // two, and must leave the other 96 counter bits alone.
+  if (!gcm_kernels::cpu_has_aesni()) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(0xc7e0);
+  for (const size_t key_size : {size_t{16}, size_t{32}}) {
+    const Bytes key = rng.bytes(key_size);
+    const Aes aes(key, Kernel::kAesNi);
+    const Aes portable(key, Kernel::kPortable);
+    for (const uint32_t low : {0xfffffff8u, 0xffffffebu, 0xffffffdeu}) {
+      uint8_t j0[16];
+      const Bytes iv = rng.bytes(12);
+      std::memcpy(j0, iv.data(), 12);
+      store_be32(j0 + 12, low);
+      for (const size_t len : {size_t{256}, size_t{600}, size_t{1031}}) {
+        const Bytes in = rng.bytes(len);
+        const Bytes want = reference_ctr(portable, j0, in);
+        Bytes got(len);
+        gcm_kernels::aesni_ctr(aes.round_keys(), j0, in.data(), len,
+                               got.data());
+        EXPECT_EQ(got, want) << "aesni key " << key_size << " low " << low
+                             << " len " << len;
+        if (!gcm_kernels::cpu_has_vaes()) continue;
+        gcm_kernels::vaes_ctr(aes.round_keys(), j0, in.data(), len,
+                              got.data());
+        EXPECT_EQ(got, want) << "vaes key " << key_size << " low " << low
+                             << " len " << len;
+      }
+    }
+  }
+}
+#endif
 
 // ---- the AES block cipher, run through each kernel ----
 //
@@ -435,11 +530,7 @@ class AesKernelTest : public ::testing::TestWithParam<Kernel> {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, AesKernelTest,
                          ::testing::Values(Kernel::kPortable, Kernel::kAesNi),
-                         [](const ::testing::TestParamInfo<Kernel>& param) {
-                           return param.param == Kernel::kAesNi
-                                      ? std::string("AesNi")
-                                      : std::string("Portable");
-                         });
+                         kernel_test_name);
 
 TEST_P(AesKernelTest, Fips197AppendixC) {
   const Bytes pt = hx("00112233445566778899aabbccddeeff");

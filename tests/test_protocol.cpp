@@ -1098,8 +1098,8 @@ TEST(ProtocolPins, SealedCommitsMatchTheirPinnedDigests) {
   ASSERT_TRUE(sealed_queue.ok());
   EXPECT_EQ(sealed_queue.value().size(),
             sgx::sealed_blob_size(queue_aad.size(), queue.size()));
-  const auto opened =
-      sgx::unseal_data(cpu, sample_report_body().identity, sealed_queue.value());
+  const auto opened = sgx::unseal_data(cpu, sample_report_body().identity,
+                                       sealed_queue.value());
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().plaintext, queue);
   EXPECT_EQ(opened.value().aad, queue_aad);

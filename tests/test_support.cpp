@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "support/bytes.h"
 #include "support/json.h"
@@ -152,6 +157,74 @@ TEST(Serde, FixedArrays) {
   BinaryReader r(w.data());
   EXPECT_EQ(r.fixed<4>(), a);
   EXPECT_TRUE(r.done());
+}
+
+// A FIFO history record: `order` is meant to list the keys of `m` once
+// each.  The writing pass walks `order`; the counting pass sums `m` where
+// that gives the same count.
+template <class V>
+struct History {
+  std::map<uint32_t, V> m;
+  std::deque<uint32_t> order;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& r) {
+    io.ordered_map(r.m, r.order, kAnyCount, [](auto& f, auto& id, auto& v) {
+      f.u32(id);
+      if constexpr (std::is_same_v<V, std::string>) {
+        f.str(v, 64);
+      } else {
+        f.u64(v);
+      }
+    });
+  }
+};
+
+/// encode_record(h) is write_record's bytes in a buffer of exactly their
+/// size: the counting pass counted what the writing pass wrote.
+template <class V>
+void expect_counted_exactly(const History<V>& h) {
+  BinaryWriter w;
+  write_record(w, h);
+  const Bytes encoded = encode_record(h);
+  EXPECT_EQ(encoded, w.data());
+  EXPECT_EQ(encoded.capacity(), encoded.size());
+}
+
+TEST(Serde, OrderedMapEncodesInFifoOrder) {
+  History<std::string> h;
+  h.m = {{1, "one"}, {2, "two!"}, {3, ""}};
+  h.order = {3, 1, 2};
+  expect_counted_exactly(h);
+  const auto back = decode_record<History<std::string>>(encode_record(h));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().order, h.order);
+  EXPECT_EQ(back.value().m, h.m);
+  History<uint64_t> fixed;
+  fixed.m = {{1, 10}, {2, 20}, {3, 30}};
+  fixed.order = {2, 3, 1};
+  expect_counted_exactly(fixed);
+}
+
+TEST(Serde, OrderedMapCountsWhatItWritesEvenWhenOrderIsBroken) {
+  // `order` repeats one key and drops another, or has a different length:
+  // the counting pass must still count the bytes the writing pass writes,
+  // since that pass writes into the counted buffer unchecked.
+  History<std::string> wide;
+  wide.m = {{1, "a"}, {2, "a much longer value"}, {3, ""}};
+  for (const std::deque<uint32_t>& order :
+       {std::deque<uint32_t>{1, 2, 2}, std::deque<uint32_t>{1, 3, 3},
+        std::deque<uint32_t>{2, 2}, std::deque<uint32_t>{1, 2, 3, 2}}) {
+    wide.order = order;
+    expect_counted_exactly(wide);
+  }
+  History<uint64_t> fixed;
+  fixed.m = {{1, 10}, {2, 20}, {3, 30}};
+  fixed.order = {2, 2, 1};
+  expect_counted_exactly(fixed);
+  // A key `m` lacks fails both passes alike.
+  fixed.order = {1, 2, 4};
+  EXPECT_THROW(encode_record(fixed), std::out_of_range);
 }
 
 TEST(JsonWriter, WritesTheOneLayout) {
