@@ -22,13 +22,14 @@
 #include "chaos/chaos_plan.h"
 #include "chaos/oracles.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 
 namespace sgxmig {
 namespace {
 
+using orchestrator::AppSpec;
 using orchestrator::FleetRegistry;
-using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
 using orchestrator::OrchestratorOptions;
 using orchestrator::OrchestratorReport;
@@ -70,26 +71,15 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
         me.set_delivery_takeover_timeout(std::chrono::seconds(2));
         if (mode == TransferMode::kPrecopy) me.set_async_precopy(true);
       }));
-  std::vector<std::string> destinations;
-  for (int i = 0; i < kMachines; ++i) {
-    world.add_machine("m" + std::to_string(i));
-    if (i != 0) destinations.push_back("m" + std::to_string(i));
-  }
+  std::vector<std::string> destinations =
+      orchestrator::add_machines(world, kMachines);
+  destinations.erase(destinations.begin());  // all but the drained m0
 
   FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < kEnclaves; ++i) {
-    const std::string name = "storm-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    for (int tick = 0; tick <= i % 3; ++tick) {
-      enclave->ecall_increment_migratable_counter(counter);
-    }
-  }
+  AppSpec apps{.count = kEnclaves, .prefix = "storm-app-", .vendor = "bench"};
+  apps.options.live_transfer = mode == TransferMode::kPrecopy;
+  apps.increments = [](int i) { return 1u + i % 3; };
+  orchestrator::launch_apps(fleet, apps).value();
 
   Scheduler scheduler(fleet);  // least-loaded
   OrchestratorOptions options;

@@ -16,13 +16,14 @@
 
 #include "bench_common.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 
 namespace sgxmig {
 namespace {
 
+using orchestrator::AppSpec;
 using orchestrator::FleetRegistry;
-using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
 using orchestrator::OrchestratorOptions;
 using orchestrator::OrchestratorReport;
@@ -78,22 +79,12 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
       world.provider(), [async_precopy](migration::MigrationEnclave& me) {
         me.set_async_precopy(async_precopy);
       }));
-  for (int i = 0; i < machines; ++i) {
-    world.add_machine("m" + std::to_string(i));
-  }
+  orchestrator::add_machines(world, machines);
 
   FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < enclaves; ++i) {
-    const std::string name = "drain-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
+  AppSpec apps{.count = enclaves, .prefix = "drain-app-", .vendor = "bench"};
+  apps.options.live_transfer = mode == TransferMode::kPrecopy;
+  orchestrator::launch_apps(fleet, apps).value();
 
   if (fault == Fault::kMeDown) {
     // The scheduler's first pick goes dark: every migration that selects

@@ -30,20 +30,20 @@
 #include "chaos/chaos_plan.h"
 #include "chaos/oracles.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 
 namespace sgxmig {
 namespace {
 
+using orchestrator::AppSpec;
 using orchestrator::DriverStats;
 using orchestrator::FleetRegistry;
-using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
 using orchestrator::OrchestratorOptions;
 using orchestrator::OrchestratorReport;
 using orchestrator::Plan;
 using orchestrator::Scheduler;
-using orchestrator::TransferMode;
 
 constexpr int kRegions = 10;
 
@@ -84,35 +84,22 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
                      std::string* trace_json = nullptr) {
   platform::World world(base_seed() + machines + enclaves);
   if (traced) world.observability().set_enabled(true);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < machines; ++i) {
-    world.add_machine("m" + std::to_string(i),
-                      "r" + std::to_string(i % kRegions),
-                      /*cpu_cores=*/16u + 16u * (i % 2));
-  }
-  for (platform::Machine* m : world.machines()) {
-    if (auto* me = migration::me_on(*m)) {
-      // Long-drain memory bound: the exactly-once dedup history needs to
-      // absorb duplicate DONEs from a retry window, not the whole drain.
-      me->set_completed_history_limit(256);
-    }
-  }
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [](migration::MigrationEnclave& me) {
+        // Long-drain memory bound: the exactly-once dedup history needs to
+        // absorb duplicate DONEs from a retry window, not the whole drain.
+        me.set_completed_history_limit(256);
+      }));
+  orchestrator::add_machines(world, machines, kRegions);
 
   FleetRegistry fleet(world);
   const int source_machines = machines / kRegions;  // the r0 hosts
-  LaunchOptions launch;
-  for (int i = 0; i < enclaves; ++i) {
-    const std::string host =
-        "m" + std::to_string((i % source_machines) * kRegions);
-    const std::string name = "scale-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch(host, name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
+  AppSpec apps{.count = enclaves, .prefix = "scale-app-", .vendor = "bench"};
+  apps.hosts.clear();
+  for (platform::Machine* m : world.machines_in_region("r0")) {
+    apps.hosts.push_back(m->address());
   }
+  orchestrator::launch_apps(fleet, apps).value();
 
   Scheduler scheduler(fleet, orchestrator::make_hierarchical_policy());
   OrchestratorOptions options;
@@ -172,23 +159,14 @@ StormResult storm_1k(uint64_t seed) {
         me.set_delivery_takeover_timeout(std::chrono::seconds(2));
         me.set_completed_history_limit(256);
       }));
-  std::vector<std::string> destinations;
-  for (int i = 0; i < kMachines; ++i) {
-    world.add_machine("m" + std::to_string(i));
-    if (i != 0) destinations.push_back("m" + std::to_string(i));
-  }
+  std::vector<std::string> destinations =
+      orchestrator::add_machines(world, kMachines);
+  destinations.erase(destinations.begin());  // all but the drained m0
 
   FleetRegistry fleet(world);
-  LaunchOptions launch;
-  for (int i = 0; i < kEnclaves; ++i) {
-    const std::string name = "storm-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
+  orchestrator::launch_apps(
+      fleet, {.count = kEnclaves, .prefix = "storm-app-", .vendor = "bench"})
+      .value();
 
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
@@ -395,8 +373,7 @@ void run() {
       "lane produced an event or whose retry ripened; idle enclaves cost\n"
       "zero wave work), control-plane bytes per enclave stay flat (the\n"
       "event-log ring and ME history caps bound retention), and the\n"
-      "equivalence rows prove the driver swap changed WHICH work each\n"
-      "wave visits, never its outcome.\n");
+      "traced 1k rerun reproduces the untraced wall bit-exactly.\n");
   if (!json.write_file("BENCH_fleet_scale.json")) {
     std::printf("FAILED to write BENCH_fleet_scale.json\n");
     std::exit(1);

@@ -9,8 +9,9 @@ parallel with its namesake; each leaf whose value differs is printed as
     BENCH_chaos.json:rows[3].wall_seconds: 14.88 -> 12.44
 
 A file or key present on one side only prints `<absent>` for the other.
-Keys named cpu_seconds and peak_rss_bytes are skipped wherever they
-appear: they measure the host that ran the bench, not the simulation.
+Keys named cpu_seconds, peak_rss_bytes and cpu_ratio_10k_over_1k (the
+ratio of two cpu_seconds) are skipped wherever they appear: they measure
+the host that ran the bench, not the simulation.
 Every other field is a deterministic function of the code and the seed,
 so two builds of the same behaviour print nothing.
 
@@ -25,7 +26,8 @@ import json
 import pathlib
 import sys
 
-SKIPPED_KEYS = frozenset({"cpu_seconds", "peak_rss_bytes"})
+SKIPPED_KEYS = frozenset({"cpu_seconds", "peak_rss_bytes",
+                          "cpu_ratio_10k_over_1k"})
 ABSENT = "<absent>"
 
 

@@ -198,12 +198,8 @@ void MigrationEnclave::record_completed(uint64_t transfer_id,
   record.source_mr = t.source_mr;
   record.request_nonce = t.request_nonce;
   record.sequence = t.sequence;
-  completed_outgoing_[transfer_id] = record;
-  completed_order_.push_back(transfer_id);
-  while (completed_order_.size() > history_limit()) {
-    completed_outgoing_.erase(completed_order_.front());
-    completed_order_.pop_front();
-  }
+  completed_outgoing_.put(transfer_id, record);
+  completed_outgoing_.trim(history_limit());
 }
 
 size_t MigrationEnclave::history_limit() const {
@@ -217,14 +213,8 @@ void MigrationEnclave::set_completed_history_limit(size_t limit) {
   // only shrink retention, never grow it past the format ceiling.
   completed_history_limit_ =
       (limit == 0 || limit >= kCompletedHistoryLimit) ? 0 : limit;
-  while (completed_order_.size() > history_limit()) {
-    completed_outgoing_.erase(completed_order_.front());
-    completed_order_.pop_front();
-  }
-  while (confirmed_incoming_order_.size() > history_limit()) {
-    confirmed_incoming_.erase(confirmed_incoming_order_.front());
-    confirmed_incoming_order_.pop_front();
-  }
+  completed_outgoing_.trim(history_limit());
+  confirmed_incoming_.trim(history_limit());
 }
 
 void MigrationEnclave::drop_sessions_for(const sgx::Measurement& mr) {
@@ -521,14 +511,8 @@ MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(
   }
   incoming_.erase(it);
   if (relay.has_value()) done_relays_[transfer_id] = std::move(*relay);
-  if (confirmed_incoming_.count(from.mr) == 0) {
-    confirmed_incoming_order_.push_back(from.mr);
-  }
-  confirmed_incoming_[from.mr] = transfer_id;
-  while (confirmed_incoming_order_.size() > history_limit()) {
-    confirmed_incoming_.erase(confirmed_incoming_order_.front());
-    confirmed_incoming_order_.pop_front();
-  }
+  confirmed_incoming_.put(from.mr, transfer_id);
+  confirmed_incoming_.trim(history_limit());
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) return persisted;
 

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -46,6 +45,7 @@
 #include "sgx/dh.h"
 #include "sgx/enclave.h"
 #include "sgx/remote_attestation.h"
+#include "support/fifo_map.h"
 
 namespace sgxmig::migration {
 
@@ -213,16 +213,14 @@ struct DurableQueue {
   std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
   IncomingMap incoming_;
   std::map<sgx::Measurement, LatestOutgoing> latest_outgoing_;
-  std::map<uint64_t, CompletedOutgoing> completed_outgoing_;
-  std::deque<uint64_t> completed_order_;  // FIFO eviction of the history
+  FifoMap<uint64_t, CompletedOutgoing> completed_outgoing_;
   // Durable record that an incoming migration for this identity was
   // confirmed (its record erased, DONE queued), keyed by identity with the
   // confirming transfer id as value.  Lets a RE-sent confirm — whose
   // ConfirmAck reply was lost, forcing the library to re-attest and
   // retry — succeed idempotently instead of stranding a fully restored
   // destination instance.  FIFO-bounded like the completed history.
-  std::map<sgx::Measurement, uint64_t> confirmed_incoming_;
-  std::deque<sgx::Measurement> confirmed_incoming_order_;
+  FifoMap<sgx::Measurement, uint64_t> confirmed_incoming_;
   std::map<uint64_t, DoneRelay> done_relays_;
   uint64_t next_outgoing_sequence_ = 1;
   // Initiator side of the cached attestation sessions.
@@ -292,15 +290,15 @@ struct DurableQueue {
       f.u64(l.sequence);
       f.u8(l.state, OutgoingState::kNone, OutgoingState::kCompleted);
     });
-    io.ordered_map(q.completed_outgoing_, q.completed_order_,
-                   kCompletedHistoryLimit, [](auto& f, auto& id, auto& c) {
+    io.ordered_map(q.completed_outgoing_, kCompletedHistoryLimit,
+                   [](auto& f, auto& id, auto& c) {
                      f.u64(id);
                      f.fixed(c.source_mr);
                      f.u64(c.request_nonce);
                      f.u64(c.sequence);
                    });
-    io.ordered_map(q.confirmed_incoming_, q.confirmed_incoming_order_,
-                   kCompletedHistoryLimit, [](auto& f, auto& mr, auto& id) {
+    io.ordered_map(q.confirmed_incoming_, kCompletedHistoryLimit,
+                   [](auto& f, auto& mr, auto& id) {
                      f.fixed(mr);
                      f.u64(id);
                    });
@@ -540,11 +538,9 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// check.  Shrinking trims the oldest entries immediately.
   void set_completed_history_limit(size_t limit);
   /// Retained completed-outgoing records (memory-bound observable).
-  size_t completed_history_size() const { return completed_order_.size(); }
+  size_t completed_history_size() const { return completed_outgoing_.size(); }
   /// Retained confirmed-incoming records (memory-bound observable).
-  size_t confirmed_incoming_size() const {
-    return confirmed_incoming_order_.size();
-  }
+  size_t confirmed_incoming_size() const { return confirmed_incoming_.size(); }
 
  private:
   struct LaSessionState {

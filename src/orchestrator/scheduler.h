@@ -141,9 +141,9 @@ class Scheduler {
 
   /// Best destination for the query, or kNoEligibleDestination when no
   /// machine survives the hard constraints.  When the policy advertises
-  /// an index mode (and the index is enabled, the default), the pick
-  /// walks the per-region load gauges — O(regions + skips) — instead of
-  /// ranking every machine; the result is identical to the full scan.
+  /// an index mode, the pick walks the per-region load gauges —
+  /// O(regions + skips) — instead of ranking every machine; the result is
+  /// the front of rank_destinations, the full scan.
   /// Both paths count the reservation ledger (note_reservation).
   Result<std::string> pick_destination(const PlacementQuery& query) const;
 
@@ -159,11 +159,9 @@ class Scheduler {
   void note_reservation(const std::string& machine, int32_t delta);
   void clear_reservations();
 
-  /// Determinism tests flip this off to force the brute-force path.
-  void set_use_index(bool on) { use_index_ = on; }
   /// True when pick_destination will take the indexed path.
   bool index_active() const {
-    return use_index_ && policy_->index_mode() != PlacementIndexMode::kNone;
+    return policy_->index_mode() != PlacementIndexMode::kNone;
   }
 
   /// Deterministic byte accounting for the index (control-plane memory
@@ -199,7 +197,6 @@ class Scheduler {
 
   FleetRegistry& fleet_;
   std::unique_ptr<PlacementPolicy> policy_;
-  bool use_index_ = true;
   /// Reservation ledger; survives index rebuilds.
   std::map<std::string, uint32_t> reservations_;
 

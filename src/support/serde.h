@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "support/bytes.h"
+#include "support/fifo_map.h"
 #include "support/status.h"
 
 namespace sgxmig {
@@ -103,8 +103,6 @@ class ByteCounter {
 
   size_t size() const { return size_; }
   void patch_u32(size_t /*at*/, uint32_t /*v*/) {}
-  /// Counts `n` bytes a nested count already summed.
-  void add(size_t n) { size_ += n; }
 
  private:
   size_t size_ = 0;
@@ -114,9 +112,7 @@ class ByteCounter {
 /// a ByteCounter already sized: encode_record's writing pass, one store
 /// per field with no growth or bounds checks.  The counting pass runs the
 /// same field list over the same record and counts exactly what this pass
-/// writes (FieldWriter::ordered_map, the one place the two walk
-/// differently, keeps them equal), so the buffer always fits; debug
-/// builds assert it.
+/// writes, so the buffer always fits; debug builds assert it.
 class CursorWriter {
  public:
   explicit CursorWriter(std::span<uint8_t> buffer)
@@ -235,9 +231,10 @@ class BinaryReader {
 // and value per entry: the reader refuses a key repeated or out of
 // ascending order, and a writer-side `keep` filter splits one map into
 // sections that read back into the same map.  `ordered_map` writes a
-// map in the order of its FIFO deque.  `implied` sets a value the
-// encoding carries elsewhere (or not at all) when reading.  `require`
-// refuses a decoded value (an index, a magic) that breaks a condition.
+// FifoMap oldest entry first, and the reader refuses a repeated key.
+// `implied` sets a value the encoding carries elsewhere (or not at all)
+// when reading.  `require` refuses a decoded value (an index, a magic)
+// that breaks a condition.
 // Reading keeps BinaryReader's sticky failure and stops a count at the
 // first failed read, so a forged count costs no more than the bytes
 // around it.
@@ -268,8 +265,6 @@ struct EncodedRecord {
 /// sizes the bytes first, or the CursorWriter that then fills them.
 template <class Sink>
 class FieldWriter {
-  static constexpr bool kCounts = std::is_same_v<Sink, ByteCounter>;
-
  public:
   explicit FieldWriter(Sink& w) : w_(w) {}
 
@@ -327,14 +322,10 @@ class FieldWriter {
     }
   }
   template <class K, class V, class Entry>
-  void ordered_map(const std::map<K, V>& m, const std::deque<K>& order,
-                   size_t /*max_count*/, Entry entry) {
-    w_.u32(static_cast<uint32_t>(order.size()));
-    if constexpr (kCounts) {
-      count_ordered_map(m, order, entry);
-    } else {
-      for (const K& key : order) entry(*this, key, m.at(key));
-    }
+  void ordered_map(const FifoMap<K, V>& m, size_t /*max_count*/,
+                   Entry entry) {
+    w_.u32(static_cast<uint32_t>(m.size()));
+    for (const auto& it : m.fifo()) entry(*this, it->first, it->second);
   }
 
   template <class R>
@@ -352,35 +343,6 @@ class FieldWriter {
   void require(bool /*condition*/) {}
 
  private:
-  // ordered_map's counting pass.  The writing pass walks `order`, a lookup
-  // per key.  When `order` has as many keys as `m` and every entry of `m`
-  // has one width, that walk writes m.size() entries of that width
-  // whichever keys it names, so `m` is summed without a lookup; otherwise
-  // `order` is walked as the writing pass walks it.  Either way the count
-  // is exactly what the writing pass writes.
-  template <class K, class V, class Entry>
-  void count_ordered_map(const std::map<K, V>& m, const std::deque<K>& order,
-                         Entry entry) {
-    ByteCounter sum;
-    FieldWriter<ByteCounter> io(sum);
-    bool uniform = order.size() == m.size();
-    bool first = true;
-    size_t width = 0;
-    for (const auto& [key, value] : m) {
-      const size_t before = sum.size();
-      entry(io, key, value);
-      const size_t entry_width = sum.size() - before;
-      if (first) width = entry_width;
-      first = false;
-      uniform = uniform && entry_width == width;
-    }
-    if (!uniform) {
-      sum = ByteCounter{};
-      for (const K& key : order) entry(io, key, m.at(key));
-    }
-    w_.add(sum.size());
-  }
-
   Sink& w_;
 };
 
@@ -459,17 +421,16 @@ class FieldReader {
     }
   }
   template <class K, class V, class Entry>
-  void ordered_map(std::map<K, V>& m, std::deque<K>& order, size_t max_count,
-                   Entry entry) {
+  void ordered_map(FifoMap<K, V>& m, size_t max_count, Entry entry) {
     const uint32_t count = r_.u32();
     require(count <= max_count);
     for (uint32_t i = 0; i < count && r_.ok(); ++i) {
       K key{};
       V value{};
       entry(*this, key, value);
+      require(m.count(key) == 0);
       if (!r_.ok()) return;
-      require(m.emplace(key, std::move(value)).second);
-      order.push_back(std::move(key));
+      m.put(key, std::move(value));
     }
   }
 

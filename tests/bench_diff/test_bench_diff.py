@@ -2,10 +2,11 @@
 """Self-test for scripts/bench_diff.py over two small fixture directories.
 
 fixtures/base and fixtures/changed hold one BENCH_demo.json each.  The
-changed copy moves every row's cpu_seconds and peak_rss_bytes (skipped),
-one wall time and one nested gate, and appends a row.  Runnable with a
-bare python3 like the simlint self-test: one PASS/FAIL line per test,
-exit status non-zero on any failure, which is how ctest consumes it.
+changed copy moves every row's cpu_seconds and peak_rss_bytes and one
+cpu_ratio_10k_over_1k (skipped), one wall time and one nested gate, and
+appends a row.  Runnable with a bare python3 like the simlint self-test:
+one PASS/FAIL line per test, exit status non-zero on any failure, which
+is how ctest consumes it.
 """
 
 from __future__ import annotations
@@ -47,12 +48,15 @@ def test_cpu_and_rss_are_the_only_skipped_keys():
     result = run(FIXTURES / "base", FIXTURES / "changed")
     assert "cpu_seconds" not in result.stdout, result.stdout
     assert "peak_rss_bytes" not in result.stdout, result.stdout
+    assert "cpu_ratio" not in result.stdout, result.stdout
     with tempfile.TemporaryDirectory() as tmp:
         new = pathlib.Path(tmp)
         text = (FIXTURES / "base" / "BENCH_demo.json").read_text()
         (new / "BENCH_demo.json").write_text(
             text.replace('"cpu_seconds": 0.91', '"cpu_seconds": 9.5')
-                .replace('"peak_rss_bytes": 1048576', '"peak_rss_bytes": 7'))
+                .replace('"peak_rss_bytes": 1048576', '"peak_rss_bytes": 7')
+                .replace('"cpu_ratio_10k_over_1k": 12.6',
+                         '"cpu_ratio_10k_over_1k": 2'))
         assert run(FIXTURES / "base", new).returncode == 0
         (new / "BENCH_demo.json").write_text(
             text.replace('"retries": 34', '"retries": 35'))

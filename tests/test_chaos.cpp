@@ -20,6 +20,7 @@
 #include "chaos/chaos_plan.h"
 #include "chaos/oracles.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -31,6 +32,7 @@ using chaos::ChaosPlan;
 using chaos::ConvergenceOracle;
 using chaos::FaultEvent;
 using chaos::FaultKind;
+using orchestrator::AppSpec;
 using orchestrator::FleetRegistry;
 using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
@@ -162,10 +164,8 @@ class ChaosTest : public ::testing::Test {
   }
 
   void build_world(int machines) {
-    for (int i = 0; i < machines; ++i) {
-      world_.add_machine("m" + std::to_string(i));
-      if (i != 0) destinations_.push_back("m" + std::to_string(i));
-    }
+    destinations_ = orchestrator::add_machines(world_, machines);
+    destinations_.erase(destinations_.begin());
   }
 
   uint64_t launch(const std::string& machine, const std::string& name,
@@ -280,7 +280,8 @@ TEST_F(ChaosTest, FlapsFireAtExactVirtualInstants) {
 
 TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
   build_world(3);
-  for (int i = 0; i < 4; ++i) launch("m0", "wave-app-" + std::to_string(i));
+  const AppSpec apps{.count = 4, .prefix = "wave-app-", .vendor = "test"};
+  ASSERT_TRUE(orchestrator::launch_apps(fleet_, apps).ok());
 
   Scheduler scheduler(fleet_);
   OrchestratorOptions options;
@@ -485,10 +486,10 @@ TEST_P(ChaosStormTest, SeededStormDrainConvergesWithoutForks) {
   const bool precopy = GetParam() == TransferMode::kPrecopy;
   async_precopy_ = precopy;
   build_world(5);
-  for (int i = 0; i < 32; ++i) {
-    launch("m0", "storm-app-" + std::to_string(i), /*live_transfer=*/precopy,
-           i % 3 + 1);
-  }
+  AppSpec apps{.count = 32, .prefix = "storm-app-", .vendor = "test"};
+  apps.options.live_transfer = precopy;
+  apps.increments = [](int i) { return i % 3 + 1u; };
+  ASSERT_TRUE(orchestrator::launch_apps(fleet_, apps).ok());
 
   Scheduler scheduler(fleet_);
   OrchestratorOptions options;

@@ -27,6 +27,7 @@
 #include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -39,7 +40,6 @@ using migration::MigrationEnclave;
 using migration::OutgoingState;
 using orchestrator::DriverStats;
 using orchestrator::FleetRegistry;
-using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
 using orchestrator::OrchestratorOptions;
 using orchestrator::OrchestratorReport;
@@ -78,28 +78,16 @@ DrainOutcome run_drain(DrainConfig config) {
                                 ? TransferMode::kPrecopy
                                 : TransferMode::kFullSnapshot;
   World world(7801 + static_cast<int>(config));
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 4; ++i) world.add_machine("m" + std::to_string(i));
-  if (mode == TransferMode::kPrecopy) {
-    for (platform::Machine* m : world.machines()) {
-      if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-    }
-  }
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(), [mode](MigrationEnclave& me) {
+        if (mode == TransferMode::kPrecopy) me.set_async_precopy(true);
+      }));
+  orchestrator::add_machines(world, 4);
 
   FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (uint64_t i = 0; i < kDrainEnclaves; ++i) {
-    const std::string name = "eq-app-" + std::to_string(i);
-    auto launched = fleet.launch(
-        "m0", name, EnclaveImage::create(name, 1, "acme"), launch);
-    EXPECT_TRUE(launched.ok());
-    auto* enclave = fleet.enclave(launched.value());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
+  orchestrator::AppSpec apps{.count = kDrainEnclaves, .prefix = "eq-app-"};
+  apps.options.live_transfer = mode == TransferMode::kPrecopy;
+  EXPECT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
 
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
@@ -281,12 +269,12 @@ class PlacementIndexDeterminism : public ::testing::Test {
 
       const PlacementQuery query = random_query();
       const auto indexed = scheduler.pick_destination(query);
-      scheduler.set_use_index(false);
-      const auto brute = scheduler.pick_destination(query);
-      scheduler.set_use_index(true);
-      ASSERT_EQ(indexed.ok(), brute.ok()) << "round " << round;
+      const auto brute = scheduler.rank_destinations(query);
+      ASSERT_EQ(indexed.ok(), !brute.empty()) << "round " << round;
       if (indexed.ok()) {
-        EXPECT_EQ(indexed.value(), brute.value()) << "round " << round;
+        EXPECT_EQ(indexed.value(), brute.front()) << "round " << round;
+      } else {
+        EXPECT_EQ(indexed.status(), Status::kNoEligibleDestination) << round;
       }
     }
   }
@@ -310,14 +298,11 @@ OrchestratorReport ring_drain(size_t event_log_limit) {
   World world(7901);
   world.install_management_enclaves(
       migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 3; ++i) world.add_machine("m" + std::to_string(i));
+  orchestrator::add_machines(world, 3);
   FleetRegistry fleet(world);
-  for (int i = 0; i < 8; ++i) {
-    const std::string name = "ring-app-" + std::to_string(i);
-    EXPECT_TRUE(
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"), {})
-            .ok());
-  }
+  EXPECT_TRUE(orchestrator::launch_apps(
+                  fleet, {.count = 8, .prefix = "ring-app-", .counters = 0})
+                  .ok());
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
   options.pipelined = true;
@@ -363,18 +348,15 @@ class MeHistoryCap : public ::testing::Test {
 };
 
 TEST_F(MeHistoryCap, LongDrainHoldsHistoryFlat) {
-  for (int i = 0; i < 4; ++i) world_.add_machine("m" + std::to_string(i));
   const size_t kCap = 4;
-  for (platform::Machine* m : world_.machines()) {
-    migration::me_on(*m)->set_completed_history_limit(kCap);
-  }
+  world_.install_management_enclaves(migration::durable_me_factory(
+      world_.provider(),
+      [](MigrationEnclave& me) { me.set_completed_history_limit(kCap); }));
+  orchestrator::add_machines(world_, 4);
   FleetRegistry fleet(world_);
-  for (int i = 0; i < 24; ++i) {
-    const std::string name = "flat-app-" + std::to_string(i);
-    ASSERT_TRUE(
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"), {})
-            .ok());
-  }
+  ASSERT_TRUE(orchestrator::launch_apps(
+                  fleet, {.count = 24, .prefix = "flat-app-", .counters = 0})
+                  .ok());
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
   options.pipelined = true;

@@ -19,6 +19,7 @@
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "obs/observability.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -32,6 +33,11 @@ using migration::MeResponse;
 using migration::MigratableEnclave;
 using migration::MigrationEnclave;
 using migration::OutgoingState;
+using orchestrator::FleetRegistry;
+using orchestrator::Orchestrator;
+using orchestrator::OrchestratorOptions;
+using orchestrator::Plan;
+using orchestrator::Scheduler;
 using platform::World;
 using sgx::EnclaveImage;
 
@@ -73,6 +79,48 @@ class MeDurableQueueTest : public ::testing::Test {
     auto parsed = decode_record<MeResponse>(resp.value());
     EXPECT_TRUE(parsed.ok());
     return parsed.value();
+  }
+
+  // m2..m4 join m0 and m1; 32 enclaves launch on m0, enclave i's counter
+  // at i + 1.
+  std::vector<uint64_t> launch_drain_fleet(FleetRegistry& fleet,
+                                           const std::string& prefix) {
+    for (const char* address : {"m2", "m3", "m4"}) world_.add_machine(address);
+    const auto launched = orchestrator::launch_apps(
+        fleet, {.count = 32,
+                .prefix = prefix,
+                .increments = [](int i) { return i + 1u; }});
+    EXPECT_TRUE(launched.ok());
+    return launched.value_or({});
+  }
+
+  // No lost state: every counter survived with its exact value.  No forks:
+  // every source hardware counter was destroyed, every queue drained (the
+  // pipelined engine's transfer tasks too), and every retained copy
+  // confirmed away once the DONE backlog (from confirms that raced the
+  // dead source ME) is flushed.
+  void expect_drained_without_forks(FleetRegistry& fleet,
+                                    const std::vector<uint64_t>& ids,
+                                    bool pipelined) {
+    EXPECT_EQ(fleet.count_on("m0"), 0u);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto value = fleet.enclave(ids[i])->ecall_read_migratable_counter(0);
+      ASSERT_TRUE(value.ok()) << "enclave " << ids[i];
+      EXPECT_EQ(value.value(), static_cast<uint32_t>(i + 1));
+    }
+    for (const uint64_t id : ids) {
+      EXPECT_EQ(machine("m0").counter_service().count_for(
+                    fleet.find(id)->image->mr_enclave()),
+                0u);
+    }
+    for (const char* address : {"m0", "m1", "m2", "m3", "m4"}) {
+      EXPECT_EQ(me(address)->retry_done_relays(), 0u) << address;
+      EXPECT_EQ(me(address)->pending_incoming_count(), 0u) << address;
+      if (pipelined) {
+        EXPECT_EQ(me(address)->transfer_task_count(), 0u) << address;
+      }
+    }
+    EXPECT_EQ(me("m0")->outgoing_count(), 0u);
   }
 
   World world_{/*seed=*/4242};
@@ -775,30 +823,8 @@ TEST(MeSettingsAcrossRestart, FactoryConfigureRunsOnEveryStart) {
 // ----- orchestrated drain through ME restarts -----
 
 TEST_F(MeDurableQueueTest, DrainConvergesThroughSourceAndDestinationMeRestarts) {
-  using orchestrator::FleetRegistry;
-  using orchestrator::Orchestrator;
-  using orchestrator::OrchestratorOptions;
-  using orchestrator::Plan;
-  using orchestrator::Scheduler;
-
-  for (const char* address : {"m2", "m3", "m4"}) {
-    world_.add_machine(address);
-  }
   FleetRegistry fleet(world_);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 32; ++i) {
-    const std::string name = "drain-" + std::to_string(i);
-    auto launched =
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
-    ASSERT_TRUE(launched.ok());
-    ids.push_back(launched.value());
-    auto* enclave = fleet.enclave(ids.back());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    for (int j = 0; j <= i; ++j) {
-      enclave->ecall_increment_migratable_counter(counter);
-    }
-  }
+  const std::vector<uint64_t> ids = launch_drain_fleet(fleet, "drain-");
 
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
@@ -844,27 +870,7 @@ TEST_F(MeDurableQueueTest, DrainConvergesThroughSourceAndDestinationMeRestarts) 
   EXPECT_EQ(report.succeeded(), 32u);
   EXPECT_EQ(report.failed(), 0u);
   EXPECT_GT(report.total_retries(), 0u);  // the chaos was actually felt
-  EXPECT_EQ(fleet.count_on("m0"), 0u);
-
-  // No lost state: every counter survived with its exact value.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto value = fleet.enclave(ids[i])->ecall_read_migratable_counter(0);
-    ASSERT_TRUE(value.ok()) << "enclave " << ids[i];
-    EXPECT_EQ(value.value(), static_cast<uint32_t>(i + 1));
-  }
-  // No forks: every source hardware counter was destroyed, every queue
-  // drained, and every retained copy confirmed away once the DONE
-  // backlog (from confirms that raced the dead source ME) is flushed.
-  for (const uint64_t id : ids) {
-    EXPECT_EQ(machine("m0").counter_service().count_for(
-                  fleet.find(id)->image->mr_enclave()),
-              0u);
-  }
-  for (const char* address : {"m0", "m1", "m2", "m3", "m4"}) {
-    EXPECT_EQ(me(address)->retry_done_relays(), 0u) << address;
-    EXPECT_EQ(me(address)->pending_incoming_count(), 0u) << address;
-  }
-  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  expect_drained_without_forks(fleet, ids, /*pipelined=*/false);
 }
 
 TEST_F(MeDurableQueueTest, PipelinedDrainConvergesThroughSourceMeRestart) {
@@ -873,30 +879,8 @@ TEST_F(MeDurableQueueTest, PipelinedDrainConvergesThroughSourceMeRestart) {
   // with transfers mid-conversation, and the revived ME resumes every
   // in-flight pipeline from the durable queue (v3) — zero failures, no
   // forks, exactly-once per nonce.
-  using orchestrator::FleetRegistry;
-  using orchestrator::Orchestrator;
-  using orchestrator::OrchestratorOptions;
-  using orchestrator::Plan;
-  using orchestrator::Scheduler;
-
-  for (const char* address : {"m2", "m3", "m4"}) {
-    world_.add_machine(address);
-  }
   FleetRegistry fleet(world_);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 32; ++i) {
-    const std::string name = "pipe-drain-" + std::to_string(i);
-    auto launched =
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
-    ASSERT_TRUE(launched.ok());
-    ids.push_back(launched.value());
-    auto* enclave = fleet.enclave(ids.back());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    for (int j = 0; j <= i; ++j) {
-      enclave->ecall_increment_migratable_counter(counter);
-    }
-  }
+  const std::vector<uint64_t> ids = launch_drain_fleet(fleet, "pipe-drain-");
 
   Scheduler scheduler(fleet);
   OrchestratorOptions options;
@@ -920,23 +904,7 @@ TEST_F(MeDurableQueueTest, PipelinedDrainConvergesThroughSourceMeRestart) {
 
   EXPECT_EQ(report.succeeded(), 32u);
   EXPECT_EQ(report.failed(), 0u);
-  EXPECT_EQ(fleet.count_on("m0"), 0u);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto value = fleet.enclave(ids[i])->ecall_read_migratable_counter(0);
-    ASSERT_TRUE(value.ok()) << "enclave " << ids[i];
-    EXPECT_EQ(value.value(), static_cast<uint32_t>(i + 1));
-  }
-  for (const uint64_t id : ids) {
-    EXPECT_EQ(machine("m0").counter_service().count_for(
-                  fleet.find(id)->image->mr_enclave()),
-              0u);
-  }
-  for (const char* address : {"m0", "m1", "m2", "m3", "m4"}) {
-    EXPECT_EQ(me(address)->retry_done_relays(), 0u) << address;
-    EXPECT_EQ(me(address)->pending_incoming_count(), 0u) << address;
-    EXPECT_EQ(me(address)->transfer_task_count(), 0u) << address;
-  }
-  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  expect_drained_without_forks(fleet, ids, /*pipelined=*/true);
 }
 
 }  // namespace

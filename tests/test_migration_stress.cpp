@@ -8,6 +8,7 @@
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -181,20 +182,12 @@ TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
   // must carry the freeze flag.
   constexpr int kEnclaves = 12;
   orchestrator::FleetRegistry fleet(world_);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < kEnclaves; ++i) {
-    const std::string name = "shared-" + std::to_string(i);
-    auto launched =
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
-    ASSERT_TRUE(launched.ok()) << i;
-    ids.push_back(launched.value());
-    auto* enclave = fleet.enclave(ids.back());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    for (int j = 0; j <= i; ++j) {
-      enclave->ecall_increment_migratable_counter(counter);
-    }
-  }
+  const auto launched = orchestrator::launch_apps(
+      fleet, {.count = kEnclaves,
+              .prefix = "shared-",
+              .increments = [](int i) { return i + 1u; }});
+  ASSERT_TRUE(launched.ok());
+  const std::vector<uint64_t>& ids = launched.value();
 
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions orch_options;

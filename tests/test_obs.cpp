@@ -20,6 +20,7 @@
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "obs/observability.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 #include "support/json_parse.h"
@@ -428,26 +429,17 @@ struct DrainOutcome {
 
 DrainOutcome small_drain(bool traced) {
   World world(/*seed=*/4242);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 3; ++i) world.add_machine("m" + std::to_string(i));
+  world.install_management_enclaves(migration::durable_me_factory(
+      world.provider(),
+      [](migration::MigrationEnclave& me) { me.set_async_precopy(true); }));
+  orchestrator::add_machines(world, 3);
   if (traced) world.observability().set_enabled(true);
-  for (platform::Machine* m : world.machines()) {
-    if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-  }
 
   orchestrator::FleetRegistry fleet(world);
-  orchestrator::LaunchOptions launch;
-  launch.live_transfer = true;
-  for (int i = 0; i < 6; ++i) {
-    const std::string name = "obs-drain-" + std::to_string(i);
-    const auto image = EnclaveImage::create(name, 1, "obs");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
+  orchestrator::AppSpec apps{
+      .count = 6, .prefix = "obs-drain-", .vendor = "obs"};
+  apps.options.live_transfer = true;
+  EXPECT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions options;
   options.max_inflight_per_machine = 4;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 
 namespace sgxmig {
@@ -44,21 +45,14 @@ class OrchestratorTest : public ::testing::Test {
   std::vector<uint64_t> launch_fleet(const std::string& machine, int count,
                                      const LaunchOptions& options = {},
                                      const std::string& prefix = "app") {
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < count; ++i) {
-      const std::string name = prefix + "-" + std::to_string(i);
-      auto launched = fleet_.launch(
-          machine, name, EnclaveImage::create(name, 1, "acme"), options);
-      EXPECT_TRUE(launched.ok());
-      ids.push_back(launched.value());
-      auto* enclave = fleet_.enclave(ids.back());
-      const uint32_t counter =
-          enclave->ecall_create_migratable_counter().value().counter_id;
-      for (int j = 0; j <= i; ++j) {
-        enclave->ecall_increment_migratable_counter(counter);
-      }
-    }
-    return ids;
+    auto ids = orchestrator::launch_apps(
+        fleet_, {.count = count,
+                 .prefix = prefix + "-",
+                 .hosts = {machine},
+                 .options = options,
+                 .increments = [](int i) { return i + 1u; }});
+    EXPECT_TRUE(ids.ok());
+    return ids.value_or({});
   }
 
   void expect_counters_survived(const std::vector<uint64_t>& ids) {
@@ -506,10 +500,8 @@ TEST_F(OrchestratorTest, DrainIsDeterministicPerSeed) {
           m, MigrationEnclave::standard_image(), world.provider()));
     }
     FleetRegistry fleet(world);
-    for (int i = 0; i < 4; ++i) {
-      const std::string name = "det-" + std::to_string(i);
-      fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
-    }
+    orchestrator::launch_apps(fleet,
+                              {.count = 4, .prefix = "det-", .counters = 0});
     Scheduler scheduler(fleet);
     Orchestrator orch(fleet, scheduler, {});
     const auto report = orch.execute(Plan::drain("m0"));
@@ -520,6 +512,53 @@ TEST_F(OrchestratorTest, DrainIsDeterministicPerSeed) {
   const auto second = run(99);
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+}
+
+// ----- the fleet builder -----
+
+TEST(FleetBuilder, BuildsMachinesAndAppsInOrder) {
+  World world(/*seed=*/31);
+  orchestrator::add_machines(world, 5, /*regions=*/3);
+  ASSERT_EQ(world.machine_count(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    const platform::Machine& m = *world.machines()[i];
+    EXPECT_EQ(m.address(), "m" + std::to_string(i));
+    EXPECT_EQ(m.region(), "r" + std::to_string(i % 3));
+    EXPECT_EQ(m.cpu_cores(), 16u + 16u * (i % 2)) << i;
+  }
+
+  FleetRegistry fleet(world);
+  const auto ids = orchestrator::launch_apps(
+      fleet, {.count = 5,
+              .prefix = "built-",
+              .vendor = "vendor-x",
+              .hosts = {"m3", "m1"},
+              .options = {.live_transfer = true},
+              .counters = 2,
+              .increments = [](int i) { return 2u * i; }});
+  ASSERT_TRUE(ids.ok());
+  EXPECT_EQ(fleet.all_ids(), ids.value());  // ids in launch order
+  for (int i = 0; i < 5; ++i) {
+    const auto* record = fleet.find(ids.value()[i]);
+    const std::string name = "built-" + std::to_string(i);
+    EXPECT_EQ(record->name, name);
+    EXPECT_EQ(record->machine, i % 2 == 0 ? "m3" : "m1");
+    EXPECT_TRUE(record->options.live_transfer);
+    EXPECT_EQ(record->image->mr_enclave(),
+              EnclaveImage::create(name, 1, "vendor-x")->mr_enclave());
+    auto* enclave = fleet.enclave(record->id);
+    EXPECT_EQ(enclave->ecall_read_migratable_counter(0).value(), 2u * i);
+    EXPECT_EQ(enclave->ecall_read_migratable_counter(1).value(), 0u);
+    EXPECT_FALSE(enclave->ecall_read_migratable_counter(2).ok());
+  }
+  // A batch stops at its first failed launch, with that launch's status.
+  EXPECT_EQ(orchestrator::launch_apps(fleet, {.count = 2, .prefix = "built-"})
+                .status(),
+            Status::kAlreadyExists);
+  EXPECT_EQ(
+      orchestrator::launch_apps(fleet, {.count = 1, .hosts = {}}).status(),
+      Status::kInvalidParameter);
+  EXPECT_EQ(fleet.size(), 5u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -378,16 +379,11 @@ TEST_F(PipelineTest, HigherCapCutsPipelinedDrainWallTime) {
     World world(/*seed=*/7070);
     world.install_management_enclaves(
         migration::durable_me_factory(world.provider()));
-    for (int i = 0; i < 5; ++i) world.add_machine("m" + std::to_string(i));
+    orchestrator::add_machines(world, 5);
     orchestrator::FleetRegistry fleet(world);
-    for (int i = 0; i < 16; ++i) {
-      const std::string name = "knee-" + std::to_string(i);
-      auto* enclave = fleet.enclave(
-          fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"))
-              .value());
-      enclave->ecall_increment_migratable_counter(
-          enclave->ecall_create_migratable_counter().value().counter_id);
-    }
+    EXPECT_TRUE(
+        orchestrator::launch_apps(fleet, {.count = 16, .prefix = "knee-"})
+            .ok());
     orchestrator::Scheduler scheduler(fleet);
     orchestrator::OrchestratorOptions options;
     options.max_inflight_per_machine = cap;
@@ -418,23 +414,24 @@ TEST_F(PipelineTest, HigherCapCutsPipelinedDrainWallTime) {
 // ~0.1 s.  `per_destination` caps the migrations in flight per
 // destination (0 = uncapped).
 void PipelineTest::drain_under_live_load(uint32_t per_destination) {
+  // Async pre-copy on every ME, restarted ones included: reinstalling the
+  // factory redeploys m0..m2's MEs with it (no enclave runs yet).
+  world_.install_management_enclaves(migration::durable_me_factory(
+      world_.provider(),
+      [](MigrationEnclave& me) { me.set_async_precopy(true); }));
   world_.add_machine("m3");
-  for (platform::Machine* m : world_.machines()) {
-    me(m->address())->set_async_precopy(true);
-  }
   orchestrator::FleetRegistry fleet(world_);
-  orchestrator::LaunchOptions launch;
-  launch.live_transfer = true;
   constexpr uint32_t kCounters = 17;
+  const auto ids = orchestrator::launch_apps(
+      fleet, {.count = 16,
+              .prefix = "live-",
+              .options = {.live_transfer = true},
+              .counters = kCounters,
+              .increments = [](int) { return 0u; }});
+  ASSERT_TRUE(ids.ok());
   std::map<uint64_t, std::map<uint32_t, uint32_t>> expected;
-  for (int i = 0; i < 16; ++i) {
-    const std::string name = "live-" + std::to_string(i);
-    const uint64_t id =
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"), launch)
-            .value();
-    for (uint32_t c = 0; c < kCounters; ++c) {
-      const uint32_t counter =
-          fleet.enclave(id)->ecall_create_migratable_counter().value().counter_id;
+  for (const uint64_t id : ids.value()) {
+    for (uint32_t counter = 0; counter < kCounters; ++counter) {
       expected[id][counter] = 0;
     }
   }
@@ -499,20 +496,12 @@ TEST_F(PipelineTest, AsyncPrecopyFreezeIsTheFinalDeltaUncapped) {
 TEST_F(PipelineTest, PipelinedDrainConvergesThroughMixedFaultStorm) {
   for (const char* address : {"m3", "m4"}) world_.add_machine(address);
   orchestrator::FleetRegistry fleet(world_);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 12; ++i) {
-    const std::string name = "storm-" + std::to_string(i);
-    auto launched =
-        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"));
-    ASSERT_TRUE(launched.ok());
-    ids.push_back(launched.value());
-    auto* enclave = fleet.enclave(ids.back());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    for (int j = 0; j <= i; ++j) {
-      enclave->ecall_increment_migratable_counter(counter);
-    }
-  }
+  const auto launched = orchestrator::launch_apps(
+      fleet, {.count = 12,
+              .prefix = "storm-",
+              .increments = [](int i) { return i + 1u; }});
+  ASSERT_TRUE(launched.ok());
+  const std::vector<uint64_t>& ids = launched.value();
 
   // Storm: every 11th sealed record bound for an ME is corrupted in
   // flight (failing its channel MAC — the retryable kind of tamper; a
@@ -761,18 +750,12 @@ CrashDrain run_crash_drain(int crashed, uint32_t restart_wave) {
     world.add_machine("m" + std::to_string(i), i < 2 ? "src" : "dst");
   }
   orchestrator::FleetRegistry fleet(world);
-  const auto launch = [&](const std::string& host, int count) {
-    for (int i = 0; i < count; ++i) {
-      const std::string name = host + "-app-" + std::to_string(i);
-      auto* enclave = fleet.enclave(
-          fleet.launch(host, name, EnclaveImage::create(name, 1, "acme"))
-              .value());
-      enclave->ecall_increment_migratable_counter(
-          enclave->ecall_create_migratable_counter().value().counter_id);
-    }
-  };
-  launch("m0", crashed);
-  launch("m1", 10);
+  for (const auto& [host, count] :
+       {std::pair<std::string, int>{"m0", crashed}, {"m1", 10}}) {
+    const orchestrator::AppSpec apps{
+        .count = count, .prefix = host + "-app-", .hosts = {host}};
+    EXPECT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
+  }
 
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions options;

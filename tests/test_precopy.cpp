@@ -15,6 +15,7 @@
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "obs/observability.h"
+#include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
 
@@ -971,17 +972,9 @@ TEST_F(PrecopyTest, Orchestrated32EnclavePrecopyDrainSurvivesMeRestarts) {
     world_.add_machine("m" + std::to_string(i));
   }
   orchestrator::FleetRegistry fleet(world_);
-  orchestrator::LaunchOptions launch;
-  launch.live_transfer = true;
-  for (int i = 0; i < 32; ++i) {
-    const std::string name = "pc-drain-" + std::to_string(i);
-    const auto image = EnclaveImage::create(name, 1, "acme");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
+  orchestrator::AppSpec apps{.count = 32, .prefix = "pc-drain-"};
+  apps.options.live_transfer = true;
+  ASSERT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
 
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions options;

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <map>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "support/bytes.h"
+#include "support/fifo_map.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/serde.h"
@@ -159,31 +159,30 @@ TEST(Serde, FixedArrays) {
   EXPECT_TRUE(r.done());
 }
 
-// A FIFO history record: `order` is meant to list the keys of `m` once
-// each.  The writing pass walks `order`; the counting pass sums `m` where
-// that gives the same count.
-template <class V>
+// A FIFO history record, written oldest entry first.
 struct History {
-  std::map<uint32_t, V> m;
-  std::deque<uint32_t> order;
+  FifoMap<uint32_t, std::string> m;
 
   template <class Io, class Self>
   static void fields(Io& io, Self& r) {
-    io.ordered_map(r.m, r.order, kAnyCount, [](auto& f, auto& id, auto& v) {
+    io.ordered_map(r.m, kAnyCount, [](auto& f, auto& id, auto& v) {
       f.u32(id);
-      if constexpr (std::is_same_v<V, std::string>) {
-        f.str(v, 64);
-      } else {
-        f.u64(v);
-      }
+      f.str(v, 64);
     });
   }
 };
 
+/// `m`'s entries, oldest first.
+template <class V>
+std::vector<std::pair<uint32_t, V>> in_order(const FifoMap<uint32_t, V>& m) {
+  std::vector<std::pair<uint32_t, V>> out;
+  for (const auto& it : m.fifo()) out.emplace_back(it->first, it->second);
+  return out;
+}
+
 /// encode_record(h) is write_record's bytes in a buffer of exactly their
 /// size: the counting pass counted what the writing pass wrote.
-template <class V>
-void expect_counted_exactly(const History<V>& h) {
+void expect_counted_exactly(const History& h) {
   BinaryWriter w;
   write_record(w, h);
   const Bytes encoded = encode_record(h);
@@ -191,40 +190,44 @@ void expect_counted_exactly(const History<V>& h) {
   EXPECT_EQ(encoded.capacity(), encoded.size());
 }
 
-TEST(Serde, OrderedMapEncodesInFifoOrder) {
-  History<std::string> h;
-  h.m = {{1, "one"}, {2, "two!"}, {3, ""}};
-  h.order = {3, 1, 2};
-  expect_counted_exactly(h);
-  const auto back = decode_record<History<std::string>>(encode_record(h));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().order, h.order);
-  EXPECT_EQ(back.value().m, h.m);
-  History<uint64_t> fixed;
-  fixed.m = {{1, 10}, {2, 20}, {3, 30}};
-  fixed.order = {2, 3, 1};
-  expect_counted_exactly(fixed);
+TEST(FifoMap, PutKeepsAKeysPlaceAndTrimDropsTheOldest) {
+  using Entries = std::vector<std::pair<uint32_t, uint64_t>>;
+  FifoMap<uint32_t, uint64_t> m;
+  for (uint32_t key : {5u, 2u, 9u}) m.put(key, key);
+  m.put(5, 50);  // overwritten in place: still the oldest
+  EXPECT_EQ(in_order(m), (Entries{{5, 50}, {2, 2}, {9, 9}}));
+  EXPECT_EQ(m.begin()->first, 2u);  // lookups and scans in key order
+  m.trim(2);
+  EXPECT_EQ(m.count(5), 0u);
+  m.put(5, 5);  // a trimmed key comes back as the newest
+  FifoMap<uint32_t, uint64_t> moved = std::move(m);
+  EXPECT_EQ(in_order(moved), (Entries{{2, 2}, {9, 9}, {5, 5}}));
+  moved.trim(0);
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_TRUE(moved.fifo().empty());
 }
 
-TEST(Serde, OrderedMapCountsWhatItWritesEvenWhenOrderIsBroken) {
-  // `order` repeats one key and drops another, or has a different length:
-  // the counting pass must still count the bytes the writing pass writes,
-  // since that pass writes into the counted buffer unchecked.
-  History<std::string> wide;
-  wide.m = {{1, "a"}, {2, "a much longer value"}, {3, ""}};
-  for (const std::deque<uint32_t>& order :
-       {std::deque<uint32_t>{1, 2, 2}, std::deque<uint32_t>{1, 3, 3},
-        std::deque<uint32_t>{2, 2}, std::deque<uint32_t>{1, 2, 3, 2}}) {
-    wide.order = order;
-    expect_counted_exactly(wide);
+TEST(Serde, OrderedMapEncodesInFifoOrder) {
+  // Entries of mixed widths through overwriting puts and trims: both
+  // passes walk the one FIFO, so the count is the bytes written.
+  History h;
+  for (uint32_t key = 0; key < 40; ++key) {
+    h.m.put(key % 13, std::string(key % 7, 'x'));
+    h.m.trim(9);
+    expect_counted_exactly(h);
   }
-  History<uint64_t> fixed;
-  fixed.m = {{1, 10}, {2, 20}, {3, 30}};
-  fixed.order = {2, 2, 1};
-  expect_counted_exactly(fixed);
-  // A key `m` lacks fails both passes alike.
-  fixed.order = {1, 2, 4};
-  EXPECT_THROW(encode_record(fixed), std::out_of_range);
+  const auto back = decode_record<History>(encode_record(h));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(in_order(back.value().m), in_order(h.m));
+  EXPECT_NE(h.m.fifo().front()->first, h.m.begin()->first);  // not key order
+  // A repeated key is refused.
+  BinaryWriter w;
+  w.u32(2);
+  for (int i = 0; i < 2; ++i) {
+    w.u32(7);
+    w.str("x");
+  }
+  EXPECT_EQ(decode_record<History>(w.data()).status(), Status::kTampered);
 }
 
 TEST(JsonWriter, WritesTheOneLayout) {
