@@ -32,8 +32,9 @@ int main() {
   platform::World world(/*seed=*/77);
   std::vector<std::unique_ptr<MigrationEnclave>> mes;
   for (int i = 0; i < 5; ++i) {
-    auto& machine = world.add_machine("m" + std::to_string(i),
-                                      i < 3 ? "eu-central" : "eu-west");
+    auto& machine =
+        world.add_machine(std::string("m").append(std::to_string(i)),
+                          i < 3 ? "eu-central" : "eu-west");
     mes.push_back(std::make_unique<MigrationEnclave>(
         machine, MigrationEnclave::standard_image(), world.provider()));
   }

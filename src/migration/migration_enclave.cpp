@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/cmac.h"
@@ -511,7 +512,7 @@ MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(
   }
   incoming_.erase(it);
   if (relay.has_value()) done_relays_[transfer_id] = std::move(*relay);
-  confirmed_incoming_.put(from.mr, transfer_id);
+  confirmed_incoming_.put(from.mr, request_nonce);
   confirmed_incoming_.trim(history_limit());
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) return persisted;
@@ -1143,9 +1144,12 @@ Status MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   return Status::kOk;
 }
 
-Status MigrationEnclave::retain_task(uint64_t nonce, Bytes retained_data) {
+Status MigrationEnclave::retain_task(uint64_t nonce, Bytes retained_data,
+                                     bool persist) {
   // Retained durably — the copy and the channel that will authenticate
-  // the DONE must both survive an ME restart.  The task dissolves into
+  // the DONE must both survive an ME restart (without `persist`, the
+  // record persisted at an async finalize's ship covers a restart until
+  // the next queue commit writes the entry).  The task dissolves into
   // the retained transfer BEFORE the snapshot is cut, so a restore never
   // resurrects both (a resumed task would re-ship a nonce that is already
   // retained).
@@ -1164,6 +1168,7 @@ Status MigrationEnclave::retain_task(uint64_t nonce, Bytes retained_data) {
   outgoing_[task.transfer_id] = std::move(transfer);
   // Pre-copy ship steps are not traced, so neither is their end.
   if (!task.precopy) trace_task_step(platform(), nonce, "retained");
+  if (!persist) return Status::kOk;
   const Status persisted = persist_queue(nonce);
   if (persisted != Status::kOk) {
     // The retained entry must not stand non-durable: unwind it with the
@@ -1203,8 +1208,9 @@ MigrationEnclave::LibReply MigrationEnclave::on_poll_transfer(
   TransferProgressPayload progress;
   const auto it = transfer_tasks_.find(nonce);
   // A pre-copy task WITHOUT a staged finalize falls through to the queue
-  // state (kNone): the ME restarted, or the finalize spent its ship
-  // budget, and the frozen library must re-send it.
+  // state (kNone): the ME restarted before the finalize shipped, or the
+  // finalize spent its ship budget, and the frozen library must re-send
+  // it.
   if (it != transfer_tasks_.end() && it->second.source_mr == mr &&
       (!it->second.precopy || it->second.staged_finalize.has_value())) {
     if (it->second.step == TransferTask::Step::kFailed) {
@@ -1626,11 +1632,23 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   secure_wipe(record.msk.data(), record.msk.size());
   task.step = TransferTask::Step::kAwaitFinalizeAck;
   const uint64_t transfer_id = task.transfer_id;
-  return send_step(!async_precopy_, task.request.destination_address, req,
-                   [this, nonce, transfer_id](Result<Bytes> raw) {
-                     return precopy_on_finalize_ack(nonce, transfer_id,
-                                                    std::move(raw));
-                   });
+  const Status sent =
+      send_step(!async_precopy_, task.request.destination_address, req,
+                [this, nonce, transfer_id](Result<Bytes> raw) {
+                  return precopy_on_finalize_ack(nonce, transfer_id,
+                                                 std::move(raw));
+                });
+  if (!async_precopy_ || sent != Status::kOk) return sent;
+  // The record is on the wire.  The resumable finalize record — this task
+  // with its staged finalize, and the channel past the record's seal — is
+  // written now, on this lane, while the record travels and the
+  // destination writes its own fence, so the ack needs no write of its
+  // own.  If it cannot be made durable, this ship fails like a failed hop:
+  // the dropped channel makes its ack stale, and the next kick re-ships.
+  const Status persisted = persist_queue(nonce);
+  if (persisted == Status::kOk) return Status::kOk;
+  task.step = TransferTask::Step::kQueued;
+  return precopy_ship_failed(task, persisted, /*finalize=*/true);
 }
 
 Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
@@ -1651,11 +1669,14 @@ Status MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
   if (failure == Status::kOk) {
     // The destination assembled the authoritative snapshot: retain the
     // equivalent full copy until DONE, exactly like a full-snapshot
-    // transfer; the library's poll then observes kAccepted.
+    // transfer; the library's poll then observes kAccepted.  Async: in
+    // memory only — the record persisted at the ship backs it (a restart
+    // re-ships it) until the next queue commit makes the entry durable.
     const PrecopyFinalizePayload& fin = *task.staged_finalize;
     failure = retain_task(
         nonce,
-        encode_record(assemble_snapshot(task.merged, fin.manifest, fin.msk)));
+        encode_record(assemble_snapshot(task.merged, fin.manifest, fin.msk)),
+        /*persist=*/!async_precopy_);
     if (failure == Status::kOk) return Status::kOk;
   }
   // After a failed retain the task was reinstated: find it again.
@@ -1678,16 +1699,17 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_finalize_req(
   if (!attempt.ok()) return attempt.status();
   TransferTask& live = *attempt.value();
   merge_by_generation(live.merged, fin.chunks);
+  fin.chunks.clear();  // merged: the task holds each chunk once
   live.staged_finalize = std::move(fin);
   live.finalize_attempts = 0;
-  // No persist here: the staged finalize is memory-only, and the frozen
-  // library still holds it.  A restart before the retain re-sends the
-  // whole finalize (poll sees kNone; dedup'd by nonce), so the final
-  // delta need not be durable first.  Async: the record ships behind the
-  // pump (queued behind a round hop still in flight on this channel).
-  // Sync: the ship runs inline, and a failed one re-attests and re-ships
-  // the merged set until the ship budget drops the staged finalize.
-  // Either way its one queue seal is the retained-transfer persist.
+  // No persist here: the frozen library still holds the finalize, and a
+  // restart before the ship makes it re-send the whole finalize (poll
+  // sees kNone; dedup'd by nonce).  Async: the record ships now, or
+  // behind a round hop still in flight on this channel, and its ship
+  // persists the resumable finalize record; the ack then retains in
+  // memory.  Sync: the ship runs inline, and a failed one re-attests and
+  // re-ships the merged set until the ship budget drops the staged
+  // finalize; its one queue seal is the retained-transfer persist.
   Status shipped = kick_precopy_ship(nonce);
   const auto staged = [&] {
     const auto it = transfer_tasks_.find(nonce);
@@ -1844,20 +1866,21 @@ Result<MigrationEnclave::IncomingRecord*> MigrationEnclave::claim_incoming(
   const auto held = incoming_.find(mr);
   if (held != incoming_.end()) {
     IncomingRecord& record = held->second;
-    // Once a session has fetched the data, nothing replaces it: the
-    // delivery pin's fork prevention outranks any retry or newer attempt.
-    if (record.delivering_session != 0) return Status::kAlreadyExists;
     if (record.request_nonce == nonce &&
         record.source_me_address == source_me_address) {
-      // The same logical migration: a lost ack or channel desync made the
-      // source re-attest, so the previous conversation is dead.  Its data
-      // stays until a passing assembly replaces it.
+      // The same logical migration: a lost ack, a channel desync or a
+      // source ME restart made the source re-attest, so the previous
+      // conversation is dead.  Its data stays until a passing assembly
+      // replaces it with the same data (one nonce, one snapshot).
       if (record.transfer_id != transfer_id) {
         inbound_.erase(record.transfer_id);
         record.transfer_id = transfer_id;
       }
       return &record;
     }
+    // Once a session has fetched the data, nothing replaces it: the
+    // delivery pin's fork prevention outranks any newer attempt.
+    if (record.delivering_session != 0) return Status::kAlreadyExists;
     if (!record.assembled()) {
       // A fresh nonce is a NEW attempt: the staged one was abandoned
       // (re-route, restarted pre-copy).  Staging is never handed to an
@@ -1884,12 +1907,25 @@ MeResponse MigrationEnclave::accept_record(const MeRequest& req,
   auto opened = open_inbound_record<Record>(req, /*charge=*/true);
   if (!opened.ok()) return error_response(opened.status());
   Record& record = opened.value().record;
-  auto claimed =
-      claim_incoming(record.source_mr_enclave, record.request_nonce,
-                     record.source_me_address, req.id);
-  if (!claimed.ok()) return error_response(claimed.status());
-  const Status applied = apply(record, *claimed.value());
-  if (applied != Status::kOk) return error_response(applied);
+  net::SecureChannel& channel = *opened.value().inbound->channel;
+  // A source ME that restarted (or was rolled back) to before this ME
+  // confirmed the migration re-ships it under the same nonce.  A second
+  // record would let a second instance fetch it — the §III-B fork — so
+  // the repeat gets the ack and, at once, the DONE it is owed.
+  constexpr bool kAssembles = !std::is_same_v<Record, PrecopyChunkRecord>;
+  const auto confirmed = confirmed_incoming_.find(record.source_mr_enclave);
+  const bool repeat = kAssembles &&
+                      incoming_.count(record.source_mr_enclave) == 0 &&
+                      confirmed != confirmed_incoming_.end() &&
+                      confirmed->second == record.request_nonce;
+  if (!repeat) {
+    auto claimed =
+        claim_incoming(record.source_mr_enclave, record.request_nonce,
+                       record.source_me_address, req.id);
+    if (!claimed.ok()) return error_response(claimed.status());
+    const Status applied = apply(record, *claimed.value());
+    if (applied != Status::kOk) return error_response(applied);
+  }
 
   MeResponse resp;
   resp.status = Status::kOk;
@@ -1898,7 +1934,15 @@ MeResponse MigrationEnclave::accept_record(const MeRequest& req,
   // restart would fail the source's replay check.  The record (and the
   // inbound channel that will seal the DONE) are then made durable
   // before the ack leaves this enclave and releases the source side.
-  resp.payload = opened.value().inbound->channel->seal_record(to_bytes(ack));
+  resp.payload = channel.seal_record(to_bytes(ack));
+  if (repeat) {
+    // The DONE follows the ack on the channel, so the source opens it
+    // once it has retained; the relay retries until then.
+    done_relays_[req.id] = DoneRelay{
+        record.source_me_address,
+        channel.seal_record(encode_record(DoneRecord{req.id}))};
+    inbound_.erase(req.id);
+  }
   const Status persisted = persist_queue(record.request_nonce);
   if (persisted != Status::kOk) return error_response(persisted);
   return resp;
@@ -2152,7 +2196,17 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
     return resp;
   }
   const auto it = outgoing_.find(req.id);
-  if (it == outgoing_.end()) return error_response(Status::kInvalidState);
+  if (it == outgoing_.end()) {
+    // The DONE of a conversation a task still holds outran its ack (the
+    // ack is still on its way, or a restarted ME has yet to re-ship):
+    // the destination keeps the relay until it can be opened.
+    for (const auto& [nonce, task] : transfer_tasks_) {
+      if (task.transfer_id == req.id) {
+        return error_response(Status::kMigrationInProgress);
+      }
+    }
+    return error_response(Status::kInvalidState);
+  }
   OutgoingTransfer& transfer = it->second;
   auto plaintext = transfer.channel->open_record(req.payload);
   if (!plaintext.ok()) return error_response(plaintext.status());

@@ -50,7 +50,7 @@
 namespace sgxmig::migration {
 
 /// The ME's durable transfer queue (§V-D hardening): every record the
-/// sealed snapshot carries, and the snapshot's v4 layout as one field list
+/// sealed snapshot carries, and the snapshot's v5 layout as one field list
 /// over them.  The writer runs it straight over the ME's maps; the reader
 /// fills a fresh queue, so a refused snapshot leaves the ME's untouched.
 struct DurableQueue {
@@ -155,11 +155,14 @@ struct DurableQueue {
     /// (memory-only); a ship sends merged entries newer than this (all,
     /// on resync).
     std::map<uint32_t, uint64_t> acked;
-    /// Staged finalize, memory-only BY DESIGN and never persisted: under
-    /// the async transport the record ships through the deferred pump
-    /// while the library polls its fate.  An ME restart (or an exhausted
-    /// ship budget) drops it — the still-frozen library observes kNone and
-    /// re-sends the finalize, which the nonce dedup makes idempotent.
+    /// Staged finalize (its chunks already merged): the manifest, MSK,
+    /// round and policy the finalize record ships with.  Under the async
+    /// transport it is durable from the moment its record is posted — the
+    /// resumable finalize record, written while the record travels — so a
+    /// restarted ME re-attests and re-ships it on its own under the same
+    /// nonce (the destination dedups the repeat).  A restart before the
+    /// ship (or an exhausted ship budget) drops it: the still-frozen
+    /// library observes kNone and re-sends the finalize.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
 
@@ -186,7 +189,7 @@ struct DurableQueue {
     Bytes sealed_record;
   };
   /// Initiator-side cached attestation session toward one peer ME
-  /// (durable, queue v4): the master key of a completed full handshake,
+  /// (durable since queue v4): the master key of a completed full handshake,
   /// bound to the peer's instance epoch, plus the certified credential so
   /// per-attempt policy is re-evaluated without a wire round trip.
   struct PeerSession {
@@ -216,10 +219,12 @@ struct DurableQueue {
   FifoMap<uint64_t, CompletedOutgoing> completed_outgoing_;
   // Durable record that an incoming migration for this identity was
   // confirmed (its record erased, DONE queued), keyed by identity with the
-  // confirming transfer id as value.  Lets a RE-sent confirm — whose
+  // confirmed request nonce as value.  Lets a RE-sent confirm — whose
   // ConfirmAck reply was lost, forcing the library to re-attest and
   // retry — succeed idempotently instead of stranding a fully restored
-  // destination instance.  FIFO-bounded like the completed history.
+  // destination instance, and a re-shipped transfer or finalize of the
+  // confirmed migration be answered with its DONE instead of a second
+  // record.  FIFO-bounded like the completed history.
   FifoMap<sgx::Measurement, uint64_t> confirmed_incoming_;
   std::map<uint64_t, DoneRelay> done_relays_;
   uint64_t next_outgoing_sequence_ = 1;
@@ -228,7 +233,7 @@ struct DurableQueue {
 
   /// The only queue format written or read; a snapshot with any other
   /// magic is refused as tampered.
-  static constexpr char kMagic[] = "SGXMIG-ME-QUEUE-v4";
+  static constexpr char kMagic[] = "SGXMIG-ME-QUEUE-v5";
   /// Default (and largest) cap of the completed-outgoing and
   /// confirmed-incoming histories: enough to absorb duplicate DONEs from
   /// any realistic relay-retry window without growing with fleet lifetime.
@@ -237,10 +242,9 @@ struct DurableQueue {
   static constexpr size_t kMaxDoneRelay = 1u << 16;
   static constexpr size_t kMaxRequest = 1u << 21;
 
-  /// Snapshot v4.  Split maps write two sections that read back into the
+  /// Snapshot v5.  Split maps write two sections that read back into the
   /// one map, so an entry listed in both is refused.  Session state (LA
-  /// channels, delivery pins, acked fronts, staged finalizes) is
-  /// deliberately not durable.
+  /// channels, delivery pins, acked fronts) is deliberately not durable.
   template <class Io, class Self>
   static void fields(Io& io, Self& q) {
     const auto channel = [](auto& f, auto& c) {
@@ -307,9 +311,15 @@ struct DurableQueue {
       f.str(relay.source_me_address, kMaxAddress);
       f.bytes(relay.sealed_record, kMaxDoneRelay);
     });
-    // Live pre-copy state: source tasks (merged chunk sets + RA channels)
-    // and staged incoming records, so an ME restart between rounds
-    // RESUMES the pre-copy instead of throwing away every round shipped.
+    // Live pre-copy state: source tasks (merged chunk sets, and a shipped
+    // finalize) and staged incoming records, so an ME restart between
+    // rounds RESUMES the pre-copy instead of throwing away every round
+    // shipped, and one after the finalize shipped re-ships it.  A task's
+    // channel is not durable: a snapshot can predate a record sealed on it
+    // (an async round persists before its ship) or the ack of one (a
+    // shipped finalize), so reusing it could repeat a GCM nonce or fail
+    // the next ack.  A restored task re-attests under a fresh transfer id;
+    // the old id stays so a DONE on that conversation is held for it.
     io.map(q.transfer_tasks_, kAnyCount, [&](auto& f, auto& nonce, auto& t) {
       f.u64(nonce);
       f.fixed(t.source_mr);
@@ -318,7 +328,8 @@ struct DurableQueue {
       f.u32(t.rounds);
       f.u8(t.resync);
       chunk_map(f, t.merged);
-      f.optional(t.channel, channel);
+      f.optional(t.staged_finalize,
+                 [](auto& g, auto& fin) { g.record(fin); });
       f.implied(t.precopy, true);
       f.implied(t.request.request_nonce, nonce);
     }, [](const TransferTask& t) { return t.precopy; });
@@ -664,10 +675,13 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// The one success tail of both transfer modes: the destination
   /// accepted, so the task dissolves into a retained transfer of
   /// `retained_data` until DONE (paper §V-D) — a fresh sequence, the
-  /// per-identity index marked kPending — and the queue is persisted.  A
-  /// failed persist unwinds the retained entry and reinstates the task
-  /// without its channel; the caller applies its mode's failure rule.
-  Status retain_task(uint64_t nonce, Bytes retained_data);
+  /// per-identity index marked kPending — and, when `persist`, the queue
+  /// is persisted.  A failed persist unwinds the retained entry and
+  /// reinstates the task without its channel; the caller applies its
+  /// mode's failure rule.  Without `persist` (an async finalize, whose
+  /// shipped record is already durable) the next queue commit of any kind
+  /// makes the entry durable.
+  Status retain_task(uint64_t nonce, Bytes retained_data, bool persist = true);
   /// Drops a retained transfer that will never see its DONE: wipes the
   /// copy and the per-identity index entry still pointing at it (a
   /// dangling kPending there is never evicted).  Returns the next entry.
@@ -688,13 +702,17 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
                               Result<Bytes> raw);
   /// Sends the staged finalize record (everything merged beyond the acked
   /// front rides along); re-attests first if the channel was dropped.
+  /// Async: then persists the resumable finalize record while the record
+  /// travels; a failed persist fails the ship like a failed hop.
   Status kick_precopy_finalize(uint64_t nonce);
   /// A finalize ack retains the copy the destination assembled (the
-  /// merged chunks + manifest) through retain_task.
+  /// merged chunks + manifest) through retain_task: in memory only under
+  /// the async transport, whose ship already persisted the record.
   Status precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
                                  Result<Bytes> raw);
-  /// A pre-copy hop failed (its ack, or the retain after a finalize
-  /// ack): the channel may have desynced, so drop it; the next kick
+  /// A pre-copy hop failed (its ack, the persist of a shipped async
+  /// finalize, or the retain after a sync finalize's ack): the channel
+  /// may have desynced, so drop it; the next kick
   /// re-attests and re-ships the whole merged set.  A finalize also
   /// spends one unit of its ship budget.  Persists; returns `failure`.
   Status precopy_ship_failed(TransferTask& task, Status failure,
@@ -831,6 +849,9 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// kPrecopyChunk, kPrecopyFinalize): open, claim the identity's
   /// incoming record, `apply` the record to it, seal `ack`, and persist
   /// before the ack leaves.  A refusal of `apply` is the reply's status.
+  /// A transfer or finalize (the records that assemble) of a migration
+  /// this ME already confirmed is acked with no record, and its DONE is
+  /// queued on the new conversation.
   template <typename Record, typename Apply>
   MeResponse accept_record(const MeRequest& req, std::string_view ack,
                            Apply apply);

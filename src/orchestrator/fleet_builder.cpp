@@ -7,9 +7,10 @@ std::vector<std::string> add_machines(platform::World& world, int count,
   std::vector<std::string> addresses;
   for (int i = 0; i < count; ++i) {
     const std::string& address =
-        addresses.emplace_back("m" + std::to_string(i));
+        addresses.emplace_back(std::string("m").append(std::to_string(i)));
     if (regions > 0) {
-      world.add_machine(address, "r" + std::to_string(i % regions),
+      world.add_machine(address,
+                        std::string("r").append(std::to_string(i % regions)),
                         /*cpu_cores=*/16u + 16u * (i % 2));
     } else {
       world.add_machine(address);

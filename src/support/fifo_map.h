@@ -39,6 +39,7 @@ class FifoMap {
 
   size_t size() const { return map_.size(); }
   size_t count(const K& key) const { return map_.count(key); }
+  const_iterator find(const K& key) const { return map_.find(key); }
   /// Key order.
   const_iterator begin() const { return map_.begin(); }
   const_iterator end() const { return map_.end(); }

@@ -4,8 +4,10 @@
 // exactly-once migrate request (nonce dedup + resume after a lost reply),
 // the DONE-relay backlog, lifecycle hygiene (terminal transfers and stale
 // LA sessions are erased), duplicate-id rejection, delivery re-arming
-// after a destination-instance death, and a 32-enclave orchestrated drain
-// that converges through ME restarts with zero lost or forked enclaves.
+// after a destination-instance death, the resumable pre-copy finalize
+// record (a source restart after the ack, a delivered record, a rollback
+// after the confirm), and a 32-enclave orchestrated drain that converges
+// through ME restarts with zero lost or forked enclaves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "chaos/oracles.h"
 #include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
@@ -544,9 +547,9 @@ TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
   ASSERT_TRUE(blob.ok());
   QueueSealer sealer(m1_);
   const Bytes current = sealer.open(blob.value());
-  const std::string v4 = "SGXMIG-ME-QUEUE-v4";
+  const std::string v5 = "SGXMIG-ME-QUEUE-v5";
   const auto magic_at = std::search(current.begin(), current.end(),
-                                    v4.begin(), v4.end());
+                                    v5.begin(), v5.end());
   ASSERT_EQ(magic_at - current.begin(), 4);  // after the u32 length
   ASSERT_GE(current.size(), 8u);
   ASSERT_TRUE(std::all_of(current.end() - 8, current.end(),
@@ -556,17 +559,26 @@ TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
   EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(current)), Status::kOk);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
 
-  // The same state written as a v3 snapshot: v3 had no peer-session
-  // section, so the trailing zero session count goes.  Correctly sealed,
-  // well formed for v3, and refused: v4 is the only format read.
+  // The same state written as a v4 snapshot: v4 pre-copy tasks carried a
+  // channel and no staged finalize, and this queue holds no pre-copy
+  // task, so only the magic differs.  Correctly sealed, well formed for v4, and refused: v5
+  // is the only format read.
+  Bytes v4 = current;
+  v4[4 + v5.size() - 1] = '4';
+  EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(v4)),
+            Status::kTampered);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  // As a v3 snapshot: v3 had no peer-session section either, so the
+  // trailing zero session count goes.  Refused the same way.
   Bytes v3(current.begin(), current.end() - 4);
-  v3[4 + v4.size() - 1] = '3';
+  v3[4 + v5.size() - 1] = '3';
   EXPECT_EQ(me("m1")->restore_queue(sealer.seal_queue(v3)),
             Status::kTampered);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
 }
 
-// ----- queue format v4, byte for byte -----
+// ----- queue format v5, byte for byte -----
 
 /// A fresh live-transfer enclave of its own image on m0 with three
 /// counters, one of them incremented (so its pre-copy rounds carry a
@@ -601,7 +613,7 @@ std::vector<std::unique_ptr<MigratableEnclave>> pinned_queue_apps(
 }
 
 // Both sealed snapshots of the pinned queues are pinned by SHA-256: the
-// v4 layout may not move by a single byte, and a restart restores the
+// v5 layout may not move by a single byte, and a restart restores the
 // same queue.
 TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
   const auto apps = pinned_queue_apps(m0_);
@@ -614,9 +626,9 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
     return hex_encode(ByteView(digest.data(), digest.size()));
   };
   EXPECT_EQ(sha256_hex(me("m0")->sealed_queue_state()),
-            "9262105cabcade62a967669faaf2068204ae013a1109bc6cc1177eca8bb8718d");
+            "0f48aa777ac1b902eb1a6372a9ea2e9dafbd4cdbc6464ed54c09cede6e830f0f");
   EXPECT_EQ(sha256_hex(me("m1")->sealed_queue_state()),
-            "c6d8d9524807c55f72e2233b91c7ad9a93e62fe9e368761aea5e80a6f78fe28b");
+            "8afa6063235664f6eb7bf71d9c4e80ab9a19570d2d9660afbc67529f90bf4f3d");
 
   restart_me("m0");
   restart_me("m1");
@@ -788,6 +800,149 @@ TEST_F(MeDurableQueueTest, QueueSnapshotListingANonceTwiceIsTampered) {
             Status::kTampered);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+}
+
+// ----- the resumable pre-copy finalize record -----
+
+// `app`'s async pre-copy attempt toward m1: one round, a final delta on
+// counter 2, and a finalize that the source ME has shipped and recorded
+// but the destination has not yet received.
+void ship_async_finalize(MigrationEnclave& source, platform::World& world,
+                         MigratableEnclave& app) {
+  source.set_async_precopy(true);
+  ASSERT_TRUE(app.ecall_migration_precopy_round("m1").ok());
+  source.pump();
+  world.network().pump_all();
+  app.ecall_increment_migratable_counter(2);
+  const auto queued = app.ecall_migration_finalize_detailed("m1");
+  ASSERT_EQ(queued.status, Status::kMigrationInProgress) << queued.message;
+}
+
+// An instance of counting_app(name)'s image on m1, restored from the
+// incoming record (nullptr when the restore fails).
+std::unique_ptr<MigratableEnclave> arrive_on(platform::Machine& m1,
+                                             const std::string& name) {
+  auto enclave = std::make_unique<MigratableEnclave>(
+      m1, EnclaveImage::create(name, 1, "acme"), /*live_transfer=*/true);
+  enclave->set_persist_callback(
+      [&m1, name](ByteView s) { m1.storage().put(name, s); });
+  if (enclave->ecall_migration_init(ByteView(), InitState::kMigrate, "m1") !=
+      Status::kOk) {
+    return nullptr;
+  }
+  return enclave;
+}
+
+void expect_counting_values(MigratableEnclave& moved) {
+  EXPECT_EQ(moved.ecall_read_migratable_counter(0).value(), 0u);
+  EXPECT_EQ(moved.ecall_read_migratable_counter(1).value(), 1u);
+  EXPECT_EQ(moved.ecall_read_migratable_counter(2).value(), 1u);
+}
+
+// The source ME restarts after the finalize's ack and before any later
+// queue commit, so it restores the record written at the ship.  The
+// destination instance confirms first: its DONE is sealed on the
+// conversation the restarted ME no longer holds, and the source keeps it
+// waiting while its restored task still names that conversation.  The
+// task re-ships, the destination answers the repeat of a confirmed
+// migration with its DONE, and the queues settle with nothing stranded.
+TEST_F(MeDurableQueueTest, SourceMeRestartAfterTheFinalizeAckSettles) {
+  auto app = counting_app(m0_, "ack-restart");
+  ship_async_finalize(*me("m0"), world_, *app);
+  world_.network().pump_all();
+  ASSERT_TRUE(app->ecall_migration_poll_transfer().ok());
+  ASSERT_EQ(me("m0")->outgoing_count(), 1u);  // retained, not yet durable
+  app.reset();
+
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  auto moved = arrive_on(m1_, "ack-restart");
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 1u);
+
+  chaos::settle_queues(world_);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  expect_counting_values(*moved);
+  EXPECT_EQ(arrive_on(m1_, "ack-restart"), nullptr);
+}
+
+// As above, but the destination instance has fetched and not yet
+// confirmed when the restored task re-ships: the delivered record is the
+// same migration, so it moves to the new conversation, and the DONE its
+// confirm seals there completes the source.
+TEST_F(MeDurableQueueTest, RestoredFinalizeRebindsADeliveredRecord) {
+  auto app = counting_app(m0_, "delivered");
+  ship_async_finalize(*me("m0"), world_, *app);
+  world_.network().pump_all();
+  ASSERT_TRUE(app->ecall_migration_poll_transfer().ok());
+  app.reset();
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+
+  // The first instance fetches; every later LA record to m1 is dropped,
+  // so its confirm never arrives and the delivery stays pinned.
+  me("m1")->set_delivery_takeover_timeout(seconds(10));
+  uint32_t la_records_to_m1 = 0;
+  world_.network().set_tamper_hook(
+      [&](const std::string& to, Bytes& request) {
+        if (to != "m1/me") return true;
+        auto parsed = decode_record<MeRequest>(request);
+        return !(parsed.ok() && parsed.value().type == MeMsgType::kLaRecord &&
+                 ++la_records_to_m1 >= 2);
+      });
+  EXPECT_EQ(arrive_on(m1_, "delivered"), nullptr);
+  world_.network().clear_tamper_hook();
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  me("m0")->pump();
+  world_.network().pump_all();
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+
+  world_.clock().advance(seconds(11));
+  auto moved = arrive_on(m1_, "delivered");
+  ASSERT_NE(moved, nullptr);
+  expect_counting_values(*moved);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+}
+
+// The host rolls the source ME's queue back to the record written at the
+// finalize's ship after the destination confirmed, then restarts the ME.
+// The re-shipped finalize repeats a confirmed migration: the destination
+// answers it with its DONE and holds no second record, so no second
+// instance restores.
+TEST_F(MeDurableQueueTest, FinalizeRecordRolledBackAfterTheConfirmCannotFork) {
+  auto app = counting_app(m0_, "rollback");
+  ship_async_finalize(*me("m0"), world_, *app);
+  const auto ship_time = m0_.storage().get_versioned("m0.me-queue");
+  ASSERT_TRUE(ship_time.ok());
+  world_.network().pump_all();
+  ASSERT_TRUE(app->ecall_migration_poll_transfer().ok());
+  app.reset();
+  auto moved = arrive_on(m1_, "rollback");
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);  // the DONE got through
+
+  m0_.storage().put_versioned("m0.me-queue", ship_time.value());
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  ASSERT_EQ(me("m0")->transfer_task_count(), 1u);
+  chaos::settle_queues(world_);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(arrive_on(m1_, "rollback"), nullptr);
+  expect_counting_values(*moved);
 }
 
 TEST(MeSettingsAcrossRestart, FactoryConfigureRunsOnEveryStart) {

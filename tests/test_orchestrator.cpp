@@ -33,7 +33,7 @@ class OrchestratorTest : public ::testing::Test {
   /// in eu-west.  Every machine gets a Migration Enclave.
   void build_world(int machines, int central) {
     for (int i = 0; i < machines; ++i) {
-      auto& m = world_.add_machine("m" + std::to_string(i),
+      auto& m = world_.add_machine(std::string("m").append(std::to_string(i)),
                                    i < central ? "eu-central" : "eu-west");
       mes_.push_back(std::make_unique<MigrationEnclave>(
           m, MigrationEnclave::standard_image(), world_.provider()));

@@ -747,7 +747,8 @@ CrashDrain run_crash_drain(int crashed, uint32_t restart_wave) {
   world.install_management_enclaves(
       migration::durable_me_factory(world.provider()));
   for (int i = 0; i < 5; ++i) {
-    world.add_machine("m" + std::to_string(i), i < 2 ? "src" : "dst");
+    world.add_machine(std::string("m").append(std::to_string(i)),
+                      i < 2 ? "src" : "dst");
   }
   orchestrator::FleetRegistry fleet(world);
   for (const auto& [host, count] :

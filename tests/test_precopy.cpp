@@ -8,6 +8,7 @@
 // pre-copy drain through ME restarts.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
+#include "support/sim_clock.h"
 
 namespace sgxmig {
 namespace {
@@ -355,9 +357,48 @@ TEST_F(PrecopyTest, DisabledGuardDrillStillPersistsTheFreezeFlag) {
             Status::kOk);
 }
 
-// The source ME no longer persists a finalize it takes: a restart before
-// the pump loses it, and the still-frozen library re-sends it.
+// The source ME persists a finalize only when it ships it: a restart
+// before the ship loses it, and the still-frozen library re-sends it.
+// Here the round's record is still on the wire, so the finalize stages
+// behind it.
 TEST_F(PrecopyTest, AsyncFinalizeLostToMeRestartIsResent) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  enclave->ecall_increment_migratable_counter(1);
+  const auto queued = enclave->ecall_migration_finalize_detailed("m1");
+  ASSERT_EQ(queued.status, Status::kMigrationInProgress) << queued.message;
+
+  restart_me("m0");
+  const auto lost = enclave->ecall_migration_poll_transfer();
+  EXPECT_EQ(lost.status, Status::kServiceUnavailable) << lost.message;
+  EXPECT_TRUE(lost.retryable());
+  EXPECT_TRUE(enclave->migration_frozen());
+
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  // The restored task attested afresh: the snapshot was cut before the
+  // round's record was sealed, so its channel would have sealed the
+  // finalize under the round's sequence number (the same GCM nonce).
+  EXPECT_EQ(me("m0")->full_handshake_count() +
+                me("m0")->resumed_handshake_count(),
+            1u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  enclave.reset();
+  expect_moved_with_final_delta();
+}
+
+// The source ME restarts after the finalize shipped, before its ack: the
+// record written at the ship survives, and the restored ME re-attests and
+// re-ships it on its own.  The destination keeps its one incoming record.
+TEST_F(PrecopyTest, AsyncFinalizeShippedBeforeMeRestartResumesFromItsRecord) {
   me("m0")->set_async_precopy(true);
   auto enclave = start_new(m0_);
   for (int i = 0; i < 3; ++i) {
@@ -372,34 +413,66 @@ TEST_F(PrecopyTest, AsyncFinalizeLostToMeRestartIsResent) {
   ASSERT_EQ(queued.status, Status::kMigrationInProgress) << queued.message;
 
   restart_me("m0");
-  const auto lost = enclave->ecall_migration_poll_transfer();
-  EXPECT_EQ(lost.status, Status::kServiceUnavailable) << lost.message;
-  EXPECT_TRUE(lost.retryable());
-  EXPECT_TRUE(enclave->migration_frozen());
-
-  const auto fin = drive_queued_finalize(
-      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  me("m0")->set_async_precopy(true);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  // One pump re-attests (the restored channel predates the ack) and
+  // re-ships; the destination rebinds its record to the new conversation.
+  me("m0")->pump();
+  world_.network().pump_all();
+  const auto fin = enclave->ecall_migration_poll_transfer();
   ASSERT_TRUE(fin.ok()) << fin.message;
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
   EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
   enclave.reset();
   expect_moved_with_final_delta();
+  // The one record went to the one instance, and its DONE reached the
+  // source.
+  auto second = make_app(m1_);
+  EXPECT_NE(second->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
 }
 
 // ----- the durable writes inside a freeze (persist.fence spans) -----
 
-// An async pre-copy freeze waits for two fences: the destination's
-// pending entry, then the source's retain.
+// An async pre-copy freeze holds two fences: the source's resumable
+// finalize record, written on m0 as the record ships, and the
+// destination's pending entry on m1.  With each machine's work on its own
+// lane, as the orchestrator runs it, the two overlap in virtual time.
 TEST_F(PrecopyTest, AsyncPrecopyFreezeHoldsTwoFences) {
   me("m0")->set_async_precopy(true);
   world_.observability().set_enabled(true);
   auto enclave = start_new(m0_);
-  finalize_after_round(*enclave);
+  LaneSchedule lanes(world_.clock());
+  world_.network().set_lane_schedule(&lanes);
+  const auto on_m0 = [&](const std::function<void()>& fn) {
+    lanes.run("m0", lanes.control(), fn);
+  };
+  on_m0([&] {
+    for (int i = 0; i < 3; ++i) enclave->ecall_create_migratable_counter();
+    enclave->ecall_increment_migratable_counter(0);
+    EXPECT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  });
+  world_.network().pump_all();
+  MigrationStartResult fin;
+  on_m0([&] {
+    enclave->ecall_increment_migratable_counter(1);
+    fin = enclave->ecall_migration_finalize_detailed("m1");
+  });
+  EXPECT_EQ(fin.status, Status::kMigrationInProgress) << fin.message;
+  world_.network().pump_all();
+  on_m0([&] { fin = enclave->ecall_migration_poll_transfer(); });
+  world_.network().set_lane_schedule(nullptr);
+  ASSERT_TRUE(fin.ok()) << fin.message;
+
   const std::vector<obs::TraceSpan> fences = fences_in_last_freeze();
   ASSERT_EQ(fences.size(), 2u);
-  EXPECT_EQ(fences[0].lane, "m1");
-  EXPECT_EQ(fences[1].lane, "m0");
+  EXPECT_EQ(fences[0].lane, "m0");
+  EXPECT_EQ(fences[1].lane, "m1");
+  EXPECT_LT(fences[0].start, fences[1].end);
+  EXPECT_LT(fences[1].start, fences[0].end);
   for (const obs::TraceSpan& fence : fences) {
     EXPECT_NE(fence.trace_id, 0u);
     EXPECT_EQ(fence.args.front(),
@@ -713,6 +786,52 @@ TEST_F(PrecopyTest, FinalizeWhoseRetainCannotPersistIsUnwound) {
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
 }
 
+// Async: the finalize's ship persists the resumable record.  When that
+// write fails, the ship fails like a failed hop — its ack retains nothing
+// — and a re-sent finalize ships again once storage is back.
+TEST_F(PrecopyTest, AsyncFinalizeWhoseShipCannotPersistFailsTheShip) {
+  auto down = std::make_shared<bool>(false);
+  m0_.install_management_enclave([this, down](platform::Machine& m) {
+    auto me = std::make_unique<MigrationEnclave>(
+        m, MigrationEnclave::standard_image(), world_.provider());
+    me->set_queue_persist_callback([down](ByteView /*sealed_queue*/) {
+      return *down ? Status::kSealFailure : Status::kOk;
+    });
+    me->set_async_precopy(true);
+    return me;
+  });
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  enclave->ecall_increment_migratable_counter(1);
+
+  *down = true;
+  const auto failed = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.status, Status::kMigrationInProgress);
+  // The record lands and the destination accepts it, but its ack finds
+  // the ship failed: nothing is retained.
+  world_.network().pump_all();
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+
+  *down = false;
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+  enclave.reset();
+  expect_moved_with_final_delta();
+}
+
 TEST_F(PrecopyTest, SyncRoundReattestsAfterDestinationSweptStaging) {
   auto enclave = start_new(m0_);
   for (int i = 0; i < 20; ++i) {
@@ -969,7 +1088,7 @@ TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
 
 TEST_F(PrecopyTest, Orchestrated32EnclavePrecopyDrainSurvivesMeRestarts) {
   for (int i = 3; i < 5; ++i) {
-    world_.add_machine("m" + std::to_string(i));
+    world_.add_machine(std::string("m").append(std::to_string(i)));
   }
   orchestrator::FleetRegistry fleet(world_);
   orchestrator::AppSpec apps{.count = 32, .prefix = "pc-drain-"};

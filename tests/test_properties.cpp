@@ -370,7 +370,8 @@ TEST_P(KvStoreModel, MatchesModelThroughPersistRestartMigrate) {
 
   for (int step = 0; step < 80; ++step) {
     const uint64_t action = rng.uniform(100);
-    const std::string key = "k" + std::to_string(rng.uniform(10));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.uniform(10)));
     if (action < 40) {
       const Bytes value = rng.bytes(1 + rng.uniform(64));
       ASSERT_EQ(kv->ecall_put(key, value), Status::kOk);

@@ -1170,7 +1170,7 @@ Bound library_flag(const char* field, void (*set)(LibraryState&)) {
           }, decodes_as<LibraryState>};
 }
 
-// ----- the ME's sealed queue snapshot (format v4) -----
+// ----- the ME's sealed queue snapshot (format v5) -----
 //
 // Only a live ME reads the queue: a row's snapshot is sealed under the ME
 // image's key and restored into one ME kept for the whole table.
@@ -1209,7 +1209,7 @@ enum QueueSection : size_t {
 Bytes queue_snapshot(QueueSection section, size_t count,
                      const Bytes& entries) {
   BinaryWriter w;
-  w.str("SGXMIG-ME-QUEUE-v4");
+  w.str("SGXMIG-ME-QUEUE-v5");
   w.u64(1);
   for (size_t i = 0; i < kSectionCount; ++i) {
     w.u32(i == section ? static_cast<uint32_t>(count) : 0);
@@ -1316,7 +1316,7 @@ Bytes queue_precopy(size_t destination_len, size_t chunks) {
   w.u32(2);
   w.boolean(false);
   write_chunks(w, chunks);
-  w.boolean(false);
+  w.boolean(false);  // no staged finalize
   return queue_snapshot(kPrecopySection, 1, w.take());
 }
 
