@@ -42,10 +42,6 @@ class Aes {
   explicit Aes(ByteView key, Kernel kernel = gcm_kernels::selected());
 
   void encrypt_block(const uint8_t in[16], uint8_t out[16]) const;
-  /// `blocks` consecutive 16-byte blocks (ECB); on AES-NI one pass over
-  /// the round keys for all of them.  `out` is `in` or does not overlap
-  /// it.
-  void encrypt_blocks(const uint8_t* in, uint8_t* out, size_t blocks) const;
   void decrypt_block(const uint8_t in[16], uint8_t out[16]) const;
 
   /// The FIPS-197 key schedule, one 16-byte round key per round from the

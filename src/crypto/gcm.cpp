@@ -139,14 +139,10 @@ void portable_ghash(const uint8_t h[16], ByteView aad, ByteView ct,
 class Gcm {
  public:
   Gcm(Kernel kernel, ByteView key, ByteView iv) : aes_(key, kernel) {
-    // H and the tag mask in one two-block pass: 0^128 || J0 -> H || E(J0).
-    uint8_t blocks[32] = {0};
-    std::memcpy(blocks + 16, iv.data(), kGcmIvSize);
-    store_be32(blocks + 28, 1);
-    std::memcpy(j0_, blocks + 16, 16);
-    aes_.encrypt_blocks(blocks, blocks, 2);
-    std::memcpy(h_, blocks, 16);
-    std::memcpy(mask_, blocks + 16, 16);
+    const uint8_t zero[16] = {0};
+    aes_.encrypt_block(zero, h_);
+    std::memcpy(j0_, iv.data(), kGcmIvSize);
+    store_be32(j0_ + 12, 1);
   }
 
   // `out` is `in.data()` or does not overlap `in`.
@@ -166,7 +162,9 @@ class Gcm {
 
   void tag(ByteView aad, ByteView ciphertext, uint8_t out[16]) const {
     ghash(aad, ciphertext, out);
-    for (int i = 0; i < 16; ++i) out[i] ^= mask_[i];
+    uint8_t mask[16];
+    aes_.encrypt_block(j0_, mask);
+    for (int i = 0; i < 16; ++i) out[i] ^= mask[i];
   }
 
  private:
@@ -187,7 +185,6 @@ class Gcm {
   Aes aes_;
   uint8_t h_[16] = {};
   uint8_t j0_[16] = {};
-  uint8_t mask_[16] = {};  // E(J0)
 };
 
 }  // namespace

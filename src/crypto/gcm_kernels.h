@@ -65,10 +65,6 @@ void aesni_expand_key128(const uint8_t key[16], uint8_t round_keys[176]);
 /// One AES block with the round keys of `crypto::Aes::round_keys()`.
 void aesni_encrypt_block(ByteView round_keys, const uint8_t in[16],
                          uint8_t out[16]);
-/// `blocks` AES blocks (ECB) with the same round keys, loaded once.
-/// `out` is `in` or does not overlap it.
-void aesni_encrypt_blocks(ByteView round_keys, const uint8_t* in,
-                          uint8_t* out, size_t blocks);
 /// CTR keystream from inc32(j0) on, XORed over `n` bytes of `in` into
 /// `out`, with the AES round keys of `crypto::Aes::round_keys()`.
 void aesni_ctr(ByteView round_keys, const uint8_t j0[16], const uint8_t* in,

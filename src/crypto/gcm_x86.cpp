@@ -390,15 +390,6 @@ SGXMIG_AESNI void aesni_encrypt_block(ByteView round_keys,
   store(out, encrypt_block(load_round_keys(round_keys), load(in)));
 }
 
-SGXMIG_AESNI void aesni_encrypt_blocks(ByteView round_keys, const uint8_t* in,
-                                       uint8_t* out, size_t blocks) {
-  const RoundKeys rk = load_round_keys(round_keys);
-  // Independent chains, which the core overlaps.
-  for (size_t b = 0; b < blocks; ++b) {
-    store(out + 16 * b, encrypt_block(rk, load(in + 16 * b)));
-  }
-}
-
 SGXMIG_AESNI void aesni_ctr(ByteView round_keys, const uint8_t j0[16],
                             const uint8_t* in, size_t n, uint8_t* out) {
   const RoundKeys rk = load_round_keys(round_keys);

@@ -1488,8 +1488,14 @@ constexpr uint32_t kFinalizeShipAttempts = 3;
 Status DurableQueue::TransferTask::spend_finalize_try(Status status) {
   // Past the budget, hand back to the library: its poll observes kNone
   // (or the sync reply carries the failure) and the still frozen enclave
-  // re-sends the finalize (dedup'd by nonce).
-  if (++finalize_attempts >= kFinalizeShipAttempts) staged_finalize.reset();
+  // re-sends the finalize (dedup'd by nonce).  A resumed finalize's
+  // library may be gone, so it keeps re-shipping (re-attesting each pump)
+  // until the destination answers; its refusal to start a record of an
+  // unknown migration is the one answer that hands it back.
+  const bool hand_back = resumed
+                             ? status == Status::kNoPendingMigration
+                             : ++finalize_attempts >= kFinalizeShipAttempts;
+  if (hand_back) staged_finalize.reset();
   return status;
 }
 
@@ -1621,6 +1627,7 @@ Status MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   record.chunks = task.unacked_chunks();
   record.manifest = task.staged_finalize->manifest;
   record.msk = task.staged_finalize->msk;
+  record.resumed = task.resumed;
   Bytes record_bytes = encode_record(record);
   charge_gcm(record_bytes.size());
   MeRequest req;
@@ -1702,6 +1709,7 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_finalize_req(
   fin.chunks.clear();  // merged: the task holds each chunk once
   live.staged_finalize = std::move(fin);
   live.finalize_attempts = 0;
+  live.resumed = false;
   // No persist here: the frozen library still holds the finalize, and a
   // restart before the ship makes it re-send the whole finalize (poll
   // sees kNone; dedup'd by nonce).  Async: the record ships now, or
@@ -1913,12 +1921,27 @@ MeResponse MigrationEnclave::accept_record(const MeRequest& req,
   // record would let a second instance fetch it — the §III-B fork — so
   // the repeat gets the ack and, at once, the DONE it is owed.
   constexpr bool kAssembles = !std::is_same_v<Record, PrecopyChunkRecord>;
+  const auto held = incoming_.find(record.source_mr_enclave);
+  const bool holds_it = held != incoming_.end() &&
+                        held->second.request_nonce == record.request_nonce &&
+                        held->second.source_me_address ==
+                            record.source_me_address;
   const auto confirmed = confirmed_incoming_.find(record.source_mr_enclave);
-  const bool repeat = kAssembles &&
-                      incoming_.count(record.source_mr_enclave) == 0 &&
+  const bool repeat = kAssembles && held == incoming_.end() &&
                       confirmed != confirmed_incoming_.end() &&
                       confirmed->second == record.request_nonce;
+  bool resumed = false;
+  if constexpr (std::is_same_v<Record, PrecopyFinalizeRecord>) {
+    resumed = record.resumed;
+  }
   if (!repeat) {
+    // The confirm history is bounded (and a later migration of the
+    // identity replaces its entry), so a resumed finalize may repeat a
+    // confirm this ME no longer remembers: it only completes a record of
+    // its own migration.
+    if (resumed && !holds_it) {
+      return error_response(Status::kNoPendingMigration);
+    }
     auto claimed =
         claim_incoming(record.source_mr_enclave, record.request_nonce,
                        record.source_me_address, req.id);

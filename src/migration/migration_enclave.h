@@ -165,12 +165,20 @@ struct DurableQueue {
     /// library observes kNone and re-sends the finalize.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
+    /// The staged finalize was read back from the queue: the library that
+    /// staged it may have seen kAccepted and be gone, so it ships marked
+    /// resumed and spends no budget (see spend_finalize_try).  A finalize
+    /// the library (re-)sends clears it.
+    bool resumed = false;
 
     /// Everything merged beyond the destination's acked front (on
     /// resync: the whole merged set) — what the next record carries.
     std::vector<CounterChunk> unacked_chunks() const;
     /// Spends one unit of the finalize ship budget; past it the staged
-    /// finalize is handed back to the library.  Returns `status`.
+    /// finalize is handed back to the library.  A resumed finalize
+    /// re-ships on every pump until the destination answers it, and is
+    /// handed back only when the destination holds no record of its
+    /// migration.  Returns `status`.
     Status spend_finalize_try(Status status);
   };
   /// Compact durable record of a confirmed outgoing transfer: enough to
@@ -330,6 +338,7 @@ struct DurableQueue {
       chunk_map(f, t.merged);
       f.optional(t.staged_finalize,
                  [](auto& g, auto& fin) { g.record(fin); });
+      f.implied(t.resumed, t.staged_finalize.has_value());
       f.implied(t.precopy, true);
       f.implied(t.request.request_nonce, nonce);
     }, [](const TransferTask& t) { return t.precopy; });
@@ -851,7 +860,8 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// before the ack leaves.  A refusal of `apply` is the reply's status.
   /// A transfer or finalize (the records that assemble) of a migration
   /// this ME already confirmed is acked with no record, and its DONE is
-  /// queued on the new conversation.
+  /// queued on the new conversation.  A resumed finalize that finds
+  /// neither its record nor its confirm is refused (kNoPendingMigration).
   template <typename Record, typename Apply>
   MeResponse accept_record(const MeRequest& req, std::string_view ack,
                            Apply apply);

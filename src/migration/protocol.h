@@ -420,12 +420,17 @@ struct PrecopyChunkRecord {
 struct PrecopyFinalizeRecord : PrecopyChunkRecord {
   std::vector<ChunkManifestEntry> manifest;
   sgx::Key128 msk{};
+  /// Re-shipped from the source ME's durable queue after a restart: the
+  /// destination may have confirmed it already, so it only completes a
+  /// record of its own migration and never starts one.
+  bool resumed = false;
 
   template <class Io, class Self>
   static void fields(Io& io, Self& m) {
     PrecopyChunkRecord::fields(io, m);
     io.list(m.manifest, kPrecopyChunkCount);
     io.fixed(m.msk);
+    io.u8(m.resumed);
   }
 };
 

@@ -588,28 +588,6 @@ TEST_P(AesKernelTest, RandomKeysAndBlocksMatchThePortableKernel) {
   }
 }
 
-// A batch of n blocks, in place or not, is n single blocks, on every key
-// size.
-TEST_P(AesKernelTest, EncryptBlocksMatchesSingleBlocks) {
-  Rng rng(0xb10c);
-  for (const size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
-    const Aes aes(rng.bytes(key_size), GetParam());
-    for (size_t count = 0; count <= 11; ++count) {
-      const Bytes in = rng.bytes(16 * count);
-      Bytes want(in.size());
-      for (size_t b = 0; b < count; ++b) {
-        aes.encrypt_block(in.data() + 16 * b, want.data() + 16 * b);
-      }
-      Bytes out(in.size());
-      aes.encrypt_blocks(in.data(), out.data(), count);
-      EXPECT_EQ(out, want) << "key " << key_size << " count " << count;
-      Bytes in_place = in;
-      aes.encrypt_blocks(in_place.data(), in_place.data(), count);
-      EXPECT_EQ(in_place, want) << "key " << key_size << " count " << count;
-    }
-  }
-}
-
 TEST_P(AesKernelTest, RoundKeysMatchThePortableSchedule) {
   Rng rng(0x5c4e);
   for (const size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {

@@ -872,6 +872,89 @@ TEST_F(MeDurableQueueTest, SourceMeRestartAfterTheFinalizeAckSettles) {
   EXPECT_EQ(arrive_on(m1_, "ack-restart"), nullptr);
 }
 
+// As above, but the destination ME is unreachable for longer than a
+// finalize's ship budget while the restored task tries to re-ship.  The
+// library that staged the finalize is gone, so the resumed finalize
+// spends no budget: it keeps its record and the DONE stays held until the
+// destination is back, and then the queues settle.
+TEST_F(MeDurableQueueTest, ResumedFinalizeOutlastsAnUnreachableDestination) {
+  auto app = counting_app(m0_, "unreachable");
+  ship_async_finalize(*me("m0"), world_, *app);
+  world_.network().pump_all();
+  ASSERT_TRUE(app->ecall_migration_poll_transfer().ok());
+  app.reset();
+
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  auto moved = arrive_on(m1_, "unreachable");
+  ASSERT_NE(moved, nullptr);
+  world_.network().set_endpoint_down("m1/me", true);
+  for (int pump = 0; pump < 5; ++pump) {
+    me("m0")->pump();
+    world_.network().pump_all();
+    EXPECT_EQ(me("m1")->retry_done_relays(), 1u);
+  }
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+
+  world_.network().set_endpoint_down("m1/me", false);
+  chaos::settle_queues(world_);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+  expect_counting_values(*moved);
+  EXPECT_EQ(arrive_on(m1_, "unreachable"), nullptr);
+}
+
+// The destination confirmed the migration and then forgot it — its
+// confirm history holds one identity, and another identity's confirm
+// evicts it — before the restarted source re-ships the finalize.  The
+// resumed finalize may not start a record of a migration the destination
+// does not hold: it is refused, no second instance restores, and the
+// source keeps the task's merged chunks (without the MSK) until a newer
+// completion of the identity sweeps it.
+TEST_F(MeDurableQueueTest, ResumedFinalizeAfterAForgottenConfirmCannotFork) {
+  me("m1")->set_completed_history_limit(1);
+  auto app = counting_app(m0_, "forgotten");
+  ship_async_finalize(*me("m0"), world_, *app);
+  world_.network().pump_all();
+  ASSERT_TRUE(app->ecall_migration_poll_transfer().ok());
+  app.reset();
+
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  auto moved = arrive_on(m1_, "forgotten");
+  ASSERT_NE(moved, nullptr);
+  ASSERT_EQ(me("m1")->confirmed_incoming_size(), 1u);
+
+  // Another identity moves m2 -> m1 and is confirmed there.
+  platform::Machine& m2 = world_.add_machine("m2");
+  const auto other_image = EnclaveImage::create("other", 1, "acme");
+  auto other = std::make_unique<MigratableEnclave>(m2, other_image);
+  other->set_persist_callback([&m2](ByteView s) { m2.storage().put("o", s); });
+  ASSERT_EQ(other->ecall_migration_init(ByteView(), InitState::kNew, "m2"),
+            Status::kOk);
+  other->ecall_create_migratable_counter();
+  ASSERT_EQ(other->ecall_migration_start("m1"), Status::kOk);
+  auto other_moved = std::make_unique<MigratableEnclave>(m1_, other_image);
+  other_moved->set_persist_callback(
+      [this](ByteView s) { m1_.storage().put("o", s); });
+  ASSERT_EQ(other_moved->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                              "m1"),
+            Status::kOk);
+  ASSERT_EQ(me("m1")->confirmed_incoming_size(), 1u);
+
+  chaos::settle_queues(world_);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(arrive_on(m1_, "forgotten"), nullptr);
+  expect_counting_values(*moved);
+}
+
 // As above, but the destination instance has fetched and not yet
 // confirmed when the restored task re-ships: the delivered record is the
 // same migration, so it moves to the new conversation, and the DONE its

@@ -318,12 +318,14 @@ TEST(ProtocolSerde, PrecopyRecordsRoundTrip) {
   finalize_record.request_nonce = 501;
   finalize_record.manifest.push_back({0, 1});
   finalize_record.msk[15] = 0xff;
+  finalize_record.resumed = true;
   auto finalize_back =
       decode_record<PrecopyFinalizeRecord>(encode_record(finalize_record));
   ASSERT_TRUE(finalize_back.ok());
   EXPECT_EQ(finalize_back.value().source_me_address, "m1");
   ASSERT_EQ(finalize_back.value().manifest.size(), 1u);
   EXPECT_EQ(finalize_back.value().msk, finalize_record.msk);
+  EXPECT_TRUE(finalize_back.value().resumed);
 }
 
 TEST(ProtocolSerde, SessionResumeRoundTrip) {
@@ -686,7 +688,7 @@ std::vector<Pin> pins() {
         p.msk = pattern<16>(10);
         return encode_record(p);
       }, reencode<PrecopyFinalizeRecord>,
-      "de0612e89c16985378fa8a7a5c07d2fcf67a8c9280c8fa7c18d68107b49cd17c");
+      "9c0f0a522beb25f7e0ac157bd902a7fcec4eef4312579be4eb2f218a3c46acc1");
   add("AttemptRef (kReconcile)", [] {
         AttemptRef p;
         p.source_mr_enclave = pattern<32>(11);
