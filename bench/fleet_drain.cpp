@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "chaos/chaos_executor.h"
 #include "migration/migration_enclave.h"
 #include "orchestrator/fleet_builder.h"
 #include "orchestrator/orchestrator.h"
@@ -106,23 +107,17 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
     options.max_inflight_per_destination = cap;
   }
   Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
-  if (fault == Fault::kMeRestart) {
-    // The source ME crashes MID-completion-wave, while other admitted
-    // migrations still hold retained entries in its transfer queue (a
-    // wave-boundary kill would find the queue already drained), and is
-    // revived at the top of the next wave, restoring the sealed queue.
-    fleet.set_completion_callback(
-        [&world, &completions](const orchestrator::EnclaveRecord&) {
-          if (++completions == 2) world.machine("m0")->kill_management_enclave();
-        });
-    orch.set_wave_hook([&world, waves_down = 0u](uint32_t) mutable {
-      if (world.machine("m0")->has_management_enclave()) return;
-      // Stay dark for two waves so queued migrations genuinely fail
-      // against the dead ME before the revival restores the queue.
-      if (++waves_down >= 3) world.machine("m0")->restart_management_enclave();
-    });
-  }
+  // The source ME crashes MID-completion-wave, while other admitted
+  // migrations still hold retained entries in its transfer queue (a
+  // wave-boundary kill would find the queue already drained), and stays
+  // dark for two waves so queued migrations genuinely fail against it
+  // before the third revives it, restoring the sealed queue.
+  chaos::ChaosExecutor executor(
+      world, fault == Fault::kMeRestart
+                 ? chaos::crash_at_completion({"m0"}, /*completion=*/2,
+                                              /*revive_after_waves=*/3)
+                 : chaos::ChaosPlan{});
+  if (fault == Fault::kMeRestart) executor.arm(orch);
 
   const Duration t0 = world.clock().now();
   DrainResult result;

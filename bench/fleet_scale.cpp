@@ -10,6 +10,8 @@
 //     CPU of each of the two rows is the fastest of three runs);
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
 //     the 1k row (event-log ring + ME history caps bound the rest);
+//   * a memory ledger of the 1k and 10k rows (store, PSE counters,
+//     library state, ME queues) sums to no more than the heap in use;
 //   * a traced rerun of the 1k row reproduces its untraced wall
 //     bit-exactly and emits TRACE_fleet_scale.json for trace_check.py;
 //   * one mixed-profile chaos storm over a 1000-enclave event-driven
@@ -62,6 +64,39 @@ void fail_gate(const char* what) {
   std::exit(1);
 }
 
+/// Where the heap goes at the end of an evacuation, by layer: the bytes
+/// each layer's memory_bytes() accounts for, against what the allocator
+/// holds.  The layers count payload only, so their sum must stay below
+/// the heap in use; the remainder is everything no layer claims (the
+/// orchestrator and registry, enclave objects, sessions, node overhead).
+struct MemoryLedger {
+  uint64_t store = 0;     // platform::UntrustedStore, every machine
+  uint64_t counters = 0;  // sgx::MonotonicCounterService, every machine
+  uint64_t library = 0;   // MigrationLibrary resident state, every enclave
+  uint64_t me_queue = 0;  // ME durable queues and histories, every machine
+  uint64_t heap_in_use = 0;
+
+  uint64_t sum() const { return store + counters + library + me_queue; }
+};
+
+MemoryLedger take_ledger(platform::World& world, FleetRegistry& fleet) {
+  MemoryLedger ledger;
+  for (platform::Machine* m : world.machines()) {
+    ledger.store += m->storage().memory_bytes();
+    ledger.counters += m->counter_service().memory_bytes();
+    if (auto* me = migration::me_on(*m)) {
+      ledger.me_queue += me->queue_memory_bytes();
+    }
+  }
+  for (const uint64_t id : fleet.all_ids()) {
+    if (auto* enclave = fleet.enclave(id)) {
+      ledger.library += enclave->library_memory_bytes();
+    }
+  }
+  ledger.heap_in_use = process_heap_in_use_bytes();
+  return ledger;
+}
+
 struct ScaleResult {
   OrchestratorReport report;
   Duration wall{};
@@ -73,6 +108,7 @@ struct ScaleResult {
   DriverStats stats;
   uint64_t events_dropped = 0;
   uint64_t me_history_retained = 0;
+  MemoryLedger ledger;
 };
 
 /// One region evacuation at datacenter scale: `machines` hosts spread
@@ -122,6 +158,7 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
   result.wall = world.clock().now() - t0;
   result.control_plane_bytes = orch.control_plane_bytes() +
                                scheduler.index_bytes() + fleet.index_bytes();
+  result.ledger = take_ledger(world, fleet);
   result.peak_rss_bytes = process_peak_rss_bytes();
   result.stats = orch.last_driver_stats();
   result.events_dropped = result.report.events_dropped;
@@ -277,6 +314,30 @@ void run() {
     std::printf(" (gate uses the fastest)\n");
   }
 
+  // --- memory ledger of the 1k and 10k rows (their first runs).
+  std::printf("\nmemory ledger at the end of the evacuation [bytes]:\n"
+              "%9s %11s %11s %11s %11s %11s %11s %12s %12s\n",
+              "enclaves", "store", "counters", "library", "me-queue", "sum",
+              "remainder", "heap-in-use", "peak-rss");
+  for (const CurvePoint* point : {&curve.front(), &curve.back()}) {
+    const MemoryLedger& l = point->result.ledger;
+    std::printf("%9d %11llu %11llu %11llu %11llu %11llu %11lld %12llu %12llu\n",
+                point->enclaves, static_cast<unsigned long long>(l.store),
+                static_cast<unsigned long long>(l.counters),
+                static_cast<unsigned long long>(l.library),
+                static_cast<unsigned long long>(l.me_queue),
+                static_cast<unsigned long long>(l.sum()),
+                static_cast<long long>(l.heap_in_use) -
+                    static_cast<long long>(l.sum()),
+                static_cast<unsigned long long>(l.heap_in_use),
+                static_cast<unsigned long long>(point->result.peak_rss_bytes));
+    // Without a heap reading (no glibc mallinfo2) there is nothing to
+    // check the layers against.
+    if (l.heap_in_use != 0 && l.sum() > l.heap_in_use) {
+      fail_gate("memory ledger layers exceed the heap in use");
+    }
+  }
+
   // --- scaling-shape gates: 1k -> 10k is 10x the enclaves; a linear
   // control plane grows CPU and task touches ~10x.  15x budgets constant
   // factors (deeper retry tails, colder caches) while still failing any
@@ -365,6 +426,20 @@ void run() {
     }
     fail_gate("chaos storm over the 1k event-driven drain violated an "
               "oracle");
+  }
+
+  // Ledger rows last, so every earlier row keeps its index.
+  for (const CurvePoint* point : {&curve.front(), &curve.back()}) {
+    const MemoryLedger& l = point->result.ledger;
+    json.begin_row()
+        .field("ledger_enclaves", point->enclaves)
+        .field("store_bytes", l.store)
+        .field("counter_bytes", l.counters)
+        .field("library_bytes", l.library)
+        .field("me_queue_bytes", l.me_queue)
+        .field("ledger_sum_bytes", l.sum())
+        .field("heap_in_use_bytes", l.heap_in_use)
+        .field("peak_rss_bytes", point->result.peak_rss_bytes);
   }
 
   std::printf(

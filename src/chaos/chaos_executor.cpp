@@ -1,5 +1,7 @@
 #include "chaos/chaos_executor.h"
 
+#include <algorithm>
+
 #include "migration/protocol.h"
 #include "obs/observability.h"
 
@@ -52,7 +54,8 @@ ChaosExecutor::ChaosExecutor(platform::World& world, ChaosPlan plan)
       plan_(std::move(plan)),
       // Private stream, decorrelated from the generator's Rng(seed).
       rng_(plan_.seed ^ 0x9e3779b97f4a7c15ULL),
-      firings_(plan_.events.size(), 0) {}
+      firings_(plan_.events.size(), 0),
+      waves_after_completion_(plan_.events.size(), 0) {}
 
 ChaosExecutor::~ChaosExecutor() { disarm(); }
 
@@ -73,6 +76,13 @@ void ChaosExecutor::arm(orchestrator::Orchestrator& orch) {
         return on_response(to, response);
       });
   hooks_installed_ = true;
+  completion_hooked_ =
+      std::any_of(plan_.events.begin(), plan_.events.end(),
+                  [](const FaultEvent& e) { return e.at_completion != 0; });
+  if (completion_hooked_) {
+    orch.fleet().set_completion_callback(
+        [this](const orchestrator::EnclaveRecord&) { on_completion(); });
+  }
 
   // Flap windows are declared RELATIVE to arm time (the drain start), so
   // a plan generated before world setup still lands inside the drain.
@@ -104,6 +114,10 @@ void ChaosExecutor::disarm() {
   if (armed_orch_ != nullptr) {
     armed_orch_->set_wave_hook(nullptr);
     armed_orch_->set_round_hook(nullptr);
+    if (completion_hooked_) {
+      armed_orch_->fleet().set_completion_callback(nullptr);
+    }
+    completion_hooked_ = false;
     armed_orch_ = nullptr;
   }
   if (hooks_installed_) {
@@ -136,8 +150,20 @@ std::map<std::string, uint64_t> ChaosExecutor::report_stats() const {
 void ChaosExecutor::on_wave(uint32_t wave) {
   for (size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& event = plan_.events[i];
-    if (event.at_round != 0 || event.at_wave != wave) continue;
-    if (firings_[i] != 0) continue;
+    if (firings_[i] != 0 || event.at_round != 0) continue;
+    if (event.at_completion != 0) {
+      // A completion-triggered restart counts the waves after its
+      // completion.
+      if (event.kind != FaultKind::kMeRestart ||
+          completions_ < event.at_completion ||
+          ++waves_after_completion_[i] < event.at_wave) {
+        continue;
+      }
+      firings_[i] = 1;
+      fire_restart(event);
+      continue;
+    }
+    if (event.at_wave != wave) continue;
     if (event.kind == FaultKind::kMeCrash) {
       firings_[i] = 1;
       fire_crash(event);
@@ -164,13 +190,27 @@ void ChaosExecutor::on_round(uint64_t enclave_id, uint32_t round) {
   }
 }
 
+void ChaosExecutor::on_completion() {
+  ++completions_;
+  for (size_t i = 0; i < plan_.events.size(); ++i) {
+    const FaultEvent& event = plan_.events[i];
+    if (event.kind != FaultKind::kMeCrash || firings_[i] != 0 ||
+        event.at_completion != completions_) {
+      continue;
+    }
+    firings_[i] = 1;
+    fire_crash(event);
+  }
+}
+
 void ChaosExecutor::fire_crash(const FaultEvent& event) {
   platform::Machine* machine = world_.machine(event.target);
   // Crashing an already-dead ME is a no-op (overlapping storm pairs).
   if (machine == nullptr || !machine->has_management_enclave()) return;
   machine->kill_management_enclave();
   count(event);
-  record_fault(event.target, event.kind, "wave");
+  record_fault(event.target, event.kind,
+               event.at_completion != 0 ? "completion" : "wave");
 }
 
 void ChaosExecutor::fire_restart(const FaultEvent& event) {

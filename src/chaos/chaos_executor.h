@@ -1,7 +1,8 @@
 // ChaosExecutor — compiles a declarative ChaosPlan onto the existing
 // fault primitives and keeps per-kind injection accounting:
 //
-//   kMeCrash / kMeRestart  -> Orchestrator WaveHook / RoundHook
+//   kMeCrash / kMeRestart  -> Orchestrator WaveHook / RoundHook, or the
+//                             fleet's completion callback
 //                             (Machine::kill/restart_management_enclave)
 //   kEndpointFlap          -> net::Network::schedule_endpoint_flap
 //   kTamper / kDrop /        -> net::Network tamper hook
@@ -39,6 +40,8 @@ class ChaosExecutor {
   ChaosExecutor& operator=(const ChaosExecutor&) = delete;
 
   /// Installs the plan: wave/round hooks on `orch` (owned while armed),
+  /// the completion callback of its fleet when an event is
+  /// completion-triggered (owned while armed too; otherwise untouched),
   /// tamper + response hooks on the world's network, and the scheduled
   /// flap windows (their fault/heal instants are recorded immediately,
   /// timestamped at the window edges).  Re-arming first disarms.
@@ -65,6 +68,7 @@ class ChaosExecutor {
  private:
   void on_wave(uint32_t wave);
   void on_round(uint64_t enclave_id, uint32_t round);
+  void on_completion();
   /// Tamper-hook body: applies the first matching armed wire rule.
   bool on_request(const std::string& to, Bytes& request);
   bool on_response(const std::string& to, Bytes& response);
@@ -81,9 +85,14 @@ class ChaosExecutor {
   Rng rng_;
   orchestrator::Orchestrator* armed_orch_ = nullptr;
   bool hooks_installed_ = false;
+  bool completion_hooked_ = false;
   /// Per-event firing counts (max_firings enforcement; crash/restart and
   /// round-triggered events fire at most once).
   std::vector<uint32_t> firings_;
+  /// Moves the fleet completed while armed, and per event the waves since
+  /// its at_completion-th one.
+  uint32_t completions_ = 0;
+  std::vector<uint32_t> waves_after_completion_;
   std::map<std::string, uint64_t> injected_;
 };
 

@@ -45,6 +45,8 @@ std::string ChaosPlan::to_json() const {
     w.key("target").string(e.target);
     w.key("at_wave").integer(e.at_wave);
     w.key("at_round").integer(e.at_round);
+    // Omitted when unset, so plans without one keep their bytes.
+    if (e.at_completion != 0) w.key("at_completion").integer(e.at_completion);
     w.key("at_seconds").number(to_seconds(e.at), 6);
     w.key("duration_seconds").number(to_seconds(e.duration), 6);
     w.key("msg_type").integer(e.msg_type);
@@ -91,12 +93,31 @@ Result<ChaosPlan> ChaosPlan::from_json(std::string_view text) {
     }
     event.at_wave = static_cast<uint32_t>(number_field("at_wave"));
     event.at_round = static_cast<uint32_t>(number_field("at_round"));
+    event.at_completion =
+        static_cast<uint32_t>(number_field("at_completion"));
     event.at = seconds(number_field("at_seconds"));
     event.duration = seconds(number_field("duration_seconds"));
     event.msg_type = static_cast<uint8_t>(number_field("msg_type"));
     event.probability = number_field("probability");
     event.max_firings = static_cast<uint32_t>(number_field("max_firings"));
     plan.events.push_back(std::move(event));
+  }
+  return plan;
+}
+
+ChaosPlan crash_at_completion(const std::vector<std::string>& targets,
+                              uint32_t completion,
+                              uint32_t revive_after_waves) {
+  ChaosPlan plan;
+  for (const FaultKind kind : {FaultKind::kMeCrash, FaultKind::kMeRestart}) {
+    for (const std::string& target : targets) {
+      FaultEvent event;
+      event.kind = kind;
+      event.target = target;
+      event.at_completion = completion;
+      if (kind == FaultKind::kMeRestart) event.at_wave = revive_after_waves;
+      plan.events.push_back(event);
+    }
   }
   return plan;
 }

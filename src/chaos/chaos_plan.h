@@ -55,7 +55,10 @@ Result<FaultKind> fault_kind_from_name(std::string_view name);
 /// One scheduled or probabilistic fault.  Which fields are meaningful
 /// depends on the kind:
 ///   kMeCrash / kMeRestart: target (machine address) + at_wave, or
-///     at_round for pre-copy-round-triggered firing;
+///     at_round for pre-copy-round-triggered firing, or at_completion:
+///     a crash fires at the fleet's at_completion-th completed move (while
+///     other admitted moves still hold queue entries), a restart on the
+///     at_wave-th wave after it;
 ///   kEndpointFlap:         target (endpoint) + at (offset from the
 ///     executor's arm instant) + duration;
 ///   kTamper/kDrop/kReplyLoss/kChunkCorrupt: target ("" = any /me
@@ -66,6 +69,7 @@ struct FaultEvent {
   std::string target;
   uint32_t at_wave = 0;
   uint32_t at_round = 0;  // 0 = wave-triggered (crash/restart kinds)
+  uint32_t at_completion = 0;  // 0 = not completion-triggered
   Duration at{};
   Duration duration{};
   uint8_t msg_type = 0;
@@ -82,6 +86,14 @@ struct ChaosPlan {
   std::string to_json() const;
   static Result<ChaosPlan> from_json(std::string_view text);
 };
+
+/// The source-ME crash drill of the orchestrated drains: the MEs on
+/// `targets` crash at the fleet's `completion`-th completed move and
+/// restart, in `targets` order, on the `revive_after_waves`-th wave after
+/// it.
+ChaosPlan crash_at_completion(const std::vector<std::string>& targets,
+                              uint32_t completion,
+                              uint32_t revive_after_waves);
 
 /// Fault-mix profile the storm generator samples from.  All windows are
 /// virtual time; flap windows stay early in the drain so every injected

@@ -21,6 +21,9 @@ ResidentState ResidentState::from_wire(const LibraryState& state) {
   out.epoch_active = state.epoch_active;
   out.epoch_uuid = state.epoch_uuid;
   out.epoch_value = state.epoch_value;
+  // Sized exactly: a restored library holds its slots for its lifetime.
+  out.slots.reserve(static_cast<size_t>(std::count(
+      state.counters_active.begin(), state.counters_active.end(), true)));
   for (uint32_t i = 0; i < kMaxCounters; ++i) {
     if (!state.counters_active[i]) continue;
     out.slots.push_back(
@@ -42,6 +45,10 @@ LibraryState ResidentState::to_wire() const {
     state.counter_offsets[slot.index] = slot.offset;
   }
   return state;
+}
+
+size_t ResidentState::memory_bytes() const {
+  return slots.capacity() * sizeof(ActiveSlot);
 }
 
 ActiveSlot* ResidentState::find(uint32_t index) {

@@ -96,6 +96,8 @@ struct ResidentState {
   static ResidentState from_wire(const LibraryState& state);
   /// The dense wire record, built to be sealed.
   LibraryState to_wire() const;
+  /// Heap bytes the slot vector holds.
+  size_t memory_bytes() const;
 
   /// The active slot `index`, or nullptr.
   ActiveSlot* find(uint32_t index);

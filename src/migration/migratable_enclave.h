@@ -168,6 +168,7 @@ class MigratableEnclave : public sgx::Enclave {
   const SharedBytes& sealed_state() const { return library_.sealed_state(); }
   bool migration_frozen() const { return library_.frozen(); }
   size_t active_counters() const { return library_.active_counters(); }
+  size_t library_memory_bytes() const { return library_.memory_bytes(); }
   bool live_transfer_capable() const {
     return library_.live_transfer_capable();
   }

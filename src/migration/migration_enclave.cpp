@@ -245,7 +245,7 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
   // cheap moment to age out records whose source will never finalize.
   if (platform().clock().now() - last_staging_sweep_ >=
           kPrecopyStagingMaxAge &&
-      precopy_staging_count() != 0) {
+      (precopy_staging_count() != 0 || !transfer_tasks_.empty())) {
     sweep_stale_precopy_staging();
   }
   auto parsed = decode_record<MeRequest>(raw);
@@ -1413,6 +1413,7 @@ Result<MigrationEnclave::TransferTask*> MigrationEnclave::precopy_attempt(
       find_or_create_task(source_mr, nonce, destination, /*precopy=*/true);
   if (!slot.ok()) return slot.status();
   TransferTask& task = *slot.value();
+  task.last_update = platform().clock().now();
   if (!task.channel.has_value()) {
     // First contact, or the previous channel was dropped after a failed
     // send: attest afresh under a new transfer id and re-ship everything
@@ -1465,6 +1466,37 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_round(
   }
   if (status != Status::kOk) return status;
   return lib_reply(LibMsgType::kPrecopyAck);
+}
+
+size_t DurableQueue::memory_bytes() const {
+  const auto entries = [](const auto& map) {
+    return map.size() *
+           sizeof(typename std::decay_t<decltype(map)>::value_type);
+  };
+  const auto history = [](const auto& fifo) {
+    return fifo.size() * (sizeof(*fifo.begin()) + sizeof(fifo.fifo()[0]));
+  };
+  size_t bytes = entries(inbound_) + entries(outgoing_) +
+                 entries(transfer_tasks_) + entries(incoming_) +
+                 entries(latest_outgoing_) + entries(done_relays_) +
+                 entries(peer_sessions_) + history(completed_outgoing_) +
+                 history(confirmed_incoming_);
+  for (const auto& [id, transfer] : outgoing_) {
+    bytes += transfer.retained_data.capacity();
+  }
+  for (const auto& [nonce, task] : transfer_tasks_) {
+    bytes += entries(task.merged) + entries(task.acked);
+    if (task.staged_finalize.has_value()) {
+      bytes += task.staged_finalize->chunks.capacity() * sizeof(CounterChunk) +
+               task.staged_finalize->manifest.capacity() *
+                   sizeof(ChunkManifestEntry);
+    }
+  }
+  for (const auto& [mr, record] : incoming_) bytes += entries(record.chunks);
+  for (const auto& [id, relay] : done_relays_) {
+    bytes += relay.sealed_record.capacity();
+  }
+  return bytes;
 }
 
 std::vector<CounterChunk> DurableQueue::TransferTask::unacked_chunks()
@@ -2072,6 +2104,21 @@ size_t MigrationEnclave::sweep_stale_precopy_staging() {
     }
     it = next;
   }
+  for (auto it = transfer_tasks_.begin(); it != transfer_tasks_.end();) {
+    // Nothing staged or in flight, so no ship or ack refers to the task;
+    // its merged chunks are never handed to an enclave without a finalize.
+    // A library that does come back starts a fresh task under its nonce,
+    // and the finalize's manifest check proves completeness as ever.
+    const TransferTask& task = it->second;
+    if (task.precopy && !task.staged_finalize.has_value() &&
+        task.step == TransferTask::Step::kQueued &&
+        now_ - task.last_update >= kPrecopyStagingMaxAge) {
+      it = transfer_tasks_.erase(it);
+      ++swept;
+    } else {
+      ++it;
+    }
+  }
   if (swept > 0) persist_queue();
   return swept;
 }
@@ -2320,6 +2367,11 @@ Status MigrationEnclave::restore_queue(ByteView sealed_queue) {
   if (!restored.ok()) return restored.status();
   DurableQueue& queue = *this;
   queue = std::move(restored).value();
+  // A restored pre-copy task ages from its restore: the queue keeps no
+  // time of its library's last call.
+  for (auto& [nonce, task] : transfer_tasks_) {
+    task.last_update = platform().clock().now();
+  }
   // Re-derive the index's completed nonces from the retained records.
   for (const auto& [id, record] : completed_outgoing_) {
     const auto entry = latest_outgoing_.find(record.source_mr);

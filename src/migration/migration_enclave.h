@@ -170,6 +170,10 @@ struct DurableQueue {
     /// resumed and spends no budget (see spend_finalize_try).  A finalize
     /// the library (re-)sends clears it.
     bool resumed = false;
+    /// Last library round or finalize (or the restore that read the task
+    /// back), memory-only: a pre-copy task with nothing staged or in flight
+    /// whose library stayed silent for kPrecopyStagingMaxAge ages out.
+    Duration last_update{};
 
     /// Everything merged beyond the destination's acked front (on
     /// resync: the whole merged set) — what the next record carries.
@@ -249,6 +253,11 @@ struct DurableQueue {
   static constexpr size_t kMaxChannelState = 64;
   static constexpr size_t kMaxDoneRelay = 1u << 16;
   static constexpr size_t kMaxRequest = 1u << 21;
+
+  /// Heap bytes of the queue's records and histories: each entry's value
+  /// and the buffers it owns (tree links, string heap and allocator
+  /// overhead are not counted).
+  size_t memory_bytes() const;
 
   /// Snapshot v5.  Split maps write two sections that read back into the
   /// one map, so an entry listed in both is refused.  Session state (LA
@@ -425,6 +434,8 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
 
   /// Live source-side attempts of both transfer modes.
   size_t transfer_task_count() const { return transfer_tasks_.size(); }
+  /// DurableQueue::memory_bytes of this ME's queue.
+  size_t queue_memory_bytes() const { return DurableQueue::memory_bytes(); }
 
   /// Pre-copy transport.  Both transports merge (and, for rounds,
   /// persist) at the SOURCE ME first and then run the same ship steps.
@@ -449,11 +460,14 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   uint64_t resumed_handshake_count() const { return resumed_handshakes_; }
   size_t peer_session_count() const { return peer_sessions_.size(); }
 
-  /// Ages out destination-side staged records whose source stopped
-  /// shipping rounds (abandoned without a reachable abort path): records
-  /// untouched for kPrecopyStagingMaxAge expire.  Runs one sweep now;
-  /// returns how many staged records were expired.  Also run
-  /// opportunistically (rate-limited) on any inbound request.
+  /// Ages out pre-copy state nobody will finish, untouched for
+  /// kPrecopyStagingMaxAge: destination-side staged records whose source
+  /// stopped shipping rounds (abandoned without a reachable abort path),
+  /// and source-side pre-copy tasks with no staged finalize and nothing in
+  /// flight whose library stopped calling (a resumed finalize the
+  /// destination refused leaves one behind when its library is gone).
+  /// Runs one sweep now; returns how many records and tasks it expired.
+  /// Also run opportunistically (rate-limited) on any inbound request.
   size_t sweep_stale_precopy_staging();
 
   /// Optional machine-level policy: if non-empty, incoming migrations are

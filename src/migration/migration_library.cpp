@@ -1,5 +1,6 @@
 #include "migration/migration_library.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "crypto/gcm.h"
@@ -149,7 +150,8 @@ Status MigrationLibrary::persist_mutation_durable(const char* kind) {
       obs != nullptr && obs->enabled()) {
     obs->metrics.add("persist.flush_fences");
   }
-  return traced_durable_write(recorder(), lane(), attempt_.nonce, kind,
+  return traced_durable_write(recorder(), lane(),
+                              attempt_ != nullptr ? attempt_->nonce : 0, kind,
                               [this] { return commit_state(); });
 }
 
@@ -278,6 +280,8 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
 Status MigrationLibrary::apply_incoming(const MigrationData& data) {
   state_ = ResidentState{};
   state_.msk = data.msk;
+  state_.slots.reserve(static_cast<size_t>(std::count(
+      data.counters_active.begin(), data.counters_active.end(), true)));
   for (uint32_t i = 0; i < kMaxCounters; ++i) {
     if (!data.counters_active[i]) continue;
     // Effective value of the source becomes the offset over a fresh
@@ -691,29 +695,33 @@ MigrationStartResult MigrationLibrary::open_attempt(
   if (channel_status != Status::kOk) {
     return start_failure(channel_status, "local ME attestation");
   }
-  if (!attempt_.collected && (attempt_.precopy != precopy ||
-                              attempt_.destination != destination_address)) {
+  if (attempt_ == nullptr) {
+    attempt_ = std::make_unique<OutgoingAttempt>();
+    attempt_->precopy = precopy;
+  } else if (!attempt_->collected &&
+             (attempt_->precopy != precopy ||
+              attempt_->destination != destination_address)) {
     // A full snapshot supersedes a half-done pre-copy (and vice versa),
     // and a pre-freeze re-route starts over: the superseded attempt's
     // entries (staged rounds, a reserved slot) are orphans — expire them
     // proactively instead of waiting for the sweeps.
-    notify_abort_stale(attempt_.nonce, attempt_.destination);
-    attempt_ = OutgoingAttempt{};
-    attempt_.precopy = precopy;
+    notify_abort_stale(attempt_->nonce, attempt_->destination);
+    attempt_ = std::make_unique<OutgoingAttempt>();
+    attempt_->precopy = precopy;
   }
   return MigrationStartResult{};
 }
 
 void MigrationLibrary::claim_nonce(const std::string& destination_address) {
-  if (attempt_.nonce != 0 && attempt_.destination == destination_address) {
+  if (attempt_->nonce != 0 && attempt_->destination == destination_address) {
     return;
   }
-  notify_abort_stale(attempt_.nonce, attempt_.destination);
+  notify_abort_stale(attempt_->nonce, attempt_->destination);
   const Bytes nonce_bytes = host_.rng().bytes(8);
-  attempt_.nonce = load_be64(nonce_bytes.data());
-  if (attempt_.nonce == 0) attempt_.nonce = 1;
-  attempt_.destination = destination_address;
-  attempt_.queued = false;  // an old queued attempt is superseded
+  attempt_->nonce = load_be64(nonce_bytes.data());
+  if (attempt_->nonce == 0) attempt_->nonce = 1;
+  attempt_->destination = destination_address;
+  attempt_->queued = false;  // an old queued attempt is superseded
 }
 
 MigrationStartResult MigrationLibrary::freeze_and_collect(
@@ -732,7 +740,7 @@ MigrationStartResult MigrationLibrary::freeze_and_collect(
     freeze_span_ = 0;
     return start_failure(collected, step);
   }
-  attempt_.collected = true;
+  attempt_->collected = true;
   return MigrationStartResult{};
 }
 
@@ -742,7 +750,7 @@ MigrationStartResult MigrationLibrary::persist_freeze_flag() {
   // the epoch guard, which refuses every sealed buffer, the latest
   // included.  Guarded apart from the teardown: a retry after a failed
   // persist redoes it without repeating the teardown.
-  const bool guard_retired = attempt_.precopy && counters_destroyed_;
+  const bool guard_retired = attempt_->precopy && counters_destroyed_;
   if (freeze_persisted_ || guard_retired) return MigrationStartResult{};
   state_.frozen = 1;
   const Status persist_status = persist_mutation_durable("freeze");
@@ -762,19 +770,20 @@ bool MigrationLibrary::attempt_landed() {
   // kPending/kCompleted means the source side is done.  A well-formed
   // kError reply is DEFINITIVE (retained paths reply success, dedup'd
   // re-sends included), so only transport failures take this round trip.
-  auto attempt = query_status_internal(attempt_.nonce);
+  auto attempt = query_status_internal(attempt_->nonce);
   return attempt.ok() && (attempt.value() == OutgoingState::kPending ||
                           attempt.value() == OutgoingState::kCompleted);
 }
 
 void MigrationLibrary::finish_outgoing() {
-  const uint64_t nonce = attempt_.nonce;
-  const uint64_t payload_bytes = attempt_.round_bytes + attempt_.payload_bytes;
+  const uint64_t nonce = attempt_->nonce;
+  const uint64_t payload_bytes =
+      attempt_->round_bytes + attempt_->payload_bytes;
   last_freeze_window_ = now() - freeze_started_;
   trace_freeze_end();
   last_transfer_bytes_ = payload_bytes;
-  last_precopy_rounds_ = attempt_.rounds;
-  attempt_ = OutgoingAttempt{};
+  last_precopy_rounds_ = attempt_->rounds;
+  attempt_.reset();
   trace_attempt_done(nonce, payload_bytes);
 }
 
@@ -800,12 +809,12 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
   const MigrationStartResult opened =
       open_attempt(destination_address, /*precopy=*/false);
   if (!opened.ok()) return opened;
-  if (!attempt_.collected) {
+  if (!attempt_->collected) {
     const MigrationStartResult frozen = freeze_and_collect(
         [this] {
           auto collected = collect_values();
           if (collected.ok()) {
-            attempt_.snapshot = std::make_unique<const MigrationData>(
+            attempt_->snapshot = std::make_unique<const MigrationData>(
                 std::move(collected).value());
           }
           return collected.status();
@@ -814,8 +823,8 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
     if (!frozen.ok()) return frozen;
   }
   claim_nonce(destination_address);
-  attempt_.policy = std::move(policy);
-  trace_attempt_root(attempt_.nonce);
+  attempt_->policy = std::move(policy);
+  trace_attempt_root(attempt_->nonce);
   if (!counters_destroyed_) {
     // Destroy the hardware counters BEFORE any data leaves the machine
     // (§VI-B): whatever happens later, the source's counters are gone, so
@@ -836,14 +845,14 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
 
 LibMsg MigrationLibrary::snapshot_request(LibMsgType type) {
   MigrateRequestPayload payload;
-  payload.destination_address = attempt_.destination;
-  payload.request_nonce = attempt_.nonce;
-  payload.policy = attempt_.policy;
-  payload.data = *attempt_.snapshot;
+  payload.destination_address = attempt_->destination;
+  payload.request_nonce = attempt_->nonce;
+  payload.policy = attempt_->policy;
+  payload.data = *attempt_->snapshot;
   LibMsg request;
   request.type = type;
   request.payload = encode_record(payload);
-  attempt_.payload_bytes = request.payload.size();
+  attempt_->payload_bytes = request.payload.size();
   return request;
 }
 
@@ -883,9 +892,9 @@ MigrationStartResult MigrationLibrary::migration_enqueue_detailed(
   if (reply.value().type != LibMsgType::kMigrateQueued) {
     return rejected(reply.value(), "ME refused to queue the transfer");
   }
-  attempt_.queued = true;
+  attempt_->queued = true;
   if (obs::TraceRecorder* rec = recorder()) {
-    rec->instant("migration.queued", lane(), attempt_.nonce,
+    rec->instant("migration.queued", lane(), attempt_->nonce,
                  {{"destination", destination_address}});
   }
   return MigrationStartResult{};
@@ -904,10 +913,10 @@ MigrationStartResult MigrationLibrary::migration_reserve_detailed(
   if (!opened.ok()) return opened;
   // The nonce is drawn WITHOUT freezing; the later freeze+arm reuses it.
   claim_nonce(destination_address);
-  attempt_.policy = policy;
+  attempt_->policy = policy;
   MigrateReservePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = attempt_.nonce;
+  payload.request_nonce = attempt_->nonce;
   payload.policy = std::move(policy);
   LibMsg request;
   request.type = LibMsgType::kMigrateReserve;
@@ -921,21 +930,21 @@ MigrationStartResult MigrationLibrary::migration_reserve_detailed(
   if (reply.value().type != LibMsgType::kMigrateQueued) {
     return rejected(reply.value(), "ME refused to reserve the transfer");
   }
-  attempt_.queued = true;
+  attempt_->queued = true;
   enqueue_started_ = now();
   last_enqueue_wait_ = Duration{};
-  trace_attempt_root(attempt_.nonce);
+  trace_attempt_root(attempt_->nonce);
   if (obs::TraceRecorder* rec = recorder()) {
     if (enqueue_span_ != 0) rec->end_span(enqueue_span_);
     enqueue_span_ =
-        rec->begin_span("enqueue_wait", lane(), attempt_.nonce, root_span_);
+        rec->begin_span("enqueue_wait", lane(), attempt_->nonce, root_span_);
     rec->span_arg(enqueue_span_, "destination", destination_address);
   }
   return MigrationStartResult{};
 }
 
 MigrationStartResult MigrationLibrary::arm_reserved_slot() {
-  if (!attempt_.collected) {
+  if (!attempt_->collected) {
     // First arm of this attempt: the live queue wait ends here — the
     // freeze clock starts inside stage_for_migration.
     last_enqueue_wait_ = now() - enqueue_started_;
@@ -949,9 +958,9 @@ MigrationStartResult MigrationLibrary::arm_reserved_slot() {
   }
   // Staging toward the reserved destination keeps the reserved nonce the
   // ME queued.  A copy, because staging rewrites the attempt it names.
-  const std::string destination = attempt_.destination;
+  const std::string destination = attempt_->destination;
   const MigrationStartResult staged =
-      stage_for_migration(destination, attempt_.policy);
+      stage_for_migration(destination, attempt_->policy);
   if (!staged.ok()) return staged;
   auto reply = me_exchange_reattest(snapshot_request(LibMsgType::kMigrateArm));
   if (!reply.ok()) {
@@ -970,7 +979,7 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   if (!initialized_) {
     return start_failure(Status::kNotInitialized, "library init check");
   }
-  if (!attempt_.queued || attempt_.nonce == 0) {
+  if (attempt_ == nullptr || !attempt_->queued || attempt_->nonce == 0) {
     return start_failure(Status::kNoPendingMigration,
                          "no queued transfer to poll");
   }
@@ -979,7 +988,7 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
     return start_failure(channel_status, "local ME attestation");
   }
   NoncePayload query;
-  query.request_nonce = attempt_.nonce;
+  query.request_nonce = attempt_->nonce;
   LibMsg request;
   request.type = LibMsgType::kPollTransfer;
   request.payload = encode_record(query);
@@ -1021,8 +1030,8 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   }
   // The ME does not know the nonce (it restarted before the task was
   // queued, or lost its storage).
-  attempt_.queued = false;
-  if (attempt_.precopy) {
+  attempt_->queued = false;
+  if (attempt_->precopy) {
     // The ME lost the queued finalize (restart drops the memory-only
     // staged record, or the ship budget ran out): surface a retryable
     // failure — the caller re-drives migration_finalize_detailed, which
@@ -1032,11 +1041,11 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
   }
   // Re-enqueue from the staged data — or re-reserve if this freeze-aware
   // attempt never froze.
-  const std::string destination = attempt_.destination;
+  const std::string destination = attempt_->destination;
   const MigrationStartResult requeued =
-      attempt_.collected
-          ? migration_enqueue_detailed(destination, attempt_.policy)
-          : migration_reserve_detailed(destination, attempt_.policy);
+      attempt_->collected
+          ? migration_enqueue_detailed(destination, attempt_->policy)
+          : migration_reserve_detailed(destination, attempt_->policy);
   if (!requeued.ok()) return requeued;
   return in_progress("transfer re-queued");
 }
@@ -1056,7 +1065,7 @@ Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
       ++last;
     }
     const bool collect =
-        chunk_generation_[c] > attempt_.shipped_generation[c] ||
+        chunk_generation_[c] > attempt_->shipped_generation[c] ||
         (include_all_populated && first != last);
     if (collect) {
       CounterChunk chunk;
@@ -1088,15 +1097,15 @@ Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
 
 void MigrationLibrary::stage_chunks(const std::vector<CounterChunk>& chunks) {
   for (const CounterChunk& chunk : chunks) {
-    attempt_.shipped_generation[chunk.index] = chunk.generation;
-    attempt_.staged_chunks[chunk.index] = chunk;
+    attempt_->shipped_generation[chunk.index] = chunk.generation;
+    attempt_->staged_chunks[chunk.index] = chunk;
   }
 }
 
 std::vector<ChunkManifestEntry> MigrationLibrary::staged_manifest() const {
   std::vector<ChunkManifestEntry> manifest;
-  manifest.reserve(attempt_.staged_chunks.size());
-  for (const auto& [index, chunk] : attempt_.staged_chunks) {
+  manifest.reserve(attempt_->staged_chunks.size());
+  for (const auto& [index, chunk] : attempt_->staged_chunks) {
     manifest.push_back({index, chunk.generation});
   }
   return manifest;
@@ -1104,8 +1113,8 @@ std::vector<ChunkManifestEntry> MigrationLibrary::staged_manifest() const {
 
 std::vector<CounterChunk> MigrationLibrary::all_staged_chunks() const {
   std::vector<CounterChunk> chunks;
-  chunks.reserve(attempt_.staged_chunks.size());
-  for (const auto& [index, chunk] : attempt_.staged_chunks) {
+  chunks.reserve(attempt_->staged_chunks.size());
+  for (const auto& [index, chunk] : attempt_->staged_chunks) {
     chunks.push_back(chunk);
   }
   return chunks;
@@ -1122,16 +1131,16 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   if (!opened.ok()) return opened.status;
   claim_nonce(destination_address);
 
-  trace_attempt_root(attempt_.nonce);
+  trace_attempt_root(attempt_->nonce);
   uint64_t round_span = 0;
   if (obs::TraceRecorder* rec = recorder()) {
     round_span =
-        rec->begin_span("precopy_round", lane(), attempt_.nonce, root_span_);
-    rec->span_arg(round_span, "round", static_cast<uint64_t>(attempt_.rounds));
+        rec->begin_span("precopy_round", lane(), attempt_->nonce, root_span_);
+    rec->span_arg(round_span, "round", static_cast<uint64_t>(attempt_->rounds));
   }
 
   auto chunks = collect_dirty_chunks(/*include_all_populated=*/
-                                     attempt_.rounds == 0);
+                                     attempt_->rounds == 0);
   if (!chunks.ok()) {
     close_span(round_span, "collect-failed");
     return chunks.status();
@@ -1139,8 +1148,8 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
 
   PrecopyRoundPayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = attempt_.nonce;
-  payload.round = attempt_.rounds;
+  payload.request_nonce = attempt_->nonce;
+  payload.round = attempt_->rounds;
   payload.policy = std::move(policy);
   payload.chunks = chunks.value();
   LibMsg request;
@@ -1161,11 +1170,11 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   // generation).
   stage_chunks(chunks.value());
   PrecopyRoundReport report;
-  report.round = attempt_.rounds;
+  report.round = attempt_->rounds;
   report.chunks_shipped = static_cast<uint32_t>(chunks.value().size());
   report.bytes_shipped = request.payload.size();
-  attempt_.round_bytes += request.payload.size();
-  ++attempt_.rounds;
+  attempt_->round_bytes += request.payload.size();
+  ++attempt_->rounds;
   if (obs::Observability* obs = observability();
       obs != nullptr && obs->enabled()) {
     if (round_span != 0) {
@@ -1200,26 +1209,26 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
       open_attempt(destination_address, /*precopy=*/true);
   if (!opened.ok()) return opened;
   const bool rerouted_after_freeze =
-      attempt_.collected && attempt_.destination != destination_address;
+      attempt_->collected && attempt_->destination != destination_address;
   claim_nonce(destination_address);
   if (rerouted_after_freeze) {
     // The new destination has no staged rounds, so the finalize carries
     // the full staged set under the fresh nonce.
-    attempt_.final_chunks = all_staged_chunks();
-  } else if (!attempt_.collected) {
+    attempt_->final_chunks = all_staged_chunks();
+  } else if (!attempt_->collected) {
     const MigrationStartResult frozen = freeze_and_collect(
         [this] {
           auto delta = collect_dirty_chunks(/*include_all_populated=*/
-                                            attempt_.rounds == 0);
+                                            attempt_->rounds == 0);
           if (!delta.ok()) return delta.status();
-          attempt_.final_chunks = std::move(delta).value();
-          stage_chunks(attempt_.final_chunks);
+          attempt_->final_chunks = std::move(delta).value();
+          stage_chunks(attempt_->final_chunks);
           return Status::kOk;
         },
         "collecting final delta");
     if (!frozen.ok()) return frozen;
   }
-  trace_attempt_root(attempt_.nonce);
+  trace_attempt_root(attempt_->nonce);
 
   if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
     // The source's counters die before the data leaves (§VI-B), as on
@@ -1242,17 +1251,17 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
   uint64_t finalize_span = 0;
   if (obs::TraceRecorder* rec = recorder()) {
     finalize_span =
-        rec->begin_span("finalize", lane(), attempt_.nonce, root_span_);
+        rec->begin_span("finalize", lane(), attempt_->nonce, root_span_);
     rec->span_arg(finalize_span, "rounds",
-                  static_cast<uint64_t>(attempt_.rounds));
+                  static_cast<uint64_t>(attempt_->rounds));
   }
 
   PrecopyFinalizePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = attempt_.nonce;
-  payload.round = attempt_.rounds;
+  payload.request_nonce = attempt_->nonce;
+  payload.round = attempt_->rounds;
   payload.policy = std::move(policy);
-  payload.chunks = attempt_.final_chunks;
+  payload.chunks = attempt_->final_chunks;
   payload.manifest = staged_manifest();
   payload.msk = state_.msk;
   LibMsg request;
@@ -1269,7 +1278,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     request.payload = encode_record(payload);
     reply = me_exchange_reattest(request);
   }
-  attempt_.payload_bytes = request.payload.size();
+  attempt_->payload_bytes = request.payload.size();
 
   if (!reply.ok()) {
     if (!attempt_landed()) {
@@ -1283,7 +1292,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     // full-snapshot path.  The enclave stays frozen; the freeze ends only
     // when the poll observes the destination's accept, in the same
     // success tail.
-    attempt_.queued = true;
+    attempt_->queued = true;
     close_span(finalize_span, "queued");
     return in_progress("finalize queued at source ME");
   } else if (reply.value().type != LibMsgType::kFinalizeAccepted) {
@@ -1297,6 +1306,18 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
   // window ends here.
   finish_outgoing();
   return MigrationStartResult{};
+}
+
+size_t MigrationLibrary::memory_bytes() const {
+  size_t bytes = state_.memory_bytes();
+  if (attempt_ != nullptr) {
+    bytes += sizeof(OutgoingAttempt) +
+             attempt_->staged_chunks.size() *
+                 sizeof(decltype(attempt_->staged_chunks)::value_type) +
+             attempt_->final_chunks.capacity() * sizeof(CounterChunk);
+    if (attempt_->snapshot != nullptr) bytes += sizeof(MigrationData);
+  }
+  return bytes;
 }
 
 Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
@@ -1323,8 +1344,8 @@ Result<OutgoingState> MigrationLibrary::query_migration_status() {
 }
 
 Result<OutgoingState> MigrationLibrary::query_staged_attempt_status() {
-  if (attempt_.nonce == 0) return OutgoingState::kNone;
-  return query_status_internal(attempt_.nonce);
+  if (attempt_ == nullptr || attempt_->nonce == 0) return OutgoingState::kNone;
+  return query_status_internal(attempt_->nonce);
 }
 
 }  // namespace sgxmig::migration

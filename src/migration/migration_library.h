@@ -201,7 +201,9 @@ class MigrationLibrary {
   MigrationStartResult migration_poll_transfer();
 
   /// True while an enqueued attempt is awaiting its poll verdict.
-  bool transfer_enqueued() const { return attempt_.queued; }
+  bool transfer_enqueued() const {
+    return attempt_ != nullptr && attempt_->queued;
+  }
 
   // ----- live pre-copy migration (iterative, VM-live-migration style) ---
   //
@@ -293,6 +295,9 @@ class MigrationLibrary {
   /// store.
   const SharedBytes& sealed_state() const { return sealed_state_; }
   size_t active_counters() const { return state_.slots.size(); }
+  /// Heap bytes of the resident Table II and of the open outgoing attempt
+  /// (none when no attempt is open).  The sealed buffer is the store's.
+  size_t memory_bytes() const;
   /// Dirty-tracking generation of Table II chunk `chunk` (0 until a slot
   /// in it is mutated by this instance).
   uint64_t chunk_generation(size_t chunk) const {
@@ -336,7 +341,8 @@ class MigrationLibrary {
   // ----- the outgoing attempt (§V-D), shared by both transfer modes -----
   /// True when the attempt froze and collected a payload of this mode.
   bool holds_frozen(bool precopy) const {
-    return attempt_.collected && attempt_.precopy == precopy;
+    return attempt_ != nullptr && attempt_->collected &&
+           attempt_->precopy == precopy;
   }
   /// Entry prologue of every attempt: init and freeze checks, the LA
   /// channel, and the switch to (mode, destination).  An attempt that has
@@ -473,7 +479,9 @@ class MigrationLibrary {
     std::vector<CounterChunk> final_chunks;
     uint32_t rounds = 0;
   };
-  OutgoingAttempt attempt_;
+  // Held only while an attempt is open (from open_attempt to the accept),
+  // so an idle or restored library carries none.
+  std::unique_ptr<OutgoingAttempt> attempt_;
   // The source's hardware counters are dead: destroyed one by one (full
   // snapshot) or retired in one op (pre-copy).  Never torn down twice.
   bool counters_destroyed_ = false;

@@ -131,6 +131,10 @@ class Orchestrator {
   using RoundHook = std::function<void(uint64_t enclave_id, uint32_t round)>;
   void set_round_hook(RoundHook hook) { round_hook_ = std::move(hook); }
 
+  /// The fleet the plans run over (its completion callback is the third
+  /// chaos trigger).
+  FleetRegistry& fleet() { return fleet_; }
+
   /// Runs the plan to completion (every task kDone or kFailed) and
   /// returns the report.  Deterministic per world seed.
   OrchestratorReport execute(const Plan& plan);

@@ -87,6 +87,15 @@ bool UntrustedStore::exists(const std::string& name) const {
   return blobs_.count(name) != 0;
 }
 
+size_t UntrustedStore::memory_bytes() const {
+  size_t bytes = last_version_.size() *
+                 sizeof(decltype(last_version_)::value_type);
+  for (const auto& [name, blob] : blobs_) {
+    bytes += sizeof(decltype(blobs_)::value_type) + blob.size();
+  }
+  return bytes;
+}
+
 void UntrustedStore::remove(const std::string& name) {
   blobs_.erase(name);
   ++generation_;

@@ -33,6 +33,9 @@ class UntrustedStore {
   bool exists(const std::string& name) const;
   void remove(const std::string& name);
   size_t size() const { return blobs_.size(); }
+  /// Heap bytes of the stored blobs and their entries (payload only; a
+  /// blob shared with a snapshot or an enclave counts here once).
+  size_t memory_bytes() const;
 
   // ----- versioned slots (torn-write detection) -----
   //

@@ -3,6 +3,9 @@
 #include <ctime>
 
 #include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace sgxmig {
 
@@ -51,6 +54,17 @@ uint64_t process_peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // ru_maxrss is kilobytes on Linux.
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+uint64_t process_heap_in_use_bytes() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<uint64_t>(info.uordblks) +
+         static_cast<uint64_t>(info.hblkhd);
+#else
+  return 0;
+#endif
 }
 
 Duration LaneSchedule::lane_end(const std::string& lane) const {

@@ -151,6 +151,11 @@ double process_cpu_seconds();
 /// report this alongside.
 uint64_t process_peak_rss_bytes();
 
+/// Heap bytes this process has allocated and not freed: glibc's
+/// mallinfo2 `uordblks` (arena chunks in use) plus `hblkhd` (chunks it
+/// mmapped on their own).  0 without glibc 2.33.
+uint64_t process_heap_in_use_bytes();
+
 /// RAII stopwatch over a VirtualClock.
 class VirtualStopwatch {
  public:

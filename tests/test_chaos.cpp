@@ -9,6 +9,7 @@
 // where benches are off).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -67,6 +68,7 @@ TEST(ChaosPlanTest, JsonRoundTripPreservesEveryField) {
   event.msg_type = 7;
   event.probability = 0.375;
   event.max_firings = 9;
+  event.at_completion = 4;
   plan.events.push_back(event);
 
   auto parsed = ChaosPlan::from_json(plan.to_json());
@@ -85,6 +87,7 @@ TEST(ChaosPlanTest, JsonRoundTripPreservesEveryField) {
     EXPECT_EQ(a.msg_type, b.msg_type) << i;
     EXPECT_NEAR(a.probability, b.probability, 1e-6) << i;
     EXPECT_EQ(a.max_firings, b.max_firings) << i;
+    EXPECT_EQ(a.at_completion, b.at_completion) << i;
   }
   // Serialization is a fixpoint: reserializing the parse is byte-equal.
   EXPECT_EQ(parsed.value().to_json(), plan.to_json());
@@ -124,6 +127,25 @@ TEST(ChaosPlanTest, JsonBytesArePinned) {
     R"json({"kind": "chunk-corrupt", "target": "m1/me", "at_wave": 0, "at_round": 0, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 0.333333, "max_firings": 0}]})json");
   EXPECT_EQ(ChaosPlan{}.to_json(),
     R"json({"seed": 0, "events": []})json");
+}
+
+TEST(ChaosPlanTest, CompletionTriggerIsWrittenOnlyWhenSet) {
+  const ChaosPlan plan =
+      chaos::crash_at_completion({"m0", "m1"}, /*completion=*/2,
+                                 /*revive_after_waves=*/3);
+  ASSERT_EQ(plan.events.size(), 4u);
+  EXPECT_EQ(plan.events[0].kind, FaultKind::kMeCrash);
+  EXPECT_EQ(plan.events[1].target, "m1");
+  EXPECT_EQ(plan.events[2].kind, FaultKind::kMeRestart);
+  EXPECT_EQ(plan.events[2].at_wave, 3u);
+  EXPECT_EQ(plan.to_json(),
+    R"json({"seed": 0, "events": [{"kind": "me-crash", "target": "m0", "at_wave": 0, "at_round": 0, "at_completion": 2, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "me-crash", "target": "m1", "at_wave": 0, "at_round": 0, "at_completion": 2, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "me-restart", "target": "m0", "at_wave": 3, "at_round": 0, "at_completion": 2, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}, )json"
+    R"json({"kind": "me-restart", "target": "m1", "at_wave": 3, "at_round": 0, "at_completion": 2, "at_seconds": 0.000000, "duration_seconds": 0.000000, "msg_type": 0, "probability": 1.000000, "max_firings": 0}]})json");
+  auto parsed = ChaosPlan::from_json(plan.to_json());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().to_json(), plan.to_json());
 }
 
 TEST(ChaosPlanTest, FromJsonRejectsMalformedPlans) {
@@ -321,6 +343,74 @@ TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
   EXPECT_EQ(stats.at("injected.me-crash"), 1u);
   EXPECT_EQ(stats.at("healed.me-restart"), 1u);
   EXPECT_EQ(stats.at("injected.total"), executor.injected_total());
+}
+
+TEST_F(ChaosTest, CompletionCrashRestartsWavesLater) {
+  build_world(3);
+  const AppSpec apps{.count = 8, .prefix = "done-app-", .vendor = "test"};
+  ASSERT_TRUE(orchestrator::launch_apps(fleet_, apps).ok());
+
+  Scheduler scheduler(fleet_);
+  OrchestratorOptions options;
+  options.max_inflight_total = 4;
+  options.max_attempts = 8;
+  options.pipelined = true;
+  Orchestrator orch(fleet_, scheduler, options);
+
+  ChaosExecutor executor(world_, chaos::crash_at_completion(
+                                     {"m0"}, /*completion=*/2,
+                                     /*revive_after_waves=*/3));
+  executor.arm(orch);
+  world_.observability().set_enabled(true);
+  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+  executor.disarm();
+  chaos::settle_queues(world_);
+
+  EXPECT_EQ(report.failed(), 0u);
+  EXPECT_EQ(fleet_.count_on("m0"), 0u);
+  EXPECT_EQ(executor.injected().at("injected.me-crash"), 1u);
+  EXPECT_EQ(executor.injected().at("healed.me-restart"), 1u);
+  // The crash follows exactly two completed moves, and the restart
+  // follows the crash.  (Recording order: the completion runs on a
+  // destination lane whose clock is ahead of the wave's.)
+  std::vector<std::string> sequence;
+  for (const auto& instant : world_.observability().trace.instants()) {
+    if (instant.name == "migration.done" || instant.name == "chaos.fault" ||
+        instant.name == "chaos.heal") {
+      sequence.push_back(instant.name);
+    }
+  }
+  ASSERT_GE(sequence.size(), 4u);
+  EXPECT_EQ(sequence[0], "migration.done");
+  EXPECT_EQ(sequence[1], "migration.done");
+  EXPECT_EQ(sequence[2], "chaos.fault");
+  EXPECT_EQ(std::count(sequence.begin(), sequence.end(), "chaos.heal"), 1);
+  EXPECT_NE(std::find(sequence.begin() + 3, sequence.end(), "chaos.heal"),
+            sequence.end());
+}
+
+TEST_F(ChaosTest, PlanWithoutCompletionEventsLeavesTheFleetCallback) {
+  build_world(2);
+  const AppSpec apps{.count = 3, .prefix = "kept-app-", .vendor = "test"};
+  ASSERT_TRUE(orchestrator::launch_apps(fleet_, apps).ok());
+  size_t completions = 0;
+  fleet_.set_completion_callback(
+      [&completions](const orchestrator::EnclaveRecord&) { ++completions; });
+
+  Scheduler scheduler(fleet_);
+  Orchestrator orch(fleet_, scheduler, OrchestratorOptions{});
+  ChaosPlan plan;
+  FaultEvent crash;
+  crash.kind = FaultKind::kMeCrash;
+  crash.target = "m1";
+  crash.at_wave = 1000000;  // never reached
+  plan.events.push_back(crash);
+  ChaosExecutor executor(world_, plan);
+  executor.arm(orch);
+  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+  executor.disarm();
+  EXPECT_EQ(report.failed(), 0u);
+  EXPECT_EQ(completions, 3u);
 }
 
 TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuard) {

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/chaos_executor.h"
 #include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
@@ -98,7 +99,6 @@ DrainOutcome run_drain(DrainConfig config) {
   options.pipelined = true;
   options.freeze_aware = config == DrainConfig::kFreezeAwareMeRestart;
   Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
   if (config == DrainConfig::kFreezeAwareMeRestart) {
     // m0's ME dies after the first wave's admissions and comes back two
     // waves later.  The restart resumes its durable queue with no lane
@@ -109,18 +109,10 @@ DrainOutcome run_drain(DrainConfig config) {
       if (wave == 3) world.machine("m0")->restart_management_enclave();
     });
   }
-  if (config == DrainConfig::kMeRestart) {
-    fleet.set_completion_callback(
-        [&world, &completions](const orchestrator::EnclaveRecord&) {
-          if (++completions == 2) {
-            world.machine("m0")->kill_management_enclave();
-          }
-        });
-    orch.set_wave_hook([&world, waves_down = 0u](uint32_t) mutable {
-      if (world.machine("m0")->has_management_enclave()) return;
-      if (++waves_down >= 3) world.machine("m0")->restart_management_enclave();
-    });
-  }
+  chaos::ChaosExecutor executor(
+      world, chaos::crash_at_completion({"m0"}, /*completion=*/2,
+                                        /*revive_after_waves=*/3));
+  if (config == DrainConfig::kMeRestart) executor.arm(orch);
 
   DrainOutcome outcome;
   const Duration t0 = world.clock().now();

@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "chaos/chaos_executor.h"
 #include "chaos/oracles.h"
 #include "crypto/sha256.h"
 #include "migration/migratable_enclave.h"
@@ -911,9 +912,9 @@ TEST_F(MeDurableQueueTest, ResumedFinalizeOutlastsAnUnreachableDestination) {
 // confirm history holds one identity, and another identity's confirm
 // evicts it — before the restarted source re-ships the finalize.  The
 // resumed finalize may not start a record of a migration the destination
-// does not hold: it is refused, no second instance restores, and the
-// source keeps the task's merged chunks (without the MSK) until a newer
-// completion of the identity sweeps it.
+// does not hold: it is refused, and no second instance restores.  The
+// source's task, left with merged chunks and no MSK and no library to
+// finish it, ages out with the staging sweep.
 TEST_F(MeDurableQueueTest, ResumedFinalizeAfterAForgottenConfirmCannotFork) {
   me("m1")->set_completed_history_limit(1);
   auto app = counting_app(m0_, "forgotten");
@@ -952,6 +953,18 @@ TEST_F(MeDurableQueueTest, ResumedFinalizeAfterAForgottenConfirmCannotFork) {
   EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
   EXPECT_EQ(arrive_on(m1_, "forgotten"), nullptr);
+
+  // A sweep inside the max age keeps the task; one after it expires it.
+  EXPECT_EQ(me("m0")->sweep_stale_precopy_staging(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  world_.clock().advance(seconds(600));
+  EXPECT_EQ(me("m0")->sweep_stale_precopy_staging(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  restart_me("m0");
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);  // the sweep persisted
+  chaos::settle_queues(world_);
+  EXPECT_EQ(arrive_on(m1_, "forgotten"), nullptr);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
   expect_counting_values(*moved);
 }
 
@@ -1075,35 +1088,19 @@ TEST_F(MeDurableQueueTest, DrainConvergesThroughSourceAndDestinationMeRestarts) 
   // destination MEs — the source ME and the busiest destination ME both
   // crash, losing every in-memory session.  (A wave-boundary kill would
   // find the queues already drained: each wave completes what it
-  // admits.)  The wave hook then revives whichever ME is down at the
-  // next wave, restoring its durable queue.
-  size_t completions = 0;
-  fleet.set_completion_callback(
-      [&](const orchestrator::EnclaveRecord&) {
-        // Early in the first completion wave: later-admitted tasks are
-        // still kStarted, with retained copies at m0's ME and pending
-        // entries at their destination MEs (m1 among them).
-        if (++completions == 2) {
-          machine("m0").kill_management_enclave();
-          machine("m1").kill_management_enclave();
-        }
-      });
-  uint32_t waves_down = 0;
-  orch.set_wave_hook([&](uint32_t) {
-    if (!machine("m0").has_management_enclave() ||
-        !machine("m1").has_management_enclave()) {
-      // Stay dark for two full waves so queued and in-flight tasks
-      // genuinely fail against the dead MEs before the revival.
-      if (++waves_down < 3) return;
-      for (const char* address : {"m0", "m1"}) {
-        if (!machine(address).has_management_enclave()) {
-          machine(address).restart_management_enclave();
-        }
-      }
-    }
-  });
+  // admits.)  At the second completion, later-admitted tasks are still
+  // kStarted, with retained copies at m0's ME and pending entries at
+  // their destination MEs (m1 among them).  Both stay dark for two full
+  // waves so queued and in-flight tasks genuinely fail against the dead
+  // MEs; the third revives them, restoring their durable queues.
+  chaos::ChaosExecutor executor(
+      world_, chaos::crash_at_completion({"m0", "m1"}, /*completion=*/2,
+                                         /*revive_after_waves=*/3));
+  executor.arm(orch);
   const auto report = orch.execute(Plan::drain("m0"));
-  EXPECT_GE(completions, 2u);  // the kill actually fired mid-drain
+  // Both kills and both revivals actually fired mid-drain.
+  EXPECT_EQ(executor.injected().at("injected.me-crash"), 2u);
+  EXPECT_EQ(executor.injected().at("healed.me-restart"), 2u);
 
   EXPECT_EQ(report.succeeded(), 32u);
   EXPECT_EQ(report.failed(), 0u);
@@ -1127,18 +1124,14 @@ TEST_F(MeDurableQueueTest, PipelinedDrainConvergesThroughSourceMeRestart) {
   options.max_attempts = 6;
   options.pipelined = true;
   Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
-  fleet.set_completion_callback([&](const orchestrator::EnclaveRecord&) {
-    // Mid-drain, with TransferTasks queued/mid-conversation at m0's ME.
-    if (++completions == 2) machine("m0").kill_management_enclave();
-  });
-  uint32_t waves_down = 0;
-  orch.set_wave_hook([&](uint32_t) {
-    if (machine("m0").has_management_enclave()) return;
-    if (++waves_down >= 3) machine("m0").restart_management_enclave();
-  });
+  // Mid-drain, with TransferTasks queued/mid-conversation at m0's ME.
+  chaos::ChaosExecutor executor(
+      world_, chaos::crash_at_completion({"m0"}, /*completion=*/2,
+                                         /*revive_after_waves=*/3));
+  executor.arm(orch);
   const auto report = orch.execute(Plan::drain("m0"));
-  EXPECT_GE(completions, 2u);
+  EXPECT_EQ(executor.injected().at("injected.me-crash"), 1u);
+  EXPECT_EQ(executor.injected().at("healed.me-restart"), 1u);
 
   EXPECT_EQ(report.succeeded(), 32u);
   EXPECT_EQ(report.failed(), 0u);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "baseline/nonmigratable.h"
+#include "migration/library_state.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "platform/world.h"
@@ -217,6 +218,31 @@ TEST_F(MigrationTest, MultipleCountersMigrateIndependently) {
   EXPECT_EQ(enclave->ecall_read_migratable_counter(a).value(), 3u);
   EXPECT_EQ(enclave->ecall_read_migratable_counter(b).value(), 1u);
   EXPECT_EQ(enclave->ecall_read_migratable_counter(c).value(), 0u);
+}
+
+// A restored library holds exactly its active slots and no outgoing
+// attempt, whether it arrived by migration or restarted from its buffer.
+TEST_F(MigrationTest, RestoredLibrariesHoldExactlyTheirActiveSlots) {
+  constexpr size_t kCounters = 17;
+  constexpr size_t kExact = kCounters * sizeof(migration::ActiveSlot);
+  auto enclave = start_new(m0_);
+  for (size_t i = 0; i < kCounters; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  ASSERT_EQ(migrate(enclave, m0_, m1_), Status::kOk);
+  EXPECT_EQ(enclave->active_counters(), kCounters);
+  EXPECT_EQ(enclave->library_memory_bytes(), kExact);
+
+  enclave = make_app(m1_);
+  const Bytes state = m1_.storage().get(kStateBlob).value();
+  ASSERT_EQ(enclave->ecall_migration_init(state, InitState::kRestore, "m1"),
+            Status::kOk);
+  EXPECT_EQ(enclave->library_memory_bytes(), kExact);
+
+  // An attempt holds its record only while it is open.
+  world_.network().set_endpoint_down(m0_.me_endpoint(), true);
+  ASSERT_NE(enclave->ecall_migration_start("m0"), Status::kOk);
+  EXPECT_GT(enclave->library_memory_bytes(), kExact);
 }
 
 // ----- freeze-flag semantics (§VI-B) -----

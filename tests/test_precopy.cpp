@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/chaos_executor.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "obs/observability.h"
@@ -1103,23 +1104,21 @@ TEST_F(PrecopyTest, Orchestrated32EnclavePrecopyDrainSurvivesMeRestarts) {
   options.transfer_mode = orchestrator::TransferMode::kPrecopy;
   orchestrator::Orchestrator orch(fleet, scheduler, options);
 
-  // Live mutations between rounds AND a source-ME crash mid-drain.
-  size_t completions = 0;
-  fleet.set_completion_callback(
-      [this, &completions](const orchestrator::EnclaveRecord&) {
-        if (++completions == 2) machine("m0").kill_management_enclave();
-      });
+  // Live mutations between rounds AND a source-ME crash mid-drain.  The
+  // round hook goes in after the executor's, which it replaces.
+  chaos::ChaosExecutor executor(
+      world_, chaos::crash_at_completion({"m0"}, /*completion=*/2,
+                                         /*revive_after_waves=*/3));
+  executor.arm(orch);
   orch.set_round_hook([&fleet](uint64_t enclave_id, uint32_t) {
     if (auto* enclave = fleet.enclave(enclave_id)) {
       enclave->ecall_increment_migratable_counter(0);
     }
   });
-  orch.set_wave_hook([this, waves_down = 0u](uint32_t) mutable {
-    if (machine("m0").has_management_enclave()) return;
-    if (++waves_down >= 3) machine("m0").restart_management_enclave();
-  });
 
   const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  EXPECT_EQ(executor.injected().at("injected.me-crash"), 1u);
+  EXPECT_EQ(executor.injected().at("healed.me-restart"), 1u);
   EXPECT_EQ(report.succeeded(), 32u);
   EXPECT_EQ(report.failed(), 0u);
   EXPECT_EQ(fleet.count_on("m0"), 0u);

@@ -2,7 +2,9 @@
 // the paper's fork/roll-back analysis depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <vector>
 
 #include "platform/world.h"
@@ -17,6 +19,7 @@ namespace {
 
 using platform::World;
 using sgx::CounterUuid;
+using sgx::CreatedCounter;
 using sgx::EnclaveImage;
 using sgx::MonotonicCounterService;
 
@@ -223,6 +226,212 @@ TEST(CounterService, CountForMatchesAModelUnderRandomOps) {
   // The sequence must actually reach the quota boundary and sweep.
   EXPECT_GT(quota_refusals, 0u);
   EXPECT_GT(reclaims, 0u);
+}
+
+// The flat table against the tree-shaped store it replaced: a std::map
+// from id to (owner, nonce, value, retired) plus a quota count per owner.
+// Every call of a seeded random sequence, over two owners, must return
+// what the reference returns, foreign nonces and foreign owners included.
+class ReferenceCounterStore {
+ public:
+  Result<CreatedCounter> create(const sgx::Measurement& owner,
+                                ByteView entropy) {
+    if (quota_[owner] >= MonotonicCounterService::kMaxCountersPerEnclave) {
+      return Status::kCounterQuotaExceeded;
+    }
+    Entry entry{owner, {}, 0, false};
+    std::copy_n(entropy.begin(), entry.nonce.size(), entry.nonce.begin());
+    const uint32_t id = next_id_++;
+    counters_[id] = entry;
+    ++quota_[owner];
+    return CreatedCounter{{id, entry.nonce}, 0};
+  }
+  Result<uint32_t> read(const sgx::Measurement& owner,
+                        const CounterUuid& uuid) {
+    Entry* entry = find(owner, uuid);
+    if (entry == nullptr) return Status::kCounterNotFound;
+    return entry->value;
+  }
+  Result<uint32_t> increment(const sgx::Measurement& owner,
+                             const CounterUuid& uuid) {
+    Entry* entry = find(owner, uuid);
+    if (entry == nullptr) return Status::kCounterNotFound;
+    return ++entry->value;
+  }
+  Status destroy(const sgx::Measurement& owner, const CounterUuid& uuid) {
+    if (find(owner, uuid) == nullptr) return Status::kCounterNotFound;
+    counters_.erase(uuid.counter_id);
+    --quota_[owner];
+    return Status::kOk;
+  }
+  size_t retire(const sgx::Measurement& owner,
+                const std::vector<CounterUuid>& uuids) {
+    size_t n = 0;
+    for (const CounterUuid& uuid : uuids) {
+      Entry* entry = find(owner, uuid);
+      if (entry == nullptr) continue;
+      entry->retired = true;
+      ++n;
+    }
+    return n;
+  }
+  size_t reclaim_retired() {
+    size_t n = 0;
+    for (auto it = counters_.begin(); it != counters_.end();) {
+      if (!it->second.retired) {
+        ++it;
+        continue;
+      }
+      --quota_[it->second.owner];
+      it = counters_.erase(it);
+      ++n;
+    }
+    return n;
+  }
+  size_t retired_count() const {
+    return static_cast<size_t>(
+        std::count_if(counters_.begin(), counters_.end(),
+                      [](const auto& kv) { return kv.second.retired; }));
+  }
+  size_t count_for(const sgx::Measurement& owner) {
+    return quota_[owner];
+  }
+  uint32_t ids_allocated() const { return next_id_; }
+
+ private:
+  struct Entry {
+    sgx::Measurement owner{};
+    std::array<uint8_t, 12> nonce{};
+    uint32_t value = 0;
+    bool retired = false;
+  };
+  Entry* find(const sgx::Measurement& owner, const CounterUuid& uuid) {
+    const auto it = counters_.find(uuid.counter_id);
+    if (it == counters_.end() || it->second.retired ||
+        it->second.nonce != uuid.nonce || it->second.owner != owner) {
+      return nullptr;
+    }
+    return &it->second;
+  }
+
+  std::map<uint32_t, Entry> counters_;
+  std::map<sgx::Measurement, size_t> quota_;
+  uint32_t next_id_ = 1;
+};
+
+TEST(CounterService, MatchesTheReferenceStoreUnderRandomOps) {
+  MonotonicCounterService svc;
+  ReferenceCounterStore ref;
+  const std::array<sgx::Measurement, 2> owners{owner_a(), owner_b()};
+  // Every uuid ever issued, live or not, plus ids never issued.
+  std::vector<CounterUuid> issued;
+  Rng rng(0xc0417e5);
+  std::array<size_t, 6> ops{};
+  size_t refusals = 0;
+  const auto pick_uuid = [&]() {
+    CounterUuid uuid;
+    if (issued.empty() || rng.uniform(20) == 0) {
+      uuid.counter_id =
+          static_cast<uint32_t>(rng.uniform(ref.ids_allocated() + 2));
+    } else {
+      uuid = issued[rng.uniform(issued.size())];
+    }
+    // One call in eight presents a foreign nonce.
+    if (rng.uniform(8) == 0) uuid.nonce[rng.uniform(12)] ^= 0x5a;
+    return uuid;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    // The caller is either owner, so about half the calls on an issued
+    // uuid come from the owner that did not create it.
+    const sgx::Measurement& owner = owners[rng.uniform(2)];
+    const uint64_t op = rng.uniform(100);
+    if (op < 30) {
+      const Bytes entropy = rng.bytes(12);
+      auto got = svc.create(owner, entropy);
+      auto want = ref.create(owner, entropy);
+      ASSERT_EQ(got.status(), want.status()) << step;
+      if (want.ok()) {
+        ASSERT_EQ(got.value().uuid, want.value().uuid) << step;
+        ASSERT_EQ(got.value().value, want.value().value) << step;
+        issued.push_back(want.value().uuid);
+      } else {
+        ++refusals;
+      }
+      ++ops[0];
+    } else if (op < 50) {
+      const CounterUuid uuid = pick_uuid();
+      auto got = svc.read(owner, uuid);
+      auto want = ref.read(owner, uuid);
+      ASSERT_EQ(got.status(), want.status()) << step;
+      if (want.ok()) {
+        ASSERT_EQ(got.value(), want.value()) << step;
+      }
+      ++ops[1];
+    } else if (op < 75) {
+      const CounterUuid uuid = pick_uuid();
+      auto got = svc.increment(owner, uuid);
+      auto want = ref.increment(owner, uuid);
+      ASSERT_EQ(got.status(), want.status()) << step;
+      if (want.ok()) {
+        ASSERT_EQ(got.value(), want.value()) << step;
+      }
+      ++ops[2];
+    } else if (op < 85) {
+      const CounterUuid uuid = pick_uuid();
+      ASSERT_EQ(svc.destroy(owner, uuid), ref.destroy(owner, uuid)) << step;
+      ++ops[3];
+    } else if (op < 97) {
+      std::vector<CounterUuid> uuids(rng.uniform(24));
+      for (CounterUuid& uuid : uuids) uuid = pick_uuid();
+      ASSERT_EQ(svc.retire(owner, uuids), ref.retire(owner, uuids)) << step;
+      ++ops[4];
+    } else {
+      ASSERT_EQ(svc.reclaim_retired(), ref.reclaim_retired()) << step;
+      ++ops[5];
+    }
+    ASSERT_EQ(svc.retired_count(), ref.retired_count()) << step;
+    ASSERT_EQ(svc.ids_allocated(), ref.ids_allocated()) << step;
+    for (const sgx::Measurement& each : owners) {
+      ASSERT_EQ(svc.count_for(each), ref.count_for(each)) << step;
+    }
+  }
+  // Every kind of call ran, and the owners reached their quota.
+  for (const size_t n : ops) EXPECT_GT(n, 100u);
+  EXPECT_GT(refusals, 0u);
+}
+
+TEST(CounterService, TableSpansOnlyLiveAndRetiredIds) {
+  MonotonicCounterService svc;
+  uint32_t ids = svc.ids_allocated();
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    std::vector<CounterUuid> uuids;
+    for (int i = 0; i < 256; ++i) {
+      auto created = svc.create(owner_a(), Bytes(12, static_cast<uint8_t>(i)));
+      ASSERT_TRUE(created.ok()) << cycle;
+      uuids.push_back(created.value().uuid);
+    }
+    ASSERT_LE(svc.table_span(), 256u) << cycle;
+    ASSERT_EQ(svc.retire(owner_a(), uuids), 256u) << cycle;
+    ASSERT_EQ(svc.table_span(), 256u) << cycle;  // retired ids hold quota
+    ASSERT_EQ(svc.reclaim_retired(), 256u) << cycle;
+    ASSERT_EQ(svc.table_span(), 0u) << cycle;
+    // Ids keep rising; none is reused.
+    ASSERT_EQ(svc.ids_allocated(), ids + 256) << cycle;
+    ids = svc.ids_allocated();
+    EXPECT_EQ(svc.read(owner_a(), uuids.back()).status(),
+              Status::kCounterNotFound);
+  }
+  // A destroy in the middle leaves a tombstone; one at the front trims it
+  // and every tombstone behind it.
+  const CounterUuid first = svc.create(owner_a(), Bytes(12, 1)).value().uuid;
+  const CounterUuid middle = svc.create(owner_a(), Bytes(12, 2)).value().uuid;
+  const CounterUuid last = svc.create(owner_a(), Bytes(12, 3)).value().uuid;
+  ASSERT_EQ(svc.destroy(owner_a(), middle), Status::kOk);
+  EXPECT_EQ(svc.table_span(), 3u);
+  ASSERT_EQ(svc.destroy(owner_a(), first), Status::kOk);
+  EXPECT_EQ(svc.table_span(), 1u);
+  EXPECT_EQ(svc.read(owner_a(), last).value(), 0u);
+  EXPECT_EQ(svc.count_for(owner_a()), 1u);
 }
 
 TEST(PseWire, RetireListRoundTripsAndIsBounded) {
