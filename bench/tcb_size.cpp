@@ -8,11 +8,17 @@
 // this reproduction (excluding, as the paper does, the trusted substrate:
 // the simulated SGX runtime, crypto, and networking), reading them under
 // the source tree CMake passes as SGXMIG_SOURCE_DIR, so the count is the
-// same from any working directory.  Exits non-zero when a listed file
-// cannot be opened; writes BENCH_tcb.json with both code-line counts.
+// same from any working directory.  Also counts every C++ file (.h, .cpp)
+// of each src/ layer, of src/ as a whole, of bench/, perfbench/ and
+// tests/, so a change's net code lines per layer show in a bench_diff.  Exits non-zero
+// when a listed file or directory cannot be read; writes BENCH_tcb.json
+// with the two TCB rows and then one row per counted tree.
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_common.h"
@@ -79,6 +85,45 @@ LocCount count_files(const std::vector<std::string>& files) {
   return total;
 }
 
+// Every .h and .cpp file under `dir` (relative to the source tree), in
+// path order; a directory that cannot be walked is one missing file.
+LocCount count_tree(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  std::error_code error;
+  const fs::path root = fs::path(SGXMIG_SOURCE_DIR) / dir;
+  for (fs::recursive_directory_iterator it(root, error), end;
+       !error && it != end; it.increment(error)) {
+    const std::string ext = it->path().extension().string();
+    if (it->is_regular_file() && (ext == ".h" || ext == ".cpp")) {
+      files.push_back(
+          fs::relative(it->path(), SGXMIG_SOURCE_DIR).generic_string());
+    }
+  }
+  if (error || files.empty()) {
+    std::fprintf(stderr, "error: cannot read %s\n", root.c_str());
+    return LocCount{.missing = 1};
+  }
+  std::sort(files.begin(), files.end());
+  return count_files(files);
+}
+
+// The src/ layers: each directory directly under src/, in name order.
+std::vector<std::string> src_layers() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> layers;
+  std::error_code error;
+  for (fs::directory_iterator it(fs::path(SGXMIG_SOURCE_DIR) / "src", error),
+       end;
+       !error && it != end; it.increment(error)) {
+    if (it->is_directory()) {
+      layers.push_back("src/" + it->path().filename().string());
+    }
+  }
+  std::sort(layers.begin(), layers.end());
+  return layers;
+}
+
 }  // namespace
 
 int main() {
@@ -117,9 +162,25 @@ int main() {
   std::printf("shape check: both components remain in the hundreds-of-lines "
               "range — %s\n",
               (me.code < 1500 && ml.code < 2500) ? "OK (auditable)" : "grown");
-  if (me.missing + ml.missing != 0) {
-    std::fprintf(stderr, "error: %d TCB file(s) under %s could not be read\n",
-                 me.missing + ml.missing, SGXMIG_SOURCE_DIR);
+
+  // Code lines per tree: each src/ layer, src/ as a whole, the benches
+  // and the tests.
+  std::vector<std::string> trees = src_layers();
+  trees.insert(trees.end(), {"src", "bench", "perfbench", "tests"});
+  std::vector<LocCount> tree_counts;
+  int missing = me.missing + ml.missing;
+  std::printf("\ncode lines per tree (.h and .cpp files)\n");
+  std::printf("%-38s %8s %9s %7s\n", "tree", "code", "comments", "blank");
+  for (const std::string& tree : trees) {
+    tree_counts.push_back(count_tree(tree));
+    const LocCount& c = tree_counts.back();
+    missing += c.missing;
+    std::printf("%-38s %8d %9d %7d\n", (tree + "/").c_str(), c.code,
+                c.comment, c.blank);
+  }
+  if (missing != 0) {
+    std::fprintf(stderr, "error: %d file(s) or tree(s) under %s could not "
+                 "be read\n", missing, SGXMIG_SOURCE_DIR);
     return 1;
   }
 
@@ -134,5 +195,11 @@ int main() {
       .field("code_lines", ml.code)
       .field("comment_lines", ml.comment)
       .field("paper_lines", 940);
+  for (size_t i = 0; i < trees.size(); ++i) {
+    json.begin_row()
+        .field("component", trees[i])
+        .field("code_lines", tree_counts[i].code)
+        .field("comment_lines", tree_counts[i].comment);
+  }
   return json.write_file("BENCH_tcb.json") ? 0 : 1;
 }

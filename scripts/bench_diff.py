@@ -9,6 +9,11 @@ parallel with its namesake; each leaf whose value differs is printed as
     BENCH_chaos.json:rows[3].wall_seconds: 14.88 -> 12.44
 
 A file or key present on one side only prints `<absent>` for the other.
+A differing integer `code_lines` (BENCH_tcb.json's code lines per TCB
+component and per source tree) also prints its signed delta:
+
+    BENCH_tcb.json:rows[15].code_lines: 15284 -> 15260 (-24)
+
 Keys named cpu_seconds, peak_rss_bytes and cpu_ratio_10k_over_1k (the
 ratio of two cpu_seconds) are skipped wherever they appear: they measure
 the host that ran the bench, not the simulation.
@@ -47,7 +52,11 @@ def diff_values(path: str, base: object, new: object, out: list[str]) -> None:
                         new[i] if i < len(new) else ABSENT, out)
         return
     if base != new or type(base) is not type(new):
-        out.append(f"{path}: {json.dumps(base)} -> {json.dumps(new)}")
+        line = f"{path}: {json.dumps(base)} -> {json.dumps(new)}"
+        if (path.endswith(".code_lines") and type(base) is int
+                and type(new) is int):
+            line += f" ({new - base:+d})"
+        out.append(line)
 
 
 def load(directory: pathlib.Path, name: str) -> object:

@@ -1383,6 +1383,18 @@ void merge_by_generation(std::map<uint32_t, CounterChunk>& merged,
   }
 }
 
+// Whether `chunks` holds exactly the generation of every chunk the
+// manifest lists: the one completeness test of a finalize, at both ends.
+bool covers_manifest(const std::map<uint32_t, CounterChunk>& chunks,
+                     const std::vector<ChunkManifestEntry>& manifest) {
+  return std::all_of(manifest.begin(), manifest.end(),
+                     [&](const ChunkManifestEntry& expected) {
+                       const auto chunk = chunks.find(expected.index);
+                       return chunk != chunks.end() &&
+                              chunk->second.generation == expected.generation;
+                     });
+}
+
 // The snapshot a finalize manifest names: each listed chunk's slots
 // (a chunk missing from `chunks` is all inactive) plus the MSK.  Both
 // ends assemble it — the destination as the incoming record, the source as
@@ -1438,20 +1450,18 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_round(
   auto attempt = precopy_attempt(from.mr, round.destination_address,
                                  round.request_nonce, round.policy);
   if (!attempt.ok()) return attempt.status();
-  // Merge first, and persist before the ack: a restart resumes the
-  // pre-copy from the merged set.  The async transport acks before the
-  // hop, so it persists first and ships behind the pump (rounds of
-  // different enclaves overlap on the source lane).  The sync transport
+  // Merge, then ship; no queue write.  The merged set is soft state: the
+  // live library still holds every staged chunk and the destination its
+  // durable staging, so a restart that loses rounds is caught at the
+  // finalize, which refuses a merged set that does not cover its manifest
+  // (kPrecopyIncomplete) and gets the library's whole staged set.  The
+  // async transport acks before the hop and ships behind the pump (rounds
+  // of different enclaves overlap on the source lane).  The sync transport
   // ships inline and replies with the hop's outcome — one attempt (plus
-  // the re-attest below when the destination forgot us); a
-  // failure drops the channel (and persists that), and the next round
-  // re-attests and resyncs.  Its persist follows a good hop, so the
-  // snapshot holds the channel past this record.  Either way the
-  // finalize's manifest check proves end-to-end completeness.
+  // the re-attest below when the destination forgot us); a failure drops
+  // the channel, and the next round re-attests and resyncs.
   merge_by_generation(attempt.value()->merged, round.chunks);
-  Status status = Status::kOk;
-  if (async_precopy_) status = persist_queue(round.request_nonce);
-  if (status == Status::kOk) status = kick_precopy_ship(round.request_nonce);
+  Status status = kick_precopy_ship(round.request_nonce);
   if (status == Status::kInvalidState && !async_precopy_) {
     // The destination no longer knows this conversation (its staging was
     // aged out or superseded): the failed hop dropped the channel, so one
@@ -1460,9 +1470,6 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_round(
                               round.request_nonce, round.policy);
     status = attempt.ok() ? kick_precopy_ship(round.request_nonce)
                           : attempt.status();
-  }
-  if (status == Status::kOk && !async_precopy_) {
-    status = persist_queue(round.request_nonce);
   }
   if (status != Status::kOk) return status;
   return lib_reply(LibMsgType::kPrecopyAck);
@@ -1593,7 +1600,7 @@ Status MigrationEnclave::precopy_on_round_ack(
   task.step = TransferTask::Step::kQueued;
   const Status failure = open_sealed_ack(raw, task.channel, kPrecopyAckMarker);
   if (failure != Status::kOk) {
-    // Merged state stays durable; the next round or the finalize resyncs.
+    // The merged set stays; the next round or the finalize resyncs.
     return precopy_ship_failed(task, failure, /*finalize=*/false);
   }
   task.resync = false;
@@ -1604,12 +1611,10 @@ Status MigrationEnclave::precopy_on_round_ack(
       task.acked[entry.index] = entry.generation;
     }
   }
-  // No re-seal here: rounds/acked/channel-sequence are reconstruction
-  // state.  A restart restores the pre-ack snapshot, the stale channel
-  // sequence fails the next record, and the resync path re-ships the full
-  // merged set — the merge-side persist (durable-before-ack) already
-  // holds every chunk.  Sealing the whole queue once more per round ack
-  // would put O(queue) GCM work on the source lane's critical path.
+  // No re-seal here: rounds and the acked front are reconstruction state,
+  // like the merged set itself.  A restored task re-attests and resyncs
+  // whatever it holds, and the finalize's coverage check fetches anything
+  // a restart lost from the library.
   // Rounds merged while this one was on the wire ship immediately — or
   // the finalize, if the library committed one meanwhile.
   return kick_precopy_ship(nonce);
@@ -1622,8 +1627,12 @@ Status MigrationEnclave::precopy_ship_failed(TransferTask& task,
   // attestation on the next kick.
   task.channel.reset();
   task.resync = true;
-  if (finalize) task.spend_finalize_try(failure);
-  persist_queue();
+  if (finalize) {
+    // A hand back drops the staged finalize, which the finalize record
+    // may hold.  A failed round changes nothing durable.
+    task.spend_finalize_try(failure);
+    persist_queue();
+  }
   return failure;
 }
 
@@ -1739,6 +1748,14 @@ MigrationEnclave::LibReply MigrationEnclave::on_precopy_finalize_req(
   TransferTask& live = *attempt.value();
   merge_by_generation(live.merged, fin.chunks);
   fin.chunks.clear();  // merged: the task holds each chunk once
+  // The merged set is soft state: a task created after the library's
+  // first round, or restored from a queue written before its last ones,
+  // may miss chunks.  Such a finalize is refused once, from memory; the
+  // library re-sends it with its whole staged set, which covers the
+  // manifest, so the copy retained below is exact.
+  if (!covers_manifest(live.merged, fin.manifest)) {
+    return Status::kPrecopyIncomplete;
+  }
   live.staged_finalize = std::move(fin);
   live.finalize_attempts = 0;
   live.resumed = false;
@@ -2036,12 +2053,8 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
         // counters at stale values, breaking the very replay protection
         // the counters exist for.  The source answers kPrecopyIncomplete
         // by re-shipping the full set.
-        for (const ChunkManifestEntry& expected : record.manifest) {
-          const auto chunk = entry.chunks.find(expected.index);
-          if (chunk == entry.chunks.end() ||
-              chunk->second.generation != expected.generation) {
-            return Status::kPrecopyIncomplete;
-          }
+        if (!covers_manifest(entry.chunks, record.manifest)) {
+          return Status::kPrecopyIncomplete;
         }
         // The authoritative snapshot: manifest chunks + MSK.
         entry.assemble(
@@ -2108,7 +2121,7 @@ size_t MigrationEnclave::sweep_stale_precopy_staging() {
     // Nothing staged or in flight, so no ship or ack refers to the task;
     // its merged chunks are never handed to an enclave without a finalize.
     // A library that does come back starts a fresh task under its nonce,
-    // and the finalize's manifest check proves completeness as ever.
+    // and its finalize's coverage check fetches the whole staged set.
     const TransferTask& task = it->second;
     if (task.precopy && !task.staged_finalize.has_value() &&
         task.step == TransferTask::Step::kQueued &&

@@ -26,7 +26,9 @@
 // still be DONE-confirmed for transfers it retained, still delivers
 // pending data, and still re-relays unacknowledged DONEs.  Session state
 // (local attestation channels) is deliberately NOT durable: libraries
-// re-attest.
+// re-attest.  Neither is a pre-copy task's merged set before its finalize
+// ships: the live library holds every staged chunk, and the finalize
+// fetches whatever a restart lost.
 #pragma once
 
 #include <array>
@@ -110,9 +112,12 @@ struct DurableQueue {
   /// source-side protocol as resumable steps, for both transfer modes.  A
   /// full-snapshot task ships its payload once; a pre-copy task ships
   /// rounds of merged chunks and then the staged finalize.  A queued
-  /// task's payload and a pre-copy task's merged set are durable; the
-  /// channel is per-attempt state — a restarted ME re-runs the attest from
-  /// scratch under a fresh transfer id (the nonce keeps it exactly-once).
+  /// task's payload is durable; a pre-copy task's merged set is soft
+  /// state until its finalize record ships (a finalize whose manifest it
+  /// does not cover is refused with kPrecopyIncomplete, and the library
+  /// re-sends its whole staged set).  The channel is per-attempt state — a
+  /// restarted ME re-runs the attest from scratch under a fresh transfer
+  /// id (the nonce keeps it exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
       kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing);
@@ -145,7 +150,8 @@ struct DurableQueue {
     // --- pre-copy: ships in rounds, then the staged finalize ---
     bool precopy = false;
     uint32_t rounds = 0;
-    /// Everything the library shipped so far, merged by chunk generation.
+    /// What the library shipped since the task was created (or since the
+    /// snapshot it was restored from), merged by chunk generation.
     std::map<uint32_t, CounterChunk> merged;
     /// Set when a send failed (channel possibly desynced): the next send
     /// re-attests under a fresh transfer id and re-ships the whole merged
@@ -329,14 +335,17 @@ struct DurableQueue {
       f.bytes(relay.sealed_record, kMaxDoneRelay);
     });
     // Live pre-copy state: source tasks (merged chunk sets, and a shipped
-    // finalize) and staged incoming records, so an ME restart between
-    // rounds RESUMES the pre-copy instead of throwing away every round
-    // shipped, and one after the finalize shipped re-ships it.  A task's
-    // channel is not durable: a snapshot can predate a record sealed on it
-    // (an async round persists before its ship) or the ack of one (a
-    // shipped finalize), so reusing it could repeat a GCM nonce or fail
-    // the next ack.  A restored task re-attests under a fresh transfer id;
-    // the old id stays so a DONE on that conversation is held for it.
+    // finalize) and staged incoming records.  Staging is written with
+    // each record it merges, so it survives a destination restart.  A
+    // source task is written only inside snapshots of other transitions
+    // until its finalize ships, so a restored one may be rounds behind;
+    // its finalize's coverage check fetches what it misses from the
+    // library, and one restored after the finalize shipped re-ships it.
+    // A task's channel is not durable: a snapshot can predate a record
+    // sealed on it or the ack of one (a shipped finalize), so reusing it
+    // could repeat a GCM nonce or fail the next ack.  A restored task
+    // re-attests under a fresh transfer id; the old id stays so a DONE on
+    // that conversation is held for it.
     io.map(q.transfer_tasks_, kAnyCount, [&](auto& f, auto& nonce, auto& t) {
       f.u64(nonce);
       f.fixed(t.source_mr);
@@ -437,8 +446,8 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// DurableQueue::memory_bytes of this ME's queue.
   size_t queue_memory_bytes() const { return DurableQueue::memory_bytes(); }
 
-  /// Pre-copy transport.  Both transports merge (and, for rounds,
-  /// persist) at the SOURCE ME first and then run the same ship steps.
+  /// Pre-copy transport.  Both transports merge at the SOURCE ME first
+  /// (a round writes no queue) and then run the same ship steps.
   /// Async: the steps post through Network::post/pump() — kPrecopyRound is
   /// acked at once and kPrecopyFinalizeReq answers kMigrateQueued, so hops
   /// of different enclaves overlap on every lane and the frozen library
@@ -737,7 +746,8 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// finalize, or the retain after a sync finalize's ack): the channel
   /// may have desynced, so drop it; the next kick
   /// re-attests and re-ships the whole merged set.  A finalize also
-  /// spends one unit of its ship budget.  Persists; returns `failure`.
+  /// spends one unit of its ship budget and persists (a hand back drops
+  /// the staged finalize); a round writes nothing.  Returns `failure`.
   Status precopy_ship_failed(TransferTask& task, Status failure,
                              bool finalize);
   /// Parses a pumped MeResponse reply; non-kOk peers and transport

@@ -1271,11 +1271,16 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
 
   if (reply.ok() && reply.value().type == LibMsgType::kError &&
       reply.value().status == Status::kPrecopyIncomplete) {
-    // The destination's staged rounds do not cover the manifest (it lost
-    // its queue, or a superseded attempt left partial staging): re-ship
-    // the complete staged set once.
+    // The rounds merged at the source ME (a restart lost them) or staged
+    // at the destination (it lost its queue, or a superseded attempt left
+    // partial staging) do not cover the manifest: re-ship the complete
+    // staged set once.
     payload.chunks = all_staged_chunks();
     request.payload = encode_record(payload);
+    if (obs::Observability* obs = observability();
+        obs != nullptr && obs->enabled()) {
+      obs->metrics.add("migration.precopy_reships");
+    }
     reply = me_exchange_reattest(request);
   }
   attempt_->payload_bytes = request.payload.size();

@@ -4,7 +4,8 @@
 fixtures/base and fixtures/changed hold one BENCH_demo.json each.  The
 changed copy moves every row's cpu_seconds and peak_rss_bytes and one
 cpu_ratio_10k_over_1k (skipped), one wall time and one nested gate, and
-appends a row.  Runnable with a bare python3 like the simlint self-test:
+appends a row; a code_lines case writes its own pair of BENCH_tcb.json
+files.  Runnable with a bare python3 like the simlint self-test:
 one PASS/FAIL line per test, exit status non-zero on any failure, which
 is how ctest consumes it.
 """
@@ -64,6 +65,26 @@ def test_cpu_and_rss_are_the_only_skipped_keys():
         assert result.returncode == 1, result.stdout
         assert result.stdout == \
             "BENCH_demo.json:rows[0].retries: 34 -> 35\n", result.stdout
+
+
+def test_code_lines_print_their_signed_delta():
+    with tempfile.TemporaryDirectory() as tmp:
+        base, new = pathlib.Path(tmp) / "base", pathlib.Path(tmp) / "new"
+        base.mkdir()
+        new.mkdir()
+        rows = ('{{"rows": [{{"component": "src/net", "code_lines": {}, '
+                '"comment_lines": {}}}]}}')
+        (base / "BENCH_tcb.json").write_text(rows.format(480, 128))
+        (new / "BENCH_tcb.json").write_text(rows.format(456, 130))
+        result = run(base, new)
+        assert result.returncode == 1, result.stdout
+        assert result.stdout.splitlines() == [
+            "BENCH_tcb.json:rows[0].code_lines: 480 -> 456 (-24)",
+            "BENCH_tcb.json:rows[0].comment_lines: 128 -> 130",
+        ], result.stdout
+        (new / "BENCH_tcb.json").write_text(rows.format(491, 128))
+        assert run(base, new).stdout == \
+            "BENCH_tcb.json:rows[0].code_lines: 480 -> 491 (+11)\n"
 
 
 def test_a_file_on_one_side_only_is_a_difference():

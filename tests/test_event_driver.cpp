@@ -158,11 +158,15 @@ struct DrainPin {
 // its channel: each freeze ends ~20 ms sooner, the wall falls 81 ms, and
 // waves, touches and kicks stay.  The finalize record's one-byte resumed
 // flag then added 8 ns of wire time to that wall; nothing else moved.
+// It was re-recorded when async pre-copy rounds stopped writing the source
+// ME's queue: m0 writes 32 queue fences instead of 50 (two per move, the
+// finalize record and the DONE erase), 360.4 ms less lane time, and the
+// wall falls 163.6 ms; waves, touches and kicks stay.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
      "5419d7451bad3771a511b99c6e6fcc16c6934c716d8edd90e135525251726bfc"},
-    {DrainConfig::kPrecopy, 5767767249, 5, 50, 2,
-     "afa8145e70a3c2d171667f65cb4fbc410a08b68cb27faf5a179f68b66c1a434b"},
+    {DrainConfig::kPrecopy, 5604196087, 5, 50, 2,
+     "0240f84c454431a37cee213f60375b8b0a3a22bee0fbb63b273717dbf3a2856f"},
     {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
      "d66bec318279070d25fcc6dce5be54ee1679cfd55f863546089e835ac485dd2a"},
     {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,

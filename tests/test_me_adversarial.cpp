@@ -350,8 +350,10 @@ class MeMalformedLibRequestTest
 TEST_P(MeMalformedLibRequestTest, IsTamperedAndChangesNothing) {
   LaClient client(m0_, image_, /*session_id=*/404);
   ASSERT_EQ(client.attest(), Status::kOk);
-  // Some queue state to keep: a live pre-copy task, durably sealed.
+  // Some queue state to keep: a live pre-copy task, and a queued
+  // full-snapshot task whose enqueue seals both (a round writes no queue).
   ASSERT_EQ(client.precopy_round(0x5eed, "m1"), Status::kOk);
+  ASSERT_EQ(client.enqueue(0x5eee, "m1"), Status::kOk);
   const size_t tasks = me0_->transfer_task_count();
   const Bytes sealed = me0_->sealed_queue_state();
   ASSERT_FALSE(sealed.empty());

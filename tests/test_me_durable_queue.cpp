@@ -627,7 +627,7 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
     return hex_encode(ByteView(digest.data(), digest.size()));
   };
   EXPECT_EQ(sha256_hex(me("m0")->sealed_queue_state()),
-            "0f48aa777ac1b902eb1a6372a9ea2e9dafbd4cdbc6464ed54c09cede6e830f0f");
+            "92d8b302da00202628b79651677eddca9f8ec60d370b88b23db7c35642c86d54");
   EXPECT_EQ(sha256_hex(me("m1")->sealed_queue_state()),
             "8afa6063235664f6eb7bf71d9c4e80ab9a19570d2d9660afbc67529f90bf4f3d");
 

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,78 @@ class PrecopyTest : public ::testing::Test {
     return before;
   }
 
+  // Logs the conversation (transfer id) of every pre-copy record sent to
+  // m1's ME, and drops round records while `drop_rounds` is set.
+  struct PrecopyWire {
+    std::vector<uint64_t> rounds;
+    std::vector<uint64_t> finalizes;
+    bool drop_rounds = false;
+  };
+  void watch_precopy_wire() {
+    world_.network().set_tamper_hook([this](const std::string& to,
+                                            Bytes& request) {
+      auto parsed = decode_record<MeRequest>(request);
+      if (to != "m1/me" || !parsed.ok()) return true;
+      if (parsed.value().type == MeMsgType::kPrecopyChunk) {
+        wire_.rounds.push_back(parsed.value().id);
+        return !wire_.drop_rounds;
+      }
+      if (parsed.value().type == MeMsgType::kPrecopyFinalize) {
+        wire_.finalizes.push_back(parsed.value().id);
+      }
+      return true;
+    });
+  }
+
+  // The destination ME dies and comes back without its stored queue.
+  void lose_queue(const std::string& address) {
+    machine(address).kill_management_enclave();
+    for (const char* slot : {"#0", "#1"}) {
+      machine(address).storage().remove(address + ".me-queue" + slot);
+    }
+    ASSERT_TRUE(machine(address).restart_management_enclave());
+  }
+
+  // A source ME that lost merged rounds finalized with them all: the
+  // library re-sent its whole staged set exactly once, the one finalize
+  // went out on a conversation attested after round 0's (no channel or
+  // GCM nonce of the dead ME reused), the instance on m1 restores the
+  // counters in `ones` at 1 and the rest of the 20 at 0, and neither m0's
+  // newest buffer nor a second m1 instance runs.
+  void expect_refetched_once_and_moved(
+      std::unique_ptr<MigratableEnclave> enclave,
+      const std::set<uint32_t>& ones) {
+    world_.network().clear_tamper_hook();
+    EXPECT_EQ(world_.observability().metrics.counter(
+                  "migration.precopy_reships"),
+              1u);
+    ASSERT_EQ(wire_.finalizes.size(), 1u);
+    ASSERT_FALSE(wire_.rounds.empty());
+    EXPECT_NE(wire_.finalizes.front(), wire_.rounds.front());
+    EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+    EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+    const Bytes latest = enclave->sealed_state();
+    enclave.reset();
+    auto moved = make_app(m1_);
+    ASSERT_EQ(
+        moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+        Status::kOk);
+    EXPECT_EQ(moved->active_counters(), 20u);
+    for (uint32_t i = 0; i < 20; ++i) {
+      const uint32_t expected = ones.count(i) != 0 ? 1u : 0u;
+      EXPECT_EQ(moved->ecall_read_migratable_counter(i).value(), expected)
+          << "counter " << i;
+    }
+    EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
+              OutgoingState::kCompleted);
+    auto forked = make_app(m0_);
+    EXPECT_EQ(forked->ecall_migration_init(latest, InitState::kRestore, "m0"),
+              Status::kMigrationFrozen);
+    auto second = make_app(m1_);
+    EXPECT_NE(second->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+              Status::kOk);
+  }
+
   // The restored instance on m1 holds the rounds and the final delta.
   void expect_moved_with_final_delta() {
     auto moved = make_app(m1_);
@@ -187,6 +260,7 @@ class PrecopyTest : public ::testing::Test {
   }
 
   World world_{/*seed=*/4243};
+  PrecopyWire wire_;
   platform::Machine& m0_ = world_.add_machine("m0");
   platform::Machine& m1_ = world_.add_machine("m1");
   platform::Machine& m2_ = world_.add_machine("m2");
@@ -865,7 +939,8 @@ TEST_F(PrecopyTest, SyncRoundReattestsAfterDestinationSweptStaging) {
   EXPECT_EQ(moved->active_counters(), 20u);
 }
 
-TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
+TEST_F(PrecopyTest, MeRestartsBetweenRoundsRefetchTheLostRoundOnce) {
+  world_.observability().set_enabled(true);
   auto enclave = start_new(m0_);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
@@ -875,17 +950,22 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
   const Bytes stale = enclave->sealed_state();
 
-  // Both MEs die and come back between rounds: the source's merged
-  // attempt (with its RA channel) and the destination's staging are
-  // restored from the sealed queues.
+  // Both MEs die and come back between rounds.  The source's merged
+  // attempt is soft state (a round writes no queue), so it is gone; the
+  // destination's staging is restored from its sealed queue.
   restart_me("m0");
   restart_me("m1");
-  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
 
+  // The next round starts a fresh task, whose merged set misses round 0:
+  // the finalize is refused once, and re-sent with the whole staged set.
   enclave->ecall_increment_migratable_counter(11);
   ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
   ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  EXPECT_EQ(world_.observability().metrics.counter(
+                "migration.precopy_reships"),
+            1u);
   enclave.reset();
   auto moved = make_app(m1_);
   ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
@@ -897,6 +977,175 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
   auto forked = make_app(m0_);
   EXPECT_EQ(forked->ecall_migration_init(stale, InitState::kRestore, "m0"),
             Status::kMigrationFrozen);
+}
+
+// ----- the source ME's merged set is soft state -----
+//
+// An async round is acked once merged, with no queue write.  Each test
+// below loses a merged round to a source ME restart in one of three ways,
+// and ends in one refused finalize and one re-send of the library's whole
+// staged set.  Each runs 20 counters in two 16-slot chunks; round 0 ships
+// both, and chunk 1 (counters 16-19) is in no later record but the lost
+// ones, so the finalize's final delta (counter 2, chunk 0) cannot cover
+// it.
+
+// The ME acks round 1 and dies before the round's record reaches m1: no
+// queue holds the round, and m1 never saw it.
+TEST_F(PrecopyTest, SourceMeLostAnAckedAsyncRoundBeforeItsHop) {
+  me("m0")->set_async_precopy(true);
+  world_.observability().set_enabled(true);
+  watch_precopy_wire();
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(4);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  enclave->ecall_increment_migratable_counter(17);
+  wire_.drop_rounds = true;
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  world_.network().pump_all();
+  wire_.drop_rounds = false;
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_FALSE(m0_.storage().get_versioned("m0.me-queue").ok());
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  enclave->ecall_increment_migratable_counter(2);
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(me("m0")->full_handshake_count() +
+                me("m0")->resumed_handshake_count(),
+            1u);
+  expect_refetched_once_and_moved(std::move(enclave), {2, 4, 17});
+}
+
+// The source ME dies between rounds, and the destination ME comes back
+// without its queue: neither end holds round 0 when round 1 arrives.
+TEST_F(PrecopyTest, SourceMeRestartWhileTheDestinationLostItsStaging) {
+  me("m0")->set_async_precopy(true);
+  world_.observability().set_enabled(true);
+  watch_precopy_wire();
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(4);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  ASSERT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  lose_queue("m1");
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+
+  // Round 1 starts a fresh task on both ends, holding chunk 0 only.
+  enclave->ecall_increment_migratable_counter(5);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+  enclave->ecall_increment_migratable_counter(2);
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(me("m0")->full_handshake_count() +
+                me("m0")->resumed_handshake_count(),
+            1u);
+  expect_refetched_once_and_moved(std::move(enclave), {2, 4, 5});
+}
+
+// Another enclave's reservation commits m0's queue at round 1 (k), which
+// carries the pre-copy task as merged so far.  Rounds 2 and 3 write
+// nothing, and the ME dies after round 3 (k + 2): the restored task holds
+// chunk 1 at its round-0 generation, and round 2 changed it.
+TEST_F(PrecopyTest, SourceMeRestoredFromAQueueTwoRoundsBehind) {
+  me("m0")->set_async_precopy(true);
+  world_.observability().set_enabled(true);
+  watch_precopy_wire();
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(4);
+  const auto round = [&] {
+    ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+    me("m0")->pump();
+    world_.network().pump_all();
+  };
+  round();
+  enclave->ecall_increment_migratable_counter(5);
+  round();
+  auto other = std::make_unique<MigratableEnclave>(
+      m0_, EnclaveImage::create("pc-other", 1, "acme"));
+  other->set_persist_callback([this](ByteView s) { m0_.storage().put("o", s); });
+  ASSERT_EQ(other->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+            Status::kOk);
+  ASSERT_TRUE(other->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(other->ecall_migration_reserve_detailed("m1").ok());
+  ASSERT_EQ(m0_.storage().versioned_sequence("m0.me-queue"), 1u);
+  enclave->ecall_increment_migratable_counter(17);
+  round();
+  enclave->ecall_increment_migratable_counter(6);
+  round();
+  EXPECT_EQ(m0_.storage().versioned_sequence("m0.me-queue"), 1u);
+
+  restart_me("m0");
+  me("m0")->set_async_precopy(true);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 2u);
+  enclave->ecall_increment_migratable_counter(2);
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  expect_refetched_once_and_moved(std::move(enclave), {2, 4, 5, 6, 17});
+}
+
+// One async pre-copy move writes two queue fences on the source: the
+// finalize record as it ships, and the DONE's erase.  Its rounds write
+// none.
+TEST_F(PrecopyTest, AsyncPrecopyMoveWritesTwoSourceQueueFences) {
+  me("m0")->set_async_precopy(true);
+  world_.observability().set_enabled(true);
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  for (const uint32_t counter : {0u, 2u}) {
+    enclave->ecall_increment_migratable_counter(counter);
+    ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+    me("m0")->pump();
+    world_.network().pump_all();
+  }
+  EXPECT_FALSE(m0_.storage().get_versioned("m0.me-queue").ok());
+  enclave->ecall_increment_migratable_counter(1);
+  const auto fin = drive_queued_finalize(
+      *enclave, enclave->ecall_migration_finalize_detailed("m1"));
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(enclave->last_precopy_rounds(), 2u);
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
+            OutgoingState::kCompleted);
+
+  size_t source_queue_fences = 0;
+  for (const obs::TraceSpan& span : world_.observability().trace.spans()) {
+    if (span.name == "persist.fence" && span.lane == "m0" &&
+        span.args.front().second == "transfer-queue") {
+      ++source_queue_fences;
+    }
+  }
+  EXPECT_EQ(source_queue_fences, 2u);
+  EXPECT_EQ(m0_.storage().versioned_sequence("m0.me-queue"), 2u);
 }
 
 TEST_F(PrecopyTest, LostFinalizeReplyResumesViaNonceQuery) {
