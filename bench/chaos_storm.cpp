@@ -48,6 +48,8 @@ struct StormResult {
   uint64_t injected = 0;
   uint64_t forks = 0;
   uint64_t refusals = 0;
+  /// Traced storms: the orchestrator's orch.* transition instants.
+  std::vector<obs::TraceInstant> transitions;
 };
 
 StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
@@ -124,6 +126,12 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
     if (trace_json != nullptr) {
       *trace_json = world.observability().trace.to_chrome_json();
     }
+    for (const obs::TraceInstant& instant :
+         world.observability().trace.instants()) {
+      if (instant.name.rfind("orch.", 0) == 0) {
+        result.transitions.push_back(instant);
+      }
+    }
   }
   return result;
 }
@@ -133,12 +141,19 @@ uint64_t stat_of(const StormResult& r, const char* key) {
   return it == r.stats.end() ? 0 : it->second;
 }
 
-void fail_storm(uint64_t seed, const std::string& profile,
-                const StormResult& r) {
+/// Prints the failed storm's findings and each failed migration with its
+/// orch.* transitions, taken from a traced rerun of the same storm when
+/// `r` was not traced, and exits 1.
+void fail_storm(uint64_t seed, const chaos::StormProfile& profile,
+                TransferMode mode, const StormResult& r) {
   for (const chaos::OracleFinding& finding : r.findings) {
     std::printf("ORACLE VIOLATION [%s]: %s\n", finding.check.c_str(),
                 finding.detail.c_str());
   }
+  const std::vector<obs::TraceInstant> transitions =
+      r.transitions.empty()
+          ? storm(seed, profile, mode, /*traced=*/true).transitions
+          : r.transitions;
   for (const auto& m : r.report.migrations) {
     if (m.success) continue;
     std::printf("  failed migration %s -> %s: attempts=%u status=%s "
@@ -147,15 +162,16 @@ void fail_storm(uint64_t seed, const std::string& profile,
                 std::string(status_name(m.final_status)).c_str(),
                 migration::migration_failure_class_name(m.failure_class),
                 m.failure_message.c_str());
-    for (const auto& e : r.report.events) {
-      if (e.enclave_id != m.enclave_id) continue;
-      std::printf("    t=%.3f %s %s\n", to_seconds(e.at),
-                  orchestrator::event_kind_name(e.kind), e.detail.c_str());
+    const std::string id = std::to_string(m.enclave_id);
+    for (const obs::TraceInstant& t : transitions) {
+      if (t.args.at(0).second != id) continue;
+      std::printf("    t=%.3f %s %s\n", to_seconds(t.at), t.name.c_str(),
+                  t.args.at(1).second.c_str());
     }
   }
   std::printf("CHAOS GATE FAILED: seed=%llu profile=%s forks=%llu "
               "failed=%zu — replay with: bench_chaos_storm %llu\n",
-              static_cast<unsigned long long>(seed), profile.c_str(),
+              static_cast<unsigned long long>(seed), profile.name.c_str(),
               static_cast<unsigned long long>(r.forks), r.report.failed(),
               static_cast<unsigned long long>(seed));
   bench::write_text_file("CHAOS_FAILING_SEED.txt",
@@ -207,7 +223,7 @@ void run(uint64_t only_seed) {
     // The headline gates: every storm converges (no terminally failed
     // migrations), zero forks, and every other oracle holds.
     if (r.report.failed() != 0 || r.forks != 0 || !r.findings.empty()) {
-      fail_storm(seed, profile.name, r);
+      fail_storm(seed, profile, mode, r);
     }
     return r;
   };
@@ -260,12 +276,13 @@ void run(uint64_t only_seed) {
   }
   if (traced.report.failed() != 0 || traced.forks != 0 ||
       !traced.findings.empty()) {
-    fail_storm(trace_seed, "mixed+traced", traced);
+    fail_storm(trace_seed, chaos::mixed_profile(), TransferMode::kPrecopy,
+               traced);
   }
   if (trace_json.empty() ||
       !bench::write_text_file("TRACE_chaos.json", trace_json) ||
       !bench::write_text_file("TRACE_REPORT_chaos.json",
-                              traced.report.to_json(/*include_events=*/true))) {
+                              traced.report.to_json())) {
     std::printf("FAILED to write TRACE_chaos.json artifacts\n");
     std::exit(1);
   }

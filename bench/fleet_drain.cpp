@@ -464,7 +464,7 @@ void run() {
   if (trace_json.empty() ||
       !bench::write_text_file("TRACE_fleet_drain.json", trace_json) ||
       !bench::write_text_file("TRACE_REPORT_fleet_drain.json",
-                              traced.report.to_json(/*include_events=*/true))) {
+                              traced.report.to_json())) {
     std::printf("FAILED to write TRACE_fleet_drain.json artifacts\n");
     std::exit(1);
   }

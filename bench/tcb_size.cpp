@@ -8,11 +8,15 @@
 // this reproduction (excluding, as the paper does, the trusted substrate:
 // the simulated SGX runtime, crypto, and networking), reading them under
 // the source tree CMake passes as SGXMIG_SOURCE_DIR, so the count is the
-// same from any working directory.  Also counts every C++ file (.h, .cpp)
-// of each src/ layer, of src/ as a whole, of bench/, perfbench/ and
-// tests/, so a change's net code lines per layer show in a bench_diff.  Exits non-zero
-// when a listed file or directory cannot be read; writes BENCH_tcb.json
-// with the two TCB rows and then one row per counted tree.
+// same from any working directory; an optional argument names another
+// tree to count (a checkout of the parent commit, to diff against).  Also
+// counts every C++ file (.h, .cpp) of each src/ layer, of src/ as a
+// whole, of bench/, perfbench/ and tests/, so a change's net code lines
+// per layer show in a bench_diff.  Exits non-zero when a listed file or
+// directory cannot be read; writes BENCH_tcb.json with the two TCB rows
+// and then one row per counted tree.
+//
+// Usage: bench_tcb_size [SOURCE_DIR]   (default: the tree CMake compiled)
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -73,10 +77,11 @@ LocCount count_file(const std::string& path) {
   return count;
 }
 
-LocCount count_files(const std::vector<std::string>& files) {
+LocCount count_files(const std::string& root,
+                     const std::vector<std::string>& files) {
   LocCount total;
   for (const auto& file : files) {
-    const LocCount c = count_file(std::string(SGXMIG_SOURCE_DIR) + "/" + file);
+    const LocCount c = count_file(root + "/" + file);
     total.code += c.code;
     total.comment += c.comment;
     total.blank += c.blank;
@@ -85,36 +90,35 @@ LocCount count_files(const std::vector<std::string>& files) {
   return total;
 }
 
-// Every .h and .cpp file under `dir` (relative to the source tree), in
-// path order; a directory that cannot be walked is one missing file.
-LocCount count_tree(const std::string& dir) {
+// Every .h and .cpp file under `dir` (relative to the source tree
+// `root`), in path order; a directory that cannot be walked is one
+// missing file.
+LocCount count_tree(const std::string& root, const std::string& dir) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   std::error_code error;
-  const fs::path root = fs::path(SGXMIG_SOURCE_DIR) / dir;
-  for (fs::recursive_directory_iterator it(root, error), end;
+  const fs::path path = fs::path(root) / dir;
+  for (fs::recursive_directory_iterator it(path, error), end;
        !error && it != end; it.increment(error)) {
     const std::string ext = it->path().extension().string();
     if (it->is_regular_file() && (ext == ".h" || ext == ".cpp")) {
-      files.push_back(
-          fs::relative(it->path(), SGXMIG_SOURCE_DIR).generic_string());
+      files.push_back(fs::relative(it->path(), root).generic_string());
     }
   }
   if (error || files.empty()) {
-    std::fprintf(stderr, "error: cannot read %s\n", root.c_str());
+    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return LocCount{.missing = 1};
   }
   std::sort(files.begin(), files.end());
-  return count_files(files);
+  return count_files(root, files);
 }
 
 // The src/ layers: each directory directly under src/, in name order.
-std::vector<std::string> src_layers() {
+std::vector<std::string> src_layers(const std::string& root) {
   namespace fs = std::filesystem;
   std::vector<std::string> layers;
   std::error_code error;
-  for (fs::directory_iterator it(fs::path(SGXMIG_SOURCE_DIR) / "src", error),
-       end;
+  for (fs::directory_iterator it(fs::path(root) / "src", error), end;
        !error && it != end; it.increment(error)) {
     if (it->is_directory()) {
       layers.push_back("src/" + it->path().filename().string());
@@ -126,7 +130,8 @@ std::vector<std::string> src_layers() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string root = argc > 1 ? argv[1] : SGXMIG_SOURCE_DIR;
   const std::vector<std::string> me_files = {
       "src/migration/migration_enclave.h",
       "src/migration/migration_enclave.cpp",
@@ -143,8 +148,8 @@ int main() {
       "src/migration/migratable_enclave.h",
   };
 
-  const LocCount me = count_files(me_files);
-  const LocCount ml = count_files(ml_files);
+  const LocCount me = count_files(root, me_files);
+  const LocCount ml = count_files(root, ml_files);
 
   std::printf("\n================================================================\n");
   std::printf("§VII-A — software TCB added by the migration framework\n");
@@ -165,14 +170,14 @@ int main() {
 
   // Code lines per tree: each src/ layer, src/ as a whole, the benches
   // and the tests.
-  std::vector<std::string> trees = src_layers();
+  std::vector<std::string> trees = src_layers(root);
   trees.insert(trees.end(), {"src", "bench", "perfbench", "tests"});
   std::vector<LocCount> tree_counts;
   int missing = me.missing + ml.missing;
   std::printf("\ncode lines per tree (.h and .cpp files)\n");
   std::printf("%-38s %8s %9s %7s\n", "tree", "code", "comments", "blank");
   for (const std::string& tree : trees) {
-    tree_counts.push_back(count_tree(tree));
+    tree_counts.push_back(count_tree(root, tree));
     const LocCount& c = tree_counts.back();
     missing += c.missing;
     std::printf("%-38s %8d %9d %7d\n", (tree + "/").c_str(), c.code,
@@ -180,7 +185,7 @@ int main() {
   }
   if (missing != 0) {
     std::fprintf(stderr, "error: %d file(s) or tree(s) under %s could not "
-                 "be read\n", missing, SGXMIG_SOURCE_DIR);
+                 "be read\n", missing, root.c_str());
     return 1;
   }
 

@@ -8,7 +8,8 @@
 //      orchestrator must route around.
 //   4. Drain m0 with bounded parallelism: every enclave migrates off,
 //      migrations aimed at the dead m1 retry onto an alternate machine.
-//   5. Replay the event log and verify the counters survived.
+//   5. Replay the orchestrator's transitions from the trace and verify
+//      the counters survived.
 //
 // Run:  ./build/example_fleet_drain
 #include <cstdio>
@@ -66,14 +67,17 @@ int main() {
   OrchestratorOptions options;
   options.max_inflight_per_machine = 2;
   Orchestrator orchestrator(fleet, scheduler, options);
+  // Tracing on: every task transition becomes an orch.* instant.
+  world.observability().set_enabled(true);
   const auto report = orchestrator.execute(Plan::drain("m0"));
 
-  std::printf("event log (%zu events):\n", report.events.size());
-  for (const auto& event : report.events) {
-    std::printf("  [%8.3fs] enclave %llu %-12s %s\n", to_seconds(event.at),
-                (unsigned long long)event.enclave_id,
-                orchestrator::event_kind_name(event.kind),
-                event.detail.c_str());
+  std::printf("orchestrator transitions:\n");
+  for (const obs::TraceInstant& instant :
+       world.observability().trace.instants()) {
+    if (instant.name.rfind("orch.", 0) != 0) continue;
+    std::printf("  [%8.3fs] enclave %s %-18s %s\n", to_seconds(instant.at),
+                instant.args.at(0).second.c_str(), instant.name.c_str(),
+                instant.args.at(1).second.c_str());
   }
 
   std::printf("\ndrain report: %zu/%zu succeeded, %u retries, "

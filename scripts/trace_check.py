@@ -18,6 +18,9 @@ orchestrator report serialized next to it.  Invariants:
      complete span tree: a 'migration' root for its enclave whose trace
      carries freeze and restore spans and a migration.done instant,
      with every span of that trace closed (no orphans).
+  7. ledger — every report migration has exactly as many orch.admitted
+     instants (matched by args.enclave_id) as its attempts, and exactly
+     one terminal instant: orch.done if it succeeded, orch.failed if not.
 
 Usage: trace_check.py TRACE.json TRACE_REPORT.json
        trace_check.py --chaos TRACE.json TRACE_REPORT.json
@@ -27,7 +30,7 @@ Prints each violation and exits non-zero if any invariant failed.
 instead.  Storms retry migrations through injected faults, and retried
 attempts reuse cached pre-copy sessions across migration traces, so the
 strict parent-trace and complete-tree invariants do not apply; the
-structure, one-freeze and delivery checks still run, plus:
+structure, one-freeze, delivery and ledger checks still run, plus:
 
   6. accounting — the trace's chaos.fault count equals the report's
      chaos["injected.total"], and chaos["forks"] is zero.
@@ -216,6 +219,33 @@ def check_span_trees(spans, events, report, errors):
                 f"{sorted(missing)} spans")
 
 
+def check_ledger(events, report, errors):
+    """Invariant 7: the orchestrator's transition instants account for
+    every attempt and exactly one outcome of each report migration."""
+    admitted, done, failed = {}, {}, {}
+    tallies = {"orch.admitted": admitted, "orch.done": done,
+               "orch.failed": failed}
+    for e in events:
+        tally = tallies.get(e.get("name")) if e.get("ph") == "i" else None
+        if tally is not None:
+            enclave = e.get("args", {}).get("enclave_id", "?")
+            tally[enclave] = tally.get(enclave, 0) + 1
+    for m in report.get("migrations", []):
+        enclave = str(m.get("enclave_id", "?"))
+        label = f"enclave {m.get('name', '?')} (id {enclave})"
+        attempts = int(m.get("attempts", 0))
+        if admitted.get(enclave, 0) != attempts:
+            errors.append(
+                f"{label}: {admitted.get(enclave, 0)} orch.admitted instants "
+                f"but the report counts {attempts} attempts")
+        terminal = (done.get(enclave, 0), failed.get(enclave, 0))
+        want = (1, 0) if m.get("success") else (0, 1)
+        if terminal != want:
+            errors.append(
+                f"{label}: {terminal[0]} orch.done and {terminal[1]} "
+                f"orch.failed instants (want {want[0]} and {want[1]})")
+
+
 def check_chaos(events, report, errors):
     """Chaos-storm invariant 6: fault accounting and zero forks."""
     chaos = report.get("chaos")
@@ -257,6 +287,7 @@ def main(argv):
     by_enclave = freezes_by_enclave(spans)
     check_one_live_freeze(by_enclave, errors)
     check_delivery(events, errors)
+    check_ledger(events, report, errors)
     if chaos_mode:
         check_chaos(events, report, errors)
     else:

@@ -15,20 +15,6 @@ const char* plan_kind_name(PlanKind kind) {
   return "unknown";
 }
 
-const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kPlanned: return "planned";
-    case EventKind::kAdmitted: return "admitted";
-    case EventKind::kStartOk: return "start-ok";
-    case EventKind::kStartFailed: return "start-failed";
-    case EventKind::kBackoff: return "backoff";
-    case EventKind::kRestored: return "restored";
-    case EventKind::kDone: return "done";
-    case EventKind::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 size_t OrchestratorReport::succeeded() const {
   size_t n = 0;
   for (const auto& m : migrations) n += m.success ? 1 : 0;
@@ -100,7 +86,7 @@ double OrchestratorReport::enqueue_wait_percentile_seconds(double p) const {
   return percentile_nearest_rank(std::move(samples), p);
 }
 
-std::string OrchestratorReport::to_json(bool include_events) const {
+std::string OrchestratorReport::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.key("plan").string(plan_kind_name(plan));
@@ -151,20 +137,6 @@ std::string OrchestratorReport::to_json(bool include_events) const {
     w.end_object();
   }
   w.end_array();
-
-  if (include_events) {
-    w.key("events").begin_array();
-    for (const auto& e : events) {
-      w.begin_object();
-      w.key("t").number(to_seconds(e.at), 6);
-      w.key("enclave_id").integer(e.enclave_id);
-      w.key("kind").string(event_kind_name(e.kind));
-      w.key("detail").string(e.detail);
-      w.end_object();
-    }
-    w.end_array();
-  }
-  if (events_dropped > 0) w.key("events_dropped").integer(events_dropped);
 
   if (!chaos_stats.empty()) {
     w.key("chaos").begin_object();

@@ -1,9 +1,9 @@
-// Progress/event log and final report of one orchestrated plan run.
+// Final report of one orchestrated plan run.
 //
-// Every state transition of every migration task lands in the event log
-// (virtual timestamped, append-only); the report aggregates per-migration
-// latency and retry counts for the bench layer and serializes to JSON so
-// CI can archive the perf trajectory (BENCH_fleet_drain.json).
+// The report aggregates per-migration latency and retry counts for the
+// bench layer and serializes to JSON so CI can archive the perf
+// trajectory (BENCH_fleet_drain.json).  The transitions themselves are
+// trace instants (orchestrator.h), not part of the report.
 #pragma once
 
 #include <cstdint>
@@ -17,26 +17,6 @@
 #include "support/status.h"
 
 namespace sgxmig::orchestrator {
-
-enum class EventKind : uint8_t {
-  kPlanned = 0,    // task created from the plan
-  kAdmitted,       // passed the concurrency caps; destination selected
-  kStartOk,        // source-side protocol done; data pending at destination
-  kStartFailed,    // migration_start failed (detail = class + step)
-  kBackoff,        // retry scheduled (detail = retry time)
-  kRestored,       // destination instance fetched + confirmed the data
-  kDone,           // registry updated; migration complete
-  kFailed,         // terminal failure (fatal class or attempts exhausted)
-};
-
-const char* event_kind_name(EventKind kind);
-
-struct OrchestratorEvent {
-  Duration at{};
-  uint64_t enclave_id = 0;
-  EventKind kind = EventKind::kPlanned;
-  std::string detail;
-};
 
 /// Outcome of one per-enclave migration task.
 struct MigrationRecord {
@@ -72,11 +52,6 @@ struct MigrationRecord {
 struct OrchestratorReport {
   PlanKind plan = PlanKind::kDrainMachine;
   std::vector<MigrationRecord> migrations;
-  std::vector<OrchestratorEvent> events;
-  /// Oldest events dropped by the orchestrator's event-log ring
-  /// (OrchestratorOptions::event_log_limit).  Serialized only when
-  /// non-zero, so unbounded runs keep their exact historical JSON.
-  uint64_t events_dropped = 0;
   Duration started_at{};
   Duration finished_at{};
   /// Peak number of simultaneously in-flight migrations, total and per
@@ -112,9 +87,8 @@ struct OrchestratorReport {
   /// (zero everywhere when not running freeze-aware).
   double enqueue_wait_percentile_seconds(double p) const;
 
-  /// Machine-readable dump ({"plan":..., "migrations":[...], ...});
-  /// events included only when `include_events`.
-  std::string to_json(bool include_events = false) const;
+  /// Machine-readable dump ({"plan":..., "migrations":[...], ...}).
+  std::string to_json() const;
 };
 
 }  // namespace sgxmig::orchestrator

@@ -555,12 +555,12 @@ TEST_F(ChaosTest, ChaosStatsSerializeIntoReportJson) {
   report.chaos_stats["seed"] = 101;
   report.chaos_stats["injected.total"] = 5;
   report.chaos_stats["forks"] = 0;
-  const std::string json = report.to_json(/*include_events=*/false);
+  const std::string json = report.to_json();
   EXPECT_NE(json.find("\"chaos\""), std::string::npos);
   EXPECT_NE(json.find("\"injected.total\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 101"), std::string::npos);
   // Without chaos stats the block is absent entirely.
-  EXPECT_EQ(OrchestratorReport().to_json(false).find("\"chaos\""),
+  EXPECT_EQ(OrchestratorReport().to_json().find("\"chaos\""),
             std::string::npos);
 }
 

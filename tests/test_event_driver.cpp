@@ -1,16 +1,15 @@
 // Orchestrator wave-driver tests: the driver and every structure it leans
 // on must be exactly reproducible.
 //   * driver pins — on pipelined, pre-copy and two ME-restart drains the
-//     driver's OrchestratorReport JSON (events included), virtual wall and
-//     work counters (waves, task touches, pump kicks) match pinned values,
-//     and task touches stay far below a full scan's tasks x waves;
+//     driver's OrchestratorReport JSON, virtual wall and work counters
+//     (waves, task touches, pump kicks) match pinned values, task touches
+//     stay far below a full scan's tasks x waves, and a traced rerun's
+//     orch.* transition instants match a pinned rendering;
 //   * placement-index determinism — the incrementally-updated index
 //     (ledger reservations, region shards) picks the same destination as
 //     the brute-force full scan (per-query reservation map) across
 //     randomized fleets, exclusions, avoids and reservation churn, for
 //     both indexed policies;
-//   * event-log ring — a capped log retains exactly the newest events
-//     and counts the dropped prefix;
 //   * ME completed-history cap — long drains hold the exactly-once dedup
 //     history flat, and the retained window still dedups (a lost migrate
 //     reply resumes without a double transfer after the history cycled).
@@ -60,6 +59,10 @@ struct DrainOutcome {
   DriverStats stats;
   size_t succeeded = 0;
   size_t failed = 0;
+  /// Traced runs: one "t_ns enclave_id name detail" line per task
+  /// transition instant, and the count of deferred finalizes.
+  std::string transitions;
+  size_t await_destination = 0;
 };
 
 enum class DrainConfig {
@@ -74,7 +77,7 @@ constexpr uint64_t kDrainEnclaves = 16;
 /// One 16-enclave drain of m0 across 3 destinations.  Worlds are rebuilt
 /// per call with a per-config seed, so every run starts from the same
 /// state.
-DrainOutcome run_drain(DrainConfig config) {
+DrainOutcome run_drain(DrainConfig config, bool traced = false) {
   const TransferMode mode = config == DrainConfig::kPrecopy
                                 ? TransferMode::kPrecopy
                                 : TransferMode::kFullSnapshot;
@@ -84,6 +87,7 @@ DrainOutcome run_drain(DrainConfig config) {
         if (mode == TransferMode::kPrecopy) me.set_async_precopy(true);
       }));
   orchestrator::add_machines(world, 4);
+  world.observability().set_enabled(traced);
 
   FleetRegistry fleet(world);
   orchestrator::AppSpec apps{.count = kDrainEnclaves, .prefix = "eq-app-"};
@@ -118,10 +122,20 @@ DrainOutcome run_drain(DrainConfig config) {
   const Duration t0 = world.clock().now();
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   outcome.wall = world.clock().now() - t0;
-  outcome.report_json = report.to_json(/*include_events=*/true);
+  outcome.report_json = report.to_json();
   outcome.stats = orch.last_driver_stats();
   outcome.succeeded = report.succeeded();
   outcome.failed = report.failed();
+  for (const obs::TraceInstant& instant :
+       world.observability().trace.instants()) {
+    if (instant.name == "orch.await_destination") {
+      ++outcome.await_destination;
+    } else if (instant.name.rfind("orch.", 0) == 0) {
+      outcome.transitions += std::to_string(instant.at.count()) + " " +
+                             instant.args.at(0).second + " " + instant.name +
+                             " " + instant.args.at(1).second + "\n";
+    }
+  }
   return outcome;
 }
 
@@ -131,7 +145,9 @@ struct DrainPin {
   uint64_t waves;
   uint64_t task_touches;
   uint64_t pump_kicks;
-  const char* report_sha256;  // of report.to_json(/*include_events=*/true)
+  const char* report_sha256;  // of report.to_json()
+  const char* transitions_sha256;  // of DrainOutcome::transitions
+  size_t await_destination;
 };
 
 // Recorded while this driver was still checked bit-for-bit against a
@@ -162,15 +178,23 @@ struct DrainPin {
 // ME's queue: m0 writes 32 queue fences instead of 50 (two per move, the
 // finalize record and the DONE erase), 360.4 ms less lane time, and the
 // wall falls 163.6 ms; waves, touches and kicks stay.
+// When the report's event log became trace instants, the report digests
+// were re-pinned to the report without its "events" section (the same
+// bytes the earlier report wrote without events), and the transition
+// digests were recorded as the same rendering of the removed log.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
-     "5419d7451bad3771a511b99c6e6fcc16c6934c716d8edd90e135525251726bfc"},
+     "c5720a13079c772471e05b0c2dc799e07b9ee970421108e1b5db83a108ac5149",
+     "2db19406ef43c09e52fc72aff269c50d73d66382d947a41689d1816c8e9a30d3", 0},
     {DrainConfig::kPrecopy, 5604196087, 5, 50, 2,
-     "0240f84c454431a37cee213f60375b8b0a3a22bee0fbb63b273717dbf3a2856f"},
+     "5e9b1302e1e4f9bbf0d743177c7bee8bbcdce1c5389f3141dc6cea9142af9ebb",
+     "4459c80203f3be1c5b47ecd57bf375de180693dcc397d102a34883e7f1484864", 2},
     {DrainConfig::kMeRestart, 8633161061, 6, 60, 4,
-     "d66bec318279070d25fcc6dce5be54ee1679cfd55f863546089e835ac485dd2a"},
+     "7d9a00c5307c754b20af0093ce58d311d5faaa6e19940e09a89fbd66cce5b12a",
+     "f4e583e9eab9df59e5d7cc9a7f7633879045d5ede3d8ea25b5b7169055269d87", 0},
     {DrainConfig::kFreezeAwareMeRestart, 7991848204, 12, 74, 10,
-     "96d1bce68a9219af763518f51e5cee966f4d5c30fbb4ca4014db8b67298b8877"},
+     "63896a5328acd32911dd7e47fc6a9c22d003ac7176f70aaa1b316eb9eaeb4c37",
+     "e8f8ff37eb70e5de74439223aca8fc7c0b3a658ec34e6fc93e66e200864082be", 0},
 };
 
 void PrintTo(const DrainPin& pin, std::ostream* os) {
@@ -193,6 +217,15 @@ TEST_P(DriverPins, ReportWallAndDriverWorkMatchPins) {
   // A full scan visits every task every wave; this driver visits only
   // tasks whose lane fired or whose retry ripened.
   EXPECT_LT(outcome.stats.task_touches, kDrainEnclaves * outcome.stats.waves);
+
+  // Tracing observes the same run: the report is byte-identical, and the
+  // transition instants match the pinned rendering.
+  const DrainOutcome traced = run_drain(pin.config, /*traced=*/true);
+  EXPECT_EQ(traced.report_json, outcome.report_json);
+  EXPECT_EQ(traced.wall, outcome.wall);
+  EXPECT_EQ(hex_encode(crypto::Sha256::hash(to_bytes(traced.transitions))),
+            pin.transitions_sha256);
+  EXPECT_EQ(traced.await_destination, pin.await_destination);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, DriverPins, ::testing::ValuesIn(kDrainPins));
@@ -295,47 +328,6 @@ TEST_F(PlacementIndexDeterminism, LeastLoadedMatchesBruteForce) {
 
 TEST_F(PlacementIndexDeterminism, HierarchicalMatchesBruteForce) {
   expect_identical_picks(orchestrator::make_hierarchical_policy(), 12);
-}
-
-// ----- event-log ring -----
-
-OrchestratorReport ring_drain(size_t event_log_limit) {
-  World world(7901);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  orchestrator::add_machines(world, 3);
-  FleetRegistry fleet(world);
-  EXPECT_TRUE(orchestrator::launch_apps(
-                  fleet, {.count = 8, .prefix = "ring-app-", .counters = 0})
-                  .ok());
-  Scheduler scheduler(fleet);
-  OrchestratorOptions options;
-  options.pipelined = true;
-  options.event_log_limit = event_log_limit;
-  Orchestrator orch(fleet, scheduler, options);
-  return orch.execute(Plan::drain("m0"));
-}
-
-TEST(EventLogRing, CapRetainsNewestAndCountsDropped) {
-  const OrchestratorReport full = ring_drain(/*event_log_limit=*/0);
-  ASSERT_EQ(full.failed(), 0u);
-  ASSERT_GT(full.events.size(), 5u);
-  EXPECT_EQ(full.events_dropped, 0u);
-
-  const OrchestratorReport capped = ring_drain(/*event_log_limit=*/5);
-  ASSERT_EQ(capped.events.size(), 5u);
-  EXPECT_EQ(capped.events_dropped, full.events.size() - 5u);
-  // The ring drops the OLDEST entries: the retained window is exactly the
-  // uncapped log's tail.
-  const size_t offset = full.events.size() - 5;
-  for (size_t i = 0; i < 5; ++i) {
-    const auto& kept = capped.events[i];
-    const auto& original = full.events[offset + i];
-    EXPECT_EQ(kept.at, original.at) << "retained event " << i;
-    EXPECT_EQ(kept.enclave_id, original.enclave_id) << "retained event " << i;
-    EXPECT_EQ(kept.kind, original.kind) << "retained event " << i;
-    EXPECT_EQ(kept.detail, original.detail) << "retained event " << i;
-  }
 }
 
 // ----- ME completed-history cap -----

@@ -615,7 +615,11 @@ std::vector<std::unique_ptr<MigratableEnclave>> pinned_queue_apps(
 
 // Both sealed snapshots of the pinned queues are pinned by SHA-256: the
 // v5 layout may not move by a single byte, and a restart restores the
-// same queue.
+// same queue.  The digests also move with the machine's random stream (a
+// seal added or removed before the snapshot shifts the nonces drawn into
+// it), so each plaintext's length and the entry count of every section
+// of the decoded queue are pinned too: those stay put when only the
+// stream moves, and a layout change still trips them.
 TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
   const auto apps = pinned_queue_apps(m0_);
   // Nothing is pumped: the enqueued task and the reservation are queued.
@@ -630,6 +634,52 @@ TEST_F(MeDurableQueueTest, QueueSnapshotBytesArePinned) {
             "92d8b302da00202628b79651677eddca9f8ec60d370b88b23db7c35642c86d54");
   EXPECT_EQ(sha256_hex(me("m1")->sealed_queue_state()),
             "8afa6063235664f6eb7bf71d9c4e80ab9a19570d2d9660afbc67529f90bf4f3d");
+
+  // Snapshot sections in write order: outgoing, assembled incoming,
+  // authenticated inbound, latest outgoing, completed outgoing, confirmed
+  // incoming, DONE relays, pre-copy tasks, staged incoming, queued
+  // full-snapshot tasks, peer sessions.
+  const auto section_counts = [](const migration::DurableQueue& q) {
+    const auto count = [](const auto& map, auto in_section) {
+      return static_cast<size_t>(std::count_if(
+          map.begin(), map.end(),
+          [&](const auto& entry) { return in_section(entry.second); }));
+    };
+    return std::vector<size_t>{
+        q.outgoing_.size(),
+        count(q.incoming_, [](const auto& r) { return r.assembled(); }),
+        count(q.inbound_,
+              [](const auto& in) {
+                return in.authenticated && in.channel.has_value();
+              }),
+        q.latest_outgoing_.size(),
+        q.completed_outgoing_.size(),
+        q.confirmed_incoming_.size(),
+        q.done_relays_.size(),
+        count(q.transfer_tasks_, [](const auto& t) { return t.precopy; }),
+        count(q.incoming_, [](const auto& r) { return !r.assembled(); }),
+        count(q.transfer_tasks_,
+              [](const auto& t) { return !t.precopy && !t.blocking; }),
+        q.peer_sessions_.size()};
+  };
+  const struct {
+    const char* address;
+    size_t plaintext_bytes;
+    std::vector<size_t> sections;
+  } layouts[] = {
+      {"m0", 3178, {0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1}},
+      {"m1", 308, {0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0}},
+  };
+  for (const auto& layout : layouts) {
+    SCOPED_TRACE(layout.address);
+    QueueSealer sealer(machine(layout.address));
+    const Bytes plaintext =
+        sealer.open(me(layout.address)->sealed_queue_state());
+    EXPECT_EQ(plaintext.size(), layout.plaintext_bytes);
+    auto decoded = decode_record<migration::DurableQueue>(plaintext);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(section_counts(decoded.value()), layout.sections);
+  }
 
   restart_me("m0");
   restart_me("m1");

@@ -243,14 +243,17 @@ TEST_F(MigrationStressTest, SameImageEnclavesSerializeOnSharedDestination) {
 
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::Orchestrator orch(fleet, scheduler, {});
+  world_.observability().set_enabled(true);
   const auto report = orch.execute(orchestrator::Plan::drain("m0"));
 
   EXPECT_EQ(report.succeeded(), 2u);
   EXPECT_GE(report.total_retries(), 1u);  // the busy-ME collision
   bool saw_busy = false;
-  for (const auto& event : report.events) {
-    if (event.kind == orchestrator::EventKind::kStartFailed &&
-        event.detail.find("retryable-busy") != std::string::npos) {
+  for (const obs::TraceInstant& instant :
+       world_.observability().trace.instants()) {
+    if (instant.name == "orch.start_failed" &&
+        instant.args.at(1).second.find("retryable-busy") !=
+            std::string::npos) {
       saw_busy = true;
     }
   }

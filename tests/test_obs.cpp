@@ -3,7 +3,7 @@
 // for out-of-order lane completion), MetricsRegistry counters, the
 // Chrome trace-event export round-tripped through the strict JSON
 // parser and pinned byte for byte, OrchestratorReport::to_json
-// (include_events) surviving hostile event strings, one span tree per
+// surviving hostile strings, one span tree per
 // migration stitched ACROSS a source-ME crash/restart, and a traced
 // orchestrated drain whose virtual wall time is bit-identical to its
 // untraced twin (the zero-overhead-when-off property).  The drain test also writes TRACE_obs_drain.json +
@@ -227,9 +227,9 @@ TEST(MetricsRegistry, DisabledByDefaultThenAggregates) {
   EXPECT_EQ(top.find("counters")->find("net.posts")->as_number(), 6.0);
 }
 
-// ----- OrchestratorReport round trip (include_events) -----
+// ----- OrchestratorReport round trip -----
 
-TEST(ReportJson, EventfulReportRoundTripsThroughStrictParser) {
+TEST(ReportJson, HostileStringsRoundTripThroughStrictParser) {
   orchestrator::OrchestratorReport report;
   report.plan = orchestrator::PlanKind::kDrainMachine;
   report.started_at = milliseconds(10);
@@ -255,17 +255,12 @@ TEST(ReportJson, EventfulReportRoundTripsThroughStrictParser) {
   bad.failure_message = "tab\there, newline\nthere, ctrl\x01&\x1f, utf8 σπαν";
   report.migrations.push_back(bad);
 
-  report.events.push_back({milliseconds(10), 1, orchestrator::EventKind::kPlanned,
-                           "detail with \"every\\nasty\"\r\nthing"});
-  report.events.push_back(
-      {milliseconds(900), 1, orchestrator::EventKind::kDone, "plain"});
-
   obs::MetricsRegistry metrics;
   metrics.set_enabled(true);
   metrics.add("migration.accepted", 2);
   report.metrics_json = metrics.to_json();
 
-  auto parsed = parse_json(report.to_json(/*include_events=*/true));
+  auto parsed = parse_json(report.to_json());
   ASSERT_TRUE(parsed.ok());
   const JsonValue& top = parsed.value();
   EXPECT_EQ(top.find("plan")->as_string(), "drain-machine");
@@ -275,23 +270,15 @@ TEST(ReportJson, EventfulReportRoundTripsThroughStrictParser) {
   EXPECT_EQ(migrations[0].find("name")->as_string(), ok.name);
   EXPECT_FALSE(migrations[0].has("message"));  // success row omits failure
   EXPECT_EQ(migrations[1].find("message")->as_string(), bad.failure_message);
-  ASSERT_TRUE(top.has("events"));
-  const auto& events = top.find("events")->items();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].find("detail")->as_string(),
-            report.events[0].detail);
-  EXPECT_EQ(events[0].find("kind")->as_string(), "planned");
   // The metrics block merged as structured JSON, not as a quoted string.
   ASSERT_TRUE(top.has("metrics"));
   EXPECT_EQ(top.find("metrics")->find("counters")->find("migration.accepted")
                 ->as_number(),
             2.0);
-  // Without events (and without metrics) the document still parses and
-  // omits both keys.
+  // Without metrics the document still parses and omits the key.
   orchestrator::OrchestratorReport bare;
   auto parsed_bare = parse_json(bare.to_json());
   ASSERT_TRUE(parsed_bare.ok());
-  EXPECT_FALSE(parsed_bare.value().has("events"));
   EXPECT_FALSE(parsed_bare.value().has("metrics"));
 }
 
@@ -493,7 +480,7 @@ TEST(ObsDrain, TracedDrainIsVirtualTimeIdenticalAndEmitsArtifacts) {
   // CI artifacts for scripts/trace_check.py in bench-less builds (ASan).
   ASSERT_TRUE(write_text_file("TRACE_obs_drain.json", traced.trace_json));
   ASSERT_TRUE(write_text_file("TRACE_REPORT_obs_drain.json",
-                              traced.report.to_json(/*include_events=*/true)));
+                              traced.report.to_json()));
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Fleet orchestrator tests: plan expansion, bounded parallelism, retry
 // with destination re-selection, placement policies, structured failure
-// classification, and the report/event log.
+// classification, the report, and the orch.* trace instants that record
+// every task transition.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +18,6 @@ namespace {
 
 using migration::MigrationEnclave;
 using migration::MigrationFailureClass;
-using orchestrator::EventKind;
 using orchestrator::FleetRegistry;
 using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
@@ -126,6 +127,7 @@ TEST_F(OrchestratorTest, DeadDestinationMeRetriesOntoAlternateMachine) {
 
   Scheduler scheduler(fleet_);
   Orchestrator orch(fleet_, scheduler, {});
+  world_.observability().set_enabled(true);
   const auto report = orch.execute(Plan::drain("m0"));
 
   EXPECT_EQ(report.succeeded(), 6u);
@@ -134,15 +136,66 @@ TEST_F(OrchestratorTest, DeadDestinationMeRetriesOntoAlternateMachine) {
   EXPECT_EQ(fleet_.count_on("m1"), 0u);  // nobody landed on the dead machine
   EXPECT_EQ(fleet_.count_on("m2") + fleet_.count_on("m3"), 6u);
   expect_counters_survived(ids);
-  // The failures were classified retryable-network in the event log.
+  // The failures were classified retryable-network in the trace.
   bool saw_retryable_network = false;
-  for (const auto& event : report.events) {
-    if (event.kind == EventKind::kStartFailed &&
-        event.detail.find("retryable-network") != std::string::npos) {
+  for (const obs::TraceInstant& instant :
+       world_.observability().trace.instants()) {
+    if (instant.name == "orch.start_failed" &&
+        instant.args.at(1).second.find("retryable-network") !=
+            std::string::npos) {
       saw_retryable_network = true;
     }
   }
   EXPECT_TRUE(saw_retryable_network);
+}
+
+// The C++ twin of trace_check.py's ledger invariant, on a pipelined drain
+// around the dead m1/me: each enclave's orch.* instants run planned ->
+// admitted -> (start_failed -> backoff -> admitted)* -> start_ok ->
+// restored -> done, and its admitted count equals its report attempts.
+TEST_F(OrchestratorTest, TransitionInstantsFollowEachTaskLifecycle) {
+  build_world(/*machines=*/4, /*central=*/4);
+  launch_fleet("m0", 6);
+  world_.network().set_endpoint_down("m1/me", true);
+
+  Scheduler scheduler(fleet_);
+  OrchestratorOptions options;
+  options.pipelined = true;
+  Orchestrator orch(fleet_, scheduler, options);
+  world_.observability().set_enabled(true);
+  const auto report = orch.execute(Plan::drain("m0"));
+  ASSERT_EQ(report.succeeded(), 6u);
+  ASSERT_GT(report.total_retries(), 0u);
+
+  std::map<uint64_t, std::vector<std::string>> kinds;
+  for (const obs::TraceInstant& instant :
+       world_.observability().trace.instants()) {
+    if (instant.name.rfind("orch.", 0) != 0) continue;
+    EXPECT_EQ(instant.lane, "");
+    ASSERT_EQ(instant.args.at(0).first, "enclave_id");
+    ASSERT_EQ(instant.args.at(1).first, "detail");
+    kinds[std::stoull(instant.args[0].second)].push_back(instant.name);
+  }
+  ASSERT_EQ(kinds.size(), report.migrations.size());
+  for (const auto& m : report.migrations) {
+    SCOPED_TRACE(m.name);
+    const std::vector<std::string>& seq = kinds[m.enclave_id];
+    ASSERT_GE(seq.size(), 5u);
+    EXPECT_EQ(seq[0], "orch.planned");
+    EXPECT_EQ(seq[1], "orch.admitted");
+    size_t i = 2;
+    uint32_t admitted = 1;
+    while (i + 2 < seq.size() && seq[i] == "orch.start_failed") {
+      EXPECT_EQ(seq[i + 1], "orch.backoff");
+      EXPECT_EQ(seq[i + 2], "orch.admitted");
+      i += 3;
+      ++admitted;
+    }
+    EXPECT_EQ(std::vector<std::string>(seq.begin() + i, seq.end()),
+              (std::vector<std::string>{"orch.start_ok", "orch.restored",
+                                        "orch.done"}));
+    EXPECT_EQ(admitted, m.attempts);
+  }
 }
 
 TEST_F(OrchestratorTest, PolicyDenialTriesEachDestinationAtMostOnce) {
@@ -481,10 +534,10 @@ TEST_F(OrchestratorTest, ReportJsonCarriesTheAggregates) {
   Scheduler scheduler(fleet_);
   Orchestrator orch(fleet_, scheduler, {});
   const auto report = orch.execute(Plan::drain("m0"));
-  const std::string json = report.to_json(/*include_events=*/true);
+  const std::string json = report.to_json();
   for (const char* key :
        {"\"plan\"", "\"drain-machine\"", "\"succeeded\": 2", "\"failed\": 0",
-        "\"peak_inflight_per_machine\"", "\"migrations\"", "\"events\"",
+        "\"peak_inflight_per_machine\"", "\"migrations\"",
         "\"latency_seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
@@ -504,9 +557,13 @@ TEST_F(OrchestratorTest, DrainIsDeterministicPerSeed) {
                               {.count = 4, .prefix = "det-", .counters = 0});
     Scheduler scheduler(fleet);
     Orchestrator orch(fleet, scheduler, {});
+    world.observability().set_enabled(true);
     const auto report = orch.execute(Plan::drain("m0"));
+    // The trace carries the orch.* transitions, so their order is held
+    // to the seed as well.
     return std::pair{world.clock().now(),
-                     report.to_json(/*include_events=*/true)};
+                     report.to_json() +
+                         world.observability().trace.to_chrome_json()};
   };
   const auto first = run(99);
   const auto second = run(99);
