@@ -48,13 +48,12 @@ struct StormResult {
   uint64_t injected = 0;
   uint64_t forks = 0;
   uint64_t refusals = 0;
-  /// Traced storms: the orchestrator's orch.* transition instants.
-  std::vector<obs::TraceInstant> transitions;
 };
 
 StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
                   TransferMode mode, bool traced = false,
-                  std::string* trace_json = nullptr) {
+                  std::string* trace_json = nullptr,
+                  std::vector<obs::TraceInstant>* transitions = nullptr) {
   // The world seed derives from the storm seed so one replaying argument
   // reproduces BOTH the fault schedule and the simulation it ran over.
   // `traced` deliberately does not perturb it: the traced rerun must be
@@ -126,10 +125,12 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
     if (trace_json != nullptr) {
       *trace_json = world.observability().trace.to_chrome_json();
     }
-    for (const obs::TraceInstant& instant :
-         world.observability().trace.instants()) {
-      if (instant.name.rfind("orch.", 0) == 0) {
-        result.transitions.push_back(instant);
+    if (transitions != nullptr) {
+      for (const obs::TraceInstant& instant :
+           world.observability().trace.instants()) {
+        if (instant.name.rfind("orch.", 0) == 0) {
+          transitions->push_back(instant);
+        }
       }
     }
   }
@@ -142,18 +143,16 @@ uint64_t stat_of(const StormResult& r, const char* key) {
 }
 
 /// Prints the failed storm's findings and each failed migration with its
-/// orch.* transitions, taken from a traced rerun of the same storm when
-/// `r` was not traced, and exits 1.
+/// orch.* transitions, taken from a traced rerun of the same storm, and
+/// exits 1.
 void fail_storm(uint64_t seed, const chaos::StormProfile& profile,
                 TransferMode mode, const StormResult& r) {
   for (const chaos::OracleFinding& finding : r.findings) {
     std::printf("ORACLE VIOLATION [%s]: %s\n", finding.check.c_str(),
                 finding.detail.c_str());
   }
-  const std::vector<obs::TraceInstant> transitions =
-      r.transitions.empty()
-          ? storm(seed, profile, mode, /*traced=*/true).transitions
-          : r.transitions;
+  std::vector<obs::TraceInstant> transitions;
+  storm(seed, profile, mode, /*traced=*/true, nullptr, &transitions);
   for (const auto& m : r.report.migrations) {
     if (m.success) continue;
     std::printf("  failed migration %s -> %s: attempts=%u status=%s "

@@ -9,7 +9,7 @@
 //     grow at most 15x over the 10x enclave growth from 1k to 10k (the
 //     CPU of each of the two rows is the fastest of three runs);
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
-//     the 1k row (ME history caps bound the rest);
+//     the 1k row (event-log ring + ME history caps bound the rest);
 //   * a memory ledger of the 1k and 10k rows (store, PSE counters,
 //     library state, ME queues) sums to no more than the heap in use;
 //   * a traced rerun of the 1k row reproduces its untraced wall
@@ -106,6 +106,7 @@ struct ScaleResult {
   uint64_t control_plane_bytes = 0;
   uint64_t peak_rss_bytes = 0;
   DriverStats stats;
+  uint64_t events_dropped = 0;
   uint64_t me_history_retained = 0;
   MemoryLedger ledger;
 };
@@ -113,7 +114,8 @@ struct ScaleResult {
 /// One region evacuation at datacenter scale: `machines` hosts spread
 /// over 10 regions (region r<i%10>, alternating 16/32 certified cores),
 /// all `enclaves` resident in r0, hierarchical indexed placement, the
-/// pipelined freeze-aware engine, and the ME history caps on.
+/// pipelined freeze-aware engine, and the bounded-memory knobs on
+/// (event-log ring + ME history caps).
 ScaleResult evacuate(int machines, int enclaves, bool traced = false,
                      std::string* trace_json = nullptr) {
   platform::World world(base_seed() + machines + enclaves);
@@ -143,6 +145,9 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
   options.max_attempts = 6;
   options.pipelined = true;
   options.freeze_aware = true;
+  // Event-log ring: one evacuation emits ~5 events per migration; retain
+  // a bounded window and count the rest instead of growing with E.
+  options.event_log_limit = 20000;
   Orchestrator orch(fleet, scheduler, options);
 
   ScaleResult result;
@@ -156,6 +161,7 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
   result.ledger = take_ledger(world, fleet);
   result.peak_rss_bytes = process_peak_rss_bytes();
   result.stats = orch.last_driver_stats();
+  result.events_dropped = result.report.events_dropped;
   for (platform::Machine* m : world.machines()) {
     if (auto* me = migration::me_on(*m)) {
       result.me_history_retained +=
@@ -205,6 +211,7 @@ StormResult storm_1k(uint64_t seed) {
   options.max_inflight_total = 16;
   options.max_attempts = 16;
   options.pipelined = true;
+  options.event_log_limit = 20000;
   Orchestrator orch(fleet, scheduler, options);
 
   const chaos::ChaosPlan plan =
@@ -236,9 +243,9 @@ void run() {
   bench::JsonBench json("fleet_scale");
 
   // --- the scaling curve.
-  std::printf("\n%9s %9s %10s %10s %14s %12s %10s %12s\n", "machines",
+  std::printf("\n%9s %9s %10s %10s %14s %12s %10s %12s %11s\n", "machines",
               "enclaves", "wall [s]", "cpu [s]", "ctl-plane [B]", "B/enclave",
-              "waves", "touches");
+              "waves", "touches", "evts-drop");
   struct CurvePoint {
     int machines;
     int enclaves;
@@ -270,12 +277,13 @@ void run() {
                                       point.cpu_samples.end());
     const int machines = point.machines;
     const int enclaves = point.enclaves;
-    std::printf("%9d %9d %10.3f %10.3f %14llu %12.1f %10llu %12llu\n",
+    std::printf("%9d %9d %10.3f %10.3f %14llu %12.1f %10llu %12llu %11llu\n",
                 machines, enclaves, to_seconds(r.wall), r.cpu_seconds,
                 static_cast<unsigned long long>(r.control_plane_bytes),
                 static_cast<double>(r.control_plane_bytes) / enclaves,
                 static_cast<unsigned long long>(r.stats.waves),
-                static_cast<unsigned long long>(r.stats.task_touches));
+                static_cast<unsigned long long>(r.stats.task_touches),
+                static_cast<unsigned long long>(r.events_dropped));
     json.begin_row()
         .field("machines", machines)
         .field("enclaves", enclaves)
@@ -290,6 +298,7 @@ void run() {
         .field("task_touches", r.stats.task_touches)
         .field("admission_checks", r.stats.admission_checks)
         .field("pump_kicks", r.stats.pump_kicks)
+        .field("events_dropped", r.events_dropped)
         .field("me_history_retained", r.me_history_retained)
         .field("succeeded", static_cast<uint64_t>(r.report.succeeded()))
         .field("failed", static_cast<uint64_t>(r.report.failed()));
@@ -438,8 +447,8 @@ void run() {
       "enclave count (the event-driven driver only touches tasks whose\n"
       "lane produced an event or whose retry ripened; idle enclaves cost\n"
       "zero wave work), control-plane bytes per enclave stay flat (the\n"
-      "ME history caps bound retention), and the traced 1k rerun\n"
-      "reproduces the untraced wall bit-exactly.\n");
+      "event-log ring and ME history caps bound retention), and the\n"
+      "traced 1k rerun reproduces the untraced wall bit-exactly.\n");
   if (!json.write_file("BENCH_fleet_scale.json")) {
     std::printf("FAILED to write BENCH_fleet_scale.json\n");
     std::exit(1);

@@ -13,7 +13,7 @@
 // and complete_move() (the destination half of a migration whose source
 // half — migration_start — the Orchestrator already drove).  The
 // completion callback installed via set_completion_callback is how upper
-// layers (chaos triggers, benches) observe registry-confirmed moves.
+// layers (event logs, benches) observe registry-confirmed moves.
 #pragma once
 
 #include <cstdint>

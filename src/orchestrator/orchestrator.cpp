@@ -26,13 +26,29 @@ Orchestrator::Orchestrator(FleetRegistry& fleet, Scheduler& scheduler,
 
 Duration Orchestrator::now() const { return fleet_.world().clock().now(); }
 
-template <typename DetailFn>
-void Orchestrator::log(const Task& task, const char* name, DetailFn detail) {
+void Orchestrator::log(const Task& task, EventKind kind, std::string detail) {
+  trace_instant(task, event_kind_name(kind), detail);
+  OrchestratorEvent event;
+  event.at = now();
+  event.enclave_id = task.enclave_id;
+  event.kind = kind;
+  event.detail = std::move(detail);
+  events_.push_back(std::move(event));
+  if (options_.event_log_limit != 0) {
+    while (events_.size() > options_.event_log_limit) {
+      events_.pop_front();
+      ++events_dropped_;
+    }
+  }
+}
+
+void Orchestrator::trace_instant(const Task& task, const char* name,
+                                 const std::string& detail) {
   obs::Observability& obs = fleet_.world().observability();
   if (!obs.enabled()) return;
   obs.trace.instant(name, "", 0,
                     {{"enclave_id", std::to_string(task.enclave_id)},
-                     {"detail", detail()}});
+                     {"detail", detail}});
 }
 
 namespace {
@@ -195,7 +211,7 @@ std::vector<Orchestrator::Task> Orchestrator::build_tasks(const Plan& plan) {
     }
   }
   for (Task& task : tasks) {
-    log(task, "orch.planned", [&] { return task.source; });
+    log(task, EventKind::kPlanned, task.source);
   }
   return tasks;
 }
@@ -260,10 +276,9 @@ bool Orchestrator::admit_and_start(Task& task) {
       std::max(peak_inflight_per_machine_[task.source],
                inflight_per_machine_[task.source]);
   if (task.attempts == 0) task.admitted_at = now();
-  log(task, "orch.admitted", [&] {
-    return task.source + " -> " + task.destination +
-           (task.attempts > 0 ? " (retry)" : "");
-  });
+  log(task, EventKind::kAdmitted,
+      task.source + " -> " + task.destination +
+          (task.attempts > 0 ? " (retry)" : ""));
 
   if (task.transfer_done) {
     // Source side done on a previous attempt; only the restore remains.
@@ -357,7 +372,7 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
   // this source lane, so the wait always ends.  Only live enclaves wait;
   // a frozen one resumes its finalize above.
   if (lanes_ != nullptr && lanes_->lane_end(task.destination) > now()) {
-    log(task, "orch.await_destination", [&] { return task.destination; });
+    trace_instant(task, "orch.await_destination", task.destination);
     return std::nullopt;
   }
   return enclave.ecall_migration_finalize_detailed(task.destination,
@@ -396,11 +411,10 @@ void Orchestrator::source_failure(
   // A pipelined task's slot frees at the lane instant the failure was
   // observed, not at some unrelated restore's completion.
   if (lanes_ != nullptr) release_slot(freed_at);
-  log(task, "orch.start_failed", [&] {
-    return std::string(migration::migration_failure_class_name(
-               result.failure_class)) +
-           ": " + result.message;
-  });
+  log(task, EventKind::kStartFailed,
+      std::string(
+          migration::migration_failure_class_name(result.failure_class)) +
+          ": " + result.message);
   handle_failure(task, result.status, result.failure_class, result.message,
                  /*destination_specific=*/true, freed_at);
 }
@@ -414,7 +428,7 @@ void Orchestrator::mark_started(Task& task,
   task.enqueue_wait = enclave.last_enqueue_wait();
   task.precopy_rounds = enclave.last_precopy_rounds();
   task.transfer_bytes = enclave.last_transfer_bytes();
-  log(task, "orch.start_ok", [&] { return task.destination; });
+  log(task, EventKind::kStartOk, task.destination);
 }
 
 void Orchestrator::start_pipelined(Task& task,
@@ -520,9 +534,9 @@ void Orchestrator::complete(Task& task) {
   if (status == Status::kOk) {
     set_phase(task, TaskPhase::kDone);
     task.finished_at = now();
-    log(task, "orch.restored", [&] { return task.destination; });
-    log(task, "orch.done",
-        [&] { return task.source + " -> " + task.destination; });
+    log(task, EventKind::kRestored, task.destination);
+    log(task, EventKind::kDone,
+        task.source + " -> " + task.destination);
     return;
   }
   task.transfer_done = true;  // the data still sits at the destination ME
@@ -578,19 +592,16 @@ void Orchestrator::handle_failure(Task& task, Status status,
   const Duration backoff = kRetryBackoff * (1u << exponent);
   task.retry_at = failed_at + backoff;
   set_phase(task, TaskPhase::kBackoff);
-  log(task, "orch.backoff", [&] {
-    return "retry at " + std::to_string(to_seconds(task.retry_at)) + "s";
-  });
+  log(task, EventKind::kBackoff,
+      "retry at " + std::to_string(to_seconds(task.retry_at)) + "s");
 }
 
 void Orchestrator::fail_task(Task& task) {
   set_phase(task, TaskPhase::kFailed);
   task.finished_at = now();
-  log(task, "orch.failed", [&] {
-    return std::string(
-               migration::migration_failure_class_name(task.last_class)) +
-           ": " + task.last_message;
-  });
+  log(task, EventKind::kFailed,
+      std::string(migration::migration_failure_class_name(task.last_class)) +
+          ": " + task.last_message);
 }
 
 // ----- wave driver -----
@@ -862,6 +873,8 @@ void Orchestrator::run_event_loop(net::Network& net) {
 }
 
 OrchestratorReport Orchestrator::execute(const Plan& plan) {
+  events_.clear();
+  events_dropped_ = 0;
   inflight_per_machine_.clear();
   inflight_to_destination_.clear();
   inflight_total_ = 0;
@@ -923,6 +936,8 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   report.finished_at = now();
   report.peak_inflight_total = peak_inflight_total_;
   report.peak_inflight_per_machine = peak_inflight_per_machine_;
+  report.events.assign(events_.begin(), events_.end());
+  report.events_dropped = events_dropped_;
   for (const Task& task : tasks_) {
     MigrationRecord record;
     record.enclave_id = task.enclave_id;
@@ -962,6 +977,8 @@ size_t Orchestrator::control_plane_bytes() const {
       bytes += s.size() + sizeof(s);
     }
   }
+  bytes += events_.size() * sizeof(OrchestratorEvent);
+  for (const auto& event : events_) bytes += event.detail.size();
   const auto gauge_bytes = [&](const std::map<std::string, uint32_t>& m) {
     size_t b = 0;
     for (const auto& [key, value] : m) b += key.size() + sizeof(value) + kNode;

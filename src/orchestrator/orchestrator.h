@@ -16,13 +16,15 @@
 // Each retry re-selects the destination through the Scheduler with the
 // failed destinations soft-excluded and backs off exponentially in
 // virtual time (pipelined: on the lane clock, from the lane instant the
-// failure was observed).  With tracing on, every transition is an
-// "orch.*" instant on the trace's control lane (args enclave_id, detail);
-// execute() returns an OrchestratorReport with per-migration latency and
-// retry counts for the bench layer.
+// failure was observed).  Every transition is appended to a timestamped
+// event log and, with tracing on, recorded as an "orch.*" instant on the
+// trace's control lane (args enclave_id, detail); execute() returns an
+// OrchestratorReport with per-migration latency and retry counts for the
+// bench layer.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -88,8 +90,11 @@ struct OrchestratorOptions {
   /// the source ME signals slot-live, and only then freezes.  The freeze
   /// window stops growing with queue depth.
   bool freeze_aware = false;
-  /// Ignored: the orchestrator keeps no event log (transitions are trace
-  /// instants).  Kept only so callers that still set it compile.
+  /// Cap on the in-memory orchestrator event log (0 = unbounded).  Once
+  /// full, the OLDEST events are dropped and counted in
+  /// OrchestratorReport::events_dropped, bounding control-plane memory
+  /// over long drains; the §V-D machinery never reads this log, so
+  /// retention is purely observational.
   size_t event_log_limit = 0;
 };
 
@@ -140,7 +145,7 @@ class Orchestrator {
   const DriverStats& last_driver_stats() const { return stats_; }
 
   /// Deterministic byte accounting of the orchestrator's own state
-  /// (tasks, gauges, event-driver indexes) after/during an
+  /// (tasks, event log, gauges, event-driver indexes) after/during an
   /// execute().  Allocator-independent, so the scaling bench can gate on
   /// "control-plane memory per enclave stays flat".
   size_t control_plane_bytes() const;
@@ -249,10 +254,11 @@ class Orchestrator {
                       const std::string& message, bool destination_specific,
                       Duration failed_at);
   void fail_task(Task& task);
-  /// Records transition `name` of `task` as a control-lane trace instant;
-  /// `detail()` builds its detail string, and runs only while tracing.
-  template <typename DetailFn>
-  void log(const Task& task, const char* name, DetailFn detail);
+  void log(const Task& task, EventKind kind, std::string detail);
+  /// Records `name` for `task` as a control-lane trace instant (args
+  /// enclave_id, detail) while tracing is on.
+  void trace_instant(const Task& task, const char* name,
+                     const std::string& detail);
   Duration now() const;
   // ----- wave driver -----
   /// Single funnel for every phase transition: maintains the phase sets
@@ -284,6 +290,8 @@ class Orchestrator {
   RoundHook round_hook_;
 
   // Per-execute() working state.
+  std::deque<OrchestratorEvent> events_;  // ring when event_log_limit > 0
+  uint64_t events_dropped_ = 0;
   std::map<std::string, uint32_t> inflight_per_machine_;
   std::map<std::string, uint32_t> inflight_to_destination_;
   uint32_t inflight_total_ = 0;

@@ -15,6 +15,20 @@ const char* plan_kind_name(PlanKind kind) {
   return "unknown";
 }
 
+const char* event_kind_name(EventKind kind) {
+  switch (kind) {
+    case EventKind::kPlanned: return "orch.planned";
+    case EventKind::kAdmitted: return "orch.admitted";
+    case EventKind::kStartOk: return "orch.start_ok";
+    case EventKind::kStartFailed: return "orch.start_failed";
+    case EventKind::kBackoff: return "orch.backoff";
+    case EventKind::kRestored: return "orch.restored";
+    case EventKind::kDone: return "orch.done";
+    case EventKind::kFailed: return "orch.failed";
+  }
+  return "unknown";
+}
+
 size_t OrchestratorReport::succeeded() const {
   size_t n = 0;
   for (const auto& m : migrations) n += m.success ? 1 : 0;
@@ -137,6 +151,8 @@ std::string OrchestratorReport::to_json() const {
     w.end_object();
   }
   w.end_array();
+
+  if (events_dropped > 0) w.key("events_dropped").integer(events_dropped);
 
   if (!chaos_stats.empty()) {
     w.key("chaos").begin_object();

@@ -1,9 +1,12 @@
-// Final report of one orchestrated plan run.
+// Progress/event log and final report of one orchestrated plan run.
 //
-// The report aggregates per-migration latency and retry counts for the
-// bench layer and serializes to JSON so CI can archive the perf
-// trajectory (BENCH_fleet_drain.json).  The transitions themselves are
-// trace instants (orchestrator.h), not part of the report.
+// Every state transition of every migration task lands in the event log
+// (virtual timestamped, append-only) and, while tracing, as the trace
+// instant of the same name (orchestrator.h); the report aggregates
+// per-migration latency and retry counts for the bench layer and
+// serializes to JSON so CI can archive the perf trajectory
+// (BENCH_fleet_drain.json).  The JSON leaves the log out: a traced run's
+// orch.* instants carry the same records.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,27 @@
 #include "support/status.h"
 
 namespace sgxmig::orchestrator {
+
+enum class EventKind : uint8_t {
+  kPlanned = 0,    // task created from the plan
+  kAdmitted,       // passed the concurrency caps; destination selected
+  kStartOk,        // source-side protocol done; data pending at destination
+  kStartFailed,    // migration_start failed (detail = class + step)
+  kBackoff,        // retry scheduled (detail = retry time)
+  kRestored,       // destination instance fetched + confirmed the data
+  kDone,           // registry updated; migration complete
+  kFailed,         // terminal failure (fatal class or attempts exhausted)
+};
+
+/// The trace instant name of `kind` ("orch.planned", "orch.start_ok", ...).
+const char* event_kind_name(EventKind kind);
+
+struct OrchestratorEvent {
+  Duration at{};
+  uint64_t enclave_id = 0;
+  EventKind kind = EventKind::kPlanned;
+  std::string detail;
+};
 
 /// Outcome of one per-enclave migration task.
 struct MigrationRecord {
@@ -52,6 +76,11 @@ struct MigrationRecord {
 struct OrchestratorReport {
   PlanKind plan = PlanKind::kDrainMachine;
   std::vector<MigrationRecord> migrations;
+  std::vector<OrchestratorEvent> events;
+  /// Oldest events dropped by the orchestrator's event-log ring
+  /// (OrchestratorOptions::event_log_limit).  Serialized only when
+  /// non-zero, so unbounded runs keep their exact historical JSON.
+  uint64_t events_dropped = 0;
   Duration started_at{};
   Duration finished_at{};
   /// Peak number of simultaneously in-flight migrations, total and per
@@ -87,7 +116,8 @@ struct OrchestratorReport {
   /// (zero everywhere when not running freeze-aware).
   double enqueue_wait_percentile_seconds(double p) const;
 
-  /// Machine-readable dump ({"plan":..., "migrations":[...], ...}).
+  /// Machine-readable dump ({"plan":..., "migrations":[...], ...});
+  /// the event log is left out.
   std::string to_json() const;
 };
 

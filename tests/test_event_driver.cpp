@@ -3,13 +3,16 @@
 //   * driver pins — on pipelined, pre-copy and two ME-restart drains the
 //     driver's OrchestratorReport JSON, virtual wall and work counters
 //     (waves, task touches, pump kicks) match pinned values, task touches
-//     stay far below a full scan's tasks x waves, and a traced rerun's
-//     orch.* transition instants match a pinned rendering;
+//     stay far below a full scan's tasks x waves, the event log matches
+//     a pinned rendering, and a traced rerun's orch.* transition
+//     instants are that log one for one;
 //   * placement-index determinism — the incrementally-updated index
 //     (ledger reservations, region shards) picks the same destination as
 //     the brute-force full scan (per-query reservation map) across
 //     randomized fleets, exclusions, avoids and reservation churn, for
 //     both indexed policies;
+//   * event-log ring — a capped log retains exactly the newest events
+//     and counts the dropped prefix;
 //   * ME completed-history cap — long drains hold the exactly-once dedup
 //     history flat, and the retained window still dedups (a lost migrate
 //     reply resumes without a double transfer after the history cycled).
@@ -59,8 +62,10 @@ struct DrainOutcome {
   DriverStats stats;
   size_t succeeded = 0;
   size_t failed = 0;
-  /// Traced runs: one "t_ns enclave_id name detail" line per task
-  /// transition instant, and the count of deferred finalizes.
+  /// One "t_ns enclave_id orch.<kind> detail" line per entry of the
+  /// report's event log, and (traced runs) the same rendering of the
+  /// trace's transition instants and the count of deferred finalizes.
+  std::string event_log;
   std::string transitions;
   size_t await_destination = 0;
 };
@@ -126,6 +131,12 @@ DrainOutcome run_drain(DrainConfig config, bool traced = false) {
   outcome.stats = orch.last_driver_stats();
   outcome.succeeded = report.succeeded();
   outcome.failed = report.failed();
+  for (const orchestrator::OrchestratorEvent& event : report.events) {
+    outcome.event_log += std::to_string(event.at.count()) + " " +
+                         std::to_string(event.enclave_id) + " " +
+                         orchestrator::event_kind_name(event.kind) + " " +
+                         event.detail + "\n";
+  }
   for (const obs::TraceInstant& instant :
        world.observability().trace.instants()) {
     if (instant.name == "orch.await_destination") {
@@ -146,7 +157,7 @@ struct DrainPin {
   uint64_t task_touches;
   uint64_t pump_kicks;
   const char* report_sha256;  // of report.to_json()
-  const char* transitions_sha256;  // of DrainOutcome::transitions
+  const char* event_log_sha256;  // of DrainOutcome::event_log
   size_t await_destination;
 };
 
@@ -178,10 +189,10 @@ struct DrainPin {
 // ME's queue: m0 writes 32 queue fences instead of 50 (two per move, the
 // finalize record and the DONE erase), 360.4 ms less lane time, and the
 // wall falls 163.6 ms; waves, touches and kicks stay.
-// When the report's event log became trace instants, the report digests
-// were re-pinned to the report without its "events" section (the same
-// bytes the earlier report wrote without events), and the transition
-// digests were recorded as the same rendering of the removed log.
+// When the report JSON lost its "events" section (the transitions are
+// also trace instants), the report digests were re-pinned to the bytes
+// the earlier report wrote without events, and the event log got a
+// digest of its own.
 constexpr DrainPin kDrainPins[] = {
     {DrainConfig::kPipelined, 8568586627, 4, 48, 4,
      "c5720a13079c772471e05b0c2dc799e07b9ee970421108e1b5db83a108ac5149",
@@ -214,17 +225,21 @@ TEST_P(DriverPins, ReportWallAndDriverWorkMatchPins) {
   EXPECT_EQ(outcome.stats.pump_kicks, pin.pump_kicks);
   EXPECT_EQ(hex_encode(crypto::Sha256::hash(to_bytes(outcome.report_json))),
             pin.report_sha256);
+  EXPECT_EQ(hex_encode(crypto::Sha256::hash(to_bytes(outcome.event_log))),
+            pin.event_log_sha256);
   // A full scan visits every task every wave; this driver visits only
   // tasks whose lane fired or whose retry ripened.
   EXPECT_LT(outcome.stats.task_touches, kDrainEnclaves * outcome.stats.waves);
 
-  // Tracing observes the same run: the report is byte-identical, and the
-  // transition instants match the pinned rendering.
+  // Tracing observes the same run: the report and its event log are
+  // byte-identical, and the transition instants are that log, one for
+  // one.
   const DrainOutcome traced = run_drain(pin.config, /*traced=*/true);
   EXPECT_EQ(traced.report_json, outcome.report_json);
   EXPECT_EQ(traced.wall, outcome.wall);
-  EXPECT_EQ(hex_encode(crypto::Sha256::hash(to_bytes(traced.transitions))),
-            pin.transitions_sha256);
+  EXPECT_EQ(traced.event_log, outcome.event_log);
+  EXPECT_EQ(traced.transitions, outcome.event_log);
+  EXPECT_TRUE(outcome.transitions.empty());
   EXPECT_EQ(traced.await_destination, pin.await_destination);
 }
 
@@ -328,6 +343,47 @@ TEST_F(PlacementIndexDeterminism, LeastLoadedMatchesBruteForce) {
 
 TEST_F(PlacementIndexDeterminism, HierarchicalMatchesBruteForce) {
   expect_identical_picks(orchestrator::make_hierarchical_policy(), 12);
+}
+
+// ----- event-log ring -----
+
+OrchestratorReport ring_drain(size_t event_log_limit) {
+  World world(7901);
+  world.install_management_enclaves(
+      migration::durable_me_factory(world.provider()));
+  orchestrator::add_machines(world, 3);
+  FleetRegistry fleet(world);
+  EXPECT_TRUE(orchestrator::launch_apps(
+                  fleet, {.count = 8, .prefix = "ring-app-", .counters = 0})
+                  .ok());
+  Scheduler scheduler(fleet);
+  OrchestratorOptions options;
+  options.pipelined = true;
+  options.event_log_limit = event_log_limit;
+  Orchestrator orch(fleet, scheduler, options);
+  return orch.execute(Plan::drain("m0"));
+}
+
+TEST(EventLogRing, CapRetainsNewestAndCountsDropped) {
+  const OrchestratorReport full = ring_drain(/*event_log_limit=*/0);
+  ASSERT_EQ(full.failed(), 0u);
+  ASSERT_GT(full.events.size(), 5u);
+  EXPECT_EQ(full.events_dropped, 0u);
+
+  const OrchestratorReport capped = ring_drain(/*event_log_limit=*/5);
+  ASSERT_EQ(capped.events.size(), 5u);
+  EXPECT_EQ(capped.events_dropped, full.events.size() - 5u);
+  // The ring drops the OLDEST entries: the retained window is exactly the
+  // uncapped log's tail.
+  const size_t offset = full.events.size() - 5;
+  for (size_t i = 0; i < 5; ++i) {
+    const auto& kept = capped.events[i];
+    const auto& original = full.events[offset + i];
+    EXPECT_EQ(kept.at, original.at) << "retained event " << i;
+    EXPECT_EQ(kept.enclave_id, original.enclave_id) << "retained event " << i;
+    EXPECT_EQ(kept.kind, original.kind) << "retained event " << i;
+    EXPECT_EQ(kept.detail, original.detail) << "retained event " << i;
+  }
 }
 
 // ----- ME completed-history cap -----
