@@ -4,6 +4,7 @@
 
 #include "apps/versioned_state.h"
 #include "baseline/nonmigratable.h"
+#include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 
 namespace sgxmig::attacks {
@@ -420,6 +421,191 @@ bool check_sealed_data_loss_without_msk(World& world) {
       src.ecall_seal(ByteView(), to_bytes(std::string_view("keys"))).value();
   baseline::BaselineEnclave dst(m1, victim_image());
   return !dst.ecall_unseal(sealed).ok();
+}
+
+// ----------------------------------------------------------------------
+// warm pre-copy destinations
+// ----------------------------------------------------------------------
+
+namespace {
+
+using migration::MigratableEnclave;
+
+constexpr char kWarmStateBlob[] = "warm-victim.ml";
+
+/// Three machines with their Migration Enclaves; the victim runs on src.
+struct WarmStage {
+  explicit WarmStage(World& world)
+      : src(world.add_machine(unique_name("warm-src"))),
+        dst(world.add_machine(unique_name("warm-dst"))),
+        alt(world.add_machine(unique_name("warm-alt"))),
+        me_src(src, MigrationEnclave::standard_image(), world.provider()),
+        me_dst(dst, MigrationEnclave::standard_image(), world.provider()),
+        me_alt(alt, MigrationEnclave::standard_image(), world.provider()) {}
+
+  Machine& src;
+  Machine& dst;
+  Machine& alt;
+  MigrationEnclave me_src;
+  MigrationEnclave me_dst;
+  MigrationEnclave me_alt;
+};
+
+std::shared_ptr<const EnclaveImage> warm_victim_image() {
+  static const auto image =
+      EnclaveImage::create("warm-victim-app", 1, "victim-co");
+  return image;
+}
+
+/// A live-transfer capable instance of the victim on `machine`, its
+/// persist OCALL wired to the machine's storage.
+std::unique_ptr<MigratableEnclave> make_warm_victim(Machine& machine) {
+  auto enclave = std::make_unique<MigratableEnclave>(
+      machine, warm_victim_image(), /*live_transfer_capable=*/true);
+  enclave->set_persist_callback([&machine](ByteView blob) {
+    machine.storage().put(kWarmStateBlob, blob);
+  });
+  return enclave;
+}
+
+/// The victim on src with two counters at 3 and 1.
+std::unique_ptr<MigratableEnclave> start_warm_victim(Machine& src) {
+  auto enclave = make_warm_victim(src);
+  if (enclave->ecall_migration_init(ByteView(), InitState::kNew,
+                                    src.address()) != Status::kOk) {
+    return nullptr;
+  }
+  for (int i = 0; i < 2; ++i) {
+    if (!enclave->ecall_create_migratable_counter().ok()) return nullptr;
+  }
+  for (int i = 0; i < 3; ++i) enclave->ecall_increment_migratable_counter(0);
+  enclave->ecall_increment_migratable_counter(1);
+  return enclave;
+}
+
+/// True when `enclave` serves the victim's counters at 3 and 1.
+bool serves_victim_counters(MigratableEnclave& enclave) {
+  const auto first = enclave.ecall_read_migratable_counter(0);
+  const auto second = enclave.ecall_read_migratable_counter(1);
+  return first.ok() && first.value() == 3 && second.ok() &&
+         second.value() == 1;
+}
+
+}  // namespace
+
+AttackReport run_warm_replay_attack(World& world) {
+  WarmStage stage(world);
+  auto enclave = start_warm_victim(stage.src);
+  if (enclave == nullptr) return {false, "setup failed unexpectedly"};
+  // Attempt A: one round toward dst, which warms a set bound to it.
+  if (!enclave->ecall_migration_precopy_round(stage.dst.address()).ok()) {
+    return {false, "round toward dst failed unexpectedly"};
+  }
+  auto stale = make_warm_victim(stage.dst);
+  if (stale->ecall_migration_warm_up(stage.dst.address()) != Status::kOk) {
+    return {false, "warm-up failed unexpectedly"};
+  }
+  // The source re-routes (attempt A is aborted at dst), then comes back:
+  // attempt B is a stop-and-copy finalize toward dst under a fresh nonce.
+  if (!enclave->ecall_migration_precopy_round(stage.alt.address()).ok() ||
+      enclave->ecall_migration_finalize(stage.dst.address()) != Status::kOk) {
+    return {false, "re-routed finalize failed unexpectedly"};
+  }
+  // The host hands attempt B's data to attempt A's warm set.
+  const Status replay = stale->ecall_migration_init(
+      ByteView(), InitState::kMigrate, stage.dst.address());
+  if (replay == Status::kOk) {
+    return {true, "another attempt's finalize restored onto a warm set"};
+  }
+  stale->ecall_retire_warm_set();
+  stale.reset();
+  // The refusal loses nothing: once the refused instance's delivery pin
+  // times out, a fresh instance restores attempt B exactly.
+  world.clock().advance(stage.me_dst.delivery_takeover_timeout());
+  auto fresh = make_warm_victim(stage.dst);
+  if (fresh->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                  stage.dst.address()) != Status::kOk ||
+      !serves_victim_counters(*fresh)) {
+    return {false, "refused, but the honest restore failed afterwards"};
+  }
+  return {false, std::string("blocked: the warm set refused another "
+                             "attempt's data (") +
+                     std::string(status_name(replay)) + ")"};
+}
+
+AttackReport run_warm_race_attack(World& world) {
+  WarmStage stage(world);
+  auto enclave = start_warm_victim(stage.src);
+  if (enclave == nullptr) return {false, "setup failed unexpectedly"};
+  if (!enclave->ecall_migration_precopy_round(stage.dst.address()).ok()) {
+    return {false, "round toward dst failed unexpectedly"};
+  }
+  // The host warms two instances for the one staged attempt.
+  auto first = make_warm_victim(stage.dst);
+  auto second = make_warm_victim(stage.dst);
+  if (first->ecall_migration_warm_up(stage.dst.address()) != Status::kOk ||
+      second->ecall_migration_warm_up(stage.dst.address()) != Status::kOk) {
+    return {false, "warm-up failed unexpectedly"};
+  }
+  if (enclave->ecall_migration_finalize(stage.dst.address()) != Status::kOk) {
+    return {false, "finalize failed unexpectedly"};
+  }
+  const Status a = first->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                               stage.dst.address());
+  const Status b = second->ecall_migration_init(
+      ByteView(), InitState::kMigrate, stage.dst.address());
+  if (a == Status::kOk && b == Status::kOk) {
+    return {true, "FORK: two instances restored one attempt"};
+  }
+  MigratableEnclave& winner = a == Status::kOk ? *first : *second;
+  if (a != Status::kOk && b != Status::kOk) {
+    return {false, "neither instance restored (unexpected)"};
+  }
+  if (!serves_victim_counters(winner)) {
+    return {true, "the restored instance lost the victim's counters"};
+  }
+  (a == Status::kOk ? second : first)->ecall_retire_warm_set();
+  return {false, std::string("blocked: one instance restored, the other "
+                             "was refused (") +
+                     std::string(status_name(a == Status::kOk ? b : a)) +
+                     ")"};
+}
+
+AttackReport run_warm_abandoned_restore_attack(World& world) {
+  WarmStage stage(world);
+  auto enclave = start_warm_victim(stage.src);
+  if (enclave == nullptr) return {false, "setup failed unexpectedly"};
+  if (!enclave->ecall_migration_precopy_round(stage.dst.address()).ok()) {
+    return {false, "round toward dst failed unexpectedly"};
+  }
+  auto warm = make_warm_victim(stage.dst);
+  if (warm->ecall_migration_warm_up(stage.dst.address()) != Status::kOk) {
+    return {false, "warm-up failed unexpectedly"};
+  }
+  const Bytes sealed_set = warm->sealed_state().bytes();
+  // The attempt is aborted: the source re-routes to alt.
+  if (!enclave->ecall_migration_precopy_round(stage.alt.address()).ok()) {
+    return {false, "re-route failed unexpectedly"};
+  }
+  // The adversary restores the abandoned set, from memory and from disk.
+  for (const Bytes& blob :
+       {sealed_set, stage.dst.storage().get(kWarmStateBlob).value()}) {
+    auto replay = make_warm_victim(stage.dst);
+    const Status status = replay->ecall_migration_init(
+        blob, InitState::kRestore, stage.dst.address());
+    if (status == Status::kOk) {
+      return {true, "an aborted attempt's warm set restored into a live "
+                    "instance"};
+    }
+  }
+  auto fetch = make_warm_victim(stage.dst);
+  if (fetch->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                  stage.dst.address()) == Status::kOk) {
+    return {true, "an aborted attempt restored at its old destination"};
+  }
+  warm->ecall_retire_warm_set();
+  return {false, "blocked: the warm set's buffer carries the freeze flag "
+                 "and no data was left to fetch"};
 }
 
 }  // namespace sgxmig::attacks

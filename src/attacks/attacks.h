@@ -55,4 +55,22 @@ MigrateBackReport check_migrate_back(platform::World& world,
 /// Returns true if the data is lost (unsealable on the destination).
 bool check_sealed_data_loss_without_msk(platform::World& world);
 
+// ----- warm pre-copy destinations (this paper's scheme) -----
+//
+// A warm destination instance creates its counters when the first
+// pre-copy round is staged at its Migration Enclave, before any data
+// arrives.  The set holds no MSK and no offsets, is bound to one
+// attempt's request nonce, and its sealed buffer carries the freeze flag.
+
+/// Replays a later attempt's finalize onto the warm set an earlier,
+/// abandoned attempt of the same enclave left at that destination.
+AttackReport run_warm_replay_attack(platform::World& world);
+
+/// Two destination instances of one enclave, both warmed for the same
+/// attempt, race to restore it: a fork if both come up live.
+AttackReport run_warm_race_attack(platform::World& world);
+
+/// Restores an instance from the sealed warm set of an aborted attempt.
+AttackReport run_warm_abandoned_restore_attack(platform::World& world);
+
 }  // namespace sgxmig::attacks

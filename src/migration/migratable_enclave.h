@@ -27,6 +27,20 @@ class MigratableEnclave : public sgx::Enclave {
     return library_.migration_init(state_buffer, init_state, me_address);
   }
 
+  /// Warm pre-copy destination: creates the counter set of the attempt
+  /// staged at `me_address` before its data arrives.  See
+  /// MigrationLibrary::migration_warm_up.
+  Status ecall_migration_warm_up(const std::string& me_address) {
+    auto scope = enter_ecall();
+    return library_.migration_warm_up(me_address);
+  }
+
+  /// Retires an unconsumed warm set (abandoned attempt).
+  Status ecall_retire_warm_set() {
+    auto scope = enter_ecall();
+    return library_.retire_warm_set();
+  }
+
   Status ecall_migration_start(const std::string& destination_address) {
     auto scope = enter_ecall();
     return library_.migration_start(destination_address);
@@ -167,6 +181,7 @@ class MigratableEnclave : public sgx::Enclave {
   }
   const SharedBytes& sealed_state() const { return library_.sealed_state(); }
   bool migration_frozen() const { return library_.frozen(); }
+  uint64_t warm_nonce() const { return library_.warm_nonce(); }
   size_t active_counters() const { return library_.active_counters(); }
   size_t library_memory_bytes() const { return library_.memory_bytes(); }
   bool live_transfer_capable() const {

@@ -340,6 +340,9 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
     case LibMsgType::kFetchIncoming:
       served = on_fetch_incoming(from);
       break;
+    case LibMsgType::kWarmIncoming:
+      served = on_warm_incoming(from);
+      break;
     case LibMsgType::kConfirmMigration:
       served = serve(&MigrationEnclave::on_confirm_migration, from, payload);
       break;
@@ -457,6 +460,26 @@ MigrationEnclave::LibReply MigrationEnclave::on_fetch_incoming(
   // wiped by the front door once sealed.
   secure_wipe(incoming.data);
   return lib_reply(LibMsgType::kIncomingData, std::move(payload));
+}
+
+MigrationEnclave::LibReply MigrationEnclave::on_warm_incoming(
+    const LibCaller& from) {
+  // The binding names the attempt and which slots it holds, nothing
+  // more: the counter values and the MSK are delivered only by the fetch.
+  const auto it = incoming_.find(from.mr);
+  if (it == incoming_.end()) return Status::kNoPendingMigration;
+  WarmBindingPayload binding;
+  binding.request_nonce = it->second.request_nonce;
+  if (it->second.assembled()) {
+    binding.active = it->second.data->counters_active;
+  } else {
+    for (const auto& [index, chunk] : it->second.chunks) {
+      for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
+        binding.active[index * kPrecopyChunkSlots + s] = chunk.active[s];
+      }
+    }
+  }
+  return lib_reply(LibMsgType::kWarmBinding, encode_record(binding));
 }
 
 MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(

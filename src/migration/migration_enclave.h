@@ -651,6 +651,9 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   LibReply on_migrate_request(const LibCaller& from,
                               MigrateRequestPayload request);
   LibReply on_fetch_incoming(const LibCaller& from);
+  /// Names the attempt staged (or assembled) for the caller's identity
+  /// and its active slots, for a warm destination instance.
+  LibReply on_warm_incoming(const LibCaller& from);
   LibReply on_confirm_migration(const LibCaller& from, ConfirmPayload confirm);
   LibReply on_query_status(const LibCaller& from, NoncePayload query);
   LibReply on_precopy_round(const LibCaller& from, PrecopyRoundPayload round);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "crypto/gcm.h"
 #include "migration/durable_write.h"
@@ -161,6 +162,10 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
                                         InitState init_state,
                                         const std::string& me_address) {
   if (initialized_) return Status::kInvalidState;
+  // A warm instance exists only to take its attempt's incoming data.
+  if (warm_nonce_ != 0 && init_state != InitState::kMigrate) {
+    return Status::kInvalidState;
+  }
   me_address_ = me_address;
 
   switch (init_state) {
@@ -211,7 +216,10 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       if (channel_status != Status::kOk) return channel_status;
       LibMsg fetch;
       fetch.type = LibMsgType::kFetchIncoming;
-      auto reply = me_exchange(fetch);
+      // A warm instance's session dates from its warm-up, and the ME may
+      // have restarted since.
+      auto reply = warm_nonce_ != 0 ? me_exchange_reattest(fetch)
+                                    : me_exchange(fetch);
       if (!reply.ok()) return reply.status();
       if (reply.value().type != LibMsgType::kIncomingData) {
         return reply.value().status == Status::kOk ? Status::kUnexpected
@@ -233,7 +241,7 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         close_span(restore_span, "deserialize-failed");
         return data.status();
       }
-      const Status apply_status = apply_incoming(data.value());
+      const Status apply_status = apply_incoming(data.value(), request_nonce);
       wipe(data.value());
       if (apply_status != Status::kOk) {
         close_span(restore_span, "apply-failed");
@@ -277,28 +285,112 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
   return Status::kInvalidParameter;
 }
 
-Status MigrationLibrary::apply_incoming(const MigrationData& data) {
-  state_ = ResidentState{};
+Status MigrationLibrary::apply_incoming(const MigrationData& data,
+                                        uint64_t request_nonce) {
+  // A warm set belongs to one attempt: the data of any other (a replayed
+  // finalize, or a set an abandoned attempt left behind) never lands on it.
+  if (warm_nonce_ != 0 && warm_nonce_ != request_nonce) {
+    return Status::kReplayDetected;
+  }
+  const ResidentState warm = std::exchange(state_, ResidentState{});
+  warm_nonce_ = 0;
   state_.msk = data.msk;
   state_.slots.reserve(static_cast<size_t>(std::count(
       data.counters_active.begin(), data.counters_active.end(), true)));
+  std::vector<sgx::CounterUuid> unused;
+  auto held = warm.slots.begin();  // ascending index, like the loop
   for (uint32_t i = 0; i < kMaxCounters; ++i) {
-    if (!data.counters_active[i]) continue;
+    const bool warm_slot = held != warm.slots.end() && held->index == i;
+    if (!data.counters_active[i]) {
+      if (warm_slot) unused.push_back((held++)->uuid);
+      continue;
+    }
     // Effective value of the source becomes the offset over a fresh
     // hardware counter starting at zero (§VI-B): constant-time per
-    // counter, regardless of its value.
-    auto created = host_.counter_create();
-    if (!created.ok()) return created.status();
-    state_.slots.push_back({i, created.value().uuid, data.counter_values[i],
-                            created.value().value});
+    // counter, regardless of its value.  The warm set's counters are that
+    // fresh counter; a slot it lacks gets one now.
+    if (warm_slot) {
+      state_.slots.push_back(
+          {i, held->uuid, data.counter_values[i], held->hw_value});
+      ++held;
+    } else {
+      auto created = host_.counter_create();
+      if (!created.ok()) return created.status();
+      state_.slots.push_back({i, created.value().uuid, data.counter_values[i],
+                              created.value().value});
+    }
     note_slot_dirty(i);
   }
-  if (live_transfer_capable_) {
+  if (warm.epoch_active != 0) {
+    state_.epoch_active = 1;
+    state_.epoch_uuid = warm.epoch_uuid;
+    state_.epoch_value = warm.epoch_value;
+  } else if (live_transfer_capable_) {
     const Status guard = create_epoch_guard();
     if (guard != Status::kOk) return guard;
   }
+  // Slots the source destroyed after the warm-up: one PSE retire.
+  if (!unused.empty()) {
+    const auto retired = host_.counter_retire(unused);
+    if (!retired.ok()) return retired.status();
+  }
   // UUIDs of the fresh counters are irrecoverable.
   return persist_mutation_durable("restore-apply");
+}
+
+Status MigrationLibrary::migration_warm_up(const std::string& me_address) {
+  if (initialized_ || warm_nonce_ != 0) return Status::kInvalidState;
+  me_address_ = me_address;
+  const Status channel_status = ensure_me_channel();
+  if (channel_status != Status::kOk) return channel_status;
+  LibMsg query;
+  query.type = LibMsgType::kWarmIncoming;
+  auto reply = me_exchange(query);
+  if (!reply.ok()) return reply.status();
+  if (reply.value().type != LibMsgType::kWarmBinding) {
+    return reply.value().status == Status::kOk ? Status::kUnexpected
+                                               : reply.value().status;
+  }
+  auto binding = decode_record<WarmBindingPayload>(reply.value().payload);
+  if (!binding.ok()) return binding.status();
+  if (binding.value().request_nonce == 0) return Status::kTampered;
+  uint64_t span = 0;
+  if (obs::TraceRecorder* rec = recorder()) {
+    span = rec->begin_span("warm_up", lane(), binding.value().request_nonce);
+    rec->span_arg(span, "enclave", host_.image().name());
+  }
+  // The freeze flag keeps the sealed set from ever restoring: it holds
+  // no MSK, and its counters are not the enclave's until the data lands.
+  state_ = ResidentState{};
+  state_.frozen = 1;
+  warm_nonce_ = binding.value().request_nonce;
+  Status status = Status::kOk;
+  for (uint32_t i = 0; i < kMaxCounters; ++i) {
+    if (!binding.value().active[i]) continue;
+    auto created = host_.counter_create();
+    if (!created.ok()) {
+      status = created.status();
+      break;
+    }
+    state_.slots.push_back(
+        {i, created.value().uuid, 0, created.value().value});
+  }
+  if (status == Status::kOk && live_transfer_capable_) {
+    status = create_epoch_guard();
+  }
+  // Like any fresh counter UUID, the set is durable before it is relied on.
+  if (status == Status::kOk) status = persist_mutation_durable("warm-up");
+  if (status != Status::kOk) retire_warm_set();
+  close_span(span, status == Status::kOk ? "ok" : "failed");
+  return status;
+}
+
+Status MigrationLibrary::retire_warm_set() {
+  if (warm_nonce_ == 0) return Status::kOk;
+  warm_nonce_ = 0;
+  const Status status = retire_active_counters();
+  state_ = ResidentState{};
+  return status;
 }
 
 // ----- epoch guard + dirty tracking (live-transfer capability) -----

@@ -240,6 +240,27 @@ class MigrationLibrary {
   Status migration_finalize(const std::string& destination_address,
                             MigrationPolicy policy = {});
 
+  // ----- warm pre-copy destination -----
+  //
+  // Under the offset scheme (§VI-B) a fresh counter's starting value does
+  // not matter, so a destination instance can create its counters before
+  // the data arrives.  A warm instance asks its local ME which pre-copy
+  // attempt is staged for its identity, creates one counter per slot the
+  // staged rounds hold plus the epoch guard, and seals them under the
+  // freeze flag: it holds no MSK and no offsets, serves no ops, and its
+  // sealed buffer never restores.  migration_init(kMigrate) then applies
+  // the attempt's data over the set; the data of any other attempt is
+  // refused.
+
+  /// Launches this (uninitialized) instance warm for the pre-copy attempt
+  /// staged at `me_address`.  On failure nothing stays created.
+  Status migration_warm_up(const std::string& me_address);
+  /// Retires the warm set (one PSE retire) unless an init consumed it;
+  /// the slots go to the platform's reclaim sweep.  No-op without one.
+  Status retire_warm_set();
+  /// The request nonce the warm set is bound to (0: none held).
+  uint64_t warm_nonce() const { return warm_nonce_; }
+
   /// Asks the local ME for the state of this enclave's outgoing migration.
   Result<OutgoingState> query_migration_status();
 
@@ -390,7 +411,11 @@ class MigrationLibrary {
   Result<LibMsg> me_exchange_reattest(const LibMsg& request);
   /// Seals the internal buffer and (optionally) OCALLs it out.
   Status persist(bool invoke_callback);
-  Status apply_incoming(const MigrationData& data);
+  /// The restore of both transfer modes: offsets over the warm set bound
+  /// to `request_nonce` (kReplayDetected for another attempt's data),
+  /// fresh counters for every active slot the set lacks, the set's unused
+  /// counters retired, and one durable persist.
+  Status apply_incoming(const MigrationData& data, uint64_t request_nonce);
   Result<MigrationData> collect_values();
   Status destroy_active_counters();
   /// The pre-copy teardown: one PSE retire over the active counters and
@@ -493,6 +518,9 @@ class MigrationLibrary {
 
   // ----- pre-copy state -----
   bool live_transfer_capable_ = false;
+  // Nonce of the attempt the warm set in state_ is bound to; 0 once an
+  // init consumed it, or when the instance never warmed.
+  uint64_t warm_nonce_ = 0;
   // Dirty tracking: one monotonic generation per Table II chunk, stamped
   // from a global mutation counter on every create/destroy/increment and
   // restore-apply.  Always maintained (two array writes per mutation —

@@ -138,6 +138,11 @@ enum class LibMsgType : uint8_t {
   kMigrateReserve = 20,     // request: MigrateReservePayload (no data)
   kMigrateArm = 21,         // request: MigrateRequestPayload (full data)
   kArmAck = 22,             // response: task armed, transfer shipping
+  // Warm pre-copy destination: an instance launched on the destination
+  // before the freeze asks its local ME which attempt is staged for its
+  // identity, and creates that attempt's counter set ahead of the data.
+  kWarmIncoming = 23,  // request: no payload
+  kWarmBinding = 24,   // response: WarmBindingPayload
 };
 
 struct LibMsg {
@@ -312,6 +317,20 @@ struct IncomingDataPayload {
     io.bytes(m.data, kMaxDataBlob);
     io.u64(m.delivery_token);
     io.u64(m.request_nonce);
+  }
+};
+
+/// Payload of kWarmBinding: the staged pre-copy attempt a warm
+/// destination instance binds its counter set to, and the Table II slots
+/// its rounds hold active so far.  Carries no counter value and no MSK.
+struct WarmBindingPayload {
+  uint64_t request_nonce = 0;
+  std::array<bool, kMaxCounters> active{};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.request_nonce);
+    for (auto& a : m.active) io.u8(a);
   }
 };
 

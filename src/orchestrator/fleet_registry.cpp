@@ -66,12 +66,26 @@ Status FleetRegistry::complete_move(uint64_t id,
   // object: if fetching the incoming data fails (destination ME crashed
   // and lost its pending copy, network partition, ...), nothing is lost —
   // the source ME still retains the data (§V-D) and the caller decides
-  // what to do next.
-  auto next = std::make_unique<migration::MigratableEnclave>(
-      *destination, record.image, record.options.live_transfer);
-  install_persist_callback(*next, *destination, storage_key(record.name));
+  // what to do next.  A warm instance here already holds the counters.
+  std::unique_ptr<migration::MigratableEnclave> next;
+  if (const auto warm = warm_.find(id); warm != warm_.end()) {
+    if (warm->second.machine == destination_address) {
+      next = std::move(warm->second.enclave);
+    } else {
+      warm->second.enclave->ecall_retire_warm_set();
+    }
+    warm_.erase(warm);
+  }
+  if (next == nullptr) {
+    next = std::make_unique<migration::MigratableEnclave>(
+        *destination, record.image, record.options.live_transfer);
+    install_persist_callback(*next, *destination, storage_key(record.name));
+  }
   const Status init = next->ecall_migration_init(
       ByteView(), migration::InitState::kMigrate, destination_address);
+  // A refused or failed init leaves the warm set unconsumed: the retry
+  // restores cold.
+  if (init != Status::kOk) next->ecall_retire_warm_set();
   bool salvaged = false;
   if (init == Status::kNoPendingMigration) {
     // Confirm-ack loss salvage (§V-D): a previous destination instance
@@ -109,9 +123,47 @@ Status FleetRegistry::complete_move(uint64_t id,
   return Status::kOk;
 }
 
+Status FleetRegistry::warm_up(uint64_t id,
+                              const std::string& destination_address) {
+  const auto it = records_.find(id);
+  platform::Machine* destination = world_.machine(destination_address);
+  if (it == records_.end() || destination == nullptr) {
+    return Status::kInvalidParameter;
+  }
+  retire_warm(id);
+  const EnclaveRecord& record = it->second;
+  auto warm = std::make_unique<migration::MigratableEnclave>(
+      *destination, record.image, record.options.live_transfer);
+  install_persist_callback(*warm, *destination, storage_key(record.name));
+  const Status status = warm->ecall_migration_warm_up(destination_address);
+  if (status != Status::kOk) return status;
+  warm_[id] = WarmInstance{destination_address, std::move(warm)};
+  return Status::kOk;
+}
+
+void FleetRegistry::retire_warm(uint64_t id) {
+  const auto warm = warm_.find(id);
+  if (warm == warm_.end()) return;
+  warm->second.enclave->ecall_retire_warm_set();
+  warm_.erase(warm);
+}
+
+bool FleetRegistry::pse_room(uint64_t id,
+                             const std::string& machine_address) const {
+  const EnclaveRecord* record = find(id);
+  platform::Machine* machine = world_.machine(machine_address);
+  if (record == nullptr || record->enclave == nullptr || machine == nullptr) {
+    return false;
+  }
+  return machine->counter_service().count_for(record->image->mr_enclave()) +
+             record->enclave->active_counters() + 1 <=
+         sgx::MonotonicCounterService::kMaxCountersPerEnclave;
+}
+
 Status FleetRegistry::retire(uint64_t id) {
   auto it = records_.find(id);
   if (it == records_.end()) return Status::kInvalidParameter;
+  retire_warm(id);
   index_erase(it->second);
   records_.erase(it);
   return Status::kOk;

@@ -66,12 +66,26 @@ class FleetRegistry {
                           const LaunchOptions& options = {});
 
   /// Destination half of a migration: instantiates the enclave on
-  /// `destination_address`, fetches the incoming data from the local ME
-  /// (migration_init(kMigrate)), and only then retires the frozen source
-  /// instance and moves the record.  On failure the source instance (and
+  /// `destination_address` (or takes its warm instance there), fetches the
+  /// incoming data from the local ME (migration_init(kMigrate)), and only
+  /// then retires the frozen source instance and moves the record.  A warm
+  /// set the init did not consume is retired.  On failure the source instance (and
   /// the source ME's retained copy) are left untouched for the caller to
   /// retry or escalate.
   Status complete_move(uint64_t id, const std::string& destination_address);
+
+  /// Warm pre-copy destination: launches the enclave's destination
+  /// instance on `destination_address` warm (migration_warm_up), bound to
+  /// the attempt staged at that machine's ME, and keeps it for
+  /// complete_move.  A set held for an earlier warm-up is retired first.
+  Status warm_up(uint64_t id, const std::string& destination_address);
+  /// Retires the enclave's warm set, if it holds one (abandoned attempt):
+  /// one PSE retire, reclaimed by the platform's sweep.
+  void retire_warm(uint64_t id);
+  /// True when `machine_address`'s PSE can hold the enclave's counter set
+  /// (its active counters and the epoch guard) beside every counter its
+  /// identity already holds there, warm and retired ones included.
+  bool pse_room(uint64_t id, const std::string& machine_address) const;
 
   /// Destroys the instance and unregisters the record (enclave shutdown).
   Status retire(uint64_t id);
@@ -143,6 +157,12 @@ class FleetRegistry {
 
   platform::World& world_;
   std::map<uint64_t, EnclaveRecord> records_;  // ordered: deterministic scans
+  /// Warm destination instances by enclave id, with their machine.
+  struct WarmInstance {
+    std::string machine;
+    std::unique_ptr<migration::MigratableEnclave> enclave;
+  };
+  std::map<uint64_t, WarmInstance> warm_;
   uint64_t next_id_ = 1;
   CompletionCallback completion_callback_;
 

@@ -266,6 +266,20 @@ bool Orchestrator::admit_and_start(Task& task) {
             options_.max_inflight_per_destination) {
       return false;
     }
+    // A pre-copy move's warm set holds PSE quota at its destination from
+    // the warm-up to the restore, so admission counts it: a destination
+    // whose PSE cannot hold the whole set beside the identity's other
+    // counters there is avoided, and a create cannot fail at the
+    // finalize.  With no other destination the move goes ahead, and a
+    // warm-up without room restores cold.
+    if (options_.transfer_mode == TransferMode::kPrecopy &&
+        !fleet_.pse_room(task.enclave_id, task.destination) &&
+        std::find(task.failed_destinations.begin(),
+                  task.failed_destinations.end(),
+                  task.destination) == task.failed_destinations.end()) {
+      task.failed_destinations.push_back(task.destination);
+      return false;
+    }
   }
 
   ++inflight_total_;
@@ -346,6 +360,20 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
     return enclave.ecall_migration_finalize_detailed(task.destination,
                                                      record.options.policy);
   }
+  // Never ship toward a booked destination.  Lanes are FIFO, so a record
+  // that reaches a destination lane still busy with other work (a
+  // warm-up, another enclave's restore) waits behind it: a round's ack
+  // then lands on the source lane late, and a finalize would absorb the
+  // rest of that work inside the freeze.  Wait until the lane's end
+  // instead and step then.  Only live enclaves wait; a frozen one resumes
+  // its finalize above.
+  if (lanes_ != nullptr && lanes_->lane_end(task.destination) > now()) {
+    trace_instant(task, "orch.await_destination", task.destination);
+    task.awaiting_destination = true;
+    task.ready_at = lanes_->lane_end(task.destination);
+    return std::nullopt;
+  }
+  task.awaiting_destination = false;
   // Ship one dirty round while the enclave keeps serving (the round hook
   // is where live mutations land), then freeze for the final delta once
   // converged.  A failed round surfaces as a classified start failure so
@@ -363,18 +391,13 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
         "pre-copy round: " + std::string(status_name(round.status()));
     return failure;
   }
+  // Round 0 staged the attempt at the destination ME: its warm-up is due
+  // (pipelined, where it overlaps the next rounds on another lane).
+  if (lanes_ != nullptr && round.value().round == 0) {
+    warm_due_[static_cast<uint32_t>(&task - tasks_.data())] = now();
+  }
   if (round_hook_) round_hook_(task.enclave_id, round.value().round);
   if (!round.value().converged()) return std::nullopt;
-  // Never freeze toward a booked destination.  Lanes are FIFO, so a
-  // finalize that reaches a destination lane still busy with other work
-  // (another enclave's restore) would absorb the rest of it inside the
-  // freeze.  Ship another round next wave instead: each one advances
-  // this source lane, so the wait always ends.  Only live enclaves wait;
-  // a frozen one resumes its finalize above.
-  if (lanes_ != nullptr && lanes_->lane_end(task.destination) > now()) {
-    trace_instant(task, "orch.await_destination", task.destination);
-    return std::nullopt;
-  }
   return enclave.ecall_migration_finalize_detailed(task.destination,
                                                    record.options.policy);
 }
@@ -443,6 +466,7 @@ void Orchestrator::start_pipelined(Task& task,
     // step resumes the finalize, as no round can run.
     set_phase(task, TaskPhase::kPrecopying);
     task.ready_at = ready;
+    task.awaiting_destination = false;
     if (enclave.migration_frozen()) advance_precopy(task);
     return;
   }
@@ -485,14 +509,28 @@ void Orchestrator::poll_transferring(Task& task) {
   source_failure(task, result, end);
 }
 
+void Orchestrator::warm_destination(const Task& task) {
+  const auto due =
+      warm_due_.find(static_cast<uint32_t>(&task - tasks_.data()));
+  if (due == warm_due_.end()) return;
+  // Round 0's record reached the destination ME in this wave's pump, so
+  // the lane runs the warm-up right behind its delivery (and never before
+  // the round was accepted), while the source keeps serving.
+  const Duration accepted = due->second;
+  warm_due_.erase(due);
+  lanes_->run(task.destination, std::max(accepted, lanes_->control()),
+              [&] { fleet_.warm_up(task.enclave_id, task.destination); });
+}
+
 void Orchestrator::advance_precopy(Task& task) {
   migration::MigratableEnclave* enclave = fleet_.enclave(task.enclave_id);
   const EnclaveRecord* record = fleet_.find(task.enclave_id);
+  warm_destination(task);
   std::optional<migration::MigrationStartResult> step;
   const Duration end =
       lanes_->run(task.source, std::max(task.ready_at, lanes_->control()),
                   [&] { step = precopy_step(task, *enclave, *record); });
-  task.ready_at = end;
+  task.ready_at = std::max(task.ready_at, end);
   if (!step) return;  // next round next wave
   const migration::MigrationStartResult& result = *step;
   if (result.status == Status::kMigrationInProgress &&
@@ -597,6 +635,7 @@ void Orchestrator::handle_failure(Task& task, Status status,
 }
 
 void Orchestrator::fail_task(Task& task) {
+  fleet_.retire_warm(task.enclave_id);
   set_phase(task, TaskPhase::kFailed);
   task.finished_at = now();
   log(task, EventKind::kFailed,
@@ -794,7 +833,35 @@ void Orchestrator::run_event_loop(net::Network& net) {
       // ship on the source lane ahead of a higher-index frozen task's
       // accept poll.  Only a task's own poll freezes its enclave, so the
       // split made up front holds for the whole step.
-      snapshot.assign(precopying_.begin(), precopying_.end());
+      // Tasks waiting for their destination lane step first, one per source
+      // lane and wave: the earliest, once the lane has reached its ready_at
+      // or has nothing else to run.  So a wait never idles a lane other
+      // tasks share, and the waiters' finalizes spread over the waves
+      // instead of freeing their slots together.
+      snapshot.clear();
+      std::map<std::string, uint32_t> earliest_waiting;
+      std::set<std::string> busy_sources;
+      for (const uint32_t idx : precopying_) {
+        const Task& task = tasks_[idx];
+        if (!task.awaiting_destination) {
+          snapshot.push_back(idx);
+          busy_sources.insert(task.source);
+          continue;
+        }
+        const auto [it, fresh] = earliest_waiting.try_emplace(task.source, idx);
+        if (!fresh && task.ready_at < tasks_[it->second].ready_at) {
+          it->second = idx;
+        }
+      }
+      for (const auto& [source, idx] : earliest_waiting) {
+        if (busy_sources.count(source) != 0 &&
+            tasks_[idx].ready_at > lanes_->lane_end(source)) {
+          continue;
+        }
+        ++stats_.task_touches;
+        advance_precopy(tasks_[idx]);
+        progressed = true;
+      }
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];
         if (task.phase != TaskPhase::kPrecopying) continue;
@@ -890,6 +957,7 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   transferring_.clear();
   precopying_.clear();
   started_.clear();
+  warm_due_.clear();
   kick_candidates_.clear();
   stats_ = {};
   machines_ = fleet_.world().machines();
@@ -999,6 +1067,7 @@ size_t Orchestrator::control_plane_bytes() const {
   bytes += (transferring_.size() + precopying_.size() + started_.size() +
             kick_candidates_.size()) *
            (sizeof(uint32_t) + kNode);
+  bytes += warm_due_.size() * (sizeof(uint32_t) + sizeof(Duration) + kNode);
   bytes += machines_.capacity() * sizeof(platform::Machine*);
   for (const auto& [address, idx] : machine_index_) {
     bytes += address.size() + sizeof(idx) + kNode;

@@ -177,6 +177,9 @@ class Orchestrator {
     TaskPhase phase = TaskPhase::kQueued;
     /// Source side already succeeded; a retry resumes at complete_move.
     bool transfer_done = false;
+    /// Pipelined pre-copy: the next step waits (ready_at) for the
+    /// destination lane to drain.
+    bool awaiting_destination = false;
     Duration planned_at{};
     Duration admitted_at{};
     Duration retry_at{};
@@ -206,10 +209,10 @@ class Orchestrator {
   migration::MigrationStartResult run_source_side(
       Task& task, migration::MigratableEnclave& enclave,
       const EnclaveRecord& record);
-  /// One pre-copy step: the finalize when the enclave is frozen, else one
-  /// round (+ round hook) and the finalize once converged and the
-  /// destination lane is free; a failed round is a classified failure.
-  /// nullopt = another round is due.
+  /// One pre-copy step: the finalize when the enclave is frozen; else,
+  /// once the destination lane is free (until then ready_at waits for its
+  /// end), one round (+ round hook) and the finalize once converged.  A
+  /// failed round is a classified failure.  nullopt = not finalized yet.
   std::optional<migration::MigrationStartResult> precopy_step(
       Task& task, migration::MigratableEnclave& enclave,
       const EnclaveRecord& record);
@@ -223,8 +226,12 @@ class Orchestrator {
   /// Polls a kTransferring task's fate at its source ME.
   void poll_transferring(Task& task);
   /// Ships one pre-copy round (or the finalize, once converged/frozen)
-  /// for a kPrecopying task.
+  /// for a kPrecopying task, after a due warm-up of its destination.
   void advance_precopy(Task& task);
+  /// Launches the task's due warm destination instance on the
+  /// destination lane, behind round 0's delivery; a failed warm-up
+  /// restores cold.
+  void warm_destination(const Task& task);
   /// A finalize the async source ME queued (kMigrationInProgress): pumps
   /// the network and polls the task at once, so the freeze ends at the
   /// accept instead of behind other tasks' live work on the source lane.
@@ -323,6 +330,9 @@ class Orchestrator {
   std::set<uint32_t> transferring_;
   std::set<uint32_t> precopying_;
   std::set<uint32_t> started_;
+  /// Pipelined pre-copy tasks whose destination warm-up is due (it runs
+  /// before their next step), with the instant round 0 was accepted.
+  std::map<uint32_t, Duration> warm_due_;
   size_t unfinished_count_ = 0;
   /// Machines (creation order) and address -> creation index, resolved
   /// once per execute(); the pump visits kick candidates in creation

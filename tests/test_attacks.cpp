@@ -7,6 +7,8 @@
 //   this paper           blocked     blocked     possible
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attacks/attacks.h"
 #include "platform/world.h"
 
@@ -86,6 +88,33 @@ TEST(DataLoss, StandardSealedDataLostWithoutMsk) {
   EXPECT_TRUE(attacks::check_sealed_data_loss_without_msk(world));
 }
 
+// Warm pre-copy destinations: a set created before the data arrives is
+// bound to one attempt, restores only through that attempt's finalize,
+// and never restores from its sealed buffer.
+TEST(WarmDestinationAttack, ReplayOntoAnotherAttemptsWarmSetIsRefused) {
+  platform::World world(/*seed=*/8);
+  const auto report = attacks::run_warm_replay_attack(world);
+  EXPECT_FALSE(report.attack_succeeded) << report.detail;
+  EXPECT_NE(report.detail.find("kReplayDetected"), std::string::npos)
+      << report.detail;
+}
+
+TEST(WarmDestinationAttack, TwoInstancesRacingForOneAttemptRestoreOnce) {
+  platform::World world(/*seed=*/9);
+  const auto report = attacks::run_warm_race_attack(world);
+  EXPECT_FALSE(report.attack_succeeded) << report.detail;
+  EXPECT_EQ(report.detail.find("unexpected"), std::string::npos)
+      << report.detail;
+}
+
+TEST(WarmDestinationAttack, AbortedAttemptsWarmSetNeverRestores) {
+  platform::World world(/*seed=*/10);
+  const auto report = attacks::run_warm_abandoned_restore_attack(world);
+  EXPECT_FALSE(report.attack_succeeded) << report.detail;
+  EXPECT_EQ(report.detail.find("unexpected"), std::string::npos)
+      << report.detail;
+}
+
 // Determinism: the attack outcomes do not depend on the seed.
 class AttackMatrixSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -99,6 +128,10 @@ TEST_P(AttackMatrixSweep, OutcomesStableAcrossSeeds) {
                   .attack_succeeded);
   EXPECT_FALSE(attacks::run_rollback_attack(world, Mechanism::kOurScheme)
                    .attack_succeeded);
+  EXPECT_FALSE(attacks::run_warm_replay_attack(world).attack_succeeded);
+  EXPECT_FALSE(attacks::run_warm_race_attack(world).attack_succeeded);
+  EXPECT_FALSE(
+      attacks::run_warm_abandoned_restore_attack(world).attack_succeeded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttackMatrixSweep,

@@ -384,6 +384,51 @@ INSTANTIATE_TEST_SUITE_P(
       return "Type" + std::to_string(static_cast<int>(row.param));
     });
 
+// A warm destination instance learns which attempt is staged for its own
+// identity, and which slots it holds: the nonce and the active flags, never
+// a counter value or the MSK.  Nothing staged: nothing to bind to.
+TEST_F(MeAdversarialTest, WarmQueryNamesOnlyTheCallersStagedAttempt) {
+  LaClient source(m0_, image_, /*session_id=*/501);
+  ASSERT_EQ(source.attest(), Status::kOk);
+  LaClient warm(m1_, image_, /*session_id=*/502);
+  ASSERT_EQ(warm.attest(), Status::kOk);
+  EXPECT_EQ(warm.send(migration::LibMsgType::kWarmIncoming, Bytes{}),
+            Status::kNoPendingMigration);
+
+  migration::PrecopyRoundPayload round;
+  round.destination_address = "m1";
+  round.request_nonce = 0x3a3a;
+  migration::CounterChunk chunk;
+  chunk.index = 1;
+  chunk.generation = 4;
+  chunk.active[2] = true;
+  chunk.values[2] = 77;
+  round.chunks.push_back(chunk);
+  ASSERT_EQ(source.send(migration::LibMsgType::kPrecopyRound,
+                        encode_record(round)),
+            Status::kOk);
+
+  auto reply = warm.request(migration::LibMsgType::kWarmIncoming, Bytes{});
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply.value().type, migration::LibMsgType::kWarmBinding);
+  auto binding =
+      decode_record<migration::WarmBindingPayload>(reply.value().payload);
+  ASSERT_TRUE(binding.ok());
+  EXPECT_EQ(binding.value().request_nonce, 0x3a3au);
+  for (size_t slot = 0; slot < migration::kMaxCounters; ++slot) {
+    EXPECT_EQ(binding.value().active[slot],
+              slot == migration::kPrecopyChunkSlots + 2)
+        << slot;
+  }
+
+  // Another identity on the same machine learns nothing of it.
+  LaClient other(m1_, EnclaveImage::create("other-app", 1, "acme"),
+                 /*session_id=*/503);
+  ASSERT_EQ(other.attest(), Status::kOk);
+  EXPECT_EQ(other.send(migration::LibMsgType::kWarmIncoming, Bytes{}),
+            Status::kNoPendingMigration);
+}
+
 // The confirm carries the fetch reply's delivery token; the token-less
 // form no library writes is refused.
 TEST_F(MeAdversarialTest, ConfirmWithoutADeliveryTokenIsTampered) {

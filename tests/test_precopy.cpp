@@ -1383,5 +1383,172 @@ TEST_F(PrecopyTest, Orchestrated32EnclavePrecopyDrainSurvivesMeRestarts) {
   }
 }
 
+// ----- warm pre-copy destinations -----
+
+// A warm instance binds to the attempt staged at its ME, creates one
+// counter per staged slot plus the epoch guard before any data arrives,
+// and serves nothing.  Its restore writes offsets over that set, creates
+// only the slot the source added after the round, and retires the counter
+// of the slot the source destroyed.
+TEST_F(PrecopyTest, WarmSetTakesItsAttemptAndCreatesOnlyWhatIsMissing) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(0);
+  enclave->ecall_increment_migratable_counter(0);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+
+  const sgx::Measurement owner = image_->mr_enclave();
+  sgx::MonotonicCounterService& pse = m1_.counter_service();
+  const uint32_t ids_before = pse.ids_allocated();
+  auto warm = make_app(m1_);
+  ASSERT_EQ(warm->ecall_migration_warm_up("m1"), Status::kOk);
+  EXPECT_NE(warm->warm_nonce(), 0u);
+  EXPECT_EQ(pse.count_for(owner), 4u);  // three slots and the epoch guard
+  EXPECT_EQ(warm->ecall_read_migratable_counter(0).status(),
+            Status::kNotInitialized);
+  auto replay = make_app(m1_);
+  EXPECT_EQ(replay->ecall_migration_init(warm->sealed_state(),
+                                         InitState::kRestore, "m1"),
+            Status::kMigrationFrozen);
+
+  // After the round the source adds slot 3, drops slot 1 and moves slot 2.
+  ASSERT_EQ(enclave->ecall_create_migratable_counter().value().counter_id, 3u);
+  ASSERT_EQ(enclave->ecall_destroy_migratable_counter(1), Status::kOk);
+  enclave->ecall_increment_migratable_counter(2);
+  ASSERT_EQ(enclave->ecall_migration_finalize("m1"), Status::kOk);
+
+  ASSERT_EQ(warm->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(warm->warm_nonce(), 0u);
+  EXPECT_EQ(warm->ecall_read_migratable_counter(0).value(), 2u);
+  EXPECT_EQ(warm->ecall_read_migratable_counter(1).status(),
+            Status::kCounterNotFound);
+  EXPECT_EQ(warm->ecall_read_migratable_counter(2).value(), 1u);
+  EXPECT_EQ(warm->ecall_read_migratable_counter(3).value(), 0u);
+  EXPECT_EQ(pse.ids_allocated() - ids_before, 5u);  // one create at restore
+  EXPECT_EQ(pse.retired_count(), 1u);               // slot 1's counter
+  // A restarted instance reloads the restored buffer, epoch guard and all.
+  warm.reset();
+  auto restarted = make_app(m1_);
+  ASSERT_EQ(restarted->ecall_migration_init(m1_.storage().get("ml").value(),
+                                            InitState::kRestore, "m1"),
+            Status::kOk);
+  EXPECT_EQ(restarted->ecall_read_migratable_counter(2).value(), 1u);
+}
+
+// A warm set the move does not use is retired through the PSE retire
+// path: one left behind by an earlier warm-up, and one at a destination
+// the attempt re-routed away from.  Retired slots hold quota (the
+// retired backlog) until the platform's reclaim sweep frees them.
+TEST_F(PrecopyTest, AbandonedWarmSetIsRetiredThenReclaimed) {
+  orchestrator::FleetRegistry fleet(world_);
+  orchestrator::LaunchOptions launch;
+  launch.live_transfer = true;
+  const uint64_t id = fleet.launch("m0", "warm-abandon", image_, launch).value();
+  auto* enclave = fleet.enclave(id);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  enclave->ecall_increment_migratable_counter(1);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+
+  const sgx::Measurement owner = image_->mr_enclave();
+  sgx::MonotonicCounterService& pse = m1_.counter_service();
+  EXPECT_TRUE(fleet.pse_room(id, "m1"));
+  ASSERT_EQ(fleet.warm_up(id, "m1"), Status::kOk);
+  EXPECT_EQ(pse.count_for(owner), 3u);
+  // A second warm-up replaces the first set.
+  ASSERT_EQ(fleet.warm_up(id, "m1"), Status::kOk);
+  EXPECT_EQ(pse.retired_count(), 3u);
+  EXPECT_EQ(pse.count_for(owner), 6u);
+
+  // The attempt re-routes to m2; the restore there retires m1's set.
+  ASSERT_EQ(enclave->ecall_migration_finalize("m2"), Status::kOk);
+  EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
+  ASSERT_EQ(fleet.complete_move(id, "m2"), Status::kOk);
+  EXPECT_EQ(pse.retired_count(), 6u);
+  EXPECT_EQ(pse.count_for(owner), 6u);
+  EXPECT_EQ(m1_.reclaim_retired_counters(), 6u);
+  EXPECT_EQ(pse.count_for(owner), 0u);
+  EXPECT_EQ(fleet.enclave(id)->ecall_read_migratable_counter(1).value(), 1u);
+}
+
+// The pipelined pre-copy drain warms each destination once round 0 is
+// staged there, so every restore lands on a warm set: no counter is
+// created twice, none is left retired, and a restore no longer pays the
+// 18 creates.  A step toward a destination lane still busy (with a
+// warm-up) waits for its end instead of shipping rounds into it.
+TEST_F(PrecopyTest, PipelinedPrecopyDrainRestoresOverWarmSets) {
+  for (int i = 3; i < 6; ++i) {
+    world_.add_machine(std::string("m").append(std::to_string(i)));
+  }
+  for (platform::Machine* m : world_.machines()) {
+    migration::me_on(*m)->set_async_precopy(true);
+  }
+  world_.observability().set_enabled(true);
+  orchestrator::FleetRegistry fleet(world_);
+  orchestrator::AppSpec apps{.count = 12, .prefix = "warm-drain-"};
+  apps.options.live_transfer = true;
+  apps.counters = 17;
+  ASSERT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
+  uint64_t ids_before = 0;
+  for (platform::Machine* m : world_.machines()) {
+    ids_before += m->counter_service().ids_allocated();
+  }
+
+  orchestrator::Scheduler scheduler(fleet);
+  orchestrator::OrchestratorOptions options;
+  options.pipelined = true;
+  options.max_inflight_per_machine = 4;
+  options.max_inflight_total = 8;
+  options.transfer_mode = orchestrator::TransferMode::kPrecopy;
+  orchestrator::Orchestrator orch(fleet, scheduler, options);
+  orch.set_round_hook([&fleet](uint64_t enclave_id, uint32_t) {
+    fleet.enclave(enclave_id)->ecall_increment_migratable_counter(0);
+  });
+  const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  ASSERT_EQ(report.succeeded(), 12u);
+
+  uint64_t ids_after = 0;
+  size_t retired = 0;
+  for (platform::Machine* m : world_.machines()) {
+    ids_after += m->counter_service().ids_allocated();
+    if (m->address() != "m0") retired += m->counter_service().retired_count();
+  }
+  EXPECT_EQ(ids_after - ids_before, 12u * 18u);
+  EXPECT_EQ(retired, 0u);
+  size_t warm_ups = 0;
+  size_t restores = 0;
+  size_t rounds = 0;
+  for (const obs::TraceSpan& span : world_.observability().trace.spans()) {
+    if (span.name == "warm_up") ++warm_ups;
+    if (span.name == "precopy_round") ++rounds;
+    if (span.name != "restore") continue;
+    ++restores;
+    EXPECT_LT(span.end - span.start, milliseconds(500));
+  }
+  EXPECT_EQ(warm_ups, 12u);
+  EXPECT_EQ(restores, 12u);
+  size_t awaits = 0;
+  for (const obs::TraceInstant& instant :
+       world_.observability().trace.instants()) {
+    if (instant.name == "orch.await_destination") ++awaits;
+  }
+  EXPECT_GT(awaits, 0u);
+  uint32_t precopy_rounds = 0;
+  for (const auto& record : report.migrations) {
+    precopy_rounds += record.precopy_rounds;
+    EXPECT_EQ(fleet.enclave(record.enclave_id)
+                  ->ecall_read_migratable_counter(0)
+                  .value(),
+              1u + record.precopy_rounds);
+  }
+  // Waiting ships no extra round: the trace holds exactly the rounds the
+  // moves report.
+  EXPECT_EQ(rounds, precopy_rounds);
+}
+
 }  // namespace
 }  // namespace sgxmig

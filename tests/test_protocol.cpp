@@ -147,6 +147,7 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
       LibMsgType::kMigrateQueued,    LibMsgType::kTransferProgress,
       LibMsgType::kAbortAck,         LibMsgType::kMigrateReserve,
       LibMsgType::kMigrateArm,       LibMsgType::kArmAck,
+      LibMsgType::kWarmIncoming,     LibMsgType::kWarmBinding,
   };
   for (const LibMsgType type : kAllTypes) {
     LibMsg msg;
@@ -158,6 +159,23 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
     EXPECT_EQ(back.value().type, type);
     EXPECT_EQ(back.value().payload, msg.payload);
   }
+}
+
+TEST(ProtocolSerde, WarmBindingPayloadRoundTrip) {
+  migration::WarmBindingPayload binding;
+  binding.request_nonce = 0x0123456789abcdefULL;
+  binding.active[0] = true;
+  binding.active[17] = true;
+  binding.active[migration::kMaxCounters - 1] = true;
+  const Bytes wire = encode_record(binding);
+  // The nonce and one byte per Table II slot: no value, no key.
+  EXPECT_EQ(wire.size(), 8 + migration::kMaxCounters);
+  auto back = decode_record<migration::WarmBindingPayload>(wire);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().request_nonce, binding.request_nonce);
+  EXPECT_EQ(back.value().active, binding.active);
+  EXPECT_EQ(decode_record<migration::WarmBindingPayload>(Bytes(8, 0)).status(),
+            Status::kTampered);
 }
 
 TEST(ProtocolSerde, NoncePayloadRoundTrip) {
