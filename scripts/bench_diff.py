@@ -9,10 +9,12 @@ parallel with its namesake; each leaf whose value differs is printed as
     BENCH_chaos.json:rows[3].wall_seconds: 14.88 -> 12.44
 
 A file or key present on one side only prints `<absent>` for the other.
-A differing integer `code_lines` (BENCH_tcb.json's code lines per TCB
-component and per source tree) also prints its signed delta:
+A list whose rows all carry a distinct string `component` (BENCH_tcb.json
+names each TCB component and source tree that way) is matched and
+labelled by that name rather than by position, and a differing integer
+`code_lines` also prints its signed delta:
 
-    BENCH_tcb.json:rows[15].code_lines: 15284 -> 15260 (-24)
+    BENCH_tcb.json:rows[src].code_lines: 15284 -> 15260 (-24)
 
 Keys named cpu_seconds, peak_rss_bytes and cpu_ratio_10k_over_1k (the
 ratio of two cpu_seconds) are skipped wherever they appear: they measure
@@ -47,6 +49,13 @@ def diff_values(path: str, base: object, new: object, out: list[str]) -> None:
                         out)
         return
     if isinstance(base, list) and isinstance(new, list):
+        base_rows, new_rows = by_component(base), by_component(new)
+        if base_rows is not None and new_rows is not None:
+            names = list(base_rows) + [n for n in new_rows if n not in base_rows]
+            for name in names:
+                diff_values(f"{path}[{name}]", base_rows.get(name, ABSENT),
+                            new_rows.get(name, ABSENT), out)
+            return
         for i in range(max(len(base), len(new))):
             diff_values(f"{path}[{i}]", base[i] if i < len(base) else ABSENT,
                         new[i] if i < len(new) else ABSENT, out)
@@ -57,6 +66,20 @@ def diff_values(path: str, base: object, new: object, out: list[str]) -> None:
                 and type(new) is int):
             line += f" ({new - base:+d})"
         out.append(line)
+
+
+def by_component(rows: list[object]) -> dict[str, object] | None:
+    """`rows` keyed by their `component` names, in order; None unless
+    every row is an object with a distinct string `component`."""
+    keyed: dict[str, object] = {}
+    for row in rows:
+        if not isinstance(row, dict):
+            return None
+        name = row.get("component")
+        if not isinstance(name, str) or name in keyed:
+            return None
+        keyed[name] = row
+    return keyed
 
 
 def load(directory: pathlib.Path, name: str) -> object:

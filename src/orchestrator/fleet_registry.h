@@ -69,9 +69,9 @@ class FleetRegistry {
   /// `destination_address` (or takes its warm instance there), fetches the
   /// incoming data from the local ME (migration_init(kMigrate)), and only
   /// then retires the frozen source instance and moves the record.  A warm
-  /// set the init did not consume is retired.  On failure the source instance (and
-  /// the source ME's retained copy) are left untouched for the caller to
-  /// retry or escalate.
+  /// set the init did not consume is retired.  On failure the source
+  /// instance (and the source ME's retained copy) are left untouched for
+  /// the caller to retry or escalate.
   Status complete_move(uint64_t id, const std::string& destination_address);
 
   /// Warm pre-copy destination: launches the enclave's destination

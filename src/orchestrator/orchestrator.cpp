@@ -391,13 +391,16 @@ std::optional<migration::MigrationStartResult> Orchestrator::precopy_step(
         "pre-copy round: " + std::string(status_name(round.status()));
     return failure;
   }
-  // Round 0 staged the attempt at the destination ME: its warm-up is due
-  // (pipelined, where it overlaps the next rounds on another lane).
-  if (lanes_ != nullptr && round.value().round == 0) {
-    warm_due_[static_cast<uint32_t>(&task - tasks_.data())] = now();
-  }
+  const Duration accepted = now();
   if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-  if (!round.value().converged()) return std::nullopt;
+  if (!round.value().converged()) {
+    // Round 0 staged the attempt at the destination ME: its warm-up is
+    // due (pipelined, where it overlaps the next rounds on another lane).
+    if (lanes_ != nullptr && round.value().round == 0) {
+      warm_due_[static_cast<uint32_t>(&task - tasks_.data())] = accepted;
+    }
+    return std::nullopt;
+  }
   return enclave.ecall_migration_finalize_detailed(task.destination,
                                                    record.options.policy);
 }
@@ -431,6 +434,7 @@ void Orchestrator::source_failure(
   --inflight_total_;
   --inflight_per_machine_[task.source];
   release_destination(task.destination);
+  warm_due_.erase(static_cast<uint32_t>(&task - tasks_.data()));
   // A pipelined task's slot frees at the lane instant the failure was
   // observed, not at some unrelated restore's completion.
   if (lanes_ != nullptr) release_slot(freed_at);

@@ -4,8 +4,8 @@
 fixtures/base and fixtures/changed hold one BENCH_demo.json each.  The
 changed copy moves every row's cpu_seconds and peak_rss_bytes and one
 cpu_ratio_10k_over_1k (skipped), one wall time and one nested gate, and
-appends a row; a code_lines case writes its own pair of BENCH_tcb.json
-files.  Runnable with a bare python3 like the simlint self-test:
+appends a row; the code_lines and component cases write their own pairs
+of BENCH_tcb.json files.  Runnable with a bare python3 like the simlint self-test:
 one PASS/FAIL line per test, exit status non-zero on any failure, which
 is how ctest consumes it.
 """
@@ -79,12 +79,35 @@ def test_code_lines_print_their_signed_delta():
         result = run(base, new)
         assert result.returncode == 1, result.stdout
         assert result.stdout.splitlines() == [
-            "BENCH_tcb.json:rows[0].code_lines: 480 -> 456 (-24)",
-            "BENCH_tcb.json:rows[0].comment_lines: 128 -> 130",
+            "BENCH_tcb.json:rows[src/net].code_lines: 480 -> 456 (-24)",
+            "BENCH_tcb.json:rows[src/net].comment_lines: 128 -> 130",
         ], result.stdout
         (new / "BENCH_tcb.json").write_text(rows.format(491, 128))
         assert run(base, new).stdout == \
-            "BENCH_tcb.json:rows[0].code_lines: 480 -> 491 (+11)\n"
+            "BENCH_tcb.json:rows[src/net].code_lines: 480 -> 491 (+11)\n"
+
+
+def test_component_rows_match_by_name_not_position():
+    with tempfile.TemporaryDirectory() as tmp:
+        base, new = pathlib.Path(tmp) / "base", pathlib.Path(tmp) / "new"
+        base.mkdir()
+        new.mkdir()
+        row = '{{"component": "{}", "code_lines": {}}}'
+        (base / "BENCH_tcb.json").write_text(
+            '{"rows": [' + row.format("src/crypto", 2062) + ", " +
+            row.format("src/net", 480) + "]}")
+        # A layer added in the middle shifts every later index.
+        (new / "BENCH_tcb.json").write_text(
+            '{"rows": [' + row.format("src/crypto", 2062) + ", " +
+            row.format("src/migration", 9) + ", " +
+            row.format("src/net", 470) + "]}")
+        result = run(base, new)
+        assert result.returncode == 1, result.stdout
+        assert result.stdout.splitlines() == [
+            "BENCH_tcb.json:rows[src/net].code_lines: 480 -> 470 (-10)",
+            'BENCH_tcb.json:rows[src/migration]: "<absent>" -> '
+            '{"component": "src/migration", "code_lines": 9}',
+        ], result.stdout
 
 
 def test_a_file_on_one_side_only_is_a_difference():
