@@ -313,11 +313,9 @@ Status MigrationLibrary::apply_incoming(const MigrationData& data,
       state_.slots.push_back(
           {i, held->uuid, data.counter_values[i], held->hw_value});
       ++held;
-    } else {
-      auto created = host_.counter_create();
-      if (!created.ok()) return created.status();
-      state_.slots.push_back({i, created.value().uuid, data.counter_values[i],
-                              created.value().value});
+    } else if (const Status created = add_fresh_slot(i, data.counter_values[i]);
+               created != Status::kOk) {
+      return created;
     }
     note_slot_dirty(i);
   }
@@ -365,15 +363,8 @@ Status MigrationLibrary::migration_warm_up(const std::string& me_address) {
   state_.frozen = 1;
   warm_nonce_ = binding.value().request_nonce;
   Status status = Status::kOk;
-  for (uint32_t i = 0; i < kMaxCounters; ++i) {
-    if (!binding.value().active[i]) continue;
-    auto created = host_.counter_create();
-    if (!created.ok()) {
-      status = created.status();
-      break;
-    }
-    state_.slots.push_back(
-        {i, created.value().uuid, 0, created.value().value});
+  for (uint32_t i = 0; i < kMaxCounters && status == Status::kOk; ++i) {
+    if (binding.value().active[i]) status = add_fresh_slot(i, 0);
   }
   if (status == Status::kOk && live_transfer_capable_) {
     status = create_epoch_guard();
@@ -383,6 +374,14 @@ Status MigrationLibrary::migration_warm_up(const std::string& me_address) {
   if (status != Status::kOk) retire_warm_set();
   close_span(span, status == Status::kOk ? "ok" : "failed");
   return status;
+}
+
+Status MigrationLibrary::add_fresh_slot(uint32_t index, uint32_t offset) {
+  auto created = host_.counter_create();
+  if (!created.ok()) return created.status();
+  state_.slots.push_back(
+      {index, created.value().uuid, offset, created.value().value});
+  return Status::kOk;
 }
 
 Status MigrationLibrary::retire_warm_set() {

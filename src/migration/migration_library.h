@@ -416,6 +416,9 @@ class MigrationLibrary {
   /// fresh counters for every active slot the set lacks, the set's unused
   /// counters retired, and one durable persist.
   Status apply_incoming(const MigrationData& data, uint64_t request_nonce);
+  /// Appends slot `index` (above every active slot) over a fresh hardware
+  /// counter, with `offset`.
+  Status add_fresh_slot(uint32_t index, uint32_t offset);
   Result<MigrationData> collect_values();
   Status destroy_active_counters();
   /// The pre-copy teardown: one PSE retire over the active counters and

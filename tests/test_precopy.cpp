@@ -1475,6 +1475,38 @@ TEST_F(PrecopyTest, AbandonedWarmSetIsRetiredThenReclaimed) {
   EXPECT_EQ(fleet.enclave(id)->ecall_read_migratable_counter(1).value(), 1u);
 }
 
+// Admission counts the quota a warm set will hold: a destination whose
+// PSE cannot hold the whole set beside the identity's counters there is
+// avoided while another destination can take the move.
+TEST_F(PrecopyTest, AdmissionAvoidsADestinationWithoutRoomForTheWarmSet) {
+  // Another instance of the same enclave holds 254 of its identity's 256
+  // counters on m1; the mover needs its 2 counters and the epoch guard.
+  auto filler = start_new(m1_, /*live_transfer=*/false);
+  for (int i = 0; i < 254; ++i) {
+    ASSERT_TRUE(filler->ecall_create_migratable_counter().ok());
+  }
+  orchestrator::FleetRegistry fleet(world_);
+  orchestrator::LaunchOptions launch;
+  launch.live_transfer = true;
+  const uint64_t id = fleet.launch("m0", "warm-quota", image_, launch).value();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fleet.enclave(id)->ecall_create_migratable_counter().ok());
+  }
+  EXPECT_FALSE(fleet.pse_room(id, "m1"));
+  EXPECT_TRUE(fleet.pse_room(id, "m2"));
+
+  orchestrator::Scheduler scheduler(fleet);
+  orchestrator::OrchestratorOptions options;
+  options.pipelined = true;
+  options.transfer_mode = orchestrator::TransferMode::kPrecopy;
+  orchestrator::Orchestrator orch(fleet, scheduler, options);
+  const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  ASSERT_EQ(report.succeeded(), 1u);
+  EXPECT_EQ(report.migrations[0].destination, "m2");
+  EXPECT_EQ(report.migrations[0].attempts, 1u);
+  EXPECT_EQ(m1_.counter_service().count_for(image_->mr_enclave()), 254u);
+}
+
 // The pipelined pre-copy drain warms each destination once round 0 is
 // staged there, so every restore lands on a warm set: no counter is
 // created twice, none is left retired, and a restore no longer pays the
@@ -1519,18 +1551,22 @@ TEST_F(PrecopyTest, PipelinedPrecopyDrainRestoresOverWarmSets) {
   }
   EXPECT_EQ(ids_after - ids_before, 12u * 18u);
   EXPECT_EQ(retired, 0u);
-  size_t warm_ups = 0;
-  size_t restores = 0;
+  std::multiset<uint64_t> warm_ups;
+  std::multiset<uint64_t> restores;
   size_t rounds = 0;
   for (const obs::TraceSpan& span : world_.observability().trace.spans()) {
-    if (span.name == "warm_up") ++warm_ups;
+    if (span.name == "warm_up") {
+      EXPECT_FALSE(span.open);
+      warm_ups.insert(span.trace_id);
+    }
     if (span.name == "precopy_round") ++rounds;
     if (span.name != "restore") continue;
-    ++restores;
+    restores.insert(span.trace_id);
     EXPECT_LT(span.end - span.start, milliseconds(500));
   }
-  EXPECT_EQ(warm_ups, 12u);
-  EXPECT_EQ(restores, 12u);
+  // One warm-up per move, in the trace of the attempt it restored.
+  EXPECT_EQ(warm_ups.size(), 12u);
+  EXPECT_EQ(warm_ups, restores);
   size_t awaits = 0;
   for (const obs::TraceInstant& instant :
        world_.observability().trace.instants()) {
