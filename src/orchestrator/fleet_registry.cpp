@@ -85,7 +85,9 @@ Status FleetRegistry::complete_move(uint64_t id,
       ByteView(), migration::InitState::kMigrate, destination_address);
   // A refused or failed init leaves the warm set unconsumed: the retry
   // restores cold.
-  if (init != Status::kOk) next->ecall_retire_warm_set();
+  if (init != Status::kOk && next->warm_nonce() != 0) {
+    next->ecall_retire_warm_set();
+  }
   bool salvaged = false;
   if (init == Status::kNoPendingMigration) {
     // Confirm-ack loss salvage (§V-D): a previous destination instance
