@@ -1,7 +1,5 @@
 #include "chaos/chaos_plan.h"
 
-#include "support/json.h"
-#include "support/json_parse.h"
 #include "support/rng.h"
 
 namespace sgxmig::chaos {
@@ -24,85 +22,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "chunk-corrupt";
   }
   return "unknown";
-}
-
-Result<FaultKind> fault_kind_from_name(std::string_view name) {
-  for (const FaultKind kind :
-       {FaultKind::kMeCrash, FaultKind::kMeRestart, FaultKind::kEndpointFlap,
-        FaultKind::kTamper, FaultKind::kDrop, FaultKind::kReplyLoss,
-        FaultKind::kChunkCorrupt}) {
-    if (name == fault_kind_name(kind)) return kind;
-  }
-  return Status::kInvalidParameter;
-}
-
-std::string ChaosPlan::to_json() const {
-  JsonWriter w;
-  w.begin_object().key("seed").integer(seed).key("events").begin_array();
-  for (const FaultEvent& e : events) {
-    w.begin_object();
-    w.key("kind").string(fault_kind_name(e.kind));
-    w.key("target").string(e.target);
-    w.key("at_wave").integer(e.at_wave);
-    w.key("at_round").integer(e.at_round);
-    // Omitted when unset, so plans without one keep their bytes.
-    if (e.at_completion != 0) w.key("at_completion").integer(e.at_completion);
-    w.key("at_seconds").number(to_seconds(e.at), 6);
-    w.key("duration_seconds").number(to_seconds(e.duration), 6);
-    w.key("msg_type").integer(e.msg_type);
-    w.key("probability").number(e.probability, 6);
-    w.key("max_firings").integer(e.max_firings);
-    w.end_object();
-  }
-  w.end_array().end_object();
-  return std::move(w).str();
-}
-
-Result<ChaosPlan> ChaosPlan::from_json(std::string_view text) {
-  auto parsed = parse_json(text);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& doc = parsed.value();
-  if (!doc.is_object()) return Status::kInvalidParameter;
-  const JsonValue* seed_value = doc.find("seed");
-  const JsonValue* events_value = doc.find("events");
-  if (seed_value == nullptr || !seed_value->is_number() ||
-      events_value == nullptr || !events_value->is_array()) {
-    return Status::kInvalidParameter;
-  }
-
-  ChaosPlan plan;
-  plan.seed = static_cast<uint64_t>(seed_value->as_number());
-  for (const JsonValue& item : events_value->items()) {
-    if (!item.is_object()) return Status::kInvalidParameter;
-    const JsonValue* kind_value = item.find("kind");
-    if (kind_value == nullptr || !kind_value->is_string()) {
-      return Status::kInvalidParameter;
-    }
-    auto kind = fault_kind_from_name(kind_value->as_string());
-    if (!kind.ok()) return kind.status();
-
-    FaultEvent event;
-    event.kind = kind.value();
-    const auto number_field = [&item](std::string_view key) -> double {
-      const JsonValue* v = item.find(key);
-      return v != nullptr && v->is_number() ? v->as_number() : 0.0;
-    };
-    if (const JsonValue* v = item.find("target");
-        v != nullptr && v->is_string()) {
-      event.target = v->as_string();
-    }
-    event.at_wave = static_cast<uint32_t>(number_field("at_wave"));
-    event.at_round = static_cast<uint32_t>(number_field("at_round"));
-    event.at_completion =
-        static_cast<uint32_t>(number_field("at_completion"));
-    event.at = seconds(number_field("at_seconds"));
-    event.duration = seconds(number_field("duration_seconds"));
-    event.msg_type = static_cast<uint8_t>(number_field("msg_type"));
-    event.probability = number_field("probability");
-    event.max_firings = static_cast<uint32_t>(number_field("max_firings"));
-    plan.events.push_back(std::move(event));
-  }
-  return plan;
 }
 
 ChaosPlan crash_at_completion(const std::vector<std::string>& targets,

@@ -1,6 +1,6 @@
 // Declarative chaos plans (ISSUE 9 tentpole, paper §III-B/§V-D threat
-// model): a ChaosPlan is a typed, serializable schedule of fault events —
-// ME crash/restart at wave N, endpoint down-up flaps with durations,
+// model): a ChaosPlan is a typed schedule of fault events — ME
+// crash/restart at wave N, endpoint down-up flaps with durations,
 // per-message-type tamper/drop rules with probabilities, response-loss
 // ("processed but reply lost") injections, and pre-copy chunk corruption.
 // Plans are DATA: the ChaosExecutor (chaos_executor.h) compiles them onto
@@ -13,11 +13,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "support/sim_clock.h"
-#include "support/status.h"
 
 namespace sgxmig::chaos {
 
@@ -46,11 +44,8 @@ enum class FaultKind : uint8_t {
 };
 
 /// Stable name of a fault kind ("me-crash", "endpoint-flap", ...), used
-/// in plan JSON, chaos stats keys, and trace instant args.
+/// in chaos stats keys and trace instant args.
 const char* fault_kind_name(FaultKind kind);
-
-/// Inverse of fault_kind_name; kInvalidParameter for unknown names.
-Result<FaultKind> fault_kind_from_name(std::string_view name);
 
 /// One scheduled or probabilistic fault.  Which fields are meaningful
 /// depends on the kind:
@@ -75,16 +70,17 @@ struct FaultEvent {
   uint8_t msg_type = 0;
   double probability = 1.0;
   uint32_t max_firings = 0;
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
-/// A full storm: the generator seed plus the event schedule.  Round-trips
-/// through JSON so failing storms can be archived and replayed verbatim.
+/// A full storm: the generator seed plus the event schedule.  The seed
+/// replays it: generate_storm draws the same plan from the same seed.
 struct ChaosPlan {
   uint64_t seed = 0;
   std::vector<FaultEvent> events;
 
-  std::string to_json() const;
-  static Result<ChaosPlan> from_json(std::string_view text);
+  bool operator==(const ChaosPlan&) const = default;
 };
 
 /// The source-ME crash drill of the orchestrated drains: the MEs on

@@ -183,23 +183,6 @@ std::vector<Orchestrator::Task> Orchestrator::build_tasks(const Plan& plan) {
       }
       break;
     }
-    case PlanKind::kRebalance: {
-      const auto machines = fleet_.world().machines();
-      if (machines.empty() || fleet_.empty()) break;
-      const uint32_t target = static_cast<uint32_t>(
-          (fleet_.size() + machines.size() - 1) / machines.size());
-      for (platform::Machine* m : machines) {
-        const auto ids = fleet_.ids_on(m->address());
-        if (ids.size() <= target) continue;
-        // Move the most recently launched enclaves first (highest ids):
-        // long-lived placements stay put.
-        for (size_t i = target; i < ids.size(); ++i) {
-          Task task = make_task(ids[i]);
-          if (task.enclave_id != 0) tasks.push_back(std::move(task));
-        }
-      }
-      break;
-    }
     case PlanKind::kTargetedMove: {
       for (const TargetedMove& move : plan.moves) {
         Task task = make_task(move.enclave_id);

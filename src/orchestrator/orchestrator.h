@@ -1,6 +1,6 @@
 // The fleet migration control plane.
 //
-// Expands a Plan (drain / evacuate / rebalance / targeted moves) into one
+// Expands a Plan (drain / evacuate / targeted moves) into one
 // migration state machine per enclave and drives them all to a terminal
 // state on the virtual clock:
 //

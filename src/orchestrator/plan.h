@@ -5,8 +5,6 @@
 //                decommission).
 //   * evacuate — evacuate every enclave out of a region (regulatory move,
 //                regional failure); no destination inside the region.
-//   * rebalance — move enclaves off machines loaded above the fleet
-//                average until no machine exceeds ceil(total/machines).
 //   * move     — targeted migrations with fixed destinations.
 //
 // A Plan is pure data; the Orchestrator expands it into per-enclave
@@ -22,8 +20,7 @@ namespace sgxmig::orchestrator {
 enum class PlanKind : uint8_t {
   kDrainMachine = 0,
   kEvacuateRegion = 1,
-  kRebalance = 2,
-  kTargetedMove = 3,
+  kTargetedMove = 2,
 };
 
 const char* plan_kind_name(PlanKind kind);
@@ -50,12 +47,6 @@ struct Plan {
     Plan plan;
     plan.kind = PlanKind::kEvacuateRegion;
     plan.region = std::move(region_name);
-    return plan;
-  }
-
-  static Plan rebalance() {
-    Plan plan;
-    plan.kind = PlanKind::kRebalance;
     return plan;
   }
 

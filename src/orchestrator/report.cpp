@@ -9,7 +9,6 @@ const char* plan_kind_name(PlanKind kind) {
   switch (kind) {
     case PlanKind::kDrainMachine: return "drain-machine";
     case PlanKind::kEvacuateRegion: return "evacuate-region";
-    case PlanKind::kRebalance: return "rebalance";
     case PlanKind::kTargetedMove: return "targeted-move";
   }
   return "unknown";

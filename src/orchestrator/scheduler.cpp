@@ -13,8 +13,11 @@ bool contains(const std::vector<std::string>& haystack,
 }
 
 /// Capacity-weighted machine key.  ONE definition shared by the
-/// brute-force policies and the index shards, so both orders agree
-/// bit-for-bit.
+/// brute-force hierarchical rank and the index shards, so both orders
+/// agree bit-for-bit.  cpu_cores is the attribute the provider CA signs
+/// into the machine credential, so the weight trusts the operator, not
+/// the machine's self-report; +1 biases toward big machines even from an
+/// empty fleet.
 double capacity_weight(uint32_t load_plus_reserved, uint32_t cores) {
   const double c = cores == 0 ? 1.0 : static_cast<double>(cores);
   return (static_cast<double>(load_plus_reserved) + 1.0) / c;
@@ -29,53 +32,11 @@ double region_weight(uint64_t total_load_plus_reserved,
   return (static_cast<double>(total_load_plus_reserved) + 1.0) / c;
 }
 
-/// Shared comparator scaffold: candidates sort by (avoided, preference
-/// vector, load weight, address).  Sort keys are computed once per
-/// candidate, not per comparison: effective_load scans the registry.
-std::vector<platform::Machine*> rank_by_keys(
-    const PlacementQuery& query, std::vector<platform::Machine*> candidates,
-    const std::function<std::vector<int>(const platform::Machine&)>& prefs,
-    const std::function<double(const platform::Machine&)>& load) {
-  struct Keyed {
-    int avoided;
-    std::vector<int> prefs;
-    double load;
-    platform::Machine* machine;
-  };
-  std::vector<Keyed> keyed;
-  keyed.reserve(candidates.size());
-  for (platform::Machine* m : candidates) {
-    keyed.push_back({contains(query.avoid, m->address()) ? 1 : 0, prefs(*m),
-                     load(*m), m});
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const Keyed& a, const Keyed& b) {
-                     if (a.avoided != b.avoided) return a.avoided < b.avoided;
-                     if (a.prefs != b.prefs) return a.prefs < b.prefs;
-                     if (a.load != b.load) return a.load < b.load;
-                     return a.machine->address() < b.machine->address();
-                   });
-  for (size_t i = 0; i < keyed.size(); ++i) candidates[i] = keyed[i].machine;
-  return candidates;
-}
-
 class LeastLoadedPolicy final : public PlacementPolicy {
  public:
   const char* name() const override { return "least-loaded"; }
   PlacementIndexMode index_mode() const override {
     return PlacementIndexMode::kLeastLoaded;
-  }
-};
-
-class SameRegionFirstPolicy final : public PlacementPolicy {
- public:
-  const char* name() const override { return "same-region-first"; }
-  int preference(const FleetRegistry& fleet, const PlacementQuery& query,
-                 const platform::Machine& machine) const override {
-    // One map lookup per candidate; policies stay stateless so one
-    // instance can serve any number of rankings.
-    const platform::Machine* source = fleet.world().machine(query.source);
-    return source != nullptr && machine.region() == source->region() ? 0 : 1;
   }
 };
 
@@ -88,23 +49,6 @@ class AntiAffinityPolicy final : public PlacementPolicy {
     return fleet.hosts_image(machine.address(), query.image->mr_enclave())
                ? 1
                : 0;
-  }
-};
-
-class CapacityWeightedPolicy final : public PlacementPolicy {
- public:
-  const char* name() const override { return "capacity-weighted"; }
-  double load_weight(const FleetRegistry& fleet, const PlacementQuery& query,
-                     const platform::Machine& machine) const override {
-    // Certified per-core occupancy: cpu_cores is the attribute the
-    // provider CA signs into the machine credential (the same value
-    // migration policies evaluate), so a scheduler trusting it is
-    // trusting the operator, not the machine's self-report.  +1 biases
-    // toward big machines even from an empty fleet.
-    const double cores =
-        machine.cpu_cores() == 0 ? 1.0 : static_cast<double>(machine.cpu_cores());
-    return (static_cast<double>(effective_load(fleet, query, machine)) + 1.0) /
-           cores;
   }
 };
 
@@ -166,52 +110,37 @@ class HierarchicalPolicy final : public PlacementPolicy {
   }
 };
 
-class CompositePolicy final : public PlacementPolicy {
- public:
-  explicit CompositePolicy(std::vector<std::unique_ptr<PlacementPolicy>> stages)
-      : stages_(std::move(stages)) {}
-  const char* name() const override { return "composite"; }
-  std::vector<platform::Machine*> rank(
-      const FleetRegistry& fleet, const PlacementQuery& query,
-      std::vector<platform::Machine*> candidates) const override {
-    return rank_by_keys(
-        query, std::move(candidates),
-        [&](const platform::Machine& m) {
-          std::vector<int> prefs;
-          prefs.reserve(stages_.size());
-          for (const auto& stage : stages_) {
-            prefs.push_back(stage->preference(fleet, query, m));
-          }
-          return prefs;
-        },
-        [&](const platform::Machine& m) {
-          return stages_.empty()
-                     ? static_cast<double>(effective_load(fleet, query, m))
-                     : stages_.back()->load_weight(fleet, query, m);
-        });
-  }
-
- private:
-  std::vector<std::unique_ptr<PlacementPolicy>> stages_;
-};
-
 }  // namespace
-
-double PlacementPolicy::load_weight(const FleetRegistry& fleet,
-                                    const PlacementQuery& query,
-                                    const platform::Machine& machine) const {
-  return static_cast<double>(effective_load(fleet, query, machine));
-}
 
 std::vector<platform::Machine*> PlacementPolicy::rank(
     const FleetRegistry& fleet, const PlacementQuery& query,
     std::vector<platform::Machine*> candidates) const {
-  return rank_by_keys(
-      query, std::move(candidates),
-      [&](const platform::Machine& m) {
-        return std::vector<int>{preference(fleet, query, m)};
-      },
-      [&](const platform::Machine& m) { return load_weight(fleet, query, m); });
+  // Sort keys are computed once per candidate, not per comparison:
+  // effective_load scans the registry.
+  struct Keyed {
+    int avoided;
+    int preference;
+    uint32_t load;
+    platform::Machine* machine;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(candidates.size());
+  for (platform::Machine* m : candidates) {
+    keyed.push_back({contains(query.avoid, m->address()) ? 1 : 0,
+                     preference(fleet, query, *m),
+                     effective_load(fleet, query, *m), m});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const Keyed& a, const Keyed& b) {
+                     if (a.avoided != b.avoided) return a.avoided < b.avoided;
+                     if (a.preference != b.preference) {
+                       return a.preference < b.preference;
+                     }
+                     if (a.load != b.load) return a.load < b.load;
+                     return a.machine->address() < b.machine->address();
+                   });
+  for (size_t i = 0; i < keyed.size(); ++i) candidates[i] = keyed[i].machine;
+  return candidates;
 }
 
 uint32_t effective_load(const FleetRegistry& fleet,
@@ -226,21 +155,11 @@ uint32_t effective_load(const FleetRegistry& fleet,
 std::unique_ptr<PlacementPolicy> make_least_loaded_policy() {
   return std::make_unique<LeastLoadedPolicy>();
 }
-std::unique_ptr<PlacementPolicy> make_same_region_first_policy() {
-  return std::make_unique<SameRegionFirstPolicy>();
-}
 std::unique_ptr<PlacementPolicy> make_anti_affinity_policy() {
   return std::make_unique<AntiAffinityPolicy>();
 }
-std::unique_ptr<PlacementPolicy> make_capacity_weighted_policy() {
-  return std::make_unique<CapacityWeightedPolicy>();
-}
 std::unique_ptr<PlacementPolicy> make_hierarchical_policy() {
   return std::make_unique<HierarchicalPolicy>();
-}
-std::unique_ptr<PlacementPolicy> make_composite_policy(
-    std::vector<std::unique_ptr<PlacementPolicy>> stages) {
-  return std::make_unique<CompositePolicy>(std::move(stages));
 }
 
 Scheduler::Scheduler(FleetRegistry& fleet,

@@ -9,24 +9,15 @@
 // internals.
 //
 // Built-in policies:
-//   * least-loaded       — fewest enclaves (registry count + in-flight
-//                          reservations) first; ties broken by address.
-//   * same-region-first  — destinations sharing the source's region
-//                          first, least-loaded within each group.
-//   * anti-affinity      — machines NOT already hosting an enclave of the
-//                          same MRENCLAVE first (spread replicas of one
-//                          app), least-loaded within each group.
-//   * capacity-weighted  — load is divided by the machine's certified
-//                          cpu_cores (the attribute the provider CA signs
-//                          into its credential), so a 32-core machine
-//                          absorbs twice the enclaves of a 16-core one
-//                          before ranking equal.
-//
-// Policies COMPOSE: every policy exposes its judgment as a small
-// preference bucket plus a load weight, and make_composite_policy stacks
-// them lexicographically — e.g. {same-region-first, anti-affinity,
-// capacity-weighted} prefers in-region machines, spreads replicas within
-// the region, and breaks remaining ties by certified per-core headroom.
+//   * least-loaded   — fewest enclaves (registry count + in-flight
+//                      reservations) first; ties broken by address.  The
+//                      default, index-accelerated.
+//   * anti-affinity  — machines NOT already hosting an enclave of the
+//                      same MRENCLAVE first (spread replicas of one app),
+//                      least-loaded within each group.
+//   * hierarchical   — the region with the lowest occupancy per
+//                      certified core, then the machine with the lowest
+//                      one within it.  Index-accelerated.
 //
 // All orderings are total and deterministic, so fleet runs reproduce
 // exactly per seed.
@@ -88,8 +79,6 @@ class PlacementPolicy {
   }
 
   /// Policy-specific preference bucket for one machine; lower is better.
-  /// This is the composable judgment: CompositePolicy sorts by the
-  /// stacked policies' buckets lexicographically.
   virtual int preference(const FleetRegistry& fleet,
                          const PlacementQuery& query,
                          const platform::Machine& machine) const {
@@ -99,15 +88,9 @@ class PlacementPolicy {
     return 0;
   }
 
-  /// Load term used after the preference buckets; lower is better.
-  /// Defaults to the raw effective load (enclaves + reservations).
-  virtual double load_weight(const FleetRegistry& fleet,
-                             const PlacementQuery& query,
-                             const platform::Machine& machine) const;
-
   /// Candidate destinations ranked best-first.  `candidates` has the hard
   /// constraints already applied and is non-empty.  The default total
-  /// order is (soft-avoided, preference, load_weight, address); override
+  /// order is (soft-avoided, preference, effective load, address); override
   /// only for orderings this shape cannot express.
   virtual std::vector<platform::Machine*> rank(
       const FleetRegistry& fleet, const PlacementQuery& query,
@@ -115,9 +98,7 @@ class PlacementPolicy {
 };
 
 std::unique_ptr<PlacementPolicy> make_least_loaded_policy();
-std::unique_ptr<PlacementPolicy> make_same_region_first_policy();
 std::unique_ptr<PlacementPolicy> make_anti_affinity_policy();
-std::unique_ptr<PlacementPolicy> make_capacity_weighted_policy();
 /// Hierarchical datacenter placement: pick the region with the lowest
 /// aggregate occupancy per certified core — computed over ALL machines of
 /// the region, so region health is a property of the region, not of the
@@ -125,13 +106,6 @@ std::unique_ptr<PlacementPolicy> make_capacity_weighted_policy();
 /// Ties break by region name, then machine address.  Index-accelerated
 /// (PlacementIndexMode::kHierarchical).
 std::unique_ptr<PlacementPolicy> make_hierarchical_policy();
-
-/// Stacks policies lexicographically: candidates sort by stage 1's
-/// preference bucket first, ties by stage 2's, and so on; the LAST
-/// stage's load weight breaks remaining ties (so ending the stack with
-/// capacity-weighted makes every earlier policy capacity-aware).
-std::unique_ptr<PlacementPolicy> make_composite_policy(
-    std::vector<std::unique_ptr<PlacementPolicy>> stages);
 
 class Scheduler {
  public:
@@ -147,7 +121,8 @@ class Scheduler {
   /// Both paths count the reservation ledger (note_reservation).
   Result<std::string> pick_destination(const PlacementQuery& query) const;
 
-  /// Full ranking (tests and rebalance planning).  Always brute-force.
+  /// Full ranking, always brute-force: the reference the index's picks
+  /// are tested against.
   std::vector<std::string> rank_destinations(
       const PlacementQuery& query) const;
 

@@ -352,6 +352,15 @@ TEST_F(PlacementIndexDeterminism, HierarchicalMatchesBruteForce) {
   expect_identical_picks(orchestrator::make_hierarchical_policy(), 12);
 }
 
+// Scheduler(fleet), the path precopy_live and the bench drains take:
+// least-loaded through the index.
+TEST_F(PlacementIndexDeterminism, DefaultSchedulerIsIndexedLeastLoaded) {
+  expect_identical_picks(nullptr, 13);
+  const Scheduler scheduler(*fleet_);
+  EXPECT_STREQ(scheduler.policy().name(), "least-loaded");
+  EXPECT_TRUE(scheduler.index_active());
+}
+
 // ----- event-log ring -----
 
 OrchestratorReport ring_drain(size_t event_log_limit) {

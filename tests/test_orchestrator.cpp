@@ -276,19 +276,6 @@ TEST_F(OrchestratorTest, EvacuateRegionLandsEveryoneOutsideIt) {
   expect_counters_survived(ids_b);
 }
 
-TEST_F(OrchestratorTest, RebalanceBoundsEveryMachineLoad) {
-  build_world(/*machines=*/4, /*central=*/4);
-  launch_fleet("m0", 8);  // all load on m0; target = ceil(8/4) = 2
-  Scheduler scheduler(fleet_);
-  Orchestrator orch(fleet_, scheduler, {});
-  const auto report = orch.execute(Plan::rebalance());
-  EXPECT_EQ(report.failed(), 0u);
-  for (const char* m : {"m0", "m1", "m2", "m3"}) {
-    EXPECT_LE(fleet_.count_on(m), 2u) << m;
-  }
-  EXPECT_EQ(fleet_.size(), 8u);
-}
-
 TEST_F(OrchestratorTest, TargetedMoveUsesTheFixedDestination) {
   build_world(/*machines=*/3, /*central=*/3);
   const auto ids = launch_fleet("m0", 2);
@@ -382,19 +369,6 @@ TEST_F(OrchestratorTest, LeastLoadedPolicyCountsReservations) {
   EXPECT_EQ(scheduler.pick_destination(query).value(), "m1");
 }
 
-TEST_F(OrchestratorTest, SameRegionFirstPrefersTheSourceRegion) {
-  build_world(/*machines=*/4, /*central=*/2);  // m0,m1 central; m2,m3 west
-  launch_fleet("m1", 2);  // same-region m1 is busier than cross-region m2
-  Scheduler scheduler(fleet_, orchestrator::make_same_region_first_policy());
-  PlacementQuery query;
-  query.source = "m0";
-  EXPECT_EQ(scheduler.pick_destination(query).value(), "m1");
-  // Hard exclusion removes it; the other central machine is the source,
-  // so the ranking falls through to eu-west.
-  query.excluded = {"m1"};
-  EXPECT_EQ(scheduler.pick_destination(query).value(), "m2");
-}
-
 TEST_F(OrchestratorTest, AntiAffinitySpreadsReplicasOfOneImage) {
   build_world(/*machines=*/3, /*central=*/3);
   const auto image = EnclaveImage::create("replica-app", 1, "acme");
@@ -419,67 +393,6 @@ TEST_F(OrchestratorTest, AvoidedDestinationsRankLastButStayEligible) {
   EXPECT_EQ(scheduler.pick_destination(query).value(), "m2");
   query.avoid = {"m1", "m2"};  // everything avoided: still picks one
   ASSERT_TRUE(scheduler.pick_destination(query).ok());
-}
-
-TEST_F(OrchestratorTest, CapacityWeightedPolicyUsesCertifiedCores) {
-  // m1: 32 certified cores, already hosting 2 enclaves; m2: 8 cores,
-  // hosting 1.  Raw least-loaded would pick m2; per-core occupancy says
-  // m1 ((2+1)/32 = 0.09) beats m2 ((1+1)/8 = 0.25).
-  world_.add_machine("m0", "eu-central", 16);
-  world_.add_machine("m1", "eu-central", 32);
-  world_.add_machine("m2", "eu-central", 8);
-  launch_fleet("m1", 2, {}, "big");
-  launch_fleet("m2", 1, {}, "small");
-  PlacementQuery query;
-  query.source = "m0";
-  Scheduler least(fleet_);
-  EXPECT_EQ(least.pick_destination(query).value(), "m2");
-  Scheduler capacity(fleet_, orchestrator::make_capacity_weighted_policy());
-  EXPECT_EQ(capacity.pick_destination(query).value(), "m1");
-  // Reservations count against the headroom like registry load does.
-  capacity.note_reservation("m1", 6);  // (2+6+1)/32 = 0.28 > 0.25
-  EXPECT_EQ(capacity.pick_destination(query).value(), "m2");
-}
-
-TEST_F(OrchestratorTest, CompositePolicyStacksLexicographically) {
-  // Anti-affinity WITHIN same-region-first, capacity-aware tie-break:
-  //   m1: in-region, hosts the replica image, 32 cores
-  //   m2: in-region, clean of the image, 4 cores, busier per core
-  //   m3: out-of-region, clean, 64 cores, empty
-  // Region dominates (m3 last despite the best headroom); within the
-  // region the image-free m2 beats the replica host m1 even though m1
-  // has far more headroom.
-  world_.add_machine("m0", "eu-central", 16);
-  world_.add_machine("m1", "eu-central", 32);
-  world_.add_machine("m2", "eu-central", 4);
-  world_.add_machine("m3", "eu-west", 64);
-  const auto image = EnclaveImage::create("replica-app", 1, "acme");
-  ASSERT_TRUE(fleet_.launch("m1", "replica-0", image).ok());
-  launch_fleet("m2", 1, {}, "busy");
-
-  std::vector<std::unique_ptr<orchestrator::PlacementPolicy>> stages;
-  stages.push_back(orchestrator::make_same_region_first_policy());
-  stages.push_back(orchestrator::make_anti_affinity_policy());
-  stages.push_back(orchestrator::make_capacity_weighted_policy());
-  Scheduler scheduler(fleet_,
-                      orchestrator::make_composite_policy(std::move(stages)));
-  PlacementQuery query;
-  query.source = "m0";
-  query.image = image.get();
-  const auto ranked = scheduler.rank_destinations(query);
-  ASSERT_EQ(ranked.size(), 3u);
-  EXPECT_EQ(ranked[0], "m2");  // in-region, image-free
-  EXPECT_EQ(ranked[1], "m1");  // in-region, replica host
-  EXPECT_EQ(ranked[2], "m3");  // out-of-region, regardless of headroom
-
-  // Drop the image constraint: the anti-affinity stage goes neutral and
-  // the LAST stage's capacity weight breaks the in-region tie toward the
-  // big machine.
-  query.image = nullptr;
-  const auto neutral = scheduler.rank_destinations(query);
-  EXPECT_EQ(neutral[0], "m1");  // (1+1)/32 beats (1+1)/4
-  EXPECT_EQ(neutral[1], "m2");
-  EXPECT_EQ(neutral[2], "m3");
 }
 
 // ----- structured failure reporting (satellite) -----
