@@ -16,7 +16,8 @@
 //   * a traced rerun of the 1k row reproduces its untraced wall
 //     bit-exactly and emits TRACE_fleet_scale.json for trace_check.py;
 //   * one mixed-profile chaos storm over a 1000-enclave event-driven
-//     drain converges with zero forks and zero oracle findings.
+//     drain converges with zero forks and zero oracle findings, and fork
+//     check A refused the retired buffer of every successful move.
 //
 // Usage: bench_fleet_scale            (SGXMIG_SEED=<n> overrides the base
 //                                      world seed; gate failures print it)
@@ -421,8 +422,11 @@ void run() {
       .field("oracle_findings", static_cast<uint64_t>(storm.findings.size()))
       .field("succeeded", static_cast<uint64_t>(storm.report.succeeded()))
       .field("failed", static_cast<uint64_t>(storm.report.failed()));
+  // The storm's enclaves carry no epoch guard, so check B refuses none of
+  // their pre-drain snapshots: every refusal is check A's.
   if (storm.report.failed() != 0 || storm.forks != 0 ||
-      !storm.findings.empty()) {
+      !storm.findings.empty() ||
+      storm.refusals != storm.report.succeeded()) {
     for (const chaos::OracleFinding& finding : storm.findings) {
       std::printf("ORACLE VIOLATION [%s]: %s\n", finding.check.c_str(),
                   finding.detail.c_str());

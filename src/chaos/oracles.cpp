@@ -1,9 +1,12 @@
 #include "chaos/oracles.h"
 
+#include <algorithm>
 #include <chrono>
 
+#include "migration/library_state.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "sgx/sealing.h"
 
 namespace sgxmig::chaos {
 
@@ -14,8 +17,21 @@ ConvergenceOracle::ConvergenceOracle(orchestrator::FleetRegistry& fleet,
                                      std::string source_machine)
     : fleet_(fleet), source_(std::move(source_machine)) {}
 
+ConvergenceOracle::~ConvergenceOracle() {
+  if (subscription_ != 0) fleet_.unsubscribe_retired_state(subscription_);
+}
+
 void ConvergenceOracle::capture() {
   captured_.clear();
+  retired_refusals_ = 0;
+  retired_forks_.clear();
+  if (subscription_ == 0) {
+    subscription_ = fleet_.subscribe_retired_state(
+        [this](uint64_t id, const std::string& machine,
+               const SharedBytes& sealed) {
+          judge_retired(id, machine, sealed);
+        });
+  }
   for (const uint64_t id : fleet_.ids_on(source_)) {
     const orchestrator::EnclaveRecord* record = fleet_.find(id);
     if (record == nullptr || record->enclave == nullptr) continue;
@@ -34,11 +50,44 @@ void ConvergenceOracle::capture() {
   }
 }
 
+void ConvergenceOracle::judge_retired(uint64_t id, const std::string& machine,
+                                      const SharedBytes& sealed) {
+  if (machine != source_) return;
+  const auto snap =
+      std::find_if(captured_.begin(), captured_.end(),
+                   [id](const Captured& c) { return c.id == id; });
+  platform::Machine* source = fleet_.world().machine(source_);
+  if (snap == captured_.end() || source == nullptr) return;
+  // The migrated-away instance's final sealed state carries the freeze
+  // flag or a dead epoch guard, so the library's restore rule must refuse
+  // it with kMigrationFrozen.
+  auto unsealed =
+      sgx::unseal_data(source->cpu(), snap->image->identity(), sealed);
+  Status status = unsealed.status();
+  if (unsealed.ok()) {
+    const sgx::Measurement& owner = snap->image->mr_enclave();
+    status = migration::restorable_state(
+                 unsealed.value(),
+                 [source, &owner](const sgx::CounterUuid& uuid) {
+                   return source->counter_service().read(owner, uuid);
+                 })
+                 .status();
+  }
+  if (status == Status::kMigrationFrozen) {
+    ++retired_refusals_;
+  } else if (status == Status::kOk) {
+    retired_forks_.push_back(
+        {"fork", snap->name + " retired buffer restores into a live "
+                              "instance"});
+  }
+}
+
 std::vector<OracleFinding> ConvergenceOracle::verify(
     const orchestrator::OrchestratorReport& report) {
-  std::vector<OracleFinding> findings;
-  epoch_guard_refusals_ = 0;
-  forks_ = 0;
+  // Fork check A ran as each move retired its source buffer.
+  std::vector<OracleFinding> findings = retired_forks_;
+  epoch_guard_refusals_ = retired_refusals_;
+  forks_ = retired_forks_.size();
 
   if (report.failed() != 0) {
     findings.push_back({"convergence", std::to_string(report.failed()) +
@@ -89,24 +138,6 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
     }
 
     if (source_machine == nullptr) continue;
-
-    // Fork check A — the POST-drain stored buffer on the source: the
-    // migrated-away instance's final sealed state carries the freeze
-    // flag, so restoring it must refuse with kMigrationFrozen.
-    auto stored = source_machine->storage().get(snap.name + ".ml");
-    if (stored.ok()) {
-      MigratableEnclave replay(*source_machine, snap.image);
-      const Status status = replay.ecall_migration_init(
-          stored.value(), InitState::kRestore, source_);
-      if (status == Status::kMigrationFrozen) {
-        ++epoch_guard_refusals_;
-      } else if (status == Status::kOk) {
-        ++forks_;
-        findings.push_back({"fork", snap.name + " post-drain buffer "
-                                                "restored into a live "
-                                                "instance"});
-      }
-    }
 
     // Fork check B — the PRE-drain sealed snapshot (what an adversary
     // replaying an old backup would present): for live-transfer enclaves

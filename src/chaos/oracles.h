@@ -6,10 +6,12 @@
 //     move (the nonce exactly-once observable);
 //   * no counter regression: every pre-drain counter value reads back
 //     exactly on the migrated instance;
-//   * no forks: neither the post-drain stored buffer (freeze flag) nor
-//     the pre-drain sealed snapshot (epoch guard / destroyed counters)
-//     restores into a second USABLE instance — refusals are counted so
-//     the no-fork verdict is cross-checked against epoch-guard refusals;
+//   * no forks: neither the buffer each completed move takes out of the
+//     source store (freeze flag / epoch guard), judged as it is taken,
+//     nor the pre-drain sealed snapshot (epoch guard / destroyed
+//     counters) restores into a second USABLE instance — refusals are
+//     counted so the no-fork verdict is cross-checked against epoch-guard
+//     refusals;
 //   * durable-queue consistency: every surviving ME drained its incoming
 //     records (assembled and staged), transfer tasks, and done-relay
 //     retries.
@@ -44,11 +46,16 @@ class ConvergenceOracle {
   /// `source_machine` is the machine the plan drains.
   ConvergenceOracle(orchestrator::FleetRegistry& fleet,
                     std::string source_machine);
+  ~ConvergenceOracle();
+
+  ConvergenceOracle(const ConvergenceOracle&) = delete;
+  ConvergenceOracle& operator=(const ConvergenceOracle&) = delete;
 
   /// Snapshots the pre-drain ground truth: per-enclave counter values,
   /// completed-move counts, the current sealed buffer (the fork drill
   /// artifact an adversary would replay), and live-transfer capability.
-  /// Call BEFORE Orchestrator::execute.
+  /// Subscribes to the registry's retired buffers, which fork check A
+  /// judges as each move completes.  Call BEFORE Orchestrator::execute.
   void capture();
 
   /// Runs every post-drain oracle against `report` and the live fleet.
@@ -56,9 +63,10 @@ class ConvergenceOracle {
   std::vector<OracleFinding> verify(
       const orchestrator::OrchestratorReport& report);
 
-  /// Stale restores refused by the epoch guard / freeze flag during
-  /// verify() — the cross-check that the no-fork verdict came from the
-  /// anti-fork machinery actually firing, not from luck.
+  /// Stale restores refused by the epoch guard / freeze flag, at the
+  /// moves' retirements and during verify() — the cross-check that the
+  /// no-fork verdict came from the anti-fork machinery actually firing,
+  /// not from luck.
   uint64_t epoch_guard_refusals() const { return epoch_guard_refusals_; }
 
   /// Forked instances detected by the last verify() (a stale buffer that
@@ -76,9 +84,20 @@ class ConvergenceOracle {
     bool live_transfer = false;
   };
 
+  /// Fork check A on the buffer a completed move took out of `machine`'s
+  /// store.  Judged off the measured run: no clock, RNG, PSE op, RPC or
+  /// trace record, only the library's restore rule over the source CPU's
+  /// unseal and the source PSE's counter table.
+  void judge_retired(uint64_t id, const std::string& machine,
+                     const SharedBytes& sealed);
+
   orchestrator::FleetRegistry& fleet_;
   std::string source_;
   std::vector<Captured> captured_;
+  uint64_t subscription_ = 0;  // 0: not subscribed
+  // Check A's verdicts, reached during the drain.
+  uint64_t retired_refusals_ = 0;
+  std::vector<OracleFinding> retired_forks_;
   uint64_t epoch_guard_refusals_ = 0;
   uint64_t forks_ = 0;
 };

@@ -14,6 +14,29 @@ std::vector<ActiveSlot>::iterator first_at_or_after(
 }
 }  // namespace
 
+Result<LibraryState> restorable_state(sgx::UnsealedData& unsealed,
+                                      const GuardReader& read_guard) {
+  if (to_string(unsealed.aad) != kLibraryStateAad) return Status::kTampered;
+  auto state = decode_record<LibraryState>(unsealed.plaintext);
+  secure_wipe(unsealed.plaintext);  // the MSK, every UUID
+  if (!state.ok()) return state.status();
+  // Freeze flag check: if this enclave's state was migrated away, the
+  // library refuses to operate (prevents the §III-B fork).
+  if (state.value().frozen != 0) return Status::kMigrationFrozen;
+  if (state.value().epoch_active == 0) return state;  // legacy lineage
+  // Epoch guard check: a buffer whose guard is gone is a rollback across
+  // a migration (the guard died with the counters before the data left;
+  // a destroyed or retired guard reads as not found) — refuse exactly
+  // like a frozen buffer.
+  auto guard = read_guard(state.value().epoch_uuid);
+  if (guard.status() == Status::kCounterNotFound ||
+      (guard.ok() && guard.value() != state.value().epoch_value)) {
+    return Status::kMigrationFrozen;
+  }
+  if (!guard.ok()) return guard.status();
+  return state;
+}
+
 ResidentState ResidentState::from_wire(const LibraryState& state) {
   ResidentState out;
   out.frozen = state.frozen;

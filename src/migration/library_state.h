@@ -19,11 +19,13 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "migration/migration_data.h"
 #include "sgx/pse.h"
+#include "sgx/sealing.h"
 #include "support/bytes.h"
 #include "support/serde.h"
 #include "support/status.h"
@@ -65,6 +67,21 @@ struct LibraryState {
     io.u32(m.epoch_value);
   }
 };
+
+/// The additional MAC text of every sealed Table II.
+inline constexpr char kLibraryStateAad[] = "SGXMIG-ML-STATE";
+
+/// Reads an epoch guard's hardware value.
+using GuardReader = std::function<Result<uint32_t>(const sgx::CounterUuid&)>;
+
+/// The restore rule of §VI-B "Persistent data", over an unsealed buffer:
+/// kTampered unless it is a Table II; kMigrationFrozen when it carries the
+/// freeze flag, or when its epoch guard is gone or holds another value
+/// than the one it was sealed under (the enclave migrated away since).
+/// `read_guard` is asked only for an unfrozen, guarded buffer.  Wipes the
+/// plaintext; on kOk returns the decoded record.
+Result<LibraryState> restorable_state(sgx::UnsealedData& unsealed,
+                                      const GuardReader& read_guard);
 
 /// One active Table II slot as the library holds it in memory.
 struct ActiveSlot {

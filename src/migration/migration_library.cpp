@@ -13,10 +13,6 @@
 
 namespace sgxmig::migration {
 
-namespace {
-constexpr char kStateAad[] = "SGXMIG-ML-STATE";
-}  // namespace
-
 MigrationLibrary::MigrationLibrary(sgx::Enclave& host,
                                    bool live_transfer_capable)
     : host_(host),
@@ -37,8 +33,8 @@ Status MigrationLibrary::persist(bool invoke_callback) {
   }
   // Table II (the MSK and every counter UUID) is encoded straight into the
   // blob and encrypted there, so no plaintext copy of it reaches the heap.
-  auto sealed = host_.seal_record_with(*seal_ctx_, text_bytes(kStateAad),
-                                       state_.to_wire());
+  auto sealed = host_.seal_record_with(
+      *seal_ctx_, text_bytes(kLibraryStateAad), state_.to_wire());
   if (!sealed.ok()) return sealed.status();
   sealed_state_ = SharedBytes(std::move(sealed).value());
   if (invoke_callback && persist_callback_) {
@@ -188,24 +184,13 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
     case InitState::kRestore: {
       auto unsealed = host_.unseal(state_buffer);
       if (!unsealed.ok()) return unsealed.status();
-      if (to_string(unsealed.value().aad) != kStateAad) {
-        return Status::kTampered;
-      }
-      auto state = decode_record<LibraryState>(unsealed.value().plaintext);
-      secure_wipe(unsealed.value().plaintext);  // the MSK, every UUID
+      auto state = restorable_state(
+          unsealed.value(),
+          [this](const sgx::CounterUuid& uuid) {
+            return host_.counter_read(uuid);
+          });
       if (!state.ok()) return state.status();
-      // Freeze flag check: if this enclave's state was migrated away, the
-      // library refuses to operate (prevents the §III-B fork).
-      if (state.value().frozen != 0) return Status::kMigrationFrozen;
       state_ = ResidentState::from_wire(state.value());
-      // Epoch guard check: a buffer whose guard is gone is a rollback
-      // across a migration (the guard died with the counters before the
-      // data left) — refuse exactly like a frozen buffer.
-      const Status epoch = check_epoch_guard();
-      if (epoch != Status::kOk) {
-        state_ = ResidentState{};
-        return epoch;
-      }
       const Status status = persist(/*invoke_callback=*/false);
       if (status != Status::kOk) return status;
       initialized_ = true;
@@ -404,19 +389,6 @@ Status MigrationLibrary::create_epoch_guard() {
   state_.epoch_active = 1;
   state_.epoch_uuid = created.value().uuid;
   state_.epoch_value = created.value().value;
-  return Status::kOk;
-}
-
-Status MigrationLibrary::check_epoch_guard() const {
-  if (state_.epoch_active == 0) return Status::kOk;  // legacy lineage
-  auto value = host_.counter_read(state_.epoch_uuid);
-  // A destroyed or retired guard means the enclave migrated away from
-  // this machine (either transfer mode): same refusal as a stale epoch.
-  if (value.status() == Status::kCounterNotFound) {
-    return Status::kMigrationFrozen;
-  }
-  if (!value.ok()) return value.status();
-  if (value.value() != state_.epoch_value) return Status::kMigrationFrozen;
   return Status::kOk;
 }
 

@@ -435,9 +435,6 @@ class MigrationLibrary {
   void note_slot_dirty(size_t slot);
   /// Creates the epoch-guard hardware counter (live-transfer capability).
   Status create_epoch_guard();
-  /// Restore-time rollback check: the hardware epoch counter must still
-  /// hold the value this buffer was sealed under.
-  Status check_epoch_guard() const;
   /// Collects every chunk with generation > shipped generation; round 0
   /// (`include_all_populated`) also collects clean chunks holding active
   /// counters (e.g. restored state whose generations start at zero).

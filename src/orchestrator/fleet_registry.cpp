@@ -72,7 +72,7 @@ Status FleetRegistry::complete_move(uint64_t id,
     if (warm->second.machine == destination_address) {
       next = std::move(warm->second.enclave);
     } else {
-      warm->second.enclave->ecall_retire_warm_set();
+      discard_warm(record, warm->second);
     }
     warm_.erase(warm);
   }
@@ -118,6 +118,15 @@ Status FleetRegistry::complete_move(uint64_t id,
 
   index_erase(record);  // still indexed under the source machine
   record.enclave = std::move(next);  // destroys the frozen source instance
+  // Nothing restores the frozen instance's last Table II any more.
+  platform::Machine* source = world_.machine(record.machine);
+  if (source != nullptr && record.machine != destination_address) {
+    if (auto sealed = source->storage().take(storage_key(record.name))) {
+      for (const auto& [token, subscriber] : retired_subscribers_) {
+        subscriber(id, record.machine, *sealed);
+      }
+    }
+  }
   record.machine = destination_address;
   ++record.completed_migrations;
   index_insert(record);
@@ -146,8 +155,26 @@ Status FleetRegistry::warm_up(uint64_t id,
 void FleetRegistry::retire_warm(uint64_t id) {
   const auto warm = warm_.find(id);
   if (warm == warm_.end()) return;
-  warm->second.enclave->ecall_retire_warm_set();
+  discard_warm(records_.at(id), warm->second);
   warm_.erase(warm);
+}
+
+void FleetRegistry::discard_warm(const EnclaveRecord& record,
+                                 WarmInstance& warm) {
+  warm.enclave->ecall_retire_warm_set();
+  platform::Machine* machine = world_.machine(warm.machine);
+  if (machine != nullptr && warm.machine != record.machine) {
+    machine->storage().take(storage_key(record.name));
+  }
+}
+
+uint64_t FleetRegistry::subscribe_retired_state(RetiredStateCallback cb) {
+  retired_subscribers_.emplace(next_subscriber_, std::move(cb));
+  return next_subscriber_++;
+}
+
+void FleetRegistry::unsubscribe_retired_state(uint64_t token) {
+  retired_subscribers_.erase(token);
 }
 
 bool FleetRegistry::pse_room(uint64_t id,

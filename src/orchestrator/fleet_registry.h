@@ -68,10 +68,12 @@ class FleetRegistry {
   /// Destination half of a migration: instantiates the enclave on
   /// `destination_address` (or takes its warm instance there), fetches the
   /// incoming data from the local ME (migration_init(kMigrate)), and only
-  /// then retires the frozen source instance and moves the record.  A warm
-  /// set the init did not consume is retired.  On failure the source
-  /// instance (and the source ME's retained copy) are left untouched for
-  /// the caller to retry or escalate.
+  /// then retires the frozen source instance, takes its sealed buffer out
+  /// of the source store (handed to the retired-state subscribers first),
+  /// and moves the record.  A warm set the init did not consume is
+  /// retired.  On failure the source instance (and the source ME's
+  /// retained copy) are left untouched for the caller to retry or
+  /// escalate.
   Status complete_move(uint64_t id, const std::string& destination_address);
 
   /// Warm pre-copy destination: launches the enclave's destination
@@ -80,7 +82,8 @@ class FleetRegistry {
   /// complete_move.  A set held for an earlier warm-up is retired first.
   Status warm_up(uint64_t id, const std::string& destination_address);
   /// Retires the enclave's warm set, if it holds one (abandoned attempt):
-  /// one PSE retire, reclaimed by the platform's sweep.
+  /// one PSE retire, reclaimed by the platform's sweep; its sealed set
+  /// leaves that machine's store.
   void retire_warm(uint64_t id);
   /// True when `machine_address`'s PSE can hold the enclave's counter set
   /// (its active counters and the epoch guard) beside every counter its
@@ -139,6 +142,15 @@ class FleetRegistry {
     completion_callback_ = std::move(cb);
   }
 
+  /// Invoked with the sealed buffer a completed move takes out of the
+  /// source machine's store (the frozen instance's last Table II), before
+  /// the registry drops it.
+  using RetiredStateCallback = std::function<void(
+      uint64_t id, const std::string& machine, const SharedBytes& sealed)>;
+  /// Returns the token unsubscribe_retired_state takes.
+  uint64_t subscribe_retired_state(RetiredStateCallback cb);
+  void unsubscribe_retired_state(uint64_t token);
+
   /// The registry does not own the world; the reference stays usable from
   /// const registry contexts (placement queries only read machine state).
   platform::World& world() const { return world_; }
@@ -155,6 +167,11 @@ class FleetRegistry {
   void index_erase(const EnclaveRecord& record);
   void record_load_change(const std::string& machine_address);
 
+  struct WarmInstance;
+  /// Retires `warm`'s set and takes its sealed set out of its machine's
+  /// store, unless the enclave runs on that machine.
+  void discard_warm(const EnclaveRecord& record, WarmInstance& warm);
+
   platform::World& world_;
   std::map<uint64_t, EnclaveRecord> records_;  // ordered: deterministic scans
   /// Warm destination instances by enclave id, with their machine.
@@ -165,6 +182,8 @@ class FleetRegistry {
   std::map<uint64_t, WarmInstance> warm_;
   uint64_t next_id_ = 1;
   CompletionCallback completion_callback_;
+  std::map<uint64_t, RetiredStateCallback> retired_subscribers_;
+  uint64_t next_subscriber_ = 1;
 
   // Placement indexes.  records_ stays the source of truth; these shard
   // it by machine / region / image so the hot placement queries

@@ -96,9 +96,13 @@ size_t UntrustedStore::memory_bytes() const {
   return bytes;
 }
 
-void UntrustedStore::remove(const std::string& name) {
-  blobs_.erase(name);
-  ++generation_;
+std::optional<SharedBytes> UntrustedStore::take(const std::string& name) {
+  const auto it = blobs_.find(name);
+  if (it == blobs_.end()) return std::nullopt;
+  SharedBytes blob = std::move(it->second);
+  blobs_.erase(it);
+  if (is_slot_name(name)) ++generation_;
+  return blob;
 }
 
 std::optional<UntrustedStore::Slot> UntrustedStore::newest_slot(

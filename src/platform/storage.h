@@ -31,7 +31,10 @@ class UntrustedStore {
   Result<Bytes> get(const std::string& name) const;
 
   bool exists(const std::string& name) const;
-  void remove(const std::string& name);
+  /// Deletes `name` and hands back the blob it held (nullopt when
+  /// absent).  Deleting charges no virtual time.
+  std::optional<SharedBytes> take(const std::string& name);
+  void remove(const std::string& name) { take(name); }
   size_t size() const { return blobs_.size(); }
   /// Heap bytes of the stored blobs and their entries (payload only; a
   /// blob shared with a snapshot or an enclave counts here once).
@@ -89,8 +92,8 @@ class UntrustedStore {
 
   /// The slot and sequence put_versioned last wrote for a name, valid
   /// while `generation` is the store's: every change other than
-  /// put_versioned's own writes (put over a slot name, remove, restore,
-  /// corrupt) moves the store's generation on.
+  /// put_versioned's own writes that can touch a slot (put or take of a
+  /// slot name, restore, corrupt) moves the store's generation on.
   struct LastVersion {
     int index = 0;
     uint64_t sequence = 0;

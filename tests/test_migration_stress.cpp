@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <string>
 
+#include "chaos/oracles.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "orchestrator/fleet_builder.h"
@@ -178,8 +181,9 @@ TEST_F(MigrationStressTest, WholeProtocolDeterministicPerSeed) {
 TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
   // 12 enclaves (distinct images) leave m0 concurrently (cap 4) and all
   // land on the single destination ME of m1.  Each must arrive with
-  // exactly its own counter table, and the buffer each left stored on m0
-  // must carry the freeze flag.
+  // exactly its own counter table.  The buffer each left stored on m0 is
+  // taken out of m0's store when its move completes, and it must carry
+  // the freeze flag.
   constexpr int kEnclaves = 12;
   orchestrator::FleetRegistry fleet(world_);
   const auto launched = orchestrator::launch_apps(
@@ -189,11 +193,21 @@ TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
   ASSERT_TRUE(launched.ok());
   const std::vector<uint64_t>& ids = launched.value();
 
+  std::map<uint64_t, SharedBytes> retired;
+  const uint64_t subscription = fleet.subscribe_retired_state(
+      [&retired](uint64_t id, const std::string& machine,
+                 const SharedBytes& sealed) {
+        EXPECT_EQ(machine, "m0");
+        EXPECT_TRUE(retired.emplace(id, sealed).second);
+      });
+  chaos::ConvergenceOracle oracle(fleet, "m0");
+  oracle.capture();
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions orch_options;
   orch_options.max_inflight_per_machine = 4;
   orchestrator::Orchestrator orch(fleet, scheduler, orch_options);
   const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  fleet.unsubscribe_retired_state(subscription);
 
   EXPECT_EQ(report.succeeded(), static_cast<size_t>(kEnclaves));
   EXPECT_EQ(report.peak_inflight_per_machine.at("m0"), 4u);
@@ -205,16 +219,22 @@ TEST_F(MigrationStressTest, ConcurrentDrainToSharedDestinationNoCrossTalk) {
     auto value = fleet.enclave(ids[i])->ecall_read_migratable_counter(0);
     ASSERT_TRUE(value.ok()) << i;
     EXPECT_EQ(value.value(), static_cast<uint32_t>(i + 1)) << i;
-    // The buffer stored on m0 carries the freeze flag, so restoring it
-    // refuses to operate.
-    auto stored = m0_.storage().get(record->name + ".ml");
-    ASSERT_TRUE(stored.ok()) << i;
+    // The buffer stored on m0 left its store with the move; it carries
+    // the freeze flag, so restoring it refuses to operate.
+    EXPECT_FALSE(m0_.storage().exists(record->name + ".ml")) << i;
+    ASSERT_EQ(retired.count(ids[i]), 1u) << i;
     MigratableEnclave replay(m0_, record->image);
-    EXPECT_EQ(replay.ecall_migration_init(stored.value(),
+    EXPECT_EQ(replay.ecall_migration_init(retired.at(ids[i]),
                                           InitState::kRestore, "m0"),
               Status::kMigrationFrozen)
         << i;
   }
+  // Fork check A refused every move's final buffer as it was retired (the
+  // pre-drain snapshots of these unguarded enclaves unseal, so check B
+  // refuses none of them).
+  oracle.verify(report);
+  EXPECT_EQ(oracle.forks(), 0u);
+  EXPECT_EQ(oracle.epoch_guard_refusals(), static_cast<uint64_t>(kEnclaves));
   // Every m0 hardware counter was destroyed before its data left.
   for (int i = 0; i < kEnclaves; ++i) {
     EXPECT_EQ(m0_.counter_service().count_for(

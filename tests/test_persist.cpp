@@ -193,9 +193,19 @@ TEST_F(PersistenceLibraryTest, VersionedSlotFollowsHostChangesBetweenPuts) {
   EXPECT_EQ(newest(), "g3");
   store.remove("w#0");
   EXPECT_EQ(newest(), "g1");
+  const Bytes plain = to_bytes(std::string_view("plain"));
+  store.put("w", plain);  // neither is a slot name
+  store.put("w.ml", plain);
   put("g4");  // #0 again, seq 2; g1 survives in #1
   EXPECT_EQ(store.versioned_sequence("w"), 2u);
+  // Deleting or taking a name that is no slot leaves the slots' last
+  // write valid for the next put.
+  store.remove("w.ml");
+  EXPECT_EQ(store.take("w").value(), plain);
+  EXPECT_FALSE(store.take("w").has_value());
   put("g5");  // #1, seq 3
+  EXPECT_EQ(store.versioned_sequence("w"), 3u);
+  EXPECT_EQ(newest(), "g5");
   store.restore(only_g1);
   put("g6");  // #0, seq 2
   EXPECT_EQ(store.versioned_sequence("w"), 2u);

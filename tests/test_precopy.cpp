@@ -1459,6 +1459,7 @@ TEST_F(PrecopyTest, AbandonedWarmSetIsRetiredThenReclaimed) {
   EXPECT_TRUE(fleet.pse_room(id, "m1"));
   ASSERT_EQ(fleet.warm_up(id, "m1"), Status::kOk);
   EXPECT_EQ(pse.count_for(owner), 3u);
+  EXPECT_TRUE(m1_.storage().exists("warm-abandon.ml"));  // the sealed set
   // A second warm-up replaces the first set.
   ASSERT_EQ(fleet.warm_up(id, "m1"), Status::kOk);
   EXPECT_EQ(pse.retired_count(), 3u);
@@ -1468,11 +1469,68 @@ TEST_F(PrecopyTest, AbandonedWarmSetIsRetiredThenReclaimed) {
   ASSERT_EQ(enclave->ecall_migration_finalize("m2"), Status::kOk);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
   ASSERT_EQ(fleet.complete_move(id, "m2"), Status::kOk);
+  // Only the machine the enclave landed on keeps its sealed buffer.
+  EXPECT_FALSE(m1_.storage().exists("warm-abandon.ml"));
+  EXPECT_FALSE(m0_.storage().exists("warm-abandon.ml"));
+  EXPECT_TRUE(m2_.storage().exists("warm-abandon.ml"));
   EXPECT_EQ(pse.retired_count(), 6u);
   EXPECT_EQ(pse.count_for(owner), 6u);
   EXPECT_EQ(m1_.reclaim_retired_counters(), 6u);
   EXPECT_EQ(pse.count_for(owner), 0u);
   EXPECT_EQ(fleet.enclave(id)->ecall_read_migratable_counter(1).value(), 1u);
+}
+
+// A completed move takes the source's frozen Table II out of its store,
+// and an unused warm set its sealed set: after a full-snapshot drain and
+// a pipelined pre-copy drain, a store holds "<name>.ml" only for an
+// enclave placed on its machine.
+TEST_F(PrecopyTest, DrainsLeaveNoSealedBufferOffTheEnclavesMachine) {
+  for (platform::Machine* m : world_.machines()) {
+    migration::me_on(*m)->set_async_precopy(true);
+  }
+  orchestrator::FleetRegistry fleet(world_);
+  orchestrator::AppSpec apps{.count = 6, .prefix = "left-behind-"};
+  apps.options.live_transfer = true;
+  apps.counters = 17;  // two Table II chunks: round 0 does not converge
+  ASSERT_TRUE(orchestrator::launch_apps(fleet, apps).ok());
+  const auto drain = [&fleet](const std::string& machine,
+                              orchestrator::TransferMode mode) {
+    const size_t placed = fleet.count_on(machine);
+    orchestrator::Scheduler scheduler(fleet);
+    orchestrator::OrchestratorOptions options;
+    options.pipelined = true;
+    options.transfer_mode = mode;
+    orchestrator::Orchestrator orch(fleet, scheduler, options);
+    EXPECT_EQ(orch.execute(orchestrator::Plan::drain(machine)).succeeded(),
+              placed);
+    EXPECT_EQ(fleet.count_on(machine), 0u);
+  };
+  const auto expect_buffers_only_where_placed = [this, &fleet] {
+    size_t stored = 0;
+    for (platform::Machine* m : world_.machines()) {
+      for (const uint64_t id : fleet.all_ids()) {
+        const orchestrator::EnclaveRecord* record = fleet.find(id);
+        const bool here = m->storage().exists(record->name + ".ml");
+        EXPECT_EQ(here, record->machine == m->address())
+            << record->name << " on " << m->address();
+        stored += here ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(stored, fleet.size());
+  };
+
+  drain("m0", orchestrator::TransferMode::kFullSnapshot);
+  expect_buffers_only_where_placed();
+  const size_t on_m1 = fleet.count_on("m1");
+  ASSERT_GT(on_m1, 0u);
+  world_.observability().set_enabled(true);
+  drain("m1", orchestrator::TransferMode::kPrecopy);
+  expect_buffers_only_where_placed();
+  size_t warm_ups = 0;
+  for (const obs::TraceSpan& span : world_.observability().trace.spans()) {
+    warm_ups += span.name == "warm_up" ? 1 : 0;
+  }
+  EXPECT_EQ(warm_ups, on_m1);  // the pre-copy drain restored warm
 }
 
 // Admission counts the quota a warm set will hold: a destination whose
