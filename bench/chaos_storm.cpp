@@ -102,6 +102,10 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
   const Duration t0 = world.clock().now();
   result.report = orch.execute(Plan::drain("m0"));
   result.wall = world.clock().now() - t0;
+  // The drain's own counters, before the settle and the oracles add theirs.
+  if (traced) {
+    result.report.metrics_json = world.observability().metrics.to_json();
+  }
   executor.disarm();
 
   // Post-drain settle, OUTSIDE the measured wall.
@@ -121,7 +125,6 @@ StormResult storm(uint64_t seed, const chaos::StormProfile& profile,
         chaos::check_fault_recovery(world.observability().trace);
     result.findings.insert(result.findings.end(), stalls.begin(),
                            stalls.end());
-    result.report.metrics_json = world.observability().metrics.to_json();
     if (trace_json != nullptr) {
       *trace_json = world.observability().trace.to_chrome_json();
     }
