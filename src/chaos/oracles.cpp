@@ -4,14 +4,28 @@
 #include <chrono>
 
 #include "migration/library_state.h"
-#include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "sgx/sealing.h"
 
 namespace sgxmig::chaos {
 
-using migration::InitState;
-using migration::MigratableEnclave;
+namespace {
+
+/// The library's restore rule applied to `sealed` as `image` on
+/// `machine`: its CPU unseals, its PSE table answers the epoch guard.
+Result<migration::LibraryState> restore_on(platform::Machine& machine,
+                                           const sgx::EnclaveImage& image,
+                                           const SharedBytes& sealed) {
+  auto unsealed = sgx::unseal_data(machine.cpu(), image.identity(), sealed);
+  if (!unsealed.ok()) return unsealed.status();
+  const sgx::Measurement& owner = image.mr_enclave();
+  return migration::restorable_state(
+      unsealed.value(), [&machine, &owner](const sgx::CounterUuid& uuid) {
+        return machine.counter_service().read(owner, uuid);
+      });
+}
+
+}  // namespace
 
 ConvergenceOracle::ConvergenceOracle(orchestrator::FleetRegistry& fleet,
                                      std::string source_machine)
@@ -23,8 +37,9 @@ ConvergenceOracle::~ConvergenceOracle() {
 
 void ConvergenceOracle::capture() {
   captured_.clear();
-  retired_refusals_ = 0;
-  retired_forks_.clear();
+  refusals_ = 0;
+  forks_ = 0;
+  fork_findings_.clear();
   if (subscription_ == 0) {
     subscription_ = fleet_.subscribe_retired_state(
         [this](uint64_t id, const std::string& machine,
@@ -50,6 +65,12 @@ void ConvergenceOracle::capture() {
   }
 }
 
+size_t ConvergenceOracle::captured_sealed_bytes() const {
+  size_t bytes = 0;
+  for (const Captured& snap : captured_) bytes += snap.sealed.size();
+  return bytes;
+}
+
 void ConvergenceOracle::judge_retired(uint64_t id, const std::string& machine,
                                       const SharedBytes& sealed) {
   if (machine != source_) return;
@@ -58,36 +79,69 @@ void ConvergenceOracle::judge_retired(uint64_t id, const std::string& machine,
                    [id](const Captured& c) { return c.id == id; });
   platform::Machine* source = fleet_.world().machine(source_);
   if (snap == captured_.end() || source == nullptr) return;
-  // The migrated-away instance's final sealed state carries the freeze
-  // flag or a dead epoch guard, so the library's restore rule must refuse
-  // it with kMigrationFrozen.
-  auto unsealed =
-      sgx::unseal_data(source->cpu(), snap->image->identity(), sealed);
-  Status status = unsealed.status();
-  if (unsealed.ok()) {
-    const sgx::Measurement& owner = snap->image->mr_enclave();
-    status = migration::restorable_state(
-                 unsealed.value(),
-                 [source, &owner](const sgx::CounterUuid& uuid) {
-                   return source->counter_service().read(owner, uuid);
-                 })
-                 .status();
-  }
+  // Fork check A: the migrated-away instance's final sealed state carries
+  // the freeze flag or a dead epoch guard, so the library's restore rule
+  // must refuse it with kMigrationFrozen.
+  const Status status = restore_on(*source, *snap->image, sealed).status();
   if (status == Status::kMigrationFrozen) {
-    ++retired_refusals_;
+    ++refusals_;
   } else if (status == Status::kOk) {
-    retired_forks_.push_back(
+    ++forks_;
+    fork_findings_.push_back(
         {"fork", snap->name + " retired buffer restores into a live "
                               "instance"});
+  }
+  judge_snapshot(*snap, *source);
+}
+
+void ConvergenceOracle::judge_snapshot(Captured& snap,
+                                       platform::Machine& source) {
+  if (snap.sealed.empty()) return;
+  // Fork check B — the PRE-drain sealed snapshot (what an adversary
+  // replaying an old backup would present): for live-transfer enclaves
+  // the epoch guard must refuse it outright; for full-snapshot enclaves
+  // it may restore (the freeze flag postdates it) but its hardware
+  // counters were destroyed, so reading ANY captured slot back means a
+  // usable fork.  A retired or destroyed counter never reads again, so
+  // the verdict is final once the move has retired.
+  const auto state = restore_on(source, *snap.image, snap.sealed);
+  snap.sealed = SharedBytes();
+  if (state.status() == Status::kMigrationFrozen) {
+    ++refusals_;
+    return;
+  }
+  if (!state.ok()) return;
+  const migration::LibraryState& restored = state.value();
+  const sgx::Measurement& owner = snap.image->mr_enclave();
+  const bool readable = std::any_of(
+      snap.counters.begin(), snap.counters.end(), [&](const auto& counter) {
+        const uint32_t slot = counter.first;
+        return restored.counters_active[slot] &&
+               source.counter_service()
+                   .read(owner, restored.counter_uuids[slot])
+                   .ok();
+      });
+  if (readable) {
+    ++forks_;
+    fork_findings_.push_back(
+        {"fork", snap.name + " pre-drain snapshot restored with readable "
+                             "counters"});
+  }
+  if (snap.live_transfer) {
+    fork_findings_.push_back(
+        {"fork", snap.name + " epoch guard accepted a stale pre-drain "
+                             "snapshot"});
   }
 }
 
 std::vector<OracleFinding> ConvergenceOracle::verify(
     const orchestrator::OrchestratorReport& report) {
-  // Fork check A ran as each move retired its source buffer.
-  std::vector<OracleFinding> findings = retired_forks_;
-  epoch_guard_refusals_ = retired_refusals_;
-  forks_ = retired_forks_.size();
+  // The fork checks ran as each move retired; a snapshot whose move never
+  // retired is judged now, by the same check B.
+  if (platform::Machine* source = fleet_.world().machine(source_)) {
+    for (Captured& snap : captured_) judge_snapshot(snap, *source);
+  }
+  std::vector<OracleFinding> findings = fork_findings_;
 
   if (report.failed() != 0) {
     findings.push_back({"convergence", std::to_string(report.failed()) +
@@ -98,8 +152,6 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
         {"convergence", std::to_string(fleet_.count_on(source_)) +
                             " enclaves still placed on " + source_});
   }
-
-  platform::Machine* source_machine = fleet_.world().machine(source_);
 
   for (const Captured& snap : captured_) {
     const orchestrator::EnclaveRecord* record = fleet_.find(snap.id);
@@ -136,42 +188,6 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
                                 ", captured " + std::to_string(expected)});
       }
     }
-
-    if (source_machine == nullptr) continue;
-
-    // Fork check B — the PRE-drain sealed snapshot (what an adversary
-    // replaying an old backup would present): for live-transfer enclaves
-    // the epoch guard must refuse it outright; for full-snapshot
-    // enclaves it may unseal (the freeze flag postdates it) but its
-    // hardware counters were destroyed, so reading ANY captured slot
-    // back means a usable fork.
-    if (!snap.sealed.empty()) {
-      MigratableEnclave replay(*source_machine, snap.image);
-      const Status status = replay.ecall_migration_init(
-          snap.sealed, InitState::kRestore, source_);
-      if (status == Status::kMigrationFrozen) {
-        ++epoch_guard_refusals_;
-      } else if (status == Status::kOk) {
-        bool readable = false;
-        for (const auto& [slot, expected] : snap.counters) {
-          if (replay.ecall_read_migratable_counter(slot).ok()) {
-            readable = true;
-            break;
-          }
-        }
-        if (readable) {
-          ++forks_;
-          findings.push_back(
-              {"fork", snap.name + " pre-drain snapshot restored with "
-                                   "readable counters"});
-        }
-        if (snap.live_transfer) {
-          findings.push_back(
-              {"fork", snap.name + " epoch guard accepted a stale "
-                                   "pre-drain snapshot"});
-        }
-      }
-    }
   }
 
   // Durable-queue consistency: every surviving ME fully drained.
@@ -179,30 +195,16 @@ std::vector<OracleFinding> ConvergenceOracle::verify(
     migration::MigrationEnclave* me = migration::me_on(*machine);
     if (me == nullptr) continue;
     const std::string& address = machine->address();
-    if (me->pending_incoming_count() != 0) {
-      findings.push_back({"durable-queue",
-                          address + " ME holds " +
-                              std::to_string(me->pending_incoming_count()) +
-                              " undelivered incoming entries"});
-    }
-    if (me->precopy_staging_count() != 0) {
-      findings.push_back({"durable-queue",
-                          address + " ME holds " +
-                              std::to_string(me->precopy_staging_count()) +
-                              " staged incoming records"});
-    }
-    if (me->transfer_task_count() != 0) {
-      findings.push_back({"durable-queue",
-                          address + " ME holds " +
-                              std::to_string(me->transfer_task_count()) +
-                              " unfinished transfer tasks"});
-    }
-    if (me->retry_done_relays() != 0) {
-      findings.push_back({"durable-queue",
-                          address + " ME holds " +
-                              std::to_string(me->retry_done_relays()) +
-                              " unflushed done-relay retries"});
-    }
+    const auto held = [&](size_t count, const char* what) {
+      if (count == 0) return;
+      findings.push_back({"durable-queue", address + " ME holds " +
+                                               std::to_string(count) + what});
+    };
+    held(me->pending_incoming_count(), " undelivered incoming entries");
+    held(me->precopy_staging_count(), " staged incoming records");
+    held(me->transfer_task_count(), " unfinished transfer tasks");
+    // Re-sends the backlog it counts, so it is asked once.
+    held(me->retry_done_relays(), " unflushed done-relay retries");
     if (address == source_ && me->outgoing_count() != 0) {
       findings.push_back({"durable-queue",
                           address + " ME retains " +

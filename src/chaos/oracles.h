@@ -7,9 +7,10 @@
 //   * no counter regression: every pre-drain counter value reads back
 //     exactly on the migrated instance;
 //   * no forks: neither the buffer each completed move takes out of the
-//     source store (freeze flag / epoch guard), judged as it is taken,
-//     nor the pre-drain sealed snapshot (epoch guard / destroyed
-//     counters) restores into a second USABLE instance — refusals are
+//     source store (freeze flag / epoch guard) nor the pre-drain sealed
+//     snapshot (epoch guard / destroyed counters) restores into a second
+//     USABLE instance.  Both are judged as the move retires; a snapshot
+//     whose move never retires is judged by verify().  Refusals are
 //     counted so the no-fork verdict is cross-checked against epoch-guard
 //     refusals;
 //   * durable-queue consistency: every surviving ME drained its incoming
@@ -54,12 +55,14 @@ class ConvergenceOracle {
   /// Snapshots the pre-drain ground truth: per-enclave counter values,
   /// completed-move counts, the current sealed buffer (the fork drill
   /// artifact an adversary would replay), and live-transfer capability.
-  /// Subscribes to the registry's retired buffers, which fork check A
-  /// judges as each move completes.  Call BEFORE Orchestrator::execute.
+  /// Subscribes to the registry's retired buffers: as each move completes
+  /// both fork checks are judged and the snapshot is dropped.  Call
+  /// BEFORE Orchestrator::execute.
   void capture();
 
-  /// Runs every post-drain oracle against `report` and the live fleet.
-  /// Returns the violations (empty = all invariants held).
+  /// Judges the snapshots no retirement judged, then runs every
+  /// post-drain oracle against `report` and the live fleet.  Returns the
+  /// violations (empty = all invariants held).
   std::vector<OracleFinding> verify(
       const orchestrator::OrchestratorReport& report);
 
@@ -67,11 +70,15 @@ class ConvergenceOracle {
   /// moves' retirements and during verify() — the cross-check that the
   /// no-fork verdict came from the anti-fork machinery actually firing,
   /// not from luck.
-  uint64_t epoch_guard_refusals() const { return epoch_guard_refusals_; }
+  uint64_t epoch_guard_refusals() const { return refusals_; }
 
-  /// Forked instances detected by the last verify() (a stale buffer that
-  /// restored AND could read state).  The headline gate is forks() == 0.
+  /// Forked instances detected so far (a stale buffer that restored AND
+  /// could read state).  The headline gate is forks() == 0 after
+  /// verify().
   uint64_t forks() const { return forks_; }
+
+  /// Bytes of pre-drain snapshots still held, awaiting their judgement.
+  size_t captured_sealed_bytes() const;
 
  private:
   struct Captured {
@@ -80,26 +87,31 @@ class ConvergenceOracle {
     std::shared_ptr<const sgx::EnclaveImage> image;
     std::vector<std::pair<uint32_t, uint32_t>> counters;  // slot -> value
     uint32_t completed_migrations = 0;
-    SharedBytes sealed;  // shares the enclave's buffer
+    // The pre-drain snapshot: shares the enclave's buffer at capture,
+    // emptied once fork check B has judged it.
+    SharedBytes sealed;
     bool live_transfer = false;
   };
 
-  /// Fork check A on the buffer a completed move took out of `machine`'s
-  /// store.  Judged off the measured run: no clock, RNG, PSE op, RPC or
-  /// trace record, only the library's restore rule over the source CPU's
-  /// unseal and the source PSE's counter table.
+  /// Both fork checks on a move out of `machine`: check A on the buffer
+  /// it took out of the store, check B on the captured snapshot.  Judged
+  /// off the measured run: no clock, RNG, PSE op, RPC or trace record,
+  /// only the library's restore rule over the source CPU's unseal and the
+  /// source PSE's counter table.
   void judge_retired(uint64_t id, const std::string& machine,
                      const SharedBytes& sealed);
+
+  /// Fork check B on `snap`'s pre-drain snapshot, then drops it.
+  void judge_snapshot(Captured& snap, platform::Machine& source);
 
   orchestrator::FleetRegistry& fleet_;
   std::string source_;
   std::vector<Captured> captured_;
   uint64_t subscription_ = 0;  // 0: not subscribed
-  // Check A's verdicts, reached during the drain.
-  uint64_t retired_refusals_ = 0;
-  std::vector<OracleFinding> retired_forks_;
-  uint64_t epoch_guard_refusals_ = 0;
+  // Both checks' verdicts, reached at retirements and in verify().
+  uint64_t refusals_ = 0;
   uint64_t forks_ = 0;
+  std::vector<OracleFinding> fork_findings_;
 };
 
 /// Post-drain settle, run before verify(): a storm can strand queue work

@@ -153,6 +153,8 @@ class ChaosTest : public ::testing::Test {
     Orchestrator orch(fleet_, scheduler, options);
     const OrchestratorReport report = orch.execute(Plan::drain("m0"));
     EXPECT_EQ(report.failed(), 0u);
+    // Both fork checks were judged as the move retired.
+    EXPECT_EQ(oracle.captured_sealed_bytes(), 0u);
 
     bool fork_reported = false;
     for (const auto& finding : oracle.verify(report)) {
@@ -355,6 +357,37 @@ TEST_F(ChaosTest, CorruptStoreLeavesTheCapturedSnapshotIntact) {
                                       /*corrupt_stored=*/true));
 }
 
+// A move that never retires keeps its snapshot until verify() judges it.
+// The enclave never left m0, so its pre-drain snapshot restores with its
+// live counters, and check B reports exactly that.
+TEST_F(ChaosTest, FailedMoveKeepsItsSnapshotForVerify) {
+  build_world(2);
+  launch("m0", "stuck-app");
+  world_.network().set_endpoint_down("m0/me", true);
+
+  ConvergenceOracle oracle(fleet_, "m0");
+  oracle.capture();
+  const size_t captured = oracle.captured_sealed_bytes();
+  Scheduler scheduler(fleet_);
+  OrchestratorOptions options;
+  options.max_attempts = 1;
+  Orchestrator orch(fleet_, scheduler, options);
+  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+  ASSERT_EQ(report.failed(), 1u);
+  EXPECT_GT(captured, 0u);
+  EXPECT_EQ(oracle.captured_sealed_bytes(), captured);
+
+  std::vector<std::string> forks;
+  for (const auto& finding : oracle.verify(report)) {
+    if (finding.check == "fork") forks.push_back(finding.detail);
+  }
+  EXPECT_EQ(forks, std::vector<std::string>{
+                       "stuck-app pre-drain snapshot restored with readable "
+                       "counters"});
+  EXPECT_EQ(oracle.forks(), 1u);
+  EXPECT_EQ(oracle.captured_sealed_bytes(), 0u);
+}
+
 TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {
   build_world(2);
   launch("m0", "guarded-app", /*live_transfer=*/true, 3);
@@ -518,6 +551,8 @@ TEST_P(ChaosStormTest, SeededStormDrainConvergesWithoutForks) {
   executor.arm(orch);
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   executor.disarm();
+  // Both fork checks were judged as each move retired.
+  EXPECT_EQ(oracle.captured_sealed_bytes(), 0u);
   chaos::settle_queues(world_);
 
   const auto findings = oracle.verify(report);
@@ -527,7 +562,9 @@ TEST_P(ChaosStormTest, SeededStormDrainConvergesWithoutForks) {
   }
   EXPECT_EQ(report.failed(), 0u);
   EXPECT_EQ(oracle.forks(), 0u);
-  EXPECT_GT(oracle.epoch_guard_refusals(), 0u);
+  // Check A refuses every retired buffer; check B refuses the pre-drain
+  // snapshot only where an epoch guard exists.
+  EXPECT_EQ(oracle.epoch_guard_refusals(), precopy ? 64u : 32u);
   EXPECT_GT(executor.injected_total(), 0u);
   EXPECT_EQ(fleet_.count_on("m0"), 0u);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "platform/world.h"
@@ -152,6 +153,48 @@ TEST(CounterService, RetiredSlotsHoldQuotaUntilReclaimed) {
   EXPECT_EQ(svc.reclaim_retired(), 256u);
   EXPECT_EQ(svc.count_for(owner_a()), 0u);
   EXPECT_TRUE(svc.create(owner_a(), Bytes(12, 1)).ok());
+}
+
+// The premise that makes the chaos oracle's fork verdict final at a
+// move's retirement: a counter once retired or destroyed never reads
+// again, whatever is created, retired, destroyed or reclaimed later, and
+// no uuid is issued twice.  Every counter gets the same nonce entropy, so
+// a reissued id would bring a dead uuid back.
+TEST(CounterService, DeadUuidsStayDeadAndUuidsAreNeverReissued) {
+  MonotonicCounterService svc;
+  const Bytes entropy(12, 7);
+  std::set<uint32_t> issued;
+  std::vector<CounterUuid> live;
+  std::vector<CounterUuid> dead;
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    for (int i = 0; i < 8; ++i) {
+      auto created = svc.create(owner_a(), entropy);
+      ASSERT_TRUE(created.ok()) << cycle;
+      ASSERT_TRUE(issued.insert(created.value().uuid.counter_id).second)
+          << "id " << created.value().uuid.counter_id << " issued twice";
+      ASSERT_TRUE(svc.increment(owner_a(), created.value().uuid).ok());
+      live.push_back(created.value().uuid);
+    }
+    // Retire the oldest four in one op, destroy the next two.
+    const std::vector<CounterUuid> retired(live.begin(), live.begin() + 4);
+    ASSERT_EQ(svc.retire(owner_a(), retired), 4u) << cycle;
+    ASSERT_EQ(svc.destroy(owner_a(), live[4]), Status::kOk) << cycle;
+    ASSERT_EQ(svc.destroy(owner_a(), live[5]), Status::kOk) << cycle;
+    dead.insert(dead.end(), live.begin(), live.begin() + 6);
+    live.erase(live.begin(), live.begin() + 6);
+    if (cycle % 2 == 1) svc.reclaim_retired();
+    for (const CounterUuid& uuid : dead) {
+      ASSERT_EQ(svc.read(owner_a(), uuid).status(), Status::kCounterNotFound)
+          << "cycle " << cycle << " id " << uuid.counter_id;
+      ASSERT_EQ(svc.increment(owner_a(), uuid).status(),
+                Status::kCounterNotFound);
+      ASSERT_EQ(svc.destroy(owner_a(), uuid), Status::kCounterNotFound);
+    }
+    ASSERT_EQ(svc.retire(owner_a(), dead), 0u) << cycle;
+    for (const CounterUuid& uuid : live) {
+      ASSERT_EQ(svc.read(owner_a(), uuid).value(), 1u) << cycle;
+    }
+  }
 }
 
 TEST(CounterService, CountForMatchesAModelUnderRandomOps) {
