@@ -123,6 +123,10 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
   DrainResult result;
   result.report = orch.execute(Plan::drain("m0"));
   result.wall = world.clock().now() - t0;
+  // The drain's own counters, before the reclaim sweep adds its own.
+  if (traced) {
+    result.report.metrics_json = world.observability().metrics.to_json();
+  }
   for (platform::Machine* m : world.machines()) {
     if (auto* me = migration::me_on(*m)) {
       result.full_handshakes += me->full_handshake_count();
@@ -136,11 +140,8 @@ DrainResult drain(int enclaves, int machines, uint32_t cap, Fault fault,
     result.reclaimed_slots += m->reclaim_retired_counters();
   }
   result.reclaim_cost = world.clock().now() - sweep0;
-  if (traced) {
-    result.report.metrics_json = world.observability().metrics.to_json();
-    if (trace_json != nullptr) {
-      *trace_json = world.observability().trace.to_chrome_json();
-    }
+  if (traced && trace_json != nullptr) {
+    *trace_json = world.observability().trace.to_chrome_json();
   }
   return result;
 }

@@ -45,12 +45,11 @@ int main() {
   for (const auto& [dest, why] :
        {std::pair{"us-a", "wrong region (us-east), despite 64 cores"},
         std::pair{"eu-b", "right region but only 4 certified cores"}}) {
-    const Status status =
-        enclave->ecall_migration_start_with_policy(dest, policy);
+    const Status status = enclave->ecall_migration_start(dest, policy);
     std::printf("migrate to %-5s -> %-18s (%s)\n", dest,
                 std::string(status_name(status)).c_str(), why);
   }
-  const Status ok = enclave->ecall_migration_start_with_policy("eu-c", policy);
+  const Status ok = enclave->ecall_migration_start("eu-c", policy);
   std::printf("migrate to %-5s -> %-18s (eu-west, 64 cores)\n", "eu-c",
               std::string(status_name(ok)).c_str());
 

@@ -40,7 +40,6 @@ class HybsterFollower {
   Status apply(const OrderedRequest& ordered);
 
   const std::vector<std::string>& log() const { return log_; }
-  uint64_t next_expected() const { return next_expected_; }
   const std::string& name() const { return name_; }
 
  private:

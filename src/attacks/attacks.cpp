@@ -508,7 +508,7 @@ AttackReport run_warm_replay_attack(World& world) {
   // The source re-routes (attempt A is aborted at dst), then comes back:
   // attempt B is a stop-and-copy finalize toward dst under a fresh nonce.
   if (!enclave->ecall_migration_precopy_round(stage.alt.address()).ok() ||
-      enclave->ecall_migration_finalize(stage.dst.address()) != Status::kOk) {
+      !enclave->ecall_migration_finalize_detailed(stage.dst.address()).ok()) {
     return {false, "re-routed finalize failed unexpectedly"};
   }
   // The host hands attempt B's data to attempt A's warm set.
@@ -547,7 +547,7 @@ AttackReport run_warm_race_attack(World& world) {
       second->ecall_migration_warm_up(stage.dst.address()) != Status::kOk) {
     return {false, "warm-up failed unexpectedly"};
   }
-  if (enclave->ecall_migration_finalize(stage.dst.address()) != Status::kOk) {
+  if (!enclave->ecall_migration_finalize_detailed(stage.dst.address()).ok()) {
     return {false, "finalize failed unexpectedly"};
   }
   const Status a = first->ecall_migration_init(ByteView(), InitState::kMigrate,

@@ -41,23 +41,12 @@ class MigratableEnclave : public sgx::Enclave {
     return library_.retire_warm_set();
   }
 
-  Status ecall_migration_start(const std::string& destination_address) {
-    auto scope = enter_ecall();
-    return library_.migration_start(destination_address);
-  }
-
-  /// Convenience overload: restrict the destination to a region list.
+  /// `policy` optionally constrains the destination (paper §X); the
+  /// source ME enforces it.
   Status ecall_migration_start(const std::string& destination_address,
-                               std::vector<std::string> allowed_regions) {
-    MigrationPolicy policy;
-    policy.allowed_regions = std::move(allowed_regions);
-    return ecall_migration_start_with_policy(destination_address, policy);
-  }
-
-  Status ecall_migration_start_with_policy(
-      const std::string& destination_address, const MigrationPolicy& policy) {
+                               MigrationPolicy policy = {}) {
     auto scope = enter_ecall();
-    return library_.migration_start(destination_address, policy);
+    return library_.migration_start(destination_address, std::move(policy));
   }
 
   /// Structured-failure variant (class + failing-step message), for
@@ -100,8 +89,6 @@ class MigratableEnclave : public sgx::Enclave {
     return library_.migration_poll_transfer();
   }
 
-  bool transfer_enqueued() const { return library_.transfer_enqueued(); }
-
   // ----- live pre-copy migration -----
 
   /// One iterative pre-copy round: ships the Table II chunks dirtied
@@ -121,26 +108,6 @@ class MigratableEnclave : public sgx::Enclave {
     auto scope = enter_ecall();
     return library_.migration_finalize_detailed(destination_address,
                                                 std::move(policy));
-  }
-
-  Status ecall_migration_finalize(const std::string& destination_address,
-                                  MigrationPolicy policy = {}) {
-    auto scope = enter_ecall();
-    return library_.migration_finalize(destination_address,
-                                       std::move(policy));
-  }
-
-  Result<OutgoingState> ecall_query_migration_status() {
-    auto scope = enter_ecall();
-    return library_.query_migration_status();
-  }
-
-  /// Fate of the currently staged migration attempt (nonce-scoped): lets
-  /// retry drivers detect that a "failed" start actually landed in the
-  /// ME's durable transfer queue and resume instead of re-sending.
-  Result<OutgoingState> ecall_query_staged_attempt_status() {
-    auto scope = enter_ecall();
-    return library_.query_staged_attempt_status();
   }
 
   // ----- Listing 2 (in-enclave API, exposed for tests/benches) -----

@@ -2,14 +2,6 @@
 
 namespace sgxmig::migration {
 
-size_t MigrationData::active_count() const {
-  size_t n = 0;
-  for (bool active : counters_active) {
-    if (active) ++n;
-  }
-  return n;
-}
-
 void wipe(MigrationData& data) {
   secure_wipe(data.msk.data(), data.msk.size());
   secure_wipe(reinterpret_cast<uint8_t*>(data.counter_values.data()),

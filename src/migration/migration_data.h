@@ -37,7 +37,6 @@ struct MigrationData {
     io.fixed(m.msk);
   }
 
-  size_t active_count() const;
   bool operator==(const MigrationData&) const = default;
 };
 

@@ -27,6 +27,13 @@ constexpr size_t kArmWindow = 2;
 // abandoned (no abort ever reached us).  Far above any live round gap; an
 // ME restart RESUMES staging well inside the window.
 constexpr Duration kPrecopyStagingMaxAge = seconds(600);
+// Opportunistic DONE-relay retries are rate-limited on the virtual clock
+// so a down source ME does not tax every unrelated request with one
+// doomed rpc per backlog entry.
+constexpr Duration kRelayRetryInterval = milliseconds(250);
+// Same idea for reconcile sweeps against a still-live pending record
+// (the common same-image serialization case).
+constexpr Duration kReconcileRetryInterval = milliseconds(250);
 
 MeResponse error_response(Status status) {
   MeResponse resp;
@@ -117,9 +124,9 @@ MigrationEnclave::MigrationEnclave(sgx::PlatformIface& platform,
                                  platform.cpu_cores(),
                                  machine_key_.public_key())),
       provider_ca_key_(provider.public_key()) {
-  // Random per construction: a restarted/redeployed ME presents a new
-  // epoch, so initiators holding cached sessions for the old instance are
-  // refused and fall back to the full handshake.
+  // Random per construction: a restarted ME presents a new epoch, so
+  // initiators holding cached sessions for the old instance are refused
+  // and fall back to the full handshake.
   instance_epoch_ = fresh_id();
   if (auto* net = this->platform().network()) {
     net->register_endpoint(this->platform().address() + "/me",
@@ -151,14 +158,6 @@ std::shared_ptr<const sgx::EnclaveImage> MigrationEnclave::standard_image() {
   return image;
 }
 
-void MigrationEnclave::bump_instance_epoch() {
-  auto scope = enter_ecall();
-  ++instance_epoch_;
-  // A redeployed ME forgets its acceptors: every initiator holding a
-  // cached session is refused and forced back to the full handshake.
-  resume_acceptors_.clear();
-}
-
 uint64_t MigrationEnclave::fresh_id() {
   const Bytes b = rng().bytes(8);
   const uint64_t id = load_be64(b.data());
@@ -168,8 +167,8 @@ uint64_t MigrationEnclave::fresh_id() {
 OutgoingState MigrationEnclave::outgoing_state(
     const sgx::Measurement& mr) const {
   // The per-identity index tracks the most recent transfer (the same
-  // enclave may migrate away repeatedly over its lifetime), so status
-  // queries no longer scan every transfer ever retained.
+  // enclave may migrate away repeatedly over its lifetime), so this read
+  // scans no transfer history.
   const auto it = latest_outgoing_.find(mr);
   return it == latest_outgoing_.end() ? OutgoingState::kNone
                                       : it->second.state;
@@ -200,22 +199,18 @@ void MigrationEnclave::record_completed(uint64_t transfer_id,
   record.request_nonce = t.request_nonce;
   record.sequence = t.sequence;
   completed_outgoing_.put(transfer_id, record);
-  completed_outgoing_.trim(history_limit());
-}
-
-size_t MigrationEnclave::history_limit() const {
-  return completed_history_limit_ == 0 ? kCompletedHistoryLimit
-                                       : completed_history_limit_;
+  completed_outgoing_.trim(completed_history_limit_);
 }
 
 void MigrationEnclave::set_completed_history_limit(size_t limit) {
   // The serialization format rejects restored queues claiming more than
   // kCompletedHistoryLimit entries (tamper check), so the override can
   // only shrink retention, never grow it past the format ceiling.
-  completed_history_limit_ =
-      (limit == 0 || limit >= kCompletedHistoryLimit) ? 0 : limit;
-  completed_outgoing_.trim(history_limit());
-  confirmed_incoming_.trim(history_limit());
+  completed_history_limit_ = (limit == 0 || limit >= kCompletedHistoryLimit)
+                                 ? kCompletedHistoryLimit
+                                 : limit;
+  completed_outgoing_.trim(completed_history_limit_);
+  confirmed_incoming_.trim(completed_history_limit_);
 }
 
 void MigrationEnclave::drop_sessions_for(const sgx::Measurement& mr) {
@@ -235,10 +230,8 @@ Result<Bytes> MigrationEnclave::handle_request(ByteView raw) {
   auto scope = enter_ecall();
   // Opportunistic DONE-relay retry: any inbound traffic is evidence the
   // network is back; try to clear the backlog before serving the request.
-  // Rate-limited so a long outage does not tax every request with one
-  // doomed rpc per backlog entry.
   if (!done_relays_.empty() &&
-      platform().clock().now() - last_relay_retry_ >= relay_retry_interval_) {
+      platform().clock().now() - last_relay_retry_ >= kRelayRetryInterval) {
     retry_done_relays();
   }
   // Same opportunism for abandoned pre-copy staging: inbound traffic is a
@@ -536,7 +529,7 @@ MigrationEnclave::LibReply MigrationEnclave::on_confirm_migration(
   incoming_.erase(it);
   if (relay.has_value()) done_relays_[transfer_id] = std::move(*relay);
   confirmed_incoming_.put(from.mr, request_nonce);
-  confirmed_incoming_.trim(history_limit());
+  confirmed_incoming_.trim(completed_history_limit_);
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) return persisted;
 
@@ -597,13 +590,13 @@ size_t MigrationEnclave::retry_done_relays() {
 
 MigrationEnclave::LibReply MigrationEnclave::on_query_status(
     const LibCaller& from, NoncePayload query) {
-  // A nonce-scoped query asks the fate of exactly one migrate request —
-  // the resume path a library uses when its ME exchange died mid-flight.
-  const uint64_t nonce = query.request_nonce;
-  const OutgoingState state = nonce == 0 ? outgoing_state(from.mr)
-                                         : attempt_state(from.mr, nonce);
+  // A query asks the fate of exactly one migrate request, the resume path
+  // a library uses when its ME exchange died mid-flight; nonce 0 names no
+  // attempt.
+  if (query.request_nonce == 0) return Status::kInvalidParameter;
   return lib_reply(LibMsgType::kStatusReport,
-                   encode_record(StatusReportPayload{state}));
+                   encode_record(StatusReportPayload{
+                       attempt_state(from.mr, query.request_nonce)}));
 }
 
 // ----- ME<->ME attestation: one chain, four callers -----
@@ -1858,17 +1851,6 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
     inbound_.erase(it);
     return error_response(auth_status);
   }
-  // Machine-level incoming policy.
-  if (!allowed_source_regions_.empty()) {
-    bool allowed = false;
-    for (const auto& region : allowed_source_regions_) {
-      if (region == source_region) allowed = true;
-    }
-    if (!allowed) {
-      inbound_.erase(it);
-      return error_response(Status::kPolicyViolation);
-    }
-  }
   inbound.source_region = source_region;
   inbound.source_address = auth.credential.address;
   inbound.authenticated = true;
@@ -2175,7 +2157,7 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   // just to re-learn it is live.
   const Duration now_ = platform().clock().now();
   if (it->second.last_reconcile != Duration{} &&
-      now_ - it->second.last_reconcile < reconcile_retry_interval_) {
+      now_ - it->second.last_reconcile < kReconcileRetryInterval) {
     return Status::kMigrationInProgress;
   }
   it->second.last_reconcile = now_;
@@ -2332,7 +2314,7 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
     latest->second.completed_nonce = transfer.request_nonce;
   }
   // Bound the per-identity index: once it overflows, forget the
-  // longest-completed identity (a status query then reports kNone — the
+  // longest-completed identity (outgoing_state then reports kNone — the
   // same answer a freshly deployed ME would give).  Pending identities
   // are never evicted; they still hold retained data.
   constexpr size_t kLatestOutgoingLimit = 4096;

@@ -71,7 +71,7 @@ struct DurableQueue {
     uint64_t request_nonce = 0;  // ties the transfer to one ML attempt
     Bytes retained_data;         // kept until DONE (paper §V-D)
     std::optional<net::SecureChannel> channel;
-    uint64_t sequence = 0;  // creation order, for status queries
+    uint64_t sequence = 0;  // creation order
   };
   /// The one incoming migration of an enclave identity (paper §V-D,
   /// §VI-A), from its first record until an instance with that MRENCLAVE
@@ -217,12 +217,13 @@ struct DurableQueue {
     std::string region;
   };
   using OutgoingMap = std::map<uint64_t, OutgoingTransfer>;
-  // Per-identity latest outgoing transfer: O(log n) status queries
-  // instead of scanning every transfer ever made.  Once that transfer
-  // completed, its request nonce stays here after the capped completion
-  // history trims its record, so the janitors keep their evidence.  The
-  // nonce is not persisted: a restored entry takes it from a retained
-  // completion record, or keeps 0 (no evidence) when that was trimmed.
+  // Per-identity latest outgoing transfer: O(log n) reads of an
+  // identity's latest state instead of scanning every transfer ever
+  // made.  Once that transfer completed, its request nonce stays here
+  // after the capped completion history trims its record, so the janitors
+  // keep their evidence.  The nonce is not persisted: a restored entry
+  // takes it from a retained completion record, or keeps 0 (no evidence)
+  // when that was trimmed.
   struct LatestOutgoing {
     uint64_t sequence = 0;
     OutgoingState state = OutgoingState::kNone;
@@ -458,11 +459,6 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   void set_async_precopy(bool on) { async_precopy_ = on; }
   bool async_precopy() const { return async_precopy_; }
 
-  /// Test hook: simulates an ME re-deployment without a process restart —
-  /// cached-resume peers must fall back to a full handshake.
-  void bump_instance_epoch();
-  uint64_t instance_epoch() const { return instance_epoch_; }
-
   /// Handshake economics (bench observables): full mutual-RA handshakes
   /// completed as the INITIATOR vs. one-round-trip cached resumes.
   uint64_t full_handshake_count() const { return full_handshakes_; }
@@ -478,12 +474,6 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   /// Runs one sweep now; returns how many records and tasks it expired.
   /// Also run opportunistically (rate-limited) on any inbound request.
   size_t sweep_stale_precopy_staging();
-
-  /// Optional machine-level policy: if non-empty, incoming migrations are
-  /// only accepted from source machines in these regions.
-  void set_allowed_source_regions(std::vector<std::string> regions) {
-    allowed_source_regions_ = std::move(regions);
-  }
 
   // ----- durable transfer queue -----
 
@@ -907,8 +897,6 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   ProviderAuth make_provider_auth(const std::array<uint8_t, 32>& transcript);
 
   uint64_t fresh_id();
-  /// Effective completed/confirmed history cap (override or default).
-  size_t history_limit() const;
   /// Records a confirmed outgoing transfer in the bounded history.
   void record_completed(uint64_t transfer_id, const OutgoingTransfer& t);
   /// Drops LA sessions whose peer measurement matches `mr` (the instance
@@ -926,12 +914,10 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   crypto::Ed25519KeyPair machine_key_;
   platform::MachineCredential credential_;
   crypto::Ed25519PublicKey provider_ca_key_{};
-  std::vector<std::string> allowed_source_regions_;
 
   std::map<uint64_t, LaSessionState> la_sessions_;
-  /// Effective history cap; set once from the library default (or an
-  /// operator override via set_completed_history_limit) in the .cpp.
-  size_t completed_history_limit_ = 0;  // 0 = library default
+  /// Cap of the completed-outgoing and confirmed-incoming histories.
+  size_t completed_history_limit_ = kCompletedHistoryLimit;
   // Responder side of the cached attestation sessions: memory-only
   // (restart forgets -> full re-handshake).
   std::map<std::string, ResumeAcceptor> resume_acceptors_;
@@ -948,13 +934,6 @@ class MigrationEnclave : public sgx::Enclave, private DurableQueue {
   // (~250ms each, see cost_model.h) before the confirm is sent, so only
   // instances idle far beyond that are ever presumed dead.
   Duration delivery_takeover_timeout_ = seconds(120);
-  // Opportunistic relay retries are rate-limited on the virtual clock so
-  // a down source ME does not tax every unrelated request with one
-  // doomed RPC per backlog entry.
-  Duration relay_retry_interval_ = milliseconds(250);
-  // Same idea for reconciliation sweeps against a still-live pending
-  // entry (the common same-image serialization case).
-  Duration reconcile_retry_interval_ = milliseconds(250);
   Duration last_relay_retry_{};
   bool retrying_relays_ = false;
   Duration last_staging_sweep_{};

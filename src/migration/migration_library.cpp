@@ -1251,12 +1251,6 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   return report;
 }
 
-Status MigrationLibrary::migration_finalize(
-    const std::string& destination_address, MigrationPolicy policy) {
-  return migration_finalize_detailed(destination_address, std::move(policy))
-      .status;
-}
-
 MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
   if (!initialized_) {
@@ -1405,15 +1399,6 @@ Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
   auto report = decode_record<StatusReportPayload>(reply.value().payload);
   if (!report.ok()) return Status::kTampered;
   return report.value().state;
-}
-
-Result<OutgoingState> MigrationLibrary::query_migration_status() {
-  return query_status_internal(/*nonce=*/0);
-}
-
-Result<OutgoingState> MigrationLibrary::query_staged_attempt_status() {
-  if (attempt_ == nullptr || attempt_->nonce == 0) return OutgoingState::kNone;
-  return query_status_internal(attempt_->nonce);
 }
 
 }  // namespace sgxmig::migration

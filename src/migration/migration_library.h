@@ -109,9 +109,6 @@ struct MigrationStartResult {
   std::string message;  // empty on success
 
   bool ok() const { return status == Status::kOk; }
-  bool retryable() const {
-    return migration_failure_is_retryable(failure_class);
-  }
 };
 
 class MigrationLibrary {
@@ -200,11 +197,6 @@ class MigrationLibrary {
   /// kSlotLive runs the freeze+collect+arm step inline.
   MigrationStartResult migration_poll_transfer();
 
-  /// True while an enqueued attempt is awaiting its poll verdict.
-  bool transfer_enqueued() const {
-    return attempt_ != nullptr && attempt_->queued;
-  }
-
   // ----- live pre-copy migration (iterative, VM-live-migration style) ---
   //
   // Instead of freezing for the whole Table II snapshot, the caller ships
@@ -212,7 +204,7 @@ class MigrationLibrary {
   // freezes only for the final delta:
   //
   //   while (!report.converged()) report = migration_precopy_round(d);
-  //   migration_finalize(d);
+  //   migration_finalize_detailed(d);
   //
   // Requires the live-transfer capability (epoch guard): finalize kills
   // the instance's counters and the epoch guard with ONE logical PSE
@@ -237,8 +229,6 @@ class MigrationLibrary {
   /// zero prior rounds (pure stop-and-copy).
   MigrationStartResult migration_finalize_detailed(
       const std::string& destination_address, MigrationPolicy policy = {});
-  Status migration_finalize(const std::string& destination_address,
-                            MigrationPolicy policy = {});
 
   // ----- warm pre-copy destination -----
   //
@@ -260,17 +250,6 @@ class MigrationLibrary {
   Status retire_warm_set();
   /// The request nonce the warm set is bound to (0: none held).
   uint64_t warm_nonce() const { return warm_nonce_; }
-
-  /// Asks the local ME for the state of this enclave's outgoing migration.
-  Result<OutgoingState> query_migration_status();
-
-  /// Asks the local ME for the fate of the CURRENT migration attempt
-  /// (identified by its request nonce, in either transfer mode).  This is
-  /// how a caller — or migration_start itself — distinguishes "the ME
-  /// never saw my request" from "the ME accepted it but the reply (or the
-  /// ME process) died": the latter returns kPending/kCompleted from the
-  /// ME's durable transfer queue.  kNone when nothing is staged.
-  Result<OutgoingState> query_staged_attempt_status();
 
   // ----- Listing 2: interface for the application enclave -----
 
@@ -319,11 +298,6 @@ class MigrationLibrary {
   /// Heap bytes of the resident Table II and of the open outgoing attempt
   /// (none when no attempt is open).  The sealed buffer is the store's.
   size_t memory_bytes() const;
-  /// Dirty-tracking generation of Table II chunk `chunk` (0 until a slot
-  /// in it is mutated by this instance).
-  uint64_t chunk_generation(size_t chunk) const {
-    return chunk_generation_[chunk];
-  }
 
  private:
   /// Seals Table II and hands it to the persist OCALL.
@@ -402,7 +376,7 @@ class MigrationLibrary {
   /// wait, runs the destructive stage (freeze+collect+destroy+persist)
   /// and ships the armed payload to the parked TransferTask.
   MigrationStartResult arm_reserved_slot();
-  /// Shared body of the two status queries (nonce 0 = per-identity).
+  /// Asks the local ME for the fate of attempt `nonce` (kQueryStatus).
   Result<OutgoingState> query_status_internal(uint64_t nonce);
   /// Sends one LibMsg over the LA channel and returns the reply.
   Result<LibMsg> me_exchange(const LibMsg& request);

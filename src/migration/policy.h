@@ -30,11 +30,6 @@ struct MigrationPolicy {
   /// Minimum certified CPU cores of the destination; 0 = no requirement.
   uint32_t min_cpu_cores = 0;
 
-  bool is_unrestricted() const {
-    return allowed_regions.empty() && denied_addresses.empty() &&
-           min_cpu_cores == 0;
-  }
-
   /// Evaluates the policy against a destination machine's certified
   /// attributes.  Returns kOk or kPolicyViolation.
   Status evaluate(const platform::MachineCredential& destination) const;

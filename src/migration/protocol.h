@@ -247,11 +247,11 @@ struct MigrateRequestPayload : MigrateReservePayload {
 };
 
 /// Payload of kQueryStatus and kPollTransfer: the request nonce of one
-/// migrate attempt.  For kQueryStatus, nonce 0 asks for the most recent
-/// outgoing migration of the calling enclave's MRENCLAVE; a nonce scopes
-/// the answer to the single migrate request that carried it (the resume
-/// path after an ME restart mid-exchange must not be confused by earlier
-/// migrations of the same identity through the same ME).
+/// migrate attempt.  The answer is scoped to the single migrate request
+/// that carried the nonce (the resume path after an ME restart
+/// mid-exchange must not be confused by earlier migrations of the same
+/// identity through the same ME); nonce 0 names no attempt and is
+/// kInvalidParameter.
 struct NoncePayload {
   uint64_t request_nonce = 0;
 
@@ -341,8 +341,8 @@ struct WarmBindingPayload {
 // monotonic generation stamped by the library on every mutation that
 // touches one of its slots.  Pre-copy rounds ship only chunks whose
 // generation advanced since the last round, while the enclave keeps
-// serving mutations; migration_finalize() freezes and ships just the
-// final dirty delta plus the MSK.  The finalize manifest lists every
+// serving mutations; migration_finalize_detailed() freezes and ships just
+// the final dirty delta plus the MSK.  The finalize manifest lists every
 // chunk (index, generation) the destination must hold so a lost round can
 // never silently restore a truncated Table II.
 

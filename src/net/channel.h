@@ -34,9 +34,6 @@ class SecureChannel {
   /// Opens the next record; enforces the expected sequence number.
   Result<Bytes> open_record(ByteView record);
 
-  uint64_t records_sent() const { return send_seq_; }
-  uint64_t records_received() const { return recv_seq_; }
-
   // ----- durable snapshot (Migration Enclave transfer queue) -----
   //
   // A Migration Enclave must be able to resume a channel after a restart

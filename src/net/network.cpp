@@ -18,10 +18,6 @@ void Network::unregister_endpoint(const std::string& address) {
   flaps_.erase(address);
 }
 
-bool Network::has_endpoint(const std::string& address) const {
-  return endpoints_.count(address) != 0;
-}
-
 void Network::charge(Duration base) {
   clock_.advance(Duration(static_cast<int64_t>(
       static_cast<double>(base.count()) * rng_.jitter(costs_.jitter_sigma))));

@@ -51,7 +51,6 @@ class Network {
 
   void register_endpoint(const std::string& address, RpcHandler handler);
   void unregister_endpoint(const std::string& address);
-  bool has_endpoint(const std::string& address) const;
 
   /// Synchronous request/response.  Charges 2x one-way latency plus
   /// transfer time for both directions.  Returns kNetworkUnreachable for

@@ -49,7 +49,6 @@ class World {
   VirtualClock& clock() { return clock_; }
   Rng& rng() { return rng_; }
   const CostModel& costs() const { return costs_; }
-  CostModel& mutable_costs() { return costs_; }
   net::Network& network() { return *network_; }
   obs::Observability& observability() { return observability_; }
   sgx::EpidAuthority& epid_authority() { return *epid_; }

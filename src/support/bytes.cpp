@@ -1,6 +1,5 @@
 #include "support/bytes.h"
 
-#include <cassert>
 #include <cstring>
 
 namespace sgxmig {
@@ -73,11 +72,6 @@ void secure_wipe(Bytes& buffer) { secure_wipe(buffer.data(), buffer.size()); }
 
 void append(Bytes& dst, ByteView suffix) {
   dst.insert(dst.end(), suffix.begin(), suffix.end());
-}
-
-void xor_into(std::span<uint8_t> dst, ByteView src) {
-  assert(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
 }
 
 }  // namespace sgxmig

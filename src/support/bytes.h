@@ -85,9 +85,6 @@ void secure_wipe(Bytes& buffer);
 /// Appends `suffix` to `dst`.
 void append(Bytes& dst, ByteView suffix);
 
-/// XORs `src` into `dst` (lengths must match; asserts in debug).
-void xor_into(std::span<uint8_t> dst, ByteView src);
-
 /// Loads/stores in big-endian and little-endian byte order, inline: the
 /// AES, GHASH and SHA kernels, the serializer and the slot checksum call
 /// them once per word.

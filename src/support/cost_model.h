@@ -41,7 +41,6 @@ struct CostModel {
   // slots are reclaimed by the ME firmware's background sweep at
   // counter_destroy cost each, off any enclave's critical path.
   Duration counter_retire = milliseconds(25);
-  Duration pse_session = milliseconds(2);
 
   // Untrusted storage (OCALL + write + fsync for persisted library state).
   Duration disk_write = milliseconds(20);

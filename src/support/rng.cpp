@@ -90,6 +90,4 @@ Bytes Rng::bytes(size_t len) {
   return out;
 }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 }  // namespace sgxmig

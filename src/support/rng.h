@@ -36,9 +36,6 @@ class Rng {
   void fill(uint8_t* out, size_t len);
   Bytes bytes(size_t len);
 
-  /// Derives an independent child generator (for per-machine streams).
-  Rng fork();
-
  private:
   uint64_t state_[4];
   bool have_spare_gaussian_ = false;

@@ -156,17 +156,4 @@ uint64_t process_peak_rss_bytes();
 /// mmapped on their own).  0 without glibc 2.33.
 uint64_t process_heap_in_use_bytes();
 
-/// RAII stopwatch over a VirtualClock.
-class VirtualStopwatch {
- public:
-  explicit VirtualStopwatch(const VirtualClock& clock)
-      : clock_(clock), start_(clock.now()) {}
-
-  Duration elapsed() const { return clock_.now() - start_; }
-
- private:
-  const VirtualClock& clock_;
-  Duration start_;
-};
-
 }  // namespace sgxmig

@@ -2,8 +2,8 @@
 // the source ME holds a (peer address, instance epoch)-keyed master key
 // and later transfers to the same destination resume in ONE round trip.
 // Every downgrade path must land on a full re-handshake — destination ME
-// restart (acceptors are memory-only), an explicit instance-epoch bump
-// (re-deployment without a restart), and a tampered resume message — and
+// restart (acceptors are memory-only, and the restarted ME draws a fresh
+// instance epoch) and a tampered resume message — and
 // NONE of them may weaken the migration guarantees: the source still
 // freezes, replayed pre-migration state still finds its counters gone,
 // and the payload is still delivered exactly once.  The sync callers of
@@ -160,19 +160,6 @@ TEST_F(AttestCacheTest, DestinationRestartForcesFullRehandshake) {
   EXPECT_EQ(me("m0")->resumed_handshake_count(), 0u);
   // The stale entry was retired and replaced by the fresh handshake's.
   EXPECT_EQ(me("m0")->peer_session_count(), 1u);
-}
-
-TEST_F(AttestCacheTest, EpochBumpForcesFullRehandshake) {
-  auto a = start_new(m0_, image_a_);
-  ASSERT_EQ(migrate(a, m0_, m1_, image_a_), Status::kOk);
-
-  // Re-deployment without a process restart: same object, new epoch.
-  me("m1")->bump_instance_epoch();
-
-  auto b = start_new(m0_, image_b_);
-  ASSERT_EQ(migrate(b, m0_, m1_, image_b_), Status::kOk);
-  EXPECT_EQ(me("m0")->full_handshake_count(), 2u);
-  EXPECT_EQ(me("m0")->resumed_handshake_count(), 0u);
 }
 
 TEST_F(AttestCacheTest, PrecopyFirstContactRidesTheCache) {

@@ -102,30 +102,24 @@ TEST_F(FailureInjectionTest, DoneMessageLostSourceKeepsData) {
   EXPECT_TRUE(moved->ecall_increment_migratable_counter(0).ok());
 }
 
-TEST_F(FailureInjectionTest, MeRestartLibraryReattests) {
-  auto enclave = start_enclave(m0_);
-  // Establish the LA channel via a status query.
-  ASSERT_TRUE(enclave->ecall_query_migration_status().ok());
-  // The management VM (and with it the ME) restarts: all sessions lost.
-  me0_.reset();
-  me0_ = std::make_unique<MigrationEnclave>(
-      m0_, MigrationEnclave::standard_image(), world_.provider());
-  // The library transparently re-attests and the query succeeds.
-  auto status = enclave->ecall_query_migration_status();
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status.value(), OutgoingState::kNone);
-}
-
 TEST_F(FailureInjectionTest, MeRestartDuringMigrationIsRetryable) {
-  auto enclave = start_enclave(m0_);
+  // Open the library's LA channel first: a warm-up with nothing staged
+  // attests the ME and is refused, and the instance then starts fresh.
+  auto enclave = std::make_unique<MigratableEnclave>(m0_, image_);
+  enclave->set_persist_callback(
+      [this](ByteView s) { m0_.storage().put("ml", s); });
+  ASSERT_EQ(enclave->ecall_migration_warm_up("m0"),
+            Status::kNoPendingMigration);
+  ASSERT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+            Status::kOk);
   const uint32_t id =
       enclave->ecall_create_migratable_counter().value().counter_id;
-  ASSERT_TRUE(enclave->ecall_query_migration_status().ok());  // open channel
-  // ME restarts before the migrate request.
+  // The management VM (and with it the ME) restarts before the migrate
+  // request: all sessions lost.
   me0_.reset();
   me0_ = std::make_unique<MigrationEnclave>(
       m0_, MigrationEnclave::standard_image(), world_.provider());
-  // migration_start re-attests internally and completes.
+  // migration_start re-attests transparently and completes.
   ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
   enclave.reset();
   auto moved = std::make_unique<MigratableEnclave>(m1_, image_);

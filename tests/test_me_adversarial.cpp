@@ -124,9 +124,9 @@ TEST_F(MeAdversarialTest, DoneForgeryCannotDeleteRetainedData) {
 
 TEST_F(MeAdversarialTest, ReplayedLaRecordRejected) {
   // Record+replay of an encrypted LA record: the channel's sequence
-  // numbers make the second delivery fail.
+  // numbers make the second delivery fail.  The record is a warm-up query
+  // with nothing staged, which leaves the session open.
   auto enclave = std::make_unique<MigratableEnclave>(m0_, image_);
-  enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0");
 
   Bytes recorded;
   world_.network().set_tamper_hook(
@@ -139,7 +139,8 @@ TEST_F(MeAdversarialTest, ReplayedLaRecordRejected) {
         }
         return true;
       });
-  ASSERT_TRUE(enclave->ecall_query_migration_status().ok());
+  ASSERT_EQ(enclave->ecall_migration_warm_up("m0"),
+            Status::kNoPendingMigration);
   world_.network().clear_tamper_hook();
   ASSERT_FALSE(recorded.empty());
 
@@ -383,6 +384,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<migration::LibMsgType>& row) {
       return "Type" + std::to_string(static_cast<int>(row.param));
     });
+
+// Every status query names its attempt.  Nonce 0 names none: it is
+// refused with kInvalidParameter and changes no queue state.
+TEST_F(MeAdversarialTest, StatusQueryWithoutANonceIsRefused) {
+  LaClient client(m0_, image_, /*session_id=*/606);
+  ASSERT_EQ(client.attest(), Status::kOk);
+  ASSERT_EQ(client.enqueue(0x5eed, "m1"), Status::kOk);
+  const size_t tasks = me0_->transfer_task_count();
+  const Bytes sealed = me0_->sealed_queue_state();
+  ASSERT_FALSE(sealed.empty());
+
+  migration::NoncePayload query;
+  auto reply = client.request(migration::LibMsgType::kQueryStatus,
+                              encode_record(query));
+  ASSERT_TRUE(reply.ok()) << status_name(reply.status());
+  EXPECT_EQ(reply.value().type, migration::LibMsgType::kError);
+  EXPECT_EQ(reply.value().status, Status::kInvalidParameter);
+  EXPECT_TRUE(reply.value().payload.empty());
+  EXPECT_EQ(me0_->transfer_task_count(), tasks);
+  EXPECT_EQ(me0_->sealed_queue_state(), sealed);
+
+  // The same session names the queued attempt and gets its fate: queued,
+  // not yet retained.
+  query.request_nonce = 0x5eed;
+  reply = client.request(migration::LibMsgType::kQueryStatus,
+                         encode_record(query));
+  ASSERT_TRUE(reply.ok()) << status_name(reply.status());
+  ASSERT_EQ(reply.value().type, migration::LibMsgType::kStatusReport);
+  auto report =
+      decode_record<migration::StatusReportPayload>(reply.value().payload);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().state, migration::OutgoingState::kNone);
+}
 
 // A warm destination instance learns which attempt is staged for its own
 // identity, and which slots it holds: the nonce and the active flags, never

@@ -221,34 +221,29 @@ TEST_F(MeDurableQueueTest, LostMigrateReplyResumesWithoutDoubleTransfer) {
   const uint32_t id =
       enclave->ecall_create_migratable_counter().value().counter_id;
   enclave->ecall_increment_migratable_counter(id);
-  // Pre-open the LA channel so the next m0/me exchange IS the migrate
-  // request record.
-  ASSERT_TRUE(enclave->ecall_query_migration_status().ok());
 
   // Drop exactly one reply from the source ME: the request is processed
   // (data retained + transferred) but the library never hears about it.
-  bool dropped = false;
+  // The first two m0/me replies complete the LA handshake; the third is
+  // the migrate request's.
+  int replies = 0;
   world_.network().set_response_tamper_hook(
       [&](const std::string& to, Bytes&) {
-        if (to == "m0/me" && !dropped) {
-          dropped = true;
-          return false;
-        }
-        return true;
+        return to != "m0/me" || ++replies != 3;
       });
   // The nonce-scoped status re-query inside migration_start detects that
   // the attempt landed in the durable queue and reports success.
   EXPECT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
   world_.network().clear_response_tamper_hook();
-  EXPECT_TRUE(dropped);
+  EXPECT_GT(replies, 3);
 
   // Exactly one transfer exists on either side — no duplicate shipment —
-  // and the staged attempt was consumed by the resume (external retry
-  // drivers can make the same observation via the attempt-status ECALL).
+  // and the staged attempt was consumed by the resume: a second start
+  // finds the library frozen instead of re-sending it.
   EXPECT_EQ(me("m0")->outgoing_count(), 1u);
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
-  EXPECT_EQ(enclave->ecall_query_staged_attempt_status().value(),
-            OutgoingState::kNone);
+  EXPECT_EQ(enclave->ecall_migration_start("m1"), Status::kMigrationFrozen);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
 
   enclave.reset();
   auto moved = make_app(m1_);
@@ -372,9 +367,78 @@ TEST_F(MeDurableQueueTest, TerminalTransfersAndStaleSessionsAreErased) {
   EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
   EXPECT_EQ(me("m1")->la_session_count(), 0u);
   EXPECT_EQ(me("m1")->unrelayed_done_count(), 0u);
-  // The destination instance keeps operating (it just re-attests).
-  EXPECT_EQ(moved->ecall_query_migration_status().value(),
+  // The destination instance keeps operating, and its identity has no
+  // outgoing migration on the destination's ME.
+  EXPECT_TRUE(moved->ecall_increment_migratable_counter(0).ok());
+  EXPECT_EQ(me("m1")->outgoing_state(image_->mr_enclave()),
             OutgoingState::kNone);
+}
+
+// The completed-outgoing and confirmed-incoming histories share one cap.
+// 0 and any value at or above the 4,096 default mean the default, so a
+// restored queue always passes the restore's bound; a smaller value trims
+// both histories at once, and a queue sealed under it restores.
+TEST_F(MeDurableQueueTest, CompletedHistoryLimitClampsTrimsAndRestores) {
+  constexpr size_t kDefault = migration::DurableQueue::kCompletedHistoryLimit;
+  ASSERT_EQ(kDefault, 4096u);
+  int moves = 0;
+  const auto move_one = [&] {
+    const auto image = EnclaveImage::create(
+        std::string("hist-").append(std::to_string(moves++)), 1, "acme");
+    auto source = std::make_unique<MigratableEnclave>(m0_, image);
+    ASSERT_EQ(source->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+              Status::kOk);
+    ASSERT_EQ(source->ecall_migration_start("m1"), Status::kOk);
+    source.reset();
+    auto moved = std::make_unique<MigratableEnclave>(m1_, image);
+    ASSERT_EQ(
+        moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+        Status::kOk);
+  };
+  const auto histories = [&] {
+    return std::pair{me("m0")->completed_history_size(),
+                     me("m1")->confirmed_incoming_size()};
+  };
+  for (int i = 0; i < 3; ++i) move_one();
+  ASSERT_EQ(histories(), std::pair(size_t{3}, size_t{3}));
+
+  // Shrinking trims both histories at once, and later moves keep the cap.
+  me("m0")->set_completed_history_limit(2);
+  me("m1")->set_completed_history_limit(2);
+  EXPECT_EQ(histories(), std::pair(size_t{2}, size_t{2}));
+  move_one();
+  EXPECT_EQ(histories(), std::pair(size_t{2}, size_t{2}));
+
+  // Each of these values restores the default cap: the histories grow
+  // past the shrunk one again.
+  size_t expected = 2;
+  for (const size_t limit : {size_t{0}, kDefault, kDefault + 1, SIZE_MAX}) {
+    SCOPED_TRACE(limit);
+    me("m0")->set_completed_history_limit(limit);
+    me("m1")->set_completed_history_limit(limit);
+    EXPECT_EQ(histories(), std::pair(expected, expected));
+    move_one();
+    ++expected;
+    EXPECT_EQ(histories(), std::pair(expected, expected));
+  }
+
+  // A queue sealed under a shrunk cap restores with the trimmed histories.
+  me("m0")->set_completed_history_limit(1);
+  me("m1")->set_completed_history_limit(1);
+  move_one();
+  restart_me("m0");
+  restart_me("m1");
+  EXPECT_EQ(histories(), std::pair(size_t{1}, size_t{1}));
+
+  // Past the default the oldest entries make room, so the queue still
+  // restores: a restore refuses a history longer than the default.
+  me("m0")->set_completed_history_limit(SIZE_MAX);
+  me("m1")->set_completed_history_limit(SIZE_MAX);
+  for (size_t i = 0; i < kDefault; ++i) ASSERT_NO_FATAL_FAILURE(move_one());
+  EXPECT_EQ(histories(), std::pair(kDefault, kDefault));
+  restart_me("m0");
+  restart_me("m1");
+  EXPECT_EQ(histories(), std::pair(kDefault, kDefault));
 }
 
 // ----- duplicate-id rejection (regression: silent clobbering) -----

@@ -2,6 +2,7 @@
 // Library + Migration Enclave protocol (paper §V, §VI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "baseline/nonmigratable.h"
@@ -347,19 +348,12 @@ TEST_F(MigrationTest, RegionPolicyEnforced) {
                          world_.provider());
   auto enclave = start_new(m0_);
   // Enclave policy: may only migrate within eu-central.
-  EXPECT_EQ(enclave->ecall_migration_start("us0", {"eu-central"}),
+  migration::MigrationPolicy eu_only;
+  eu_only.allowed_regions = {"eu-central"};
+  EXPECT_EQ(enclave->ecall_migration_start("us0", eu_only),
             Status::kPolicyViolation);
   // The data stays staged; retrying against an allowed region succeeds.
-  EXPECT_EQ(enclave->ecall_migration_start("m1", {"eu-central"}), Status::kOk);
-}
-
-TEST_F(MigrationTest, IncomingRegionPolicyEnforced) {
-  Machine& m_us = world_.add_machine("us0", "us-east");
-  MigrationEnclave me_us(m_us, MigrationEnclave::standard_image(),
-                         world_.provider());
-  me_us.set_allowed_source_regions({"us-east"});
-  auto enclave = start_new(m0_);
-  EXPECT_EQ(enclave->ecall_migration_start("us0"), Status::kPolicyViolation);
+  EXPECT_EQ(enclave->ecall_migration_start("m1", eu_only), Status::kOk);
 }
 
 TEST_F(MigrationTest, MigrationToSelfRejected) {
@@ -410,16 +404,14 @@ TEST_F(MigrationTest, DataStoredUntilDestinationEnclaveStarts) {
 
 TEST_F(MigrationTest, QueryStatusReflectsLifecycle) {
   auto enclave = start_new(m0_);
-  EXPECT_EQ(enclave->ecall_query_migration_status().value(),
-            OutgoingState::kNone);
+  const sgx::Measurement& mr = image_->mr_enclave();
+  EXPECT_EQ(me0_->outgoing_state(mr), OutgoingState::kNone);
   ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
-  EXPECT_EQ(enclave->ecall_query_migration_status().value(),
-            OutgoingState::kPending);
+  EXPECT_EQ(me0_->outgoing_state(mr), OutgoingState::kPending);
   auto dst = make_app(m1_);
   ASSERT_EQ(dst->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
             Status::kOk);
-  EXPECT_EQ(enclave->ecall_query_migration_status().value(),
-            OutgoingState::kCompleted);
+  EXPECT_EQ(me0_->outgoing_state(mr), OutgoingState::kCompleted);
 }
 
 TEST_F(MigrationTest, InitMigrateWithoutPendingDataFails) {
@@ -582,18 +574,18 @@ TEST_F(MigrationTest, MigrationDataSerializationRoundTrip) {
   auto back = decode_record<MigrationData>(encode_record(data));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), data);
-  EXPECT_EQ(back.value().active_count(), 2u);
+  EXPECT_EQ(std::count(back.value().counters_active.begin(),
+                       back.value().counters_active.end(), true),
+            2);
 }
 
 // ----- resident Table II: active slots only -----
 
-/// An app enclave that can read its own sealed Table II and its library's
-/// dirty-chunk generations.
+/// An app enclave that can read its own sealed Table II.
 class InspectableEnclave : public MigratableEnclave {
  public:
   using MigratableEnclave::MigratableEnclave;
   using MigratableEnclave::unseal;
-  const migration::MigrationLibrary& lib() { return library(); }
 
   /// The LibraryState wire record inside sealed_state().
   Bytes table_record() {
@@ -601,20 +593,13 @@ class InspectableEnclave : public MigratableEnclave {
     EXPECT_TRUE(unsealed.ok());
     return unsealed.ok() ? unsealed.value().plaintext : Bytes{};
   }
-  std::vector<uint64_t> chunk_generations() {
-    std::vector<uint64_t> gens;
-    for (size_t c = 0; c < migration::kPrecopyChunkCount; ++c) {
-      gens.push_back(lib().chunk_generation(c));
-    }
-    return gens;
-  }
 };
 
 // The library keeps only the active slots resident and rebuilds the dense
 // record to seal it.  Restoring a sealed buffer and persisting it again
 // gives the same record byte for byte, at every occupancy, with holes
 // from destroyed counters and with the non-zero offsets a migration
-// leaves; the lowest free slot and the dirty-chunk generations stay put.
+// leaves; the lowest free slot stays put.
 TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
   struct Case {
     const char* name;
@@ -674,9 +659,6 @@ TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
               Status::kOk);
     EXPECT_EQ(restored.table_record(), record);
     EXPECT_EQ(restored.active_counters(), moved.active_counters());
-    // A fresh instance starts with clean chunks; re-sealing dirties none.
-    EXPECT_EQ(restored.chunk_generations(),
-              std::vector<uint64_t>(migration::kPrecopyChunkCount, 0));
 
     // The lowest free slot is the first one the record marks inactive.
     const auto state = decode_record<migration::LibraryState>(record);

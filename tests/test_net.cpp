@@ -227,9 +227,10 @@ TEST_F(NetTest, ProxyEndpointsUnregisterOnDestruction) {
   {
     net::MgmtTcpProxy mgmt(network_, "tmp/tcp",
                            [](ByteView) -> Result<Bytes> { return Bytes{}; });
-    EXPECT_TRUE(network_.has_endpoint("tmp/tcp"));
+    EXPECT_TRUE(network_.rpc("tmp/tcp", Bytes{}).ok());
   }
-  EXPECT_FALSE(network_.has_endpoint("tmp/tcp"));
+  EXPECT_EQ(network_.rpc("tmp/tcp", Bytes{}).status(),
+            Status::kNetworkUnreachable);
 }
 
 // ---- secure channel ----

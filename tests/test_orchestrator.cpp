@@ -405,7 +405,8 @@ TEST_F(OrchestratorTest, MigrationStartDetailedReportsRetryableNetwork) {
       fleet_.enclave(ids[0])->ecall_migration_start_detailed("m1");
   EXPECT_EQ(result.status, Status::kNetworkUnreachable);
   EXPECT_EQ(result.failure_class, MigrationFailureClass::kRetryableNetwork);
-  EXPECT_TRUE(result.retryable());
+  EXPECT_TRUE(
+      migration::migration_failure_is_retryable(result.failure_class));
   EXPECT_NE(result.message.find("kNetworkUnreachable"), std::string::npos);
 }
 
@@ -418,7 +419,8 @@ TEST_F(OrchestratorTest, MigrationStartDetailedReportsFatalState) {
       fleet_.enclave(ids[0])->ecall_migration_start_detailed("m1");
   EXPECT_EQ(result.status, Status::kMigrationFrozen);
   EXPECT_EQ(result.failure_class, MigrationFailureClass::kFatalState);
-  EXPECT_FALSE(result.retryable());
+  EXPECT_FALSE(
+      migration::migration_failure_is_retryable(result.failure_class));
 }
 
 TEST_F(OrchestratorTest, FailureClassificationTable) {

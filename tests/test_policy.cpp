@@ -20,7 +20,6 @@ using sgx::EnclaveImage;
 
 TEST(PolicyUnit, UnrestrictedAcceptsAnything) {
   MigrationPolicy policy;
-  EXPECT_TRUE(policy.is_unrestricted());
   platform::MachineCredential cred;
   cred.address = "anywhere";
   cred.region = "mars";
@@ -107,10 +106,10 @@ TEST_F(PolicyEndToEnd, MinCoresEnforcedAgainstCertifiedValue) {
   MigrationPolicy policy;
   policy.min_cpu_cores = 8;
   // "small" is certified with 4 cores: rejected.
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("small", policy),
+  EXPECT_EQ(enclave->ecall_migration_start("small", policy),
             Status::kPolicyViolation);
   // "big" satisfies the requirement; the staged data migrates there.
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("big", policy),
+  EXPECT_EQ(enclave->ecall_migration_start("big", policy),
             Status::kOk);
 }
 
@@ -121,13 +120,13 @@ TEST_F(PolicyEndToEnd, CombinedPolicy) {
   policy.min_cpu_cores = 8;
   policy.denied_addresses = {"big"};
   // us0: wrong region (despite 64 cores).
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("us0", policy),
+  EXPECT_EQ(enclave->ecall_migration_start("us0", policy),
             Status::kPolicyViolation);
   // small: right region, too few cores.
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("small", policy),
+  EXPECT_EQ(enclave->ecall_migration_start("small", policy),
             Status::kPolicyViolation);
   // big: right region + cores, but denied by address.
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("big", policy),
+  EXPECT_EQ(enclave->ecall_migration_start("big", policy),
             Status::kPolicyViolation);
 }
 
@@ -138,9 +137,9 @@ TEST_F(PolicyEndToEnd, GeographicComplianceScenario) {
   enclave->ecall_create_migratable_counter();
   MigrationPolicy gdpr;
   gdpr.allowed_regions = {"eu-central", "eu-west"};
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("us0", gdpr),
+  EXPECT_EQ(enclave->ecall_migration_start("us0", gdpr),
             Status::kPolicyViolation);
-  ASSERT_EQ(enclave->ecall_migration_start_with_policy("big", gdpr),
+  ASSERT_EQ(enclave->ecall_migration_start("big", gdpr),
             Status::kOk);
   // Complete the migration and verify the counter arrived.
   enclave.reset();
@@ -159,7 +158,7 @@ TEST_F(PolicyEndToEnd, PolicyViolationKeepsDataRetryable) {
   enclave->ecall_increment_migratable_counter(id);
   MigrationPolicy strict;
   strict.min_cpu_cores = 1000;
-  EXPECT_EQ(enclave->ecall_migration_start_with_policy("big", strict),
+  EXPECT_EQ(enclave->ecall_migration_start("big", strict),
             Status::kPolicyViolation);
   // Counters already destroyed (destroy-before-send), but the staged data
   // can still reach an allowed destination.

@@ -335,7 +335,8 @@ TEST_F(PrecopyTest, PrecopyRequiresLiveTransferCapability) {
             Status::kInvalidState);
   const auto fin = legacy->ecall_migration_finalize_detailed("m1");
   EXPECT_EQ(fin.status, Status::kInvalidState);
-  EXPECT_FALSE(fin.retryable());
+  EXPECT_FALSE(
+      migration::migration_failure_is_retryable(fin.failure_class));
   // The paper path still works for legacy enclaves.
   EXPECT_EQ(legacy->ecall_migration_start("m1"), Status::kOk);
 }
@@ -451,7 +452,8 @@ TEST_F(PrecopyTest, AsyncFinalizeLostToMeRestartIsResent) {
   restart_me("m0");
   const auto lost = enclave->ecall_migration_poll_transfer();
   EXPECT_EQ(lost.status, Status::kServiceUnavailable) << lost.message;
-  EXPECT_TRUE(lost.retryable());
+  EXPECT_TRUE(
+      migration::migration_failure_is_retryable(lost.failure_class));
   EXPECT_TRUE(enclave->migration_frozen());
 
   const auto fin = drive_queued_finalize(
@@ -1417,7 +1419,7 @@ TEST_F(PrecopyTest, WarmSetTakesItsAttemptAndCreatesOnlyWhatIsMissing) {
   ASSERT_EQ(enclave->ecall_create_migratable_counter().value().counter_id, 3u);
   ASSERT_EQ(enclave->ecall_destroy_migratable_counter(1), Status::kOk);
   enclave->ecall_increment_migratable_counter(2);
-  ASSERT_EQ(enclave->ecall_migration_finalize("m1"), Status::kOk);
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
 
   ASSERT_EQ(warm->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
             Status::kOk);
@@ -1466,7 +1468,7 @@ TEST_F(PrecopyTest, AbandonedWarmSetIsRetiredThenReclaimed) {
   EXPECT_EQ(pse.count_for(owner), 6u);
 
   // The attempt re-routes to m2; the restore there retires m1's set.
-  ASSERT_EQ(enclave->ecall_migration_finalize("m2"), Status::kOk);
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m2").ok());
   EXPECT_EQ(me("m1")->precopy_staging_count(), 0u);
   ASSERT_EQ(fleet.complete_move(id, "m2"), Status::kOk);
   // Only the machine the enclave landed on keeps its sealed buffer.

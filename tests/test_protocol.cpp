@@ -184,8 +184,8 @@ TEST(ProtocolSerde, NoncePayloadRoundTrip) {
   auto back = decode_record<NoncePayload>(encode_record(payload));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().request_nonce, payload.request_nonce);
-  // The per-identity query writes its zero nonce like any other; the
-  // empty encoding no party writes is refused.
+  // A zero nonce encodes like any other (the ME refuses it, not the
+  // codec); the empty encoding no party writes is refused.
   EXPECT_EQ(encode_record(NoncePayload{}), Bytes(8, 0));
   EXPECT_EQ(decode_record<NoncePayload>(Bytes{}).status(),
             Status::kTampered);
