@@ -3,6 +3,8 @@
 // at worst they cost availability (which the threat model concedes).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "apps/hybster.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
@@ -27,10 +29,14 @@ class FailureInjectionTest : public ::testing::Test {
         m1_, MigrationEnclave::standard_image(), world_.provider());
   }
 
-  std::unique_ptr<MigratableEnclave> start_enclave(platform::Machine& m) {
+  // `before_init` runs on the new instance ahead of its init.
+  std::unique_ptr<MigratableEnclave> start_enclave(
+      platform::Machine& m,
+      const std::function<void(MigratableEnclave&)>& before_init = {}) {
     auto enclave = std::make_unique<MigratableEnclave>(m, image_);
     enclave->set_persist_callback(
         [&m](ByteView s) { m.storage().put("ml", s); });
+    if (before_init) before_init(*enclave);
     EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew,
                                             m.address()),
               Status::kOk);
@@ -105,13 +111,9 @@ TEST_F(FailureInjectionTest, DoneMessageLostSourceKeepsData) {
 TEST_F(FailureInjectionTest, MeRestartDuringMigrationIsRetryable) {
   // Open the library's LA channel first: a warm-up with nothing staged
   // attests the ME and is refused, and the instance then starts fresh.
-  auto enclave = std::make_unique<MigratableEnclave>(m0_, image_);
-  enclave->set_persist_callback(
-      [this](ByteView s) { m0_.storage().put("ml", s); });
-  ASSERT_EQ(enclave->ecall_migration_warm_up("m0"),
-            Status::kNoPendingMigration);
-  ASSERT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
-            Status::kOk);
+  auto enclave = start_enclave(m0_, [](MigratableEnclave& e) {
+    EXPECT_EQ(e.ecall_migration_warm_up("m0"), Status::kNoPendingMigration);
+  });
   const uint32_t id =
       enclave->ecall_create_migratable_counter().value().counter_id;
   // The management VM (and with it the ME) restarts before the migrate

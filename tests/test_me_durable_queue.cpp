@@ -374,6 +374,28 @@ TEST_F(MeDurableQueueTest, TerminalTransfersAndStaleSessionsAreErased) {
             OutgoingState::kNone);
 }
 
+/// An enclave with the ME's image on the ME's machine: it derives the same
+/// MRENCLAVE sealing key, so it can open a queue snapshot and seal an
+/// edited one that passes the ME's integrity check.
+class QueueSealer : public sgx::Enclave {
+ public:
+  explicit QueueSealer(platform::Machine& machine)
+      : sgx::Enclave(machine, MigrationEnclave::standard_image()) {}
+
+  Bytes open(ByteView sealed) {
+    auto opened = unseal(sealed);
+    EXPECT_TRUE(opened.ok());
+    return opened.ok() ? opened.value().plaintext : Bytes{};
+  }
+  Bytes seal_queue(ByteView plaintext) {
+    auto sealed = seal(sgx::KeyPolicy::kMrEnclave,
+                       to_bytes(std::string_view("SGXMIG-ME-QUEUE")),
+                       plaintext);
+    EXPECT_TRUE(sealed.ok());
+    return sealed.ok() ? sealed.value() : Bytes{};
+  }
+};
+
 // The completed-outgoing and confirmed-incoming histories share one cap.
 // 0 and any value at or above the 4,096 default mean the default, so a
 // restored queue always passes the restore's bound; a smaller value trims
@@ -382,9 +404,11 @@ TEST_F(MeDurableQueueTest, CompletedHistoryLimitClampsTrimsAndRestores) {
   constexpr size_t kDefault = migration::DurableQueue::kCompletedHistoryLimit;
   ASSERT_EQ(kDefault, 4096u);
   int moves = 0;
+  sgx::Measurement last_mr{};
   const auto move_one = [&] {
     const auto image = EnclaveImage::create(
         std::string("hist-").append(std::to_string(moves++)), 1, "acme");
+    last_mr = image->mr_enclave();
     auto source = std::make_unique<MigratableEnclave>(m0_, image);
     ASSERT_EQ(source->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
               Status::kOk);
@@ -431,14 +455,42 @@ TEST_F(MeDurableQueueTest, CompletedHistoryLimitClampsTrimsAndRestores) {
   EXPECT_EQ(histories(), std::pair(size_t{1}, size_t{1}));
 
   // Past the default the oldest entries make room, so the queue still
-  // restores: a restore refuses a history longer than the default.
-  me("m0")->set_completed_history_limit(SIZE_MAX);
+  // restores: a restore refuses a history longer than the default.  The
+  // destination's snapshot is edited to hold a full confirmed history,
+  // which stands in for 4,096 moves that would each seal the growing
+  // queue again.
   me("m1")->set_completed_history_limit(SIZE_MAX);
-  for (size_t i = 0; i < kDefault; ++i) ASSERT_NO_FATAL_FAILURE(move_one());
-  EXPECT_EQ(histories(), std::pair(kDefault, kDefault));
-  restart_me("m0");
+  auto blob = m1_.storage().get_versioned("m1.me-queue");
+  ASSERT_TRUE(blob.ok());
+  QueueSealer sealer(m1_);
+  const Bytes snapshot = sealer.open(blob.value());
+  // The confirmed section: a count of 1, then the last moved identity
+  // and its transfer id.
+  Bytes section(4);
+  store_le32(section.data(), 1);
+  section.insert(section.end(), last_mr.begin(), last_mr.end());
+  const auto at = std::search(snapshot.begin(), snapshot.end(),
+                              section.begin(), section.end());
+  ASSERT_NE(at, snapshot.end());
+  ASSERT_EQ(std::search(at + 1, snapshot.end(), section.begin(),
+                        section.end()),
+            snapshot.end());
+  Bytes full(snapshot.begin(), at + 4);
+  store_le32(full.data() + full.size() - 4, kDefault);
+  for (uint32_t i = 1; i < kDefault; ++i) {  // older, made-up identities
+    sgx::Measurement mr{};
+    store_le32(mr.data(), i);
+    full.insert(full.end(), mr.begin(), mr.end());
+    full.resize(full.size() + 8);
+    store_le64(full.data() + full.size() - 8, i);
+  }
+  full.insert(full.end(), at + 4, snapshot.end());
+  ASSERT_EQ(me("m1")->restore_queue(sealer.seal_queue(full)), Status::kOk);
+  ASSERT_EQ(me("m1")->confirmed_incoming_size(), kDefault);
+  move_one();
+  EXPECT_EQ(me("m1")->confirmed_incoming_size(), kDefault);
   restart_me("m1");
-  EXPECT_EQ(histories(), std::pair(kDefault, kDefault));
+  EXPECT_EQ(me("m1")->confirmed_incoming_size(), kDefault);
 }
 
 // ----- duplicate-id rejection (regression: silent clobbering) -----
@@ -578,28 +630,6 @@ TEST_F(MeDurableQueueTest, QueueSnapshotIsMachineBoundAndTornWriteSafe) {
   EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
             OutgoingState::kPending);
 }
-
-/// An enclave with the ME's image on the ME's machine: it derives the same
-/// MRENCLAVE sealing key, so it can open a queue snapshot and seal an
-/// edited one that passes the ME's integrity check.
-class QueueSealer : public sgx::Enclave {
- public:
-  explicit QueueSealer(platform::Machine& machine)
-      : sgx::Enclave(machine, MigrationEnclave::standard_image()) {}
-
-  Bytes open(ByteView sealed) {
-    auto opened = unseal(sealed);
-    EXPECT_TRUE(opened.ok());
-    return opened.ok() ? opened.value().plaintext : Bytes{};
-  }
-  Bytes seal_queue(ByteView plaintext) {
-    auto sealed = seal(sgx::KeyPolicy::kMrEnclave,
-                       to_bytes(std::string_view("SGXMIG-ME-QUEUE")),
-                       plaintext);
-    EXPECT_TRUE(sealed.ok());
-    return sealed.ok() ? sealed.value() : Bytes{};
-  }
-};
 
 TEST_F(MeDurableQueueTest, QueueSnapshotInRetiredFormatIsTampered) {
   auto a = start_new(m0_);

@@ -668,6 +668,23 @@ TEST_F(MigrationTest, SparseSlotsRoundTripTheSealedTableByteForByte) {
            state.value().counters_active[expected_free]) {
       ++expected_free;
     }
+    // A restored instance starts with every chunk clean: round 0 ships
+    // the populated chunks and no chunk the restore dirtied.
+    if (c.live_transfer) {
+      size_t populated = 0;
+      for (size_t chunk = 0; chunk < migration::kPrecopyChunkCount; ++chunk) {
+        for (size_t s = 0; s < migration::kPrecopyChunkSlots; ++s) {
+          if (state.value()
+                  .counters_active[chunk * migration::kPrecopyChunkSlots + s]) {
+            ++populated;
+            break;
+          }
+        }
+      }
+      auto round = restored.ecall_migration_precopy_round("m0");
+      ASSERT_TRUE(round.ok());
+      EXPECT_EQ(round.value().chunks_shipped, populated);
+    }
     auto created = restored.ecall_create_migratable_counter();
     if (expected_free == migration::kMaxCounters) {
       EXPECT_EQ(created.status(), Status::kCounterQuotaExceeded);
